@@ -1,42 +1,71 @@
-//! Front-end and taint-analysis benchmarks: lexer/parser throughput on
-//! generated Python, points-to solving, and the Tab. 7 bug-finding sweep
-//! with seed vs inferred specifications.
+//! Front-end and taint-analysis benchmarks: every frontend stage timed on
+//! its own over a 3:1 Python:JS generated corpus (lexer, parser, Python
+//! lowering, `build_ir` replay of both languages' IR, and the whole JS
+//! frontend), so a frontend change can be sized stage by stage in seconds;
+//! plus the Tab. 7 bug-finding sweep with seed vs inferred specifications.
+//!
+//! ```bash
+//! cargo bench -p seldon-bench --bench frontend
+//! ```
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use seldon_core::{analyze_corpus, run_seldon, SeldonOptions};
-use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
+use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
+use seldon_jsfront::{build_js_source, lower_js_source};
+use seldon_propgraph::{build_ir, lower_module, FileId};
 use seldon_pyast::{lexer, parser};
 use seldon_taint::TaintAnalyzer;
 
-fn corpus_text(projects: usize) -> Vec<String> {
+/// Source texts of a generated corpus of `projects` projects in `lang`.
+fn corpus_text(projects: usize, lang: Lang) -> Vec<String> {
     let universe = Universe::new();
-    generate_corpus(&universe, &CorpusOptions { projects, ..Default::default() })
+    generate_corpus(&universe, &CorpusOptions { projects, lang, ..Default::default() })
         .files()
         .map(|(_, f)| f.content.clone())
         .collect()
 }
 
-fn bench_lexer(c: &mut Criterion) {
-    let files = corpus_text(30);
-    let bytes: usize = files.iter().map(String::len).sum();
+fn bench_frontend(c: &mut Criterion) {
+    let py = corpus_text(30, Lang::Py);
+    let js = corpus_text(10, Lang::Js);
+    let py_bytes: usize = py.iter().map(String::len).sum();
+    let js_bytes: usize = js.iter().map(String::len).sum();
+    let modules: Vec<_> = py.iter().map(|f| parser::parse(f).expect("parses")).collect();
+    let irs: Vec<_> = modules
+        .iter()
+        .map(lower_module)
+        .chain(js.iter().map(|f| lower_js_source(f).expect("lowers")))
+        .collect();
+    let events: usize = irs.iter().map(|ir| ir.events.len()).sum();
+
     let mut g = c.benchmark_group("frontend");
-    g.throughput(Throughput::Bytes(bytes as u64));
+    g.throughput(Throughput::Bytes(py_bytes as u64));
     g.bench_function("lexer", |b| {
-        b.iter(|| {
-            let mut tokens = 0usize;
-            for f in &files {
-                tokens += lexer::lex(f).expect("lexes").len();
-            }
-            tokens
-        })
+        b.iter(|| py.iter().map(|f| lexer::lex(f).expect("lexes").len()).sum::<usize>())
     });
     g.bench_function("parser", |b| {
+        b.iter(|| py.iter().map(|f| parser::parse(f).expect("parses").body.len()).sum::<usize>())
+    });
+    g.throughput(Throughput::Elements(modules.len() as u64));
+    g.bench_function("lower", |b| {
+        b.iter(|| modules.iter().map(|m| lower_module(m).events.len()).sum::<usize>())
+    });
+    g.throughput(Throughput::Elements(events as u64));
+    g.bench_function("build_ir", |b| {
         b.iter(|| {
-            let mut stmts = 0usize;
-            for f in &files {
-                stmts += parser::parse(f).expect("parses").body.len();
-            }
-            stmts
+            irs.iter()
+                .enumerate()
+                .map(|(i, ir)| build_ir(ir, FileId(i as u32)).event_count())
+                .sum::<usize>()
+        })
+    });
+    g.throughput(Throughput::Bytes(js_bytes as u64));
+    g.bench_function("js_build", |b| {
+        b.iter(|| {
+            js.iter()
+                .enumerate()
+                .map(|(i, f)| build_js_source(f, FileId(i as u32)).expect("builds").event_count())
+                .sum::<usize>()
         })
     });
     g.finish();
@@ -70,5 +99,5 @@ fn bench_taint_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_lexer, bench_taint_sweep);
+criterion_group!(benches, bench_frontend, bench_taint_sweep);
 criterion_main!(benches);

@@ -73,6 +73,9 @@ pub enum TokenKind {
     Op(char),
     /// End of input.
     EndOfFile,
+    /// What the parser leaves in a token's slot after moving the token out.
+    /// The lexer never produces it and the parser never reads it back.
+    Taken,
 }
 
 impl fmt::Display for TokenKind {
@@ -109,6 +112,7 @@ impl fmt::Display for TokenKind {
             TokenKind::Plus => write!(f, "`+`"),
             TokenKind::Op(c) => write!(f, "`{c}`"),
             TokenKind::EndOfFile => write!(f, "end of file"),
+            TokenKind::Taken => write!(f, "consumed token"),
         }
     }
 }
@@ -130,7 +134,8 @@ pub struct Token {
 /// no token can start with.
 pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
     let bytes = source.as_bytes();
-    let mut tokens = Vec::new();
+    // About one token per four bytes of source, so the stream rarely grows.
+    let mut tokens = Vec::with_capacity(source.len() / 4);
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;

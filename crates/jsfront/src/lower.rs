@@ -18,8 +18,12 @@ use seldon_ir::{
     FrontendError, IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam,
     IrPendingCall, IrProgram,
 };
-use seldon_propgraph::{finish_reps, Budget, BudgetExceeded, BudgetMeter, ReprCtx};
+use seldon_propgraph::{
+    finish_rep_strings, finish_reps, Budget, BudgetExceeded, BudgetMeter, ImportMap, ReprCtx,
+    MAX_CHAIN_DEPTH,
+};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Maximum events tracked per variable binding; larger sets are truncated.
 const MAX_FLOW_SET: usize = 8;
@@ -29,7 +33,7 @@ type FlowSet = Vec<u32>;
 
 /// Lowers one parsed program into the language-neutral IR.
 pub fn lower_js_program(program: &Program) -> IrProgram {
-    let mut l = Lowerer::new();
+    let mut l = Lowerer::new(program);
     l.run(program);
     l.into_ir()
 }
@@ -44,7 +48,7 @@ pub fn lower_js_program_budgeted(
     program: &Program,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
-    let mut l = Lowerer::new();
+    let mut l = Lowerer::new(program);
     l.meter = Some(BudgetMeter::new(budget.clone()));
     l.run(program);
     if let Some(e) = l.meter.take().and_then(BudgetMeter::into_tripped) {
@@ -68,14 +72,10 @@ pub fn lower_js_source(source: &str) -> Result<IrProgram, FrontendError> {
 
 /// Splits a module specifier like `./app/models.js` into dotted-path
 /// segments (`["app", "models", "js"]` → the `.js` suffix is dropped).
-fn module_segments(module: &str) -> Vec<String> {
+fn module_segments(module: &str) -> Vec<&str> {
     let trimmed = module.trim_start_matches("./");
-    let mut segs: Vec<String> = trimmed
-        .split(['/', '.'])
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    if segs.len() > 1 && segs.last().is_some_and(|s| s == "js") {
+    let mut segs: Vec<&str> = trimmed.split(['/', '.']).filter(|s| !s.is_empty()).collect();
+    if segs.len() > 1 && segs.last() == Some(&"js") {
         segs.pop();
     }
     segs
@@ -85,44 +85,59 @@ fn module_segments(module: &str) -> Vec<String> {
 /// specific, reusing the shared name-resolution rules in [`ReprCtx`] and
 /// the shared interning/backoff in [`finish_reps`].
 fn describe_syms_js(expr: &Expr, ctx: &ReprCtx) -> Vec<Symbol> {
-    finish_reps(describe_inner(expr, ctx, 0))
+    finish_reps(describe_inner(expr, ctx))
 }
 
-/// String-resolving convenience wrapper around [`describe_syms_js`].
+/// Like [`describe_syms_js`], keeping the variant strings it built.
 fn describe_js(expr: &Expr, ctx: &ReprCtx) -> Vec<String> {
-    describe_syms_js(expr, ctx).iter().map(|s| s.as_str().to_string()).collect()
+    finish_rep_strings(describe_inner(expr, ctx))
 }
 
-fn describe_inner(expr: &Expr, ctx: &ReprCtx, depth: usize) -> Vec<String> {
-    if depth > 12 {
-        return Vec::new();
+fn describe_inner(expr: &Expr, ctx: &ReprCtx) -> Vec<String> {
+    let mut suffix = String::new();
+    match chain_base(expr, 0, &mut suffix) {
+        Some(name) => ctx.variants_with_suffix(name, &suffix),
+        None => Vec::new(),
+    }
+}
+
+/// Walks an access chain down to the identifier it starts from, appending
+/// the rendering of each step to `suffix`, innermost first. `None` when the
+/// chain does not start from an identifier or is deeper than
+/// [`MAX_CHAIN_DEPTH`].
+fn chain_base<'e>(expr: &'e Expr, depth: usize, suffix: &mut String) -> Option<&'e str> {
+    if depth > MAX_CHAIN_DEPTH {
+        return None;
     }
     match &expr.kind {
-        ExprKind::Ident(n) => ctx.name_variants(n),
-        ExprKind::Member { obj, prop } => describe_inner(obj, ctx, depth + 1)
-            .into_iter()
-            .map(|v| format!("{v}.{prop}"))
-            .collect(),
-        ExprKind::Call { callee, .. } => describe_inner(callee, ctx, depth + 1)
-            .into_iter()
-            .map(|v| format!("{v}()"))
-            .collect(),
-        ExprKind::Index { obj, index } => {
-            let idx = render_index(index);
-            describe_inner(obj, ctx, depth + 1)
-                .into_iter()
-                .map(|v| format!("{v}[{idx}]"))
-                .collect()
+        ExprKind::Ident(n) => Some(n),
+        ExprKind::Member { obj, prop } => {
+            let base = chain_base(obj, depth + 1, suffix)?;
+            suffix.push('.');
+            suffix.push_str(prop);
+            Some(base)
         }
-        _ => Vec::new(),
-    }
-}
-
-fn render_index(index: &Expr) -> String {
-    match &index.kind {
-        ExprKind::Str(s) => format!("'{s}'"),
-        ExprKind::Num(n) => n.clone(),
-        _ => String::new(),
+        ExprKind::Call { callee, .. } => {
+            let base = chain_base(callee, depth + 1, suffix)?;
+            suffix.push_str("()");
+            Some(base)
+        }
+        ExprKind::Index { obj, index } => {
+            let base = chain_base(obj, depth + 1, suffix)?;
+            suffix.push('[');
+            match &index.kind {
+                ExprKind::Str(s) => {
+                    suffix.push('\'');
+                    suffix.push_str(s);
+                    suffix.push('\'');
+                }
+                ExprKind::Num(n) => suffix.push_str(n),
+                _ => {}
+            }
+            suffix.push(']');
+            Some(base)
+        }
+        _ => None,
     }
 }
 
@@ -150,78 +165,115 @@ fn require_module(expr: &Expr) -> Option<&str> {
     None
 }
 
-// ----- lowering ---------------------------------------------------------------
-
-/// Summary of a locally-defined function for call linking.
-#[derive(Debug, Clone, Default)]
-struct FuncSummary {
-    /// `(name, param event)` in declaration order.
-    params: Vec<(String, u32)>,
-    /// Events flowing into `return` statements.
-    returns: Vec<u32>,
-    /// The function body, kept for per-call-site inlining.
-    def: Option<FuncDecl>,
-}
-
-/// Per-function analysis scope.
-struct Scope {
-    ctx: ReprCtx,
-    env: HashMap<String, FlowSet>,
-    returns: Vec<u32>,
-    /// Unique id for qualifying points-to variable names.
-    scope_id: u32,
-}
-
-impl Scope {
-    fn merge_env(&mut self, other: HashMap<String, FlowSet>) {
-        for (k, v) in other {
-            let slot = self.env.entry(k).or_default();
-            for e in v {
-                if !slot.contains(&e) {
-                    slot.push(e);
+/// Resolves every import binding (ES and CommonJS) in `body` into dotted
+/// paths, recursing into function/branch bodies.
+fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
+    for stmt in body {
+        match &stmt.kind {
+            StmtKind::Import { bindings, module } => {
+                let segs = module_segments(module);
+                if segs.is_empty() {
+                    continue;
+                }
+                for b in bindings {
+                    match b {
+                        ImportBinding::Default(name) | ImportBinding::Namespace(name) => {
+                            imports.insert(name, &segs);
+                        }
+                        ImportBinding::Named { exported, local } => {
+                            imports.insert(local, &[&segs[..], &[exported.as_str()]].concat());
+                        }
+                    }
                 }
             }
-            slot.truncate(MAX_FLOW_SET);
+            StmtKind::VarDecl { name, pattern, init: Some(init) } => {
+                if let Some(module) = require_module(init) {
+                    let segs = module_segments(module);
+                    if segs.is_empty() {
+                        continue;
+                    }
+                    if let Some(n) = name {
+                        imports.insert(n, &segs);
+                    }
+                    for (prop, local) in pattern {
+                        imports.insert(local, &[&segs[..], &[prop.as_str()]].concat());
+                    }
+                }
+            }
+            StmtKind::Func(def) => collect_imports(&def.body, imports),
+            StmtKind::If { cons, alt, .. } => {
+                collect_imports(cons, imports);
+                collect_imports(alt, imports);
+            }
+            _ => {}
         }
     }
 }
 
-struct Lowerer {
-    ir: IrProgram,
-    imports: HashMap<String, Vec<String>>,
-    /// Named points-to variables, memoized by `s{scope}::{name}` exactly
+// ----- lowering ---------------------------------------------------------------
+
+/// Summary of a locally-defined function for call linking.
+#[derive(Debug)]
+struct FuncSummary<'p> {
+    /// `(name, param event)` in declaration order.
+    params: Vec<(&'p str, u32)>,
+    /// Events flowing into `return` statements.
+    returns: Vec<u32>,
+    /// The function, borrowed from the program for per-call-site inlining.
+    def: &'p FuncDecl,
+}
+
+/// Per-function analysis scope.
+struct Scope<'p> {
+    ctx: ReprCtx,
+    env: HashMap<&'p str, FlowSet>,
+    returns: Vec<u32>,
+    /// This scope's named points-to variables, memoized by name exactly
     /// like the Python lowering.
-    var_names: HashMap<String, u32>,
-    funcs: HashMap<String, FuncSummary>,
+    pt_vars: HashMap<&'p str, u32>,
+}
+
+impl<'p> Scope<'p> {
+    fn merge_env(&mut self, other: HashMap<&'p str, FlowSet>) {
+        for (k, v) in other {
+            union_into(self.env.entry(k).or_default(), &v);
+        }
+    }
+}
+
+/// Walks one program, borrowing its AST for the whole lowering.
+struct Lowerer<'p> {
+    ir: IrProgram,
+    /// The program's import bindings, built once and shared by every scope.
+    imports: Rc<ImportMap>,
+    funcs: HashMap<&'p str, FuncSummary<'p>>,
     /// Names in first-definition order, for stable IR emission.
-    func_order: Vec<String>,
+    func_order: Vec<&'p str>,
     /// Names currently being inlined (recursion guard / depth bound).
-    inline_stack: Vec<String>,
-    next_scope: u32,
+    inline_stack: Vec<&'p str>,
     /// Resource accounting; `None` lowers without limits.
     meter: Option<BudgetMeter>,
     /// Current statement-nesting depth, fed to the meter.
     stmt_depth: usize,
 }
 
-impl Lowerer {
-    fn new() -> Self {
+impl<'p> Lowerer<'p> {
+    fn new(program: &Program) -> Self {
+        let mut imports = ImportMap::new();
+        collect_imports(&program.body, &mut imports);
         Lowerer {
             ir: IrProgram::default(),
-            imports: HashMap::new(),
-            var_names: HashMap::new(),
+            imports: Rc::new(imports),
             funcs: HashMap::new(),
             func_order: Vec::new(),
             inline_stack: Vec::new(),
-            next_scope: 0,
             meter: None,
             stmt_depth: 0,
         }
     }
 
-    fn run(&mut self, program: &Program) {
-        self.collect_imports(&program.body);
-        let mut scope = self.new_scope(None, &[]);
+    fn run(&mut self, program: &'p Program) {
+        let mut scope = self.new_scope(None);
         for stmt in &program.body {
             self.walk_stmt(stmt, &mut scope);
         }
@@ -231,13 +283,13 @@ impl Lowerer {
         for name in &self.func_order {
             let s = &self.funcs[name];
             self.ir.funcs.push(IrFunc {
-                qualified: name.clone(),
+                qualified: name.to_string(),
                 params: s
                     .params
                     .iter()
-                    .map(|(n, ev)| IrParam {
-                        name: n.clone(),
-                        event: *ev,
+                    .map(|&(n, ev)| IrParam {
+                        name: n.to_string(),
+                        event: ev,
                         // JS has no `self`/`cls` receiver slot: every
                         // parameter binds positionally.
                         implicit: false,
@@ -274,13 +326,12 @@ impl Lowerer {
         self.ir.ops.push(IrOp::ArgPos { from, to, pos });
     }
 
-    fn pt_var(&mut self, scope: &Scope, name: &str) -> u32 {
-        let key = format!("s{}::{}", scope.scope_id, name);
-        if let Some(&v) = self.var_names.get(&key) {
+    fn pt_var(&mut self, scope: &mut Scope<'p>, name: &'p str) -> u32 {
+        if let Some(&v) = scope.pt_vars.get(name) {
             return v;
         }
         let v = self.fresh_var();
-        self.var_names.insert(key, v);
+        scope.pt_vars.insert(name, v);
         v
     }
 
@@ -290,73 +341,22 @@ impl Lowerer {
         v
     }
 
-    /// Resolves every import binding (ES and CommonJS) in the file into
-    /// dotted paths, recursing into function/branch bodies.
-    fn collect_imports(&mut self, body: &[Stmt]) {
-        for stmt in body {
-            match &stmt.kind {
-                StmtKind::Import { bindings, module } => {
-                    let segs = module_segments(module);
-                    if segs.is_empty() {
-                        continue;
-                    }
-                    for b in bindings {
-                        match b {
-                            ImportBinding::Default(name)
-                            | ImportBinding::Namespace(name) => {
-                                self.imports.insert(name.clone(), segs.clone());
-                            }
-                            ImportBinding::Named { exported, local } => {
-                                let mut path = segs.clone();
-                                path.push(exported.clone());
-                                self.imports.insert(local.clone(), path);
-                            }
-                        }
-                    }
-                }
-                StmtKind::VarDecl { name, pattern, init: Some(init) } => {
-                    if let Some(module) = require_module(init) {
-                        let segs = module_segments(module);
-                        if segs.is_empty() {
-                            continue;
-                        }
-                        if let Some(n) = name {
-                            self.imports.insert(n.clone(), segs.clone());
-                        }
-                        for (prop, local) in pattern {
-                            let mut path = segs.clone();
-                            path.push(prop.clone());
-                            self.imports.insert(local.clone(), path);
-                        }
-                    }
-                }
-                StmtKind::Func(def) => self.collect_imports(&def.body),
-                StmtKind::If { cons, alt, .. } => {
-                    self.collect_imports(cons);
-                    self.collect_imports(alt);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn new_scope(&mut self, func_name: Option<String>, params: &[String]) -> Scope {
+    /// A fresh scope; `def` is the function it analyzes, if any.
+    fn new_scope(&mut self, def: Option<&FuncDecl>) -> Scope<'p> {
         let ctx = ReprCtx {
-            imports: self.imports.clone(),
+            imports: Rc::clone(&self.imports),
             class_name: None,
             base_class: None,
-            func_name,
-            params: params.to_vec(),
+            func_name: def.map(|d| d.name.clone()),
+            params: def.map_or_else(Vec::new, |d| d.params.iter().map(|(n, _)| n.clone()).collect()),
             locals: HashMap::new(),
         };
-        let scope_id = self.next_scope;
-        self.next_scope += 1;
-        Scope { ctx, env: HashMap::new(), returns: Vec::new(), scope_id }
+        Scope { ctx, env: HashMap::new(), returns: Vec::new(), pt_vars: HashMap::new() }
     }
 
     // ----- statements -------------------------------------------------------
 
-    fn walk_stmt(&mut self, stmt: &Stmt, sc: &mut Scope) {
+    fn walk_stmt(&mut self, stmt: &'p Stmt, sc: &mut Scope<'p>) {
         if let Some(meter) = &mut self.meter {
             if !meter.tick_statement(self.stmt_depth) {
                 return;
@@ -367,7 +367,7 @@ impl Lowerer {
         self.stmt_depth -= 1;
     }
 
-    fn walk_stmt_inner(&mut self, stmt: &Stmt, sc: &mut Scope) {
+    fn walk_stmt_inner(&mut self, stmt: &'p Stmt, sc: &mut Scope<'p>) {
         match &stmt.kind {
             StmtKind::Import { .. } => {}
             StmtKind::Func(def) => self.walk_function(def, sc),
@@ -380,7 +380,7 @@ impl Lowerer {
             StmtKind::VarDecl { name, pattern, init } => {
                 let Some(init) = init else {
                     if let Some(n) = name {
-                        sc.env.insert(n.clone(), Vec::new());
+                        sc.env.insert(n, Vec::new());
                         sc.ctx.locals.remove(n);
                     }
                     return;
@@ -392,12 +392,12 @@ impl Lowerer {
                     return;
                 }
                 let flows = self.eval(init, sc);
-                let variants = describe_js(init, &sc.ctx);
+                let variants: Rc<[String]> = describe_js(init, &sc.ctx).into();
                 if let Some(n) = name {
                     self.bind_name(n, &flows, &variants, init, sc);
                 }
                 for (_, local) in pattern {
-                    sc.env.insert(local.clone(), flows.clone());
+                    sc.env.insert(local, flows.clone());
                     sc.ctx.locals.remove(local);
                     let var = self.pt_var(sc, local);
                     for &e in &flows {
@@ -407,7 +407,7 @@ impl Lowerer {
             }
             StmtKind::Assign { target, value } => {
                 let flows = self.eval(value, sc);
-                let variants = describe_js(value, &sc.ctx);
+                let variants: Rc<[String]> = describe_js(value, &sc.ctx).into();
                 self.assign_to(target, &flows, &variants, value, sc);
             }
             StmtKind::If { test, cons, alt } => {
@@ -428,28 +428,26 @@ impl Lowerer {
         }
     }
 
-    fn walk_function(&mut self, def: &FuncDecl, outer: &mut Scope) {
-        let param_names: Vec<String> = def.params.iter().map(|(n, _)| n.clone()).collect();
-        let mut scope = self.new_scope(Some(def.name.clone()), &param_names);
+    fn walk_function(&mut self, def: &'p FuncDecl, outer: &mut Scope<'p>) {
+        let mut scope = self.new_scope(Some(def));
         // Free variables see enclosing (module) bindings.
         scope.env = outer.env.clone();
         scope.ctx.locals = outer.ctx.locals.clone();
         // Formal parameters are source-candidate events, represented as
         // `{func}(param {name})` exactly like Python module functions.
-        let mut summary = FuncSummary::default();
+        let mut params = Vec::new();
         for (name, span) in &def.params {
             let reps = vec![intern(&format!("{}(param {})", def.name, name))];
             let ev = self.add_event(IrEventKind::ParamRead, reps, *span);
-            scope.env.insert(name.clone(), vec![ev]);
-            summary.params.push((name.clone(), ev));
+            scope.env.insert(name, vec![ev]);
+            params.push((name.as_str(), ev));
         }
         for s in &def.body {
             self.walk_stmt(s, &mut scope);
         }
-        summary.returns = scope.returns.clone();
-        summary.def = Some(def.clone());
-        if self.funcs.insert(def.name.clone(), summary).is_none() {
-            self.func_order.push(def.name.clone());
+        let summary = FuncSummary { params, returns: scope.returns, def };
+        if self.funcs.insert(&def.name, summary).is_none() {
+            self.func_order.push(&def.name);
         }
     }
 
@@ -457,17 +455,17 @@ impl Lowerer {
 
     fn bind_name(
         &mut self,
-        name: &str,
+        name: &'p str,
         flows: &FlowSet,
-        variants: &[String],
-        value: &Expr,
-        sc: &mut Scope,
+        variants: &Rc<[String]>,
+        value: &'p Expr,
+        sc: &mut Scope<'p>,
     ) {
-        sc.env.insert(name.to_string(), flows.clone());
+        sc.env.insert(name, flows.clone());
         if variants.is_empty() {
             sc.ctx.locals.remove(name);
         } else {
-            sc.ctx.locals.insert(name.to_string(), variants.to_vec());
+            sc.ctx.locals.insert(name.to_string(), Rc::clone(variants));
         }
         let var = self.pt_var(sc, name);
         for &e in flows {
@@ -481,17 +479,14 @@ impl Lowerer {
 
     fn assign_to(
         &mut self,
-        target: &Expr,
+        target: &'p Expr,
         flows: &FlowSet,
-        variants: &[String],
-        value: &Expr,
-        sc: &mut Scope,
+        variants: &Rc<[String]>,
+        value: &'p Expr,
+        sc: &mut Scope<'p>,
     ) {
         match &target.kind {
-            ExprKind::Ident(n) => {
-                let n = n.clone();
-                self.bind_name(&n, flows, variants, value, sc);
-            }
+            ExprKind::Ident(n) => self.bind_name(n, flows, variants, value, sc),
             ExprKind::Member { obj, prop } => {
                 self.store_through(obj, prop, flows, sc);
             }
@@ -505,7 +500,7 @@ impl Lowerer {
 
     /// Handles `base.field = flows`: a points-to store plus a weak update
     /// of the base binding so environment flow still observes the taint.
-    fn store_through(&mut self, base: &Expr, field: &str, flows: &FlowSet, sc: &mut Scope) {
+    fn store_through(&mut self, base: &'p Expr, field: &str, flows: &FlowSet, sc: &mut Scope<'p>) {
         self.eval(base, sc);
         if let ExprKind::Ident(n) = &base.kind {
             let base_var = self.pt_var(sc, n);
@@ -518,21 +513,15 @@ impl Lowerer {
                 field: field.to_string(),
                 value: value_var,
             });
-            let slot = sc.env.entry(n.clone()).or_default();
-            for &e in flows {
-                if !slot.contains(&e) {
-                    slot.push(e);
-                }
-            }
-            slot.truncate(MAX_FLOW_SET);
+            union_into(sc.env.entry(n).or_default(), flows);
         }
     }
 
     // ----- expressions ----------------------------------------------------------
 
-    fn eval(&mut self, expr: &Expr, sc: &mut Scope) -> FlowSet {
+    fn eval(&mut self, expr: &'p Expr, sc: &mut Scope<'p>) -> FlowSet {
         match &expr.kind {
-            ExprKind::Ident(n) => sc.env.get(n).cloned().unwrap_or_default(),
+            ExprKind::Ident(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
             ExprKind::Str(_) | ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Null => {
                 Vec::new()
             }
@@ -542,7 +531,7 @@ impl Lowerer {
             }
             ExprKind::Index { obj, index } => {
                 let mut base_flows = self.eval(obj, sc);
-                union_into(&mut base_flows, self.eval(index, sc));
+                union_into(&mut base_flows, &self.eval(index, sc));
                 let field = index_field_name(index);
                 self.read_event(expr, obj, &field, base_flows, sc)
             }
@@ -551,20 +540,20 @@ impl Lowerer {
                 // Literals flow their property values to the whole value.
                 let mut out = Vec::new();
                 for (_, v) in entries {
-                    union_into(&mut out, self.eval(v, sc));
+                    union_into(&mut out, &self.eval(v, sc));
                 }
                 out
             }
             ExprKind::Array(elems) => {
                 let mut out = Vec::new();
                 for e in elems {
-                    union_into(&mut out, self.eval(e, sc));
+                    union_into(&mut out, &self.eval(e, sc));
                 }
                 out
             }
             ExprKind::Binary { left, right } => {
                 let mut out = self.eval(left, sc);
-                union_into(&mut out, self.eval(right, sc));
+                union_into(&mut out, &self.eval(right, sc));
                 out
             }
             ExprKind::Unary(inner) => self.eval(inner, sc),
@@ -576,11 +565,11 @@ impl Lowerer {
     /// expression has no stable representation.
     fn read_event(
         &mut self,
-        expr: &Expr,
-        base: &Expr,
+        expr: &'p Expr,
+        base: &'p Expr,
         field: &str,
         base_flows: FlowSet,
-        sc: &mut Scope,
+        sc: &mut Scope<'p>,
     ) -> FlowSet {
         let reps = describe_syms_js(expr, &sc.ctx);
         if reps.is_empty() {
@@ -605,16 +594,16 @@ impl Lowerer {
 
     fn eval_call(
         &mut self,
-        expr: &Expr,
-        callee: &Expr,
-        args: &[Expr],
-        sc: &mut Scope,
+        expr: &'p Expr,
+        callee: &'p Expr,
+        args: &'p [Expr],
+        sc: &mut Scope<'p>,
     ) -> FlowSet {
         // Receiver/base flows: for `x.m(...)` the object chain flows into
         // the call event.
         let recv_flows = match &callee.kind {
             ExprKind::Member { obj, .. } => self.eval(obj, sc),
-            ExprKind::Ident(n) => sc.env.get(n).cloned().unwrap_or_default(),
+            ExprKind::Ident(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
             _ => self.eval(callee, sc),
         };
         let arg_flows: Vec<FlowSet> = args.iter().map(|a| self.eval(a, sc)).collect();
@@ -639,21 +628,26 @@ impl Lowerer {
             }
         }
 
+        // The call's own flow: its event, or pass-through for opaque calls.
+        let flow = match call_event {
+            Some(ev) => vec![ev],
+            None => {
+                let mut out = recv_flows;
+                for flows in &arg_flows {
+                    union_into(&mut out, flows);
+                }
+                out
+            }
+        };
+
         // Link calls to locally-defined functions.
         if let ExprKind::Ident(q) = &callee.kind {
-            let q = q.clone();
-            let inlinable = self.inline_stack.len() < 3
-                && !self.inline_stack.iter().any(|n| n == &q);
-            let callee_info = if inlinable {
-                self.funcs
-                    .get(&q)
-                    .cloned()
-                    .and_then(|mut info| info.def.take().map(|def| (info, def)))
-            } else {
-                None
-            };
-            if let Some((_, def)) = callee_info {
-                let returns = self.inline_call(&q, &def, &arg_flows);
+            let inlinable =
+                self.inline_stack.len() < 3 && !self.inline_stack.contains(&q.as_str());
+            let callee_def =
+                if inlinable { self.funcs.get(q.as_str()).map(|info| info.def) } else { None };
+            if let Some(def) = callee_def {
+                let returns = self.inline_call(q, def, &arg_flows);
                 if let Some(ev) = call_event {
                     for r in returns {
                         self.add_edge(r, ev);
@@ -661,37 +655,24 @@ impl Lowerer {
                 }
             } else {
                 self.ir.pending.push(IrPendingCall {
-                    qualified: q,
-                    arg_flows: arg_flows.clone(),
+                    qualified: q.clone(),
+                    arg_flows,
                     kwarg_flows: Vec::new(),
                     call_event,
                 });
             }
         }
-
-        match call_event {
-            Some(ev) => vec![ev],
-            None => {
-                let mut out = recv_flows;
-                for flows in arg_flows {
-                    union_into(&mut out, flows);
-                }
-                out
-            }
-        }
+        flow
     }
 
     /// Re-analyzes `def`'s body with parameters bound to the call's
     /// argument flows, returning the events that flow into its `return`s.
-    fn inline_call(&mut self, qualified: &str, def: &FuncDecl, arg_flows: &[FlowSet]) -> FlowSet {
-        let param_names: Vec<String> = def.params.iter().map(|(n, _)| n.clone()).collect();
-        let mut scope = self.new_scope(Some(def.name.clone()), &param_names);
-        for (i, flows) in arg_flows.iter().enumerate() {
-            if let Some(name) = param_names.get(i) {
-                scope.env.insert(name.clone(), flows.clone());
-            }
+    fn inline_call(&mut self, qualified: &'p str, def: &'p FuncDecl, arg_flows: &[FlowSet]) -> FlowSet {
+        let mut scope = self.new_scope(Some(def));
+        for ((name, _), flows) in def.params.iter().zip(arg_flows) {
+            scope.env.insert(name, flows.clone());
         }
-        self.inline_stack.push(qualified.to_string());
+        self.inline_stack.push(qualified);
         for stmt in &def.body {
             self.walk_stmt(stmt, &mut scope);
         }
@@ -700,8 +681,8 @@ impl Lowerer {
     }
 }
 
-fn union_into(dst: &mut FlowSet, src: FlowSet) {
-    for e in src {
+fn union_into(dst: &mut FlowSet, src: &[u32]) {
+    for &e in src {
         if !dst.contains(&e) {
             dst.push(e);
         }

@@ -59,19 +59,37 @@ struct Parser {
 
 impl Parser {
     fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+        let t = &self.tokens[self.pos.min(self.tokens.len() - 1)];
+        debug_assert!(t.kind != TokenKind::Taken, "parser peeked a consumed token");
+        t
     }
 
     fn at_eof(&self) -> bool {
         matches!(self.peek().kind, TokenKind::EndOfFile)
     }
 
+    /// Moves the current token out and advances past it.
+    ///
+    /// The vacated slot keeps its span and holds [`TokenKind::Taken`]. The
+    /// cursor never moves backwards, so nothing peeks at a taken slot. The
+    /// final `EndOfFile` is cloned instead: the cursor stays on it.
     fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
-        if !self.at_eof() {
-            self.pos += 1;
+        if self.at_eof() {
+            return self.peek().clone();
         }
-        t
+        let slot = &mut self.tokens[self.pos];
+        self.pos += 1;
+        Token { kind: std::mem::replace(&mut slot.kind, TokenKind::Taken), span: slot.span }
+    }
+
+    /// Moves out the text of the current identifier or literal token;
+    /// callers peek at the kind first.
+    fn bump_text(&mut self) -> (String, Span) {
+        let t = self.bump();
+        match t.kind {
+            TokenKind::Ident(s) | TokenKind::Str(s) | TokenKind::Num(s) => (s, t.span),
+            other => unreachable!("bump_text on {other}"),
+        }
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -94,12 +112,7 @@ impl Parser {
 
     fn ident(&mut self, what: &str) -> Result<(String, Span), FrontendError> {
         match &self.peek().kind {
-            TokenKind::Ident(n) => {
-                let n = n.clone();
-                let span = self.peek().span;
-                self.bump();
-                Ok((n, span))
-            }
+            TokenKind::Ident(_) => Ok(self.bump_text()),
             other => Err(ParseError::new(what, other, self.peek().span).into()),
         }
     }
@@ -297,11 +310,7 @@ impl Parser {
         }
         self.expect(TokenKind::From, "`from`")?;
         let module = match &self.peek().kind {
-            TokenKind::Str(s) => {
-                let s = s.clone();
-                self.bump();
-                s
-            }
+            TokenKind::Str(_) => self.bump_text().0,
             other => {
                 return Err(ParseError::new("module string", other, self.peek().span).into())
             }
@@ -415,31 +424,24 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, FrontendError> {
-        let t = self.peek().clone();
-        match &t.kind {
-            TokenKind::Ident(n) => {
-                self.bump();
-                Ok(Expr { kind: ExprKind::Ident(n.clone()), span: t.span })
+        let start = self.peek().span;
+        match &self.peek().kind {
+            TokenKind::Ident(_) => {
+                Ok(Expr { kind: ExprKind::Ident(self.bump_text().0), span: start })
             }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr { kind: ExprKind::Str(s.clone()), span: t.span })
-            }
-            TokenKind::Num(n) => {
-                self.bump();
-                Ok(Expr { kind: ExprKind::Num(n.clone()), span: t.span })
-            }
+            TokenKind::Str(_) => Ok(Expr { kind: ExprKind::Str(self.bump_text().0), span: start }),
+            TokenKind::Num(_) => Ok(Expr { kind: ExprKind::Num(self.bump_text().0), span: start }),
             TokenKind::True => {
                 self.bump();
-                Ok(Expr { kind: ExprKind::Bool(true), span: t.span })
+                Ok(Expr { kind: ExprKind::Bool(true), span: start })
             }
             TokenKind::False => {
                 self.bump();
-                Ok(Expr { kind: ExprKind::Bool(false), span: t.span })
+                Ok(Expr { kind: ExprKind::Bool(false), span: start })
             }
             TokenKind::Null => {
                 self.bump();
-                Ok(Expr { kind: ExprKind::Null, span: t.span })
+                Ok(Expr { kind: ExprKind::Null, span: start })
             }
             TokenKind::New => {
                 // `new X(...)` is flow-equivalent to the call itself.
@@ -456,20 +458,11 @@ impl Parser {
                 self.bump();
                 let mut props = Vec::new();
                 while !matches!(self.peek().kind, TokenKind::RBrace) {
-                    let key = match &self.peek().kind {
-                        TokenKind::Ident(k) => k.clone(),
-                        TokenKind::Str(k) => k.clone(),
-                        other => {
-                            return Err(ParseError::new(
-                                "property key",
-                                other,
-                                self.peek().span,
-                            )
-                            .into())
-                        }
-                    };
-                    let key_span = self.peek().span;
-                    self.bump();
+                    if !matches!(self.peek().kind, TokenKind::Ident(_) | TokenKind::Str(_)) {
+                        let t = self.peek();
+                        return Err(ParseError::new("property key", &t.kind, t.span).into());
+                    }
+                    let (key, key_span) = self.bump_text();
                     let value = if self.eat(&TokenKind::Colon) {
                         self.expression()?
                     } else {
@@ -482,7 +475,7 @@ impl Parser {
                     }
                 }
                 let close = self.expect(TokenKind::RBrace, "`}`")?;
-                Ok(Expr { kind: ExprKind::Object(props), span: t.span.merge(close.span) })
+                Ok(Expr { kind: ExprKind::Object(props), span: start.merge(close.span) })
             }
             TokenKind::LBracket => {
                 self.bump();
@@ -494,9 +487,9 @@ impl Parser {
                     }
                 }
                 let close = self.expect(TokenKind::RBracket, "`]`")?;
-                Ok(Expr { kind: ExprKind::Array(elems), span: t.span.merge(close.span) })
+                Ok(Expr { kind: ExprKind::Array(elems), span: start.merge(close.span) })
             }
-            other => Err(ParseError::new("expression", other, t.span).into()),
+            other => Err(ParseError::new("expression", other, start).into()),
         }
     }
 }
@@ -566,6 +559,30 @@ mod tests {
             parse_lenient("x = f();\nconst = broken;\ny = g(x);\n");
         assert_eq!(errors.len(), 1);
         assert_eq!(p.body.len(), 2);
+    }
+
+    #[test]
+    fn bump_moves_tokens_out_and_keeps_spans() {
+        let mut p = Parser { tokens: lex("name;").unwrap(), pos: 0, lenient: false, errors: vec![] };
+        let span = p.peek().span;
+        assert_eq!(p.bump().kind, TokenKind::Ident("name".into()));
+        assert_eq!(p.tokens[0], Token { kind: TokenKind::Taken, span });
+        // The end of file is never taken, however often it is bumped.
+        while !p.at_eof() {
+            p.bump();
+        }
+        assert_eq!(p.bump().kind, TokenKind::EndOfFile);
+        assert!(p.at_eof());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "parser peeked a consumed token")]
+    fn peeking_a_taken_slot_trips_the_debug_guard() {
+        let mut p = Parser { tokens: lex("x;").unwrap(), pos: 0, lenient: false, errors: vec![] };
+        p.bump();
+        p.pos = 0;
+        p.peek();
     }
 
     #[test]

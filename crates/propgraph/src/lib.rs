@@ -45,6 +45,9 @@ pub use event::{Event, EventId, EventKind, FileId};
 pub use graph::{ArgPos, EdgeKind, PropagationGraph};
 pub use irbuild::build_ir;
 pub use lower::{lower_module, lower_module_budgeted, lower_source};
-pub use repr::{describe_expr, describe_syms, finish_reps, interned_dot_suffixes, ReprCtx};
+pub use repr::{
+    describe_expr, describe_syms, finish_rep_strings, finish_reps, interned_dot_suffixes,
+    ImportMap, ReprCtx, MAX_CHAIN_DEPTH,
+};
 pub use seldon_intern::{intern, Symbol};
 pub use stats::{graph_stats, GraphStats};

@@ -13,7 +13,7 @@
 //! and adjacency order byte-for-byte.
 
 use crate::budget::{Budget, BudgetExceeded, BudgetMeter};
-use crate::repr::{describe_expr, describe_syms, ReprCtx};
+use crate::repr::{describe_expr, describe_syms, ImportMap, ReprCtx};
 use seldon_intern::intern;
 use seldon_ir::{
     FrontendError, IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam,
@@ -22,7 +22,9 @@ use seldon_ir::{
 use seldon_pyast::ast::*;
 use seldon_pyast::visit::{self, Visitor};
 use seldon_pyast::parse;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Maximum events tracked per variable binding; larger sets are truncated.
 const MAX_FLOW_SET: usize = 8;
@@ -32,7 +34,7 @@ type FlowSet = Vec<u32>;
 
 /// Lowers one parsed module into the language-neutral IR.
 pub fn lower_module(module: &Module) -> IrProgram {
-    let mut l = Lowerer::new();
+    let mut l = Lowerer::new(module);
     l.run(module);
     l.into_ir()
 }
@@ -47,7 +49,7 @@ pub fn lower_module_budgeted(
     module: &Module,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
-    let mut l = Lowerer::new();
+    let mut l = Lowerer::new(module);
     l.meter = Some(BudgetMeter::new(budget.clone()));
     l.run(module);
     if let Some(e) = l.meter.take().and_then(BudgetMeter::into_tripped) {
@@ -68,80 +70,73 @@ pub fn lower_source(source: &str) -> Result<IrProgram, FrontendError> {
 }
 
 /// Summary of a locally-defined function for call linking.
-#[derive(Debug, Clone, Default)]
-struct FuncSummary {
+#[derive(Debug)]
+struct FuncSummary<'m> {
     /// `(name, param event)` in declaration order.
-    params: Vec<(String, u32)>,
+    params: Vec<(&'m str, u32)>,
     /// Events flowing into `return` statements.
     returns: Vec<u32>,
-    /// The function body and its lexical context, kept for per-call-site
-    /// inlining (§5.2: "we inline methods whose body can be statically
-    /// determined").
-    def: Option<FunctionDef>,
-    class_name: Option<String>,
+    /// The function, borrowed from the module for per-call-site inlining
+    /// (§5.2: "we inline methods whose body can be statically
+    /// determined"), with its lexical context.
+    def: &'m FunctionDef,
+    class_name: Option<&'m str>,
     base_class: Option<String>,
 }
 
 /// Per-function analysis scope.
-struct Scope {
+struct Scope<'m> {
     ctx: ReprCtx,
-    env: HashMap<String, FlowSet>,
+    env: HashMap<&'m str, FlowSet>,
     returns: Vec<u32>,
-    /// Unique id for qualifying points-to variable names.
-    scope_id: u32,
+    /// This scope's named points-to variables, memoized by name just as the
+    /// pre-split builder interned `s{scope}::{name}` in its Andersen
+    /// instance.
+    pt_vars: HashMap<&'m str, u32>,
 }
 
-impl Scope {
-    fn merge_env(&mut self, other: HashMap<String, FlowSet>) {
+impl<'m> Scope<'m> {
+    fn merge_env(&mut self, other: HashMap<&'m str, FlowSet>) {
         for (k, v) in other {
-            let slot = self.env.entry(k).or_default();
-            for e in v {
-                if !slot.contains(&e) {
-                    slot.push(e);
-                }
-            }
-            slot.truncate(MAX_FLOW_SET);
+            union_into(self.env.entry(k).or_default(), &v);
         }
     }
 }
 
-struct Lowerer {
+/// Walks one module. The AST is borrowed for the whole lowering: function
+/// bodies kept for inlining, environment keys and points-to names all
+/// point into it.
+struct Lowerer<'m> {
     ir: IrProgram,
-    imports: HashMap<String, Vec<String>>,
-    /// Named points-to variables, memoized by `s{scope}::{name}` exactly as
-    /// the pre-split builder interned them in its Andersen instance.
-    var_names: HashMap<String, u32>,
-    funcs: HashMap<String, FuncSummary>,
+    /// The module's import bindings, built once and shared by every scope.
+    imports: Rc<ImportMap>,
+    funcs: HashMap<String, FuncSummary<'m>>,
     /// Qualified names in first-definition order, for stable IR emission.
     func_order: Vec<String>,
     /// Names currently being inlined (recursion guard) — doubles as the
     /// inline-depth bound.
-    inline_stack: Vec<String>,
-    next_scope: u32,
+    inline_stack: Vec<Cow<'m, str>>,
     /// Resource accounting; `None` lowers without limits.
     pub(crate) meter: Option<BudgetMeter>,
     /// Current statement-nesting depth, fed to the meter.
     stmt_depth: usize,
 }
 
-impl Lowerer {
-    fn new() -> Self {
+impl<'m> Lowerer<'m> {
+    fn new(module: &Module) -> Self {
         Lowerer {
             ir: IrProgram::default(),
-            imports: HashMap::new(),
-            var_names: HashMap::new(),
+            imports: Rc::new(collect_imports(module)),
             funcs: HashMap::new(),
             func_order: Vec::new(),
             inline_stack: Vec::new(),
-            next_scope: 0,
             meter: None,
             stmt_depth: 0,
         }
     }
 
-    fn run(&mut self, module: &Module) {
-        self.collect_imports(module);
-        let mut scope = self.new_scope(None, None, None, &[]);
+    fn run(&mut self, module: &'m Module) {
+        let mut scope = self.new_scope(None, None, None);
         for stmt in &module.body {
             self.walk_stmt(stmt, &mut scope);
         }
@@ -155,9 +150,9 @@ impl Lowerer {
                 params: s
                     .params
                     .iter()
-                    .map(|(n, ev)| IrParam {
-                        name: n.clone(),
-                        event: *ev,
+                    .map(|&(n, ev)| IrParam {
+                        name: n.to_string(),
+                        event: ev,
                         implicit: n == "self" || n == "cls",
                     })
                     .collect(),
@@ -187,14 +182,14 @@ impl Lowerer {
         self.ir.ops.push(IrOp::ArgPos { from, to, pos });
     }
 
-    /// Interns a named points-to variable, mirroring `Andersen::var`.
-    fn pt_var(&mut self, scope: &Scope, name: &str) -> u32 {
-        let key = format!("s{}::{}", scope.scope_id, name);
-        if let Some(&v) = self.var_names.get(&key) {
+    /// The named points-to variable `name` of `scope`, mirroring
+    /// `Andersen::var`.
+    fn pt_var(&mut self, scope: &mut Scope<'m>, name: &'m str) -> u32 {
+        if let Some(&v) = scope.pt_vars.get(name) {
             return v;
         }
         let v = self.fresh_var();
-        self.var_names.insert(key, v);
+        scope.pt_vars.insert(name, v);
         v
     }
 
@@ -205,67 +200,22 @@ impl Lowerer {
         v
     }
 
-    fn collect_imports(&mut self, module: &Module) {
-        struct ImportCollector<'b> {
-            imports: &'b mut HashMap<String, Vec<String>>,
-        }
-        impl Visitor for ImportCollector<'_> {
-            fn visit_stmt(&mut self, stmt: &Stmt) {
-                match &stmt.kind {
-                    StmtKind::Import(aliases) => {
-                        for a in aliases {
-                            match &a.asname {
-                                Some(alias) => {
-                                    self.imports.insert(alias.clone(), a.name.clone());
-                                }
-                                None => {
-                                    // `import a.b` binds top-level `a`.
-                                    if let Some(first) = a.name.first() {
-                                        self.imports
-                                            .insert(first.clone(), vec![first.clone()]);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    StmtKind::ImportFrom { module, names, .. } => {
-                        for a in names {
-                            let seg = match a.name.first() {
-                                Some(s) if s != "*" => s.clone(),
-                                _ => continue,
-                            };
-                            let mut path = module.clone();
-                            path.push(seg.clone());
-                            let bound = a.asname.clone().unwrap_or(seg);
-                            self.imports.insert(bound, path);
-                        }
-                    }
-                    _ => visit::walk_stmt(self, stmt),
-                }
-            }
-        }
-        let mut c = ImportCollector { imports: &mut self.imports };
-        visit::walk_module(&mut c, module);
-    }
-
+    /// A fresh scope; `def` is the function it analyzes, if any.
     fn new_scope(
         &mut self,
-        class_name: Option<String>,
+        class_name: Option<&str>,
         base_class: Option<String>,
-        func_name: Option<String>,
-        params: &[String],
-    ) -> Scope {
+        def: Option<&FunctionDef>,
+    ) -> Scope<'m> {
         let ctx = ReprCtx {
-            imports: self.imports.clone(),
-            class_name,
+            imports: Rc::clone(&self.imports),
+            class_name: class_name.map(str::to_string),
             base_class,
-            func_name,
-            params: params.to_vec(),
+            func_name: def.map(|d| d.name.clone()),
+            params: def.map_or_else(Vec::new, |d| declared_params(d).map(str::to_string).collect()),
             locals: HashMap::new(),
         };
-        let scope_id = self.next_scope;
-        self.next_scope += 1;
-        Scope { ctx, env: HashMap::new(), returns: Vec::new(), scope_id }
+        Scope { ctx, env: HashMap::new(), returns: Vec::new(), pt_vars: HashMap::new() }
     }
 
     // ----- statements -------------------------------------------------------
@@ -273,7 +223,7 @@ impl Lowerer {
     /// Walks one statement under budget accounting. Once a budget trips,
     /// the walk unwinds cooperatively: every further statement is a no-op,
     /// so the only cost left is popping the recursion already on the stack.
-    fn walk_stmt(&mut self, stmt: &Stmt, sc: &mut Scope) {
+    fn walk_stmt(&mut self, stmt: &'m Stmt, sc: &mut Scope<'m>) {
         if let Some(meter) = &mut self.meter {
             if !meter.tick_statement(self.stmt_depth) {
                 return;
@@ -284,7 +234,7 @@ impl Lowerer {
         self.stmt_depth -= 1;
     }
 
-    fn walk_stmt_inner(&mut self, stmt: &Stmt, sc: &mut Scope) {
+    fn walk_stmt_inner(&mut self, stmt: &'m Stmt, sc: &mut Scope<'m>) {
         match &stmt.kind {
             StmtKind::Import(_) | StmtKind::ImportFrom { .. } => {}
             StmtKind::FunctionDef(def) => self.walk_function(def, sc, None, None),
@@ -297,30 +247,24 @@ impl Lowerer {
             }
             StmtKind::Assign { targets, value } => {
                 let flows = self.eval(value, sc);
-                let variants = describe_expr(value, &sc.ctx);
+                let variants: Rc<[String]> = describe_expr(value, &sc.ctx).into();
                 for t in targets {
-                    self.assign_to(t, &flows, &variants, value, sc);
+                    self.assign_to(t, &flows, Some(&variants), value, sc);
                 }
             }
             StmtKind::AugAssign { target, value, .. } => {
-                let mut flows = self.eval(value, sc);
+                let flows = self.eval(value, sc);
                 if let ExprKind::Name(n) = &target.kind {
-                    let slot = sc.env.entry(n.clone()).or_default();
-                    for e in flows.drain(..) {
-                        if !slot.contains(&e) {
-                            slot.push(e);
-                        }
-                    }
-                    slot.truncate(MAX_FLOW_SET);
+                    union_into(sc.env.entry(n).or_default(), &flows);
                 } else {
-                    self.assign_to(target, &flows, &[], value, sc);
+                    self.assign_to(target, &flows, None, value, sc);
                 }
             }
             StmtKind::AnnAssign { target, value, .. } => {
                 if let Some(v) = value {
                     let flows = self.eval(v, sc);
-                    let variants = describe_expr(v, &sc.ctx);
-                    self.assign_to(target, &flows, &variants, v, sc);
+                    let variants: Rc<[String]> = describe_expr(v, &sc.ctx).into();
+                    self.assign_to(target, &flows, Some(&variants), v, sc);
                 }
             }
             StmtKind::For { target, iter, body, orelse } => {
@@ -383,7 +327,7 @@ impl Lowerer {
                 }
                 for h in handlers {
                     if let Some(n) = &h.name {
-                        sc.env.insert(n.clone(), Vec::new());
+                        sc.env.insert(n, Vec::new());
                     }
                     for s in &h.body {
                         self.walk_stmt(s, sc);
@@ -417,9 +361,9 @@ impl Lowerer {
 
     fn walk_function(
         &mut self,
-        def: &FunctionDef,
-        outer: &mut Scope,
-        class_name: Option<&str>,
+        def: &'m FunctionDef,
+        outer: &mut Scope<'m>,
+        class_name: Option<&'m str>,
         base_class: Option<&str>,
     ) {
         // Decorators and defaults evaluate in the enclosing scope.
@@ -431,18 +375,7 @@ impl Lowerer {
                 self.eval(d, outer);
             }
         }
-        let param_names: Vec<String> = def
-            .params
-            .iter()
-            .filter(|p| p.kind != ParamKind::KwOnlyMarker)
-            .map(|p| p.name.clone())
-            .collect();
-        let mut scope = self.new_scope(
-            class_name.map(str::to_string),
-            base_class.map(str::to_string),
-            Some(def.name.clone()),
-            &param_names,
-        );
+        let mut scope = self.new_scope(class_name, base_class.map(str::to_string), Some(def));
         // Free variables see enclosing (module/class) bindings.
         scope.env = outer.env.clone();
         scope.ctx.locals = outer.ctx.locals.clone();
@@ -450,7 +383,7 @@ impl Lowerer {
         // variable name is deliberately not used as a representation for the
         // parameter event itself — `self` would conflate the whole corpus —
         // but parameter *uses* in expressions still back off to it.
-        let mut summary = FuncSummary::default();
+        let mut params = Vec::new();
         for p in &def.params {
             if p.kind == ParamKind::KwOnlyMarker {
                 continue;
@@ -464,16 +397,19 @@ impl Lowerer {
             }
             reps.push(intern(&format!("{}(param {})", def.name, p.name)));
             let ev = self.add_event(IrEventKind::ParamRead, reps, p.span);
-            scope.env.insert(p.name.clone(), vec![ev]);
-            summary.params.push((p.name.clone(), ev));
+            scope.env.insert(&p.name, vec![ev]);
+            params.push((p.name.as_str(), ev));
         }
         for s in &def.body {
             self.walk_stmt(s, &mut scope);
         }
-        summary.returns = scope.returns.clone();
-        summary.def = Some(def.clone());
-        summary.class_name = class_name.map(str::to_string);
-        summary.base_class = base_class.map(str::to_string);
+        let summary = FuncSummary {
+            params,
+            returns: scope.returns,
+            def,
+            class_name,
+            base_class: base_class.map(str::to_string),
+        };
         let qualified = match class_name {
             Some(c) => format!("{c}::{}", def.name),
             None => def.name.clone(),
@@ -483,7 +419,7 @@ impl Lowerer {
         }
     }
 
-    fn walk_class(&mut self, def: &ClassDef, outer: &mut Scope) {
+    fn walk_class(&mut self, def: &'m ClassDef, outer: &mut Scope<'m>) {
         for d in &def.decorators {
             self.eval(d, outer);
         }
@@ -497,7 +433,7 @@ impl Lowerer {
         for k in &def.keywords {
             self.eval(&k.value, outer);
         }
-        let mut class_scope = self.new_scope(None, None, None, &[]);
+        let mut class_scope = self.new_scope(None, None, None);
         for s in &def.body {
             match &s.kind {
                 StmtKind::FunctionDef(f) => {
@@ -513,21 +449,26 @@ impl Lowerer {
 
     // ----- assignment targets ------------------------------------------------
 
+    /// Binds `target` to `flows`. A name target records `variants` as its
+    /// local representations; `None` (or no variants) forgets them.
     fn assign_to(
         &mut self,
-        target: &Expr,
+        target: &'m Expr,
         flows: &FlowSet,
-        variants: &[String],
-        value: &Expr,
-        sc: &mut Scope,
+        variants: Option<&Rc<[String]>>,
+        value: &'m Expr,
+        sc: &mut Scope<'m>,
     ) {
         match &target.kind {
             ExprKind::Name(n) => {
-                sc.env.insert(n.clone(), flows.clone());
-                if variants.is_empty() {
-                    sc.ctx.locals.remove(n);
-                } else {
-                    sc.ctx.locals.insert(n.clone(), variants.to_vec());
+                sc.env.insert(n, flows.clone());
+                match variants {
+                    Some(v) if !v.is_empty() => {
+                        sc.ctx.locals.insert(n.clone(), Rc::clone(v));
+                    }
+                    _ => {
+                        sc.ctx.locals.remove(n);
+                    }
                 }
                 // Points-to: the assigned events are allocation sites.
                 let var = self.pt_var(sc, n);
@@ -541,10 +482,10 @@ impl Lowerer {
             }
             ExprKind::Tuple(elems) | ExprKind::List(elems) => {
                 for e in elems {
-                    self.assign_to(e, flows, &[], value, sc);
+                    self.assign_to(e, flows, None, value, sc);
                 }
             }
-            ExprKind::Starred(inner) => self.assign_to(inner, flows, &[], value, sc),
+            ExprKind::Starred(inner) => self.assign_to(inner, flows, None, value, sc),
             ExprKind::Attribute { value: base, attr } => {
                 self.store_through(base, attr, flows, sc);
             }
@@ -558,7 +499,7 @@ impl Lowerer {
 
     /// Handles `base.field = flows`: a points-to store plus a weak update of
     /// the base binding so environment flow still observes the taint.
-    fn store_through(&mut self, base: &Expr, field: &str, flows: &FlowSet, sc: &mut Scope) {
+    fn store_through(&mut self, base: &'m Expr, field: &str, flows: &FlowSet, sc: &mut Scope<'m>) {
         self.eval(base, sc);
         if let ExprKind::Name(n) = &base.kind {
             let base_var = self.pt_var(sc, n);
@@ -571,20 +512,14 @@ impl Lowerer {
                 field: field.to_string(),
                 value: value_var,
             });
-            let slot = sc.env.entry(n.clone()).or_default();
-            for &e in flows {
-                if !slot.contains(&e) {
-                    slot.push(e);
-                }
-            }
-            slot.truncate(MAX_FLOW_SET);
+            union_into(sc.env.entry(n).or_default(), flows);
         }
     }
 
-    fn bind_pattern(&mut self, target: &Expr, flows: &FlowSet, sc: &mut Scope) {
+    fn bind_pattern(&mut self, target: &'m Expr, flows: &FlowSet, sc: &mut Scope<'m>) {
         match &target.kind {
             ExprKind::Name(n) => {
-                sc.env.insert(n.clone(), flows.clone());
+                sc.env.insert(n, flows.clone());
                 sc.ctx.locals.remove(n);
             }
             ExprKind::Tuple(elems) | ExprKind::List(elems) => {
@@ -599,9 +534,9 @@ impl Lowerer {
 
     // ----- expressions --------------------------------------------------------
 
-    fn eval(&mut self, expr: &Expr, sc: &mut Scope) -> FlowSet {
+    fn eval(&mut self, expr: &'m Expr, sc: &mut Scope<'m>) -> FlowSet {
         match &expr.kind {
-            ExprKind::Name(n) => sc.env.get(n).cloned().unwrap_or_default(),
+            ExprKind::Name(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
             ExprKind::Number(_)
             | ExprKind::Str(_)
             | ExprKind::Bytes(_)
@@ -611,7 +546,7 @@ impl Lowerer {
             ExprKind::FString { parts, .. } => {
                 let mut out = Vec::new();
                 for p in parts {
-                    union_into(&mut out, self.eval(p, sc));
+                    union_into(&mut out, &self.eval(p, sc));
                 }
                 out
             }
@@ -621,42 +556,42 @@ impl Lowerer {
             }
             ExprKind::Subscript { value, index } => {
                 let mut base_flows = self.eval(value, sc);
-                union_into(&mut base_flows, self.eval(index, sc));
+                union_into(&mut base_flows, &self.eval(index, sc));
                 let field = index_field_name(index);
                 self.read_event(expr, value, &field, base_flows, sc)
             }
             ExprKind::Slice { lower, upper, step } => {
                 let mut out = Vec::new();
                 for part in [lower, upper, step].into_iter().flatten() {
-                    union_into(&mut out, self.eval(part, sc));
+                    union_into(&mut out, &self.eval(part, sc));
                 }
                 out
             }
             ExprKind::Call { func, args, keywords } => self.eval_call(expr, func, args, keywords, sc),
             ExprKind::BinOp { left, right, .. } => {
                 let mut out = self.eval(left, sc);
-                union_into(&mut out, self.eval(right, sc));
+                union_into(&mut out, &self.eval(right, sc));
                 out
             }
             ExprKind::UnaryOp { operand, .. } => self.eval(operand, sc),
             ExprKind::BoolOp { values, .. } => {
                 let mut out = Vec::new();
                 for v in values {
-                    union_into(&mut out, self.eval(v, sc));
+                    union_into(&mut out, &self.eval(v, sc));
                 }
                 out
             }
             ExprKind::Compare { left, comparators, .. } => {
                 let mut out = self.eval(left, sc);
                 for c in comparators {
-                    union_into(&mut out, self.eval(c, sc));
+                    union_into(&mut out, &self.eval(c, sc));
                 }
                 out
             }
             ExprKind::IfExp { test, body, orelse } => {
                 self.eval(test, sc);
                 let mut out = self.eval(body, sc);
-                union_into(&mut out, self.eval(orelse, sc));
+                union_into(&mut out, &self.eval(orelse, sc));
                 out
             }
             ExprKind::Lambda { params, body } => {
@@ -672,17 +607,17 @@ impl Lowerer {
                 // Collections flow their entries to the whole value (§5.2).
                 let mut out = Vec::new();
                 for e in elems {
-                    union_into(&mut out, self.eval(e, sc));
+                    union_into(&mut out, &self.eval(e, sc));
                 }
                 out
             }
             ExprKind::Dict { keys, values } => {
                 let mut out = Vec::new();
                 for k in keys.iter().flatten() {
-                    union_into(&mut out, self.eval(k, sc));
+                    union_into(&mut out, &self.eval(k, sc));
                 }
                 for v in values {
-                    union_into(&mut out, self.eval(v, sc));
+                    union_into(&mut out, &self.eval(v, sc));
                 }
                 out
             }
@@ -697,7 +632,7 @@ impl Lowerer {
                 }
                 let mut out = self.eval(element, sc);
                 if let Some(v) = value {
-                    union_into(&mut out, self.eval(v, sc));
+                    union_into(&mut out, &self.eval(v, sc));
                 }
                 sc.env = saved;
                 out
@@ -710,7 +645,7 @@ impl Lowerer {
             ExprKind::NamedExpr { target, value } => {
                 let flows = self.eval(value, sc);
                 if let ExprKind::Name(n) = &target.kind {
-                    sc.env.insert(n.clone(), flows.clone());
+                    sc.env.insert(n, flows.clone());
                 }
                 flows
             }
@@ -722,11 +657,11 @@ impl Lowerer {
     /// expression has no stable representation.
     fn read_event(
         &mut self,
-        expr: &Expr,
-        base: &Expr,
+        expr: &'m Expr,
+        base: &'m Expr,
         field: &str,
         base_flows: FlowSet,
-        sc: &mut Scope,
+        sc: &mut Scope<'m>,
     ) -> FlowSet {
         let reps = describe_syms(expr, &sc.ctx);
         if reps.is_empty() {
@@ -753,26 +688,26 @@ impl Lowerer {
 
     fn eval_call(
         &mut self,
-        expr: &Expr,
-        func: &Expr,
-        args: &[Expr],
-        keywords: &[Keyword],
-        sc: &mut Scope,
+        expr: &'m Expr,
+        func: &'m Expr,
+        args: &'m [Expr],
+        keywords: &'m [Keyword],
+        sc: &mut Scope<'m>,
     ) -> FlowSet {
         // Receiver/base flows: for `x.m(...)` the object chain flows into
         // the call event (Fig. 2b: `request.files['f']` → `.save()`).
         let recv_flows = match &func.kind {
             ExprKind::Attribute { value, .. } => self.eval(value, sc),
-            ExprKind::Name(n) => sc.env.get(n).cloned().unwrap_or_default(),
+            ExprKind::Name(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
             other => {
                 let _ = other;
                 self.eval(func, sc)
             }
         };
         let arg_flows: Vec<FlowSet> = args.iter().map(|a| self.eval(a, sc)).collect();
-        let kwarg_flows: Vec<(String, FlowSet)> = keywords
+        let kwarg_flows: Vec<(&'m str, FlowSet)> = keywords
             .iter()
-            .map(|k| (k.name.clone().unwrap_or_default(), self.eval(&k.value, sc)))
+            .map(|k| (k.name.as_deref().unwrap_or_default(), self.eval(&k.value, sc)))
             .collect();
 
         let reps = describe_syms(expr, &sc.ctx);
@@ -797,7 +732,7 @@ impl Lowerer {
             for (name, flows) in &kwarg_flows {
                 for &f in flows {
                     self.add_edge(f, ev);
-                    self.set_arg_position(f, ev, IrArgPos::Keyword(name.clone()));
+                    self.set_arg_position(f, ev, IrArgPos::Keyword(name.to_string()));
                 }
             }
             // `locals()` receives every local variable (§5.2).
@@ -809,37 +744,44 @@ impl Lowerer {
             }
         }
 
+        // The call's own flow: its event, or pass-through for opaque calls.
+        let flow = match call_event {
+            Some(ev) => vec![ev],
+            None => {
+                let mut out = recv_flows;
+                for flows in arg_flows.iter().chain(kwarg_flows.iter().map(|(_, f)| f)) {
+                    union_into(&mut out, flows);
+                }
+                out
+            }
+        };
+
         // Link calls to locally-defined functions / same-class methods.
-        let qualified = match &func.kind {
-            ExprKind::Name(n) => Some(n.clone()),
+        let qualified: Option<Cow<'m, str>> = match &func.kind {
+            ExprKind::Name(n) => Some(Cow::Borrowed(n)),
             ExprKind::Attribute { value, attr } => match (&value.kind, &sc.ctx.class_name) {
                 (ExprKind::Name(recv), Some(class)) if recv == "self" => {
-                    Some(format!("{class}::{attr}"))
+                    Some(Cow::Owned(format!("{class}::{attr}")))
                 }
                 _ => None,
             },
             _ => None,
         };
         if let Some(q) = qualified {
-            let callee = if self.inline_stack.len() < 3
-                && !self.inline_stack.iter().any(|n| n == &q)
-            {
-                // Clone-and-take in one step so inlinability and the body
-                // can't disagree.
+            let callee = if self.inline_stack.len() < 3 && !self.inline_stack.contains(&q) {
                 self.funcs
-                    .get(&q)
-                    .cloned()
-                    .and_then(|mut info| info.def.take().map(|def| (info, def)))
+                    .get(q.as_ref())
+                    .map(|info| (info.def, info.class_name, info.base_class.clone()))
             } else {
                 None
             };
-            if let Some((info, def)) = callee {
+            if let Some((def, class_name, base_class)) = callee {
                 // Per-call-site inlining (§5.2): re-analyze the callee body
                 // with the parameters bound to this call's argument flows.
                 // This is context-sensitive — taint from one call site
                 // cannot leak into another.
                 let returns =
-                    self.inline_call(&q, &def, &info, &arg_flows, &kwarg_flows);
+                    self.inline_call(q, def, class_name, base_class, &arg_flows, &kwarg_flows);
                 match call_event {
                     Some(ev) => {
                         for r in returns {
@@ -847,77 +789,49 @@ impl Lowerer {
                         }
                     }
                     None => {
-                        // No call event (unrepresentable callee): surface
-                        // the returns as the call's flow via pending = none.
-                        // Handled by the caller through recv/arg union; the
+                        // No call event (unrepresentable callee): the
                         // returns are lost only in this rare case.
                     }
                 }
             } else {
                 self.ir.pending.push(IrPendingCall {
-                    qualified: q,
-                    arg_flows: arg_flows.clone(),
-                    kwarg_flows: kwarg_flows.clone(),
+                    qualified: q.into_owned(),
+                    arg_flows,
+                    kwarg_flows: kwarg_flows
+                        .into_iter()
+                        .map(|(name, flows)| (name.to_string(), flows))
+                        .collect(),
                     call_event,
                 });
             }
         }
-
-        match call_event {
-            Some(ev) => vec![ev],
-            None => {
-                // Pass flow through opaque calls.
-                let mut out = recv_flows;
-                for flows in arg_flows {
-                    union_into(&mut out, flows);
-                }
-                for (_, flows) in kwarg_flows {
-                    union_into(&mut out, flows);
-                }
-                out
-            }
-        }
+        flow
     }
 
     /// Re-analyzes `def`'s body with parameters bound to the call's
     /// argument flows, returning the events that flow into its `return`s.
     fn inline_call(
         &mut self,
-        qualified: &str,
-        def: &FunctionDef,
-        info: &FuncSummary,
+        qualified: Cow<'m, str>,
+        def: &'m FunctionDef,
+        class_name: Option<&'m str>,
+        base_class: Option<String>,
         arg_flows: &[FlowSet],
-        kwarg_flows: &[(String, FlowSet)],
+        kwarg_flows: &[(&'m str, FlowSet)],
     ) -> FlowSet {
-        let param_names: Vec<String> = def
-            .params
-            .iter()
-            .filter(|p| p.kind != ParamKind::KwOnlyMarker)
-            .map(|p| p.name.clone())
-            .collect();
-        let mut scope = self.new_scope(
-            info.class_name.clone(),
-            info.base_class.clone(),
-            Some(def.name.clone()),
-            &param_names,
-        );
+        let mut scope = self.new_scope(class_name, base_class, Some(def));
         // Bind positional arguments (skipping a `self`/`cls` receiver slot
         // for methods) and keyword arguments by name.
-        let positional: Vec<&String> = param_names
-            .iter()
-            .filter(|n| n.as_str() != "self" && n.as_str() != "cls")
-            .collect();
-        for (i, flows) in arg_flows.iter().enumerate() {
-            if let Some(name) = positional.get(i) {
-                scope.env.insert((*name).clone(), flows.clone());
+        let positional = declared_params(def).filter(|&n| n != "self" && n != "cls");
+        for (name, flows) in positional.zip(arg_flows) {
+            scope.env.insert(name, flows.clone());
+        }
+        for &(name, ref flows) in kwarg_flows {
+            if declared_params(def).any(|p| p == name) {
+                scope.env.insert(name, flows.clone());
             }
         }
-        for (name, flows) in kwarg_flows {
-            if param_names.iter().any(|p| p == name) {
-                scope.env.insert(name.clone(), flows.clone());
-            }
-        }
-        self.inline_stack.push(qualified.to_string());
+        self.inline_stack.push(qualified);
         for stmt in &def.body {
             self.walk_stmt(stmt, &mut scope);
         }
@@ -926,13 +840,51 @@ impl Lowerer {
     }
 }
 
-fn union_into(dst: &mut FlowSet, src: FlowSet) {
-    for e in src {
-        if !dst.contains(&e) {
-            dst.push(e);
+/// The names a function declares, in order, without the bare `*` marker.
+fn declared_params(def: &FunctionDef) -> impl Iterator<Item = &str> + Clone {
+    def.params.iter().filter(|p| p.kind != ParamKind::KwOnlyMarker).map(|p| p.name.as_str())
+}
+
+/// Collects the module's import bindings: every `import` and
+/// `from ... import` anywhere in the file, later bindings winning.
+fn collect_imports(module: &Module) -> ImportMap {
+    struct ImportCollector {
+        imports: ImportMap,
+    }
+    impl Visitor for ImportCollector {
+        fn visit_stmt(&mut self, stmt: &Stmt) {
+            match &stmt.kind {
+                StmtKind::Import(aliases) => {
+                    for a in aliases {
+                        match &a.asname {
+                            Some(alias) => self.imports.insert(alias, &a.name),
+                            None => {
+                                // `import a.b` binds top-level `a`.
+                                if let Some(first) = a.name.first() {
+                                    self.imports.insert(first, std::slice::from_ref(first));
+                                }
+                            }
+                        }
+                    }
+                }
+                StmtKind::ImportFrom { module, names, .. } => {
+                    for a in names {
+                        let seg = match a.name.first() {
+                            Some(s) if s != "*" => s,
+                            _ => continue,
+                        };
+                        let mut path = module.clone();
+                        path.push(seg.clone());
+                        self.imports.insert(a.asname.as_ref().unwrap_or(seg), &path);
+                    }
+                }
+                _ => visit::walk_stmt(self, stmt),
+            }
         }
     }
-    dst.truncate(MAX_FLOW_SET);
+    let mut c = ImportCollector { imports: ImportMap::new() };
+    visit::walk_module(&mut c, module);
+    c.imports
 }
 
 /// Field name used for subscript loads/stores, matching the representation
@@ -943,6 +895,15 @@ fn index_field_name(index: &Expr) -> String {
         ExprKind::Number(n) => format!("[{n}]"),
         _ => "[]".to_string(),
     }
+}
+
+fn union_into(dst: &mut FlowSet, src: &[u32]) {
+    for &e in src {
+        if !dst.contains(&e) {
+            dst.push(e);
+        }
+    }
+    dst.truncate(MAX_FLOW_SET);
 }
 
 #[cfg(test)]

@@ -17,19 +17,56 @@
 use seldon_intern::{intern, Symbol};
 use seldon_pyast::ast::{Expr, ExprKind};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::RwLock;
 
 /// Maximum number of representations kept per event.
 pub const MAX_REPS: usize = 6;
 
+/// Deepest access chain (attribute, call, subscript steps) that still gets
+/// a representation; deeper chains get none.
+pub const MAX_CHAIN_DEPTH: usize = 12;
+
+/// A file's import bindings: each bound name and the dotted path it
+/// resolves to. A frontend builds one map per file, and every scope's
+/// [`ReprCtx`] shares it.
+#[derive(Debug, Clone, Default)]
+pub struct ImportMap {
+    bindings: HashMap<String, ImportBinding>,
+}
+
+#[derive(Debug, Clone)]
+struct ImportBinding {
+    /// The path joined with dots, e.g. `flask.request`.
+    dotted: String,
+    /// Whether the path ends in the bound name itself (`from a.b import c`
+    /// binds `c → a.b.c`). Such a name also backs off to its bare form,
+    /// because the same API is referenced both ways across a corpus.
+    bare_too: bool,
+}
+
+impl ImportMap {
+    /// Creates an empty map.
+    pub fn new() -> Self {
+        ImportMap::default()
+    }
+
+    /// Binds `name` to the dotted `path`, replacing any earlier binding.
+    /// A plain `import os.path` binds `os → ["os"]`;
+    /// `from flask import request` binds `request → ["flask", "request"]`;
+    /// `import numpy as np` binds `np → ["numpy"]`.
+    pub fn insert<S: AsRef<str>>(&mut self, name: &str, path: &[S]) {
+        let dotted = path.iter().map(AsRef::as_ref).collect::<Vec<_>>().join(".");
+        let bare_too = path.len() >= 2 && path.last().is_some_and(|l| l.as_ref() == name);
+        self.bindings.insert(name.to_string(), ImportBinding { dotted, bare_too });
+    }
+}
+
 /// Lexical context needed to compute representations.
 #[derive(Debug, Clone, Default)]
 pub struct ReprCtx {
-    /// Names bound by imports, mapped to their dotted paths. A plain
-    /// `import os.path` binds `os → ["os"]`; `from flask import request`
-    /// binds `request → ["flask", "request"]`;
-    /// `import numpy as np` binds `np → ["numpy"]`.
-    pub imports: HashMap<String, Vec<String>>,
+    /// Names bound by the file's imports, shared by every scope of the file.
+    pub imports: Rc<ImportMap>,
     /// Enclosing class name, if inside a method.
     pub class_name: Option<String>,
     /// Resolved dotted path of the enclosing class's first base, if any.
@@ -40,7 +77,7 @@ pub struct ReprCtx {
     pub params: Vec<String>,
     /// Representations of local variables assigned from describable
     /// expressions (the paper's `LoginForm().username.data` chains).
-    pub locals: HashMap<String, Vec<String>>,
+    pub locals: HashMap<String, Rc<[String]>>,
 }
 
 impl ReprCtx {
@@ -53,40 +90,44 @@ impl ReprCtx {
         self.params.iter().any(|p| p == name)
     }
 
-    /// Variants for a bare name, most → least specific.
+    /// Variants for a bare name, most → least specific, each followed by
+    /// `suffix` (the rendered rest of an access chain, e.g. `.args.get()`).
     ///
     /// Public so other frontends' describe passes resolve names (params,
     /// imports, locals) with exactly the Python rules.
-    pub fn name_variants(&self, name: &str) -> Vec<String> {
+    pub fn variants_with_suffix(&self, name: &str, suffix: &str) -> Vec<String> {
+        let cat = |base: &str| {
+            let mut v = String::with_capacity(base.len() + suffix.len());
+            v.push_str(base);
+            v.push_str(suffix);
+            v
+        };
         // A parameter shadows any same-named module import inside its
         // function (Python scoping), so check params first.
         if self.is_param(name) {
             let mut out = Vec::new();
             if let Some(func) = &self.func_name {
                 if let Some(class) = &self.class_name {
-                    out.push(format!("{class}::{func}(param {name})"));
+                    out.push(format!("{class}::{func}(param {name}){suffix}"));
                     if let Some(base) = &self.base_class {
-                        out.push(format!("{base}::{func}(param {name})"));
+                        out.push(format!("{base}::{func}(param {name}){suffix}"));
                     }
                 }
-                out.push(format!("{func}(param {name})"));
+                out.push(format!("{func}(param {name}){suffix}"));
             }
-            out.push(name.to_string());
+            out.push(cat(name));
             return out;
         }
-        if let Some(path) = self.imports.get(name) {
-            let full = path.join(".");
-            // `from a.b import c` also admits the bare `c` form, because the
-            // same API is referenced both ways across a corpus.
-            if path.len() >= 2 && path.last().is_some_and(|l| l == name) {
-                return vec![full, name.to_string()];
+        if let Some(import) = self.imports.bindings.get(name) {
+            if import.bare_too {
+                return vec![cat(&import.dotted), cat(name)];
             }
-            return vec![full];
+            return vec![cat(&import.dotted)];
         }
         if let Some(variants) = self.locals.get(name) {
-            return variants.clone();
+            return variants.iter().map(|v| cat(v)).collect();
         }
-        vec![name.to_string()]
+        vec![cat(name)]
     }
 }
 
@@ -98,13 +139,19 @@ impl ReprCtx {
 /// are interned once and dot-suffix backoff reuses the per-symbol
 /// memoized suffix table ([`interned_dot_suffixes`]).
 pub fn describe_syms(expr: &Expr, ctx: &ReprCtx) -> Vec<Symbol> {
-    let variants = describe_inner(expr, ctx, 0);
-    finish(variants)
+    finish_reps(describe_inner(expr, ctx))
 }
 
-/// String-resolving convenience wrapper around [`describe_syms`].
+/// Like [`describe_syms`], but keeps the variant strings it built instead
+/// of interning them (the lowering stores them as a local's variants).
 pub fn describe_expr(expr: &Expr, ctx: &ReprCtx) -> Vec<String> {
-    describe_syms(expr, ctx).iter().map(|s| s.as_str().to_string()).collect()
+    finish_rep_strings(describe_inner(expr, ctx))
+}
+
+/// Whether the most specific variant gets dot-suffix backoff: only plain
+/// dotted chains do, never parameter- or class-anchored ones.
+fn backs_off(first: &str) -> bool {
+    !first.contains("(param ") && !first.contains("::")
 }
 
 /// Interns and dedups representation variants (most → least specific),
@@ -112,24 +159,19 @@ pub fn describe_expr(expr: &Expr, ctx: &ReprCtx) -> Vec<String> {
 /// the list at [`MAX_REPS`]. Exposed so non-Python frontends that render
 /// their own variant strings get identical backoff behavior.
 pub fn finish_reps(variants: Vec<String>) -> Vec<Symbol> {
-    finish(variants)
-}
-
-fn finish(variants: Vec<String>) -> Vec<Symbol> {
-    let mut out: Vec<Symbol> = Vec::new();
+    let mut out: Vec<Symbol> = Vec::with_capacity(variants.len());
     for v in &variants {
         let sym = intern(v);
         if !out.contains(&sym) {
             out.push(sym);
         }
     }
-    // Dot-suffix backoff on the most specific plain dotted variant.
-    if let Some(first) = variants.first() {
-        if !first.contains("(param ") && !first.contains("::") {
-            for &s in interned_dot_suffixes(intern(first)) {
-                if !out.contains(&s) {
-                    out.push(s);
-                }
+    // Dot-suffix backoff on the most specific plain dotted variant, which
+    // is always `out[0]`.
+    if variants.first().is_some_and(|first| backs_off(first)) {
+        for &s in interned_dot_suffixes(out[0]) {
+            if !out.contains(&s) {
+                out.push(s);
             }
         }
     }
@@ -137,40 +179,72 @@ fn finish(variants: Vec<String>) -> Vec<Symbol> {
     out
 }
 
-fn describe_inner(expr: &Expr, ctx: &ReprCtx, depth: usize) -> Vec<String> {
-    if depth > 12 {
-        return Vec::new();
+/// [`finish_reps`] on strings: the same list, in the same order, as
+/// resolved strings, without interning the variants.
+pub fn finish_rep_strings(variants: Vec<String>) -> Vec<String> {
+    let mut out: Vec<String> = Vec::with_capacity(variants.len());
+    for v in variants {
+        if !out.contains(&v) {
+            out.push(v);
+        }
     }
-    match &expr.kind {
-        ExprKind::Name(n) => ctx.name_variants(n),
-        ExprKind::Attribute { value, attr } => describe_inner(value, ctx, depth + 1)
-            .into_iter()
-            .map(|v| format!("{v}.{attr}"))
-            .collect(),
-        ExprKind::Call { func, .. } => describe_inner(func, ctx, depth + 1)
-            .into_iter()
-            .map(|v| format!("{v}()"))
-            .collect(),
-        ExprKind::Subscript { value, index } => {
-            let idx = render_index(index);
-            describe_inner(value, ctx, depth + 1)
-                .into_iter()
-                .map(|v| format!("{v}[{idx}]"))
-                .collect()
+    if out.first().is_some_and(|first| backs_off(first)) {
+        for s in interned_dot_suffixes(intern(&out[0])) {
+            if !out.iter().any(|v| v == s.as_str()) {
+                out.push(s.as_str().to_string());
+            }
         }
-        ExprKind::Await(inner) | ExprKind::Starred(inner) => {
-            describe_inner(inner, ctx, depth + 1)
-        }
-        ExprKind::NamedExpr { value, .. } => describe_inner(value, ctx, depth + 1),
-        _ => Vec::new(),
+    }
+    out.truncate(MAX_REPS);
+    out
+}
+
+fn describe_inner(expr: &Expr, ctx: &ReprCtx) -> Vec<String> {
+    let mut suffix = String::new();
+    match chain_base(expr, 0, &mut suffix) {
+        Some(name) => ctx.variants_with_suffix(name, &suffix),
+        None => Vec::new(),
     }
 }
 
-fn render_index(index: &Expr) -> String {
-    match &index.kind {
-        ExprKind::Str(s) => format!("'{s}'"),
-        ExprKind::Number(n) => n.clone(),
-        _ => String::new(),
+/// Walks an access chain down to the name it starts from, appending the
+/// rendering of each step to `suffix`, innermost first. `None` when the
+/// chain does not start from a name or is deeper than [`MAX_CHAIN_DEPTH`].
+fn chain_base<'e>(expr: &'e Expr, depth: usize, suffix: &mut String) -> Option<&'e str> {
+    if depth > MAX_CHAIN_DEPTH {
+        return None;
+    }
+    match &expr.kind {
+        ExprKind::Name(n) => Some(n),
+        ExprKind::Attribute { value, attr } => {
+            let base = chain_base(value, depth + 1, suffix)?;
+            suffix.push('.');
+            suffix.push_str(attr);
+            Some(base)
+        }
+        ExprKind::Call { func, .. } => {
+            let base = chain_base(func, depth + 1, suffix)?;
+            suffix.push_str("()");
+            Some(base)
+        }
+        ExprKind::Subscript { value, index } => {
+            let base = chain_base(value, depth + 1, suffix)?;
+            suffix.push('[');
+            match &index.kind {
+                ExprKind::Str(s) => {
+                    suffix.push('\'');
+                    suffix.push_str(s);
+                    suffix.push('\'');
+                }
+                ExprKind::Number(n) => suffix.push_str(n),
+                _ => {}
+            }
+            suffix.push(']');
+            Some(base)
+        }
+        ExprKind::Await(inner) | ExprKind::Starred(inner) => chain_base(inner, depth + 1, suffix),
+        ExprKind::NamedExpr { value, .. } => chain_base(value, depth + 1, suffix),
+        _ => None,
     }
 }
 
@@ -247,12 +321,11 @@ mod tests {
     use seldon_pyast::parse_expr;
 
     fn ctx_with_imports(pairs: &[(&str, &[&str])]) -> ReprCtx {
-        let mut ctx = ReprCtx::new();
+        let mut imports = ImportMap::new();
         for (name, path) in pairs {
-            ctx.imports
-                .insert(name.to_string(), path.iter().map(|s| s.to_string()).collect());
+            imports.insert(name, path);
         }
-        ctx
+        ReprCtx { imports: Rc::new(imports), ..ReprCtx::new() }
     }
 
     fn describe(src: &str, ctx: &ReprCtx) -> Vec<String> {
@@ -333,7 +406,7 @@ mod tests {
     #[test]
     fn local_variable_chains() {
         let mut ctx = ReprCtx::new();
-        ctx.locals.insert("form".into(), vec!["LoginForm()".into()]);
+        ctx.locals.insert("form".into(), vec!["LoginForm()".to_string()].into());
         let reps = describe("form.username.data", &ctx);
         assert_eq!(reps[0], "LoginForm().username.data");
     }
@@ -402,11 +475,7 @@ mod tests {
 
     #[test]
     fn reps_are_deduped_and_capped() {
-        let mut ctx = ReprCtx::new();
-        ctx.imports.insert(
-            "deep".into(),
-            vec!["a".into(), "b".into(), "c".into(), "d".into(), "e".into(), "f".into(), "g".into()],
-        );
+        let ctx = ctx_with_imports(&[("deep", &["a", "b", "c", "d", "e", "f", "g"])]);
         let reps = describe("deep.h.i.j()", &ctx);
         assert!(reps.len() <= MAX_REPS);
         let mut sorted = reps.clone();
@@ -415,9 +484,32 @@ mod tests {
     }
 
     #[test]
+    fn string_and_symbol_finishing_agree() {
+        let cases: [&[&str]; 4] = [
+            &["flask.request.args.get()", "request.args.get()"],
+            &["a.b.c.d()", "a.b.c.d()", "c.d()"],
+            &["f(param x).g()", "x.g()"],
+            &["C::m(param self).h()", "self.h()"],
+        ];
+        for variants in cases {
+            let owned: Vec<String> = variants.iter().map(|v| v.to_string()).collect();
+            let syms: Vec<String> =
+                finish_reps(owned.clone()).iter().map(|s| s.as_str().to_string()).collect();
+            assert_eq!(finish_rep_strings(owned), syms);
+        }
+    }
+
+    #[test]
+    fn chains_deeper_than_the_limit_have_no_reps() {
+        let at_limit = format!("a{}", ".b".repeat(MAX_CHAIN_DEPTH));
+        assert!(!describe(&at_limit, &ReprCtx::new()).is_empty());
+        let too_deep = format!("a{}", ".b".repeat(MAX_CHAIN_DEPTH + 1));
+        assert!(describe(&too_deep, &ReprCtx::new()).is_empty());
+    }
+
+    #[test]
     fn starred_and_walrus_unwrap() {
-        let mut ctx = ReprCtx::new();
-        ctx.imports.insert("request".into(), vec!["flask".into(), "request".into()]);
+        let ctx = ctx_with_imports(&[("request", &["flask", "request"])]);
         let reps = describe("(n := request.args)", &ctx);
         assert_eq!(reps[0], "flask.request.args");
     }

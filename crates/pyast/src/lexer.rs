@@ -48,7 +48,9 @@ impl<'s> Lexer<'s> {
             indents: vec![0],
             paren_depth: 0,
             at_line_start: true,
-            tokens: Vec::new(),
+            // About one token per four bytes of source, so the stream
+            // rarely grows while lexing.
+            tokens: Vec::with_capacity(src.len() / 4),
         }
     }
 

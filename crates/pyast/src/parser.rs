@@ -88,23 +88,48 @@ impl Parser {
     }
 
     fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+        self.peek_at(0)
     }
 
     fn peek_at(&self, off: usize) -> &TokenKind {
-        &self.tokens[(self.pos + off).min(self.tokens.len() - 1)].kind
+        let kind = &self.tokens[(self.pos + off).min(self.tokens.len() - 1)].kind;
+        debug_assert!(*kind != TokenKind::Taken, "parser peeked a consumed token");
+        kind
     }
 
     fn span(&self) -> Span {
         self.tokens[self.pos.min(self.tokens.len() - 1)].span
     }
 
+    /// Moves the current token out and advances past it.
+    ///
+    /// The vacated slot keeps its span (for [`Parser::prev_span`]) and holds
+    /// [`TokenKind::Taken`]. The cursor never moves backwards, so nothing
+    /// peeks at a taken slot. The final `EndOfFile` is cloned instead: the
+    /// cursor stays on it.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            return self.tokens[last].clone();
         }
-        t
+        let slot = &mut self.tokens[self.pos];
+        self.pos += 1;
+        Token::new(std::mem::replace(&mut slot.kind, TokenKind::Taken), slot.span)
+    }
+
+    /// Moves out the text of the current name or literal token; callers
+    /// peek at the kind first.
+    fn bump_text(&mut self) -> (String, Span) {
+        let t = self.bump();
+        match t.kind {
+            TokenKind::Name(s)
+            | TokenKind::Int(s)
+            | TokenKind::Float(s)
+            | TokenKind::Str(s)
+            | TokenKind::FStr(s)
+            | TokenKind::Bytes(s) => (s, t.span),
+            other => unreachable!("bump_text on {other}"),
+        }
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -120,22 +145,19 @@ impl Parser {
         if self.peek() == kind {
             Ok(self.bump())
         } else {
-            Err(ParseError::new(what, self.peek().clone(), self.span()))
+            self.err(what)
         }
     }
 
     fn expect_name(&mut self, what: &str) -> PResult<(String, Span)> {
-        match self.peek().clone() {
-            TokenKind::Name(n) => {
-                let t = self.bump();
-                Ok((n, t.span))
-            }
-            other => Err(ParseError::new(what, other, self.span())),
+        match self.peek() {
+            TokenKind::Name(_) => Ok(self.bump_text()),
+            _ => self.err(what),
         }
     }
 
     fn err<T>(&self, what: &str) -> PResult<T> {
-        Err(ParseError::new(what, self.peek().clone(), self.span()))
+        Err(ParseError::new(what, self.peek(), self.span()))
     }
 
     /// Error recovery: skips tokens to the start of the next logical line
@@ -220,7 +242,7 @@ impl Parser {
 
     fn parse_simple_statement(&mut self) -> PResult<Stmt> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::KwPass => {
                 self.bump();
                 Ok(Stmt::new(StmtKind::Pass, span))
@@ -427,17 +449,16 @@ impl Parser {
     fn parse_expr_or_assign(&mut self) -> PResult<Stmt> {
         let span = self.span();
         let first = self.parse_testlist_star()?;
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Assign => {
+                // `a = b = c`: every value but the last is another target.
                 let mut targets = vec![first];
-                let mut value;
-                loop {
+                self.bump();
+                let mut value = self.parse_testlist_star()?;
+                while *self.peek() == TokenKind::Assign {
                     self.bump();
-                    value = self.parse_testlist_star()?;
-                    if *self.peek() != TokenKind::Assign {
-                        break;
-                    }
-                    targets.push(value.clone());
+                    let next = self.parse_testlist_star()?;
+                    targets.push(std::mem::replace(&mut value, next));
                 }
                 Ok(Stmt::new(StmtKind::Assign { targets, value }, span))
             }
@@ -484,7 +505,7 @@ impl Parser {
                     TokenKind::KwWith => self.parse_with(true),
                     _ => Err(ParseError::new(
                         "`def`, `for` or `with` after `async`",
-                        self.peek().clone(),
+                        self.peek(),
                         span,
                     )),
                 }
@@ -1238,47 +1259,34 @@ impl Parser {
 
     fn parse_atom(&mut self) -> PResult<Expr> {
         let span = self.span();
-        match self.peek().clone() {
-            TokenKind::Name(n) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Name(n), span))
+        match self.peek() {
+            TokenKind::Name(_) => Ok(Expr::new(ExprKind::Name(self.bump_text().0), span)),
+            TokenKind::Int(_) | TokenKind::Float(_) => {
+                Ok(Expr::new(ExprKind::Number(self.bump_text().0), span))
             }
-            TokenKind::Int(n) | TokenKind::Float(n) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Number(n), span))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
+            TokenKind::Str(_) => {
                 // Implicit adjacent-literal concatenation.
-                let mut text = s;
+                let mut text = self.bump_text().0;
                 loop {
-                    match self.peek().clone() {
-                        TokenKind::Str(more) => {
-                            self.bump();
-                            text.push_str(&more);
-                        }
-                        TokenKind::FStr(more) => {
-                            self.bump();
-                            return self.finish_fstring(format!("{text}{more}"), span);
+                    match self.peek() {
+                        TokenKind::Str(_) => text.push_str(&self.bump_text().0),
+                        TokenKind::FStr(_) => {
+                            text.push_str(&self.bump_text().0);
+                            return self.finish_fstring(text, span);
                         }
                         _ => break,
                     }
                 }
                 Ok(Expr::new(ExprKind::Str(text), span))
             }
-            TokenKind::FStr(s) => {
-                self.bump();
-                let mut text = s;
-                while let TokenKind::Str(more) | TokenKind::FStr(more) = self.peek().clone() {
-                    self.bump();
-                    text.push_str(&more);
+            TokenKind::FStr(_) => {
+                let mut text = self.bump_text().0;
+                while matches!(self.peek(), TokenKind::Str(_) | TokenKind::FStr(_)) {
+                    text.push_str(&self.bump_text().0);
                 }
                 self.finish_fstring(text, span)
             }
-            TokenKind::Bytes(s) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Bytes(s), span))
-            }
+            TokenKind::Bytes(_) => Ok(Expr::new(ExprKind::Bytes(self.bump_text().0), span)),
             TokenKind::KwTrue => {
                 self.bump();
                 Ok(Expr::new(ExprKind::Bool(true), span))
@@ -1313,7 +1321,7 @@ impl Parser {
             TokenKind::LParen => self.parse_paren_atom(),
             TokenKind::LBracket => self.parse_list_atom(),
             TokenKind::LBrace => self.parse_brace_atom(),
-            other => Err(ParseError::new("expression", other, span)),
+            _ => self.err("expression"),
         }
     }
 
@@ -2142,6 +2150,31 @@ def media():
             StmtKind::FunctionDef(f) => assert_eq!(f.params.len(), 2),
             other => panic!("expected def, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn bump_moves_tokens_out_and_keeps_spans() {
+        let mut p = Parser::new(lexer::lex("name\n").unwrap());
+        let span = p.span();
+        assert_eq!(p.bump().kind, TokenKind::Name("name".into()));
+        assert_eq!(p.tokens[0], Token::new(TokenKind::Taken, span));
+        assert_eq!(p.prev_span(), span);
+        // The end of file is never taken, however often it is bumped.
+        while *p.peek() != TokenKind::EndOfFile {
+            p.bump();
+        }
+        assert_eq!(p.bump().kind, TokenKind::EndOfFile);
+        assert_eq!(*p.peek(), TokenKind::EndOfFile);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "parser peeked a consumed token")]
+    fn peeking_a_taken_slot_trips_the_debug_guard() {
+        let mut p = Parser::new(lexer::lex("x = 1\n").unwrap());
+        p.bump();
+        p.pos = 0;
+        p.peek();
     }
 
     #[test]

@@ -177,6 +177,9 @@ pub enum TokenKind {
     Dedent,
     /// end of input
     EndOfFile,
+    /// What the parser leaves in a token's slot after moving the token out.
+    /// The lexer never produces it and the parser never reads it back.
+    Taken,
 }
 
 impl TokenKind {
@@ -313,6 +316,7 @@ impl fmt::Display for TokenKind {
             Indent => write!(f, "indent"),
             Dedent => write!(f, "dedent"),
             EndOfFile => write!(f, "end of file"),
+            Taken => write!(f, "consumed token"),
         }
     }
 }

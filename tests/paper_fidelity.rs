@@ -1,11 +1,12 @@
 //! Fidelity tests: scenarios lifted directly from the paper's figures,
 //! examples, and appendix samples.
 
-use seldon_propgraph::{build_source, describe_expr, FileId, ReprCtx};
+use seldon_propgraph::{build_source, describe_expr, FileId, ImportMap, ReprCtx};
 use seldon_pyast::parse_expr;
 use seldon_specs::{paper_seed, Role};
 use seldon_taint::TaintAnalyzer;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// §3.2 / Fig. 3: the ESCPOSDriver representation example, verbatim.
 #[test]
@@ -78,25 +79,29 @@ def media():
     assert!(receiver_edge_exists, "g -> d");
 }
 
+/// A representation context whose only binding is the import `name`.
+fn ctx_with_import(name: &str, path: &[&str]) -> ReprCtx {
+    let mut imports = ImportMap::new();
+    imports.insert(name, path);
+    ReprCtx { imports: Rc::new(imports), ..ReprCtx::new() }
+}
+
 /// App. A samples: representation strings Seldon's paper actually printed
 /// must be derivable by our representation machinery.
 #[test]
 fn appendix_a_style_representations() {
     // `flask.request.form['srpValueM']`
-    let mut ctx = ReprCtx::new();
-    ctx.imports.insert("request".into(), vec!["flask".into(), "request".into()]);
+    let ctx = ctx_with_import("request", &["flask", "request"]);
     let reps = describe_expr(&parse_expr("request.form['srpValueM']").unwrap(), &ctx);
     assert_eq!(reps[0], "flask.request.form['srpValueM']");
 
     // `urlparse.urlparse().port`
-    let mut ctx = ReprCtx::new();
-    ctx.imports.insert("urlparse".into(), vec!["urlparse".into()]);
+    let ctx = ctx_with_import("urlparse", &["urlparse"]);
     let reps = describe_expr(&parse_expr("urlparse.urlparse(u).port").unwrap(), &ctx);
     assert_eq!(reps[0], "urlparse.urlparse().port");
 
     // `LoginForm().username.data`
-    let mut ctx = ReprCtx::new();
-    ctx.imports.insert("LoginForm".into(), vec!["forms".into(), "LoginForm".into()]);
+    let ctx = ctx_with_import("LoginForm", &["forms", "LoginForm"]);
     let reps = describe_expr(&parse_expr("LoginForm().username.data").unwrap(), &ctx);
     assert!(reps.contains(&"LoginForm().username.data".to_string()), "{reps:?}");
 
