@@ -9,10 +9,10 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use seldon_core::{analyze_corpus, run_seldon, SeldonOptions};
+use seldon_core::{analyze_corpus, run_seldon, Frontend, SeldonOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
-use seldon_jsfront::{build_js_source, lower_js_source};
-use seldon_propgraph::{build_ir, lower_module, FileId};
+use seldon_jsfront::build_js_source;
+use seldon_propgraph::{build_ir, lower_module_budgeted, Budget, FileId};
 use seldon_pyast::{lexer, parser};
 use seldon_taint::TaintAnalyzer;
 
@@ -31,10 +31,13 @@ fn bench_frontend(c: &mut Criterion) {
     let py_bytes: usize = py.iter().map(String::len).sum();
     let js_bytes: usize = js.iter().map(String::len).sum();
     let modules: Vec<_> = py.iter().map(|f| parser::parse(f).expect("parses")).collect();
+    // The production budget: lowering is always metered.
+    let budget = Budget::default();
+    let lower = |m| lower_module_budgeted(m, &budget).expect("lowers");
     let irs: Vec<_> = modules
         .iter()
-        .map(lower_module)
-        .chain(js.iter().map(|f| lower_js_source(f).expect("lowers")))
+        .map(lower)
+        .chain(js.iter().map(|f| Frontend::Js.lower(f, &budget, false).expect("lowers").ir))
         .collect();
     let events: usize = irs.iter().map(|ir| ir.events.len()).sum();
 
@@ -48,7 +51,7 @@ fn bench_frontend(c: &mut Criterion) {
     });
     g.throughput(Throughput::Elements(modules.len() as u64));
     g.bench_function("lower", |b| {
-        b.iter(|| modules.iter().map(|m| lower_module(m).events.len()).sum::<usize>())
+        b.iter(|| modules.iter().map(|m| lower(m).events.len()).sum::<usize>())
     });
     g.throughput(Throughput::Elements(events as u64));
     g.bench_function("build_ir", |b| {

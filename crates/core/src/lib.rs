@@ -42,7 +42,7 @@ pub use manifest::{run_full, FullRun};
 pub use pipeline::{
     analysis_cache_key, analyze_corpus, analyze_corpus_with, analyze_file, analyze_project,
     run_seldon, run_seldon_cached, run_seldon_traced, AnalyzeOptions, AnalyzedCorpus,
-    CheckpointOutcome, CheckpointUse, FaultPolicy, FileAnalysis, FileMeta, Frontend,
+    CheckpointOutcome, CheckpointUse, FaultPolicy, FileAnalysis, FileMeta, Frontend, Lowered,
     SeldonOptions, SeldonRun, WarmStartOptions, DEFAULT_TRACE_STRIDE, DEFAULT_WARM_MARGIN,
 };
 pub use report::{AnalysisReport, CacheFaultReport, FileOutcome, FileReport};

@@ -25,14 +25,10 @@ use seldon_cache::{
 };
 use seldon_constraints::{generate_with_stats, ConstraintSystem, GenOptions, GenStats};
 use seldon_corpus::Corpus;
-use seldon_jsfront::{
-    build_js_source, build_js_source_budgeted, build_js_source_lenient,
-    build_js_source_lenient_budgeted, build_js_source_lenient_timed, build_js_source_timed,
-};
+use seldon_ir::{FrontendError, IrProgram};
+use seldon_jsfront::lower_js_program_budgeted;
 use seldon_propgraph::{
-    build_source, build_source_budgeted, build_source_lenient, build_source_lenient_budgeted,
-    build_source_lenient_timed, build_source_timed, Budget, BuildError, BuildTimings, FileId,
-    PropagationGraph,
+    build_ir, lower_module_budgeted, Budget, BudgetExceeded, BuildError, FileId, PropagationGraph,
 };
 use seldon_solver::{
     extract, extraction_margin, solve_compiled, solve_compiled_warm, CompiledSystem,
@@ -96,6 +92,91 @@ impl Frontend {
 
     /// All frontends, indexed by [`Frontend::index`].
     const ALL: [Frontend; 2] = [Frontend::Python, Frontend::Js];
+
+    /// The per-file front end, the one place a parser and a lowering are
+    /// picked: checks the source size against `budget`, parses (strictly,
+    /// or with statement-level recovery when `lenient`), and lowers the
+    /// AST under `budget`. Pass [`Budget::unlimited`] to lower without
+    /// limits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::OverBudget`] when a budget limit trips and
+    /// [`BuildError::Frontend`] when a strict parse fails (never when
+    /// `lenient`).
+    pub fn lower(
+        self,
+        source: &str,
+        budget: &Budget,
+        lenient: bool,
+    ) -> Result<Lowered, BuildError> {
+        budget.check_source(source)?;
+        match self {
+            Frontend::Python => lower_with(
+                source,
+                budget,
+                lenient,
+                seldon_pyast::parse,
+                seldon_pyast::parse_lenient,
+                lower_module_budgeted,
+            ),
+            Frontend::Js => lower_with(
+                source,
+                budget,
+                lenient,
+                seldon_jsfront::parse,
+                seldon_jsfront::parse_lenient,
+                lower_js_program_budgeted,
+            ),
+        }
+    }
+}
+
+/// One file lowered by [`Frontend::lower`].
+#[derive(Debug)]
+pub struct Lowered {
+    /// The file's language-neutral IR trace.
+    pub ir: IrProgram,
+    /// Statement-level parse errors the lenient parser recovered from
+    /// (empty after a strict parse).
+    pub errors: Vec<FrontendError>,
+    /// Wall-clock time spent lexing and parsing.
+    pub parse: Duration,
+}
+
+/// [`Frontend::lower`] over one language's parser pair and lowering.
+fn lower_with<Ast>(
+    source: &str,
+    budget: &Budget,
+    lenient: bool,
+    parse: fn(&str) -> Result<Ast, FrontendError>,
+    parse_lenient: fn(&str) -> (Ast, Vec<FrontendError>),
+    lower: fn(&Ast, &Budget) -> Result<IrProgram, BudgetExceeded>,
+) -> Result<Lowered, BuildError> {
+    let started = Instant::now();
+    let (ast, errors) = if lenient { parse_lenient(source) } else { (parse(source)?, Vec::new()) };
+    let parse = started.elapsed();
+    Ok(Lowered { ir: lower(&ast, budget)?, errors, parse })
+}
+
+/// Wall-clock split of one file's front-end work. The telemetry layer sums
+/// these per-file durations across worker threads into the `parse` and
+/// `propgraph` aggregate stage spans.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct BuildTimings {
+    /// Time spent lexing and parsing the source into an AST.
+    parse: Duration,
+    /// Time spent lowering the AST and building its propagation graph
+    /// (including the points-to solve and call linking).
+    build: Duration,
+}
+
+impl BuildTimings {
+    /// Component-wise sum, for folding per-file timings into totals.
+    fn add(&mut self, other: BuildTimings) {
+        self.parse += other.parse;
+        self.build += other.build;
+    }
 }
 
 /// Metadata for one analyzed file.
@@ -119,9 +200,10 @@ pub struct AnalyzedCorpus {
     /// Wall-clock time spent parsing and building graphs.
     pub build_time: Duration,
     /// Per-frontend parse-time buckets. Only populated when the analysis
-    /// ran with active telemetry (the untimed builders read no clocks) and
-    /// only for frontends that parsed at least one file; cache-served
-    /// files skip the front end and are never tallied.
+    /// ran with active telemetry (per-file timings are always taken, but
+    /// only recorded into histograms then) and only for frontends that
+    /// parsed at least one file; cache-served files skip the front end and
+    /// are never tallied.
     pub parse_histograms: Vec<ParseHistogram>,
     /// Per-file graph-construction time distribution (microseconds, same
     /// buckets as the parse histograms). Empty unless telemetry was active
@@ -170,9 +252,9 @@ pub struct AnalyzeOptions {
     /// per-file guard. Only the fault-injection harness sets this; it
     /// exercises panic containment without a real analysis bug.
     pub fault_markers: bool,
-    /// Telemetry handle for stage spans and stderr logging. The default
-    /// (disabled) handle keeps the per-file path on the untimed builders —
-    /// no clock reads, no allocations.
+    /// Telemetry handle for stage spans and stderr logging. Per-file
+    /// parse/build timings are always taken; the default (disabled) handle
+    /// records no spans and no parse histograms.
     pub telemetry: Telemetry,
     /// On-disk artifact cache. When attached, per-file analysis is served
     /// from validated cache entries where possible and recomputed (then
@@ -220,9 +302,9 @@ fn option_salt(opts: &AnalyzeOptions) -> u64 {
 /// a panic inside extraction is contained and reported as
 /// [`FileOutcome::Panicked`].
 ///
-/// With active telemetry the timed builders report the parse/build phase
-/// split of the successful attempt; a disabled handle stays on the untimed
-/// builders (no clock reads) and the timings come back zero.
+/// A strict attempt runs first; under [`FaultPolicy::Recover`] a parse
+/// failure is retried leniently. The timings are those of the attempt
+/// that produced the graph (zero when the file is quarantined).
 fn analyze_one(
     path: &str,
     content: &str,
@@ -234,81 +316,39 @@ fn analyze_one(
         if opts.fault_markers && content.contains(seldon_corpus::PANIC_MARKER) {
             panic!("injected panic ({})", seldon_corpus::PANIC_MARKER);
         }
-        let timed = opts.telemetry.is_active();
-        let mut timings = BuildTimings::default();
-        let strict = if timed {
-            match frontend {
-                Frontend::Python => build_source_timed(content, id, opts.budget.as_ref()),
-                Frontend::Js => build_js_source_timed(content, id, opts.budget.as_ref()),
-            }
-            .map(|(g, t)| {
-                timings = t;
-                g
-            })
-        } else {
-            match (&opts.budget, frontend) {
-                (Some(budget), Frontend::Python) => build_source_budgeted(content, id, budget),
-                (Some(budget), Frontend::Js) => build_js_source_budgeted(content, id, budget),
-                (None, Frontend::Python) => {
-                    build_source(content, id).map_err(BuildError::Frontend)
-                }
-                (None, Frontend::Js) => {
-                    build_js_source(content, id).map_err(BuildError::Frontend)
-                }
-            }
+        let unlimited = Budget::unlimited();
+        let budget = opts.budget.as_ref().unwrap_or(&unlimited);
+        let attempt = |lenient| {
+            let started = Instant::now();
+            let lowered = frontend.lower(content, budget, lenient)?;
+            let graph = build_ir(&lowered.ir, id);
+            let build = started.elapsed().saturating_sub(lowered.parse);
+            Ok::<_, BuildError>((
+                graph,
+                lowered.errors,
+                BuildTimings { parse: lowered.parse, build },
+            ))
         };
-        match strict {
-            Ok(g) => (Some(g), FileOutcome::Ok, timings),
+        let built = match attempt(false) {
+            // Lenient retry; only a budget trip can still fail.
+            Err(BuildError::Frontend(_)) if opts.policy == FaultPolicy::Recover => attempt(true)
+                .map(|(g, errors, t)| {
+                    (g, FileOutcome::Recovered { errors: errors.len().max(1) }, t)
+                }),
+            strict => strict.map(|(g, _, t)| (g, FileOutcome::Ok, t)),
+        };
+        match built {
+            Ok((g, outcome, timings)) => (Some(g), outcome, timings),
             Err(BuildError::OverBudget(limit)) => {
                 let error = PipelineError::OverBudget { path: path.to_string(), limit };
-                (None, FileOutcome::OverBudget { error }, timings)
-            }
-            Err(BuildError::Frontend(_)) if opts.policy == FaultPolicy::Recover => {
-                // Lenient retry; only a budget trip can still fail.
-                let lenient = if timed {
-                    match frontend {
-                        Frontend::Python => {
-                            build_source_lenient_timed(content, id, opts.budget.as_ref())
-                        }
-                        Frontend::Js => {
-                            build_js_source_lenient_timed(content, id, opts.budget.as_ref())
-                        }
-                    }
-                    .map(|(g, errors, t)| {
-                        timings = t;
-                        (g, errors)
-                    })
-                } else {
-                    match (&opts.budget, frontend) {
-                        (Some(budget), Frontend::Python) => {
-                            build_source_lenient_budgeted(content, id, budget)
-                        }
-                        (Some(budget), Frontend::Js) => {
-                            build_js_source_lenient_budgeted(content, id, budget)
-                        }
-                        (None, Frontend::Python) => Ok(build_source_lenient(content, id)),
-                        (None, Frontend::Js) => Ok(build_js_source_lenient(content, id)),
-                    }
-                };
-                match lenient {
-                    Ok((g, errors)) => (
-                        Some(g),
-                        FileOutcome::Recovered { errors: errors.len().max(1) },
-                        timings,
-                    ),
-                    Err(limit) => {
-                        let error =
-                            PipelineError::OverBudget { path: path.to_string(), limit };
-                        (None, FileOutcome::OverBudget { error }, timings)
-                    }
-                }
+                (None, FileOutcome::OverBudget { error }, BuildTimings::default())
             }
             Err(BuildError::Frontend(e)) => {
                 let error = PipelineError::Parse {
                     path: path.to_string(),
                     message: e.to_string(),
                 };
-                (None, FileOutcome::Skipped { error }, timings)
+                (None, FileOutcome::Skipped { error }, BuildTimings::default())
             }
         }
     }));
@@ -520,9 +560,9 @@ pub fn analyze_corpus_with(
     // spans; cache-served files skip the front end and contribute nothing.
     let mut project_parse: Vec<(Duration, usize)> =
         vec![(Duration::ZERO, 0); corpus.projects.len()];
-    // Per-frontend parse-time buckets: only meaningful when the timed
-    // builders ran (an inactive handle reads no clocks, so every duration
-    // would land in the first bucket as noise).
+    // Per-frontend parse-time buckets, recorded only under active
+    // telemetry: an inactive handle must not grow a manifest-visible
+    // histogram.
     let timed = opts.telemetry.is_active();
     let mut parse_hist: Vec<ParseHistogram> =
         Frontend::ALL.iter().map(|f| ParseHistogram::new(f.label())).collect();
@@ -711,30 +751,35 @@ pub fn analyze_corpus(corpus: &Corpus, threads: usize) -> Result<AnalyzedCorpus,
     Ok(analyze_corpus_with(corpus, &opts)?.0)
 }
 
-/// Analyzes a single project of the corpus (used for the Q5 experiment).
+/// Analyzes a single project of the corpus (used for the Q5 experiment):
+/// each file goes through [`analyze_file`] under the default options
+/// (strict, no budget), with [`FileId`]s numbered from 0 within the project.
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError::Parse`] on front-end failure, or
-/// [`PipelineError::NoSuchProject`] for an out-of-range index.
+/// Returns the first bad file's error ([`PipelineError::Parse`] on
+/// front-end failure), or [`PipelineError::NoSuchProject`] for an
+/// out-of-range index.
 pub fn analyze_project(corpus: &Corpus, project: usize) -> Result<AnalyzedCorpus, PipelineError> {
     if project >= corpus.projects.len() {
         return Err(PipelineError::NoSuchProject(project));
     }
     let started = Instant::now();
+    let opts = AnalyzeOptions::default();
     let mut graph = PropagationGraph::new();
     let mut files = Vec::new();
     for f in &corpus.projects[project].files {
         let id = FileId(files.len() as u32);
-        let g = match Frontend::of_path(&f.path) {
-            Frontend::Python => build_source(&f.content, id),
-            Frontend::Js => build_js_source(&f.content, id),
+        let analysis = analyze_file(&f.path, &f.content, id, &opts);
+        match analysis.outcome {
+            FileOutcome::Ok | FileOutcome::Recovered { .. } => {}
+            FileOutcome::Skipped { error }
+            | FileOutcome::OverBudget { error }
+            | FileOutcome::Panicked { error } => return Err(error),
         }
-        .map_err(|e| PipelineError::Parse {
-            path: f.path.clone(),
-            message: e.to_string(),
-        })?;
-        graph.union(&g);
+        if let Some(g) = &analysis.graph {
+            graph.union(g);
+        }
         files.push(FileMeta { project, path: f.path.clone() });
     }
     Ok(AnalyzedCorpus {
@@ -1479,6 +1524,124 @@ mod tests {
         }
     }
 
+    /// What one [`Frontend::lower`] call came back with, coarsened for the
+    /// table below.
+    #[derive(Debug, PartialEq)]
+    enum Lowering {
+        Lowered { errors: usize },
+        ParseError,
+        SourceBytes,
+        Depth,
+    }
+
+    #[test]
+    fn frontend_lower_table() {
+        // Per frontend: its strict shorthand, a clean file with a source →
+        // sink flow, a file with one broken statement between the source
+        // and the sink, and a nesting three statements deep.
+        type Build = fn(&str, FileId) -> Result<PropagationGraph, FrontendError>;
+        let sources = [
+            (
+                Frontend::Python,
+                seldon_propgraph::build_source as Build,
+                "from m import src, sink\nx = src()\nsink(x)\n",
+                // The broken line must not open a bracket (implicit joining
+                // would swallow the rest of the file into one logical line).
+                "from m import src, sink\nx = src()\nbroken = = 3\nsink(x)\n",
+                "if a:\n    if b:\n        x = 1\n",
+                ("m.src()", "m.sink()"),
+            ),
+            (
+                Frontend::Js,
+                seldon_jsfront::build_js_source as Build,
+                "const fs = require('fs');\nconst p = fs.src();\nfs.readFile(p);\n",
+                "const a = f(;\nconst fs = require('fs');\nconst p = fs.src();\nfs.readFile(p);\n",
+                "if (a) { if (b) { x = 1; } }\n",
+                ("fs.src()", "fs.readFile()"),
+            ),
+        ];
+        let unlimited = Budget::unlimited();
+        let size_trip = Budget { max_source_bytes: 4, ..Budget::unlimited() };
+        let depth_trip = Budget { max_depth: 1, ..Budget::unlimited() };
+        for (frontend, build, clean, broken, deep, (from, to)) in sources {
+            // The strict, unlimited shorthand of the same frontend.
+            let reference = build(clean, FileId(0)).expect("clean source builds");
+            #[rustfmt::skip]
+            let table: [(&Budget, &str, bool, Lowering); 12] = [
+                (&unlimited, clean, false, Lowering::Lowered { errors: 0 }),
+                (&unlimited, clean, true, Lowering::Lowered { errors: 0 }),
+                (&unlimited, broken, false, Lowering::ParseError),
+                (&unlimited, broken, true, Lowering::Lowered { errors: 1 }),
+                (&unlimited, deep, false, Lowering::Lowered { errors: 0 }),
+                (&unlimited, deep, true, Lowering::Lowered { errors: 0 }),
+                (&size_trip, clean, false, Lowering::SourceBytes),
+                (&size_trip, broken, true, Lowering::SourceBytes),
+                (&depth_trip, deep, false, Lowering::Depth),
+                (&depth_trip, deep, true, Lowering::Depth),
+                (&depth_trip, clean, false, Lowering::Lowered { errors: 0 }),
+                (&depth_trip, broken, true, Lowering::Lowered { errors: 1 }),
+            ];
+            for (budget, src, lenient, expected) in table {
+                let row = format!("{frontend:?} lenient={lenient} {budget:?}\n{src}");
+                let result = frontend.lower(src, budget, lenient);
+                let got = match &result {
+                    Ok(l) => Lowering::Lowered { errors: l.errors.len() },
+                    Err(BuildError::Frontend(_)) => Lowering::ParseError,
+                    Err(BuildError::OverBudget(BudgetExceeded::SourceBytes { .. })) => {
+                        Lowering::SourceBytes
+                    }
+                    Err(BuildError::OverBudget(BudgetExceeded::Depth { .. })) => Lowering::Depth,
+                    Err(e) => panic!("{row}: unexpected {e}"),
+                };
+                assert_eq!(got, expected, "{row}");
+                let Ok(lowered) = result else { continue };
+                let g = build_ir(&lowered.ir, FileId(0));
+                if src == clean {
+                    // Any budget that does not trip, either parse mode: the
+                    // strict shorthand's graph exactly.
+                    assert_eq!(graph_fingerprint(&g), graph_fingerprint(&reference), "{row}");
+                }
+                if src != deep {
+                    let find = |rep| g.events().find(|(_, e)| e.has_rep(rep)).map(|(id, _)| id);
+                    let (a, b) = (find(from).expect(from), find(to).expect(to));
+                    assert!(g.is_reachable(a, b), "{row}: {from} must reach {to}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn analyze_file_pins_recovery_outcomes() {
+        let recover = AnalyzeOptions { policy: FaultPolicy::Recover, ..Default::default() };
+        // A stray indent fails the strict parse but parses leniently with
+        // no error left to count: still reported as one recovered error.
+        let stray = "  x = 1\n";
+        assert!(Frontend::Python.lower(stray, &Budget::unlimited(), true).unwrap().errors.is_empty());
+        let analysis = analyze_file("stray.py", stray, FileId(0), &recover);
+        assert_eq!(analysis.outcome, FileOutcome::Recovered { errors: 1 });
+        assert!(analysis.graph.is_some());
+        // Without Recover the same file is quarantined as a parse failure.
+        let strict = analyze_file("stray.py", stray, FileId(0), &AnalyzeOptions::default());
+        assert!(matches!(strict.outcome, FileOutcome::Skipped { .. }));
+        assert!(strict.graph.is_none());
+    }
+
+    #[test]
+    fn no_budget_analyzes_like_an_unlimited_one() {
+        let mut c = corpus();
+        c.projects.extend(mixed_corpus().projects);
+        c.projects.extend(mixed_lang_corpus().projects);
+        for policy in [FaultPolicy::Recover, FaultPolicy::Skip] {
+            let none = AnalyzeOptions { policy, budget: None, ..Default::default() };
+            let unlimited = AnalyzeOptions { budget: Some(Budget::unlimited()), ..none.clone() };
+            let (a, ra) = analyze_corpus_with(&c, &none).unwrap();
+            let (b, rb) = analyze_corpus_with(&c, &unlimited).unwrap();
+            assert_eq!(graph_fingerprint(&a.graph), graph_fingerprint(&b.graph), "{policy:?}");
+            assert_eq!(ra, rb, "{policy:?}");
+            assert!(ra.is_degraded(), "{policy:?}: the malformed file is reported");
+        }
+    }
+
     #[test]
     fn frontend_dispatches_by_extension() {
         assert_eq!(Frontend::of_path("app/views.py"), Frontend::Python);
@@ -1541,8 +1704,8 @@ mod tests {
         for h in &analyzed.parse_histograms {
             assert_eq!(h.total(), 1, "one file per frontend");
         }
-        // Without active telemetry the untimed builders run (no clock
-        // reads), so no histogram is fabricated from zero durations.
+        // Without active telemetry the per-file timings are still taken but
+        // never recorded, so no histogram appears.
         let (analyzed, _) =
             analyze_corpus_with(&mixed_lang_corpus(), &AnalyzeOptions::default()).unwrap();
         assert!(analyzed.parse_histograms.is_empty());

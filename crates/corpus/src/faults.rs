@@ -152,9 +152,7 @@ mod tests {
     use super::*;
     use crate::generator::{generate_corpus, CorpusOptions};
     use crate::universe::Universe;
-    use seldon_propgraph::{
-        build_source, build_source_budgeted, Budget, BudgetExceeded, BuildError, FileId,
-    };
+    use seldon_propgraph::{build_source, lower_module_budgeted, Budget, BudgetExceeded, FileId};
 
     const CLEAN: &str = "import flask\n\ndef handler():\n    x = flask.request.args.get('q')\n    return x\n";
 
@@ -178,14 +176,15 @@ mod tests {
     #[test]
     fn budget_faults_parse_but_trip_default_budget() {
         let deep = faulted(FaultKind::DeepNesting);
+        let module = seldon_pyast::parse(&deep).expect("deep nesting still parses");
         assert!(matches!(
-            build_source_budgeted(&deep, FileId(0), &Budget::default()),
-            Err(BuildError::OverBudget(BudgetExceeded::Depth { .. }))
+            lower_module_budgeted(&module, &Budget::default()),
+            Err(BudgetExceeded::Depth { .. })
         ));
         let big = faulted(FaultKind::Oversized);
         assert!(matches!(
-            build_source_budgeted(&big, FileId(0), &Budget::default()),
-            Err(BuildError::OverBudget(BudgetExceeded::SourceBytes { .. }))
+            Budget::default().check_source(&big),
+            Err(BudgetExceeded::SourceBytes { .. })
         ));
         // Without a budget, deep nesting is merely slow, not fatal.
         assert!(build_source(&deep, FileId(0)).is_ok());

@@ -32,137 +32,29 @@ pub mod lexer;
 pub mod lower;
 pub mod parser;
 
-pub use lower::{lower_js_program, lower_js_program_budgeted, lower_js_source};
+pub use lower::lower_js_program_budgeted;
 pub use parser::{parse, parse_lenient};
 
 use seldon_ir::FrontendError;
-use seldon_propgraph::{
-    build_ir, Budget, BudgetExceeded, BuildError, BuildTimings, FileId, PropagationGraph,
-};
-use std::time::Instant;
+use seldon_propgraph::{build_ir, Budget, FileId, PropagationGraph};
 
-/// Checks the source-size budget shared by the budgeted entry points
-/// (mirrors the Python frontend's pre-parse gate).
-fn check_source_size(source: &str, budget: &Budget) -> Result<(), BudgetExceeded> {
-    if source.len() > budget.max_source_bytes {
-        return Err(BudgetExceeded::SourceBytes {
-            limit: budget.max_source_bytes,
-            actual: source.len(),
-        });
-    }
-    Ok(())
-}
-
-/// Parses JS-like `source` and builds its propagation graph.
+/// Parses JS-like `source` strictly and builds its propagation graph,
+/// without resource limits. The per-file front end with budgets and
+/// lenient parsing is `seldon_core::Frontend::lower`.
 ///
 /// # Errors
 ///
 /// Returns a [`FrontendError`] if the source fails to lex or parse.
 pub fn build_js_source(source: &str, file: FileId) -> Result<PropagationGraph, FrontendError> {
-    let program = parse(source)?;
-    Ok(build_ir(&lower_js_program(&program), file))
-}
-
-/// Like [`build_js_source`] but recovers from statement-level parse
-/// errors: malformed statements are skipped and reported, the rest of the
-/// file is analyzed.
-pub fn build_js_source_lenient(
-    source: &str,
-    file: FileId,
-) -> (PropagationGraph, Vec<FrontendError>) {
-    let (program, errors) = parse_lenient(source);
-    (build_ir(&lower_js_program(&program), file), errors)
-}
-
-/// Like [`build_js_source`], with every phase held to a resource
-/// [`Budget`].
-///
-/// # Errors
-///
-/// Returns [`BuildError::Frontend`] on a lex/parse failure and
-/// [`BuildError::OverBudget`] when a budget limit trips.
-pub fn build_js_source_budgeted(
-    source: &str,
-    file: FileId,
-    budget: &Budget,
-) -> Result<PropagationGraph, BuildError> {
-    build_js_source_timed(source, file, Some(budget)).map(|(g, _)| g)
-}
-
-/// Like [`build_js_source_lenient`], under a resource [`Budget`].
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when a budget limit trips.
-pub fn build_js_source_lenient_budgeted(
-    source: &str,
-    file: FileId,
-    budget: &Budget,
-) -> Result<(PropagationGraph, Vec<FrontendError>), BudgetExceeded> {
-    build_js_source_lenient_timed(source, file, Some(budget)).map(|(g, e, _)| (g, e))
-}
-
-/// Strict timed build: the budget-optional superset of [`build_js_source`]
-/// and [`build_js_source_budgeted`], reporting the parse/build phase split.
-///
-/// # Errors
-///
-/// Returns [`BuildError::Frontend`] on a lex/parse failure and
-/// [`BuildError::OverBudget`] when a budget limit trips (never with
-/// `budget: None`).
-pub fn build_js_source_timed(
-    source: &str,
-    file: FileId,
-    budget: Option<&Budget>,
-) -> Result<(PropagationGraph, BuildTimings), BuildError> {
-    if let Some(b) = budget {
-        check_source_size(source, b)?;
-    }
-    let parse_started = Instant::now();
-    let program = parse(source)?;
-    let parse_time = parse_started.elapsed();
-    let build_started = Instant::now();
-    let ir = match budget {
-        Some(b) => lower_js_program_budgeted(&program, b)?,
-        None => lower_js_program(&program),
-    };
-    let graph = build_ir(&ir, file);
-    let timings = BuildTimings { parse: parse_time, build: build_started.elapsed() };
-    Ok((graph, timings))
-}
-
-/// Lenient timed build: the budget-optional superset of
-/// [`build_js_source_lenient`] and [`build_js_source_lenient_budgeted`],
-/// reporting the parse/build phase split.
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when a budget limit trips (never with
-/// `budget: None`).
-pub fn build_js_source_lenient_timed(
-    source: &str,
-    file: FileId,
-    budget: Option<&Budget>,
-) -> Result<(PropagationGraph, Vec<FrontendError>, BuildTimings), BudgetExceeded> {
-    if let Some(b) = budget {
-        check_source_size(source, b)?;
-    }
-    let parse_started = Instant::now();
-    let (program, errors) = parse_lenient(source);
-    let parse_time = parse_started.elapsed();
-    let build_started = Instant::now();
-    let ir = match budget {
-        Some(b) => lower_js_program_budgeted(&program, b)?,
-        None => lower_js_program(&program),
-    };
-    let graph = build_ir(&ir, file);
-    let timings = BuildTimings { parse: parse_time, build: build_started.elapsed() };
-    Ok((graph, errors, timings))
+    let ir = lower_js_program_budgeted(&parse(source)?, &Budget::unlimited())
+        .expect("an unlimited budget never trips");
+    Ok(build_ir(&ir, file))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seldon_propgraph::{BudgetExceeded, BuildError};
 
     #[test]
     fn end_to_end_flow_reaches_sink() {
@@ -206,15 +98,17 @@ mod tests {
     #[test]
     fn lenient_build_reports_errors_and_keeps_going() {
         let src = "const a = f(;\nconst fs = require('fs');\nfs.readFile(p);\n";
-        let (g, errors) = build_js_source_lenient(src, FileId(0));
+        let (program, errors) = parse_lenient(src);
         assert_eq!(errors.len(), 1);
+        let ir = lower_js_program_budgeted(&program, &Budget::unlimited()).expect("lowers");
+        let g = build_ir(&ir, FileId(0));
         assert!(g.events().any(|(_, e)| e.has_rep("fs.readFile()")));
     }
 
     #[test]
     fn budgeted_build_trips_on_source_size() {
         let tight = Budget { max_source_bytes: 4, ..Budget::unlimited() };
-        let err = build_js_source_budgeted("const a = b;", FileId(0), &tight).unwrap_err();
+        let err = BuildError::from(tight.check_source("const a = b;").unwrap_err());
         assert!(matches!(
             err,
             BuildError::OverBudget(BudgetExceeded::SourceBytes { .. })

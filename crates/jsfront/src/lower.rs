@@ -12,11 +12,9 @@
 //! Python frontend and contains no per-language branches.
 
 use crate::ast::*;
-use crate::parser::parse;
 use seldon_intern::{intern, Symbol};
 use seldon_ir::{
-    FrontendError, IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam,
-    IrPendingCall, IrProgram,
+    IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam, IrPendingCall, IrProgram,
 };
 use seldon_propgraph::{
     finish_rep_strings, finish_reps, Budget, BudgetExceeded, BudgetMeter, ImportMap, ReprCtx,
@@ -31,14 +29,9 @@ const MAX_FLOW_SET: usize = 8;
 /// A set of event indices whose values may flow into a binding.
 type FlowSet = Vec<u32>;
 
-/// Lowers one parsed program into the language-neutral IR.
-pub fn lower_js_program(program: &Program) -> IrProgram {
-    let mut l = Lowerer::new(program);
-    l.run(program);
-    l.into_ir()
-}
-
-/// Lowers one parsed program under a resource [`Budget`].
+/// Lowers one parsed program into the language-neutral IR under a
+/// resource [`Budget`] (pass [`Budget::unlimited`] to lower without
+/// limits).
 ///
 /// # Errors
 ///
@@ -48,24 +41,9 @@ pub fn lower_js_program_budgeted(
     program: &Program,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
-    let mut l = Lowerer::new(program);
-    l.meter = Some(BudgetMeter::new(budget.clone()));
+    let mut l = Lowerer::new(program, budget);
     l.run(program);
-    if let Some(e) = l.meter.take().and_then(BudgetMeter::into_tripped) {
-        return Err(e);
-    }
-    Ok(l.into_ir())
-}
-
-/// Parses `source` and lowers it into the IR — the `seldon ir-dump`
-/// backend for `.js` files.
-///
-/// # Errors
-///
-/// Returns a [`FrontendError`] if the source fails to lex or parse.
-pub fn lower_js_source(source: &str) -> Result<IrProgram, FrontendError> {
-    let program = parse(source)?;
-    Ok(lower_js_program(&program))
+    l.into_ir()
 }
 
 // ----- representations -------------------------------------------------------
@@ -251,14 +229,14 @@ struct Lowerer<'p> {
     func_order: Vec<&'p str>,
     /// Names currently being inlined (recursion guard / depth bound).
     inline_stack: Vec<&'p str>,
-    /// Resource accounting; `None` lowers without limits.
-    meter: Option<BudgetMeter>,
+    /// Resource accounting against the file's budget.
+    meter: BudgetMeter,
     /// Current statement-nesting depth, fed to the meter.
     stmt_depth: usize,
 }
 
 impl<'p> Lowerer<'p> {
-    fn new(program: &Program) -> Self {
+    fn new(program: &Program, budget: &Budget) -> Self {
         let mut imports = ImportMap::new();
         collect_imports(&program.body, &mut imports);
         Lowerer {
@@ -267,7 +245,7 @@ impl<'p> Lowerer<'p> {
             funcs: HashMap::new(),
             func_order: Vec::new(),
             inline_stack: Vec::new(),
-            meter: None,
+            meter: BudgetMeter::new(budget.clone()),
             stmt_depth: 0,
         }
     }
@@ -279,7 +257,11 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    fn into_ir(mut self) -> IrProgram {
+    /// The lowered IR, or the budget limit the walk tripped.
+    fn into_ir(mut self) -> Result<IrProgram, BudgetExceeded> {
+        if let Some(e) = self.meter.into_tripped() {
+            return Err(e);
+        }
         for name in &self.func_order {
             let s = &self.funcs[name];
             self.ir.funcs.push(IrFunc {
@@ -298,7 +280,7 @@ impl<'p> Lowerer<'p> {
                 returns: s.returns.clone(),
             });
         }
-        self.ir
+        Ok(self.ir)
     }
 
     // ----- IR emission helpers ----------------------------------------------
@@ -357,10 +339,8 @@ impl<'p> Lowerer<'p> {
     // ----- statements -------------------------------------------------------
 
     fn walk_stmt(&mut self, stmt: &'p Stmt, sc: &mut Scope<'p>) {
-        if let Some(meter) = &mut self.meter {
-            if !meter.tick_statement(self.stmt_depth) {
-                return;
-            }
+        if !self.meter.tick_statement(self.stmt_depth) {
+            return;
         }
         self.stmt_depth += 1;
         self.walk_stmt_inner(stmt, sc);
@@ -693,13 +673,16 @@ fn union_into(dst: &mut FlowSet, src: &[u32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse;
+
+    fn lower(src: &str) -> IrProgram {
+        lower_js_program_budgeted(&parse(src).expect("parses"), &Budget::unlimited())
+            .expect("lowers")
+    }
 
     #[test]
     fn lower_emits_events_in_walk_order() {
-        let ir = lower_js_source(
-            "import { f } from 'm';\nconst x = f(1);\nconst y = x.data;\n",
-        )
-        .expect("lowers");
+        let ir = lower("import { f } from 'm';\nconst x = f(1);\nconst y = x.data;\n");
         assert_eq!(ir.events.len(), 2);
         assert_eq!(ir.events[0].kind, IrEventKind::Call);
         assert_eq!(ir.events[1].kind, IrEventKind::ObjectRead);
@@ -711,17 +694,11 @@ mod tests {
 
     #[test]
     fn es_and_require_imports_resolve() {
-        let ir = lower_js_source(
-            "import express from 'express';\nconst app = express();\n",
-        )
-        .expect("lowers");
+        let ir = lower("import express from 'express';\nconst app = express();\n");
         assert_eq!(ir.events.len(), 1);
         assert_eq!(ir.events[0].reps[0].as_str(), "express()");
 
-        let ir = lower_js_source(
-            "const fs = require('fs');\nfs.readFile(p);\n",
-        )
-        .expect("lowers");
+        let ir = lower("const fs = require('fs');\nfs.readFile(p);\n");
         // The require itself is silent; the member call resolves through it.
         assert_eq!(ir.events.len(), 1);
         assert_eq!(ir.events[0].reps[0].as_str(), "fs.readFile()");
@@ -729,10 +706,7 @@ mod tests {
 
     #[test]
     fn named_import_gets_module_prefix() {
-        let ir = lower_js_source(
-            "import { query } from './db/pool.js';\nquery(sql);\n",
-        )
-        .expect("lowers");
+        let ir = lower("import { query } from './db/pool.js';\nquery(sql);\n");
         let reps: Vec<&str> = ir.events[0].reps.iter().map(|s| s.as_str()).collect();
         assert_eq!(reps[0], "db.pool.query()");
         assert!(reps.contains(&"query()"), "bare named-import variant: {reps:?}");
@@ -740,10 +714,9 @@ mod tests {
 
     #[test]
     fn destructured_require_binds_each_name() {
-        let ir = lower_js_source(
+        let ir = lower(
             "const { getById, save: persist } = require('./models');\ngetById(id);\npersist(row);\n",
-        )
-        .expect("lowers");
+        );
         let reps0: Vec<&str> = ir.events[0].reps.iter().map(|s| s.as_str()).collect();
         let reps1: Vec<&str> = ir.events[1].reps.iter().map(|s| s.as_str()).collect();
         assert_eq!(reps0[0], "models.getById()");
@@ -752,10 +725,7 @@ mod tests {
 
     #[test]
     fn function_params_are_events_and_summaries() {
-        let ir = lower_js_source(
-            "function handler(req, res) {\n  return req;\n}\n",
-        )
-        .expect("lowers");
+        let ir = lower("function handler(req, res) {\n  return req;\n}\n");
         assert_eq!(ir.funcs.len(), 1);
         let f = &ir.funcs[0];
         assert_eq!(f.qualified, "handler");
@@ -767,10 +737,9 @@ mod tests {
 
     #[test]
     fn if_branches_merge_flows() {
-        let ir = lower_js_source(
+        let ir = lower(
             "import { source } from 'm';\nlet x = null;\nif (c) { x = source(); } else { x = null; }\nsink(x);\n",
-        )
-        .expect("lowers");
+        );
         // sink(x) receives the call event from the then-branch.
         let sink = ir
             .events
@@ -785,15 +754,11 @@ mod tests {
 
     #[test]
     fn local_function_calls_link_or_pend() {
-        let ir = lower_js_source(
-            "function pick(v) { return v; }\nconst out = pick(data);\n",
-        )
-        .expect("lowers");
+        let ir = lower("function pick(v) { return v; }\nconst out = pick(data);\n");
         // Defined before use: inlined, not pending.
         assert!(ir.pending.is_empty(), "inlinable call should not pend");
 
-        let ir = lower_js_source("const out = helper(data);\nfunction helper(v) { return v; }\n")
-            .expect("lowers");
+        let ir = lower("const out = helper(data);\nfunction helper(v) { return v; }\n");
         assert_eq!(ir.pending.len(), 1);
         assert_eq!(ir.pending[0].qualified, "helper");
     }

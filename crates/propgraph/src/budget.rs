@@ -47,6 +47,22 @@ impl Budget {
             max_wall: None,
         }
     }
+
+    /// Checks the source-size limit, the one gate applied before parsing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BudgetExceeded::SourceBytes`] when `source` is larger
+    /// than `max_source_bytes`.
+    pub fn check_source(&self, source: &str) -> Result<(), BudgetExceeded> {
+        if source.len() > self.max_source_bytes {
+            return Err(BudgetExceeded::SourceBytes {
+                limit: self.max_source_bytes,
+                actual: source.len(),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Which budget dimension a file exceeded.
@@ -205,6 +221,17 @@ mod tests {
         }
         assert!(tripped);
         assert!(matches!(m.tripped(), Some(BudgetExceeded::Deadline { .. })));
+    }
+
+    #[test]
+    fn source_check_trips_only_past_the_limit() {
+        let b = Budget { max_source_bytes: 4, ..Budget::unlimited() };
+        assert!(b.check_source("abcd").is_ok());
+        assert_eq!(
+            b.check_source("abcde"),
+            Err(BudgetExceeded::SourceBytes { limit: 4, actual: 5 })
+        );
+        assert!(Budget::unlimited().check_source("abcde").is_ok());
     }
 
     #[test]

@@ -10,44 +10,29 @@
 //!
 //! Since the IR split, this module is a thin façade: the Python-specific
 //! walk lives in [`crate::lower`] (pyast → `IrProgram`), the language-blind
-//! construction in [`crate::irbuild`] (`IrProgram` → graph). The entry
-//! points here compose the two and keep the original API, budgets, and
-//! fault behavior byte-for-byte.
+//! construction in [`crate::irbuild`] (`IrProgram` → graph). The
+//! per-file front end that picks a parser, a budget, and strict or lenient
+//! parsing for either language is `seldon_core::Frontend::lower`; this
+//! module keeps [`build_source`], its strict, unlimited shorthand.
 
 use crate::budget::{Budget, BudgetExceeded};
 use crate::event::FileId;
 use crate::graph::PropagationGraph;
 use crate::irbuild::build_ir;
-use crate::lower::{lower_module, lower_module_budgeted};
-use seldon_pyast::ast::Module;
-use seldon_pyast::{parse, parse_lenient, FrontendError};
+use crate::lower::lower_module_budgeted;
+use seldon_pyast::{parse, FrontendError};
 use std::fmt;
-use std::time::{Duration, Instant};
 
-/// Builds the propagation graph of one parsed module.
-pub fn build_module(module: &Module, file: FileId) -> PropagationGraph {
-    build_ir(&lower_module(module), file)
-}
-
-/// Parses `source` and builds its propagation graph.
+/// Parses `source` strictly and builds its propagation graph, without
+/// resource limits.
 ///
 /// # Errors
 ///
 /// Returns a [`FrontendError`] if the source fails to lex or parse.
 pub fn build_source(source: &str, file: FileId) -> Result<PropagationGraph, FrontendError> {
-    let module = parse(source)?;
-    Ok(build_module(&module, file))
-}
-
-/// Like [`build_source`] but recovers from statement-level parse errors:
-/// malformed statements are skipped and reported, the rest of the file is
-/// analyzed. This is the right entry point for arbitrary repository code.
-pub fn build_source_lenient(
-    source: &str,
-    file: FileId,
-) -> (PropagationGraph, Vec<FrontendError>) {
-    let (module, errors) = parse_lenient(source);
-    (build_module(&module, file), errors)
+    let ir = lower_module_budgeted(&parse(source)?, &Budget::unlimited())
+        .expect("an unlimited budget never trips");
+    Ok(build_ir(&ir, file))
 }
 
 /// Failure of a budgeted build: either the front end rejected the source,
@@ -81,141 +66,6 @@ impl From<BudgetExceeded> for BuildError {
     fn from(e: BudgetExceeded) -> Self {
         BuildError::OverBudget(e)
     }
-}
-
-/// Checks the source-size budget shared by the budgeted entry points.
-pub(crate) fn check_source_size(source: &str, budget: &Budget) -> Result<(), BudgetExceeded> {
-    if source.len() > budget.max_source_bytes {
-        return Err(BudgetExceeded::SourceBytes {
-            limit: budget.max_source_bytes,
-            actual: source.len(),
-        });
-    }
-    Ok(())
-}
-
-/// Builds the graph of a parsed module under a resource [`Budget`].
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] if the walk trips a statement-count, depth,
-/// or deadline limit; the partially built graph is discarded.
-pub fn build_module_budgeted(
-    module: &Module,
-    file: FileId,
-    budget: &Budget,
-) -> Result<PropagationGraph, BudgetExceeded> {
-    let ir = lower_module_budgeted(module, budget)?;
-    Ok(build_ir(&ir, file))
-}
-
-/// Like [`build_source`], with every phase held to a resource [`Budget`]:
-/// the source size is checked before parsing and the graph walk is
-/// metered cooperatively.
-///
-/// # Errors
-///
-/// Returns [`BuildError::Frontend`] on a lex/parse failure and
-/// [`BuildError::OverBudget`] when a budget limit trips.
-pub fn build_source_budgeted(
-    source: &str,
-    file: FileId,
-    budget: &Budget,
-) -> Result<PropagationGraph, BuildError> {
-    build_source_timed(source, file, Some(budget)).map(|(g, _)| g)
-}
-
-/// Like [`build_source_lenient`], under a resource [`Budget`].
-///
-/// Parse errors degrade per statement as usual; only a budget trip fails
-/// the whole file.
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when a budget limit trips.
-pub fn build_source_lenient_budgeted(
-    source: &str,
-    file: FileId,
-    budget: &Budget,
-) -> Result<(PropagationGraph, Vec<FrontendError>), BudgetExceeded> {
-    build_source_lenient_timed(source, file, Some(budget)).map(|(g, e, _)| (g, e))
-}
-
-/// Wall-clock split of one file's front-end work, reported by the
-/// `*_timed` entry points. The telemetry layer sums these per-file
-/// durations across worker threads into the `parse` and `propgraph`
-/// aggregate stage spans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BuildTimings {
-    /// Time spent lexing and parsing the source into an AST.
-    pub parse: Duration,
-    /// Time spent walking the AST into a propagation graph (including the
-    /// points-to solve and call linking).
-    pub build: Duration,
-}
-
-impl BuildTimings {
-    /// Component-wise sum, for folding per-file timings into totals.
-    pub fn add(&mut self, other: BuildTimings) {
-        self.parse += other.parse;
-        self.build += other.build;
-    }
-}
-
-/// Strict timed build: the budget-optional superset of [`build_source`]
-/// and [`build_source_budgeted`], reporting the parse/build phase split.
-///
-/// # Errors
-///
-/// Returns [`BuildError::Frontend`] on a lex/parse failure and
-/// [`BuildError::OverBudget`] when a budget limit trips (never with
-/// `budget: None`).
-pub fn build_source_timed(
-    source: &str,
-    file: FileId,
-    budget: Option<&Budget>,
-) -> Result<(PropagationGraph, BuildTimings), BuildError> {
-    if let Some(b) = budget {
-        check_source_size(source, b)?;
-    }
-    let parse_started = Instant::now();
-    let module = parse(source)?;
-    let parse_time = parse_started.elapsed();
-    let build_started = Instant::now();
-    let graph = match budget {
-        Some(b) => build_module_budgeted(&module, file, b)?,
-        None => build_module(&module, file),
-    };
-    let timings = BuildTimings { parse: parse_time, build: build_started.elapsed() };
-    Ok((graph, timings))
-}
-
-/// Lenient timed build: the budget-optional superset of
-/// [`build_source_lenient`] and [`build_source_lenient_budgeted`],
-/// reporting the parse/build phase split.
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when a budget limit trips (never with
-/// `budget: None`).
-pub fn build_source_lenient_timed(
-    source: &str,
-    file: FileId,
-    budget: Option<&Budget>,
-) -> Result<(PropagationGraph, Vec<FrontendError>, BuildTimings), BudgetExceeded> {
-    if let Some(b) = budget {
-        check_source_size(source, b)?;
-    }
-    let parse_started = Instant::now();
-    let (module, errors) = parse_lenient(source);
-    let parse_time = parse_started.elapsed();
-    let build_started = Instant::now();
-    let graph = match budget {
-        Some(b) => build_module_budgeted(&module, file, b)?,
-        None => build_module(&module, file),
-    };
-    let timings = BuildTimings { parse: parse_time, build: build_started.elapsed() };
-    Ok((graph, errors, timings))
 }
 
 #[cfg(test)]
@@ -519,43 +369,59 @@ for i in range(3):
         }
     }
 
+    /// The per-file steps under `budget`: the source-size gate, a strict or
+    /// lenient parse, the budgeted lowering, then graph construction.
+    fn build_under(
+        src: &str,
+        budget: &Budget,
+        lenient: bool,
+    ) -> Result<(PropagationGraph, usize), BuildError> {
+        budget.check_source(src)?;
+        let (module, errors) = if lenient {
+            seldon_pyast::parse_lenient(src)
+        } else {
+            (parse(src)?, Vec::new())
+        };
+        let ir = lower_module_budgeted(&module, budget)?;
+        Ok((build_ir(&ir, FileId(0)), errors.len()))
+    }
+
     #[test]
     fn lenient_build_skips_broken_statements() {
         // The malformed line must not open a bracket (implicit joining
         // would swallow the rest of the file into one logical line).
         let src = "from m import src, sink\nx = src()\nbroken = = 3\nsink(x)\n";
-        let (g, errors) = build_source_lenient(src, FileId(0));
-        assert_eq!(errors.len(), 1);
+        let (g, errors) = build_under(src, &Budget::unlimited(), true).expect("builds");
+        assert_eq!(errors, 1);
         assert!(g.is_reachable(find(&g, "m.src()"), find(&g, "m.sink()")));
     }
 
     #[test]
     fn timed_builds_match_untimed() {
+        // Every analyzed file is lowered, and timed, under a budget; one
+        // that does not trip must leave the graph as the shorthand builds
+        // it, in either parse mode.
         let src = "from m import src, sink\nx = src()\nsink(x)\n";
-        let (g, t) = build_source_timed(src, FileId(0), None).expect("builds");
         let plain = build_source(src, FileId(0)).unwrap();
-        assert_eq!(g.event_count(), plain.event_count());
-        assert_eq!(g.edge_count(), plain.edge_count());
-        // Durations are reported (possibly zero on coarse clocks), and the
-        // lenient variant agrees.
-        let mut total = BuildTimings::default();
-        total.add(t);
-        assert_eq!(total, t);
-        let (g2, errors, _) =
-            build_source_lenient_timed(src, FileId(0), None).expect("builds");
-        assert!(errors.is_empty());
-        assert_eq!(g2.event_count(), plain.event_count());
+        for lenient in [false, true] {
+            let (g, errors) = build_under(src, &Budget::default(), lenient).expect("builds");
+            assert_eq!(errors, 0);
+            assert_eq!(g.event_count(), plain.event_count());
+            assert_eq!(g.edge_count(), plain.edge_count());
+        }
     }
 
     #[test]
     fn timed_build_honors_budget() {
         let tight = Budget { max_source_bytes: 4, ..Budget::unlimited() };
         let src = "x = 1\n";
-        let err = build_source_timed(src, FileId(0), Some(&tight)).unwrap_err();
-        assert!(matches!(err, BuildError::OverBudget(_)));
-        let err =
-            build_source_lenient_timed(src, FileId(0), Some(&tight)).unwrap_err();
-        assert!(matches!(err, BudgetExceeded::SourceBytes { .. }));
+        for lenient in [false, true] {
+            let err = build_under(src, &tight, lenient).unwrap_err();
+            assert!(matches!(
+                err,
+                BuildError::OverBudget(BudgetExceeded::SourceBytes { .. })
+            ));
+        }
     }
 
     #[test]

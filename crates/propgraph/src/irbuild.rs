@@ -132,7 +132,13 @@ pub fn build_ir(ir: &IrProgram, file: FileId) -> PropagationGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_source;
+    use crate::budget::Budget;
+    use crate::lower::lower_module_budgeted;
+
+    fn lower(src: &str) -> IrProgram {
+        let module = seldon_pyast::parse(src).expect("parses");
+        lower_module_budgeted(&module, &Budget::unlimited()).expect("lowers")
+    }
 
     #[test]
     fn replay_matches_direct_build() {
@@ -150,7 +156,7 @@ y = helper(src())
 sink(y)
 ";
         let direct = crate::builder::build_source(src, FileId(3)).expect("builds");
-        let ir = lower_source(src).expect("lowers");
+        let ir = lower(src);
         let replayed = build_ir(&ir, FileId(3));
         assert_eq!(direct.event_count(), replayed.event_count());
         assert_eq!(direct.edge_count(), replayed.edge_count());
@@ -166,7 +172,7 @@ sink(y)
 
     #[test]
     fn file_id_is_stamped_at_replay() {
-        let ir = lower_source("from m import f\nx = f()\n").expect("lowers");
+        let ir = lower("from m import f\nx = f()\n");
         let g7 = build_ir(&ir, FileId(7));
         let g9 = build_ir(&ir, FileId(9));
         for (id, e) in g7.events() {

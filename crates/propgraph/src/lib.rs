@@ -35,16 +35,12 @@ pub mod repr;
 pub mod stats;
 
 pub use budget::{Budget, BudgetExceeded, BudgetMeter};
-pub use builder::{
-    build_module, build_module_budgeted, build_source, build_source_budgeted,
-    build_source_lenient, build_source_lenient_budgeted, build_source_lenient_timed,
-    build_source_timed, BuildError, BuildTimings,
-};
+pub use builder::{build_source, BuildError};
 pub use dot::to_dot;
 pub use event::{Event, EventId, EventKind, FileId};
 pub use graph::{ArgPos, EdgeKind, PropagationGraph};
 pub use irbuild::build_ir;
-pub use lower::{lower_module, lower_module_budgeted, lower_source};
+pub use lower::lower_module_budgeted;
 pub use repr::{
     describe_expr, describe_syms, finish_rep_strings, finish_reps, interned_dot_suffixes,
     ImportMap, ReprCtx, MAX_CHAIN_DEPTH,

@@ -16,12 +16,10 @@ use crate::budget::{Budget, BudgetExceeded, BudgetMeter};
 use crate::repr::{describe_expr, describe_syms, ImportMap, ReprCtx};
 use seldon_intern::intern;
 use seldon_ir::{
-    FrontendError, IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam,
-    IrPendingCall, IrProgram,
+    IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam, IrPendingCall, IrProgram,
 };
 use seldon_pyast::ast::*;
 use seldon_pyast::visit::{self, Visitor};
-use seldon_pyast::parse;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -32,14 +30,8 @@ const MAX_FLOW_SET: usize = 8;
 /// A set of event indices whose values may flow into a binding.
 type FlowSet = Vec<u32>;
 
-/// Lowers one parsed module into the language-neutral IR.
-pub fn lower_module(module: &Module) -> IrProgram {
-    let mut l = Lowerer::new(module);
-    l.run(module);
-    l.into_ir()
-}
-
-/// Lowers one parsed module under a resource [`Budget`].
+/// Lowers one parsed module into the language-neutral IR under a resource
+/// [`Budget`] (pass [`Budget::unlimited`] to lower without limits).
 ///
 /// # Errors
 ///
@@ -49,24 +41,9 @@ pub fn lower_module_budgeted(
     module: &Module,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
-    let mut l = Lowerer::new(module);
-    l.meter = Some(BudgetMeter::new(budget.clone()));
+    let mut l = Lowerer::new(module, budget);
     l.run(module);
-    if let Some(e) = l.meter.take().and_then(BudgetMeter::into_tripped) {
-        return Err(e);
-    }
-    Ok(l.into_ir())
-}
-
-/// Parses `source` and lowers it into the IR — the `seldon ir-dump`
-/// backend for `.py` files.
-///
-/// # Errors
-///
-/// Returns a [`FrontendError`] if the source fails to lex or parse.
-pub fn lower_source(source: &str) -> Result<IrProgram, FrontendError> {
-    let module = parse(source)?;
-    Ok(lower_module(&module))
+    l.into_ir()
 }
 
 /// Summary of a locally-defined function for call linking.
@@ -116,21 +93,21 @@ struct Lowerer<'m> {
     /// Names currently being inlined (recursion guard) — doubles as the
     /// inline-depth bound.
     inline_stack: Vec<Cow<'m, str>>,
-    /// Resource accounting; `None` lowers without limits.
-    pub(crate) meter: Option<BudgetMeter>,
+    /// Resource accounting against the file's budget.
+    meter: BudgetMeter,
     /// Current statement-nesting depth, fed to the meter.
     stmt_depth: usize,
 }
 
 impl<'m> Lowerer<'m> {
-    fn new(module: &Module) -> Self {
+    fn new(module: &Module, budget: &Budget) -> Self {
         Lowerer {
             ir: IrProgram::default(),
             imports: Rc::new(collect_imports(module)),
             funcs: HashMap::new(),
             func_order: Vec::new(),
             inline_stack: Vec::new(),
-            meter: None,
+            meter: BudgetMeter::new(budget.clone()),
             stmt_depth: 0,
         }
     }
@@ -142,7 +119,11 @@ impl<'m> Lowerer<'m> {
         }
     }
 
-    fn into_ir(mut self) -> IrProgram {
+    /// The lowered IR, or the budget limit the walk tripped.
+    fn into_ir(mut self) -> Result<IrProgram, BudgetExceeded> {
+        if let Some(e) = self.meter.into_tripped() {
+            return Err(e);
+        }
         for name in &self.func_order {
             let s = &self.funcs[name];
             self.ir.funcs.push(IrFunc {
@@ -159,7 +140,7 @@ impl<'m> Lowerer<'m> {
                 returns: s.returns.clone(),
             });
         }
-        self.ir
+        Ok(self.ir)
     }
 
     // ----- IR emission helpers ----------------------------------------------
@@ -224,10 +205,8 @@ impl<'m> Lowerer<'m> {
     /// the walk unwinds cooperatively: every further statement is a no-op,
     /// so the only cost left is popping the recursion already on the stack.
     fn walk_stmt(&mut self, stmt: &'m Stmt, sc: &mut Scope<'m>) {
-        if let Some(meter) = &mut self.meter {
-            if !meter.tick_statement(self.stmt_depth) {
-                return;
-            }
+        if !self.meter.tick_statement(self.stmt_depth) {
+            return;
         }
         self.stmt_depth += 1;
         self.walk_stmt_inner(stmt, sc);
@@ -735,9 +714,14 @@ impl<'m> Lowerer<'m> {
                     self.set_arg_position(f, ev, IrArgPos::Keyword(name.to_string()));
                 }
             }
-            // `locals()` receives every local variable (§5.2).
+            // `locals()` receives every local variable (§5.2), visited in
+            // name order so the edge order never follows hash order.
             if matches!(&func.kind, ExprKind::Name(n) if n == "locals") {
-                let all: Vec<u32> = sc.env.values().flatten().copied().collect();
+                let mut bindings: Vec<(&str, &FlowSet)> =
+                    sc.env.iter().map(|(&name, flows)| (name, flows)).collect();
+                bindings.sort_unstable_by_key(|&(name, _)| name);
+                let all: Vec<u32> =
+                    bindings.into_iter().flat_map(|(_, flows)| flows.iter().copied()).collect();
                 for f in all {
                     self.add_edge(f, ev);
                 }
@@ -909,10 +893,15 @@ fn union_into(dst: &mut FlowSet, src: &[u32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seldon_pyast::parse;
+
+    fn lower(src: &str) -> IrProgram {
+        lower_module_budgeted(&parse(src).expect("parses"), &Budget::unlimited()).expect("lowers")
+    }
 
     #[test]
     fn lower_emits_events_in_walk_order() {
-        let ir = lower_source("from m import f\nx = f(1)\ny = x.data\n").expect("lowers");
+        let ir = lower("from m import f\nx = f(1)\ny = x.data\n");
         assert_eq!(ir.events.len(), 2);
         assert_eq!(ir.events[0].kind, IrEventKind::Call);
         assert_eq!(ir.events[1].kind, IrEventKind::ObjectRead);
@@ -925,7 +914,7 @@ mod tests {
 
     #[test]
     fn lower_records_function_summaries() {
-        let ir = lower_source("def h(self, v):\n    return v\n").expect("lowers");
+        let ir = lower("def h(self, v):\n    return v\n");
         assert_eq!(ir.funcs.len(), 1);
         let f = &ir.funcs[0];
         assert_eq!(f.qualified, "h");
@@ -945,7 +934,7 @@ mod tests {
 
     #[test]
     fn dump_round_trips_through_display() {
-        let ir = lower_source("from m import f\nsink = f(a=1)\n").expect("lowers");
+        let ir = lower("from m import f\nsink = f(a=1)\n");
         let d = ir.dump();
         assert!(d.contains("call"), "dump lists the call event: {d}");
     }

@@ -389,9 +389,10 @@ fn cmd_graph(rest: &[String]) -> Result<Outcome, CliError> {
 }
 
 /// Prints the language-neutral IR trace one file lowers to — the exact
-/// event/op stream the graph builder replays. Dispatches to the frontend
-/// by extension ([`Frontend::of_path`]) and parses strictly: a lowering
-/// dump of a file that does not parse would be misleading.
+/// event/op stream the graph builder replays. Lowers through
+/// [`Frontend::lower`] like `learn` does, under the default budget, and
+/// parses strictly: a lowering dump of a file that does not parse would be
+/// misleading.
 fn cmd_ir_dump(rest: &[String]) -> Result<Outcome, CliError> {
     let (paths, _, _) = split_args(rest, &[], &[])?;
     let [path] = paths.as_slice() else {
@@ -399,12 +400,10 @@ fn cmd_ir_dump(rest: &[String]) -> Result<Outcome, CliError> {
     };
     let content = std::fs::read_to_string(path)
         .map_err(|e| CliError::usage(format!("cannot read {}: {e}", path.display())))?;
-    let ir = match Frontend::of_path(&path.display().to_string()) {
-        Frontend::Python => seldon_propgraph::lower_source(&content),
-        Frontend::Js => seldon_jsfront::lower_js_source(&content),
-    }
-    .map_err(|e| CliError::Runtime(format!("{}: {e}", path.display())))?;
-    print!("{}", ir.dump());
+    let lowered = Frontend::of_path(&path.display().to_string())
+        .lower(&content, &Budget::default(), false)
+        .map_err(|e| CliError::Runtime(format!("{}: {e}", path.display())))?;
+    print!("{}", lowered.ir.dump());
     Ok(Outcome::Clean)
 }
 

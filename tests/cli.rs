@@ -38,6 +38,46 @@ fn check_reports_command_injection() {
     assert!(stdout.contains("violation(s) total"), "{stdout}");
 }
 
+/// A checked-in file under `tests/`.
+fn repo_test_file(rel: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests").join(rel)
+}
+
+#[test]
+fn ir_dump_prints_the_golden_lowering_of_both_languages() {
+    for (src, golden) in [
+        ("fixtures/py_locals_template_context.py", "golden/ir/py_locals_template_context.txt"),
+        ("fixtures/js_express_fixture.js", "golden/ir/js_express_fixture.txt"),
+    ] {
+        let out = seldon().arg("ir-dump").arg(repo_test_file(src)).output().expect("runs");
+        assert!(out.status.success(), "{src}: {}", String::from_utf8_lossy(&out.stderr));
+        let expected = std::fs::read_to_string(repo_test_file(golden)).expect("golden");
+        assert!(
+            String::from_utf8_lossy(&out.stdout) == expected,
+            "{src}: ir-dump diverged from {golden}"
+        );
+    }
+}
+
+#[test]
+fn ir_dump_enforces_the_default_depth_budget() {
+    let dir = temp_dir("ir-dump-deep");
+    let mut src = String::new();
+    for depth in 0..70 {
+        src.push_str(&"    ".repeat(depth));
+        src.push_str("if x:\n");
+    }
+    src.push_str(&"    ".repeat(70));
+    src.push_str("y = 1\n");
+    let deep = dir.join("deep.py");
+    std::fs::write(&deep, src).unwrap();
+    let out = seldon().arg("ir-dump").arg(&deep).output().expect("runs");
+    assert_eq!(out.status.code(), Some(1), "runtime error, not a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nesting depth exceeds budget of 64"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no partial dump");
+}
+
 #[test]
 fn check_clean_file_reports_nothing() {
     let dir = temp_dir("clean");

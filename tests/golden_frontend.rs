@@ -5,13 +5,15 @@
 //! The IR goldens under `tests/golden/ir/` pin the lowering contract of
 //! DESIGN.md §3g byte for byte: the `IrProgram::dump()` of every snippet
 //! here, of a JS fixture, and of generated corpus files whose handler
-//! inlines a local helper. Re-bless them deliberately, only when the
+//! inlines a local helper. The sources under `tests/fixtures/` are shared
+//! with the CLI's `ir-dump` tests. Re-bless them deliberately, only when the
 //! analysis is meant to change, with
 //! `cargo test -p seldon-core --test golden_frontend -- --ignored bless`.
 
+use seldon_core::Frontend;
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
-use seldon_jsfront::lower_js_source;
-use seldon_propgraph::{build_source, lower_source, FileId};
+use seldon_ir::IrProgram;
+use seldon_propgraph::{build_source, Budget, FileId};
 use seldon_pyast::{parse, unparse};
 use std::path::PathBuf;
 
@@ -133,7 +135,15 @@ def summary():
 "#,
         &["flask.request.args.items()"],
     ),
+    (
+        "locals_template_context",
+        LOCALS_FIXTURE,
+        &["flask.render_template()", "locals()"],
+    ),
 ];
+
+/// A handler whose `locals()` call receives six bindings.
+const LOCALS_FIXTURE: &str = include_str!("fixtures/py_locals_template_context.py");
 
 #[test]
 fn golden_snippets_parse_and_build() {
@@ -178,6 +188,7 @@ const GRAPH_SHAPES: &[(&str, usize, usize)] = &[
     ("decorators_and_defaults", 6, 4),
     ("py2_idioms", 5, 3),
     ("comprehensions_and_fstrings", 3, 2),
+    ("locals_template_context", 12, 11),
 ];
 
 #[test]
@@ -198,31 +209,7 @@ fn golden_snippets_graph_shapes_are_stable() {
 /// ES, named-alias and destructured-`require` imports, a local helper
 /// inlined at its call site, branch merging, object and array literals,
 /// a member store, and string concatenation.
-const JS_FIXTURE: &str = r#"
-import express from 'express';
-import { query as runQuery } from './db/pool.js';
-const { escape } = require('html-utils');
-const app = express();
-
-function readName(req) {
-  return req.query['name'];
-}
-
-function handler(req, res) {
-  const name = readName(req);
-  let safe = null;
-  if (name) {
-    safe = escape(name);
-  } else {
-    safe = '';
-  }
-  const opts = { user: safe, raw: [name, 1] };
-  res.locals.view = opts;
-  runQuery('SELECT ' + safe, { meta: name });
-  return res.send(safe);
-}
-app.get('/user', handler);
-"#;
+const JS_FIXTURE: &str = include_str!("fixtures/js_express_fixture.js");
 
 /// The first generated file (in corpus order) that defines a module-level
 /// helper besides its handlers, with the helper's name; the handler
@@ -246,6 +233,11 @@ fn corpus_file_with_helper(lang: Lang) -> (String, String) {
     found.expect("some generated file defines a helper")
 }
 
+/// Lowers `src` strictly and without limits, as the goldens were blessed.
+fn lower(frontend: Frontend, src: &str) -> IrProgram {
+    frontend.lower(src, &Budget::unlimited(), false).expect("lowers").ir
+}
+
 fn ir_golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/ir")
 }
@@ -254,16 +246,12 @@ fn ir_golden_dir() -> PathBuf {
 fn ir_cases() -> Vec<(String, String)> {
     let mut cases: Vec<(String, String)> = GOLDEN
         .iter()
-        .map(|(name, src, _)| {
-            let ir = lower_source(src).unwrap_or_else(|e| panic!("{name}: lower failed: {e}"));
-            (format!("py_{name}"), ir.dump())
-        })
+        .map(|(name, src, _)| (format!("py_{name}"), lower(Frontend::Python, src).dump()))
         .collect();
-    let js = lower_js_source(JS_FIXTURE).expect("JS fixture lowers");
-    cases.push(("js_express_fixture".to_string(), js.dump()));
-    let py = lower_source(&corpus_file_with_helper(Lang::Py).0).expect("corpus file lowers");
+    cases.push(("js_express_fixture".to_string(), lower(Frontend::Js, JS_FIXTURE).dump()));
+    let py = lower(Frontend::Python, &corpus_file_with_helper(Lang::Py).0);
     cases.push(("corpus_py_helper".to_string(), py.dump()));
-    let js = lower_js_source(&corpus_file_with_helper(Lang::Js).0).expect("corpus file lowers");
+    let js = lower(Frontend::Js, &corpus_file_with_helper(Lang::Js).0);
     cases.push(("corpus_js_helper".to_string(), js.dump()));
     cases
 }
@@ -290,14 +278,26 @@ fn corpus_helper_goldens_inline_their_helper() {
     for lang in [Lang::Py, Lang::Js] {
         let (src, helper) = corpus_file_with_helper(lang);
         let ir = match lang {
-            Lang::Py => lower_source(&src).expect("lowers"),
-            Lang::Js => lower_js_source(&src).expect("lowers"),
+            Lang::Py => lower(Frontend::Python, &src),
+            Lang::Js => lower(Frontend::Js, &src),
         };
         assert!(ir.funcs.iter().any(|f| f.qualified == helper), "{lang:?}: no {helper}");
         assert!(
             ir.pending.iter().all(|p| p.qualified != helper),
             "{lang:?}: the call to {helper} was not inlined"
         );
+    }
+}
+
+#[test]
+fn locals_lowering_is_deterministic() {
+    // `locals()` receives every binding of its scope; the edges must come
+    // out in one fixed order, not in the scope map's hash order.
+    let first = lower(Frontend::Python, LOCALS_FIXTURE).dump();
+    assert!(first.contains("locals()"), "the snippet lowers a locals() call:\n{first}");
+    for run in 1..30 {
+        let dump = lower(Frontend::Python, LOCALS_FIXTURE).dump();
+        assert!(dump == first, "run {run}: locals() lowering diverged\n--- now ---\n{dump}");
     }
 }
 

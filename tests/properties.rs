@@ -4,8 +4,9 @@
 
 use proptest::prelude::*;
 use seldon_constraints::{generate, GenOptions};
+use seldon_core::Frontend;
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
-use seldon_propgraph::{build_source, FileId};
+use seldon_propgraph::{build_source, Budget, FileId};
 use seldon_pyast::{lexer, parser};
 use seldon_solver::{solve, SolveOptions};
 use seldon_specs::{Pattern, Role, RoleSet, TaintSpec};
@@ -273,10 +274,11 @@ proptest! {
                         seldon_jsfront::build_js_source(&f.content, file).expect("composed build")
                     }
                 };
-                let ir = match lang {
-                    Lang::Py => seldon_propgraph::lower_source(&f.content).expect("lowering"),
-                    Lang::Js => seldon_jsfront::lower_js_source(&f.content).expect("lowering"),
+                let frontend = match lang {
+                    Lang::Py => Frontend::Python,
+                    Lang::Js => Frontend::Js,
                 };
+                let ir = frontend.lower(&f.content, &Budget::unlimited(), false).expect("lowering").ir;
                 let staged = seldon_propgraph::build_ir(&ir, file);
                 prop_assert_eq!(staged.event_count(), composed.event_count());
                 prop_assert_eq!(staged.edge_count(), composed.edge_count());
