@@ -19,9 +19,9 @@
 //! "almost" breaks the byte-identical-spec guarantee the *replay* path
 //! is held to; a fingerprint miss therefore never silently reuses
 //! anything. Callers that can tolerate (and police) near-miss reuse —
-//! the incremental daemon guards warm solves with an extraction-margin
-//! check and falls back to a cold solve when a decision is close — opt
-//! in explicitly through [`Checkpoint::warm_init_for`], which remaps the
+//! the ladder's opt-in warm rung guards warm solves with an
+//! extraction-margin check and falls back to a cold solve when a decision
+//! is close — go through [`Checkpoint::warm_init_for`], which remaps the
 //! stored scores onto a *different* constraint system by matching
 //! variables on their process-stable `(representation, role)` keys
 //! recorded in [`Checkpoint::var_keys`].
@@ -32,9 +32,9 @@
 
 use crate::entry::EntryError;
 use crate::hash::Fnv64;
-use seldon_constraints::{ConstraintSystem, GenOptions, Template};
+use seldon_constraints::{ConstraintSystem, GenOptions, GenStats, Template};
 use seldon_propgraph::{EventId, PropagationGraph};
-use seldon_solver::{ExtractOptions, SolveOptions};
+use seldon_solver::{ExtractOptions, Extraction, SolveOptions, Solution, StopReason};
 use seldon_specs::{Role, RoleSet, TaintSpec};
 use seldon_telemetry::json::{self, Json};
 use seldon_telemetry::EpochSample;
@@ -59,6 +59,23 @@ pub struct SystemSummary {
     pub dropped_by_cutoff: u64,
     /// Representations dropped by the blacklist.
     pub dropped_by_blacklist: u64,
+}
+
+impl SystemSummary {
+    /// The shape of a generated system and its selection counters.
+    pub fn of(system: &ConstraintSystem, gen_stats: &GenStats) -> SystemSummary {
+        let [a, b, c] = system.template_counts();
+        SystemSummary {
+            constraints: system.constraint_count() as u64,
+            vars: system.var_count() as u64,
+            pinned: system.pinned_count() as u64,
+            by_template: [a as u64, b as u64, c as u64],
+            candidates: gen_stats.candidate_events as u64,
+            surviving_reps: gen_stats.surviving_reps as u64,
+            dropped_by_cutoff: gen_stats.dropped_by_cutoff as u64,
+            dropped_by_blacklist: gen_stats.dropped_by_blacklist as u64,
+        }
+    }
 }
 
 /// A persisted solver/extraction outcome with its fingerprints.
@@ -243,6 +260,61 @@ fn parse_hex_f64(v: &Json, what: &str) -> Result<f64, EntryError> {
 }
 
 impl Checkpoint {
+    /// Packs one finished run — the system it solved, the solution and
+    /// its extraction — under its two fingerprints.
+    pub fn from_run(
+        input_fp: u64,
+        system_fp: u64,
+        system: &ConstraintSystem,
+        gen_stats: &GenStats,
+        solution: &Solution,
+        extraction: &Extraction,
+    ) -> Checkpoint {
+        let mut event_roles: Vec<(u32, u8)> = extraction
+            .event_roles
+            .iter()
+            .map(|(&id, &roles)| (id.0, Checkpoint::role_bits(roles)))
+            .collect();
+        event_roles.sort_unstable();
+        Checkpoint {
+            input_fp,
+            system_fp,
+            scores: solution.scores.clone(),
+            var_keys: Checkpoint::var_keys_of(system),
+            objective: solution.objective,
+            violation: solution.violation,
+            iterations: solution.iterations,
+            restarts: solution.restarts,
+            final_lr: solution.final_lr,
+            diverged: solution.diverged,
+            stop_reason: solution.stop.as_str().to_string(),
+            epochs_saved: solution.epochs_saved,
+            curve: solution.trace.clone(),
+            spec_text: extraction.spec.to_text(),
+            event_roles,
+            backoff_hits: extraction.backoff_hits.clone(),
+            summary: SystemSummary::of(system, gen_stats),
+        }
+    }
+
+    /// The stored solve as a [`Solution`]. Its scores align variable for
+    /// variable with any system of the same system fingerprint.
+    pub fn solution(&self) -> Solution {
+        Solution {
+            scores: self.scores.clone(),
+            objective: self.objective,
+            violation: self.violation,
+            iterations: self.iterations,
+            history: Vec::new(),
+            diverged: self.diverged,
+            restarts: self.restarts,
+            final_lr: self.final_lr,
+            stop: StopReason::parse(&self.stop_reason).unwrap_or_default(),
+            epochs_saved: self.epochs_saved,
+            trace: self.curve.clone(),
+        }
+    }
+
     /// Packs a [`RoleSet`] into the stored bitmask.
     pub fn role_bits(roles: RoleSet) -> u8 {
         roles.iter().fold(0, |acc, role| acc | 1 << role.index())
@@ -653,6 +725,54 @@ mod tests {
         // rejected rather than half-applied.
         ckpt.var_keys.pop();
         assert_eq!(ckpt.warm_init_for(&sys), None);
+    }
+
+    #[test]
+    fn from_run_and_solution_convert_both_ways() {
+        let mut system = ConstraintSystem::new(0.75);
+        let a = system.rep("a()");
+        system.var(a, Role::Source);
+        system.var(a, Role::Sink);
+        let solution = Solution {
+            scores: vec![0.25, 1.0],
+            objective: 1.5,
+            violation: 0.125,
+            iterations: 7,
+            history: vec![3.0, 2.0],
+            diverged: false,
+            restarts: 1,
+            final_lr: 0.0125,
+            stop: StopReason::Plateau,
+            epochs_saved: 793,
+            trace: sample().curve,
+        };
+        let extraction = Extraction {
+            spec: TaintSpec::parse("o: a()\ni: a()\n").unwrap(),
+            event_roles: [(EventId(9), RoleSet::ALL), (EventId(2), RoleSet::EMPTY)].into(),
+            backoff_hits: vec![2, 1],
+            ..Extraction::default()
+        };
+        let gen_stats = GenStats { candidate_events: 11, surviving_reps: 1, ..GenStats::default() };
+        let ckpt = Checkpoint::from_run(1, 2, &system, &gen_stats, &solution, &extraction);
+        assert_eq!((ckpt.input_fp, ckpt.system_fp), (1, 2));
+        assert_eq!(ckpt.summary, SystemSummary::of(&system, &gen_stats));
+        assert_eq!((ckpt.summary.vars, ckpt.summary.candidates), (2, 11));
+        assert_eq!(ckpt.var_keys, [("a()".to_string(), 0), ("a()".to_string(), 2)]);
+        assert_eq!(ckpt.event_roles, [(2, 0), (9, 0b111)], "sorted by event id");
+        assert_eq!(TaintSpec::parse(&ckpt.spec_text).unwrap().role_count(), 2);
+        let back = Checkpoint::from_payload(&ckpt.to_payload()).unwrap().solution();
+        assert_eq!(back.scores, solution.scores);
+        assert_eq!(back.stop, StopReason::Plateau);
+        assert_eq!(
+            (back.iterations, back.restarts, back.epochs_saved, back.diverged),
+            (7, 1, 793, false)
+        );
+        assert_eq!(
+            (back.objective, back.violation, back.final_lr),
+            (solution.objective, solution.violation, solution.final_lr)
+        );
+        assert_eq!(back.trace, solution.trace);
+        assert!(back.history.is_empty(), "the per-epoch history is not stored");
     }
 
     #[test]

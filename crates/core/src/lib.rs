@@ -38,11 +38,12 @@ pub use eval::{
     classify_all, classify_violation, evaluate_spec, reps_match, GroundTruth, ReportClass,
     ReportSummary, RoleEval, SpecEval,
 };
-pub use manifest::{run_full, FullRun};
+pub use manifest::{fill_learning_sections, learned_per_role, run_full, FullRun};
 pub use pipeline::{
     analysis_cache_key, analyze_corpus, analyze_corpus_with, analyze_file, analyze_project,
-    run_seldon, run_seldon_cached, run_seldon_traced, AnalyzeOptions, AnalyzedCorpus,
-    CheckpointOutcome, CheckpointUse, FaultPolicy, FileAnalysis, FileMeta, Frontend, Lowered,
-    SeldonOptions, SeldonRun, WarmStartOptions, DEFAULT_TRACE_STRIDE, DEFAULT_WARM_MARGIN,
+    climb_ladder, run_seldon, run_seldon_cached, run_seldon_traced, AnalyzeOptions,
+    AnalyzedCorpus, CheckpointOutcome, CheckpointUse, Climb, FaultPolicy, FileAnalysis, FileMeta,
+    Frontend, Lowered, SeldonOptions, SeldonRun, WarmStartOptions, DEFAULT_TRACE_STRIDE,
+    DEFAULT_WARM_MARGIN,
 };
 pub use report::{AnalysisReport, CacheFaultReport, FileOutcome, FileReport};

@@ -18,10 +18,12 @@ use crate::pipeline::{
     SeldonOptions, SeldonRun,
 };
 use crate::report::{AnalysisReport, CacheFaultReport};
-use seldon_corpus::Corpus;
-use seldon_specs::{Role, TaintSpec};
-use seldon_taint::{TaintAnalyzer, Violation};
+use seldon_cache::{ArtifactCache, SystemSummary};
 use seldon_constraints::constraint_gap;
+use seldon_corpus::Corpus;
+use seldon_solver::Solution;
+use seldon_specs::TaintSpec;
+use seldon_taint::{TaintAnalyzer, Violation};
 use seldon_telemetry::{
     stage, CacheSummary, ConstraintSummary, CorpusShape, ExtractionSummary, MemoryGauge,
     MemorySummary, OutcomeCounts, RunManifest, ScoreDumpEntry, SolverSummary, TaintSummary,
@@ -132,32 +134,77 @@ fn assemble_manifest(
     };
     m.stages = tele.take_spans().into_iter().map(Into::into).collect();
     m.parse_histograms = analyzed.parse_histograms.clone();
-    m.constraints = match &checkpoint.summary {
-        // Full checkpoint reuse: the in-memory system is empty, so the
-        // shape comes from the checkpoint's replay summary.
-        Some(s) => ConstraintSummary {
-            total: s.constraints,
-            vars: s.vars,
-            pinned: s.pinned,
-            by_template: s.by_template,
-        },
-        None => {
-            let by_template = run.system.template_counts();
-            ConstraintSummary {
-                total: run.system.constraint_count() as u64,
-                vars: run.system.var_count() as u64,
-                pinned: run.system.pinned_count() as u64,
-                by_template: [
-                    by_template[0] as u64,
-                    by_template[1] as u64,
-                    by_template[2] as u64,
-                ],
-            }
+    // A full checkpoint hit leaves the in-memory system empty, so the
+    // shape comes from the checkpoint's replay summary.
+    let system =
+        checkpoint.summary.unwrap_or_else(|| SystemSummary::of(&run.system, &run.gen_stats));
+    fill_learning_sections(
+        &mut m,
+        &system,
+        &run.solution,
+        &run.extraction.backoff_hits,
+        learned_per_role(&run.extraction.spec),
+        seldon,
+        analyze.cache.as_deref().map(|cache| (cache, checkpoint.outcome.label())),
+    );
+    m.taint = TaintSummary { violations: violations.len() as u64 };
+    fill_metrics(&mut m, analyzed, run, analyze, report);
+    if seldon.score_dump {
+        m.score_dump = score_dump(run);
+    }
+    m
+}
+
+/// Learned entries per role `[sources, sanitizers, sinks]` of a spec.
+pub fn learned_per_role(spec: &TaintSpec) -> [u64; 3] {
+    let mut learned = [0u64; 3];
+    for (_, roles) in spec.iter() {
+        for role in roles.iter() {
+            learned[role.index()] += 1;
         }
+    }
+    learned
+}
+
+/// Fills the manifest sections `learn` and `serve` share: the constraint
+/// system's shape, the solver outcome, the extraction sweep, the cache
+/// counters with the checkpoint rung's label, and memory.
+pub fn fill_learning_sections(
+    m: &mut RunManifest,
+    system: &SystemSummary,
+    solution: &Solution,
+    backoff_hits: &[usize],
+    learned: [u64; 3],
+    seldon: &SeldonOptions,
+    cache: Option<(&ArtifactCache, &str)>,
+) {
+    m.constraints = ConstraintSummary {
+        total: system.constraints,
+        vars: system.vars,
+        pinned: system.pinned,
+        by_template: system.by_template,
     };
-    m.cache = match analyze.cache.as_deref() {
+    m.solver = SolverSummary {
+        iterations: solution.iterations as u64,
+        restarts: solution.restarts as u64,
+        diverged: solution.diverged,
+        final_lr: solution.final_lr,
+        objective: solution.objective,
+        violation: solution.violation,
+        threads: seldon.solve.threads.max(1) as u64,
+        stop_reason: solution.stop.as_str().to_string(),
+        epochs_saved: solution.epochs_saved as u64,
+        curve: solution.trace.clone(),
+    };
+    m.extraction = ExtractionSummary {
+        thresholds: seldon.extract.thresholds,
+        decay: seldon.extract.decay,
+        backoff_hits: backoff_hits.iter().map(|&n| n as u64).collect(),
+        learned,
+    };
+    m.cache = match cache {
         None => CacheSummary::default(),
-        Some(cache) => {
+        Some((cache, checkpoint)) => {
             let s = cache.stats();
             CacheSummary {
                 enabled: true,
@@ -167,48 +214,16 @@ fn assemble_manifest(
                 corrupt: s.corrupt,
                 stale: s.stale,
                 evicted: s.evicted,
-                checkpoint: checkpoint.outcome.label().to_string(),
+                checkpoint: checkpoint.to_string(),
             }
         }
     };
-    m.solver = SolverSummary {
-        iterations: run.solution.iterations as u64,
-        restarts: run.solution.restarts as u64,
-        diverged: run.solution.diverged,
-        final_lr: run.solution.final_lr,
-        objective: run.solution.objective,
-        violation: run.solution.violation,
-        threads: seldon.solve.threads.max(1) as u64,
-        stop_reason: run.solution.stop.as_str().to_string(),
-        epochs_saved: run.solution.epochs_saved as u64,
-        curve: run.solution.trace.clone(),
-    };
-    let mut learned = [0u64; 3];
-    for (_, roles) in run.extraction.spec.iter() {
-        for role in Role::ALL {
-            if roles.contains(role) {
-                learned[role.index()] += 1;
-            }
-        }
-    }
-    m.extraction = ExtractionSummary {
-        thresholds: seldon.extract.thresholds,
-        decay: seldon.extract.decay,
-        backoff_hits: run.extraction.backoff_hits.iter().map(|&n| n as u64).collect(),
-        learned,
-    };
-    m.taint = TaintSummary { violations: violations.len() as u64 };
     m.memory = MemorySummary {
         tracked: true,
         current_bytes: MemoryGauge::current_bytes(),
         peak_bytes: MemoryGauge::peak_bytes(),
         peak_rss_bytes: MemoryGauge::peak_rss_bytes().unwrap_or(0),
     };
-    fill_metrics(&mut m, analyzed, run, analyze, report);
-    if seldon.score_dump {
-        m.score_dump = score_dump(run);
-    }
-    m
 }
 
 /// Representation-frequency buckets: how many backoff options a

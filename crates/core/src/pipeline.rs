@@ -32,7 +32,7 @@ use seldon_propgraph::{
 };
 use seldon_solver::{
     extract, extraction_margin, solve_compiled, solve_compiled_warm, CompiledSystem,
-    ExtractOptions, Extraction, SolveOptions, Solution, StopReason,
+    ExtractOptions, Extraction, SolveOptions, Solution,
 };
 use seldon_specs::TaintSpec;
 use seldon_telemetry::{stage, Histogram, ParseHistogram, Telemetry, PARSE_HIST_BOUNDS};
@@ -804,11 +804,11 @@ pub struct SeldonOptions {
     /// per-representation score dump with backoff levels — the Fig. 11
     /// dataset. Off by default: the dump scales with the learned spec.
     pub score_dump: bool,
-    /// Opt-in near-miss checkpoint reuse for [`run_seldon_cached`]: when
-    /// set and the system fingerprint misses, the solver is seeded from
-    /// the previous checkpoint's scores (remapped by representation and
-    /// role). `None` (the default) keeps the historical exact-match-only
-    /// behavior, so existing cached runs are untouched.
+    /// Opt-in warm rung of [`climb_ladder`]: when set and the system
+    /// fingerprint misses, the solver is seeded from the stored
+    /// checkpoint's scores (remapped by representation and role). `None`
+    /// (the default, and what `seldon learn` and `seldon serve` pass)
+    /// keeps reuse exact-match only.
     pub warm_start: Option<WarmStartOptions>,
 }
 
@@ -877,154 +877,24 @@ pub fn run_seldon(graph: &PropagationGraph, seed: &TaintSpec, opts: &SeldonOptio
     run_seldon_traced(graph, seed, opts, &Telemetry::disabled())
 }
 
-/// Like [`run_seldon`], emitting the `representation`, `constraints`,
-/// `solve` (with a nested `compile` child span for the CSR lowering),
-/// and `extract` stage spans on `tele`. When `tele` records and the
-/// caller left the solver trace stride at 0, the stride defaults to
-/// [`DEFAULT_TRACE_STRIDE`] so the manifest always carries a convergence
-/// curve.
+/// Like [`run_seldon`], emitting the learning stage spans on `tele`: an
+/// unkeyed climb of [`climb_ladder`], which computes no fingerprint and
+/// builds no checkpoint.
 pub fn run_seldon_traced(
     graph: &PropagationGraph,
     seed: &TaintSpec,
     opts: &SeldonOptions,
     tele: &Telemetry,
 ) -> SeldonRun {
-    let (system, gen_stats, gen_time) = gen_stage(graph, seed, opts, tele);
-    let (solution, solve_time) = solve_stage(&system, opts, tele);
-    let extraction = extract_stage(&system, &solution, opts, tele);
-    SeldonRun { system, solution, extraction, gen_time, solve_time, gen_stats }
+    let build = || generate_with_stats(graph, seed, &opts.gen);
+    climb_ladder(None, seed, None, Duration::ZERO, opts, tele, build).run
 }
 
-/// Constraint generation with its `representation` + `constraints` spans.
-fn gen_stage(
-    graph: &PropagationGraph,
-    seed: &TaintSpec,
-    opts: &SeldonOptions,
-    tele: &Telemetry,
-) -> (ConstraintSystem, GenStats, Duration) {
-    let t0 = Instant::now();
-    let (system, gen_stats) = generate_with_stats(graph, seed, &opts.gen);
-    let gen_time = t0.elapsed();
-    tele.aggregate_span(
-        stage::REPRESENTATION,
-        gen_stats.select_time,
-        &[
-            ("candidate_events", gen_stats.candidate_events as f64),
-            ("surviving_reps", gen_stats.surviving_reps as f64),
-            ("dropped_by_cutoff", gen_stats.dropped_by_cutoff as f64),
-            ("dropped_by_blacklist", gen_stats.dropped_by_blacklist as f64),
-        ],
-    );
-    let by_template = system.template_counts();
-    tele.aggregate_span(
-        stage::CONSTRAINTS,
-        gen_stats.collect_time,
-        &[
-            ("constraints", system.constraint_count() as f64),
-            ("vars", system.var_count() as f64),
-            ("pinned", system.pinned_count() as f64),
-            ("template_a", by_template[0] as f64),
-            ("template_b", by_template[1] as f64),
-            ("template_c", by_template[2] as f64),
-        ],
-    );
-    (system, gen_stats, gen_time)
-}
-
-/// CSR compilation + projected Adam with the `solve` span (and its nested
-/// `compile` child).
-fn solve_stage(
-    system: &ConstraintSystem,
-    opts: &SeldonOptions,
-    tele: &Telemetry,
-) -> (Solution, Duration) {
-    let mut solve_opts = opts.solve.clone();
-    if tele.is_recording() && solve_opts.trace_stride == 0 {
-        solve_opts.trace_stride = DEFAULT_TRACE_STRIDE;
-    }
-    let t1 = Instant::now();
-    let solve_span = tele.span(stage::SOLVE);
-    let compile_span = tele.span(stage::COMPILE);
-    let compiled = CompiledSystem::compile(system);
-    compile_span.counter("constraints", compiled.constraint_count() as f64);
-    compile_span.counter("rows", compiled.row_count() as f64);
-    compile_span.counter("terms", compiled.term_count() as f64);
-    compile_span.counter("lanes", compiled.lane_count() as f64);
-    drop(compile_span);
-    let solution = solve_compiled(&compiled, &solve_opts);
-    solve_span.counter("threads", solve_opts.threads.max(1) as f64);
-    solve_span.counter("iterations", solution.iterations as f64);
-    solve_span.counter("restarts", solution.restarts as f64);
-    solve_span.counter("objective", solution.objective);
-    solve_span.counter("violation", solution.violation);
-    solve_span.counter("stop_reason", solution.stop.code() as f64);
-    solve_span.counter("epochs_saved", solution.epochs_saved as f64);
-    drop(solve_span);
-    (solution, t1.elapsed())
-}
-
-/// The guarded warm solve: seed Adam from `init`, then accept the warm
-/// solution only when its extraction margin clears `policy.min_margin`;
-/// otherwise re-solve cold on the same compiled system so the output is
-/// byte-identical to an uncached run. Returns whether the warm solution
-/// was accepted.
-fn warm_solve_stage(
-    system: &ConstraintSystem,
-    init: &[f64],
-    policy: &WarmStartOptions,
-    opts: &SeldonOptions,
-    tele: &Telemetry,
-) -> (Solution, Duration, bool) {
-    let mut solve_opts = opts.solve.clone();
-    if tele.is_recording() && solve_opts.trace_stride == 0 {
-        solve_opts.trace_stride = DEFAULT_TRACE_STRIDE;
-    }
-    let t1 = Instant::now();
-    let solve_span = tele.span(stage::SOLVE);
-    let compile_span = tele.span(stage::COMPILE);
-    let compiled = CompiledSystem::compile(system);
-    compile_span.counter("constraints", compiled.constraint_count() as f64);
-    compile_span.counter("rows", compiled.row_count() as f64);
-    compile_span.counter("terms", compiled.term_count() as f64);
-    compile_span.counter("lanes", compiled.lane_count() as f64);
-    drop(compile_span);
-    let warm = solve_compiled_warm(&compiled, &solve_opts, init);
-    let margin = extraction_margin(system, &warm, &opts.extract);
-    let accepted = margin >= policy.min_margin;
-    let solution =
-        if accepted { warm } else { solve_compiled(&compiled, &solve_opts) };
-    solve_span.counter("threads", solve_opts.threads.max(1) as f64);
-    solve_span.counter("iterations", solution.iterations as f64);
-    solve_span.counter("restarts", solution.restarts as f64);
-    solve_span.counter("objective", solution.objective);
-    solve_span.counter("violation", solution.violation);
-    solve_span.counter("stop_reason", solution.stop.code() as f64);
-    solve_span.counter("epochs_saved", solution.epochs_saved as f64);
-    solve_span.counter("warm_accepted", f64::from(accepted));
-    solve_span.counter("warm_margin", margin);
-    drop(solve_span);
-    (solution, t1.elapsed(), accepted)
-}
-
-/// Specification extraction with its `extract` span.
-fn extract_stage(
-    system: &ConstraintSystem,
-    solution: &Solution,
-    opts: &SeldonOptions,
-    tele: &Telemetry,
-) -> Extraction {
-    let extract_span = tele.span(stage::EXTRACT);
-    let extraction = extract(system, solution, &opts.extract);
-    extract_span.counter("learned_entries", extraction.spec.role_count() as f64);
-    extract_span.counter("events_with_roles", extraction.event_roles.len() as f64);
-    drop(extract_span);
-    extraction
-}
-
-/// How [`run_seldon_cached`] used the solver warm-start checkpoint.
+/// The rung of [`climb_ladder`] that served a run. `seldon serve` labels
+/// `HitFull` as `replayed` and both `MissCold` and `Disabled` as `cold`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckpointOutcome {
-    /// No cache attached; the run was fully cold.
+    /// No cache attached (an unkeyed climb); the run was fully cold.
     #[default]
     Disabled,
     /// Checkpoint absent, damaged, or fingerprint-mismatched; solved from
@@ -1067,167 +937,268 @@ pub struct CheckpointUse {
     pub summary: Option<SystemSummary>,
 }
 
-/// Rebuilds a [`SeldonRun`] from a full-hit checkpoint without touching
-/// the solver, replaying the skipped stages as zero-duration aggregate
-/// spans so the manifest keeps its full stage set. Returns `None` when the
-/// stored spec text fails to parse (the entry checksummed clean but its
-/// content is unusable — the caller treats that as a corrupt entry).
-fn replay_full(
-    ckpt: &Checkpoint,
-    opts: &SeldonOptions,
-    tele: &Telemetry,
-    load_time: Duration,
-) -> Option<SeldonRun> {
-    let spec = TaintSpec::parse(&ckpt.spec_text).ok()?;
-    let s = &ckpt.summary;
-    tele.aggregate_span(
-        stage::REPRESENTATION,
-        Duration::ZERO,
-        &[
-            ("candidate_events", s.candidates as f64),
-            ("surviving_reps", s.surviving_reps as f64),
-            ("dropped_by_cutoff", s.dropped_by_cutoff as f64),
-            ("dropped_by_blacklist", s.dropped_by_blacklist as f64),
-            ("replayed", 1.0),
-        ],
-    );
-    tele.aggregate_span(
-        stage::CONSTRAINTS,
-        Duration::ZERO,
-        &[
-            ("constraints", s.constraints as f64),
-            ("vars", s.vars as f64),
-            ("pinned", s.pinned as f64),
-            ("template_a", s.by_template[0] as f64),
-            ("template_b", s.by_template[1] as f64),
-            ("template_c", s.by_template[2] as f64),
-            ("replayed", 1.0),
-        ],
-    );
-    tele.aggregate_span(
-        stage::SOLVE,
-        load_time,
-        &[
-            ("threads", opts.solve.threads.max(1) as f64),
-            ("iterations", ckpt.iterations as f64),
-            ("restarts", ckpt.restarts as f64),
-            ("objective", ckpt.objective),
-            ("violation", ckpt.violation),
-            ("stop_reason", StopReason::parse(&ckpt.stop_reason).unwrap_or_default().code() as f64),
-            ("epochs_saved", ckpt.epochs_saved as f64),
-            ("replayed", 1.0),
-        ],
-    );
-    tele.aggregate_span(
-        stage::EXTRACT,
-        Duration::ZERO,
-        &[
-            ("learned_entries", spec.role_count() as f64),
-            ("events_with_roles", ckpt.event_roles.len() as f64),
-            ("replayed", 1.0),
-        ],
-    );
-    Some(SeldonRun {
-        system: ConstraintSystem::new(opts.gen.c),
-        solution: Solution {
-            scores: ckpt.scores.clone(),
-            objective: ckpt.objective,
-            violation: ckpt.violation,
-            iterations: ckpt.iterations,
-            history: Vec::new(),
-            diverged: ckpt.diverged,
-            restarts: ckpt.restarts,
-            final_lr: ckpt.final_lr,
-            stop: StopReason::parse(&ckpt.stop_reason).unwrap_or_default(),
-            epochs_saved: ckpt.epochs_saved,
-            trace: ckpt.curve.clone(),
-        },
-        extraction: Extraction {
-            spec,
-            event_roles: ckpt.event_role_map(),
-            backoff_hits: ckpt.backoff_hits.clone(),
-            ..Extraction::default()
-        },
-        gen_time: Duration::ZERO,
-        solve_time: load_time,
-        gen_stats: GenStats {
-            select_time: Duration::ZERO,
-            collect_time: Duration::ZERO,
-            candidate_events: s.candidates as usize,
-            surviving_reps: s.surviving_reps as usize,
-            dropped_by_cutoff: s.dropped_by_cutoff as usize,
-            dropped_by_blacklist: s.dropped_by_blacklist as usize,
-        },
-    })
+/// What one climb of [`climb_ladder`] produced.
+#[derive(Debug)]
+pub struct Climb {
+    /// The learned run. On a full hit it is replayed from the checkpoint
+    /// and its constraint system is empty.
+    pub run: SeldonRun,
+    /// The rung that served the run; [`CheckpointOutcome::Disabled`] when
+    /// an unkeyed climb solved cold.
+    pub outcome: CheckpointOutcome,
+    /// This run's checkpoint, for the caller to keep and store; `None` on
+    /// a full hit (the stored checkpoint stands) and on an unkeyed climb.
+    pub checkpoint: Option<Checkpoint>,
+    /// Extraction margin of the warm solution, when one was attempted.
+    pub warm_margin: Option<f64>,
+    /// Contained faults: a fingerprint-matched checkpoint whose spec text
+    /// failed to parse (the climb then goes on as on a miss).
+    pub faults: Vec<CacheFault>,
 }
 
-/// Packs one finished run into the checkpoint the next run warm-starts
-/// from.
-fn checkpoint_of(
-    input_fp: u64,
-    system_fp: u64,
-    system: &ConstraintSystem,
-    gen_stats: &GenStats,
-    solution: &Solution,
-    extraction: &Extraction,
-) -> Checkpoint {
-    let by_template = system.template_counts();
-    let mut event_roles: Vec<(u32, u8)> = extraction
-        .event_roles
-        .iter()
-        .map(|(&id, &roles)| (id.0, Checkpoint::role_bits(roles)))
-        .collect();
-    event_roles.sort_unstable();
-    Checkpoint {
-        input_fp,
-        system_fp,
-        scores: solution.scores.clone(),
-        var_keys: Checkpoint::var_keys_of(system),
-        objective: solution.objective,
-        violation: solution.violation,
-        iterations: solution.iterations,
-        restarts: solution.restarts,
-        final_lr: solution.final_lr,
-        diverged: solution.diverged,
-        stop_reason: solution.stop.as_str().to_string(),
-        epochs_saved: solution.epochs_saved,
-        curve: solution.trace.clone(),
-        spec_text: extraction.spec.to_text(),
-        event_roles,
-        backoff_hits: extraction.backoff_hits.clone(),
-        summary: SystemSummary {
-            constraints: system.constraint_count() as u64,
-            vars: system.var_count() as u64,
-            pinned: system.pinned_count() as u64,
-            by_template: [
-                by_template[0] as u64,
-                by_template[1] as u64,
-                by_template[2] as u64,
-            ],
-            candidates: gen_stats.candidate_events as u64,
-            surviving_reps: gen_stats.surviving_reps as u64,
-            dropped_by_cutoff: gen_stats.dropped_by_cutoff as u64,
-            dropped_by_blacklist: gen_stats.dropped_by_blacklist as u64,
-        },
+/// The checkpoint ladder `learn` and `serve` both climb, and the one
+/// place the learning stage spans are written. Keyed by the union graph's
+/// fingerprint `graph_fp` (see [`seldon_cache::checkpoint`]), it tries in
+/// order:
+///
+/// 1. *full* — the input fingerprint matches `stored`: its scores, spec
+///    and roles are replayed; nothing is built or solved;
+/// 2. `build` the constraint system;
+/// 3. *scores* — the system fingerprint matches: the stored score vector
+///    is reused and only extraction runs;
+/// 4. *warm* — only with [`SeldonOptions::warm_start`] and a stored key
+///    table: Adam starts from the remapped scores, and the solution is
+///    kept when its extraction margin clears the policy's threshold;
+/// 5. *cold* — a solve from zero on the same compiled system.
+///
+/// Every rung emits the `representation`, `constraints`, `solve` (with a
+/// `compile` child when the system was compiled) and `extract` spans with
+/// the same counter keys; replayed stages add `replayed`, a warm attempt
+/// adds `warm_accepted` and `warm_margin`. `load_time` is what loading
+/// `stored` cost, reported as the solve time of the replaying rungs. With
+/// `graph_fp == None` the climb is unkeyed: no fingerprint is computed,
+/// no checkpoint is built, and only the warm and cold rungs remain. When
+/// `tele` records and the caller left the solver trace stride at 0, the
+/// stride defaults to [`DEFAULT_TRACE_STRIDE`] so the manifest always
+/// carries a convergence curve.
+pub fn climb_ladder(
+    graph_fp: Option<u64>,
+    seed: &TaintSpec,
+    stored: Option<&Checkpoint>,
+    load_time: Duration,
+    opts: &SeldonOptions,
+    tele: &Telemetry,
+    build: impl FnOnce() -> (ConstraintSystem, GenStats),
+) -> Climb {
+    let input_fp =
+        graph_fp.map(|fp| input_fingerprint(fp, seed, &opts.gen, &opts.solve, &opts.extract));
+    let mut faults = Vec::new();
+    if let Some(ckpt) = stored.filter(|c| input_fp == Some(c.input_fp)) {
+        match TaintSpec::parse(&ckpt.spec_text) {
+            Ok(spec) => {
+                return Climb {
+                    run: replay(ckpt, spec, load_time, opts, tele),
+                    outcome: CheckpointOutcome::HitFull,
+                    checkpoint: None,
+                    warm_margin: None,
+                    faults,
+                };
+            }
+            // The entry checksummed clean but its content is unusable.
+            Err(_) => faults.push(CacheFault {
+                entry: CHECKPOINT_NAME.to_string(),
+                class: FaultClass::Corrupt,
+                detail: "stored spec text failed to parse".to_string(),
+            }),
+        }
+    }
+
+    let started = Instant::now();
+    let (system, gen_stats) = build();
+    let gen_time = started.elapsed();
+    system_spans(tele, &SystemSummary::of(&system, &gen_stats), &gen_stats, false);
+
+    let system_fp = input_fp.map(|_| system_fingerprint(&system, &opts.solve));
+    let mut solve_opts = opts.solve.clone();
+    if tele.is_recording() && solve_opts.trace_stride == 0 {
+        solve_opts.trace_stride = DEFAULT_TRACE_STRIDE;
+    }
+    let scores_hit = stored.filter(|c| system_fp == Some(c.system_fp));
+    let mut compile = None;
+    let mut warm = None;
+    let started = Instant::now();
+    let (solution, outcome) = match scores_hit {
+        Some(ckpt) => (ckpt.solution(), CheckpointOutcome::HitScores),
+        None => {
+            let compiled = CompiledSystem::compile(&system);
+            compile = Some((
+                started.elapsed(),
+                [
+                    ("constraints", compiled.constraint_count() as f64),
+                    ("rows", compiled.row_count() as f64),
+                    ("terms", compiled.term_count() as f64),
+                    ("lanes", compiled.lane_count() as f64),
+                ],
+            ));
+            let warm_seed = opts.warm_start.as_ref().zip(stored).and_then(|(policy, ckpt)| {
+                Some((policy.min_margin, ckpt.warm_init_for(&system)?))
+            });
+            let accepted = warm_seed.and_then(|(min_margin, init)| {
+                let solution = solve_compiled_warm(&compiled, &solve_opts, &init);
+                let margin = extraction_margin(&system, &solution, &opts.extract);
+                warm = Some((margin >= min_margin, margin));
+                (margin >= min_margin).then_some(solution)
+            });
+            let cold = if input_fp.is_some() {
+                CheckpointOutcome::MissCold
+            } else {
+                CheckpointOutcome::Disabled
+            };
+            match accepted {
+                Some(solution) => (solution, CheckpointOutcome::HitWarm),
+                None => (solve_compiled(&compiled, &solve_opts), cold),
+            }
+        }
+    };
+    let solve_time = if scores_hit.is_some() { load_time } else { started.elapsed() };
+    let replayed = scores_hit.is_some();
+    solve_span(tele, solve_time, &solution, opts.solve.threads, compile, warm, replayed);
+
+    let started = Instant::now();
+    let extraction = extract(&system, &solution, &opts.extract);
+    extract_span(tele, started.elapsed(), &extraction, false);
+    let checkpoint = input_fp.zip(system_fp).map(|(input_fp, system_fp)| {
+        Checkpoint::from_run(input_fp, system_fp, &system, &gen_stats, &solution, &extraction)
+    });
+    Climb {
+        run: SeldonRun { system, solution, extraction, gen_time, solve_time, gen_stats },
+        outcome,
+        checkpoint,
+        warm_margin: warm.map(|(_, margin)| margin),
+        faults,
     }
 }
 
-/// [`run_seldon_traced`] behind the solver warm-start checkpoint.
-///
-/// With a cache attached, the run is keyed by two exact fingerprints
-/// (see [`seldon_cache::checkpoint`]): a full input-fingerprint match
-/// replays the stored scores, spec, and roles without generating or
-/// solving anything; a system-fingerprint match reuses the score vector
-/// and skips only the solve; anything else runs cold and stores a fresh
-/// checkpoint. Reuse is all-or-nothing by default, so the returned spec
-/// and scores are byte-identical to what the cold run would produce — a
-/// damaged or mismatched checkpoint costs time, never output fidelity.
-///
-/// With [`SeldonOptions::warm_start`] set, a system-fingerprint miss
-/// additionally tries a *near-miss* warm solve seeded from the previous
-/// checkpoint's scores (remapped by `(representation, role)`), accepted
-/// only when the extraction margin clears the policy's threshold — below
-/// it, the run falls back to a cold solve on the same system.
+/// The full rung: rebuilds the run from the checkpoint, replaying the
+/// skipped stages as spans so the manifest keeps its full stage set.
+fn replay(
+    ckpt: &Checkpoint,
+    spec: TaintSpec,
+    load_time: Duration,
+    opts: &SeldonOptions,
+    tele: &Telemetry,
+) -> SeldonRun {
+    let s = &ckpt.summary;
+    let gen_stats = GenStats {
+        candidate_events: s.candidates as usize,
+        surviving_reps: s.surviving_reps as usize,
+        dropped_by_cutoff: s.dropped_by_cutoff as usize,
+        dropped_by_blacklist: s.dropped_by_blacklist as usize,
+        ..GenStats::default()
+    };
+    system_spans(tele, s, &gen_stats, true);
+    let solution = ckpt.solution();
+    solve_span(tele, load_time, &solution, opts.solve.threads, None, None, true);
+    let extraction = Extraction {
+        spec,
+        event_roles: ckpt.event_role_map(),
+        backoff_hits: ckpt.backoff_hits.clone(),
+        ..Extraction::default()
+    };
+    extract_span(tele, Duration::ZERO, &extraction, true);
+    SeldonRun {
+        system: ConstraintSystem::new(opts.gen.c),
+        solution,
+        extraction,
+        gen_time: Duration::ZERO,
+        solve_time: load_time,
+        gen_stats,
+    }
+}
+
+/// Records one learning stage as an aggregate span, tagged `replayed`
+/// when the ladder replayed it from a checkpoint.
+fn stage_span(
+    tele: &Telemetry,
+    name: &'static str,
+    dur: Duration,
+    counters: &[(&'static str, f64)],
+    replayed: bool,
+) -> Option<u32> {
+    if !replayed {
+        return tele.aggregate_span(name, dur, counters);
+    }
+    let mut tagged = counters.to_vec();
+    tagged.push(("replayed", 1.0));
+    tele.aggregate_span(name, dur, &tagged)
+}
+
+/// The `representation` (§4.3 selection) and `constraints` (Fig. 4
+/// collection) spans.
+fn system_spans(tele: &Telemetry, s: &SystemSummary, gen_stats: &GenStats, replayed: bool) {
+    let representation = [
+        ("candidate_events", s.candidates as f64),
+        ("surviving_reps", s.surviving_reps as f64),
+        ("dropped_by_cutoff", s.dropped_by_cutoff as f64),
+        ("dropped_by_blacklist", s.dropped_by_blacklist as f64),
+    ];
+    stage_span(tele, stage::REPRESENTATION, gen_stats.select_time, &representation, replayed);
+    let constraints = [
+        ("constraints", s.constraints as f64),
+        ("vars", s.vars as f64),
+        ("pinned", s.pinned as f64),
+        ("template_a", s.by_template[0] as f64),
+        ("template_b", s.by_template[1] as f64),
+        ("template_c", s.by_template[2] as f64),
+    ];
+    stage_span(tele, stage::CONSTRAINTS, gen_stats.collect_time, &constraints, replayed);
+}
+
+/// The `solve` span, with the CSR lowering's shape as its `compile`
+/// child and `(accepted, margin)` of a warm attempt.
+fn solve_span(
+    tele: &Telemetry,
+    dur: Duration,
+    solution: &Solution,
+    threads: usize,
+    compile: Option<(Duration, [(&'static str, f64); 4])>,
+    warm: Option<(bool, f64)>,
+    replayed: bool,
+) {
+    let (accepted, margin) = warm.unwrap_or_default();
+    let counters = [
+        ("threads", threads.max(1) as f64),
+        ("iterations", solution.iterations as f64),
+        ("restarts", solution.restarts as f64),
+        ("objective", solution.objective),
+        ("violation", solution.violation),
+        ("stop_reason", solution.stop.code() as f64),
+        ("epochs_saved", solution.epochs_saved as f64),
+        ("warm_accepted", f64::from(accepted)),
+        ("warm_margin", margin),
+    ];
+    let counters = if warm.is_some() { &counters[..] } else { &counters[..7] };
+    let index = stage_span(tele, stage::SOLVE, dur, counters, replayed);
+    if let Some((dur, shape)) = compile {
+        tele.aggregate_child(index, stage::COMPILE, dur, &shape);
+    }
+}
+
+/// The `extract` span.
+fn extract_span(tele: &Telemetry, dur: Duration, extraction: &Extraction, replayed: bool) {
+    let counters = [
+        ("learned_entries", extraction.spec.role_count() as f64),
+        ("events_with_roles", extraction.event_roles.len() as f64),
+    ];
+    stage_span(tele, stage::EXTRACT, dur, &counters, replayed);
+}
+
+/// [`run_seldon_traced`] behind the checkpoint stored in `cache`: loads
+/// it, climbs [`climb_ladder`] keyed by the graph's fingerprint, and
+/// stores the fresh checkpoint. Reuse is exact-match by default, so the
+/// returned spec and scores are byte-identical to what the cold run would
+/// produce — a damaged or mismatched checkpoint costs time, never output
+/// fidelity. Without a cache the climb is unkeyed.
 pub fn run_seldon_cached(
     graph: &PropagationGraph,
     seed: &TaintSpec,
@@ -1238,107 +1209,28 @@ pub fn run_seldon_cached(
     let Some(cache) = cache else {
         return (run_seldon_traced(graph, seed, opts, tele), CheckpointUse::default());
     };
-    let mut usage = CheckpointUse { outcome: CheckpointOutcome::MissCold, ..Default::default() };
-    let input_fp =
-        input_fingerprint(graph_fingerprint(graph), seed, &opts.gen, &opts.solve, &opts.extract);
-    let t0 = Instant::now();
+    let mut faults = Vec::new();
+    let started = Instant::now();
     let stored = match cache.load_checkpoint() {
         CheckpointLookup::Hit(ckpt) => Some(ckpt),
         CheckpointLookup::Miss => None,
         CheckpointLookup::Fault(f) => {
-            usage.faults.push(f);
+            faults.push(f);
             None
         }
     };
-    let load_time = t0.elapsed();
-
-    if let Some(ckpt) = &stored {
-        if ckpt.input_fp == input_fp {
-            match replay_full(ckpt, opts, tele, load_time) {
-                Some(run) => {
-                    usage.outcome = CheckpointOutcome::HitFull;
-                    usage.summary = Some(ckpt.summary);
-                    return (run, usage);
-                }
-                None => usage.faults.push(CacheFault {
-                    entry: CHECKPOINT_NAME.to_string(),
-                    class: FaultClass::Corrupt,
-                    detail: "stored spec text failed to parse".to_string(),
-                }),
-            }
-        }
-    }
-
-    let (system, gen_stats, gen_time) = gen_stage(graph, seed, opts, tele);
-    let system_fp = system_fingerprint(&system, &opts.solve);
-    let (solution, solve_time) = match &stored {
-        Some(ckpt) if ckpt.system_fp == system_fp => {
-            usage.outcome = CheckpointOutcome::HitScores;
-            // Replay the solve span with the stored outcome; no compile
-            // child because nothing was compiled.
-            tele.aggregate_span(
-                stage::SOLVE,
-                load_time,
-                &[
-                    ("threads", opts.solve.threads.max(1) as f64),
-                    ("iterations", ckpt.iterations as f64),
-                    ("restarts", ckpt.restarts as f64),
-                    ("objective", ckpt.objective),
-                    ("violation", ckpt.violation),
-                    (
-                        "stop_reason",
-                        StopReason::parse(&ckpt.stop_reason).unwrap_or_default().code() as f64,
-                    ),
-                    ("epochs_saved", ckpt.epochs_saved as f64),
-                    ("replayed", 1.0),
-                ],
-            );
-            (
-                Solution {
-                    scores: ckpt.scores.clone(),
-                    objective: ckpt.objective,
-                    violation: ckpt.violation,
-                    iterations: ckpt.iterations,
-                    history: Vec::new(),
-                    diverged: ckpt.diverged,
-                    restarts: ckpt.restarts,
-                    final_lr: ckpt.final_lr,
-                    stop: StopReason::parse(&ckpt.stop_reason).unwrap_or_default(),
-                    epochs_saved: ckpt.epochs_saved,
-                    trace: ckpt.curve.clone(),
-                },
-                load_time,
-            )
-        }
-        _ => {
-            let warm_seed = opts.warm_start.as_ref().and_then(|policy| {
-                let init = stored.as_ref()?.warm_init_for(&system)?;
-                Some((policy, init))
-            });
-            match warm_seed {
-                Some((policy, init)) => {
-                    let (solution, solve_time, accepted) =
-                        warm_solve_stage(&system, &init, policy, opts, tele);
-                    if accepted {
-                        usage.outcome = CheckpointOutcome::HitWarm;
-                    }
-                    (solution, solve_time)
-                }
-                None => solve_stage(&system, opts, tele),
-            }
-        }
-    };
-    let extraction = extract_stage(&system, &solution, opts, tele);
+    let load_time = started.elapsed();
+    let graph_fp = graph_fingerprint(graph);
+    let build = || generate_with_stats(graph, seed, &opts.gen);
+    let climb = climb_ladder(Some(graph_fp), seed, stored.as_deref(), load_time, opts, tele, build);
+    faults.extend(climb.faults);
     // Store (or re-key) the checkpoint so the next identical run takes the
-    // full-reuse path.
-    let ckpt = checkpoint_of(input_fp, system_fp, &system, &gen_stats, &solution, &extraction);
-    if let Some(f) = cache.store_checkpoint(&ckpt) {
-        usage.faults.push(f);
+    // full rung.
+    if let Some(f) = climb.checkpoint.as_ref().and_then(|ckpt| cache.store_checkpoint(ckpt)) {
+        faults.push(f);
     }
-    (
-        SeldonRun { system, solution, extraction, gen_time, solve_time, gen_stats },
-        usage,
-    )
+    let summary = stored.filter(|_| climb.outcome == CheckpointOutcome::HitFull).map(|c| c.summary);
+    (climb.run, CheckpointUse { outcome: climb.outcome, faults, summary })
 }
 
 #[cfg(test)]

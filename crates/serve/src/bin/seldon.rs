@@ -45,7 +45,6 @@ use seldon_constraints::GenOptions;
 use seldon_core::{
     analyze_corpus_with, run_full, AnalysisReport, AnalyzeOptions, AnalyzedCorpus,
     CacheFaultReport, CheckpointOutcome, FaultPolicy, FileOutcome, Frontend, SeldonOptions,
-    WarmStartOptions,
 };
 use seldon_corpus::{Corpus, Project, SourceFile};
 use seldon_propgraph::{to_dot, Budget, FileId};
@@ -129,7 +128,7 @@ const USAGE: &str = "usage:
                  [--telemetry <manifest.json>] [--trace <out.trace.json>]
                  [--score-dump] [--log-level off|info|debug]
   seldon serve   <path...> --socket <sock> [--seed <spec.txt>] [--cache-dir <dir>|--no-cache]
-                 [--cutoff <n>] [--solver-threads <n>] [--no-warm-start]
+                 [--cutoff <n>] [--solver-threads <n>]
                  [--telemetry <manifest.json>] [--strict|--lenient] [--log-level off|info|debug]
   seldon client  <ping|spec|stats|metrics|delta|shutdown> --socket <sock>
                  [--add <p,..>] [--change <p,..>] [--remove <p,..>] [--out <spec.txt>] [--wait <secs>]
@@ -682,7 +681,7 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
 fn cmd_serve(rest: &[String]) -> Result<Outcome, CliError> {
     let (paths, opts, flags) = split_args(
         rest,
-        &["--strict", "--lenient", "--no-cache", "--no-warm-start"],
+        &["--strict", "--lenient", "--no-cache"],
         &[
             "--socket",
             "--seed",
@@ -747,11 +746,8 @@ fn cmd_serve(rest: &[String]) -> Result<Outcome, CliError> {
     let options = SeldonOptions {
         gen: GenOptions { rep_cutoff: explicit_cutoff.unwrap_or(5), ..Default::default() },
         solve: SolveOptions { threads: solver_threads, ..Default::default() },
-        warm_start: if flags.contains(&"--no-warm-start") {
-            None
-        } else {
-            Some(WarmStartOptions::default())
-        },
+        // No warm rung: every served spec is the one `seldon learn` prints.
+        warm_start: None,
         ..Default::default()
     };
     let mut analyze_opts = cli_analyze_opts(policy, &tele);

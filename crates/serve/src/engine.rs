@@ -19,11 +19,12 @@
 //!   §4.3 selection (`event_reps`) is unchanged; Fig. 4 rows reference
 //!   only events of their own file, so an identical slice over an
 //!   identical graph reproduces identical rows.
-//! * The solve is warm-started from the previous score vector but
-//!   accepted only when the extraction margin clears
-//!   [`WarmStartOptions::min_margin`]; below it the engine re-solves
-//!   cold on the same compiled system, making the output byte-identical
-//!   to a batch run by construction.
+//! * The solve climbs the checkpoint ladder batch `learn` climbs
+//!   ([`climb_ladder`]), keyed by the same two exact fingerprints, so a
+//!   checkpoint either mode stores is reused by the other. Its warm rung
+//!   runs only when [`SeldonOptions::warm_start`] is set; `seldon serve`
+//!   leaves it off, because a margin-accepted warm solution can land on a
+//!   different optimum than a cold solve.
 //!
 //! # Failure semantics
 //!
@@ -40,30 +41,19 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use seldon_cache::{
-    graph_fingerprint, input_fingerprint, system_fingerprint, Checkpoint, CheckpointLookup,
-    SystemSummary,
-};
+use seldon_cache::{graph_fingerprint, Checkpoint, CheckpointLookup};
 use seldon_constraints::{
     collect_rows, select, ConstraintSystem, FlowConstraint, GenStats, RepId, Selection, Template,
     Term,
 };
 use seldon_core::{
-    analysis_cache_key, analyze_file, AnalyzeOptions, FileOutcome, SeldonOptions,
-    DEFAULT_TRACE_STRIDE,
+    analysis_cache_key, analyze_file, climb_ladder, fill_learning_sections, learned_per_role,
+    AnalyzeOptions, CheckpointOutcome, FileOutcome, SeldonOptions,
 };
 use seldon_propgraph::{FileId, PropagationGraph};
-use seldon_solver::{
-    extract, extraction_margin, solve_compiled, solve_compiled_warm, CompiledSystem, Extraction,
-    Solution, StopReason,
-};
 use seldon_specs::Role;
 use seldon_specs::TaintSpec;
-use seldon_telemetry::manifest::{
-    stage, CacheSummary, ConstraintSummary, CorpusShape, ExtractionSummary, MemorySummary,
-    OutcomeCounts, RunManifest, SolverSummary, TaintSummary,
-};
-use seldon_telemetry::MemoryGauge;
+use seldon_telemetry::manifest::{stage, CorpusShape, OutcomeCounts, RunManifest, TaintSummary};
 
 /// Configuration fixed for the lifetime of a [`ServeEngine`].
 #[derive(Debug, Clone)]
@@ -73,8 +63,9 @@ pub struct EngineConfig {
     /// Per-file analysis options; `cache` (when set) persists per-file
     /// artifacts and the solver checkpoint across daemon restarts.
     pub analyze: AnalyzeOptions,
-    /// Learning options. `warm_start` should normally be `Some` — the
-    /// engine falls back to cold solves without it.
+    /// Learning options. `warm_start` turns on the ladder's warm rung;
+    /// `seldon serve` leaves it `None`, so every served spec is the one
+    /// batch `learn` prints.
     pub seldon: SeldonOptions,
     /// When true, the §4.3 cutoff follows the `seldon learn` CLI default
     /// (2 below 50 files, 5 at or above) as the corpus grows and
@@ -222,9 +213,9 @@ pub struct DeltaOutcome {
     pub fragments_reused: usize,
     /// Per-file fragments re-collected from the graph.
     pub fragments_collected: usize,
-    /// Constraints in the solved system (0 on reuse fast paths).
+    /// Constraints in the system the served spec was solved from.
     pub constraints: usize,
-    /// Role variables in the solved system (0 on reuse fast paths).
+    /// Role variables in the system the served spec was solved from.
     pub vars: usize,
     /// Entries in the served specification.
     pub learned_entries: usize,
@@ -296,6 +287,9 @@ pub struct ServeEngine {
     files: BTreeMap<PathBuf, FileState>,
     /// The last finished build (also persisted via the artifact cache).
     ckpt: Option<Checkpoint>,
+    /// Learned entries per role of `ckpt`'s spec, counted once when the
+    /// checkpoint is built or loaded.
+    learned: [u64; 3],
     /// Whether `ckpt` describes exactly the current `files` table.
     built: bool,
     last_events: usize,
@@ -313,10 +307,15 @@ impl ServeEngine {
             Some(CheckpointLookup::Hit(ckpt)) => Some(*ckpt),
             _ => None,
         };
+        let learned = ckpt
+            .as_ref()
+            .and_then(|c| TaintSpec::parse(&c.spec_text).ok())
+            .map_or([0; 3], |spec| learned_per_role(&spec));
         ServeEngine {
             cfg,
             files: BTreeMap::new(),
             ckpt,
+            learned,
             built: false,
             last_events: 0,
             last_edges: 0,
@@ -519,9 +518,7 @@ impl ServeEngine {
             fragments_collected: 0,
             constraints: ckpt.summary.constraints as usize,
             vars: ckpt.summary.vars as usize,
-            learned_entries: TaintSpec::parse(&ckpt.spec_text)
-                .map(|s| s.role_count())
-                .unwrap_or(0),
+            learned_entries: self.learned.iter().sum::<u64>() as usize,
             warm_margin: None,
             faults,
             elapsed: t0.elapsed(),
@@ -533,9 +530,6 @@ impl ServeEngine {
         let mut seldon = self.cfg.seldon.clone();
         if self.cfg.dynamic_cutoff {
             seldon.gen.rep_cutoff = if self.files.len() < 50 { 2 } else { 5 };
-        }
-        if self.cfg.analyze.telemetry.is_recording() && seldon.solve.trace_stride == 0 {
-            seldon.solve.trace_stride = DEFAULT_TRACE_STRIDE;
         }
         seldon
     }
@@ -590,182 +584,96 @@ impl ServeEngine {
             ],
         );
 
-        // Full replay: the corpus state hashes to exactly what the
-        // checkpoint was built from (e.g. an edit was reverted, or the
-        // daemon restarted over an unchanged corpus).
+        // The checkpoint ladder. Its full rung replays when the corpus
+        // state hashes to exactly what the checkpoint was built from (an
+        // edit was reverted, or the daemon restarted over an unchanged
+        // corpus); otherwise `build` selects and collects the system.
         let union_fp = graph_fingerprint(&union);
-        let input_fp =
-            input_fingerprint(union_fp, &self.cfg.seed, &seldon.gen, &seldon.solve, &seldon.extract);
-        if self.ckpt.as_ref().is_some_and(|c| c.input_fp == input_fp) {
-            self.built = true;
-            self.counters.replays += 1;
-            return Ok(self.reuse_outcome("replayed", t0, reparsed, removed, evicted, faults));
-        }
-
-        // §4.3 selection is global (corpus-wide frequency counts) and
-        // always re-runs; what it yields decides per-file row reuse.
-        let Selection { sys: mut system, event_reps, stats } = select(&union, &self.cfg.seed, &seldon.gen);
-        tele.aggregate_span(
-            stage::REPRESENTATION,
-            stats.select_time,
-            &[
-                ("candidate_events", stats.candidate_events as f64),
-                ("surviving_reps", stats.surviving_reps as f64),
-                ("dropped_by_cutoff", stats.dropped_by_cutoff as f64),
-                ("dropped_by_blacklist", stats.dropped_by_blacklist as f64),
-            ],
-        );
-
-        // Fig. 4 rows per file: reuse the stored fragment when the
-        // file's selection slice is unchanged, re-collect otherwise.
-        // Batch order is all 4a/4b rows file-ordered, then all 4c rows
-        // file-ordered — exactly `generate`'s order.
-        let t_collect = Instant::now();
-        let mut ab_pool: Vec<FlowConstraint> = Vec::new();
-        let mut c_pool: Vec<FlowConstraint> = Vec::new();
-        let mut reused = 0usize;
-        let mut collected = 0usize;
-        for (state, range) in self.files.values_mut().zip(&ranges) {
-            if range.is_empty() {
-                state.frag = None;
-                continue;
-            }
-            let slice = &event_reps[range.clone()];
-            let remapped = state
-                .frag
-                .as_ref()
-                .filter(|frag| frag.sel == slice)
-                .and_then(|frag| frag.remap(&system));
-            match remapped {
-                Some((ab, c)) => {
-                    reused += 1;
-                    ab_pool.extend(ab);
-                    c_pool.extend(c);
+        let (mut reused, mut collected) = (0usize, 0usize);
+        let files = &mut self.files;
+        let seed = &self.cfg.seed;
+        let build = || {
+            // §4.3 selection is global (corpus-wide frequency counts) and
+            // always re-runs; what it yields decides per-file row reuse.
+            let Selection { sys: mut system, event_reps, stats } =
+                select(&union, seed, &seldon.gen);
+            // Fig. 4 rows per file: reuse the stored fragment when the
+            // file's selection slice is unchanged, re-collect otherwise.
+            // Batch order is all 4a/4b rows file-ordered, then all 4c rows
+            // file-ordered — exactly `generate`'s order.
+            let t_collect = Instant::now();
+            let mut ab_pool: Vec<FlowConstraint> = Vec::new();
+            let mut c_pool: Vec<FlowConstraint> = Vec::new();
+            for (state, range) in files.values_mut().zip(&ranges) {
+                if range.is_empty() {
+                    state.frag = None;
+                    continue;
                 }
-                None => {
-                    let (ab, c) =
-                        collect_rows(&union, &system, &event_reps, &seldon.gen, range.clone());
-                    state.frag = Some(Fragment::capture(slice, &ab, &c, &system));
-                    collected += 1;
-                    ab_pool.extend(ab);
-                    c_pool.extend(c);
-                }
-            }
-        }
-        for row in ab_pool.into_iter().chain(c_pool) {
-            system.add_constraint(row);
-        }
-        self.counters.fragments_reused += reused;
-        self.counters.fragments_collected += collected;
-        let by_template = system.template_counts();
-        tele.aggregate_span(
-            stage::CONSTRAINTS,
-            t_collect.elapsed(),
-            &[
-                ("constraints", system.constraint_count() as f64),
-                ("vars", system.var_count() as f64),
-                ("pinned", system.pinned_count() as f64),
-                ("template_a", by_template[0] as f64),
-                ("template_b", by_template[1] as f64),
-                ("template_c", by_template[2] as f64),
-                ("fragments_reused", reused as f64),
-                ("fragments_collected", collected as f64),
-            ],
-        );
-
-        // Solve ladder: scores hit → warm attempt → cold.
-        let system_fp = system_fingerprint(&system, &seldon.solve);
-        let t_solve = Instant::now();
-        let mut warm_margin = None;
-        let (solution, label) = match self.ckpt.as_ref() {
-            Some(ckpt) if ckpt.system_fp == system_fp => {
-                self.counters.solves_scores += 1;
-                (scores_solution(ckpt), "scores")
-            }
-            prior => {
-                let compiled = CompiledSystem::compile(&system);
-                let init = match (&seldon.warm_start, prior) {
-                    (Some(_), Some(ckpt)) => ckpt.warm_init_for(&system),
-                    _ => None,
-                };
-                match init {
-                    Some(init) => {
-                        let warm = solve_compiled_warm(&compiled, &seldon.solve, &init);
-                        let margin = extraction_margin(&system, &warm, &seldon.extract);
-                        warm_margin = Some(margin);
-                        let policy = seldon.warm_start.as_ref().expect("init implies policy");
-                        if margin >= policy.min_margin {
-                            self.counters.solves_warm += 1;
-                            (warm, "warm")
-                        } else {
-                            self.counters.solves_cold += 1;
-                            (solve_compiled(&compiled, &seldon.solve), "cold")
-                        }
+                let slice = &event_reps[range.clone()];
+                let remapped = state
+                    .frag
+                    .as_ref()
+                    .filter(|frag| frag.sel == slice)
+                    .and_then(|frag| frag.remap(&system));
+                match remapped {
+                    Some((ab, c)) => {
+                        reused += 1;
+                        ab_pool.extend(ab);
+                        c_pool.extend(c);
                     }
                     None => {
-                        self.counters.solves_cold += 1;
-                        (solve_compiled(&compiled, &seldon.solve), "cold")
+                        let (ab, c) =
+                            collect_rows(&union, &system, &event_reps, &seldon.gen, range.clone());
+                        state.frag = Some(Fragment::capture(slice, &ab, &c, &system));
+                        collected += 1;
+                        ab_pool.extend(ab);
+                        c_pool.extend(c);
                     }
                 }
             }
+            for row in ab_pool.into_iter().chain(c_pool) {
+                system.add_constraint(row);
+            }
+            (system, GenStats { collect_time: t_collect.elapsed(), ..stats })
         };
-        tele.aggregate_span(
-            stage::SOLVE,
-            t_solve.elapsed(),
-            &[
-                ("threads", seldon.solve.threads.max(1) as f64),
-                ("iterations", solution.iterations as f64),
-                ("restarts", solution.restarts as f64),
-                ("objective", solution.objective),
-                ("violation", solution.violation),
-                ("stop_reason", solution.stop.code() as f64),
-                ("epochs_saved", solution.epochs_saved as f64),
-                ("warm_accepted", f64::from(label == "warm")),
-            ],
-        );
-
-        let t_extract = Instant::now();
-        let extraction = extract(&system, &solution, &seldon.extract);
-        tele.aggregate_span(
-            stage::EXTRACT,
-            t_extract.elapsed(),
-            &[
-                ("learned_entries", extraction.spec.role_count() as f64),
-                ("events_with_roles", extraction.event_roles.len() as f64),
-            ],
-        );
-
-        let gen_stats = GenStats { collect_time: t_collect.elapsed(), ..stats };
-        let ckpt = make_checkpoint(input_fp, system_fp, &system, &gen_stats, &solution, &extraction);
-        if let Some(cache) = self.cfg.analyze.cache.as_deref() {
-            if let Some(fault) = cache.store_checkpoint(&ckpt) {
+        let stored = self.ckpt.as_ref();
+        let climb =
+            climb_ladder(Some(union_fp), seed, stored, Duration::ZERO, &seldon, &tele, build);
+        faults.extend(climb.faults.iter().map(|fault| format!("checkpoint: {fault}")));
+        self.counters.fragments_reused += reused;
+        self.counters.fragments_collected += collected;
+        let label = match climb.outcome {
+            CheckpointOutcome::HitFull => {
+                self.counters.replays += 1;
+                "replayed"
+            }
+            CheckpointOutcome::HitScores => {
+                self.counters.solves_scores += 1;
+                "scores"
+            }
+            CheckpointOutcome::HitWarm => {
+                self.counters.solves_warm += 1;
+                "warm"
+            }
+            CheckpointOutcome::MissCold | CheckpointOutcome::Disabled => {
+                self.counters.solves_cold += 1;
+                "cold"
+            }
+        };
+        if let Some(ckpt) = climb.checkpoint {
+            let cache = self.cfg.analyze.cache.as_deref();
+            if let Some(fault) = cache.and_then(|c| c.store_checkpoint(&ckpt)) {
                 faults.push(format!("checkpoint store: {fault}"));
             }
+            self.ckpt = Some(ckpt);
         }
-        let spec_text = ckpt.spec_text.clone();
-        let learned_entries = extraction.spec.role_count();
-        let (constraints, vars) = (system.constraint_count(), system.var_count());
-        self.ckpt = Some(ckpt);
+        self.learned = learned_per_role(&climb.run.extraction.spec);
         self.built = true;
-        self.last_solve = label;
-        Ok(DeltaOutcome {
-            spec: spec_text,
-            solve: label,
-            files: self.files.len(),
-            events: self.last_events,
-            edges: self.last_edges,
-            reparsed,
-            removed,
-            evicted,
-            fragments_reused: reused,
-            fragments_collected: collected,
-            constraints,
-            vars,
-            learned_entries,
-            warm_margin,
-            faults,
-            elapsed: t0.elapsed(),
-        })
+        let mut outcome = self.reuse_outcome(label, t0, reparsed, removed, evicted, faults);
+        outcome.fragments_reused = reused;
+        outcome.fragments_collected = collected;
+        outcome.warm_margin = climb.warm_margin;
+        Ok(outcome)
     }
 
     /// Assembles a `mode: "served-incremental"` run manifest describing
@@ -792,66 +700,20 @@ impl ServeEngine {
         }
         m.outcomes = outcomes;
         m.stages = self.cfg.analyze.telemetry.take_spans().into_iter().map(Into::into).collect();
+        // The learning sections describe the last build; they stay at
+        // their defaults until one has finished.
         if let Some(ckpt) = self.ckpt.as_ref() {
-            let s = &ckpt.summary;
-            m.constraints = ConstraintSummary {
-                total: s.constraints,
-                vars: s.vars,
-                pinned: s.pinned,
-                by_template: s.by_template,
-            };
-            m.solver = SolverSummary {
-                iterations: ckpt.iterations as u64,
-                restarts: ckpt.restarts as u64,
-                diverged: ckpt.diverged,
-                final_lr: ckpt.final_lr,
-                objective: ckpt.objective,
-                violation: ckpt.violation,
-                threads: self.cfg.seldon.solve.threads.max(1) as u64,
-                stop_reason: ckpt.stop_reason.clone(),
-                epochs_saved: ckpt.epochs_saved as u64,
-                curve: ckpt.curve.clone(),
-            };
-            let mut learned = [0u64; 3];
-            if let Ok(spec) = TaintSpec::parse(&ckpt.spec_text) {
-                for (_, roles) in spec.iter() {
-                    for role in Role::ALL {
-                        if roles.contains(role) {
-                            learned[role.index()] += 1;
-                        }
-                    }
-                }
-            }
-            m.extraction = ExtractionSummary {
-                thresholds: self.cfg.seldon.extract.thresholds,
-                decay: self.cfg.seldon.extract.decay,
-                backoff_hits: ckpt.backoff_hits.iter().map(|&n| n as u64).collect(),
-                learned,
-            };
+            fill_learning_sections(
+                &mut m,
+                &ckpt.summary,
+                &ckpt.solution(),
+                &ckpt.backoff_hits,
+                self.learned,
+                &self.cfg.seldon,
+                self.cfg.analyze.cache.as_deref().map(|cache| (cache, self.last_solve)),
+            );
         }
         m.taint = TaintSummary { violations: 0 };
-        m.cache = match self.cfg.analyze.cache.as_deref() {
-            None => CacheSummary::default(),
-            Some(cache) => {
-                let s = cache.stats();
-                CacheSummary {
-                    enabled: true,
-                    hits: s.hits,
-                    misses: s.misses,
-                    stores: s.stores,
-                    corrupt: s.corrupt,
-                    stale: s.stale,
-                    evicted: s.evicted,
-                    checkpoint: self.last_solve.to_string(),
-                }
-            }
-        };
-        m.memory = MemorySummary {
-            tracked: true,
-            current_bytes: MemoryGauge::current_bytes(),
-            peak_bytes: MemoryGauge::peak_bytes(),
-            peak_rss_bytes: MemoryGauge::peak_rss_bytes().unwrap_or(0),
-        };
         self.fill_metrics(&mut m.metrics);
         m
     }
@@ -895,75 +757,5 @@ impl ServeEngine {
             false,
             seldon_intern::len() as f64,
         );
-    }
-}
-
-/// Rebuilds a [`Solution`] from checkpointed scores (the `"scores"` hit:
-/// the system fingerprint matched, so the stored vector aligns
-/// variable-for-variable with the freshly selected system).
-fn scores_solution(ckpt: &Checkpoint) -> Solution {
-    Solution {
-        scores: ckpt.scores.clone(),
-        objective: ckpt.objective,
-        violation: ckpt.violation,
-        iterations: ckpt.iterations,
-        history: Vec::new(),
-        diverged: ckpt.diverged,
-        restarts: ckpt.restarts,
-        final_lr: ckpt.final_lr,
-        stop: StopReason::parse(&ckpt.stop_reason).unwrap_or_default(),
-        epochs_saved: ckpt.epochs_saved,
-        trace: ckpt.curve.clone(),
-    }
-}
-
-/// Packs one finished build into the checkpoint the next delta (or a
-/// batch `seldon learn` over the same cache) warm-starts from.
-fn make_checkpoint(
-    input_fp: u64,
-    system_fp: u64,
-    system: &ConstraintSystem,
-    gen_stats: &GenStats,
-    solution: &Solution,
-    extraction: &Extraction,
-) -> Checkpoint {
-    let by_template = system.template_counts();
-    let mut event_roles: Vec<(u32, u8)> = extraction
-        .event_roles
-        .iter()
-        .map(|(&id, &roles)| (id.0, Checkpoint::role_bits(roles)))
-        .collect();
-    event_roles.sort_unstable();
-    Checkpoint {
-        input_fp,
-        system_fp,
-        scores: solution.scores.clone(),
-        var_keys: Checkpoint::var_keys_of(system),
-        objective: solution.objective,
-        violation: solution.violation,
-        iterations: solution.iterations,
-        restarts: solution.restarts,
-        final_lr: solution.final_lr,
-        diverged: solution.diverged,
-        stop_reason: solution.stop.as_str().to_string(),
-        epochs_saved: solution.epochs_saved,
-        curve: solution.trace.clone(),
-        spec_text: extraction.spec.to_text(),
-        event_roles,
-        backoff_hits: extraction.backoff_hits.clone(),
-        summary: SystemSummary {
-            constraints: system.constraint_count() as u64,
-            vars: system.var_count() as u64,
-            pinned: system.pinned_count() as u64,
-            by_template: [
-                by_template[0] as u64,
-                by_template[1] as u64,
-                by_template[2] as u64,
-            ],
-            candidates: gen_stats.candidate_events as u64,
-            surviving_reps: gen_stats.surviving_reps as u64,
-            dropped_by_cutoff: gen_stats.dropped_by_cutoff as u64,
-            dropped_by_blacklist: gen_stats.dropped_by_blacklist as u64,
-        },
     }
 }

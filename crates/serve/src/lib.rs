@@ -12,9 +12,10 @@
 //! constraints never cross file boundaries) constraint rows — can be
 //! reused for every untouched file. Only the global pieces re-run each
 //! delta: §4.3 backoff selection (corpus-wide frequency counts couple
-//! files) and the solve, which is warm-started from the previous score
-//! vector and guarded by an extraction-margin check so the served spec
-//! stays byte-identical to a cold batch run over the same corpus state.
+//! files) and the solve, which climbs the same checkpoint ladder as batch
+//! `learn` (stored scores reused only on an exact fingerprint match), so
+//! the served spec stays byte-identical to a cold batch run over the
+//! same corpus state.
 //!
 //! Three layers:
 //!

@@ -2,83 +2,27 @@
 //! serve`): the determinism gate (every served spec is byte-identical to
 //! a cold batch run over the same corpus state, at 1 and 4 solver
 //! threads), the delta fast paths (no-op, fingerprint-unchanged,
-//! replay), remove-with-eviction, interner stability under repeated
-//! deltas, warm-start byte-identity from perturbed checkpoints, and
-//! daemon survival of malformed requests and mid-delta cache faults.
+//! replay), remove-with-eviction, checkpoints that carry between `learn`
+//! and `serve` over one cache, warm-start byte-identity from perturbed
+//! checkpoints, and daemon survival of malformed requests and mid-delta
+//! cache faults. The interner leak check runs in `serve_interner.rs`.
+
+#[path = "support/serve.rs"]
+mod support;
 
 use proptest::prelude::*;
 use seldon_cache::{inject_cache_faults, ArtifactCache, CheckpointLookup};
-use seldon_constraints::GenOptions;
-use seldon_core::{
-    run_full, run_seldon_cached, AnalyzeOptions, FaultPolicy, SeldonOptions, WarmStartOptions,
-};
-use seldon_corpus::{generate_corpus, Corpus, CorpusOptions, Project, SourceFile, Universe};
+use seldon_core::{run_full, run_seldon_cached, CheckpointOutcome, SeldonOptions};
 use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
-use seldon_solver::{EarlyStop, SolveOptions};
+use seldon_solver::EarlyStop;
 use seldon_specs::TaintSpec;
-use seldon_telemetry::{json, MetricsRegistry, MetricValue, Telemetry};
-use std::path::{Path, PathBuf};
+use seldon_telemetry::{json, stage, StageSpan, Telemetry};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("seldon-serve-test-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-/// A generated corpus flattened to `(path, content)` pairs in the sorted
-/// order both the `learn` CLI and the engine's file table use.
-fn fixture(projects: usize, rng_seed: u64) -> (Vec<(PathBuf, String)>, TaintSpec) {
-    let universe = Universe::new();
-    let corpus = generate_corpus(
-        &universe,
-        &CorpusOptions { projects, rng_seed, ..Default::default() },
-    );
-    let mut files: Vec<(PathBuf, String)> = corpus
-        .projects
-        .iter()
-        .flat_map(|p| {
-            // Paths repeat across generated projects; qualify them the way
-            // a checkout would, with the project directory.
-            p.files
-                .iter()
-                .map(|f| (PathBuf::from(format!("{}/{}", p.name, f.path)), f.content.clone()))
-        })
-        .collect();
-    files.sort_by(|a, b| a.0.cmp(&b.0));
-    (files, universe.seed_spec())
-}
-
-/// The same file set as a single-project batch corpus, preserving the
-/// sorted order so [`seldon_propgraph::FileId`]s agree with the engine.
-fn batch_corpus(files: &[(PathBuf, String)]) -> Corpus {
-    Corpus {
-        projects: vec![Project {
-            name: "cli".into(),
-            files: files
-                .iter()
-                .map(|(p, c)| SourceFile { path: p.display().to_string(), content: c.clone() })
-                .collect(),
-        }],
-        ..Default::default()
-    }
-}
-
-fn seldon_opts(threads: usize) -> SeldonOptions {
-    SeldonOptions {
-        gen: GenOptions { rep_cutoff: 2, ..Default::default() },
-        solve: SolveOptions { threads, ..Default::default() },
-        warm_start: Some(WarmStartOptions::default()),
-        ..Default::default()
-    }
-}
-
-fn analyze_opts(cache: Option<Arc<ArtifactCache>>) -> AnalyzeOptions {
-    AnalyzeOptions { policy: FaultPolicy::Recover, cache, ..Default::default() }
-}
+use support::{
+    analyze_opts, batch_corpus, engine_with, fixture, seldon_opts, temp_dir, STRUCTURAL_EDIT,
+};
 
 /// The spec a cold batch run (`seldon learn`, no cache) prints over
 /// `files`.
@@ -93,36 +37,6 @@ fn cold_batch_spec(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usize
     .expect("batch run succeeds");
     full.run.extraction.spec.to_text()
 }
-
-fn engine_with(
-    files: &[(PathBuf, String)],
-    seed: &TaintSpec,
-    threads: usize,
-    cache_dir: Option<&Path>,
-) -> ServeEngine {
-    let cache =
-        cache_dir.map(|d| Arc::new(ArtifactCache::open(d).expect("cache opens").0));
-    let cfg = EngineConfig {
-        seed: seed.clone(),
-        analyze: analyze_opts(cache),
-        seldon: seldon_opts(threads),
-        dynamic_cutoff: false,
-    };
-    let mut engine = ServeEngine::new(cfg);
-    let delta = Delta { add: files.to_vec(), ..Default::default() };
-    engine.apply_delta(&delta).expect("initial load");
-    engine
-}
-
-/// A syntactically valid handler appended as a *structural* edit: it
-/// adds events, so the file's graph fingerprint must change.
-const STRUCTURAL_EDIT: &str = "
-@app.route('/handler_added', methods=['GET', 'POST'])
-def handler_added():
-    z0 = bottle_request.query.get('added')
-    z1 = flask.make_response(z0)
-    return z1
-";
 
 /// A comment-only edit: the frontend drops it, so the graph fingerprint
 /// is unchanged.
@@ -260,52 +174,6 @@ fn invalid_deltas_are_rejected_without_state_changes() {
 }
 
 #[test]
-fn repeated_identical_deltas_do_not_grow_the_interner() {
-    let dir = temp_dir("intern");
-    let (mut files, seed) = fixture(4, 31);
-    let mut engine = engine_with(&files, &seed, 1, Some(&dir));
-
-    // One full edit cycle interns whatever the edited content mentions…
-    let original = files[1].1.clone();
-    files[1].1.push_str(STRUCTURAL_EDIT);
-    let edited = files[1].1.clone();
-    for content in [&edited, &original, &edited] {
-        let delta = Delta {
-            change: vec![(files[1].0.clone(), content.clone())],
-            ..Default::default()
-        };
-        engine.apply_delta(&delta).expect("edit cycle");
-    }
-    let symbols_after_cycle = seldon_intern::len();
-
-    // …after which repeating the identical cycle must not intern anything.
-    for _ in 0..3 {
-        for content in [&original, &edited] {
-            let delta = Delta {
-                change: vec![(files[1].0.clone(), content.clone())],
-                ..Default::default()
-            };
-            engine.apply_delta(&delta).expect("repeat cycle");
-        }
-    }
-    assert_eq!(
-        seldon_intern::len(),
-        symbols_after_cycle,
-        "repeated identical deltas grew the interner"
-    );
-
-    // The non-volatile gauge reports the same figure.
-    let mut reg = MetricsRegistry::default();
-    engine.fill_metrics(&mut reg);
-    let gauge = reg.get("intern_symbols").expect("gauge present");
-    assert!(!gauge.volatile, "intern_symbols must be non-volatile");
-    match gauge.value {
-        MetricValue::Gauge(v) => assert_eq!(v as usize, seldon_intern::len()),
-        ref other => panic!("intern_symbols is {other:?}, not a gauge"),
-    }
-}
-
-#[test]
 fn daemon_restart_replays_from_the_persisted_checkpoint() {
     let dir = temp_dir("restart");
     let (files, seed) = fixture(4, 55);
@@ -329,6 +197,93 @@ fn daemon_restart_replays_from_the_persisted_checkpoint() {
         .expect("restart load");
     assert_eq!(out.solve, "replayed", "restart over an unchanged corpus replays");
     assert_eq!(out.spec, spec);
+}
+
+#[test]
+fn cross_mode_batch_checkpoint_replays_in_serve() {
+    // `seldon learn --cache-dir` stores a checkpoint; a fresh engine over
+    // the same cache takes it on its initial add-all delta.
+    let dir = temp_dir("cross-batch");
+    let (files, seed) = fixture(4, 61);
+    let cache = Arc::new(ArtifactCache::open(&dir).expect("cache opens").0);
+    let full = run_full(
+        &batch_corpus(&files),
+        &seed,
+        "learn",
+        &analyze_opts(Some(cache)),
+        &seldon_opts(1),
+    )
+    .expect("batch run");
+    assert_eq!(full.checkpoint.outcome, CheckpointOutcome::MissCold);
+    let engine = engine_with(&files, &seed, 1, Some(&dir));
+    assert_eq!(engine.last_solve(), "replayed", "the batch checkpoint replays");
+    assert_eq!(engine.spec().unwrap(), full.run.extraction.spec.to_text());
+}
+
+#[test]
+fn cross_mode_engine_checkpoint_is_a_full_hit_for_learn() {
+    // The engine stores a checkpoint on its cold build; `seldon learn`
+    // over the same cache replays it without generating or solving.
+    let dir = temp_dir("cross-engine");
+    let (files, seed) = fixture(4, 62);
+    let engine = engine_with(&files, &seed, 1, Some(&dir));
+    assert_eq!(engine.last_solve(), "cold");
+    let spec = engine.spec().unwrap().to_string();
+    drop(engine);
+    let cache = Arc::new(ArtifactCache::open(&dir).expect("cache reopens").0);
+    let full = run_full(
+        &batch_corpus(&files),
+        &seed,
+        "learn",
+        &analyze_opts(Some(cache)),
+        &seldon_opts(1),
+    )
+    .expect("batch run");
+    assert_eq!(full.checkpoint.outcome, CheckpointOutcome::HitFull);
+    assert_eq!(full.run.extraction.spec.to_text(), spec);
+}
+
+#[test]
+fn cross_mode_cold_runs_emit_the_same_stage_spans() {
+    // Names and counter keys of the learning stage spans: everything a
+    // cold `learn` and a cold serve build both run.
+    const LEARNING: [&str; 5] =
+        [stage::REPRESENTATION, stage::CONSTRAINTS, stage::SOLVE, stage::COMPILE, stage::EXTRACT];
+    fn learning(stages: &[StageSpan]) -> Vec<(String, Vec<String>)> {
+        stages
+            .iter()
+            .filter(|s| LEARNING.contains(&s.name.as_str()))
+            .map(|s| (s.name.clone(), s.counters.iter().map(|(k, _)| k.clone()).collect()))
+            .collect()
+    }
+    let (files, seed) = fixture(4, 63);
+    let mut opts = analyze_opts(None);
+    opts.telemetry = Telemetry::recording();
+    let batch = run_full(&batch_corpus(&files), &seed, "learn", &opts, &seldon_opts(1))
+        .expect("batch run")
+        .manifest
+        .expect("recording run has a manifest");
+    let mut engine = ServeEngine::new(EngineConfig {
+        seed: seed.clone(),
+        analyze: opts,
+        seldon: seldon_opts(1),
+        dynamic_cutoff: false,
+    });
+    engine
+        .apply_delta(&Delta { add: files.clone(), ..Default::default() })
+        .expect("initial load");
+    assert_eq!(engine.last_solve(), "cold");
+    let served = engine.manifest("serve");
+    let spans = learning(&batch.stages);
+    assert_eq!(spans.iter().map(|(name, _)| name.as_str()).collect::<Vec<_>>(), LEARNING);
+    assert_eq!(learning(&served.stages), spans, "same spans, same counter keys");
+    for s in &served.stages {
+        assert!(
+            batch.stages.iter().any(|b| b.name == s.name),
+            "serve emits no span batch lacks: {}",
+            s.name
+        );
+    }
 }
 
 #[test]
