@@ -38,7 +38,7 @@ pub use eval::{
     classify_all, classify_violation, evaluate_spec, reps_match, GroundTruth, ReportClass,
     ReportSummary, RoleEval, SpecEval,
 };
-pub use manifest::{fill_learning_sections, learned_per_role, run_full, FullRun};
+pub use manifest::{learned_per_role, record_corpus, record_learning, run_full, FullRun};
 pub use pipeline::{
     analysis_cache_key, analyze_corpus, analyze_corpus_with, analyze_file, analyze_project,
     climb_ladder, run_seldon, run_seldon_cached, run_seldon_traced, AnalyzeOptions,

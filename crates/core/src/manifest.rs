@@ -5,19 +5,20 @@
 //!
 //! [`run_full`] is [`analyze_corpus_with`] + [`run_seldon_traced`] plus a
 //! final taint pass with the learned specification. With a recording
-//! [`Telemetry`] handle in [`AnalyzeOptions`], the manifest captures the
-//! corpus shape, per-file fault outcomes, every stage span with its
-//! counters, the per-template constraint counts (Fig. 4a/b/c), the
-//! solver's sampled convergence curve, the §7.1 extraction backoff sweep,
-//! and the taint verdict. With a disabled handle the pipeline runs
-//! telemetry-free and no manifest is produced.
+//! [`Telemetry`] handle in [`AnalyzeOptions`], the manifest captures every
+//! stage span with its counters and the solver's sampled convergence
+//! curve, and its metrics registry holds the corpus shape, per-file fault
+//! outcomes, the per-template constraint counts (Fig. 4a/b/c), the solver
+//! outcome, the §7.1 extraction backoff sweep, and the taint verdict. With
+//! a disabled handle the pipeline runs telemetry-free and no manifest is
+//! produced.
 
 use crate::error::PipelineError;
 use crate::pipeline::{
     analyze_corpus_with, run_seldon_cached, AnalyzeOptions, AnalyzedCorpus, CheckpointUse,
     SeldonOptions, SeldonRun,
 };
-use crate::report::{AnalysisReport, CacheFaultReport};
+use crate::report::{AnalysisReport, CacheFaultReport, FileOutcome};
 use seldon_cache::{ArtifactCache, SystemSummary};
 use seldon_constraints::constraint_gap;
 use seldon_corpus::Corpus;
@@ -25,9 +26,8 @@ use seldon_solver::Solution;
 use seldon_specs::TaintSpec;
 use seldon_taint::{TaintAnalyzer, Violation};
 use seldon_telemetry::{
-    stage, CacheSummary, ConstraintSummary, CorpusShape, ExtractionSummary, MemoryGauge,
-    MemorySummary, OutcomeCounts, RunManifest, ScoreDumpEntry, SolverSummary, TaintSummary,
-    Telemetry,
+    metric, stage, Class, Histogram, MemoryGauge, MetricDef, MetricsRegistry, RunManifest,
+    ScoreDumpEntry, Telemetry,
 };
 
 /// Everything one full pipeline run produces.
@@ -118,27 +118,15 @@ fn assemble_manifest(
     checkpoint: &CheckpointUse,
 ) -> RunManifest {
     let mut m = RunManifest::new(command);
-    m.corpus = CorpusShape {
-        files: corpus.file_count() as u64,
-        projects: corpus.projects.len() as u64,
-        events: analyzed.graph.event_count() as u64,
-        edges: analyzed.graph.edge_count() as u64,
-        symbols: seldon_intern::len() as u64,
-    };
-    m.outcomes = OutcomeCounts {
-        ok: report.ok() as u64,
-        recovered: report.recovered() as u64,
-        skipped: report.skipped() as u64,
-        over_budget: report.over_budget() as u64,
-        panicked: report.panicked() as u64,
-    };
     m.stages = tele.take_spans().into_iter().map(Into::into).collect();
-    m.parse_histograms = analyzed.parse_histograms.clone();
+    let (files, projects) = (corpus.file_count(), corpus.projects.len());
+    let shape = [files, projects, analyzed.graph.event_count(), analyzed.graph.edge_count()];
+    record_corpus(&mut m.metrics, shape, report.files.iter().map(|f| &f.outcome));
     // A full checkpoint hit leaves the in-memory system empty, so the
     // shape comes from the checkpoint's replay summary.
     let system =
         checkpoint.summary.unwrap_or_else(|| SystemSummary::of(&run.system, &run.gen_stats));
-    fill_learning_sections(
+    record_learning(
         &mut m,
         &system,
         &run.solution,
@@ -147,8 +135,8 @@ fn assemble_manifest(
         seldon,
         analyze.cache.as_deref().map(|cache| (cache, checkpoint.outcome.label())),
     );
-    m.taint = TaintSummary { violations: violations.len() as u64 };
-    fill_metrics(&mut m, analyzed, run, analyze, report);
+    m.metrics.gauge(&metric::TAINT_VIOLATIONS, violations.len() as f64);
+    fill_metrics(&mut m, analyzed, run, report);
     if seldon.score_dump {
         m.score_dump = score_dump(run);
     }
@@ -166,10 +154,38 @@ pub fn learned_per_role(spec: &TaintSpec) -> [u64; 3] {
     learned
 }
 
-/// Fills the manifest sections `learn` and `serve` share: the constraint
-/// system's shape, the solver outcome, the extraction sweep, the cache
-/// counters with the checkpoint rung's label, and memory.
-pub fn fill_learning_sections(
+fn gauges<const N: usize>(reg: &mut MetricsRegistry, defs: &[MetricDef; N], values: [f64; N]) {
+    for (def, v) in defs.iter().zip(values) {
+        reg.gauge(def, v);
+    }
+}
+
+/// Writes the corpus shape `[files, projects, graph events, graph edges]`
+/// and the per-file outcome counts, for `learn` and `serve` alike.
+pub fn record_corpus<'a>(
+    reg: &mut MetricsRegistry,
+    shape: [usize; 4],
+    outcomes: impl IntoIterator<Item = &'a FileOutcome>,
+) {
+    let mut counts = [0.0; 5];
+    for outcome in outcomes {
+        counts[match outcome {
+            FileOutcome::Ok => 0,
+            FileOutcome::Recovered { .. } => 1,
+            FileOutcome::Skipped { .. } => 2,
+            FileOutcome::OverBudget { .. } => 3,
+            FileOutcome::Panicked { .. } => 4,
+        }] += 1.0;
+    }
+    gauges(reg, &metric::CORPUS, shape.map(|n| n as f64));
+    gauges(reg, &metric::OUTCOMES, counts);
+}
+
+/// Writes what `learn` and `serve` share about the last build: the
+/// constraint system's shape, the solver outcome and convergence curve,
+/// the extraction sweep, the cache counters with the checkpoint rung's
+/// label, and memory.
+pub fn record_learning(
     m: &mut RunManifest,
     system: &SystemSummary,
     solution: &Solution,
@@ -178,52 +194,68 @@ pub fn fill_learning_sections(
     seldon: &SeldonOptions,
     cache: Option<(&ArtifactCache, &str)>,
 ) {
-    m.constraints = ConstraintSummary {
-        total: system.constraints,
-        vars: system.vars,
-        pinned: system.pinned,
-        by_template: system.by_template,
-    };
-    m.solver = SolverSummary {
-        iterations: solution.iterations as u64,
-        restarts: solution.restarts as u64,
-        diverged: solution.diverged,
-        final_lr: solution.final_lr,
-        objective: solution.objective,
-        violation: solution.violation,
-        threads: seldon.solve.threads.max(1) as u64,
-        stop_reason: solution.stop.as_str().to_string(),
-        epochs_saved: solution.epochs_saved as u64,
-        curve: solution.trace.clone(),
-    };
-    m.extraction = ExtractionSummary {
-        thresholds: seldon.extract.thresholds,
-        decay: seldon.extract.decay,
-        backoff_hits: backoff_hits.iter().map(|&n| n as u64).collect(),
-        learned,
-    };
-    m.cache = match cache {
-        None => CacheSummary::default(),
-        Some((cache, checkpoint)) => {
-            let s = cache.stats();
-            CacheSummary {
-                enabled: true,
-                hits: s.hits,
-                misses: s.misses,
-                stores: s.stores,
-                corrupt: s.corrupt,
-                stale: s.stale,
-                evicted: s.evicted,
-                checkpoint: checkpoint.to_string(),
-            }
+    m.curve = solution.trace.clone();
+    if let Some((_, label)) = cache {
+        m.checkpoint = label.to_string();
+    }
+    let reg = &mut m.metrics;
+    let constraints = [system.constraints, system.vars, system.pinned];
+    gauges(reg, &metric::CONSTRAINTS, constraints.map(|n| n as f64));
+    gauges(reg, &metric::TEMPLATES, system.by_template.map(|n| n as f64));
+    for (def, v) in [
+        (metric::SOLVER_ITERATIONS, solution.iterations as f64),
+        (metric::SOLVER_RESTARTS, solution.restarts as f64),
+        (metric::SOLVER_DIVERGED, f64::from(u8::from(solution.diverged))),
+        (metric::SOLVER_FINAL_LR, solution.final_lr),
+        (metric::SOLVER_OBJECTIVE, solution.objective),
+        (metric::SOLVER_VIOLATION, solution.violation),
+        (metric::SOLVER_THREADS, seldon.solve.threads.max(1) as f64),
+        (metric::SOLVER_STOP_REASON, f64::from(solution.stop.code())),
+        (metric::SOLVER_EPOCHS_SAVED, solution.epochs_saved as f64),
+        (metric::DECAY, seldon.extract.decay),
+    ] {
+        reg.gauge(&def, v);
+    }
+    gauges(reg, &metric::THRESHOLDS, seldon.extract.thresholds);
+    // Bucket i counts the selections at backoff level i; the bounds cover
+    // every level a representation chain can reach.
+    let levels = seldon_propgraph::repr::MAX_REPS.max(backoff_hits.len());
+    let mut hits = Histogram::new(&(0..levels).map(|i| i as f64).collect::<Vec<_>>());
+    for (level, &n) in backoff_hits.iter().enumerate() {
+        hits.counts[level] = n as u64;
+        hits.sum += (level * n) as f64;
+    }
+    let def = metric::BACKOFF_HITS;
+    reg.put_histogram(def.name, def.help, def.class, hits);
+    gauges(reg, &metric::LEARNED, learned.map(|n| n as f64));
+    if let Some((cache, _)) = cache {
+        let s = cache.stats();
+        let faults = s.corrupt + s.stale + s.evicted;
+        let counts = [
+            s.hits,
+            s.misses,
+            s.stores,
+            s.corrupt,
+            s.stale,
+            s.evicted,
+            faults,
+            s.bytes_read,
+            s.bytes_written,
+        ];
+        for (def, n) in metric::CACHE.iter().zip(counts) {
+            reg.counter(def, n as f64);
         }
-    };
-    m.memory = MemorySummary {
-        tracked: true,
-        current_bytes: MemoryGauge::current_bytes(),
-        peak_bytes: MemoryGauge::peak_bytes(),
-        peak_rss_bytes: MemoryGauge::peak_rss_bytes().unwrap_or(0),
-    };
+        let lookups = s.hits + s.misses;
+        if lookups > 0 {
+            reg.gauge(&metric::CACHE_HIT_RATE, s.hits as f64 / lookups as f64);
+        }
+    }
+    let memory = [
+        MemoryGauge::current_bytes(),
+        MemoryGauge::peak_bytes(),
+        MemoryGauge::peak_rss_bytes().unwrap_or(0),
+    ];
+    gauges(reg, &metric::MEMORY, memory.map(|n| n as f64));
 }
 
 /// Representation-frequency buckets: how many backoff options a
@@ -237,43 +269,37 @@ const REP_FREQ_BOUNDS: [f64; 10] =
 const GAP_BOUNDS: [f64; 10] =
     [-1.0, -0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0];
 
-/// Populates the manifest's metrics registry from the finished pipeline
-/// artifacts. Runs once per manifest — never on the per-file hot path —
-/// so the no-telemetry overhead budget is untouched.
+/// Populates the batch-only metrics from the finished pipeline artifacts.
+/// Runs once per manifest — never on the per-file hot path — so the
+/// no-telemetry overhead budget is untouched.
 fn fill_metrics(
     m: &mut RunManifest,
     analyzed: &AnalyzedCorpus,
     run: &SeldonRun,
-    analyze: &AnalyzeOptions,
     report: &AnalysisReport,
 ) {
     let reg = &mut m.metrics;
     reg.inc_counter(
         "files_analyzed",
         "Files that produced a propagation graph (ok + recovered).",
-        false,
+        Class::Identity,
         (report.ok() + report.recovered()) as f64,
     );
-    // Non-volatile: interning is deterministic per corpus, so two runs
-    // over the same inputs must agree. In a long-lived daemon this is the
-    // leak detector — repeated identical deltas must not grow it.
-    reg.set_gauge(
-        "intern_symbols",
-        "Global interner size (symbols live for the process lifetime).",
-        false,
-        seldon_intern::len() as f64,
-    );
+    // Identity: interning is deterministic per corpus, so two runs over
+    // the same inputs must agree. In a long-lived daemon this is the leak
+    // detector — repeated identical deltas must not grow it.
+    reg.gauge(&metric::INTERN_SYMBOLS, seldon_intern::len() as f64);
     // Representation frequency distribution over the union graph: every
     // rep counted once per backoff option it appears in. Present even
     // when empty so `validate_manifest --require-full` can demand it.
-    let mut rep_freq = seldon_telemetry::Histogram::new(&REP_FREQ_BOUNDS);
+    let mut rep_freq = Histogram::new(&REP_FREQ_BOUNDS);
     for &count in analyzed.graph.rep_frequency_counts().iter().filter(|&&c| c > 0) {
         rep_freq.observe(count as f64);
     }
     reg.put_histogram(
         "rep_frequency",
         "Occurrences per representation across all backoff options (§4.3).",
-        false,
+        Class::Identity,
         rep_freq,
     );
     // Constraint gaps under the solved assignment. A full checkpoint hit
@@ -286,17 +312,21 @@ fn fill_metrics(
             reg.observe(
                 "constraint_gap",
                 "Per-constraint lhs−rhs under the solved scores (violated above C).",
-                false,
+                Class::Identity,
                 &GAP_BOUNDS,
                 constraint_gap(c, &run.solution.scores),
             );
         }
     }
+    for (frontend, hist) in &analyzed.parse_histograms {
+        let def = metric::PARSE_TIME;
+        reg.put_histogram(&metric::parse_time(frontend), def.help, def.class, hist.clone());
+    }
     if !analyzed.build_histogram.is_empty() {
         reg.put_histogram(
             "build_time_us",
             "Per-file graph-construction time (µs), analyzed files only.",
-            true,
+            Class::Cost,
             analyzed.build_histogram.clone(),
         );
     }
@@ -307,27 +337,8 @@ fn fill_metrics(
         reg.set_gauge(
             "solver_epoch_us",
             "Mean wall-clock per solver epoch (µs).",
-            true,
+            Class::Cost,
             run.solve_time.as_micros() as f64 / run.solution.iterations as f64,
-        );
-        reg.set_gauge(
-            "solver_iterations",
-            "Projected-Adam epochs run (or replayed) this run.",
-            false,
-            run.solution.iterations as f64,
-        );
-        reg.set_gauge(
-            "solver_stop_reason",
-            "Stop-reason code (0 max_iters, 1 stall, 2 plateau, 3 diverged, \
-             4 invalid_options).",
-            false,
-            run.solution.stop.code() as f64,
-        );
-        reg.set_gauge(
-            "solver_epochs_saved",
-            "Epochs the convergence exit saved against the max_iters budget.",
-            false,
-            run.solution.epochs_saved as f64,
         );
     }
     if let Some(compile) = m.stages.iter().find(|s| s.name == stage::COMPILE) {
@@ -336,31 +347,8 @@ fn fill_metrics(
             ("lanes", "solver_lanes", "SIMD lanes occupied by the CSR kernel."),
         ] {
             if let Some(&(_, v)) = compile.counters.iter().find(|(k, _)| k == key) {
-                reg.set_gauge(gauge, help, false, v);
+                reg.set_gauge(gauge, help, Class::Identity, v);
             }
-        }
-    }
-    if let Some(cache) = analyze.cache.as_deref() {
-        let s = cache.stats();
-        let faults = s.corrupt + s.stale + s.evicted;
-        for (name, help, v) in [
-            ("cache_hits", "Artifact lookups served from the cache.", s.hits),
-            ("cache_misses", "Artifact lookups that recomputed from source.", s.misses),
-            ("cache_stores", "Entries written (artifacts + checkpoints).", s.stores),
-            ("cache_faults", "Contained cache faults (corrupt + stale + evicted).", faults),
-            ("cache_bytes_read", "Decoded payload bytes served by hits.", s.bytes_read),
-            ("cache_bytes_written", "Encoded frame bytes written by stores.", s.bytes_written),
-        ] {
-            reg.inc_counter(name, help, true, v as f64);
-        }
-        let lookups = s.hits + s.misses;
-        if lookups > 0 {
-            reg.set_gauge(
-                "cache_hit_rate",
-                "hits / (hits + misses) for artifact lookups.",
-                true,
-                s.hits as f64 / lookups as f64,
-            );
         }
     }
 }
@@ -430,18 +418,26 @@ mod tests {
         let m = full.manifest.expect("recording handle yields a manifest");
         assert!(m.has_all_stages(), "stages: {:?}",
             m.stages.iter().map(|s| s.name.clone()).collect::<Vec<_>>());
-        assert!(!m.solver.curve.is_empty(), "default stride traces the solver");
+        assert!(!m.curve.is_empty(), "default stride traces the solver");
+        let value = |name: &str| m.metrics.value(name).unwrap_or(-1.0);
         assert_eq!(
-            m.constraints.by_template.iter().sum::<u64>(),
-            m.constraints.total
+            seldon_telemetry::metric::TEMPLATES.iter().map(|d| value(d.name)).sum::<f64>(),
+            value("constraints_total")
         );
-        assert_eq!(m.corpus.files, corpus.file_count() as u64);
-        assert_eq!(m.outcomes.ok, corpus.file_count() as u64);
+        assert_eq!(value("corpus_files"), corpus.file_count() as f64);
+        assert_eq!(value("files_ok"), corpus.file_count() as f64);
         // Every parsed file lands in exactly one parse-time bucket, tagged
         // by the frontend that parsed it (all Python here).
-        assert_eq!(m.parse_histograms.len(), 1);
-        assert_eq!(m.parse_histograms[0].frontend, "python");
-        assert_eq!(m.parse_histograms[0].total(), corpus.file_count() as u64);
+        let parse_times: Vec<&str> = m
+            .metrics
+            .metrics()
+            .iter()
+            .filter(|metric| metric.name.starts_with("parse_time_us_"))
+            .map(|metric| metric.name.as_str())
+            .collect();
+        assert_eq!(parse_times, ["parse_time_us_python"]);
+        let python = m.metrics.histogram("parse_time_us_python").unwrap();
+        assert_eq!(python.total(), corpus.file_count() as u64);
         // The manifest round-trips through its JSON form losslessly.
         let back = RunManifest::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);

@@ -35,7 +35,7 @@ use seldon_solver::{
     ExtractOptions, Extraction, SolveOptions, Solution,
 };
 use seldon_specs::TaintSpec;
-use seldon_telemetry::{stage, Histogram, ParseHistogram, Telemetry, PARSE_HIST_BOUNDS};
+use seldon_telemetry::{stage, Histogram, Telemetry, PARSE_HIST_BOUNDS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -199,12 +199,13 @@ pub struct AnalyzedCorpus {
     pub files: Vec<FileMeta>,
     /// Wall-clock time spent parsing and building graphs.
     pub build_time: Duration,
-    /// Per-frontend parse-time buckets. Only populated when the analysis
-    /// ran with active telemetry (per-file timings are always taken, but
-    /// only recorded into histograms then) and only for frontends that
-    /// parsed at least one file; cache-served files skip the front end and
-    /// are never tallied.
-    pub parse_histograms: Vec<ParseHistogram>,
+    /// Per-frontend parse-time buckets over [`PARSE_HIST_BOUNDS`], keyed by
+    /// frontend label. Only populated when the analysis ran with active
+    /// telemetry (per-file timings are always taken, but only recorded
+    /// into histograms then) and only for frontends that parsed at least
+    /// one file; cache-served files skip the front end and are never
+    /// tallied.
+    pub parse_histograms: Vec<(&'static str, Histogram)>,
     /// Per-file graph-construction time distribution (microseconds, same
     /// buckets as the parse histograms). Empty unless telemetry was active
     /// during analysis; cache-served files skip construction and are never
@@ -564,8 +565,10 @@ pub fn analyze_corpus_with(
     // telemetry: an inactive handle must not grow a manifest-visible
     // histogram.
     let timed = opts.telemetry.is_active();
-    let mut parse_hist: Vec<ParseHistogram> =
-        Frontend::ALL.iter().map(|f| ParseHistogram::new(f.label())).collect();
+    let mut parse_hist: Vec<(&'static str, Histogram)> = Frontend::ALL
+        .iter()
+        .map(|f| (f.label(), Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS)))
+        .collect();
     let mut build_hist = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
     for (i, (project, path, _)) in inputs.iter().enumerate() {
         let slot = slots[i].take().expect("every index 0..n is written exactly once above");
@@ -586,7 +589,8 @@ pub fn analyze_corpus_with(
             slot_project.1 += 1;
             if timed && slot.outcome.is_analyzed() {
                 parse_hist[slot.frontend.index()]
-                    .record(slot.timings.parse.as_micros() as u64);
+                    .1
+                    .observe(slot.timings.parse.as_micros() as f64);
                 build_hist.observe(slot.timings.build.as_micros() as f64);
             }
         }
@@ -664,7 +668,7 @@ pub fn analyze_corpus_with(
             graph,
             files,
             build_time: started.elapsed(),
-            parse_histograms: parse_hist.into_iter().filter(|h| h.total() > 0).collect(),
+            parse_histograms: parse_hist.into_iter().filter(|(_, h)| h.total() > 0).collect(),
             build_histogram: build_hist,
         },
         AnalysisReport { files: reports, cache_faults },
@@ -1590,10 +1594,10 @@ mod tests {
         let opts = AnalyzeOptions { telemetry: Telemetry::recording(), ..Default::default() };
         let (analyzed, _) = analyze_corpus_with(&mixed_lang_corpus(), &opts).unwrap();
         let mut labels: Vec<&str> =
-            analyzed.parse_histograms.iter().map(|h| h.frontend.as_str()).collect();
+            analyzed.parse_histograms.iter().map(|(frontend, _)| *frontend).collect();
         labels.sort_unstable();
         assert_eq!(labels, ["js", "python"]);
-        for h in &analyzed.parse_histograms {
+        for (_, h) in &analyzed.parse_histograms {
             assert_eq!(h.total(), 1, "one file per frontend");
         }
         // Without active telemetry the per-file timings are still taken but

@@ -48,12 +48,14 @@ use seldon_core::{
 };
 use seldon_corpus::{Corpus, Project, SourceFile};
 use seldon_propgraph::{to_dot, Budget, FileId};
-use seldon_solver::{EarlyStop, SolveOptions};
+use seldon_solver::{EarlyStop, SolveOptions, StopReason};
 use seldon_specs::{paper_seed, TaintSpec};
 use seldon_taint::{render_reports, reports_to_json, TaintAnalyzer, TaintOptions};
 use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
 use seldon_telemetry::json::{self, Json};
-use seldon_telemetry::{diff_manifests, DiffOptions, Level, RunManifest, Telemetry};
+use seldon_telemetry::{
+    diff_manifests, metric, DiffOptions, Level, MetricDef, RunManifest, Telemetry,
+};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -881,23 +883,23 @@ fn cmd_report(rest: &[String]) -> Result<Outcome, CliError> {
         None => 10,
     };
     let m = load_manifest(path)?;
+    // Every figure below is a registry metric; an absent one reads as 0.
+    let v = |def: &MetricDef| m.metrics.value(def.name).unwrap_or(0.0);
+    let n = |def: &MetricDef| v(def) as u64;
 
     println!(
         "seldon run report — command `{}` mode `{}` (schema v{})",
         m.command, m.mode, m.schema_version
     );
     println!();
+    let [files, projects, events, edges] = metric::CORPUS.map(|d| n(&d));
     println!(
-        "corpus       {} file(s) / {} project(s) — {} events, {} edges, {} symbols",
-        m.corpus.files, m.corpus.projects, m.corpus.events, m.corpus.edges, m.corpus.symbols
+        "corpus       {files} file(s) / {projects} project(s) — {events} events, {edges} edges, {} symbols",
+        n(&metric::INTERN_SYMBOLS)
     );
+    let [ok, recovered, skipped, over_budget, panicked] = metric::OUTCOMES.map(|d| n(&d));
     println!(
-        "outcomes     ok {}, recovered {}, skipped {}, over-budget {}, panicked {}",
-        m.outcomes.ok,
-        m.outcomes.recovered,
-        m.outcomes.skipped,
-        m.outcomes.over_budget,
-        m.outcomes.panicked
+        "outcomes     ok {ok}, recovered {recovered}, skipped {skipped}, over-budget {over_budget}, panicked {panicked}"
     );
     println!();
     println!("stage breakdown (top-level spans)");
@@ -911,49 +913,43 @@ fn cmd_report(rest: &[String]) -> Result<Outcome, CliError> {
         );
     }
     println!();
+    let [total, vars, pinned] = metric::CONSTRAINTS.map(|d| n(&d));
+    let [a, b, c] = metric::TEMPLATES.map(|d| n(&d));
+    println!("constraints  {total} total (A {a} / B {b} / C {c}), {vars} vars, {pinned} pinned");
+    let stop = m
+        .metrics
+        .value(metric::SOLVER_STOP_REASON.name)
+        .and_then(|code| StopReason::from_code(code as u8))
+        .map_or(String::new(), |reason| {
+            format!(", stop {reason} (saved {} epochs)", n(&metric::SOLVER_EPOCHS_SAVED))
+        });
     println!(
-        "constraints  {} total (A {} / B {} / C {}), {} vars, {} pinned",
-        m.constraints.total,
-        m.constraints.by_template[0],
-        m.constraints.by_template[1],
-        m.constraints.by_template[2],
-        m.constraints.vars,
-        m.constraints.pinned
+        "solver       {} iteration(s), {} restart(s), objective {:.6}, violation {:.6} ({} thread(s)){stop}{}",
+        n(&metric::SOLVER_ITERATIONS),
+        n(&metric::SOLVER_RESTARTS),
+        v(&metric::SOLVER_OBJECTIVE),
+        v(&metric::SOLVER_VIOLATION),
+        n(&metric::SOLVER_THREADS),
+        if v(&metric::SOLVER_DIVERGED) != 0.0 { " [diverged]" } else { "" }
     );
+    let [sources, sanitizers, sinks] = metric::LEARNED.map(|d| n(&d));
+    let [t_src, t_san, t_snk] = metric::THRESHOLDS.map(|d| v(&d));
     println!(
-        "solver       {} iteration(s), {} restart(s), objective {:.6}, violation {:.6} ({} thread(s)){}{}",
-        m.solver.iterations,
-        m.solver.restarts,
-        m.solver.objective,
-        m.solver.violation,
-        m.solver.threads,
-        if m.solver.stop_reason.is_empty() {
-            String::new()
-        } else {
-            format!(", stop {} (saved {} epochs)", m.solver.stop_reason, m.solver.epochs_saved)
-        },
-        if m.solver.diverged { " [diverged]" } else { "" }
-    );
-    println!(
-        "extraction   learned {} src / {} san / {} snk (thresholds {}/{}/{}, decay {})",
-        m.extraction.learned[0],
-        m.extraction.learned[1],
-        m.extraction.learned[2],
-        m.extraction.thresholds[0],
-        m.extraction.thresholds[1],
-        m.extraction.thresholds[2],
-        m.extraction.decay
+        "extraction   learned {sources} src / {sanitizers} san / {sinks} snk (thresholds {t_src}/{t_san}/{t_snk}, decay {})",
+        v(&metric::DECAY)
     );
     println!();
     println!("score vs backoff (Fig. 11)");
     println!("  {:<6} {:>10} {:>15} {:>11}", "level", "selections", "learned entries", "mean score");
-    let levels = m
-        .extraction
-        .backoff_hits
-        .len()
+    // Bucket i of the histogram counts the selections at level i.
+    let hits: &[u64] = m.metrics.histogram(metric::BACKOFF_HITS.name).map_or(&[], |h| &h.counts);
+    let levels = hits
+        .iter()
+        .rposition(|&c| c > 0)
+        .map_or(0, |last| last + 1)
         .max(m.score_dump.iter().map(|e| e.backoff_level as usize + 1).max().unwrap_or(0));
     for level in 0..levels {
-        let selections = m.extraction.backoff_hits.get(level).copied().unwrap_or(0);
+        let selections = hits.get(level).copied().unwrap_or(0);
         let at_level: Vec<f64> = m
             .score_dump
             .iter()
@@ -982,25 +978,21 @@ fn cmd_report(rest: &[String]) -> Result<Outcome, CliError> {
         }
     }
     println!();
-    if m.cache.enabled {
+    if m.metrics.get(metric::CACHE[0].name).is_some() {
+        let [hits, misses, stores, _, _, _, faults, ..] = metric::CACHE.map(|d| n(&d));
         println!(
-            "cache        {} hit(s), {} miss(es), {} store(s), {} fault(s); checkpoint {}",
-            m.cache.hits,
-            m.cache.misses,
-            m.cache.stores,
-            m.cache.corrupt + m.cache.stale + m.cache.evicted,
-            m.cache.checkpoint
+            "cache        {hits} hit(s), {misses} miss(es), {stores} store(s), {faults} fault(s); checkpoint {}",
+            m.checkpoint
         );
     }
-    if m.memory.tracked {
-        println!(
-            "memory       current {}, peak {}, peak RSS {}",
-            fmt_bytes(m.memory.current_bytes),
-            fmt_bytes(m.memory.peak_bytes),
-            fmt_bytes(m.memory.peak_rss_bytes)
-        );
+    if m.metrics.get(metric::MEMORY[0].name).is_some() {
+        let [current, peak, rss] = metric::MEMORY.map(|d| fmt_bytes(n(&d)));
+        println!("memory       current {current}, peak {peak}, peak RSS {rss}");
     }
-    println!("taint        {} violation(s)", m.taint.violations);
+    // Served manifests carry no taint result: serve never runs that stage.
+    if m.metrics.get(metric::TAINT_VIOLATIONS.name).is_some() {
+        println!("taint        {} violation(s)", n(&metric::TAINT_VIOLATIONS));
+    }
     Ok(Outcome::Clean)
 }
 

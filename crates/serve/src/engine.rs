@@ -47,13 +47,13 @@ use seldon_constraints::{
     Term,
 };
 use seldon_core::{
-    analysis_cache_key, analyze_file, climb_ladder, fill_learning_sections, learned_per_role,
-    AnalyzeOptions, CheckpointOutcome, FileOutcome, SeldonOptions,
+    analysis_cache_key, analyze_file, climb_ladder, learned_per_role, record_corpus,
+    record_learning, AnalyzeOptions, CheckpointOutcome, FileOutcome, SeldonOptions,
 };
 use seldon_propgraph::{FileId, PropagationGraph};
 use seldon_specs::Role;
 use seldon_specs::TaintSpec;
-use seldon_telemetry::manifest::{stage, CorpusShape, OutcomeCounts, RunManifest, TaintSummary};
+use seldon_telemetry::{metric, stage, Class, MetricsRegistry, RunManifest};
 
 /// Configuration fixed for the lifetime of a [`ServeEngine`].
 #[derive(Debug, Clone)]
@@ -677,33 +677,18 @@ impl ServeEngine {
     }
 
     /// Assembles a `mode: "served-incremental"` run manifest describing
-    /// the engine's current state. Drains the telemetry recorder.
+    /// the engine's current state. Drains the telemetry recorder. Serve
+    /// never runs the taint stage, so the manifest carries no taint metric.
     pub fn manifest(&self, command: &str) -> RunManifest {
         let mut m = RunManifest::new(command);
         m.mode = "served-incremental".to_string();
-        m.corpus = CorpusShape {
-            files: self.files.len() as u64,
-            projects: 1,
-            events: self.last_events as u64,
-            edges: self.last_edges as u64,
-            symbols: seldon_intern::len() as u64,
-        };
-        let mut outcomes = OutcomeCounts::default();
-        for state in self.files.values() {
-            match state.outcome {
-                FileOutcome::Ok => outcomes.ok += 1,
-                FileOutcome::Recovered { .. } => outcomes.recovered += 1,
-                FileOutcome::Skipped { .. } => outcomes.skipped += 1,
-                FileOutcome::OverBudget { .. } => outcomes.over_budget += 1,
-                FileOutcome::Panicked { .. } => outcomes.panicked += 1,
-            }
-        }
-        m.outcomes = outcomes;
         m.stages = self.cfg.analyze.telemetry.take_spans().into_iter().map(Into::into).collect();
-        // The learning sections describe the last build; they stay at
-        // their defaults until one has finished.
+        let shape = [self.files.len(), 1, self.last_events, self.last_edges];
+        record_corpus(&mut m.metrics, shape, self.files.values().map(|state| &state.outcome));
+        // The learning metrics describe the last build; they are absent
+        // until one has finished.
         if let Some(ckpt) = self.ckpt.as_ref() {
-            fill_learning_sections(
+            record_learning(
                 &mut m,
                 &ckpt.summary,
                 &ckpt.solution(),
@@ -713,17 +698,16 @@ impl ServeEngine {
                 self.cfg.analyze.cache.as_deref().map(|cache| (cache, self.last_solve)),
             );
         }
-        m.taint = TaintSummary { violations: 0 };
         self.fill_metrics(&mut m.metrics);
         m
     }
 
     /// Serve-specific metrics (plus the interner leak detector shared
     /// with batch manifests).
-    pub fn fill_metrics(&self, reg: &mut seldon_telemetry::MetricsRegistry) {
+    pub fn fill_metrics(&self, reg: &mut MetricsRegistry) {
         let c = &self.counters;
-        let counter = |reg: &mut seldon_telemetry::MetricsRegistry, name, help, v: usize| {
-            reg.inc_counter(name, help, false, v as f64);
+        let counter = |reg: &mut MetricsRegistry, name, help, v: usize| {
+            reg.inc_counter(name, help, Class::Identity, v as f64);
         };
         counter(reg, "serve_deltas", "Corpus deltas accepted by the daemon.", c.deltas);
         counter(reg, "serve_noops", "Empty deltas served from the cached spec.", c.noops);
@@ -746,16 +730,11 @@ impl ServeEngine {
         reg.set_gauge(
             "serve_files_tracked",
             "Files tracked by the daemon after the last delta.",
-            false,
+            Class::Identity,
             self.files.len() as f64,
         );
-        // Non-volatile on purpose: repeated identical deltas must not
-        // grow the interner — this gauge is the daemon's leak detector.
-        reg.set_gauge(
-            "intern_symbols",
-            "Global interner size (symbols live for the process lifetime).",
-            false,
-            seldon_intern::len() as f64,
-        );
+        // Identity on purpose: repeated identical deltas must not grow
+        // the interner — this gauge is the daemon's leak detector.
+        reg.gauge(&metric::INTERN_SYMBOLS, seldon_intern::len() as f64);
     }
 }

@@ -142,6 +142,12 @@ impl StopReason {
         }
     }
 
+    /// Inverse of [`StopReason::code`]; `None` on unknown input.
+    pub fn from_code(code: u8) -> Option<StopReason> {
+        use StopReason::*;
+        [MaxIters, Stall, Plateau, Diverged, InvalidOptions].into_iter().find(|r| r.code() == code)
+    }
+
     /// Inverse of [`StopReason::as_str`]; `None` on unknown input.
     pub fn parse(s: &str) -> Option<StopReason> {
         match s {

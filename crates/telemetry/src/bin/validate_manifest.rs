@@ -12,7 +12,7 @@
 //! `rep_frequency` metric (plus `constraint_gap` whenever the system was
 //! actually built, i.e. the run was not a full checkpoint replay).
 
-use seldon_telemetry::{stage, RunManifest, SCHEMA_VERSION};
+use seldon_telemetry::{metric, stage, RunManifest};
 use std::process::ExitCode;
 
 fn fail(msg: &str) -> ExitCode {
@@ -32,16 +32,11 @@ fn main() -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(&format!("cannot read {path}: {e}")),
     };
+    // Parsing checks the schema version too: only the current one reads.
     let manifest = match RunManifest::from_json(&text) {
         Ok(m) => m,
         Err(e) => return fail(&format!("{path}: {e}")),
     };
-    if manifest.schema_version != SCHEMA_VERSION {
-        return fail(&format!(
-            "{path}: schema version {} (this tool validates {SCHEMA_VERSION})",
-            manifest.schema_version
-        ));
-    }
     // Round trip: serializing and re-parsing must be lossless.
     match RunManifest::from_json(&manifest.to_json()) {
         Ok(back) if back == manifest => {}
@@ -55,21 +50,21 @@ fn main() -> ExitCode {
                 return fail(&format!("{path}: missing stage span `{name}`"));
             }
         }
-        if manifest.solver.curve.is_empty() {
+        if manifest.curve.is_empty() {
             return fail(&format!("{path}: empty solver convergence curve"));
         }
-        let epochs: Vec<u64> = manifest.solver.curve.iter().map(|e| e.epoch).collect();
-        if !epochs.windows(2).all(|w| w[0] < w[1]) {
+        if !manifest.curve.windows(2).all(|w| w[0].epoch < w[1].epoch) {
             return fail(&format!("{path}: solver epochs not strictly increasing"));
         }
-        let by_template: u64 = manifest.constraints.by_template.iter().sum();
-        if by_template != manifest.constraints.total {
+        let value = |name: &str| manifest.metrics.value(name);
+        let by_template: Option<f64> = metric::TEMPLATES.iter().map(|d| value(d.name)).sum();
+        let total = value(metric::CONSTRAINTS[0].name);
+        if by_template.is_none() || by_template != total {
             return fail(&format!(
-                "{path}: per-template counts sum to {by_template}, total is {}",
-                manifest.constraints.total
+                "{path}: per-template counts sum to {by_template:?}, total is {total:?}"
             ));
         }
-        if !manifest.memory.tracked {
+        if metric::MEMORY.iter().any(|d| value(d.name).is_none()) {
             return fail(&format!("{path}: memory accounting not tracked"));
         }
         if manifest.metrics.get("rep_frequency").is_none() {
@@ -77,9 +72,7 @@ fn main() -> ExitCode {
         }
         // A full checkpoint replay never rebuilds the constraint system,
         // so the gap distribution is legitimately absent only there.
-        if manifest.cache.checkpoint != "full"
-            && manifest.metrics.get("constraint_gap").is_none()
-        {
+        if manifest.checkpoint != "full" && manifest.metrics.get("constraint_gap").is_none() {
             return fail(&format!("{path}: missing `constraint_gap` metric"));
         }
     }
@@ -88,7 +81,7 @@ fn main() -> ExitCode {
         "{path}: valid RunManifest (schema v{}, {} stage span(s), {} curve point(s))",
         manifest.schema_version,
         manifest.stages.len(),
-        manifest.solver.curve.len()
+        manifest.curve.len()
     );
     ExitCode::SUCCESS
 }

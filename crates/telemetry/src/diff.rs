@@ -1,23 +1,25 @@
 //! Run-to-run comparison: the engine behind `seldon diff-runs` and the
 //! `bench_diff` bin.
 //!
-//! Two kinds of fields get two kinds of treatment:
+//! Every manifest metric carries the [`Class`] it was registered with,
+//! and the class alone picks its treatment:
 //!
-//! * **Identity fields** (counts, solver outcomes, learned-spec shape)
+//! * **Identity** metrics (counts, solver outcomes, learned-spec shape)
 //!   are compared exactly — the pipeline is deterministic, so any
 //!   mismatch between two runs of the same input is a real behavioral
 //!   change and counts as a regression.
-//! * **Cost fields** (durations, bytes) are compared with a relative
-//!   tolerance plus an absolute slack floor, so scheduler noise on small
-//!   numbers does not trip the gate. A candidate beyond tolerance above
-//!   the baseline is a regression; beyond tolerance below, an
-//!   improvement.
-//!
-//! Machine-state readings (memory peaks, cache hit counts that depend on
-//! what was on disk) are reported as informational notes and never gate.
+//! * **Cost** metrics and stage durations are compared with a relative
+//!   tolerance plus an absolute slack floor picked by unit suffix, so
+//!   scheduler noise on small numbers does not trip the gate. A candidate
+//!   beyond tolerance above the baseline is a regression; beyond
+//!   tolerance below, an improvement.
+//! * **State** metrics (memory readings, cache counters that depend on
+//!   what was on disk) are reported as informational notes and never
+//!   gate.
 
 use crate::bench::BenchRecord;
 use crate::manifest::RunManifest;
+use crate::metrics::{Class, MetricValue};
 
 /// Comparison thresholds.
 #[derive(Debug, Clone, Copy)]
@@ -116,28 +118,20 @@ fn pct(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Compares two run manifests: deterministic pipeline outputs exactly,
-/// stage durations with tolerance, machine-state readings as notes.
+/// Compares two run manifests: stage durations with tolerance, then every
+/// registry metric by the [`Class`] it was registered with — identity
+/// metrics exactly, costs with tolerance, machine state as notes.
 pub fn diff_manifests(a: &RunManifest, b: &RunManifest, opts: &DiffOptions) -> DiffReport {
     let mut r = DiffReport::default();
-    if a.schema_version != b.schema_version {
-        r.note(format!("schema_version: {} -> {}", a.schema_version, b.schema_version));
+    for (field, x, y) in [
+        ("schema_version", a.schema_version.to_string(), b.schema_version.to_string()),
+        ("command", a.command.clone(), b.command.clone()),
+        ("checkpoint", a.checkpoint.clone(), b.checkpoint.clone()),
+    ] {
+        if x != y {
+            r.note(format!("{field}: {x} -> {y}"));
+        }
     }
-    if a.command != b.command {
-        r.note(format!("command: {} -> {}", a.command, b.command));
-    }
-
-    r.identity("corpus.files", a.corpus.files, b.corpus.files);
-    r.identity("corpus.projects", a.corpus.projects, b.corpus.projects);
-    r.identity("corpus.events", a.corpus.events, b.corpus.events);
-    r.identity("corpus.edges", a.corpus.edges, b.corpus.edges);
-    r.identity("corpus.symbols", a.corpus.symbols, b.corpus.symbols);
-
-    r.identity("outcomes.ok", a.outcomes.ok, b.outcomes.ok);
-    r.identity("outcomes.recovered", a.outcomes.recovered, b.outcomes.recovered);
-    r.identity("outcomes.skipped", a.outcomes.skipped, b.outcomes.skipped);
-    r.identity("outcomes.over_budget", a.outcomes.over_budget, b.outcomes.over_budget);
-    r.identity("outcomes.panicked", a.outcomes.panicked, b.outcomes.panicked);
 
     // Stage durations: compare top-level stages that exist on both sides;
     // presence differences (e.g. the optional cache span) are notes.
@@ -161,89 +155,10 @@ pub fn diff_manifests(a: &RunManifest, b: &RunManifest, opts: &DiffOptions) -> D
             r.note(format!("stage `{}` only in candidate", sb.name));
         }
     }
-
-    r.identity("constraints.total", a.constraints.total, b.constraints.total);
-    r.identity("constraints.vars", a.constraints.vars, b.constraints.vars);
-    r.identity("constraints.pinned", a.constraints.pinned, b.constraints.pinned);
-    for i in 0..3 {
-        r.identity(
-            &format!("constraints.by_template[{i}]"),
-            a.constraints.by_template[i],
-            b.constraints.by_template[i],
-        );
+    if a.curve.len() != b.curve.len() {
+        r.note(format!("curve: {} -> {} samples", a.curve.len(), b.curve.len()));
     }
 
-    r.identity("solver.iterations", a.solver.iterations, b.solver.iterations);
-    r.identity("solver.restarts", a.solver.restarts, b.solver.restarts);
-    r.identity("solver.diverged", a.solver.diverged, b.solver.diverged);
-    r.identity("solver.final_lr", a.solver.final_lr, b.solver.final_lr);
-    r.identity("solver.objective", a.solver.objective, b.solver.objective);
-    r.identity("solver.violation", a.solver.violation, b.solver.violation);
-    if a.solver.curve.len() != b.solver.curve.len() {
-        r.note(format!(
-            "solver.curve: {} -> {} samples",
-            a.solver.curve.len(),
-            b.solver.curve.len()
-        ));
-    }
-
-    for i in 0..3 {
-        r.identity(
-            &format!("extraction.thresholds[{i}]"),
-            a.extraction.thresholds[i],
-            b.extraction.thresholds[i],
-        );
-        r.identity(
-            &format!("extraction.learned[{i}]"),
-            a.extraction.learned[i],
-            b.extraction.learned[i],
-        );
-    }
-    r.identity("extraction.decay", a.extraction.decay, b.extraction.decay);
-    if a.extraction.backoff_hits != b.extraction.backoff_hits {
-        r.regress(format!(
-            "extraction.backoff_hits: {:?} -> {:?} (identity field changed)",
-            a.extraction.backoff_hits, b.extraction.backoff_hits
-        ));
-    }
-
-    r.identity("taint.violations", a.taint.violations, b.taint.violations);
-
-    // Cache counters depend on what was already on disk, not on the
-    // pipeline: informational only.
-    if (a.cache.hits, a.cache.misses, &a.cache.checkpoint)
-        != (b.cache.hits, b.cache.misses, &b.cache.checkpoint)
-    {
-        r.note(format!(
-            "cache: {}h/{}m ({}) -> {}h/{}m ({})",
-            a.cache.hits, a.cache.misses, a.cache.checkpoint,
-            b.cache.hits, b.cache.misses, b.cache.checkpoint
-        ));
-    }
-
-    // Parse-histogram totals are deterministic (how many files each
-    // frontend parsed); the bucket spread is wall-clock.
-    for ha in &a.parse_histograms {
-        match b.parse_histograms.iter().find(|h| h.frontend == ha.frontend) {
-            Some(hb) => r.identity(
-                &format!("parse_histograms.{}.total", ha.frontend),
-                ha.total(),
-                hb.total(),
-            ),
-            None => r.regress(format!("parse_histograms: frontend `{}` disappeared", ha.frontend)),
-        }
-    }
-
-    if a.memory.peak_bytes != b.memory.peak_bytes {
-        r.note(format!(
-            "memory.peak_bytes: {} -> {} (machine state)",
-            a.memory.peak_bytes, b.memory.peak_bytes
-        ));
-    }
-
-    // Metrics: non-volatile values are pipeline outputs and must match;
-    // volatile ones are costs/machine state.
-    use crate::metrics::MetricValue;
     for ma in a.metrics.metrics() {
         let Some(mb) = b.metrics.get(&ma.name) else {
             r.note(format!("metric `{}` only in baseline", ma.name));
@@ -252,22 +167,18 @@ pub fn diff_manifests(a: &RunManifest, b: &RunManifest, opts: &DiffOptions) -> D
         let path = format!("metrics.{}", ma.name);
         match (&ma.value, &mb.value) {
             (MetricValue::Counter(x), MetricValue::Counter(y))
-            | (MetricValue::Gauge(x), MetricValue::Gauge(y)) => {
-                if !ma.volatile {
-                    r.identity(&path, *x, *y);
-                } else if let Some(slack) = bench_slack(&ma.name) {
-                    // Unit-suffixed volatile scalars are costs (timings,
-                    // byte volumes) and gate with tolerance + slack.
-                    r.cost(&path, *x, *y, slack, opts);
-                } else if x != y {
-                    // Unsuffixed volatile scalars (cache temperature,
-                    // rates) are machine state: informational only.
-                    r.note(format!("{path}: {x} -> {y} (volatile)"));
-                }
-            }
+            | (MetricValue::Gauge(x), MetricValue::Gauge(y)) => match ma.class {
+                Class::Identity => r.identity(&path, *x, *y),
+                Class::Cost => r.cost(&path, *x, *y, bench_slack(&ma.name).unwrap_or(0.0), opts),
+                Class::State if x != y => r.note(format!("{path}: {x} -> {y} (machine state)")),
+                Class::State => {}
+            },
             (MetricValue::Histogram(x), MetricValue::Histogram(y)) => {
+                // Totals are deterministic for every class (how many files
+                // a frontend parsed); only identity histograms also pin
+                // the bucket spread.
                 r.identity(&format!("{path}.total"), x.total(), y.total());
-                if !ma.volatile && x.counts != y.counts {
+                if ma.class == Class::Identity && x.counts != y.counts {
                     r.regress(format!("{path}: bucket counts changed (identity histogram)"));
                 }
             }
@@ -367,12 +278,15 @@ pub fn diff_bench(a: &BenchRecord, b: &BenchRecord, opts: &DiffOptions) -> DiffR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::{ScoreDumpEntry, StageSpan};
+    use crate::manifest::{metric, ScoreDumpEntry, StageSpan};
+    use crate::metrics::{Histogram, MetricDef};
 
     fn base_manifest() -> RunManifest {
         let mut m = RunManifest::new("learn");
-        m.corpus.files = 6;
-        m.taint.violations = 2;
+        m.metrics.gauge(&metric::CORPUS[0], 6.0);
+        m.metrics.gauge(&metric::TAINT_VIOLATIONS, 2.0);
+        m.metrics.gauge(&metric::MEMORY[1], 0.0);
+        m.metrics.counter(&metric::CACHE[0], 0.0);
         m.stages.push(StageSpan {
             name: "solve".into(),
             parent: None,
@@ -383,7 +297,7 @@ mod tests {
             mem_peak_bytes: 20,
             counters: vec![],
         });
-        m.metrics.inc_counter("files_analyzed", "files", false, 6.0);
+        m.metrics.inc_counter("files_analyzed", "files", Class::Identity, 6.0);
         m
     }
 
@@ -399,10 +313,10 @@ mod tests {
     fn identity_change_regresses() {
         let a = base_manifest();
         let mut b = base_manifest();
-        b.taint.violations = 5;
+        b.metrics.gauge(&metric::TAINT_VIOLATIONS, 5.0);
         let r = diff_manifests(&a, &b, &DiffOptions::default());
         assert!(r.regressed());
-        assert!(r.render().contains("taint.violations"));
+        assert!(r.render().contains("taint_violations"));
     }
 
     #[test]
@@ -430,8 +344,8 @@ mod tests {
     fn memory_and_cache_changes_are_notes() {
         let a = base_manifest();
         let mut b = base_manifest();
-        b.memory.peak_bytes = 123_456_789;
-        b.cache.hits = 42;
+        b.metrics.gauge(&metric::MEMORY[1], 123_456_789.0);
+        b.metrics.counter(&metric::CACHE[0], 42.0);
         b.stages[0].mem_peak_bytes = 999;
         let r = diff_manifests(&a, &b, &DiffOptions::default());
         assert!(!r.regressed(), "{}", r.render());
@@ -441,21 +355,21 @@ mod tests {
     #[test]
     fn volatile_metrics_gate_only_with_unit_suffix() {
         let mut a = base_manifest();
-        a.metrics.set_gauge("solver_epoch_us", "epoch", true, 100_000.0);
-        a.metrics.set_gauge("cache_hit_rate", "rate", true, 0.0);
+        a.metrics.set_gauge("solver_epoch_us", "epoch", Class::Cost, 100_000.0);
+        a.metrics.set_gauge("cache_hit_rate", "rate", Class::State, 0.0);
         // Unsuffixed volatile scalar drifts: note only.
         let mut warm = a.clone();
-        warm.metrics.set_gauge("cache_hit_rate", "rate", true, 1.0);
+        warm.metrics.set_gauge("cache_hit_rate", "rate", Class::State, 1.0);
         let r = diff_manifests(&a, &warm, &DiffOptions::default());
         assert!(!r.regressed(), "{}", r.render());
         assert!(r.render().contains("cache_hit_rate"), "{}", r.render());
         // Unit-suffixed volatile scalar beyond tolerance + slack: gates.
         let mut slow = a.clone();
-        slow.metrics.set_gauge("solver_epoch_us", "epoch", true, 150_000.0);
+        slow.metrics.set_gauge("solver_epoch_us", "epoch", Class::Cost, 150_000.0);
         assert!(diff_manifests(&a, &slow, &DiffOptions::default()).regressed());
         // Same relative drift inside the 10ms unit slack: no gate.
         let mut b_small = a.clone();
-        b_small.metrics.set_gauge("solver_epoch_us", "epoch", true, 109_000.0);
+        b_small.metrics.set_gauge("solver_epoch_us", "epoch", Class::Cost, 109_000.0);
         assert!(!diff_manifests(&a, &b_small, &DiffOptions::default()).regressed());
     }
 
@@ -470,6 +384,93 @@ mod tests {
             backoff_level: 1,
         });
         assert!(diff_manifests(&a, &b, &DiffOptions::default()).regressed());
+    }
+
+    /// One row per value the pre-v8 typed sections carried, registered
+    /// with its catalogue class: changing it must regress for corpus,
+    /// outcomes, constraints, solver, extraction and taint values, and
+    /// must only note for cache counters and memory readings. The solver
+    /// thread count records cost, not result shape, and notes too.
+    #[test]
+    fn former_section_values_have_pinned_diff_outcomes() {
+        use metric::*;
+        let solver = [
+            SOLVER_ITERATIONS,
+            SOLVER_RESTARTS,
+            SOLVER_DIVERGED,
+            SOLVER_FINAL_LR,
+            SOLVER_OBJECTIVE,
+            SOLVER_VIOLATION,
+            SOLVER_STOP_REASON,
+            SOLVER_EPOCHS_SAVED,
+        ];
+        let regress: Vec<MetricDef> = [
+            &CORPUS[..],
+            &[INTERN_SYMBOLS],
+            &OUTCOMES,
+            &CONSTRAINTS,
+            &TEMPLATES,
+            &solver,
+            &THRESHOLDS,
+            &[DECAY, BACKOFF_HITS],
+            &LEARNED,
+            &[TAINT_VIOLATIONS],
+        ]
+        .concat();
+        let note: Vec<MetricDef> =
+            [&CACHE[..], &[CACHE_HIT_RATE, SOLVER_THREADS], &MEMORY].concat();
+        let levels = [0.0, 1.0, 2.0];
+        let mut base = RunManifest::new("learn");
+        for def in regress.iter().chain(&note) {
+            if *def == BACKOFF_HITS {
+                base.metrics.observe(def.name, def.help, def.class, &levels, 0.0);
+            } else {
+                base.metrics.gauge(def, 1.0);
+            }
+        }
+        let parse_time = parse_time("python");
+        let parse = |m: &mut RunManifest, us: f64| {
+            let bounds = crate::PARSE_HIST_BOUNDS.map(|b| b as f64);
+            m.metrics.observe(&parse_time, PARSE_TIME.help, PARSE_TIME.class, &bounds, us);
+        };
+        parse(&mut base, 40.0);
+        let opts = DiffOptions::default();
+        assert!(!diff_manifests(&base, &base.clone(), &opts).regressed());
+        for (defs, regresses) in [(&regress, true), (&note, false)] {
+            for def in defs {
+                let mut changed = base.clone();
+                if *def == BACKOFF_HITS {
+                    changed.metrics.observe(def.name, def.help, def.class, &levels, 2.0);
+                } else {
+                    changed.metrics.gauge(def, 2.0);
+                }
+                let r = diff_manifests(&base, &changed, &opts);
+                assert_eq!(r.regressed(), regresses, "{}: {}", def.name, r.render());
+                assert!(regresses || r.notes == 1, "{}: {}", def.name, r.render());
+                assert!(r.render().contains(def.name), "{}", r.render());
+            }
+        }
+        // A parse-time histogram gates on how many files the frontend
+        // parsed, never on which bucket their wall-clock time fell in.
+        let mut slower = base.clone();
+        slower.metrics.put_histogram(&parse_time, PARSE_TIME.help, PARSE_TIME.class, {
+            let mut h = Histogram::with_u64_bounds(&crate::PARSE_HIST_BOUNDS);
+            h.observe(9_000.0);
+            h
+        });
+        assert!(!diff_manifests(&base, &slower, &opts).regressed());
+        let mut more = base.clone();
+        parse(&mut more, 40.0);
+        assert!(diff_manifests(&base, &more, &opts).regressed());
+        // The score dump is extraction output.
+        let mut dumped = base.clone();
+        dumped.score_dump.push(ScoreDumpEntry {
+            rep: "x".into(),
+            role: "snk".into(),
+            score: 0.5,
+            backoff_level: 0,
+        });
+        assert!(diff_manifests(&base, &dumped, &opts).regressed());
     }
 
     #[test]

@@ -38,10 +38,9 @@ pub mod span;
 pub use bench::{BenchRecord, MIN_BENCH_SCHEMA_VERSION};
 pub use diff::{diff_bench, diff_manifests, DiffOptions, DiffReport};
 pub use manifest::{
-    stage, CacheSummary, ConstraintSummary, CorpusShape, EpochSample, ExtractionSummary,
-    ManifestError, MemorySummary, OutcomeCounts, ParseHistogram, RunManifest, ScoreDumpEntry,
-    SolverSummary, StageSpan, TaintSummary, PARSE_HIST_BOUNDS, SCHEMA_VERSION,
+    metric, stage, EpochSample, ManifestError, RunManifest, ScoreDumpEntry, StageSpan,
+    PARSE_HIST_BOUNDS, SCHEMA_VERSION,
 };
 pub use memory::{CountingAlloc, MemSnapshot, MemoryGauge};
-pub use metrics::{Histogram, Metric, MetricValue, MetricsRegistry};
+pub use metrics::{Class, Histogram, Metric, MetricDef, MetricValue, MetricsRegistry};
 pub use span::{Level, SpanGuard, SpanRecord, Telemetry};

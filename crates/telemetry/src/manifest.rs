@@ -1,11 +1,15 @@
 //! The machine-readable run manifest (the `--telemetry` output).
 //!
 //! One [`RunManifest`] captures everything §7 of the paper reports per
-//! run: corpus shape, per-stage spans with counters, the solver's
-//! convergence curve, per-template constraint counts, the extraction
-//! threshold/backoff sweep, and the learned-spec summary. The same schema
-//! backs the `BENCH_*.json` bench history, so bench entries are a
-//! byproduct of any instrumented run.
+//! run. Every number lives in one store, the [`MetricsRegistry`]: corpus
+//! shape, per-file outcomes, per-template constraint counts, the solver
+//! outcome, the extraction threshold/backoff sweep, taint violations,
+//! cache counters, memory readings and the per-frontend parse-time
+//! histograms are registry metrics named in [`metric`]. Beside the
+//! registry the manifest keeps only what is not a scalar or a histogram:
+//! a small header, the stage spans, the solver's convergence curve and the
+//! opt-in score dump. The JSON form, the Prometheus exposition, `diff-runs`
+//! and `seldon report` all read the registry.
 //!
 //! Serialization is hand-rolled over [`crate::json`] (the workspace is
 //! offline; there is no serde). [`RunManifest::from_json`] performs full
@@ -14,86 +18,31 @@
 //! with finite numbers.
 
 use crate::json::{self, Json, JsonError};
-use crate::metrics::{Histogram, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::span::SpanRecord;
 use std::fmt;
 
 /// Version tag of the manifest schema emitted by this build.
 ///
-/// Version 2 added [`SolverSummary::threads`] and the `compile` child
-/// span under `solve`. Version 3 added the `cache` section
-/// ([`CacheSummary`]), the optional `cache` stage span, and the
-/// `parse.project` / `union.shard` child spans. Version 4 added the
-/// `parse_histograms` section ([`ParseHistogram`]) — per-frontend
-/// per-file parse-time buckets. Version 5 added the `memory` section
-/// ([`MemorySummary`]), the per-span `mem_now_bytes` / `mem_peak_bytes`
+/// Version 2 added the solver thread count and the `compile` child span
+/// under `solve`. Version 3 added the cache counters, the optional `cache`
+/// stage span, and the `parse.project` / `union.shard` child spans.
+/// Version 4 added the per-frontend parse-time histograms. Version 5 added
+/// memory accounting, the per-span `mem_now_bytes` / `mem_peak_bytes`
 /// fields, the `metrics` registry ([`MetricsRegistry`]), and the opt-in
 /// `score_dump` section ([`ScoreDumpEntry`], Fig. 11 data). Version 6
-/// added the solver `stop_reason` / `epochs_saved` fields
-/// ([`SolverSummary`]) recording the convergence early-exit outcome.
-/// Version 7 added the `mode` field ([`RunManifest::mode`]) recording
-/// whether the run was a one-shot batch (`"batch"`) or served by the
-/// incremental daemon (`"served-incremental"`); v6 manifests parse
-/// leniently with the mode defaulting to `"batch"`.
-pub const SCHEMA_VERSION: u64 = 7;
+/// added the solver stop reason and epochs saved. Version 7 added the
+/// `mode` field ([`RunManifest::mode`]). Version 8 folded the eight typed
+/// sections (corpus, outcomes, constraints, solver, extraction, taint,
+/// cache, memory) and the parse histograms into the registry, moved the
+/// checkpoint label into the header and the convergence curve to the top
+/// level. Only the current version parses.
+pub const SCHEMA_VERSION: u64 = 8;
 
-/// Upper bounds (inclusive, microseconds) of the per-file parse-time
-/// histogram buckets. A file lands in the first bucket whose bound its
-/// parse time does not exceed; slower files land in the overflow slot.
+/// Upper bounds (inclusive, microseconds) of the per-file parse-time and
+/// build-time histogram buckets. A file lands in the first bucket whose
+/// bound its time does not exceed; slower files land in the overflow slot.
 pub const PARSE_HIST_BOUNDS: [u64; 8] = [50, 100, 250, 500, 1000, 2500, 5000, 10_000];
-
-/// Histogram of per-file parse times for one language frontend.
-///
-/// A thin frontend-labelled wrapper over the shared
-/// [`Histogram`] with [`PARSE_HIST_BOUNDS`] bounds; the final
-/// slot counts files slower than the last bound. Only files that
-/// actually ran the front end are recorded — cache-served files skip
-/// parsing entirely and contribute nothing. The JSON shape keeps the v4
-/// `{"frontend": ..., "counts": [...]}` fields (bounds implied) and adds
-/// the histogram's `sum` (total microseconds) in v5.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParseHistogram {
-    /// Frontend label (`"python"`, `"js"`).
-    pub frontend: String,
-    /// The underlying distribution over [`PARSE_HIST_BOUNDS`].
-    pub hist: Histogram,
-}
-
-impl ParseHistogram {
-    /// An empty histogram for one frontend.
-    pub fn new(frontend: impl Into<String>) -> ParseHistogram {
-        ParseHistogram {
-            frontend: frontend.into(),
-            hist: Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS),
-        }
-    }
-
-    /// A histogram with pre-filled bucket counts (test fixtures and
-    /// deserialization).
-    pub fn with_counts(
-        frontend: impl Into<String>,
-        counts: [u64; PARSE_HIST_BOUNDS.len() + 1],
-    ) -> ParseHistogram {
-        let mut h = ParseHistogram::new(frontend);
-        h.hist.counts = counts.to_vec();
-        h
-    }
-
-    /// Tallies one file's parse time (microseconds) into its bucket.
-    pub fn record(&mut self, micros: u64) {
-        self.hist.observe(micros as f64);
-    }
-
-    /// Per-bucket counts (`PARSE_HIST_BOUNDS.len() + 1` slots).
-    pub fn counts(&self) -> &[u64] {
-        &self.hist.counts
-    }
-
-    /// Total files recorded.
-    pub fn total(&self) -> u64 {
-        self.hist.total()
-    }
-}
 
 /// Canonical stage names of the end-to-end pipeline, in pipeline order.
 pub mod stage {
@@ -137,6 +86,136 @@ pub mod stage {
     ];
 }
 
+/// The registry metrics every learning run writes, with the [`Class`]
+/// that decides how redaction and `diff-runs` treat each one. Batch runs
+/// write them in `seldon-core`, served runs in the serve engine; `seldon
+/// report` and `validate_manifest` read them back by these names.
+///
+/// [`Class`]: crate::metrics::Class
+pub mod metric {
+    // Each definition's help string is its documentation.
+    #![allow(missing_docs)]
+    use crate::metrics::Class::{self, Cost, Identity, State};
+    use crate::metrics::MetricDef;
+
+    const fn def(name: &'static str, class: Class, help: &'static str) -> MetricDef {
+        MetricDef { name, help, class }
+    }
+
+    /// Files, projects, graph events, graph edges.
+    pub const CORPUS: [MetricDef; 4] = [
+        def("corpus_files", Identity, "Corpus files offered to the pipeline."),
+        def("corpus_projects", Identity, "Projects the corpus files belong to."),
+        def("graph_events", Identity, "Events in the global propagation graph."),
+        def("graph_edges", Identity, "Flow edges in the global propagation graph."),
+    ];
+    pub const INTERN_SYMBOLS: MetricDef = def(
+        "intern_symbols",
+        Identity,
+        "Global interner size (symbols live for the process lifetime).",
+    );
+    /// Per-file outcomes: ok, recovered, skipped, over budget, panicked.
+    pub const OUTCOMES: [MetricDef; 5] = [
+        def("files_ok", Identity, "Files analyzed strictly."),
+        def("files_recovered", Identity, "Files recovered leniently."),
+        def("files_skipped", Identity, "Files quarantined on a parse failure."),
+        def("files_over_budget", Identity, "Files quarantined on a budget trip."),
+        def("files_panicked", Identity, "Files whose analysis panicked (contained)."),
+    ];
+    /// Constraint total, role variables, seed-pinned variables.
+    pub const CONSTRAINTS: [MetricDef; 3] = [
+        def("constraints_total", Identity, "Flow constraints in the system."),
+        def("constraint_vars", Identity, "Role variables."),
+        def("constraint_vars_pinned", Identity, "Role variables pinned by the seed."),
+    ];
+    /// Constraints per Fig. 4 template `[4a, 4b, 4c]`.
+    pub const TEMPLATES: [MetricDef; 3] = [
+        def("constraints_4a", Identity, "Constraints from the Fig. 4a template."),
+        def("constraints_4b", Identity, "Constraints from the Fig. 4b template."),
+        def("constraints_4c", Identity, "Constraints from the Fig. 4c template."),
+    ];
+    pub const SOLVER_ITERATIONS: MetricDef =
+        def("solver_iterations", Identity, "Projected-Adam epochs run (or replayed) this run.");
+    pub const SOLVER_RESTARTS: MetricDef =
+        def("solver_restarts", Identity, "Divergence-guard restarts taken.");
+    pub const SOLVER_DIVERGED: MetricDef = def(
+        "solver_diverged",
+        Identity,
+        "1 when the solve diverged and its scores were sanitized.",
+    );
+    pub const SOLVER_FINAL_LR: MetricDef =
+        def("solver_final_lr", Identity, "Learning rate of the final (possibly restarted) run.");
+    pub const SOLVER_OBJECTIVE: MetricDef =
+        def("solver_objective", Identity, "Final objective (hinge loss + lambda * L1 norm).");
+    pub const SOLVER_VIOLATION: MetricDef =
+        def("solver_violation", Identity, "Final total hinge violation.");
+    /// Scores are byte-identical across thread counts, so the count is
+    /// machine state, not result shape.
+    pub const SOLVER_THREADS: MetricDef =
+        def("solver_threads", State, "Worker threads the solver epoch passes ran on.");
+    pub const SOLVER_STOP_REASON: MetricDef = def(
+        "solver_stop_reason",
+        Identity,
+        "Stop-reason code (0 max_iters, 1 stall, 2 plateau, 3 diverged, 4 invalid_options).",
+    );
+    pub const SOLVER_EPOCHS_SAVED: MetricDef = def(
+        "solver_epochs_saved",
+        Identity,
+        "Epochs the convergence exit saved against the max_iters budget.",
+    );
+    /// Extraction score thresholds `[source, sanitizer, sink]` (§7.1).
+    pub const THRESHOLDS: [MetricDef; 3] = [
+        def("extract_threshold_source", Identity, "Extraction score threshold for sources."),
+        def("extract_threshold_sanitizer", Identity, "Extraction score threshold for sanitizers."),
+        def("extract_threshold_sink", Identity, "Extraction score threshold for sinks."),
+    ];
+    pub const DECAY: MetricDef =
+        def("extract_decay", Identity, "Backoff decay per specificity level (0.8 in the paper).");
+    /// A histogram whose bucket `i` counts role selections at backoff
+    /// level `i` (0 = most specific).
+    pub const BACKOFF_HITS: MetricDef =
+        def("backoff_hits", Identity, "Role selections per backoff level (bucket i = level i).");
+    /// Learned entries per role `[sources, sanitizers, sinks]`.
+    pub const LEARNED: [MetricDef; 3] = [
+        def("learned_sources", Identity, "Learned source entries."),
+        def("learned_sanitizers", Identity, "Learned sanitizer entries."),
+        def("learned_sinks", Identity, "Learned sink entries."),
+    ];
+    /// Written only by runs that ran the taint stage.
+    pub const TAINT_VIOLATIONS: MetricDef =
+        def("taint_violations", Identity, "Unsanitized source-to-sink flows reported.");
+    /// Cache counters, present only when a cache was attached. They depend
+    /// on what was already on disk, so they are machine state.
+    pub const CACHE: [MetricDef; 9] = [
+        def("cache_hits", State, "Artifact lookups served from the cache."),
+        def("cache_misses", State, "Artifact lookups that recomputed from source."),
+        def("cache_stores", State, "Entries written (artifacts + checkpoints)."),
+        def("cache_corrupt", State, "Entries rejected as corrupt."),
+        def("cache_stale", State, "Entries rejected as version-stale."),
+        def("cache_evicted", State, "Entries evicted (quarantined or cleared)."),
+        def("cache_faults", State, "Contained cache faults (corrupt + stale + evicted)."),
+        def("cache_bytes_read", State, "Decoded payload bytes served by hits."),
+        def("cache_bytes_written", State, "Encoded frame bytes written by stores."),
+    ];
+    pub const CACHE_HIT_RATE: MetricDef =
+        def("cache_hit_rate", State, "hits / (hits + misses) for artifact lookups.");
+    /// Live heap bytes, allocator peak, kernel peak RSS.
+    pub const MEMORY: [MetricDef; 3] = [
+        def("mem_current_bytes", State, "Live heap bytes at manifest assembly."),
+        def("mem_peak_bytes", State, "Allocator high-water mark since process start."),
+        def("mem_peak_rss_bytes", State, "Kernel peak RSS (VmHWM); 0 when unavailable."),
+    ];
+    /// One histogram per frontend that parsed a file, named
+    /// `parse_time_us_<frontend>` over [`super::PARSE_HIST_BOUNDS`].
+    pub const PARSE_TIME: MetricDef =
+        def("parse_time_us", Cost, "Per-file parse time by frontend.");
+
+    /// The parse-time histogram name of one frontend (`"python"`, `"js"`).
+    pub fn parse_time(frontend: &str) -> String {
+        format!("{}_{frontend}", PARSE_TIME.name)
+    }
+}
+
 /// One sampled epoch of the solver's convergence trace.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpochSample {
@@ -152,36 +231,6 @@ pub struct EpochSample {
     pub grad_norm: f64,
     /// Learning rate in effect (scaled after a divergence restart).
     pub lr: f64,
-}
-
-/// Shape of the analyzed corpus and global graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CorpusShape {
-    /// Corpus files offered to the pipeline.
-    pub files: u64,
-    /// Projects the files belong to.
-    pub projects: u64,
-    /// Events in the global propagation graph.
-    pub events: u64,
-    /// Flow edges in the global propagation graph.
-    pub edges: u64,
-    /// Distinct representation symbols interned process-wide.
-    pub symbols: u64,
-}
-
-/// Per-file fault/budget outcomes folded in from the analysis report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OutcomeCounts {
-    /// Files analyzed strictly.
-    pub ok: u64,
-    /// Files recovered leniently.
-    pub recovered: u64,
-    /// Files quarantined on parse failure.
-    pub skipped: u64,
-    /// Files quarantined on budget trips.
-    pub over_budget: u64,
-    /// Files whose analysis panicked (contained).
-    pub panicked: u64,
 }
 
 /// One pipeline stage span as exported in the manifest.
@@ -221,137 +270,6 @@ impl From<SpanRecord> for StageSpan {
     }
 }
 
-/// Constraint-system shape, by Fig. 4 template.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ConstraintSummary {
-    /// Total flow constraints.
-    pub total: u64,
-    /// Role variables.
-    pub vars: u64,
-    /// Variables pinned by the seed.
-    pub pinned: u64,
-    /// Constraints per template `[4a, 4b, 4c]`.
-    pub by_template: [u64; 3],
-}
-
-/// Solver outcome plus its sampled convergence curve.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SolverSummary {
-    /// Adam iterations actually run.
-    pub iterations: u64,
-    /// Divergence-guard restarts taken (0 or 1).
-    pub restarts: u64,
-    /// Whether the run diverged (scores were sanitized).
-    pub diverged: bool,
-    /// Learning rate of the final (possibly restarted) run.
-    pub final_lr: f64,
-    /// Final objective value.
-    pub objective: f64,
-    /// Final total hinge violation.
-    pub violation: f64,
-    /// Worker threads the epoch passes ran on (≥ 1). Scores are
-    /// byte-identical across thread counts; this records cost, not
-    /// result shape.
-    pub threads: u64,
-    /// Why the run stopped (`"max_iters"`, `"stall"`, `"plateau"`,
-    /// `"diverged"`, `"invalid_options"`). Stored as a string so this
-    /// crate stays independent of the solver crate; empty when unknown
-    /// (pre-v6 manifests).
-    pub stop_reason: String,
-    /// Epochs the stop saved relative to the `max_iters` budget (0 when
-    /// the budget ran out or the run diverged).
-    pub epochs_saved: u64,
-    /// Sampled convergence curve (stride-spaced epochs).
-    pub curve: Vec<EpochSample>,
-}
-
-/// Extraction (§7.1) threshold configuration and backoff sweep outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtractionSummary {
-    /// Score thresholds per role `[source, sanitizer, sink]`.
-    pub thresholds: [f64; 3],
-    /// Backoff decay per specificity level (0.8 in the paper).
-    pub decay: f64,
-    /// Selections per backoff level `i` (effective score `decay^i`·score):
-    /// index 0 counts most-specific hits.
-    pub backoff_hits: Vec<u64>,
-    /// Learned entries per role `[sources, sanitizers, sinks]`.
-    pub learned: [u64; 3],
-}
-
-impl Default for ExtractionSummary {
-    fn default() -> Self {
-        ExtractionSummary {
-            thresholds: [0.0; 3],
-            decay: 0.8,
-            backoff_hits: Vec::new(),
-            learned: [0; 3],
-        }
-    }
-}
-
-/// Artifact-cache usage of one run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheSummary {
-    /// Whether a cache directory was attached to the run.
-    pub enabled: bool,
-    /// Per-file artifacts served from disk.
-    pub hits: u64,
-    /// Per-file lookups that found no entry.
-    pub misses: u64,
-    /// Entries written (artifacts and checkpoints).
-    pub stores: u64,
-    /// Entries rejected as corrupt.
-    pub corrupt: u64,
-    /// Entries rejected as version-stale.
-    pub stale: u64,
-    /// Entries evicted (quarantined or cleared).
-    pub evicted: u64,
-    /// Solver-checkpoint outcome: `"off"` (no cache), `"cold"` (miss),
-    /// `"scores"` (system fingerprint hit, solve skipped), or `"full"`
-    /// (input fingerprint hit, generation through extraction skipped).
-    pub checkpoint: String,
-}
-
-impl Default for CacheSummary {
-    fn default() -> Self {
-        CacheSummary {
-            enabled: false,
-            hits: 0,
-            misses: 0,
-            stores: 0,
-            corrupt: 0,
-            stale: 0,
-            evicted: 0,
-            checkpoint: "off".to_string(),
-        }
-    }
-}
-
-/// Taint-analysis outcome with the learned specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TaintSummary {
-    /// Unsanitized source→sink flows reported.
-    pub violations: u64,
-}
-
-/// Process-level memory accounting of one run (see
-/// [`crate::memory::MemoryGauge`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemorySummary {
-    /// Whether the counting-allocator readings were taken (always true
-    /// for manifests emitted by this build; false only in synthetic or
-    /// legacy records).
-    pub tracked: bool,
-    /// Live heap bytes when the manifest was assembled.
-    pub current_bytes: u64,
-    /// Allocator high-water mark since process start.
-    pub peak_bytes: u64,
-    /// Kernel peak RSS (`VmHWM`) in bytes; 0 where the platform does not
-    /// expose it.
-    pub peak_rss_bytes: u64,
-}
-
 /// One learned-score row of the opt-in `--score-dump` section — the raw
 /// data behind Fig. 11 (score versus backoff level).
 #[derive(Debug, Clone, PartialEq)]
@@ -377,33 +295,18 @@ pub struct RunManifest {
     pub command: String,
     /// How the run was produced: `"batch"` for a one-shot pipeline run,
     /// `"served-incremental"` for a spec computed by the `seldon serve`
-    /// daemon applying a corpus delta. Absent in pre-v7 manifests
-    /// (parsed as `"batch"`).
+    /// daemon applying a corpus delta.
     pub mode: String,
-    /// Corpus and global-graph shape.
-    pub corpus: CorpusShape,
-    /// Per-file fault/budget outcomes.
-    pub outcomes: OutcomeCounts,
+    /// The checkpoint rung the run took: `"off"` without a cache, else the
+    /// rung's label (`"cold"`, `"scores"`, `"full"` for batch runs; the
+    /// served solve path for the daemon).
+    pub checkpoint: String,
     /// Stage spans in open order.
     pub stages: Vec<StageSpan>,
-    /// Constraint-system shape.
-    pub constraints: ConstraintSummary,
-    /// Solver outcome and convergence curve.
-    pub solver: SolverSummary,
-    /// Extraction configuration and sweep.
-    pub extraction: ExtractionSummary,
-    /// Taint outcome.
-    pub taint: TaintSummary,
-    /// Artifact-cache usage.
-    pub cache: CacheSummary,
-    /// Per-frontend per-file parse-time buckets (one entry per frontend
-    /// that parsed at least one file; empty when nothing was parsed).
-    pub parse_histograms: Vec<ParseHistogram>,
-    /// Process memory accounting.
-    pub memory: MemorySummary,
-    /// Named metrics (counters, gauges, distributions) assembled from
-    /// the run's artifacts.
+    /// Every scalar and histogram the run measured (see [`metric`]).
     pub metrics: MetricsRegistry,
+    /// The solver's sampled convergence curve (stride-spaced epochs).
+    pub curve: Vec<EpochSample>,
     /// Per-representation learned scores with backoff level (Fig. 11);
     /// empty unless the run asked for `--score-dump`.
     pub score_dump: Vec<ScoreDumpEntry>,
@@ -417,6 +320,7 @@ impl RunManifest {
             tool: "seldon".to_string(),
             command: command.into(),
             mode: "batch".to_string(),
+            checkpoint: "off".to_string(),
             ..RunManifest::default()
         }
     }
@@ -432,12 +336,11 @@ impl RunManifest {
     }
 
     /// Zeroes all wall-clock and machine-state fields (span
-    /// start/duration, memory bytes, volatile metrics) so manifests of
+    /// start/duration/memory and every volatile metric) so manifests of
     /// repeated runs compare equal; counts and curves are untouched.
-    /// Parse-time histograms — and volatile histograms in the metrics
-    /// registry — are collapsed to their totals in the first bucket:
-    /// which bucket a file lands in is wall-clock-dependent, but how many
-    /// observations there were is not.
+    /// Volatile histograms — the parse times among them — collapse to
+    /// their totals in the first bucket: which bucket a file lands in is
+    /// wall-clock-dependent, but how many observations there were is not.
     pub fn redact_timings(&mut self) {
         for s in &mut self.stages {
             s.start_us = 0;
@@ -445,227 +348,56 @@ impl RunManifest {
             s.mem_now_bytes = 0;
             s.mem_peak_bytes = 0;
         }
-        for h in &mut self.parse_histograms {
-            h.hist.collapse();
-        }
-        self.memory.current_bytes = 0;
-        self.memory.peak_bytes = 0;
-        self.memory.peak_rss_bytes = 0;
         self.metrics.redact();
     }
 
     /// Serializes to pretty JSON (the `--telemetry` file format).
     pub fn to_json(&self) -> String {
-        self.to_value().pretty()
-    }
-
-    fn to_value(&self) -> Json {
+        let stages = self.stages.iter().map(|s| {
+            Json::Obj(vec![
+                ("name".into(), Json::str(&s.name)),
+                ("parent".into(), s.parent.map_or(Json::Null, |p| Json::num(f64::from(p)))),
+                ("depth".into(), Json::num(f64::from(s.depth))),
+                ("start_us".into(), Json::num(s.start_us as f64)),
+                ("dur_us".into(), Json::num(s.dur_us as f64)),
+                ("mem_now_bytes".into(), Json::num(s.mem_now_bytes as f64)),
+                ("mem_peak_bytes".into(), Json::num(s.mem_peak_bytes as f64)),
+                (
+                    "counters".into(),
+                    Json::Obj(s.counters.iter().map(|(k, v)| (k.clone(), Json::num(*v))).collect()),
+                ),
+            ])
+        });
+        let curve = self.curve.iter().map(|e| {
+            Json::Obj(vec![
+                ("epoch".into(), Json::num(e.epoch as f64)),
+                ("objective".into(), Json::num(e.objective)),
+                ("hinge_loss".into(), Json::num(e.hinge_loss)),
+                ("violated".into(), Json::num(e.violated as f64)),
+                ("grad_norm".into(), Json::num(e.grad_norm)),
+                ("lr".into(), Json::num(e.lr)),
+            ])
+        });
+        let score_dump = self.score_dump.iter().map(|e| {
+            Json::Obj(vec![
+                ("rep".into(), Json::str(&e.rep)),
+                ("role".into(), Json::str(&e.role)),
+                ("score".into(), Json::num(e.score)),
+                ("backoff_level".into(), Json::num(e.backoff_level as f64)),
+            ])
+        });
         Json::Obj(vec![
             ("schema_version".into(), Json::num(self.schema_version as f64)),
             ("tool".into(), Json::str(&self.tool)),
             ("command".into(), Json::str(&self.command)),
             ("mode".into(), Json::str(&self.mode)),
-            (
-                "corpus".into(),
-                Json::Obj(vec![
-                    ("files".into(), Json::num(self.corpus.files as f64)),
-                    ("projects".into(), Json::num(self.corpus.projects as f64)),
-                    ("events".into(), Json::num(self.corpus.events as f64)),
-                    ("edges".into(), Json::num(self.corpus.edges as f64)),
-                    ("symbols".into(), Json::num(self.corpus.symbols as f64)),
-                ]),
-            ),
-            (
-                "outcomes".into(),
-                Json::Obj(vec![
-                    ("ok".into(), Json::num(self.outcomes.ok as f64)),
-                    ("recovered".into(), Json::num(self.outcomes.recovered as f64)),
-                    ("skipped".into(), Json::num(self.outcomes.skipped as f64)),
-                    ("over_budget".into(), Json::num(self.outcomes.over_budget as f64)),
-                    ("panicked".into(), Json::num(self.outcomes.panicked as f64)),
-                ]),
-            ),
-            (
-                "stages".into(),
-                Json::Arr(
-                    self.stages
-                        .iter()
-                        .map(|s| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::str(&s.name)),
-                                (
-                                    "parent".into(),
-                                    s.parent.map_or(Json::Null, |p| Json::num(f64::from(p))),
-                                ),
-                                ("depth".into(), Json::num(f64::from(s.depth))),
-                                ("start_us".into(), Json::num(s.start_us as f64)),
-                                ("dur_us".into(), Json::num(s.dur_us as f64)),
-                                ("mem_now_bytes".into(), Json::num(s.mem_now_bytes as f64)),
-                                ("mem_peak_bytes".into(), Json::num(s.mem_peak_bytes as f64)),
-                                (
-                                    "counters".into(),
-                                    Json::Obj(
-                                        s.counters
-                                            .iter()
-                                            .map(|(k, v)| (k.clone(), Json::num(*v)))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "constraints".into(),
-                Json::Obj(vec![
-                    ("total".into(), Json::num(self.constraints.total as f64)),
-                    ("vars".into(), Json::num(self.constraints.vars as f64)),
-                    ("pinned".into(), Json::num(self.constraints.pinned as f64)),
-                    (
-                        "by_template".into(),
-                        Json::Arr(
-                            self.constraints
-                                .by_template
-                                .iter()
-                                .map(|&n| Json::num(n as f64))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "solver".into(),
-                Json::Obj(vec![
-                    ("iterations".into(), Json::num(self.solver.iterations as f64)),
-                    ("restarts".into(), Json::num(self.solver.restarts as f64)),
-                    ("diverged".into(), Json::Bool(self.solver.diverged)),
-                    ("final_lr".into(), Json::num(self.solver.final_lr)),
-                    ("objective".into(), Json::num(self.solver.objective)),
-                    ("violation".into(), Json::num(self.solver.violation)),
-                    ("threads".into(), Json::num(self.solver.threads as f64)),
-                    ("stop_reason".into(), Json::str(&self.solver.stop_reason)),
-                    ("epochs_saved".into(), Json::num(self.solver.epochs_saved as f64)),
-                    (
-                        "curve".into(),
-                        Json::Arr(
-                            self.solver
-                                .curve
-                                .iter()
-                                .map(|e| {
-                                    Json::Obj(vec![
-                                        ("epoch".into(), Json::num(e.epoch as f64)),
-                                        ("objective".into(), Json::num(e.objective)),
-                                        ("hinge_loss".into(), Json::num(e.hinge_loss)),
-                                        ("violated".into(), Json::num(e.violated as f64)),
-                                        ("grad_norm".into(), Json::num(e.grad_norm)),
-                                        ("lr".into(), Json::num(e.lr)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "extraction".into(),
-                Json::Obj(vec![
-                    (
-                        "thresholds".into(),
-                        Json::Arr(
-                            self.extraction.thresholds.iter().map(|&t| Json::num(t)).collect(),
-                        ),
-                    ),
-                    ("decay".into(), Json::num(self.extraction.decay)),
-                    (
-                        "backoff_hits".into(),
-                        Json::Arr(
-                            self.extraction
-                                .backoff_hits
-                                .iter()
-                                .map(|&n| Json::num(n as f64))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "learned".into(),
-                        Json::Arr(
-                            self.extraction.learned.iter().map(|&n| Json::num(n as f64)).collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "taint".into(),
-                Json::Obj(vec![(
-                    "violations".into(),
-                    Json::num(self.taint.violations as f64),
-                )]),
-            ),
-            (
-                "cache".into(),
-                Json::Obj(vec![
-                    ("enabled".into(), Json::Bool(self.cache.enabled)),
-                    ("hits".into(), Json::num(self.cache.hits as f64)),
-                    ("misses".into(), Json::num(self.cache.misses as f64)),
-                    ("stores".into(), Json::num(self.cache.stores as f64)),
-                    ("corrupt".into(), Json::num(self.cache.corrupt as f64)),
-                    ("stale".into(), Json::num(self.cache.stale as f64)),
-                    ("evicted".into(), Json::num(self.cache.evicted as f64)),
-                    ("checkpoint".into(), Json::str(&self.cache.checkpoint)),
-                ]),
-            ),
-            (
-                "parse_histograms".into(),
-                Json::Arr(
-                    self.parse_histograms
-                        .iter()
-                        .map(|h| {
-                            Json::Obj(vec![
-                                ("frontend".into(), Json::str(&h.frontend)),
-                                (
-                                    "counts".into(),
-                                    Json::Arr(
-                                        h.hist
-                                            .counts
-                                            .iter()
-                                            .map(|&n| Json::num(n as f64))
-                                            .collect(),
-                                    ),
-                                ),
-                                ("sum".into(), Json::num(h.hist.sum)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "memory".into(),
-                Json::Obj(vec![
-                    ("tracked".into(), Json::Bool(self.memory.tracked)),
-                    ("current_bytes".into(), Json::num(self.memory.current_bytes as f64)),
-                    ("peak_bytes".into(), Json::num(self.memory.peak_bytes as f64)),
-                    ("peak_rss_bytes".into(), Json::num(self.memory.peak_rss_bytes as f64)),
-                ]),
-            ),
+            ("checkpoint".into(), Json::str(&self.checkpoint)),
+            ("stages".into(), Json::Arr(stages.collect())),
             ("metrics".into(), self.metrics.to_json()),
-            (
-                "score_dump".into(),
-                Json::Arr(
-                    self.score_dump
-                        .iter()
-                        .map(|e| {
-                            Json::Obj(vec![
-                                ("rep".into(), Json::str(&e.rep)),
-                                ("role".into(), Json::str(&e.role)),
-                                ("score".into(), Json::num(e.score)),
-                                ("backoff_level".into(), Json::num(e.backoff_level as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("curve".into(), Json::Arr(curve.collect())),
+            ("score_dump".into(), Json::Arr(score_dump.collect())),
         ])
+        .pretty()
     }
 
     /// Parses and schema-validates a manifest from its JSON form.
@@ -673,113 +405,30 @@ impl RunManifest {
     /// # Errors
     ///
     /// Returns [`ManifestError::Json`] on malformed JSON and
-    /// [`ManifestError::Schema`] when a required field is missing or has
-    /// the wrong type.
+    /// [`ManifestError::Schema`] when the schema version is not
+    /// [`SCHEMA_VERSION`] or a required field is missing or has the wrong
+    /// type.
     pub fn from_json(text: &str) -> Result<RunManifest, ManifestError> {
         let v = json::parse(text)?;
-        let corpus = req(&v, "corpus")?;
-        let outcomes = req(&v, "outcomes")?;
-        let constraints = req(&v, "constraints")?;
-        let solver = req(&v, "solver")?;
-        let extraction = req(&v, "extraction")?;
-        let taint = req(&v, "taint")?;
-        let cache = req(&v, "cache")?;
-        let memory = req(&v, "memory")?;
+        let schema_version = req_u64(&v, "schema_version")?;
+        if schema_version != SCHEMA_VERSION {
+            return Err(ManifestError::Schema(format!(
+                "schema version {schema_version} is not readable (this build reads v{SCHEMA_VERSION})"
+            )));
+        }
         Ok(RunManifest {
-            schema_version: req_u64(&v, "schema_version")?,
+            schema_version,
             tool: req_str(&v, "tool")?,
             command: req_str(&v, "command")?,
-            // Lenient: absent from v6 and earlier manifests, which were
-            // all one-shot batch runs by construction.
-            mode: v.get("mode").and_then(Json::as_str).unwrap_or("batch").to_string(),
-            corpus: CorpusShape {
-                files: req_u64(corpus, "files")?,
-                projects: req_u64(corpus, "projects")?,
-                events: req_u64(corpus, "events")?,
-                edges: req_u64(corpus, "edges")?,
-                symbols: req_u64(corpus, "symbols")?,
-            },
-            outcomes: OutcomeCounts {
-                ok: req_u64(outcomes, "ok")?,
-                recovered: req_u64(outcomes, "recovered")?,
-                skipped: req_u64(outcomes, "skipped")?,
-                over_budget: req_u64(outcomes, "over_budget")?,
-                panicked: req_u64(outcomes, "panicked")?,
-            },
-            stages: req_arr(&v, "stages")?
-                .iter()
-                .map(parse_stage)
-                .collect::<Result<Vec<_>, _>>()?,
-            constraints: ConstraintSummary {
-                total: req_u64(constraints, "total")?,
-                vars: req_u64(constraints, "vars")?,
-                pinned: req_u64(constraints, "pinned")?,
-                by_template: req_u64_triple(constraints, "by_template")?,
-            },
-            solver: SolverSummary {
-                iterations: req_u64(solver, "iterations")?,
-                restarts: req_u64(solver, "restarts")?,
-                diverged: req(solver, "diverged")?
-                    .as_bool()
-                    .ok_or_else(|| schema_err("solver.diverged", "bool"))?,
-                final_lr: req_f64(solver, "final_lr")?,
-                objective: req_f64(solver, "objective")?,
-                violation: req_f64(solver, "violation")?,
-                threads: req_u64(solver, "threads")?,
-                // Lenient: absent in pre-v6 manifests.
-                stop_reason: solver
-                    .get("stop_reason")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                epochs_saved: solver
-                    .get("epochs_saved")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                curve: req_arr(solver, "curve")?
-                    .iter()
-                    .map(parse_epoch)
-                    .collect::<Result<Vec<_>, _>>()?,
-            },
-            extraction: ExtractionSummary {
-                thresholds: req_f64_triple(extraction, "thresholds")?,
-                decay: req_f64(extraction, "decay")?,
-                backoff_hits: req_arr(extraction, "backoff_hits")?
-                    .iter()
-                    .map(|n| n.as_u64().ok_or_else(|| schema_err("backoff_hits[]", "u64")))
-                    .collect::<Result<Vec<_>, _>>()?,
-                learned: req_u64_triple(extraction, "learned")?,
-            },
-            taint: TaintSummary { violations: req_u64(taint, "violations")? },
-            parse_histograms: req_arr(&v, "parse_histograms")?
-                .iter()
-                .map(parse_histogram)
-                .collect::<Result<Vec<_>, _>>()?,
-            cache: CacheSummary {
-                enabled: req(cache, "enabled")?
-                    .as_bool()
-                    .ok_or_else(|| schema_err("cache.enabled", "bool"))?,
-                hits: req_u64(cache, "hits")?,
-                misses: req_u64(cache, "misses")?,
-                stores: req_u64(cache, "stores")?,
-                corrupt: req_u64(cache, "corrupt")?,
-                stale: req_u64(cache, "stale")?,
-                evicted: req_u64(cache, "evicted")?,
-                checkpoint: req_str(cache, "checkpoint")?,
-            },
-            memory: MemorySummary {
-                tracked: req(memory, "tracked")?
-                    .as_bool()
-                    .ok_or_else(|| schema_err("memory.tracked", "bool"))?,
-                current_bytes: req_u64(memory, "current_bytes")?,
-                peak_bytes: req_u64(memory, "peak_bytes")?,
-                peak_rss_bytes: req_u64(memory, "peak_rss_bytes")?,
-            },
+            mode: req_str(&v, "mode")?,
+            checkpoint: req_str(&v, "checkpoint")?,
+            stages: req_arr(&v, "stages")?.iter().map(parse_stage).collect::<Result<_, _>>()?,
             metrics: MetricsRegistry::from_json(req(&v, "metrics")?)?,
+            curve: req_arr(&v, "curve")?.iter().map(parse_epoch).collect::<Result<_, _>>()?,
             score_dump: req_arr(&v, "score_dump")?
                 .iter()
                 .map(parse_score_entry)
-                .collect::<Result<Vec<_>, _>>()?,
+                .collect::<Result<_, _>>()?,
         })
     }
 
@@ -817,67 +466,19 @@ impl RunManifest {
 
     /// Renders the manifest's quantitative content in Prometheus text
     /// exposition format (the `seldon metrics-dump` output): labelled
-    /// per-stage duration/memory gauges, cache and memory scalars,
-    /// per-frontend parse-time histograms, and every metric in the
-    /// registry, all under the `seldon_` prefix.
+    /// per-stage duration/memory gauges plus every metric in the registry,
+    /// all under the `seldon_` prefix.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        out.push_str("# HELP seldon_stage_duration_us Wall-clock duration per pipeline stage.\n");
-        out.push_str("# TYPE seldon_stage_duration_us gauge\n");
-        for s in self.stages.iter().filter(|s| s.depth == 0) {
-            out.push_str(&format!(
-                "seldon_stage_duration_us{{stage=\"{}\"}} {}\n",
-                s.name, s.dur_us
-            ));
-        }
-        out.push_str(
-            "# HELP seldon_stage_mem_peak_bytes Allocator high-water mark at stage close.\n",
-        );
-        out.push_str("# TYPE seldon_stage_mem_peak_bytes gauge\n");
-        for s in self.stages.iter().filter(|s| s.depth == 0) {
-            out.push_str(&format!(
-                "seldon_stage_mem_peak_bytes{{stage=\"{}\"}} {}\n",
-                s.name, s.mem_peak_bytes
-            ));
-        }
-        let mut reg = MetricsRegistry::new();
-        reg.set_gauge(
-            "mem_current_bytes",
-            "Live heap bytes at manifest assembly.",
-            true,
-            self.memory.current_bytes as f64,
-        );
-        reg.set_gauge(
-            "mem_peak_bytes",
-            "Allocator high-water mark since process start.",
-            true,
-            self.memory.peak_bytes as f64,
-        );
-        reg.set_gauge(
-            "mem_peak_rss_bytes",
-            "Kernel peak RSS (VmHWM); 0 when unavailable.",
-            true,
-            self.memory.peak_rss_bytes as f64,
-        );
-        reg.inc_counter("cache_hits", "Per-file artifacts served from cache.", false, self.cache.hits as f64);
-        reg.inc_counter("cache_misses", "Per-file cache lookups that missed.", false, self.cache.misses as f64);
-        reg.inc_counter("cache_stores", "Cache entries written.", false, self.cache.stores as f64);
-        reg.inc_counter(
-            "cache_faults",
-            "Cache entries rejected (corrupt, stale, or evicted).",
-            false,
-            (self.cache.corrupt + self.cache.stale + self.cache.evicted) as f64,
-        );
-        out.push_str(&reg.to_prometheus("seldon_"));
-        for h in &self.parse_histograms {
-            let mut freg = MetricsRegistry::new();
-            freg.put_histogram(
-                &format!("parse_time_us_{}", h.frontend),
-                "Per-file parse time by frontend.",
-                true,
-                h.hist.clone(),
-            );
-            out.push_str(&freg.to_prometheus("seldon_"));
+        for (name, help, memory) in [
+            ("stage_duration_us", "Wall-clock duration per pipeline stage.", false),
+            ("stage_mem_peak_bytes", "Allocator high-water mark at stage close.", true),
+        ] {
+            out.push_str(&format!("# HELP seldon_{name} {help}\n# TYPE seldon_{name} gauge\n"));
+            for s in self.stages.iter().filter(|s| s.depth == 0) {
+                let value = if memory { s.mem_peak_bytes } else { s.dur_us };
+                out.push_str(&format!("seldon_{name}{{stage=\"{}\"}} {value}\n", s.name));
+            }
         }
         out.push_str(&self.metrics.to_prometheus("seldon_"));
         out
@@ -912,19 +513,6 @@ fn parse_stage(v: &Json) -> Result<StageSpan, ManifestError> {
         mem_peak_bytes: req_u64(v, "mem_peak_bytes")?,
         counters,
     })
-}
-
-fn parse_histogram(v: &Json) -> Result<ParseHistogram, ManifestError> {
-    let mut h = ParseHistogram::new(req_str(v, "frontend")?);
-    let arr = req_arr(v, "counts")?;
-    if arr.len() != h.hist.counts.len() {
-        return Err(schema_err("parse_histograms[].counts", "9-element array"));
-    }
-    for (slot, n) in h.hist.counts.iter_mut().zip(arr) {
-        *slot = n.as_u64().ok_or_else(|| schema_err("parse_histograms[].counts", "u64 array"))?;
-    }
-    h.hist.sum = req_f64(v, "sum")?;
-    Ok(h)
 }
 
 fn parse_score_entry(v: &Json) -> Result<ScoreDumpEntry, ManifestError> {
@@ -971,29 +559,6 @@ fn req_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], ManifestError> {
     req(v, key)?.as_arr().ok_or_else(|| schema_err(key, "array"))
 }
 
-fn req_u64_triple(v: &Json, key: &str) -> Result<[u64; 3], ManifestError> {
-    let arr = req_arr(v, key)?;
-    if arr.len() != 3 {
-        return Err(schema_err(key, "3-element array"));
-    }
-    let mut out = [0u64; 3];
-    for (slot, n) in out.iter_mut().zip(arr) {
-        *slot = n.as_u64().ok_or_else(|| schema_err(key, "u64 array"))?;
-    }
-    Ok(out)
-}
-
-fn req_f64_triple(v: &Json, key: &str) -> Result<[f64; 3], ManifestError> {
-    let arr = req_arr(v, key)?;
-    if arr.len() != 3 {
-        return Err(schema_err(key, "3-element array"));
-    }
-    let mut out = [0f64; 3];
-    for (slot, n) in out.iter_mut().zip(arr) {
-        *slot = n.as_f64().ok_or_else(|| schema_err(key, "number array"))?;
-    }
-    Ok(out)
-}
 
 /// Failure to parse or validate a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1024,11 +589,11 @@ impl From<JsonError> for ManifestError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{Class, Histogram, MetricValue};
 
     fn sample_manifest() -> RunManifest {
         let mut m = RunManifest::new("learn");
-        m.corpus = CorpusShape { files: 3, projects: 1, events: 40, edges: 25, symbols: 90 };
-        m.outcomes = OutcomeCounts { ok: 2, recovered: 1, ..Default::default() };
+        m.checkpoint = "full".into();
         m.stages = vec![
             StageSpan {
                 name: stage::PARSE.into(),
@@ -1051,57 +616,50 @@ mod tests {
                 counters: vec![("iterations".into(), 80.0)],
             },
         ];
-        m.constraints =
-            ConstraintSummary { total: 26, vars: 12, pinned: 4, by_template: [9, 8, 9] };
-        m.solver = SolverSummary {
-            iterations: 80,
-            restarts: 1,
-            diverged: false,
-            final_lr: 0.0125,
-            objective: 1.25,
-            violation: 0.5,
-            threads: 4,
-            stop_reason: "plateau".into(),
-            epochs_saved: 95,
-            curve: vec![
-                EpochSample {
-                    epoch: 0,
-                    objective: 3.0,
-                    hinge_loss: 2.9,
-                    violated: 20,
-                    grad_norm: 4.2,
-                    lr: 0.05,
-                },
-                EpochSample {
-                    epoch: 10,
-                    objective: 1.25,
-                    hinge_loss: 0.5,
-                    violated: 3,
-                    grad_norm: 0.7,
-                    lr: 0.05,
-                },
-            ],
-        };
-        m.extraction = ExtractionSummary {
-            thresholds: [0.1, 0.4, 0.1],
-            decay: 0.8,
-            backoff_hits: vec![5, 2, 0],
-            learned: [3, 1, 2],
-        };
-        m.taint = TaintSummary { violations: 7 };
-        let mut py_hist = ParseHistogram::with_counts("python", [1, 0, 2, 0, 0, 0, 0, 0, 1]);
-        py_hist.hist.sum = 11_250.0;
-        m.parse_histograms =
-            vec![py_hist, ParseHistogram::with_counts("js", [0, 3, 0, 0, 0, 0, 0, 0, 0])];
-        m.memory = MemorySummary {
-            tracked: true,
-            current_bytes: 1_000_000,
-            peak_bytes: 5_000_000,
-            peak_rss_bytes: 9_000_000,
-        };
-        m.metrics.inc_counter("files_analyzed", "Files analyzed.", false, 3.0);
-        m.metrics.set_gauge("solver_epoch_us", "Mean epoch time.", true, 12.5);
-        m.metrics.observe("rep_frequency", "Occurrences per representation.", false, &[1.0, 10.0], 4.0);
+        m.curve = vec![
+            EpochSample {
+                epoch: 0,
+                objective: 3.0,
+                hinge_loss: 2.9,
+                violated: 20,
+                grad_norm: 4.2,
+                lr: 0.05,
+            },
+            EpochSample {
+                epoch: 10,
+                objective: 1.25,
+                hinge_loss: 0.5,
+                violated: 3,
+                grad_norm: 0.7,
+                lr: 0.05,
+            },
+        ];
+        let reg = &mut m.metrics;
+        for (def, v) in metric::CORPUS.iter().zip([3.0, 1.0, 40.0, 25.0]) {
+            reg.gauge(def, v);
+        }
+        for (def, v) in metric::TEMPLATES.iter().zip([9.0, 8.0, 9.0]) {
+            reg.gauge(def, v);
+        }
+        reg.gauge(&metric::SOLVER_OBJECTIVE, 1.25);
+        reg.gauge(&metric::TAINT_VIOLATIONS, 7.0);
+        reg.counter(&metric::CACHE[0], 5.0);
+        for (def, v) in metric::MEMORY.iter().zip([1_000_000.0, 5_000_000.0, 9_000_000.0]) {
+            reg.gauge(def, v);
+        }
+        let mut py = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
+        py.counts = vec![1, 0, 2, 0, 0, 0, 0, 0, 1];
+        py.sum = 11_250.0;
+        let mut js = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
+        js.counts[1] = 3;
+        for (frontend, h) in [("python", py), ("js", js)] {
+            let name = metric::parse_time(frontend);
+            reg.put_histogram(&name, metric::PARSE_TIME.help, metric::PARSE_TIME.class, h);
+        }
+        reg.inc_counter("files_analyzed", "Files analyzed.", Class::Identity, 3.0);
+        reg.set_gauge("solver_epoch_us", "Mean epoch time.", Class::Cost, 12.5);
+        let help = "Occurrences per representation.";
+        reg.observe("rep_frequency", help, Class::Identity, &[1.0, 10.0], 4.0);
         m.score_dump = vec![
             ScoreDumpEntry {
                 rep: "os.system(0)".into(),
@@ -1116,16 +674,6 @@ mod tests {
                 backoff_level: 2,
             },
         ];
-        m.cache = CacheSummary {
-            enabled: true,
-            hits: 5,
-            misses: 2,
-            stores: 3,
-            corrupt: 1,
-            stale: 0,
-            evicted: 1,
-            checkpoint: "full".into(),
-        };
         m
     }
 
@@ -1137,31 +685,39 @@ mod tests {
     }
 
     #[test]
-    fn v6_manifest_without_mode_parses_as_batch() {
-        let m = sample_manifest();
-        let legacy = m
-            .to_json()
-            .replace("\"mode\": \"batch\",\n", "")
-            .replace("\"schema_version\": 7", "\"schema_version\": 6");
-        assert_ne!(legacy, m.to_json(), "mode field was present to strip");
-        let back = RunManifest::from_json(&legacy).expect("lenient v6 parse");
-        assert_eq!(back.mode, "batch");
-        assert_eq!(back.schema_version, 6);
+    fn pre_v8_manifest_is_rejected_with_a_schema_version_error() {
+        let text = sample_manifest().to_json();
+        for old in [5, 6, 7] {
+            let legacy =
+                text.replace("\"schema_version\": 8", &format!("\"schema_version\": {old}"));
+            assert_ne!(legacy, text, "schema version was present to rewrite");
+            match RunManifest::from_json(&legacy) {
+                Err(ManifestError::Schema(msg)) => {
+                    assert!(msg.contains(&format!("schema version {old}")), "{msg}")
+                }
+                other => panic!("v{old} manifest: {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn schema_validation_rejects_missing_and_mistyped_fields() {
         let m = sample_manifest();
         let text = m.to_json();
-        let no_solver = text.replace("\"solver\"", "\"solver_x\"");
+        let no_metrics = text.replace("\"metrics\"", "\"metrics_x\"");
         assert!(matches!(
-            RunManifest::from_json(&no_solver),
+            RunManifest::from_json(&no_metrics),
             Err(ManifestError::Schema(_))
         ));
-        let bad_bool = text.replace("\"diverged\": false", "\"diverged\": 0");
-        assert!(matches!(RunManifest::from_json(&bad_bool), Err(ManifestError::Schema(_))));
-        let no_cache = text.replace("\"cache\"", "\"cache_x\"");
-        assert!(matches!(RunManifest::from_json(&no_cache), Err(ManifestError::Schema(_))));
+        let bad_mode = text.replace("\"mode\": \"batch\"", "\"mode\": 0");
+        assert!(matches!(RunManifest::from_json(&bad_mode), Err(ManifestError::Schema(_))));
+        let no_checkpoint = text.replace("\"checkpoint\"", "\"checkpoint_x\"");
+        assert!(matches!(
+            RunManifest::from_json(&no_checkpoint),
+            Err(ManifestError::Schema(_))
+        ));
+        let bad_class = text.replace("\"class\": \"identity\"", "\"class\": true");
+        assert!(matches!(RunManifest::from_json(&bad_class), Err(ManifestError::Schema(_))));
         assert!(matches!(RunManifest::from_json("{oops"), Err(ManifestError::Json(_))));
     }
 
@@ -1171,17 +727,16 @@ mod tests {
         m.redact_timings();
         assert!(m.stages.iter().all(|s| s.start_us == 0 && s.dur_us == 0));
         assert!(m.stages.iter().all(|s| s.mem_now_bytes == 0 && s.mem_peak_bytes == 0));
-        assert_eq!(m.solver.curve.len(), 2, "curve untouched");
+        assert_eq!(m.curve.len(), 2, "curve untouched");
         assert_eq!(m.stages[0].counters, vec![("files".to_string(), 3.0)]);
         // Histogram spreads are wall-clock-dependent; the totals are not.
-        assert_eq!(m.parse_histograms[0].counts(), &[4, 0, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(m.parse_histograms[0].hist.sum, 0.0);
-        assert_eq!(m.parse_histograms[1].total(), 3);
-        // Memory readings are machine state.
-        assert!(m.memory.tracked, "tracked flag survives redaction");
-        assert_eq!(m.memory.peak_bytes, 0);
+        let py = m.metrics.histogram("parse_time_us_python").unwrap();
+        assert_eq!(py.counts, [4, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(py.sum, 0.0);
+        assert_eq!(m.metrics.histogram("parse_time_us_js").unwrap().total(), 3);
+        // Memory readings are machine state; the metrics stay present.
+        assert_eq!(m.metrics.value("mem_peak_bytes"), Some(0.0), "tracked survives redaction");
         // Volatile metrics are zeroed, deterministic ones are not.
-        use crate::metrics::MetricValue;
         assert_eq!(
             m.metrics.get("solver_epoch_us").unwrap().value,
             MetricValue::Gauge(0.0)
@@ -1190,6 +745,7 @@ mod tests {
             m.metrics.get("files_analyzed").unwrap().value,
             MetricValue::Counter(3.0)
         );
+        assert_eq!(m.metrics.value("taint_violations"), Some(7.0));
         // The score dump is solver output, deterministic by design.
         assert_eq!(m.score_dump.len(), 2);
         assert_eq!(m.score_dump[0].score, 0.93);
@@ -1205,29 +761,34 @@ mod tests {
 
     #[test]
     fn parse_histogram_buckets_by_bound() {
-        let mut h = ParseHistogram::new("python");
-        h.record(0); // first bucket (≤ 50µs)
-        h.record(50); // bounds are inclusive
-        h.record(51); // next bucket
-        h.record(10_000); // last bounded bucket
-        h.record(10_001); // overflow
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[1], 1);
-        assert_eq!(h.counts()[PARSE_HIST_BOUNDS.len() - 1], 1);
-        assert_eq!(h.counts()[PARSE_HIST_BOUNDS.len()], 1);
+        let mut h = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
+        h.observe(0.0); // first bucket (≤ 50µs)
+        h.observe(50.0); // bounds are inclusive
+        h.observe(51.0); // next bucket
+        h.observe(10_000.0); // last bounded bucket
+        h.observe(10_001.0); // overflow
+        assert_eq!(h.counts[0], 2);
+        assert_eq!(h.counts[1], 1);
+        assert_eq!(h.counts[PARSE_HIST_BOUNDS.len() - 1], 1);
+        assert_eq!(h.counts[PARSE_HIST_BOUNDS.len()], 1);
         assert_eq!(h.total(), 5);
-        assert_eq!(h.hist.sum, 20_102.0, "sum accumulates for mean reconstruction");
+        assert_eq!(h.sum, 20_102.0, "sum accumulates for mean reconstruction");
     }
 
     #[test]
     fn histogram_schema_rejects_wrong_arity() {
-        let bad = json::parse(r#"{"frontend": "python", "counts": [1, 2], "sum": 0}"#).unwrap();
-        assert!(matches!(parse_histogram(&bad), Err(ManifestError::Schema(_))));
-        let ok = json::parse(
-            r#"{"frontend": "js", "counts": [0, 1, 2, 3, 4, 5, 6, 7, 8], "sum": 99.5}"#,
-        )
-        .unwrap();
-        assert_eq!(parse_histogram(&ok).unwrap().total(), 36);
+        let mut m = RunManifest::new("learn");
+        let mut bad = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
+        bad.counts = vec![1, 2];
+        m.metrics.put_histogram("parse_time_us_python", "p", Class::Cost, bad);
+        assert!(matches!(RunManifest::from_json(&m.to_json()), Err(ManifestError::Schema(_))));
+        let mut ok = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
+        ok.counts = (0..9).collect();
+        ok.sum = 99.5;
+        let mut m = RunManifest::new("learn");
+        m.metrics.put_histogram("parse_time_us_js", "p", Class::Cost, ok);
+        let back = RunManifest::from_json(&m.to_json()).unwrap();
+        assert_eq!(back.metrics.histogram("parse_time_us_js").unwrap().total(), 36);
     }
 
     #[test]
@@ -1241,6 +802,11 @@ mod tests {
         assert!(text.contains("seldon_parse_time_us_python_count 4\n"));
         assert!(text.contains("seldon_rep_frequency_bucket{le=\"+Inf\"} 1\n"));
         assert!(text.contains("seldon_files_analyzed 3\n"));
+        let mut families: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let n = families.len();
+        families.sort_unstable();
+        families.dedup();
+        assert_eq!(families.len(), n, "every family is declared once");
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! representation-frequency and constraint-gap distributions, and any
 //! future metric with fixed bucket bounds. The registry keeps metrics in
 //! insertion order so that serialization (and the exposition text) is
-//! deterministic, and each metric carries a `volatile` flag telling
-//! [`MetricsRegistry::redact`] whether the value depends on wall-clock
-//! time or machine state (timings, memory) or is a pure function of the
-//! input corpus (counts, rates).
+//! deterministic, and each metric carries a [`Class`] fixed when it is
+//! registered: whether the value is a pure function of the input corpus
+//! (counts, rates), a wall-clock or byte cost, or machine state (memory,
+//! cache temperature). The class alone decides what
+//! [`MetricsRegistry::redact`] zeroes and how `diff-runs` compares it.
 
 use crate::json::Json;
 use crate::manifest::ManifestError;
@@ -160,18 +161,60 @@ impl MetricValue {
     }
 }
 
-/// One named metric with help text and a redaction class.
+/// How a metric's value behaves across repeated runs of the same input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    /// A pure function of the input: kept by redaction, compared exactly
+    /// by `diff-runs` (a change is a regression).
+    Identity,
+    /// A wall-clock or volume cost: zeroed by redaction, gated by
+    /// `diff-runs` with a tolerance plus a slack picked by unit suffix.
+    Cost,
+    /// Machine state (memory readings, cache temperature, thread count):
+    /// zeroed by redaction, reported by `diff-runs` as a note only.
+    State,
+}
+
+impl Class {
+    fn label(self) -> &'static str {
+        match self {
+            Class::Identity => "identity",
+            Class::Cost => "cost",
+            Class::State => "state",
+        }
+    }
+}
+
+/// The fixed identity of a registered metric: name, help text and class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricDef {
+    /// Metric name (`[a-z0-9_]+`, without the exposition prefix).
+    pub name: &'static str,
+    /// One-line human description (the `# HELP` text).
+    pub help: &'static str,
+    /// Redaction and diff class.
+    pub class: Class,
+}
+
+/// One named metric with help text and a class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
     /// Metric name (`[a-z0-9_]+`, without the exposition prefix).
     pub name: String,
     /// One-line human description (the `# HELP` text).
     pub help: String,
-    /// Whether the value depends on wall-clock time or machine state and
-    /// must be zeroed/collapsed by [`MetricsRegistry::redact`].
-    pub volatile: bool,
+    /// Redaction and diff class.
+    pub class: Class,
     /// The value payload.
     pub value: MetricValue,
+}
+
+impl Metric {
+    /// Whether the value depends on wall-clock time or machine state and
+    /// is zeroed/collapsed by [`MetricsRegistry::redact`].
+    pub fn volatile(&self) -> bool {
+        self.class != Class::Identity
+    }
 }
 
 /// An insertion-ordered registry of named metrics.
@@ -190,12 +233,12 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn slot(&mut self, name: &str, help: &str, volatile: bool, init: MetricValue) -> &mut Metric {
+    fn slot(&mut self, name: &str, help: &str, class: Class, init: MetricValue) -> &mut Metric {
         let idx = *self.index.entry(name.to_string()).or_insert_with(|| {
             self.metrics.push(Metric {
                 name: name.to_string(),
                 help: help.to_string(),
-                volatile,
+                class,
                 value: init,
             });
             self.metrics.len() - 1
@@ -204,8 +247,8 @@ impl MetricsRegistry {
     }
 
     /// Adds `delta` to the named counter, creating it at zero first.
-    pub fn inc_counter(&mut self, name: &str, help: &str, volatile: bool, delta: f64) {
-        let m = self.slot(name, help, volatile, MetricValue::Counter(0.0));
+    pub fn inc_counter(&mut self, name: &str, help: &str, class: Class, delta: f64) {
+        let m = self.slot(name, help, class, MetricValue::Counter(0.0));
         match &mut m.value {
             MetricValue::Counter(v) => *v += delta,
             other => panic!("metric `{name}` is a {}, not a counter", other.kind()),
@@ -213,8 +256,8 @@ impl MetricsRegistry {
     }
 
     /// Sets the named gauge, creating it if absent.
-    pub fn set_gauge(&mut self, name: &str, help: &str, volatile: bool, value: f64) {
-        let m = self.slot(name, help, volatile, MetricValue::Gauge(0.0));
+    pub fn set_gauge(&mut self, name: &str, help: &str, class: Class, value: f64) {
+        let m = self.slot(name, help, class, MetricValue::Gauge(0.0));
         match &mut m.value {
             MetricValue::Gauge(v) => *v = value,
             other => panic!("metric `{name}` is a {}, not a gauge", other.kind()),
@@ -223,8 +266,8 @@ impl MetricsRegistry {
 
     /// Records one observation into the named histogram, creating it over
     /// `bounds` if absent.
-    pub fn observe(&mut self, name: &str, help: &str, volatile: bool, bounds: &[f64], value: f64) {
-        let m = self.slot(name, help, volatile, MetricValue::Histogram(Histogram::new(bounds)));
+    pub fn observe(&mut self, name: &str, help: &str, class: Class, bounds: &[f64], value: f64) {
+        let m = self.slot(name, help, class, MetricValue::Histogram(Histogram::new(bounds)));
         match &mut m.value {
             MetricValue::Histogram(h) => h.observe(value),
             other => panic!("metric `{name}` is a {}, not a histogram", other.kind()),
@@ -233,14 +276,40 @@ impl MetricsRegistry {
 
     /// Inserts a pre-built histogram under the given name (replacing any
     /// existing metric of that name).
-    pub fn put_histogram(&mut self, name: &str, help: &str, volatile: bool, hist: Histogram) {
-        let m = self.slot(name, help, volatile, MetricValue::Histogram(Histogram::new(&hist.bounds)));
+    pub fn put_histogram(&mut self, name: &str, help: &str, class: Class, hist: Histogram) {
+        let m = self.slot(name, help, class, MetricValue::Histogram(Histogram::new(&hist.bounds)));
         m.value = MetricValue::Histogram(hist);
+    }
+
+    /// Sets the gauge `def`, creating it if absent.
+    pub fn gauge(&mut self, def: &MetricDef, value: f64) {
+        self.set_gauge(def.name, def.help, def.class, value);
+    }
+
+    /// Adds `delta` to the counter `def`, creating it at zero first.
+    pub fn counter(&mut self, def: &MetricDef, delta: f64) {
+        self.inc_counter(def.name, def.help, def.class, delta);
     }
 
     /// Looks up a metric by name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
         self.index.get(name).map(|&i| &self.metrics[i])
+    }
+
+    /// The value of a counter or gauge; `None` when absent or a histogram.
+    pub fn value(&self, name: &str) -> Option<f64> {
+        match self.get(name)?.value {
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => Some(v),
+            MetricValue::Histogram(_) => None,
+        }
+    }
+
+    /// The histogram named `name`; `None` when absent or a scalar.
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+        match &self.get(name)?.value {
+            MetricValue::Histogram(h) => Some(h),
+            _ => None,
+        }
     }
 
     /// All metrics in insertion order.
@@ -259,11 +328,11 @@ impl MetricsRegistry {
     }
 
     /// Zeroes volatile counters/gauges and collapses volatile histograms
-    /// (total into the first bucket), leaving deterministic metrics
+    /// (total into the first bucket), leaving [`Class::Identity`] metrics
     /// untouched. Mirrors [`crate::RunManifest::redact_timings`].
     pub fn redact(&mut self) {
         for m in &mut self.metrics {
-            if !m.volatile {
+            if !m.volatile() {
                 continue;
             }
             match &mut m.value {
@@ -311,7 +380,7 @@ impl MetricsRegistry {
                         ("name".into(), Json::Str(m.name.clone())),
                         ("help".into(), Json::Str(m.help.clone())),
                         ("kind".into(), Json::Str(m.value.kind().into())),
-                        ("volatile".into(), Json::Bool(m.volatile)),
+                        ("class".into(), Json::Str(m.class.label().into())),
                     ];
                     match &m.value {
                         MetricValue::Counter(v) | MetricValue::Gauge(v) => {
@@ -330,7 +399,7 @@ impl MetricsRegistry {
     }
 
     /// Parses the [`MetricsRegistry::to_json`] shape, rejecting duplicate
-    /// names and unknown kinds.
+    /// names and unknown kinds or classes.
     pub fn from_json(v: &Json) -> Result<MetricsRegistry, ManifestError> {
         let arr = v
             .as_arr()
@@ -340,10 +409,11 @@ impl MetricsRegistry {
             let name = req_str(item, "name")?;
             let help = req_str(item, "help")?;
             let kind = req_str(item, "kind")?;
-            let volatile = item
-                .get("volatile")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| ManifestError::Schema(format!("metric `{name}` missing bool `volatile`")))?;
+            let label = item.get("class").and_then(Json::as_str);
+            let class = [Class::Identity, Class::Cost, Class::State]
+                .into_iter()
+                .find(|c| label == Some(c.label()))
+                .ok_or_else(|| ManifestError::Schema(format!("metric `{name}` has no known class")))?;
             if reg.index.contains_key(&name) {
                 return Err(ManifestError::Schema(format!("duplicate metric `{name}`")));
             }
@@ -362,7 +432,7 @@ impl MetricsRegistry {
                 }
             };
             reg.index.insert(name.clone(), reg.metrics.len());
-            reg.metrics.push(Metric { name, help, volatile, value });
+            reg.metrics.push(Metric { name, help, class, value });
         }
         Ok(reg)
     }
@@ -432,10 +502,10 @@ mod tests {
     #[test]
     fn registry_accumulates_and_keeps_insertion_order() {
         let mut reg = MetricsRegistry::new();
-        reg.inc_counter("cache_hits", "cache hits", false, 3.0);
-        reg.set_gauge("hit_rate", "hit rate", false, 0.5);
-        reg.inc_counter("cache_hits", "cache hits", false, 2.0);
-        reg.observe("gap", "constraint gap", false, &[0.0, 1.0], 0.5);
+        reg.inc_counter("cache_hits", "cache hits", Class::Identity, 3.0);
+        reg.set_gauge("hit_rate", "hit rate", Class::Identity, 0.5);
+        reg.inc_counter("cache_hits", "cache hits", Class::Identity, 2.0);
+        reg.observe("gap", "constraint gap", Class::Identity, &[0.0, 1.0], 0.5);
         assert_eq!(reg.len(), 3);
         let names: Vec<&str> = reg.metrics().iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, ["cache_hits", "hit_rate", "gap"]);
@@ -445,9 +515,9 @@ mod tests {
     #[test]
     fn registry_json_round_trip() {
         let mut reg = MetricsRegistry::new();
-        reg.inc_counter("files", "files analyzed", false, 7.0);
-        reg.set_gauge("epoch_us", "mean epoch time", true, 123.5);
-        reg.observe("rep_freq", "rep frequency", false, &[1.0, 10.0], 4.0);
+        reg.inc_counter("files", "files analyzed", Class::Identity, 7.0);
+        reg.set_gauge("epoch_us", "mean epoch time", Class::Cost, 123.5);
+        reg.observe("rep_freq", "rep frequency", Class::Identity, &[1.0, 10.0], 4.0);
         let back = MetricsRegistry::from_json(&reg.to_json()).unwrap();
         assert_eq!(back, reg);
     }
@@ -455,13 +525,13 @@ mod tests {
     #[test]
     fn registry_rejects_duplicates_and_unknown_kinds() {
         let dup = crate::json::parse(
-            r#"[{"name": "x", "help": "h", "kind": "counter", "volatile": false, "value": 1},
-                {"name": "x", "help": "h", "kind": "counter", "volatile": false, "value": 2}]"#,
+            r#"[{"name": "x", "help": "h", "kind": "counter", "class": "identity", "value": 1},
+                {"name": "x", "help": "h", "kind": "counter", "class": "identity", "value": 2}]"#,
         )
         .unwrap();
         assert!(MetricsRegistry::from_json(&dup).is_err());
         let bad = crate::json::parse(
-            r#"[{"name": "x", "help": "h", "kind": "summary", "volatile": false, "value": 1}]"#,
+            r#"[{"name": "x", "help": "h", "kind": "summary", "class": "identity", "value": 1}]"#,
         )
         .unwrap();
         assert!(MetricsRegistry::from_json(&bad).is_err());
@@ -470,10 +540,10 @@ mod tests {
     #[test]
     fn redact_zeroes_only_volatile_metrics() {
         let mut reg = MetricsRegistry::new();
-        reg.inc_counter("files", "files", false, 7.0);
-        reg.set_gauge("epoch_us", "epoch", true, 42.0);
-        reg.observe("parse_us", "parse", true, &[10.0, 20.0], 15.0);
-        reg.observe("rep_freq", "freq", false, &[1.0, 10.0], 3.0);
+        reg.inc_counter("files", "files", Class::Identity, 7.0);
+        reg.set_gauge("epoch_us", "epoch", Class::Cost, 42.0);
+        reg.observe("parse_us", "parse", Class::Cost, &[10.0, 20.0], 15.0);
+        reg.observe("rep_freq", "freq", Class::Identity, &[1.0, 10.0], 3.0);
         reg.redact();
         assert_eq!(reg.get("files").unwrap().value, MetricValue::Counter(7.0));
         assert_eq!(reg.get("epoch_us").unwrap().value, MetricValue::Gauge(0.0));
@@ -492,10 +562,10 @@ mod tests {
     #[test]
     fn prometheus_exposition_has_cumulative_buckets() {
         let mut reg = MetricsRegistry::new();
-        reg.inc_counter("cache_hits", "Total cache hits.", false, 5.0);
-        reg.observe("gap", "Constraint gap.", false, &[0.5, 1.0], 0.25);
-        reg.observe("gap", "Constraint gap.", false, &[0.5, 1.0], 0.75);
-        reg.observe("gap", "Constraint gap.", false, &[0.5, 1.0], 2.0);
+        reg.inc_counter("cache_hits", "Total cache hits.", Class::Identity, 5.0);
+        reg.observe("gap", "Constraint gap.", Class::Identity, &[0.5, 1.0], 0.25);
+        reg.observe("gap", "Constraint gap.", Class::Identity, &[0.5, 1.0], 0.75);
+        reg.observe("gap", "Constraint gap.", Class::Identity, &[0.5, 1.0], 2.0);
         let text = reg.to_prometheus("seldon_");
         assert!(text.contains("# HELP seldon_cache_hits Total cache hits.\n"));
         assert!(text.contains("# TYPE seldon_cache_hits counter\nseldon_cache_hits 5\n"));

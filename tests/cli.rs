@@ -317,8 +317,8 @@ fn learn_telemetry_writes_manifest_and_trace() {
     let m = seldon_telemetry::RunManifest::from_json(&json).expect("manifest parses");
     assert!(m.has_all_stages(), "all eight stages recorded");
     assert_eq!(m.command, "learn");
-    assert_eq!(m.corpus.files, 1);
-    assert!(!m.solver.curve.is_empty(), "convergence curve sampled");
+    assert_eq!(m.metrics.value("corpus_files"), Some(1.0));
+    assert!(!m.curve.is_empty(), "convergence curve sampled");
 
     // Chrome's JSON-array trace format: one complete "X" event per stage.
     let trace = std::fs::read_to_string(&trace_path).expect("trace written");
@@ -498,6 +498,11 @@ fn score_dump_flag_requires_telemetry() {
 /// tests use, so it demonstrably learns entries) to disk, runs
 /// `learn --seed --telemetry --score-dump`, and returns the manifest path.
 fn learn_manifest(dir: &std::path::Path, name: &str) -> PathBuf {
+    learn_manifest_with(dir, name, &[])
+}
+
+/// [`learn_manifest`] with extra `learn` arguments.
+fn learn_manifest_with(dir: &std::path::Path, name: &str, extra: &[&std::ffi::OsStr]) -> PathBuf {
     use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
     let universe = Universe::new();
     let corpus = generate_corpus(
@@ -523,6 +528,7 @@ fn learn_manifest(dir: &std::path::Path, name: &str) -> PathBuf {
         .arg("--telemetry")
         .arg(&manifest)
         .arg("--score-dump")
+        .args(extra)
         .output()
         .expect("runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
@@ -559,6 +565,59 @@ fn metrics_dump_emits_prometheus_text() {
     assert!(stdout.contains("le=\"+Inf\""), "{stdout}");
 }
 
+/// Every Prometheus family the exposition declared before the manifest's
+/// typed sections folded into the registry, for a cached learn over a
+/// Python corpus.
+const PRE_V8_FAMILIES: [&str; 24] = [
+    "seldon_stage_duration_us",
+    "seldon_stage_mem_peak_bytes",
+    "seldon_mem_current_bytes",
+    "seldon_mem_peak_bytes",
+    "seldon_mem_peak_rss_bytes",
+    "seldon_cache_hits",
+    "seldon_cache_misses",
+    "seldon_cache_stores",
+    "seldon_cache_faults",
+    "seldon_parse_time_us_python",
+    "seldon_files_analyzed",
+    "seldon_intern_symbols",
+    "seldon_rep_frequency",
+    "seldon_constraint_gap",
+    "seldon_build_time_us",
+    "seldon_solver_epoch_us",
+    "seldon_solver_iterations",
+    "seldon_solver_stop_reason",
+    "seldon_solver_epochs_saved",
+    "seldon_solver_rows",
+    "seldon_solver_lanes",
+    "seldon_cache_bytes_read",
+    "seldon_cache_bytes_written",
+    "seldon_cache_hit_rate",
+];
+
+#[test]
+fn metrics_dump_declares_every_family_once() {
+    let dir = temp_dir("metricsfamilies");
+    let cache = dir.join("cache");
+    let manifest =
+        learn_manifest_with(&dir, "run.json", &["--cache-dir".as_ref(), cache.as_os_str()]);
+    let out = seldon().arg("metrics-dump").arg(&manifest).output().expect("runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut families: Vec<&str> = stdout
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .map(|rest| rest.split(' ').next().unwrap())
+        .collect();
+    families.sort_unstable();
+    let declared = families.len();
+    families.dedup();
+    assert_eq!(families.len(), declared, "a family is declared twice:\n{stdout}");
+    for family in PRE_V8_FAMILIES {
+        assert!(families.binary_search(&family).is_ok(), "{family} missing:\n{stdout}");
+    }
+}
+
 #[test]
 fn diff_runs_exit_codes_are_pinned() {
     let dir = temp_dir("diffruns");
@@ -576,15 +635,13 @@ fn diff_runs_exit_codes_are_pinned() {
     );
     assert!(String::from_utf8_lossy(&same.stdout).contains("0 regression(s)"));
 
-    // Perturb an identity field (taint violation count): exit 1. The last
-    // `"violations"` key is the taint section's; the first is a stage-span
-    // counter, which diff-runs deliberately does not gate on.
+    // Perturb an identity field (taint violation count): exit 1.
     let text = std::fs::read_to_string(&a).unwrap();
-    let needle = "\"violations\": ";
-    let at = text.rfind(needle).expect("manifest has a taint section") + needle.len();
-    let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
-    let bumped: u64 = text[at..end].parse::<u64>().unwrap() + 1;
-    std::fs::write(&b, format!("{}{bumped}{}", &text[..at], &text[end..])).unwrap();
+    let mut m = seldon_telemetry::RunManifest::from_json(&text).unwrap();
+    let taint = seldon_telemetry::metric::TAINT_VIOLATIONS;
+    let violations = m.metrics.value(taint.name).expect("manifest has a taint metric");
+    m.metrics.gauge(&taint, violations + 1.0);
+    std::fs::write(&b, m.to_json()).unwrap();
     let regressed = seldon().arg("diff-runs").arg(&a).arg(&b).output().expect("runs");
     assert_eq!(
         regressed.status.code(),

@@ -16,7 +16,7 @@ use seldon_core::{run_full, run_seldon_cached, CheckpointOutcome, SeldonOptions}
 use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
 use seldon_solver::EarlyStop;
 use seldon_specs::TaintSpec;
-use seldon_telemetry::{json, stage, StageSpan, Telemetry};
+use seldon_telemetry::{json, metric, stage, RunManifest, StageSpan, Telemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -284,6 +284,29 @@ fn cross_mode_cold_runs_emit_the_same_stage_spans() {
             s.name
         );
     }
+}
+
+#[test]
+fn served_manifest_claims_no_taint_result() {
+    // Serve never runs the taint stage, so its manifest carries neither a
+    // taint span nor a taint metric — only the learning it did run.
+    let (files, seed) = fixture(3, 71);
+    let mut opts = analyze_opts(None);
+    opts.telemetry = Telemetry::recording();
+    let mut engine = ServeEngine::new(EngineConfig {
+        seed,
+        analyze: opts,
+        seldon: seldon_opts(1),
+        dynamic_cutoff: false,
+    });
+    engine.apply_delta(&Delta { add: files, ..Default::default() }).expect("initial load");
+    let m = engine.manifest("serve");
+    assert_eq!(m.mode, "served-incremental");
+    assert!(m.stage(stage::TAINT).is_none(), "no taint span");
+    assert!(m.metrics.get(metric::TAINT_VIOLATIONS.name).is_none(), "no taint metric");
+    assert!(m.metrics.get(metric::SOLVER_ITERATIONS.name).is_some(), "the build is recorded");
+    let back = RunManifest::from_json(&m.to_json()).expect("served manifest parses back");
+    assert_eq!(back, m);
 }
 
 #[test]

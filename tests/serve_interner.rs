@@ -48,7 +48,7 @@ fn repeated_identical_deltas_do_not_grow_the_interner() {
     let mut reg = MetricsRegistry::default();
     engine.fill_metrics(&mut reg);
     let gauge = reg.get("intern_symbols").expect("gauge present");
-    assert!(!gauge.volatile, "intern_symbols must be non-volatile");
+    assert!(!gauge.volatile(), "intern_symbols must be non-volatile");
     match gauge.value {
         MetricValue::Gauge(v) => assert_eq!(v as usize, seldon_intern::len()),
         ref other => panic!("intern_symbols is {other:?}, not a gauge"),

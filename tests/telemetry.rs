@@ -7,7 +7,7 @@
 use seldon_core::{run_full, AnalyzeOptions, FaultPolicy, SeldonOptions};
 use seldon_corpus::{generate_corpus, Corpus, CorpusOptions, Universe};
 use seldon_specs::TaintSpec;
-use seldon_telemetry::{stage, MetricValue, RunManifest, Telemetry};
+use seldon_telemetry::{metric, stage, MetricDef, MetricValue, RunManifest, Telemetry};
 
 fn fixture() -> (Corpus, TaintSpec) {
     let universe = Universe::new();
@@ -102,7 +102,7 @@ fn stages_appear_exactly_once_in_pipeline_order() {
 fn solver_curve_is_monotone_and_reaches_the_final_epoch() {
     let (corpus, seed) = fixture();
     let m = run_manifest(&corpus, &seed);
-    let curve = &m.solver.curve;
+    let curve = &m.curve;
     assert!(!curve.is_empty(), "default stride samples the solver");
     assert!(
         curve.windows(2).all(|w| w[0].epoch < w[1].epoch),
@@ -111,7 +111,7 @@ fn solver_curve_is_monotone_and_reaches_the_final_epoch() {
     );
     assert_eq!(
         curve.last().unwrap().epoch,
-        m.solver.iterations - 1,
+        m.metrics.value("solver_iterations").unwrap() as u64 - 1,
         "the final epoch is always sampled"
     );
     for e in curve {
@@ -124,13 +124,13 @@ fn solver_curve_is_monotone_and_reaches_the_final_epoch() {
 fn template_counts_add_up_and_manifest_round_trips() {
     let (corpus, seed) = fixture();
     let m = run_manifest(&corpus, &seed);
-    assert_eq!(m.constraints.by_template.iter().sum::<u64>(), m.constraints.total);
-    assert!(m.constraints.vars >= m.constraints.pinned);
-    let outcomes = &m.outcomes;
+    let value = |name: &str| m.metrics.value(name).unwrap_or_else(|| panic!("metric {name}"));
+    let sum = |defs: &[MetricDef]| defs.iter().map(|d| value(d.name)).sum::<f64>();
+    assert_eq!(sum(&metric::TEMPLATES), value("constraints_total"));
+    assert!(value("constraint_vars") >= value("constraint_vars_pinned"));
     assert_eq!(
-        outcomes.ok + outcomes.recovered + outcomes.skipped + outcomes.over_budget
-            + outcomes.panicked,
-        m.corpus.files,
+        sum(&metric::OUTCOMES),
+        value("corpus_files"),
         "every corpus file has exactly one outcome"
     );
     let back = RunManifest::from_json(&m.to_json()).expect("manifest JSON parses back");
@@ -141,9 +141,12 @@ fn template_counts_add_up_and_manifest_round_trips() {
 fn manifest_v5_carries_memory_accounting_and_metrics() {
     let (corpus, seed) = fixture();
     let m = run_manifest(&corpus, &seed);
-    assert!(m.memory.tracked, "in-process runs track the counting allocator");
-    assert!(m.memory.peak_bytes > 0);
-    assert!(m.memory.peak_bytes >= m.memory.current_bytes);
+    let memory = metric::MEMORY.map(|d| m.metrics.value(d.name));
+    let [Some(current_bytes), Some(peak_bytes), Some(_)] = memory else {
+        panic!("in-process runs track the counting allocator: {memory:?}")
+    };
+    assert!(peak_bytes > 0.0);
+    assert!(peak_bytes >= current_bytes);
     let top: Vec<&seldon_telemetry::StageSpan> =
         m.stages.iter().filter(|s| s.depth == 0).collect();
     for s in &top {
@@ -157,7 +160,7 @@ fn manifest_v5_carries_memory_accounting_and_metrics() {
         "stage peaks are a running high-water mark"
     );
     let rep_freq = m.metrics.get("rep_frequency").expect("rep_frequency metric");
-    assert!(!rep_freq.volatile, "rep frequency is a pipeline output");
+    assert!(!rep_freq.volatile(), "rep frequency is a pipeline output");
     let MetricValue::Histogram(h) = &rep_freq.value else {
         panic!("rep_frequency is a histogram")
     };
@@ -166,7 +169,11 @@ fn manifest_v5_carries_memory_accounting_and_metrics() {
     let MetricValue::Histogram(h) = &gap.value else {
         panic!("constraint_gap is a histogram")
     };
-    assert_eq!(h.total(), m.constraints.total, "one gap observation per constraint");
+    assert_eq!(
+        h.total() as f64,
+        m.metrics.value("constraints_total").unwrap(),
+        "one gap observation per constraint"
+    );
     assert!(m.metrics.get("build_time_us").is_some(), "per-file build distribution");
     assert!(m.metrics.get("solver_epoch_us").is_some(), "solver epoch timing");
     assert!(m.metrics.get("solver_rows").is_some(), "CSR row occupancy");
@@ -193,6 +200,10 @@ fn score_dump_is_opt_in_sorted_and_round_trips() {
         }),
         "entries are sorted by (rep, role)"
     );
+    // Bucket i counts selections at level i; the sweep ends at the last
+    // level with a selection.
+    let hits = &m.metrics.histogram("backoff_hits").expect("backoff sweep").counts;
+    let sweep = hits.iter().rposition(|&c| c > 0).map_or(0, |last| last + 1);
     for e in &m.score_dump {
         assert!(
             ["src", "san", "snk"].contains(&e.role.as_str()),
@@ -201,7 +212,7 @@ fn score_dump_is_opt_in_sorted_and_round_trips() {
         );
         assert!(e.score > 0.0 && e.score <= 1.0, "effective score in (0, 1]: {}", e.score);
         assert!(
-            (e.backoff_level as usize) < m.extraction.backoff_hits.len().max(1),
+            (e.backoff_level as usize) < sweep.max(1),
             "level within the recorded sweep"
         );
     }
@@ -218,8 +229,8 @@ fn repeated_runs_are_identical_after_timing_redaction() {
     b.redact_timings();
     // The interner is process-global: concurrent tests may grow it between
     // the two runs, so the symbol count is not part of the golden surface.
-    a.corpus.symbols = 0;
-    b.corpus.symbols = 0;
+    a.metrics.gauge(&metric::INTERN_SYMBOLS, 0.0);
+    b.metrics.gauge(&metric::INTERN_SYMBOLS, 0.0);
     assert_eq!(a, b, "redacted manifests are deterministic");
     assert_eq!(a.to_json(), b.to_json(), "and so is their JSON");
 }
