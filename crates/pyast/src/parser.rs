@@ -1760,22 +1760,82 @@ mod tests {
         assert!(parse("try:\n    x\n").is_err());
     }
 
+    /// The grouping of an operator expression, spans ignored: every
+    /// operator node is one parenthesized group.
+    fn grouping(e: &Expr) -> String {
+        match &e.kind {
+            ExprKind::Name(n) | ExprKind::Number(n) => n.clone(),
+            ExprKind::BinOp { left, op, right } => {
+                format!("({} {op} {})", grouping(left), grouping(right))
+            }
+            ExprKind::BoolOp { op, values } => {
+                let parts: Vec<String> = values.iter().map(grouping).collect();
+                format!("({})", parts.join(&format!(" {op} ")))
+            }
+            ExprKind::Compare { left, ops, comparators } => {
+                let mut s = format!("({}", grouping(left));
+                for (op, c) in ops.iter().zip(comparators) {
+                    s.push_str(&format!(" {op} {}", grouping(c)));
+                }
+                s + ")"
+            }
+            ExprKind::UnaryOp { op, operand } => format!("({op} {})", grouping(operand)),
+            ExprKind::Await(inner) => format!("(await {})", grouping(inner)),
+            other => panic!("not an operator expression: {other:?}"),
+        }
+    }
+
+    /// Python's infix operators, loosest level first, as the language
+    /// reference's precedence table lists them, with how each level
+    /// groups a run of its own operators.
+    const PYTHON_PRECEDENCE: &[(&str, &[&str])] = &[
+        ("flat", &["or"]),
+        ("flat", &["and"]),
+        ("chain", &["in", "not in", "is", "is not", "<", "<=", ">", ">=", "!=", "=="]),
+        ("left", &["|"]),
+        ("left", &["^"]),
+        ("left", &["&"]),
+        ("left", &["<<", ">>"]),
+        ("left", &["+", "-"]),
+        ("left", &["*", "@", "/", "//", "%"]),
+        ("right", &["**"]),
+    ];
+
     #[test]
     fn parse_expression_precedence() {
-        match parse_expr("1 + 2 * 3").unwrap().kind {
-            ExprKind::BinOp { op, right, .. } => {
-                assert_eq!(op, "+");
-                assert!(matches!(right.kind, ExprKind::BinOp { ref op, .. } if op == "*"));
+        let level = |op: &str| PYTHON_PRECEDENCE.iter().position(|l| l.1.contains(&op)).unwrap();
+        let ops: Vec<&str> = PYTHON_PRECEDENCE.iter().flat_map(|l| l.1.iter().copied()).collect();
+        assert_eq!(ops.len(), 25, "13 binary, `and`, `or` and 10 comparison operators");
+        for &x in &ops {
+            for &y in &ops {
+                let (lx, ly) = (level(x), level(y));
+                let grouping_kind = match lx.cmp(&ly) {
+                    std::cmp::Ordering::Greater => "left",
+                    std::cmp::Ordering::Less => "right",
+                    std::cmp::Ordering::Equal => PYTHON_PRECEDENCE[lx].0,
+                };
+                let expected = match grouping_kind {
+                    "left" => format!("((a {x} b) {y} c)"),
+                    "right" => format!("(a {x} (b {y} c))"),
+                    _ => format!("(a {x} b {y} c)"),
+                };
+                let src = format!("a {x} b {y} c");
+                let got = grouping(&parse_expr(&src).unwrap());
+                assert_eq!(got, expected, "grouping of `{src}`");
             }
-            other => panic!("expected binop, got {other:?}"),
         }
-        // ** is right-associative
-        match parse_expr("2 ** 3 ** 4").unwrap().kind {
-            ExprKind::BinOp { op, right, .. } => {
-                assert_eq!(op, "**");
-                assert!(matches!(right.kind, ExprKind::BinOp { ref op, .. } if op == "**"));
-            }
-            other => panic!("expected binop, got {other:?}"),
+        for (src, expected) in [
+            ("1 + 2 * 3", "(1 + (2 * 3))"),
+            ("2 ** 3 ** 4", "(2 ** (3 ** 4))"),
+            ("-a ** b", "(- (a ** b))"),
+            ("a ** -b", "(a ** (- b))"),
+            ("~a ** b", "(~ (a ** b))"),
+            ("not a == b", "(not (a == b))"),
+            ("not a and b", "((not a) and b)"),
+            ("await a ** b", "((await a) ** b)"),
+            ("-await a", "(- (await a))"),
+        ] {
+            assert_eq!(grouping(&parse_expr(src).unwrap()), expected, "grouping of `{src}`");
         }
     }
 
