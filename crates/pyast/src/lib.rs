@@ -27,6 +27,7 @@
 pub mod ast;
 pub mod error;
 pub mod lexer;
+mod ops;
 pub mod parser;
 pub mod span;
 pub mod token;

@@ -1,12 +1,13 @@
-//! Recursive-descent parser for the Python subset.
+//! Parser for the Python subset.
 //!
-//! Expression parsing uses precedence climbing mirroring the Python grammar;
-//! statements follow CPython's `Grammar/python.gram` shape for the supported
-//! subset.
+//! Statements are recursive descent in CPython's `Grammar/python.gram`
+//! shape for the supported subset. Operator expressions use one
+//! binding-power loop over the operator table in [`crate::ops`].
 
 use crate::ast::*;
 use crate::error::ParseError;
 use crate::lexer;
+use crate::ops::{self, Fixity, Operator, Prec};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
@@ -854,26 +855,32 @@ impl Parser {
         Ok(e)
     }
 
-    /// `test`: ternary conditional or lambda.
-    fn parse_test(&mut self) -> PResult<Expr> {
+    /// Runs `f` one expression level deeper, or fails when `limit` levels
+    /// are already open: the guard that keeps hostile nesting off the stack.
+    fn nested(&mut self, limit: u32, f: impl FnOnce(&mut Self) -> PResult<Expr>) -> PResult<Expr> {
+        if self.expr_depth >= limit {
+            return self.err("expression nesting below the depth limit");
+        }
         self.expr_depth += 1;
-        let r = self.parse_test_inner();
+        let r = f(self);
         self.expr_depth -= 1;
         r
     }
 
+    /// `test`: ternary conditional or lambda.
+    fn parse_test(&mut self) -> PResult<Expr> {
+        self.nested(MAX_EXPR_DEPTH, Self::parse_test_inner)
+    }
+
     fn parse_test_inner(&mut self) -> PResult<Expr> {
-        if self.expr_depth > MAX_EXPR_DEPTH {
-            return self.err("expression nesting below the depth limit");
-        }
         if *self.peek() == TokenKind::KwLambda {
             return self.parse_lambda();
         }
-        let body = self.parse_or()?;
+        let body = self.parse_operators(Prec::Or)?;
         if *self.peek() == TokenKind::KwIf {
             let span = self.span();
             self.bump();
-            let test = self.parse_or()?;
+            let test = self.parse_operators(Prec::Or)?;
             self.expect(&TokenKind::KwElse, "`else` in conditional expression")?;
             let orelse = self.parse_test()?;
             return Ok(Expr::new(
@@ -897,210 +904,77 @@ impl Parser {
         Ok(Expr::new(ExprKind::Lambda { params, body: Box::new(body) }, span))
     }
 
-    fn parse_or(&mut self) -> PResult<Expr> {
-        let first = self.parse_and()?;
-        if *self.peek() != TokenKind::KwOr {
-            return Ok(first);
-        }
-        let span = first.span;
-        let mut values = vec![first];
-        while self.eat(&TokenKind::KwOr) {
-            values.push(self.parse_and()?);
-        }
-        Ok(Expr::new(ExprKind::BoolOp { op: "or".into(), values }, span))
+    /// Operator expressions at binding power `min` and tighter: one
+    /// precedence-climbing loop over the table in [`crate::ops`].
+    ///
+    /// Each entry is one level of the depth guard, as each `parse_test` is;
+    /// its limit sits one level above `parse_test`'s. Prefix operands and
+    /// the right operand of `**` re-enter here, so chains of `not`, `-`,
+    /// `await` or `**` are bounded. Every other right operand climbs to a
+    /// strictly tighter level, so that recursion is bounded by the table.
+    fn parse_operators(&mut self, min: Prec) -> PResult<Expr> {
+        self.nested(MAX_EXPR_DEPTH + 1, |p| p.climb(min))
     }
 
-    fn parse_and(&mut self) -> PResult<Expr> {
-        let first = self.parse_not()?;
-        if *self.peek() != TokenKind::KwAnd {
-            return Ok(first);
-        }
-        let span = first.span;
-        let mut values = vec![first];
-        while self.eat(&TokenKind::KwAnd) {
-            values.push(self.parse_not()?);
-        }
-        Ok(Expr::new(ExprKind::BoolOp { op: "and".into(), values }, span))
-    }
-
-    fn parse_not(&mut self) -> PResult<Expr> {
-        if *self.peek() == TokenKind::KwNot {
-            let span = self.span();
-            self.bump();
-            let operand = self.parse_not()?;
-            return Ok(Expr::new(
-                ExprKind::UnaryOp { op: "not".into(), operand: Box::new(operand) },
-                span,
-            ));
-        }
-        self.parse_comparison()
-    }
-
-    fn parse_comparison(&mut self) -> PResult<Expr> {
-        let left = self.parse_bitor()?;
-        let mut ops = Vec::new();
-        let mut comparators = Vec::new();
-        loop {
-            let op = match self.peek() {
-                TokenKind::Lt => "<",
-                TokenKind::Gt => ">",
-                TokenKind::Le => "<=",
-                TokenKind::Ge => ">=",
-                TokenKind::EqEq => "==",
-                TokenKind::NotEq => "!=",
-                TokenKind::KwIn => "in",
-                TokenKind::KwIs => "is",
-                TokenKind::KwNot if *self.peek_at(1) == TokenKind::KwIn => "not in",
-                _ => break,
-            };
-            if op == "not in" {
-                self.bump();
-                self.bump();
-            } else if op == "is" {
-                self.bump();
-                if self.eat(&TokenKind::KwNot) {
-                    ops.push("is not".to_string());
-                    comparators.push(self.parse_bitor()?);
-                    continue;
+    fn climb(&mut self, min: Prec) -> PResult<Expr> {
+        let mut left = self.parse_prefix(min)?;
+        while let Some(op) = self.operator(false).filter(|op| op.prec >= min) {
+            let right_min = op.operands().1;
+            let span = left.span;
+            left = match op.fixity {
+                Fixity::Chain | Fixity::Flat => {
+                    let (mut ops, mut operands) = (Vec::new(), vec![left]);
+                    while let Some(next) = self.operator(false).filter(|o| o.prec == op.prec) {
+                        for _ in next.text.split(' ') {
+                            self.bump(); // one token per word, as in `not in`
+                        }
+                        ops.push(next.text.to_string());
+                        operands.push(self.climb(right_min)?);
+                    }
+                    if op.fixity == Fixity::Flat {
+                        Expr::new(ExprKind::BoolOp { op: op.text.into(), values: operands }, span)
+                    } else {
+                        let left = Box::new(operands.remove(0));
+                        Expr::new(ExprKind::Compare { left, ops, comparators: operands }, span)
+                    }
                 }
-            } else {
-                self.bump();
-            }
-            ops.push(op.to_string());
-            comparators.push(self.parse_bitor()?);
-        }
-        if ops.is_empty() {
-            return Ok(left);
-        }
-        let span = left.span;
-        Ok(Expr::new(ExprKind::Compare { left: Box::new(left), ops, comparators }, span))
-    }
-
-    fn parse_bitor(&mut self) -> PResult<Expr> {
-        let mut left = self.parse_bitxor()?;
-        while *self.peek() == TokenKind::Pipe {
-            self.bump();
-            let right = self.parse_bitxor()?;
-            left = binop(left, "|", right);
-        }
-        Ok(left)
-    }
-
-    fn parse_bitxor(&mut self) -> PResult<Expr> {
-        let mut left = self.parse_bitand()?;
-        while *self.peek() == TokenKind::Caret {
-            self.bump();
-            let right = self.parse_bitand()?;
-            left = binop(left, "^", right);
-        }
-        Ok(left)
-    }
-
-    fn parse_bitand(&mut self) -> PResult<Expr> {
-        let mut left = self.parse_shift()?;
-        while *self.peek() == TokenKind::Amp {
-            self.bump();
-            let right = self.parse_shift()?;
-            left = binop(left, "&", right);
-        }
-        Ok(left)
-    }
-
-    fn parse_shift(&mut self) -> PResult<Expr> {
-        let mut left = self.parse_arith()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::LShift => "<<",
-                TokenKind::RShift => ">>",
-                _ => break,
+                _ => {
+                    self.bump();
+                    let right = if op.fixity == Fixity::Right {
+                        self.parse_operators(right_min)?
+                    } else {
+                        self.climb(right_min)?
+                    };
+                    let span = span.merge(right.span);
+                    let (left, right) = (Box::new(left), Box::new(right));
+                    Expr::new(ExprKind::BinOp { left, op: op.text.into(), right }, span)
+                }
             };
-            self.bump();
-            let right = self.parse_arith()?;
-            left = binop(left, op, right);
         }
         Ok(left)
     }
 
-    fn parse_arith(&mut self) -> PResult<Expr> {
-        let mut left = self.parse_term()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => "+",
-                TokenKind::Minus => "-",
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_term()?;
-            left = binop(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn parse_term(&mut self) -> PResult<Expr> {
-        let mut left = self.parse_factor()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => "*",
-                TokenKind::Slash => "/",
-                TokenKind::DoubleSlash => "//",
-                TokenKind::Percent => "%",
-                TokenKind::At => "@",
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_factor()?;
-            left = binop(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn parse_factor(&mut self) -> PResult<Expr> {
-        if self.expr_depth > MAX_EXPR_DEPTH {
-            return self.err("expression nesting below the depth limit");
-        }
-        self.expr_depth += 1;
-        let r = self.parse_factor_inner();
-        self.expr_depth -= 1;
-        r
-    }
-
-    fn parse_factor_inner(&mut self) -> PResult<Expr> {
-        let op = match self.peek() {
-            TokenKind::Plus => Some("+"),
-            TokenKind::Minus => Some("-"),
-            TokenKind::Tilde => Some("~"),
-            _ => None,
+    /// A prefix operator and its operand, or a postfix expression. A prefix
+    /// operator looser than `min` is left to the atom parser to reject, as
+    /// in `a * not b`.
+    fn parse_prefix(&mut self, min: Prec) -> PResult<Expr> {
+        let Some(op) = self.operator(true).filter(|op| op.prec >= min) else {
+            return self.parse_postfix();
         };
-        if let Some(op) = op {
-            let span = self.span();
-            self.bump();
-            let operand = self.parse_factor()?;
-            return Ok(Expr::new(
-                ExprKind::UnaryOp { op: op.into(), operand: Box::new(operand) },
-                span,
-            ));
-        }
-        self.parse_power()
+        let span = self.span();
+        self.bump();
+        let operand = Box::new(self.parse_operators(op.operands().1)?);
+        let kind = if op.prec == Prec::Await {
+            ExprKind::Await(operand)
+        } else {
+            ExprKind::UnaryOp { op: op.text.into(), operand }
+        };
+        Ok(Expr::new(kind, span))
     }
 
-    fn parse_power(&mut self) -> PResult<Expr> {
-        let base = self.parse_awaited()?;
-        if *self.peek() == TokenKind::DoubleStar {
-            self.bump();
-            let exp = self.parse_factor()?; // right-associative
-            return Ok(binop(base, "**", exp));
-        }
-        Ok(base)
-    }
-
-    fn parse_awaited(&mut self) -> PResult<Expr> {
-        if *self.peek() == TokenKind::KwAwait {
-            let span = self.span();
-            self.bump();
-            let inner = self.parse_awaited()?;
-            return Ok(Expr::new(ExprKind::Await(Box::new(inner)), span));
-        }
-        self.parse_postfix()
+    /// The prefix or infix operator the tokens at the cursor spell.
+    fn operator(&self, prefix: bool) -> Option<&'static Operator> {
+        ops::at(&self.tokens[self.pos..], prefix)
     }
 
     /// Postfix chains: atoms followed by `.attr`, `[...]`, `(...)`.
@@ -1246,11 +1120,11 @@ impl Parser {
             self.expect(&TokenKind::KwFor, "`for`")?;
             let target = self.parse_target_list()?;
             self.expect(&TokenKind::KwIn, "`in`")?;
-            let iter = self.parse_or()?;
+            let iter = self.parse_operators(Prec::Or)?;
             let mut ifs = Vec::new();
             while *self.peek() == TokenKind::KwIf {
                 self.bump();
-                ifs.push(self.parse_or()?);
+                ifs.push(self.parse_operators(Prec::Or)?);
             }
             generators.push(Comprehension { target, iter, ifs });
         }
@@ -1406,7 +1280,7 @@ impl Parser {
         }
         // `**expr` can only start a dict display.
         if self.eat(&TokenKind::DoubleStar) {
-            let v = self.parse_or()?;
+            let v = self.parse_operators(Prec::Or)?;
             let mut keys = vec![None];
             let mut values = vec![v];
             while self.eat(&TokenKind::Comma) {
@@ -1484,7 +1358,7 @@ impl Parser {
     ) -> PResult<()> {
         if self.eat(&TokenKind::DoubleStar) {
             keys.push(None);
-            values.push(self.parse_or()?);
+            values.push(self.parse_operators(Prec::Or)?);
             return Ok(());
         }
         let k = self.parse_test()?;
@@ -1500,14 +1374,6 @@ impl Parser {
         let parts = parse_fstring_parts(&text);
         Ok(Expr::new(ExprKind::FString { text, parts }, span))
     }
-}
-
-fn binop(left: Expr, op: &str, right: Expr) -> Expr {
-    let span = left.span.merge(right.span);
-    Expr::new(
-        ExprKind::BinOp { left: Box::new(left), op: op.to_string(), right: Box::new(right) },
-        span,
-    )
 }
 
 /// Extracts and parses the `{...}` interpolation expressions of an f-string
@@ -2105,13 +1971,38 @@ def media():
 
     #[test]
     fn pathological_nesting_errors_instead_of_overflowing() {
-        let deep = format!("x = {}1{}\n", "(".repeat(10_000), ")".repeat(10_000));
-        assert!(parse(&deep).is_err(), "depth guard must trip");
-        let deep_unary = format!("x = {}1\n", "-".repeat(10_000));
-        assert!(parse(&deep_unary).is_err());
-        // Reasonable nesting still parses.
-        let ok = format!("x = {}1{}\n", "(".repeat(40), ")".repeat(40));
-        assert!(parse(&ok).is_ok());
+        // Run on an explicit 2 MiB stack, the default for spawned threads:
+        // the depth guard must keep every chain inside it.
+        let run = || {
+            let nested = |open: &str, close: &str, n: usize| {
+                format!("x = {}1{}\n", open.repeat(n), close.repeat(n))
+            };
+            assert!(parse(&nested("(", ")", 10_000)).is_err(), "depth guard must trip");
+            assert!(parse(&nested("-", "", 10_000)).is_err());
+            for prefix in ["not ", "await "] {
+                let chain = nested(prefix, "", 100_000);
+                assert!(parse(&chain).is_err(), "{prefix:?} chain");
+                assert!(!parse_lenient(&chain).1.is_empty(), "{prefix:?} chain, lenient");
+            }
+            // Pinned bounds: a bracket costs two levels of the guard, every
+            // other construct one.
+            for (open, close, max) in [
+                ("(", ")", 49),
+                ("[", "]", 49),
+                ("f(", ")", 49),
+                ("-", "", 99),
+                ("", " ** 1", 99),
+                ("", " if 1 else 1", 99),
+                ("lambda: ", "", 99),
+                ("not ", "", 99),
+                ("await ", "", 99),
+            ] {
+                assert!(parse(&nested(open, close, max)).is_ok(), "{max} x {open:?}{close:?}");
+                let over = max + 1;
+                assert!(parse(&nested(open, close, over)).is_err(), "{over} x {open:?}{close:?}");
+            }
+        };
+        std::thread::Builder::new().stack_size(2 << 20).spawn(run).unwrap().join().unwrap();
     }
 
     #[test]

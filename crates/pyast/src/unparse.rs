@@ -3,9 +3,11 @@
 //! Produces canonical source for any AST this crate can represent. The
 //! round-trip property `parse(unparse(parse(src))) == parse(src)` (modulo
 //! spans) is enforced by property tests and makes the printer a strong
-//! cross-check of the parser.
+//! cross-check of the parser. Parentheses follow the parser's operator
+//! table in `crate::ops`.
 
 use crate::ast::*;
+use crate::ops::{self, Fixity, Operator, Prec};
 
 /// Renders a module as Python source.
 pub fn unparse(module: &Module) -> String {
@@ -18,44 +20,12 @@ pub fn unparse(module: &Module) -> String {
 
 /// Renders a single expression.
 pub fn unparse_expr(expr: &Expr) -> String {
-    let mut p = Printer::new();
-    p.expr(expr, 0);
-    p.out
+    Printer::new().render(expr, Prec::Test)
 }
 
 struct Printer {
     out: String,
     indent: usize,
-}
-
-// Precedence levels, loosest to tightest (mirrors the parser).
-const P_TEST: u8 = 0; // lambda, ternary
-const P_OR: u8 = 1;
-const P_AND: u8 = 2;
-const P_NOT: u8 = 3;
-const P_CMP: u8 = 4;
-const P_BITOR: u8 = 5;
-const P_BITXOR: u8 = 6;
-const P_BITAND: u8 = 7;
-const P_SHIFT: u8 = 8;
-const P_ARITH: u8 = 9;
-const P_TERM: u8 = 10;
-const P_UNARY: u8 = 11;
-const P_POWER: u8 = 12;
-const P_POSTFIX: u8 = 13;
-
-fn binop_prec(op: &str) -> (u8, bool) {
-    // (precedence, right-associative)
-    match op {
-        "|" => (P_BITOR, false),
-        "^" => (P_BITXOR, false),
-        "&" => (P_BITAND, false),
-        "<<" | ">>" => (P_SHIFT, false),
-        "+" | "-" => (P_ARITH, false),
-        "*" | "/" | "//" | "%" | "@" => (P_TERM, false),
-        "**" => (P_POWER, true),
-        _ => (P_ARITH, false),
-    }
 }
 
 impl Printer {
@@ -83,109 +53,83 @@ impl Printer {
         self.indent -= 1;
     }
 
+    /// An `else:` or `finally:` clause, printed only when it has a body.
+    fn clause(&mut self, keyword: &str, body: &[Stmt]) {
+        if !body.is_empty() {
+            self.line(&format!("{keyword}:"));
+            self.suite(body);
+        }
+    }
+
     fn stmt(&mut self, stmt: &Stmt) {
         match &stmt.kind {
-            StmtKind::Import(aliases) => {
-                let list = aliases
-                    .iter()
-                    .map(|a| match &a.asname {
-                        Some(n) => format!("{} as {n}", a.name.join(".")),
-                        None => a.name.join("."),
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                self.line(&format!("import {list}"));
-            }
+            StmtKind::Import(aliases) => self.line(&format!("import {}", alias_list(aliases))),
             StmtKind::ImportFrom { module, names, level } => {
                 let dots = ".".repeat(*level as usize);
-                let list = names
-                    .iter()
-                    .map(|a| match &a.asname {
-                        Some(n) => format!("{} as {n}", a.name.join(".")),
-                        None => a.name.join("."),
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
+                let list = alias_list(names);
                 self.line(&format!("from {dots}{} import {list}", module.join(".")));
             }
             StmtKind::FunctionDef(def) => self.function_def(def),
             StmtKind::ClassDef(def) => self.class_def(def),
             StmtKind::Return(value) => match value {
                 Some(e) => {
-                    let e = self.render(e, P_TEST);
+                    let e = self.render(e, Prec::Test);
                     self.line(&format!("return {e}"));
                 }
                 None => self.line("return"),
             },
             StmtKind::Delete(targets) => {
-                let list = targets
-                    .iter()
-                    .map(|t| self.render(t, P_TEST))
-                    .collect::<Vec<_>>()
-                    .join(", ");
+                let list = self.join(targets, Prec::Test, ", ");
                 self.line(&format!("del {list}"));
             }
             StmtKind::Assign { targets, value } => {
-                let lhs = targets
-                    .iter()
-                    .map(|t| self.render(t, P_TEST))
-                    .collect::<Vec<_>>()
-                    .join(" = ");
-                let rhs = self.render(value, P_TEST);
+                let lhs = self.join(targets, Prec::Test, " = ");
+                let rhs = self.render(value, Prec::Test);
                 self.line(&format!("{lhs} = {rhs}"));
             }
             StmtKind::AugAssign { target, op, value } => {
-                let t = self.render(target, P_POSTFIX);
-                let v = self.render(value, P_TEST);
+                let t = self.render(target, Prec::Postfix);
+                let v = self.render(value, Prec::Test);
                 self.line(&format!("{t} {op}= {v}"));
             }
             StmtKind::AnnAssign { target, annotation, value } => {
-                let t = self.render(target, P_POSTFIX);
-                let a = self.render(annotation, P_TEST);
+                let t = self.render(target, Prec::Postfix);
+                let a = self.render(annotation, Prec::Test);
                 match value {
                     Some(v) => {
-                        let v = self.render(v, P_TEST);
+                        let v = self.render(v, Prec::Test);
                         self.line(&format!("{t}: {a} = {v}"));
                     }
                     None => self.line(&format!("{t}: {a}")),
                 }
             }
             StmtKind::For { target, iter, body, orelse } => {
-                let t = self.render(target, P_TEST);
-                let i = self.render(iter, P_TEST);
+                let t = self.render(target, Prec::Test);
+                let i = self.render(iter, Prec::Test);
                 self.line(&format!("for {t} in {i}:"));
                 self.suite(body);
-                if !orelse.is_empty() {
-                    self.line("else:");
-                    self.suite(orelse);
-                }
+                self.clause("else", orelse);
             }
             StmtKind::While { test, body, orelse } => {
-                let t = self.render(test, P_TEST);
+                let t = self.render(test, Prec::Test);
                 self.line(&format!("while {t}:"));
                 self.suite(body);
-                if !orelse.is_empty() {
-                    self.line("else:");
-                    self.suite(orelse);
-                }
+                self.clause("else", orelse);
             }
             StmtKind::If { test, body, orelse } => {
-                let t = self.render(test, P_TEST);
+                let t = self.render(test, Prec::Test);
                 self.line(&format!("if {t}:"));
                 self.suite(body);
-                if !orelse.is_empty() {
-                    self.line("else:");
-                    self.suite(orelse);
-                }
+                self.clause("else", orelse);
             }
             StmtKind::With { items, body } => {
                 let list = items
                     .iter()
                     .map(|i| {
-                        let c = self.render(&i.context, P_TEST);
+                        let c = self.render(&i.context, Prec::Test);
                         match &i.target {
                             Some(t) => {
-                                let t = self.render(t, P_POSTFIX);
+                                let t = self.render(t, Prec::Postfix);
                                 format!("{c} as {t}")
                             }
                             None => c,
@@ -199,12 +143,12 @@ impl Printer {
             StmtKind::Raise { exc, cause } => match (exc, cause) {
                 (None, _) => self.line("raise"),
                 (Some(e), None) => {
-                    let e = self.render(e, P_TEST);
+                    let e = self.render(e, Prec::Test);
                     self.line(&format!("raise {e}"));
                 }
                 (Some(e), Some(c)) => {
-                    let e = self.render(e, P_TEST);
-                    let c = self.render(c, P_TEST);
+                    let e = self.render(e, Prec::Test);
+                    let c = self.render(c, Prec::Test);
                     self.line(&format!("raise {e} from {c}"));
                 }
             },
@@ -215,30 +159,24 @@ impl Printer {
                     match (&h.typ, &h.name) {
                         (None, _) => self.line("except:"),
                         (Some(t), None) => {
-                            let t = self.render(t, P_TEST);
+                            let t = self.render(t, Prec::Test);
                             self.line(&format!("except {t}:"));
                         }
                         (Some(t), Some(n)) => {
-                            let t = self.render(t, P_TEST);
+                            let t = self.render(t, Prec::Test);
                             self.line(&format!("except {t} as {n}:"));
                         }
                     }
                     self.suite(&h.body);
                 }
-                if !orelse.is_empty() {
-                    self.line("else:");
-                    self.suite(orelse);
-                }
-                if !finalbody.is_empty() {
-                    self.line("finally:");
-                    self.suite(finalbody);
-                }
+                self.clause("else", orelse);
+                self.clause("finally", finalbody);
             }
             StmtKind::Assert { test, msg } => {
-                let t = self.render(test, P_TEST);
+                let t = self.render(test, Prec::Test);
                 match msg {
                     Some(m) => {
-                        let m = self.render(m, P_TEST);
+                        let m = self.render(m, Prec::Test);
                         self.line(&format!("assert {t}, {m}"));
                     }
                     None => self.line(&format!("assert {t}")),
@@ -247,7 +185,7 @@ impl Printer {
             StmtKind::Global(names) => self.line(&format!("global {}", names.join(", "))),
             StmtKind::Nonlocal(names) => self.line(&format!("nonlocal {}", names.join(", "))),
             StmtKind::Expr(e) => {
-                let e = self.render(e, P_TEST);
+                let e = self.render(e, Prec::Test);
                 self.line(&e);
             }
             StmtKind::Pass => self.line("pass"),
@@ -258,12 +196,12 @@ impl Printer {
 
     fn function_def(&mut self, def: &FunctionDef) {
         for d in &def.decorators {
-            let d = self.render(d, P_TEST);
+            let d = self.render(d, Prec::Test);
             self.line(&format!("@{d}"));
         }
         let params = self.param_list(&def.params);
         let arrow = match &def.returns {
-            Some(r) => format!(" -> {}", self.render(r, P_TEST)),
+            Some(r) => format!(" -> {}", self.render(r, Prec::Test)),
             None => String::new(),
         };
         let prefix = if def.is_async { "async def" } else { "def" };
@@ -273,22 +211,14 @@ impl Printer {
 
     fn class_def(&mut self, def: &ClassDef) {
         for d in &def.decorators {
-            let d = self.render(d, P_TEST);
+            let d = self.render(d, Prec::Test);
             self.line(&format!("@{d}"));
         }
-        let mut headers: Vec<String> =
-            def.bases.iter().map(|b| self.render(b, P_TEST)).collect();
-        for k in &def.keywords {
-            let v = self.render(&k.value, P_TEST);
-            match &k.name {
-                Some(n) => headers.push(format!("{n}={v}")),
-                None => headers.push(format!("**{v}")),
-            }
-        }
+        let headers = self.call_args(&def.bases, &def.keywords);
         if headers.is_empty() {
             self.line(&format!("class {}:", def.name));
         } else {
-            self.line(&format!("class {}({}):", def.name, headers.join(", ")));
+            self.line(&format!("class {}({headers}):", def.name));
         }
         self.suite(&def.body);
     }
@@ -305,11 +235,11 @@ impl Printer {
                 };
                 if let Some(a) = &p.annotation {
                     s.push_str(": ");
-                    s.push_str(&self.render(a, P_TEST));
+                    s.push_str(&self.render(a, Prec::Test));
                 }
                 if let Some(d) = &p.default {
                     s.push('=');
-                    s.push_str(&self.render(d, P_TEST));
+                    s.push_str(&self.render(d, Prec::Test));
                 }
                 s
             })
@@ -317,13 +247,27 @@ impl Printer {
             .join(", ")
     }
 
-    fn expr(&mut self, e: &Expr, min_prec: u8) {
-        let s = self.render(e, min_prec);
-        self.out.push_str(&s);
+    /// A call's or a class header's arguments: positional, then `name=value`
+    /// and `**mapping` keywords.
+    fn call_args(&mut self, args: &[Expr], keywords: &[Keyword]) -> String {
+        let mut parts: Vec<String> = args.iter().map(|a| self.render(a, Prec::Test)).collect();
+        for k in keywords {
+            let v = self.render(&k.value, Prec::Test);
+            match &k.name {
+                Some(n) => parts.push(format!("{n}={v}")),
+                None => parts.push(format!("**{v}")),
+            }
+        }
+        parts.join(", ")
+    }
+
+    /// Renders each of `exprs` at `min_prec`, joined by `sep`.
+    fn join(&mut self, exprs: &[Expr], min_prec: Prec, sep: &str) -> String {
+        exprs.iter().map(|e| self.render(e, min_prec)).collect::<Vec<_>>().join(sep)
     }
 
     /// Renders `e`, parenthesizing when its precedence is below `min_prec`.
-    fn render(&mut self, e: &Expr, min_prec: u8) -> String {
+    fn render(&mut self, e: &Expr, min_prec: Prec) -> String {
         let (text, prec) = self.render_raw(e);
         if prec < min_prec {
             format!("({text})")
@@ -332,146 +276,124 @@ impl Printer {
         }
     }
 
-    fn render_raw(&mut self, e: &Expr) -> (String, u8) {
+    fn render_raw(&mut self, e: &Expr) -> (String, Prec) {
         match &e.kind {
-            ExprKind::Name(n) => (n.clone(), P_POSTFIX),
-            ExprKind::Number(n) => (n.clone(), P_POSTFIX),
-            ExprKind::Str(s) => (format!("'{}'", escape_str(s)), P_POSTFIX),
-            ExprKind::FString { text, .. } => (format!("f'{}'", escape_fstr(text)), P_POSTFIX),
-            ExprKind::Bytes(s) => (format!("b'{}'", escape_str(s)), P_POSTFIX),
-            ExprKind::Bool(true) => ("True".into(), P_POSTFIX),
-            ExprKind::Bool(false) => ("False".into(), P_POSTFIX),
-            ExprKind::NoneLit => ("None".into(), P_POSTFIX),
-            ExprKind::EllipsisLit => ("...".into(), P_POSTFIX),
+            ExprKind::Name(n) => (n.clone(), Prec::Postfix),
+            ExprKind::Number(n) => (n.clone(), Prec::Postfix),
+            ExprKind::Str(s) => (format!("'{}'", escape_str(s)), Prec::Postfix),
+            ExprKind::FString { text, .. } => (format!("f'{}'", escape_str(text)), Prec::Postfix),
+            ExprKind::Bytes(s) => (format!("b'{}'", escape_str(s)), Prec::Postfix),
+            ExprKind::Bool(true) => ("True".into(), Prec::Postfix),
+            ExprKind::Bool(false) => ("False".into(), Prec::Postfix),
+            ExprKind::NoneLit => ("None".into(), Prec::Postfix),
+            ExprKind::EllipsisLit => ("...".into(), Prec::Postfix),
             ExprKind::Attribute { value, attr } => {
-                let v = self.render(value, P_POSTFIX);
-                (format!("{v}.{attr}"), P_POSTFIX)
+                let v = self.render(value, Prec::Postfix);
+                (format!("{v}.{attr}"), Prec::Postfix)
             }
             ExprKind::Subscript { value, index } => {
-                let v = self.render(value, P_POSTFIX);
-                let i = self.render(index, P_TEST);
-                (format!("{v}[{i}]"), P_POSTFIX)
+                let v = self.render(value, Prec::Postfix);
+                let i = self.render(index, Prec::Test);
+                (format!("{v}[{i}]"), Prec::Postfix)
             }
             ExprKind::Slice { lower, upper, step } => {
                 let part = |p: &Option<Box<Expr>>, this: &mut Self| match p {
-                    Some(e) => this.render(e, P_TEST),
+                    Some(e) => this.render(e, Prec::Test),
                     None => String::new(),
                 };
                 let lo = part(lower, self);
                 let hi = part(upper, self);
                 let text = match step {
                     Some(s) => {
-                        let s = self.render(s, P_TEST);
+                        let s = self.render(s, Prec::Test);
                         format!("{lo}:{hi}:{s}")
                     }
                     None => format!("{lo}:{hi}"),
                 };
-                (text, P_TEST)
+                (text, Prec::Test)
             }
             ExprKind::Call { func, args, keywords } => {
-                let f = self.render(func, P_POSTFIX);
-                let mut parts: Vec<String> =
-                    args.iter().map(|a| self.render(a, P_TEST)).collect();
-                for k in keywords {
-                    let v = self.render(&k.value, P_TEST);
-                    match &k.name {
-                        Some(n) => parts.push(format!("{n}={v}")),
-                        None => parts.push(format!("**{v}")),
-                    }
-                }
-                (format!("{f}({})", parts.join(", ")), P_POSTFIX)
+                let f = self.render(func, Prec::Postfix);
+                (format!("{f}({})", self.call_args(args, keywords)), Prec::Postfix)
             }
             ExprKind::BinOp { left, op, right } => {
-                let (prec, right_assoc) = binop_prec(op);
-                let l = self.render(left, if right_assoc { prec + 1 } else { prec });
-                let r = self.render(right, if right_assoc { prec } else { prec + 1 });
-                (format!("{l} {op} {r}"), prec)
+                let table = operator(op, false);
+                let (lmin, rmin) = table.operands();
+                let l = self.render(left, lmin);
+                let r = self.render(right, rmin);
+                (format!("{l} {op} {r}"), table.prec)
             }
             ExprKind::UnaryOp { op, operand } => {
-                if op == "not" {
-                    let v = self.render(operand, P_NOT);
-                    (format!("not {v}"), P_NOT)
-                } else {
-                    let v = self.render(operand, P_UNARY);
-                    (format!("{op}{v}"), P_UNARY)
-                }
+                let table = operator(op, true);
+                let v = self.render(operand, table.operands().1);
+                let space = if op == "not" { " " } else { "" };
+                (format!("{op}{space}{v}"), table.prec)
             }
             ExprKind::BoolOp { op, values } => {
-                let prec = if op == "or" { P_OR } else { P_AND };
-                let parts: Vec<String> =
-                    values.iter().map(|v| self.render(v, prec + 1)).collect();
-                (parts.join(&format!(" {op} ")), prec)
+                let table = operator(op, false);
+                (self.join(values, table.operands().1, &format!(" {op} ")), table.prec)
             }
             ExprKind::Compare { left, ops, comparators } => {
-                let mut s = self.render(left, P_CMP + 1);
+                let min = Prec::Cmp.tighter();
+                let mut s = self.render(left, min);
                 for (op, c) in ops.iter().zip(comparators) {
-                    let c = self.render(c, P_CMP + 1);
+                    let c = self.render(c, min);
                     s.push_str(&format!(" {op} {c}"));
                 }
-                (s, P_CMP)
+                (s, Prec::Cmp)
             }
             ExprKind::IfExp { test, body, orelse } => {
-                let b = self.render(body, P_OR);
-                let t = self.render(test, P_OR);
-                let o = self.render(orelse, P_TEST);
-                (format!("{b} if {t} else {o}"), P_TEST)
+                let b = self.render(body, Prec::Or);
+                let t = self.render(test, Prec::Or);
+                let o = self.render(orelse, Prec::Test);
+                (format!("{b} if {t} else {o}"), Prec::Test)
             }
             ExprKind::Lambda { params, body } => {
                 let p = self.param_list(params);
-                let b = self.render(body, P_TEST);
+                let b = self.render(body, Prec::Test);
                 let text = if p.is_empty() {
                     format!("lambda: {b}")
                 } else {
                     format!("lambda {p}: {b}")
                 };
-                (text, P_TEST)
+                (text, Prec::Test)
             }
             ExprKind::Tuple(elems) => {
-                let parts: Vec<String> =
-                    elems.iter().map(|e| self.render(e, P_TEST)).collect();
-                let text = match parts.len() {
-                    0 => "()".to_string(),
-                    1 => format!("({},)", parts[0]),
-                    _ => format!("({})", parts.join(", ")),
-                };
-                (text, P_POSTFIX)
+                let comma = if elems.len() == 1 { "," } else { "" };
+                (format!("({}{comma})", self.join(elems, Prec::Test, ", ")), Prec::Postfix)
             }
             ExprKind::List(elems) => {
-                let parts: Vec<String> =
-                    elems.iter().map(|e| self.render(e, P_TEST)).collect();
-                (format!("[{}]", parts.join(", ")), P_POSTFIX)
+                (format!("[{}]", self.join(elems, Prec::Test, ", ")), Prec::Postfix)
             }
             ExprKind::Set(elems) => {
-                let parts: Vec<String> =
-                    elems.iter().map(|e| self.render(e, P_TEST)).collect();
-                (format!("{{{}}}", parts.join(", ")), P_POSTFIX)
+                (format!("{{{}}}", self.join(elems, Prec::Test, ", ")), Prec::Postfix)
             }
             ExprKind::Dict { keys, values } => {
                 let parts: Vec<String> = keys
                     .iter()
                     .zip(values)
                     .map(|(k, v)| {
-                        let v = self.render(v, P_TEST);
+                        let v = self.render(v, Prec::Test);
                         match k {
                             Some(k) => {
-                                let k = self.render(k, P_TEST);
+                                let k = self.render(k, Prec::Test);
                                 format!("{k}: {v}")
                             }
                             None => format!("**{v}"),
                         }
                     })
                     .collect();
-                (format!("{{{}}}", parts.join(", ")), P_POSTFIX)
+                (format!("{{{}}}", parts.join(", ")), Prec::Postfix)
             }
             ExprKind::Comp { kind, element, value, generators } => {
-                let elem = self.render(element, P_TEST);
+                let elem = self.render(element, Prec::Test);
                 let mut clauses = String::new();
                 for g in generators {
-                    let t = self.render(&g.target, P_TEST);
-                    let i = self.render(&g.iter, P_OR);
+                    let t = self.render(&g.target, Prec::Test);
+                    let i = self.render(&g.iter, Prec::Or);
                     clauses.push_str(&format!(" for {t} in {i}"));
                     for cond in &g.ifs {
-                        let c = self.render(cond, P_OR);
+                        let c = self.render(cond, Prec::Or);
                         clauses.push_str(&format!(" if {c}"));
                     }
                 }
@@ -481,69 +403,64 @@ impl Printer {
                     CompKind::Dict => {
                         let v = value
                             .as_ref()
-                            .map(|v| self.render(v, P_TEST))
+                            .map(|v| self.render(v, Prec::Test))
                             .unwrap_or_default();
                         format!("{{{elem}: {v}{clauses}}}")
                     }
                     CompKind::Generator => format!("({elem}{clauses})"),
                 };
-                (text, P_POSTFIX)
+                (text, Prec::Postfix)
             }
             ExprKind::Yield { value, is_from } => {
                 let text = match (value, is_from) {
                     (Some(v), true) => {
-                        let v = self.render(v, P_TEST);
+                        let v = self.render(v, Prec::Test);
                         format!("yield from {v}")
                     }
                     (Some(v), false) => {
-                        let v = self.render(v, P_TEST);
+                        let v = self.render(v, Prec::Test);
                         format!("yield {v}")
                     }
                     (None, _) => "yield".to_string(),
                 };
-                (format!("({text})"), P_POSTFIX)
+                (format!("({text})"), Prec::Postfix)
             }
             ExprKind::Await(inner) => {
-                let v = self.render(inner, P_UNARY);
-                (format!("await {v}"), P_UNARY)
+                let v = self.render(inner, ops::AWAIT.operands().1);
+                (format!("await {v}"), ops::AWAIT.prec)
             }
             ExprKind::Starred(inner) => {
-                let v = self.render(inner, P_UNARY);
-                (format!("*{v}"), P_TEST)
+                let v = self.render(inner, Prec::Unary);
+                (format!("*{v}"), Prec::Test)
             }
             ExprKind::NamedExpr { target, value } => {
-                let t = self.render(target, P_POSTFIX);
-                let v = self.render(value, P_TEST);
-                (format!("({t} := {v})"), P_POSTFIX)
+                let t = self.render(target, Prec::Postfix);
+                let v = self.render(value, Prec::Test);
+                (format!("({t} := {v})"), Prec::Postfix)
             }
         }
     }
 }
 
-/// Escapes a string body for single-quoted output. The lexer keeps escape
-/// sequences verbatim, so only bare single quotes and newlines need care.
+fn alias_list(aliases: &[ImportAlias]) -> String {
+    let alias = |a: &ImportAlias| match &a.asname {
+        Some(n) => format!("{} as {n}", a.name.join(".")),
+        None => a.name.join("."),
+    };
+    aliases.iter().map(alias).collect::<Vec<_>>().join(", ")
+}
+
+/// The table row of an operator the parser produced: a prefix operator if
+/// `prefix`, else an infix one.
+fn operator(text: &str, prefix: bool) -> &'static Operator {
+    let is = |op: &&Operator| op.text == text && (op.fixity == Fixity::Prefix) == prefix;
+    ops::OPERATORS.iter().find(is).unwrap_or_else(|| panic!("`{text}` is not an operator"))
+}
+
+/// Escapes a string or f-string body for single-quoted output. The lexer
+/// keeps escape sequences verbatim, so only bare single quotes and newlines
+/// need care; f-string braces stay as they are.
 fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '\\' => {
-                out.push('\\');
-                if let Some(&n) = chars.peek() {
-                    out.push(n);
-                    chars.next();
-                }
-            }
-            '\'' => out.push_str("\\'"),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// F-string bodies keep `{`/`}` meaningful; escape quotes/newlines only.
-fn escape_fstr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars().peekable();
     while let Some(c) = chars.next() {
@@ -645,6 +562,8 @@ mod tests {
             "y = x is not None\n",
             "y = x not in ys\n",
             "y = *a, *b\n",
+            "x = await (-y)\n",
+            "x = await (a ** b)\n",
         ] {
             round_trip(src);
         }
@@ -689,6 +608,10 @@ def media():
         assert_eq!(unparse_expr(&e), "a + b * c");
         let e = crate::parser::parse_expr("-(a + b)").unwrap();
         assert_eq!(unparse_expr(&e), "-(a + b)");
+        let e = crate::parser::parse_expr("(await a) ** b").unwrap();
+        assert_eq!(unparse_expr(&e), "await a ** b");
+        let e = crate::parser::parse_expr("2 ** -1").unwrap();
+        assert_eq!(unparse_expr(&e), "2 ** -1");
     }
 
     #[test]

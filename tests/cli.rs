@@ -224,6 +224,55 @@ fn malformed_file_degrades_gracefully() {
 }
 
 #[test]
+fn learn_degrades_on_a_hostile_prefix_chain() {
+    // A 100,000-deep `not` chain is well inside the source-size budget. The
+    // parser's depth guard must turn it into a parse error: the run exits
+    // normally (not by a signal) and learns from the other file exactly
+    // what it learns from that file alone.
+    use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
+    let dir = temp_dir("hostile");
+    let universe = Universe::new();
+    let corpus = generate_corpus(
+        &universe,
+        &CorpusOptions { projects: 8, rng_seed: 7, ..Default::default() },
+    );
+    let first: Vec<&str> = corpus.files().map(|(_, f)| f.content.as_str()).collect();
+    let (alone, both) = (dir.join("alone"), dir.join("both"));
+    for tree in [&alone, &both] {
+        std::fs::create_dir_all(tree).unwrap();
+        std::fs::write(tree.join("a_first.py"), first.join("\n")).unwrap();
+    }
+    let hostile = format!("x = {}1\n", "not ".repeat(100_000));
+    std::fs::write(both.join("b_hostile.py"), hostile).unwrap();
+    let seed = dir.join("seed_spec.txt");
+    std::fs::write(&seed, universe.seed_spec().to_text()).unwrap();
+    let learn = |tree: &PathBuf, out: &str| {
+        let out_path = dir.join(out);
+        let run = seldon()
+            .arg("learn")
+            .arg(tree)
+            .arg("--seed")
+            .arg(&seed)
+            .arg("--out")
+            .arg(&out_path)
+            .output()
+            .expect("runs");
+        (run, std::fs::read_to_string(&out_path).unwrap_or_default())
+    };
+    let (run, expected) = learn(&alone, "alone.txt");
+    assert!(run.status.success(), "stderr: {}", String::from_utf8_lossy(&run.stderr));
+    assert!(!expected.is_empty(), "the first file alone learns entries");
+    let (run, learned) = learn(&both, "both.txt");
+    assert!(
+        matches!(run.status.code(), Some(0 | 1)),
+        "exit by status, not by signal: {:?}\n{}",
+        run.status,
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert_eq!(learned, expected, "the hostile file costs only itself");
+}
+
+#[test]
 fn strict_mode_aborts_on_malformed_file() {
     let dir = temp_dir("strict");
     std::fs::write(dir.join("broken.py"), "x = = broken\n").unwrap();
