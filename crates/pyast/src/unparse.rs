@@ -317,21 +317,21 @@ impl Printer {
                 (format!("{f}({})", self.call_args(args, keywords)), Prec::Postfix)
             }
             ExprKind::BinOp { left, op, right } => {
-                let table = operator(op, false);
-                let (lmin, rmin) = table.operands();
+                let row = operator(op, false);
+                let (lmin, rmin) = row.operands();
                 let l = self.render(left, lmin);
                 let r = self.render(right, rmin);
-                (format!("{l} {op} {r}"), table.prec)
+                (format!("{l} {op} {r}"), row.prec)
             }
             ExprKind::UnaryOp { op, operand } => {
-                let table = operator(op, true);
-                let v = self.render(operand, table.operands().1);
+                let row = operator(op, true);
+                let v = self.render(operand, row.operands().1);
                 let space = if op == "not" { " " } else { "" };
-                (format!("{op}{space}{v}"), table.prec)
+                (format!("{op}{space}{v}"), row.prec)
             }
             ExprKind::BoolOp { op, values } => {
-                let table = operator(op, false);
-                (self.join(values, table.operands().1, &format!(" {op} ")), table.prec)
+                let row = operator(op, false);
+                (self.join(values, row.operands().1, &format!(" {op} ")), row.prec)
             }
             ExprKind::Compare { left, ops, comparators } => {
                 let min = Prec::Cmp.tighter();
