@@ -77,7 +77,7 @@ fn bench_frontend(c: &mut Criterion) {
 fn bench_taint_sweep(c: &mut Criterion) {
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &CorpusOptions { projects: 80, ..Default::default() });
-    let analyzed = analyze_corpus(&corpus, 4).expect("parses");
+    let analyzed = analyze_corpus(&corpus).expect("parses");
     let seed = universe.seed_spec();
     let run = run_seldon(&analyzed.graph, &seed, &SeldonOptions::default());
     let mut combined = seed.clone();

@@ -30,7 +30,7 @@ fn bench_graph_build(c: &mut Criterion) {
 fn bench_constraint_generation(c: &mut Criterion) {
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &CorpusOptions { projects: 60, ..Default::default() });
-    let analyzed = analyze_corpus(&corpus, 4).expect("parses");
+    let analyzed = analyze_corpus(&corpus).expect("parses");
     let seed = universe.seed_spec();
     c.bench_function("constraint_generation", |b| {
         b.iter(|| generate(&analyzed.graph, &seed, &GenOptions::default()).constraint_count())
@@ -47,7 +47,7 @@ fn bench_fig10_scaling(c: &mut Criterion) {
     for projects in [25usize, 50, 100, 200] {
         let corpus =
             generate_corpus(&universe, &CorpusOptions { projects, ..Default::default() });
-        let analyzed = analyze_corpus(&corpus, 4).expect("parses");
+        let analyzed = analyze_corpus(&corpus).expect("parses");
         g.throughput(Throughput::Elements(corpus.file_count() as u64));
         g.bench_with_input(BenchmarkId::from_parameter(projects), &analyzed, |b, a| {
             b.iter(|| {

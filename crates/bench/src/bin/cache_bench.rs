@@ -59,7 +59,6 @@ fn timed_run(
     let (cache, _) = ArtifactCache::open(dir).expect("cache opens");
     let opts = AnalyzeOptions {
         policy: FaultPolicy::Recover,
-        threads: 4,
         cache: Some(Arc::new(cache)),
         ..Default::default()
     };

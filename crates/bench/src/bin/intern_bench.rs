@@ -29,7 +29,7 @@ fn write_golden(path: &str) {
         &universe,
         &CorpusOptions { projects: 60, rng_seed: 1234, ..Default::default() },
     );
-    let analyzed = analyze_corpus(&corpus, 4).expect("fixture corpus analyzes");
+    let analyzed = analyze_corpus(&corpus).expect("fixture corpus analyzes");
     let run = run_seldon(&analyzed.graph, &universe.seed_spec(), &SeldonOptions::default());
     std::fs::write(path, run.extraction.spec.to_text()).expect("write golden spec");
 }

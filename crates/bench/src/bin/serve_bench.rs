@@ -93,7 +93,6 @@ fn fresh_engine(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usize, t
         seed: seed.clone(),
         analyze: AnalyzeOptions {
             policy: FaultPolicy::Recover,
-            threads: 4,
             cache: Some(cache),
             ..Default::default()
         },
@@ -129,7 +128,7 @@ fn determinism_gate(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usiz
             &batch_corpus(state),
             seed,
             "learn",
-            &AnalyzeOptions { policy: FaultPolicy::Recover, threads: 4, ..Default::default() },
+            &AnalyzeOptions { policy: FaultPolicy::Recover, ..Default::default() },
             &seldon_opts(threads),
         )
         .expect("batch run")

@@ -152,7 +152,7 @@ fn determinism_gate(golden_path: Option<&str>, early_stop: Option<EarlyStop>) ->
         &universe,
         &CorpusOptions { projects: 60, rng_seed: 1234, ..Default::default() },
     );
-    let analyzed = analyze_corpus(&corpus, 4).expect("fixture corpus analyzes");
+    let analyzed = analyze_corpus(&corpus).expect("fixture corpus analyzes");
     let seed = universe.seed_spec();
     let solve_with = |threads: usize| {
         let opts = SeldonOptions {
@@ -237,7 +237,7 @@ fn main() -> ExitCode {
             ..Default::default()
         },
     );
-    let analyzed = analyze_corpus(&corpus, 4).expect("bench corpus analyzes");
+    let analyzed = analyze_corpus(&corpus).expect("bench corpus analyzes");
     let seed = universe.seed_spec();
     let run = run_seldon(&analyzed.graph, &seed, &SeldonOptions::default());
     let system = run.system;

@@ -3,29 +3,43 @@
 //! Usage: `cargo run --release -p seldon-bench --bin tables -- [experiment...]`
 //! where each experiment is one of: table1 table2 table3 table4 table5
 //! fig10 fig11 table6 table7 q5 q6 ablations all. With no arguments, all
-//! experiments run. `--projects N` scales the corpus.
+//! experiments run. `--projects N` (N ≥ 1) scales the corpus; a bad or
+//! missing value, or any other flag, is a usage error (exit 2).
 
 use seldon_bench::*;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parses the command line into the experiment config and the requested
+/// experiments.
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(ExperimentConfig, Vec<String>), String> {
     let mut cfg = ExperimentConfig::default();
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--projects" => {
-                cfg.projects = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cfg.projects);
+                let value = it.next().ok_or("--projects needs a value")?;
+                cfg.projects =
+                    value.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+                        format!("--projects needs a positive integer, got {value:?}")
+                    })?;
             }
-            "--threads" => {
-                cfg.threads = it.next().and_then(|v| v.parse().ok()).unwrap_or(cfg.threads);
-            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag: {flag}")),
             other => wanted.push(other.to_string()),
         }
     }
+    Ok((cfg, wanted))
+}
+
+fn main() {
+    let (cfg, wanted) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        }
+    };
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
         print!("{}", run_all(&cfg));
         return;
@@ -58,5 +72,29 @@ fn main() {
             }
         };
         print!("{}", table.render());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<(usize, Vec<String>), String> {
+        parse_args(args.iter().map(|a| a.to_string())).map(|(cfg, wanted)| (cfg.projects, wanted))
+    }
+
+    #[test]
+    fn projects_value_must_be_a_positive_integer() {
+        assert_eq!(parse(&[]), Ok((400, vec![])));
+        assert_eq!(parse(&["--projects", "30", "table1"]), Ok((30, vec!["table1".into()])));
+        for bad in [
+            &["--projects", "abc"][..],
+            &["--projects"],
+            &["--projects", "0"],
+            &["--projects", "-3"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be a usage error");
+        }
+        assert!(parse(&["--threads", "4", "all"]).is_err(), "--threads is gone");
     }
 }

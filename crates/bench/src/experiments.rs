@@ -22,15 +22,13 @@ use std::time::Instant;
 pub struct ExperimentConfig {
     /// Number of corpus projects for the main experiments.
     pub projects: usize,
-    /// Worker threads for graph extraction.
-    pub threads: usize,
     /// Corpus RNG seed.
     pub rng_seed: u64,
 }
 
 impl Default for ExperimentConfig {
     fn default() -> Self {
-        ExperimentConfig { projects: 400, threads: 8, rng_seed: 0xC0FFEE }
+        ExperimentConfig { projects: 400, rng_seed: 0xC0FFEE }
     }
 }
 
@@ -59,7 +57,7 @@ impl Workbench {
             &universe,
             &CorpusOptions { projects: cfg.projects, rng_seed: cfg.rng_seed, ..Default::default() },
         );
-        let analyzed = analyze_corpus(&corpus, cfg.threads).expect("corpus parses");
+        let analyzed = analyze_corpus(&corpus).expect("corpus parses");
         let truth = GroundTruth::new(&universe, &corpus);
         let seed = universe.seed_spec();
         let run = run_seldon(&analyzed.graph, &seed, &SeldonOptions::default());
@@ -270,7 +268,7 @@ pub fn fig10(cfg: &ExperimentConfig) -> Table {
             &universe,
             &CorpusOptions { projects, rng_seed: cfg.rng_seed, ..Default::default() },
         );
-        let analyzed = analyze_corpus(&corpus, cfg.threads).expect("parses");
+        let analyzed = analyze_corpus(&corpus).expect("parses");
         let started = Instant::now();
         let run = run_seldon(&analyzed.graph, &universe.seed_spec(), &SeldonOptions::default());
         let infer = started.elapsed();
@@ -798,7 +796,7 @@ mod tests {
     use super::*;
 
     fn small_cfg() -> ExperimentConfig {
-        ExperimentConfig { projects: 30, threads: 2, rng_seed: 7 }
+        ExperimentConfig { projects: 30, rng_seed: 7 }
     }
 
     #[test]

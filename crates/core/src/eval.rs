@@ -336,7 +336,7 @@ mod tests {
     fn setup() -> (Universe, Corpus, AnalyzedCorpus, GroundTruth) {
         let u = Universe::new();
         let c = generate_corpus(&u, &CorpusOptions { projects: 10, ..Default::default() });
-        let a = analyze_corpus(&c, 2).unwrap();
+        let a = analyze_corpus(&c).unwrap();
         let t = GroundTruth::new(&u, &c);
         (u, c, a, t)
     }

@@ -409,7 +409,6 @@ mod tests {
         let (corpus, seed) = small_corpus();
         let opts = AnalyzeOptions {
             policy: FaultPolicy::Recover,
-            threads: 2,
             telemetry: Telemetry::recording(),
             ..Default::default()
         };

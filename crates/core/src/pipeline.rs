@@ -1,7 +1,7 @@
 //! The end-to-end Seldon pipeline (§7.1): parse a corpus of source files
 //! (Python by default, JS-like for `.js` paths — see [`Frontend`]),
-//! extract per-file propagation graphs (in parallel), union them into the
-//! global graph, generate the linear constraint system, solve it with
+//! extract per-file propagation graphs one file at a time, union them into
+//! the global graph, generate the linear constraint system, solve it with
 //! projected Adam, and extract the learned specification. Everything past
 //! per-file lowering is language-blind.
 //!
@@ -24,7 +24,7 @@ use seldon_cache::{
     CHECKPOINT_NAME,
 };
 use seldon_constraints::{generate_with_stats, ConstraintSystem, GenOptions, GenStats};
-use seldon_corpus::Corpus;
+use seldon_corpus::{Corpus, SourceFile};
 use seldon_ir::{FrontendError, IrProgram};
 use seldon_jsfront::lower_js_program_budgeted;
 use seldon_propgraph::{
@@ -36,9 +36,11 @@ use seldon_solver::{
 };
 use seldon_specs::TaintSpec;
 use seldon_telemetry::{stage, Histogram, Telemetry, PARSE_HIST_BOUNDS};
+use std::borrow::Borrow;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which language frontend analyzes a file, decided by its extension.
@@ -160,8 +162,8 @@ fn lower_with<Ast>(
 }
 
 /// Wall-clock split of one file's front-end work. The telemetry layer sums
-/// these per-file durations across worker threads into the `parse` and
-/// `propgraph` aggregate stage spans.
+/// these per-file durations into the `parse` and `propgraph` aggregate
+/// stage spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BuildTimings {
     /// Time spent lexing and parsing the source into an AST.
@@ -241,14 +243,6 @@ pub struct AnalyzeOptions {
     pub policy: FaultPolicy,
     /// Per-file resource budget; `None` analyzes without limits.
     pub budget: Option<Budget>,
-    /// Worker threads for per-file graph extraction (0 and 1 both mean
-    /// sequential; union order is deterministic either way).
-    ///
-    /// The CLI leaves this sequential. Measured on the 2,112-file
-    /// `pipeline_bench` learn-cold corpus on a 2-core host, all cores made
-    /// a cold learn 6–10% slower (417 and 436 ms against 394 ms) and raised
-    /// peak RSS by 25–30% (52 to 65–68 MiB).
-    pub threads: usize,
     /// Honor [`seldon_corpus::PANIC_MARKER`] by panicking inside the
     /// per-file guard. Only the fault-injection harness sets this; it
     /// exercises panic containment without a real analysis bug.
@@ -369,87 +363,8 @@ fn analyze_one(
     }
 }
 
-/// Everything one file's (possibly cached) analysis produced.
-struct FileSlot {
-    graph: Option<PropagationGraph>,
-    outcome: FileOutcome,
-    timings: BuildTimings,
-    /// Which frontend (was or would have been) used for this file.
-    frontend: Frontend,
-    /// Wall-clock spent on cache lookup + store for this file.
-    cache_time: Duration,
-    /// Cache faults hit while serving this file (lookup and/or store).
-    faults: Vec<CacheFault>,
-    /// Whether the graph came from a validated cache entry (no parse ran).
-    from_cache: bool,
-}
-
-/// [`analyze_one`] behind the artifact cache: a validated entry skips the
-/// front end entirely; a miss (or any contained fault) recomputes and
-/// stores the fresh artifact. Only analyzed outcomes are cached —
-/// quarantine verdicts are cheap to re-derive and keeping them out of the
-/// store means a fixed budget or policy never serves a stale verdict.
-fn analyze_one_cached(
-    path: &str,
-    content: &str,
-    id: FileId,
-    opts: &AnalyzeOptions,
-    salt: u64,
-) -> FileSlot {
-    let frontend = Frontend::of_path(path);
-    let Some(cache) = opts.cache.as_deref() else {
-        let (graph, outcome, timings) = analyze_one(path, content, id, frontend, opts);
-        return FileSlot {
-            graph,
-            outcome,
-            timings,
-            frontend,
-            cache_time: Duration::ZERO,
-            faults: Vec::new(),
-            from_cache: false,
-        };
-    };
-    let key = file_key(content, salt, frontend.salt_tag());
-    let mut faults = Vec::new();
-    let t0 = Instant::now();
-    let looked = cache.load_artifact(key, id);
-    let mut cache_time = t0.elapsed();
-    match looked {
-        ArtifactLookup::Hit(graph, recovered) => {
-            let outcome = if recovered == 0 {
-                FileOutcome::Ok
-            } else {
-                FileOutcome::Recovered { errors: recovered }
-            };
-            return FileSlot {
-                graph: Some(graph),
-                outcome,
-                timings: BuildTimings::default(),
-                frontend,
-                cache_time,
-                faults,
-                from_cache: true,
-            };
-        }
-        ArtifactLookup::Miss => {}
-        ArtifactLookup::Fault(f) => faults.push(f),
-    }
-    let (graph, outcome, timings) = analyze_one(path, content, id, frontend, opts);
-    if let Some(g) = &graph {
-        let recovered = match &outcome {
-            FileOutcome::Recovered { errors } => *errors,
-            _ => 0,
-        };
-        let t1 = Instant::now();
-        if let Some(f) = cache.store_artifact(key, g, recovered) {
-            faults.push(f);
-        }
-        cache_time += t1.elapsed();
-    }
-    FileSlot { graph, outcome, timings, frontend, cache_time, faults, from_cache: false }
-}
-
-/// One file's (possibly cached) analysis, as returned by [`analyze_file`].
+/// One file's (possibly cached) analysis: what [`analyze_file`] returns
+/// and what [`analyze_corpus_with`] folds, file by file, into the corpus.
 #[derive(Debug)]
 pub struct FileAnalysis {
     /// The file's propagation graph, stamped with the requested
@@ -463,22 +378,72 @@ pub struct FileAnalysis {
     pub from_cache: bool,
     /// Contained cache faults hit serving this file.
     pub faults: Vec<CacheFault>,
+    /// Which frontend was (or would have been) used for this file.
+    frontend: Frontend,
+    /// Front-end timings of the attempt that produced the graph (zero
+    /// when cache-served or quarantined).
+    timings: BuildTimings,
+    /// Wall-clock spent on cache lookup + store for this file.
+    cache_time: Duration,
 }
 
-/// Analyzes a single file exactly as [`analyze_corpus_with`] would —
-/// same budget/policy guard rails, same artifact-cache keying — without
-/// requiring the rest of the corpus. This is the unit of re-work for the
-/// incremental daemon: on a delta, only the touched files go through
+/// Analyzes a single file exactly as [`analyze_corpus_with`] does — same
+/// budget/policy guard rails, same artifact-cache keying — without
+/// requiring the rest of the corpus. This is also the unit of re-work for
+/// the incremental daemon: on a delta, only the touched files go through
 /// here; every untouched file keeps its previous graph.
+///
+/// Behind a cache, a validated entry skips the front end entirely; a miss
+/// (or any contained fault) recomputes and stores the fresh artifact. Only
+/// analyzed outcomes are cached — quarantine verdicts are cheap to
+/// re-derive and keeping them out of the store means a fixed budget or
+/// policy never serves a stale verdict.
 pub fn analyze_file(path: &str, content: &str, id: FileId, opts: &AnalyzeOptions) -> FileAnalysis {
-    let salt = if opts.cache.is_some() { option_salt(opts) } else { 0 };
-    let slot = analyze_one_cached(path, content, id, opts, salt);
-    FileAnalysis {
-        graph: slot.graph,
-        outcome: slot.outcome,
-        from_cache: slot.from_cache,
-        faults: slot.faults,
+    let frontend = Frontend::of_path(path);
+    let analyze = |cache_time, faults| {
+        let (graph, outcome, timings) = analyze_one(path, content, id, frontend, opts);
+        FileAnalysis { graph, outcome, from_cache: false, faults, frontend, timings, cache_time }
+    };
+    let Some(cache) = opts.cache.as_deref() else {
+        return analyze(Duration::ZERO, Vec::new());
+    };
+    let key = analysis_cache_key(path, content, opts);
+    let t0 = Instant::now();
+    let looked = cache.load_artifact(key, id);
+    let cache_time = t0.elapsed();
+    let faults = match looked {
+        ArtifactLookup::Hit(graph, recovered) => {
+            let outcome = if recovered == 0 {
+                FileOutcome::Ok
+            } else {
+                FileOutcome::Recovered { errors: recovered }
+            };
+            return FileAnalysis {
+                graph: Some(graph),
+                outcome,
+                from_cache: true,
+                faults: Vec::new(),
+                frontend,
+                timings: BuildTimings::default(),
+                cache_time,
+            };
+        }
+        ArtifactLookup::Miss => Vec::new(),
+        ArtifactLookup::Fault(f) => vec![f],
+    };
+    let mut analysis = analyze(cache_time, faults);
+    if let Some(g) = &analysis.graph {
+        let recovered = match analysis.outcome {
+            FileOutcome::Recovered { errors } => errors,
+            _ => 0,
+        };
+        let t1 = Instant::now();
+        if let Some(f) = cache.store_artifact(key, g, recovered) {
+            analysis.faults.push(f);
+        }
+        analysis.cache_time += t1.elapsed();
     }
+    analysis
 }
 
 /// The artifact-cache key [`analyze_file`] files this path/content under
@@ -493,74 +458,41 @@ pub fn analysis_cache_key(path: &str, content: &str, opts: &AnalyzeOptions) -> u
 /// Parses every file of `corpus` under `opts`, unions the graphs of
 /// successfully analyzed files, and reports a per-file verdict for each.
 ///
-/// File identity is stable: the [`FileId`] of every file equals its index
-/// in corpus order even when earlier files are quarantined, so the union
-/// order — and therefore event identity — is deterministic and independent
-/// of the thread count.
+/// Files are analyzed one at a time, in corpus order. File identity is
+/// stable: the [`FileId`] of every file equals its index in corpus order
+/// even when earlier files are quarantined, so the union order — and
+/// therefore event identity — is deterministic.
 ///
 /// # Errors
 ///
-/// Under [`FaultPolicy::FailFast`], the error of the first (lowest-index)
-/// bad file; the other policies only fail on corpus-level errors.
+/// Under [`FaultPolicy::FailFast`], the error of the first bad file; the
+/// files after it are neither analyzed nor cached. The other policies only
+/// fail on corpus-level errors.
 pub fn analyze_corpus_with(
     corpus: &Corpus,
     opts: &AnalyzeOptions,
 ) -> Result<(AnalyzedCorpus, AnalysisReport), PipelineError> {
+    analyze_files(corpus.files(), corpus.projects.len(), opts)
+}
+
+/// The loop behind [`analyze_corpus_with`] and [`analyze_project`]:
+/// analyzes `(project, file)` pairs in order with [`FileId`]s numbered
+/// from 0, writes the front-end stage spans, and unions the graphs.
+fn analyze_files<'a>(
+    inputs: impl Iterator<Item = (usize, &'a SourceFile)>,
+    projects: usize,
+    opts: &AnalyzeOptions,
+) -> Result<(AnalyzedCorpus, AnalysisReport), PipelineError> {
     let started = Instant::now();
-    let inputs: Vec<(usize, &str, &str)> = corpus
-        .files()
-        .map(|(project, f)| (project, f.path.as_str(), f.content.as_str()))
-        .collect();
-    let n = inputs.len();
-    let threads = opts.threads.max(1).min(n.max(1));
-    let salt = if opts.cache.is_some() { option_salt(opts) } else { 0 };
-
-    let mut slots: Vec<Option<FileSlot>> = (0..n).map(|_| None).collect();
-    if threads <= 1 {
-        for (i, (_, path, content)) in inputs.iter().enumerate() {
-            slots[i] = Some(analyze_one_cached(path, content, FileId(i as u32), opts, salt));
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        let results = Mutex::new(Vec::<(usize, FileSlot)>::new());
-        std::thread::scope(|scope| {
-            for (t, chunk_inputs) in inputs.chunks(chunk).enumerate() {
-                let results = &results;
-                scope.spawn(move || {
-                    let base = t * chunk;
-                    let mut local = Vec::with_capacity(chunk_inputs.len());
-                    // Drain the whole chunk: a bad file never starves the
-                    // files behind it of analysis.
-                    for (off, (_, path, content)) in chunk_inputs.iter().enumerate() {
-                        let i = base + off;
-                        local.push((
-                            i,
-                            analyze_one_cached(path, content, FileId(i as u32), opts, salt),
-                        ));
-                    }
-                    results
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .extend(local);
-                });
-            }
-        });
-        for (i, r) in results.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            slots[i] = Some(r);
-        }
-    }
-
-    let mut graphs: Vec<Option<PropagationGraph>> = Vec::with_capacity(n);
-    let mut files = Vec::with_capacity(n);
-    let mut reports = Vec::with_capacity(n);
+    let mut graphs: Vec<Option<PropagationGraph>> = Vec::new();
+    let mut files = Vec::new();
+    let mut reports = Vec::new();
     let mut cache_faults = Vec::new();
     let mut timings = BuildTimings::default();
     let mut cache_time = Duration::ZERO;
     // Per-project (parse time, files parsed) for the parse.project child
     // spans; cache-served files skip the front end and contribute nothing.
-    let mut project_parse: Vec<(Duration, usize)> =
-        vec![(Duration::ZERO, 0); corpus.projects.len()];
+    let mut project_parse: Vec<(Duration, usize)> = vec![(Duration::ZERO, 0); projects];
     // Per-frontend parse-time buckets, recorded only under active
     // telemetry: an inactive handle must not grow a manifest-visible
     // histogram.
@@ -570,48 +502,44 @@ pub fn analyze_corpus_with(
         .map(|f| (f.label(), Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS)))
         .collect();
     let mut build_hist = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
-    for (i, (project, path, _)) in inputs.iter().enumerate() {
-        let slot = slots[i].take().expect("every index 0..n is written exactly once above");
+    for (i, (project, file)) in inputs.enumerate() {
+        let path = &file.path;
+        let analysis = analyze_file(path, &file.content, FileId(i as u32), opts);
         if opts.policy == FaultPolicy::FailFast {
-            // Deterministic: the lowest-index bad file wins regardless of
-            // which worker finished first.
-            match &slot.outcome {
+            match analysis.outcome {
                 FileOutcome::Ok | FileOutcome::Recovered { .. } => {}
                 FileOutcome::Skipped { error }
                 | FileOutcome::OverBudget { error }
-                | FileOutcome::Panicked { error } => return Err(error.clone()),
+                | FileOutcome::Panicked { error } => return Err(error),
             }
         }
-        timings.add(slot.timings);
-        if !slot.from_cache {
-            let slot_project = &mut project_parse[*project];
-            slot_project.0 += slot.timings.parse;
-            slot_project.1 += 1;
-            if timed && slot.outcome.is_analyzed() {
-                parse_hist[slot.frontend.index()]
+        timings.add(analysis.timings);
+        if !analysis.from_cache {
+            let share = &mut project_parse[project];
+            share.0 += analysis.timings.parse;
+            share.1 += 1;
+            if timed && analysis.outcome.is_analyzed() {
+                parse_hist[analysis.frontend.index()]
                     .1
-                    .observe(slot.timings.parse.as_micros() as f64);
-                build_hist.observe(slot.timings.build.as_micros() as f64);
+                    .observe(analysis.timings.parse.as_micros() as f64);
+                build_hist.observe(analysis.timings.build.as_micros() as f64);
             }
         }
-        cache_time += slot.cache_time;
-        for fault in slot.faults {
-            cache_faults.push(CacheFaultReport { path: path.to_string(), fault });
+        cache_time += analysis.cache_time;
+        for fault in analysis.faults {
+            cache_faults.push(CacheFaultReport { path: path.clone(), fault });
         }
-        graphs.push(slot.graph);
-        files.push(FileMeta { project: *project, path: path.to_string() });
-        reports.push(FileReport {
-            project: *project,
-            path: path.to_string(),
-            outcome: slot.outcome,
-        });
+        graphs.push(analysis.graph);
+        files.push(FileMeta { project, path: path.clone() });
+        reports.push(FileReport { project, path: path.clone(), outcome: analysis.outcome });
     }
     let tele = &opts.telemetry;
-    // Parse and graph construction run per file across workers, so their
-    // cost is the summed per-file time (aggregate spans), not a driver
+    // Parse and graph construction interleave file by file, so their cost
+    // is the summed per-file time (aggregate spans), not a driver
     // wall-clock interval. Per-project parse shares nest as children of
     // the parse stage span.
-    let parse_idx = tele.aggregate_span(stage::PARSE, timings.parse, &[("files", n as f64)]);
+    let parse_idx =
+        tele.aggregate_span(stage::PARSE, timings.parse, &[("files", files.len() as f64)]);
     if parse_idx.is_some() {
         for (project, (dur, parsed)) in project_parse.iter().enumerate() {
             if *parsed == 0 {
@@ -646,23 +574,7 @@ pub fn analyze_corpus_with(
             ],
         );
     }
-    let union_span = tele.span(stage::UNION);
-    let union_idx = union_span.index();
-    let (graph, shards) = union_all(&mut graphs, threads);
-    union_span.counter("events", graph.event_count() as f64);
-    union_span.counter("edges", graph.edge_count() as f64);
-    union_span.counter("symbols", seldon_intern::len() as f64);
-    drop(union_span);
-    // Per-shard union timings nest under the union span (empty when the
-    // union ran sequentially).
-    for (shard, (dur, events)) in shards.iter().enumerate() {
-        tele.aggregate_child(
-            union_idx,
-            stage::UNION_SHARD,
-            *dur,
-            &[("shard", shard as f64), ("events", *events as f64)],
-        );
-    }
+    let (graph, _) = union_graphs(graphs, tele);
     Ok((
         AnalyzedCorpus {
             graph,
@@ -675,69 +587,37 @@ pub fn analyze_corpus_with(
     ))
 }
 
-/// Folds per-file graphs into one global graph, sharded across `threads`.
+/// Folds per-file graphs, in order, into one global graph: the union step
+/// of both `seldon learn` and `seldon serve`. Writes the [`stage::UNION`]
+/// span with `files`, `events`, `edges` and `symbols` counters.
 ///
-/// `union` is an order-preserving concatenation (event ids shift by the
-/// running event count), so it is associative: folding contiguous chunks
-/// into per-thread shards and then folding the shards in chunk order
-/// produces byte-identical event identity to the sequential left fold.
-/// Each worker touches only its own chunk; the final shard merge is
-/// `threads − 1` cheap bulk copies.
-///
-/// Also returns each shard's `(fold time, event count)` in shard order for
-/// the `union.shard` child spans — empty for the sequential path.
-fn union_all(
-    graphs: &mut [Option<PropagationGraph>],
-    threads: usize,
-) -> (PropagationGraph, Vec<(Duration, usize)>) {
-    let total_events: usize =
-        graphs.iter().map(|g| g.as_ref().map_or(0, PropagationGraph::event_count)).sum();
+/// `union` is an order-preserving concatenation (each graph's event ids
+/// shift by the events folded before it), so event identity is a pure
+/// function of the input order. Returns the graph and, per input, the
+/// range of event ids its graph occupies (empty for `None`). An owned
+/// graph is dropped as soon as it is folded, so the per-file copies shrink
+/// while the global graph grows; borrowed graphs stay with their owner.
+pub fn union_graphs<G: Borrow<PropagationGraph>>(
+    graphs: Vec<Option<G>>,
+    tele: &Telemetry,
+) -> (PropagationGraph, Vec<Range<usize>>) {
+    let span = tele.span(stage::UNION);
+    let files = graphs.len();
     let mut graph = PropagationGraph::new();
-    graph.reserve_events(total_events);
-    if threads <= 1 || graphs.len() <= 1 {
-        for slot in graphs {
-            if let Some(g) = slot.take() {
-                graph.union(&g);
-            }
+    graph.reserve_events(graphs.iter().flatten().map(|g| g.borrow().event_count()).sum());
+    let mut ranges = Vec::with_capacity(files);
+    for g in graphs {
+        let start = graph.event_count();
+        if let Some(g) = g {
+            graph.union(g.borrow());
         }
-        return (graph, Vec::new());
+        ranges.push(start..graph.event_count());
     }
-    let chunk = graphs.len().div_ceil(threads);
-    let shards: Vec<(PropagationGraph, Duration)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = graphs
-            .chunks_mut(chunk)
-            .map(|slots| {
-                scope.spawn(move || {
-                    let shard_started = Instant::now();
-                    let mut shard = PropagationGraph::new();
-                    shard.reserve_events(
-                        slots
-                            .iter()
-                            .map(|g| g.as_ref().map_or(0, PropagationGraph::event_count))
-                            .sum(),
-                    );
-                    for slot in slots {
-                        if let Some(g) = slot.take() {
-                            shard.union(&g);
-                        }
-                    }
-                    (shard, shard_started.elapsed())
-                })
-            })
-            .collect();
-        // Joining in spawn order keeps the shard sequence aligned with the
-        // chunk (and therefore corpus) order.
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard union worker panicked"))
-            .collect()
-    });
-    let mut shard_timings = Vec::with_capacity(shards.len());
-    for (shard, dur) in &shards {
-        graph.union(shard);
-        shard_timings.push((*dur, shard.event_count()));
-    }
-    (graph, shard_timings)
+    span.counter("files", files as f64);
+    span.counter("events", graph.event_count() as f64);
+    span.counter("edges", graph.edge_count() as f64);
+    span.counter("symbols", seldon_intern::len() as f64);
+    (graph, ranges)
 }
 
 /// Parses every file of `corpus` and unions the per-file graphs.
@@ -750,14 +630,13 @@ fn union_all(
 /// Returns [`PipelineError::Parse`] if any generated file fails to parse —
 /// the corpus generator guarantees parseable output, so this indicates a
 /// front-end bug.
-pub fn analyze_corpus(corpus: &Corpus, threads: usize) -> Result<AnalyzedCorpus, PipelineError> {
-    let opts = AnalyzeOptions { threads, ..AnalyzeOptions::default() };
-    Ok(analyze_corpus_with(corpus, &opts)?.0)
+pub fn analyze_corpus(corpus: &Corpus) -> Result<AnalyzedCorpus, PipelineError> {
+    Ok(analyze_corpus_with(corpus, &AnalyzeOptions::default())?.0)
 }
 
-/// Analyzes a single project of the corpus (used for the Q5 experiment):
-/// each file goes through [`analyze_file`] under the default options
-/// (strict, no budget), with [`FileId`]s numbered from 0 within the project.
+/// Analyzes a single project of the corpus (used for the Q5 experiment)
+/// under the default options (strict, no budget), with [`FileId`]s
+/// numbered from 0 within the project.
 ///
 /// # Errors
 ///
@@ -765,34 +644,11 @@ pub fn analyze_corpus(corpus: &Corpus, threads: usize) -> Result<AnalyzedCorpus,
 /// front-end failure), or [`PipelineError::NoSuchProject`] for an
 /// out-of-range index.
 pub fn analyze_project(corpus: &Corpus, project: usize) -> Result<AnalyzedCorpus, PipelineError> {
-    if project >= corpus.projects.len() {
+    let Some(p) = corpus.projects.get(project) else {
         return Err(PipelineError::NoSuchProject(project));
-    }
-    let started = Instant::now();
-    let opts = AnalyzeOptions::default();
-    let mut graph = PropagationGraph::new();
-    let mut files = Vec::new();
-    for f in &corpus.projects[project].files {
-        let id = FileId(files.len() as u32);
-        let analysis = analyze_file(&f.path, &f.content, id, &opts);
-        match analysis.outcome {
-            FileOutcome::Ok | FileOutcome::Recovered { .. } => {}
-            FileOutcome::Skipped { error }
-            | FileOutcome::OverBudget { error }
-            | FileOutcome::Panicked { error } => return Err(error),
-        }
-        if let Some(g) = &analysis.graph {
-            graph.union(g);
-        }
-        files.push(FileMeta { project, path: f.path.clone() });
-    }
-    Ok(AnalyzedCorpus {
-        graph,
-        files,
-        build_time: started.elapsed(),
-        parse_histograms: Vec::new(),
-        build_histogram: Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS),
-    })
+    };
+    let files = p.files.iter().map(|f| (project, f));
+    Ok(analyze_files(files, corpus.projects.len(), &AnalyzeOptions::default())?.0)
 }
 
 /// Hyperparameters of a full Seldon run; defaults follow the paper.
@@ -1270,10 +1126,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_agree() {
+    fn repeated_analyses_agree() {
         let c = corpus();
-        let a = analyze_corpus(&c, 1).unwrap();
-        let b = analyze_corpus(&c, 4).unwrap();
+        let a = analyze_corpus(&c).unwrap();
+        let b = analyze_corpus(&c).unwrap();
         assert_eq!(a.graph.event_count(), b.graph.event_count());
         assert_eq!(a.graph.edge_count(), b.graph.edge_count());
         assert_eq!(a.files.len(), b.files.len());
@@ -1286,7 +1142,7 @@ mod tests {
     #[test]
     fn file_metadata_attributes_projects() {
         let c = corpus();
-        let a = analyze_corpus(&c, 2).unwrap();
+        let a = analyze_corpus(&c).unwrap();
         assert_eq!(a.files.len(), c.file_count());
         let projects: std::collections::HashSet<usize> =
             a.files.iter().map(|f| f.project).collect();
@@ -1308,10 +1164,24 @@ mod tests {
     #[test]
     fn failfast_aborts_on_malformed_file() {
         let c = mixed_corpus();
-        let err = analyze_corpus(&c, 1).unwrap_err();
+        let err = analyze_corpus(&c).unwrap_err();
         assert!(matches!(err, PipelineError::Parse { ref path, .. } if path == "bad.py"));
-        // Same error regardless of thread count.
-        assert_eq!(err, analyze_corpus(&c, 4).unwrap_err());
+    }
+
+    #[test]
+    fn failfast_stops_at_first_bad_file() {
+        // The bad file comes first: its error returns before the good file
+        // behind it is analyzed, so nothing reaches the cache.
+        let mut c = mixed_corpus();
+        c.projects[0].files.reverse();
+        let dir = std::env::temp_dir().join(format!("seldon-failfast-stop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (cache, _) = seldon_cache::ArtifactCache::open(&dir).unwrap();
+        let opts = AnalyzeOptions { cache: Some(Arc::new(cache)), ..Default::default() };
+        let err = analyze_corpus_with(&c, &opts).unwrap_err();
+        assert!(matches!(err, PipelineError::Parse { ref path, .. } if path == "bad.py"));
+        assert_eq!(opts.cache.as_deref().unwrap().stats().stores, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1343,12 +1213,8 @@ mod tests {
     #[test]
     fn recover_equals_failfast_on_clean_corpus() {
         let c = corpus();
-        let strict = analyze_corpus(&c, 2).unwrap();
-        let opts = AnalyzeOptions {
-            policy: FaultPolicy::Recover,
-            threads: 2,
-            ..Default::default()
-        };
+        let strict = analyze_corpus(&c).unwrap();
+        let opts = AnalyzeOptions { policy: FaultPolicy::Recover, ..Default::default() };
         let (lenient, report) = analyze_corpus_with(&c, &opts).unwrap();
         assert!(!report.is_degraded());
         assert_eq!(strict.graph.event_count(), lenient.graph.event_count());
@@ -1548,7 +1414,7 @@ mod tests {
 
     #[test]
     fn mixed_language_corpus_analyzes_both_frontends() {
-        let analyzed = analyze_corpus(&mixed_lang_corpus(), 1).unwrap();
+        let analyzed = analyze_corpus(&mixed_lang_corpus()).unwrap();
         assert_eq!(analyzed.files.len(), 2);
         // Both files contributed events to the one global graph.
         let with_events: std::collections::HashSet<u32> =
@@ -1610,7 +1476,7 @@ mod tests {
     #[test]
     fn full_run_learns_something() {
         let c = corpus();
-        let analyzed = analyze_corpus(&c, 2).unwrap();
+        let analyzed = analyze_corpus(&c).unwrap();
         let universe = Universe::new();
         let seed = universe.seed_spec();
         let run = run_seldon(&analyzed.graph, &seed, &SeldonOptions::default());
@@ -1627,7 +1493,7 @@ mod tests {
     #[test]
     fn empty_seed_learns_nothing() {
         let c = corpus();
-        let analyzed = analyze_corpus(&c, 2).unwrap();
+        let analyzed = analyze_corpus(&c).unwrap();
         let run = run_seldon(&analyzed.graph, &TaintSpec::new(), &SeldonOptions::default());
         assert_eq!(
             run.extraction.spec.role_count(),

@@ -37,7 +37,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Range;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -48,12 +47,12 @@ use seldon_constraints::{
 };
 use seldon_core::{
     analysis_cache_key, analyze_file, climb_ladder, learned_per_role, record_corpus,
-    record_learning, AnalyzeOptions, CheckpointOutcome, FileOutcome, SeldonOptions,
+    record_learning, union_graphs, AnalyzeOptions, CheckpointOutcome, FileOutcome, SeldonOptions,
 };
 use seldon_propgraph::{FileId, PropagationGraph};
 use seldon_specs::Role;
 use seldon_specs::TaintSpec;
-use seldon_telemetry::{metric, stage, Class, MetricsRegistry, RunManifest};
+use seldon_telemetry::{metric, Class, MetricsRegistry, RunManifest};
 
 /// Configuration fixed for the lifetime of a [`ServeEngine`].
 #[derive(Debug, Clone)]
@@ -551,7 +550,6 @@ impl ServeEngine {
         // union by reference. Restamping happens before fingerprint use
         // ever again — per-file fingerprints were taken at stamp 0 and
         // are never recomputed here.
-        let t_union = Instant::now();
         for (index, state) in self.files.values_mut().enumerate() {
             if let Some(graph) = state.graph.as_mut() {
                 if state.stamped != index as u32 {
@@ -560,29 +558,10 @@ impl ServeEngine {
                 }
             }
         }
-        let total_events: usize =
-            self.files.values().map(|s| s.graph.as_ref().map_or(0, |g| g.event_count())).sum();
-        let mut union = PropagationGraph::new();
-        union.reserve_events(total_events);
-        let mut ranges: Vec<Range<usize>> = Vec::with_capacity(self.files.len());
-        for state in self.files.values() {
-            let start = union.event_count();
-            if let Some(graph) = state.graph.as_ref() {
-                union.union(graph);
-            }
-            ranges.push(start..union.event_count());
-        }
+        let (union, ranges) =
+            union_graphs(self.files.values().map(|s| s.graph.as_ref()).collect(), &tele);
         self.last_events = union.event_count();
         self.last_edges = union.edge_count();
-        tele.aggregate_span(
-            stage::UNION,
-            t_union.elapsed(),
-            &[
-                ("events", union.event_count() as f64),
-                ("edges", union.edge_count() as f64),
-                ("files", self.files.len() as f64),
-            ],
-        );
 
         // The checkpoint ladder. Its full rung replays when the corpus
         // state hashes to exactly what the checkpoint was built from (an

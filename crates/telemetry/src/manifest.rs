@@ -46,11 +46,13 @@ pub const PARSE_HIST_BOUNDS: [u64; 8] = [50, 100, 250, 500, 1000, 2500, 5000, 10
 
 /// Canonical stage names of the end-to-end pipeline, in pipeline order.
 pub mod stage {
-    /// Per-file parsing (front end), aggregated across workers.
+    /// Per-file parsing (front end), summed over the corpus's files.
     pub const PARSE: &str = "parse";
-    /// Per-file propagation-graph construction, aggregated across workers.
+    /// Per-file propagation-graph construction, summed over the corpus's
+    /// files.
     pub const PROPGRAPH: &str = "propgraph";
-    /// Sharded union of per-file graphs into the global graph.
+    /// Union of the per-file graphs, in corpus order, into the global
+    /// graph; `learn` and `serve` write it with the same counters.
     pub const UNION: &str = "union";
     /// Representation/backoff selection (§4.3 cutoff + blacklist).
     pub const REPRESENTATION: &str = "representation";
@@ -70,9 +72,6 @@ pub mod stage {
     pub const CACHE: &str = "cache";
     /// Per-project parse time — child spans of [`PARSE`], one per project.
     pub const PARSE_PROJECT: &str = "parse.project";
-    /// Per-shard union time — child spans of [`UNION`], one per shard of a
-    /// multi-threaded union.
-    pub const UNION_SHARD: &str = "union.shard";
     /// All eight stages in pipeline order.
     pub const ALL: [&str; 8] = [
         PARSE,

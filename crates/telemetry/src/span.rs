@@ -144,8 +144,8 @@ impl Telemetry {
 
     /// Records an already-measured phase as a closed span with the given
     /// duration and counters. Used for phases whose time is accumulated
-    /// across worker threads (per-file parse/build), where a live guard
-    /// would measure the driver's wall-clock instead of the work done.
+    /// file by file (per-file parse/build), where a live guard would
+    /// measure the whole interleaved loop instead of one phase's work.
     ///
     /// Returns the record index of the new span (for attaching children
     /// via [`Telemetry::aggregate_child`]); `None` on a non-recording
@@ -192,8 +192,8 @@ impl Telemetry {
     /// Records an already-measured closed span as a **child** of the span
     /// at `parent` (an index returned by [`Telemetry::aggregate_span`] or
     /// [`SpanGuard::index`]), regardless of what is currently on the open
-    /// stack. This lets the driver attach per-project / per-shard
-    /// breakdowns to stage spans that were themselves recorded as
+    /// stack. This lets the driver attach per-project parse shares or the
+    /// solver's compile step to stage spans that were themselves recorded as
     /// aggregates. With `parent == None` the call is a no-op beyond debug
     /// logging — there is nothing to attach to on a non-recording handle.
     pub fn aggregate_child(
@@ -367,13 +367,13 @@ mod tests {
         assert!(parse.is_some());
         tele.aggregate_child(parse, "parse.project", Duration::from_micros(40), &[("project", 0.0)]);
         tele.aggregate_child(parse, "parse.project", Duration::from_micros(60), &[("project", 1.0)]);
-        let union = tele.span("union");
-        tele.aggregate_child(union.index(), "union.shard", Duration::from_micros(7), &[]);
-        drop(union);
+        let solve = tele.span("solve");
+        tele.aggregate_child(solve.index(), "compile", Duration::from_micros(7), &[]);
+        drop(solve);
         let spans = tele.take_spans();
         assert_eq!(
             spans.iter().map(|s| s.name).collect::<Vec<_>>(),
-            ["parse", "parse.project", "parse.project", "union", "union.shard"]
+            ["parse", "parse.project", "parse.project", "solve", "compile"]
         );
         assert_eq!(spans[1].parent, Some(0));
         assert_eq!(spans[1].depth, 1);

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         corpus.flows.len()
     );
 
-    let analyzed = analyze_corpus(&corpus, 4)?;
+    let analyzed = analyze_corpus(&corpus)?;
     println!(
         "global graph: {} events, {} edges (built in {:?})",
         analyzed.graph.event_count(),

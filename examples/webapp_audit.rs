@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &universe,
         &CorpusOptions { projects: 120, ..Default::default() },
     );
-    let analyzed = analyze_corpus(&corpus, 4)?;
+    let analyzed = analyze_corpus(&corpus)?;
     let run = run_seldon(&analyzed.graph, &seed, &SeldonOptions::default());
     println!("learned {} new specification entries", run.extraction.spec.role_count());
 

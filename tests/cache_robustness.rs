@@ -37,7 +37,7 @@ fn fixture() -> (Corpus, TaintSpec) {
 }
 
 fn opts_with(cache: Option<Arc<ArtifactCache>>) -> AnalyzeOptions {
-    AnalyzeOptions { policy: FaultPolicy::Recover, threads: 2, cache, ..Default::default() }
+    AnalyzeOptions { policy: FaultPolicy::Recover, cache, ..Default::default() }
 }
 
 /// One full pipeline run, optionally over a cache rooted at `dir`. Each

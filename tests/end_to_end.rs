@@ -19,7 +19,7 @@ fn pipeline_is_deterministic() {
     let corpus = generate_corpus(&universe, &small_corpus_opts());
     let seed = universe.seed_spec();
     let run_once = || {
-        let analyzed = analyze_corpus(&corpus, 4).unwrap();
+        let analyzed = analyze_corpus(&corpus).unwrap();
         let run = run_seldon(&analyzed.graph, &seed, &SeldonOptions::default());
         run.extraction.spec.to_text()
     };
@@ -31,7 +31,7 @@ fn learned_spec_matches_golden_output() {
     // Pins the exact learned specification for the standard small corpus.
     // The golden file was captured before the Symbol-interning refactor, so
     // this test proves the interned pipeline (Symbol-keyed constraint
-    // system, memoized blacklist matcher, sharded union) is byte-identical
+    // system, memoized blacklist matcher, order-preserving union) is byte-identical
     // to the original String-keyed implementation — not merely similar.
     // It is also the thread-determinism gate: the compiled solver kernel
     // must reproduce the golden byte-for-byte at 1 and at 4 worker
@@ -39,7 +39,7 @@ fn learned_spec_matches_golden_output() {
     // order) is a function of the system alone, never the thread count.
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &small_corpus_opts());
-    let analyzed = analyze_corpus(&corpus, 4).unwrap();
+    let analyzed = analyze_corpus(&corpus).unwrap();
     let golden = include_str!("golden/end_to_end_spec.txt");
     for threads in [1, 4] {
         let opts = SeldonOptions {
@@ -69,7 +69,7 @@ fn js_learned_spec_matches_golden_output() {
         &universe,
         &CorpusOptions { lang: Lang::Js, ..small_corpus_opts() },
     );
-    let analyzed = analyze_corpus(&corpus, 4).unwrap();
+    let analyzed = analyze_corpus(&corpus).unwrap();
     let golden = include_str!("golden/end_to_end_spec_js.txt");
     for threads in [1, 4] {
         let opts = SeldonOptions {
@@ -90,7 +90,7 @@ fn js_learned_spec_matches_golden_output() {
 fn learning_meets_quality_floor() {
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &small_corpus_opts());
-    let analyzed = analyze_corpus(&corpus, 4).unwrap();
+    let analyzed = analyze_corpus(&corpus).unwrap();
     let run = run_seldon(&analyzed.graph, &universe.seed_spec(), &SeldonOptions::default());
     let truth = GroundTruth::new(&universe, &corpus);
     let eval = evaluate_spec(&run.extraction.spec, &truth);
@@ -112,7 +112,7 @@ fn learning_meets_quality_floor() {
 fn key_learnable_apis_are_discovered() {
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &small_corpus_opts());
-    let analyzed = analyze_corpus(&corpus, 4).unwrap();
+    let analyzed = analyze_corpus(&corpus).unwrap();
     let run = run_seldon(&analyzed.graph, &universe.seed_spec(), &SeldonOptions::default());
     let spec = &run.extraction.spec;
     // The flagship learnables of each role must be found.
@@ -136,7 +136,7 @@ fn key_learnable_apis_are_discovered() {
 fn inferred_spec_multiplies_reports() {
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &small_corpus_opts());
-    let analyzed = analyze_corpus(&corpus, 4).unwrap();
+    let analyzed = analyze_corpus(&corpus).unwrap();
     let seed = universe.seed_spec();
     let run = run_seldon(&analyzed.graph, &seed, &SeldonOptions::default());
 
@@ -156,7 +156,7 @@ fn inferred_spec_multiplies_reports() {
 fn report_classification_total_matches() {
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &small_corpus_opts());
-    let analyzed = analyze_corpus(&corpus, 4).unwrap();
+    let analyzed = analyze_corpus(&corpus).unwrap();
     let truth = GroundTruth::new(&universe, &corpus);
     let seed = universe.seed_spec();
     let reports = TaintAnalyzer::new(&analyzed.graph, &seed).find_violations();
@@ -174,7 +174,7 @@ fn report_classification_total_matches() {
 fn empty_seed_infers_nothing_and_finds_nothing() {
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &small_corpus_opts());
-    let analyzed = analyze_corpus(&corpus, 4).unwrap();
+    let analyzed = analyze_corpus(&corpus).unwrap();
     let run = run_seldon(&analyzed.graph, &TaintSpec::new(), &SeldonOptions::default());
     assert_eq!(run.extraction.spec.role_count(), 0);
     let reports =
@@ -189,7 +189,7 @@ fn vulnerable_ground_truth_is_recalled_by_oracle() {
     // graph preserves the generated flows.
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &small_corpus_opts());
-    let analyzed = analyze_corpus(&corpus, 4).unwrap();
+    let analyzed = analyze_corpus(&corpus).unwrap();
     let mut oracle = TaintSpec::new();
     for a in universe.apis() {
         if let Some(role) = a.role {

@@ -23,7 +23,6 @@ fn harness_opts() -> AnalyzeOptions {
     AnalyzeOptions {
         policy: FaultPolicy::Skip,
         budget: Some(Budget::default()),
-        threads: 4,
         fault_markers: true,
         ..Default::default()
     }
@@ -81,11 +80,10 @@ fn recover_matches_failfast_on_clean_corpus() {
         &universe,
         &CorpusOptions { projects: 20, rng_seed: 1234, ..Default::default() },
     );
-    let strict = analyze_corpus(&corpus, 4).unwrap();
+    let strict = analyze_corpus(&corpus).unwrap();
     let opts = AnalyzeOptions {
         policy: FaultPolicy::Recover,
         budget: Some(Budget::default()),
-        threads: 4,
         ..Default::default()
     };
     let (lenient, report) = analyze_corpus_with(&corpus, &opts).unwrap();

@@ -245,10 +245,16 @@ fn cross_mode_engine_checkpoint_is_a_full_hit_for_learn() {
 
 #[test]
 fn cross_mode_cold_runs_emit_the_same_stage_spans() {
-    // Names and counter keys of the learning stage spans: everything a
-    // cold `learn` and a cold serve build both run.
-    const LEARNING: [&str; 5] =
-        [stage::REPRESENTATION, stage::CONSTRAINTS, stage::SOLVE, stage::COMPILE, stage::EXTRACT];
+    // Names and counter keys of the union and learning stage spans:
+    // everything a cold `learn` and a cold serve build both run.
+    const LEARNING: [&str; 6] = [
+        stage::UNION,
+        stage::REPRESENTATION,
+        stage::CONSTRAINTS,
+        stage::SOLVE,
+        stage::COMPILE,
+        stage::EXTRACT,
+    ];
     fn learning(stages: &[StageSpan]) -> Vec<(String, Vec<String>)> {
         stages
             .iter()

@@ -21,7 +21,6 @@ fn fixture() -> (Corpus, TaintSpec) {
 fn recording_opts() -> AnalyzeOptions {
     AnalyzeOptions {
         policy: FaultPolicy::Recover,
-        threads: 2,
         telemetry: Telemetry::recording(),
         ..Default::default()
     }
@@ -48,8 +47,8 @@ fn stages_appear_exactly_once_in_pipeline_order() {
     for s in m.stages.iter().filter(|s| s.depth == 0) {
         assert_eq!(s.parent, None, "driver stages are top-level: {}", s.name);
     }
-    // Child spans: per-project parse shares under `parse`, per-shard union
-    // folds under `union`, and the CSR lowering under `solve`.
+    // Child spans: per-project parse shares under `parse` and the CSR
+    // lowering under `solve`, nothing else.
     let nested: Vec<&seldon_telemetry::StageSpan> =
         m.stages.iter().filter(|s| s.depth > 0).collect();
     assert!(
@@ -70,12 +69,6 @@ fn stages_appear_exactly_once_in_pipeline_order() {
             p.counters
         );
     }
-    let shards: Vec<&&seldon_telemetry::StageSpan> =
-        nested.iter().filter(|s| s.name == stage::UNION_SHARD).collect();
-    assert_eq!(shards.len(), 2, "one union child per worker shard (threads=2)");
-    for s in &shards {
-        assert_eq!(parent_name(s), stage::UNION, "union.shard nests under union");
-    }
     let compiles: Vec<&&seldon_telemetry::StageSpan> =
         nested.iter().filter(|s| s.name == stage::COMPILE).collect();
     assert_eq!(compiles.len(), 1, "exactly one compile child");
@@ -85,7 +78,7 @@ fn stages_appear_exactly_once_in_pipeline_order() {
     assert_eq!(counters, ["constraints", "rows", "terms", "lanes"]);
     assert_eq!(
         nested.len(),
-        projects.len() + shards.len() + compiles.len(),
+        projects.len() + compiles.len(),
         "no unexpected child spans: {:?}",
         nested.iter().map(|s| s.name.as_str()).collect::<Vec<_>>()
     );
