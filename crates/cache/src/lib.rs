@@ -40,5 +40,5 @@ pub use hash::{hash_bytes, Fnv64};
 pub use inject::{inject_cache_faults, CacheFaultKind, InjectedCacheFault};
 pub use store::{
     file_key, ArtifactCache, ArtifactLookup, CacheFault, CacheStats, CheckpointLookup,
-    FaultClass, CHECKPOINT_NAME, INDEX_NAME,
+    FaultClass, StoreQueue, CHECKPOINT_NAME, INDEX_NAME,
 };

@@ -20,6 +20,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
+use std::thread;
 
 /// Name of the index stamp inside a cache directory.
 pub const INDEX_NAME: &str = "index.json";
@@ -132,6 +134,34 @@ pub enum CheckpointLookup {
     Miss,
     /// The checkpoint was damaged; it has been quarantined.
     Fault(CacheFault),
+}
+
+/// Artifact stores for [`ArtifactCache::write_behind`]'s writer: each is
+/// encoded on the caller's thread and written like
+/// [`ArtifactCache::store_artifact`] (temp file, `sync_data`, rename).
+#[derive(Debug)]
+pub struct StoreQueue {
+    tx: mpsc::Sender<(usize, u64, Vec<u8>)>,
+}
+
+impl StoreQueue {
+    /// Queues `graph`'s artifact under `key`. A write fault comes back
+    /// from [`ArtifactCache::write_behind`] with `tag`, so the caller can
+    /// say which file it belongs to.
+    pub fn store_artifact(
+        &self,
+        tag: usize,
+        key: u64,
+        graph: &PropagationGraph,
+        recovered_errors: usize,
+    ) {
+        // The writer outlives every queue, so the send cannot fail.
+        let _ = self.tx.send((tag, key, artifact_frame(graph, recovered_errors)));
+    }
+}
+
+fn artifact_frame(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
+    encode_entry(&FileArtifact::from_graph(graph, recovered_errors).to_payload())
 }
 
 /// Derives the cache key for a source file: entry-format version, the
@@ -384,9 +414,33 @@ impl ArtifactCache {
         graph: &PropagationGraph,
         recovered_errors: usize,
     ) -> Option<CacheFault> {
-        let artifact = FileArtifact::from_graph(graph, recovered_errors);
-        let frame = encode_entry(&artifact.to_payload());
-        match write_atomic(&self.entry_path(key), &frame) {
+        self.write_artifact(key, &artifact_frame(graph, recovered_errors))
+    }
+
+    /// Runs `work` with a [`StoreQueue`] that one background writer
+    /// drains, so the caller's work overlaps each store's `sync_data`
+    /// wait. Returns `work`'s result once every queued artifact is on
+    /// disk, with the write faults (tagged as queued) in queue order.
+    pub fn write_behind<R>(
+        &self,
+        work: impl FnOnce(&StoreQueue) -> R,
+    ) -> (R, Vec<(usize, CacheFault)>) {
+        let (tx, rx) = mpsc::channel::<(usize, u64, Vec<u8>)>();
+        thread::scope(|s| {
+            let writer = s.spawn(move || {
+                rx.into_iter()
+                    .filter_map(|(tag, key, frame)| Some((tag, self.write_artifact(key, &frame)?)))
+                    .collect()
+            });
+            // The queue (the only sender) drops with this statement, which
+            // ends the writer's loop.
+            let out = work(&StoreQueue { tx });
+            (out, writer.join().expect("the artifact writer does not panic"))
+        })
+    }
+
+    fn write_artifact(&self, key: u64, frame: &[u8]) -> Option<CacheFault> {
+        match write_atomic(&self.entry_path(key), frame) {
             Ok(()) => {
                 self.bump(|c| &c.stores);
                 self.add_bytes(|c| &c.bytes_written, frame.len() as u64);
@@ -491,6 +545,39 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.stores), (1, 0, 1));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_behind_stores_everything_before_returning() {
+        let dir = temp_cache("writebehind");
+        let (cache, _) = ArtifactCache::open(&dir).unwrap();
+        let graph = sample_graph();
+        let (out, faults) = cache.write_behind(|queue| {
+            for key in 1..=3u64 {
+                queue.store_artifact(key as usize, key, &graph, 0);
+            }
+            "done"
+        });
+        assert_eq!(out, "done");
+        assert!(faults.is_empty(), "{faults:?}");
+        assert_eq!(cache.stats().stores, 3);
+        for key in 1..=3u64 {
+            assert!(matches!(cache.load_artifact(key, FileId(0)), ArtifactLookup::Hit(..)));
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_behind_faults_come_back_with_their_tag() {
+        let dir = temp_cache("writebehindfault");
+        let (cache, _) = ArtifactCache::open(&dir).unwrap();
+        let ((), faults) = cache.write_behind(|queue| {
+            fs::remove_dir_all(&dir).unwrap();
+            queue.store_artifact(7, 1, &sample_graph(), 0);
+        });
+        assert_eq!(faults.len(), 1, "{faults:?}");
+        assert_eq!((faults[0].0, faults[0].1.class), (7, FaultClass::Io));
+        assert_eq!(cache.stats().stores, 0);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::error::PipelineError;
 use crate::report::{AnalysisReport, CacheFaultReport, FileOutcome, FileReport};
 use seldon_cache::{
     file_key, graph_fingerprint, input_fingerprint, system_fingerprint, ArtifactCache,
-    ArtifactLookup, CacheFault, Checkpoint, CheckpointLookup, FaultClass, Fnv64, SystemSummary,
-    CHECKPOINT_NAME,
+    ArtifactLookup, CacheFault, Checkpoint, CheckpointLookup, FaultClass, Fnv64, StoreQueue,
+    SystemSummary, CHECKPOINT_NAME,
 };
 use seldon_constraints::{generate_with_stats, ConstraintSystem, GenOptions, GenStats};
 use seldon_corpus::{Corpus, SourceFile};
@@ -399,13 +399,32 @@ pub struct FileAnalysis {
 /// re-derive and keeping them out of the store means a fixed budget or
 /// policy never serves a stale verdict.
 pub fn analyze_file(path: &str, content: &str, id: FileId, opts: &AnalyzeOptions) -> FileAnalysis {
+    let (mut analysis, key) = lookup_or_analyze(path, content, id, opts);
+    if let (Some(key), Some(cache), Some(g)) = (key, opts.cache.as_deref(), &analysis.graph) {
+        let t = Instant::now();
+        if let Some(f) = cache.store_artifact(key, g, analysis.outcome.recovered_errors()) {
+            analysis.faults.push(f);
+        }
+        analysis.cache_time += t.elapsed();
+    }
+    analysis
+}
+
+/// [`analyze_file`] up to the store: a cache hit, or a fresh analysis with
+/// the cache key its artifact belongs under (`None` when uncached).
+fn lookup_or_analyze(
+    path: &str,
+    content: &str,
+    id: FileId,
+    opts: &AnalyzeOptions,
+) -> (FileAnalysis, Option<u64>) {
     let frontend = Frontend::of_path(path);
     let analyze = |cache_time, faults| {
         let (graph, outcome, timings) = analyze_one(path, content, id, frontend, opts);
         FileAnalysis { graph, outcome, from_cache: false, faults, frontend, timings, cache_time }
     };
     let Some(cache) = opts.cache.as_deref() else {
-        return analyze(Duration::ZERO, Vec::new());
+        return (analyze(Duration::ZERO, Vec::new()), None);
     };
     let key = analysis_cache_key(path, content, opts);
     let t0 = Instant::now();
@@ -418,7 +437,7 @@ pub fn analyze_file(path: &str, content: &str, id: FileId, opts: &AnalyzeOptions
             } else {
                 FileOutcome::Recovered { errors: recovered }
             };
-            return FileAnalysis {
+            let hit = FileAnalysis {
                 graph: Some(graph),
                 outcome,
                 from_cache: true,
@@ -427,23 +446,12 @@ pub fn analyze_file(path: &str, content: &str, id: FileId, opts: &AnalyzeOptions
                 timings: BuildTimings::default(),
                 cache_time,
             };
+            return (hit, None);
         }
         ArtifactLookup::Miss => Vec::new(),
         ArtifactLookup::Fault(f) => vec![f],
     };
-    let mut analysis = analyze(cache_time, faults);
-    if let Some(g) = &analysis.graph {
-        let recovered = match analysis.outcome {
-            FileOutcome::Recovered { errors } => errors,
-            _ => 0,
-        };
-        let t1 = Instant::now();
-        if let Some(f) = cache.store_artifact(key, g, recovered) {
-            analysis.faults.push(f);
-        }
-        analysis.cache_time += t1.elapsed();
-    }
-    analysis
+    (analyze(cache_time, faults), Some(key))
 }
 
 /// The artifact-cache key [`analyze_file`] files this path/content under
@@ -487,7 +495,6 @@ fn analyze_files<'a>(
     let mut graphs: Vec<Option<PropagationGraph>> = Vec::new();
     let mut files = Vec::new();
     let mut reports = Vec::new();
-    let mut cache_faults = Vec::new();
     let mut timings = BuildTimings::default();
     let mut cache_time = Duration::ZERO;
     // Per-project (parse time, files parsed) for the parse.project child
@@ -502,37 +509,59 @@ fn analyze_files<'a>(
         .map(|f| (f.label(), Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS)))
         .collect();
     let mut build_hist = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
-    for (i, (project, file)) in inputs.enumerate() {
-        let path = &file.path;
-        let analysis = analyze_file(path, &file.content, FileId(i as u32), opts);
-        if opts.policy == FaultPolicy::FailFast {
-            match analysis.outcome {
-                FileOutcome::Ok | FileOutcome::Recovered { .. } => {}
-                FileOutcome::Skipped { error }
-                | FileOutcome::OverBudget { error }
-                | FileOutcome::Panicked { error } => return Err(error),
+    let mut faults: Vec<(usize, CacheFault)> = Vec::new();
+    // Fresh artifacts go to the cache's background writer, so parsing the
+    // next file overlaps this one's `sync_data` wait.
+    let run = |queue: Option<&StoreQueue>| {
+        for (i, (project, file)) in inputs.enumerate() {
+            let path = &file.path;
+            let (analysis, key) = lookup_or_analyze(path, &file.content, FileId(i as u32), opts);
+            if opts.policy == FaultPolicy::FailFast {
+                match analysis.outcome {
+                    FileOutcome::Ok | FileOutcome::Recovered { .. } => {}
+                    FileOutcome::Skipped { error }
+                    | FileOutcome::OverBudget { error }
+                    | FileOutcome::Panicked { error } => return Err(error),
+                }
             }
-        }
-        timings.add(analysis.timings);
-        if !analysis.from_cache {
-            let share = &mut project_parse[project];
-            share.0 += analysis.timings.parse;
-            share.1 += 1;
-            if timed && analysis.outcome.is_analyzed() {
-                parse_hist[analysis.frontend.index()]
-                    .1
-                    .observe(analysis.timings.parse.as_micros() as f64);
-                build_hist.observe(analysis.timings.build.as_micros() as f64);
+            cache_time += analysis.cache_time;
+            if let (Some(key), Some(queue), Some(g)) = (key, queue, &analysis.graph) {
+                let t = Instant::now();
+                queue.store_artifact(i, key, g, analysis.outcome.recovered_errors());
+                cache_time += t.elapsed();
             }
+            timings.add(analysis.timings);
+            if !analysis.from_cache {
+                let share = &mut project_parse[project];
+                share.0 += analysis.timings.parse;
+                share.1 += 1;
+                if timed && analysis.outcome.is_analyzed() {
+                    parse_hist[analysis.frontend.index()]
+                        .1
+                        .observe(analysis.timings.parse.as_micros() as f64);
+                    build_hist.observe(analysis.timings.build.as_micros() as f64);
+                }
+            }
+            faults.extend(analysis.faults.into_iter().map(|f| (i, f)));
+            graphs.push(analysis.graph);
+            files.push(FileMeta { project, path: path.clone() });
+            reports.push(FileReport { project, path: path.clone(), outcome: analysis.outcome });
         }
-        cache_time += analysis.cache_time;
-        for fault in analysis.faults {
-            cache_faults.push(CacheFaultReport { path: path.clone(), fault });
-        }
-        graphs.push(analysis.graph);
-        files.push(FileMeta { project, path: path.clone() });
-        reports.push(FileReport { project, path: path.clone(), outcome: analysis.outcome });
-    }
+        Ok(Instant::now())
+    };
+    let (looped, store_faults) = match opts.cache.as_deref() {
+        Some(cache) => cache.write_behind(|queue| run(Some(queue))),
+        None => (run(None), Vec::new()),
+    };
+    // The wait for the writer to drain is cache time too.
+    cache_time += looped?.elapsed();
+    faults.extend(store_faults);
+    // Stable: each file's lookup fault stays ahead of its store fault.
+    faults.sort_by_key(|&(i, _)| i);
+    let cache_faults: Vec<CacheFaultReport> = faults
+        .into_iter()
+        .map(|(i, fault)| CacheFaultReport { path: files[i].path.clone(), fault })
+        .collect();
     let tele = &opts.telemetry;
     // Parse and graph construction interleave file by file, so their cost
     // is the summed per-file time (aggregate spans), not a driver
@@ -1182,6 +1211,31 @@ mod tests {
         assert!(matches!(err, PipelineError::Parse { ref path, .. } if path == "bad.py"));
         assert_eq!(opts.cache.as_deref().unwrap().stats().stores, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn store_faults_come_back_per_file_in_corpus_order() {
+        // Every store fails (the directory is gone): each file's fault is
+        // reported under its own path, in corpus order, once the
+        // background writer has drained.
+        let c = corpus();
+        let dir = std::env::temp_dir().join(format!("seldon-store-faults-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (cache, _) = seldon_cache::ArtifactCache::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let opts = AnalyzeOptions { cache: Some(Arc::new(cache)), ..Default::default() };
+        let (_, report) = analyze_corpus_with(&c, &opts).unwrap();
+        let faulted: Vec<&str> = report.cache_faults.iter().map(|f| f.path.as_str()).collect();
+        let stored: Vec<&str> = report
+            .files
+            .iter()
+            .filter(|f| f.outcome.is_analyzed())
+            .map(|f| f.path.as_str())
+            .collect();
+        assert!(stored.len() > 1);
+        assert_eq!(faulted, stored);
+        assert!(report.cache_faults.iter().all(|f| f.fault.class == FaultClass::Io));
+        assert_eq!(opts.cache.as_deref().unwrap().stats().stores, 0);
     }
 
     #[test]

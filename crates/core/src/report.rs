@@ -51,6 +51,15 @@ impl FileOutcome {
     pub fn is_quarantined(&self) -> bool {
         !self.is_analyzed()
     }
+
+    /// The parse errors lenient recovery survived (0 unless recovered):
+    /// what an artifact records to replay this outcome from the cache.
+    pub(crate) fn recovered_errors(&self) -> usize {
+        match self {
+            FileOutcome::Recovered { errors } => *errors,
+            _ => 0,
+        }
+    }
 }
 
 /// Outcome of one corpus file, with its identity.
