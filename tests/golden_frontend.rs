@@ -211,6 +211,15 @@ fn golden_snippets_graph_shapes_are_stable() {
 /// a member store, and string concatenation.
 const JS_FIXTURE: &str = include_str!("fixtures/js_express_fixture.js");
 
+/// One snippet per frontend pinning the inlining and flow-set guards: a
+/// chain of four nested local calls (the depth-3 inline bound), a
+/// self-recursive function (left pending), a call before its callee's
+/// definition, a string-keyed index store, and a binding fed by more than
+/// `MAX_FLOW_SET` events. The Python one adds keyword arguments into an
+/// inlined function and a `self.m()` call; the JS one a bare `let x;`.
+const PY_GUARDS_FIXTURE: &str = include_str!("fixtures/py_inlining_guards.py");
+const JS_GUARDS_FIXTURE: &str = include_str!("fixtures/js_inlining_guards.js");
+
 /// The first generated file (in corpus order) that defines a module-level
 /// helper besides its handlers, with the helper's name; the handler
 /// calling it inlines its body.
@@ -249,6 +258,9 @@ fn ir_cases() -> Vec<(String, String)> {
         .map(|(name, src, _)| (format!("py_{name}"), lower(Frontend::Python, src).dump()))
         .collect();
     cases.push(("js_express_fixture".to_string(), lower(Frontend::Js, JS_FIXTURE).dump()));
+    let py = lower(Frontend::Python, PY_GUARDS_FIXTURE);
+    cases.push(("py_inlining_guards".to_string(), py.dump()));
+    cases.push(("js_inlining_guards".to_string(), lower(Frontend::Js, JS_GUARDS_FIXTURE).dump()));
     let py = lower(Frontend::Python, &corpus_file_with_helper(Lang::Py).0);
     cases.push(("corpus_py_helper".to_string(), py.dump()));
     let js = lower(Frontend::Js, &corpus_file_with_helper(Lang::Js).0);
