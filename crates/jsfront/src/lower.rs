@@ -1,11 +1,10 @@
 //! Lowers the JS-like AST into the language-neutral IR.
 //!
-//! This mirrors the Python lowering in `seldon-propgraph::lower` decision
-//! for decision — environment threading with strong updates, branch
-//! save/merge, per-call-site inlining with a depth-3 recursion guard,
-//! points-to ops for field aliasing — but resolves names with JS rules:
-//! ES `import`/CommonJS `require` bindings, no implicit receiver
-//! parameters, object/array literals as value unions.
+//! This is the JS walk over the shared `seldon_propgraph::emit` emitter,
+//! which owns §5's rules: environment flow, call wiring, field aliasing
+//! and per-call-site inlining. The walk resolves names with JS rules — ES
+//! `import`/CommonJS `require` bindings, no implicit receiver parameters,
+//! object/array literals as value unions.
 //!
 //! Everything downstream of the produced [`IrProgram`] (graph replay,
 //! representations' backoff, constraints, solver) is shared with the
@@ -13,21 +12,14 @@
 
 use crate::ast::*;
 use seldon_intern::{intern, Symbol};
-use seldon_ir::{
-    IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam, IrPendingCall, IrProgram,
-};
+use seldon_ir::IrProgram;
+use seldon_propgraph::emit::{union_into, Call, Emitter, FlowSet, Scope, Walk};
 use seldon_propgraph::{
-    finish_rep_strings, finish_reps, Budget, BudgetExceeded, BudgetMeter, ImportMap, ReprCtx,
-    MAX_CHAIN_DEPTH,
+    finish_rep_strings, finish_reps, Budget, BudgetExceeded, ImportMap, ReprCtx, MAX_CHAIN_DEPTH,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
-
-/// Maximum events tracked per variable binding; larger sets are truncated.
-const MAX_FLOW_SET: usize = 8;
-
-/// A set of event indices whose values may flow into a binding.
-type FlowSet = Vec<u32>;
 
 /// Lowers one parsed program into the language-neutral IR under a
 /// resource [`Budget`] (pass [`Budget::unlimited`] to lower without
@@ -41,9 +33,12 @@ pub fn lower_js_program_budgeted(
     program: &Program,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
-    let mut l = Lowerer::new(program, budget);
-    l.run(program);
-    l.into_ir()
+    let mut imports = ImportMap::new();
+    collect_imports(&program.body, &mut imports);
+    let mut l = Lowerer { em: Emitter::new(budget, &[]), imports: Rc::new(imports) };
+    let mut scope = l.new_scope(None);
+    l.walk_body(&program.body, &mut scope);
+    l.em.into_ir()
 }
 
 // ----- representations -------------------------------------------------------
@@ -188,166 +183,23 @@ fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
     }
 }
 
-// ----- lowering ---------------------------------------------------------------
-
-/// Summary of a locally-defined function for call linking.
-#[derive(Debug)]
-struct FuncSummary<'p> {
-    /// `(name, param event)` in declaration order.
-    params: Vec<(&'p str, u32)>,
-    /// Events flowing into `return` statements.
-    returns: Vec<u32>,
-    /// The function, borrowed from the program for per-call-site inlining.
-    def: &'p FuncDecl,
-}
-
-/// Per-function analysis scope.
-struct Scope<'p> {
-    ctx: ReprCtx,
-    env: HashMap<&'p str, FlowSet>,
-    returns: Vec<u32>,
-    /// This scope's named points-to variables, memoized by name exactly
-    /// like the Python lowering.
-    pt_vars: HashMap<&'p str, u32>,
-}
-
-impl<'p> Scope<'p> {
-    fn merge_env(&mut self, other: HashMap<&'p str, FlowSet>) {
-        for (k, v) in other {
-            union_into(self.env.entry(k).or_default(), &v);
-        }
-    }
-}
-
-/// Walks one program, borrowing its AST for the whole lowering.
+/// Walks one program, borrowing its AST for the whole lowering. A local
+/// function is inlined from its declaration alone.
 struct Lowerer<'p> {
-    ir: IrProgram,
+    em: Emitter<'p, &'p FuncDecl>,
     /// The program's import bindings, built once and shared by every scope.
     imports: Rc<ImportMap>,
-    funcs: HashMap<&'p str, FuncSummary<'p>>,
-    /// Names in first-definition order, for stable IR emission.
-    func_order: Vec<&'p str>,
-    /// Names currently being inlined (recursion guard / depth bound).
-    inline_stack: Vec<&'p str>,
-    /// Resource accounting against the file's budget.
-    meter: BudgetMeter,
-    /// Current statement-nesting depth, fed to the meter.
-    stmt_depth: usize,
 }
 
-impl<'p> Lowerer<'p> {
-    fn new(program: &Program, budget: &Budget) -> Self {
-        let mut imports = ImportMap::new();
-        collect_imports(&program.body, &mut imports);
-        Lowerer {
-            ir: IrProgram::default(),
-            imports: Rc::new(imports),
-            funcs: HashMap::new(),
-            func_order: Vec::new(),
-            inline_stack: Vec::new(),
-            meter: BudgetMeter::new(budget.clone()),
-            stmt_depth: 0,
-        }
+impl<'p> Walk<'p> for Lowerer<'p> {
+    type Stmt = Stmt;
+    type Callee = &'p FuncDecl;
+
+    fn emitter(&mut self) -> &mut Emitter<'p, &'p FuncDecl> {
+        &mut self.em
     }
 
-    fn run(&mut self, program: &'p Program) {
-        let mut scope = self.new_scope(None);
-        for stmt in &program.body {
-            self.walk_stmt(stmt, &mut scope);
-        }
-    }
-
-    /// The lowered IR, or the budget limit the walk tripped.
-    fn into_ir(mut self) -> Result<IrProgram, BudgetExceeded> {
-        if let Some(e) = self.meter.into_tripped() {
-            return Err(e);
-        }
-        for name in &self.func_order {
-            let s = &self.funcs[name];
-            self.ir.funcs.push(IrFunc {
-                qualified: name.to_string(),
-                params: s
-                    .params
-                    .iter()
-                    .map(|&(n, ev)| IrParam {
-                        name: n.to_string(),
-                        event: ev,
-                        // JS has no `self`/`cls` receiver slot: every
-                        // parameter binds positionally.
-                        implicit: false,
-                    })
-                    .collect(),
-                returns: s.returns.clone(),
-            });
-        }
-        Ok(self.ir)
-    }
-
-    // ----- IR emission helpers ----------------------------------------------
-
-    fn add_event(
-        &mut self,
-        kind: IrEventKind,
-        reps: Vec<Symbol>,
-        span: seldon_ir::Span,
-    ) -> u32 {
-        let id = self.ir.events.len() as u32;
-        self.ir.events.push(IrEvent { kind, reps, span });
-        id
-    }
-
-    fn add_edge(&mut self, from: u32, to: u32) {
-        self.ir.ops.push(IrOp::Edge { from, to, kind: IrEdgeKind::Argument });
-    }
-
-    fn add_edge_recv(&mut self, from: u32, to: u32) {
-        self.ir.ops.push(IrOp::Edge { from, to, kind: IrEdgeKind::Receiver });
-    }
-
-    fn set_arg_position(&mut self, from: u32, to: u32, pos: IrArgPos) {
-        self.ir.ops.push(IrOp::ArgPos { from, to, pos });
-    }
-
-    fn pt_var(&mut self, scope: &mut Scope<'p>, name: &'p str) -> u32 {
-        if let Some(&v) = scope.pt_vars.get(name) {
-            return v;
-        }
-        let v = self.fresh_var();
-        scope.pt_vars.insert(name, v);
-        v
-    }
-
-    fn fresh_var(&mut self) -> u32 {
-        let v = self.ir.var_count;
-        self.ir.var_count += 1;
-        v
-    }
-
-    /// A fresh scope; `def` is the function it analyzes, if any.
-    fn new_scope(&mut self, def: Option<&FuncDecl>) -> Scope<'p> {
-        let ctx = ReprCtx {
-            imports: Rc::clone(&self.imports),
-            class_name: None,
-            base_class: None,
-            func_name: def.map(|d| d.name.clone()),
-            params: def.map_or_else(Vec::new, |d| d.params.iter().map(|(n, _)| n.clone()).collect()),
-            locals: HashMap::new(),
-        };
-        Scope { ctx, env: HashMap::new(), returns: Vec::new(), pt_vars: HashMap::new() }
-    }
-
-    // ----- statements -------------------------------------------------------
-
-    fn walk_stmt(&mut self, stmt: &'p Stmt, sc: &mut Scope<'p>) {
-        if !self.meter.tick_statement(self.stmt_depth) {
-            return;
-        }
-        self.stmt_depth += 1;
-        self.walk_stmt_inner(stmt, sc);
-        self.stmt_depth -= 1;
-    }
-
-    fn walk_stmt_inner(&mut self, stmt: &'p Stmt, sc: &mut Scope<'p>) {
+    fn lower_stmt(&mut self, stmt: &'p Stmt, sc: &mut Scope<'p>) {
         match &stmt.kind {
             StmtKind::Import { .. } => {}
             StmtKind::Func(def) => self.walk_function(def, sc),
@@ -374,15 +226,10 @@ impl<'p> Lowerer<'p> {
                 let flows = self.eval(init, sc);
                 let variants: Rc<[String]> = describe_js(init, &sc.ctx).into();
                 if let Some(n) = name {
-                    self.bind_name(n, &flows, &variants, init, sc);
+                    self.em.bind_name(sc, n, &flows, Some(&variants), ident(init));
                 }
                 for (_, local) in pattern {
-                    sc.env.insert(local, flows.clone());
-                    sc.ctx.locals.remove(local);
-                    let var = self.pt_var(sc, local);
-                    for &e in &flows {
-                        self.ir.ops.push(IrOp::Alloc { var, site: e });
-                    }
+                    self.em.bind_name(sc, local, &flows, None, None);
                 }
             }
             StmtKind::Assign { target, value } => {
@@ -393,19 +240,42 @@ impl<'p> Lowerer<'p> {
             StmtKind::If { test, cons, alt } => {
                 self.eval(test, sc);
                 let before = sc.env.clone();
-                for s in cons {
-                    self.walk_stmt(s, sc);
-                }
+                self.walk_body(cons, sc);
                 let after_then = std::mem::replace(&mut sc.env, before);
-                for s in alt {
-                    self.walk_stmt(s, sc);
-                }
+                self.walk_body(alt, sc);
                 sc.merge_env(after_then);
             }
             StmtKind::Expr(e) => {
                 self.eval(e, sc);
             }
         }
+    }
+
+    fn inline_scope(
+        &mut self,
+        def: &'p FuncDecl,
+        args: &[FlowSet],
+        _kwargs: &[(&'p str, FlowSet)],
+    ) -> (Scope<'p>, &'p [Stmt]) {
+        let mut scope = self.new_scope(Some(def));
+        for ((name, _), flows) in def.params.iter().zip(args) {
+            scope.env.insert(name, flows.clone());
+        }
+        (scope, &def.body)
+    }
+}
+
+impl<'p> Lowerer<'p> {
+    /// A fresh scope; `def` is the function it analyzes, if any.
+    fn new_scope(&self, def: Option<&FuncDecl>) -> Scope<'p> {
+        Scope::new(ReprCtx {
+            imports: Rc::clone(&self.imports),
+            class_name: None,
+            base_class: None,
+            func_name: def.map(|d| d.name.clone()),
+            params: def.map_or_else(Vec::new, |d| d.params.iter().map(|(n, _)| n.clone()).collect()),
+            locals: HashMap::new(),
+        })
     }
 
     fn walk_function(&mut self, def: &'p FuncDecl, outer: &mut Scope<'p>) {
@@ -418,43 +288,10 @@ impl<'p> Lowerer<'p> {
         let mut params = Vec::new();
         for (name, span) in &def.params {
             let reps = vec![intern(&format!("{}(param {})", def.name, name))];
-            let ev = self.add_event(IrEventKind::ParamRead, reps, *span);
-            scope.env.insert(name, vec![ev]);
-            params.push((name.as_str(), ev));
+            params.push((name.as_str(), self.em.param(&mut scope, name, reps, *span)));
         }
-        for s in &def.body {
-            self.walk_stmt(s, &mut scope);
-        }
-        let summary = FuncSummary { params, returns: scope.returns, def };
-        if self.funcs.insert(&def.name, summary).is_none() {
-            self.func_order.push(&def.name);
-        }
-    }
-
-    // ----- assignment targets -------------------------------------------------
-
-    fn bind_name(
-        &mut self,
-        name: &'p str,
-        flows: &FlowSet,
-        variants: &Rc<[String]>,
-        value: &'p Expr,
-        sc: &mut Scope<'p>,
-    ) {
-        sc.env.insert(name, flows.clone());
-        if variants.is_empty() {
-            sc.ctx.locals.remove(name);
-        } else {
-            sc.ctx.locals.insert(name.to_string(), Rc::clone(variants));
-        }
-        let var = self.pt_var(sc, name);
-        for &e in flows {
-            self.ir.ops.push(IrOp::Alloc { var, site: e });
-        }
-        if let ExprKind::Ident(m) = &value.kind {
-            let from = self.pt_var(sc, m);
-            self.ir.ops.push(IrOp::Copy { from, to: var });
-        }
+        self.walk_body(&def.body, &mut scope);
+        self.em.define(Cow::Borrowed(&def.name), params, scope.returns, def);
     }
 
     fn assign_to(
@@ -466,38 +303,18 @@ impl<'p> Lowerer<'p> {
         sc: &mut Scope<'p>,
     ) {
         match &target.kind {
-            ExprKind::Ident(n) => self.bind_name(n, flows, variants, value, sc),
+            ExprKind::Ident(n) => self.em.bind_name(sc, n, flows, Some(variants), ident(value)),
             ExprKind::Member { obj, prop } => {
-                self.store_through(obj, prop, flows, sc);
+                self.eval(obj, sc);
+                self.em.store_through(sc, ident(obj), prop, flows);
             }
             ExprKind::Index { obj, index } => {
-                let field = index_field_name(index);
-                self.store_through(obj, &field, flows, sc);
+                self.eval(obj, sc);
+                self.em.store_through(sc, ident(obj), &index_field_name(index), flows);
             }
             _ => {}
         }
     }
-
-    /// Handles `base.field = flows`: a points-to store plus a weak update
-    /// of the base binding so environment flow still observes the taint.
-    fn store_through(&mut self, base: &'p Expr, field: &str, flows: &FlowSet, sc: &mut Scope<'p>) {
-        self.eval(base, sc);
-        if let ExprKind::Ident(n) = &base.kind {
-            let base_var = self.pt_var(sc, n);
-            let value_var = self.fresh_var();
-            for &e in flows {
-                self.ir.ops.push(IrOp::Alloc { var: value_var, site: e });
-            }
-            self.ir.ops.push(IrOp::Store {
-                base: base_var,
-                field: field.to_string(),
-                value: value_var,
-            });
-            union_into(sc.env.entry(n).or_default(), flows);
-        }
-    }
-
-    // ----- expressions ----------------------------------------------------------
 
     fn eval(&mut self, expr: &'p Expr, sc: &mut Scope<'p>) -> FlowSet {
         match &expr.kind {
@@ -507,15 +324,31 @@ impl<'p> Lowerer<'p> {
             }
             ExprKind::Member { obj, prop } => {
                 let base_flows = self.eval(obj, sc);
-                self.read_event(expr, obj, prop, base_flows, sc)
+                let reps = describe_syms_js(expr, &sc.ctx);
+                self.em.read_event(sc, reps, expr.span, ident(obj), prop, base_flows)
             }
             ExprKind::Index { obj, index } => {
                 let mut base_flows = self.eval(obj, sc);
                 union_into(&mut base_flows, &self.eval(index, sc));
+                let reps = describe_syms_js(expr, &sc.ctx);
                 let field = index_field_name(index);
-                self.read_event(expr, obj, &field, base_flows, sc)
+                self.em.read_event(sc, reps, expr.span, ident(obj), &field, base_flows)
             }
-            ExprKind::Call { callee, args } => self.eval_call(expr, callee, args, sc),
+            ExprKind::Call { callee, args } => {
+                // Receiver/base flows: for `x.m(...)` the object chain
+                // flows into the call event.
+                let recv = match &callee.kind {
+                    ExprKind::Member { obj, .. } => self.eval(obj, sc),
+                    ExprKind::Ident(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
+                    _ => self.eval(callee, sc),
+                };
+                let args = args.iter().map(|a| self.eval(a, sc)).collect();
+                let reps = describe_syms_js(expr, &sc.ctx);
+                // Calls link to locally-defined functions.
+                let target = ident(callee).map(Cow::Borrowed);
+                let (kwargs, unpositioned) = (Vec::new(), Vec::new());
+                self.call(Call { reps, span: expr.span, recv, args, kwargs, unpositioned, target })
+            }
             ExprKind::Object(entries) => {
                 // Literals flow their property values to the whole value.
                 let mut out = Vec::new();
@@ -539,141 +372,21 @@ impl<'p> Lowerer<'p> {
             ExprKind::Unary(inner) => self.eval(inner, sc),
         }
     }
-
-    /// Creates an object-read event for `expr` (a member or index load of
-    /// `field` on `base`). Falls back to pass-through flow when the
-    /// expression has no stable representation.
-    fn read_event(
-        &mut self,
-        expr: &'p Expr,
-        base: &'p Expr,
-        field: &str,
-        base_flows: FlowSet,
-        sc: &mut Scope<'p>,
-    ) -> FlowSet {
-        let reps = describe_syms_js(expr, &sc.ctx);
-        if reps.is_empty() {
-            return base_flows;
-        }
-        let ev = self.add_event(IrEventKind::ObjectRead, reps, expr.span);
-        for &f in &base_flows {
-            self.add_edge_recv(f, ev);
-        }
-        if let ExprKind::Ident(n) = &base.kind {
-            let base_var = self.pt_var(sc, n);
-            let out = self.fresh_var();
-            self.ir.ops.push(IrOp::Load {
-                base: base_var,
-                field: field.to_string(),
-                target: out,
-            });
-            self.ir.ops.push(IrOp::PtLoad { event: ev, var: out });
-        }
-        vec![ev]
-    }
-
-    fn eval_call(
-        &mut self,
-        expr: &'p Expr,
-        callee: &'p Expr,
-        args: &'p [Expr],
-        sc: &mut Scope<'p>,
-    ) -> FlowSet {
-        // Receiver/base flows: for `x.m(...)` the object chain flows into
-        // the call event.
-        let recv_flows = match &callee.kind {
-            ExprKind::Member { obj, .. } => self.eval(obj, sc),
-            ExprKind::Ident(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
-            _ => self.eval(callee, sc),
-        };
-        let arg_flows: Vec<FlowSet> = args.iter().map(|a| self.eval(a, sc)).collect();
-
-        let reps = describe_syms_js(expr, &sc.ctx);
-        let call_event = if reps.is_empty() {
-            None
-        } else {
-            Some(self.add_event(IrEventKind::Call, reps, expr.span))
-        };
-
-        if let Some(ev) = call_event {
-            for &f in &recv_flows {
-                self.add_edge_recv(f, ev);
-                self.set_arg_position(f, ev, IrArgPos::Receiver);
-            }
-            for (i, flows) in arg_flows.iter().enumerate() {
-                for &f in flows {
-                    self.add_edge(f, ev);
-                    self.set_arg_position(f, ev, IrArgPos::Positional(i.min(255) as u8));
-                }
-            }
-        }
-
-        // The call's own flow: its event, or pass-through for opaque calls.
-        let flow = match call_event {
-            Some(ev) => vec![ev],
-            None => {
-                let mut out = recv_flows;
-                for flows in &arg_flows {
-                    union_into(&mut out, flows);
-                }
-                out
-            }
-        };
-
-        // Link calls to locally-defined functions.
-        if let ExprKind::Ident(q) = &callee.kind {
-            let inlinable =
-                self.inline_stack.len() < 3 && !self.inline_stack.contains(&q.as_str());
-            let callee_def =
-                if inlinable { self.funcs.get(q.as_str()).map(|info| info.def) } else { None };
-            if let Some(def) = callee_def {
-                let returns = self.inline_call(q, def, &arg_flows);
-                if let Some(ev) = call_event {
-                    for r in returns {
-                        self.add_edge(r, ev);
-                    }
-                }
-            } else {
-                self.ir.pending.push(IrPendingCall {
-                    qualified: q.clone(),
-                    arg_flows,
-                    kwarg_flows: Vec::new(),
-                    call_event,
-                });
-            }
-        }
-        flow
-    }
-
-    /// Re-analyzes `def`'s body with parameters bound to the call's
-    /// argument flows, returning the events that flow into its `return`s.
-    fn inline_call(&mut self, qualified: &'p str, def: &'p FuncDecl, arg_flows: &[FlowSet]) -> FlowSet {
-        let mut scope = self.new_scope(Some(def));
-        for ((name, _), flows) in def.params.iter().zip(arg_flows) {
-            scope.env.insert(name, flows.clone());
-        }
-        self.inline_stack.push(qualified);
-        for stmt in &def.body {
-            self.walk_stmt(stmt, &mut scope);
-        }
-        self.inline_stack.pop();
-        scope.returns
-    }
 }
 
-fn union_into(dst: &mut FlowSet, src: &[u32]) {
-    for &e in src {
-        if !dst.contains(&e) {
-            dst.push(e);
-        }
+/// The variable `expr` names, if it is a bare identifier.
+fn ident(expr: &Expr) -> Option<&str> {
+    match &expr.kind {
+        ExprKind::Ident(n) => Some(n),
+        _ => None,
     }
-    dst.truncate(MAX_FLOW_SET);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use seldon_ir::{IrEdgeKind, IrEventKind, IrOp};
 
     fn lower(src: &str) -> IrProgram {
         lower_js_program_budgeted(&parse(src).expect("parses"), &Budget::unlimited())

@@ -27,6 +27,7 @@ pub mod andersen;
 pub mod budget;
 pub mod builder;
 pub mod dot;
+pub mod emit;
 pub mod event;
 pub mod graph;
 pub mod irbuild;

@@ -1,34 +1,29 @@
 //! Lowers Python ASTs into the language-neutral IR (§5).
 //!
-//! This is the Python half of the split builder: it owns every
-//! Python-specific decision — environment threading, strong/weak updates,
-//! single-iteration loops, per-call-site inlining, `locals()`, `self`/`cls`
-//! receiver slots, import resolution — and records the resulting event and
-//! op stream as a [`seldon_ir::IrProgram`]. The language-blind replay in
-//! [`crate::irbuild`] then turns that stream into a `PropagationGraph`.
+//! This is the Python walk over the shared [`crate::emit`] emitter: it owns
+//! only the Python-specific decisions — the statement and expression
+//! matches, single-iteration loops, class scopes and `self.m()` method
+//! linking, keyword binding into inlined bodies, `locals()`, `self`/`cls`
+//! receiver slots, import resolution — while the emitter records the
+//! resulting event and op stream as a [`seldon_ir::IrProgram`]. The
+//! language-blind replay in [`crate::irbuild`] then turns that stream into
+//! a `PropagationGraph`.
 //!
 //! The lowering contract (see DESIGN.md §3g): events are emitted in the
 //! exact order the original builder created them, ops in the exact order
 //! the original builder applied them, so replay reproduces event identity
 //! and adjacency order byte-for-byte.
 
-use crate::budget::{Budget, BudgetExceeded, BudgetMeter};
+use crate::budget::{Budget, BudgetExceeded};
+use crate::emit::{union_into, Call, Emitter, FlowSet, Scope, Walk};
 use crate::repr::{describe_expr, describe_syms, ImportMap, ReprCtx};
 use seldon_intern::intern;
-use seldon_ir::{
-    IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam, IrPendingCall, IrProgram,
-};
+use seldon_ir::IrProgram;
 use seldon_pyast::ast::*;
 use seldon_pyast::visit::{self, Visitor};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
-
-/// Maximum events tracked per variable binding; larger sets are truncated.
-const MAX_FLOW_SET: usize = 8;
-
-/// A set of event indices whose values may flow into a binding.
-type FlowSet = Vec<u32>;
 
 /// Lowers one parsed module into the language-neutral IR under a resource
 /// [`Budget`] (pass [`Budget::unlimited`] to lower without limits).
@@ -41,179 +36,42 @@ pub fn lower_module_budgeted(
     module: &Module,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
-    let mut l = Lowerer::new(module, budget);
-    l.run(module);
-    l.into_ir()
+    let mut l = Lowerer {
+        em: Emitter::new(budget, &["self", "cls"]),
+        imports: Rc::new(collect_imports(module)),
+    };
+    let mut scope = l.new_scope(None, None, None);
+    l.walk_body(&module.body, &mut scope);
+    l.em.into_ir()
 }
 
-/// Summary of a locally-defined function for call linking.
-#[derive(Debug)]
-struct FuncSummary<'m> {
-    /// `(name, param event)` in declaration order.
-    params: Vec<(&'m str, u32)>,
-    /// Events flowing into `return` statements.
-    returns: Vec<u32>,
-    /// The function, borrowed from the module for per-call-site inlining
-    /// (§5.2: "we inline methods whose body can be statically
-    /// determined"), with its lexical context.
+/// What a call site needs to inline a local function: the function,
+/// borrowed from the module, with its lexical context.
+#[derive(Clone)]
+struct Callee<'m> {
     def: &'m FunctionDef,
     class_name: Option<&'m str>,
     base_class: Option<String>,
-}
-
-/// Per-function analysis scope.
-struct Scope<'m> {
-    ctx: ReprCtx,
-    env: HashMap<&'m str, FlowSet>,
-    returns: Vec<u32>,
-    /// This scope's named points-to variables, memoized by name just as the
-    /// pre-split builder interned `s{scope}::{name}` in its Andersen
-    /// instance.
-    pt_vars: HashMap<&'m str, u32>,
-}
-
-impl<'m> Scope<'m> {
-    fn merge_env(&mut self, other: HashMap<&'m str, FlowSet>) {
-        for (k, v) in other {
-            union_into(self.env.entry(k).or_default(), &v);
-        }
-    }
 }
 
 /// Walks one module. The AST is borrowed for the whole lowering: function
 /// bodies kept for inlining, environment keys and points-to names all
 /// point into it.
 struct Lowerer<'m> {
-    ir: IrProgram,
+    em: Emitter<'m, Callee<'m>>,
     /// The module's import bindings, built once and shared by every scope.
     imports: Rc<ImportMap>,
-    funcs: HashMap<String, FuncSummary<'m>>,
-    /// Qualified names in first-definition order, for stable IR emission.
-    func_order: Vec<String>,
-    /// Names currently being inlined (recursion guard) — doubles as the
-    /// inline-depth bound.
-    inline_stack: Vec<Cow<'m, str>>,
-    /// Resource accounting against the file's budget.
-    meter: BudgetMeter,
-    /// Current statement-nesting depth, fed to the meter.
-    stmt_depth: usize,
 }
 
-impl<'m> Lowerer<'m> {
-    fn new(module: &Module, budget: &Budget) -> Self {
-        Lowerer {
-            ir: IrProgram::default(),
-            imports: Rc::new(collect_imports(module)),
-            funcs: HashMap::new(),
-            func_order: Vec::new(),
-            inline_stack: Vec::new(),
-            meter: BudgetMeter::new(budget.clone()),
-            stmt_depth: 0,
-        }
+impl<'m> Walk<'m> for Lowerer<'m> {
+    type Stmt = Stmt;
+    type Callee = Callee<'m>;
+
+    fn emitter(&mut self) -> &mut Emitter<'m, Callee<'m>> {
+        &mut self.em
     }
 
-    fn run(&mut self, module: &'m Module) {
-        let mut scope = self.new_scope(None, None, None);
-        for stmt in &module.body {
-            self.walk_stmt(stmt, &mut scope);
-        }
-    }
-
-    /// The lowered IR, or the budget limit the walk tripped.
-    fn into_ir(mut self) -> Result<IrProgram, BudgetExceeded> {
-        if let Some(e) = self.meter.into_tripped() {
-            return Err(e);
-        }
-        for name in &self.func_order {
-            let s = &self.funcs[name];
-            self.ir.funcs.push(IrFunc {
-                qualified: name.clone(),
-                params: s
-                    .params
-                    .iter()
-                    .map(|&(n, ev)| IrParam {
-                        name: n.to_string(),
-                        event: ev,
-                        implicit: n == "self" || n == "cls",
-                    })
-                    .collect(),
-                returns: s.returns.clone(),
-            });
-        }
-        Ok(self.ir)
-    }
-
-    // ----- IR emission helpers ----------------------------------------------
-
-    fn add_event(&mut self, kind: IrEventKind, reps: Vec<seldon_intern::Symbol>, span: seldon_ir::Span) -> u32 {
-        let id = self.ir.events.len() as u32;
-        self.ir.events.push(IrEvent { kind, reps, span });
-        id
-    }
-
-    fn add_edge(&mut self, from: u32, to: u32) {
-        self.ir.ops.push(IrOp::Edge { from, to, kind: IrEdgeKind::Argument });
-    }
-
-    fn add_edge_recv(&mut self, from: u32, to: u32) {
-        self.ir.ops.push(IrOp::Edge { from, to, kind: IrEdgeKind::Receiver });
-    }
-
-    fn set_arg_position(&mut self, from: u32, to: u32, pos: IrArgPos) {
-        self.ir.ops.push(IrOp::ArgPos { from, to, pos });
-    }
-
-    /// The named points-to variable `name` of `scope`, mirroring
-    /// `Andersen::var`.
-    fn pt_var(&mut self, scope: &mut Scope<'m>, name: &'m str) -> u32 {
-        if let Some(&v) = scope.pt_vars.get(name) {
-            return v;
-        }
-        let v = self.fresh_var();
-        scope.pt_vars.insert(name, v);
-        v
-    }
-
-    /// Allocates an anonymous points-to variable, mirroring `Andersen::fresh`.
-    fn fresh_var(&mut self) -> u32 {
-        let v = self.ir.var_count;
-        self.ir.var_count += 1;
-        v
-    }
-
-    /// A fresh scope; `def` is the function it analyzes, if any.
-    fn new_scope(
-        &mut self,
-        class_name: Option<&str>,
-        base_class: Option<String>,
-        def: Option<&FunctionDef>,
-    ) -> Scope<'m> {
-        let ctx = ReprCtx {
-            imports: Rc::clone(&self.imports),
-            class_name: class_name.map(str::to_string),
-            base_class,
-            func_name: def.map(|d| d.name.clone()),
-            params: def.map_or_else(Vec::new, |d| declared_params(d).map(str::to_string).collect()),
-            locals: HashMap::new(),
-        };
-        Scope { ctx, env: HashMap::new(), returns: Vec::new(), pt_vars: HashMap::new() }
-    }
-
-    // ----- statements -------------------------------------------------------
-
-    /// Walks one statement under budget accounting. Once a budget trips,
-    /// the walk unwinds cooperatively: every further statement is a no-op,
-    /// so the only cost left is popping the recursion already on the stack.
-    fn walk_stmt(&mut self, stmt: &'m Stmt, sc: &mut Scope<'m>) {
-        if !self.meter.tick_statement(self.stmt_depth) {
-            return;
-        }
-        self.stmt_depth += 1;
-        self.walk_stmt_inner(stmt, sc);
-        self.stmt_depth -= 1;
-    }
-
-    fn walk_stmt_inner(&mut self, stmt: &'m Stmt, sc: &mut Scope<'m>) {
+    fn lower_stmt(&mut self, stmt: &'m Stmt, sc: &mut Scope<'m>) {
         match &stmt.kind {
             StmtKind::Import(_) | StmtKind::ImportFrom { .. } => {}
             StmtKind::FunctionDef(def) => self.walk_function(def, sc, None, None),
@@ -250,35 +108,23 @@ impl<'m> Lowerer<'m> {
                 let flows = self.eval(iter, sc);
                 self.bind_pattern(target, &flows, sc);
                 let saved = sc.env.clone();
-                for s in body {
-                    self.walk_stmt(s, sc);
-                }
-                for s in orelse {
-                    self.walk_stmt(s, sc);
-                }
+                self.walk_body(body, sc);
+                self.walk_body(orelse, sc);
                 sc.merge_env(saved);
             }
             StmtKind::While { test, body, orelse } => {
                 self.eval(test, sc);
                 let saved = sc.env.clone();
-                for s in body {
-                    self.walk_stmt(s, sc);
-                }
-                for s in orelse {
-                    self.walk_stmt(s, sc);
-                }
+                self.walk_body(body, sc);
+                self.walk_body(orelse, sc);
                 sc.merge_env(saved);
             }
             StmtKind::If { test, body, orelse } => {
                 self.eval(test, sc);
                 let before = sc.env.clone();
-                for s in body {
-                    self.walk_stmt(s, sc);
-                }
+                self.walk_body(body, sc);
                 let after_then = std::mem::replace(&mut sc.env, before);
-                for s in orelse {
-                    self.walk_stmt(s, sc);
-                }
+                self.walk_body(orelse, sc);
                 sc.merge_env(after_then);
             }
             StmtKind::With { items, body } => {
@@ -288,9 +134,7 @@ impl<'m> Lowerer<'m> {
                         self.bind_pattern(t, &flows, sc);
                     }
                 }
-                for s in body {
-                    self.walk_stmt(s, sc);
-                }
+                self.walk_body(body, sc);
             }
             StmtKind::Raise { exc, cause } => {
                 if let Some(e) = exc {
@@ -301,20 +145,15 @@ impl<'m> Lowerer<'m> {
                 }
             }
             StmtKind::Try { body, handlers, orelse, finalbody } => {
-                for s in body {
-                    self.walk_stmt(s, sc);
-                }
+                self.walk_body(body, sc);
                 for h in handlers {
                     if let Some(n) = &h.name {
                         sc.env.insert(n, Vec::new());
                     }
-                    for s in &h.body {
-                        self.walk_stmt(s, sc);
-                    }
+                    self.walk_body(&h.body, sc);
                 }
-                for s in orelse.iter().chain(finalbody) {
-                    self.walk_stmt(s, sc);
-                }
+                self.walk_body(orelse, sc);
+                self.walk_body(finalbody, sc);
             }
             StmtKind::Assert { test, msg } => {
                 self.eval(test, sc);
@@ -336,6 +175,47 @@ impl<'m> Lowerer<'m> {
             | StmtKind::Break
             | StmtKind::Continue => {}
         }
+    }
+
+    /// Binds positional arguments (skipping a `self`/`cls` receiver slot
+    /// for methods) and keyword arguments by name.
+    fn inline_scope(
+        &mut self,
+        callee: Callee<'m>,
+        args: &[FlowSet],
+        kwargs: &[(&'m str, FlowSet)],
+    ) -> (Scope<'m>, &'m [Stmt]) {
+        let def = callee.def;
+        let mut scope = self.new_scope(callee.class_name, callee.base_class, Some(def));
+        let positional = declared_params(def).filter(|&n| !self.em.is_receiver(n));
+        for (name, flows) in positional.zip(args) {
+            scope.env.insert(name, flows.clone());
+        }
+        for &(name, ref flows) in kwargs {
+            if declared_params(def).any(|p| p == name) {
+                scope.env.insert(name, flows.clone());
+            }
+        }
+        (scope, &def.body)
+    }
+}
+
+impl<'m> Lowerer<'m> {
+    /// A fresh scope; `def` is the function it analyzes, if any.
+    fn new_scope(
+        &self,
+        class_name: Option<&str>,
+        base_class: Option<String>,
+        def: Option<&FunctionDef>,
+    ) -> Scope<'m> {
+        Scope::new(ReprCtx {
+            imports: Rc::clone(&self.imports),
+            class_name: class_name.map(str::to_string),
+            base_class,
+            func_name: def.map(|d| d.name.clone()),
+            params: def.map_or_else(Vec::new, |d| declared_params(d).map(str::to_string).collect()),
+            locals: HashMap::new(),
+        })
     }
 
     fn walk_function(
@@ -375,27 +255,15 @@ impl<'m> Lowerer<'m> {
                 }
             }
             reps.push(intern(&format!("{}(param {})", def.name, p.name)));
-            let ev = self.add_event(IrEventKind::ParamRead, reps, p.span);
-            scope.env.insert(&p.name, vec![ev]);
-            params.push((p.name.as_str(), ev));
+            params.push((p.name.as_str(), self.em.param(&mut scope, &p.name, reps, p.span)));
         }
-        for s in &def.body {
-            self.walk_stmt(s, &mut scope);
-        }
-        let summary = FuncSummary {
-            params,
-            returns: scope.returns,
-            def,
-            class_name,
-            base_class: base_class.map(str::to_string),
-        };
+        self.walk_body(&def.body, &mut scope);
         let qualified = match class_name {
-            Some(c) => format!("{c}::{}", def.name),
-            None => def.name.clone(),
+            Some(c) => Cow::Owned(format!("{c}::{}", def.name)),
+            None => Cow::Borrowed(def.name.as_str()),
         };
-        if self.funcs.insert(qualified.clone(), summary).is_none() {
-            self.func_order.push(qualified);
-        }
+        let callee = Callee { def, class_name, base_class: base_class.map(str::to_string) };
+        self.em.define(qualified, params, scope.returns, callee);
     }
 
     fn walk_class(&mut self, def: &'m ClassDef, outer: &mut Scope<'m>) {
@@ -418,10 +286,7 @@ impl<'m> Lowerer<'m> {
                 StmtKind::FunctionDef(f) => {
                     self.walk_function(f, &mut class_scope, Some(&def.name), base_class.as_deref())
                 }
-                other => {
-                    let _ = other;
-                    self.walk_stmt(s, &mut class_scope);
-                }
+                _ => self.walk_stmt(s, &mut class_scope),
             }
         }
     }
@@ -439,26 +304,7 @@ impl<'m> Lowerer<'m> {
         sc: &mut Scope<'m>,
     ) {
         match &target.kind {
-            ExprKind::Name(n) => {
-                sc.env.insert(n, flows.clone());
-                match variants {
-                    Some(v) if !v.is_empty() => {
-                        sc.ctx.locals.insert(n.clone(), Rc::clone(v));
-                    }
-                    _ => {
-                        sc.ctx.locals.remove(n);
-                    }
-                }
-                // Points-to: the assigned events are allocation sites.
-                let var = self.pt_var(sc, n);
-                for &e in flows {
-                    self.ir.ops.push(IrOp::Alloc { var, site: e });
-                }
-                if let ExprKind::Name(m) = &value.kind {
-                    let from = self.pt_var(sc, m);
-                    self.ir.ops.push(IrOp::Copy { from, to: var });
-                }
-            }
+            ExprKind::Name(n) => self.em.bind_name(sc, n, flows, variants, name_of(value)),
             ExprKind::Tuple(elems) | ExprKind::List(elems) => {
                 for e in elems {
                     self.assign_to(e, flows, None, value, sc);
@@ -466,32 +312,14 @@ impl<'m> Lowerer<'m> {
             }
             ExprKind::Starred(inner) => self.assign_to(inner, flows, None, value, sc),
             ExprKind::Attribute { value: base, attr } => {
-                self.store_through(base, attr, flows, sc);
+                self.eval(base, sc);
+                self.em.store_through(sc, name_of(base), attr, flows);
             }
             ExprKind::Subscript { value: base, index } => {
-                let field = index_field_name(index);
-                self.store_through(base, &field, flows, sc);
+                self.eval(base, sc);
+                self.em.store_through(sc, name_of(base), &index_field_name(index), flows);
             }
             _ => {}
-        }
-    }
-
-    /// Handles `base.field = flows`: a points-to store plus a weak update of
-    /// the base binding so environment flow still observes the taint.
-    fn store_through(&mut self, base: &'m Expr, field: &str, flows: &FlowSet, sc: &mut Scope<'m>) {
-        self.eval(base, sc);
-        if let ExprKind::Name(n) = &base.kind {
-            let base_var = self.pt_var(sc, n);
-            let value_var = self.fresh_var();
-            for &e in flows {
-                self.ir.ops.push(IrOp::Alloc { var: value_var, site: e });
-            }
-            self.ir.ops.push(IrOp::Store {
-                base: base_var,
-                field: field.to_string(),
-                value: value_var,
-            });
-            union_into(sc.env.entry(n).or_default(), flows);
         }
     }
 
@@ -531,13 +359,15 @@ impl<'m> Lowerer<'m> {
             }
             ExprKind::Attribute { value, attr } => {
                 let base_flows = self.eval(value, sc);
-                self.read_event(expr, value, attr, base_flows, sc)
+                let reps = describe_syms(expr, &sc.ctx);
+                self.em.read_event(sc, reps, expr.span, name_of(value), attr, base_flows)
             }
             ExprKind::Subscript { value, index } => {
                 let mut base_flows = self.eval(value, sc);
                 union_into(&mut base_flows, &self.eval(index, sc));
+                let reps = describe_syms(expr, &sc.ctx);
                 let field = index_field_name(index);
-                self.read_event(expr, value, &field, base_flows, sc)
+                self.em.read_event(sc, reps, expr.span, name_of(value), &field, base_flows)
             }
             ExprKind::Slice { lower, upper, step } => {
                 let mut out = Vec::new();
@@ -631,40 +461,6 @@ impl<'m> Lowerer<'m> {
         }
     }
 
-    /// Creates an object-read event for `expr` (an attribute or subscript
-    /// load of `field` on `base`). Falls back to pass-through flow when the
-    /// expression has no stable representation.
-    fn read_event(
-        &mut self,
-        expr: &'m Expr,
-        base: &'m Expr,
-        field: &str,
-        base_flows: FlowSet,
-        sc: &mut Scope<'m>,
-    ) -> FlowSet {
-        let reps = describe_syms(expr, &sc.ctx);
-        if reps.is_empty() {
-            return base_flows;
-        }
-        let ev = self.add_event(IrEventKind::ObjectRead, reps, expr.span);
-        // The base of a read is the same object chain: receiver flow.
-        for &f in &base_flows {
-            self.add_edge_recv(f, ev);
-        }
-        // Field-aliasing flow: register a points-to load.
-        if let ExprKind::Name(n) = &base.kind {
-            let base_var = self.pt_var(sc, n);
-            let out = self.fresh_var();
-            self.ir.ops.push(IrOp::Load {
-                base: base_var,
-                field: field.to_string(),
-                target: out,
-            });
-            self.ir.ops.push(IrOp::PtLoad { event: ev, var: out });
-        }
-        vec![ev]
-    }
-
     fn eval_call(
         &mut self,
         expr: &'m Expr,
@@ -675,74 +471,29 @@ impl<'m> Lowerer<'m> {
     ) -> FlowSet {
         // Receiver/base flows: for `x.m(...)` the object chain flows into
         // the call event (Fig. 2b: `request.files['f']` → `.save()`).
-        let recv_flows = match &func.kind {
+        let recv = match &func.kind {
             ExprKind::Attribute { value, .. } => self.eval(value, sc),
             ExprKind::Name(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
-            other => {
-                let _ = other;
-                self.eval(func, sc)
-            }
+            _ => self.eval(func, sc),
         };
-        let arg_flows: Vec<FlowSet> = args.iter().map(|a| self.eval(a, sc)).collect();
-        let kwarg_flows: Vec<(&'m str, FlowSet)> = keywords
+        let args = args.iter().map(|a| self.eval(a, sc)).collect();
+        let kwargs = keywords
             .iter()
             .map(|k| (k.name.as_deref().unwrap_or_default(), self.eval(&k.value, sc)))
             .collect();
-
-        let reps = describe_syms(expr, &sc.ctx);
-        let call_event = if reps.is_empty() {
-            None
-        } else {
-            Some(self.add_event(IrEventKind::Call, reps, expr.span))
-        };
-
-        if let Some(ev) = call_event {
-            // The receiver chain is same-object flow; arguments are not.
-            for &f in &recv_flows {
-                self.add_edge_recv(f, ev);
-                self.set_arg_position(f, ev, IrArgPos::Receiver);
-            }
-            for (i, flows) in arg_flows.iter().enumerate() {
-                for &f in flows {
-                    self.add_edge(f, ev);
-                    self.set_arg_position(f, ev, IrArgPos::Positional(i.min(255) as u8));
-                }
-            }
-            for (name, flows) in &kwarg_flows {
-                for &f in flows {
-                    self.add_edge(f, ev);
-                    self.set_arg_position(f, ev, IrArgPos::Keyword(name.to_string()));
-                }
-            }
-            // `locals()` receives every local variable (§5.2), visited in
-            // name order so the edge order never follows hash order.
-            if matches!(&func.kind, ExprKind::Name(n) if n == "locals") {
-                let mut bindings: Vec<(&str, &FlowSet)> =
-                    sc.env.iter().map(|(&name, flows)| (name, flows)).collect();
-                bindings.sort_unstable_by_key(|&(name, _)| name);
-                let all: Vec<u32> =
-                    bindings.into_iter().flat_map(|(_, flows)| flows.iter().copied()).collect();
-                for f in all {
-                    self.add_edge(f, ev);
-                }
-            }
+        // `locals()` receives every local variable (§5.2), visited in name
+        // order so the edge order never follows hash order.
+        let mut unpositioned = Vec::new();
+        if matches!(&func.kind, ExprKind::Name(n) if n == "locals") {
+            let mut bindings: Vec<(&str, &FlowSet)> =
+                sc.env.iter().map(|(&name, flows)| (name, flows)).collect();
+            bindings.sort_unstable_by_key(|&(name, _)| name);
+            unpositioned =
+                bindings.into_iter().flat_map(|(_, flows)| flows.iter().copied()).collect();
         }
-
-        // The call's own flow: its event, or pass-through for opaque calls.
-        let flow = match call_event {
-            Some(ev) => vec![ev],
-            None => {
-                let mut out = recv_flows;
-                for flows in arg_flows.iter().chain(kwarg_flows.iter().map(|(_, f)| f)) {
-                    union_into(&mut out, flows);
-                }
-                out
-            }
-        };
-
-        // Link calls to locally-defined functions / same-class methods.
-        let qualified: Option<Cow<'m, str>> = match &func.kind {
-            ExprKind::Name(n) => Some(Cow::Borrowed(n)),
+        // Calls link to locally-defined functions and same-class methods.
+        let target = match &func.kind {
+            ExprKind::Name(n) => Some(Cow::Borrowed(n.as_str())),
             ExprKind::Attribute { value, attr } => match (&value.kind, &sc.ctx.class_name) {
                 (ExprKind::Name(recv), Some(class)) if recv == "self" => {
                     Some(Cow::Owned(format!("{class}::{attr}")))
@@ -751,76 +502,8 @@ impl<'m> Lowerer<'m> {
             },
             _ => None,
         };
-        if let Some(q) = qualified {
-            let callee = if self.inline_stack.len() < 3 && !self.inline_stack.contains(&q) {
-                self.funcs
-                    .get(q.as_ref())
-                    .map(|info| (info.def, info.class_name, info.base_class.clone()))
-            } else {
-                None
-            };
-            if let Some((def, class_name, base_class)) = callee {
-                // Per-call-site inlining (§5.2): re-analyze the callee body
-                // with the parameters bound to this call's argument flows.
-                // This is context-sensitive — taint from one call site
-                // cannot leak into another.
-                let returns =
-                    self.inline_call(q, def, class_name, base_class, &arg_flows, &kwarg_flows);
-                match call_event {
-                    Some(ev) => {
-                        for r in returns {
-                            self.add_edge(r, ev);
-                        }
-                    }
-                    None => {
-                        // No call event (unrepresentable callee): the
-                        // returns are lost only in this rare case.
-                    }
-                }
-            } else {
-                self.ir.pending.push(IrPendingCall {
-                    qualified: q.into_owned(),
-                    arg_flows,
-                    kwarg_flows: kwarg_flows
-                        .into_iter()
-                        .map(|(name, flows)| (name.to_string(), flows))
-                        .collect(),
-                    call_event,
-                });
-            }
-        }
-        flow
-    }
-
-    /// Re-analyzes `def`'s body with parameters bound to the call's
-    /// argument flows, returning the events that flow into its `return`s.
-    fn inline_call(
-        &mut self,
-        qualified: Cow<'m, str>,
-        def: &'m FunctionDef,
-        class_name: Option<&'m str>,
-        base_class: Option<String>,
-        arg_flows: &[FlowSet],
-        kwarg_flows: &[(&'m str, FlowSet)],
-    ) -> FlowSet {
-        let mut scope = self.new_scope(class_name, base_class, Some(def));
-        // Bind positional arguments (skipping a `self`/`cls` receiver slot
-        // for methods) and keyword arguments by name.
-        let positional = declared_params(def).filter(|&n| n != "self" && n != "cls");
-        for (name, flows) in positional.zip(arg_flows) {
-            scope.env.insert(name, flows.clone());
-        }
-        for &(name, ref flows) in kwarg_flows {
-            if declared_params(def).any(|p| p == name) {
-                scope.env.insert(name, flows.clone());
-            }
-        }
-        self.inline_stack.push(qualified);
-        for stmt in &def.body {
-            self.walk_stmt(stmt, &mut scope);
-        }
-        self.inline_stack.pop();
-        scope.returns
+        let reps = describe_syms(expr, &sc.ctx);
+        self.call(Call { reps, span: expr.span, recv, args, kwargs, unpositioned, target })
     }
 }
 
@@ -881,18 +564,18 @@ fn index_field_name(index: &Expr) -> String {
     }
 }
 
-fn union_into(dst: &mut FlowSet, src: &[u32]) {
-    for &e in src {
-        if !dst.contains(&e) {
-            dst.push(e);
-        }
+/// The variable `expr` names, if it is a bare name.
+fn name_of(expr: &Expr) -> Option<&str> {
+    match &expr.kind {
+        ExprKind::Name(n) => Some(n),
+        _ => None,
     }
-    dst.truncate(MAX_FLOW_SET);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seldon_ir::{IrEdgeKind, IrEventKind, IrOp};
     use seldon_pyast::parse;
 
     fn lower(src: &str) -> IrProgram {

@@ -271,6 +271,26 @@ fn level_from_opts(opts: &HashMap<&str, &str>) -> Result<Level, CliError> {
     }
 }
 
+/// The value of the numeric option `name`, if given; anything but a
+/// non-negative integer is a usage error.
+fn count_from_opts(opts: &HashMap<&str, &str>, name: &str) -> Result<Option<usize>, CliError> {
+    let parse = |v: &&str| {
+        v.parse().map_err(|_| CliError::usage(format!("{name} expects a number, got `{v}`")))
+    };
+    opts.get(name).map(parse).transpose()
+}
+
+/// `--solver-threads`: 1 when absent, and 0 means "all cores". The learned
+/// spec is byte-identical for any thread count, so this is purely a cost
+/// knob.
+fn solver_threads_from_opts(opts: &HashMap<&str, &str>) -> Result<usize, CliError> {
+    Ok(match count_from_opts(opts, "--solver-threads")? {
+        Some(0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Some(t) => t,
+        None => 1,
+    })
+}
+
 /// A set of on-disk files analyzed through the fault-tolerant pipeline.
 struct Analysis {
     analyzed: AnalyzedCorpus,
@@ -480,6 +500,8 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
         ],
     )?;
     let policy = policy_from_flags(&flags)?;
+    let explicit_cutoff = count_from_opts(&opts, "--cutoff")?;
+    let solver_threads = solver_threads_from_opts(&opts)?;
     let cache_dir = opts.get("--cache-dir").copied();
     if cache_dir.is_some() && flags.contains(&"--no-cache") {
         return Err(CliError::usage("--cache-dir and --no-cache are mutually exclusive"));
@@ -528,25 +550,7 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
             }
         },
     };
-    let cutoff: usize = opts
-        .get("--cutoff")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if names.len() < 50 { 2 } else { 5 });
-    // `--solver-threads 0` means "all cores"; the learned spec is
-    // byte-identical for any thread count, so this is purely a cost knob.
-    let solver_threads = match opts.get("--solver-threads") {
-        Some(v) => {
-            let t: usize = v.parse().map_err(|_| {
-                CliError::usage(format!("--solver-threads expects a number, got `{v}`"))
-            })?;
-            if t == 0 {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            } else {
-                t
-            }
-        }
-        None => 1,
-    };
+    let cutoff = explicit_cutoff.unwrap_or(if names.len() < 50 { 2 } else { 5 });
     // Early-stop is on by default (SolveOptions::default()); the flags
     // force it either way, e.g. `--no-early-stop` to burn the full
     // `max_iters` budget for an exactly reproducible epoch count.
@@ -726,25 +730,8 @@ fn cmd_serve(rest: &[String]) -> Result<Outcome, CliError> {
             }
         },
     };
-    let explicit_cutoff: Option<usize> = match opts.get("--cutoff") {
-        Some(v) => Some(v.parse().map_err(|_| {
-            CliError::usage(format!("--cutoff expects a number, got `{v}`"))
-        })?),
-        None => None,
-    };
-    let solver_threads = match opts.get("--solver-threads") {
-        Some(v) => {
-            let t: usize = v.parse().map_err(|_| {
-                CliError::usage(format!("--solver-threads expects a number, got `{v}`"))
-            })?;
-            if t == 0 {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            } else {
-                t
-            }
-        }
-        None => 1,
-    };
+    let explicit_cutoff = count_from_opts(&opts, "--cutoff")?;
+    let solver_threads = solver_threads_from_opts(&opts)?;
     let options = SeldonOptions {
         gen: GenOptions { rep_cutoff: explicit_cutoff.unwrap_or(5), ..Default::default() },
         solve: SolveOptions { threads: solver_threads, ..Default::default() },
@@ -876,12 +863,7 @@ fn cmd_report(rest: &[String]) -> Result<Outcome, CliError> {
     let [path] = paths.as_slice() else {
         return Err(CliError::usage("report expects exactly one manifest file"));
     };
-    let top: usize = match opts.get("--top") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--top expects a number, got `{v}`")))?,
-        None => 10,
-    };
+    let top = count_from_opts(&opts, "--top")?.unwrap_or(10);
     let m = load_manifest(path)?;
     // Every figure below is a registry metric; an absent one reads as 0.
     let v = |def: &MetricDef| m.metrics.value(def.name).unwrap_or(0.0);

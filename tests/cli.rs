@@ -169,6 +169,18 @@ fn learn_solver_threads_is_output_invariant() {
 }
 
 #[test]
+fn learn_rejects_a_non_numeric_cutoff() {
+    // `learn` and `serve` parse `--cutoff` with one helper: a value that is
+    // not a number is a usage error, never a silent fall-back to the default.
+    let dir = temp_dir("cutoff");
+    write_app(&dir);
+    let out = seldon().arg("learn").arg(&dir).arg("--cutoff").arg("abc").output().expect("runs");
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--cutoff expects a number, got `abc`"), "{stderr}");
+}
+
+#[test]
 fn check_with_custom_spec_and_param_sensitivity() {
     let dir = temp_dir("custom");
     std::fs::write(

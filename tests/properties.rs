@@ -252,12 +252,13 @@ proptest! {
         prop_assert!(sol.violation <= sol.objective + 1e-9);
     }
 
-    /// Staged lowering (source → IrProgram → build_ir) is exactly the
-    /// composed builder, for BOTH frontends, on generated corpora: same
-    /// events (kind, reps, span), same adjacency. This is the contract
-    /// that makes the IR layer a real seam — a frontend only has to get
-    /// its lowering right; everything downstream is shared and blind to
-    /// the source language.
+    /// The per-file entry point (`Frontend::lower`, then `build_ir`)
+    /// agrees with each frontend's `build_source` / `build_js_source`
+    /// shorthand, for BOTH frontends, on generated corpora: same events
+    /// (kind, reps, span), same adjacency. Both shorthands are themselves
+    /// `lower → build_ir`, so this pins the entry point's parse, budget
+    /// and lowering choices against the shorthand, not against a
+    /// separate builder.
     #[test]
     fn staged_ir_build_equals_composed(seed in 0u64..60) {
         let u = Universe::new();
