@@ -343,11 +343,16 @@ impl<'p> Lowerer<'p> {
                     _ => self.eval(callee, sc),
                 };
                 let args = args.iter().map(|a| self.eval(a, sc)).collect();
-                let reps = describe_syms_js(expr, &sc.ctx);
-                // Calls link to locally-defined functions.
-                let target = ident(callee).map(Cow::Borrowed);
-                let (kwargs, unpositioned) = (Vec::new(), Vec::new());
-                self.call(Call { reps, span: expr.span, recv, args, kwargs, unpositioned, target })
+                self.call(Call {
+                    reps: describe_syms_js(expr, &sc.ctx),
+                    span: expr.span,
+                    recv,
+                    args,
+                    kwargs: Vec::new(),
+                    unpositioned: Vec::new(),
+                    // Calls link to locally-defined functions.
+                    target: ident(callee).map(Cow::Borrowed),
+                })
             }
             ExprKind::Object(entries) => {
                 // Literals flow their property values to the whole value.

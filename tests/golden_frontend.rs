@@ -4,8 +4,8 @@
 //!
 //! The IR goldens under `tests/golden/ir/` pin the lowering contract of
 //! DESIGN.md §3g byte for byte: the `IrProgram::dump()` of every snippet
-//! here, of a JS fixture, and of generated corpus files whose handler
-//! inlines a local helper. The sources under `tests/fixtures/` are shared
+//! here, of a JS fixture, of one inlining-guard fixture per language, and
+//! of generated corpus files whose handler inlines a local helper. The sources under `tests/fixtures/` are shared
 //! with the CLI's `ir-dump` tests. Re-bless them deliberately, only when the
 //! analysis is meant to change, with
 //! `cargo test -p seldon-core --test golden_frontend -- --ignored bless`.
