@@ -11,7 +11,7 @@
 //! as a non-gating note. Exit codes: `0` — no regression (improvements
 //! allowed); `1` — at least one regression; `2` — usage error.
 
-use seldon_telemetry::{diff_bench, BenchRecord, DiffOptions};
+use seldon_telemetry::{diff_bench, parse_tolerance_pct, BenchRecord, DiffOptions};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -36,9 +36,12 @@ fn main() -> ExitCode {
                 let Some(v) = it.next() else {
                     return usage();
                 };
-                match v.parse::<f64>() {
+                match parse_tolerance_pct(v) {
                     Ok(pct) => opts.tolerance_pct = pct,
-                    Err(_) => return usage(),
+                    Err(e) => {
+                        eprintln!("error: {e}");
+                        return usage();
+                    }
                 }
             }
             "-h" | "--help" => return usage(),

@@ -17,11 +17,11 @@
 //! checksum but decodes to a graph disagreeing with its own fragment is
 //! treated as corrupt and recomputed, never trusted.
 
+use crate::codec::{Reader, Writer};
 use crate::entry::EntryError;
 use seldon_intern::intern;
 use seldon_propgraph::{ArgPos, EdgeKind, Event, EventId, EventKind, FileId, PropagationGraph};
 use seldon_pyast::Span;
-use seldon_telemetry::json::{self, Json};
 use std::collections::HashMap;
 
 /// A propagation graph plus constraint fragment in disk-stable form.
@@ -45,7 +45,7 @@ pub struct FileArtifact {
     freq: Vec<(u32, u32)>,
 }
 
-fn kind_tag(kind: EventKind) -> u64 {
+fn kind_tag(kind: EventKind) -> u8 {
     match kind {
         EventKind::Call => 0,
         EventKind::ObjectRead => 1,
@@ -53,7 +53,7 @@ fn kind_tag(kind: EventKind) -> u64 {
     }
 }
 
-fn kind_from_tag(tag: u64) -> Option<EventKind> {
+fn kind_from_tag(tag: u8) -> Option<EventKind> {
     match tag {
         0 => Some(EventKind::Call),
         1 => Some(EventKind::ObjectRead),
@@ -194,186 +194,102 @@ impl FileArtifact {
         Ok(graph)
     }
 
-    /// Serializes to the compact JSON payload framed by
-    /// [`crate::entry::encode_entry`].
-    ///
-    /// The event/edge/arg/freq tables are packed into single delimited
-    /// strings (rows split by `;`, fields by `,`) rather than nested JSON
-    /// arrays: a warm run decodes hundreds of these payloads on the hot
-    /// path, and one string per table keeps the JSON token count — and
-    /// with it the parse cost — roughly constant per file instead of
-    /// linear in graph size.
+    /// Serializes to the binary payload framed by
+    /// [`crate::entry::encode_entry`]: the recovered-error count, then the
+    /// string, event, edge, argument and frequency tables as
+    /// [`crate::codec`] records.
     pub fn to_payload(&self) -> Vec<u8> {
-        use std::fmt::Write;
-        let mut events = String::new();
-        for (i, (kind, span, reps)) in self.events.iter().enumerate() {
-            if i > 0 {
-                events.push(';');
+        let mut w = Writer::default();
+        w.u64(self.recovered_errors as u64);
+        w.table(&self.strings, |w, s| w.str(s));
+        w.table(&self.events, |w, (kind, span, reps)| {
+            w.u8(kind_tag(*kind));
+            for v in [span.start, span.end, span.line, span.col] {
+                w.u32(v);
             }
-            let _ = write!(
-                events,
-                "{},{},{},{},{}",
-                kind_tag(*kind),
-                span.start,
-                span.end,
-                span.line,
-                span.col
-            );
-            for r in reps {
-                let _ = write!(events, ",{r}");
-            }
-        }
-        let mut edges = String::new();
-        for (i, &(from, to, kind)) in self.edges.iter().enumerate() {
-            if i > 0 {
-                edges.push(';');
-            }
-            let tag = match kind {
+            w.table(reps, |w, &r| w.u32(r));
+        });
+        w.table(&self.edges, |w, &(from, to, kind)| {
+            w.u32(from);
+            w.u32(to);
+            w.u8(match kind {
                 EdgeKind::Argument => 0,
                 EdgeKind::Receiver => 1,
-            };
-            let _ = write!(edges, "{from},{to},{tag}");
-        }
-        let mut args = String::new();
-        for (i, (from, to, pos)) in self.args.iter().enumerate() {
-            if i > 0 {
-                args.push(';');
-            }
-            // Keyword names are Python identifiers, so they never contain
-            // the `;`/`,` delimiters; the decoder splits the name field
-            // last and keeps any `,` it might somehow carry.
+            });
+        });
+        w.table(&self.args, |w, (from, to, pos)| {
+            w.u32(*from);
+            w.u32(*to);
             match pos {
-                ArgPos::Receiver => {
-                    let _ = write!(args, "{from},{to},0");
-                }
+                ArgPos::Receiver => w.u8(0),
                 ArgPos::Positional(p) => {
-                    let _ = write!(args, "{from},{to},1,{p}");
+                    w.u8(1);
+                    w.u8(*p);
                 }
                 ArgPos::Keyword(name) => {
-                    let _ = write!(args, "{from},{to},2,{name}");
+                    w.u8(2);
+                    w.str(name);
                 }
             }
-        }
-        let mut freq = String::new();
-        for (i, &(rep, n)) in self.freq.iter().enumerate() {
-            if i > 0 {
-                freq.push(';');
-            }
-            let _ = write!(freq, "{rep},{n}");
-        }
-        Json::Obj(vec![
-            ("recovered_errors".into(), Json::num(self.recovered_errors as f64)),
-            (
-                "strings".into(),
-                Json::Arr(self.strings.iter().map(Json::str).collect()),
-            ),
-            ("events".into(), Json::str(events)),
-            ("edges".into(), Json::str(edges)),
-            ("args".into(), Json::str(args)),
-            ("freq".into(), Json::str(freq)),
-        ])
-        .compact()
-        .into_bytes()
+        });
+        w.table(&self.freq, |w, &(rep, n)| {
+            w.u32(rep);
+            w.u32(n);
+        });
+        w.finish()
     }
 
     /// Parses a payload produced by [`FileArtifact::to_payload`].
     ///
     /// # Errors
     ///
-    /// [`EntryError::Corrupt`] on malformed JSON or schema mismatch.
+    /// [`EntryError::Corrupt`] on a truncated, overlong or malformed
+    /// payload.
     pub fn from_payload(payload: &[u8]) -> Result<FileArtifact, EntryError> {
         let corrupt = |what: &str| EntryError::Corrupt(what.to_string());
-        let text = std::str::from_utf8(payload).map_err(|_| corrupt("payload not UTF-8"))?;
-        let v = json::parse(text).map_err(|e| corrupt(&format!("payload JSON: {e}")))?;
-        let field = |key: &str| v.get(key).ok_or_else(|| corrupt(&format!("missing `{key}`")));
-        let table = |key: &str| -> Result<&str, EntryError> {
-            field(key)?.as_str().ok_or_else(|| corrupt(&format!("`{key}` not a string")))
+        let mut r = Reader::new(payload);
+        // Struct fields are evaluated in the order written: payload order.
+        // Minimum row widths: a length or count prefix is 4 bytes, an
+        // event is a tag, four span fields and its rep count.
+        let artifact = FileArtifact {
+            recovered_errors: r.usize()?,
+            strings: r.table(4, |r| Ok(r.str()?.to_string()))?,
+            events: r.table(21, |r| {
+                let kind = kind_from_tag(r.u8()?).ok_or_else(|| corrupt("unknown event kind"))?;
+                let span = Span::new(r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+                Ok((kind, span, r.table(4, Reader::u32)?))
+            })?,
+            edges: r.table(9, |r| {
+                let (from, to) = (r.u32()?, r.u32()?);
+                let kind = match r.u8()? {
+                    0 => EdgeKind::Argument,
+                    1 => EdgeKind::Receiver,
+                    _ => return Err(corrupt("unknown edge kind")),
+                };
+                Ok((from, to, kind))
+            })?,
+            args: r.table(9, |r| {
+                let (from, to) = (r.u32()?, r.u32()?);
+                let pos = match r.u8()? {
+                    0 => ArgPos::Receiver,
+                    1 => ArgPos::Positional(r.u8()?),
+                    2 => ArgPos::Keyword(r.str()?.to_string()),
+                    _ => return Err(corrupt("unknown arg position tag")),
+                };
+                Ok((from, to, pos))
+            })?,
+            freq: r.table(8, |r| Ok((r.u32()?, r.u32()?)))?,
         };
-        let small = |field: &str, what: &str| -> Result<u32, EntryError> {
-            field.parse::<u32>().map_err(|_| corrupt(&format!("{what} not a u32")))
-        };
-        fn rows(table: &str) -> impl Iterator<Item = &str> {
-            table.split(';').filter(|r| !r.is_empty())
-        }
-        let recovered_errors = field("recovered_errors")?
-            .as_u64()
-            .ok_or_else(|| corrupt("`recovered_errors` not a count"))?
-            as usize;
-        let strings = field("strings")?
-            .as_arr()
-            .ok_or_else(|| corrupt("`strings` not an array"))?
-            .iter()
-            .map(|s| s.as_str().map(str::to_string).ok_or_else(|| corrupt("non-string rep")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut events = Vec::new();
-        for row in rows(table("events")?) {
-            let fields: Vec<&str> = row.split(',').collect();
-            if fields.len() < 6 {
-                return Err(corrupt("event row too short"));
-            }
-            let kind = kind_from_tag(
-                fields[0].parse().map_err(|_| corrupt("event kind not a tag"))?,
-            )
-            .ok_or_else(|| corrupt("unknown event kind"))?;
-            let span = Span::new(
-                small(fields[1], "span.start")?,
-                small(fields[2], "span.end")?,
-                small(fields[3], "span.line")?,
-                small(fields[4], "span.col")?,
-            );
-            let reps = fields[5..]
-                .iter()
-                .map(|i| small(i, "rep index"))
-                .collect::<Result<Vec<_>, _>>()?;
-            events.push((kind, span, reps));
-        }
-        let mut edges = Vec::new();
-        for row in rows(table("edges")?) {
-            let fields: Vec<&str> = row.split(',').collect();
-            if fields.len() != 3 {
-                return Err(corrupt("edge row must have 3 fields"));
-            }
-            let kind = match fields[2] {
-                "0" => EdgeKind::Argument,
-                "1" => EdgeKind::Receiver,
-                _ => return Err(corrupt("unknown edge kind")),
-            };
-            edges.push((small(fields[0], "edge.from")?, small(fields[1], "edge.to")?, kind));
-        }
-        let mut args = Vec::new();
-        for row in rows(table("args")?) {
-            // The keyword-name field comes last and is taken verbatim, so
-            // split off at most the three leading numeric fields.
-            let fields: Vec<&str> = row.splitn(4, ',').collect();
-            if fields.len() < 3 {
-                return Err(corrupt("arg row too short"));
-            }
-            let value = fields.get(3).copied();
-            let pos = match (fields[2], value) {
-                ("0", None) => ArgPos::Receiver,
-                ("1", Some(p)) => ArgPos::Positional(
-                    p.parse().map_err(|_| corrupt("positional index not a u8"))?,
-                ),
-                ("2", Some(name)) => ArgPos::Keyword(name.to_string()),
-                _ => return Err(corrupt("unknown arg position tag")),
-            };
-            args.push((small(fields[0], "arg.from")?, small(fields[1], "arg.to")?, pos));
-        }
-        let mut freq = Vec::new();
-        for row in rows(table("freq")?) {
-            let fields: Vec<&str> = row.split(',').collect();
-            if fields.len() != 2 {
-                return Err(corrupt("freq row must have 2 fields"));
-            }
-            freq.push((small(fields[0], "freq.rep")?, small(fields[1], "freq.count")?));
-        }
-        Ok(FileArtifact { recovered_errors, strings, events, edges, args, freq })
+        r.finish()?;
+        Ok(artifact)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::fuzz;
+    use proptest::prelude::*;
     use seldon_propgraph::build_source;
 
     const SOURCE: &str = "import flask\nimport os\n\ndef handler():\n    q = flask.request.args.get('q')\n    os.system(q)\n";
@@ -420,10 +336,13 @@ mod tests {
     fn payload_contains_no_raw_symbols() {
         let graph = build_source(SOURCE, FileId(7)).unwrap();
         let payload = FileArtifact::from_graph(&graph, 0).to_payload();
-        let text = std::str::from_utf8(&payload).unwrap();
         // Every representation appears by string; the payload parses in
         // any process regardless of interner state.
-        assert!(text.contains("os.system()"), "reps stored as strings: {text}");
+        let needle = b"os.system()";
+        assert!(
+            payload.windows(needle.len()).any(|w| w == needle),
+            "reps stored as strings: {payload:?}"
+        );
     }
 
     #[test]
@@ -447,5 +366,45 @@ mod tests {
         let mut bad = artifact.clone();
         bad.edges.push((9999, 0, EdgeKind::Argument));
         assert!(bad.to_graph(FileId(0)).is_err());
+    }
+
+    /// A payload with every table non-empty and every argument-position
+    /// kind, as the load path decodes it: payload, then graph.
+    fn fuzz_seed() -> Vec<u8> {
+        let src = format!("{SOURCE}    subprocess.run(q, shell=flask.request.form['s'])\n");
+        let artifact = FileArtifact::from_graph(&build_source(&src, FileId(0)).unwrap(), 1);
+        for tag in 0..3 {
+            assert!(
+                artifact.args.iter().any(|(_, _, pos)| match pos {
+                    ArgPos::Receiver => tag == 0,
+                    ArgPos::Positional(_) => tag == 1,
+                    ArgPos::Keyword(_) => tag == 2,
+                }),
+                "argument-position kind {tag} missing from the fuzz seed"
+            );
+        }
+        artifact.to_payload()
+    }
+
+    fn load(payload: &[u8]) -> Result<PropagationGraph, EntryError> {
+        FileArtifact::from_payload(payload)?.to_graph(FileId(0))
+    }
+
+    #[test]
+    fn truncated_or_saturated_payloads_load_or_report_corrupt() {
+        let payload = fuzz_seed();
+        assert!(load(&payload).is_ok());
+        fuzz::assert_systematic_damage_is_contained(&payload, load);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn overwritten_payloads_load_or_report_corrupt(
+            writes in prop::collection::vec((any::<usize>(), any::<u8>()), 1..8),
+        ) {
+            fuzz::assert_contained(load(&fuzz::overwrite(&fuzz_seed(), &writes)), "overwrite");
+        }
     }
 }

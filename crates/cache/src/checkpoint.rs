@@ -26,17 +26,17 @@
 //! variables on their process-stable `(representation, role)` keys
 //! recorded in [`Checkpoint::var_keys`].
 //!
-//! Scores and every other float are serialized as IEEE-754 bit patterns
-//! (`%016x`), never as decimal text, so a load returns the exact f64s the
-//! solver produced.
+//! Scores and every other float are serialized as IEEE-754 bit patterns,
+//! never as decimal text, so a load returns the exact f64s the solver
+//! produced.
 
+use crate::codec::{Reader, Writer};
 use crate::entry::EntryError;
 use crate::hash::Fnv64;
 use seldon_constraints::{ConstraintSystem, GenOptions, GenStats, Template};
 use seldon_propgraph::{EventId, PropagationGraph};
 use seldon_solver::{ExtractOptions, Extraction, SolveOptions, Solution, StopReason};
 use seldon_specs::{Role, RoleSet, TaintSpec};
-use seldon_telemetry::json::{self, Json};
 use seldon_telemetry::EpochSample;
 
 /// Shape counters of the constraint system a checkpoint was solved from,
@@ -92,8 +92,7 @@ pub struct Checkpoint {
     /// representation string and [`Role`] index of each `VarId`. These
     /// survive re-numbering, so a later run whose system assigns
     /// different `VarId`s can still seed Adam from these scores via
-    /// [`Checkpoint::warm_init_for`]. Empty on checkpoints written
-    /// before warm-starting landed (parse is lenient).
+    /// [`Checkpoint::warm_init_for`].
     pub var_keys: Vec<(String, u8)>,
     /// Final objective value.
     pub objective: f64,
@@ -107,8 +106,7 @@ pub struct Checkpoint {
     pub final_lr: f64,
     /// Whether the solve diverged.
     pub diverged: bool,
-    /// Why the solve stopped ([`seldon_solver::StopReason`] string form;
-    /// `"max_iters"` when replaying a pre-early-stop checkpoint).
+    /// Why the solve stopped ([`seldon_solver::StopReason`] string form).
     pub stop_reason: String,
     /// Epochs the stop saved against the `max_iters` budget.
     pub epochs_saved: usize,
@@ -241,24 +239,6 @@ pub fn system_fingerprint(system: &ConstraintSystem, solve: &SolveOptions) -> u6
     h.finish()
 }
 
-fn hex64(v: u64) -> Json {
-    Json::str(format!("{v:016x}"))
-}
-
-fn hex_f64(v: f64) -> Json {
-    hex64(v.to_bits())
-}
-
-fn parse_hex64(v: &Json, what: &str) -> Result<u64, EntryError> {
-    v.as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| EntryError::Corrupt(format!("{what} not a hex u64")))
-}
-
-fn parse_hex_f64(v: &Json, what: &str) -> Result<f64, EntryError> {
-    Ok(f64::from_bits(parse_hex64(v, what)?))
-}
-
 impl Checkpoint {
     /// Packs one finished run — the system it solved, the solution and
     /// its extraction — under its two fingerprints.
@@ -346,8 +326,8 @@ impl Checkpoint {
     /// longer exist are dropped.
     ///
     /// Returns `None` when this checkpoint carries no usable key table
-    /// (legacy payload, or one whose keys do not line up with its
-    /// scores) — callers should then solve cold.
+    /// (none at all, or one whose keys do not line up with its scores) —
+    /// callers should then solve cold.
     pub fn warm_init_for(&self, system: &ConstraintSystem) -> Option<Vec<f64>> {
         if self.var_keys.len() != self.scores.len() {
             return None;
@@ -376,244 +356,118 @@ impl Checkpoint {
             .collect()
     }
 
-    /// Serializes to the JSON payload framed by
-    /// [`crate::entry::encode_entry`].
-    ///
-    /// The three size-proportional tables — scores, convergence curve,
-    /// per-event roles — are packed into single delimited strings (rows
-    /// split by `;`, fields by `,`, floats as IEEE-754 bit patterns in
-    /// hex) so warm-start load cost stays dominated by I/O, not JSON
-    /// token parsing.
+    /// Serializes to the binary payload framed by
+    /// [`crate::entry::encode_entry`], every field a [`crate::codec`]
+    /// record in declaration order.
     pub fn to_payload(&self) -> Vec<u8> {
-        use std::fmt::Write;
-        let mut scores = String::with_capacity(self.scores.len() * 17);
-        for (i, v) in self.scores.iter().enumerate() {
-            if i > 0 {
-                scores.push(';');
-            }
-            let _ = write!(scores, "{:016x}", v.to_bits());
-        }
-        let mut curve = String::new();
-        for (i, e) in self.curve.iter().enumerate() {
-            if i > 0 {
-                curve.push(';');
-            }
-            let _ = write!(
-                curve,
-                "{},{:016x},{:016x},{},{:016x},{:016x}",
-                e.epoch,
-                e.objective.to_bits(),
-                e.hinge_loss.to_bits(),
-                e.violated,
-                e.grad_norm.to_bits(),
-                e.lr.to_bits()
-            );
-        }
-        let mut event_roles = String::with_capacity(self.event_roles.len() * 8);
-        for (i, &(id, bits)) in self.event_roles.iter().enumerate() {
-            if i > 0 {
-                event_roles.push(';');
-            }
-            let _ = write!(event_roles, "{id},{bits}");
-        }
+        let mut w = Writer::default();
+        w.u64(self.input_fp);
+        w.u64(self.system_fp);
+        w.table(&self.scores, |w, &v| w.f64(v));
+        w.table(&self.var_keys, |w, (rep, role)| {
+            w.str(rep);
+            w.u8(*role);
+        });
+        w.f64(self.objective);
+        w.f64(self.violation);
+        w.u64(self.iterations as u64);
+        w.u64(self.restarts as u64);
+        w.f64(self.final_lr);
+        w.u8(u8::from(self.diverged));
+        w.str(&self.stop_reason);
+        w.u64(self.epochs_saved as u64);
+        w.table(&self.curve, |w, e| {
+            w.u64(e.epoch);
+            w.f64(e.objective);
+            w.f64(e.hinge_loss);
+            w.u64(e.violated);
+            w.f64(e.grad_norm);
+            w.f64(e.lr);
+        });
+        w.str(&self.spec_text);
+        w.table(&self.event_roles, |w, &(id, bits)| {
+            w.u32(id);
+            w.u8(bits);
+        });
+        w.table(&self.backoff_hits, |w, &n| w.u64(n as u64));
         let s = &self.summary;
-        // Variable keys ride as a JSON array of "<role digit><rep>"
-        // strings rather than a delimited table: representation strings
-        // are arbitrary source-derived text, and JSON string escaping is
-        // the only framing here that cannot collide with their content.
-        let var_keys = Json::Arr(
-            self.var_keys
-                .iter()
-                .map(|(rep, role)| Json::str(format!("{role}{rep}")))
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("input_fp".into(), hex64(self.input_fp)),
-            ("system_fp".into(), hex64(self.system_fp)),
-            ("scores".into(), Json::str(scores)),
-            ("var_keys".into(), var_keys),
-            ("objective".into(), hex_f64(self.objective)),
-            ("violation".into(), hex_f64(self.violation)),
-            ("iterations".into(), Json::num(self.iterations as f64)),
-            ("restarts".into(), Json::num(self.restarts as f64)),
-            ("final_lr".into(), hex_f64(self.final_lr)),
-            ("diverged".into(), Json::Bool(self.diverged)),
-            ("stop_reason".into(), Json::str(&self.stop_reason)),
-            ("epochs_saved".into(), Json::num(self.epochs_saved as f64)),
-            ("curve".into(), Json::str(curve)),
-            ("spec".into(), Json::str(&self.spec_text)),
-            ("event_roles".into(), Json::str(event_roles)),
-            (
-                "backoff_hits".into(),
-                Json::Arr(self.backoff_hits.iter().map(|&n| Json::num(n as f64)).collect()),
-            ),
-            (
-                "summary".into(),
-                Json::Obj(vec![
-                    ("constraints".into(), Json::num(s.constraints as f64)),
-                    ("vars".into(), Json::num(s.vars as f64)),
-                    ("pinned".into(), Json::num(s.pinned as f64)),
-                    (
-                        "by_template".into(),
-                        Json::Arr(s.by_template.iter().map(|&n| Json::num(n as f64)).collect()),
-                    ),
-                    ("candidates".into(), Json::num(s.candidates as f64)),
-                    ("surviving_reps".into(), Json::num(s.surviving_reps as f64)),
-                    ("dropped_by_cutoff".into(), Json::num(s.dropped_by_cutoff as f64)),
-                    (
-                        "dropped_by_blacklist".into(),
-                        Json::num(s.dropped_by_blacklist as f64),
-                    ),
-                ]),
-            ),
-        ])
-        .compact()
-        .into_bytes()
+        for v in [s.constraints, s.vars, s.pinned]
+            .into_iter()
+            .chain(s.by_template)
+            .chain([s.candidates, s.surviving_reps, s.dropped_by_cutoff, s.dropped_by_blacklist])
+        {
+            w.u64(v);
+        }
+        w.finish()
     }
 
     /// Parses a payload produced by [`Checkpoint::to_payload`].
     ///
     /// # Errors
     ///
-    /// [`EntryError::Corrupt`] on malformed JSON or schema mismatch.
+    /// [`EntryError::Corrupt`] on a truncated, overlong or malformed
+    /// payload, an unknown stop reason, or a variable role outside
+    /// [`Role::ALL`].
     pub fn from_payload(payload: &[u8]) -> Result<Checkpoint, EntryError> {
         let corrupt = |what: &str| EntryError::Corrupt(what.to_string());
-        let text = std::str::from_utf8(payload).map_err(|_| corrupt("payload not UTF-8"))?;
-        let v = json::parse(text).map_err(|e| corrupt(&format!("payload JSON: {e}")))?;
-        let field = |key: &str| v.get(key).ok_or_else(|| corrupt(&format!("missing `{key}`")));
-        let count = |key: &str| -> Result<usize, EntryError> {
-            field(key)?
-                .as_u64()
-                .map(|u| u as usize)
-                .ok_or_else(|| corrupt(&format!("`{key}` not a count")))
-        };
-        let arr = |key: &str| {
-            field(key)?.as_arr().ok_or_else(|| corrupt(&format!("`{key}` not an array")))
-        };
-        let table = |key: &str| -> Result<&str, EntryError> {
-            field(key)?.as_str().ok_or_else(|| corrupt(&format!("`{key}` not a string")))
-        };
-        fn rows(table: &str) -> impl Iterator<Item = &str> {
-            table.split(';').filter(|r| !r.is_empty())
-        }
-        let hex_field = |field: &str, what: &str| -> Result<f64, EntryError> {
-            u64::from_str_radix(field, 16)
-                .map(f64::from_bits)
-                .map_err(|_| corrupt(&format!("{what} not a hex f64")))
-        };
-        let scores = rows(table("scores")?)
-            .map(|s| hex_field(s, "score"))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Lenient: absent from checkpoints written before warm-starting
-        // landed. Those still replay on exact fingerprint matches; they
-        // just cannot seed a warm solve (`warm_init_for` returns None).
-        let mut var_keys = Vec::new();
-        if let Some(entries) = v.get("var_keys").and_then(Json::as_arr) {
-            for entry in entries {
-                let s = entry.as_str().ok_or_else(|| corrupt("var_keys entry not a string"))?;
-                let role = s
-                    .chars()
-                    .next()
-                    .and_then(|c| c.to_digit(10))
-                    .filter(|&d| d < 3)
-                    .ok_or_else(|| corrupt("var_keys entry missing role digit"))?;
-                var_keys.push((s[1..].to_string(), role as u8));
-            }
-        }
-        let mut curve = Vec::new();
-        for row in rows(table("curve")?) {
-            let fields: Vec<&str> = row.split(',').collect();
-            if fields.len() != 6 {
-                return Err(corrupt("curve row must have 6 fields"));
-            }
-            curve.push(EpochSample {
-                epoch: fields[0].parse().map_err(|_| corrupt("epoch not a u64"))?,
-                objective: hex_field(fields[1], "curve objective")?,
-                hinge_loss: hex_field(fields[2], "curve hinge_loss")?,
-                violated: fields[3].parse().map_err(|_| corrupt("violated not a u64"))?,
-                grad_norm: hex_field(fields[4], "curve grad_norm")?,
-                lr: hex_field(fields[5], "curve lr")?,
-            });
-        }
-        let mut event_roles = Vec::new();
-        for row in rows(table("event_roles")?) {
-            let (id, bits) =
-                row.split_once(',').ok_or_else(|| corrupt("event_roles row needs 2 fields"))?;
-            event_roles.push((
-                id.parse::<u32>().map_err(|_| corrupt("event id not a u32"))?,
-                bits.parse::<u8>().map_err(|_| corrupt("role bits not a u8"))?,
-            ));
-        }
-        let backoff_hits = arr("backoff_hits")?
-            .iter()
-            .map(|n| {
-                n.as_u64().map(|u| u as usize).ok_or_else(|| corrupt("backoff hit not a count"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let s = field("summary")?;
-        let sfield = |key: &str| -> Result<u64, EntryError> {
-            s.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| corrupt(&format!("summary `{key}` not a u64")))
-        };
-        let tpl = s
-            .get("by_template")
-            .and_then(Json::as_arr)
-            .filter(|a| a.len() == 3)
-            .ok_or_else(|| corrupt("summary `by_template` not a 3-array"))?;
-        let mut by_template = [0u64; 3];
-        for (slot, n) in by_template.iter_mut().zip(tpl) {
-            *slot = n.as_u64().ok_or_else(|| corrupt("by_template entry not a u64"))?;
-        }
-        Ok(Checkpoint {
-            input_fp: parse_hex64(field("input_fp")?, "input_fp")?,
-            system_fp: parse_hex64(field("system_fp")?, "system_fp")?,
-            scores,
-            var_keys,
-            objective: parse_hex_f64(field("objective")?, "objective")?,
-            violation: parse_hex_f64(field("violation")?, "violation")?,
-            iterations: count("iterations")?,
-            restarts: count("restarts")?,
-            final_lr: parse_hex_f64(field("final_lr")?, "final_lr")?,
-            diverged: field("diverged")?
-                .as_bool()
-                .ok_or_else(|| corrupt("`diverged` not a bool"))?,
-            // Lenient: absent from checkpoints written before the
-            // convergence early-exit landed (those would be fingerprint-
-            // stale anyway, but a parse fault would misreport as Corrupt).
-            stop_reason: v
-                .get("stop_reason")
-                .and_then(Json::as_str)
-                .unwrap_or("max_iters")
-                .to_string(),
-            epochs_saved: v
-                .get("epochs_saved")
-                .and_then(Json::as_u64)
-                .unwrap_or(0) as usize,
-            curve,
-            spec_text: field("spec")?
+        let mut r = Reader::new(payload);
+        // Struct fields are evaluated in the order written: payload order.
+        let ckpt = Checkpoint {
+            input_fp: r.u64()?,
+            system_fp: r.u64()?,
+            scores: r.table(8, Reader::f64)?,
+            var_keys: r.table(5, |r| {
+                let rep = r.str()?.to_string();
+                match r.u8()? {
+                    role if usize::from(role) < Role::ALL.len() => Ok((rep, role)),
+                    _ => Err(corrupt("variable role out of range")),
+                }
+            })?,
+            objective: r.f64()?,
+            violation: r.f64()?,
+            iterations: r.usize()?,
+            restarts: r.usize()?,
+            final_lr: r.f64()?,
+            diverged: r.bool()?,
+            stop_reason: StopReason::parse(r.str()?)
+                .ok_or_else(|| corrupt("unknown stop reason"))?
                 .as_str()
-                .ok_or_else(|| corrupt("`spec` not a string"))?
                 .to_string(),
-            event_roles,
-            backoff_hits,
+            epochs_saved: r.usize()?,
+            curve: r.table(48, |r| {
+                Ok(EpochSample {
+                    epoch: r.u64()?,
+                    objective: r.f64()?,
+                    hinge_loss: r.f64()?,
+                    violated: r.u64()?,
+                    grad_norm: r.f64()?,
+                    lr: r.f64()?,
+                })
+            })?,
+            spec_text: r.str()?.to_string(),
+            event_roles: r.table(5, |r| Ok((r.u32()?, r.u8()?)))?,
+            backoff_hits: r.table(8, Reader::usize)?,
             summary: SystemSummary {
-                constraints: sfield("constraints")?,
-                vars: sfield("vars")?,
-                pinned: sfield("pinned")?,
-                by_template,
-                candidates: sfield("candidates")?,
-                surviving_reps: sfield("surviving_reps")?,
-                dropped_by_cutoff: sfield("dropped_by_cutoff")?,
-                dropped_by_blacklist: sfield("dropped_by_blacklist")?,
+                constraints: r.u64()?,
+                vars: r.u64()?,
+                pinned: r.u64()?,
+                by_template: [r.u64()?, r.u64()?, r.u64()?],
+                candidates: r.u64()?,
+                surviving_reps: r.u64()?,
+                dropped_by_cutoff: r.u64()?,
+                dropped_by_blacklist: r.u64()?,
             },
-        })
+        };
+        r.finish()?;
+        Ok(ckpt)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::fuzz;
+    use proptest::prelude::*;
     use seldon_propgraph::{build_source, FileId};
 
     fn sample() -> Checkpoint {
@@ -672,27 +526,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_payload_without_stop_fields_parses_leniently() {
-        let text = String::from_utf8(sample().to_payload()).unwrap();
-        let legacy = text
-            .replace("\"stop_reason\":\"plateau\",", "")
-            .replace("\"epochs_saved\":44,", "");
-        assert_ne!(legacy, text, "fields were present to strip");
-        let back = Checkpoint::from_payload(legacy.as_bytes()).unwrap();
-        assert_eq!(back.stop_reason, "max_iters");
-        assert_eq!(back.epochs_saved, 0);
-    }
-
-    #[test]
-    fn legacy_payload_without_var_keys_parses_and_declines_warm_start() {
-        let text = String::from_utf8(sample().to_payload()).unwrap();
-        let start = text.find(",\"var_keys\":[").unwrap();
-        let end = text[start..].find(']').unwrap() + start + 1;
-        let legacy = format!("{}{}", &text[..start], &text[end..]);
-        let back = Checkpoint::from_payload(legacy.as_bytes()).unwrap();
-        assert!(back.var_keys.is_empty());
+    fn checkpoint_without_var_keys_declines_warm_start() {
+        let ckpt = Checkpoint { var_keys: Vec::new(), ..sample() };
         let sys = ConstraintSystem::new(0.75);
-        assert_eq!(back.warm_init_for(&sys), None, "no key table, no warm seed");
+        assert_eq!(ckpt.warm_init_for(&sys), None, "no key table, no warm seed");
     }
 
     #[test]
@@ -841,5 +678,34 @@ mod tests {
             "threads/stride excluded"
         );
         assert_ne!(base, input_fingerprint(gfp ^ 1, &seed, &gen, &solve, &extract));
+    }
+
+    #[test]
+    fn truncated_or_saturated_payloads_decode_or_report_corrupt() {
+        fuzz::assert_systematic_damage_is_contained(&sample().to_payload(), Checkpoint::from_payload);
+    }
+
+    #[test]
+    fn unknown_stop_reasons_and_roles_are_corrupt() {
+        let bad_stop = Checkpoint { stop_reason: "gave_up".into(), ..sample() };
+        let bad_role = Checkpoint { var_keys: vec![("a()".into(), 3); 6], ..sample() };
+        for ckpt in [bad_stop, bad_role] {
+            assert!(matches!(
+                Checkpoint::from_payload(&ckpt.to_payload()),
+                Err(EntryError::Corrupt(_))
+            ));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn overwritten_payloads_decode_or_report_corrupt(
+            writes in prop::collection::vec((any::<usize>(), any::<u8>()), 1..8),
+        ) {
+            let bad = fuzz::overwrite(&sample().to_payload(), &writes);
+            fuzz::assert_contained(Checkpoint::from_payload(&bad), "overwrite");
+        }
     }
 }

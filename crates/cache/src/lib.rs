@@ -15,6 +15,10 @@
 //!   extracted spec, keyed by exact input/system fingerprints
 //!   ([`input_fingerprint`], [`system_fingerprint`]). Reuse is
 //!   all-or-nothing so warm results stay byte-identical to cold ones.
+//! * **Payload codec** (crate-private `codec`): both payloads are binary
+//!   records of little-endian integers, f64 bit patterns and
+//!   length-prefixed strings, read back by a bounds-checked reader that
+//!   checks every count against the bytes left before allocating.
 //! * **Crash safety** ([`entry`]): every file is a checksummed frame
 //!   written via temp-file + atomic rename. Corrupt, truncated,
 //!   bit-flipped, version-skewed, or torn entries are detected before
@@ -26,6 +30,7 @@
 
 pub mod artifact;
 pub mod checkpoint;
+mod codec;
 pub mod entry;
 pub mod hash;
 pub mod inject;

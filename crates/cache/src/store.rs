@@ -515,6 +515,7 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::hash_bytes;
     use seldon_propgraph::build_source;
 
     fn temp_cache(tag: &str) -> PathBuf {
@@ -656,6 +657,27 @@ mod tests {
         assert!(matches!(cache.load_artifact(1, FileId(0)), ArtifactLookup::Miss));
         assert!(matches!(cache.load_artifact(2, FileId(0)), ArtifactLookup::Miss));
         assert_eq!(cache.stats().evicted, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_1_directory_is_stale_and_cleared() {
+        let dir = temp_cache("v1");
+        let v1_frame = |payload: &[u8]| {
+            let checksum = hash_bytes(payload);
+            let header = format!("seldon-cache 1 {checksum:016x} {}\n", payload.len());
+            [header.as_bytes(), payload].concat()
+        };
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(INDEX_NAME), v1_frame(br#"{"entry_version":1}"#)).unwrap();
+        fs::write(dir.join("0000000000000001.entry"), v1_frame(br#"{"strings":[]}"#)).unwrap();
+        let (cache, faults) = ArtifactCache::open(&dir).unwrap();
+        assert_eq!(faults.len(), 1, "{faults:?}");
+        assert_eq!((faults[0].entry.as_str(), faults[0].class), (INDEX_NAME, FaultClass::Stale));
+        assert_eq!(cache.stats().evicted, 1);
+        assert!(matches!(cache.load_artifact(1, FileId(0)), ArtifactLookup::Miss));
+        let (_, faults) = ArtifactCache::open(&dir).unwrap();
+        assert!(faults.is_empty(), "restamped at v{ENTRY_VERSION}: {faults:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,7 +20,6 @@ use crate::repr::{describe_expr, describe_syms, ImportMap, ReprCtx};
 use seldon_intern::intern;
 use seldon_ir::IrProgram;
 use seldon_pyast::ast::*;
-use seldon_pyast::visit::{self, Visitor};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -36,10 +35,9 @@ pub fn lower_module_budgeted(
     module: &Module,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
-    let mut l = Lowerer {
-        em: Emitter::new(budget, &["self", "cls"]),
-        imports: Rc::new(collect_imports(module)),
-    };
+    let mut imports = ImportMap::new();
+    collect_imports(&module.body, &mut imports);
+    let mut l = Lowerer { em: Emitter::new(budget, &["self", "cls"]), imports: Rc::new(imports) };
     let mut scope = l.new_scope(None, None, None);
     l.walk_body(&module.body, &mut scope);
     l.em.into_ir()
@@ -512,46 +510,56 @@ fn declared_params(def: &FunctionDef) -> impl Iterator<Item = &str> + Clone {
     def.params.iter().filter(|p| p.kind != ParamKind::KwOnlyMarker).map(|p| p.name.as_str())
 }
 
-/// Collects the module's import bindings: every `import` and
-/// `from ... import` anywhere in the file, later bindings winning.
-fn collect_imports(module: &Module) -> ImportMap {
-    struct ImportCollector {
-        imports: ImportMap,
-    }
-    impl Visitor for ImportCollector {
-        fn visit_stmt(&mut self, stmt: &Stmt) {
-            match &stmt.kind {
-                StmtKind::Import(aliases) => {
-                    for a in aliases {
-                        match &a.asname {
-                            Some(alias) => self.imports.insert(alias, &a.name),
-                            None => {
-                                // `import a.b` binds top-level `a`.
-                                if let Some(first) = a.name.first() {
-                                    self.imports.insert(first, std::slice::from_ref(first));
-                                }
+/// Collects the import bindings of `body`: every `import` and
+/// `from ... import` anywhere in it, recursing into nested statement
+/// bodies in source order, later bindings winning.
+fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
+    for stmt in body {
+        match &stmt.kind {
+            StmtKind::Import(aliases) => {
+                for a in aliases {
+                    match &a.asname {
+                        Some(alias) => imports.insert(alias, &a.name),
+                        None => {
+                            // `import a.b` binds top-level `a`.
+                            if let Some(first) = a.name.first() {
+                                imports.insert(first, std::slice::from_ref(first));
                             }
                         }
                     }
                 }
-                StmtKind::ImportFrom { module, names, .. } => {
-                    for a in names {
-                        let seg = match a.name.first() {
-                            Some(s) if s != "*" => s,
-                            _ => continue,
-                        };
-                        let mut path = module.clone();
-                        path.push(seg.clone());
-                        self.imports.insert(a.asname.as_ref().unwrap_or(seg), &path);
-                    }
-                }
-                _ => visit::walk_stmt(self, stmt),
             }
+            StmtKind::ImportFrom { module, names, .. } => {
+                for a in names {
+                    let seg = match a.name.first() {
+                        Some(s) if s != "*" => s,
+                        _ => continue,
+                    };
+                    let mut path = module.clone();
+                    path.push(seg.clone());
+                    imports.insert(a.asname.as_ref().unwrap_or(seg), &path);
+                }
+            }
+            StmtKind::FunctionDef(def) => collect_imports(&def.body, imports),
+            StmtKind::ClassDef(def) => collect_imports(&def.body, imports),
+            StmtKind::For { body, orelse, .. }
+            | StmtKind::While { body, orelse, .. }
+            | StmtKind::If { body, orelse, .. } => {
+                collect_imports(body, imports);
+                collect_imports(orelse, imports);
+            }
+            StmtKind::With { body, .. } => collect_imports(body, imports),
+            StmtKind::Try { body, handlers, orelse, finalbody } => {
+                collect_imports(body, imports);
+                for h in handlers {
+                    collect_imports(&h.body, imports);
+                }
+                collect_imports(orelse, imports);
+                collect_imports(finalbody, imports);
+            }
+            _ => {}
         }
     }
-    let mut c = ImportCollector { imports: ImportMap::new() };
-    visit::walk_module(&mut c, module);
-    c.imports
 }
 
 /// Field name used for subscript loads/stores, matching the representation
@@ -593,6 +601,53 @@ mod tests {
             op,
             IrOp::Edge { from: 0, to: 1, kind: IrEdgeKind::Receiver }
         )));
+    }
+
+    #[test]
+    fn imports_are_collected_from_every_nested_body() {
+        let src = "\
+def f():
+    import m_def as a0
+class C:
+    import m_class as a1
+for i in x:
+    import m_for as a2
+else:
+    import m_for_else as a3
+while x:
+    import m_while as a4
+else:
+    import m_while_else as a5
+if x:
+    import m_if as a6
+else:
+    import m_if_else as a7
+with x:
+    import m_with as a8
+try:
+    import m_try as a9
+except E:
+    import m_except as a10
+else:
+    import m_try_else as a11
+finally:
+    from m_finally import a12
+if x:
+    import m_first as a13
+import m_last as a13
+";
+        let calls: String = (0..14).map(|i| format!("a{i}.run()\n")).collect();
+        let ir = lower(&format!("{src}{calls}"));
+        let reps: Vec<&str> = ir.events.iter().map(|e| e.reps[0].as_str()).collect();
+        for module in [
+            "m_def", "m_class", "m_for", "m_for_else", "m_while", "m_while_else", "m_if",
+            "m_if_else", "m_with", "m_try", "m_except", "m_try_else", "m_finally.a12",
+        ] {
+            let rep = format!("{module}.run()");
+            assert!(reps.contains(&rep.as_str()), "{rep} missing from {reps:?}");
+        }
+        assert!(reps.contains(&"m_last.run()"), "the later binding wins: {reps:?}");
+        assert!(!reps.contains(&"m_first.run()"), "{reps:?}");
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod parser;
 pub mod span;
 pub mod token;
 pub mod unparse;
-pub mod visit;
 
 pub use ast::{Expr, ExprKind, Module, Stmt, StmtKind};
 pub use error::FrontendError;

@@ -54,7 +54,8 @@ use seldon_taint::{render_reports, reports_to_json, TaintAnalyzer, TaintOptions}
 use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
 use seldon_telemetry::json::{self, Json};
 use seldon_telemetry::{
-    diff_manifests, metric, DiffOptions, Level, MetricDef, RunManifest, Telemetry,
+    diff_manifests, metric, parse_tolerance_pct, DiffOptions, Level, MetricDef, RunManifest,
+    Telemetry,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -790,10 +791,16 @@ fn cmd_client(rest: &[String]) -> Result<Outcome, CliError> {
     let Some(socket) = opts.get("--socket").copied() else {
         return Err(CliError::usage("client needs --socket <path>"));
     };
-    let wait: f64 = match opts.get("--wait") {
-        Some(v) => v.parse().map_err(|_| {
-            CliError::usage(format!("--wait expects seconds, got `{v}`"))
-        })?,
+    // `Duration::from_secs_f64` panics on a negative or non-finite value.
+    let wait = match opts.get("--wait") {
+        Some(v) => match v.parse::<f64>() {
+            Ok(secs) if secs.is_finite() && secs >= 0.0 => secs,
+            _ => {
+                return Err(CliError::usage(format!(
+                    "--wait expects a finite number of seconds >= 0, got `{v}`"
+                )))
+            }
+        },
         None => 5.0,
     };
     let mut obj = vec![("op".to_string(), Json::str(&op))];
@@ -1001,9 +1008,7 @@ fn cmd_diff_runs(rest: &[String]) -> Result<Outcome, CliError> {
     };
     let mut dopts = DiffOptions::default();
     if let Some(v) = opts.get("--tolerance") {
-        dopts.tolerance_pct = v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--tolerance expects a number, got `{v}`")))?;
+        dopts.tolerance_pct = parse_tolerance_pct(v).map_err(CliError::usage)?;
     }
     let report = diff_manifests(&load_manifest(a)?, &load_manifest(b)?, &dopts);
     print!("{}", report.render());

@@ -38,6 +38,20 @@ impl Default for DiffOptions {
     }
 }
 
+/// Parses a `--tolerance` value: a finite, non-negative percentage. NaN
+/// would make every comparison false and so silently pass every cost, and
+/// a negative tolerance would flag noise as regressions.
+///
+/// # Errors
+///
+/// A usage message naming the rejected text.
+pub fn parse_tolerance_pct(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(pct) if pct.is_finite() && pct >= 0.0 => Ok(pct),
+        _ => Err(format!("--tolerance expects a finite percentage >= 0, got `{text}`")),
+    }
+}
+
 /// Outcome of one comparison: classified lines plus tallies.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
@@ -280,6 +294,17 @@ mod tests {
     use super::*;
     use crate::manifest::{metric, ScoreDumpEntry, StageSpan};
     use crate::metrics::{Histogram, MetricDef};
+
+    #[test]
+    fn tolerance_must_be_a_finite_non_negative_percentage() {
+        assert_eq!(parse_tolerance_pct("15"), Ok(15.0));
+        assert_eq!(parse_tolerance_pct("0"), Ok(0.0));
+        assert_eq!(parse_tolerance_pct("2.5"), Ok(2.5));
+        for bad in ["nan", "NaN", "inf", "-inf", "-1", "-0.5", "", "abc", "1e999"] {
+            let err = parse_tolerance_pct(bad).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{bad}: {err}");
+        }
+    }
 
     fn base_manifest() -> RunManifest {
         let mut m = RunManifest::new("learn");

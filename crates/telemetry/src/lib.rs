@@ -36,7 +36,7 @@ pub mod metrics;
 pub mod span;
 
 pub use bench::{BenchRecord, MIN_BENCH_SCHEMA_VERSION};
-pub use diff::{diff_bench, diff_manifests, DiffOptions, DiffReport};
+pub use diff::{diff_bench, diff_manifests, parse_tolerance_pct, DiffOptions, DiffReport};
 pub use manifest::{
     metric, stage, EpochSample, ManifestError, RunManifest, ScoreDumpEntry, StageSpan,
     PARSE_HIST_BOUNDS, SCHEMA_VERSION,

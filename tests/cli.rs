@@ -719,6 +719,37 @@ fn diff_runs_exit_codes_are_pinned() {
     // One path is a usage error.
     let usage = seldon().arg("diff-runs").arg(&a).output().expect("runs");
     assert_eq!(usage.status.code(), Some(2));
+
+    // So is a tolerance that is not a finite percentage >= 0: NaN would
+    // compare false everywhere and pass the regressed pair above.
+    for bad in ["nan", "-1", "inf", "ten"] {
+        let out = seldon()
+            .arg("diff-runs")
+            .arg(&a)
+            .arg(&b)
+            .args(["--tolerance", bad])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "--tolerance {bad} is a usage error");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--tolerance"), "{bad}");
+    }
+}
+
+#[test]
+fn client_wait_must_be_finite_and_non_negative() {
+    let dir = temp_dir("clientwait");
+    let socket = dir.join("absent.sock");
+    for bad in ["-1", "inf", "nan", "soon"] {
+        let out = seldon()
+            .args(["client", "ping", "--socket"])
+            .arg(&socket)
+            .args(["--wait", bad])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--wait {bad}: {stderr}");
+        assert!(stderr.contains("--wait"), "--wait {bad}: {stderr}");
+    }
 }
 
 #[test]
