@@ -204,7 +204,7 @@ fn main() {
             .expect("structural delta");
         edit_ms.push(t.elapsed().as_secs_f64() * 1e3);
         assert!(
-            matches!(out.solve, "scores" | "warm" | "cold"),
+            matches!(out.solve, "warm" | "cold"),
             "structural edit must rebuild, got {}",
             out.solve
         );

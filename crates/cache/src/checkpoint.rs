@@ -1,20 +1,16 @@
 //! The solver warm-start checkpoint.
 //!
 //! A checkpoint captures the downstream half of a run — the solved score
-//! vector plus the extracted specification — keyed by two fingerprints:
+//! vector plus the extracted specification — keyed by one exact
+//! fingerprint, the **input fingerprint**: the global propagation graph
+//! ([`graph_fingerprint`], by representation *string*, so it is stable
+//! across processes), the seed specification, and every
+//! generation/solve/extraction option that can influence scores or the
+//! spec. A match means generation, solving, and extraction would
+//! reproduce the stored outputs bit for bit, so all three stages are
+//! skipped; a miss reuses nothing.
 //!
-//! * **input fingerprint** — the global propagation graph (by
-//!   representation *string*, so it is stable across processes), the seed
-//!   specification, and every generation/solve/extraction option that can
-//!   influence scores or the spec. A match means generation, solving, and
-//!   extraction would reproduce the stored outputs bit for bit, so all
-//!   three stages are skipped.
-//! * **system fingerprint** — the generated constraint system plus the
-//!   solver options. When only the input fingerprint misses (say the
-//!   extraction thresholds changed), a system match still lets the solver
-//!   reuse the stored score vector exactly.
-//!
-//! Both are **exact-match** keys. A near-miss warm start (seeding Adam
+//! The key is **exact-match**. A near-miss warm start (seeding Adam
 //! with stale scores) converges to *almost* the same solution, and
 //! "almost" breaks the byte-identical-spec guarantee the *replay* path
 //! is held to; a fingerprint miss therefore never silently reuses
@@ -33,7 +29,7 @@
 use crate::codec::{Reader, Writer};
 use crate::entry::EntryError;
 use crate::hash::Fnv64;
-use seldon_constraints::{ConstraintSystem, GenOptions, GenStats, Template};
+use seldon_constraints::{ConstraintSystem, GenOptions, GenStats};
 use seldon_propgraph::{EventId, PropagationGraph};
 use seldon_solver::{ExtractOptions, Extraction, SolveOptions, Solution, StopReason};
 use seldon_specs::{Role, RoleSet, TaintSpec};
@@ -78,14 +74,11 @@ impl SystemSummary {
     }
 }
 
-/// A persisted solver/extraction outcome with its fingerprints.
+/// A persisted solver/extraction outcome with its fingerprint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Fingerprint of graph + seed + options (full-reuse key).
+    /// Fingerprint of graph + seed + options (the reuse key).
     pub input_fp: u64,
-    /// Fingerprint of the constraint system + solver options (score-reuse
-    /// key).
-    pub system_fp: u64,
     /// The solved score vector, indexed by `VarId`.
     pub scores: Vec<f64>,
     /// Per-variable identity keys, parallel to `scores`: the
@@ -122,7 +115,53 @@ pub struct Checkpoint {
     pub summary: SystemSummary,
 }
 
-fn hash_solve_opts(h: &mut Fnv64, solve: &SolveOptions) {
+/// Fingerprints a propagation graph by exactly what learning reads, in
+/// graph order: each event's kind and representation strings, its
+/// successors with their edge kinds, and its predecessors (`reaching`
+/// walks them in list order). Spans, file stamps and argument positions
+/// stay out, so an edit that only moves code keeps the key.
+/// Interner-independent: two processes that built the same graph from
+/// the same corpus agree on this value.
+pub fn graph_fingerprint(graph: &PropagationGraph) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(graph.event_count() as u64);
+    for (id, event) in graph.events() {
+        h.write_u64(event.kind as u64).write_u64(event.reps.len() as u64);
+        for rep in &event.reps {
+            h.write_str(rep.as_str());
+        }
+        let succs = graph.successors(id);
+        h.write_u64(succs.len() as u64);
+        for &to in succs {
+            h.write_u32(to.0);
+            h.write_u64(graph.edge_kind(id, to).map_or(u64::MAX, |k| k as u64));
+        }
+        let preds = graph.predecessors(id);
+        h.write_u64(preds.len() as u64);
+        for &from in preds {
+            h.write_u32(from.0);
+        }
+    }
+    h.finish()
+}
+
+/// The reuse key: graph + seed spec + every option that shapes the
+/// constraint system, the solve, or the extraction.
+pub fn input_fingerprint(
+    graph_fp: u64,
+    seed: &TaintSpec,
+    gen: &GenOptions,
+    solve: &SolveOptions,
+    extract: &ExtractOptions,
+) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(graph_fp).write_str(&seed.to_text());
+    h.write_u64(gen.rep_cutoff as u64)
+        .write_f64(gen.c)
+        .write_u64(gen.max_rhs_terms as u64)
+        .write_u64(gen.max_reach as u64)
+        .write_u64(gen.templates.iter().fold(0, |acc, &t| acc << 1 | u64::from(t)))
+        .write_u64(gen.max_backoff as u64);
     // `threads` and `trace_stride` are cost/observability knobs; scores
     // are byte-identical across both, so they stay out of the key. The
     // early-stop configuration changes *where* the solve stops, so it is
@@ -145,61 +184,6 @@ fn hash_solve_opts(h: &mut Fnv64, solve: &SolveOptions) {
                 .write_u64(es.min_iters as u64);
         }
     }
-}
-
-/// Fingerprints a propagation graph by content: events (kind, span, file,
-/// representation strings) and edges (endpoints, kind, argument position)
-/// in deterministic graph order. Interner-independent: two processes that
-/// built the same graph from the same corpus agree on this value.
-pub fn graph_fingerprint(graph: &PropagationGraph) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(graph.event_count() as u64);
-    for (_, event) in graph.events() {
-        h.write_u64(event.kind as u64)
-            .write_u32(event.file.0)
-            .write_u32(event.span.start)
-            .write_u32(event.span.end)
-            .write_u32(event.span.line)
-            .write_u32(event.span.col)
-            .write_u64(event.reps.len() as u64);
-        for rep in &event.reps {
-            h.write_str(rep.as_str());
-        }
-    }
-    h.write_u64(graph.edge_count() as u64);
-    for (from, to) in graph.edges() {
-        h.write_u32(from.0).write_u32(to.0);
-        h.write_u64(graph.edge_kind(from, to).map_or(u64::MAX, |k| k as u64));
-        match graph.arg_position(from, to) {
-            None => h.write_u64(0),
-            Some(seldon_propgraph::ArgPos::Receiver) => h.write_u64(1),
-            Some(seldon_propgraph::ArgPos::Positional(i)) => {
-                h.write_u64(2).write_u64(u64::from(*i))
-            }
-            Some(seldon_propgraph::ArgPos::Keyword(name)) => h.write_u64(3).write_str(name),
-        };
-    }
-    h.finish()
-}
-
-/// The full-reuse key: graph + seed spec + every option that shapes the
-/// constraint system, the solve, or the extraction.
-pub fn input_fingerprint(
-    graph_fp: u64,
-    seed: &TaintSpec,
-    gen: &GenOptions,
-    solve: &SolveOptions,
-    extract: &ExtractOptions,
-) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(graph_fp).write_str(&seed.to_text());
-    h.write_u64(gen.rep_cutoff as u64)
-        .write_f64(gen.c)
-        .write_u64(gen.max_rhs_terms as u64)
-        .write_u64(gen.max_reach as u64)
-        .write_u64(gen.templates.iter().fold(0, |acc, &t| acc << 1 | u64::from(t)))
-        .write_u64(gen.max_backoff as u64);
-    hash_solve_opts(&mut h, solve);
     for t in extract.thresholds {
         h.write_f64(t);
     }
@@ -207,44 +191,11 @@ pub fn input_fingerprint(
     h.finish()
 }
 
-/// The score-reuse key: the generated constraint system (variables by
-/// representation string and role, constraints by template and terms,
-/// seed pins) plus the solver options.
-pub fn system_fingerprint(system: &ConstraintSystem, solve: &SolveOptions) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(system.var_count() as u64);
-    for (_, rep, role) in system.variables() {
-        h.write_str(rep).write_u64(role.index() as u64);
-    }
-    h.write_u64(system.constraint_count() as u64);
-    for c in &system.constraints {
-        let tag = match c.template {
-            Template::A => 0u64,
-            Template::B => 1,
-            Template::C => 2,
-        };
-        h.write_u64(tag);
-        for side in [&c.lhs, &c.rhs] {
-            h.write_u64(side.len() as u64);
-            for term in side {
-                h.write_u32(term.var.0).write_f64(term.coeff);
-            }
-        }
-    }
-    for (var, value) in system.pinned_sorted() {
-        h.write_u32(var).write_f64(value);
-    }
-    h.write_f64(system.c);
-    hash_solve_opts(&mut h, solve);
-    h.finish()
-}
-
 impl Checkpoint {
     /// Packs one finished run — the system it solved, the solution and
-    /// its extraction — under its two fingerprints.
+    /// its extraction — under its input fingerprint.
     pub fn from_run(
         input_fp: u64,
-        system_fp: u64,
         system: &ConstraintSystem,
         gen_stats: &GenStats,
         solution: &Solution,
@@ -258,7 +209,6 @@ impl Checkpoint {
         event_roles.sort_unstable();
         Checkpoint {
             input_fp,
-            system_fp,
             scores: solution.scores.clone(),
             var_keys: Checkpoint::var_keys_of(system),
             objective: solution.objective,
@@ -277,8 +227,8 @@ impl Checkpoint {
         }
     }
 
-    /// The stored solve as a [`Solution`]. Its scores align variable for
-    /// variable with any system of the same system fingerprint.
+    /// The stored solve as a [`Solution`]. Its scores are indexed by the
+    /// `VarId`s of the system it was solved from.
     pub fn solution(&self) -> Solution {
         Solution {
             scores: self.scores.clone(),
@@ -362,7 +312,6 @@ impl Checkpoint {
     pub fn to_payload(&self) -> Vec<u8> {
         let mut w = Writer::default();
         w.u64(self.input_fp);
-        w.u64(self.system_fp);
         w.table(&self.scores, |w, &v| w.f64(v));
         w.table(&self.var_keys, |w, (rep, role)| {
             w.str(rep);
@@ -414,7 +363,6 @@ impl Checkpoint {
         // Struct fields are evaluated in the order written: payload order.
         let ckpt = Checkpoint {
             input_fp: r.u64()?,
-            system_fp: r.u64()?,
             scores: r.table(8, Reader::f64)?,
             var_keys: r.table(5, |r| {
                 let rep = r.str()?.to_string();
@@ -468,12 +416,12 @@ mod tests {
     use super::*;
     use crate::codec::fuzz;
     use proptest::prelude::*;
-    use seldon_propgraph::{build_source, FileId};
+    use seldon_propgraph::{build_source, intern, ArgPos, EdgeKind, Event, EventKind, FileId};
+    use seldon_pyast::Span;
 
     fn sample() -> Checkpoint {
         Checkpoint {
             input_fp: 0xdead_beef_0123_4567,
-            system_fp: 0x0bad_cafe_89ab_cdef,
             scores: vec![0.0, 0.5, 1.0, 1e-300, f64::MIN_POSITIVE, -0.0],
             var_keys: vec![
                 ("flask.request.args.get()".into(), 0),
@@ -590,8 +538,8 @@ mod tests {
             ..Extraction::default()
         };
         let gen_stats = GenStats { candidate_events: 11, surviving_reps: 1, ..GenStats::default() };
-        let ckpt = Checkpoint::from_run(1, 2, &system, &gen_stats, &solution, &extraction);
-        assert_eq!((ckpt.input_fp, ckpt.system_fp), (1, 2));
+        let ckpt = Checkpoint::from_run(1, &system, &gen_stats, &solution, &extraction);
+        assert_eq!(ckpt.input_fp, 1);
         assert_eq!(ckpt.summary, SystemSummary::of(&system, &gen_stats));
         assert_eq!((ckpt.summary.vars, ckpt.summary.candidates), (2, 11));
         assert_eq!(ckpt.var_keys, [("a()".to_string(), 0), ("a()".to_string(), 2)]);
@@ -627,6 +575,71 @@ mod tests {
         assert_eq!(graph_fingerprint(&a), graph_fingerprint(&b));
         let c = build_source("import os\nos.remove('x')\n", FileId(0)).unwrap();
         assert_ne!(graph_fingerprint(&a), graph_fingerprint(&c));
+    }
+
+    /// `a → b`, `a → c` (receiver), `b → d`, `c → d`, with `arg` the
+    /// argument position of `b → d`. `edit` may change each event before
+    /// it is added; `flip` reverses the insertion order of `a`'s
+    /// successors (`[true, _]`) or of `d`'s predecessors (`[_, true]`).
+    fn diamond(edit: impl Fn(usize, &mut Event), arg: ArgPos, flip: [bool; 2]) -> PropagationGraph {
+        let mut g = PropagationGraph::new();
+        let reps = ["a()", "b()", "c.d", "e()"];
+        let kinds = [EventKind::Call, EventKind::Call, EventKind::ObjectRead, EventKind::Call];
+        let span = Span::new(9, 20, 2, 4);
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| {
+            let mut event = Event::from_reps(kinds[i], &[reps[i]], FileId(0), span);
+            edit(i, &mut event);
+            g.add_event(event)
+        });
+        let mut succs = [(b, EdgeKind::Argument), (c, EdgeKind::Receiver)];
+        let mut preds = [b, c];
+        if flip[0] {
+            succs.reverse();
+        }
+        if flip[1] {
+            preds.reverse();
+        }
+        for (to, kind) in succs {
+            g.add_edge_kind(a, to, kind);
+        }
+        for from in preds {
+            g.add_edge(from, d);
+        }
+        g.set_arg_position(b, d, arg);
+        g
+    }
+
+    #[test]
+    fn graph_fingerprint_keys_on_what_learning_reads() {
+        let keep = |_: usize, _: &mut Event| {};
+        let base = graph_fingerprint(&diamond(keep, ArgPos::Receiver, [false; 2]));
+        let same = [
+            diamond(|_, e| e.span = Span::new(90, 95, 7, 1), ArgPos::Receiver, [false; 2]),
+            diamond(|_, e| e.file = FileId(5), ArgPos::Receiver, [false; 2]),
+            diamond(keep, ArgPos::Positional(3), [false; 2]),
+        ];
+        for g in &same {
+            assert_eq!(graph_fingerprint(g), base, "spans, file stamps and arg positions");
+        }
+        let rep = |i: usize, e: &mut Event| {
+            if i == 2 {
+                e.reps = vec![intern("c.x")];
+            }
+        };
+        let kind = |i: usize, e: &mut Event| {
+            if i == 1 {
+                e.kind = EventKind::ParamRead;
+            }
+        };
+        let differ = [
+            ("rep", diamond(rep, ArgPos::Receiver, [false; 2])),
+            ("kind", diamond(kind, ArgPos::Receiver, [false; 2])),
+            ("successor order", diamond(keep, ArgPos::Receiver, [true, false])),
+            ("predecessor order", diamond(keep, ArgPos::Receiver, [false, true])),
+        ];
+        for (case, g) in &differ {
+            assert_ne!(graph_fingerprint(g), base, "{case}");
+        }
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!   representations by *string* and re-intern on load — raw
 //!   `Symbol(u32)` values are process-local and never reach disk.
 //! * **Solver checkpoint** ([`Checkpoint`]): the previous score vector and
-//!   extracted spec, keyed by exact input/system fingerprints
-//!   ([`input_fingerprint`], [`system_fingerprint`]). Reuse is
-//!   all-or-nothing so warm results stay byte-identical to cold ones.
+//!   extracted spec, keyed by one exact fingerprint ([`input_fingerprint`])
+//!   over the union graph's [`graph_fingerprint`], which hashes only what
+//!   learning reads (no spans, file stamps or argument positions), the
+//!   seed and the options. Reuse is all-or-nothing so warm results stay
+//!   byte-identical to cold ones.
 //! * **Payload codec** (crate-private `codec`): both payloads are binary
 //!   records of little-endian integers, f64 bit patterns and
 //!   length-prefixed strings, read back by a bounds-checked reader that
@@ -37,9 +39,7 @@ pub mod inject;
 pub mod store;
 
 pub use artifact::FileArtifact;
-pub use checkpoint::{
-    graph_fingerprint, input_fingerprint, system_fingerprint, Checkpoint, SystemSummary,
-};
+pub use checkpoint::{graph_fingerprint, input_fingerprint, Checkpoint, SystemSummary};
 pub use entry::{decode_entry, encode_entry, write_atomic, EntryError, ENTRY_VERSION};
 pub use hash::{hash_bytes, Fnv64};
 pub use inject::{inject_cache_faults, CacheFaultKind, InjectedCacheFault};

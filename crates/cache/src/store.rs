@@ -662,15 +662,27 @@ mod tests {
 
     #[test]
     fn version_1_directory_is_stale_and_cleared() {
-        let dir = temp_cache("v1");
-        let v1_frame = |payload: &[u8]| {
+        assert_old_directory_is_stale_and_cleared(1);
+    }
+
+    #[test]
+    fn version_2_directory_is_stale_and_cleared() {
+        assert_old_directory_is_stale_and_cleared(2);
+    }
+
+    /// A directory written by format `version`: opening it reports one
+    /// `Stale` index fault and clears its entries.
+    fn assert_old_directory_is_stale_and_cleared(version: u32) {
+        let dir = temp_cache(&format!("v{version}"));
+        let old_frame = |payload: &[u8]| {
             let checksum = hash_bytes(payload);
-            let header = format!("seldon-cache 1 {checksum:016x} {}\n", payload.len());
+            let header = format!("seldon-cache {version} {checksum:016x} {}\n", payload.len());
             [header.as_bytes(), payload].concat()
         };
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(INDEX_NAME), v1_frame(br#"{"entry_version":1}"#)).unwrap();
-        fs::write(dir.join("0000000000000001.entry"), v1_frame(br#"{"strings":[]}"#)).unwrap();
+        let index = format!(r#"{{"entry_version":{version}}}"#);
+        fs::write(dir.join(INDEX_NAME), old_frame(index.as_bytes())).unwrap();
+        fs::write(dir.join("0000000000000001.entry"), old_frame(br#"{"strings":[]}"#)).unwrap();
         let (cache, faults) = ArtifactCache::open(&dir).unwrap();
         assert_eq!(faults.len(), 1, "{faults:?}");
         assert_eq!((faults[0].entry.as_str(), faults[0].class), (INDEX_NAME, FaultClass::Stale));

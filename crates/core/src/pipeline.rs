@@ -19,7 +19,7 @@
 use crate::error::PipelineError;
 use crate::report::{AnalysisReport, CacheFaultReport, FileOutcome, FileReport};
 use seldon_cache::{
-    file_key, graph_fingerprint, input_fingerprint, system_fingerprint, ArtifactCache,
+    file_key, graph_fingerprint, input_fingerprint, ArtifactCache,
     ArtifactLookup, CacheFault, Checkpoint, CheckpointLookup, FaultClass, Fnv64, StoreQueue,
     SystemSummary, CHECKPOINT_NAME,
 };
@@ -693,7 +693,7 @@ pub struct SeldonOptions {
     /// per-representation score dump with backoff levels — the Fig. 11
     /// dataset. Off by default: the dump scales with the learned spec.
     pub score_dump: bool,
-    /// Opt-in warm rung of [`climb_ladder`]: when set and the system
+    /// Opt-in warm rung of [`climb_ladder`]: when set and the input
     /// fingerprint misses, the solver is seeded from the stored
     /// checkpoint's scores (remapped by representation and role). `None`
     /// (the default, and what `seldon learn` and `seldon serve` pass)
@@ -789,13 +789,10 @@ pub enum CheckpointOutcome {
     /// Checkpoint absent, damaged, or fingerprint-mismatched; solved from
     /// zero and stored a fresh checkpoint.
     MissCold,
-    /// The system fingerprint matched: the stored score vector was reused
-    /// bit-for-bit and the solve was skipped.
-    HitScores,
     /// The input fingerprint matched: generation, solving, and extraction
     /// were all skipped and the stored outputs replayed.
     HitFull,
-    /// The system changed, but ([`SeldonOptions::warm_start`] being set)
+    /// The input changed, but ([`SeldonOptions::warm_start`] being set)
     /// the solver was seeded from the previous checkpoint's remapped
     /// scores and the warm solution cleared the extraction-margin guard.
     HitWarm,
@@ -807,7 +804,6 @@ impl CheckpointOutcome {
         match self {
             CheckpointOutcome::Disabled => "off",
             CheckpointOutcome::MissCold => "cold",
-            CheckpointOutcome::HitScores => "scores",
             CheckpointOutcome::HitFull => "full",
             CheckpointOutcome::HitWarm => "warm",
         }
@@ -853,18 +849,16 @@ pub struct Climb {
 /// 1. *full* — the input fingerprint matches `stored`: its scores, spec
 ///    and roles are replayed; nothing is built or solved;
 /// 2. `build` the constraint system;
-/// 3. *scores* — the system fingerprint matches: the stored score vector
-///    is reused and only extraction runs;
-/// 4. *warm* — only with [`SeldonOptions::warm_start`] and a stored key
+/// 3. *warm* — only with [`SeldonOptions::warm_start`] and a stored key
 ///    table: Adam starts from the remapped scores, and the solution is
 ///    kept when its extraction margin clears the policy's threshold;
-/// 5. *cold* — a solve from zero on the same compiled system.
+/// 4. *cold* — a solve from zero on the same compiled system.
 ///
 /// Every rung emits the `representation`, `constraints`, `solve` (with a
-/// `compile` child when the system was compiled) and `extract` spans with
-/// the same counter keys; replayed stages add `replayed`, a warm attempt
-/// adds `warm_accepted` and `warm_margin`. `load_time` is what loading
-/// `stored` cost, reported as the solve time of the replaying rungs. With
+/// `compile` child unless replayed) and `extract` spans with the same
+/// counter keys; replayed stages add `replayed`, a warm attempt adds
+/// `warm_accepted` and `warm_margin`. `load_time` is what loading
+/// `stored` cost, reported as the solve time of the full rung. With
 /// `graph_fp == None` the climb is unkeyed: no fingerprint is computed,
 /// no checkpoint is built, and only the warm and cold rungs remain. When
 /// `tele` records and the caller left the solver trace stride at 0, the
@@ -907,57 +901,52 @@ pub fn climb_ladder(
     let gen_time = started.elapsed();
     system_spans(tele, &SystemSummary::of(&system, &gen_stats), &gen_stats, false);
 
-    let system_fp = input_fp.map(|_| system_fingerprint(&system, &opts.solve));
     let mut solve_opts = opts.solve.clone();
     if tele.is_recording() && solve_opts.trace_stride == 0 {
         solve_opts.trace_stride = DEFAULT_TRACE_STRIDE;
     }
-    let scores_hit = stored.filter(|c| system_fp == Some(c.system_fp));
-    let mut compile = None;
     let mut warm = None;
     let started = Instant::now();
-    let (solution, outcome) = match scores_hit {
-        Some(ckpt) => (ckpt.solution(), CheckpointOutcome::HitScores),
-        None => {
-            let compiled = CompiledSystem::compile(&system);
-            compile = Some((
-                started.elapsed(),
-                [
-                    ("constraints", compiled.constraint_count() as f64),
-                    ("rows", compiled.row_count() as f64),
-                    ("terms", compiled.term_count() as f64),
-                    ("lanes", compiled.lane_count() as f64),
-                ],
-            ));
-            let warm_seed = opts.warm_start.as_ref().zip(stored).and_then(|(policy, ckpt)| {
-                Some((policy.min_margin, ckpt.warm_init_for(&system)?))
-            });
-            let accepted = warm_seed.and_then(|(min_margin, init)| {
-                let solution = solve_compiled_warm(&compiled, &solve_opts, &init);
-                let margin = extraction_margin(&system, &solution, &opts.extract);
-                warm = Some((margin >= min_margin, margin));
-                (margin >= min_margin).then_some(solution)
-            });
-            let cold = if input_fp.is_some() {
-                CheckpointOutcome::MissCold
-            } else {
-                CheckpointOutcome::Disabled
-            };
-            match accepted {
-                Some(solution) => (solution, CheckpointOutcome::HitWarm),
-                None => (solve_compiled(&compiled, &solve_opts), cold),
-            }
-        }
+    // The compiled system lives only as long as the solve needs it.
+    let (solution, outcome, compile) = {
+        let compiled = CompiledSystem::compile(&system);
+        let compile = (
+            started.elapsed(),
+            [
+                ("constraints", compiled.constraint_count() as f64),
+                ("rows", compiled.row_count() as f64),
+                ("terms", compiled.term_count() as f64),
+                ("lanes", compiled.lane_count() as f64),
+            ],
+        );
+        let warm_seed = opts.warm_start.as_ref().zip(stored).and_then(|(policy, ckpt)| {
+            Some((policy.min_margin, ckpt.warm_init_for(&system)?))
+        });
+        let accepted = warm_seed.and_then(|(min_margin, init)| {
+            let solution = solve_compiled_warm(&compiled, &solve_opts, &init);
+            let margin = extraction_margin(&system, &solution, &opts.extract);
+            warm = Some((margin >= min_margin, margin));
+            (margin >= min_margin).then_some(solution)
+        });
+        let cold = if input_fp.is_some() {
+            CheckpointOutcome::MissCold
+        } else {
+            CheckpointOutcome::Disabled
+        };
+        let (solution, outcome) = match accepted {
+            Some(solution) => (solution, CheckpointOutcome::HitWarm),
+            None => (solve_compiled(&compiled, &solve_opts), cold),
+        };
+        (solution, outcome, compile)
     };
-    let solve_time = if scores_hit.is_some() { load_time } else { started.elapsed() };
-    let replayed = scores_hit.is_some();
-    solve_span(tele, solve_time, &solution, opts.solve.threads, compile, warm, replayed);
+    let solve_time = started.elapsed();
+    solve_span(tele, solve_time, &solution, opts.solve.threads, Some(compile), warm);
 
     let started = Instant::now();
     let extraction = extract(&system, &solution, &opts.extract);
     extract_span(tele, started.elapsed(), &extraction, false);
-    let checkpoint = input_fp.zip(system_fp).map(|(input_fp, system_fp)| {
-        Checkpoint::from_run(input_fp, system_fp, &system, &gen_stats, &solution, &extraction)
+    let checkpoint = input_fp.map(|input_fp| {
+        Checkpoint::from_run(input_fp, &system, &gen_stats, &solution, &extraction)
     });
     Climb {
         run: SeldonRun { system, solution, extraction, gen_time, solve_time, gen_stats },
@@ -987,7 +976,7 @@ fn replay(
     };
     system_spans(tele, s, &gen_stats, true);
     let solution = ckpt.solution();
-    solve_span(tele, load_time, &solution, opts.solve.threads, None, None, true);
+    solve_span(tele, load_time, &solution, opts.solve.threads, None, None);
     let extraction = Extraction {
         spec,
         event_roles: ckpt.event_role_map(),
@@ -1044,7 +1033,8 @@ fn system_spans(tele: &Telemetry, s: &SystemSummary, gen_stats: &GenStats, repla
 }
 
 /// The `solve` span, with the CSR lowering's shape as its `compile`
-/// child and `(accepted, margin)` of a warm attempt.
+/// child and `(accepted, margin)` of a warm attempt. A solve without a
+/// `compile` child was replayed from the checkpoint.
 fn solve_span(
     tele: &Telemetry,
     dur: Duration,
@@ -1052,7 +1042,6 @@ fn solve_span(
     threads: usize,
     compile: Option<(Duration, [(&'static str, f64); 4])>,
     warm: Option<(bool, f64)>,
-    replayed: bool,
 ) {
     let (accepted, margin) = warm.unwrap_or_default();
     let counters = [
@@ -1067,7 +1056,7 @@ fn solve_span(
         ("warm_margin", margin),
     ];
     let counters = if warm.is_some() { &counters[..] } else { &counters[..7] };
-    let index = stage_span(tele, stage::SOLVE, dur, counters, replayed);
+    let index = stage_span(tele, stage::SOLVE, dur, counters, compile.is_none());
     if let Some((dur, shape)) = compile {
         tele.aggregate_child(index, stage::COMPILE, dur, &shape);
     }

@@ -5,7 +5,7 @@
 //! Merlin additionally uses a *collapsed* graph obtained by vertex
 //! contraction of same-representation events (§6.4).
 
-use crate::event::{Event, EventId, FileId};
+use crate::event::{Event, EventId};
 use seldon_intern::Symbol;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -99,17 +99,6 @@ impl PropagationGraph {
         self.edge_count += 1;
     }
 
-    /// Rewrites the [`FileId`] stamp of every event. Per-file graphs are
-    /// parsed once but their file's *index* in the corpus shifts when
-    /// files are added or removed before it; restamping a stored graph is
-    /// how an incremental caller keeps event identity equal to what a
-    /// from-scratch run over the current corpus would produce.
-    pub fn restamp_file(&mut self, file: FileId) {
-        for event in &mut self.events {
-            event.file = file;
-        }
-    }
-
     /// Records the argument position of an edge into a call event.
     pub fn set_arg_position(&mut self, from: EventId, to: EventId, pos: ArgPos) {
         self.arg_positions.entry((from, to)).or_insert(pos);
@@ -130,26 +119,6 @@ impl PropagationGraph {
         } else {
             EdgeKind::Argument
         })
-    }
-
-    /// Events connected to `id` backwards through receiver edges only: the
-    /// object-access chain that produces `id`'s receiver (including
-    /// transitive bases), excluding `id` itself.
-    pub fn receiver_ancestors(&self, id: EventId) -> Vec<EventId> {
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::new();
-        let mut out = Vec::new();
-        seen.insert(id);
-        queue.push_back(id);
-        while let Some(v) = queue.pop_front() {
-            for &p in self.predecessors(v) {
-                if self.receiver_edges.contains(&(p, v)) && seen.insert(p) {
-                    out.push(p);
-                    queue.push_back(p);
-                }
-            }
-        }
-        out
     }
 
     /// Number of events.
@@ -279,14 +248,6 @@ impl PropagationGraph {
         false
     }
 
-    /// Ids of events belonging to `file`.
-    pub fn events_in_file(&self, file: FileId) -> Vec<EventId> {
-        self.events()
-            .filter(|(_, e)| e.file == file)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Vertex contraction (§6.4, Fig. 7): merges all events sharing the same
     /// most-specific representation into one node. Returns the collapsed
     /// graph and the mapping original id → collapsed id.
@@ -346,34 +307,12 @@ impl PropagationGraph {
         }
         counts
     }
-
-    /// String-keyed convenience wrapper around [`rep_frequency_counts`]
-    /// for the CLI/stats path.
-    ///
-    /// [`rep_frequency_counts`]: PropagationGraph::rep_frequency_counts
-    pub fn representation_frequencies(&self) -> HashMap<String, usize> {
-        self.rep_frequency_counts()
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, n)| n > 0)
-            .map(|(i, n)| (Symbol(i as u32).as_str().to_string(), n))
-            .collect()
-    }
-
-    /// Average number of representations (backoff options) per event.
-    pub fn avg_backoff_options(&self) -> f64 {
-        if self.events.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.events.iter().map(|e| e.reps.len()).sum();
-        total as f64 / self.events.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+    use crate::event::{EventKind, FileId};
     use seldon_pyast::Span;
 
     fn ev(rep: &str) -> Event {
@@ -493,28 +432,16 @@ mod tests {
             FileId(0),
             Span::dummy(),
         ));
-        let f = g.representation_frequencies();
-        assert_eq!(f["b()"], 2);
-        assert_eq!(f["a.b()"], 1);
         let counts = g.rep_frequency_counts();
         assert_eq!(counts[seldon_intern::intern("b()").index()], 2);
+        assert_eq!(counts[seldon_intern::intern("a.b()").index()], 1);
         assert_eq!(counts[seldon_intern::intern("c.b()").index()], 1);
-        assert!((g.avg_backoff_options() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn events_in_file_filters() {
-        let mut g = PropagationGraph::new();
-        g.add_event(ev("a()"));
-        g.add_event(Event::from_reps(EventKind::Call, &["b()"], FileId(1), Span::dummy()));
-        assert_eq!(g.events_in_file(FileId(0)).len(), 1);
-        assert_eq!(g.events_in_file(FileId(1)).len(), 1);
     }
 
     #[test]
     fn empty_graph_stats() {
         let g = PropagationGraph::new();
-        assert_eq!(g.avg_backoff_options(), 0.0);
-        assert_eq!(g.event_count(), 0);
+        assert_eq!((g.event_count(), g.edge_count()), (0, 0));
+        assert!(g.rep_frequency_counts().is_empty());
     }
 }

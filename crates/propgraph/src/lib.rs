@@ -33,7 +33,6 @@ pub mod graph;
 pub mod irbuild;
 pub mod lower;
 pub mod repr;
-pub mod stats;
 
 pub use budget::{Budget, BudgetExceeded, BudgetMeter};
 pub use builder::{build_source, BuildError};
@@ -47,4 +46,3 @@ pub use repr::{
     ImportMap, ReprCtx, MAX_CHAIN_DEPTH,
 };
 pub use seldon_intern::{intern, Symbol};
-pub use stats::{graph_stats, GraphStats};

@@ -602,14 +602,6 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
                 )
             });
         }
-        CheckpointOutcome::HitScores => tele.info(|| {
-            format!(
-                "{} constraints over {} variables; scores reused from checkpoint ({} iterations, solve skipped)",
-                run.system.constraint_count(),
-                run.system.var_count(),
-                run.solution.iterations
-            )
-        }),
         CheckpointOutcome::HitWarm => tele.info(|| {
             format!(
                 "{} constraints over {} variables; warm-started from checkpoint ({} iterations, stop: {})",

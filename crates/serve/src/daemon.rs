@@ -86,7 +86,6 @@ impl ServeDaemon {
             ("unchanged".to_string(), num(c.unchanged)),
             ("rebuilds".to_string(), num(c.rebuilds)),
             ("replays".to_string(), num(c.replays)),
-            ("solves_scores".to_string(), num(c.solves_scores)),
             ("solves_warm".to_string(), num(c.solves_warm)),
             ("solves_cold".to_string(), num(c.solves_cold)),
             ("reparsed".to_string(), num(c.reparsed)),

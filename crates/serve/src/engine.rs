@@ -12,15 +12,17 @@
 //! learn`) over the same corpus state would print. The engine earns its
 //! speed only from work that provably cannot change the output:
 //!
-//! * Per-file reuse is keyed by the file's content-based graph
-//!   fingerprint — an unchanged fingerprint means an identical per-file
-//!   graph, so the union is identical by construction.
+//! * Per-file reuse is keyed by the file's graph fingerprint, which
+//!   hashes exactly what learning reads — an unchanged fingerprint means
+//!   a per-file graph that learns identically, so the union does too. The
+//!   resident graph is kept, so its spans may lag an edit that only moved
+//!   code; nothing in serve reads spans or file stamps.
 //! * Constraint fragments are reused only when the file's slice of the
 //!   §4.3 selection (`event_reps`) is unchanged; Fig. 4 rows reference
 //!   only events of their own file, so an identical slice over an
 //!   identical graph reproduces identical rows.
 //! * The solve climbs the checkpoint ladder batch `learn` climbs
-//!   ([`climb_ladder`]), keyed by the same two exact fingerprints, so a
+//!   ([`climb_ladder`]), keyed by the same exact fingerprint, so a
 //!   checkpoint either mode stores is reused by the other. Its warm rung
 //!   runs only when [`SeldonOptions::warm_start`] is set; `seldon serve`
 //!   leaves it off, because a margin-accepted warm solution can land on a
@@ -29,18 +31,19 @@
 //! # Failure semantics
 //!
 //! Cache faults are contained: a damaged artifact re-parses, a damaged
-//! checkpoint cold-solves. A panic inside `apply_delta` (contained by the
-//! daemon) may leave the per-file table updated while the checkpoint
-//! still describes the previous corpus; the `built` flag is cleared
-//! first, so the next delta rebuilds from the per-file slots instead of
-//! serving the stale spec.
+//! checkpoint cold-solves and is reported in the first delta's faults. A
+//! panic inside `apply_delta` (contained by the daemon) may leave the
+//! per-file table updated while the checkpoint still describes the
+//! previous corpus; the `built` flag is cleared first, so
+//! [`ServeEngine::spec`] answers `None` and the next delta rebuilds from
+//! the per-file slots instead of serving the stale spec.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use seldon_cache::{graph_fingerprint, Checkpoint, CheckpointLookup};
+use seldon_cache::{graph_fingerprint, CacheFault, Checkpoint, CheckpointLookup};
 use seldon_constraints::{
     collect_rows, select, ConstraintSystem, FlowConstraint, GenStats, RepId, Selection, Template,
     Term,
@@ -77,15 +80,11 @@ pub struct EngineConfig {
 struct FileState {
     /// Artifact-cache key of the current content (for eviction).
     cache_key: u64,
-    /// The per-file propagation graph; `None` when quarantined.
+    /// The per-file propagation graph; `None` when quarantined. Its
+    /// events keep the `FileId(0)` stamp they were analyzed at; file
+    /// attribution in the union is positional.
     graph: Option<PropagationGraph>,
-    /// The [`FileId`] the graph's events currently carry. Graphs arrive
-    /// stamped `FileId(0)` and are restamped in corpus order on rebuild.
-    stamped: u32,
-    /// Content-based fingerprint of the graph **at stamp `FileId(0)`**.
-    /// [`graph_fingerprint`] hashes the stamp, so fingerprints are only
-    /// comparable at the same stamp; the engine computes them once on
-    /// the freshly analyzed graph and never after restamping.
+    /// [`graph_fingerprint`] of the graph.
     graph_fp: u64,
     /// Per-file verdict, kept for the served manifest.
     outcome: FileOutcome,
@@ -192,9 +191,8 @@ pub struct DeltaOutcome {
     pub spec: String,
     /// How the spec was obtained: `"noop"` (empty delta), `"unchanged"`
     /// (edits left every graph fingerprint intact), `"replayed"` (input
-    /// fingerprint matched the checkpoint), `"scores"` (system
-    /// fingerprint matched; extraction re-ran on stored scores),
-    /// `"warm"` (margin-accepted warm solve), or `"cold"`.
+    /// fingerprint matched the checkpoint), `"warm"` (margin-accepted
+    /// warm solve), or `"cold"`.
     pub solve: &'static str,
     /// Files tracked after the delta.
     pub files: usize,
@@ -258,8 +256,6 @@ pub struct ServeCounters {
     pub rebuilds: usize,
     /// Rebuilds short-circuited by an input-fingerprint match.
     pub replays: usize,
-    /// Solves skipped via a system-fingerprint score hit.
-    pub solves_scores: usize,
     /// Warm solves accepted by the margin guard.
     pub solves_warm: usize,
     /// Cold solves (including margin-rejected warm attempts).
@@ -281,8 +277,8 @@ pub struct ServeCounters {
 pub struct ServeEngine {
     cfg: EngineConfig,
     /// Tracked files in corpus order ([`PathBuf`] ordering matches the
-    /// sorted file list `seldon learn` analyzes, so [`FileId`]s — and
-    /// with them every fingerprint — agree with a batch run).
+    /// sorted file list `seldon learn` analyzes, so the union's event
+    /// order — and with it its fingerprint — agrees with a batch run).
     files: BTreeMap<PathBuf, FileState>,
     /// The last finished build (also persisted via the artifact cache).
     ckpt: Option<Checkpoint>,
@@ -291,6 +287,8 @@ pub struct ServeEngine {
     learned: [u64; 3],
     /// Whether `ckpt` describes exactly the current `files` table.
     built: bool,
+    /// A checkpoint fault met on startup, reported by the first delta.
+    startup_fault: Option<CacheFault>,
     last_events: usize,
     last_edges: usize,
     last_solve: &'static str,
@@ -300,11 +298,14 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Creates an engine with no tracked files. When the config carries a
     /// cache, a persisted checkpoint is loaded eagerly so the first delta
-    /// can replay or warm-start across a daemon restart.
+    /// can replay or warm-start across a daemon restart; a damaged one is
+    /// quarantined and reported in that delta's faults.
     pub fn new(cfg: EngineConfig) -> ServeEngine {
-        let ckpt = match cfg.analyze.cache.as_deref().map(|c| c.load_checkpoint()) {
-            Some(CheckpointLookup::Hit(ckpt)) => Some(*ckpt),
-            _ => None,
+        let lookup = cfg.analyze.cache.as_deref().map(|c| c.load_checkpoint());
+        let (ckpt, startup_fault) = match lookup {
+            Some(CheckpointLookup::Hit(ckpt)) => (Some(*ckpt), None),
+            Some(CheckpointLookup::Fault(fault)) => (None, Some(fault)),
+            Some(CheckpointLookup::Miss) | None => (None, None),
         };
         let learned = ckpt
             .as_ref()
@@ -316,6 +317,7 @@ impl ServeEngine {
             ckpt,
             learned,
             built: false,
+            startup_fault,
             last_events: 0,
             last_edges: 0,
             last_solve: "cold",
@@ -333,9 +335,10 @@ impl ServeEngine {
         self.files.len()
     }
 
-    /// The current specification text, if a build has completed.
+    /// The current specification text, if a build over the current
+    /// file table has completed.
     pub fn spec(&self) -> Option<&str> {
-        self.ckpt.as_ref().map(|c| c.spec_text.as_str())
+        self.ckpt.as_ref().filter(|_| self.built).map(|c| c.spec_text.as_str())
     }
 
     /// Lifetime counters.
@@ -354,7 +357,8 @@ impl ServeEngine {
         let t0 = Instant::now();
         self.validate(delta)?;
         self.counters.deltas += 1;
-        let mut faults = Vec::new();
+        let mut faults: Vec<String> =
+            self.startup_fault.take().map(|f| format!("checkpoint: {f}")).into_iter().collect();
 
         // Empty delta against a finished build: true no-op.
         if delta.is_empty() && self.built {
@@ -384,9 +388,7 @@ impl ServeEngine {
         self.counters.removed += removed;
         self.counters.evicted += evicted;
 
-        // Adds and changes: analyze at stamp FileId(0) and fingerprint
-        // there (the stamp is part of the fingerprint, so per-file
-        // fingerprints are always compared at stamp 0).
+        // Adds and changes: analyze at stamp FileId(0) and fingerprint.
         let reparsed = delta.add.len() + delta.change.len();
         self.counters.reparsed += reparsed;
         let mut structural = removed > 0 || !delta.add.is_empty();
@@ -400,9 +402,9 @@ impl ServeEngine {
             let cache_key = analysis_cache_key(&display, content, &self.cfg.analyze);
             match self.files.get_mut(path) {
                 Some(slot) if slot.graph_fp == graph_fp => {
-                    // The edit left the graph identical (e.g. a comment
-                    // or formatting change): keep the restamped graph and
-                    // its fragment, refresh the bookkeeping.
+                    // The edit left what learning reads identical (e.g. a
+                    // comment, or code that only moved): keep the resident
+                    // graph and its fragment, refresh the bookkeeping.
                     slot.cache_key = cache_key;
                     slot.outcome = analysis.outcome;
                 }
@@ -411,7 +413,6 @@ impl ServeEngine {
                     *slot = FileState {
                         cache_key,
                         graph: analysis.graph,
-                        stamped: 0,
                         graph_fp,
                         outcome: analysis.outcome,
                         frag: None,
@@ -423,7 +424,6 @@ impl ServeEngine {
                         FileState {
                             cache_key,
                             graph: analysis.graph,
-                            stamped: 0,
                             graph_fp,
                             outcome: analysis.outcome,
                             frag: None,
@@ -546,18 +546,8 @@ impl ServeEngine {
         let seldon = self.effective_seldon();
         self.counters.rebuilds += 1;
 
-        // Restamp per-file graphs to their corpus-order FileId, then
-        // union by reference. Restamping happens before fingerprint use
-        // ever again — per-file fingerprints were taken at stamp 0 and
-        // are never recomputed here.
-        for (index, state) in self.files.values_mut().enumerate() {
-            if let Some(graph) = state.graph.as_mut() {
-                if state.stamped != index as u32 {
-                    graph.restamp_file(FileId(index as u32));
-                    state.stamped = index as u32;
-                }
-            }
-        }
+        // Union by reference, in corpus order: the ranges attribute
+        // events to files, and the fingerprint ignores file stamps.
         let (union, ranges) =
             union_graphs(self.files.values().map(|s| s.graph.as_ref()).collect(), &tele);
         self.last_events = union.event_count();
@@ -625,10 +615,6 @@ impl ServeEngine {
             CheckpointOutcome::HitFull => {
                 self.counters.replays += 1;
                 "replayed"
-            }
-            CheckpointOutcome::HitScores => {
-                self.counters.solves_scores += 1;
-                "scores"
             }
             CheckpointOutcome::HitWarm => {
                 self.counters.solves_warm += 1;
@@ -698,7 +684,6 @@ impl ServeEngine {
         );
         counter(reg, "serve_rebuilds", "Deltas that re-ran union and selection.", c.rebuilds);
         counter(reg, "serve_replays", "Rebuilds replayed from an input-fingerprint hit.", c.replays);
-        counter(reg, "serve_solves_scores", "Solves skipped via a system-fingerprint hit.", c.solves_scores);
         counter(reg, "serve_solves_warm", "Warm solves accepted by the margin guard.", c.solves_warm);
         counter(reg, "serve_solves_cold", "Cold solves (including rejected warm attempts).", c.solves_cold);
         counter(reg, "serve_files_reparsed", "Files re-analyzed across all deltas.", c.reparsed);

@@ -26,7 +26,8 @@ use std::fmt;
 ///
 /// Version 2 added the solver thread count and the `compile` child span
 /// under `solve`. Version 3 added the cache counters, the optional `cache`
-/// stage span, and the `parse.project` / `union.shard` child spans.
+/// stage span, and the `parse.project` child spans (and per-shard union
+/// children, gone since corpus analysis became sequential).
 /// Version 4 added the per-frontend parse-time histograms. Version 5 added
 /// memory accounting, the per-span `mem_now_bytes` / `mem_peak_bytes`
 /// fields, the `metrics` registry ([`MetricsRegistry`]), and the opt-in
@@ -297,8 +298,8 @@ pub struct RunManifest {
     /// daemon applying a corpus delta.
     pub mode: String,
     /// The checkpoint rung the run took: `"off"` without a cache, else the
-    /// rung's label (`"cold"`, `"scores"`, `"full"` for batch runs; the
-    /// served solve path for the daemon).
+    /// rung's label (`"cold"` or `"full"` for batch runs; the served
+    /// solve path for the daemon).
     pub checkpoint: String,
     /// Stage spans in open order.
     pub stages: Vec<StageSpan>,

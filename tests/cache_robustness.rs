@@ -166,13 +166,13 @@ fn stale_index_version_clears_entries_and_recovers() {
 }
 
 #[test]
-fn extract_option_change_still_reuses_scores() {
-    let dir = temp_dir("scores");
+fn extract_option_change_solves_cold_then_replays() {
+    let dir = temp_dir("extract-option");
     let (corpus, seed) = fixture();
-    let (cold, _) = run_with(&corpus, &seed, Some(&dir));
+    run_with(&corpus, &seed, Some(&dir));
 
-    // Changing an extraction threshold misses the input fingerprint but
-    // leaves the constraint system (and thus the score vector) intact.
+    // Changing an extraction threshold misses the input fingerprint: the
+    // run solves cold and matches an uncached run under the new options.
     let seldon = {
         let mut s = SeldonOptions::default();
         s.extract.decay *= 0.5;
@@ -180,12 +180,7 @@ fn extract_option_change_still_reuses_scores() {
     };
     let open = |d: &Path| Some(Arc::new(ArtifactCache::open(d).expect("cache opens").0));
     let warm = run_full(&corpus, &seed, "learn", &opts_with(open(&dir)), &seldon).expect("runs");
-    assert_eq!(warm.checkpoint.outcome, CheckpointOutcome::HitScores);
-    for (a, b) in cold.run.solution.scores.iter().zip(&warm.run.solution.scores) {
-        assert_eq!(a.to_bits(), b.to_bits(), "score vector reused bit-for-bit");
-    }
-    // The reused scores feed a real extraction over the regenerated
-    // system: identical to what a cold run under the new options produces.
+    assert_eq!(warm.checkpoint.outcome, CheckpointOutcome::MissCold);
     let cold_again =
         run_full(&corpus, &seed, "learn", &opts_with(None), &seldon).expect("runs");
     assert_eq!(
@@ -200,6 +195,23 @@ fn extract_option_change_still_reuses_scores() {
         warm2.run.extraction.spec.to_text(),
         warm.run.extraction.spec.to_text()
     );
+}
+
+#[test]
+fn span_only_edit_replays_the_checkpoint() {
+    let dir = temp_dir("span-edit");
+    let (mut corpus, seed) = fixture();
+    run_with(&corpus, &seed, Some(&dir));
+
+    // A comment line at the top of one file moves every span after it but
+    // leaves what learning reads intact: the next run replays.
+    let file = &mut corpus.projects[0].files[0];
+    file.content.insert_str(0, "# moved down one line\n");
+    let (edited, _) = run_with(&corpus, &seed, Some(&dir));
+    assert_eq!(edited.checkpoint.outcome, CheckpointOutcome::HitFull);
+    let (uncached, _) = run_with(&corpus, &seed, None);
+    assert_eq!(edited.run.extraction.spec.to_text(), uncached.run.extraction.spec.to_text());
+    assert_eq!(edited.violations, uncached.violations, "same taint violations");
 }
 
 mod proptests {

@@ -11,7 +11,7 @@
 mod support;
 
 use proptest::prelude::*;
-use seldon_cache::{inject_cache_faults, ArtifactCache, CheckpointLookup};
+use seldon_cache::{inject_cache_faults, ArtifactCache, CheckpointLookup, CHECKPOINT_NAME};
 use seldon_core::{run_full, run_seldon_cached, CheckpointOutcome, SeldonOptions};
 use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
 use seldon_solver::EarlyStop;
@@ -56,7 +56,7 @@ fn delta_sequence_matches_cold_batch(threads: usize) {
     let delta = Delta { change: vec![files[3].clone()], ..Default::default() };
     let out = engine.apply_delta(&delta).expect("edit delta");
     assert!(
-        matches!(out.solve, "scores" | "warm" | "cold"),
+        matches!(out.solve, "warm" | "cold"),
         "structural edit must re-solve, got {}",
         out.solve
     );
@@ -129,6 +129,87 @@ fn comment_edit_skips_rebuild_entirely() {
     assert_eq!(engine.counters().rebuilds, rebuilds_before);
     // ... and it still matches a cold batch run of the commented corpus.
     assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
+}
+
+#[test]
+fn span_only_edit_is_unchanged_and_serves_the_cold_spec() {
+    let dir = temp_dir("span-edit");
+    let (mut files, seed) = fixture(4, 9);
+    let mut engine = engine_with(&files, &seed, 1, Some(&dir));
+
+    // A comment line at the top moves every span in the file, but not
+    // what learning reads.
+    files[0].1.insert_str(0, COMMENT_EDIT);
+    let out = engine
+        .apply_delta(&Delta { change: vec![files[0].clone()], ..Default::default() })
+        .expect("span-only delta");
+    assert_eq!(out.solve, "unchanged", "a span-only edit skips the rebuild");
+    assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
+}
+
+#[test]
+fn damaged_startup_checkpoint_is_reported_by_the_first_delta() {
+    let dir = temp_dir("startup-fault");
+    let (mut files, seed) = fixture(3, 19);
+    drop(engine_with(&files, &seed, 1, Some(&dir)));
+    std::fs::write(dir.join(CHECKPOINT_NAME), "garbage").expect("damage the checkpoint");
+
+    let cache = Arc::new(ArtifactCache::open(&dir).expect("cache reopens").0);
+    let mut engine = ServeEngine::new(EngineConfig {
+        seed: seed.clone(),
+        analyze: analyze_opts(Some(cache)),
+        seldon: seldon_opts(1),
+        dynamic_cutoff: false,
+    });
+    let out = engine
+        .apply_delta(&Delta { add: files.clone(), ..Default::default() })
+        .expect("initial load");
+    assert_eq!(out.faults.len(), 1, "{:?}", out.faults);
+    assert!(out.faults[0].starts_with("checkpoint: corrupt entry"), "{:?}", out.faults);
+    assert!(dir.join("quarantine").is_dir(), "the damaged checkpoint is quarantined");
+    assert_eq!(out.solve, "cold");
+    assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
+
+    // The fault is reported once, not on every delta.
+    files[0].1.push_str(STRUCTURAL_EDIT);
+    let out = engine
+        .apply_delta(&Delta { change: vec![files[0].clone()], ..Default::default() })
+        .expect("second delta");
+    assert!(out.faults.is_empty(), "{:?}", out.faults);
+}
+
+#[test]
+fn no_spec_is_served_before_the_first_build() {
+    // The cache holds a checkpoint of another corpus: it must not be
+    // served before a build proves it matches the tracked files.
+    let dir = temp_dir("spec-before-build");
+    let (other, seed) = fixture(3, 23);
+    drop(engine_with(&other, &seed, 1, Some(&dir)));
+    let cache = Arc::new(ArtifactCache::open(&dir).expect("cache reopens").0);
+    // No warm rung, so the build takes nothing from that checkpoint.
+    let engine = ServeEngine::new(EngineConfig {
+        seed: seed.clone(),
+        analyze: analyze_opts(Some(cache)),
+        seldon: SeldonOptions { warm_start: None, ..seldon_opts(1) },
+        dynamic_cutoff: false,
+    });
+    assert_eq!(engine.spec(), None);
+    let mut daemon = ServeDaemon::new(engine);
+    let (response, _) = daemon.handle_line("{\"op\": \"spec\"}");
+    let response = json::parse(&response).expect("response is JSON");
+    assert_eq!(response.get("ok").and_then(|v| v.as_bool()), Some(false));
+    assert_eq!(
+        response.get("error").and_then(|v| v.as_str()),
+        Some("no specification built yet")
+    );
+
+    let (files, _) = fixture(4, 29);
+    let out = daemon
+        .engine
+        .apply_delta(&Delta { add: files.clone(), ..Default::default() })
+        .expect("initial load");
+    assert_eq!(out.solve, "cold");
+    assert_eq!(daemon.engine.spec().unwrap(), cold_batch_spec(&files, &seed, 1));
 }
 
 #[test]
