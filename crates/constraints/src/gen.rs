@@ -13,7 +13,7 @@
 //!   `src(u) + snk(t) ≤ Σ san(m) + C` over sanitizer candidates `m` lying
 //!   on a path between them.
 
-use crate::system::{ConstraintSystem, FlowConstraint, RepId, Template, Term, VarId};
+use crate::system::{ConstraintSystem, FlowConstraint, RepId, Template, Term};
 use seldon_propgraph::{EventId, PropagationGraph};
 use seldon_specs::{CompiledSpec, Role, TaintSpec};
 use std::collections::{HashMap, HashSet};
@@ -416,11 +416,6 @@ pub fn constraint_gap(c: &FlowConstraint, assignment: &[f64]) -> f64 {
     lhs - rhs
 }
 
-/// Returns the variable ids appearing in a constraint (for tests/debugging).
-pub fn constraint_vars(c: &FlowConstraint) -> Vec<VarId> {
-    c.lhs.iter().chain(&c.rhs).map(|t| t.var).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,7 +531,6 @@ def media():
         let assignment = vec![0.8, 0.4];
         let gap = constraint_gap(&c, &assignment);
         assert!((gap - (0.8 - 0.2)).abs() < 1e-12);
-        assert_eq!(constraint_vars(&c), vec![va, vb]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod gen;
 pub mod system;
 
 pub use gen::{
-    collect_rows, constraint_gap, constraint_vars, generate, generate_with_stats, select,
-    GenOptions, GenStats, Selection,
+    collect_rows, constraint_gap, generate, generate_with_stats, select, GenOptions, GenStats,
+    Selection,
 };
 pub use system::{ConstraintSystem, FlowConstraint, RepId, Template, Term, VarId};

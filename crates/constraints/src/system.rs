@@ -112,11 +112,6 @@ impl ConstraintSystem {
         seldon_intern::lookup(text).filter(|s| self.rep_set.contains(s))
     }
 
-    /// Whether `sym` is a member of this system.
-    pub fn contains_rep(&self, sym: Symbol) -> bool {
-        self.rep_set.contains(&sym)
-    }
-
     /// The text of a representation.
     pub fn rep_text(&self, id: RepId) -> &str {
         id.as_str()

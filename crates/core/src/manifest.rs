@@ -3,7 +3,7 @@
 //! and assembles the machine-readable [`RunManifest`] the `--telemetry`
 //! flag writes.
 //!
-//! [`run_full`] is [`analyze_corpus_with`] + [`run_seldon_traced`] plus a
+//! [`run_full`] is [`analyze_corpus_with`] + [`run_seldon_cached`] plus a
 //! final taint pass with the learned specification. With a recording
 //! [`Telemetry`] handle in [`AnalyzeOptions`], the manifest captures every
 //! stage span with its counters and the solver's sampled convergence

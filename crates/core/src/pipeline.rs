@@ -215,13 +215,6 @@ pub struct AnalyzedCorpus {
     pub build_histogram: Histogram,
 }
 
-impl AnalyzedCorpus {
-    /// The project index of a file.
-    pub fn project_of(&self, file: FileId) -> usize {
-        self.files[file.0 as usize].project
-    }
-}
-
 /// How the pipeline reacts to a file that cannot be analyzed cleanly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultPolicy {
@@ -701,6 +694,17 @@ pub struct SeldonOptions {
     pub warm_start: Option<WarmStartOptions>,
 }
 
+/// The §4.3 representation cutoff `seldon learn` and `seldon serve` use
+/// when none is given: 2 for a corpus below 50 files, 5 at or above. A
+/// small corpus sees each API too rarely for the paper's cutoff of 5.
+pub fn default_rep_cutoff(files: usize) -> usize {
+    if files < 50 {
+        2
+    } else {
+        5
+    }
+}
+
 /// Margin used by [`WarmStartOptions::default`]: a warm solution is only
 /// accepted when every extraction decision clears the threshold by at
 /// least this much, comfortably above the score wobble between a warm and
@@ -763,20 +767,7 @@ pub const DEFAULT_TRACE_STRIDE: usize = 10;
 
 /// Runs constraint generation, solving, and extraction over a graph.
 pub fn run_seldon(graph: &PropagationGraph, seed: &TaintSpec, opts: &SeldonOptions) -> SeldonRun {
-    run_seldon_traced(graph, seed, opts, &Telemetry::disabled())
-}
-
-/// Like [`run_seldon`], emitting the learning stage spans on `tele`: an
-/// unkeyed climb of [`climb_ladder`], which computes no fingerprint and
-/// builds no checkpoint.
-pub fn run_seldon_traced(
-    graph: &PropagationGraph,
-    seed: &TaintSpec,
-    opts: &SeldonOptions,
-    tele: &Telemetry,
-) -> SeldonRun {
-    let build = || generate_with_stats(graph, seed, &opts.gen);
-    climb_ladder(None, seed, None, Duration::ZERO, opts, tele, build).run
+    run_seldon_cached(graph, seed, opts, &Telemetry::disabled(), None).0
 }
 
 /// The rung of [`climb_ladder`] that served a run. `seldon serve` labels
@@ -1071,12 +1062,14 @@ fn extract_span(tele: &Telemetry, dur: Duration, extraction: &Extraction, replay
     stage_span(tele, stage::EXTRACT, dur, &counters, replayed);
 }
 
-/// [`run_seldon_traced`] behind the checkpoint stored in `cache`: loads
-/// it, climbs [`climb_ladder`] keyed by the graph's fingerprint, and
-/// stores the fresh checkpoint. Reuse is exact-match by default, so the
-/// returned spec and scores are byte-identical to what the cold run would
-/// produce — a damaged or mismatched checkpoint costs time, never output
-/// fidelity. Without a cache the climb is unkeyed.
+/// [`run_seldon`] emitting the learning stage spans on `tele`, behind the
+/// checkpoint stored in `cache`: loads it, climbs [`climb_ladder`] keyed
+/// by the graph's fingerprint, and stores the fresh checkpoint. Reuse is
+/// exact-match by default, so the returned spec and scores are
+/// byte-identical to what the cold run would produce — a damaged or
+/// mismatched checkpoint costs time, never output fidelity. Without a
+/// cache the climb is unkeyed: it computes no fingerprint and builds no
+/// checkpoint.
 pub fn run_seldon_cached(
     graph: &PropagationGraph,
     seed: &TaintSpec,
@@ -1085,7 +1078,9 @@ pub fn run_seldon_cached(
     cache: Option<&ArtifactCache>,
 ) -> (SeldonRun, CheckpointUse) {
     let Some(cache) = cache else {
-        return (run_seldon_traced(graph, seed, opts, tele), CheckpointUse::default());
+        let build = || generate_with_stats(graph, seed, &opts.gen);
+        let run = climb_ladder(None, seed, None, Duration::ZERO, opts, tele, build).run;
+        return (run, CheckpointUse::default());
     };
     let mut faults = Vec::new();
     let started = Instant::now();

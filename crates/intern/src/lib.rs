@@ -156,11 +156,6 @@ pub fn len() -> usize {
     global().len()
 }
 
-/// Interns every element of a slice of strings.
-pub fn intern_all<S: AsRef<str>>(texts: &[S]) -> Vec<Symbol> {
-    texts.iter().map(|t| intern(t.as_ref())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

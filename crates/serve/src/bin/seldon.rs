@@ -4,13 +4,25 @@
 //! language-neutral pipeline; a mixed tree analyzes both side by side.
 //!
 //! ```text
-//! seldon graph   <file.py|file.js> [--dot]
-//! seldon ir-dump <file.py|file.js>
-//! seldon check   <path...> [--spec <spec.txt>] [--param-sensitive]
-//! seldon learn   <path...> [--seed <spec.txt>] [--out <learned.txt>]
-//!                          [--cache-dir <dir>] [--no-cache]
-//!                          [--telemetry <out.json>] [--trace <out.trace.json>]
+//! seldon graph        <file.py|file.js> [--dot]
+//! seldon ir-dump      <file.py|file.js>
+//! seldon check        <path...> [--spec <spec.txt>] [--param-sensitive]
+//! seldon learn        <path...> [--seed <spec.txt>] [--out <learned.txt>] [--cutoff <n>]
+//!                               [--cache-dir <dir>] [--no-cache]
+//!                               [--telemetry <out.json>] [--trace <out.trace.json>]
+//! seldon serve        <path...> --socket <sock> [--seed <spec.txt>] [--cache-dir <dir>]
+//! seldon client       <ping|spec|stats|metrics|delta|shutdown> --socket <sock>
+//! seldon report       <manifest.json> [--top <k>]
+//! seldon metrics-dump <manifest.json>
+//! seldon diff-runs    <baseline.json> <candidate.json> [--tolerance <pct>]
 //! ```
+//!
+//! Run `seldon` with no arguments for every flag of every command.
+//!
+//! `serve` keeps the learned spec resident behind a Unix socket and
+//! answers `client` requests (corpus deltas, the current spec, stats).
+//! `report`, `metrics-dump` and `diff-runs` read the run manifests
+//! `learn --telemetry` writes.
 //!
 //! `ir-dump` prints the lowered language-neutral IR event/op stream of one
 //! file — the exact trace the graph builder replays — for diffing
@@ -43,8 +55,9 @@
 use seldon_cache::ArtifactCache;
 use seldon_constraints::GenOptions;
 use seldon_core::{
-    analyze_corpus_with, run_full, AnalysisReport, AnalyzeOptions, AnalyzedCorpus,
-    CacheFaultReport, CheckpointOutcome, FaultPolicy, FileOutcome, Frontend, SeldonOptions,
+    analyze_corpus_with, default_rep_cutoff, run_full, AnalysisReport, AnalyzeOptions,
+    AnalyzedCorpus, CacheFaultReport, CheckpointOutcome, FaultPolicy, FileOutcome, Frontend,
+    SeldonOptions,
 };
 use seldon_corpus::{Corpus, Project, SourceFile};
 use seldon_propgraph::{to_dot, Budget, FileId};
@@ -126,7 +139,7 @@ const USAGE: &str = "usage:
   seldon ir-dump <file.py|file.js>
   seldon check   <path...> [--spec <spec.txt>] [--param-sensitive] [--format json] [--strict|--lenient] [--log-level off|info|debug]
   seldon learn   <path...> [--seed <spec.txt>] [--out <learned.txt>] [--strict|--lenient]
-                 [--cache-dir <dir>] [--no-cache] [--solver-threads <n>]
+                 [--cache-dir <dir>] [--no-cache] [--cutoff <n>] [--solver-threads <n>]
                  [--early-stop|--no-early-stop]
                  [--telemetry <manifest.json>] [--trace <out.trace.json>]
                  [--score-dump] [--log-level off|info|debug]
@@ -551,7 +564,7 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
             }
         },
     };
-    let cutoff = explicit_cutoff.unwrap_or(if names.len() < 50 { 2 } else { 5 });
+    let cutoff = explicit_cutoff.unwrap_or_else(|| default_rep_cutoff(names.len()));
     // Early-stop is on by default (SolveOptions::default()); the flags
     // force it either way, e.g. `--no-early-stop` to burn the full
     // `max_iters` budget for an exactly reproducible epoch count.

@@ -2,14 +2,16 @@
 //!
 //! [`run_daemon`] accepts connections one at a time (requests are
 //! serialized through the single resident [`ServeEngine`] anyway) and
-//! answers each request line with one response line. Request handling is
+//! answers each request line with one response line. A line longer than
+//! [`MAX_REQUEST_LINE`], not UTF-8, or nested past the JSON parser's
+//! bound is answered with an `ok: false` error. Request handling is
 //! wrapped in `catch_unwind`: a panic inside the engine produces an
 //! `ok: false` response and the daemon keeps serving — the engine clears
 //! its `built` flag before mutating state, so the next delta rebuilds
 //! instead of serving a spec that no longer matches the corpus.
 
 use std::fs;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -43,10 +45,7 @@ impl ServeDaemon {
     pub fn handle_line(&mut self, line: &str) -> (String, bool) {
         let request = match Request::parse(line) {
             Ok(request) => request,
-            Err(message) => {
-                self.errors += 1;
-                return (error_response(&message), false);
-            }
+            Err(message) => return self.reject(&message),
         };
         match request {
             Request::Ping => (ok_response(vec![("pong".to_string(), Json::Bool(true))]), false),
@@ -61,10 +60,7 @@ impl ServeDaemon {
                     ]),
                     false,
                 ),
-                None => {
-                    self.errors += 1;
-                    (error_response("no specification built yet"), false)
-                }
+                None => self.reject("no specification built yet"),
             },
             Request::Stats => (self.stats_response(), false),
             Request::Metrics => {
@@ -113,13 +109,7 @@ impl ServeDaemon {
             for path in paths {
                 match fs::read_to_string(&path) {
                     Ok(content) => slot.push((PathBuf::from(path), content)),
-                    Err(err) => {
-                        self.errors += 1;
-                        return (
-                            error_response(&format!("cannot read `{path}`: {err}")),
-                            false,
-                        );
-                    }
+                    Err(err) => return self.reject(&format!("cannot read `{path}`: {err}")),
                 }
             }
         }
@@ -138,21 +128,18 @@ impl ServeDaemon {
                 }
                 (delta_response(&outcome), false)
             }
-            Ok(Err(err)) => {
-                self.errors += 1;
-                (error_response(&err.to_string()), false)
-            }
-            Err(panic) => {
-                self.errors += 1;
-                let detail = panic_message(&panic);
-                (
-                    error_response(&format!(
-                        "delta panicked (contained; state will rebuild on the next delta): {detail}"
-                    )),
-                    false,
-                )
-            }
+            Ok(Err(err)) => self.reject(&err.to_string()),
+            Err(panic) => self.reject(&format!(
+                "delta panicked (contained; state will rebuild on the next delta): {}",
+                panic_message(&panic)
+            )),
         }
+    }
+
+    /// Counts a protocol error and answers it; the daemon keeps serving.
+    fn reject(&mut self, message: &str) -> (String, bool) {
+        self.errors += 1;
+        (error_response(message), false)
     }
 }
 
@@ -164,6 +151,33 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Longest request line the daemon reads, newline excluded. A request
+/// names its files and never carries their contents, so real requests
+/// are a few hundred bytes.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Reads one `\n`-terminated line of at most [`MAX_REQUEST_LINE`] bytes
+/// into `buf`: `None` at end of stream, `Some(Err(reason))` for a line
+/// the daemon rejects unparsed. The rest of a longer line is skipped
+/// without being buffered.
+fn read_request_line<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> io::Result<Option<Result<&'a str, String>>> {
+    buf.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_REQUEST_LINE {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(Err(format!("request line longer than {MAX_REQUEST_LINE} bytes"))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|_| "request line is not UTF-8".to_string())))
 }
 
 /// Binds `socket` (replacing any stale socket file) and serves requests
@@ -190,17 +204,15 @@ pub fn run_daemon(daemon: &mut ServeDaemon, socket: &Path) -> io::Result<()> {
             Ok(clone) => clone,
             Err(_) => continue,
         };
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = match line {
-                Ok(line) => line,
-                Err(_) => break,
+        let mut reader = BufReader::new(stream);
+        let mut buf = Vec::new();
+        loop {
+            let (response, stop) = match read_request_line(&mut reader, &mut buf) {
+                Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
+                Ok(Some(Ok(line))) => daemon.handle_line(line.trim()),
+                Ok(Some(Err(reason))) => daemon.reject(&reason),
+                Ok(None) | Err(_) => break,
             };
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let (response, stop) = daemon.handle_line(trimmed);
             if writeln!(writer, "{response}").and_then(|()| writer.flush()).is_err() {
                 break;
             }

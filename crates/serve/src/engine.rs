@@ -49,8 +49,9 @@ use seldon_constraints::{
     Term,
 };
 use seldon_core::{
-    analysis_cache_key, analyze_file, climb_ladder, learned_per_role, record_corpus,
-    record_learning, union_graphs, AnalyzeOptions, CheckpointOutcome, FileOutcome, SeldonOptions,
+    analysis_cache_key, analyze_file, climb_ladder, default_rep_cutoff, learned_per_role,
+    record_corpus, record_learning, union_graphs, AnalyzeOptions, CheckpointOutcome, FileOutcome,
+    SeldonOptions,
 };
 use seldon_propgraph::{FileId, PropagationGraph};
 use seldon_specs::Role;
@@ -69,9 +70,8 @@ pub struct EngineConfig {
     /// `seldon serve` leaves it `None`, so every served spec is the one
     /// batch `learn` prints.
     pub seldon: SeldonOptions,
-    /// When true, the §4.3 cutoff follows the `seldon learn` CLI default
-    /// (2 below 50 files, 5 at or above) as the corpus grows and
-    /// shrinks; when false, `seldon.gen.rep_cutoff` is used as-is.
+    /// When true, the §4.3 cutoff follows [`default_rep_cutoff`] as the
+    /// corpus grows and shrinks; when false, `seldon.gen.rep_cutoff` is used as-is.
     pub dynamic_cutoff: bool,
 }
 
@@ -528,7 +528,7 @@ impl ServeEngine {
     fn effective_seldon(&self) -> SeldonOptions {
         let mut seldon = self.cfg.seldon.clone();
         if self.cfg.dynamic_cutoff {
-            seldon.gen.rep_cutoff = if self.files.len() < 50 { 2 } else { 5 };
+            seldon.gen.rep_cutoff = default_rep_cutoff(self.files.len());
         }
         seldon
     }

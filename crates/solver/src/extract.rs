@@ -31,11 +31,6 @@ pub struct ExtractOptions {
 }
 
 impl ExtractOptions {
-    /// Uniform thresholds across roles.
-    pub fn with_threshold(t: f64) -> Self {
-        ExtractOptions { thresholds: [t; 3], ..Default::default() }
-    }
-
     /// The threshold for `role`.
     pub fn threshold(&self, role: Role) -> f64 {
         self.thresholds[role.index()]
@@ -166,14 +161,6 @@ pub fn extraction_margin(
     margin
 }
 
-/// Convenience: the solved score of `(rep text, role)`, if the variable
-/// exists.
-pub fn rep_score(sys: &ConstraintSystem, sol: &Solution, rep: &str, role: Role) -> Option<f64> {
-    let id = sys.rep_id(rep)?;
-    let var = sys.lookup_var(id, role)?;
-    Some(sol.score(var))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,15 +254,6 @@ mod tests {
         let rep = sys.rep_id("pkg.mod.api()").unwrap();
         let s = ex.scores[&(rep, Role::Source)];
         assert!((s - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rep_score_lookup() {
-        let (sys, _) = mk_system();
-        let sol = solution_with(&sys, &[(0, 0.4)]);
-        assert_eq!(rep_score(&sys, &sol, "pkg.mod.api()", Role::Source), Some(0.4));
-        assert_eq!(rep_score(&sys, &sol, "pkg.mod.api()", Role::Sink), None);
-        assert_eq!(rep_score(&sys, &sol, "missing()", Role::Source), None);
     }
 
     /// The margin is the distance from the closest threshold comparison,

@@ -26,7 +26,7 @@ pub mod solve;
 
 pub use adam::{step_element, Adam, AdamConfig};
 pub use compiled::CompiledSystem;
-pub use extract::{extract, extraction_margin, rep_score, ExtractOptions, Extraction};
+pub use extract::{extract, extraction_margin, ExtractOptions, Extraction};
 pub use simplex::{simplex, solve_exact, ExactSolution, LpOutcome, LpProblem};
 pub use solve::{
     evaluate, solve, solve_compiled, solve_compiled_warm, EarlyStop, Solution, SolveOptions,

@@ -231,15 +231,21 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a line of `[` overflows the stack.
+/// Run manifests nest about 5 deep and daemon requests 2.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses `input` into a [`Json`] value, requiring the whole input to be
 /// consumed (trailing whitespace allowed).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] on malformed input.
+/// Returns a [`JsonError`] on malformed input, including arrays and
+/// objects nested deeper than [`MAX_NESTING`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -252,6 +258,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -293,11 +301,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -468,6 +490,19 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{}extra").is_err());
         assert!(parse("{\"a\":1,\"a\":2}").is_err(), "duplicate keys rejected");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_NESTING, "{err}");
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(parse(&objects(MAX_NESTING)).is_ok());
+        assert!(parse(&objects(MAX_NESTING + 1)).is_err());
+        // A hostile line far past the bound fails instead of overflowing.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

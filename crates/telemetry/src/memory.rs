@@ -9,8 +9,8 @@
 //! one relaxed `fetch_add` per allocation and a load-then-`fetch_max`
 //! only when a new peak is reached — small against the cost of the
 //! underlying `malloc`, and identical on the telemetry-on and
-//! telemetry-off paths, so the ≤2% no-op overhead budget measured by
-//! `telemetry_bench` is unaffected.
+//! telemetry-off paths, so the no-op overhead `pipeline_bench` reports
+//! as `trace.overhead_pct` is unaffected.
 //!
 //! Caveats (also documented in DESIGN.md §3h): the counters see only
 //! Rust heap allocations routed through the global allocator — stacks,

@@ -614,6 +614,20 @@ fn report_renders_the_fig11_summary() {
 }
 
 #[test]
+fn report_on_deeply_nested_json_exits_without_a_signal() {
+    let dir = temp_dir("report-nested");
+    let manifest = dir.join("nested.json");
+    std::fs::write(&manifest, "[".repeat(200_000)).unwrap();
+    let path = manifest.to_str().unwrap();
+    for args in [vec!["report", path], vec!["metrics-dump", path], vec!["diff-runs", path, path]] {
+        let out = seldon().args(&args).output().expect("runs");
+        // `code()` is `None` when a signal (a stack overflow's SIGABRT)
+        // ended the process.
+        assert!(matches!(out.status.code(), Some(1 | 2)), "{args:?}: {:?}", out.status);
+    }
+}
+
+#[test]
 fn metrics_dump_emits_prometheus_text() {
     let dir = temp_dir("metricsdump");
     let manifest = learn_manifest(&dir, "run.json");

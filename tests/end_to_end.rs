@@ -26,6 +26,23 @@ fn pipeline_is_deterministic() {
     assert_eq!(run_once(), run_once(), "two runs must produce identical specs");
 }
 
+/// The spec learned from the standard small corpus in `lang`, with its
+/// own seed spec, at `threads` solver threads.
+fn learned_golden_spec(lang: Lang, threads: usize) -> String {
+    let universe = Universe::new();
+    let corpus = generate_corpus(&universe, &CorpusOptions { lang, ..small_corpus_opts() });
+    let analyzed = analyze_corpus(&corpus).unwrap();
+    let seed = match lang {
+        Lang::Py => universe.seed_spec(),
+        Lang::Js => universe.seed_spec_js(),
+    };
+    let opts = SeldonOptions {
+        solve: seldon_solver::SolveOptions { threads, ..Default::default() },
+        ..Default::default()
+    };
+    run_seldon(&analyzed.graph, &seed, &opts).extraction.spec.to_text()
+}
+
 #[test]
 fn learned_spec_matches_golden_output() {
     // Pins the exact learned specification for the standard small corpus.
@@ -37,18 +54,10 @@ fn learned_spec_matches_golden_output() {
     // must reproduce the golden byte-for-byte at 1 and at 4 worker
     // threads, since its lane partition (the floating-point summation
     // order) is a function of the system alone, never the thread count.
-    let universe = Universe::new();
-    let corpus = generate_corpus(&universe, &small_corpus_opts());
-    let analyzed = analyze_corpus(&corpus).unwrap();
     let golden = include_str!("golden/end_to_end_spec.txt");
     for threads in [1, 4] {
-        let opts = SeldonOptions {
-            solve: seldon_solver::SolveOptions { threads, ..Default::default() },
-            ..Default::default()
-        };
-        let run = run_seldon(&analyzed.graph, &universe.seed_spec(), &opts);
         assert_eq!(
-            run.extraction.spec.to_text(),
+            learned_golden_spec(Lang::Py, threads),
             golden,
             "learned spec diverged from tests/golden/end_to_end_spec.txt \
              at {threads} solver threads"
@@ -64,25 +73,26 @@ fn js_learned_spec_matches_golden_output() {
     // learned spec proves the whole path — lexer, parser, lowering,
     // build_ir, constraint generation, solver, extraction — is
     // deterministic for the second frontend too, at 1 and 4 solver threads.
-    let universe = Universe::new();
-    let corpus = generate_corpus(
-        &universe,
-        &CorpusOptions { lang: Lang::Js, ..small_corpus_opts() },
-    );
-    let analyzed = analyze_corpus(&corpus).unwrap();
     let golden = include_str!("golden/end_to_end_spec_js.txt");
     for threads in [1, 4] {
-        let opts = SeldonOptions {
-            solve: seldon_solver::SolveOptions { threads, ..Default::default() },
-            ..Default::default()
-        };
-        let run = run_seldon(&analyzed.graph, &universe.seed_spec_js(), &opts);
         assert_eq!(
-            run.extraction.spec.to_text(),
+            learned_golden_spec(Lang::Js, threads),
             golden,
             "JS-frontend spec diverged from tests/golden/end_to_end_spec_js.txt \
              at {threads} solver threads"
         );
+    }
+}
+
+/// Rewrites both golden specs from the current pipeline. Re-bless them
+/// deliberately, only when the learned spec is meant to change, with
+/// `cargo test --release -p seldon-core --test end_to_end -- --ignored bless`.
+#[test]
+#[ignore = "rewrites tests/golden/end_to_end_spec*.txt; run only to re-bless deliberately"]
+fn bless_golden_specs() {
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    for (lang, name) in [(Lang::Py, "end_to_end_spec.txt"), (Lang::Js, "end_to_end_spec_js.txt")] {
+        std::fs::write(dir.join(name), learned_golden_spec(lang, 1)).expect("write golden");
     }
 }
 

@@ -494,6 +494,39 @@ fn daemon_survives_malformed_requests_and_mid_delta_failures() {
     assert!(!sock.exists(), "socket file removed on shutdown");
 }
 
+#[test]
+fn daemon_survives_hostile_request_lines() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let sock = temp_dir("hostile").join("seldon.sock");
+    let (files, seed) = fixture(3, 101);
+    let mut daemon = ServeDaemon::new(engine_with(&files, &seed, 1, None));
+    let sock_for_daemon = sock.clone();
+    let handle = std::thread::spawn(move || {
+        run_daemon(&mut daemon, &sock_for_daemon).expect("daemon runs");
+        daemon
+    });
+    client_request(&sock, "{\"op\": \"ping\"}", Duration::from_secs(10)).expect("daemon up");
+
+    // On one connection: a line nested far past the JSON parser's bound
+    // (a stack overflow before the bound), one past the line-length
+    // bound, and one that is not UTF-8 are each answered with an error,
+    // and the connection keeps serving.
+    let mut input = "[".repeat(200_000).into_bytes();
+    input.push(b'\n');
+    input.resize(input.len() + seldon_serve::daemon::MAX_REQUEST_LINE + 1, b' ');
+    input.extend_from_slice(b"\n{\"op\": \"\xff\"}\n{\"op\": \"ping\"}\n{\"op\": \"shutdown\"}\n");
+    let mut stream = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    stream.write_all(&input).unwrap();
+    let ok: Vec<Option<bool>> = BufReader::new(stream)
+        .lines()
+        .map(|line| json::parse(&line.unwrap()).unwrap().get("ok").and_then(|v| v.as_bool()))
+        .collect();
+    assert_eq!(ok, [Some(false), Some(false), Some(false), Some(true), Some(true)]);
+    let daemon = handle.join().expect("daemon thread exits cleanly");
+    assert_eq!(daemon.errors, 3, "each hostile line is one protocol error");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
