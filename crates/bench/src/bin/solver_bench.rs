@@ -1,5 +1,6 @@
-//! Measures the solve stage: the pre-PR naive `Vec<FlowConstraint>` hot
-//! loop against the compiled CSR kernel, on a corpus scaled so solving
+//! Measures the solve stage: a naive per-row hot loop over the
+//! system's weighted rows against the compiled CSR kernel (lanes, slot
+//! buffers, locality order), on a corpus scaled so solving
 //! dominates. Emits one [`BenchRecord`] JSON object on stdout
 //! (`BENCH_solver.json` records a release-build run) covering the
 //! full-budget vs early-stop comparison and a per-thread-count scaling
@@ -33,9 +34,10 @@ fn median_ms(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The pre-PR solver, kept verbatim as the bench baseline: a per-epoch
-/// walk over `Vec<FlowConstraint>` with separate lhs/rhs term sums, a
-/// dense gradient buffer, and `Adam::step_projected` — including the
+/// The pre-kernel solver, kept as the bench baseline: a per-epoch walk
+/// over the system's weighted rows in stored order (each row's gap and
+/// gradient scaled by its weight), a dense gradient buffer, and
+/// `Adam::step_projected` — including the
 /// stall/divergence/restart control flow, so epoch counts are comparable.
 mod naive {
     use super::*;
@@ -73,17 +75,13 @@ mod naive {
             iterations = iter + 1;
             grad.iter_mut().for_each(|g| *g = opts.lambda);
             let mut violation = 0.0;
-            for c in &sys.constraints {
-                let lhs: f64 = c.lhs.iter().map(|t| t.coeff * x[t.var.index()]).sum();
-                let rhs: f64 = c.rhs.iter().map(|t| t.coeff * x[t.var.index()]).sum();
-                let gap = lhs - rhs - sys.c;
+            for row in sys.rows() {
+                let gap = row.gap(&x) - sys.c;
                 if gap > 0.0 {
-                    violation += gap;
-                    for t in &c.lhs {
-                        grad[t.var.index()] += t.coeff;
-                    }
-                    for t in &c.rhs {
-                        grad[t.var.index()] -= t.coeff;
+                    let weight = f64::from(row.weight);
+                    violation += weight * gap;
+                    for &(v, coeff) in row.terms {
+                        grad[v as usize] += weight * coeff;
                     }
                 }
             }
@@ -128,12 +126,10 @@ mod naive {
             x[v.index()] = val;
         }
         let mut violation = 0.0;
-        for c in &sys.constraints {
-            let lhs: f64 = c.lhs.iter().map(|t| t.coeff * x[t.var.index()]).sum();
-            let rhs: f64 = c.rhs.iter().map(|t| t.coeff * x[t.var.index()]).sum();
-            let gap = lhs - rhs - sys.c;
+        for row in sys.rows() {
+            let gap = row.gap(&x) - sys.c;
             if gap > 0.0 {
-                violation += gap;
+                violation += f64::from(row.weight) * gap;
             }
         }
         let objective = violation + opts.lambda * x.iter().sum::<f64>();

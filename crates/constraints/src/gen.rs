@@ -12,11 +12,19 @@
 //! * **Fig. 4c** — for every source `u` flowing into sink `t`:
 //!   `src(u) + snk(t) ≤ Σ san(m) + C` over sanitizer candidates `m` lying
 //!   on a path between them.
+//!
+//! Each `(event, role)`'s average-of-backoffs terms are computed once per
+//! collection, and every template instance is emitted straight into the
+//! row store as borrowed term slices: its own event terms on the lhs, the
+//! shared source, sink or sanitizer sums on the rhs. The store merges,
+//! sorts and deduplicates each row on emission (see
+//! [`crate::system::Row`]), so no per-constraint term vectors exist.
 
-use crate::system::{ConstraintSystem, FlowConstraint, RepId, Template, Term};
-use seldon_propgraph::{EventId, PropagationGraph};
+use crate::system::{ConstraintSystem, FileRows, RepId, Rows, Template, Term, VarId};
+use seldon_propgraph::{EdgeKind, EventId, IdHash, PropagationGraph};
 use seldon_specs::{CompiledSpec, Role, TaintSpec};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Tunable knobs of constraint generation; defaults follow the paper.
@@ -30,7 +38,9 @@ pub struct GenOptions {
     pub c: f64,
     /// Cap on the number of summed terms on a constraint's right-hand side.
     pub max_rhs_terms: usize,
-    /// Cap on the BFS frontier per event, bounding worst-case hub blowup.
+    /// Cap on the events one reachability search per anchor discovers:
+    /// the BFS stops after `max_reach` events, bounding worst-case hub
+    /// blowup. (The sanitizer-between test of Fig. 4c searches uncapped.)
     pub max_reach: usize,
     /// Which Fig. 4 templates to instantiate (all three by default); used
     /// by the template-ablation experiment.
@@ -88,18 +98,19 @@ pub fn generate(
 /// Output of the selection phases (§4.3 backoff selection, variable
 /// creation, §4.1 seed pinning): a [`ConstraintSystem`] populated with
 /// members, variables, and pins — everything except the Fig. 4 flow
-/// constraints — plus the per-event surviving representation lists the
+/// rows — plus the per-event surviving representation lists the
 /// collector consumes.
 ///
-/// Splitting selection from collection is what makes *incremental*
-/// generation possible: selection is global (the §4.3 frequency cutoff
-/// couples files through corpus-wide counts) and cheap, while collection
-/// is expensive but — because the unioned graph is a disjoint
-/// concatenation of per-file graphs — decomposes into independent
-/// per-file row ranges (see [`collect_rows`]).
+/// Selection is global (the §4.3 frequency cutoff couples files through
+/// corpus-wide counts) and cheap. Collection is expensive but, because
+/// the unioned graph is a disjoint concatenation of per-file graphs,
+/// decomposes into independent per-file [`FileRows`] (see
+/// [`collect_rows`]) that [`ConstraintSystem::fold`] combines. A file's
+/// rows depend only on its graph and its slice of `event_reps`, which is
+/// what lets `seldon serve` reuse them while that slice is unchanged.
 #[derive(Debug)]
 pub struct Selection {
-    /// The system with members, variables, and pins; no constraints yet.
+    /// The system with members, variables, and pins; no rows yet.
     pub sys: ConstraintSystem,
     /// Surviving representations per event (`None` = not a candidate),
     /// indexed by event id.
@@ -109,9 +120,8 @@ pub struct Selection {
 }
 
 /// Runs the selection phases only. [`generate_with_stats`] is exactly
-/// [`select`] followed by a full-range [`collect_rows`] splice, so a
-/// caller reassembling per-file row ranges in event order reproduces the
-/// batch system byte for byte.
+/// [`select`] followed by one [`collect_rows`] over the whole graph and a
+/// [`ConstraintSystem::fold`] of it.
 pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> Selection {
     let mut stats = GenStats::default();
     let select_started = Instant::now();
@@ -182,27 +192,27 @@ pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> 
     Selection { sys, event_reps, stats }
 }
 
-/// Collects the Fig. 4 flow rows for anchor events in `range` (a
-/// half-open event-id interval), without mutating the system. Returns the
-/// Fig. 4a/4b rows and the Fig. 4c rows as separate pools: the batch
-/// order is *all* a/b rows (anchors in event order) followed by *all* c
-/// rows, so per-file pools concatenated file-by-file — a/b pools first,
-/// then c pools — splice back into exactly the batch row sequence.
+/// Collects the Fig. 4 rows anchored at events in `range` (a half-open
+/// event-id interval) under the selection `sys` and `event_reps`.
 ///
 /// Per-file graphs share no edges, so every row anchored in a file's
-/// event range mentions only that range: a range-restricted call yields
-/// the same rows for those anchors as the full pass, which is what lets
-/// an incremental caller regenerate only the files whose graph or
-/// selection changed.
+/// event range mentions only that range: a file-range call yields the
+/// same rows for those anchors as a whole-graph call, and folding the
+/// files' rows in file order reproduces the whole-graph system.
 pub fn collect_rows(
     graph: &PropagationGraph,
     sys: &ConstraintSystem,
     event_reps: &[Option<Vec<RepId>>],
     opts: &GenOptions,
-    range: std::ops::Range<usize>,
-) -> (Vec<FlowConstraint>, Vec<FlowConstraint>) {
-    let collector = Collector { graph, sys, event_reps, opts };
-    collector.collect(range)
+    range: Range<usize>,
+) -> FileRows {
+    let (collector, keys) = Collector::new(graph, sys, event_reps, opts, range);
+    let mut rows = FileRows { keys, ..Default::default() };
+    collector.collect_ab(&mut rows.ab);
+    if opts.templates[2] {
+        collector.collect_c(&mut rows.c);
+    }
+    rows
 }
 
 /// Like [`generate`], also returning the [`GenStats`] the telemetry layer
@@ -214,144 +224,137 @@ pub fn generate_with_stats(
     opts: &GenOptions,
 ) -> (ConstraintSystem, GenStats) {
     let Selection { mut sys, event_reps, mut stats } = select(graph, seed, opts);
-
-    // --- flow constraints ---------------------------------------------------
     let collect_started = Instant::now();
-    let (ab, c) = collect_rows(graph, &sys, &event_reps, opts, 0..graph.event_count());
-    for row in ab.into_iter().chain(c) {
-        sys.add_constraint(row);
-    }
+    let rows = collect_rows(graph, &sys, &event_reps, opts, 0..graph.event_count());
+    sys.fold(&[&rows]);
     stats.collect_time = collect_started.elapsed();
     (sys, stats)
 }
 
+/// The Fig. 4 template walk over one event range.
 struct Collector<'a> {
     graph: &'a PropagationGraph,
-    sys: &'a ConstraintSystem,
-    event_reps: &'a [Option<Vec<RepId>>],
     opts: &'a GenOptions,
+    range: Range<usize>,
+    /// `spans[id - range.start][role]` locates the average-of-backoffs
+    /// terms of `(id, role)` (§4.3) in `terms`, computed once per event
+    /// and role; term variables are local indices into the row keys. A
+    /// non-candidate `(id, role)` has no terms.
+    spans: Vec<[(u32, u32); 3]>,
+    terms: Vec<Term>,
 }
 
-impl Collector<'_> {
+impl<'a> Collector<'a> {
+    /// Computes the backoff terms of every candidate `(event, role)` in
+    /// `range`, numbering variables locally in first-use order; returns
+    /// the collector and the `(rep, role)` key of each local variable.
+    /// Selection already created the variable of every `(candidate role,
+    /// surviving rep)` pair, so this only looks variables up.
+    fn new(
+        graph: &'a PropagationGraph,
+        sys: &ConstraintSystem,
+        event_reps: &[Option<Vec<RepId>>],
+        opts: &'a GenOptions,
+        range: Range<usize>,
+    ) -> (Self, Vec<(RepId, Role)>) {
+        let mut local = vec![u32::MAX; sys.var_count()];
+        let mut keys = Vec::new();
+        let mut spans = Vec::with_capacity(range.len());
+        let mut terms = Vec::new();
+        for i in range.clone() {
+            let mut span = [(0u32, 0u32); 3];
+            if let Some(reps) = &event_reps[i] {
+                let coeff = 1.0 / reps.len() as f64;
+                for role in graph.event(EventId(i as u32)).candidates.iter() {
+                    let start = terms.len() as u32;
+                    for &rep in reps {
+                        let var = sys
+                            .lookup_var(rep, role)
+                            .expect("selection created all candidate-role variables");
+                        if local[var.index()] == u32::MAX {
+                            local[var.index()] = keys.len() as u32;
+                            keys.push((rep, role));
+                        }
+                        terms.push(Term { var: VarId(local[var.index()]), coeff });
+                    }
+                    span[role.index()] = (start, terms.len() as u32);
+                }
+            }
+            spans.push(span);
+        }
+        (Collector { graph, opts, range, spans, terms }, keys)
+    }
+
+    /// The backoff terms of `(id, role)`; empty for a non-candidate.
+    fn terms(&self, id: EventId, role: Role) -> &[Term] {
+        let (start, end) = self.spans[id.index() - self.range.start][role.index()];
+        &self.terms[start as usize..end as usize]
+    }
+
     fn is_candidate(&self, id: EventId, role: Role) -> bool {
-        self.event_reps[id.index()].is_some()
-            && self.graph.event(id).candidates.contains(role)
+        !self.terms(id, role).is_empty()
     }
 
-    /// Average-of-backoffs terms for `(event, role)` (§4.3). Selection
-    /// already created the variable of every `(candidate role, surviving
-    /// rep)` pair, so collection only looks variables up — which is what
-    /// lets it run against an immutable system, range by range.
-    fn terms(&self, id: EventId, role: Role) -> Vec<Term> {
-        let Some(reps) = &self.event_reps[id.index()] else { return Vec::new() };
-        let coeff = 1.0 / reps.len() as f64;
-        reps.iter()
-            .map(|&rep| Term {
-                var: self
-                    .sys
-                    .lookup_var(rep, role)
-                    .expect("selection created all candidate-role variables"),
-                coeff,
-            })
-            .collect()
+    fn anchors(&self) -> impl Iterator<Item = EventId> {
+        self.range.clone().map(|i| EventId(i as u32))
     }
 
-    fn forward(&self, id: EventId) -> Vec<EventId> {
-        let mut v = self.graph.reachable_from(id);
-        v.truncate(self.opts.max_reach);
-        v
-    }
-
-    fn backward(&self, id: EventId) -> Vec<EventId> {
-        let mut v = self.graph.reaching(id);
-        v.truncate(self.opts.max_reach);
-        v
-    }
-
-    fn collect(
-        self,
-        range: std::ops::Range<usize>,
-    ) -> (Vec<FlowConstraint>, Vec<FlowConstraint>) {
-        let mut ab: Vec<FlowConstraint> = Vec::new();
-        let mut cs: Vec<FlowConstraint> = Vec::new();
-        let ids: Vec<EventId> = self
-            .graph
-            .events()
-            .map(|(id, _)| id)
-            .filter(|id| range.contains(&id.index()))
-            .collect();
-
-        // Fig. 4a and Fig. 4b, anchored at sanitizer candidates.
-        for &s in &ids {
+    /// Fig. 4a and Fig. 4b, anchored at sanitizer candidates.
+    fn collect_ab(&self, out: &mut Rows) {
+        let max_reach = self.opts.max_reach;
+        for s in self.anchors() {
             if !self.is_candidate(s, Role::Sanitizer) {
                 continue;
             }
             let sinks: Vec<EventId> = self
-                .forward(s)
+                .graph
+                .reachable_from_within(s, max_reach)
                 .into_iter()
                 .filter(|&t| self.is_candidate(t, Role::Sink))
                 .collect();
             let sources: Vec<EventId> = self
-                .backward(s)
+                .graph
+                .reaching_within(s, max_reach)
                 .into_iter()
                 .filter(|&u| self.is_candidate(u, Role::Source))
                 .collect();
-            if sinks.is_empty() && sources.is_empty() {
-                continue;
-            }
-            let san_terms = self.terms(s, Role::Sanitizer);
+            let san = self.terms(s, Role::Sanitizer);
             // Fig. 4a: san(s) + snk(t) ≤ Σ src(u) + C.
-            let src_sum: Vec<Term> = sources
-                .iter()
-                .take(self.opts.max_rhs_terms)
-                .flat_map(|&u| self.terms(u, Role::Source))
-                .collect();
             if self.opts.templates[0] {
+                let src_sum: Vec<&[Term]> = sources
+                    .iter()
+                    .take(self.opts.max_rhs_terms)
+                    .map(|&u| self.terms(u, Role::Source))
+                    .collect();
                 for &t in &sinks {
-                    let mut lhs = san_terms.clone();
-                    lhs.extend(self.terms(t, Role::Sink));
-                    ab.push(FlowConstraint {
-                        lhs,
-                        rhs: src_sum.clone(),
-                        template: Template::A,
-                    });
+                    out.emit(Template::A, &[san, self.terms(t, Role::Sink)], &src_sum);
                 }
             }
             // Fig. 4b: src(u) + san(s) ≤ Σ snk(t) + C.
-            let snk_sum: Vec<Term> = sinks
-                .iter()
-                .take(self.opts.max_rhs_terms)
-                .flat_map(|&t| self.terms(t, Role::Sink))
-                .collect();
             if self.opts.templates[1] {
+                let snk_sum: Vec<&[Term]> = sinks
+                    .iter()
+                    .take(self.opts.max_rhs_terms)
+                    .map(|&t| self.terms(t, Role::Sink))
+                    .collect();
                 for &u in &sources {
-                    let mut lhs = self.terms(u, Role::Source);
-                    lhs.extend(san_terms.clone());
-                    ab.push(FlowConstraint {
-                        lhs,
-                        rhs: snk_sum.clone(),
-                        template: Template::B,
-                    });
+                    out.emit(Template::B, &[self.terms(u, Role::Source), san], &snk_sum);
                 }
             }
         }
+    }
 
-        // Fig. 4c, anchored at source candidates; sanitizers on some path.
-        if !self.opts.templates[2] {
-            return (ab, cs);
-        }
-        let mut forward_sets: HashMap<EventId, HashSet<EventId>> = HashMap::new();
-        for &u in &ids {
+    /// Fig. 4c, anchored at source candidates; sanitizers on some path.
+    fn collect_c(&self, out: &mut Rows) {
+        let mut forward_sets: HashMap<EventId, HashSet<EventId, IdHash>, IdHash> =
+            HashMap::default();
+        for u in self.anchors() {
             if !self.is_candidate(u, Role::Source) {
                 continue;
             }
-            let reach = self.forward(u);
-            let reach_set: HashSet<EventId> = reach.iter().copied().collect();
-            let sinks: Vec<EventId> = reach
-                .iter()
-                .copied()
-                .filter(|&t| self.is_candidate(t, Role::Sink))
-                .collect();
+            let reach = self.graph.reachable_from_within(u, self.opts.max_reach);
+            let sinks: Vec<EventId> =
+                reach.iter().copied().filter(|&t| self.is_candidate(t, Role::Sink)).collect();
             if sinks.is_empty() {
                 continue;
             }
@@ -360,65 +363,47 @@ impl Collector<'_> {
                 .copied()
                 .filter(|&m| self.is_candidate(m, Role::Sanitizer))
                 .collect();
-            let src_terms = self.terms(u, Role::Source);
             // Same-chain events (receiver ancestors rooted at u) cannot be
             // "the sanitizer between": a sanitizer transforms its argument,
             // not the object it is read off.
-            let chain_of_u: std::collections::HashSet<EventId> = {
-                let mut c = std::collections::HashSet::new();
-                let mut stack = vec![u];
-                while let Some(v) = stack.pop() {
-                    for &n in self.graph.successors(v) {
-                        if self.graph.edge_kind(v, n)
-                            == Some(seldon_propgraph::EdgeKind::Receiver)
-                            && c.insert(n)
-                        {
-                            stack.push(n);
-                        }
+            let mut chain_of_u: HashSet<EventId, IdHash> = HashSet::default();
+            let mut stack = vec![u];
+            while let Some(v) = stack.pop() {
+                for &n in self.graph.successors(v) {
+                    if self.graph.edge_kind(v, n) == Some(EdgeKind::Receiver)
+                        && chain_of_u.insert(n)
+                    {
+                        stack.push(n);
                     }
                 }
-                c
-            };
+            }
+            let src = self.terms(u, Role::Source);
             for &t in &sinks {
-                let mut between: Vec<EventId> = Vec::new();
+                let mut between: Vec<&[Term]> = Vec::new();
                 for &m in &sans {
-                    if m == t || !reach_set.contains(&m) || chain_of_u.contains(&m) {
+                    if m == t || chain_of_u.contains(&m) {
                         continue;
                     }
                     let fwd_m = forward_sets.entry(m).or_insert_with(|| {
                         self.graph.reachable_from(m).into_iter().collect()
                     });
                     if fwd_m.contains(&t) {
-                        between.push(m);
+                        between.push(self.terms(m, Role::Sanitizer));
                         if between.len() >= self.opts.max_rhs_terms {
                             break;
                         }
                     }
                 }
-                let mut lhs = src_terms.clone();
-                lhs.extend(self.terms(t, Role::Sink));
-                let rhs: Vec<Term> = between
-                    .iter()
-                    .flat_map(|&m| self.terms(m, Role::Sanitizer))
-                    .collect();
-                cs.push(FlowConstraint { lhs, rhs, template: Template::C });
+                out.emit(Template::C, &[src, self.terms(t, Role::Sink)], &between);
             }
         }
-        (ab, cs)
     }
-}
-
-/// Evaluates the two sides of a constraint under an assignment, returning
-/// `lhs − rhs` (violation is `max(0, lhs − rhs − C)`).
-pub fn constraint_gap(c: &FlowConstraint, assignment: &[f64]) -> f64 {
-    let lhs: f64 = c.lhs.iter().map(|t| t.coeff * assignment[t.var.index()]).sum();
-    let rhs: f64 = c.rhs.iter().map(|t| t.coeff * assignment[t.var.index()]).sum();
-    lhs - rhs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlowConstraint;
     use seldon_propgraph::{build_source, FileId};
 
     fn opts() -> GenOptions {
@@ -450,10 +435,11 @@ def media():
         let sys = generate(&g, &TaintSpec::new(), &opts());
         assert!(sys.constraint_count() >= 3, "got {}", sys.constraint_count());
         assert!(sys.var_count() > 0);
-        // Every constraint has a non-empty lhs of exactly two event terms
-        // (source+sink, san+sink, or src+san averages).
-        for c in &sys.constraints {
-            assert!(!c.lhs.is_empty());
+        // Every row has a positive (lhs) term: each template's lhs is
+        // two event averages of different roles, so nothing cancels it.
+        assert_eq!(sys.template_counts().iter().sum::<usize>(), sys.constraint_count());
+        for row in sys.rows() {
+            assert!(row.terms.iter().any(|&(_, c)| c > 0.0));
         }
     }
 
@@ -498,10 +484,12 @@ def media():
     fn backoff_average_coefficients() {
         let g = fig2_graph();
         let sys = generate(&g, &TaintSpec::new(), &opts());
-        for c in &sys.constraints {
-            // Coefficients are 1/k for k backoff options: in (0, 1].
-            for t in c.lhs.iter().chain(&c.rhs) {
-                assert!(t.coeff > 0.0 && t.coeff <= 1.0);
+        for row in sys.rows() {
+            // Lhs coefficients are 1/k for k backoff options: in (0, 1].
+            // Rhs sums merge repeated representations, so their (negated)
+            // magnitudes may exceed 1.
+            for &(_, c) in row.terms {
+                assert!(c != 0.0 && c <= 1.0, "coefficient {c}");
             }
         }
     }
@@ -523,13 +511,13 @@ def media():
         let b = sys.rep("b()");
         let va = sys.var(a, Role::Source);
         let vb = sys.var(b, Role::Sink);
-        let c = FlowConstraint {
+        sys.add_constraint(FlowConstraint {
             lhs: vec![Term { var: va, coeff: 1.0 }],
             rhs: vec![Term { var: vb, coeff: 0.5 }],
             ..Default::default()
-        };
+        });
         let assignment = vec![0.8, 0.4];
-        let gap = constraint_gap(&c, &assignment);
+        let gap = sys.rows().next().unwrap().gap(&assignment);
         assert!((gap - (0.8 - 0.2)).abs() < 1e-12);
     }
 
@@ -565,9 +553,9 @@ def media():
         assert!(stats.dropped_by_blacklist > 0);
     }
 
-    /// Per-range collection spliced in event order — a/b pools for every
-    /// range first, then c pools — reproduces the batch system exactly:
-    /// the contract incremental per-file regeneration rests on.
+    /// Per-file rows folded in file order reproduce the batch system
+    /// row for row: the contract incremental per-file regeneration rests
+    /// on.
     #[test]
     fn ranged_collection_splices_to_the_batch_system() {
         let mut g = fig2_graph();
@@ -582,20 +570,50 @@ def media():
         let (batch, _) = generate_with_stats(&g, &TaintSpec::new(), &o);
 
         let Selection { mut sys, event_reps, .. } = select(&g, &TaintSpec::new(), &o);
-        let (ab0, c0) = collect_rows(&g, &sys, &event_reps, &o, 0..boundary);
-        let (ab1, c1) = collect_rows(&g, &sys, &event_reps, &o, boundary..g.event_count());
-        for row in ab0.into_iter().chain(ab1).chain(c0).chain(c1) {
-            sys.add_constraint(row);
-        }
+        let parts: Vec<FileRows> = [0..boundary, boundary..g.event_count()]
+            .into_iter()
+            .map(|range| collect_rows(&g, &sys, &event_reps, &o, range))
+            .collect();
+        sys.fold(&parts.iter().collect::<Vec<_>>());
 
         assert_eq!(batch.var_count(), sys.var_count());
         assert_eq!(batch.constraint_count(), sys.constraint_count());
+        assert_eq!(batch.template_counts(), sys.template_counts());
         assert!(batch.constraint_count() > 0);
-        for (a, b) in batch.constraints.iter().zip(&sys.constraints) {
-            assert_eq!(a, b);
-        }
+        assert!(batch.rows().eq(sys.rows()));
         assert_eq!(batch.pinned_sorted(), sys.pinned_sorted());
         assert_eq!(batch.event_reps, sys.event_reps);
+    }
+
+    /// `max_reach` stops the search itself: on a hub with more reachable
+    /// events than the cap, the bounded BFS returns exactly the first
+    /// `max_reach` events of the full BFS, and generation emits one 4c
+    /// row per sink inside that prefix.
+    #[test]
+    fn max_reach_bounds_the_search_to_a_bfs_prefix() {
+        let mut src = String::from("from m import src, sink\nx = src()\n");
+        for i in 0..40 {
+            src.push_str(&format!("sink{i}(x)\n"));
+        }
+        let g = build_source(&src, FileId(0)).unwrap();
+        let hub = g
+            .events()
+            .find(|(_, e)| e.rep() == "m.src()")
+            .map(|(id, _)| id)
+            .expect("source event");
+        let full = g.reachable_from(hub);
+        assert!(full.len() > 16, "hub reaches {} events", full.len());
+        assert_eq!(g.reachable_from_within(hub, 16), full[..16]);
+        assert_eq!(g.reachable_from_within(hub, full.len() + 5), full);
+
+        let capped = GenOptions { max_reach: 16, templates: [false, false, true], ..opts() };
+        let sys = generate(&g, &TaintSpec::new(), &capped);
+        let sinks_in_prefix = full[..16]
+            .iter()
+            .filter(|&&t| g.event(t).candidates.contains(Role::Sink))
+            .count();
+        assert!(sinks_in_prefix > 0);
+        assert_eq!(sys.template_counts(), [0, 0, sinks_in_prefix]);
     }
 
     #[test]

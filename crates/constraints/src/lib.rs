@@ -27,7 +27,6 @@ pub mod gen;
 pub mod system;
 
 pub use gen::{
-    collect_rows, constraint_gap, generate, generate_with_stats, select, GenOptions, GenStats,
-    Selection,
+    collect_rows, generate, generate_with_stats, select, GenOptions, GenStats, Selection,
 };
-pub use system::{ConstraintSystem, FlowConstraint, RepId, Template, Term, VarId};
+pub use system::{ConstraintSystem, FileRows, FlowConstraint, RepId, Row, Template, Term, VarId};

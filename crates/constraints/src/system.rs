@@ -4,11 +4,20 @@
 //! variable `n^role ∈ [0,1]`. Information-flow constraints have the form
 //! `Σ lhs ≤ Σ rhs + C`, where each side is a sparse linear combination of
 //! variables (backoff averaging introduces fractional coefficients, §4.3).
+//!
+//! The system owns the only stored form of those constraints: signed
+//! [`Row`]s (`Σ lhs − Σ rhs`) with duplicate variables merged and terms
+//! sorted by variable. Big code repeats the same flow pattern across
+//! files, so identical rows are stored once with an integer weight, in
+//! first-occurrence order; per-template counts keep the original
+//! constraint count. Generation, the solver kernel, the reference
+//! solvers, telemetry and `seldon serve` all read these rows.
 
 use seldon_intern::Symbol;
-use seldon_propgraph::EventId;
+use seldon_propgraph::{EventId, IdHash, IdHasher};
 use seldon_specs::Role;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hasher;
 
 /// Identifier of an interned representation string.
 ///
@@ -51,7 +60,9 @@ pub enum Template {
     C,
 }
 
-/// A relaxed information-flow constraint `Σ lhs ≤ Σ rhs + C`.
+/// A relaxed information-flow constraint `Σ lhs ≤ Σ rhs + C`, as two
+/// term lists: the input form [`ConstraintSystem::add_constraint`] takes,
+/// so tests can build small systems by hand. Generation never builds one.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlowConstraint {
     /// Left-hand side terms.
@@ -60,6 +71,145 @@ pub struct FlowConstraint {
     pub rhs: Vec<Term>,
     /// The template this constraint instantiates.
     pub template: Template,
+}
+
+/// One stored flow row: `Σ coeff · x ≤ C` standing for `weight`
+/// identical generated constraints.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Row<'a> {
+    /// How many generated constraints this row stands for (≥ 1).
+    pub weight: u32,
+    /// `(variable index, coefficient)` terms: lhs terms carry `+coeff`
+    /// and rhs terms `−coeff`, duplicate variables are merged, variables
+    /// ascend strictly, and a row is never empty.
+    pub terms: &'a [(u32, f64)],
+}
+
+impl Row<'_> {
+    /// `Σ lhs − Σ rhs` under `assignment` (the constraint is violated
+    /// by `max(0, gap − C)`).
+    pub fn gap(&self, assignment: &[f64]) -> f64 {
+        self.terms.iter().map(|&(v, c)| c * assignment[v as usize]).sum()
+    }
+}
+
+/// The row store: merged signed rows with integer weights, deduplicated on
+/// emission and kept in first-occurrence order, plus the per-template
+/// constraint counts. Row `r` spans `terms[ends[r - 1]..ends[r]]`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Rows {
+    ends: Vec<u32>,
+    terms: Vec<(u32, f64)>,
+    weights: Vec<u32>,
+    by_template: [usize; 3],
+    /// Row hash → the latest row with that hash; `chain[r]` links each
+    /// row to the previous row with the same hash (`u32::MAX` ends it).
+    index: HashMap<u64, u32, IdHash>,
+    chain: Vec<u32>,
+    /// The row being built.
+    scratch: Vec<(u32, f64)>,
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    fn row(&self, r: usize) -> Row<'_> {
+        let start = r.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        Row { weight: self.weights[r], terms: &self.terms[start..self.ends[r] as usize] }
+    }
+
+    /// Emits one constraint `Σ lhs ≤ Σ rhs + C` given as borrowed term
+    /// slices. Terms are merged into one scratch row in emission order —
+    /// lhs as `+`, then rhs as `−` — so each variable's coefficient is the
+    /// left fold of its terms in that order. A constraint with no terms
+    /// is dropped uncounted.
+    pub(crate) fn emit(&mut self, template: Template, lhs: &[&[Term]], rhs: &[&[Term]]) {
+        self.scratch.clear();
+        for side in lhs {
+            self.scratch.extend(side.iter().map(|t| (t.var.0, t.coeff)));
+        }
+        for side in rhs {
+            self.scratch.extend(side.iter().map(|t| (t.var.0, -t.coeff)));
+        }
+        if self.scratch.is_empty() {
+            return;
+        }
+        // A stable sort keeps each variable's terms in emission order, so
+        // merging adjacent terms folds them left in that order.
+        self.scratch.sort_by_key(|&(v, _)| v);
+        self.scratch.dedup_by(|next, kept| next.0 == kept.0 && {
+            kept.1 += next.1;
+            true
+        });
+        self.by_template[template as usize] += 1;
+        self.insert_scratch(1);
+    }
+
+    /// Adds every row of `other` with its weight and template counts,
+    /// renumbering its variables through `map` (`other`'s variable `i`
+    /// becomes `map[i]`; `map` must be injective).
+    fn absorb(&mut self, other: &Rows, map: &[VarId]) {
+        for r in 0..other.len() {
+            let row = other.row(r);
+            self.scratch.clear();
+            self.scratch.extend(row.terms.iter().map(|&(v, c)| (map[v as usize].0, c)));
+            self.scratch.sort_unstable_by_key(|&(v, _)| v);
+            self.insert_scratch(row.weight);
+        }
+        for t in 0..3 {
+            self.by_template[t] += other.by_template[t];
+        }
+    }
+
+    /// Adds `weight` to the stored copy of the scratch row, appending it
+    /// as a new row on first occurrence.
+    fn insert_scratch(&mut self, weight: u32) {
+        let mut hasher = IdHasher::default();
+        for &(v, c) in &self.scratch {
+            hasher.write_u32(v);
+            hasher.write_u64(c.to_bits());
+        }
+        let hash = hasher.finish();
+        let bits = |&(v, c): &(u32, f64)| (v, c.to_bits());
+        let mut r = self.index.get(&hash).copied().unwrap_or(u32::MAX);
+        while r != u32::MAX {
+            if self.row(r as usize).terms.iter().map(bits).eq(self.scratch.iter().map(bits)) {
+                self.weights[r as usize] += weight;
+                return;
+            }
+            r = self.chain[r as usize];
+        }
+        let new = self.len() as u32;
+        self.chain.push(self.index.insert(hash, new).unwrap_or(u32::MAX));
+        self.weights.push(weight);
+        self.terms.extend_from_slice(&self.scratch);
+        self.ends.push(self.terms.len() as u32);
+    }
+}
+
+/// The Fig. 4 rows anchored in one event range — one file of a union, or
+/// the whole union — in the row format of [`ConstraintSystem`], kept as
+/// two stores: the Fig. 4a/4b rows and the Fig. 4c rows. Variables are
+/// numbered locally and keyed by `(representation, role)`, so the rows
+/// can be folded into any system whose selection has those keys; serve
+/// keeps one per file and reuses it while the file's selection slice is
+/// unchanged.
+#[derive(Debug, Clone, Default)]
+pub struct FileRows {
+    /// `(rep, role)` of each local variable.
+    pub(crate) keys: Vec<(RepId, Role)>,
+    pub(crate) ab: Rows,
+    pub(crate) c: Rows,
+}
+
+impl FileRows {
+    /// The variable of `sys` behind each local variable, or `None` when
+    /// `sys` lacks one of the keys.
+    fn resolve(&self, sys: &ConstraintSystem) -> Option<Vec<VarId>> {
+        self.keys.iter().map(|&(rep, role)| sys.lookup_var(rep, role)).collect()
+    }
 }
 
 /// The full constraint system.
@@ -72,9 +222,9 @@ pub struct ConstraintSystem {
     rep_set: HashSet<Symbol>,
     /// `(rep, role)` per variable.
     vars: Vec<(RepId, Role)>,
-    var_ids: HashMap<(RepId, Role), VarId>,
-    /// Flow constraints.
-    pub constraints: Vec<FlowConstraint>,
+    var_ids: HashMap<(RepId, Role), VarId, IdHash>,
+    /// The flow rows.
+    rows: Rows,
     /// Variables pinned by the seed specification (§4.1).
     known: HashMap<VarId, f64>,
     /// The implication-strength constant `C` (0.75 in the paper).
@@ -112,19 +262,9 @@ impl ConstraintSystem {
         seldon_intern::lookup(text).filter(|s| self.rep_set.contains(s))
     }
 
-    /// The text of a representation.
-    pub fn rep_text(&self, id: RepId) -> &str {
-        id.as_str()
-    }
-
     /// Member representations in first-seen order.
     pub fn rep_syms(&self) -> &[Symbol] {
         &self.reps
-    }
-
-    /// Number of member representations.
-    pub fn rep_count(&self) -> usize {
-        self.reps.len()
     }
 
     /// Returns (creating if needed) the variable for `(rep, role)`.
@@ -153,9 +293,20 @@ impl ConstraintSystem {
         self.vars.len()
     }
 
-    /// Number of flow constraints.
+    /// Number of generated flow constraints, before identical ones were
+    /// merged into weighted rows.
     pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
+        self.rows.by_template.iter().sum()
+    }
+
+    /// Number of distinct weighted rows.
+    pub fn row_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The rows in first-occurrence order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Row<'_>> + '_ {
+        (0..self.rows.len()).map(|r| self.rows.row(r))
     }
 
     /// Pins a variable to a known value (0 or 1).
@@ -188,27 +339,40 @@ impl ConstraintSystem {
         pins
     }
 
-    /// Adds a flow constraint; empty-sided constraints are dropped when both
-    /// sides are empty.
+    /// Adds one flow constraint as a row; a constraint with no terms is
+    /// dropped.
     pub fn add_constraint(&mut self, c: FlowConstraint) {
-        if c.lhs.is_empty() && c.rhs.is_empty() {
-            return;
-        }
-        self.constraints.push(c);
+        self.rows.emit(c.template, &[&c.lhs], &[&c.rhs]);
     }
 
-    /// Counts constraints per Fig. 4 template.
-    pub fn template_counts(&self) -> [usize; 3] {
-        let mut counts = [0usize; 3];
-        for c in &self.constraints {
-            let i = match c.template {
-                Template::A => 0,
-                Template::B => 1,
-                Template::C => 2,
-            };
-            counts[i] += 1;
+    /// Folds per-range rows into the system in batch order: every part's
+    /// Fig. 4a/4b rows, part by part, then every part's Fig. 4c rows, each
+    /// part's variables renumbered to this system's by `(rep, role)`.
+    /// Folding one part that covers a whole graph gives exactly the rows
+    /// of [`crate::generate`]; so does folding its files' parts in file
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// If this system lacks a part's `(rep, role)` key: a part must have
+    /// been collected over a graph range whose selection slice this
+    /// system shares.
+    pub fn fold(&mut self, parts: &[&FileRows]) {
+        let maps: Vec<Vec<VarId>> = parts
+            .iter()
+            .map(|part| part.resolve(self).expect("the selection has every key of the rows"))
+            .collect();
+        for (part, map) in parts.iter().zip(&maps) {
+            self.rows.absorb(&part.ab, map);
         }
-        counts
+        for (part, map) in parts.iter().zip(&maps) {
+            self.rows.absorb(&part.c, map);
+        }
+    }
+
+    /// Generated constraints per Fig. 4 template.
+    pub fn template_counts(&self) -> [usize; 3] {
+        self.rows.by_template
     }
 
     /// Iterates `(VarId, rep text, role)` for all variables.
@@ -232,8 +396,8 @@ mod tests {
         let b = s.rep("b()");
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(s.rep_text(a), "a()");
-        assert_eq!(s.rep_count(), 2);
+        assert_eq!(a.as_str(), "a()");
+        assert_eq!(s.rep_syms().len(), 2);
         assert_eq!(s.rep_id("a()"), Some(a));
         assert_eq!(s.rep_id("zzz"), None);
     }
@@ -267,6 +431,61 @@ mod tests {
         let mut s = ConstraintSystem::new(0.75);
         s.add_constraint(FlowConstraint::default());
         assert_eq!(s.constraint_count(), 0);
+        assert_eq!(s.row_count(), 0);
+    }
+
+    fn t(var: VarId, coeff: f64) -> Term {
+        Term { var, coeff }
+    }
+
+    /// Terms merge per variable in emission order (lhs `+`, rhs `−`) and
+    /// sort by variable; identical rows share one weighted row in
+    /// first-occurrence order while the template counts keep every
+    /// constraint.
+    #[test]
+    fn rows_merge_sort_and_dedup_with_weights() {
+        let mut s = ConstraintSystem::new(0.75);
+        let (a, b) = (s.rep("a()"), s.rep("b()"));
+        let (va, vb) = (s.var(a, Role::Source), s.var(b, Role::Sink));
+        let flipped = FlowConstraint {
+            lhs: vec![t(vb, 0.5), t(va, 0.5), t(va, 0.25)],
+            rhs: vec![t(va, 0.1)],
+            template: Template::A,
+        };
+        s.add_constraint(FlowConstraint { lhs: vec![t(va, 1.0)], ..Default::default() });
+        s.add_constraint(flipped.clone());
+        s.add_constraint(FlowConstraint { template: Template::B, ..flipped });
+        assert_eq!(s.constraint_count(), 3);
+        assert_eq!(s.template_counts(), [1, 1, 1]);
+        assert_eq!(s.row_count(), 2);
+        let rows: Vec<Row> = s.rows().collect();
+        assert_eq!((rows[0].weight, rows[0].terms), (1, &[(0, 1.0)][..]));
+        assert_eq!(rows[1].weight, 2);
+        assert_eq!(rows[1].terms, &[(0, 0.5 + 0.25 - 0.1), (1, 0.5)]);
+        assert!((rows[1].gap(&[1.0, 0.5]) - 0.9).abs() < 1e-12);
+    }
+
+    /// Folding renumbers through the map, re-sorts each row, and merges
+    /// rows that become identical to stored ones: 4a/4b parts first,
+    /// then 4c parts.
+    #[test]
+    fn fold_renumbers_and_orders_ab_before_c() {
+        let mut s = ConstraintSystem::new(0.75);
+        let (a, b) = (s.rep("a()"), s.rep("b()"));
+        let (va, vb) = (s.var(a, Role::Source), s.var(b, Role::Sink));
+        let keys = vec![(b, Role::Sink), (a, Role::Source)];
+        let mut part = FileRows { keys, ..Default::default() };
+        let (l0, l1) = (VarId(0), VarId(1));
+        part.c.emit(Template::C, &[&[t(l0, 1.0)]], &[]);
+        part.ab.emit(Template::A, &[&[t(l0, 1.0), t(l1, 0.5)]], &[]);
+        part.ab.emit(Template::A, &[&[t(l1, 0.5), t(l0, 1.0)]], &[]);
+        assert_eq!(part.resolve(&s), Some(vec![vb, va]));
+        s.fold(&[&part, &part]);
+        assert_eq!(s.template_counts(), [4, 0, 2]);
+        let rows: Vec<(u32, &[(u32, f64)])> = s.rows().map(|r| (r.weight, r.terms)).collect();
+        assert_eq!(rows, vec![(4, &[(va.0, 0.5), (vb.0, 1.0)][..]), (2, &[(vb.0, 1.0)][..])]);
+        let other = ConstraintSystem::new(0.75);
+        assert_eq!(part.resolve(&other), None);
     }
 
     #[test]

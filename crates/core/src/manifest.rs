@@ -20,7 +20,6 @@ use crate::pipeline::{
 };
 use crate::report::{AnalysisReport, CacheFaultReport, FileOutcome};
 use seldon_cache::{ArtifactCache, SystemSummary};
-use seldon_constraints::constraint_gap;
 use seldon_corpus::Corpus;
 use seldon_solver::Solution;
 use seldon_specs::TaintSpec;
@@ -302,21 +301,24 @@ fn fill_metrics(
         Class::Identity,
         rep_freq,
     );
-    // Constraint gaps under the solved assignment. A full checkpoint hit
-    // replays outputs without rebuilding the system, so the distribution
-    // is unavailable (and the metric absent) on that path.
-    if !run.system.constraints.is_empty()
-        && run.solution.scores.len() >= run.system.var_count()
-    {
-        for c in &run.system.constraints {
-            reg.observe(
-                "constraint_gap",
-                "Per-constraint lhs−rhs under the solved scores (violated above C).",
-                Class::Identity,
-                &GAP_BOUNDS,
-                constraint_gap(c, &run.solution.scores),
-            );
+    // Constraint gaps under the solved assignment, each row's gap counted
+    // once per constraint it stands for. A full checkpoint hit replays
+    // outputs without rebuilding the system, so the distribution is
+    // unavailable (and the metric absent) on that path.
+    if run.system.row_count() > 0 && run.solution.scores.len() >= run.system.var_count() {
+        let mut gaps = Histogram::new(&GAP_BOUNDS);
+        for row in run.system.rows() {
+            let gap = row.gap(&run.solution.scores);
+            for _ in 0..row.weight {
+                gaps.observe(gap);
+            }
         }
+        reg.put_histogram(
+            "constraint_gap",
+            "Per-constraint lhs−rhs under the solved scores (violated above C).",
+            Class::Identity,
+            gaps,
+        );
     }
     for (frontend, hist) in &analyzed.parse_histograms {
         let def = metric::PARSE_TIME;

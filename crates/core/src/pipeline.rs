@@ -1528,6 +1528,31 @@ mod tests {
         );
     }
 
+    /// Extraction builds the spec from the scored keys: its entries are
+    /// exactly the `(rep, role)` pairs of `Extraction::scores`.
+    #[test]
+    fn extracted_spec_entries_are_the_scored_keys() {
+        let analyzed = analyze_corpus(&corpus()).unwrap();
+        let seed = Universe::new().seed_spec();
+        let run = run_seldon(&analyzed.graph, &seed, &SeldonOptions::default());
+        let mut from_spec: Vec<(String, seldon_specs::Role)> = run
+            .extraction
+            .spec
+            .iter()
+            .flat_map(|(api, roles)| roles.iter().map(move |role| (api.to_string(), role)))
+            .collect();
+        let mut from_scores: Vec<(String, seldon_specs::Role)> = run
+            .extraction
+            .scores
+            .keys()
+            .map(|&(rep, role)| (rep.as_str().to_string(), role))
+            .collect();
+        from_spec.sort_unstable();
+        from_scores.sort_unstable();
+        assert!(!from_spec.is_empty());
+        assert_eq!(from_spec, from_scores);
+    }
+
     #[test]
     fn empty_seed_learns_nothing() {
         let c = corpus();

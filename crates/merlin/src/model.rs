@@ -135,10 +135,8 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
         if g.event(id).kind != EventKind::Call {
             continue;
         }
-        let mut back = g.reaching(id);
-        back.truncate(opts.max_reach);
-        let mut fwd = g.reachable_from(id);
-        fwd.truncate(opts.max_reach);
+        let back = g.reaching_within(id, opts.max_reach);
+        let fwd = g.reachable_from_within(id, opts.max_reach);
         let total = (back.len() * fwd.len()).max(1);
         let src_like = back
             .iter()
@@ -194,10 +192,8 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
             continue;
         }
         let Some(&b_san) = vars.get(&(b, Role::Sanitizer)) else { continue };
-        let mut sources = g.reaching(b);
-        sources.truncate(opts.max_reach);
-        let mut sinks = g.reachable_from(b);
-        sinks.truncate(opts.max_reach);
+        let sources = g.reaching_within(b, opts.max_reach);
+        let sinks = g.reachable_from_within(b, opts.max_reach);
 
         // Fig. 6a: source a → b → sink c ⇒ b is a sanitizer.
         let mut triples = 0usize;

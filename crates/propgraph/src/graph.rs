@@ -8,6 +8,34 @@
 use crate::event::{Event, EventId};
 use seldon_intern::Symbol;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A fast hasher for small integer keys — event ids, symbols, precomputed
+/// hashes: one rotate, xor and multiply per word. It is not DoS-resistant;
+/// every key it sees is made by this process.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
+/// The `HashMap` / `HashSet` hasher state of [`IdHasher`].
+pub type IdHash = BuildHasherDefault<IdHasher>;
 
 /// The position through which flow enters a call event.
 ///
@@ -198,18 +226,32 @@ impl PropagationGraph {
         self.preds.reserve(events);
     }
 
-    /// Events reachable from `start` by forward BFS (excluding `start`).
+    /// Events reachable from `start` by forward BFS (excluding `start`),
+    /// in discovery order.
     pub fn reachable_from(&self, start: EventId) -> Vec<EventId> {
-        self.bfs(start, true)
+        self.bfs(start, true, usize::MAX)
     }
 
-    /// Events that reach `start` by backward BFS (excluding `start`).
+    /// Events that reach `start` by backward BFS (excluding `start`), in
+    /// discovery order.
     pub fn reaching(&self, start: EventId) -> Vec<EventId> {
-        self.bfs(start, false)
+        self.bfs(start, false, usize::MAX)
     }
 
-    fn bfs(&self, start: EventId, forward: bool) -> Vec<EventId> {
-        let mut seen = HashSet::new();
+    /// The first `limit` events of [`Self::reachable_from`]; the search
+    /// stops as soon as it has discovered them.
+    pub fn reachable_from_within(&self, start: EventId, limit: usize) -> Vec<EventId> {
+        self.bfs(start, true, limit)
+    }
+
+    /// The first `limit` events of [`Self::reaching`]; the search stops
+    /// as soon as it has discovered them.
+    pub fn reaching_within(&self, start: EventId, limit: usize) -> Vec<EventId> {
+        self.bfs(start, false, limit)
+    }
+
+    fn bfs(&self, start: EventId, forward: bool, limit: usize) -> Vec<EventId> {
+        let mut seen: HashSet<EventId, IdHash> = HashSet::default();
         let mut queue = VecDeque::new();
         let mut out = Vec::new();
         seen.insert(start);
@@ -217,6 +259,9 @@ impl PropagationGraph {
         while let Some(v) = queue.pop_front() {
             let next = if forward { self.successors(v) } else { self.predecessors(v) };
             for &n in next {
+                if out.len() == limit {
+                    return out;
+                }
                 if seen.insert(n) {
                     out.push(n);
                     queue.push_back(n);

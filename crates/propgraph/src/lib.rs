@@ -38,7 +38,7 @@ pub use budget::{Budget, BudgetExceeded, BudgetMeter};
 pub use builder::{build_source, BuildError};
 pub use dot::to_dot;
 pub use event::{Event, EventId, EventKind, FileId};
-pub use graph::{ArgPos, EdgeKind, PropagationGraph};
+pub use graph::{ArgPos, EdgeKind, IdHash, IdHasher, PropagationGraph};
 pub use irbuild::build_ir;
 pub use lower::lower_module_budgeted;
 pub use repr::{

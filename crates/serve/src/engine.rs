@@ -1,7 +1,7 @@
 //! The resident incremental analysis engine behind `seldon serve`.
 //!
 //! [`ServeEngine`] keeps the whole learned state of a corpus in memory —
-//! one per-file slot (graph, fingerprint, constraint fragment) per
+//! one per-file slot (graph, fingerprint, constraint rows) per
 //! tracked file plus the last solver checkpoint — and exposes one
 //! operation, [`ServeEngine::apply_delta`], that moves that state to a
 //! new corpus version and returns the updated specification.
@@ -17,7 +17,7 @@
 //!   a per-file graph that learns identically, so the union does too. The
 //!   resident graph is kept, so its spans may lag an edit that only moved
 //!   code; nothing in serve reads spans or file stamps.
-//! * Constraint fragments are reused only when the file's slice of the
+//! * A file's constraint rows are reused only when its slice of the
 //!   §4.3 selection (`event_reps`) is unchanged; Fig. 4 rows reference
 //!   only events of their own file, so an identical slice over an
 //!   identical graph reproduces identical rows.
@@ -44,17 +44,13 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use seldon_cache::{graph_fingerprint, CacheFault, Checkpoint, CheckpointLookup};
-use seldon_constraints::{
-    collect_rows, select, ConstraintSystem, FlowConstraint, GenStats, RepId, Selection, Template,
-    Term,
-};
+use seldon_constraints::{collect_rows, select, FileRows, GenStats, RepId, Selection};
 use seldon_core::{
     analysis_cache_key, analyze_file, climb_ladder, default_rep_cutoff, learned_per_role,
     record_corpus, record_learning, union_graphs, AnalyzeOptions, CheckpointOutcome, FileOutcome,
     SeldonOptions,
 };
 use seldon_propgraph::{FileId, PropagationGraph};
-use seldon_specs::Role;
 use seldon_specs::TaintSpec;
 use seldon_telemetry::{metric, Class, MetricsRegistry, RunManifest};
 
@@ -88,82 +84,10 @@ struct FileState {
     graph_fp: u64,
     /// Per-file verdict, kept for the served manifest.
     outcome: FileOutcome,
-    /// Reusable constraint fragment from the last rebuild.
-    frag: Option<Fragment>,
-}
-
-/// A constraint row with variables resolved to `(representation, role)`
-/// keys instead of system-local [`seldon_constraints::VarId`]s, so it can
-/// be re-anchored into a freshly selected system.
-#[derive(Debug)]
-struct SymRow {
-    template: Template,
-    lhs: Vec<(RepId, Role, f64)>,
-    rhs: Vec<(RepId, Role, f64)>,
-}
-
-/// The per-file constraint fragment: the selection slice it was collected
-/// under plus the symbolized Fig. 4a/4b and Fig. 4c rows.
-#[derive(Debug)]
-struct Fragment {
-    /// The file's `event_reps` slice at collection time. Fragment reuse
-    /// requires the current slice to compare equal.
-    sel: Vec<Option<Vec<RepId>>>,
-    ab: Vec<SymRow>,
-    c: Vec<SymRow>,
-}
-
-impl Fragment {
-    /// Symbolizes freshly collected rows against the system that
-    /// collected them.
-    fn capture(
-        sel: &[Option<Vec<RepId>>],
-        ab: &[FlowConstraint],
-        c: &[FlowConstraint],
-        sys: &ConstraintSystem,
-    ) -> Fragment {
-        let side = |terms: &[Term]| {
-            terms
-                .iter()
-                .map(|t| {
-                    let (rep, role) = sys.var_info(t.var);
-                    (rep, role, t.coeff)
-                })
-                .collect()
-        };
-        let rows = |rows: &[FlowConstraint]| {
-            rows.iter()
-                .map(|r| SymRow { template: r.template, lhs: side(&r.lhs), rhs: side(&r.rhs) })
-                .collect()
-        };
-        Fragment { sel: sel.to_vec(), ab: rows(ab), c: rows(c) }
-    }
-
-    /// Re-anchors the fragment's rows into `sys`. Returns `None` when any
-    /// `(rep, role)` key is absent from the new system — the caller falls
-    /// back to collecting the file's rows from scratch.
-    fn remap(&self, sys: &ConstraintSystem) -> Option<(Vec<FlowConstraint>, Vec<FlowConstraint>)> {
-        let side = |terms: &[(RepId, Role, f64)]| {
-            terms
-                .iter()
-                .map(|&(rep, role, coeff)| {
-                    sys.lookup_var(rep, role).map(|var| Term { var, coeff })
-                })
-                .collect::<Option<Vec<Term>>>()
-        };
-        let rows = |rows: &[SymRow]| {
-            rows.iter()
-                .map(|r| {
-                    Some(FlowConstraint {
-                        lhs: side(&r.lhs)?,
-                        rhs: side(&r.rhs)?,
-                        template: r.template,
-                    })
-                })
-                .collect::<Option<Vec<FlowConstraint>>>()
-        };
-        Some((rows(&self.ab)?, rows(&self.c)?))
-    }
+    /// The file's Fig. 4 rows from the last rebuild, with the selection
+    /// slice (`event_reps` over the file's events) they were collected
+    /// under. They are reused while the current slice compares equal.
+    frag: Option<(Vec<Option<Vec<RepId>>>, FileRows)>,
 }
 
 /// A corpus delta: files to start tracking, re-analyze, or drop.
@@ -566,43 +490,28 @@ impl ServeEngine {
             // always re-runs; what it yields decides per-file row reuse.
             let Selection { sys: mut system, event_reps, stats } =
                 select(&union, seed, &seldon.gen);
-            // Fig. 4 rows per file: reuse the stored fragment when the
-            // file's selection slice is unchanged, re-collect otherwise.
-            // Batch order is all 4a/4b rows file-ordered, then all 4c rows
-            // file-ordered — exactly `generate`'s order.
+            // Fig. 4 rows per file: reuse the stored rows when the file's
+            // selection slice is unchanged, re-collect otherwise; then fold
+            // them in file order, as batch folds its one whole-union range.
             let t_collect = Instant::now();
-            let mut ab_pool: Vec<FlowConstraint> = Vec::new();
-            let mut c_pool: Vec<FlowConstraint> = Vec::new();
             for (state, range) in files.values_mut().zip(&ranges) {
+                let slice = &event_reps[range.clone()];
                 if range.is_empty() {
                     state.frag = None;
-                    continue;
-                }
-                let slice = &event_reps[range.clone()];
-                let remapped = state
-                    .frag
-                    .as_ref()
-                    .filter(|frag| frag.sel == slice)
-                    .and_then(|frag| frag.remap(&system));
-                match remapped {
-                    Some((ab, c)) => {
-                        reused += 1;
-                        ab_pool.extend(ab);
-                        c_pool.extend(c);
-                    }
-                    None => {
-                        let (ab, c) =
-                            collect_rows(&union, &system, &event_reps, &seldon.gen, range.clone());
-                        state.frag = Some(Fragment::capture(slice, &ab, &c, &system));
-                        collected += 1;
-                        ab_pool.extend(ab);
-                        c_pool.extend(c);
-                    }
+                } else if state.frag.as_ref().is_some_and(|(sel, _)| sel == slice) {
+                    reused += 1;
+                } else {
+                    let rows =
+                        collect_rows(&union, &system, &event_reps, &seldon.gen, range.clone());
+                    state.frag = Some((slice.to_vec(), rows));
+                    collected += 1;
                 }
             }
-            for row in ab_pool.into_iter().chain(c_pool) {
-                system.add_constraint(row);
-            }
+            // A kept file's graph and slice are unchanged, so selection
+            // created every `(rep, role)` its rows use.
+            let parts: Vec<&FileRows> =
+                files.values().filter_map(|state| state.frag.as_ref()).map(|(_, r)| r).collect();
+            system.fold(&parts);
             (system, GenStats { collect_time: t_collect.elapsed(), ..stats })
         };
         let stored = self.ckpt.as_ref();

@@ -1,20 +1,18 @@
 //! Compile-then-iterate solver kernel (the CSR lowering of §4.4).
 //!
-//! [`CompiledSystem::compile`] lowers a [`ConstraintSystem`] into a flat
-//! CSR layout: one contiguous terms array (struct-of-arrays: variable,
-//! signed coefficient, lane slot) with per-row offsets. Lhs terms carry
-//! `+coeff` and rhs terms `−coeff`, so the per-constraint gap
-//! `Σ lhs − Σ rhs − C` collapses to a single signed dot product and the
-//! epoch gap/gradient pass becomes a branch-light linear scan with no
-//! nested allocations. Duplicate variables within a constraint are
-//! pre-combined at compile time, and — because big-code corpora repeat
-//! the same flow pattern across many files — *identical constraints* are
-//! pre-combined too: each distinct signed-term row is stored once with an
-//! integer weight (its multiplicity), in first-occurrence order. A row's
-//! gap test is unweighted; its violation and gradient contributions are
-//! scaled by the weight, which is exactly the sum the duplicates would
-//! have produced up to one final rounding. On real corpora this shrinks
-//! the hot loop several-fold.
+//! [`CompiledSystem::compile`] lowers a [`ConstraintSystem`]'s rows into
+//! a flat CSR layout: one contiguous terms array (struct-of-arrays:
+//! variable, signed coefficient, lane slot) with per-row offsets. The
+//! system already stores each constraint as one signed row (lhs `+coeff`,
+//! rhs `−coeff`, duplicate variables merged) and each distinct row once
+//! with an integer weight, in first-occurrence order (see
+//! [`seldon_constraints::Row`]). So the per-row gap `Σ lhs − Σ rhs − C` is
+//! a single signed dot product and the epoch gap/gradient pass is a
+//! branch-light linear scan with no nested allocations. A row's gap test
+//! is unweighted; its violation and gradient contributions are scaled by
+//! the weight, which is exactly the sum the duplicates would have
+//! produced up to one final rounding. Compiling adds only the locality
+//! order, the lanes and the variable-major transpose.
 //!
 //! ## Deterministic parallel reduction
 //!
@@ -45,7 +43,7 @@
 //!
 //! ## Row reordering for locality
 //!
-//! After row dedup, rows *within each lane* are reordered by their
+//! Rows *within each lane* are reordered by their
 //! dominant (lowest-index) variable, so consecutive rows touch
 //! neighbouring score/slot entries and the gap pass walks `x` and the
 //! lane buffer roughly in order instead of hopping across them. Lane
@@ -54,8 +52,7 @@
 //! compile stays auditable — nothing downstream observes row order:
 //! scores are indexed by variable, and extraction reads only scores.
 
-use seldon_constraints::ConstraintSystem;
-use std::collections::HashMap;
+use seldon_constraints::{ConstraintSystem, Row};
 
 /// Target number of rows per lane.
 const LANE_TARGET: usize = 1024;
@@ -159,130 +156,56 @@ pub struct CompiledSystem {
 }
 
 impl CompiledSystem {
-    /// Lowers `sys` into the flat CSR + lane layout.
+    /// Lowers `sys`'s weighted rows into the flat CSR + lane layout.
     pub fn compile(sys: &ConstraintSystem) -> CompiledSystem {
         let n = sys.var_count();
-        let m = sys.constraint_count();
+        let stored: Vec<Row> = sys.rows().collect();
+        let rows = stored.len();
 
-        let mut offsets = Vec::with_capacity(m + 1);
-        offsets.push(0u32);
-        let mut weights: Vec<f64> = Vec::new();
-        let mut term_vars: Vec<u32> = Vec::new();
-        let mut term_coeffs: Vec<f64> = Vec::new();
-        // Per-constraint duplicate combining into a scratch row:
-        // `seen_in[v]` holds the last constraint that emitted a term for
-        // `v`, `term_at[v]` its position in `row`. The combined row,
-        // sorted by variable, is the canonical form identical constraints
-        // share — `row_of` maps it to its emitted row index.
-        let mut seen_in: Vec<u32> = vec![u32::MAX; n];
-        let mut term_at: Vec<u32> = vec![0; n];
-        let mut row: Vec<(u32, f64)> = Vec::new();
-        let mut row_of: HashMap<Vec<(u32, u64)>, u32> = HashMap::new();
-        for (ci, c) in sys.constraints.iter().enumerate() {
-            row.clear();
-            let signed = c
-                .lhs
-                .iter()
-                .map(|t| (t.var.index(), t.coeff))
-                .chain(c.rhs.iter().map(|t| (t.var.index(), -t.coeff)));
-            for (vi, coeff) in signed {
-                if seen_in[vi] == ci as u32 {
-                    row[term_at[vi] as usize].1 += coeff;
-                } else {
-                    seen_in[vi] = ci as u32;
-                    term_at[vi] = row.len() as u32;
-                    row.push((vi as u32, coeff));
-                }
-            }
-            row.sort_unstable_by_key(|&(v, _)| v);
-            let key: Vec<(u32, u64)> = row.iter().map(|&(v, c)| (v, c.to_bits())).collect();
-            match row_of.get(&key) {
-                Some(&ri) => weights[ri as usize] += 1.0,
-                None => {
-                    row_of.insert(key, weights.len() as u32);
-                    weights.push(1.0);
-                    for &(v, coeff) in &row {
-                        term_vars.push(v);
-                        term_coeffs.push(coeff);
-                    }
-                    offsets.push(term_vars.len() as u32);
-                }
-            }
-        }
-        let rows = weights.len();
-
-        // Locality reordering: lane boundaries are fixed *before* the sort
-        // (a pure function of the row count), then rows within each lane
-        // are stably sorted by their dominant — lowest-index, i.e. first,
-        // since terms are var-ascending — variable. Consecutive rows then
-        // touch neighbouring `x` entries and the gap pass walks the score
-        // vector roughly in order. Empty rows (no terms) sort last.
+        // One pass per lane. Locality reordering: lane boundaries are fixed
+        // *before* the sort (a pure function of the row count), then rows
+        // within each lane are stably sorted by their dominant — lowest-
+        // index, i.e. first, since terms are var-ascending — variable.
+        // Consecutive rows then touch neighbouring `x` entries and the gap
+        // pass walks the score vector roughly in order. Stored rows are
+        // never empty. Slot assignment: the first appearance of a variable
+        // in a lane claims the lane's next slot; `touch` records every
+        // (var, lane, slot) in ascending lane order.
         let lane_count = rows.div_ceil(LANE_TARGET).clamp(1, MAX_LANES);
         let per_lane = rows.div_ceil(lane_count).max(1);
         let mut row_perm: Vec<u32> = (0..rows as u32).collect();
-        for l in 0..lane_count {
-            let start = (l * per_lane).min(rows);
-            let end = ((l + 1) * per_lane).min(rows);
-            row_perm[start..end].sort_by_key(|&ri| {
-                let t0 = offsets[ri as usize] as usize;
-                let t1 = offsets[ri as usize + 1] as usize;
-                if t0 == t1 {
-                    u32::MAX
-                } else {
-                    term_vars[t0]
-                }
-            });
-        }
-        // Rebuild the CSR arrays in permuted order.
-        let mut p_offsets = Vec::with_capacity(rows + 1);
-        p_offsets.push(0u32);
-        let mut p_weights = Vec::with_capacity(rows);
-        let mut p_vars = Vec::with_capacity(term_vars.len());
-        let mut p_coeffs = Vec::with_capacity(term_coeffs.len());
-        for &old in &row_perm {
-            let (t0, t1) =
-                (offsets[old as usize] as usize, offsets[old as usize + 1] as usize);
-            p_weights.push(weights[old as usize]);
-            p_vars.extend_from_slice(&term_vars[t0..t1]);
-            p_coeffs.extend_from_slice(&term_coeffs[t0..t1]);
-            p_offsets.push(p_vars.len() as u32);
-        }
-        let offsets = p_offsets;
-        let weights = p_weights;
-        let term_vars = p_vars;
-        let term_coeffs = p_coeffs;
-
-        let mut term_wcoeffs = vec![0.0f64; term_coeffs.len()];
-        for ri in 0..rows {
-            let (t0, t1) = (offsets[ri] as usize, offsets[ri + 1] as usize);
-            for t in t0..t1 {
-                term_wcoeffs[t] = weights[ri] * term_coeffs[t];
-            }
-        }
-
-        // Lane slot assignment: first appearance of a variable in a lane
-        // claims the next slot; `touch` records every (var, lane, slot)
-        // in ascending lane order.
-        let mut term_slots = vec![0u32; term_vars.len()];
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0u32);
+        let mut weights = Vec::with_capacity(rows);
+        let (mut term_vars, mut term_coeffs) = (Vec::new(), Vec::new());
+        let (mut term_wcoeffs, mut term_slots) = (Vec::new(), Vec::new());
         let mut lanes = Vec::with_capacity(lane_count);
         let mut seen_lane: Vec<u32> = vec![u32::MAX; n];
         let mut slot_of: Vec<u32> = vec![0; n];
         let mut touch: Vec<(u32, u32, u32)> = Vec::new();
         for l in 0..lane_count {
-            let start = (l * per_lane).min(rows);
-            let end = ((l + 1) * per_lane).min(rows);
+            let (start, end) = ((l * per_lane).min(rows), ((l + 1) * per_lane).min(rows));
+            let lane_rows = &mut row_perm[start..end];
+            lane_rows.sort_by_key(|&ri| stored[ri as usize].terms[0].0);
             let mut slots = 0u32;
-            let t0 = offsets[start] as usize;
-            let t1 = offsets[end] as usize;
-            for (slot, &var) in term_slots[t0..t1].iter_mut().zip(&term_vars[t0..t1]) {
-                let vi = var as usize;
-                if seen_lane[vi] != l as u32 {
-                    seen_lane[vi] = l as u32;
-                    slot_of[vi] = slots;
-                    touch.push((var, l as u32, slots));
-                    slots += 1;
+            for &old in lane_rows.iter() {
+                let row = stored[old as usize];
+                let weight = f64::from(row.weight);
+                weights.push(weight);
+                for &(var, coeff) in row.terms {
+                    let vi = var as usize;
+                    if seen_lane[vi] != l as u32 {
+                        seen_lane[vi] = l as u32;
+                        slot_of[vi] = slots;
+                        touch.push((var, l as u32, slots));
+                        slots += 1;
+                    }
+                    term_vars.push(var);
+                    term_coeffs.push(coeff);
+                    term_wcoeffs.push(weight * coeff);
+                    term_slots.push(slot_of[vi]);
                 }
-                *slot = slot_of[vi];
+                offsets.push(term_vars.len() as u32);
             }
             lanes.push(Lane { start: start as u32, end: end as u32, slots });
         }
@@ -308,7 +231,7 @@ impl CompiledSystem {
 
         CompiledSystem {
             n_vars: n,
-            n_constraints: m,
+            n_constraints: sys.constraint_count(),
             c: sys.c,
             pins: sys.pinned_sorted(),
             offsets,
@@ -343,6 +266,15 @@ impl CompiledSystem {
     /// Number of (combined) terms across all distinct rows.
     pub fn term_count(&self) -> usize {
         self.term_vars.len()
+    }
+
+    /// The stored rows in solve order: `(weight, term variables, signed
+    /// coefficients)` per row.
+    pub fn rows(&self) -> impl Iterator<Item = (f64, &[u32], &[f64])> + '_ {
+        (0..self.row_count()).map(move |ri| {
+            let (t0, t1) = (self.offsets[ri] as usize, self.offsets[ri + 1] as usize);
+            (self.weights[ri], &self.term_vars[t0..t1], &self.term_coeffs[t0..t1])
+        })
     }
 
     /// Number of lanes in the fixed row partition.
@@ -662,8 +594,8 @@ mod tests {
     }
 
     /// Three single-variable constraints added in *descending* variable
-    /// order, with distinct multiplicities (c ×2, b ×1, a ×3) plus one
-    /// empty constraint, so the locality sort has real work to do.
+    /// order, with distinct multiplicities (c ×2, b ×1, a ×3), so the
+    /// locality sort has real work to do.
     fn descending_system() -> ConstraintSystem {
         let mut sys = ConstraintSystem::new(0.75);
         let a = sys.rep("a()");
@@ -681,9 +613,6 @@ mod tests {
                 });
             }
         };
-        // `add_constraint` filters empty constraints; push one directly to
-        // exercise the empty-row (key `u32::MAX`) sort guard anyway.
-        sys.constraints.push(FlowConstraint::default());
         single(vc, 2, &mut sys);
         single(vb, 1, &mut sys);
         single(va, 3, &mut sys);
@@ -694,13 +623,12 @@ mod tests {
     fn rows_are_reordered_by_dominant_variable_within_a_lane() {
         let sys = descending_system();
         let cs = CompiledSystem::compile(&sys);
-        // Dedup (first-occurrence) order was [empty, c, b, a] with weights
-        // [1, 2, 1, 3]; the locality sort puts a, b, c first and the
-        // empty row (key u32::MAX) last.
-        assert_eq!(cs.row_count(), 4);
+        // Dedup (first-occurrence) order was [c, b, a] with weights
+        // [2, 1, 3]; the locality sort puts a, b, c in variable order.
+        assert_eq!(cs.row_count(), 3);
         assert_eq!(cs.term_vars, vec![0, 1, 2]);
-        assert_eq!(cs.weights, vec![3.0, 1.0, 2.0, 1.0]);
-        assert_eq!(cs.row_permutation(), &[3, 2, 1, 0]);
+        assert_eq!(cs.weights, vec![3.0, 1.0, 2.0]);
+        assert_eq!(cs.row_permutation(), &[2, 1, 0]);
         // Semantics are order-independent: at x = 1 each singleton row
         // violates by 0.25, weighted 3 + 1 + 2 = 6 constraints.
         let x = vec![1.0, 1.0, 1.0];
@@ -722,7 +650,7 @@ mod tests {
         assert_eq!(sorted, (0..cs.row_count() as u32).collect::<Vec<_>>());
         // … that recovers dedup order: weights[new] is the weight the row
         // had at first-occurrence index perm[new].
-        let dedup_weights = [1.0, 2.0, 1.0, 3.0];
+        let dedup_weights = [2.0, 1.0, 3.0];
         for (new, &old) in perm.iter().enumerate() {
             assert_eq!(cs.weights[new], dedup_weights[old as usize]);
         }

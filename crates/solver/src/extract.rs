@@ -99,7 +99,6 @@ pub fn extract(
                         *entry = effective;
                         out.levels.insert((rep, role), i as u32);
                     }
-                    out.spec.add(rep.as_str(), role);
                     if out.backoff_hits.len() <= i {
                         out.backoff_hits.resize(i + 1, 0);
                     }
@@ -111,6 +110,11 @@ pub fn extract(
         if !roles.is_empty() {
             out.event_roles.insert(*event, roles);
         }
+    }
+    // Every selection above scored its `(rep, role)`, so the scored keys
+    // are exactly the learned entries.
+    for &(rep, role) in out.scores.keys() {
+        out.spec.add(rep.as_str(), role);
     }
     out
 }

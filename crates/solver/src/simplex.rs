@@ -245,36 +245,29 @@ pub fn solve_exact(sys: &ConstraintSystem, lambda: f64, max_size: usize) -> Opti
     if n_free + m > max_size {
         return None;
     }
-    // Decision vector: [x_free (n_free) | ε (m)].
-    let n = n_free + m;
+    // Decision vector: [x_free (n_free) | ε (one slack per stored row)].
+    // A row standing for `weight` identical constraints gets one slack
+    // costing `weight`: identical constraints share their optimal slack.
+    let n = n_free + sys.row_count();
     let mut c = vec![0.0f64; n];
-    for (i, fi) in free_index.iter().enumerate() {
-        if *fi != usize::MAX {
-            let _ = i;
-            c[*fi] = lambda;
+    for &fi in &free_index {
+        if fi != usize::MAX {
+            c[fi] = lambda;
         }
-    }
-    for e in 0..m {
-        c[n_free + e] = 1.0;
     }
     let mut rows: Vec<(Vec<(usize, f64)>, f64)> = Vec::new();
-    // Flow constraints: Σ(lhs−rhs)·x − ε ≤ C − pinned_contribution.
-    for (ci, fc) in sys.constraints.iter().enumerate() {
+    // Flow rows: Σ coeff·x − ε ≤ C − pinned_contribution.
+    for (ri, row) in sys.rows().enumerate() {
+        c[n_free + ri] = f64::from(row.weight);
         let mut coeffs: Vec<(usize, f64)> = Vec::new();
         let mut rhs = sys.c;
-        let add = |var: seldon_constraints::VarId, coeff: f64, coeffs: &mut Vec<(usize, f64)>, rhs: &mut f64| {
-            match pinned_value[var.index()] {
-                Some(v) => *rhs -= coeff * v,
-                None => coeffs.push((free_index[var.index()], coeff)),
+        for &(var, coeff) in row.terms {
+            match pinned_value[var as usize] {
+                Some(v) => rhs -= coeff * v,
+                None => coeffs.push((free_index[var as usize], coeff)),
             }
-        };
-        for t in &fc.lhs {
-            add(t.var, t.coeff, &mut coeffs, &mut rhs);
         }
-        for t in &fc.rhs {
-            add(t.var, -t.coeff, &mut coeffs, &mut rhs);
-        }
-        coeffs.push((n_free + ci, -1.0));
+        coeffs.push((n_free + ri, -1.0));
         rows.push((coeffs, rhs));
     }
     // Upper bounds x ≤ 1.

@@ -12,7 +12,10 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use seldon_constraints::{ConstraintSystem, FlowConstraint, Term, VarId};
+use seldon_cache::Fnv64;
+use seldon_constraints::{generate_with_stats, ConstraintSystem, FlowConstraint, Term, VarId};
+use seldon_core::{analyze_corpus, SeldonOptions};
+use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
 use seldon_solver::{solve, solve_compiled, CompiledSystem, EarlyStop, SolveOptions, StopReason};
 use seldon_specs::Role;
 
@@ -21,12 +24,14 @@ const COEFFS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 1.0];
 /// Expands a seed into a random system: 2–11 vars, 1–20 constraints of
 /// 1–5 terms each (either side, palette coefficients, repeated vars),
 /// up to two pins, and every third constraint duplicated verbatim so the
-/// compiler's cross-row combining is always exercised.
-fn random_system(seed: u64) -> ConstraintSystem {
+/// row store's cross-row combining is always exercised. Returns the
+/// system and the constraints it was built from.
+fn random_system(seed: u64) -> (ConstraintSystem, Vec<FlowConstraint>) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let n_vars = rng.gen_range(2usize..12);
     let c = COEFFS[rng.gen_range(0usize..COEFFS.len())] * 0.9 + 0.05;
     let mut sys = ConstraintSystem::new(c);
+    let mut added = Vec::new();
     let vars: Vec<VarId> = (0..n_vars)
         .map(|i| {
             let rep = sys.rep(&format!("api{i}()"));
@@ -50,13 +55,13 @@ fn random_system(seed: u64) -> ConstraintSystem {
                 con.rhs.push(t);
             }
         }
-        sys.add_constraint(con);
-        if ci % 3 == 2 {
-            let again = sys.constraints.last().unwrap().clone();
-            sys.add_constraint(again);
+        let copies = if ci % 3 == 2 { 2 } else { 1 };
+        for _ in 0..copies {
+            sys.add_constraint(con.clone());
+            added.push(con.clone());
         }
     }
-    sys
+    (sys, added)
 }
 
 fn random_point(seed: u64, n: usize) -> Vec<f64> {
@@ -65,16 +70,17 @@ fn random_point(seed: u64, n: usize) -> Vec<f64> {
 }
 
 /// The reference the kernel is checked against: the objective and
-/// gradient computed the way the pre-compilation solver did, one
-/// constraint at a time with separate lhs/rhs sums.
+/// gradient computed from the constraints as generated, one at a time
+/// with separate lhs/rhs sums and no row merging.
 fn naive_objective_gradient(
     sys: &ConstraintSystem,
+    constraints: &[FlowConstraint],
     x: &[f64],
     lambda: f64,
 ) -> (f64, Vec<f64>) {
     let mut violation = 0.0;
     let mut grad = vec![lambda; sys.var_count()];
-    for c in &sys.constraints {
+    for c in constraints {
         let lhs: f64 = c.lhs.iter().map(|t| t.coeff * x[t.var.index()]).sum();
         let rhs: f64 = c.rhs.iter().map(|t| t.coeff * x[t.var.index()]).sum();
         let gap = lhs - rhs - sys.c;
@@ -103,13 +109,13 @@ proptest! {
     /// 1e-12 on arbitrary systems and points.
     #[test]
     fn compiled_matches_naive_walk(seed in any::<u64>(), li in 0usize..5) {
-        let sys = random_system(seed);
+        let (sys, constraints) = random_system(seed);
         let lambda = [0.0, 0.05, 0.1, 0.25, 0.5][li];
         let cs = CompiledSystem::compile(&sys);
         prop_assert_eq!(cs.constraint_count(), sys.constraint_count());
         prop_assert!(cs.row_count() <= cs.constraint_count());
         let x = random_point(seed, sys.var_count());
-        let (naive_obj, naive_grad) = naive_objective_gradient(&sys, &x, lambda);
+        let (naive_obj, naive_grad) = naive_objective_gradient(&sys, &constraints, &x, lambda);
         let (violation, obj) = cs.objective(&x, lambda);
         prop_assert!(violation >= 0.0);
         prop_assert!(close(obj, naive_obj), "objective {} vs naive {}", obj, naive_obj);
@@ -124,7 +130,7 @@ proptest! {
     /// scores, objective, and convergence history.
     #[test]
     fn solve_is_bitwise_thread_invariant(seed in any::<u64>()) {
-        let sys = random_system(seed);
+        let (sys, _) = random_system(seed);
         let opts1 = SolveOptions { max_iters: 120, ..Default::default() };
         let opts4 = SolveOptions { threads: 4, ..opts1.clone() };
         let s1 = solve(&sys, &opts1);
@@ -149,7 +155,7 @@ proptest! {
         patience in 1usize..7,
         min_iters in 0usize..90,
     ) {
-        let sys = random_system(seed);
+        let (sys, _) = random_system(seed);
         let es = EarlyStop { patience, rel_tol: 1e-4, min_iters };
         let opts1 = SolveOptions {
             max_iters: 120,
@@ -176,7 +182,7 @@ proptest! {
         patience in 1usize..4,
         min_iters in 0usize..100,
     ) {
-        let sys = random_system(seed);
+        let (sys, _) = random_system(seed);
         let opts = SolveOptions {
             max_iters: 120,
             early_stop: Some(EarlyStop { patience, rel_tol: 1e-3, min_iters }),
@@ -197,7 +203,7 @@ proptest! {
     /// point bit-for-bit.
     #[test]
     fn solve_compiled_matches_solve(seed in any::<u64>()) {
-        let sys = random_system(seed);
+        let (sys, _) = random_system(seed);
         let opts = SolveOptions { max_iters: 60, ..Default::default() };
         let direct = solve(&sys, &opts);
         let cs = CompiledSystem::compile(&sys);
@@ -207,4 +213,53 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+}
+
+/// A hash of everything the solver reads from a compiled system: the
+/// total and per-template constraint counts, `C`, the pins, the locality
+/// permutation, and every row's weight, variables and coefficient bits,
+/// in solve order.
+fn compiled_system_hash(lang: Lang) -> u64 {
+    let universe = Universe::new();
+    let corpus = generate_corpus(
+        &universe,
+        &CorpusOptions { projects: 60, rng_seed: 1234, lang, ..Default::default() },
+    );
+    let analyzed = analyze_corpus(&corpus).unwrap();
+    let seed = match lang {
+        Lang::Py => universe.seed_spec(),
+        Lang::Js => universe.seed_spec_js(),
+    };
+    let (sys, _) = generate_with_stats(&analyzed.graph, &seed, &SeldonOptions::default().gen);
+    let cs = CompiledSystem::compile(&sys);
+    let mut h = Fnv64::new();
+    h.write_u64(cs.constraint_count() as u64);
+    for n in sys.template_counts() {
+        h.write_u64(n as u64);
+    }
+    h.write_f64(cs.c());
+    for &(v, val) in cs.pins() {
+        h.write_u32(v).write_f64(val);
+    }
+    for &old in cs.row_permutation() {
+        h.write_u32(old);
+    }
+    for (weight, vars, coeffs) in cs.rows() {
+        h.write_f64(weight).write_u64(vars.len() as u64);
+        for (&v, &c) in vars.iter().zip(coeffs) {
+            h.write_u32(v).write_f64(c);
+        }
+    }
+    h.finish()
+}
+
+/// The compiled systems of both golden corpora (the end-to-end spec
+/// goldens' inputs) hash to the values the row-store generator was
+/// checked against when it replaced per-constraint term lists and
+/// compile-time dedup: row order, terms, coefficient bits, weights, pins
+/// and counts are bit-identical to that earlier pipeline.
+#[test]
+fn compiled_system_hash_is_pinned_for_both_golden_corpora() {
+    assert_eq!(compiled_system_hash(Lang::Py), 0x8498_9257_05cf_bf7c);
+    assert_eq!(compiled_system_hash(Lang::Js), 0x10c4_08e8_33d2_2220);
 }

@@ -257,3 +257,54 @@ fn seed_spec_counts_match_paper() {
     assert_eq!(seed.count_role(Role::Sink), 48);
     assert_eq!(seed.role_count(), 106);
 }
+
+/// Per-file counts of one fixed-seed corpus: events, edges, generated
+/// constraints, compiled rows and compiled terms.
+fn fig10_counts(projects: usize) -> (usize, [usize; 5]) {
+    use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
+    let universe = Universe::new();
+    let corpus = generate_corpus(&universe, &CorpusOptions { projects, ..Default::default() });
+    let analyzed = seldon_core::analyze_corpus(&corpus).expect("generated corpus analyzes");
+    let gen = seldon_core::SeldonOptions::default().gen;
+    let seed = universe.seed_spec();
+    let (sys, _) = seldon_constraints::generate_with_stats(&analyzed.graph, &seed, &gen);
+    let cs = seldon_solver::CompiledSystem::compile(&sys);
+    let g = &analyzed.graph;
+    let counts =
+        [g.event_count(), g.edge_count(), sys.constraint_count(), cs.row_count(), cs.term_count()];
+    (corpus.file_count(), counts)
+}
+
+/// Largest factor by which any per-file count may change between
+/// consecutive corpus doublings. The measured maximum is 1.24 (compiled
+/// rows per file, 100 → 200 projects: identical rows merge more as the
+/// corpus grows); EXPERIMENTS.md's Fig. 10 section lists every ratio.
+const FIG10_COUNT_RATIO_BOUND: f64 = 1.3;
+
+/// Fig. 10 on counters instead of clocks: over three doublings of a
+/// fixed-seed corpus (25 → 200 projects), the per-file event, edge,
+/// constraint, compiled-row and compiled-term counts stay flat within
+/// [`FIG10_COUNT_RATIO_BOUND`] — the linear shape of the paper's Fig. 10,
+/// checked on pure functions of the seed. The row and term counts are
+/// pinned exactly.
+#[test]
+fn fig10_per_file_counts_stay_flat_across_doublings() {
+    const NAMES: [&str; 5] = ["events", "edges", "constraints", "rows", "terms"];
+    let expected_rows_terms = [(1816, 7453), (3352, 14393), (5715, 25688), (9029, 42297)];
+    let mut prev: Option<[f64; 5]> = None;
+    for (projects, expected) in [25, 50, 100, 200].into_iter().zip(expected_rows_terms) {
+        let (files, counts) = fig10_counts(projects);
+        assert_eq!((counts[3], counts[4]), expected, "rows and terms at {projects} projects");
+        let per_file = counts.map(|c| c as f64 / files as f64);
+        if let Some(prev) = prev {
+            for ((name, now), before) in NAMES.iter().zip(per_file).zip(prev) {
+                let ratio = now / before;
+                assert!(
+                    ratio.max(1.0 / ratio) <= FIG10_COUNT_RATIO_BOUND,
+                    "{name} per file moved {ratio:.3}× at {projects} projects"
+                );
+            }
+        }
+        prev = Some(per_file);
+    }
+}

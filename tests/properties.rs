@@ -3,13 +3,20 @@
 //! the constraint system, and determinism of corpus generation.
 
 use proptest::prelude::*;
-use seldon_constraints::{generate, GenOptions};
-use seldon_core::Frontend;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use seldon_constraints::{
+    collect_rows, generate, generate_with_stats, select, ConstraintSystem, FileRows, GenOptions,
+    RepId, Row, Selection,
+};
+use seldon_core::{union_graphs, Frontend};
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
-use seldon_propgraph::{build_source, Budget, FileId};
+use seldon_propgraph::{build_source, Budget, FileId, PropagationGraph};
 use seldon_pyast::{lexer, parser};
 use seldon_solver::{solve, SolveOptions};
 use seldon_specs::{Pattern, Role, RoleSet, TaintSpec};
+use seldon_telemetry::Telemetry;
 
 proptest! {
     /// The lexer never panics, whatever bytes it is fed.
@@ -295,6 +302,74 @@ proptest! {
         }
     }
 
+    /// One constraint path: on a random subset of a generated corpus's
+    /// files, in random order, folding each file's rows in file order
+    /// gives exactly `generate_with_stats` over the union — row for row,
+    /// weight for weight. Then one file changes; every other file whose
+    /// selection slice survived resolves its old rows into the
+    /// re-selected system, the rest re-collect, and the fold again equals
+    /// batch generation over the new union.
+    #[test]
+    fn per_file_row_fold_equals_batch_generation(seed in 0u64..1000) {
+        let u = Universe::new();
+        let gen = GenOptions { rep_cutoff: 2, ..Default::default() };
+        for (lang, frontend, spec) in [
+            (Lang::Py, Frontend::Python, u.seed_spec()),
+            (Lang::Js, Frontend::Js, u.seed_spec_js()),
+        ] {
+            let corpus = generate_corpus(
+                &u,
+                &CorpusOptions { projects: 4, rng_seed: seed, lang, ..Default::default() },
+            );
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut graphs: Vec<PropagationGraph> = corpus
+                .files()
+                .map(|(_, f)| {
+                    let lowered = frontend.lower(&f.content, &Budget::unlimited(), false);
+                    let ir = lowered.expect("generated files lower").ir;
+                    seldon_propgraph::build_ir(&ir, FileId(0))
+                })
+                .collect();
+            let tele = Telemetry::disabled();
+            graphs.shuffle(&mut rng);
+            let spare = graphs.pop().expect("a spare file");
+            graphs.truncate(rng.gen_range(2..graphs.len().max(3)));
+
+            let (union, ranges) = union_graphs(graphs.iter().map(Some).collect(), &tele);
+            let Selection { mut sys, event_reps, .. } = select(&union, &spec, &gen);
+            let files: Vec<(Vec<Option<Vec<RepId>>>, FileRows)> = ranges
+                .iter()
+                .map(|r| {
+                    let rows = collect_rows(&union, &sys, &event_reps, &gen, r.clone());
+                    (event_reps[r.clone()].to_vec(), rows)
+                })
+                .collect();
+            sys.fold(&files.iter().map(|(_, rows)| rows).collect::<Vec<_>>());
+            assert_same_rows(&sys, &generate_with_stats(&union, &spec, &gen).0)?;
+
+            // One file changes; the others keep the rows captured above
+            // wherever their selection slice is unchanged.
+            let changed = rng.gen_range(0..graphs.len());
+            graphs[changed] = spare;
+            let (union, ranges) = union_graphs(graphs.iter().map(Some).collect(), &tele);
+            let Selection { mut sys, event_reps, .. } = select(&union, &spec, &gen);
+            let rows: Vec<FileRows> = ranges
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    let (sel, rows) = &files[i];
+                    if i != changed && sel[..] == event_reps[r.clone()] {
+                        rows.clone()
+                    } else {
+                        collect_rows(&union, &sys, &event_reps, &gen, r.clone())
+                    }
+                })
+                .collect();
+            sys.fold(&rows.iter().collect::<Vec<_>>());
+            assert_same_rows(&sys, &generate_with_stats(&union, &spec, &gen).0)?;
+        }
+    }
+
     /// Spec round-trip: any spec assembled from valid entries survives
     /// serialize → parse.
     #[test]
@@ -307,6 +382,22 @@ proptest! {
         let reparsed = TaintSpec::parse(&text).expect("round-trip parses");
         prop_assert_eq!(spec, reparsed);
     }
+}
+
+/// The two systems hold the same variables, pins, counts and rows —
+/// same order, variables, coefficient bits and weights.
+fn assert_same_rows(a: &ConstraintSystem, b: &ConstraintSystem) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.var_count(), b.var_count());
+    prop_assert_eq!(a.pinned_sorted(), b.pinned_sorted());
+    prop_assert_eq!(a.constraint_count(), b.constraint_count());
+    prop_assert_eq!(a.template_counts(), b.template_counts());
+    prop_assert_eq!(a.row_count(), b.row_count());
+    for (ra, rb) in a.rows().zip(b.rows()) {
+        prop_assert_eq!(ra.weight, rb.weight);
+        let bits = |r: &Row| r.terms.iter().map(|&(v, c)| (v, c.to_bits())).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&ra), bits(&rb));
+    }
+    Ok(())
 }
 
 #[test]

@@ -12,7 +12,9 @@ mod support;
 
 use proptest::prelude::*;
 use seldon_cache::{inject_cache_faults, ArtifactCache, CheckpointLookup, CHECKPOINT_NAME};
-use seldon_core::{run_full, run_seldon_cached, CheckpointOutcome, SeldonOptions};
+use seldon_core::{
+    default_rep_cutoff, run_full, run_seldon_cached, CheckpointOutcome, SeldonOptions,
+};
 use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
 use seldon_solver::EarlyStop;
 use seldon_specs::TaintSpec;
@@ -91,6 +93,53 @@ fn delta_sequence_matches_cold_batch_one_thread() {
 #[test]
 fn delta_sequence_matches_cold_batch_four_threads() {
     delta_sequence_matches_cold_batch(4);
+}
+
+/// The CLI daemon's default: the §4.3 cutoff follows the corpus size.
+/// Growing 49 → 50 files moves it 2 → 5 and shrinking moves it back, so
+/// the selection changes under every file; each served spec must still
+/// be a cold batch run's at `default_rep_cutoff(files.len())`.
+#[test]
+fn dynamic_cutoff_crossing_matches_cold_batch() {
+    let (mut files, seed) = fixture(15, 5);
+    assert!(files.len() >= 50, "fixture has {} files", files.len());
+    let added = files.remove(20);
+    files.truncate(49);
+    let opts = SeldonOptions { warm_start: None, ..seldon_opts(1) };
+    let cold = |files: &[(PathBuf, String)]| {
+        let mut opts = opts.clone();
+        opts.gen.rep_cutoff = default_rep_cutoff(files.len());
+        cold_batch_spec_with(files, &seed, &opts)
+    };
+    let cfg = EngineConfig {
+        seed: seed.clone(),
+        analyze: analyze_opts(None),
+        seldon: opts.clone(),
+        dynamic_cutoff: true,
+    };
+    let mut engine = ServeEngine::new(cfg);
+    let out = engine
+        .apply_delta(&Delta { add: files.clone(), ..Default::default() })
+        .expect("initial load");
+    assert_eq!(default_rep_cutoff(files.len()), 2);
+    assert_eq!(out.spec, cold(&files), "49 files, cutoff 2");
+
+    files.push(added.clone());
+    files.sort_by(|a, b| a.0.cmp(&b.0));
+    let out = engine
+        .apply_delta(&Delta { add: vec![added.clone()], ..Default::default() })
+        .expect("add delta");
+    assert_eq!(default_rep_cutoff(files.len()), 5);
+    assert!(out.fragments_collected > 1, "a new cutoff re-selects every file's events");
+    assert_eq!(out.spec, cold(&files), "50 files, cutoff 5");
+
+    files.retain(|f| f.0 != added.0);
+    let out = engine
+        .apply_delta(&Delta { remove: vec![added.0], ..Default::default() })
+        .expect("remove delta");
+    assert_eq!(default_rep_cutoff(files.len()), 2);
+    assert!(out.fragments_collected > 1, "the old cutoff re-selects every file's events");
+    assert_eq!(out.spec, cold(&files), "49 files, cutoff 2 again");
 }
 
 #[test]
