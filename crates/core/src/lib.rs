@@ -40,10 +40,10 @@ pub use eval::{
 };
 pub use manifest::{learned_per_role, record_corpus, record_learning, run_full, FullRun};
 pub use pipeline::{
-    analysis_cache_key, analyze_corpus, analyze_corpus_with, analyze_file, analyze_project,
-    climb_ladder, default_rep_cutoff, run_seldon, run_seldon_cached, union_graphs, AnalyzeOptions,
-    AnalyzedCorpus, CheckpointOutcome, CheckpointUse, Climb, FaultPolicy, FileAnalysis, FileMeta,
-    Frontend, Lowered, SeldonOptions, SeldonRun, WarmStartOptions, DEFAULT_TRACE_STRIDE,
-    DEFAULT_WARM_MARGIN,
+    analysis_cache_key, analyze_corpus, analyze_corpus_with, analyze_file, analyze_inputs,
+    analyze_project, climb_ladder, default_rep_cutoff, run_seldon, run_seldon_cached, union_graphs,
+    AnalyzeOptions, AnalyzedCorpus, AnalyzedFiles, CheckpointOutcome, CheckpointUse, Climb,
+    FaultPolicy, FileAnalysis, FileInput, FileMeta, Frontend, Lowered, SeldonOptions, SeldonRun,
+    WarmStartOptions, DEFAULT_TRACE_STRIDE, DEFAULT_WARM_MARGIN,
 };
 pub use report::{AnalysisReport, CacheFaultReport, FileOutcome, FileReport};

@@ -70,10 +70,7 @@ pub fn run_full(
     let (analyzed, mut report) = analyze_corpus_with(corpus, analyze)?;
     let (run, checkpoint) =
         run_seldon_cached(&analyzed.graph, seed, seldon, &tele, analyze.cache.as_deref());
-    report.cache_faults.extend(checkpoint.faults.iter().map(|fault| CacheFaultReport {
-        path: "<checkpoint>".to_string(),
-        fault: fault.clone(),
-    }));
+    report.cache_faults.extend(checkpoint.faults.iter().cloned().map(CacheFaultReport::checkpoint));
 
     let mut full_spec = seed.clone();
     full_spec.merge(&run.extraction.spec);
@@ -324,12 +321,12 @@ fn fill_metrics(
         let def = metric::PARSE_TIME;
         reg.put_histogram(&metric::parse_time(frontend), def.help, def.class, hist.clone());
     }
-    if !analyzed.build_histogram.is_empty() {
+    if let Some(hist) = analyzed.build_histogram.as_ref().filter(|h| !h.is_empty()) {
         reg.put_histogram(
             "build_time_us",
             "Per-file graph-construction time (µs), analyzed files only.",
             Class::Cost,
-            analyzed.build_histogram.clone(),
+            hist.clone(),
         );
     }
     // Solver epoch timing and CSR occupancy. Rows/lanes come from the

@@ -8,7 +8,8 @@
 //! ## Fault tolerance
 //!
 //! Real big-code corpora contain files that are malformed, pathological, or
-//! that expose analysis bugs. [`analyze_corpus_with`] isolates every file:
+//! that expose analysis bugs. [`analyze_inputs`], the per-file loop of
+//! both `seldon learn` and `seldon serve`, isolates every file:
 //! a [`FaultPolicy`] decides whether a bad file aborts the run, is retried
 //! leniently, or is quarantined; an optional per-file
 //! [`Budget`](seldon_propgraph::Budget) bounds each file's cost; and a
@@ -209,10 +210,10 @@ pub struct AnalyzedCorpus {
     /// tallied.
     pub parse_histograms: Vec<(&'static str, Histogram)>,
     /// Per-file graph-construction time distribution (microseconds, same
-    /// buckets as the parse histograms). Empty unless telemetry was active
+    /// buckets as the parse histograms). `None` unless telemetry was active
     /// during analysis; cache-served files skip construction and are never
     /// tallied.
-    pub build_histogram: Histogram,
+    pub build_histogram: Option<Histogram>,
 }
 
 /// How the pipeline reacts to a file that cannot be analyzed cleanly.
@@ -357,7 +358,7 @@ fn analyze_one(
 }
 
 /// One file's (possibly cached) analysis: what [`analyze_file`] returns
-/// and what [`analyze_corpus_with`] folds, file by file, into the corpus.
+/// and what [`analyze_inputs`] folds into its per-file results.
 #[derive(Debug)]
 pub struct FileAnalysis {
     /// The file's propagation graph, stamped with the requested
@@ -378,13 +379,15 @@ pub struct FileAnalysis {
     timings: BuildTimings,
     /// Wall-clock spent on cache lookup + store for this file.
     cache_time: Duration,
+    /// The artifact-cache key of the content, hashed once at lookup;
+    /// `None` without a cache.
+    key: Option<u64>,
 }
 
-/// Analyzes a single file exactly as [`analyze_corpus_with`] does — same
-/// budget/policy guard rails, same artifact-cache keying — without
-/// requiring the rest of the corpus. This is also the unit of re-work for
-/// the incremental daemon: on a delta, only the touched files go through
-/// here; every untouched file keeps its previous graph.
+/// Analyzes a single file with the guard rails and artifact-cache keying
+/// of [`analyze_inputs`], storing a fresh artifact synchronously. Unlike
+/// the loop it never fails: under [`FaultPolicy::FailFast`] a bad file
+/// comes back as its quarantine outcome.
 ///
 /// Behind a cache, a validated entry skips the front end entirely; a miss
 /// (or any contained fault) recomputes and stores the fresh artifact. Only
@@ -392,62 +395,53 @@ pub struct FileAnalysis {
 /// re-derive and keeping them out of the store means a fixed budget or
 /// policy never serves a stale verdict.
 pub fn analyze_file(path: &str, content: &str, id: FileId, opts: &AnalyzeOptions) -> FileAnalysis {
-    let (mut analysis, key) = lookup_or_analyze(path, content, id, opts);
-    if let (Some(key), Some(cache), Some(g)) = (key, opts.cache.as_deref(), &analysis.graph) {
+    let mut analysis = lookup_or_analyze(path, content, id, opts);
+    let cache = opts.cache.as_deref().filter(|_| !analysis.from_cache);
+    if let (Some(cache), Some(key), Some(g)) = (cache, analysis.key, &analysis.graph) {
         let t = Instant::now();
-        if let Some(f) = cache.store_artifact(key, g, analysis.outcome.recovered_errors()) {
-            analysis.faults.push(f);
-        }
+        analysis.faults.extend(cache.store_artifact(key, g, analysis.outcome.recovered_errors()));
         analysis.cache_time += t.elapsed();
     }
     analysis
 }
 
-/// [`analyze_file`] up to the store: a cache hit, or a fresh analysis with
-/// the cache key its artifact belongs under (`None` when uncached).
-fn lookup_or_analyze(
-    path: &str,
-    content: &str,
-    id: FileId,
-    opts: &AnalyzeOptions,
-) -> (FileAnalysis, Option<u64>) {
+/// [`analyze_file`] up to the store: a cache hit, or a fresh analysis.
+fn lookup_or_analyze(path: &str, content: &str, id: FileId, opts: &AnalyzeOptions) -> FileAnalysis {
     let frontend = Frontend::of_path(path);
-    let analyze = |cache_time, faults| {
-        let (graph, outcome, timings) = analyze_one(path, content, id, frontend, opts);
-        FileAnalysis { graph, outcome, from_cache: false, faults, frontend, timings, cache_time }
+    let key = opts.cache.as_ref().map(|_| analysis_cache_key(path, content, opts));
+    let mut analysis = FileAnalysis {
+        graph: None,
+        outcome: FileOutcome::Ok,
+        from_cache: false,
+        faults: Vec::new(),
+        frontend,
+        timings: BuildTimings::default(),
+        cache_time: Duration::ZERO,
+        key,
     };
-    let Some(cache) = opts.cache.as_deref() else {
-        return (analyze(Duration::ZERO, Vec::new()), None);
-    };
-    let key = analysis_cache_key(path, content, opts);
-    let t0 = Instant::now();
-    let looked = cache.load_artifact(key, id);
-    let cache_time = t0.elapsed();
-    let faults = match looked {
-        ArtifactLookup::Hit(graph, recovered) => {
-            let outcome = if recovered == 0 {
-                FileOutcome::Ok
-            } else {
-                FileOutcome::Recovered { errors: recovered }
-            };
-            let hit = FileAnalysis {
-                graph: Some(graph),
-                outcome,
-                from_cache: true,
-                faults: Vec::new(),
-                frontend,
-                timings: BuildTimings::default(),
-                cache_time,
-            };
-            return (hit, None);
+    if let (Some(cache), Some(key)) = (opts.cache.as_deref(), key) {
+        let t0 = Instant::now();
+        match cache.load_artifact(key, id) {
+            ArtifactLookup::Hit(graph, 0) => analysis.graph = Some(graph),
+            ArtifactLookup::Hit(graph, errors) => {
+                analysis.graph = Some(graph);
+                analysis.outcome = FileOutcome::Recovered { errors };
+            }
+            ArtifactLookup::Miss => {}
+            ArtifactLookup::Fault(f) => analysis.faults.push(f),
         }
-        ArtifactLookup::Miss => Vec::new(),
-        ArtifactLookup::Fault(f) => vec![f],
-    };
-    (analyze(cache_time, faults), Some(key))
+        analysis.cache_time = t0.elapsed();
+        analysis.from_cache = analysis.graph.is_some();
+        if analysis.from_cache {
+            return analysis;
+        }
+    }
+    (analysis.graph, analysis.outcome, analysis.timings) =
+        analyze_one(path, content, id, frontend, opts);
+    analysis
 }
 
-/// The artifact-cache key [`analyze_file`] files this path/content under
+/// The artifact-cache key [`analyze_inputs`] files this path/content under
 /// for `opts` — exposed so a caller that knows a file left the corpus can
 /// [`ArtifactCache::evict`] its entry (content keys of deleted files are
 /// never looked up again, so nothing else would ever reclaim them).
@@ -457,12 +451,12 @@ pub fn analysis_cache_key(path: &str, content: &str, opts: &AnalyzeOptions) -> u
 }
 
 /// Parses every file of `corpus` under `opts`, unions the graphs of
-/// successfully analyzed files, and reports a per-file verdict for each.
+/// successfully analyzed files, and reports a per-file verdict for each:
+/// [`analyze_inputs`] over the corpus in order, then [`union_graphs`].
 ///
-/// Files are analyzed one at a time, in corpus order. File identity is
-/// stable: the [`FileId`] of every file equals its index in corpus order
-/// even when earlier files are quarantined, so the union order — and
-/// therefore event identity — is deterministic.
+/// File identity is stable: the [`FileId`] of every file equals its index
+/// in corpus order even when earlier files are quarantined, so the union
+/// order — and therefore event identity — is deterministic.
 ///
 /// # Errors
 ///
@@ -473,42 +467,104 @@ pub fn analyze_corpus_with(
     corpus: &Corpus,
     opts: &AnalyzeOptions,
 ) -> Result<(AnalyzedCorpus, AnalysisReport), PipelineError> {
-    analyze_files(corpus.files(), corpus.projects.len(), opts)
+    analyze_and_union(corpus.files(), opts)
 }
 
-/// The loop behind [`analyze_corpus_with`] and [`analyze_project`]:
-/// analyzes `(project, file)` pairs in order with [`FileId`]s numbered
-/// from 0, writes the front-end stage spans, and unions the graphs.
-fn analyze_files<'a>(
-    inputs: impl Iterator<Item = (usize, &'a SourceFile)>,
-    projects: usize,
+/// [`analyze_corpus_with`] over `(project, file)` pairs, with [`FileId`]s
+/// numbered from 0.
+fn analyze_and_union<'a>(
+    files: impl Iterator<Item = (usize, &'a SourceFile)>,
     opts: &AnalyzeOptions,
 ) -> Result<(AnalyzedCorpus, AnalysisReport), PipelineError> {
     let started = Instant::now();
-    let mut graphs: Vec<Option<PropagationGraph>> = Vec::new();
-    let mut files = Vec::new();
-    let mut reports = Vec::new();
+    let inputs = files.enumerate().map(|(i, (project, file))| FileInput {
+        project,
+        id: FileId(i as u32),
+        path: &file.path,
+        content: &file.content,
+    });
+    let AnalyzedFiles { graphs, report, parse_histograms, build_histogram, .. } =
+        analyze_inputs(inputs, opts)?;
+    let (graph, _) = union_graphs(graphs, &opts.telemetry);
+    let meta = |f: &FileReport| FileMeta { project: f.project, path: f.path.clone() };
+    let files = report.files.iter().map(meta).collect();
+    let build_time = started.elapsed();
+    Ok((AnalyzedCorpus { graph, files, build_time, parse_histograms, build_histogram }, report))
+}
+
+/// One file handed to [`analyze_inputs`].
+#[derive(Debug, Clone, Copy)]
+pub struct FileInput<'a> {
+    /// Index of the project the file belongs to (its `parse.project`
+    /// span and [`FileReport::project`]).
+    pub project: usize,
+    /// The [`FileId`] the file's events are stamped with.
+    pub id: FileId,
+    /// The file's path: it picks the frontend and names the file in the
+    /// report.
+    pub path: &'a str,
+    /// The source text.
+    pub content: &'a str,
+}
+
+/// What [`analyze_inputs`] returns, one entry per input in input order.
+#[derive(Debug)]
+pub struct AnalyzedFiles {
+    /// Each file's propagation graph; `None` when quarantined.
+    pub graphs: Vec<Option<PropagationGraph>>,
+    /// Each file's artifact-cache key, hashed once from its content;
+    /// `None` without a cache.
+    pub keys: Vec<Option<u64>>,
+    /// Each file's outcome, and the contained cache faults.
+    pub report: AnalysisReport,
+    /// See [`AnalyzedCorpus::parse_histograms`].
+    pub parse_histograms: Vec<(&'static str, Histogram)>,
+    /// See [`AnalyzedCorpus::build_histogram`].
+    pub build_histogram: Option<Histogram>,
+}
+
+/// The per-file stage of `seldon learn` and `seldon serve`, the one place
+/// source files become per-file graphs. Files are analyzed one at a time,
+/// in input order: each is looked up in the artifact cache under a key
+/// hashed once from its content, analyzed under the policy on a miss, and
+/// its fresh artifact queued to the cache's background writer
+/// ([`ArtifactCache::write_behind`]), so parsing the next file overlaps
+/// this one's `sync_data`. Every queued artifact is on disk when the call
+/// returns. Writes the `parse` (with `parse.project` children),
+/// `propgraph` and, with a cache, `cache` stage spans.
+///
+/// # Errors
+///
+/// Under [`FaultPolicy::FailFast`], the error of the first bad file; the
+/// files after it are neither analyzed nor cached, and no span is written.
+pub fn analyze_inputs<'a>(
+    inputs: impl IntoIterator<Item = FileInput<'a>>,
+    opts: &AnalyzeOptions,
+) -> Result<AnalyzedFiles, PipelineError> {
+    let mut out = AnalyzedFiles {
+        graphs: Vec::new(),
+        keys: Vec::new(),
+        report: AnalysisReport::default(),
+        parse_histograms: Vec::new(),
+        build_histogram: None,
+    };
     let mut timings = BuildTimings::default();
     let mut cache_time = Duration::ZERO;
     // Per-project (parse time, files parsed) for the parse.project child
-    // spans; cache-served files skip the front end and contribute nothing.
-    let mut project_parse: Vec<(Duration, usize)> = vec![(Duration::ZERO, 0); projects];
-    // Per-frontend parse-time buckets, recorded only under active
-    // telemetry: an inactive handle must not grow a manifest-visible
-    // histogram.
+    // spans, and the per-frontend parse and per-file build histograms.
+    // Tallied only under active telemetry, so an inactive handle neither
+    // allocates them nor grows a manifest-visible histogram. Cache-served
+    // files skip the front end and contribute nothing.
     let timed = opts.telemetry.is_active();
-    let mut parse_hist: Vec<(&'static str, Histogram)> = Frontend::ALL
-        .iter()
-        .map(|f| (f.label(), Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS)))
-        .collect();
-    let mut build_hist = Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
+    let mut project_parse: Vec<(Duration, usize)> = Vec::new();
+    let mut hists = timed.then(|| {
+        let hist = || Histogram::with_u64_bounds(&PARSE_HIST_BOUNDS);
+        (Frontend::ALL.map(|_| hist()), hist())
+    });
     let mut faults: Vec<(usize, CacheFault)> = Vec::new();
-    // Fresh artifacts go to the cache's background writer, so parsing the
-    // next file overlaps this one's `sync_data` wait.
     let run = |queue: Option<&StoreQueue>| {
-        for (i, (project, file)) in inputs.enumerate() {
-            let path = &file.path;
-            let (analysis, key) = lookup_or_analyze(path, &file.content, FileId(i as u32), opts);
+        for (i, input) in inputs.into_iter().enumerate() {
+            let analysis = lookup_or_analyze(input.path, input.content, input.id, opts);
             if opts.policy == FaultPolicy::FailFast {
                 match analysis.outcome {
                     FileOutcome::Ok | FileOutcome::Recovered { .. } => {}
@@ -518,27 +574,32 @@ fn analyze_files<'a>(
                 }
             }
             cache_time += analysis.cache_time;
-            if let (Some(key), Some(queue), Some(g)) = (key, queue, &analysis.graph) {
+            let queue = queue.filter(|_| !analysis.from_cache);
+            if let (Some(queue), Some(key), Some(g)) = (queue, analysis.key, &analysis.graph) {
                 let t = Instant::now();
                 queue.store_artifact(i, key, g, analysis.outcome.recovered_errors());
                 cache_time += t.elapsed();
             }
             timings.add(analysis.timings);
-            if !analysis.from_cache {
-                let share = &mut project_parse[project];
+            if let Some((parse_hist, build_hist)) = hists.as_mut().filter(|_| !analysis.from_cache)
+            {
+                if project_parse.len() <= input.project {
+                    project_parse.resize(input.project + 1, (Duration::ZERO, 0));
+                }
+                let share = &mut project_parse[input.project];
                 share.0 += analysis.timings.parse;
                 share.1 += 1;
-                if timed && analysis.outcome.is_analyzed() {
+                if analysis.outcome.is_analyzed() {
                     parse_hist[analysis.frontend.index()]
-                        .1
                         .observe(analysis.timings.parse.as_micros() as f64);
                     build_hist.observe(analysis.timings.build.as_micros() as f64);
                 }
             }
             faults.extend(analysis.faults.into_iter().map(|f| (i, f)));
-            graphs.push(analysis.graph);
-            files.push(FileMeta { project, path: path.clone() });
-            reports.push(FileReport { project, path: path.clone(), outcome: analysis.outcome });
+            out.graphs.push(analysis.graph);
+            out.keys.push(analysis.key);
+            let (project, path) = (input.project, input.path.to_string());
+            out.report.files.push(FileReport { project, path, outcome: analysis.outcome });
         }
         Ok(Instant::now())
     };
@@ -551,7 +612,8 @@ fn analyze_files<'a>(
     faults.extend(store_faults);
     // Stable: each file's lookup fault stays ahead of its store fault.
     faults.sort_by_key(|&(i, _)| i);
-    let cache_faults: Vec<CacheFaultReport> = faults
+    let files = &out.report.files;
+    out.report.cache_faults = faults
         .into_iter()
         .map(|(i, fault)| CacheFaultReport { path: files[i].path.clone(), fault })
         .collect();
@@ -560,22 +622,12 @@ fn analyze_files<'a>(
     // is the summed per-file time (aggregate spans), not a driver
     // wall-clock interval. Per-project parse shares nest as children of
     // the parse stage span.
-    let parse_idx =
-        tele.aggregate_span(stage::PARSE, timings.parse, &[("files", files.len() as f64)]);
-    if parse_idx.is_some() {
-        for (project, (dur, parsed)) in project_parse.iter().enumerate() {
-            if *parsed == 0 {
-                continue;
-            }
-            tele.aggregate_child(
-                parse_idx,
-                stage::PARSE_PROJECT,
-                *dur,
-                &[("project", project as f64), ("files", *parsed as f64)],
-            );
-        }
+    let parse_idx = tele.aggregate_span(stage::PARSE, timings.parse, &[("files", files.len() as f64)]);
+    for (project, (dur, parsed)) in project_parse.iter().enumerate().filter(|(_, p)| p.1 > 0) {
+        let counters = [("project", project as f64), ("files", *parsed as f64)];
+        tele.aggregate_child(parse_idx, stage::PARSE_PROJECT, *dur, &counters);
     }
-    let analyzed_files = reports.iter().filter(|r| r.outcome.is_analyzed()).count();
+    let analyzed_files = files.iter().filter(|r| r.outcome.is_analyzed()).count();
     tele.aggregate_span(
         stage::PROPGRAPH,
         timings.build,
@@ -596,17 +648,16 @@ fn analyze_files<'a>(
             ],
         );
     }
-    let (graph, _) = union_graphs(graphs, tele);
-    Ok((
-        AnalyzedCorpus {
-            graph,
-            files,
-            build_time: started.elapsed(),
-            parse_histograms: parse_hist.into_iter().filter(|(_, h)| h.total() > 0).collect(),
-            build_histogram: build_hist,
-        },
-        AnalysisReport { files: reports, cache_faults },
-    ))
+    if let Some((parse, build)) = hists {
+        out.parse_histograms = Frontend::ALL
+            .iter()
+            .zip(parse)
+            .map(|(f, h)| (f.label(), h))
+            .filter(|(_, h)| h.total() > 0)
+            .collect();
+        out.build_histogram = Some(build);
+    }
+    Ok(out)
 }
 
 /// Folds per-file graphs, in order, into one global graph: the union step
@@ -670,7 +721,7 @@ pub fn analyze_project(corpus: &Corpus, project: usize) -> Result<AnalyzedCorpus
         return Err(PipelineError::NoSuchProject(project));
     };
     let files = p.files.iter().map(|f| (project, f));
-    Ok(analyze_files(files, corpus.projects.len(), &AnalyzeOptions::default())?.0)
+    Ok(analyze_and_union(files, &AnalyzeOptions::default())?.0)
 }
 
 /// Hyperparameters of a full Seldon run; defaults follow the paper.

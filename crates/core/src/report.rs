@@ -89,6 +89,13 @@ pub struct CacheFaultReport {
     pub fault: CacheFault,
 }
 
+impl CacheFaultReport {
+    /// A fault of the solver checkpoint, filed under `<checkpoint>`.
+    pub fn checkpoint(fault: CacheFault) -> CacheFaultReport {
+        CacheFaultReport { path: "<checkpoint>".to_string(), fault }
+    }
+}
+
 /// Aggregate per-file outcomes of one corpus analysis.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnalysisReport {
@@ -147,6 +154,25 @@ impl AnalysisReport {
         self.files.iter().filter(|f| f.outcome.is_quarantined())
     }
 
+    /// One line per degraded file and per contained cache fault, in
+    /// report order: the `warning:` lines `seldon` prints and the `faults`
+    /// a `seldon serve` delta response carries.
+    pub fn warnings(&self) -> impl Iterator<Item = String> + '_ {
+        let files = self.files.iter().filter_map(|file| match &file.outcome {
+            FileOutcome::Ok => None,
+            FileOutcome::Recovered { errors } => {
+                Some(format!("recovered {} ({errors} parse error(s) skipped)", file.path))
+            }
+            FileOutcome::Skipped { error }
+            | FileOutcome::OverBudget { error }
+            | FileOutcome::Panicked { error } => {
+                Some(format!("quarantined {}: {error}", file.path))
+            }
+        });
+        let cache = self.cache_faults.iter().map(|cf| format!("cache fault ({}): {}", cf.path, cf.fault));
+        files.chain(cache)
+    }
+
     /// One-line degradation summary, e.g. for CLI stderr.
     pub fn summary(&self) -> String {
         let mut line = format!(
@@ -171,21 +197,8 @@ impl AnalysisReport {
 impl fmt::Display for AnalysisReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.summary())?;
-        for file in self.files.iter().filter(|f| f.outcome != FileOutcome::Ok) {
-            match &file.outcome {
-                FileOutcome::Ok => {}
-                FileOutcome::Recovered { errors } => {
-                    writeln!(f, "  recovered {} ({errors} errors skipped)", file.path)?
-                }
-                FileOutcome::Skipped { error }
-                | FileOutcome::OverBudget { error }
-                | FileOutcome::Panicked { error } => {
-                    writeln!(f, "  quarantined {}: {error}", file.path)?
-                }
-            }
-        }
-        for cf in &self.cache_faults {
-            writeln!(f, "  cache fault ({}): {}", cf.path, cf.fault)?;
+        for warning in self.warnings() {
+            writeln!(f, "  {warning}")?;
         }
         Ok(())
     }
@@ -289,7 +302,7 @@ mod tests {
             "4 file(s): 1 ok, 1 recovered, 1 skipped, 0 over budget, 1 panicked"
         );
         let text = r.to_string();
-        assert!(text.contains("recovered b.py (2 errors skipped)"));
+        assert!(text.contains("recovered b.py (2 parse error(s) skipped)"));
         assert!(text.contains("quarantined c.py"));
         assert!(text.contains("quarantined d.py"));
         assert!(!text.contains("a.py"));

@@ -34,7 +34,11 @@
 //!
 //! All commands accept `--lenient` (default: recover from per-statement
 //! parse errors) or `--strict` (abort on the first unparseable file), and
-//! `--log-level off|info|debug` for stage logging on stderr. `learn`
+//! `--log-level off|info|debug` for stage logging on stderr. `serve`
+//! analyzes every delta through `learn`'s per-file loop, so under
+//! `--strict` its initial build exits 1 naming the unparseable file, and a
+//! later delta with one is rejected while the previous spec stays served;
+//! under `--lenient` it prints `learn`'s degradation warnings. `learn`
 //! additionally accepts `--telemetry <file>` to write the machine-readable
 //! run manifest and `--trace <file>` for a Chrome trace-event file
 //! (loadable in `chrome://tracing` or Perfetto).
@@ -56,7 +60,7 @@ use seldon_cache::ArtifactCache;
 use seldon_constraints::GenOptions;
 use seldon_core::{
     analyze_corpus_with, default_rep_cutoff, run_full, AnalysisReport, AnalyzeOptions,
-    AnalyzedCorpus, CacheFaultReport, CheckpointOutcome, FaultPolicy, FileOutcome, Frontend,
+    AnalyzedCorpus, CacheFaultReport, CheckpointOutcome, FaultPolicy, Frontend,
     SeldonOptions,
 };
 use seldon_corpus::{Corpus, Project, SourceFile};
@@ -305,49 +309,55 @@ fn solver_threads_from_opts(opts: &HashMap<&str, &str>) -> Result<usize, CliErro
     })
 }
 
-/// A set of on-disk files analyzed through the fault-tolerant pipeline.
-struct Analysis {
-    analyzed: AnalyzedCorpus,
-    report: AnalysisReport,
-    /// Display name per [`FileId`] index.
-    names: Vec<String>,
-    /// Files that could not even be read (skipped with a warning).
-    io_skipped: usize,
-}
-
-impl Analysis {
-    fn is_degraded(&self) -> bool {
-        self.io_skipped > 0 || self.report.is_degraded()
-    }
-}
-
-/// Reads `files` from disk into a single-project corpus. Unreadable files
-/// are skipped with a warning and counted; returns the corpus, the display
-/// name per [`FileId`] index, and the skip count.
-fn read_corpus(files: &[PathBuf]) -> Result<(Corpus, Vec<String>, usize), CliError> {
-    let mut sources = Vec::new();
-    let mut names = Vec::new();
+/// Reads `files` from disk. Unreadable files are skipped with a warning;
+/// returns the contents read and the skip count.
+fn read_sources(files: &[PathBuf]) -> (Vec<(PathBuf, String)>, usize) {
     let mut io_skipped = 0usize;
-    for f in files {
-        match std::fs::read_to_string(f) {
-            Ok(content) => {
-                names.push(f.display().to_string());
-                sources.push(SourceFile { path: f.display().to_string(), content });
-            }
+    let sources = files
+        .iter()
+        .filter_map(|f| match std::fs::read_to_string(f) {
+            Ok(content) => Some((f.clone(), content)),
             Err(e) => {
                 eprintln!("warning: skipping {}: {e}", f.display());
                 io_skipped += 1;
+                None
             }
-        }
-    }
+        })
+        .collect();
+    (sources, io_skipped)
+}
+
+/// [`read_sources`] into a single-project corpus, in `files` order.
+fn read_corpus(files: &[PathBuf]) -> Result<(Corpus, usize), CliError> {
+    let (sources, io_skipped) = read_sources(files);
     if sources.is_empty() {
         return Err(CliError::usage("no readable source files"));
     }
-    let corpus = Corpus {
-        projects: vec![Project { name: "cli".into(), files: sources }],
-        ..Default::default()
-    };
-    Ok((corpus, names, io_skipped))
+    let files = sources
+        .into_iter()
+        .map(|(path, content)| SourceFile { path: path.display().to_string(), content })
+        .collect();
+    let corpus =
+        Corpus { projects: vec![Project { name: "cli".into(), files }], ..Default::default() };
+    Ok((corpus, io_skipped))
+}
+
+/// Opens the `--cache-dir` cache. A failed open degrades loudly to an
+/// uncached (but correct) run; faults found while validating the
+/// directory come back filed under `<index>`, for the report.
+fn open_cache(dir: Option<&str>) -> (Option<Arc<ArtifactCache>>, Vec<CacheFaultReport>) {
+    let Some(dir) = dir else { return (None, Vec::new()) };
+    match ArtifactCache::open(Path::new(dir)) {
+        Ok((cache, faults)) => {
+            let path = || "<index>".to_string();
+            let faults = faults.into_iter().map(|fault| CacheFaultReport { path: path(), fault });
+            (Some(Arc::new(cache)), faults.collect())
+        }
+        Err(e) => {
+            eprintln!("warning: cannot open cache at {dir}: {e}; running uncached");
+            (None, Vec::new())
+        }
+    }
 }
 
 /// The [`AnalyzeOptions`] every command uses: `policy` plus default
@@ -361,43 +371,35 @@ fn cli_analyze_opts(policy: FaultPolicy, tele: &Telemetry) -> AnalyzeOptions {
     }
 }
 
-/// Reads `files`, wraps them as a single-project corpus, and runs the
-/// fault-tolerant pipeline over it under `policy` with default budgets.
+/// Reads `files`, wraps them as a single-project corpus, runs the
+/// fault-tolerant pipeline over it under `policy` with default budgets,
+/// and prints its degradation. Returns the analysis and whether it
+/// degraded.
 fn analyze_files(
     files: &[PathBuf],
     policy: FaultPolicy,
     tele: &Telemetry,
-) -> Result<Analysis, CliError> {
-    let (corpus, names, io_skipped) = read_corpus(files)?;
+) -> Result<(AnalyzedCorpus, bool), CliError> {
+    let (corpus, io_skipped) = read_corpus(files)?;
     let opts = cli_analyze_opts(policy, tele);
     let (analyzed, report) = analyze_corpus_with(&corpus, &opts)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
-    Ok(Analysis { analyzed, report, names, io_skipped })
+    Ok((analyzed, print_degradation(&report, io_skipped)))
 }
 
-/// Prints per-file degradation warnings and the summary line to stderr.
-fn print_degradation(analysis: &Analysis) {
-    for f in &analysis.report.files {
-        match &f.outcome {
-            FileOutcome::Ok => {}
-            FileOutcome::Recovered { errors } => {
-                eprintln!("warning: recovered {} ({errors} parse error(s) skipped)", f.path)
-            }
-            FileOutcome::Skipped { error }
-            | FileOutcome::OverBudget { error }
-            | FileOutcome::Panicked { error } => {
-                eprintln!("warning: quarantined {}: {error}", f.path)
-            }
-        }
+/// Prints a report's per-file and cache-fault warnings and, when the run
+/// degraded, the summary line to stderr; returns whether it degraded.
+/// Cache faults were contained (the artifact was recomputed), so they warn
+/// without degrading the run.
+fn print_degradation(report: &AnalysisReport, io_skipped: usize) -> bool {
+    for warning in report.warnings() {
+        eprintln!("warning: {warning}");
     }
-    // Cache faults were contained (the artifact was recomputed), so they
-    // warn without degrading the run.
-    for cf in &analysis.report.cache_faults {
-        eprintln!("warning: cache fault ({}): {}", cf.path, cf.fault);
+    let degraded = io_skipped > 0 || report.is_degraded();
+    if degraded {
+        eprintln!("degraded analysis: {}", report.summary());
     }
-    if analysis.is_degraded() {
-        eprintln!("degraded analysis: {}", analysis.report.summary());
-    }
+    degraded
 }
 
 fn cmd_graph(rest: &[String]) -> Result<Outcome, CliError> {
@@ -406,9 +408,8 @@ fn cmd_graph(rest: &[String]) -> Result<Outcome, CliError> {
     let policy = policy_from_flags(&flags)?;
     let tele = Telemetry::disabled().with_log_level(level_from_opts(&opts)?);
     let files = require_files(collect_source_files(&paths)?)?;
-    let analysis = analyze_files(&files, policy, &tele)?;
-    print_degradation(&analysis);
-    let graph = &analysis.analyzed.graph;
+    let (analyzed, degraded) = analyze_files(&files, policy, &tele)?;
+    let graph = &analyzed.graph;
     if flags.contains(&"--dot") {
         print!("{}", to_dot(graph, &HashMap::new()));
     } else {
@@ -420,7 +421,7 @@ fn cmd_graph(rest: &[String]) -> Result<Outcome, CliError> {
             println!("  {} -> {}", graph.event(from).rep(), graph.event(to).rep());
         }
     }
-    Ok(if analysis.is_degraded() { Outcome::Findings } else { Outcome::Clean })
+    Ok(if degraded { Outcome::Findings } else { Outcome::Clean })
 }
 
 /// Prints the language-neutral IR trace one file lowers to — the exact
@@ -452,16 +453,15 @@ fn cmd_check(rest: &[String]) -> Result<Outcome, CliError> {
     let tele = Telemetry::disabled().with_log_level(level_from_opts(&opts)?);
     let spec = load_spec(opts.get("--spec").copied())?;
     let files = require_files(collect_source_files(&paths)?)?;
-    let analysis = analyze_files(&files, policy, &tele)?;
-    print_degradation(&analysis);
-    let graph = &analysis.analyzed.graph;
+    let (analyzed, degraded) = analyze_files(&files, policy, &tele)?;
+    let graph = &analyzed.graph;
     let analyzer = TaintAnalyzer::with_options(
         graph,
         &spec,
         TaintOptions { param_sensitive: flags.contains(&"--param-sensitive") },
     );
     let violations = analyzer.find_violations();
-    let outcome = if violations.is_empty() && !analysis.is_degraded() {
+    let outcome = if violations.is_empty() && !degraded {
         Outcome::Clean
     } else {
         Outcome::Findings
@@ -471,11 +471,11 @@ fn cmd_check(rest: &[String]) -> Result<Outcome, CliError> {
         return Ok(outcome);
     }
     if violations.is_empty() {
-        println!("no violations found in {} file(s)", analysis.names.len());
+        println!("no violations found in {} file(s)", analyzed.files.len());
         return Ok(outcome);
     }
     // Group reports per file for readability.
-    for (i, name) in analysis.names.iter().enumerate() {
+    for (i, file) in analyzed.files.iter().enumerate() {
         let of_file: Vec<_> = violations
             .iter()
             .filter(|v| v.file == FileId(i as u32))
@@ -484,7 +484,7 @@ fn cmd_check(rest: &[String]) -> Result<Outcome, CliError> {
         if of_file.is_empty() {
             continue;
         }
-        println!("== {name} ==");
+        println!("== {} ==", file.path);
         print!("{}", render_reports(&of_file, graph));
     }
     println!("{} violation(s) total", violations.len());
@@ -546,25 +546,9 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
         }
         return Ok(Outcome::Clean);
     }
-    let (corpus, names, io_skipped) = read_corpus(&files)?;
-    // A failed cache open degrades loudly to an uncached (but correct) run;
-    // faults found while validating the cache directory are warned and
-    // folded into the report below.
-    let mut open_faults = Vec::new();
-    let cache = match cache_dir {
-        None => None,
-        Some(dir) => match ArtifactCache::open(Path::new(dir)) {
-            Ok((cache, faults)) => {
-                open_faults = faults;
-                Some(Arc::new(cache))
-            }
-            Err(e) => {
-                eprintln!("warning: cannot open cache at {dir}: {e}; running uncached");
-                None
-            }
-        },
-    };
-    let cutoff = explicit_cutoff.unwrap_or_else(|| default_rep_cutoff(names.len()));
+    let (corpus, io_skipped) = read_corpus(&files)?;
+    let (cache, open_faults) = open_cache(cache_dir);
+    let cutoff = explicit_cutoff.unwrap_or_else(|| default_rep_cutoff(corpus.file_count()));
     // Early-stop is on by default (SolveOptions::default()); the flags
     // force it either way, e.g. `--no-early-stop` to burn the full
     // `max_iters` budget for an exactly reproducible epoch count.
@@ -587,17 +571,12 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
     let full = run_full(&corpus, &seed, "learn", &analyze_opts, &options)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
     let mut report = full.report;
-    for fault in open_faults {
-        report
-            .cache_faults
-            .insert(0, CacheFaultReport { path: "<index>".to_string(), fault });
-    }
-    let analysis = Analysis { analyzed: full.analyzed, report, names, io_skipped };
-    print_degradation(&analysis);
-    let graph = &analysis.analyzed.graph;
+    report.cache_faults.splice(0..0, open_faults);
+    let degraded = print_degradation(&report, io_skipped);
+    let graph = &full.analyzed.graph;
     eprintln!(
         "analyzed {} files: {} events, {} edges",
-        analysis.names.len(),
+        full.analyzed.files.len(),
         graph.event_count(),
         graph.edge_count()
     );
@@ -641,7 +620,7 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
                 s.hits,
                 s.misses,
                 s.stores,
-                analysis.report.cache_faults.len(),
+                report.cache_faults.len(),
                 full.checkpoint.outcome.label()
             )
         });
@@ -679,7 +658,7 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
         }
         None => print!("{text}"),
     }
-    Ok(if analysis.is_degraded() || run.solution.diverged {
+    Ok(if degraded || run.solution.diverged {
         Outcome::Findings
     } else {
         Outcome::Clean
@@ -721,21 +700,7 @@ fn cmd_serve(rest: &[String]) -> Result<Outcome, CliError> {
     .with_log_level(level_from_opts(&opts)?);
     let seed = load_spec(opts.get("--seed").copied())?;
     let files = collect_source_files(&paths)?;
-    let cache = match cache_dir {
-        None => None,
-        Some(dir) => match ArtifactCache::open(Path::new(dir)) {
-            Ok((cache, faults)) => {
-                for fault in faults {
-                    eprintln!("warning: cache fault ({dir}): {fault}");
-                }
-                Some(Arc::new(cache))
-            }
-            Err(e) => {
-                eprintln!("warning: cannot open cache at {dir}: {e}; running uncached");
-                None
-            }
-        },
-    };
+    let (cache, open_faults) = open_cache(cache_dir);
     let explicit_cutoff = count_from_opts(&opts, "--cutoff")?;
     let solver_threads = solver_threads_from_opts(&opts)?;
     let options = SeldonOptions {
@@ -754,19 +719,14 @@ fn cmd_serve(rest: &[String]) -> Result<Outcome, CliError> {
         dynamic_cutoff: explicit_cutoff.is_none(),
     };
     let mut engine = ServeEngine::new(cfg);
-    // Initial corpus load: one big `add` delta. Unreadable files are
-    // skipped with a warning, mirroring `learn`.
-    let mut delta = Delta::default();
-    for f in &files {
-        match std::fs::read_to_string(f) {
-            Ok(content) => delta.add.push((f.clone(), content)),
-            Err(e) => eprintln!("warning: skipping {}: {e}", f.display()),
-        }
-    }
-    let initial = engine.apply_delta(&delta).map_err(|e| CliError::Runtime(e.to_string()))?;
-    for fault in &initial.faults {
-        eprintln!("warning: cache fault contained: {fault}");
-    }
+    // Initial corpus load: one big `add` delta, reported like `learn`.
+    let (add, io_skipped) = read_sources(&files);
+    let initial = engine
+        .apply_delta(&Delta { add, ..Default::default() })
+        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let mut report = initial.report;
+    report.cache_faults.splice(0..0, open_faults);
+    print_degradation(&report, io_skipped);
     eprintln!(
         "seldon serve: initial build over {} file(s): {} events, {} edges, {} learned entries ({})",
         initial.files, initial.events, initial.edges, initial.learned_entries, initial.solve

@@ -73,25 +73,13 @@ impl ServeDaemon {
     }
 
     fn stats_response(&self) -> String {
-        let c = self.engine.counters();
         let num = |v: usize| Json::num(v as f64);
-        ok_response(vec![
-            ("files".to_string(), num(self.engine.file_count())),
-            ("deltas".to_string(), num(c.deltas)),
-            ("noops".to_string(), num(c.noops)),
-            ("unchanged".to_string(), num(c.unchanged)),
-            ("rebuilds".to_string(), num(c.rebuilds)),
-            ("replays".to_string(), num(c.replays)),
-            ("solves_warm".to_string(), num(c.solves_warm)),
-            ("solves_cold".to_string(), num(c.solves_cold)),
-            ("reparsed".to_string(), num(c.reparsed)),
-            ("removed".to_string(), num(c.removed)),
-            ("evicted".to_string(), num(c.evicted)),
-            ("fragments_reused".to_string(), num(c.fragments_reused)),
-            ("fragments_collected".to_string(), num(c.fragments_collected)),
-            ("protocol_errors".to_string(), num(self.errors)),
-            ("solve".to_string(), Json::str(self.engine.last_solve())),
-        ])
+        let mut fields = vec![("files".to_string(), num(self.engine.file_count()))];
+        let counters = self.engine.counters().table();
+        fields.extend(counters.map(|(key, _, _, value)| (key.to_string(), num(value))));
+        fields.push(("protocol_errors".to_string(), num(self.errors)));
+        fields.push(("solve".to_string(), Json::str(self.engine.last_solve())));
+        ok_response(fields)
     }
 
     /// Reads delta contents from disk, applies the delta with panics

@@ -9,8 +9,11 @@
 //! # Determinism contract
 //!
 //! Every delta must serve the specification a **cold batch run** (`seldon
-//! learn`) over the same corpus state would print. The engine earns its
-//! speed only from work that provably cannot change the output:
+//! learn`) over the same corpus state would print. A delta's added and
+//! changed files go through [`analyze_inputs`], the per-file loop `learn`
+//! runs over its whole corpus: the same cache keys, policy, write-behind
+//! store, outcomes and `parse`/`propgraph`/`cache` spans. The engine earns
+//! its speed only from work that provably cannot change the output:
 //!
 //! * Per-file reuse is keyed by the file's graph fingerprint, which
 //!   hashes exactly what learning reads — an unchanged fingerprint means
@@ -30,25 +33,33 @@
 //!
 //! # Failure semantics
 //!
+//! A delta's files are analyzed before any engine state changes. Under
+//! [`FaultPolicy::FailFast`](seldon_core::FaultPolicy) (`seldon serve
+//! --strict`) the first unparseable, over-budget or panicking file rejects
+//! the delta with [`EngineError::Analysis`], and the previous build stays
+//! served; the other policies recover or quarantine the file and report
+//! it in [`DeltaOutcome::report`], as `learn` reports it.
+//!
 //! Cache faults are contained: a damaged artifact re-parses, a damaged
-//! checkpoint cold-solves and is reported in the first delta's faults. A
-//! panic inside `apply_delta` (contained by the daemon) may leave the
-//! per-file table updated while the checkpoint still describes the
-//! previous corpus; the `built` flag is cleared first, so
+//! checkpoint cold-solves, and each is reported in the delta's report (a
+//! checkpoint under `<checkpoint>`; one damaged at startup by the first
+//! delta). A panic inside `apply_delta` (contained by the daemon) may
+//! leave the per-file table updated while the checkpoint still describes
+//! the previous corpus; the `built` flag is cleared first, so
 //! [`ServeEngine::spec`] answers `None` and the next delta rebuilds from
 //! the per-file slots instead of serving the stale spec.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use seldon_cache::{graph_fingerprint, CacheFault, Checkpoint, CheckpointLookup};
 use seldon_constraints::{collect_rows, select, FileRows, GenStats, RepId, Selection};
 use seldon_core::{
-    analysis_cache_key, analyze_file, climb_ladder, default_rep_cutoff, learned_per_role,
-    record_corpus, record_learning, union_graphs, AnalyzeOptions, CheckpointOutcome, FileOutcome,
-    SeldonOptions,
+    analyze_inputs, climb_ladder, default_rep_cutoff, learned_per_role, record_corpus,
+    record_learning, union_graphs, AnalysisReport, AnalyzeOptions, AnalyzedFiles,
+    CacheFaultReport, CheckpointOutcome, FileInput, FileOutcome, PipelineError, SeldonOptions,
 };
 use seldon_propgraph::{FileId, PropagationGraph};
 use seldon_specs::TaintSpec;
@@ -74,8 +85,9 @@ pub struct EngineConfig {
 /// One tracked corpus file.
 #[derive(Debug)]
 struct FileState {
-    /// Artifact-cache key of the current content (for eviction).
-    cache_key: u64,
+    /// Artifact-cache key of the current content (for eviction); `None`
+    /// without a cache.
+    cache_key: Option<u64>,
     /// The per-file propagation graph; `None` when quarantined. Its
     /// events keep the `FileId(0)` stamp they were analyzed at; file
     /// attribution in the union is positional.
@@ -97,7 +109,8 @@ pub struct Delta {
     pub add: Vec<(PathBuf, String)>,
     /// Tracked files with replacement contents.
     pub change: Vec<(PathBuf, String)>,
-    /// Tracked files to drop (their cache artifacts are evicted).
+    /// Tracked files to drop (their cache artifacts are evicted unless
+    /// another tracked file holds the same content).
     pub remove: Vec<PathBuf>,
 }
 
@@ -142,8 +155,11 @@ pub struct DeltaOutcome {
     pub learned_entries: usize,
     /// Extraction margin of the warm solution, when one was attempted.
     pub warm_margin: Option<f64>,
-    /// Contained cache faults hit during the delta.
-    pub faults: Vec<String>,
+    /// The outcome of each added or changed file, in delta order (adds,
+    /// then changes), and the cache faults contained during the delta —
+    /// checkpoint faults under `<checkpoint>`, as `seldon learn` files
+    /// them.
+    pub report: AnalysisReport,
     /// Wall-clock of the whole delta.
     pub elapsed: Duration,
 }
@@ -155,12 +171,16 @@ pub enum EngineError {
     /// files inconsistent with the tracked corpus (adding a tracked
     /// file, changing or removing an untracked one).
     Validation(String),
+    /// Under [`FaultPolicy::FailFast`](seldon_core::FaultPolicy), the
+    /// first added or changed file that failed analysis.
+    Analysis(PipelineError),
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Validation(msg) => write!(f, "invalid delta: {msg}"),
+            EngineError::Analysis(e) => write!(f, "delta rejected: {e}"),
         }
     }
 }
@@ -194,6 +214,28 @@ pub struct ServeCounters {
     pub fragments_reused: usize,
     /// Fragments re-collected across all rebuilds.
     pub fragments_collected: usize,
+}
+
+impl ServeCounters {
+    /// Every counter as `(stats key, metric name, metric help, value)`, in
+    /// the order the `stats` response and the metrics registry list them.
+    #[rustfmt::skip]
+    pub(crate) fn table(&self) -> [(&'static str, &'static str, &'static str, usize); 12] {
+        [
+            ("deltas", "serve_deltas", "Corpus deltas accepted by the daemon.", self.deltas),
+            ("noops", "serve_noops", "Empty deltas served from the cached spec.", self.noops),
+            ("unchanged", "serve_unchanged", "Deltas whose edits left every graph fingerprint intact.", self.unchanged),
+            ("rebuilds", "serve_rebuilds", "Deltas that re-ran union and selection.", self.rebuilds),
+            ("replays", "serve_replays", "Rebuilds replayed from an input-fingerprint hit.", self.replays),
+            ("solves_warm", "serve_solves_warm", "Warm solves accepted by the margin guard.", self.solves_warm),
+            ("solves_cold", "serve_solves_cold", "Cold solves (including rejected warm attempts).", self.solves_cold),
+            ("reparsed", "serve_files_reparsed", "Files re-analyzed across all deltas.", self.reparsed),
+            ("removed", "serve_files_removed", "Files dropped across all deltas.", self.removed),
+            ("evicted", "serve_artifacts_evicted", "Cache artifacts evicted for dropped files.", self.evicted),
+            ("fragments_reused", "serve_fragments_reused", "Constraint fragments reused structurally.", self.fragments_reused),
+            ("fragments_collected", "serve_fragments_collected", "Constraint fragments re-collected.", self.fragments_collected),
+        ]
+    }
 }
 
 /// The resident incremental engine. See the module docs for the
@@ -280,15 +322,28 @@ impl ServeEngine {
     pub fn apply_delta(&mut self, delta: &Delta) -> Result<DeltaOutcome, EngineError> {
         let t0 = Instant::now();
         self.validate(delta)?;
-        self.counters.deltas += 1;
-        let mut faults: Vec<String> =
-            self.startup_fault.take().map(|f| format!("checkpoint: {f}")).into_iter().collect();
 
         // Empty delta against a finished build: true no-op.
         if delta.is_empty() && self.built {
+            self.counters.deltas += 1;
             self.counters.noops += 1;
-            return Ok(self.reuse_outcome("noop", t0, 0, 0, 0, faults));
+            return Ok(self.reuse_outcome("noop", t0, [0; 3], AnalysisReport::default()));
         }
+
+        // Adds and changes go through the batch per-file loop, at stamp
+        // FileId(0), before any state changes: a FailFast failure rejects
+        // the delta and the previous build stays servable.
+        let touched = || delta.add.iter().chain(&delta.change);
+        let names: Vec<_> = touched().map(|(path, _)| path.to_string_lossy()).collect();
+        let inputs = names.iter().zip(touched()).map(|(name, (_, content))| FileInput {
+            project: 0,
+            id: FileId(0),
+            path: name,
+            content,
+        });
+        let AnalyzedFiles { graphs, keys, report, .. } =
+            analyze_inputs(inputs, &self.cfg.analyze).map_err(EngineError::Analysis)?;
+        self.counters.deltas += 1;
 
         // From here the corpus may change shape; a panic below must not
         // leave `built` claiming the checkpoint matches the file table.
@@ -298,64 +353,43 @@ impl ServeEngine {
         let was_built = self.built;
         self.built = false;
 
-        // Removes: drop the slot and evict its cache artifact.
-        let removed = delta.remove.len();
-        let mut evicted = 0usize;
-        for path in &delta.remove {
-            let state = self.files.remove(path).expect("validated remove");
-            if let Some(cache) = self.cfg.analyze.cache.as_deref() {
-                if cache.evict(state.cache_key) {
+        let removed: Vec<Option<u64>> = delta
+            .remove
+            .iter()
+            .map(|path| self.files.remove(path).expect("validated remove").cache_key)
+            .collect();
+        let mut structural = !removed.is_empty() || !delta.add.is_empty();
+        let analyzed = graphs.into_iter().zip(keys).zip(&report.files);
+        for ((path, _), ((graph, cache_key), file)) in touched().zip(analyzed) {
+            let graph_fp = graph.as_ref().map_or(0, graph_fingerprint);
+            let outcome = file.outcome.clone();
+            if let Some(slot) = self.files.get_mut(path).filter(|slot| slot.graph_fp == graph_fp) {
+                // The edit left what learning reads identical (e.g. a
+                // comment, or code that only moved): keep the resident
+                // graph and its fragment, refresh the bookkeeping.
+                slot.cache_key = cache_key;
+                slot.outcome = outcome;
+            } else {
+                structural = true;
+                let state = FileState { cache_key, graph, graph_fp, outcome, frag: None };
+                self.files.insert(path.clone(), state);
+            }
+        }
+
+        // Byte-identical files share one artifact: a dropped file's entry
+        // is evicted only when no tracked file still holds its key.
+        let mut evicted = 0;
+        if let Some(cache) = self.cfg.analyze.cache.as_deref() {
+            for key in removed.iter().flatten().copied() {
+                if !self.files.values().any(|s| s.cache_key == Some(key)) && cache.evict(key) {
                     evicted += 1;
                 }
             }
         }
-        self.counters.removed += removed;
-        self.counters.evicted += evicted;
-
-        // Adds and changes: analyze at stamp FileId(0) and fingerprint.
-        let reparsed = delta.add.len() + delta.change.len();
-        self.counters.reparsed += reparsed;
-        let mut structural = removed > 0 || !delta.add.is_empty();
-        for (path, content) in delta.add.iter().chain(delta.change.iter()) {
-            let display = path.display().to_string();
-            let analysis = analyze_file(&display, content, FileId(0), &self.cfg.analyze);
-            for fault in &analysis.faults {
-                faults.push(format!("{display}: {fault}"));
-            }
-            let graph_fp = analysis.graph.as_ref().map_or(0, graph_fingerprint);
-            let cache_key = analysis_cache_key(&display, content, &self.cfg.analyze);
-            match self.files.get_mut(path) {
-                Some(slot) if slot.graph_fp == graph_fp => {
-                    // The edit left what learning reads identical (e.g. a
-                    // comment, or code that only moved): keep the resident
-                    // graph and its fragment, refresh the bookkeeping.
-                    slot.cache_key = cache_key;
-                    slot.outcome = analysis.outcome;
-                }
-                Some(slot) => {
-                    structural = true;
-                    *slot = FileState {
-                        cache_key,
-                        graph: analysis.graph,
-                        graph_fp,
-                        outcome: analysis.outcome,
-                        frag: None,
-                    };
-                }
-                None => {
-                    self.files.insert(
-                        path.clone(),
-                        FileState {
-                            cache_key,
-                            graph: analysis.graph,
-                            graph_fp,
-                            outcome: analysis.outcome,
-                            frag: None,
-                        },
-                    );
-                }
-            }
-        }
+        let counts = [report.files.len(), removed.len(), evicted];
+        self.counters.reparsed += counts[0];
+        self.counters.removed += counts[1];
+        self.counters.evicted += counts[2];
 
         // Change-only delta with every fingerprint intact: the union —
         // and everything downstream — is unchanged by construction. Only
@@ -364,67 +398,43 @@ impl ServeEngine {
         if !structural && was_built && self.ckpt.is_some() {
             self.built = true;
             self.counters.unchanged += 1;
-            return Ok(self.reuse_outcome("unchanged", t0, reparsed, removed, evicted, faults));
+            return Ok(self.reuse_outcome("unchanged", t0, counts, report));
         }
 
-        self.rebuild(t0, reparsed, removed, evicted, faults)
+        self.rebuild(t0, counts, report)
     }
 
     /// Rejects inconsistent deltas before any state changes.
     fn validate(&self, delta: &Delta) -> Result<(), EngineError> {
-        let mut seen: std::collections::BTreeSet<&std::path::Path> =
-            std::collections::BTreeSet::new();
-        fn claim<'a>(
-            seen: &mut std::collections::BTreeSet<&'a std::path::Path>,
-            path: &'a std::path::Path,
-        ) -> Result<(), EngineError> {
+        let mut seen: BTreeSet<&Path> = BTreeSet::new();
+        let add = delta.add.iter().map(|(path, _)| (path, "add"));
+        let change = delta.change.iter().map(|(path, _)| (path, "change"));
+        let remove = delta.remove.iter().map(|path| (path, "remove"));
+        for (path, op) in add.chain(change).chain(remove) {
+            let shown = path.display();
             if !seen.insert(path) {
-                return Err(EngineError::Validation(format!(
-                    "path `{}` appears more than once in the delta",
-                    path.display()
-                )));
+                let msg = format!("path `{shown}` appears more than once in the delta");
+                return Err(EngineError::Validation(msg));
             }
-            Ok(())
-        }
-        for (path, _) in &delta.add {
-            claim(&mut seen, path)?;
-            if self.files.contains_key(path) {
-                return Err(EngineError::Validation(format!(
-                    "cannot add `{}`: already tracked (use change)",
-                    path.display()
-                )));
-            }
-        }
-        for (path, _) in &delta.change {
-            claim(&mut seen, path)?;
-            if !self.files.contains_key(path) {
-                return Err(EngineError::Validation(format!(
-                    "cannot change `{}`: not tracked (use add)",
-                    path.display()
-                )));
-            }
-        }
-        for path in &delta.remove {
-            claim(&mut seen, path)?;
-            if !self.files.contains_key(path) {
-                return Err(EngineError::Validation(format!(
-                    "cannot remove `{}`: not tracked",
-                    path.display()
-                )));
-            }
+            let why = match (op, self.files.contains_key(path)) {
+                ("add", true) => "already tracked (use change)",
+                ("change", false) => "not tracked (use add)",
+                ("remove", false) => "not tracked",
+                _ => continue,
+            };
+            return Err(EngineError::Validation(format!("cannot {op} `{shown}`: {why}")));
         }
         Ok(())
     }
 
     /// Serves the checkpointed spec without rebuilding anything.
+    /// `counts` is `[reparsed, removed, evicted]`.
     fn reuse_outcome(
         &mut self,
         label: &'static str,
         t0: Instant,
-        reparsed: usize,
-        removed: usize,
-        evicted: usize,
-        faults: Vec<String>,
+        [reparsed, removed, evicted]: [usize; 3],
+        report: AnalysisReport,
     ) -> DeltaOutcome {
         let ckpt = self.ckpt.as_ref().expect("reuse requires a checkpoint");
         self.last_solve = label;
@@ -443,7 +453,7 @@ impl ServeEngine {
             vars: ckpt.summary.vars as usize,
             learned_entries: self.learned.iter().sum::<u64>() as usize,
             warm_margin: None,
-            faults,
+            report,
             elapsed: t0.elapsed(),
         }
     }
@@ -461,10 +471,8 @@ impl ServeEngine {
     fn rebuild(
         &mut self,
         t0: Instant,
-        reparsed: usize,
-        removed: usize,
-        evicted: usize,
-        mut faults: Vec<String>,
+        counts: [usize; 3],
+        mut report: AnalysisReport,
     ) -> Result<DeltaOutcome, EngineError> {
         let tele = self.cfg.analyze.telemetry.clone();
         let seldon = self.effective_seldon();
@@ -517,7 +525,8 @@ impl ServeEngine {
         let stored = self.ckpt.as_ref();
         let climb =
             climb_ladder(Some(union_fp), seed, stored, Duration::ZERO, &seldon, &tele, build);
-        faults.extend(climb.faults.iter().map(|fault| format!("checkpoint: {fault}")));
+        let mut faults: Vec<CacheFault> = self.startup_fault.take().into_iter().collect();
+        faults.extend(climb.faults);
         self.counters.fragments_reused += reused;
         self.counters.fragments_collected += collected;
         let label = match climb.outcome {
@@ -536,14 +545,13 @@ impl ServeEngine {
         };
         if let Some(ckpt) = climb.checkpoint {
             let cache = self.cfg.analyze.cache.as_deref();
-            if let Some(fault) = cache.and_then(|c| c.store_checkpoint(&ckpt)) {
-                faults.push(format!("checkpoint store: {fault}"));
-            }
+            faults.extend(cache.and_then(|c| c.store_checkpoint(&ckpt)));
             self.ckpt = Some(ckpt);
         }
+        report.cache_faults.extend(faults.into_iter().map(CacheFaultReport::checkpoint));
         self.learned = learned_per_role(&climb.run.extraction.spec);
         self.built = true;
-        let mut outcome = self.reuse_outcome(label, t0, reparsed, removed, evicted, faults);
+        let mut outcome = self.reuse_outcome(label, t0, counts, report);
         outcome.fragments_reused = reused;
         outcome.fragments_collected = collected;
         outcome.warm_margin = climb.warm_margin;
@@ -579,27 +587,9 @@ impl ServeEngine {
     /// Serve-specific metrics (plus the interner leak detector shared
     /// with batch manifests).
     pub fn fill_metrics(&self, reg: &mut MetricsRegistry) {
-        let c = &self.counters;
-        let counter = |reg: &mut MetricsRegistry, name, help, v: usize| {
-            reg.inc_counter(name, help, Class::Identity, v as f64);
-        };
-        counter(reg, "serve_deltas", "Corpus deltas accepted by the daemon.", c.deltas);
-        counter(reg, "serve_noops", "Empty deltas served from the cached spec.", c.noops);
-        counter(
-            reg,
-            "serve_unchanged",
-            "Deltas whose edits left every graph fingerprint intact.",
-            c.unchanged,
-        );
-        counter(reg, "serve_rebuilds", "Deltas that re-ran union and selection.", c.rebuilds);
-        counter(reg, "serve_replays", "Rebuilds replayed from an input-fingerprint hit.", c.replays);
-        counter(reg, "serve_solves_warm", "Warm solves accepted by the margin guard.", c.solves_warm);
-        counter(reg, "serve_solves_cold", "Cold solves (including rejected warm attempts).", c.solves_cold);
-        counter(reg, "serve_files_reparsed", "Files re-analyzed across all deltas.", c.reparsed);
-        counter(reg, "serve_files_removed", "Files dropped across all deltas.", c.removed);
-        counter(reg, "serve_artifacts_evicted", "Cache artifacts evicted for dropped files.", c.evicted);
-        counter(reg, "serve_fragments_reused", "Constraint fragments reused structurally.", c.fragments_reused);
-        counter(reg, "serve_fragments_collected", "Constraint fragments re-collected.", c.fragments_collected);
+        for (_, name, help, value) in self.counters.table() {
+            reg.inc_counter(name, help, Class::Identity, value as f64);
+        }
         reg.set_gauge(
             "serve_files_tracked",
             "Files tracked by the daemon after the last delta.",

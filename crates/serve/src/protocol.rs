@@ -20,7 +20,12 @@
 //!
 //! `delta` paths are read by the **daemon** process (add/change contents
 //! come from its filesystem view), mirroring how `seldon learn` reads a
-//! corpus from disk.
+//! corpus from disk. A delta response carries `faults` when the delta's
+//! analysis report has anything to say: one line per added or changed
+//! file that was recovered or quarantined, then one per contained cache
+//! fault (`cache fault (<checkpoint>): ...` for the solver checkpoint) —
+//! the lines `seldon learn` prints as warnings. Under `--strict` a delta
+//! with an unparseable file is rejected as an `ok: false` error naming it.
 
 use seldon_telemetry::json::{self, Json};
 
@@ -128,11 +133,9 @@ pub fn delta_response(outcome: &DeltaOutcome) -> String {
     if let Some(margin) = outcome.warm_margin {
         fields.push(("warm_margin".to_string(), Json::num(margin)));
     }
-    if !outcome.faults.is_empty() {
-        fields.push((
-            "faults".to_string(),
-            Json::Arr(outcome.faults.iter().map(Json::str).collect()),
-        ));
+    let faults: Vec<Json> = outcome.report.warnings().map(Json::str).collect();
+    if !faults.is_empty() {
+        fields.push(("faults".to_string(), Json::Arr(faults)));
     }
     ok_response(fields)
 }

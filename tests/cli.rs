@@ -303,6 +303,79 @@ fn strict_mode_aborts_on_malformed_file() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// A tree of one clean app and one file only the lenient parser accepts.
+fn degraded_tree(name: &str) -> (PathBuf, PathBuf) {
+    let dir = temp_dir(name);
+    let src = dir.join("src");
+    std::fs::create_dir_all(&src).unwrap();
+    write_app(&src);
+    let broken = src.join("broken.py");
+    std::fs::write(&broken, "import os\nx = = broken\nos.system(x)\n").unwrap();
+    (dir, broken)
+}
+
+#[test]
+fn learn_and_serve_report_a_recovered_file_alike() {
+    // `serve` analyzes its initial build through `learn`'s per-file loop
+    // and prints its report with `learn`'s warning lines.
+    let (dir, broken) = degraded_tree("serve-recovered");
+    let learn = seldon().arg("learn").arg(dir.join("src")).output().expect("runs");
+    assert_eq!(learn.status.code(), Some(1), "a recovered file degrades the run");
+    let learn_err = String::from_utf8_lossy(&learn.stderr).to_string();
+    let warning = learn_err
+        .lines()
+        .find(|line| line.starts_with("warning: recovered "))
+        .unwrap_or_else(|| panic!("learn warns: {learn_err}"));
+    assert!(warning.contains(&broken.display().to_string()), "{warning}");
+
+    let sock = dir.join("serve.sock");
+    let daemon = seldon()
+        .arg("serve")
+        .arg(dir.join("src"))
+        .arg("--socket")
+        .arg(&sock)
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("serve starts");
+    let client = |op: &str| {
+        let out = seldon()
+            .args(["client", op, "--wait", "60", "--socket"])
+            .arg(&sock)
+            .output()
+            .expect("client runs");
+        assert!(out.status.success(), "{op}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    client("ping");
+    client("shutdown");
+    let served = daemon.wait_with_output().expect("serve exits");
+    let serve_err = String::from_utf8_lossy(&served.stderr);
+    assert!(serve_err.lines().any(|line| line == warning), "{warning}\nnot in:\n{serve_err}");
+    assert!(serve_err.contains("degraded analysis: 2 file(s): 1 ok, 1 recovered"), "{serve_err}");
+}
+
+#[test]
+fn strict_serve_exits_like_strict_learn() {
+    // `--strict` aborts the initial build of `serve` as it aborts `learn`:
+    // exit 1, naming the unparseable file, and no socket is bound.
+    let (dir, broken) = degraded_tree("serve-strict");
+    let sock = dir.join("serve.sock");
+    let learn = seldon().arg("learn").arg(dir.join("src")).arg("--strict").output().expect("runs");
+    let serve = seldon()
+        .arg("serve")
+        .arg(dir.join("src"))
+        .arg("--strict")
+        .arg("--socket")
+        .arg(&sock)
+        .output()
+        .expect("runs");
+    for (cmd, out) in [("learn", learn), ("serve", serve)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains(&broken.display().to_string()), "{cmd}: {stderr}");
+    }
+    assert!(!sock.exists(), "a failed initial build serves nothing");
+}
+
 #[test]
 fn missing_inputs_are_usage_errors() {
     let dir = temp_dir("empty");

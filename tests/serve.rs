@@ -2,10 +2,12 @@
 //! serve`): the determinism gate (every served spec is byte-identical to
 //! a cold batch run over the same corpus state, at 1 and 4 solver
 //! threads), the delta fast paths (no-op, fingerprint-unchanged,
-//! replay), remove-with-eviction, checkpoints that carry between `learn`
-//! and `serve` over one cache, warm-start byte-identity from perturbed
-//! checkpoints, and daemon survival of malformed requests and mid-delta
-//! cache faults. The interner leak check runs in `serve_interner.rs`.
+//! replay), remove-with-eviction, checkpoints and stage spans that carry
+//! between `learn` and `serve` (one per-file analysis loop: policy,
+//! write-behind store and report), warm-start byte-identity from
+//! perturbed checkpoints, and daemon survival of malformed requests and
+//! mid-delta cache faults. The interner leak check runs in
+//! `serve_interner.rs`.
 
 #[path = "support/serve.rs"]
 mod support;
@@ -13,9 +15,12 @@ mod support;
 use proptest::prelude::*;
 use seldon_cache::{inject_cache_faults, ArtifactCache, CheckpointLookup, CHECKPOINT_NAME};
 use seldon_core::{
-    default_rep_cutoff, run_full, run_seldon_cached, CheckpointOutcome, SeldonOptions,
+    analysis_cache_key, default_rep_cutoff, run_full, run_seldon_cached, AnalyzeOptions,
+    CheckpointOutcome, FaultPolicy, PipelineError, SeldonOptions,
 };
-use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
+use seldon_serve::{
+    client_request, run_daemon, Delta, EngineConfig, EngineError, ServeDaemon, ServeEngine,
+};
 use seldon_solver::EarlyStop;
 use seldon_specs::TaintSpec;
 use seldon_telemetry::{json, metric, stage, RunManifest, StageSpan, Telemetry};
@@ -213,8 +218,10 @@ fn damaged_startup_checkpoint_is_reported_by_the_first_delta() {
     let out = engine
         .apply_delta(&Delta { add: files.clone(), ..Default::default() })
         .expect("initial load");
-    assert_eq!(out.faults.len(), 1, "{:?}", out.faults);
-    assert!(out.faults[0].starts_with("checkpoint: corrupt entry"), "{:?}", out.faults);
+    let faults = &out.report.cache_faults;
+    assert_eq!(faults.len(), 1, "{faults:?}");
+    assert_eq!(faults[0].path, "<checkpoint>", "{faults:?}");
+    assert!(faults[0].fault.to_string().starts_with("corrupt entry"), "{faults:?}");
     assert!(dir.join("quarantine").is_dir(), "the damaged checkpoint is quarantined");
     assert_eq!(out.solve, "cold");
     assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
@@ -224,7 +231,7 @@ fn damaged_startup_checkpoint_is_reported_by_the_first_delta() {
     let out = engine
         .apply_delta(&Delta { change: vec![files[0].clone()], ..Default::default() })
         .expect("second delta");
-    assert!(out.faults.is_empty(), "{:?}", out.faults);
+    assert!(out.report.cache_faults.is_empty(), "{:?}", out.report.cache_faults);
 }
 
 #[test]
@@ -373,35 +380,30 @@ fn cross_mode_engine_checkpoint_is_a_full_hit_for_learn() {
     assert_eq!(full.run.extraction.spec.to_text(), spec);
 }
 
-#[test]
-fn cross_mode_cold_runs_emit_the_same_stage_spans() {
-    // Names and counter keys of the union and learning stage spans:
-    // everything a cold `learn` and a cold serve build both run.
-    const LEARNING: [&str; 6] = [
-        stage::UNION,
-        stage::REPRESENTATION,
-        stage::CONSTRAINTS,
-        stage::SOLVE,
-        stage::COMPILE,
-        stage::EXTRACT,
-    ];
-    fn learning(stages: &[StageSpan]) -> Vec<(String, Vec<String>)> {
-        stages
-            .iter()
-            .filter(|s| LEARNING.contains(&s.name.as_str()))
-            .map(|s| (s.name.clone(), s.counters.iter().map(|(k, _)| k.clone()).collect()))
+/// Names and counter keys of every stage span but `taint`, in order.
+type StageShape = Vec<(String, Vec<String>)>;
+
+/// The stage shapes of a cold `learn` and a cold serve build over one
+/// fixture, each with a fresh cache of its own when `cached`.
+fn cold_stage_shapes(name: &str, cached: bool) -> [StageShape; 2] {
+    fn shape(stages: &[StageSpan]) -> StageShape {
+        let kept = stages.iter().filter(|s| s.name != stage::TAINT);
+        kept.map(|s| (s.name.clone(), s.counters.iter().map(|(k, _)| k.clone()).collect()))
             .collect()
     }
     let (files, seed) = fixture(4, 63);
-    let mut opts = analyze_opts(None);
-    opts.telemetry = Telemetry::recording();
-    let batch = run_full(&batch_corpus(&files), &seed, "learn", &opts, &seldon_opts(1))
+    let opts = |mode: &str| {
+        let dir = cached.then(|| temp_dir(&format!("{name}-{mode}")));
+        let cache = dir.map(|d| Arc::new(ArtifactCache::open(&d).expect("cache opens").0));
+        AnalyzeOptions { telemetry: Telemetry::recording(), ..analyze_opts(cache) }
+    };
+    let batch = run_full(&batch_corpus(&files), &seed, "learn", &opts("learn"), &seldon_opts(1))
         .expect("batch run")
         .manifest
         .expect("recording run has a manifest");
     let mut engine = ServeEngine::new(EngineConfig {
         seed: seed.clone(),
-        analyze: opts,
+        analyze: opts("serve"),
         seldon: seldon_opts(1),
         dynamic_cutoff: false,
     });
@@ -409,17 +411,122 @@ fn cross_mode_cold_runs_emit_the_same_stage_spans() {
         .apply_delta(&Delta { add: files.clone(), ..Default::default() })
         .expect("initial load");
     assert_eq!(engine.last_solve(), "cold");
-    let served = engine.manifest("serve");
-    let spans = learning(&batch.stages);
-    assert_eq!(spans.iter().map(|(name, _)| name.as_str()).collect::<Vec<_>>(), LEARNING);
-    assert_eq!(learning(&served.stages), spans, "same spans, same counter keys");
-    for s in &served.stages {
-        assert!(
-            batch.stages.iter().any(|b| b.name == s.name),
-            "serve emits no span batch lacks: {}",
-            s.name
-        );
+    [shape(&batch.stages), shape(&engine.manifest("serve").stages)]
+}
+
+#[test]
+fn cross_mode_cold_runs_emit_the_same_stage_spans() {
+    // Everything a cold `learn` runs but taint, a cold serve build runs
+    // too: the same spans in the same order with the same counter keys.
+    let [batch, served] = cold_stage_shapes("spans", false);
+    let names: Vec<&str> = batch.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            stage::PARSE,
+            stage::PARSE_PROJECT,
+            stage::PROPGRAPH,
+            stage::UNION,
+            stage::REPRESENTATION,
+            stage::CONSTRAINTS,
+            stage::SOLVE,
+            stage::COMPILE,
+            stage::EXTRACT,
+        ]
+    );
+    assert_eq!(served, batch, "same spans, same order, same counter keys");
+}
+
+#[test]
+fn cross_mode_cold_cached_runs_emit_the_same_stage_spans() {
+    let [batch, served] = cold_stage_shapes("cached-spans", true);
+    assert!(batch.iter().any(|(name, _)| name == stage::CACHE), "{batch:?}");
+    assert_eq!(served, batch, "same spans, same order, same counter keys");
+}
+
+#[test]
+fn strict_engine_rejects_an_unparseable_delta_and_keeps_serving() {
+    // `seldon serve --strict`: a delta that adds or changes a file the
+    // strict parser rejects fails before any state changes, naming the
+    // file; under Recover the same delta is served as cold batch learns it.
+    let (files, seed) = fixture(3, 31);
+    let broken = (PathBuf::from("zz_broken/broken.py"), "def broken(:\n".to_string());
+    let mut changed = files[0].clone();
+    changed.1.push_str("\nx = = broken\n");
+    let deltas = [
+        (Delta { add: vec![broken.clone()], ..Default::default() }, broken.0.clone()),
+        (Delta { change: vec![changed.clone()], ..Default::default() }, changed.0.clone()),
+    ];
+    let mut strict = ServeEngine::new(EngineConfig {
+        seed: seed.clone(),
+        analyze: AnalyzeOptions { policy: FaultPolicy::FailFast, ..analyze_opts(None) },
+        seldon: seldon_opts(1),
+        dynamic_cutoff: false,
+    });
+    strict.apply_delta(&Delta { add: files.clone(), ..Default::default() }).expect("clean build");
+    let state = |e: &ServeEngine| {
+        (e.spec().map(str::to_string), e.file_count(), e.counters(), e.last_solve())
+    };
+    let before = state(&strict);
+    for (delta, bad) in &deltas {
+        let err = strict.apply_delta(delta).expect_err("strict rejects the delta");
+        let EngineError::Analysis(PipelineError::Parse { path, .. }) = &err else {
+            panic!("expected a parse failure, got {err}");
+        };
+        assert_eq!(*path, bad.display().to_string());
+        assert_eq!(state(&strict), before, "a rejected delta leaves no trace");
     }
+    for (delta, bad) in deltas {
+        let mut lenient = engine_with(&files, &seed, 1, None);
+        let out = lenient.apply_delta(&delta).expect("recover serves the delta");
+        assert_eq!(out.report.recovered(), 1, "{:?}", out.report);
+        assert_eq!(out.report.files[0].path, bad.display().to_string());
+        let mut expected: Vec<_> = files.iter().filter(|f| f.0 != bad).cloned().collect();
+        expected.extend(delta.add.into_iter().chain(delta.change));
+        expected.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(out.spec, cold_batch_spec(&expected, &seed, 1));
+    }
+}
+
+#[test]
+fn serve_stores_every_artifact_before_the_delta_returns() {
+    // Fresh artifacts go through the background writer, and all are on
+    // disk when `apply_delta` returns: a fresh engine loads every file.
+    let dir = temp_dir("write-behind");
+    let (files, seed) = fixture(3, 41);
+    let engine = engine_with(&files, &seed, 1, Some(&dir));
+    let opts = &engine.config().analyze;
+    for (path, content) in &files {
+        let key = analysis_cache_key(&path.display().to_string(), content, opts);
+        assert!(dir.join(format!("{key:016x}.entry")).is_file(), "{}", path.display());
+    }
+    drop(engine);
+    let fresh = engine_with(&files, &seed, 1, Some(&dir));
+    let stats = fresh.config().analyze.cache.as_deref().expect("cache attached").stats();
+    assert_eq!((stats.hits, stats.misses), (files.len() as u64, 0));
+}
+
+#[test]
+fn removing_one_of_two_identical_files_keeps_their_artifact() {
+    // Artifact keys hash content, not paths: two byte-identical files
+    // share one entry, which stays while either is tracked.
+    let dir = temp_dir("twins");
+    let (mut files, seed) = fixture(3, 43);
+    let twin = (PathBuf::from("zz_twin/copy.py"), files[0].1.clone());
+    files.push(twin.clone());
+    let mut engine = engine_with(&files, &seed, 1, Some(&dir));
+    let key = analysis_cache_key(&twin.0.display().to_string(), &twin.1, &engine.config().analyze);
+    let entry = dir.join(format!("{key:016x}.entry"));
+    let out = engine
+        .apply_delta(&Delta { remove: vec![twin.0.clone()], ..Default::default() })
+        .expect("remove the twin");
+    assert_eq!(out.evicted, 0, "the survivor still holds the artifact");
+    assert!(entry.is_file(), "the survivor's entry stays on disk");
+    let out = engine
+        .apply_delta(&Delta { remove: vec![files[0].0.clone()], ..Default::default() })
+        .expect("remove the survivor");
+    assert_eq!(out.evicted, 1, "the last holder's removal evicts it");
+    assert!(!entry.exists());
 }
 
 #[test]
