@@ -3,7 +3,8 @@
 //! constraint, duplicate constraints across the system, pinned variables
 //! — the CSR lowering must agree with a naive per-constraint walk on the
 //! objective and the gradient, and a full solve must be bitwise
-//! identical at 1 and 4 worker threads.
+//! identical at 1 and 4 worker threads. Pins of the golden corpora's
+//! compiled systems and taint reports guard bit-identity end to end.
 //!
 //! The offline proptest stand-in only generates scalars, so each case
 //! draws a `u64` seed and expands it into a full system with the rand
@@ -17,7 +18,8 @@ use seldon_constraints::{generate_with_stats, ConstraintSystem, FlowConstraint, 
 use seldon_core::{analyze_corpus, SeldonOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
 use seldon_solver::{solve, solve_compiled, CompiledSystem, EarlyStop, SolveOptions, StopReason};
-use seldon_specs::Role;
+use seldon_specs::{Role, TaintSpec};
+use seldon_taint::{TaintAnalyzer, TaintOptions};
 
 const COEFFS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 1.0];
 
@@ -262,4 +264,63 @@ fn compiled_system_hash(lang: Lang) -> u64 {
 fn compiled_system_hash_is_pinned_for_both_golden_corpora() {
     assert_eq!(compiled_system_hash(Lang::Py), 0x8498_9257_05cf_bf7c);
     assert_eq!(compiled_system_hash(Lang::Js), 0x10c4_08e8_33d2_2220);
+}
+
+/// A hash of every taint report over the golden corpus in `lang`: the
+/// analyzer runs with the language's seed spec plus the universe's sink
+/// signatures, merged with the learned golden spec, and every
+/// `Violation` field — source, sink, path, both matched representations
+/// and file — is hashed in report order.
+fn taint_report_hash(lang: Lang, param_sensitive: bool) -> u64 {
+    let universe = Universe::new();
+    let corpus = generate_corpus(
+        &universe,
+        &CorpusOptions { projects: 60, rng_seed: 1234, lang, ..Default::default() },
+    );
+    let analyzed = analyze_corpus(&corpus).unwrap();
+    let (mut spec, learned) = match lang {
+        Lang::Py => (universe.seed_spec(), include_str!("golden/end_to_end_spec.txt")),
+        Lang::Js => (universe.seed_spec_js(), include_str!("golden/end_to_end_spec_js.txt")),
+    };
+    spec.merge(&TaintSpec::parse(learned).unwrap());
+    for (api, sig) in universe.sink_signatures() {
+        spec.set_signature(api, sig);
+    }
+    let analyzer =
+        TaintAnalyzer::with_options(&analyzed.graph, &spec, TaintOptions { param_sensitive });
+    let violations = analyzer.find_violations();
+    assert!(violations.len() > 10, "{} reports", violations.len());
+    let mut h = Fnv64::new();
+    h.write_u64(violations.len() as u64);
+    for v in &violations {
+        h.write_u32(v.source.0).write_u32(v.sink.0).write_u64(v.path.len() as u64);
+        for id in &v.path {
+            h.write_u32(id.0);
+        }
+        h.write_str(&v.source_rep).write_str(&v.sink_rep).write_u32(v.file.0);
+    }
+    h.finish()
+}
+
+/// The taint reports over both golden corpora, parameter-insensitive
+/// and parameter-sensitive, hash to the values the per-search hash-set
+/// BFS produced: report order, unsanitized paths and matched
+/// representations are bit-identical to it.
+#[test]
+fn taint_reports_are_pinned_for_both_golden_corpora() {
+    let hashes = [
+        taint_report_hash(Lang::Py, false),
+        taint_report_hash(Lang::Py, true),
+        taint_report_hash(Lang::Js, false),
+        taint_report_hash(Lang::Js, true),
+    ];
+    assert_eq!(
+        hashes,
+        [
+            0xa422_b22a_2487_77cb,
+            0x6abb_823c_7286_1a02,
+            0xa60f_85e4_ce13_04b7,
+            0x19f5_b41e_587d_90ba,
+        ]
+    );
 }
