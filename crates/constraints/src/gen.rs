@@ -21,9 +21,8 @@
 //! [`crate::system::Row`]), so no per-constraint term vectors exist.
 
 use crate::system::{ConstraintSystem, FileRows, RepId, Rows, Template, Term, VarId};
-use seldon_propgraph::{EdgeKind, EventId, IdHash, PropagationGraph};
+use seldon_propgraph::{Direction, EdgeKind, EventId, PropagationGraph, SearchWorkspace};
 use seldon_specs::{CompiledSpec, Role, TaintSpec};
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -195,9 +194,14 @@ pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> 
 /// Collects the Fig. 4 rows anchored at events in `range` (a half-open
 /// event-id interval) under the selection `sys` and `event_reps`.
 ///
-/// Per-file graphs share no edges, so every row anchored in a file's
-/// event range mentions only that range: a file-range call yields the
-/// same rows for those anchors as a whole-graph call, and folding the
+/// `range` must be closed under reachability: no edge may join an event
+/// inside it to one outside. Per-file graphs share no edges
+/// ([`PropagationGraph::union`] adds none), so a range of whole files —
+/// one file's, or the whole graph's — qualifies; every search then runs
+/// on one [`SearchWorkspace`] sized to `range`, which keeps a served
+/// delta's collection O(file). The same closure means every row anchored
+/// in a file's range mentions only that range: a file-range call yields
+/// the same rows for those anchors as a whole-graph call, and folding the
 /// files' rows in file order reproduces the whole-graph system.
 pub fn collect_rows(
     graph: &PropagationGraph,
@@ -206,11 +210,21 @@ pub fn collect_rows(
     opts: &GenOptions,
     range: Range<usize>,
 ) -> FileRows {
+    debug_assert!(
+        range.clone().all(|i| {
+            let id = EventId(i as u32);
+            let inside = |n: &EventId| range.contains(&n.index());
+            graph.successors(id).iter().all(inside) && graph.predecessors(id).iter().all(inside)
+        }),
+        "collect_rows range {range:?} is not closed under reachability: \
+         it must cover whole files"
+    );
+    let mut ws = SearchWorkspace::new(range.clone());
     let (collector, keys) = Collector::new(graph, sys, event_reps, opts, range);
     let mut rows = FileRows { keys, ..Default::default() };
-    collector.collect_ab(&mut rows.ab);
+    collector.collect_ab(&mut ws, &mut rows.ab);
     if opts.templates[2] {
-        collector.collect_c(&mut rows.c);
+        collector.collect_c(&mut ws, &mut rows.c);
     }
     rows
 }
@@ -300,94 +314,105 @@ impl<'a> Collector<'a> {
     }
 
     /// Fig. 4a and Fig. 4b, anchored at sanitizer candidates.
-    fn collect_ab(&self, out: &mut Rows) {
+    fn collect_ab(&self, ws: &mut SearchWorkspace, out: &mut Rows) {
         let max_reach = self.opts.max_reach;
+        let mut sinks: Vec<EventId> = Vec::new();
+        let mut sources: Vec<EventId> = Vec::new();
+        let mut rhs: Vec<&[Term]> = Vec::new();
         for s in self.anchors() {
             if !self.is_candidate(s, Role::Sanitizer) {
                 continue;
             }
-            let sinks: Vec<EventId> = self
-                .graph
-                .reachable_from_within(s, max_reach)
-                .into_iter()
-                .filter(|&t| self.is_candidate(t, Role::Sink))
-                .collect();
-            let sources: Vec<EventId> = self
-                .graph
-                .reaching_within(s, max_reach)
-                .into_iter()
-                .filter(|&u| self.is_candidate(u, Role::Source))
-                .collect();
+            sinks.clear();
+            sinks.extend(
+                ws.search(self.graph, s, Direction::Forward, max_reach)
+                    .iter()
+                    .filter(|&&t| self.is_candidate(t, Role::Sink)),
+            );
+            sources.clear();
+            sources.extend(
+                ws.search(self.graph, s, Direction::Backward, max_reach)
+                    .iter()
+                    .filter(|&&u| self.is_candidate(u, Role::Source)),
+            );
             let san = self.terms(s, Role::Sanitizer);
             // Fig. 4a: san(s) + snk(t) ≤ Σ src(u) + C.
             if self.opts.templates[0] {
-                let src_sum: Vec<&[Term]> = sources
-                    .iter()
-                    .take(self.opts.max_rhs_terms)
-                    .map(|&u| self.terms(u, Role::Source))
-                    .collect();
+                rhs.clear();
+                rhs.extend(
+                    sources
+                        .iter()
+                        .take(self.opts.max_rhs_terms)
+                        .map(|&u| self.terms(u, Role::Source)),
+                );
                 for &t in &sinks {
-                    out.emit(Template::A, &[san, self.terms(t, Role::Sink)], &src_sum);
+                    out.emit(Template::A, &[san, self.terms(t, Role::Sink)], &rhs);
                 }
             }
             // Fig. 4b: src(u) + san(s) ≤ Σ snk(t) + C.
             if self.opts.templates[1] {
-                let snk_sum: Vec<&[Term]> = sinks
-                    .iter()
-                    .take(self.opts.max_rhs_terms)
-                    .map(|&t| self.terms(t, Role::Sink))
-                    .collect();
+                rhs.clear();
+                rhs.extend(
+                    sinks.iter().take(self.opts.max_rhs_terms).map(|&t| self.terms(t, Role::Sink)),
+                );
                 for &u in &sources {
-                    out.emit(Template::B, &[self.terms(u, Role::Source), san], &snk_sum);
+                    out.emit(Template::B, &[self.terms(u, Role::Source), san], &rhs);
                 }
             }
         }
     }
 
     /// Fig. 4c, anchored at source candidates; sanitizers on some path.
-    fn collect_c(&self, out: &mut Rows) {
-        let mut forward_sets: HashMap<EventId, HashSet<EventId, IdHash>, IdHash> =
-            HashMap::default();
+    fn collect_c(&self, ws: &mut SearchWorkspace, out: &mut Rows) {
+        // Memoized forward closures of sanitizer candidates: the closure
+        // of event `m` is `closures[closure_spans[m - range.start]]`,
+        // sorted for membership tests; `UNSEEN` marks one not yet computed.
+        const UNSEEN: (u32, u32) = (u32::MAX, u32::MAX);
+        let mut closure_spans = vec![UNSEEN; self.range.len()];
+        let mut closures: Vec<EventId> = Vec::new();
+        let mut sinks: Vec<EventId> = Vec::new();
+        let mut sans: Vec<EventId> = Vec::new();
+        let mut between: Vec<&[Term]> = Vec::new();
         for u in self.anchors() {
             if !self.is_candidate(u, Role::Source) {
                 continue;
             }
-            let reach = self.graph.reachable_from_within(u, self.opts.max_reach);
-            let sinks: Vec<EventId> =
-                reach.iter().copied().filter(|&t| self.is_candidate(t, Role::Sink)).collect();
+            let reach = ws.search(self.graph, u, Direction::Forward, self.opts.max_reach);
+            sinks.clear();
+            sinks.extend(reach.iter().filter(|&&t| self.is_candidate(t, Role::Sink)));
             if sinks.is_empty() {
                 continue;
             }
-            let sans: Vec<EventId> = reach
-                .iter()
-                .copied()
-                .filter(|&m| self.is_candidate(m, Role::Sanitizer))
-                .collect();
+            sans.clear();
+            sans.extend(reach.iter().filter(|&&m| self.is_candidate(m, Role::Sanitizer)));
             // Same-chain events (receiver ancestors rooted at u) cannot be
             // "the sanitizer between": a sanitizer transforms its argument,
             // not the object it is read off.
-            let mut chain_of_u: HashSet<EventId, IdHash> = HashSet::default();
-            let mut stack = vec![u];
-            while let Some(v) = stack.pop() {
-                for &n in self.graph.successors(v) {
-                    if self.graph.edge_kind(v, n) == Some(EdgeKind::Receiver)
-                        && chain_of_u.insert(n)
-                    {
-                        stack.push(n);
-                    }
-                }
-            }
+            ws.search_by(self.graph, u, Direction::Forward, usize::MAX, |v, n| {
+                self.graph.edge_kind(v, n) == Some(EdgeKind::Receiver)
+            });
+            sans.retain(|&m| !ws.is_seen(m));
             let src = self.terms(u, Role::Source);
             for &t in &sinks {
-                let mut between: Vec<&[Term]> = Vec::new();
+                between.clear();
                 for &m in &sans {
-                    if m == t || chain_of_u.contains(&m) {
+                    if m == t {
                         continue;
                     }
-                    let fwd_m = forward_sets.entry(m).or_insert_with(|| {
-                        self.graph.reachable_from(m).into_iter().collect()
-                    });
-                    if fwd_m.contains(&t) {
+                    let slot = m.index() - self.range.start;
+                    if closure_spans[slot] == UNSEEN {
+                        let start = closures.len();
+                        closures.extend_from_slice(ws.search(
+                            self.graph,
+                            m,
+                            Direction::Forward,
+                            usize::MAX,
+                        ));
+                        closures[start..].sort_unstable();
+                        closure_spans[slot] = (start as u32, closures.len() as u32);
+                    }
+                    let (start, end) = closure_spans[slot];
+                    if closures[start as usize..end as usize].binary_search(&t).is_ok() {
                         between.push(self.terms(m, Role::Sanitizer));
                         if between.len() >= self.opts.max_rhs_terms {
                             break;
@@ -614,6 +639,23 @@ def media():
             .count();
         assert!(sinks_in_prefix > 0);
         assert_eq!(sys.template_counts(), [0, 0, sinks_in_prefix]);
+    }
+
+    /// A range that splits a file leaves edges crossing its boundary;
+    /// debug builds reject it before any search indexes outside it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not closed under reachability")]
+    fn collect_rows_rejects_a_range_that_splits_a_file() {
+        let g = fig2_graph();
+        let o = opts();
+        let Selection { sys, event_reps, .. } = select(&g, &TaintSpec::new(), &o);
+        let split = (0..g.event_count())
+            .find(|&i| {
+                g.successors(EventId(i as u32)).iter().any(|n| n.index() > i)
+            })
+            .expect("an edge to a later event");
+        collect_rows(&g, &sys, &event_reps, &o, 0..split + 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::factor::{Factor, FactorGraph, VarIdx};
 use seldon_intern::Symbol;
-use seldon_propgraph::{EventId, EventKind, PropagationGraph};
+use seldon_propgraph::{Direction, EventId, EventKind, PropagationGraph, SearchWorkspace};
 use seldon_specs::{CompiledSpec, Role, TaintSpec};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -130,18 +130,20 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
     // node (the paper's "which fraction of paths that go through it start
     // from a source and end in a sink"); approximated with candidate counts
     // over the node's predecessors/successors.
+    let mut ws = SearchWorkspace::for_graph(g);
     let mut san_prior: HashMap<EventId, f64> = HashMap::new();
     for &id in &ids {
         if g.event(id).kind != EventKind::Call {
             continue;
         }
-        let back = g.reaching_within(id, opts.max_reach);
-        let fwd = g.reachable_from_within(id, opts.max_reach);
-        let total = (back.len() * fwd.len()).max(1);
+        let back = ws.search(g, id, Direction::Backward, opts.max_reach);
+        let back_len = back.len();
         let src_like = back
             .iter()
             .filter(|&&u| g.event(u).candidates.contains(Role::Source))
             .count();
+        let fwd = ws.search(g, id, Direction::Forward, opts.max_reach);
+        let total = (back_len * fwd.len()).max(1);
         let snk_like = fwd
             .iter()
             .filter(|&&t| {
@@ -187,20 +189,29 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
 
     // Fig. 6 factors.
     let theta = opts.theta;
+    let (mut src_vars, mut snk_vars) = (Vec::new(), Vec::new());
     for &b in &ids {
         if g.event(b).kind != EventKind::Call {
             continue;
         }
         let Some(&b_san) = vars.get(&(b, Role::Sanitizer)) else { continue };
-        let sources = g.reaching_within(b, opts.max_reach);
-        let sinks = g.reachable_from_within(b, opts.max_reach);
+        src_vars.clear();
+        src_vars.extend(
+            ws.search(g, b, Direction::Backward, opts.max_reach)
+                .iter()
+                .filter_map(|&a| vars.get(&(a, Role::Source)).copied()),
+        );
+        snk_vars.clear();
+        snk_vars.extend(
+            ws.search(g, b, Direction::Forward, opts.max_reach)
+                .iter()
+                .filter_map(|&c| vars.get(&(c, Role::Sink)).copied()),
+        );
 
         // Fig. 6a: source a → b → sink c ⇒ b is a sanitizer.
         let mut triples = 0usize;
-        'outer: for &a in &sources {
-            let Some(&a_src) = vars.get(&(a, Role::Source)) else { continue };
-            for &c in &sinks {
-                let Some(&c_snk) = vars.get(&(c, Role::Sink)) else { continue };
+        'outer: for &a_src in &src_vars {
+            for &c_snk in &snk_vars {
                 fg.add_factor(Factor::soft(vec![a_src, b_san, c_snk], theta, |x| {
                     !(x[0] && x[2]) || x[1]
                 }));

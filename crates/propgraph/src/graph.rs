@@ -6,8 +6,9 @@
 //! contraction of same-representation events (§6.4).
 
 use crate::event::{Event, EventId};
+use crate::search::{Direction, SearchWorkspace};
 use seldon_intern::Symbol;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A fast hasher for small integer keys — event ids, symbols, precomputed
@@ -198,7 +199,9 @@ impl PropagationGraph {
     ///
     /// Event sets of different programs stay disjoint, exactly as in the
     /// paper's global propagation graph (§4): no cross-program edges are
-    /// introduced, but events may share representations.
+    /// introduced, but events may share representations. So each
+    /// program's event range is closed under reachability, which lets a
+    /// [`SearchWorkspace`] cover just that range.
     pub fn union(&mut self, other: &PropagationGraph) -> u32 {
         let offset = self.events.len() as u32;
         let shift = |id: EventId| EventId(id.0 + offset);
@@ -229,68 +232,33 @@ impl PropagationGraph {
     /// Events reachable from `start` by forward BFS (excluding `start`),
     /// in discovery order.
     pub fn reachable_from(&self, start: EventId) -> Vec<EventId> {
-        self.bfs(start, true, usize::MAX)
+        self.reachable_from_within(start, usize::MAX)
     }
 
     /// Events that reach `start` by backward BFS (excluding `start`), in
     /// discovery order.
     pub fn reaching(&self, start: EventId) -> Vec<EventId> {
-        self.bfs(start, false, usize::MAX)
+        self.reaching_within(start, usize::MAX)
     }
 
     /// The first `limit` events of [`Self::reachable_from`]; the search
     /// stops as soon as it has discovered them.
     pub fn reachable_from_within(&self, start: EventId, limit: usize) -> Vec<EventId> {
-        self.bfs(start, true, limit)
+        SearchWorkspace::for_graph(self).search(self, start, Direction::Forward, limit).to_vec()
     }
 
     /// The first `limit` events of [`Self::reaching`]; the search stops
     /// as soon as it has discovered them.
     pub fn reaching_within(&self, start: EventId, limit: usize) -> Vec<EventId> {
-        self.bfs(start, false, limit)
-    }
-
-    fn bfs(&self, start: EventId, forward: bool, limit: usize) -> Vec<EventId> {
-        let mut seen: HashSet<EventId, IdHash> = HashSet::default();
-        let mut queue = VecDeque::new();
-        let mut out = Vec::new();
-        seen.insert(start);
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            let next = if forward { self.successors(v) } else { self.predecessors(v) };
-            for &n in next {
-                if out.len() == limit {
-                    return out;
-                }
-                if seen.insert(n) {
-                    out.push(n);
-                    queue.push_back(n);
-                }
-            }
-        }
-        out
+        SearchWorkspace::for_graph(self).search(self, start, Direction::Backward, limit).to_vec()
     }
 
     /// Whether `to` is reachable from `from` (forward).
     pub fn is_reachable(&self, from: EventId, to: EventId) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::new();
-        seen.insert(from);
-        queue.push_back(from);
-        while let Some(v) = queue.pop_front() {
-            for &n in self.successors(v) {
-                if n == to {
-                    return true;
-                }
-                if seen.insert(n) {
-                    queue.push_back(n);
-                }
-            }
-        }
-        false
+        from == to
+            || SearchWorkspace::for_graph(self)
+                .search(self, from, Direction::Forward, usize::MAX)
+                .contains(&to)
     }
 
     /// Vertex contraction (§6.4, Fig. 7): merges all events sharing the same

@@ -33,6 +33,7 @@ pub mod graph;
 pub mod irbuild;
 pub mod lower;
 pub mod repr;
+pub mod search;
 
 pub use budget::{Budget, BudgetExceeded, BudgetMeter};
 pub use builder::{build_source, BuildError};
@@ -45,4 +46,5 @@ pub use repr::{
     describe_expr, describe_syms, finish_rep_strings, finish_reps, interned_dot_suffixes,
     ImportMap, ReprCtx, MAX_CHAIN_DEPTH,
 };
+pub use search::{Direction, SearchWorkspace};
 pub use seldon_intern::{intern, Symbol};

@@ -32,9 +32,9 @@
 pub mod report;
 
 use seldon_intern::Symbol;
-use seldon_propgraph::{ArgPos, EventId, FileId, PropagationGraph};
+use seldon_propgraph::{ArgPos, Direction, EventId, FileId, PropagationGraph, SearchWorkspace};
 use seldon_specs::{ArgRef, CompiledSpec, Role, RoleSet, SinkSignature, TaintSpec};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 pub use report::{render_reports, reports_to_json, Report, VulnClass};
 
@@ -69,10 +69,11 @@ pub struct TaintOptions {
 #[derive(Debug)]
 pub struct TaintAnalyzer<'g> {
     graph: &'g PropagationGraph,
-    /// Role set per event, resolved through representation backoff.
-    roles: HashMap<EventId, RoleSet>,
-    /// The representation that matched, per event.
-    matched: HashMap<EventId, Symbol>,
+    /// Role set per event, resolved through representation backoff,
+    /// indexed by event id.
+    roles: Vec<RoleSet>,
+    /// The representation that matched, indexed by event id.
+    matched: Vec<Option<Symbol>>,
     /// Signatures of sink events whose matched representation declares one.
     sink_sigs: HashMap<EventId, SinkSignature>,
     options: TaintOptions,
@@ -90,8 +91,8 @@ impl<'g> TaintAnalyzer<'g> {
         spec: &TaintSpec,
         options: TaintOptions,
     ) -> Self {
-        let mut roles = HashMap::new();
-        let mut matched = HashMap::new();
+        let mut roles = vec![RoleSet::EMPTY; graph.event_count()];
+        let mut matched = vec![None; graph.event_count()];
         let mut sink_sigs = HashMap::new();
         // Role lookup (including blacklist globs) resolves once per distinct
         // representation symbol, not once per event.
@@ -100,8 +101,8 @@ impl<'g> TaintAnalyzer<'g> {
             for &rep in &event.reps {
                 let r = compiled.roles(rep).intersection(event.candidates);
                 if !r.is_empty() {
-                    roles.insert(id, r);
-                    matched.insert(id, rep);
+                    roles[id.index()] = r;
+                    matched[id.index()] = Some(rep);
                     if r.contains(Role::Sink) {
                         if let Some(sig) = spec.signature(rep.as_str()) {
                             sink_sigs.insert(id, sig.clone());
@@ -124,100 +125,87 @@ impl<'g> TaintAnalyzer<'g> {
         let mut a = TaintAnalyzer::new(graph, spec);
         for (&id, &r) in event_roles {
             let cand = graph.event(id).candidates;
-            let merged = a.roles.entry(id).or_insert(RoleSet::EMPTY);
+            let merged = &mut a.roles[id.index()];
             *merged = merged.union(r.intersection(cand));
-            a.matched.entry(id).or_insert_with(|| graph.event(id).rep_sym());
+            a.matched[id.index()].get_or_insert_with(|| graph.event(id).rep_sym());
         }
         a
     }
 
-    /// The resolved roles of an event.
+    /// The resolved roles of an event; empty for an id outside the graph.
     pub fn roles(&self, id: EventId) -> RoleSet {
-        self.roles.get(&id).copied().unwrap_or(RoleSet::EMPTY)
+        self.roles.get(id.index()).copied().unwrap_or(RoleSet::EMPTY)
     }
 
     /// The representation that matched the specification for `id`, if any.
     pub fn matched_rep(&self, id: EventId) -> Option<&'static str> {
-        self.matched.get(&id).map(|s| s.as_str())
+        self.matched.get(id.index()).copied().flatten().map(|s| s.as_str())
     }
 
     /// All events holding `role`, in id order.
     pub fn events_with_role(&self, role: Role) -> Vec<EventId> {
-        let mut v: Vec<EventId> = self
-            .roles
-            .iter()
-            .filter(|(_, r)| r.contains(role))
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort();
-        v
+        (0..self.roles.len() as u32)
+            .map(EventId)
+            .filter(|&id| self.roles(id).contains(role))
+            .collect()
     }
 
     /// Finds all unsanitized source→sink flows.
     ///
     /// For each source, a forward BFS that refuses to continue *through*
     /// sanitizer events reports one unsanitized path to each reachable
-    /// sink. One violation is reported per (source, sink) pair.
+    /// sink. One violation is reported per (source, sink) pair. All
+    /// sources share one [`SearchWorkspace`].
     pub fn find_violations(&self) -> Vec<Violation> {
+        let mut ws = SearchWorkspace::for_graph(self.graph);
         let mut out = Vec::new();
         for source in self.events_with_role(Role::Source) {
-            out.extend(self.violations_from(source));
+            self.sweep(&mut ws, source, &mut out);
         }
         out
     }
 
     /// Unsanitized flows starting at a specific source event.
     pub fn violations_from(&self, source: EventId) -> Vec<Violation> {
-        let mut parent: HashMap<EventId, EventId> = HashMap::new();
-        let mut seen = HashSet::new();
-        let mut order = Vec::new();
-        let mut queue = VecDeque::new();
-        seen.insert(source);
-        queue.push_back(source);
-        while let Some(v) = queue.pop_front() {
-            // Sanitizers stop propagation (but a source that is also a
-            // sanitizer still emits its own taint).
-            if v != source && self.roles(v).contains(Role::Sanitizer) {
-                continue;
-            }
-            if v != source && self.roles(v).contains(Role::Sink) {
-                order.push(v);
-            }
-            for &n in self.graph.successors(v) {
-                if seen.insert(n) {
-                    parent.insert(n, v);
-                    queue.push_back(n);
-                }
-            }
-        }
+        let mut out = Vec::new();
+        self.sweep(&mut SearchWorkspace::for_graph(self.graph), source, &mut out);
+        out
+    }
+
+    /// Appends the unsanitized flows from `source` to `out`, in the order
+    /// the BFS discovers their sinks.
+    fn sweep(&self, ws: &mut SearchWorkspace, source: EventId, out: &mut Vec<Violation>) {
+        // Sanitizers stop propagation (but a source that is also a
+        // sanitizer still emits its own taint).
+        ws.search_by(self.graph, source, Direction::Forward, usize::MAX, |v, _| {
+            v == source || !self.roles(v).contains(Role::Sanitizer)
+        });
         // Reports are emitted after the sweep so the parameter-sensitivity
         // check sees the complete tainted set.
-        order
-            .into_iter()
-            .filter(|&v| self.sink_entry_is_dangerous(v, &seen))
-            .map(|v| Violation {
+        let sinks = ws.reached().iter().filter(|&&v| {
+            let r = self.roles(v);
+            r.contains(Role::Sink) && !r.contains(Role::Sanitizer)
+        });
+        for &v in sinks {
+            if !self.sink_entry_is_dangerous(v, ws) {
+                continue;
+            }
+            out.push(Violation {
                 source,
                 sink: v,
-                path: self.reconstruct(source, v, &parent),
-                source_rep: self
-                    .matched
-                    .get(&source)
-                    .map(|s| s.as_str().to_string())
-                    .unwrap_or_default(),
-                sink_rep: self
-                    .matched
-                    .get(&v)
-                    .map(|s| s.as_str().to_string())
-                    .unwrap_or_default(),
+                path: Self::path(ws, v),
+                source_rep: self.matched_rep(source).unwrap_or_default().to_string(),
+                sink_rep: self.matched_rep(v).unwrap_or_default().to_string(),
                 file: self.graph.event(v).file,
-            })
-            .collect()
+            });
+        }
     }
 
     /// Parameter sensitivity: if the sink has a declared signature and the
     /// analyzer runs param-sensitive, taint must reach a dangerous
-    /// parameter through at least one tainted predecessor.
-    fn sink_entry_is_dangerous(&self, sink: EventId, tainted: &HashSet<EventId>) -> bool {
+    /// parameter through at least one tainted predecessor (one the sweep
+    /// in `tainted` reached).
+    fn sink_entry_is_dangerous(&self, sink: EventId, tainted: &SearchWorkspace) -> bool {
         if !self.options.param_sensitive {
             return true;
         }
@@ -225,7 +213,7 @@ impl<'g> TaintAnalyzer<'g> {
         self.graph.predecessors(sink).iter().any(|&p| {
             // A sanitizer's output into the sink is clean even though the
             // sanitizer node itself was visited.
-            if !tainted.contains(&p) || self.roles(p).contains(Role::Sanitizer) {
+            if !tainted.is_seen(p) || self.roles(p).contains(Role::Sanitizer) {
                 return false;
             }
             let pos = match self.graph.arg_position(p, sink) {
@@ -238,22 +226,13 @@ impl<'g> TaintAnalyzer<'g> {
         })
     }
 
-    fn reconstruct(
-        &self,
-        source: EventId,
-        sink: EventId,
-        parent: &HashMap<EventId, EventId>,
-    ) -> Vec<EventId> {
+    /// The sweep's path from its source to `sink`, inclusive.
+    fn path(ws: &SearchWorkspace, sink: EventId) -> Vec<EventId> {
         let mut path = vec![sink];
         let mut cur = sink;
-        while cur != source {
-            match parent.get(&cur) {
-                Some(&p) => {
-                    path.push(p);
-                    cur = p;
-                }
-                None => break,
-            }
+        while let Some(p) = ws.parent(cur) {
+            path.push(p);
+            cur = p;
         }
         path.reverse();
         path
@@ -397,6 +376,22 @@ os.system(x)
         let sink = a.events_with_role(Role::Sink)[0];
         assert!(a.is_sanitized(source, sink));
         assert_eq!(a.matched_rep(source), Some("flask.request.args.get()"));
+    }
+
+    #[test]
+    fn roles_and_matched_reps_are_empty_outside_the_graph() {
+        let graph = build_source(
+            "from flask import request\nimport os\nos.system(request.args.get('c'))\n",
+            FileId(0),
+        )
+        .unwrap();
+        let a = TaintAnalyzer::new(&graph, &spec("o: flask.request.args.get()\ni: os.system()\n"));
+        assert_eq!(a.role_counts(), (1, 0, 1));
+        let n = graph.event_count() as u32;
+        for id in [EventId(n), EventId(n + 1), EventId(u32::MAX)] {
+            assert_eq!(a.roles(id), RoleSet::EMPTY);
+            assert_eq!(a.matched_rep(id), None);
+        }
     }
 
     #[test]
