@@ -4,7 +4,8 @@
 //! — the CSR lowering must agree with a naive per-constraint walk on the
 //! objective and the gradient, and a full solve must be bitwise
 //! identical at 1 and 4 worker threads. Pins of the golden corpora's
-//! compiled systems and taint reports guard bit-identity end to end.
+//! compiled systems, solver outputs and taint reports guard bit-identity
+//! end to end.
 //!
 //! The offline proptest stand-in only generates scalars, so each case
 //! draws a `u64` seed and expands it into a full system with the rand
@@ -217,22 +218,29 @@ proptest! {
     }
 }
 
-/// A hash of everything the solver reads from a compiled system: the
-/// total and per-template constraint counts, `C`, the pins, the locality
-/// permutation, and every row's weight, variables and coefficient bits,
-/// in solve order.
-fn compiled_system_hash(lang: Lang) -> u64 {
+/// The constraint system of the generated `lang` corpus of `projects`
+/// projects (corpus seed 1234) under the language's seed spec. At 60
+/// projects these are the end-to-end spec goldens' inputs.
+fn corpus_system(lang: Lang, projects: usize) -> ConstraintSystem {
     let universe = Universe::new();
     let corpus = generate_corpus(
         &universe,
-        &CorpusOptions { projects: 60, rng_seed: 1234, lang, ..Default::default() },
+        &CorpusOptions { projects, rng_seed: 1234, lang, ..Default::default() },
     );
     let analyzed = analyze_corpus(&corpus).unwrap();
     let seed = match lang {
         Lang::Py => universe.seed_spec(),
         Lang::Js => universe.seed_spec_js(),
     };
-    let (sys, _) = generate_with_stats(&analyzed.graph, &seed, &SeldonOptions::default().gen);
+    generate_with_stats(&analyzed.graph, &seed, &SeldonOptions::default().gen).0
+}
+
+/// A hash of everything the solver reads from a compiled system: the
+/// total and per-template constraint counts, `C`, the pins, the locality
+/// permutation, and every row's weight, variables and coefficient bits,
+/// in solve order.
+fn compiled_system_hash(lang: Lang) -> u64 {
+    let sys = corpus_system(lang, 60);
     let cs = CompiledSystem::compile(&sys);
     let mut h = Fnv64::new();
     h.write_u64(cs.constraint_count() as u64);
@@ -264,6 +272,43 @@ fn compiled_system_hash(lang: Lang) -> u64 {
 fn compiled_system_hash_is_pinned_for_both_golden_corpora() {
     assert_eq!(compiled_system_hash(Lang::Py), 0x8498_9257_05cf_bf7c);
     assert_eq!(compiled_system_hash(Lang::Js), 0x10c4_08e8_33d2_2220);
+}
+
+/// A hash of what `solve_compiled` returns for `cs` at `threads` worker
+/// threads and otherwise default options: every score's bits, the
+/// iteration count, the stop reason, and the bits of the final objective
+/// and violation.
+fn solver_output_hash(cs: &CompiledSystem, threads: usize) -> u64 {
+    let sol = solve_compiled(cs, &SolveOptions { threads, ..Default::default() });
+    let mut h = Fnv64::new();
+    h.write_u64(sol.scores.len() as u64);
+    for &s in &sol.scores {
+        h.write_f64(s);
+    }
+    h.write_u64(sol.iterations as u64).write_u32(u32::from(sol.stop.code()));
+    h.write_f64(sol.objective).write_f64(sol.violation);
+    h.finish()
+}
+
+/// The solver's outputs over both golden corpora (4 gradient lanes each),
+/// and over a 240-project Python corpus whose 10 lanes split unevenly
+/// across 4 workers, hash to the values the single-pass gap kernel
+/// produced, at 1 and at 4 threads.
+#[test]
+fn solver_outputs_are_pinned_for_both_golden_corpora() {
+    let large = CompiledSystem::compile(&corpus_system(Lang::Py, 240));
+    assert!(large.lane_count() >= 4, "{} lanes", large.lane_count());
+    let systems = [
+        (CompiledSystem::compile(&corpus_system(Lang::Py, 60)), 0x5960_441d_3ab7_f5cd),
+        (CompiledSystem::compile(&corpus_system(Lang::Js, 60)), 0x20a8_4433_c2a0_0ffb),
+        (large, 0x5346_dd80_f392_03ec),
+    ];
+    for (cs, expected) in &systems {
+        for threads in [1, 4] {
+            let got = solver_output_hash(cs, threads);
+            assert_eq!(got, *expected, "{} rows at {threads} threads", cs.row_count());
+        }
+    }
 }
 
 /// A hash of every taint report over the golden corpus in `lang`: the
