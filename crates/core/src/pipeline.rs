@@ -986,7 +986,7 @@ pub fn climb_ladder(
 
     let started = Instant::now();
     let extraction = extract(&system, &solution, &opts.extract);
-    extract_span(tele, started.elapsed(), &extraction, false);
+    extract_span(tele, started.elapsed(), &extraction, system.event_reps.len(), false);
     let checkpoint = input_fp.map(|input_fp| {
         Checkpoint::from_run(input_fp, &system, &gen_stats, &solution, &extraction)
     });
@@ -1025,7 +1025,7 @@ fn replay(
         backoff_hits: ckpt.backoff_hits.clone(),
         ..Extraction::default()
     };
-    extract_span(tele, Duration::ZERO, &extraction, true);
+    extract_span(tele, Duration::ZERO, &extraction, s.candidates as usize, true);
     SeldonRun {
         system: ConstraintSystem::new(opts.gen.c),
         solution,
@@ -1104,9 +1104,16 @@ fn solve_span(
     }
 }
 
-/// The `extract` span.
-fn extract_span(tele: &Telemetry, dur: Duration, extraction: &Extraction, replayed: bool) {
+/// The `extract` span, with the candidate events extraction scans.
+fn extract_span(
+    tele: &Telemetry,
+    dur: Duration,
+    extraction: &Extraction,
+    candidate_events: usize,
+    replayed: bool,
+) {
     let counters = [
+        ("candidate_events", candidate_events as f64),
         ("learned_entries", extraction.spec.role_count() as f64),
         ("events_with_roles", extraction.event_roles.len() as f64),
     ];

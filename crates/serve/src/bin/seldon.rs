@@ -71,8 +71,8 @@ use seldon_taint::{render_reports, reports_to_json, TaintAnalyzer, TaintOptions}
 use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
 use seldon_telemetry::json::{self, Json};
 use seldon_telemetry::{
-    diff_manifests, metric, parse_tolerance_pct, DiffOptions, Level, MetricDef, RunManifest,
-    Telemetry,
+    diff_manifests, metric, parse_tolerance_pct, stage, DiffOptions, Level, MetricDef,
+    RunManifest, Telemetry,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -888,8 +888,15 @@ fn cmd_report(rest: &[String]) -> Result<Outcome, CliError> {
     );
     let [sources, sanitizers, sinks] = metric::LEARNED.map(|d| n(&d));
     let [t_src, t_san, t_snk] = metric::THRESHOLDS.map(|d| v(&d));
+    // What extraction scanned: a counter of the `extract` span.
+    let scanned = m
+        .stages
+        .iter()
+        .find(|s| s.name == stage::EXTRACT)
+        .and_then(|s| s.counters.iter().find(|(k, _)| k == "candidate_events"))
+        .map_or(0, |&(_, count)| count as u64);
     println!(
-        "extraction   learned {sources} src / {sanitizers} san / {sinks} snk (thresholds {t_src}/{t_san}/{t_snk}, decay {})",
+        "extraction   learned {sources} src / {sanitizers} san / {sinks} snk from {scanned} candidate event(s) (thresholds {t_src}/{t_san}/{t_snk}, decay {})",
         v(&metric::DECAY)
     );
     println!();

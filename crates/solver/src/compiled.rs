@@ -7,12 +7,31 @@
 //! rhs `−coeff`, duplicate variables merged) and each distinct row once
 //! with an integer weight, in first-occurrence order (see
 //! [`seldon_constraints::Row`]). So the per-row gap `Σ lhs − Σ rhs − C` is
-//! a single signed dot product and the epoch gap/gradient pass is a
-//! branch-light linear scan with no nested allocations. A row's gap test
-//! is unweighted; its violation and gradient contributions are scaled by
-//! the weight, which is exactly the sum the duplicates would have
-//! produced up to one final rounding. Compiling adds only the locality
-//! order, the lanes and the variable-major transpose.
+//! a single signed dot product. A row's gap test is unweighted; its
+//! violation and gradient contributions are scaled by the weight, which
+//! is exactly the sum the duplicates would have produced up to one final
+//! rounding. Compiling adds only the locality order, the lanes, the
+//! length groups and the variable-major transpose.
+//!
+//! ## Two-pass gap kernel
+//!
+//! Each epoch runs two passes over every lane. *Pass 1* computes every
+//! row's gap into the lane's gap buffer, visiting the rows grouped by
+//! term count: rows of 1 to [`GROUPED_LEN`] terms each get a loop whose
+//! trip counts are compile-time constants, and longer rows share one
+//! generic loop. Rows arrive in locality order, their term counts in no
+//! pattern, so a single walk mispredicts the dot product's loop exits on
+//! almost every row; grouped, the trip counts change once per group.
+//! *Pass 2* walks the lane's rows in solve order and, for each row whose
+//! gap is positive, adds `w · gap` to the lane's violation and `w · coeff`
+//! per term to the lane's gradient buffer.
+//!
+//! Row order is free inside pass 1: each gap is one row's own dot product
+//! ([`chunked_dot`], the same function at every length), written to the
+//! row's own slot, so no sum crosses rows. It is not free inside pass 2:
+//! the violation and every gradient slot are sums across rows, and
+//! floating-point addition is not associative, so pass 2 keeps the solve
+//! order and adds exactly the products the single-pass walk added.
 //!
 //! ## Deterministic parallel reduction
 //!
@@ -21,13 +40,14 @@
 //! summation order — and therefore the scores — with `threads`. Instead,
 //! rows are partitioned into *lanes*: contiguous ranges whose count and
 //! boundaries depend only on the row count, never on the thread count.
-//! Each lane accumulates hinge-gradient contributions
-//! into its own compact slot buffer (one slot per distinct variable the
-//! lane touches), and a variable-major transpose (`var_offsets` /
-//! `var_entries`) reduces the per-lane partials in a fixed order.
-//! Threads only decide *which worker* runs a lane; the arithmetic — the
-//! order every term is added in — is identical for 1 and N threads, so
-//! scores are byte-identical across thread counts.
+//! Each lane owns its gap buffer and accumulates hinge-gradient
+//! contributions into its own compact slot buffer (one slot per distinct
+//! variable the lane touches), and a variable-major transpose
+//! (`var_offsets` / `var_entries`) reduces the per-lane partials in a
+//! fixed order. Threads only decide *which worker* runs a lane's two
+//! passes; the arithmetic — the order every term is added in — is
+//! identical for 1 and N threads, so scores are byte-identical across
+//! thread counts.
 //!
 //! ## Vector-friendly inner loops
 //!
@@ -65,6 +85,11 @@ const VAR_CHUNK_TARGET: usize = 4096;
 /// chunk, combined pairwise in a fixed order. 4 keeps the combine tree
 /// exact to spell out while filling a 256-bit SIMD register.
 const ACC_WIDTH: usize = 4;
+/// Longest row with its own pass-1 length group; longer rows share one.
+const GROUPED_LEN: usize = 16;
+/// Pass-1 length groups per lane: one per length up to [`GROUPED_LEN`],
+/// then the group of longer rows.
+const GROUPS: usize = GROUPED_LEN + 1;
 
 /// Sums `xs` with [`ACC_WIDTH`] independent accumulators and a scalar
 /// tail — the chunked, autovectorizer-friendly reduction every L1 sum in
@@ -105,6 +130,15 @@ fn chunked_dot(coeffs: &[f64], vars: &[u32], x: &[f64]) -> f64 {
     sum
 }
 
+/// The pass-1 length group of a row of `len` terms.
+fn length_group(len: usize) -> usize {
+    if (1..=GROUPED_LEN).contains(&len) {
+        len - 1
+    } else {
+        GROUPED_LEN
+    }
+}
+
 /// One contiguous row range with a private gradient buffer shape.
 #[derive(Debug, Clone)]
 struct Lane {
@@ -114,6 +148,25 @@ struct Lane {
     end: u32,
     /// Number of distinct variables the lane touches — its buffer size.
     slots: u32,
+    /// Pass-1 length groups: group `g` is
+    /// `gap_order[groups[g]..groups[g + 1]]`, the lane's rows of `g + 1`
+    /// terms (the last group: every longer row), in solve order.
+    groups: [u32; GROUPS + 1],
+}
+
+impl Lane {
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// One lane's scratch for the epoch gap pass: the gap of each of its
+/// rows in solve order (pass 1) and its hinge-gradient partials, one
+/// slot per distinct variable the lane touches (pass 2).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneBuffer {
+    gaps: Vec<f64>,
+    grad: Vec<f64>,
 }
 
 /// A constraint system lowered to a flat CSR layout with a fixed lane
@@ -134,13 +187,14 @@ pub struct CompiledSystem {
     /// Term variable indices, row-major, ascending within a row.
     term_vars: Vec<u32>,
     /// Signed term coefficients (`+` for lhs, `−` for rhs, duplicates
-    /// combined), parallel to `term_vars` — the gap dot product.
+    /// combined), parallel to `term_vars` — the gap dot product, and,
+    /// times the row weight, the gradient accumulate.
     term_coeffs: Vec<f64>,
-    /// Weight-scaled coefficients (`weights[row] * term_coeffs[t]`),
-    /// parallel to `term_vars` — the gradient accumulate.
-    term_wcoeffs: Vec<f64>,
     /// Lane-local gradient-buffer slot per term, parallel to `term_vars`.
     term_slots: Vec<u32>,
+    /// Row indices in pass-1 order: each lane's rows, stably grouped by
+    /// term count (see [`Lane::groups`]).
+    gap_order: Vec<u32>,
     /// Row permutation of the locality sort: `row_perm[new] = old`, where
     /// `old` is the row's index in first-occurrence (dedup) order. A
     /// within-lane permutation — no row crosses a lane boundary.
@@ -170,15 +224,16 @@ impl CompiledSystem {
         // pass walks the score vector roughly in order. Stored rows are
         // never empty. Slot assignment: the first appearance of a variable
         // in a lane claims the lane's next slot; `touch` records every
-        // (var, lane, slot) in ascending lane order.
+        // (var, lane, slot) in ascending lane order. A stable counting
+        // sort by term count then lays out the lane's pass-1 groups.
         let lane_count = rows.div_ceil(LANE_TARGET).clamp(1, MAX_LANES);
         let per_lane = rows.div_ceil(lane_count).max(1);
         let mut row_perm: Vec<u32> = (0..rows as u32).collect();
         let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0u32);
         let mut weights = Vec::with_capacity(rows);
-        let (mut term_vars, mut term_coeffs) = (Vec::new(), Vec::new());
-        let (mut term_wcoeffs, mut term_slots) = (Vec::new(), Vec::new());
+        let (mut term_vars, mut term_coeffs, mut term_slots) = (Vec::new(), Vec::new(), Vec::new());
+        let mut gap_order = vec![0u32; rows];
         let mut lanes = Vec::with_capacity(lane_count);
         let mut seen_lane: Vec<u32> = vec![u32::MAX; n];
         let mut slot_of: Vec<u32> = vec![0; n];
@@ -188,10 +243,10 @@ impl CompiledSystem {
             let lane_rows = &mut row_perm[start..end];
             lane_rows.sort_by_key(|&ri| stored[ri as usize].terms[0].0);
             let mut slots = 0u32;
+            let mut counts = [0u32; GROUPS];
             for &old in lane_rows.iter() {
                 let row = stored[old as usize];
-                let weight = f64::from(row.weight);
-                weights.push(weight);
+                weights.push(f64::from(row.weight));
                 for &(var, coeff) in row.terms {
                     let vi = var as usize;
                     if seen_lane[vi] != l as u32 {
@@ -202,12 +257,22 @@ impl CompiledSystem {
                     }
                     term_vars.push(var);
                     term_coeffs.push(coeff);
-                    term_wcoeffs.push(weight * coeff);
                     term_slots.push(slot_of[vi]);
                 }
                 offsets.push(term_vars.len() as u32);
+                counts[length_group(row.terms.len())] += 1;
             }
-            lanes.push(Lane { start: start as u32, end: end as u32, slots });
+            let mut groups = [start as u32; GROUPS + 1];
+            for g in 0..GROUPS {
+                groups[g + 1] = groups[g] + counts[g];
+            }
+            let mut cursor = groups;
+            for ri in start..end {
+                let g = length_group((offsets[ri + 1] - offsets[ri]) as usize);
+                gap_order[cursor[g] as usize] = ri as u32;
+                cursor[g] += 1;
+            }
+            lanes.push(Lane { start: start as u32, end: end as u32, slots, groups });
         }
 
         // Variable-major transpose via a stable counting sort: `touch` is
@@ -238,8 +303,8 @@ impl CompiledSystem {
             weights,
             term_vars,
             term_coeffs,
-            term_wcoeffs,
             term_slots,
+            gap_order,
             row_perm,
             lanes,
             var_offsets,
@@ -317,42 +382,94 @@ impl CompiledSystem {
         }
     }
 
-    /// Allocates one zeroed gradient buffer per lane, each sized to the
-    /// lane's distinct-variable count.
-    pub fn new_lane_buffers(&self) -> Vec<Vec<f64>> {
-        self.lanes.iter().map(|l| vec![0.0; l.slots as usize]).collect()
+    /// Allocates one zeroed gap-pass buffer per lane, sized to the lane's
+    /// row count and distinct-variable count.
+    pub fn new_lane_buffers(&self) -> Vec<LaneBuffer> {
+        self.lanes
+            .iter()
+            .map(|l| LaneBuffer {
+                gaps: vec![0.0; l.rows().len()],
+                grad: vec![0.0; l.slots as usize],
+            })
+            .collect()
     }
 
-    /// Runs the gap pass over one lane: accumulates the hinge-gradient
-    /// contributions of violated rows into `buf` (zeroed first) and
-    /// returns the lane's `(violation, violated count)`. Violation and
-    /// gradient are weight-scaled; the violated count is in original
-    /// constraints (the row's multiplicity).
-    pub fn lane_gap_pass(&self, lane: usize, x: &[f64], buf: &mut [f64]) -> (f64, usize) {
-        let l = &self.lanes[lane];
-        buf.fill(0.0);
+    /// The gap of row `ri` at `x`: its signed dot product minus `C`.
+    fn row_gap(&self, ri: usize, x: &[f64]) -> f64 {
+        let (t0, t1) = (self.offsets[ri] as usize, self.offsets[ri + 1] as usize);
+        chunked_dot(&self.term_coeffs[t0..t1], &self.term_vars[t0..t1], x) - self.c
+    }
+
+    /// Pass 1 over the `rows` of one length group, all `L` terms long:
+    /// writes each row's gap to `gaps[row − base]`.
+    #[inline(always)]
+    fn group_gaps<const L: usize>(&self, rows: &[u32], base: usize, x: &[f64], gaps: &mut [f64]) {
+        for &ri in rows {
+            let t0 = self.offsets[ri as usize] as usize;
+            let dot = chunked_dot(&self.term_coeffs[t0..t0 + L], &self.term_vars[t0..t0 + L], x);
+            gaps[ri as usize - base] = dot - self.c;
+        }
+    }
+
+    /// Pass 1 over one lane: writes the gap of every row of the lane to
+    /// `gaps` (indexed from the lane's first row), one length group at a
+    /// time.
+    fn lane_gaps(&self, lane: &Lane, x: &[f64], gaps: &mut [f64]) {
+        let base = lane.start as usize;
+        for (g, bounds) in lane.groups.windows(2).enumerate() {
+            let rows = &self.gap_order[bounds[0] as usize..bounds[1] as usize];
+            match g + 1 {
+                1 => self.group_gaps::<1>(rows, base, x, gaps),
+                2 => self.group_gaps::<2>(rows, base, x, gaps),
+                3 => self.group_gaps::<3>(rows, base, x, gaps),
+                4 => self.group_gaps::<4>(rows, base, x, gaps),
+                5 => self.group_gaps::<5>(rows, base, x, gaps),
+                6 => self.group_gaps::<6>(rows, base, x, gaps),
+                7 => self.group_gaps::<7>(rows, base, x, gaps),
+                8 => self.group_gaps::<8>(rows, base, x, gaps),
+                9 => self.group_gaps::<9>(rows, base, x, gaps),
+                10 => self.group_gaps::<10>(rows, base, x, gaps),
+                11 => self.group_gaps::<11>(rows, base, x, gaps),
+                12 => self.group_gaps::<12>(rows, base, x, gaps),
+                13 => self.group_gaps::<13>(rows, base, x, gaps),
+                14 => self.group_gaps::<14>(rows, base, x, gaps),
+                15 => self.group_gaps::<15>(rows, base, x, gaps),
+                16 => self.group_gaps::<16>(rows, base, x, gaps),
+                _ => {
+                    for &ri in rows {
+                        gaps[ri as usize - base] = self.row_gap(ri as usize, x);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Pass 2 over one lane: walks its rows in solve order and, for each
+    /// row with a positive gap, adds `w · gap` to the violation and
+    /// `w · coeff` per term to the gradient buffer (zeroed first).
+    /// Returns the lane's `(violation, violated count)`; the violated
+    /// count is in original constraints (the row's multiplicity).
+    fn lane_scatter(&self, lane: &Lane, buf: &mut LaneBuffer) -> (f64, usize) {
+        let LaneBuffer { gaps, grad } = buf;
+        grad.fill(0.0);
         let mut violation = 0.0;
         let mut violated = 0usize;
-        for ri in l.start as usize..l.end as usize {
-            let t0 = self.offsets[ri] as usize;
-            let t1 = self.offsets[ri + 1] as usize;
-            let acc = chunked_dot(&self.term_coeffs[t0..t1], &self.term_vars[t0..t1], x);
-            let gap = acc - self.c;
+        for (ri, &gap) in lane.rows().zip(gaps.iter()) {
             if gap > 0.0 {
                 let w = self.weights[ri];
                 violation += w * gap;
                 violated += w as usize;
-                for (&wcoeff, &slot) in
-                    self.term_wcoeffs[t0..t1].iter().zip(&self.term_slots[t0..t1])
-                {
-                    buf[slot as usize] += wcoeff;
+                let (t0, t1) = (self.offsets[ri] as usize, self.offsets[ri + 1] as usize);
+                let terms = self.term_coeffs[t0..t1].iter().zip(&self.term_slots[t0..t1]);
+                for (&coeff, &slot) in terms {
+                    grad[slot as usize] += w * coeff;
                 }
             }
         }
         (violation, violated)
     }
 
-    /// Runs the gap pass over every lane, parallelized across up to
+    /// Runs both passes over every lane, parallelized across up to
     /// `threads` scoped workers. Each worker owns a contiguous block of
     /// lanes (disjoint `&mut` buffer slices — no locks), and because the
     /// lane partition is a function of the row count alone, the per-lane
@@ -361,29 +478,31 @@ impl CompiledSystem {
         &self,
         x: &[f64],
         threads: usize,
-        bufs: &mut [Vec<f64>],
+        bufs: &mut [LaneBuffer],
         stats: &mut [(f64, usize)],
     ) {
         let lanes = self.lanes.len();
         debug_assert_eq!(bufs.len(), lanes);
         debug_assert_eq!(stats.len(), lanes);
+        let lane_pass = |lane: &Lane, buf: &mut LaneBuffer| {
+            self.lane_gaps(lane, x, &mut buf.gaps);
+            self.lane_scatter(lane, buf)
+        };
         let workers = threads.max(1).min(lanes);
         if workers <= 1 {
-            for (lane, (buf, stat)) in bufs.iter_mut().zip(stats.iter_mut()).enumerate() {
-                *stat = self.lane_gap_pass(lane, x, buf);
+            for ((lane, buf), stat) in self.lanes.iter().zip(bufs).zip(stats) {
+                *stat = lane_pass(lane, buf);
             }
             return;
         }
         let per = lanes.div_ceil(workers);
         std::thread::scope(|s| {
-            for (w, (bufs_chunk, stats_chunk)) in
-                bufs.chunks_mut(per).zip(stats.chunks_mut(per)).enumerate()
+            for ((lanes, bufs), stats) in
+                self.lanes.chunks(per).zip(bufs.chunks_mut(per)).zip(stats.chunks_mut(per))
             {
                 s.spawn(move || {
-                    for (off, (buf, stat)) in
-                        bufs_chunk.iter_mut().zip(stats_chunk.iter_mut()).enumerate()
-                    {
-                        *stat = self.lane_gap_pass(w * per + off, x, buf);
+                    for ((lane, buf), stat) in lanes.iter().zip(bufs).zip(stats) {
+                        *stat = lane_pass(lane, buf);
                     }
                 });
             }
@@ -395,7 +514,7 @@ impl CompiledSystem {
     /// order of [`chunked_sum`] over the lane-ascending entry list — a
     /// pure function of the entry count, never of the thread count.
     #[inline]
-    pub fn grad_var(&self, i: usize, lambda: f64, bufs: &[Vec<f64>]) -> f64 {
+    pub fn grad_var(&self, i: usize, lambda: f64, bufs: &[LaneBuffer]) -> f64 {
         let e0 = self.var_offsets[i] as usize;
         let e1 = self.var_offsets[i + 1] as usize;
         let entries = &self.var_entries[e0..e1];
@@ -403,28 +522,29 @@ impl CompiledSystem {
         let mut acc = [0.0f64; ACC_WIDTH];
         for chunk in entries[..chunks * ACC_WIDTH].chunks_exact(ACC_WIDTH) {
             for (a, &(lane, slot)) in acc.iter_mut().zip(chunk) {
-                *a += bufs[lane as usize][slot as usize];
+                *a += bufs[lane as usize].grad[slot as usize];
             }
         }
         let mut g = lambda + ((acc[0] + acc[1]) + (acc[2] + acc[3]));
         for &(lane, slot) in &entries[chunks * ACC_WIDTH..] {
-            g += bufs[lane as usize][slot as usize];
+            g += bufs[lane as usize].grad[slot as usize];
         }
         g
     }
 
-    /// Computes `(violation, objective)` of `x` with a flat scan over the
-    /// compiled terms — the single evaluation path both [`crate::solve`]
-    /// and [`crate::evaluate`] share.
+    /// Computes `(violation, objective)` of `x`: pass 1 per lane, then the
+    /// weighted positive gaps summed in solve order — the single
+    /// evaluation path both [`crate::solve`] and [`crate::evaluate`] share.
     pub fn objective(&self, x: &[f64], lambda: f64) -> (f64, f64) {
+        let mut gaps = Vec::new();
         let mut violation = 0.0;
-        for ri in 0..self.row_count() {
-            let t0 = self.offsets[ri] as usize;
-            let t1 = self.offsets[ri + 1] as usize;
-            let acc = chunked_dot(&self.term_coeffs[t0..t1], &self.term_vars[t0..t1], x);
-            let gap = acc - self.c;
-            if gap > 0.0 {
-                violation += self.weights[ri] * gap;
+        for lane in &self.lanes {
+            gaps.resize(lane.rows().len(), 0.0);
+            self.lane_gaps(lane, x, &mut gaps);
+            for (&gap, &w) in gaps.iter().zip(&self.weights[lane.rows()]) {
+                if gap > 0.0 {
+                    violation += w * gap;
+                }
             }
         }
         let l1 = chunked_sum(x);
@@ -653,6 +773,181 @@ mod tests {
         let dedup_weights = [2.0, 1.0, 3.0];
         for (new, &old) in perm.iter().enumerate() {
             assert_eq!(cs.weights[new], dedup_weights[old as usize]);
+        }
+    }
+
+    /// The single-pass gap kernel the two passes replaced, kept as their
+    /// oracle: one walk over a lane in solve order, each row's dot
+    /// product followed at once by its hinge scatter of the weight-scaled
+    /// coefficients the compile used to precompute (`wcoeffs`).
+    fn lane_gap_pass(
+        cs: &CompiledSystem,
+        wcoeffs: &[f64],
+        lane: usize,
+        x: &[f64],
+        buf: &mut [f64],
+    ) -> (f64, usize) {
+        let l = &cs.lanes[lane];
+        buf.fill(0.0);
+        let mut violation = 0.0;
+        let mut violated = 0usize;
+        for ri in l.start as usize..l.end as usize {
+            let t0 = cs.offsets[ri] as usize;
+            let t1 = cs.offsets[ri + 1] as usize;
+            let acc = chunked_dot(&cs.term_coeffs[t0..t1], &cs.term_vars[t0..t1], x);
+            let gap = acc - cs.c;
+            if gap > 0.0 {
+                let w = cs.weights[ri];
+                violation += w * gap;
+                violated += w as usize;
+                for (&wcoeff, &slot) in wcoeffs[t0..t1].iter().zip(&cs.term_slots[t0..t1]) {
+                    buf[slot as usize] += wcoeff;
+                }
+            }
+        }
+        (violation, violated)
+    }
+
+    /// The oracle's objective: one ordered walk over every row.
+    fn oracle_objective(cs: &CompiledSystem, x: &[f64], lambda: f64) -> (f64, f64) {
+        let mut violation = 0.0;
+        for ri in 0..cs.row_count() {
+            let t0 = cs.offsets[ri] as usize;
+            let t1 = cs.offsets[ri + 1] as usize;
+            let acc = chunked_dot(&cs.term_coeffs[t0..t1], &cs.term_vars[t0..t1], x);
+            let gap = acc - cs.c;
+            if gap > 0.0 {
+                violation += cs.weights[ri] * gap;
+            }
+        }
+        let l1 = chunked_sum(x);
+        (violation, violation + lambda * l1)
+    }
+
+    /// Expands `seed` into a kernel-oracle case: 40–71 variables with up
+    /// to eight pins; 1–64, 1,025–2,124 or 3,073–4,472 rows (one to five
+    /// lanes) of 1–40 distinct variables each, so every length group runs,
+    /// the generic one included; palette coefficients on either side;
+    /// weights 1–9 (a constraint added that many times in a row); `C`
+    /// exactly 0.75 half the time; and a point whose scores are exact 0
+    /// or exact 1 a third of the time each.
+    fn random_kernel_case(seed: u64) -> (ConstraintSystem, Vec<f64>) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        const COEFFS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 1.0];
+        let c = if next() % 2 == 0 { 0.75 } else { COEFFS[(next() % 5) as usize] * 0.9 + 0.05 };
+        let mut sys = ConstraintSystem::new(c);
+        let n = 40 + (next() % 32) as usize;
+        let vars: Vec<VarId> = (0..n)
+            .map(|i| {
+                let rep = sys.rep(&format!("k{i}()"));
+                sys.var(rep, Role::Sink)
+            })
+            .collect();
+        for _ in 0..next() % 9 {
+            let v = vars[(next() % n as u64) as usize];
+            sys.pin(v, (next() % 2) as f64);
+        }
+        let rows = match next() % 3 {
+            0 => 1 + next() % 64,
+            1 => 1025 + next() % 1100,
+            _ => 3073 + next() % 1400,
+        };
+        let mut pool = vars.clone();
+        for _ in 0..rows {
+            let len = 1 + (next() % 40) as usize;
+            let mut con = FlowConstraint::default();
+            for k in 0..len {
+                pool.swap(k, k + (next() % (n - k) as u64) as usize);
+                let term = Term { var: pool[k], coeff: COEFFS[(next() % 5) as usize] };
+                if next() % 5 < 3 {
+                    con.lhs.push(term);
+                } else {
+                    con.rhs.push(term);
+                }
+            }
+            for _ in 0..1 + next() % 9 {
+                sys.add_constraint(con.clone());
+            }
+        }
+        let x = (0..n)
+            .map(|_| match next() % 3 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => (next() >> 11) as f64 / (1u64 << 53) as f64,
+            })
+            .collect();
+        (sys, x)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The two-pass kernel matches the single-pass oracle bit for bit
+        /// at 1, 2 and 4 threads: each lane's `(violation, violated)` and
+        /// every gradient slot; `objective` matches the oracle's ordered
+        /// sum.
+        #[test]
+        fn two_pass_kernel_matches_single_pass_oracle(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (sys, mut x) = random_kernel_case(seed);
+            let cs = CompiledSystem::compile(&sys);
+            cs.apply_pins(&mut x);
+            let wcoeffs: Vec<f64> =
+                cs.rows().flat_map(|(w, _, coeffs)| coeffs.iter().map(move |&c| w * c)).collect();
+            let oracle: Vec<(Vec<f64>, (f64, usize))> = (0..cs.lane_count())
+                .map(|lane| {
+                    let mut buf = vec![0.0; cs.lanes[lane].slots as usize];
+                    let stat = lane_gap_pass(&cs, &wcoeffs, lane, &x, &mut buf);
+                    (buf, stat)
+                })
+                .collect();
+            for threads in [1, 2, 4] {
+                let mut bufs = cs.new_lane_buffers();
+                let mut stats = vec![(f64::NAN, usize::MAX); cs.lane_count()];
+                cs.gap_pass(&x, threads, &mut bufs, &mut stats);
+                for ((buf, stat), (obuf, ostat)) in bufs.iter().zip(&stats).zip(&oracle) {
+                    proptest::prop_assert_eq!(stat.0.to_bits(), ostat.0.to_bits());
+                    proptest::prop_assert_eq!(stat.1, ostat.1);
+                    proptest::prop_assert_eq!(buf.grad.len(), obuf.len());
+                    for (g, o) in buf.grad.iter().zip(obuf) {
+                        proptest::prop_assert_eq!(g.to_bits(), o.to_bits(), "threads {}", threads);
+                    }
+                }
+            }
+            let (violation, objective) = cs.objective(&x, 0.1);
+            let (oviolation, oobjective) = oracle_objective(&cs, &x, 0.1);
+            proptest::prop_assert_eq!(violation.to_bits(), oviolation.to_bits());
+            proptest::prop_assert_eq!(objective.to_bits(), oobjective.to_bits());
+        }
+    }
+
+    /// Pass-1 groups partition each lane's rows: every row appears once,
+    /// in the group of its term count, in solve order within the group.
+    #[test]
+    fn length_groups_partition_each_lane_in_solve_order() {
+        let (sys, _) = random_kernel_case(3);
+        let cs = CompiledSystem::compile(&sys);
+        for lane in &cs.lanes {
+            let order = &cs.gap_order[lane.rows()];
+            let mut sorted = order.to_vec();
+            sorted.sort_unstable();
+            assert_eq!(sorted, lane.rows().map(|ri| ri as u32).collect::<Vec<_>>());
+            for (g, bounds) in lane.groups.windows(2).enumerate() {
+                let rows = &cs.gap_order[bounds[0] as usize..bounds[1] as usize];
+                assert!(rows.windows(2).all(|w| w[0] < w[1]), "group {g} out of order");
+                for &ri in rows {
+                    let len = (cs.offsets[ri as usize + 1] - cs.offsets[ri as usize]) as usize;
+                    assert_eq!(length_group(len), g);
+                }
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! role. The selected representation text becomes the learned spec entry.
 
 use crate::solve::Solution;
-use seldon_constraints::{ConstraintSystem, RepId};
+use seldon_constraints::{ConstraintSystem, RepId, VarId};
 use seldon_propgraph::EventId;
 use seldon_specs::{Role, RoleSet, TaintSpec};
 use std::collections::HashMap;
@@ -64,12 +64,50 @@ pub struct Extraction {
     pub backoff_hits: Vec<usize>,
 }
 
+/// Dense lookup tables over one system's variables, built once per
+/// extraction: every candidate `(event, role, rep)` reads two array slots
+/// instead of hashing `(rep, role)` and then the variable.
+struct VarTables {
+    /// The variable of each `(rep, role)`, indexed by the rep's symbol
+    /// and the role; reps past the end have no variable.
+    by_rep: Vec<[Option<VarId>; 3]>,
+    /// The pinned value of each variable, if any.
+    pins: Vec<Option<f64>>,
+}
+
+impl VarTables {
+    fn of(sys: &ConstraintSystem) -> VarTables {
+        let vars = (0..sys.var_count() as u32).map(|i| (VarId(i), sys.var_info(VarId(i))));
+        let len = vars.clone().map(|(_, (rep, _))| rep.index() + 1).max().unwrap_or(0);
+        let mut by_rep = vec![[None; 3]; len];
+        for (var, (rep, role)) in vars {
+            by_rep[rep.index()][role.index()] = Some(var);
+        }
+        let mut pins = vec![None; sys.var_count()];
+        for (var, value) in sys.pinned_vars() {
+            pins[var.index()] = Some(value);
+        }
+        VarTables { by_rep, pins }
+    }
+
+    /// The variable of `(rep, role)`, as [`ConstraintSystem::lookup_var`].
+    fn var(&self, rep: RepId, role: Role) -> Option<VarId> {
+        self.by_rep.get(rep.index()).and_then(|roles| roles[role.index()])
+    }
+
+    /// The pinned value of `(rep, role)`'s variable, if it has both.
+    fn pinned(&self, rep: RepId, role: Role) -> Option<f64> {
+        self.var(rep, role).and_then(|var| self.pins[var.index()])
+    }
+}
+
 /// Runs the §7.1 extraction rule over all candidate events.
 pub fn extract(
     sys: &ConstraintSystem,
     sol: &Solution,
     opts: &ExtractOptions,
 ) -> Extraction {
+    let tables = VarTables::of(sys);
     let mut out = Extraction::default();
     for (event, reps) in &sys.event_reps {
         let mut roles = RoleSet::EMPTY;
@@ -79,10 +117,7 @@ pub fn extract(
             // event *is* that API and its role is already known — do not
             // relearn (or contradict) it from scores.
             if opts.exclude_seeded {
-                if let Some(pinned) = reps
-                    .iter()
-                    .find_map(|&r| sys.lookup_var(r, role).and_then(|v| sys.pinned(v)))
-                {
+                if let Some(pinned) = reps.iter().find_map(|&r| tables.pinned(r, role)) {
                     if pinned == 1.0 {
                         roles = roles.with(role);
                     }
@@ -90,7 +125,7 @@ pub fn extract(
                 }
             }
             for (i, &rep) in reps.iter().enumerate() {
-                let Some(var) = sys.lookup_var(rep, role) else { continue };
+                let Some(var) = tables.var(rep, role) else { continue };
                 let effective = opts.decay.powi(i as i32) * sol.score(var);
                 if effective >= opts.threshold(role) {
                     roles = roles.with(role);
@@ -142,19 +177,16 @@ pub fn extraction_margin(
     sol: &Solution,
     opts: &ExtractOptions,
 ) -> f64 {
+    let tables = VarTables::of(sys);
     let mut margin = f64::INFINITY;
     for (_, reps) in &sys.event_reps {
         for role in Role::ALL {
-            if opts.exclude_seeded
-                && reps
-                    .iter()
-                    .any(|&r| sys.lookup_var(r, role).and_then(|v| sys.pinned(v)).is_some())
-            {
+            if opts.exclude_seeded && reps.iter().any(|&r| tables.pinned(r, role).is_some()) {
                 continue;
             }
             for (i, &rep) in reps.iter().enumerate() {
-                let Some(var) = sys.lookup_var(rep, role) else { continue };
-                if sys.pinned(var).is_some() {
+                let Some(var) = tables.var(rep, role) else { continue };
+                if tables.pins[var.index()].is_some() {
                     continue;
                 }
                 let effective = opts.decay.powi(i as i32) * sol.score(var);
@@ -248,6 +280,26 @@ mod tests {
             &ExtractOptions { exclude_seeded: false, ..Default::default() },
         );
         assert!(ex2.spec.has_role("pkg.mod.api()", Role::Source));
+    }
+
+    /// The dense tables answer every `(rep, role)` exactly as the
+    /// system's hash lookups do, reps without a variable included.
+    #[test]
+    fn var_tables_match_the_system_lookups() {
+        let (mut sys, reps) = mk_system();
+        let sink = sys.var(reps[1], Role::Sink);
+        sys.pin(sink, 0.0);
+        let v = sys.lookup_var(reps[0], Role::Source).unwrap();
+        sys.pin(v, 1.0);
+        let outside = sys.rep("not.a.var()");
+        let tables = VarTables::of(&sys);
+        for rep in [reps[0], reps[1], outside, seldon_propgraph::intern("never.a.member()")] {
+            for role in Role::ALL {
+                let var = sys.lookup_var(rep, role);
+                assert_eq!(tables.var(rep, role), var, "{rep} {role:?}");
+                assert_eq!(tables.pinned(rep, role), var.and_then(|v| sys.pinned(v)));
+            }
+        }
     }
 
     #[test]

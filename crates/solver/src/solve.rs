@@ -25,7 +25,7 @@
 //! any thread count.
 
 use crate::adam::{step_element, AdamConfig};
-use crate::compiled::{chunked_sum, CompiledSystem};
+use crate::compiled::{chunked_sum, CompiledSystem, LaneBuffer};
 use seldon_constraints::ConstraintSystem;
 use seldon_telemetry::EpochSample;
 
@@ -219,10 +219,14 @@ impl SolveOptions {
     /// Rejects hyperparameters that would poison every iterate (NaN λ, a
     /// bad Adam configuration — see [`AdamConfig::validate`]) so
     /// [`solve`] can short-circuit to a diverged [`Solution`] instead of
-    /// burning `max_iters` twice.
+    /// burning `max_iters` twice. A NaN `tol` would count every epoch as
+    /// a stall and stop each run at epoch [`STALL_WINDOW`], unreported.
     pub fn validate(&self) -> Result<(), String> {
         if !self.lambda.is_finite() {
             return Err(format!("lambda must be finite, got {}", self.lambda));
+        }
+        if !self.tol.is_finite() || self.tol < 0.0 {
+            return Err(format!("tol must be finite and ≥ 0, got {}", self.tol));
         }
         if let Some(es) = &self.early_stop {
             es.validate()?;
@@ -305,7 +309,7 @@ fn update_block(
     lambda: f64,
     b1t: f64,
     b2t: f64,
-    bufs: &[Vec<f64>],
+    bufs: &[LaneBuffer],
     start: usize,
     xs: &mut [f64],
     ms: &mut [f64],
@@ -343,7 +347,7 @@ fn update_pass(
     lambda: f64,
     step: u64,
     threads: usize,
-    bufs: &[Vec<f64>],
+    bufs: &[LaneBuffer],
     x: &mut [f64],
     m: &mut [f64],
     v: &mut [f64],
@@ -377,7 +381,7 @@ fn update_pass(
 
 /// The gradient norm alone, for tracing epochs that never reach the
 /// update phase (non-finite objective).
-fn grad_norm_only(cs: &CompiledSystem, lambda: f64, bufs: &[Vec<f64>]) -> f64 {
+fn grad_norm_only(cs: &CompiledSystem, lambda: f64, bufs: &[LaneBuffer]) -> f64 {
     let mut sq = 0.0;
     for i in 0..cs.var_count() {
         let g = cs.grad_var(i, lambda, bufs);
@@ -864,6 +868,9 @@ mod tests {
                 adam: AdamConfig { beta2: f64::NAN, ..Default::default() },
                 ..Default::default()
             },
+            SolveOptions { tol: f64::NAN, ..Default::default() },
+            SolveOptions { tol: f64::INFINITY, ..Default::default() },
+            SolveOptions { tol: -1e-6, ..Default::default() },
         ];
         for opts in bad_opts {
             assert!(opts.validate().is_err());

@@ -678,6 +678,12 @@ fn report_renders_the_fig11_summary() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("stage breakdown"), "{stdout}");
     assert!(stdout.contains("score vs backoff (Fig. 11)"), "{stdout}");
+    assert!(
+        stdout.lines().any(|l| l.starts_with("extraction ")
+            && l.contains(" candidate event(s)")
+            && !l.contains(" from 0 candidate")),
+        "the extraction line counts the candidate events scanned: {stdout}"
+    );
     assert!(stdout.contains("learned representations by score"), "{stdout}");
     assert!(stdout.contains("memory"), "{stdout}");
     assert!(stdout.contains(" src  "), "learned rep rows carry a role label: {stdout}");
