@@ -26,10 +26,11 @@ use seldon_cache::{
 };
 use seldon_constraints::{generate_with_stats, ConstraintSystem, GenOptions, GenStats};
 use seldon_corpus::{Corpus, SourceFile};
-use seldon_ir::{FrontendError, IrProgram};
-use seldon_jsfront::lower_js_program_budgeted;
+use seldon_ir::FrontendError;
+use seldon_jsfront::lower_js_program_into;
 use seldon_propgraph::{
-    build_ir, lower_module_budgeted, Budget, BudgetExceeded, BuildError, FileId, PropagationGraph,
+    lower_module_into, Budget, BudgetExceeded, BuildError, FileId, GraphSink, PropagationGraph,
+    Sink,
 };
 use seldon_solver::{
     extract, extraction_margin, solve_compiled, solve_compiled_warm, CompiledSystem,
@@ -46,10 +47,10 @@ use std::time::{Duration, Instant};
 
 /// Which language frontend analyzes a file, decided by its extension.
 ///
-/// Everything past the IR boundary — graph construction, representations,
-/// constraints, solver, extraction, taint — is language-blind; the
-/// frontend choice only selects which lowering pass produces the
-/// [`seldon_ir::IrProgram`](seldon_ir) trace for a file.
+/// Everything past the shared emitter — graph construction,
+/// representations, constraints, solver, extraction, taint — is
+/// language-blind; the frontend choice only selects which walk feeds a
+/// file's events and ops to the emitter's sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Frontend {
     /// The Python frontend (`seldon-pyast` lexer/parser + Python
@@ -99,47 +100,42 @@ impl Frontend {
     /// The per-file front end, the one place a parser and a lowering are
     /// picked: checks the source size against `budget`, parses (strictly,
     /// or with statement-level recovery when `lenient`), and lowers the
-    /// AST under `budget`. Pass [`Budget::unlimited`] to lower without
-    /// limits.
+    /// AST under `budget` into `sink`: a [`GraphSink`] for the file's
+    /// graph, a `Recorder` for its IR. Pass [`Budget::unlimited`] to lower
+    /// without limits.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::OverBudget`] when a budget limit trips and
     /// [`BuildError::Frontend`] when a strict parse fails (never when
     /// `lenient`).
-    pub fn lower(
+    pub fn lower<S: Sink>(
         self,
         source: &str,
         budget: &Budget,
         lenient: bool,
-    ) -> Result<Lowered, BuildError> {
+        sink: S,
+    ) -> Result<Lowered<S::Output>, BuildError> {
         budget.check_source(source)?;
         match self {
-            Frontend::Python => lower_with(
-                source,
-                budget,
-                lenient,
-                seldon_pyast::parse,
-                seldon_pyast::parse_lenient,
-                lower_module_budgeted,
-            ),
-            Frontend::Js => lower_with(
-                source,
-                budget,
-                lenient,
-                seldon_jsfront::parse,
-                seldon_jsfront::parse_lenient,
-                lower_js_program_budgeted,
-            ),
+            Frontend::Python => {
+                let parsers: Parsers<_> = (seldon_pyast::parse, seldon_pyast::parse_lenient);
+                lower_with(source, lenient, parsers, |m| lower_module_into(m, budget, sink))
+            }
+            Frontend::Js => {
+                let parsers: Parsers<_> = (seldon_jsfront::parse, seldon_jsfront::parse_lenient);
+                lower_with(source, lenient, parsers, |p| lower_js_program_into(p, budget, sink))
+            }
         }
     }
 }
 
 /// One file lowered by [`Frontend::lower`].
 #[derive(Debug)]
-pub struct Lowered {
-    /// The file's language-neutral IR trace.
-    pub ir: IrProgram,
+pub struct Lowered<T> {
+    /// What the sink built: the file's `PropagationGraph` through a
+    /// [`GraphSink`], its recorded `IrProgram` through a `Recorder`.
+    pub output: T,
     /// Statement-level parse errors the lenient parser recovered from
     /// (empty after a strict parse).
     pub errors: Vec<FrontendError>,
@@ -147,19 +143,20 @@ pub struct Lowered {
     pub parse: Duration,
 }
 
+/// One language's strict and lenient parsers.
+type Parsers<Ast> = (fn(&str) -> Result<Ast, FrontendError>, fn(&str) -> (Ast, Vec<FrontendError>));
+
 /// [`Frontend::lower`] over one language's parser pair and lowering.
-fn lower_with<Ast>(
+fn lower_with<Ast, T>(
     source: &str,
-    budget: &Budget,
     lenient: bool,
-    parse: fn(&str) -> Result<Ast, FrontendError>,
-    parse_lenient: fn(&str) -> (Ast, Vec<FrontendError>),
-    lower: fn(&Ast, &Budget) -> Result<IrProgram, BudgetExceeded>,
-) -> Result<Lowered, BuildError> {
+    (parse, parse_lenient): Parsers<Ast>,
+    lower: impl FnOnce(&Ast) -> Result<T, BudgetExceeded>,
+) -> Result<Lowered<T>, BuildError> {
     let started = Instant::now();
     let (ast, errors) = if lenient { parse_lenient(source) } else { (parse(source)?, Vec::new()) };
     let parse = started.elapsed();
-    Ok(Lowered { ir: lower(&ast, budget)?, errors, parse })
+    Ok(Lowered { output: lower(&ast)?, errors, parse })
 }
 
 /// Wall-clock split of one file's front-end work. The telemetry layer sums
@@ -309,11 +306,10 @@ fn analyze_one(
         let budget = opts.budget.as_ref().unwrap_or(&unlimited);
         let attempt = |lenient| {
             let started = Instant::now();
-            let lowered = frontend.lower(content, budget, lenient)?;
-            let graph = build_ir(&lowered.ir, id);
+            let lowered = frontend.lower(content, budget, lenient, GraphSink::new(id))?;
             let build = started.elapsed().saturating_sub(lowered.parse);
             Ok::<_, BuildError>((
-                graph,
+                lowered.output,
                 lowered.errors,
                 BuildTimings { parse: lowered.parse, build },
             ))
@@ -1168,6 +1164,7 @@ pub fn run_seldon_cached(
 mod tests {
     use super::*;
     use seldon_corpus::{generate_corpus, CorpusOptions, Project, SourceFile, Universe};
+    use seldon_propgraph::Recorder;
 
     fn corpus() -> Corpus {
         generate_corpus(
@@ -1441,7 +1438,7 @@ mod tests {
             ];
             for (budget, src, lenient, expected) in table {
                 let row = format!("{frontend:?} lenient={lenient} {budget:?}\n{src}");
-                let result = frontend.lower(src, budget, lenient);
+                let result = frontend.lower(src, budget, lenient, GraphSink::new(FileId(0)));
                 let got = match &result {
                     Ok(l) => Lowering::Lowered { errors: l.errors.len() },
                     Err(BuildError::Frontend(_)) => Lowering::ParseError,
@@ -1453,7 +1450,7 @@ mod tests {
                 };
                 assert_eq!(got, expected, "{row}");
                 let Ok(lowered) = result else { continue };
-                let g = build_ir(&lowered.ir, FileId(0));
+                let g = lowered.output;
                 if src == clean {
                     // Any budget that does not trip, either parse mode: the
                     // strict shorthand's graph exactly.
@@ -1474,7 +1471,9 @@ mod tests {
         // A stray indent fails the strict parse but parses leniently with
         // no error left to count: still reported as one recovered error.
         let stray = "  x = 1\n";
-        assert!(Frontend::Python.lower(stray, &Budget::unlimited(), true).unwrap().errors.is_empty());
+        let lowered =
+            Frontend::Python.lower(stray, &Budget::unlimited(), true, Recorder::default());
+        assert!(lowered.unwrap().errors.is_empty());
         let analysis = analyze_file("stray.py", stray, FileId(0), &recover);
         assert_eq!(analysis.outcome, FileOutcome::Recovered { errors: 1 });
         assert!(analysis.graph.is_some());

@@ -31,7 +31,49 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{OnceLock, RwLock};
+
+/// A fast FxHash-style hasher — for symbols, event ids and interned text:
+/// one rotate, xor and multiply per 8-byte word. It is not DoS-resistant:
+/// interned text comes from the analyzed source, so a corpus built to
+/// collide could slow interning. Like rustc's own symbol table, the
+/// analyzer takes that trade for lookup speed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(tail));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
+/// The `HashMap` / `HashSet` hasher state of [`IdHasher`].
+pub type IdHash = BuildHasherDefault<IdHasher>;
 
 /// An interned string: a dense `u32` handle into the global [`Interner`].
 ///
@@ -75,7 +117,9 @@ pub struct Interner {
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<&'static str, Symbol>,
+    /// Symbol ids follow first-intern order, so the hasher decides only
+    /// lookup speed, never an id.
+    map: HashMap<&'static str, Symbol, IdHash>,
     strings: Vec<&'static str>,
 }
 

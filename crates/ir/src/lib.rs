@@ -2,15 +2,15 @@
 //!
 //! Every language frontend (Python in `seldon-pyast`/`seldon-propgraph`,
 //! the JS-like subset in `seldon-jsfront`) lowers source text into one
-//! shared [`IrProgram`]: an ordered stream of propagation-graph events
-//! plus the construction ops that connect them. A single language-blind
-//! builder (`seldon_propgraph::build_ir`) then turns any `IrProgram` into
-//! a `PropagationGraph`, so representations, constraints, the solver, and
-//! taint extraction never see a language-specific node.
+//! shared stream of propagation-graph events ([`IrEvent`]) and the
+//! construction ops ([`IrOp`]) that connect them. The product path hands
+//! that stream straight to a graph sink; a recording sink keeps it as an
+//! [`IrProgram`], which `seldon_propgraph::build_ir` replays into the same
+//! graph sink. Representations, constraints, the solver, and taint
+//! extraction never see a language-specific node.
 //!
 //! This crate also hosts the frontend-neutral [`Span`] and
-//! [`FrontendError`] types that used to live in `seldon-pyast`; that crate
-//! re-exports them for compatibility.
+//! [`FrontendError`] types; `seldon-pyast` re-exports them.
 
 #![warn(missing_docs)]
 

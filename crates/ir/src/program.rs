@@ -1,36 +1,43 @@
 //! The language-neutral lowered program: an ordered event/op stream.
 //!
-//! A frontend walks its own AST and records two ordered streams:
+//! A frontend walk emits two ordered streams, and a recording sink keeps
+//! them as an [`IrProgram`]:
 //!
 //! * **events** — the propagation-graph nodes (calls, object reads, param
 //!   bindings), each carrying its interned representation strings and a
 //!   source span. The index of an event in [`IrProgram::events`] *is* its
-//!   graph `EventId` after construction: graph building creates events in
-//!   stream order, so event identity is fixed at lowering time.
+//!   graph `EventId`, so event identity is fixed at lowering time.
 //! * **ops** — everything else the walk did, in the exact order it did it:
 //!   direct flow edges, argument-position tags, and points-to constraints
 //!   (alloc/copy/load/store) over a flat variable space `0..var_count`.
 //!
-//! Cross-function linking state (function summaries and unresolved calls)
-//! is carried as data so the language-blind builder can replay the same
-//! deferred-linking pass the Python builder used to run inline.
-//!
-//! The contract with the graph builder is strict replay: creating events in
-//! order and applying ops in order must reproduce the original builder's
-//! event identity and adjacency order byte-for-byte.
+//! Function summaries and unresolved calls are carried as data, so a
+//! replay links calls exactly as the graph sink does after a direct walk.
+//! The event, edge and argument-position types are the graph's own.
 
 use crate::span::Span;
 use seldon_intern::Symbol;
+use std::fmt;
 
-/// The kind of a lowered event, mirroring the graph's event taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What kind of action an event is (§3.1, §5.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IrEventKind {
-    /// A call site.
+    /// A function or method call.
     Call,
-    /// A field / attribute / subscript read.
+    /// An object read: attribute load or subscript.
     ObjectRead,
-    /// A function parameter binding.
+    /// A read of a formal parameter.
     ParamRead,
+}
+
+impl fmt::Display for IrEventKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            IrEventKind::Call => "call",
+            IrEventKind::ObjectRead => "object-read",
+            IrEventKind::ParamRead => "param-read",
+        })
+    }
 }
 
 impl IrEventKind {
@@ -55,30 +62,42 @@ pub struct IrEvent {
     pub span: Span,
 }
 
-/// Kind of a direct flow edge between two events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How information flows along an edge.
+///
+/// The distinction matters for constraint generation: a *receiver* edge
+/// connects events of the same object-access chain (`request.args` →
+/// `request.args.get()`), while an *argument* edge carries independent data
+/// into a call (`secure_filename(filename)`). Sanitizers transform their
+/// arguments, so same-chain events are not sanitizer candidates "between" a
+/// source and a sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IrEdgeKind {
-    /// Ordinary data-flow (argument) edge.
+    /// Ordinary data flow (arguments, assignments, field aliasing).
     Argument,
-    /// Receiver edge (flow into a method call through its receiver).
+    /// Same-object-chain flow (receiver of a method call, base of a read).
     Receiver,
 }
 
-/// Where an argument sits at a call site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IrArgPos {
+/// The position through which flow enters a call event, recorded for
+/// parameter-sensitive clients (the paper's §3.3 future work). `S` is the
+/// keyword's text: owned in an [`IrProgram`] and a graph, borrowed as an
+/// emitter hands it to a sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum IrArgPos<S = String> {
     /// The call receiver (`recv.m(...)`).
     Receiver,
     /// A positional argument (0-based, saturated at 255).
     Positional(u8),
     /// A keyword / named argument.
-    Keyword(String),
+    Keyword(S),
 }
 
 /// One replayable step of graph construction, in the exact order the
-/// frontend's walk performed it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IrOp {
+/// frontend's walk performed it. `S` is the text of field and keyword
+/// names: owned in an [`IrProgram`], borrowed as an emitter hands the op
+/// to a sink.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum IrOp<S = String> {
     /// Add a flow edge between two events (indices into the event stream).
     Edge {
         /// Source event index.
@@ -95,7 +114,7 @@ pub enum IrOp {
         /// Call event index.
         to: u32,
         /// The position tag.
-        pos: IrArgPos,
+        pos: IrArgPos<S>,
     },
     /// Points-to: variable `var` may point to allocation site `site`
     /// (an event index used as the abstract object identity).
@@ -118,7 +137,7 @@ pub enum IrOp {
         /// Base variable.
         base: u32,
         /// Field name (frontend-rendered, e.g. `name` or `['key']`).
-        field: String,
+        field: S,
         /// Target variable.
         target: u32,
     },
@@ -127,7 +146,7 @@ pub enum IrOp {
         /// Base variable.
         base: u32,
         /// Field name.
-        field: String,
+        field: S,
         /// Value variable.
         value: u32,
     },
@@ -141,11 +160,40 @@ pub enum IrOp {
     },
 }
 
-/// A parameter of a lowered function summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IrParam {
+impl<S> IrArgPos<S> {
+    /// The same position with the keyword passed through `f`.
+    pub fn map<'s, T>(&'s self, f: impl FnOnce(&'s S) -> T) -> IrArgPos<T> {
+        match *self {
+            IrArgPos::Receiver => IrArgPos::Receiver,
+            IrArgPos::Positional(i) => IrArgPos::Positional(i),
+            IrArgPos::Keyword(ref k) => IrArgPos::Keyword(f(k)),
+        }
+    }
+}
+
+impl<S> IrOp<S> {
+    /// The same op with each name passed through `f`: `map(String::as_str)`
+    /// borrows an [`IrProgram`]'s op, `map(|s| s.to_string())` owns a
+    /// borrowed one.
+    pub fn map<'s, T>(&'s self, f: impl FnOnce(&'s S) -> T) -> IrOp<T> {
+        match *self {
+            IrOp::Edge { from, to, kind } => IrOp::Edge { from, to, kind },
+            IrOp::ArgPos { from, to, ref pos } => IrOp::ArgPos { from, to, pos: pos.map(f) },
+            IrOp::Alloc { var, site } => IrOp::Alloc { var, site },
+            IrOp::Copy { from, to } => IrOp::Copy { from, to },
+            IrOp::Load { base, ref field, target } => IrOp::Load { base, field: f(field), target },
+            IrOp::Store { base, ref field, value } => IrOp::Store { base, field: f(field), value },
+            IrOp::PtLoad { event, var } => IrOp::PtLoad { event, var },
+        }
+    }
+}
+
+/// A parameter of a lowered function summary. `S` is its name: owned in
+/// an [`IrProgram`], borrowed from the AST while a walk runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IrParam<S = String> {
     /// Parameter name as written in source.
-    pub name: String,
+    pub name: S,
     /// The `ParamRead` event bound to this parameter.
     pub event: u32,
     /// Whether the parameter is an implicit receiver (`self` / `cls`) that
@@ -199,6 +247,7 @@ impl IrProgram {
     /// backend of `seldon ir-dump`, for diffing frontends and bug reports.
     pub fn dump(&self) -> String {
         use std::fmt::Write as _;
+        let list = |es: &[u32]| es.iter().map(|e| format!("e{e}")).collect::<Vec<_>>().join(", ");
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -211,99 +260,45 @@ impl IrProgram {
         );
         for (i, ev) in self.events.iter().enumerate() {
             let reps: Vec<&str> = ev.reps.iter().map(|s| s.as_str()).collect();
-            let _ = writeln!(
-                out,
-                "e{i} {} @{} [{}]",
-                ev.kind.label(),
-                ev.span,
-                reps.join(", ")
-            );
+            let _ = writeln!(out, "e{i} {} @{} [{}]", ev.kind.label(), ev.span, reps.join(", "));
         }
         for op in &self.ops {
-            match op {
+            let _ = match op {
                 IrOp::Edge { from, to, kind } => {
-                    let k = match kind {
-                        IrEdgeKind::Argument => "arg",
-                        IrEdgeKind::Receiver => "recv",
-                    };
-                    let _ = writeln!(out, "edge e{from} -> e{to} ({k})");
+                    let k = if *kind == IrEdgeKind::Argument { "arg" } else { "recv" };
+                    writeln!(out, "edge e{from} -> e{to} ({k})")
                 }
-                IrOp::ArgPos { from, to, pos } => {
-                    let p = match pos {
-                        IrArgPos::Receiver => "receiver".to_string(),
-                        IrArgPos::Positional(i) => format!("pos {i}"),
-                        IrArgPos::Keyword(k) => format!("kw {k}"),
-                    };
-                    let _ = writeln!(out, "argpos e{from} @ e{to}: {p}");
-                }
-                IrOp::Alloc { var, site } => {
-                    let _ = writeln!(out, "pt alloc v{var} <- site e{site}");
-                }
-                IrOp::Copy { from, to } => {
-                    let _ = writeln!(out, "pt copy v{from} -> v{to}");
-                }
+                IrOp::ArgPos { from, to, pos } => match pos {
+                    IrArgPos::Receiver => writeln!(out, "argpos e{from} @ e{to}: receiver"),
+                    IrArgPos::Positional(i) => writeln!(out, "argpos e{from} @ e{to}: pos {i}"),
+                    IrArgPos::Keyword(k) => writeln!(out, "argpos e{from} @ e{to}: kw {k}"),
+                },
+                IrOp::Alloc { var, site } => writeln!(out, "pt alloc v{var} <- site e{site}"),
+                IrOp::Copy { from, to } => writeln!(out, "pt copy v{from} -> v{to}"),
                 IrOp::Load { base, field, target } => {
-                    let _ = writeln!(out, "pt load v{target} = v{base}.{field}");
+                    writeln!(out, "pt load v{target} = v{base}.{field}")
                 }
                 IrOp::Store { base, field, value } => {
-                    let _ = writeln!(out, "pt store v{base}.{field} = v{value}");
+                    writeln!(out, "pt store v{base}.{field} = v{value}")
                 }
-                IrOp::PtLoad { event, var } => {
-                    let _ = writeln!(out, "pt-load e{event} <- pts(v{var})");
-                }
-            }
+                IrOp::PtLoad { event, var } => writeln!(out, "pt-load e{event} <- pts(v{var})"),
+            };
         }
         for f in &self.funcs {
             let params: Vec<String> = f
                 .params
                 .iter()
-                .map(|p| {
-                    if p.implicit {
-                        format!("{}*=e{}", p.name, p.event)
-                    } else {
-                        format!("{}=e{}", p.name, p.event)
-                    }
-                })
+                .map(|p| format!("{}{}=e{}", p.name, if p.implicit { "*" } else { "" }, p.event))
                 .collect();
-            let rets: Vec<String> = f.returns.iter().map(|r| format!("e{r}")).collect();
-            let _ = writeln!(
-                out,
-                "func {}({}) returns [{}]",
-                f.qualified,
-                params.join(", "),
-                rets.join(", ")
-            );
+            let (name, params, rets) = (&f.qualified, params.join(", "), list(&f.returns));
+            let _ = writeln!(out, "func {name}({params}) returns [{rets}]");
         }
         for p in &self.pending {
-            let args: Vec<String> = p
-                .arg_flows
-                .iter()
-                .map(|fs| {
-                    let es: Vec<String> = fs.iter().map(|e| format!("e{e}")).collect();
-                    format!("[{}]", es.join(", "))
-                })
-                .collect();
-            let kwargs: Vec<String> = p
-                .kwarg_flows
-                .iter()
-                .map(|(k, fs)| {
-                    let es: Vec<String> = fs.iter().map(|e| format!("e{e}")).collect();
-                    format!("{k}=[{}]", es.join(", "))
-                })
-                .collect();
-            let ev = match p.call_event {
-                Some(e) => format!("e{e}"),
-                None => "-".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "pending {}({}{}{}) event {}",
-                p.qualified,
-                args.join(", "),
-                if args.is_empty() || kwargs.is_empty() { "" } else { ", " },
-                kwargs.join(", "),
-                ev
-            );
+            let args = p.arg_flows.iter().map(|fs| format!("[{}]", list(fs)));
+            let kwargs = p.kwarg_flows.iter().map(|(k, fs)| format!("{k}=[{}]", list(fs)));
+            let args: Vec<String> = args.chain(kwargs).collect();
+            let ev = p.call_event.map_or_else(|| "-".to_string(), |e| format!("e{e}"));
+            let _ = writeln!(out, "pending {}({}) event {ev}", p.qualified, args.join(", "));
         }
         out
     }

@@ -3,11 +3,12 @@
 //! A JS-like subset frontend for the Seldon reproduction, proving the
 //! language-neutral IR split: this crate lexes, parses, and lowers
 //! JavaScript-flavored source (functions, calls, member chains,
-//! assignments, `var`/`let`/`const`, ES and CommonJS imports) into the
-//! same [`seldon_ir::IrProgram`] stream the Python frontend emits. Graph
+//! assignments, `var`/`let`/`const`, ES and CommonJS imports) through the
+//! same emitter the Python frontend walks, into either of its sinks: the
+//! propagation graph itself, or a recorded [`seldon_ir::IrProgram`]. Graph
 //! construction, representations backoff, constraints, the solver, and
 //! the taint pipeline are all reused unchanged from `seldon-propgraph`
-//! onward — no per-language branches exist past the IR boundary.
+//! onward — no per-language branches exist past the emitter.
 //!
 //! ## Example
 //!
@@ -32,11 +33,11 @@ pub mod lexer;
 pub mod lower;
 pub mod parser;
 
-pub use lower::lower_js_program_budgeted;
+pub use lower::{lower_js_program_budgeted, lower_js_program_into};
 pub use parser::{parse, parse_lenient};
 
 use seldon_ir::FrontendError;
-use seldon_propgraph::{build_ir, Budget, FileId, PropagationGraph};
+use seldon_propgraph::{Budget, FileId, GraphSink, PropagationGraph};
 
 /// Parses JS-like `source` strictly and builds its propagation graph,
 /// without resource limits. The per-file front end with budgets and
@@ -46,9 +47,11 @@ use seldon_propgraph::{build_ir, Budget, FileId, PropagationGraph};
 ///
 /// Returns a [`FrontendError`] if the source fails to lex or parse.
 pub fn build_js_source(source: &str, file: FileId) -> Result<PropagationGraph, FrontendError> {
-    let ir = lower_js_program_budgeted(&parse(source)?, &Budget::unlimited())
-        .expect("an unlimited budget never trips");
-    Ok(build_ir(&ir, file))
+    let program = parse(source)?;
+    Ok(
+        lower_js_program_into(&program, &Budget::unlimited(), GraphSink::new(file))
+            .expect("an unlimited budget never trips"),
+    )
 }
 
 #[cfg(test)]
@@ -90,7 +93,10 @@ mod tests {
                 }
             }
         }
-        assert!(reached, "taint must flow from the parameter to the sink call");
+        assert!(
+            reached,
+            "taint must flow from the parameter to the sink call"
+        );
         // Events carry the stamped file id.
         assert!(g.events().all(|(_, e)| e.file == FileId(3)));
     }
@@ -100,14 +106,17 @@ mod tests {
         let src = "const a = f(;\nconst fs = require('fs');\nfs.readFile(p);\n";
         let (program, errors) = parse_lenient(src);
         assert_eq!(errors.len(), 1);
-        let ir = lower_js_program_budgeted(&program, &Budget::unlimited()).expect("lowers");
-        let g = build_ir(&ir, FileId(0));
+        let sink = GraphSink::new(FileId(0));
+        let g = lower_js_program_into(&program, &Budget::unlimited(), sink).expect("lowers");
         assert!(g.events().any(|(_, e)| e.has_rep("fs.readFile()")));
     }
 
     #[test]
     fn budgeted_build_trips_on_source_size() {
-        let tight = Budget { max_source_bytes: 4, ..Budget::unlimited() };
+        let tight = Budget {
+            max_source_bytes: 4,
+            ..Budget::unlimited()
+        };
         let err = BuildError::from(tight.check_source("const a = b;").unwrap_err());
         assert!(matches!(
             err,

@@ -1,4 +1,4 @@
-//! Lowers the JS-like AST into the language-neutral IR.
+//! Lowers the JS-like AST through the shared emitter.
 //!
 //! This is the JS walk over the shared `seldon_propgraph::emit` emitter,
 //! which owns §5's rules: environment flow, call wiring, field aliasing
@@ -6,7 +6,7 @@
 //! `import`/CommonJS `require` bindings, no implicit receiver parameters,
 //! object/array literals as value unions.
 //!
-//! Everything downstream of the produced [`IrProgram`] (graph replay,
+//! Everything downstream of the emitter's sink (graph construction,
 //! representations' backoff, constraints, solver) is shared with the
 //! Python frontend and contains no per-language branches.
 
@@ -15,30 +15,42 @@ use seldon_intern::{intern, Symbol};
 use seldon_ir::IrProgram;
 use seldon_propgraph::emit::{union_into, Call, Emitter, FlowSet, Scope, Walk};
 use seldon_propgraph::{
-    finish_rep_strings, finish_reps, Budget, BudgetExceeded, ImportMap, ReprCtx, MAX_CHAIN_DEPTH,
+    Budget, BudgetExceeded, ImportMap, Recorder, ReprCtx, Sink, MAX_CHAIN_DEPTH,
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Lowers one parsed program into the language-neutral IR under a
-/// resource [`Budget`] (pass [`Budget::unlimited`] to lower without
-/// limits).
+/// Lowers one parsed program into `sink` under a resource [`Budget`]
+/// (pass [`Budget::unlimited`] to lower without limits).
 ///
 /// # Errors
 ///
 /// Returns [`BudgetExceeded`] if the walk trips a statement-count, depth,
-/// or deadline limit; the partial IR is discarded.
+/// or deadline limit; the unfinished sink is discarded.
+pub fn lower_js_program_into<S: Sink>(
+    program: &Program,
+    budget: &Budget,
+    sink: S,
+) -> Result<S::Output, BudgetExceeded> {
+    let mut imports = ImportMap::new();
+    collect_imports(&program.body, &mut imports);
+    let mut l = Lowerer { em: Emitter::new(budget, &[], sink), imports: Rc::new(imports) };
+    let mut scope = l.new_scope(None);
+    l.walk_body(&program.body, &mut scope);
+    l.em.finish()
+}
+
+/// [`lower_js_program_into`] a [`Recorder`]: the program's recorded IR.
+///
+/// # Errors
+///
+/// As [`lower_js_program_into`].
 pub fn lower_js_program_budgeted(
     program: &Program,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
-    let mut imports = ImportMap::new();
-    collect_imports(&program.body, &mut imports);
-    let mut l = Lowerer { em: Emitter::new(budget, &[]), imports: Rc::new(imports) };
-    let mut scope = l.new_scope(None);
-    l.walk_body(&program.body, &mut scope);
-    l.em.into_ir()
+    lower_js_program_into(program, budget, Recorder::default())
 }
 
 // ----- representations -------------------------------------------------------
@@ -55,23 +67,15 @@ fn module_segments(module: &str) -> Vec<&str> {
 }
 
 /// Computes representation variants of a JS expression, most → least
-/// specific, reusing the shared name-resolution rules in [`ReprCtx`] and
-/// the shared interning/backoff in [`finish_reps`].
-fn describe_syms_js(expr: &Expr, ctx: &ReprCtx) -> Vec<Symbol> {
-    finish_reps(describe_inner(expr, ctx))
+/// specific, with the shared name resolution, interning and backoff of
+/// [`ReprCtx::rep_syms`].
+fn describe_syms_js(expr: &Expr, ctx: &ReprCtx<'_>) -> Vec<Symbol> {
+    ctx.rep_syms(|suffix| chain_base(expr, 0, suffix))
 }
 
-/// Like [`describe_syms_js`], keeping the variant strings it built.
-fn describe_js(expr: &Expr, ctx: &ReprCtx) -> Vec<String> {
-    finish_rep_strings(describe_inner(expr, ctx))
-}
-
-fn describe_inner(expr: &Expr, ctx: &ReprCtx) -> Vec<String> {
-    let mut suffix = String::new();
-    match chain_base(expr, 0, &mut suffix) {
-        Some(name) => ctx.variants_with_suffix(name, &suffix),
-        None => Vec::new(),
-    }
+/// Like [`describe_syms_js`], keeping the variant strings.
+fn describe_js(expr: &Expr, ctx: &ReprCtx<'_>) -> Vec<String> {
+    ctx.rep_strings(|suffix| chain_base(expr, 0, suffix))
 }
 
 /// Walks an access chain down to the identifier it starts from, appending
@@ -185,17 +189,18 @@ fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
 
 /// Walks one program, borrowing its AST for the whole lowering. A local
 /// function is inlined from its declaration alone.
-struct Lowerer<'p> {
-    em: Emitter<'p, &'p FuncDecl>,
+struct Lowerer<'p, S> {
+    em: Emitter<'p, &'p FuncDecl, S>,
     /// The program's import bindings, built once and shared by every scope.
     imports: Rc<ImportMap>,
 }
 
-impl<'p> Walk<'p> for Lowerer<'p> {
+impl<'p, S: Sink> Walk<'p> for Lowerer<'p, S> {
     type Stmt = Stmt;
     type Callee = &'p FuncDecl;
+    type Sink = S;
 
-    fn emitter(&mut self) -> &mut Emitter<'p, &'p FuncDecl> {
+    fn emitter(&mut self) -> &mut Emitter<'p, &'p FuncDecl, S> {
         &mut self.em
     }
 
@@ -206,14 +211,14 @@ impl<'p> Walk<'p> for Lowerer<'p> {
             StmtKind::Return(value) => {
                 if let Some(v) = value {
                     let flows = self.eval(v, sc);
-                    sc.returns.extend(flows);
+                    sc.returns.extend_from_slice(&flows);
                 }
             }
             StmtKind::VarDecl { name, pattern, init } => {
                 let Some(init) = init else {
                     if let Some(n) = name {
-                        sc.env.insert(n, Vec::new());
-                        sc.ctx.locals.remove(n);
+                        sc.env.insert(n, FlowSet::default());
+                        sc.ctx.locals.remove(n.as_str());
                     }
                     return;
                 };
@@ -259,22 +264,23 @@ impl<'p> Walk<'p> for Lowerer<'p> {
     ) -> (Scope<'p>, &'p [Stmt]) {
         let mut scope = self.new_scope(Some(def));
         for ((name, _), flows) in def.params.iter().zip(args) {
-            scope.env.insert(name, flows.clone());
+            scope.env.insert(name, *flows);
         }
         (scope, &def.body)
     }
 }
 
-impl<'p> Lowerer<'p> {
+impl<'p, S: Sink> Lowerer<'p, S> {
     /// A fresh scope; `def` is the function it analyzes, if any.
-    fn new_scope(&self, def: Option<&FuncDecl>) -> Scope<'p> {
+    fn new_scope(&self, def: Option<&'p FuncDecl>) -> Scope<'p> {
         Scope::new(ReprCtx {
             imports: Rc::clone(&self.imports),
             class_name: None,
             base_class: None,
-            func_name: def.map(|d| d.name.clone()),
-            params: def.map_or_else(Vec::new, |d| d.params.iter().map(|(n, _)| n.clone()).collect()),
-            locals: HashMap::new(),
+            func_name: def.map(|d| d.name.as_str()),
+            params: def
+                .map_or_else(Vec::new, |d| d.params.iter().map(|(n, _)| n.as_str()).collect()),
+            locals: HashMap::default(),
         })
     }
 
@@ -316,11 +322,24 @@ impl<'p> Lowerer<'p> {
         }
     }
 
+    /// Evaluates `exprs` in order; returns the union of their flows.
+    fn eval_all(
+        &mut self,
+        exprs: impl IntoIterator<Item = &'p Expr>,
+        sc: &mut Scope<'p>,
+    ) -> FlowSet {
+        let mut out = FlowSet::default();
+        for e in exprs {
+            union_into(&mut out, &self.eval(e, sc));
+        }
+        out
+    }
+
     fn eval(&mut self, expr: &'p Expr, sc: &mut Scope<'p>) -> FlowSet {
         match &expr.kind {
-            ExprKind::Ident(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
+            ExprKind::Ident(n) => sc.env.get(n.as_str()).copied().unwrap_or_default(),
             ExprKind::Str(_) | ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Null => {
-                Vec::new()
+                FlowSet::default()
             }
             ExprKind::Member { obj, prop } => {
                 let base_flows = self.eval(obj, sc);
@@ -328,8 +347,7 @@ impl<'p> Lowerer<'p> {
                 self.em.read_event(sc, reps, expr.span, ident(obj), prop, base_flows)
             }
             ExprKind::Index { obj, index } => {
-                let mut base_flows = self.eval(obj, sc);
-                union_into(&mut base_flows, &self.eval(index, sc));
+                let base_flows = self.eval_all([&**obj, index], sc);
                 let reps = describe_syms_js(expr, &sc.ctx);
                 let field = index_field_name(index);
                 self.em.read_event(sc, reps, expr.span, ident(obj), &field, base_flows)
@@ -339,7 +357,7 @@ impl<'p> Lowerer<'p> {
                 // flows into the call event.
                 let recv = match &callee.kind {
                     ExprKind::Member { obj, .. } => self.eval(obj, sc),
-                    ExprKind::Ident(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
+                    ExprKind::Ident(n) => sc.env.get(n.as_str()).copied().unwrap_or_default(),
                     _ => self.eval(callee, sc),
                 };
                 let args = args.iter().map(|a| self.eval(a, sc)).collect();
@@ -354,26 +372,10 @@ impl<'p> Lowerer<'p> {
                     target: ident(callee).map(Cow::Borrowed),
                 })
             }
-            ExprKind::Object(entries) => {
-                // Literals flow their property values to the whole value.
-                let mut out = Vec::new();
-                for (_, v) in entries {
-                    union_into(&mut out, &self.eval(v, sc));
-                }
-                out
-            }
-            ExprKind::Array(elems) => {
-                let mut out = Vec::new();
-                for e in elems {
-                    union_into(&mut out, &self.eval(e, sc));
-                }
-                out
-            }
-            ExprKind::Binary { left, right } => {
-                let mut out = self.eval(left, sc);
-                union_into(&mut out, &self.eval(right, sc));
-                out
-            }
+            // Literals flow their property values to the whole value.
+            ExprKind::Object(entries) => self.eval_all(entries.iter().map(|(_, v)| v), sc),
+            ExprKind::Array(elems) => self.eval_all(elems, sc),
+            ExprKind::Binary { left, right } => self.eval_all([&**left, right], sc),
             ExprKind::Unary(inner) => self.eval(inner, sc),
         }
     }
@@ -479,6 +481,90 @@ mod tests {
         let ir = lower("const out = helper(data);\nfunction helper(v) { return v; }\n");
         assert_eq!(ir.pending.len(), 1);
         assert_eq!(ir.pending[0].qualified, "helper");
+    }
+
+    /// Every expression of `e`, `e` first.
+    fn sub_exprs<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+        out.push(e);
+        match &e.kind {
+            ExprKind::Member { obj: x, .. } | ExprKind::Unary(x) => sub_exprs(x, out),
+            ExprKind::Index { obj: a, index: b } | ExprKind::Binary { left: a, right: b } => {
+                sub_exprs(a, out);
+                sub_exprs(b, out);
+            }
+            ExprKind::Call { callee, args } => {
+                sub_exprs(callee, out);
+                args.iter().for_each(|a| sub_exprs(a, out));
+            }
+            ExprKind::Object(entries) => entries.iter().for_each(|(_, v)| sub_exprs(v, out)),
+            ExprKind::Array(elems) => elems.iter().for_each(|x| sub_exprs(x, out)),
+            _ => {}
+        }
+    }
+
+    /// Every expression of `body`, and one context per function with the
+    /// locals its declarations and assignments bind.
+    fn walk_body<'p>(
+        body: &'p [Stmt],
+        ctx: &ReprCtx<'p>,
+        exprs: &mut Vec<&'p Expr>,
+        ctxs: &mut Vec<ReprCtx<'p>>,
+    ) {
+        let mut ctx = ctx.clone();
+        for stmt in body {
+            let (name, value) = match &stmt.kind {
+                StmtKind::Func(def) => {
+                    let mut inner = ctx.clone();
+                    inner.func_name = Some(&def.name);
+                    inner.params = def.params.iter().map(|(n, _)| n.as_str()).collect();
+                    walk_body(&def.body, &inner, exprs, ctxs);
+                    continue;
+                }
+                StmtKind::VarDecl { name, init: Some(init), .. } => (name.as_deref(), init),
+                StmtKind::Assign { target, value } => {
+                    sub_exprs(target, exprs);
+                    (ident(target), value)
+                }
+                StmtKind::Return(Some(e)) | StmtKind::Expr(e) => (None, e),
+                StmtKind::If { test, cons, alt } => {
+                    walk_body(cons, &ctx, exprs, ctxs);
+                    walk_body(alt, &ctx, exprs, ctxs);
+                    (None, test)
+                }
+                _ => continue,
+            };
+            sub_exprs(value, exprs);
+            if let Some(n) = name {
+                ctx.locals.insert(n, describe_js(value, &ctx).into());
+            }
+        }
+        ctxs.push(ctx);
+    }
+
+    #[test]
+    fn describe_syms_and_strings_agree_on_js_fixtures() {
+        let fixtures = [
+            include_str!("../../../tests/fixtures/js_express_fixture.js"),
+            include_str!("../../../tests/fixtures/js_inlining_guards.js"),
+        ];
+        let mut compared = 0;
+        for src in fixtures {
+            let program = parse(src).expect("fixtures parse");
+            let mut imports = ImportMap::new();
+            collect_imports(&program.body, &mut imports);
+            let top = ReprCtx { imports: Rc::new(imports), ..ReprCtx::new() };
+            let (mut exprs, mut ctxs) = (Vec::new(), Vec::new());
+            walk_body(&program.body, &top, &mut exprs, &mut ctxs);
+            for ctx in &ctxs {
+                for e in &exprs {
+                    let syms: Vec<&str> =
+                        describe_syms_js(e, ctx).iter().map(|s| s.as_str()).collect();
+                    assert_eq!(describe_js(e, ctx), syms, "{e:?}");
+                    compared += usize::from(!syms.is_empty());
+                }
+            }
+        }
+        assert!(compared > 100, "only {compared} describable expressions");
     }
 
     #[test]

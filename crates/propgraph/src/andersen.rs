@@ -10,11 +10,12 @@
 //! graph builder's environment threading, with the points-to component
 //! soundly flow-insensitive.
 
+use seldon_intern::IdHash;
 use std::collections::{HashMap, HashSet};
 
 /// Identifier of a points-to variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct VarId(u32);
+pub struct VarId(pub(crate) u32);
 
 impl VarId {
     fn index(self) -> usize {
@@ -28,16 +29,17 @@ pub type SiteId = u32;
 /// Inclusion-based points-to constraint system and solver.
 #[derive(Debug, Default)]
 pub struct Andersen {
-    names: HashMap<String, VarId>,
-    pts: Vec<HashSet<SiteId>>,
+    pts: Vec<HashSet<SiteId, IdHash>>,
     /// Copy edges: `copy_succ[v]` = targets `t` with `pts(t) ⊇ pts(v)`.
     copy_succ: Vec<Vec<VarId>>,
-    /// Load constraints indexed by base variable: `t ⊇ fld(pts(base), f)`.
-    loads: HashMap<VarId, Vec<(String, VarId)>>,
-    /// Store constraints indexed by base variable: `fld(pts(base), f) ⊇ v`.
-    stores: HashMap<VarId, Vec<(String, VarId)>>,
-    /// Lazily created field variables keyed by (site, field).
-    field_vars: HashMap<(SiteId, String), VarId>,
+    /// Load constraints by base variable: `t ⊇ fld(pts(base), f)`.
+    loads: Vec<Vec<(u32, VarId)>>,
+    /// Store constraints by base variable: `fld(pts(base), f) ⊇ v`.
+    stores: Vec<Vec<(u32, VarId)>>,
+    /// Field names, numbered in first-seen order for constraints to carry.
+    fields: HashMap<Box<str>, u32, IdHash>,
+    /// Lazily created field variables keyed by (site, field number).
+    field_vars: HashMap<(SiteId, u32), VarId, IdHash>,
     solved: bool,
 }
 
@@ -47,26 +49,17 @@ impl Andersen {
         Andersen::default()
     }
 
-    /// Interns a named variable.
-    pub fn var(&mut self, name: impl Into<String>) -> VarId {
-        let name = name.into();
-        if let Some(&v) = self.names.get(&name) {
-            return v;
-        }
-        let v = self.fresh();
-        self.names.insert(name, v);
-        v
-    }
-
-    /// Creates an anonymous variable.
+    /// Creates a variable.
     pub fn fresh(&mut self) -> VarId {
         let v = VarId(self.pts.len() as u32);
-        self.pts.push(HashSet::new());
+        self.pts.push(HashSet::default());
         self.copy_succ.push(Vec::new());
+        self.loads.push(Vec::new());
+        self.stores.push(Vec::new());
         v
     }
 
-    /// Number of variables (named, anonymous, and field).
+    /// Number of variables, field variables included.
     pub fn var_count(&self) -> usize {
         self.pts.len()
     }
@@ -84,21 +77,32 @@ impl Andersen {
     }
 
     /// Load `target = base.field`.
-    pub fn load(&mut self, base: VarId, field: impl Into<String>, target: VarId) {
-        self.loads.entry(base).or_default().push((field.into(), target));
+    pub fn load(&mut self, base: VarId, field: &str, target: VarId) {
+        let f = self.field(field);
+        self.loads[base.index()].push((f, target));
     }
 
     /// Store `base.field = value`.
-    pub fn store(&mut self, base: VarId, field: impl Into<String>, value: VarId) {
-        self.stores.entry(base).or_default().push((field.into(), value));
+    pub fn store(&mut self, base: VarId, field: &str, value: VarId) {
+        let f = self.field(field);
+        self.stores[base.index()].push((f, value));
     }
 
-    fn field_var(&mut self, site: SiteId, field: &str) -> VarId {
-        if let Some(&v) = self.field_vars.get(&(site, field.to_string())) {
+    fn field(&mut self, name: &str) -> u32 {
+        if let Some(&f) = self.fields.get(name) {
+            return f;
+        }
+        let f = self.fields.len() as u32;
+        self.fields.insert(name.into(), f);
+        f
+    }
+
+    fn field_var(&mut self, site: SiteId, field: u32) -> VarId {
+        if let Some(&v) = self.field_vars.get(&(site, field)) {
             return v;
         }
         let v = self.fresh();
-        self.field_vars.insert((site, field.to_string()), v);
+        self.field_vars.insert((site, field), v);
         v
     }
 
@@ -106,41 +110,47 @@ impl Andersen {
     ///
     /// Dereference (load/store) edges are instantiated as copy edges as new
     /// sites reach base variables, per the standard Andersen formulation.
+    /// A variable's constraint lists are walked in place: solving adds no
+    /// load or store, so each list is lent out and put back unchanged.
     pub fn solve(&mut self) {
         let mut worklist: Vec<VarId> = (0..self.pts.len() as u32)
             .map(VarId)
             .filter(|v| !self.pts[v.index()].is_empty())
             .collect();
+        let mut sites: Vec<SiteId> = Vec::new();
         while let Some(v) = worklist.pop() {
-            let sites: Vec<SiteId> = self.pts[v.index()].iter().copied().collect();
+            sites.clear();
+            sites.extend(self.pts[v.index()].iter().copied());
             // Instantiate dereference edges for every site at v.
-            let loads = self.loads.get(&v).cloned().unwrap_or_default();
-            for (field, target) in &loads {
+            let loads = std::mem::take(&mut self.loads[v.index()]);
+            for &(field, target) in &loads {
                 for &site in &sites {
                     let fv = self.field_var(site, field);
-                    if !self.copy_succ[fv.index()].contains(target) {
-                        self.copy_succ[fv.index()].push(*target);
+                    if !self.copy_succ[fv.index()].contains(&target) {
+                        self.copy_succ[fv.index()].push(target);
                         if !self.pts[fv.index()].is_empty() {
                             worklist.push(fv);
                         }
                     }
                 }
             }
-            let stores = self.stores.get(&v).cloned().unwrap_or_default();
-            for (field, value) in &stores {
+            self.loads[v.index()] = loads;
+            let stores = std::mem::take(&mut self.stores[v.index()]);
+            for &(field, value) in &stores {
                 for &site in &sites {
                     let fv = self.field_var(site, field);
                     if !self.copy_succ[value.index()].contains(&fv) {
                         self.copy_succ[value.index()].push(fv);
                         if !self.pts[value.index()].is_empty() {
-                            worklist.push(*value);
+                            worklist.push(value);
                         }
                     }
                 }
             }
+            self.stores[v.index()] = stores;
             // Propagate along copy edges.
-            let succs = self.copy_succ[v.index()].clone();
-            for t in succs {
+            for i in 0..self.copy_succ[v.index()].len() {
+                let t = self.copy_succ[v.index()][i];
                 let mut changed = false;
                 for &s in &sites {
                     if self.pts[t.index()].insert(s) {
@@ -160,14 +170,9 @@ impl Andersen {
     /// # Panics
     ///
     /// Panics (in debug builds) if called before [`Andersen::solve`].
-    pub fn points_to(&self, v: VarId) -> &HashSet<SiteId> {
+    pub fn points_to(&self, v: VarId) -> &HashSet<SiteId, IdHash> {
         debug_assert!(self.solved, "query before solve()");
         &self.pts[v.index()]
-    }
-
-    /// Looks up a named variable without creating it.
-    pub fn lookup(&self, name: &str) -> Option<VarId> {
-        self.names.get(name).copied()
     }
 }
 
@@ -178,8 +183,8 @@ mod tests {
     #[test]
     fn alloc_and_copy() {
         let mut a = Andersen::new();
-        let x = a.var("x");
-        let y = a.var("y");
+        let x = a.fresh();
+        let y = a.fresh();
         a.alloc(x, 1);
         a.copy(x, y);
         a.solve();
@@ -190,7 +195,7 @@ mod tests {
     #[test]
     fn transitive_copies() {
         let mut a = Andersen::new();
-        let v: Vec<VarId> = (0..5).map(|i| a.var(format!("v{i}"))).collect();
+        let v: Vec<VarId> = (0..5).map(|_| a.fresh()).collect();
         a.alloc(v[0], 7);
         for w in v.windows(2) {
             a.copy(w[0], w[1]);
@@ -203,9 +208,9 @@ mod tests {
     fn field_store_load() {
         // x = alloc(1); x.f = y; y = alloc(2); z = x.f  =>  z -> {2}
         let mut a = Andersen::new();
-        let x = a.var("x");
-        let y = a.var("y");
-        let z = a.var("z");
+        let x = a.fresh();
+        let y = a.fresh();
+        let z = a.fresh();
         a.alloc(x, 1);
         a.alloc(y, 2);
         a.store(x, "f", y);
@@ -219,10 +224,10 @@ mod tests {
     fn aliased_field_flow() {
         // x = alloc(1); w = x; w.f = y(→2); z = x.f  =>  z -> {2} via alias.
         let mut a = Andersen::new();
-        let x = a.var("x");
-        let w = a.var("w");
-        let y = a.var("y");
-        let z = a.var("z");
+        let x = a.fresh();
+        let w = a.fresh();
+        let y = a.fresh();
+        let z = a.fresh();
         a.alloc(x, 1);
         a.copy(x, w);
         a.alloc(y, 2);
@@ -235,9 +240,9 @@ mod tests {
     #[test]
     fn distinct_fields_do_not_mix() {
         let mut a = Andersen::new();
-        let x = a.var("x");
-        let y = a.var("y");
-        let z = a.var("z");
+        let x = a.fresh();
+        let y = a.fresh();
+        let z = a.fresh();
         a.alloc(x, 1);
         a.alloc(y, 2);
         a.store(x, "f", y);
@@ -249,8 +254,8 @@ mod tests {
     #[test]
     fn cyclic_copies_terminate() {
         let mut a = Andersen::new();
-        let x = a.var("x");
-        let y = a.var("y");
+        let x = a.fresh();
+        let y = a.fresh();
         a.alloc(x, 3);
         a.copy(x, y);
         a.copy(y, x);
@@ -263,26 +268,14 @@ mod tests {
     fn store_then_late_alloc_still_flows() {
         // Order of constraint addition must not matter.
         let mut a = Andersen::new();
-        let x = a.var("x");
-        let y = a.var("y");
-        let z = a.var("z");
+        let x = a.fresh();
+        let y = a.fresh();
+        let z = a.fresh();
         a.store(x, "f", y);
         a.load(x, "f", z);
         a.alloc(y, 9);
         a.alloc(x, 1);
         a.solve();
         assert!(a.points_to(z).contains(&9));
-    }
-
-    #[test]
-    fn var_interning_and_lookup() {
-        let mut a = Andersen::new();
-        let x1 = a.var("same");
-        let x2 = a.var("same");
-        assert_eq!(x1, x2);
-        assert_eq!(a.lookup("same"), Some(x1));
-        assert_eq!(a.lookup("other"), None);
-        let f = a.fresh();
-        assert_ne!(f, x1);
     }
 }

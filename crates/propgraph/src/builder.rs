@@ -8,18 +8,18 @@
 //! and returns (the paper's method inlining), and an Andersen points-to
 //! analysis adds field-aliasing flow the environment threading misses.
 //!
-//! Since the IR split, this module is a thin façade: the Python-specific
-//! walk lives in [`crate::lower`] (pyast → `IrProgram`), the language-blind
-//! construction in [`crate::irbuild`] (`IrProgram` → graph). The
-//! per-file front end that picks a parser, a budget, and strict or lenient
-//! parsing for either language is `seldon_core::Frontend::lower`; this
-//! module keeps [`build_source`], its strict, unlimited shorthand.
+//! This module is a thin façade: the Python-specific walk lives in
+//! [`crate::lower`], the language-blind construction in the graph sink of
+//! [`crate::irbuild`]. The per-file front end that picks a parser, a
+//! budget, and strict or lenient parsing for either language is
+//! `seldon_core::Frontend::lower`; this module keeps [`build_source`], its
+//! strict, unlimited shorthand.
 
 use crate::budget::{Budget, BudgetExceeded};
 use crate::event::FileId;
 use crate::graph::PropagationGraph;
-use crate::irbuild::build_ir;
-use crate::lower::lower_module_budgeted;
+use crate::irbuild::GraphSink;
+use crate::lower::lower_module_into;
 use seldon_pyast::{parse, FrontendError};
 use std::fmt;
 
@@ -30,9 +30,9 @@ use std::fmt;
 ///
 /// Returns a [`FrontendError`] if the source fails to lex or parse.
 pub fn build_source(source: &str, file: FileId) -> Result<PropagationGraph, FrontendError> {
-    let ir = lower_module_budgeted(&parse(source)?, &Budget::unlimited())
-        .expect("an unlimited budget never trips");
-    Ok(build_ir(&ir, file))
+    let module = parse(source)?;
+    Ok(lower_module_into(&module, &Budget::unlimited(), GraphSink::new(file))
+        .expect("an unlimited budget never trips"))
 }
 
 /// Failure of a budgeted build: either the front end rejected the source,
@@ -382,8 +382,8 @@ for i in range(3):
         } else {
             (parse(src)?, Vec::new())
         };
-        let ir = lower_module_budgeted(&module, budget)?;
-        Ok((build_ir(&ir, FileId(0)), errors.len()))
+        let graph = lower_module_into(&module, budget, GraphSink::new(FileId(0)))?;
+        Ok((graph, errors.len()))
     }
 
     #[test]

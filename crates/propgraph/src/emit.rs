@@ -1,4 +1,4 @@
-//! The language-neutral half of lowering: one IR emitter for every frontend.
+//! The language-neutral half of lowering: one emitter for every frontend.
 //!
 //! §5's graph-construction rules are stated without reference to syntax,
 //! and they live here once: environment flow sets and branch merging,
@@ -6,14 +6,15 @@
 //! points-to ops, and per-call-site inlining with its depth and recursion
 //! guard. A frontend implements [`Walk`] — its statement and expression
 //! matches, import collection and representations — and drives an
-//! [`Emitter`], which records the events and ops as a
-//! [`seldon_ir::IrProgram`] in walk order. The Python lowering in
-//! [`crate::lower`] and the JS-like one in `seldon-jsfront` are the two
-//! walks.
+//! [`Emitter`], which hands each event and op to a [`Sink`] as the walk
+//! makes it: the graph sink ([`crate::irbuild::GraphSink`]) builds the
+//! `PropagationGraph` during the walk, the [`Recorder`] keeps the stream as
+//! a [`seldon_ir::IrProgram`]. The Python lowering in [`crate::lower`] and
+//! the JS-like one in `seldon-jsfront` are the two walks.
 
 use crate::budget::{Budget, BudgetExceeded, BudgetMeter};
 use crate::repr::ReprCtx;
-use seldon_intern::Symbol;
+use seldon_intern::{IdHash, Symbol};
 use seldon_ir::{
     IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam, IrPendingCall, IrProgram,
     Span,
@@ -28,41 +29,75 @@ pub const MAX_FLOW_SET: usize = 8;
 /// Inlined calls nest at most this deep; deeper calls stay pending.
 const MAX_INLINE_DEPTH: usize = 3;
 
-/// A set of event indices whose values may flow into a binding.
-pub type FlowSet = Vec<u32>;
+/// A set of event indices whose values may flow into a binding: at most
+/// [`MAX_FLOW_SET`] of them, in first-seen order, stored inline.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlowSet {
+    len: u8,
+    ids: [u32; MAX_FLOW_SET],
+}
 
-/// Adds the events of `src` missing from `dst`, keeping at most
-/// [`MAX_FLOW_SET`].
+impl FlowSet {
+    /// The set holding only `ev`.
+    pub fn one(ev: u32) -> Self {
+        FlowSet::from(&[ev][..])
+    }
+}
+
+impl std::ops::Deref for FlowSet {
+    type Target = [u32];
+    fn deref(&self) -> &[u32] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl From<&[u32]> for FlowSet {
+    fn from(ids: &[u32]) -> Self {
+        let mut set = FlowSet::default();
+        union_into(&mut set, ids);
+        set
+    }
+}
+
+/// Adds the events of `src` missing from `dst` in order, until `dst`
+/// holds [`MAX_FLOW_SET`].
 #[inline]
 pub fn union_into(dst: &mut FlowSet, src: &[u32]) {
     for &e in src {
+        let len = usize::from(dst.len);
+        if len == MAX_FLOW_SET {
+            return;
+        }
         if !dst.contains(&e) {
-            dst.push(e);
+            dst.ids[len] = e;
+            dst.len += 1;
         }
     }
-    dst.truncate(MAX_FLOW_SET);
 }
+
+/// The flow sets of a scope's bindings, by names borrowed from the AST.
+pub type Env<'a> = HashMap<&'a str, FlowSet, IdHash>;
 
 /// Per-function analysis scope.
 pub struct Scope<'a> {
     /// How expressions in this scope are described.
-    pub ctx: ReprCtx,
+    pub ctx: ReprCtx<'a>,
     /// The events that may flow into each binding.
-    pub env: HashMap<&'a str, FlowSet>,
+    pub env: Env<'a>,
     /// Events flowing into `return` statements.
     pub returns: Vec<u32>,
     /// This scope's named points-to variables, memoized by name.
-    pt_vars: HashMap<&'a str, u32>,
+    pt_vars: HashMap<&'a str, u32, IdHash>,
 }
 
 impl<'a> Scope<'a> {
     /// An empty scope described by `ctx`.
-    pub fn new(ctx: ReprCtx) -> Self {
-        Scope { ctx, env: HashMap::new(), returns: Vec::new(), pt_vars: HashMap::new() }
+    pub fn new(ctx: ReprCtx<'a>) -> Self {
+        Scope { ctx, env: Env::default(), returns: Vec::new(), pt_vars: HashMap::default() }
     }
 
     /// Joins the bindings of another branch into this one.
-    pub fn merge_env(&mut self, other: HashMap<&'a str, FlowSet>) {
+    pub fn merge_env(&mut self, other: Env<'a>) {
         for (k, v) in other {
             union_into(self.env.entry(k).or_default(), &v);
         }
@@ -70,14 +105,108 @@ impl<'a> Scope<'a> {
 }
 
 /// Summary of a locally-defined function for call linking.
-struct FuncSummary<'a, C> {
-    /// `(name, param event)` in declaration order.
-    params: Vec<(&'a str, u32)>,
+pub struct FuncSummary<'a, C> {
+    /// Declared parameters in order, named from the AST.
+    pub params: Vec<IrParam<&'a str>>,
     /// Events flowing into `return` statements.
-    returns: Vec<u32>,
+    pub returns: Vec<u32>,
     /// What a call site needs to inline the function (§5.2: "we inline
     /// methods whose body can be statically determined").
-    callee: C,
+    pub callee: C,
+}
+
+/// A file's function summaries by qualified name.
+pub type Funcs<'a, C> = HashMap<Cow<'a, str>, FuncSummary<'a, C>, IdHash>;
+
+/// A call to a (possibly) local function, linked after the walk.
+pub struct PendingCall<'a> {
+    /// Qualified callee name to look up in the function summaries.
+    pub qualified: Cow<'a, str>,
+    /// Flows of each positional argument, in order.
+    pub args: Vec<FlowSet>,
+    /// Flows of each keyword argument, by name.
+    pub kwargs: Vec<(&'a str, FlowSet)>,
+    /// The call event itself, if one was created.
+    pub event: Option<u32>,
+}
+
+/// Where an [`Emitter`] writes a walk: events, ops and points-to variables
+/// in walk order, then the function summaries and the pending calls.
+pub trait Sink {
+    /// What a finished walk yields.
+    type Output;
+    /// Adds an event and returns its index; events are numbered in order.
+    fn event(&mut self, kind: IrEventKind, reps: Vec<Symbol>, span: Span) -> u32;
+    /// Applies one construction step.
+    fn op(&mut self, op: IrOp<&str>);
+    /// Allocates a points-to variable; variables are numbered in order.
+    fn fresh_var(&mut self) -> u32;
+    /// Ends a walk that stayed within its budget; `order` lists the
+    /// function names in first-definition order.
+    fn finish<C>(
+        self,
+        funcs: &Funcs<'_, C>,
+        order: &[Cow<'_, str>],
+        pending: Vec<PendingCall<'_>>,
+    ) -> Self::Output;
+}
+
+/// The recording sink: keeps the walk as an [`IrProgram`], for `seldon
+/// ir-dump`, the IR goldens and replay through [`crate::build_ir`].
+#[derive(Debug, Default)]
+pub struct Recorder(IrProgram);
+
+impl Sink for Recorder {
+    type Output = IrProgram;
+
+    fn event(&mut self, kind: IrEventKind, reps: Vec<Symbol>, span: Span) -> u32 {
+        self.0.events.push(IrEvent { kind, reps, span });
+        self.0.events.len() as u32 - 1
+    }
+
+    fn op(&mut self, op: IrOp<&str>) {
+        self.0.ops.push(op.map(|s| s.to_string()));
+    }
+
+    fn fresh_var(&mut self) -> u32 {
+        self.0.var_count += 1;
+        self.0.var_count - 1
+    }
+
+    fn finish<C>(
+        mut self,
+        funcs: &Funcs<'_, C>,
+        order: &[Cow<'_, str>],
+        pending: Vec<PendingCall<'_>>,
+    ) -> IrProgram {
+        self.0.funcs = order
+            .iter()
+            .map(|qualified| (qualified, &funcs[qualified]))
+            .map(|(qualified, f)| IrFunc {
+                qualified: qualified.to_string(),
+                params: f
+                    .params
+                    .iter()
+                    .map(|p| IrParam {
+                        name: p.name.to_string(),
+                        event: p.event,
+                        implicit: p.implicit,
+                    })
+                    .collect(),
+                returns: f.returns.clone(),
+            })
+            .collect();
+        self.0.pending = pending
+            .into_iter()
+            .map(|p| IrPendingCall {
+                qualified: p.qualified.into_owned(),
+                arg_flows: p.args.iter().map(|f| f.to_vec()).collect(),
+                kwarg_flows: p.kwargs.iter().map(|(n, f)| (n.to_string(), f.to_vec())).collect(),
+                call_event: p.event,
+            })
+            .collect();
+        self.0
+    }
 }
 
 /// One call site, its operands already evaluated.
@@ -98,13 +227,15 @@ pub struct Call<'a> {
     pub target: Option<Cow<'a, str>>,
 }
 
-/// Records one file's events and ops. `C` is what the frontend needs to
-/// inline a local function at a call site.
-pub struct Emitter<'a, C> {
-    ir: IrProgram,
-    funcs: HashMap<Cow<'a, str>, FuncSummary<'a, C>>,
+/// Writes one file's walk to a [`Sink`] `S`. `C` is what the frontend
+/// needs to inline a local function at a call site.
+pub struct Emitter<'a, C, S> {
+    sink: S,
+    funcs: Funcs<'a, C>,
     /// Qualified names in first-definition order, for stable IR emission.
     func_order: Vec<Cow<'a, str>>,
+    /// Calls left for linking after the walk, in call order.
+    pending: Vec<PendingCall<'a>>,
     /// Names currently being inlined (recursion guard) — doubles as the
     /// inline-depth bound.
     inline_stack: Vec<Cow<'a, str>>,
@@ -116,14 +247,15 @@ pub struct Emitter<'a, C> {
     receivers: &'static [&'static str],
 }
 
-impl<'a, C: Clone> Emitter<'a, C> {
-    /// Starts emitting under `budget`. Parameters named in `receivers` are
-    /// implicit receiver slots.
-    pub fn new(budget: &Budget, receivers: &'static [&'static str]) -> Self {
+impl<'a, C: Clone, S: Sink> Emitter<'a, C, S> {
+    /// Starts emitting into `sink` under `budget`. Parameters named in
+    /// `receivers` are implicit receiver slots.
+    pub fn new(budget: &Budget, receivers: &'static [&'static str], sink: S) -> Self {
         Emitter {
-            ir: IrProgram::default(),
-            funcs: HashMap::new(),
+            sink,
+            funcs: Funcs::default(),
             func_order: Vec::new(),
+            pending: Vec::new(),
             inline_stack: Vec::new(),
             meter: BudgetMeter::new(budget.clone()),
             stmt_depth: 0,
@@ -137,55 +269,27 @@ impl<'a, C: Clone> Emitter<'a, C> {
         self.receivers.contains(&name)
     }
 
-    /// The lowered IR, or the budget limit the walk tripped.
+    /// What the sink built, or the budget limit the walk tripped.
     ///
     /// # Errors
     ///
-    /// Returns [`BudgetExceeded`] if the walk tripped a limit; the partial
-    /// IR is discarded.
-    pub fn into_ir(mut self) -> Result<IrProgram, BudgetExceeded> {
-        if let Some(e) = self.meter.into_tripped() {
-            return Err(e);
+    /// Returns [`BudgetExceeded`] if the walk tripped a limit; the sink is
+    /// dropped unfinished, so no partial output escapes.
+    pub fn finish(self) -> Result<S::Output, BudgetExceeded> {
+        match self.meter.into_tripped() {
+            Some(e) => Err(e),
+            None => Ok(self.sink.finish(&self.funcs, &self.func_order, self.pending)),
         }
-        for name in &self.func_order {
-            let s = &self.funcs[name];
-            self.ir.funcs.push(IrFunc {
-                qualified: name.to_string(),
-                params: s
-                    .params
-                    .iter()
-                    .map(|&(n, ev)| IrParam {
-                        name: n.to_string(),
-                        event: ev,
-                        implicit: self.receivers.contains(&n),
-                    })
-                    .collect(),
-                returns: s.returns.clone(),
-            });
-        }
-        Ok(self.ir)
     }
 
     #[inline]
-    fn add_event(&mut self, kind: IrEventKind, reps: Vec<Symbol>, span: Span) -> u32 {
-        let id = self.ir.events.len() as u32;
-        self.ir.events.push(IrEvent { kind, reps, span });
-        id
+    fn add_edge(&mut self, from: u32, to: u32, kind: IrEdgeKind) {
+        self.sink.op(IrOp::Edge { from, to, kind });
     }
 
     #[inline]
-    fn add_edge(&mut self, from: u32, to: u32) {
-        self.ir.ops.push(IrOp::Edge { from, to, kind: IrEdgeKind::Argument });
-    }
-
-    #[inline]
-    fn add_edge_recv(&mut self, from: u32, to: u32) {
-        self.ir.ops.push(IrOp::Edge { from, to, kind: IrEdgeKind::Receiver });
-    }
-
-    #[inline]
-    fn set_arg_position(&mut self, from: u32, to: u32, pos: IrArgPos) {
-        self.ir.ops.push(IrOp::ArgPos { from, to, pos });
+    fn set_arg_position(&mut self, from: u32, to: u32, pos: IrArgPos<&str>) {
+        self.sink.op(IrOp::ArgPos { from, to, pos });
     }
 
     /// The named points-to variable `name` of `scope`, mirroring
@@ -195,16 +299,8 @@ impl<'a, C: Clone> Emitter<'a, C> {
         if let Some(&v) = scope.pt_vars.get(name) {
             return v;
         }
-        let v = self.fresh_var();
+        let v = self.sink.fresh_var();
         scope.pt_vars.insert(name, v);
-        v
-    }
-
-    /// Allocates an anonymous points-to variable, mirroring `Andersen::fresh`.
-    #[inline]
-    fn fresh_var(&mut self) -> u32 {
-        let v = self.ir.var_count;
-        self.ir.var_count += 1;
         v
     }
 
@@ -218,8 +314,8 @@ impl<'a, C: Clone> Emitter<'a, C> {
         reps: Vec<Symbol>,
         span: Span,
     ) -> u32 {
-        let ev = self.add_event(IrEventKind::ParamRead, reps, span);
-        sc.env.insert(name, vec![ev]);
+        let ev = self.sink.event(IrEventKind::ParamRead, reps, span);
+        sc.env.insert(name, FlowSet::one(ev));
         ev
     }
 
@@ -232,6 +328,10 @@ impl<'a, C: Clone> Emitter<'a, C> {
         returns: Vec<u32>,
         callee: C,
     ) {
+        let params = params
+            .into_iter()
+            .map(|(name, event)| IrParam { name, event, implicit: self.is_receiver(name) })
+            .collect();
         let summary = FuncSummary { params, returns, callee };
         if self.funcs.insert(qualified.clone(), summary).is_none() {
             self.func_order.push(qualified);
@@ -247,26 +347,26 @@ impl<'a, C: Clone> Emitter<'a, C> {
         &mut self,
         sc: &mut Scope<'a>,
         name: &'a str,
-        flows: &[u32],
+        flows: &FlowSet,
         variants: Option<&Rc<[String]>>,
         copy_from: Option<&'a str>,
     ) {
-        sc.env.insert(name, flows.to_vec());
+        sc.env.insert(name, *flows);
         match variants {
             Some(v) if !v.is_empty() => {
-                sc.ctx.locals.insert(name.to_string(), Rc::clone(v));
+                sc.ctx.locals.insert(name, Rc::clone(v));
             }
             _ => {
                 sc.ctx.locals.remove(name);
             }
         }
         let var = self.pt_var(sc, name);
-        for &e in flows {
-            self.ir.ops.push(IrOp::Alloc { var, site: e });
+        for &site in flows.iter() {
+            self.sink.op(IrOp::Alloc { var, site });
         }
         if let Some(m) = copy_from {
             let from = self.pt_var(sc, m);
-            self.ir.ops.push(IrOp::Copy { from, to: var });
+            self.sink.op(IrOp::Copy { from, to: var });
         }
     }
 
@@ -283,15 +383,11 @@ impl<'a, C: Clone> Emitter<'a, C> {
     ) {
         let Some(n) = base else { return };
         let base_var = self.pt_var(sc, n);
-        let value_var = self.fresh_var();
-        for &e in flows {
-            self.ir.ops.push(IrOp::Alloc { var: value_var, site: e });
+        let value = self.sink.fresh_var();
+        for &site in flows {
+            self.sink.op(IrOp::Alloc { var: value, site });
         }
-        self.ir.ops.push(IrOp::Store {
-            base: base_var,
-            field: field.to_string(),
-            value: value_var,
-        });
+        self.sink.op(IrOp::Store { base: base_var, field, value });
         union_into(sc.env.entry(n).or_default(), flows);
     }
 
@@ -311,19 +407,19 @@ impl<'a, C: Clone> Emitter<'a, C> {
         if reps.is_empty() {
             return base_flows;
         }
-        let ev = self.add_event(IrEventKind::ObjectRead, reps, span);
+        let ev = self.sink.event(IrEventKind::ObjectRead, reps, span);
         // The base of a read is the same object chain: receiver flow.
-        for &f in &base_flows {
-            self.add_edge_recv(f, ev);
+        for &f in base_flows.iter() {
+            self.add_edge(f, ev, IrEdgeKind::Receiver);
         }
         // Field-aliasing flow: register a points-to load.
         if let Some(n) = base {
             let base_var = self.pt_var(sc, n);
-            let out = self.fresh_var();
-            self.ir.ops.push(IrOp::Load { base: base_var, field: field.to_string(), target: out });
-            self.ir.ops.push(IrOp::PtLoad { event: ev, var: out });
+            let target = self.sink.fresh_var();
+            self.sink.op(IrOp::Load { base: base_var, field, target });
+            self.sink.op(IrOp::PtLoad { event: ev, var: target });
         }
-        vec![ev]
+        FlowSet::one(ev)
     }
 
     /// Emits the call event and its receiver, positional, keyword and
@@ -332,26 +428,26 @@ impl<'a, C: Clone> Emitter<'a, C> {
         if reps.is_empty() {
             return None;
         }
-        let ev = self.add_event(IrEventKind::Call, reps, call.span);
+        let ev = self.sink.event(IrEventKind::Call, reps, call.span);
         // The receiver chain is same-object flow; arguments are not.
-        for &f in &call.recv {
-            self.add_edge_recv(f, ev);
+        for &f in call.recv.iter() {
+            self.add_edge(f, ev, IrEdgeKind::Receiver);
             self.set_arg_position(f, ev, IrArgPos::Receiver);
         }
         for (i, flows) in call.args.iter().enumerate() {
-            for &f in flows {
-                self.add_edge(f, ev);
+            for &f in flows.iter() {
+                self.add_edge(f, ev, IrEdgeKind::Argument);
                 self.set_arg_position(f, ev, IrArgPos::Positional(i.min(255) as u8));
             }
         }
-        for (name, flows) in &call.kwargs {
-            for &f in flows {
-                self.add_edge(f, ev);
-                self.set_arg_position(f, ev, IrArgPos::Keyword(name.to_string()));
+        for &(name, ref flows) in &call.kwargs {
+            for &f in flows.iter() {
+                self.add_edge(f, ev, IrEdgeKind::Argument);
+                self.set_arg_position(f, ev, IrArgPos::Keyword(name));
             }
         }
         for &f in &call.unpositioned {
-            self.add_edge(f, ev);
+            self.add_edge(f, ev, IrEdgeKind::Argument);
         }
         Some(ev)
     }
@@ -374,9 +470,11 @@ pub trait Walk<'a> {
     type Stmt: 'a;
     /// What a call site needs to inline a local function.
     type Callee: Clone;
+    /// Where the emitter writes.
+    type Sink: Sink;
 
-    /// The emitter this walk records into.
-    fn emitter(&mut self) -> &mut Emitter<'a, Self::Callee>;
+    /// The emitter this walk writes through.
+    fn emitter(&mut self) -> &mut Emitter<'a, Self::Callee, Self::Sink>;
 
     /// Lowers one statement (the frontend's statement `match`).
     fn lower_stmt(&mut self, stmt: &'a Self::Stmt, sc: &mut Scope<'a>);
@@ -421,7 +519,7 @@ pub trait Walk<'a> {
         let event = self.emitter().call_event(&call, reps);
         let Call { recv, args, kwargs, target, .. } = call;
         let flow = match event {
-            Some(ev) => vec![ev],
+            Some(ev) => FlowSet::one(ev),
             None => {
                 let mut out = recv;
                 for flows in args.iter().chain(kwargs.iter().map(|(_, f)| f)) {
@@ -444,16 +542,14 @@ pub trait Walk<'a> {
                 // returns are lost; that case is rare.
                 if let Some(ev) = event {
                     for r in scope.returns {
-                        em.add_edge(r, ev);
+                        em.add_edge(r, ev, IrEdgeKind::Argument);
                     }
                 }
             }
-            None => self.emitter().ir.pending.push(IrPendingCall {
-                qualified: q.into_owned(),
-                arg_flows: args,
-                kwarg_flows: kwargs.into_iter().map(|(n, f)| (n.to_string(), f)).collect(),
-                call_event: event,
-            }),
+            None => {
+                let pending = PendingCall { qualified: q, args, kwargs, event };
+                self.emitter().pending.push(pending);
+            }
         }
         flow
     }
@@ -466,7 +562,7 @@ mod tests {
     /// A toy frontend: a function is a name, its parameters and a body of
     /// calls, each naming a callee and the parameters it passes on.
     struct Toy<'a> {
-        em: Emitter<'a, &'a ToyFunc>,
+        em: Emitter<'a, &'a ToyFunc, Recorder>,
     }
 
     struct ToyFunc {
@@ -496,25 +592,26 @@ mod tests {
     impl<'a> Walk<'a> for Toy<'a> {
         type Stmt = ToyCall;
         type Callee = &'a ToyFunc;
+        type Sink = Recorder;
 
-        fn emitter(&mut self) -> &mut Emitter<'a, &'a ToyFunc> {
+        fn emitter(&mut self) -> &mut Emitter<'a, &'a ToyFunc, Recorder> {
             &mut self.em
         }
 
         fn lower_stmt(&mut self, stmt: &'a ToyCall, sc: &mut Scope<'a>) {
             let args =
-                stmt.args.iter().map(|a| sc.env.get(a.as_str()).cloned().unwrap_or_default());
+                stmt.args.iter().map(|a| sc.env.get(a.as_str()).copied().unwrap_or_default());
             let call = Call {
                 reps: vec![seldon_intern::intern(&format!("{}()", stmt.callee))],
                 span: Span::default(),
-                recv: Vec::new(),
+                recv: FlowSet::default(),
                 args: args.collect(),
                 kwargs: Vec::new(),
                 unpositioned: Vec::new(),
                 target: Some(Cow::Borrowed(&stmt.callee)),
             };
             let flow = self.call(call);
-            sc.returns.extend(flow);
+            sc.returns.extend(flow.iter());
         }
 
         fn inline_scope(
@@ -525,7 +622,7 @@ mod tests {
         ) -> (Scope<'a>, &'a [ToyCall]) {
             let mut sc = Scope::new(ReprCtx::new());
             for (p, flows) in f.params.iter().zip(args) {
-                sc.env.insert(p, flows.clone());
+                sc.env.insert(p, *flows);
             }
             (sc, &f.body)
         }
@@ -538,12 +635,12 @@ mod tests {
 
     #[test]
     fn emit_union_caps_flow_sets() {
-        let mut dst = vec![1, 2];
+        let mut dst = FlowSet::from(&[1, 2][..]);
         union_into(&mut dst, &[2, 3]);
-        assert_eq!(dst, vec![1, 2, 3], "no duplicates, first-seen order");
+        assert_eq!(*dst, [1, 2, 3], "no duplicates, first-seen order");
         union_into(&mut dst, &(10..20).collect::<Vec<_>>());
         assert_eq!(dst.len(), MAX_FLOW_SET);
-        assert_eq!(dst[..4], [1, 2, 3, 10]);
+        assert_eq!(*dst, [1, 2, 3, 10, 11, 12, 13, 14], "the first arrivals stay");
     }
 
     #[test]
@@ -551,14 +648,14 @@ mod tests {
         // f1 → f2 → f3 → f4 → sink: defined callee-first, so every call in
         // a body sees its callee; inlining stops three calls deep.
         let funcs = [func("f4", "sink"), func("f3", "f4"), func("f2", "f3"), func("f1", "f2")];
-        let mut toy = Toy { em: Emitter::new(&Budget::unlimited(), &[]) };
+        let mut toy = Toy { em: Emitter::new(&Budget::unlimited(), &[], Recorder::default()) };
         for f in &funcs {
             toy.define(f);
         }
-        let before = toy.em.ir.pending.len();
+        let before = toy.em.pending.len();
         let top = ToyCall { callee: "f1".to_string(), args: Vec::new() };
         toy.lower_stmt(&top, &mut Scope::new(ReprCtx::new()));
-        let ir = toy.em.into_ir().expect("unlimited");
+        let ir = toy.em.finish().expect("unlimited");
         let pending: Vec<&str> =
             ir.pending[before..].iter().map(|p| p.qualified.as_str()).collect();
         assert_eq!(pending, ["f4"], "f1, f2, f3 inline; the fourth nested call pends");
@@ -567,13 +664,14 @@ mod tests {
     #[test]
     fn emit_recursion_pends_and_summaries_keep_first_order() {
         let rec = func("loop", "loop");
-        let mut toy = Toy { em: Emitter::new(&Budget::unlimited(), &["self"]) };
+        let mut toy =
+            Toy { em: Emitter::new(&Budget::unlimited(), &["self"], Recorder::default()) };
         toy.define(&rec);
         let top = ToyCall { callee: "loop".to_string(), args: Vec::new() };
         toy.lower_stmt(&top, &mut Scope::new(ReprCtx::new()));
         // Redefining keeps the first position.
         toy.define(&rec);
-        let ir = toy.em.into_ir().expect("unlimited");
+        let ir = toy.em.finish().expect("unlimited");
         assert_eq!(ir.funcs.len(), 1);
         assert!(!ir.funcs[0].params[0].implicit, "`v` is not a receiver");
         // Defining `loop` (not yet known), the inlined call's recursive
@@ -583,15 +681,17 @@ mod tests {
 
     #[test]
     fn emit_store_and_read_alias_through_points_to() {
-        let mut em: Emitter<'_, ()> = Emitter::new(&Budget::unlimited(), &[]);
+        let mut em: Emitter<'_, (), Recorder> =
+            Emitter::new(&Budget::unlimited(), &[], Recorder::default());
         let mut sc = Scope::new(ReprCtx::new());
         let src = em.param(&mut sc, "p", Vec::new(), Span::default());
         em.store_through(&mut sc, Some("obj"), "f", &[src]);
-        assert_eq!(sc.env["obj"], vec![src], "weak update of the base binding");
+        assert_eq!(*sc.env["obj"], [src], "weak update of the base binding");
         let reps = vec![seldon_intern::intern("obj.f")];
-        let read = em.read_event(&mut sc, reps, Span::default(), Some("obj"), "f", vec![src]);
-        assert_eq!(read, vec![1]);
-        let ir = em.into_ir().expect("unlimited");
+        let read =
+            em.read_event(&mut sc, reps, Span::default(), Some("obj"), "f", FlowSet::one(src));
+        assert_eq!(*read, [1]);
+        let ir = em.finish().expect("unlimited");
         let ops: Vec<String> = ir.ops.iter().map(|op| format!("{op:?}")).collect();
         assert!(ops[0].starts_with("Alloc"), "{ops:?}");
         assert!(ops[1].starts_with("Store"), "{ops:?}");
@@ -603,10 +703,10 @@ mod tests {
     fn emit_budget_trip_discards_ir() {
         let tight = Budget { max_statements: 1, ..Budget::unlimited() };
         let f = func("f", "g");
-        let mut toy = Toy { em: Emitter::new(&tight, &[]) };
+        let mut toy = Toy { em: Emitter::new(&tight, &[], Recorder::default()) };
         toy.define(&f);
         let mut sc = Scope::new(ReprCtx::new());
         toy.walk_body(&f.body, &mut sc);
-        assert!(matches!(toy.em.into_ir(), Err(BudgetExceeded::Statements { .. })));
+        assert!(matches!(toy.em.finish(), Err(BudgetExceeded::Statements { .. })));
     }
 }

@@ -37,35 +37,13 @@ impl fmt::Display for FileId {
     }
 }
 
-/// What kind of action an event is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// A function or method call.
-    Call,
-    /// An object read: attribute load or subscript.
-    ObjectRead,
-    /// A read of a formal parameter.
-    ParamRead,
-}
+pub use seldon_ir::IrEventKind as EventKind;
 
-impl EventKind {
-    /// Candidate roles for this kind of event (§5.1): calls may be any role,
-    /// reads and parameters may only be sources.
-    pub fn candidate_roles(self) -> RoleSet {
-        match self {
-            EventKind::Call => RoleSet::ALL,
-            EventKind::ObjectRead | EventKind::ParamRead => RoleSet::only(Role::Source),
-        }
-    }
-}
-
-impl fmt::Display for EventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EventKind::Call => write!(f, "call"),
-            EventKind::ObjectRead => write!(f, "object-read"),
-            EventKind::ParamRead => write!(f, "param-read"),
-        }
+/// Candidate roles of an event kind (§5.1): a call any role, a read or a param only source.
+pub fn candidate_roles(kind: EventKind) -> RoleSet {
+    match kind {
+        EventKind::Call => RoleSet::ALL,
+        EventKind::ObjectRead | EventKind::ParamRead => RoleSet::only(Role::Source),
     }
 }
 
@@ -94,7 +72,7 @@ impl Event {
     /// Panics if `reps` is empty.
     pub fn new(kind: EventKind, reps: Vec<Symbol>, file: FileId, span: Span) -> Self {
         assert!(!reps.is_empty(), "event must have at least one representation");
-        let candidates = kind.candidate_roles();
+        let candidates = candidate_roles(kind);
         Event { kind, reps, file, span, candidates }
     }
 
@@ -130,12 +108,9 @@ mod tests {
 
     #[test]
     fn candidate_roles_by_kind() {
-        assert_eq!(EventKind::Call.candidate_roles(), RoleSet::ALL);
-        assert_eq!(
-            EventKind::ObjectRead.candidate_roles(),
-            RoleSet::only(Role::Source)
-        );
-        assert_eq!(EventKind::ParamRead.candidate_roles(), RoleSet::only(Role::Source));
+        assert_eq!(candidate_roles(EventKind::Call), RoleSet::ALL);
+        assert_eq!(candidate_roles(EventKind::ObjectRead), RoleSet::only(Role::Source));
+        assert_eq!(candidate_roles(EventKind::ParamRead), RoleSet::only(Role::Source));
     }
 
     #[test]

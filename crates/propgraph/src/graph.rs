@@ -8,66 +8,14 @@
 use crate::event::{Event, EventId};
 use crate::search::{Direction, SearchWorkspace};
 use seldon_intern::Symbol;
+pub use seldon_intern::{IdHash, IdHasher};
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// A fast hasher for small integer keys — event ids, symbols, precomputed
-/// hashes: one rotate, xor and multiply per word. It is not DoS-resistant;
-/// every key it sees is made by this process.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdHasher(u64);
+pub use seldon_ir::IrEdgeKind as EdgeKind;
 
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-/// The `HashMap` / `HashSet` hasher state of [`IdHasher`].
-pub type IdHash = BuildHasherDefault<IdHasher>;
-
-/// The position through which flow enters a call event.
-///
-/// Recorded for every edge into a call so that parameter-sensitive clients
-/// (the paper's §3.3 future work) can distinguish taint reaching a
-/// dangerous argument from taint reaching a harmless one.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ArgPos {
-    /// The receiver/base chain of the call.
-    Receiver,
-    /// The `i`-th positional argument.
-    Positional(u8),
-    /// A keyword argument.
-    Keyword(String),
-}
-
-/// How information flows along an edge.
-///
-/// The distinction matters for constraint generation: a *receiver* edge
-/// connects events of the same object-access chain (`request.args` →
-/// `request.args.get()`), while an *argument* edge carries independent data
-/// into a call (`secure_filename(filename)`). Sanitizers transform their
-/// arguments, so same-chain events are not sanitizer candidates "between" a
-/// source and a sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdgeKind {
-    /// Ordinary data flow (arguments, assignments, field aliasing).
-    Argument,
-    /// Same-object-chain flow (receiver of a method call, base of a read).
-    Receiver,
-}
+/// The position through which flow enters a call event, kept for every
+/// edge into a call (parameter-sensitive sinks, §3.3).
+pub type ArgPos = seldon_ir::IrArgPos;
 
 /// A directed graph of information-flow events.
 #[derive(Debug, Clone, Default)]
@@ -78,10 +26,10 @@ pub struct PropagationGraph {
     /// Backward adjacency: `preds[v]` = events flowing into `v`.
     preds: Vec<Vec<EventId>>,
     /// Edges that are receiver (same-chain) flow.
-    receiver_edges: HashSet<(EventId, EventId)>,
+    receiver_edges: HashSet<(EventId, EventId), IdHash>,
     /// Argument positions for edges into call events (first position wins
     /// when the same value reaches several parameters).
-    arg_positions: HashMap<(EventId, EventId), ArgPos>,
+    arg_positions: HashMap<(EventId, EventId), ArgPos, IdHash>,
     edge_count: usize,
 }
 

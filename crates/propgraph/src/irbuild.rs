@@ -1,132 +1,157 @@
-//! Language-blind graph construction: `IrProgram → PropagationGraph`.
+//! Language-blind graph construction: the product path's [`Sink`], and
+//! the replay of a recorded `IrProgram` into it ([`build_ir`]), so graph
+//! construction has one implementation however a file was lowered.
 //!
-//! The replay half of the split builder. It knows nothing about any source
-//! language: it creates graph events in stream order (so the IR event index
-//! becomes the `EventId`), applies construction ops in stream order, links
-//! deferred calls through the recorded function summaries, and finally runs
-//! the Andersen points-to solve and materializes field-aliasing edges.
-//!
-//! Determinism contract: replaying a given `IrProgram` always produces the
-//! same graph bytes — event identity and succ/pred adjacency order are
-//! fixed by the stream, and post-solve points-to edges are added in sorted
-//! site order.
+//! Determinism contract: one event and op stream always produces the same
+//! graph bytes — event identity and succ/pred adjacency order are fixed by
+//! the stream, and post-solve points-to edges are added in sorted site
+//! order.
 
 use crate::andersen::{Andersen, VarId};
+use crate::emit::{FlowSet, FuncSummary, Funcs, PendingCall, Sink};
 use crate::event::{Event, EventId, EventKind, FileId};
-use crate::graph::{ArgPos, EdgeKind, PropagationGraph};
-use seldon_ir::{IrArgPos, IrEdgeKind, IrEventKind, IrFunc, IrOp, IrProgram};
-use std::collections::HashMap;
+use crate::graph::PropagationGraph;
+use seldon_intern::Symbol;
+use seldon_ir::{IrOp, IrParam, IrProgram, Span};
+use std::borrow::Cow;
 
-fn event_kind(k: IrEventKind) -> EventKind {
-    match k {
-        IrEventKind::Call => EventKind::Call,
-        IrEventKind::ObjectRead => EventKind::ObjectRead,
-        IrEventKind::ParamRead => EventKind::ParamRead,
+/// The product's sink: adds each event and edge to the file's graph as it
+/// is emitted and feeds points-to constraints to an Andersen system; at
+/// finish it links pending calls, solves, and adds field-aliasing edges.
+#[derive(Debug, Default)]
+pub struct GraphSink {
+    graph: PropagationGraph,
+    /// Stamped on every event.
+    file: FileId,
+    pt: Andersen,
+    /// `(load event, points-to result var)` pairs resolved after solving.
+    pt_loads: Vec<(EventId, VarId)>,
+}
+
+impl GraphSink {
+    /// An empty graph whose events will belong to `file`.
+    pub fn new(file: FileId) -> Self {
+        GraphSink { file, ..GraphSink::default() }
     }
 }
 
-fn edge_kind(k: IrEdgeKind) -> EdgeKind {
-    match k {
-        IrEdgeKind::Argument => EdgeKind::Argument,
-        IrEdgeKind::Receiver => EdgeKind::Receiver,
-    }
-}
+impl Sink for GraphSink {
+    type Output = PropagationGraph;
 
-fn arg_pos(p: &IrArgPos) -> ArgPos {
-    match p {
-        IrArgPos::Receiver => ArgPos::Receiver,
-        IrArgPos::Positional(i) => ArgPos::Positional(*i),
-        IrArgPos::Keyword(k) => ArgPos::Keyword(k.clone()),
-    }
-}
-
-/// Builds the propagation graph of one lowered file.
-///
-/// The `file` id is stamped on every event here — the IR itself is
-/// file-agnostic, so one lowering can be cached and replayed under any id.
-pub fn build_ir(ir: &IrProgram, file: FileId) -> PropagationGraph {
-    let mut graph = PropagationGraph::new();
-    for ev in &ir.events {
-        graph.add_event(Event::new(event_kind(ev.kind), ev.reps.clone(), file, ev.span));
+    fn event(&mut self, kind: EventKind, reps: Vec<Symbol>, span: Span) -> u32 {
+        self.graph.add_event(Event::new(kind, reps, self.file, span)).0
     }
 
-    let mut pt = Andersen::new();
-    let vars: Vec<VarId> = (0..ir.var_count).map(|_| pt.fresh()).collect();
-    // `(load event, points-to result var)` pairs resolved after solving.
-    let mut pt_loads: Vec<(EventId, VarId)> = Vec::new();
-
-    for op in &ir.ops {
+    fn op(&mut self, op: IrOp<&str>) {
         match op {
             IrOp::Edge { from, to, kind } => {
-                graph.add_edge_kind(EventId(*from), EventId(*to), edge_kind(*kind));
+                self.graph.add_edge_kind(EventId(from), EventId(to), kind);
             }
             IrOp::ArgPos { from, to, pos } => {
-                graph.set_arg_position(EventId(*from), EventId(*to), arg_pos(pos));
+                let pos = pos.map(|k| k.to_string());
+                self.graph.set_arg_position(EventId(from), EventId(to), pos);
             }
-            IrOp::Alloc { var, site } => {
-                pt.alloc(vars[*var as usize], *site);
-            }
-            IrOp::Copy { from, to } => {
-                pt.copy(vars[*from as usize], vars[*to as usize]);
-            }
-            IrOp::Load { base, field, target } => {
-                pt.load(vars[*base as usize], field.as_str(), vars[*target as usize]);
-            }
-            IrOp::Store { base, field, value } => {
-                pt.store(vars[*base as usize], field.as_str(), vars[*value as usize]);
-            }
-            IrOp::PtLoad { event, var } => {
-                pt_loads.push((EventId(*event), vars[*var as usize]));
-            }
+            IrOp::Alloc { var, site } => self.pt.alloc(VarId(var), site),
+            IrOp::Copy { from, to } => self.pt.copy(VarId(from), VarId(to)),
+            IrOp::Load { base, field, target } => self.pt.load(VarId(base), field, VarId(target)),
+            IrOp::Store { base, field, value } => self.pt.store(VarId(base), field, VarId(value)),
+            IrOp::PtLoad { event, var } => self.pt_loads.push((EventId(event), VarId(var))),
         }
     }
 
-    // Link calls to locally-defined functions (method inlining).
-    let funcs: HashMap<&str, &IrFunc> =
-        ir.funcs.iter().map(|f| (f.qualified.as_str(), f)).collect();
-    for p in &ir.pending {
-        let Some(summary) = funcs.get(p.qualified.as_str()) else { continue };
-        // Positional arguments skip implicit receiver slots (the frontend
-        // marks them; e.g. Python's `self`/`cls`).
-        let positional: Vec<u32> = summary
-            .params
-            .iter()
-            .filter(|prm| !prm.implicit)
-            .map(|prm| prm.event)
-            .collect();
-        for (i, flows) in p.arg_flows.iter().enumerate() {
-            if let Some(&pev) = positional.get(i) {
-                for &f in flows {
-                    graph.add_edge(EventId(f), EventId(pev));
-                }
-            }
-        }
-        for (name, flows) in &p.kwarg_flows {
-            if let Some(prm) = summary.params.iter().find(|prm| &prm.name == name) {
-                for &f in flows {
-                    graph.add_edge(EventId(f), EventId(prm.event));
-                }
-            }
-        }
-        if let Some(call) = p.call_event {
-            for &r in &summary.returns {
-                graph.add_edge(EventId(r), EventId(call));
-            }
-        }
+    fn fresh_var(&mut self) -> u32 {
+        self.pt.fresh().0
     }
 
-    // Field-aliasing flow from the points-to analysis. Sites are added in
-    // sorted order: the set is unordered, and a fixed order keeps replay
-    // bytes independent of the process hash seed.
-    pt.solve();
-    for (event, var) in pt_loads {
-        let mut sites: Vec<u32> = pt.points_to(var).iter().copied().collect();
-        sites.sort_unstable();
-        for site in sites {
-            graph.add_edge(EventId(site), event);
+    fn finish<C>(
+        mut self,
+        funcs: &Funcs<'_, C>,
+        _order: &[Cow<'_, str>],
+        pending: Vec<PendingCall<'_>>,
+    ) -> PropagationGraph {
+        let graph = &mut self.graph;
+        let mut link = |flows: &[u32], to: u32| {
+            for &from in flows {
+                graph.add_edge(EventId(from), EventId(to));
+            }
+        };
+        // Link calls to locally-defined functions (method inlining).
+        for p in &pending {
+            let Some(f) = funcs.get(&p.qualified) else { continue };
+            // Positional arguments skip implicit receiver slots (the
+            // frontend marks them; e.g. Python's `self`/`cls`).
+            for (prm, flows) in f.params.iter().filter(|prm| !prm.implicit).zip(&p.args) {
+                link(flows, prm.event);
+            }
+            for (name, flows) in &p.kwargs {
+                if let Some(prm) = f.params.iter().find(|prm| prm.name == *name) {
+                    link(flows, prm.event);
+                }
+            }
+            if let Some(call) = p.event {
+                for &r in &f.returns {
+                    link(&[r], call);
+                }
+            }
         }
+        // Field-aliasing flow from the points-to analysis. Sites are added
+        // in sorted order: the set is unordered, and a fixed order keeps
+        // the graph bytes independent of hashing.
+        self.pt.solve();
+        let mut sites: Vec<u32> = Vec::new();
+        for &(event, var) in &self.pt_loads {
+            sites.clear();
+            sites.extend(self.pt.points_to(var).iter().copied());
+            sites.sort_unstable();
+            for &site in &sites {
+                self.graph.add_edge(EventId(site), event);
+            }
+        }
+        self.graph
     }
-    graph
+}
+
+/// Builds the propagation graph of one recorded file by replaying it into
+/// a [`GraphSink`] that stamps `file` on every event.
+pub fn build_ir(ir: &IrProgram, file: FileId) -> PropagationGraph {
+    let mut sink = GraphSink::new(file);
+    for ev in &ir.events {
+        sink.event(ev.kind, ev.reps.clone(), ev.span);
+    }
+    for _ in 0..ir.var_count {
+        sink.fresh_var();
+    }
+    for op in &ir.ops {
+        sink.op(op.map(String::as_str));
+    }
+    let funcs: Funcs<'_, ()> = ir
+        .funcs
+        .iter()
+        .map(|f| {
+            let params = f
+                .params
+                .iter()
+                .map(|p| IrParam { name: p.name.as_str(), event: p.event, implicit: p.implicit })
+                .collect();
+            let summary = FuncSummary { params, returns: f.returns.clone(), callee: () };
+            (Cow::Borrowed(f.qualified.as_str()), summary)
+        })
+        .collect();
+    let pending = ir
+        .pending
+        .iter()
+        .map(|p| PendingCall {
+            qualified: Cow::Borrowed(&p.qualified),
+            args: p.arg_flows.iter().map(|f| FlowSet::from(&f[..])).collect(),
+            kwargs: p
+                .kwarg_flows
+                .iter()
+                .map(|(n, f)| (n.as_str(), FlowSet::from(&f[..])))
+                .collect(),
+            event: p.call_event,
+        })
+        .collect();
+    sink.finish(&funcs, &[], pending)
 }
 
 #[cfg(test)]
@@ -138,36 +163,6 @@ mod tests {
     fn lower(src: &str) -> IrProgram {
         let module = seldon_pyast::parse(src).expect("parses");
         lower_module_budgeted(&module, &Budget::unlimited()).expect("lowers")
-    }
-
-    #[test]
-    fn replay_matches_direct_build() {
-        let src = "
-from m import mk, src, sink
-
-def helper(v):
-    return v
-
-o = mk()
-p = o
-p.data = src()
-sink(o.data)
-y = helper(src())
-sink(y)
-";
-        let direct = crate::builder::build_source(src, FileId(3)).expect("builds");
-        let ir = lower(src);
-        let replayed = build_ir(&ir, FileId(3));
-        assert_eq!(direct.event_count(), replayed.event_count());
-        assert_eq!(direct.edge_count(), replayed.edge_count());
-        for (id, e) in direct.events() {
-            let r = replayed.event(id);
-            assert_eq!(e.kind, r.kind);
-            assert_eq!(e.reps, r.reps);
-            assert_eq!(e.span, r.span);
-            assert_eq!(direct.successors(id), replayed.successors(id));
-            assert_eq!(direct.predecessors(id), replayed.predecessors(id));
-        }
     }
 
     #[test]

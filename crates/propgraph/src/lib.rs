@@ -38,13 +38,13 @@ pub mod search;
 pub use budget::{Budget, BudgetExceeded, BudgetMeter};
 pub use builder::{build_source, BuildError};
 pub use dot::to_dot;
+pub use emit::{Recorder, Sink};
 pub use event::{Event, EventId, EventKind, FileId};
 pub use graph::{ArgPos, EdgeKind, IdHash, IdHasher, PropagationGraph};
-pub use irbuild::build_ir;
-pub use lower::lower_module_budgeted;
+pub use irbuild::{build_ir, GraphSink};
+pub use lower::{lower_module_budgeted, lower_module_into};
 pub use repr::{
-    describe_expr, describe_syms, finish_rep_strings, finish_reps, interned_dot_suffixes,
-    ImportMap, ReprCtx, MAX_CHAIN_DEPTH,
+    describe_expr, describe_syms, interned_dot_suffixes, ImportMap, ReprCtx, MAX_CHAIN_DEPTH,
 };
 pub use search::{Direction, SearchWorkspace};
 pub use seldon_intern::{intern, Symbol};

@@ -1,21 +1,20 @@
-//! Lowers Python ASTs into the language-neutral IR (§5).
+//! Lowers Python ASTs through the shared emitter (§5).
 //!
 //! This is the Python walk over the shared [`crate::emit`] emitter: it owns
 //! only the Python-specific decisions — the statement and expression
 //! matches, single-iteration loops, class scopes and `self.m()` method
 //! linking, keyword binding into inlined bodies, `locals()`, `self`/`cls`
-//! receiver slots, import resolution — while the emitter records the
-//! resulting event and op stream as a [`seldon_ir::IrProgram`]. The
-//! language-blind replay in [`crate::irbuild`] then turns that stream into
-//! a `PropagationGraph`.
+//! receiver slots, import resolution — while the emitter writes the
+//! resulting event and op stream to a sink: straight into a
+//! `PropagationGraph` ([`crate::irbuild::GraphSink`]), or into a recorded
+//! [`seldon_ir::IrProgram`] ([`crate::emit::Recorder`]).
 //!
-//! The lowering contract (see DESIGN.md §3g): events are emitted in the
-//! exact order the original builder created them, ops in the exact order
-//! the original builder applied them, so replay reproduces event identity
-//! and adjacency order byte-for-byte.
+//! The lowering contract (see DESIGN.md §3g): events and ops are emitted
+//! in one fixed walk order, so both sinks see the same stream and build
+//! the same event identity and adjacency order byte-for-byte.
 
 use crate::budget::{Budget, BudgetExceeded};
-use crate::emit::{union_into, Call, Emitter, FlowSet, Scope, Walk};
+use crate::emit::{union_into, Call, Emitter, FlowSet, Recorder, Scope, Sink, Walk};
 use crate::repr::{describe_expr, describe_syms, ImportMap, ReprCtx};
 use seldon_intern::intern;
 use seldon_ir::IrProgram;
@@ -24,23 +23,37 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Lowers one parsed module into the language-neutral IR under a resource
-/// [`Budget`] (pass [`Budget::unlimited`] to lower without limits).
+/// Lowers one parsed module into `sink` under a resource [`Budget`] (pass
+/// [`Budget::unlimited`] to lower without limits).
 ///
 /// # Errors
 ///
 /// Returns [`BudgetExceeded`] if the walk trips a statement-count, depth,
-/// or deadline limit; the partial IR is discarded.
+/// or deadline limit; the unfinished sink is discarded.
+pub fn lower_module_into<S: Sink>(
+    module: &Module,
+    budget: &Budget,
+    sink: S,
+) -> Result<S::Output, BudgetExceeded> {
+    let mut imports = ImportMap::new();
+    collect_imports(&module.body, &mut imports);
+    let em = Emitter::new(budget, &["self", "cls"], sink);
+    let mut l = Lowerer { em, imports: Rc::new(imports) };
+    let mut scope = l.new_scope(None, None, None);
+    l.walk_body(&module.body, &mut scope);
+    l.em.finish()
+}
+
+/// [`lower_module_into`] a [`Recorder`]: the module's recorded IR.
+///
+/// # Errors
+///
+/// As [`lower_module_into`].
 pub fn lower_module_budgeted(
     module: &Module,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
-    let mut imports = ImportMap::new();
-    collect_imports(&module.body, &mut imports);
-    let mut l = Lowerer { em: Emitter::new(budget, &["self", "cls"]), imports: Rc::new(imports) };
-    let mut scope = l.new_scope(None, None, None);
-    l.walk_body(&module.body, &mut scope);
-    l.em.into_ir()
+    lower_module_into(module, budget, Recorder::default())
 }
 
 /// What a call site needs to inline a local function: the function,
@@ -55,17 +68,18 @@ struct Callee<'m> {
 /// Walks one module. The AST is borrowed for the whole lowering: function
 /// bodies kept for inlining, environment keys and points-to names all
 /// point into it.
-struct Lowerer<'m> {
-    em: Emitter<'m, Callee<'m>>,
+struct Lowerer<'m, S> {
+    em: Emitter<'m, Callee<'m>, S>,
     /// The module's import bindings, built once and shared by every scope.
     imports: Rc<ImportMap>,
 }
 
-impl<'m> Walk<'m> for Lowerer<'m> {
+impl<'m, S: Sink> Walk<'m> for Lowerer<'m, S> {
     type Stmt = Stmt;
     type Callee = Callee<'m>;
+    type Sink = S;
 
-    fn emitter(&mut self) -> &mut Emitter<'m, Callee<'m>> {
+    fn emitter(&mut self) -> &mut Emitter<'m, Callee<'m>, S> {
         &mut self.em
     }
 
@@ -77,7 +91,7 @@ impl<'m> Walk<'m> for Lowerer<'m> {
             StmtKind::Return(value) => {
                 if let Some(v) = value {
                     let flows = self.eval(v, sc);
-                    sc.returns.extend(flows);
+                    sc.returns.extend_from_slice(&flows);
                 }
             }
             StmtKind::Assign { targets, value } => {
@@ -135,18 +149,13 @@ impl<'m> Walk<'m> for Lowerer<'m> {
                 self.walk_body(body, sc);
             }
             StmtKind::Raise { exc, cause } => {
-                if let Some(e) = exc {
-                    self.eval(e, sc);
-                }
-                if let Some(e) = cause {
-                    self.eval(e, sc);
-                }
+                self.eval_all(exc.iter().chain(cause), sc);
             }
             StmtKind::Try { body, handlers, orelse, finalbody } => {
                 self.walk_body(body, sc);
                 for h in handlers {
                     if let Some(n) = &h.name {
-                        sc.env.insert(n, Vec::new());
+                        sc.env.insert(n, FlowSet::default());
                     }
                     self.walk_body(&h.body, sc);
                 }
@@ -154,18 +163,13 @@ impl<'m> Walk<'m> for Lowerer<'m> {
                 self.walk_body(finalbody, sc);
             }
             StmtKind::Assert { test, msg } => {
-                self.eval(test, sc);
-                if let Some(m) = msg {
-                    self.eval(m, sc);
-                }
+                self.eval_all(std::iter::once(test).chain(msg), sc);
             }
             StmtKind::Expr(e) => {
                 self.eval(e, sc);
             }
             StmtKind::Delete(targets) => {
-                for t in targets {
-                    self.eval(t, sc);
-                }
+                self.eval_all(targets, sc);
             }
             StmtKind::Global(_)
             | StmtKind::Nonlocal(_)
@@ -187,32 +191,32 @@ impl<'m> Walk<'m> for Lowerer<'m> {
         let mut scope = self.new_scope(callee.class_name, callee.base_class, Some(def));
         let positional = declared_params(def).filter(|&n| !self.em.is_receiver(n));
         for (name, flows) in positional.zip(args) {
-            scope.env.insert(name, flows.clone());
+            scope.env.insert(name, *flows);
         }
-        for &(name, ref flows) in kwargs {
+        for &(name, flows) in kwargs {
             if declared_params(def).any(|p| p == name) {
-                scope.env.insert(name, flows.clone());
+                scope.env.insert(name, flows);
             }
         }
         (scope, &def.body)
     }
 }
 
-impl<'m> Lowerer<'m> {
+impl<'m, S: Sink> Lowerer<'m, S> {
     /// A fresh scope; `def` is the function it analyzes, if any.
     fn new_scope(
         &self,
-        class_name: Option<&str>,
+        class_name: Option<&'m str>,
         base_class: Option<String>,
-        def: Option<&FunctionDef>,
+        def: Option<&'m FunctionDef>,
     ) -> Scope<'m> {
         Scope::new(ReprCtx {
             imports: Rc::clone(&self.imports),
-            class_name: class_name.map(str::to_string),
+            class_name,
             base_class,
-            func_name: def.map(|d| d.name.clone()),
-            params: def.map_or_else(Vec::new, |d| declared_params(d).map(str::to_string).collect()),
-            locals: HashMap::new(),
+            func_name: def.map(|d| d.name.as_str()),
+            params: def.map_or_else(Vec::new, |d| declared_params(d).collect()),
+            locals: HashMap::default(),
         })
     }
 
@@ -224,14 +228,8 @@ impl<'m> Lowerer<'m> {
         base_class: Option<&str>,
     ) {
         // Decorators and defaults evaluate in the enclosing scope.
-        for d in &def.decorators {
-            self.eval(d, outer);
-        }
-        for p in &def.params {
-            if let Some(d) = &p.default {
-                self.eval(d, outer);
-            }
-        }
+        let defaults = def.params.iter().filter_map(|p| p.default.as_ref());
+        self.eval_all(def.decorators.iter().chain(defaults), outer);
         let mut scope = self.new_scope(class_name, base_class.map(str::to_string), Some(def));
         // Free variables see enclosing (module/class) bindings.
         scope.env = outer.env.clone();
@@ -265,19 +263,10 @@ impl<'m> Lowerer<'m> {
     }
 
     fn walk_class(&mut self, def: &'m ClassDef, outer: &mut Scope<'m>) {
-        for d in &def.decorators {
-            self.eval(d, outer);
-        }
-        let base_class = def.bases.first().and_then(|b| {
-            let v = describe_expr(b, &outer.ctx);
-            v.into_iter().next()
-        });
-        for b in &def.bases {
-            self.eval(b, outer);
-        }
-        for k in &def.keywords {
-            self.eval(&k.value, outer);
-        }
+        self.eval_all(&def.decorators, outer);
+        let base_class =
+            def.bases.first().and_then(|b| describe_expr(b, &outer.ctx).into_iter().next());
+        self.eval_all(def.bases.iter().chain(def.keywords.iter().map(|k| &k.value)), outer);
         let mut class_scope = self.new_scope(None, None, None);
         for s in &def.body {
             match &s.kind {
@@ -324,8 +313,8 @@ impl<'m> Lowerer<'m> {
     fn bind_pattern(&mut self, target: &'m Expr, flows: &FlowSet, sc: &mut Scope<'m>) {
         match &target.kind {
             ExprKind::Name(n) => {
-                sc.env.insert(n, flows.clone());
-                sc.ctx.locals.remove(n);
+                sc.env.insert(n, *flows);
+                sc.ctx.locals.remove(n.as_str());
             }
             ExprKind::Tuple(elems) | ExprKind::List(elems) => {
                 for e in elems {
@@ -339,120 +328,86 @@ impl<'m> Lowerer<'m> {
 
     // ----- expressions --------------------------------------------------------
 
+    /// Evaluates `exprs` in order; returns the union of their flows.
+    fn eval_all(
+        &mut self,
+        exprs: impl IntoIterator<Item = &'m Expr>,
+        sc: &mut Scope<'m>,
+    ) -> FlowSet {
+        let mut out = FlowSet::default();
+        for e in exprs {
+            union_into(&mut out, &self.eval(e, sc));
+        }
+        out
+    }
+
     fn eval(&mut self, expr: &'m Expr, sc: &mut Scope<'m>) -> FlowSet {
         match &expr.kind {
-            ExprKind::Name(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
+            ExprKind::Name(n) => sc.env.get(n.as_str()).copied().unwrap_or_default(),
             ExprKind::Number(_)
             | ExprKind::Str(_)
             | ExprKind::Bytes(_)
             | ExprKind::Bool(_)
             | ExprKind::NoneLit
-            | ExprKind::EllipsisLit => Vec::new(),
-            ExprKind::FString { parts, .. } => {
-                let mut out = Vec::new();
-                for p in parts {
-                    union_into(&mut out, &self.eval(p, sc));
-                }
-                out
-            }
+            | ExprKind::EllipsisLit => FlowSet::default(),
+            ExprKind::FString { parts, .. } => self.eval_all(parts, sc),
             ExprKind::Attribute { value, attr } => {
                 let base_flows = self.eval(value, sc);
                 let reps = describe_syms(expr, &sc.ctx);
                 self.em.read_event(sc, reps, expr.span, name_of(value), attr, base_flows)
             }
             ExprKind::Subscript { value, index } => {
-                let mut base_flows = self.eval(value, sc);
-                union_into(&mut base_flows, &self.eval(index, sc));
+                let base_flows = self.eval_all([&**value, index], sc);
                 let reps = describe_syms(expr, &sc.ctx);
                 let field = index_field_name(index);
                 self.em.read_event(sc, reps, expr.span, name_of(value), &field, base_flows)
             }
             ExprKind::Slice { lower, upper, step } => {
-                let mut out = Vec::new();
-                for part in [lower, upper, step].into_iter().flatten() {
-                    union_into(&mut out, &self.eval(part, sc));
-                }
-                out
+                self.eval_all([lower, upper, step].into_iter().flatten().map(|b| &**b), sc)
             }
             ExprKind::Call { func, args, keywords } => self.eval_call(expr, func, args, keywords, sc),
-            ExprKind::BinOp { left, right, .. } => {
-                let mut out = self.eval(left, sc);
-                union_into(&mut out, &self.eval(right, sc));
-                out
-            }
+            ExprKind::BinOp { left, right, .. } => self.eval_all([&**left, right], sc),
             ExprKind::UnaryOp { operand, .. } => self.eval(operand, sc),
-            ExprKind::BoolOp { values, .. } => {
-                let mut out = Vec::new();
-                for v in values {
-                    union_into(&mut out, &self.eval(v, sc));
-                }
-                out
-            }
+            ExprKind::BoolOp { values, .. } => self.eval_all(values, sc),
             ExprKind::Compare { left, comparators, .. } => {
-                let mut out = self.eval(left, sc);
-                for c in comparators {
-                    union_into(&mut out, &self.eval(c, sc));
-                }
-                out
+                self.eval_all(std::iter::once(&**left).chain(comparators), sc)
             }
             ExprKind::IfExp { test, body, orelse } => {
                 self.eval(test, sc);
-                let mut out = self.eval(body, sc);
-                union_into(&mut out, &self.eval(orelse, sc));
-                out
+                self.eval_all([&**body, orelse], sc)
             }
             ExprKind::Lambda { params, body } => {
-                for p in params {
-                    if let Some(d) = &p.default {
-                        self.eval(d, sc);
-                    }
-                }
-                self.eval(body, sc);
-                Vec::new()
+                let defaults = params.iter().filter_map(|p| p.default.as_ref());
+                self.eval_all(defaults.chain([&**body]), sc);
+                FlowSet::default()
             }
+            // Collections flow their entries to the whole value (§5.2).
             ExprKind::Tuple(elems) | ExprKind::List(elems) | ExprKind::Set(elems) => {
-                // Collections flow their entries to the whole value (§5.2).
-                let mut out = Vec::new();
-                for e in elems {
-                    union_into(&mut out, &self.eval(e, sc));
-                }
-                out
+                self.eval_all(elems, sc)
             }
             ExprKind::Dict { keys, values } => {
-                let mut out = Vec::new();
-                for k in keys.iter().flatten() {
-                    union_into(&mut out, &self.eval(k, sc));
-                }
-                for v in values {
-                    union_into(&mut out, &self.eval(v, sc));
-                }
-                out
+                self.eval_all(keys.iter().flatten().chain(values), sc)
             }
             ExprKind::Comp { element, value, generators, .. } => {
                 let saved = sc.env.clone();
                 for g in generators {
                     let flows = self.eval(&g.iter, sc);
                     self.bind_pattern(&g.target, &flows, sc);
-                    for cond in &g.ifs {
-                        self.eval(cond, sc);
-                    }
+                    self.eval_all(&g.ifs, sc);
                 }
-                let mut out = self.eval(element, sc);
-                if let Some(v) = value {
-                    union_into(&mut out, &self.eval(v, sc));
-                }
+                let out = self.eval_all(std::iter::once(&**element).chain(value.as_deref()), sc);
                 sc.env = saved;
                 out
             }
             ExprKind::Yield { value, .. } => match value {
                 Some(v) => self.eval(v, sc),
-                None => Vec::new(),
+                None => FlowSet::default(),
             },
             ExprKind::Await(inner) | ExprKind::Starred(inner) => self.eval(inner, sc),
             ExprKind::NamedExpr { target, value } => {
                 let flows = self.eval(value, sc);
                 if let ExprKind::Name(n) = &target.kind {
-                    sc.env.insert(n, flows.clone());
+                    sc.env.insert(n, flows);
                 }
                 flows
             }
@@ -471,7 +426,7 @@ impl<'m> Lowerer<'m> {
         // the call event (Fig. 2b: `request.files['f']` → `.save()`).
         let recv = match &func.kind {
             ExprKind::Attribute { value, .. } => self.eval(value, sc),
-            ExprKind::Name(n) => sc.env.get(n.as_str()).cloned().unwrap_or_default(),
+            ExprKind::Name(n) => sc.env.get(n.as_str()).copied().unwrap_or_default(),
             _ => self.eval(func, sc),
         };
         let args = args.iter().map(|a| self.eval(a, sc)).collect();
@@ -513,7 +468,7 @@ fn declared_params(def: &FunctionDef) -> impl Iterator<Item = &str> + Clone {
 /// Collects the import bindings of `body`: every `import` and
 /// `from ... import` anywhere in it, recursing into nested statement
 /// bodies in source order, later bindings winning.
-fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
+pub(crate) fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
     for stmt in body {
         match &stmt.kind {
             StmtKind::Import(aliases) => {

@@ -14,8 +14,9 @@
 //!   `args.get()` (suffixes keep at least two components so that maximally
 //!   generic names like `get()` do not conflate unrelated events).
 
-use seldon_intern::{intern, Symbol};
+use seldon_intern::{intern, IdHash, Symbol};
 use seldon_pyast::ast::{Expr, ExprKind};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::RwLock;
@@ -32,7 +33,7 @@ pub const MAX_CHAIN_DEPTH: usize = 12;
 /// [`ReprCtx`] shares it.
 #[derive(Debug, Clone, Default)]
 pub struct ImportMap {
-    bindings: HashMap<String, ImportBinding>,
+    bindings: HashMap<String, ImportBinding, IdHash>,
 }
 
 #[derive(Debug, Clone)]
@@ -62,149 +63,145 @@ impl ImportMap {
     }
 }
 
-/// Lexical context needed to compute representations.
+/// Lexical context needed to compute representations, naming from the AST.
 #[derive(Debug, Clone, Default)]
-pub struct ReprCtx {
+pub struct ReprCtx<'a> {
     /// Names bound by the file's imports, shared by every scope of the file.
     pub imports: Rc<ImportMap>,
     /// Enclosing class name, if inside a method.
-    pub class_name: Option<String>,
+    pub class_name: Option<&'a str>,
     /// Resolved dotted path of the enclosing class's first base, if any.
     pub base_class: Option<String>,
     /// Enclosing function name, if inside a function.
-    pub func_name: Option<String>,
+    pub func_name: Option<&'a str>,
     /// Parameter names of the enclosing function.
-    pub params: Vec<String>,
+    pub params: Vec<&'a str>,
     /// Representations of local variables assigned from describable
     /// expressions (the paper's `LoginForm().username.data` chains).
-    pub locals: HashMap<String, Rc<[String]>>,
+    pub locals: HashMap<&'a str, Rc<[String]>, IdHash>,
 }
 
-impl ReprCtx {
+impl<'a> ReprCtx<'a> {
     /// Creates an empty context (module top level, no imports).
     pub fn new() -> Self {
         ReprCtx::default()
     }
 
-    fn is_param(&self, name: &str) -> bool {
-        self.params.iter().any(|p| p == name)
+    /// Calls `f` with each variant of an access chain, most → least
+    /// specific. `chain` renders the chain's suffix (e.g. `.args.get()`)
+    /// into the buffer it is given and returns the name the chain starts
+    /// from, `None` when the chain has no description. The suffix and every
+    /// variant are rendered into two buffers the thread reuses.
+    fn for_each_variant<'e>(
+        &self,
+        chain: impl FnOnce(&mut String) -> Option<&'e str>,
+        mut f: impl FnMut(&str),
+    ) {
+        thread_local! {
+            static BUFS: RefCell<(String, String)> = RefCell::default();
+        }
+        BUFS.with_borrow_mut(|(suffix, buf)| {
+            suffix.clear();
+            let Some(name) = chain(suffix) else { return };
+            let mut emit = |parts: &[&str]| {
+                buf.clear();
+                parts.iter().for_each(|p| buf.push_str(p));
+                buf.push_str(suffix);
+                f(buf);
+            };
+            // A parameter shadows any same-named module import inside its
+            // function (Python scoping), so check params first.
+            if self.params.contains(&name) {
+                if let Some(func) = self.func_name {
+                    if let Some(class) = self.class_name {
+                        emit(&[class, "::", func, "(param ", name, ")"]);
+                        if let Some(base) = &self.base_class {
+                            emit(&[base, "::", func, "(param ", name, ")"]);
+                        }
+                    }
+                    emit(&[func, "(param ", name, ")"]);
+                }
+                emit(&[name]);
+            } else if let Some(import) = self.imports.bindings.get(name) {
+                emit(&[&import.dotted]);
+                if import.bare_too {
+                    emit(&[name]);
+                }
+            } else if let Some(variants) = self.locals.get(name) {
+                variants.iter().for_each(|v| emit(&[v]));
+            } else {
+                emit(&[name]);
+            }
+        });
     }
 
-    /// Variants for a bare name, most → least specific, each followed by
-    /// `suffix` (the rendered rest of an access chain, e.g. `.args.get()`).
-    ///
-    /// Public so other frontends' describe passes resolve names (params,
-    /// imports, locals) with exactly the Python rules.
-    pub fn variants_with_suffix(&self, name: &str, suffix: &str) -> Vec<String> {
-        let cat = |base: &str| {
-            let mut v = String::with_capacity(base.len() + suffix.len());
-            v.push_str(base);
-            v.push_str(suffix);
-            v
-        };
-        // A parameter shadows any same-named module import inside its
-        // function (Python scoping), so check params first.
-        if self.is_param(name) {
-            let mut out = Vec::new();
-            if let Some(func) = &self.func_name {
-                if let Some(class) = &self.class_name {
-                    out.push(format!("{class}::{func}(param {name}){suffix}"));
-                    if let Some(base) = &self.base_class {
-                        out.push(format!("{base}::{func}(param {name}){suffix}"));
-                    }
+    /// The interned representations of the access chain `chain` renders
+    /// (see [`Self::for_each_variant`]): deduplicated, with dot-suffix
+    /// backoff on the first variant when it is plain dotted, capped at
+    /// [`MAX_REPS`]. Shared by every frontend's describe pass.
+    pub fn rep_syms<'e>(&self, chain: impl FnOnce(&mut String) -> Option<&'e str>) -> Vec<Symbol> {
+        let mut out: Vec<Symbol> = Vec::new();
+        let mut backoff = false;
+        self.for_each_variant(chain, |v| {
+            backoff |= out.is_empty() && backs_off(v);
+            let sym = intern(v);
+            if !out.contains(&sym) {
+                out.push(sym);
+            }
+        });
+        if backoff {
+            for &s in interned_dot_suffixes(out[0]) {
+                if !out.contains(&s) {
+                    out.push(s);
                 }
-                out.push(format!("{func}(param {name}){suffix}"));
             }
-            out.push(cat(name));
-            return out;
         }
-        if let Some(import) = self.imports.bindings.get(name) {
-            if import.bare_too {
-                return vec![cat(&import.dotted), cat(name)];
+        out.truncate(MAX_REPS);
+        out
+    }
+
+    /// [`Self::rep_syms`] as strings: the same list, in the same order,
+    /// interning only the first variant (for its memoized dot suffixes).
+    pub fn rep_strings<'e>(
+        &self,
+        chain: impl FnOnce(&mut String) -> Option<&'e str>,
+    ) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        self.for_each_variant(chain, |v| {
+            if !out.iter().any(|o| o == v) {
+                out.push(v.to_string());
             }
-            return vec![cat(&import.dotted)];
+        });
+        if out.first().is_some_and(|first| backs_off(first)) {
+            for s in interned_dot_suffixes(intern(&out[0])) {
+                if !out.iter().any(|v| v == s.as_str()) {
+                    out.push(s.as_str().to_string());
+                }
+            }
         }
-        if let Some(variants) = self.locals.get(name) {
-            return variants.iter().map(|v| cat(v)).collect();
-        }
-        vec![cat(name)]
+        out.truncate(MAX_REPS);
+        out
     }
 }
 
 /// Computes the representation variants of an expression, most → least
-/// specific, as interned [`Symbol`]s. Returns an empty vector when the
-/// expression has no stable description (e.g. arithmetic on strings).
-///
-/// This is the hot-path entry used by the graph builder: variant strings
-/// are interned once and dot-suffix backoff reuses the per-symbol
-/// memoized suffix table ([`interned_dot_suffixes`]).
-pub fn describe_syms(expr: &Expr, ctx: &ReprCtx) -> Vec<Symbol> {
-    finish_reps(describe_inner(expr, ctx))
+/// specific, as interned [`Symbol`]s ([`ReprCtx::rep_syms`]). Returns an
+/// empty vector when the expression has no stable description (e.g.
+/// arithmetic on strings).
+pub fn describe_syms(expr: &Expr, ctx: &ReprCtx<'_>) -> Vec<Symbol> {
+    ctx.rep_syms(|suffix| chain_base(expr, 0, suffix))
 }
 
-/// Like [`describe_syms`], but keeps the variant strings it built instead
-/// of interning them (the lowering stores them as a local's variants).
-pub fn describe_expr(expr: &Expr, ctx: &ReprCtx) -> Vec<String> {
-    finish_rep_strings(describe_inner(expr, ctx))
+/// Like [`describe_syms`], but keeps the variant strings instead of
+/// interning them (the lowering stores them as a local's variants).
+pub fn describe_expr(expr: &Expr, ctx: &ReprCtx<'_>) -> Vec<String> {
+    ctx.rep_strings(|suffix| chain_base(expr, 0, suffix))
 }
 
 /// Whether the most specific variant gets dot-suffix backoff: only plain
 /// dotted chains do, never parameter- or class-anchored ones.
 fn backs_off(first: &str) -> bool {
     !first.contains("(param ") && !first.contains("::")
-}
-
-/// Interns and dedups representation variants (most → least specific),
-/// applies dot-suffix backoff to the first plain dotted variant, and caps
-/// the list at [`MAX_REPS`]. Exposed so non-Python frontends that render
-/// their own variant strings get identical backoff behavior.
-pub fn finish_reps(variants: Vec<String>) -> Vec<Symbol> {
-    let mut out: Vec<Symbol> = Vec::with_capacity(variants.len());
-    for v in &variants {
-        let sym = intern(v);
-        if !out.contains(&sym) {
-            out.push(sym);
-        }
-    }
-    // Dot-suffix backoff on the most specific plain dotted variant, which
-    // is always `out[0]`.
-    if variants.first().is_some_and(|first| backs_off(first)) {
-        for &s in interned_dot_suffixes(out[0]) {
-            if !out.contains(&s) {
-                out.push(s);
-            }
-        }
-    }
-    out.truncate(MAX_REPS);
-    out
-}
-
-/// [`finish_reps`] on strings: the same list, in the same order, as
-/// resolved strings, without interning the variants.
-pub fn finish_rep_strings(variants: Vec<String>) -> Vec<String> {
-    let mut out: Vec<String> = Vec::with_capacity(variants.len());
-    for v in variants {
-        if !out.contains(&v) {
-            out.push(v);
-        }
-    }
-    if out.first().is_some_and(|first| backs_off(first)) {
-        for s in interned_dot_suffixes(intern(&out[0])) {
-            if !out.iter().any(|v| v == s.as_str()) {
-                out.push(s.as_str().to_string());
-            }
-        }
-    }
-    out.truncate(MAX_REPS);
-    out
-}
-
-fn describe_inner(expr: &Expr, ctx: &ReprCtx) -> Vec<String> {
-    let mut suffix = String::new();
-    match chain_base(expr, 0, &mut suffix) {
-        Some(name) => ctx.variants_with_suffix(name, &suffix),
-        None => Vec::new(),
-    }
 }
 
 /// Walks an access chain down to the name it starts from, appending the
@@ -257,7 +254,7 @@ fn chain_base<'e>(expr: &'e Expr, depth: usize, suffix: &mut String) -> Option<&
 /// waste. The memo is keyed by [`Symbol`], making the hot-path lookup one
 /// integer-keyed hash probe.
 pub fn interned_dot_suffixes(rep: Symbol) -> &'static [Symbol] {
-    static MEMO: RwLock<Option<HashMap<Symbol, &'static [Symbol]>>> = RwLock::new(None);
+    static MEMO: RwLock<Option<HashMap<Symbol, &'static [Symbol], IdHash>>> = RwLock::new(None);
     if let Some(memo) = MEMO.read().unwrap_or_else(|e| e.into_inner()).as_ref() {
         if let Some(&suffixes) = memo.get(&rep) {
             return suffixes;
@@ -266,7 +263,7 @@ pub fn interned_dot_suffixes(rep: Symbol) -> &'static [Symbol] {
     let computed: Vec<Symbol> =
         dot_suffixes(rep.as_str()).iter().map(|s| intern(s)).collect();
     let mut guard = MEMO.write().unwrap_or_else(|e| e.into_inner());
-    let memo = guard.get_or_insert_with(HashMap::new);
+    let memo = guard.get_or_insert_with(HashMap::default);
     // Re-check under the write lock; leak only for the winning thread.
     memo.entry(rep).or_insert_with(|| Box::leak(computed.into_boxed_slice()))
 }
@@ -318,9 +315,10 @@ pub fn top_level_components(rep: &str) -> Vec<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seldon_pyast::ast::{Stmt, StmtKind};
     use seldon_pyast::parse_expr;
 
-    fn ctx_with_imports(pairs: &[(&str, &[&str])]) -> ReprCtx {
+    fn ctx_with_imports(pairs: &[(&str, &[&str])]) -> ReprCtx<'static> {
         let mut imports = ImportMap::new();
         for (name, path) in pairs {
             imports.insert(name, path);
@@ -367,10 +365,10 @@ mod tests {
     #[test]
     fn param_levels_with_class_and_base() {
         let mut ctx = ReprCtx::new();
-        ctx.class_name = Some("ESCPOSDriver".into());
+        ctx.class_name = Some("ESCPOSDriver");
         ctx.base_class = Some("base_driver.ThreadDriver".into());
-        ctx.func_name = Some("status".into());
-        ctx.params = vec!["self".into(), "eprint".into()];
+        ctx.func_name = Some("status");
+        ctx.params = vec!["self", "eprint"];
         let reps = describe("self.receipt(x)", &ctx);
         assert_eq!(
             reps,
@@ -386,8 +384,8 @@ mod tests {
     #[test]
     fn param_levels_without_class() {
         let mut ctx = ReprCtx::new();
-        ctx.func_name = Some("media".into());
-        ctx.params = vec!["f".into()];
+        ctx.func_name = Some("media");
+        ctx.params = vec!["f"];
         let reps = describe("f.save(path)", &ctx);
         assert_eq!(reps, vec!["media(param f).save()", "f.save()"]);
     }
@@ -406,7 +404,7 @@ mod tests {
     #[test]
     fn local_variable_chains() {
         let mut ctx = ReprCtx::new();
-        ctx.locals.insert("form".into(), vec!["LoginForm()".to_string()].into());
+        ctx.locals.insert("form", vec!["LoginForm()".to_string()].into());
         let reps = describe("form.username.data", &ctx);
         assert_eq!(reps[0], "LoginForm().username.data");
     }
@@ -483,8 +481,136 @@ mod tests {
         assert_eq!(sorted.len(), reps.len());
     }
 
+    /// Every expression of `e`, `e` first.
+    fn sub_exprs<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+        out.push(e);
+        let mut go = |x: &'e Expr| sub_exprs(x, out);
+        match &e.kind {
+            ExprKind::Attribute { value: x, .. }
+            | ExprKind::Await(x)
+            | ExprKind::Starred(x)
+            | ExprKind::UnaryOp { operand: x, .. }
+            | ExprKind::Lambda { body: x, .. } => go(x),
+            ExprKind::Subscript { value: a, index: b }
+            | ExprKind::BinOp { left: a, right: b, .. }
+            | ExprKind::NamedExpr { target: a, value: b } => {
+                go(a);
+                go(b);
+            }
+            ExprKind::Call { func, args, keywords } => {
+                go(func);
+                args.iter().chain(keywords.iter().map(|k| &k.value)).for_each(go);
+            }
+            ExprKind::FString { parts: xs, .. }
+            | ExprKind::BoolOp { values: xs, .. }
+            | ExprKind::Tuple(xs)
+            | ExprKind::List(xs)
+            | ExprKind::Set(xs) => xs.iter().for_each(go),
+            ExprKind::Compare { left, comparators, .. } => {
+                go(left);
+                comparators.iter().for_each(go);
+            }
+            ExprKind::IfExp { test, body, orelse } => {
+                [test, body, orelse].into_iter().for_each(|x| go(x))
+            }
+            ExprKind::Slice { lower, upper, step } => {
+                [lower, upper, step].into_iter().flatten().for_each(|x| go(x))
+            }
+            ExprKind::Dict { keys, values } => keys.iter().flatten().chain(values).for_each(go),
+            ExprKind::Comp { element, value, generators, .. } => {
+                go(element);
+                value.iter().for_each(|x| go(x));
+                for g in generators {
+                    go(&g.target);
+                    go(&g.iter);
+                    g.ifs.iter().for_each(&mut go);
+                }
+            }
+            ExprKind::Yield { value, .. } => value.iter().for_each(|x| go(x)),
+            _ => {}
+        }
+    }
+
+    /// Every expression of `body`, and one context per function (its
+    /// name, parameters and class) with the locals its assignments bind.
+    fn walk_body<'m>(
+        body: &'m [Stmt],
+        ctx: &ReprCtx<'m>,
+        exprs: &mut Vec<&'m Expr>,
+        ctxs: &mut Vec<ReprCtx<'m>>,
+    ) {
+        let mut ctx = ctx.clone();
+        for stmt in body {
+            let mut own: Vec<&'m Expr> = Vec::new();
+            match &stmt.kind {
+                StmtKind::FunctionDef(def) => {
+                    own.extend(&def.decorators);
+                    own.extend(def.params.iter().filter_map(|p| p.default.as_ref()));
+                    let mut inner = ctx.clone();
+                    inner.func_name = Some(&def.name);
+                    inner.params = def.params.iter().map(|p| p.name.as_str()).collect();
+                    walk_body(&def.body, &inner, exprs, ctxs);
+                    ctxs.push(inner);
+                }
+                StmtKind::ClassDef(def) => {
+                    own.extend(def.decorators.iter().chain(&def.bases));
+                    let mut inner = ctx.clone();
+                    inner.class_name = Some(&def.name);
+                    inner.base_class = def.bases.first().map(|b| format!("base.{}", b.span.line));
+                    walk_body(&def.body, &inner, exprs, ctxs);
+                }
+                StmtKind::Assign { targets, value } => {
+                    own.extend(targets.iter().chain([value]));
+                    for t in targets {
+                        if let ExprKind::Name(n) = &t.kind {
+                            ctx.locals.insert(n, describe_expr(value, &ctx).into());
+                        }
+                    }
+                }
+                StmtKind::Return(e) => own.extend(e),
+                StmtKind::Delete(es) => own.extend(es),
+                StmtKind::Expr(e) => own.push(e),
+                StmtKind::AugAssign { target, value, .. } => own.extend([target, value]),
+                StmtKind::AnnAssign { target, annotation, value } => {
+                    own.extend([target, annotation].into_iter().chain(value))
+                }
+                StmtKind::Raise { exc, cause } => own.extend(exc.iter().chain(cause)),
+                StmtKind::Assert { test, msg } => own.extend([test].into_iter().chain(msg)),
+                StmtKind::For { target, iter, body, orelse } => {
+                    own.extend([target, iter]);
+                    walk_body(body, &ctx, exprs, ctxs);
+                    walk_body(orelse, &ctx, exprs, ctxs);
+                }
+                StmtKind::While { test, body, orelse } | StmtKind::If { test, body, orelse } => {
+                    own.push(test);
+                    walk_body(body, &ctx, exprs, ctxs);
+                    walk_body(orelse, &ctx, exprs, ctxs);
+                }
+                StmtKind::With { items, body } => {
+                    own.extend(
+                        items.iter().flat_map(|i| [&i.context].into_iter().chain(&i.target)),
+                    );
+                    walk_body(body, &ctx, exprs, ctxs);
+                }
+                StmtKind::Try { body, handlers, orelse, finalbody } => {
+                    for b in [body, orelse, finalbody]
+                        .into_iter()
+                        .chain(handlers.iter().map(|h| &h.body))
+                    {
+                        walk_body(b, &ctx, exprs, ctxs);
+                    }
+                }
+                _ => {}
+            }
+            own.into_iter().for_each(|e| sub_exprs(e, exprs));
+        }
+        ctxs.push(ctx);
+    }
+
     #[test]
     fn string_and_symbol_finishing_agree() {
+        // Hand-picked variant lists, bound as a local's variants: dedup,
+        // dot-suffix backoff, anchored variants that never back off.
         let cases: [&[&str]; 4] = [
             &["flask.request.args.get()", "request.args.get()"],
             &["a.b.c.d()", "a.b.c.d()", "c.d()"],
@@ -492,11 +618,41 @@ mod tests {
             &["C::m(param self).h()", "self.h()"],
         ];
         for variants in cases {
-            let owned: Vec<String> = variants.iter().map(|v| v.to_string()).collect();
-            let syms: Vec<String> =
-                finish_reps(owned.clone()).iter().map(|s| s.as_str().to_string()).collect();
-            assert_eq!(finish_rep_strings(owned), syms);
+            let mut ctx = ReprCtx::new();
+            ctx.locals.insert("v", variants.iter().map(|v| v.to_string()).collect());
+            let chain = |suffix: &mut String| {
+                suffix.push_str(".k()");
+                Some("v")
+            };
+            let syms: Vec<&str> = ctx.rep_syms(chain).iter().map(|s| s.as_str()).collect();
+            assert_eq!(ctx.rep_strings(chain), syms);
         }
+        // Every expression of every Python snippet the IR goldens pin,
+        // under the file's imports and under every function's context.
+        let golden = include_str!("../../../tests/golden_frontend.rs");
+        let mut snippets: Vec<&str> =
+            golden.split("r#\"").skip(1).map(|s| &s[..s.find("\"#").unwrap()]).collect();
+        snippets.push(include_str!("../../../tests/fixtures/py_inlining_guards.py"));
+        snippets.push(include_str!("../../../tests/fixtures/py_locals_template_context.py"));
+        assert!(snippets.len() >= 10, "found {} snippets", snippets.len());
+        let mut compared = 0;
+        for src in snippets {
+            let module = seldon_pyast::parse(src).expect("golden snippets parse");
+            let mut imports = ImportMap::new();
+            crate::lower::collect_imports(&module.body, &mut imports);
+            let top = ReprCtx { imports: Rc::new(imports), ..ReprCtx::new() };
+            let (mut exprs, mut ctxs) = (Vec::new(), Vec::new());
+            walk_body(&module.body, &top, &mut exprs, &mut ctxs);
+            for ctx in &ctxs {
+                for e in &exprs {
+                    let syms: Vec<&str> =
+                        describe_syms(e, ctx).iter().map(|s| s.as_str()).collect();
+                    assert_eq!(describe_expr(e, ctx), syms, "{e:?}");
+                    compared += usize::from(!syms.is_empty());
+                }
+            }
+        }
+        assert!(compared > 500, "only {compared} describable expressions");
     }
 
     #[test]

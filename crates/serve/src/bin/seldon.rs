@@ -64,7 +64,7 @@ use seldon_core::{
     SeldonOptions,
 };
 use seldon_corpus::{Corpus, Project, SourceFile};
-use seldon_propgraph::{to_dot, Budget, FileId};
+use seldon_propgraph::{to_dot, Budget, FileId, Recorder};
 use seldon_solver::{EarlyStop, SolveOptions, StopReason};
 use seldon_specs::{paper_seed, TaintSpec};
 use seldon_taint::{render_reports, reports_to_json, TaintAnalyzer, TaintOptions};
@@ -346,7 +346,9 @@ fn read_corpus(files: &[PathBuf]) -> Result<(Corpus, usize), CliError> {
 /// uncached (but correct) run; faults found while validating the
 /// directory come back filed under `<index>`, for the report.
 fn open_cache(dir: Option<&str>) -> (Option<Arc<ArtifactCache>>, Vec<CacheFaultReport>) {
-    let Some(dir) = dir else { return (None, Vec::new()) };
+    let Some(dir) = dir else {
+        return (None, Vec::new());
+    };
     match ArtifactCache::open(Path::new(dir)) {
         Ok((cache, faults)) => {
             let path = || "<index>".to_string();
@@ -425,10 +427,10 @@ fn cmd_graph(rest: &[String]) -> Result<Outcome, CliError> {
 }
 
 /// Prints the language-neutral IR trace one file lowers to — the exact
-/// event/op stream the graph builder replays. Lowers through
-/// [`Frontend::lower`] like `learn` does, under the default budget, and
-/// parses strictly: a lowering dump of a file that does not parse would be
-/// misleading.
+/// event/op stream the graph sink receives. Lowers through
+/// [`Frontend::lower`] like `learn` does, into a recording sink, under the
+/// default budget, and parses strictly: a lowering dump of a file that
+/// does not parse would be misleading.
 fn cmd_ir_dump(rest: &[String]) -> Result<Outcome, CliError> {
     let (paths, _, _) = split_args(rest, &[], &[])?;
     let [path] = paths.as_slice() else {
@@ -437,9 +439,9 @@ fn cmd_ir_dump(rest: &[String]) -> Result<Outcome, CliError> {
     let content = std::fs::read_to_string(path)
         .map_err(|e| CliError::usage(format!("cannot read {}: {e}", path.display())))?;
     let lowered = Frontend::of_path(&path.display().to_string())
-        .lower(&content, &Budget::default(), false)
+        .lower(&content, &Budget::default(), false, Recorder::default())
         .map_err(|e| CliError::Runtime(format!("{}: {e}", path.display())))?;
-    print!("{}", lowered.ir.dump());
+    print!("{}", lowered.output.dump());
     Ok(Outcome::Clean)
 }
 

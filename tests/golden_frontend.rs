@@ -13,7 +13,7 @@
 use seldon_core::Frontend;
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
 use seldon_ir::IrProgram;
-use seldon_propgraph::{build_source, Budget, FileId};
+use seldon_propgraph::{build_source, Budget, FileId, Recorder};
 use seldon_pyast::{parse, unparse};
 use std::path::PathBuf;
 
@@ -244,7 +244,7 @@ fn corpus_file_with_helper(lang: Lang) -> (String, String) {
 
 /// Lowers `src` strictly and without limits, as the goldens were blessed.
 fn lower(frontend: Frontend, src: &str) -> IrProgram {
-    frontend.lower(src, &Budget::unlimited(), false).expect("lowers").ir
+    frontend.lower(src, &Budget::unlimited(), false, Recorder::default()).expect("lowers").output
 }
 
 fn ir_golden_dir() -> PathBuf {

@@ -80,7 +80,7 @@ def media():
 }
 
 /// A representation context whose only binding is the import `name`.
-fn ctx_with_import(name: &str, path: &[&str]) -> ReprCtx {
+fn ctx_with_import(name: &str, path: &[&str]) -> ReprCtx<'static> {
     let mut imports = ImportMap::new();
     imports.insert(name, path);
     ReprCtx { imports: Rc::new(imports), ..ReprCtx::new() }
@@ -107,8 +107,8 @@ fn appendix_a_style_representations() {
 
     // `media(param f).save()` — the §2 ambiguity example.
     let mut ctx = ReprCtx::new();
-    ctx.func_name = Some("media".into());
-    ctx.params = vec!["f".into()];
+    ctx.func_name = Some("media");
+    ctx.params = vec!["f"];
     let reps = describe_expr(&parse_expr("f.save(path)").unwrap(), &ctx);
     assert_eq!(reps, vec!["media(param f).save()", "f.save()"]);
 }

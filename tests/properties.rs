@@ -6,13 +6,14 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use seldon_cache::graph_fingerprint;
 use seldon_constraints::{
     collect_rows, generate, generate_with_stats, select, ConstraintSystem, FileRows, GenOptions,
     RepId, Row, Selection,
 };
 use seldon_core::{union_graphs, Frontend};
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
-use seldon_propgraph::{build_source, Budget, FileId, PropagationGraph};
+use seldon_propgraph::{build_source, Budget, FileId, GraphSink, PropagationGraph, Recorder};
 use seldon_pyast::{lexer, parser};
 use seldon_solver::{solve, SolveOptions};
 use seldon_specs::{Pattern, Role, RoleSet, TaintSpec};
@@ -259,13 +260,13 @@ proptest! {
         prop_assert!(sol.violation <= sol.objective + 1e-9);
     }
 
-    /// The per-file entry point (`Frontend::lower`, then `build_ir`)
+    /// The per-file entry point (`Frontend::lower` into a graph sink)
     /// agrees with each frontend's `build_source` / `build_js_source`
     /// shorthand, for BOTH frontends, on generated corpora: same events
-    /// (kind, reps, span), same adjacency. Both shorthands are themselves
-    /// `lower → build_ir`, so this pins the entry point's parse, budget
-    /// and lowering choices against the shorthand, not against a
-    /// separate builder.
+    /// (kind, reps, span), same adjacency. Both lower into the same sink,
+    /// so this pins the entry point's parse, budget and lowering choices
+    /// against the shorthand; `graph_sink_equals_recorded_replay` pins the
+    /// sink against the recorded IR.
     #[test]
     fn staged_ir_build_equals_composed(seed in 0u64..60) {
         let u = Universe::new();
@@ -286,8 +287,9 @@ proptest! {
                     Lang::Py => Frontend::Python,
                     Lang::Js => Frontend::Js,
                 };
-                let ir = frontend.lower(&f.content, &Budget::unlimited(), false).expect("lowering").ir;
-                let staged = seldon_propgraph::build_ir(&ir, file);
+                let sink = GraphSink::new(file);
+                let lowered = frontend.lower(&f.content, &Budget::unlimited(), false, sink);
+                let staged = lowered.expect("lowering").output;
                 prop_assert_eq!(staged.event_count(), composed.event_count());
                 prop_assert_eq!(staged.edge_count(), composed.edge_count());
                 for ((id, s), (_, c)) in staged.events().zip(composed.events()) {
@@ -299,6 +301,72 @@ proptest! {
                     prop_assert_eq!(staged.predecessors(id), composed.predecessors(id));
                 }
             }
+        }
+    }
+
+    /// Graph construction has one implementation: on generated Python and
+    /// JS corpora, lowering straight into the graph sink gives exactly the
+    /// graph that the recording sink followed by `build_ir` gives — event
+    /// ids, kinds, reps, spans and file stamps, successor and predecessor
+    /// order, every edge's kind and argument position, and the graph
+    /// fingerprint. Under a tight statement, depth or wall budget both
+    /// sinks report the same limit, and the graph sink hands back no
+    /// partial graph. The whole corpus eight times over as one file is a
+    /// case too, so every tight budget really trips.
+    #[test]
+    fn graph_sink_equals_recorded_replay(seed in 0u64..40) {
+        let u = Universe::new();
+        let budgets = [
+            Budget::unlimited(),
+            Budget { max_statements: 40, ..Budget::unlimited() },
+            Budget { max_depth: 1, ..Budget::unlimited() },
+            Budget { max_wall: Some(std::time::Duration::ZERO), ..Budget::unlimited() },
+        ];
+        for (lang, frontend) in [(Lang::Py, Frontend::Python), (Lang::Js, Frontend::Js)] {
+            let corpus = generate_corpus(
+                &u,
+                &CorpusOptions { projects: 2, rng_seed: seed, lang, ..Default::default() },
+            );
+            let mut sources: Vec<String> = corpus.files().map(|(_, f)| f.content.clone()).collect();
+            sources.push(sources.concat().repeat(8));
+            let mut tripped = [0; 4];
+            for (i, src) in sources.iter().enumerate() {
+                let file = FileId(i as u32);
+                for (b, budget) in budgets.iter().enumerate() {
+                    let direct = frontend.lower(src, budget, false, GraphSink::new(file));
+                    let recorded = frontend.lower(src, budget, false, Recorder::default());
+                    let (direct, recorded) = match (direct, recorded) {
+                        (Ok(d), Ok(r)) => (d.output, seldon_propgraph::build_ir(&r.output, file)),
+                        (Err(d), Err(r)) => {
+                            prop_assert_eq!(d, r);
+                            tripped[b] += 1;
+                            continue;
+                        }
+                        (d, r) => {
+                            let (d, r) = (d.map(|_| ()), r.map(|_| ()));
+                            return Err(TestCaseError::fail(format!("{budget:?}: {d:?} vs {r:?}")));
+                        }
+                    };
+                    prop_assert_eq!(direct.event_count(), recorded.event_count());
+                    prop_assert_eq!(direct.edge_count(), recorded.edge_count());
+                    for ((id, d), (rid, r)) in direct.events().zip(recorded.events()) {
+                        prop_assert_eq!(id, rid);
+                        prop_assert_eq!(d, r);
+                        prop_assert_eq!(direct.successors(id), recorded.successors(id));
+                        prop_assert_eq!(direct.predecessors(id), recorded.predecessors(id));
+                    }
+                    for (from, to) in direct.edges() {
+                        prop_assert_eq!(direct.edge_kind(from, to), recorded.edge_kind(from, to));
+                        prop_assert_eq!(
+                            direct.arg_position(from, to),
+                            recorded.arg_position(from, to)
+                        );
+                    }
+                    prop_assert_eq!(graph_fingerprint(&direct), graph_fingerprint(&recorded));
+                }
+            }
+            prop_assert_eq!(tripped[0], 0, "{:?}: the unlimited budget never trips", lang);
+            prop_assert!(tripped[1..].iter().all(|&n| n > 0), "{:?}: {:?}", lang, tripped);
         }
     }
 
@@ -325,9 +393,9 @@ proptest! {
             let mut graphs: Vec<PropagationGraph> = corpus
                 .files()
                 .map(|(_, f)| {
-                    let lowered = frontend.lower(&f.content, &Budget::unlimited(), false);
-                    let ir = lowered.expect("generated files lower").ir;
-                    seldon_propgraph::build_ir(&ir, FileId(0))
+                    let sink = GraphSink::new(FileId(0));
+                    let lowered = frontend.lower(&f.content, &Budget::unlimited(), false, sink);
+                    lowered.expect("generated files lower").output
                 })
                 .collect();
             let tele = Telemetry::disabled();
