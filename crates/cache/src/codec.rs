@@ -47,7 +47,12 @@ impl Writer {
     }
 
     /// A table: its row count, then `row` for each item.
-    pub(crate) fn table<T>(&mut self, items: &[T], mut row: impl FnMut(&mut Writer, &T)) {
+    pub(crate) fn table<I>(&mut self, items: I, mut row: impl FnMut(&mut Writer, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
         self.len(items.len());
         for item in items {
             row(self, item);
@@ -138,8 +143,9 @@ impl<'a> Reader<'a> {
 
     /// A `u32` count of items at least `item_bytes` wide each, checked
     /// against the bytes left so no count can size an allocation past
-    /// the payload's own length.
-    fn count(&mut self, item_bytes: usize) -> Result<usize, EntryError> {
+    /// the payload's own length: the row count of a table its caller
+    /// reads row by row.
+    pub(crate) fn count(&mut self, item_bytes: usize) -> Result<usize, EntryError> {
         let n = self.u32()? as usize;
         if n.saturating_mul(item_bytes) > self.bytes.len() {
             return Err(corrupt(format!(

@@ -5,11 +5,13 @@
 //! far more often than its inputs change. This crate makes warm re-runs
 //! cheap without ever letting persistence compromise correctness:
 //!
-//! * **Per-file artifacts** ([`FileArtifact`], [`ArtifactCache`]): the
-//!   parse → propagation-graph → constraint-fragment work for one source
-//!   file, keyed by [`file_key`] (a hash of the file bytes, the entry
-//!   format version, and an analysis-option salt). Artifacts serialize
-//!   representations by *string* and re-intern on load — raw
+//! * **Per-file artifacts** ([`artifact::encode`], [`artifact::decode`],
+//!   [`ArtifactCache`]): the parse → propagation-graph →
+//!   constraint-fragment work for one source file, keyed by [`file_key`]
+//!   (a hash of the file bytes, the entry format version, and an
+//!   analysis-option salt). Artifacts serialize representations by
+//!   *string*; a cache hit re-interns them while it decodes the payload
+//!   straight into the graph, in one pass over the read buffer — raw
 //!   `Symbol(u32)` values are process-local and never reach disk.
 //! * **Solver checkpoint** ([`Checkpoint`]): the previous score vector and
 //!   extracted spec, keyed by one exact fingerprint ([`input_fingerprint`])
@@ -38,7 +40,6 @@ pub mod hash;
 pub mod inject;
 pub mod store;
 
-pub use artifact::FileArtifact;
 pub use checkpoint::{graph_fingerprint, input_fingerprint, Checkpoint, SystemSummary};
 pub use entry::{decode_entry, encode_entry, write_atomic, EntryError, ENTRY_VERSION};
 pub use hash::{hash_bytes, Fnv64};

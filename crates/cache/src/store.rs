@@ -10,7 +10,7 @@
 //! allowed to escape as an error — the worst outcome of any fault is a
 //! cold computation.
 
-use crate::artifact::FileArtifact;
+use crate::artifact::{decode, encode};
 use crate::checkpoint::Checkpoint;
 use crate::entry::{decode_entry, encode_entry, write_atomic, EntryError, ENTRY_VERSION};
 use crate::hash::Fnv64;
@@ -161,7 +161,7 @@ impl StoreQueue {
 }
 
 fn artifact_frame(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
-    encode_entry(&FileArtifact::from_graph(graph, recovered_errors).to_payload())
+    encode_entry(&encode(graph, recovered_errors))
 }
 
 /// Derives the cache key for a source file: entry-format version, the
@@ -348,7 +348,16 @@ impl ArtifactCache {
         CacheFault { entry: name.to_string(), class, detail }
     }
 
-    fn load_frame(&self, name: &str) -> Result<Option<Vec<u8>>, CacheFault> {
+    /// Reads the cache file `name` and decodes its checked payload in
+    /// place, as a slice of the read buffer; `Ok(None)` when there is no
+    /// such file. Damage at any layer — frame, payload schema, or a
+    /// payload that decodes inconsistently — quarantines the file and
+    /// comes back as the fault. A decoded payload counts as bytes read.
+    fn load_entry<T>(
+        &self,
+        name: &str,
+        decode: impl FnOnce(&[u8]) -> Result<T, EntryError>,
+    ) -> Result<Option<T>, CacheFault> {
         let bytes = match fs::read(self.dir.join(name)) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -360,8 +369,11 @@ impl ArtifactCache {
                 })
             }
         };
-        match decode_entry(&bytes) {
-            Ok(payload) => Ok(Some(payload.to_vec())),
+        match decode_entry(&bytes).and_then(|payload| Ok((decode(payload)?, payload.len()))) {
+            Ok((value, len)) => {
+                self.add_bytes(|c| &c.bytes_read, len as u64);
+                Ok(Some(value))
+            }
             Err(EntryError::Stale { found }) => Err(self.quarantine(
                 name,
                 FaultClass::Stale,
@@ -378,31 +390,16 @@ impl ArtifactCache {
     /// decoded graph disagreeing with its own constraint fragment —
     /// quarantines the entry and reports a fault.
     pub fn load_artifact(&self, key: u64, file: FileId) -> ArtifactLookup {
-        let name = format!("{key:016x}.entry");
-        let payload = match self.load_frame(&name) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => {
-                self.bump(|c| &c.misses);
-                return ArtifactLookup::Miss;
-            }
-            Err(fault) => return ArtifactLookup::Fault(fault),
-        };
-        let decoded = FileArtifact::from_payload(&payload)
-            .and_then(|artifact| Ok((artifact.to_graph(file)?, artifact.recovered_errors)));
-        match decoded {
-            Ok((graph, recovered_errors)) => {
+        match self.load_entry(&format!("{key:016x}.entry"), |payload| decode(payload, file)) {
+            Ok(Some((graph, recovered_errors))) => {
                 self.bump(|c| &c.hits);
-                self.add_bytes(|c| &c.bytes_read, payload.len() as u64);
                 ArtifactLookup::Hit(graph, recovered_errors)
             }
-            Err(EntryError::Corrupt(detail)) => {
-                ArtifactLookup::Fault(self.quarantine(&name, FaultClass::Corrupt, detail))
+            Ok(None) => {
+                self.bump(|c| &c.misses);
+                ArtifactLookup::Miss
             }
-            Err(EntryError::Stale { found }) => ArtifactLookup::Fault(self.quarantine(
-                &name,
-                FaultClass::Stale,
-                format!("payload format v{found}"),
-            )),
+            Err(fault) => ArtifactLookup::Fault(fault),
         }
     }
 
@@ -470,26 +467,10 @@ impl ArtifactCache {
 
     /// Loads the solver checkpoint, if present and intact.
     pub fn load_checkpoint(&self) -> CheckpointLookup {
-        let payload = match self.load_frame(CHECKPOINT_NAME) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return CheckpointLookup::Miss,
-            Err(fault) => return CheckpointLookup::Fault(fault),
-        };
-        match Checkpoint::from_payload(&payload) {
-            Ok(ckpt) => {
-                self.add_bytes(|c| &c.bytes_read, payload.len() as u64);
-                CheckpointLookup::Hit(Box::new(ckpt))
-            }
-            Err(EntryError::Corrupt(detail)) => CheckpointLookup::Fault(self.quarantine(
-                CHECKPOINT_NAME,
-                FaultClass::Corrupt,
-                detail,
-            )),
-            Err(EntryError::Stale { found }) => CheckpointLookup::Fault(self.quarantine(
-                CHECKPOINT_NAME,
-                FaultClass::Stale,
-                format!("payload format v{found}"),
-            )),
+        match self.load_entry(CHECKPOINT_NAME, Checkpoint::from_payload) {
+            Ok(Some(ckpt)) => CheckpointLookup::Hit(Box::new(ckpt)),
+            Ok(None) => CheckpointLookup::Miss,
+            Err(fault) => CheckpointLookup::Fault(fault),
         }
     }
 

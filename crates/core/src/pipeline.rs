@@ -38,7 +38,7 @@ use seldon_solver::{
 };
 use seldon_specs::TaintSpec;
 use seldon_telemetry::{stage, Histogram, Telemetry, PARSE_HIST_BOUNDS};
-use std::borrow::Borrow;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -404,6 +404,8 @@ pub fn analyze_file(path: &str, content: &str, id: FileId, opts: &AnalyzeOptions
 /// [`analyze_file`] up to the store: a cache hit, or a fresh analysis.
 fn lookup_or_analyze(path: &str, content: &str, id: FileId, opts: &AnalyzeOptions) -> FileAnalysis {
     let frontend = Frontend::of_path(path);
+    // Hashing the content for the key is cache time too.
+    let t0 = Instant::now();
     let key = opts.cache.as_ref().map(|_| analysis_cache_key(path, content, opts));
     let mut analysis = FileAnalysis {
         graph: None,
@@ -416,7 +418,6 @@ fn lookup_or_analyze(path: &str, content: &str, id: FileId, opts: &AnalyzeOption
         key,
     };
     if let (Some(cache), Some(key)) = (opts.cache.as_deref(), key) {
-        let t0 = Instant::now();
         match cache.load_artifact(key, id) {
             ArtifactLookup::Hit(graph, 0) => analysis.graph = Some(graph),
             ArtifactLookup::Hit(graph, errors) => {
@@ -481,6 +482,7 @@ fn analyze_and_union<'a>(
     });
     let AnalyzedFiles { graphs, report, parse_histograms, build_histogram, .. } =
         analyze_inputs(inputs, opts)?;
+    let graphs = graphs.into_iter().map(|g| g.map(Cow::Owned)).collect();
     let (graph, _) = union_graphs(graphs, &opts.telemetry);
     let meta = |f: &FileReport| FileMeta { project: f.project, path: f.path.clone() };
     let files = report.files.iter().map(meta).collect();
@@ -660,25 +662,26 @@ pub fn analyze_inputs<'a>(
 /// of both `seldon learn` and `seldon serve`. Writes the [`stage::UNION`]
 /// span with `files`, `events`, `edges` and `symbols` counters.
 ///
-/// `union` is an order-preserving concatenation (each graph's event ids
+/// The union is an order-preserving concatenation (each graph's event ids
 /// shift by the events folded before it), so event identity is a pure
 /// function of the input order. Returns the graph and, per input, the
 /// range of event ids its graph occupies (empty for `None`). An owned
-/// graph is dropped as soon as it is folded, so the per-file copies shrink
-/// while the global graph grows; borrowed graphs stay with their owner.
-pub fn union_graphs<G: Borrow<PropagationGraph>>(
-    graphs: Vec<Option<G>>,
+/// graph is moved in ([`PropagationGraph::append`]): its events and
+/// adjacency lists change hands without a copy. A borrowed graph stays
+/// with its owner and is copied.
+pub fn union_graphs(
+    graphs: Vec<Option<Cow<'_, PropagationGraph>>>,
     tele: &Telemetry,
 ) -> (PropagationGraph, Vec<Range<usize>>) {
     let span = tele.span(stage::UNION);
     let files = graphs.len();
     let mut graph = PropagationGraph::new();
-    graph.reserve_events(graphs.iter().flatten().map(|g| g.borrow().event_count()).sum());
+    graph.reserve_events(graphs.iter().flatten().map(|g| g.event_count()).sum());
     let mut ranges = Vec::with_capacity(files);
     for g in graphs {
         let start = graph.event_count();
         if let Some(g) = g {
-            graph.union(g.borrow());
+            graph.append(g.into_owned());
         }
         ranges.push(start..graph.event_count());
     }
@@ -1227,6 +1230,32 @@ mod tests {
             analyze_project(&c, 999),
             Err(PipelineError::NoSuchProject(999))
         ));
+    }
+
+    #[test]
+    fn union_graphs_over_owned_and_borrowed_graphs_agree() {
+        let c = corpus();
+        let opts = AnalyzeOptions::default();
+        let inputs = c.files().enumerate().map(|(i, (project, file))| FileInput {
+            project,
+            id: FileId(i as u32),
+            path: &file.path,
+            content: &file.content,
+        });
+        let mut graphs = analyze_inputs(inputs, &opts).unwrap().graphs;
+        // Quarantined slots and empty graphs fold too.
+        graphs.insert(1, None);
+        graphs.push(Some(PropagationGraph::new()));
+        graphs.insert(0, None);
+        let tele = Telemetry::disabled();
+        let borrowed = graphs.iter().map(|g| g.as_ref().map(Cow::Borrowed)).collect();
+        let (lent, lent_ranges) = union_graphs(borrowed, &tele);
+        let (moved, moved_ranges) =
+            union_graphs(graphs.into_iter().map(|g| g.map(Cow::Owned)).collect(), &tele);
+        assert_eq!(moved_ranges, lent_ranges);
+        assert!(moved == lent, "moved and lent unions differ");
+        assert_eq!(graph_fingerprint(&moved), graph_fingerprint(&lent));
+        assert!(moved.event_count() > 0 && moved_ranges[0].is_empty());
     }
 
     #[test]

@@ -17,8 +17,10 @@ pub use seldon_ir::IrEdgeKind as EdgeKind;
 /// edge into a call (parameter-sensitive sinks, §3.3).
 pub type ArgPos = seldon_ir::IrArgPos;
 
-/// A directed graph of information-flow events.
-#[derive(Debug, Clone, Default)]
+/// A directed graph of information-flow events. Two graphs are equal when
+/// they hold equal events with the same ids and the same adjacency lists
+/// in the same order, edge kinds and argument positions.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PropagationGraph {
     events: Vec<Event>,
     /// Forward adjacency: `succs[v]` = events receiving flow from `v`.
@@ -118,7 +120,7 @@ impl PropagationGraph {
     }
 
     /// Iterates all `(id, event)` pairs.
-    pub fn events(&self) -> impl Iterator<Item = (EventId, &Event)> {
+    pub fn events(&self) -> impl ExactSizeIterator<Item = (EventId, &Event)> {
         self.events
             .iter()
             .enumerate()
@@ -143,29 +145,38 @@ impl PropagationGraph {
     }
 
     /// Unions `other` into `self`, remapping its event ids. Returns the id
-    /// offset applied to `other`'s events.
+    /// offset applied to `other`'s events. The same as
+    /// [`Self::append`] of a clone of `other`.
+    pub fn union(&mut self, other: &PropagationGraph) -> u32 {
+        self.append(other.clone())
+    }
+
+    /// Moves `other` into `self`, shifting its event ids past `self`'s.
+    /// Returns the id offset applied to `other`'s events.
     ///
     /// Event sets of different programs stay disjoint, exactly as in the
     /// paper's global propagation graph (§4): no cross-program edges are
     /// introduced, but events may share representations. So each
     /// program's event range is closed under reachability, which lets a
     /// [`SearchWorkspace`] cover just that range.
-    pub fn union(&mut self, other: &PropagationGraph) -> u32 {
+    pub fn append(&mut self, mut other: PropagationGraph) -> u32 {
         let offset = self.events.len() as u32;
-        let shift = |id: EventId| EventId(id.0 + offset);
         // `other` already upholds the graph invariants (no duplicate or
-        // self edges, symmetric succs/preds), so its adjacency is copied
-        // wholesale with shifted ids instead of re-validated edge by edge.
-        self.events.extend_from_slice(&other.events);
-        self.succs
-            .extend(other.succs.iter().map(|outs| outs.iter().map(|&t| shift(t)).collect()));
-        self.preds
-            .extend(other.preds.iter().map(|ins| ins.iter().map(|&f| shift(f)).collect()));
-        self.receiver_edges
-            .extend(other.receiver_edges.iter().map(|&(f, t)| (shift(f), shift(t))));
-        self.arg_positions.extend(
-            other.arg_positions.iter().map(|(&(f, t), pos)| ((shift(f), shift(t)), pos.clone())),
-        );
+        // self edges, symmetric succs/preds), so its events and adjacency
+        // lists move over wholesale, ids shifted in place, instead of
+        // being re-validated edge by edge.
+        if offset > 0 {
+            for id in other.succs.iter_mut().chain(&mut other.preds).flatten() {
+                id.0 += offset;
+            }
+        }
+        self.events.append(&mut other.events);
+        self.succs.append(&mut other.succs);
+        self.preds.append(&mut other.preds);
+        let shift = |(f, t): (EventId, EventId)| (EventId(f.0 + offset), EventId(t.0 + offset));
+        self.receiver_edges.extend(other.receiver_edges.into_iter().map(shift));
+        self.arg_positions
+            .extend(other.arg_positions.into_iter().map(|(edge, pos)| (shift(edge), pos)));
         self.edge_count += other.edge_count;
         offset
     }
@@ -274,6 +285,7 @@ impl PropagationGraph {
 mod tests {
     use super::*;
     use crate::event::{EventKind, FileId};
+    use proptest::prelude::*;
     use seldon_pyast::Span;
 
     fn ev(rep: &str) -> Event {
@@ -355,6 +367,76 @@ mod tests {
         assert_eq!(g1.arg_position(a, c), Some(&ArgPos::Positional(1)));
         assert_eq!(g1.edge_count(), 2);
         assert_eq!(g1.predecessors(b), &[a]);
+    }
+
+    /// A graph of `n` events over a few shared reps, with `edges` as
+    /// `(from, to, tag)` taken modulo `n`. Bit 0 of `tag` picks the edge
+    /// kind (repeats upgrade receiver edges, self edges are dropped);
+    /// bits 1–2 pick no argument position or one of each kind.
+    fn random_graph(n: u32, edges: &[(u32, u32, u8)]) -> PropagationGraph {
+        let mut g = PropagationGraph::new();
+        let kinds = [EventKind::Call, EventKind::ObjectRead, EventKind::ParamRead];
+        for i in 0..n {
+            let reps = [["a()", "b()", "c.d()"][i as usize % 3], "x"];
+            let span = Span::new(i, i + 1, i, 0);
+            g.add_event(Event::from_reps(kinds[i as usize % 3], &reps, FileId(i % 2), span));
+        }
+        for &(from, to, tag) in edges.iter().filter(|_| n > 0) {
+            let (from, to) = (EventId(from % n), EventId(to % n));
+            let kind = if tag & 1 == 0 { EdgeKind::Argument } else { EdgeKind::Receiver };
+            g.add_edge_kind(from, to, kind);
+            match (tag >> 1) & 3 {
+                0 => {}
+                1 => g.set_arg_position(from, to, ArgPos::Receiver),
+                2 => g.set_arg_position(from, to, ArgPos::Positional(tag)),
+                _ => g.set_arg_position(from, to, ArgPos::Keyword(format!("k{tag}"))),
+            }
+        }
+        g
+    }
+
+    /// The union that copies every list with shifted ids, field by
+    /// field: the reference [`PropagationGraph::append`] is checked
+    /// against.
+    fn union_by_copy(g: &mut PropagationGraph, other: &PropagationGraph) -> u32 {
+        let offset = g.events.len() as u32;
+        let shift = |id: EventId| EventId(id.0 + offset);
+        g.events.extend_from_slice(&other.events);
+        g.succs.extend(other.succs.iter().map(|l| l.iter().map(|&t| shift(t)).collect()));
+        g.preds.extend(other.preds.iter().map(|l| l.iter().map(|&f| shift(f)).collect()));
+        g.receiver_edges.extend(other.receiver_edges.iter().map(|&(f, t)| (shift(f), shift(t))));
+        g.arg_positions.extend(
+            other.arg_positions.iter().map(|(&(f, t), pos)| ((shift(f), shift(t)), pos.clone())),
+        );
+        g.edge_count += other.edge_count;
+        offset
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Folding graphs by move equals folding them by reference and by
+        /// copy: the same events, adjacency lists in the same order, edge
+        /// kinds, argument positions, edge count and returned offsets.
+        #[test]
+        fn append_equals_union_by_reference(
+            specs in prop::collection::vec(
+                (0u32..12, prop::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..40)),
+                1..6,
+            ),
+        ) {
+            let mut moved = PropagationGraph::new();
+            let (mut borrowed, mut copied) = (PropagationGraph::new(), PropagationGraph::new());
+            for (n, edges) in &specs {
+                let g = random_graph(*n, edges);
+                let offset = union_by_copy(&mut copied, &g);
+                prop_assert_eq!(borrowed.union(&g), offset);
+                prop_assert_eq!(moved.append(g), offset);
+                prop_assert_eq!(moved.edge_count(), copied.edge_count());
+                prop_assert!(moved == copied, "append differs after {} more events", n);
+                prop_assert!(borrowed == copied, "union differs after {} more events", n);
+            }
+        }
     }
 
     #[test]

@@ -49,6 +49,7 @@
 //! [`ServeEngine::spec`] answers `None` and the next delta rebuilds from
 //! the per-file slots instead of serving the stale spec.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -480,8 +481,8 @@ impl ServeEngine {
 
         // Union by reference, in corpus order: the ranges attribute
         // events to files, and the fingerprint ignores file stamps.
-        let (union, ranges) =
-            union_graphs(self.files.values().map(|s| s.graph.as_ref()).collect(), &tele);
+        let graphs = self.files.values().map(|s| s.graph.as_ref().map(Cow::Borrowed)).collect();
+        let (union, ranges) = union_graphs(graphs, &tele);
         self.last_events = union.event_count();
         self.last_edges = union.edge_count();
 

@@ -5,9 +5,9 @@
 //! serialization must survive the process boundary — representation
 //! strings re-intern on load to the same graph content.
 
+use seldon_cache::artifact::{decode, encode};
 use seldon_cache::{
-    encode_entry, graph_fingerprint, inject_cache_faults, ArtifactCache, CacheStats,
-    FileArtifact, INDEX_NAME,
+    encode_entry, graph_fingerprint, inject_cache_faults, ArtifactCache, CacheStats, INDEX_NAME,
 };
 use seldon_core::{
     run_full, run_seldon, AnalyzeOptions, CheckpointOutcome, FaultPolicy, FullRun,
@@ -251,13 +251,12 @@ mod proptests {
         ) {
             let src = source_for(&pairs);
             let graph = build_source(&src, FileId(3)).expect("generated source parses");
-            let artifact = FileArtifact::from_graph(&graph, recovered);
-            let payload = artifact.to_payload();
+            let payload = encode(&graph, recovered);
 
             // Cross-process boundary: only bytes survive.
-            let back = FileArtifact::from_payload(&payload).expect("payload decodes");
-            prop_assert_eq!(&back, &artifact);
-            let rebuilt = back.to_graph(FileId(3)).expect("artifact validates");
+            let (rebuilt, back) = decode(&payload, FileId(3)).expect("payload decodes");
+            prop_assert_eq!(back, recovered);
+            prop_assert_eq!(encode(&rebuilt, back), payload, "re-encoding gives the same bytes");
 
             prop_assert_eq!(rebuilt.event_count(), graph.event_count());
             prop_assert_eq!(rebuilt.edge_count(), graph.edge_count());

@@ -18,6 +18,7 @@ use seldon_pyast::{lexer, parser};
 use seldon_solver::{solve, SolveOptions};
 use seldon_specs::{Pattern, Role, RoleSet, TaintSpec};
 use seldon_telemetry::Telemetry;
+use std::borrow::Cow;
 
 proptest! {
     /// The lexer never panics, whatever bytes it is fed.
@@ -403,7 +404,8 @@ proptest! {
             let spare = graphs.pop().expect("a spare file");
             graphs.truncate(rng.gen_range(2..graphs.len().max(3)));
 
-            let (union, ranges) = union_graphs(graphs.iter().map(Some).collect(), &tele);
+            let lent = graphs.iter().map(|g| Some(Cow::Borrowed(g))).collect();
+            let (union, ranges) = union_graphs(lent, &tele);
             let Selection { mut sys, event_reps, .. } = select(&union, &spec, &gen);
             let files: Vec<(Vec<Option<Vec<RepId>>>, FileRows)> = ranges
                 .iter()
@@ -419,7 +421,8 @@ proptest! {
             // wherever their selection slice is unchanged.
             let changed = rng.gen_range(0..graphs.len());
             graphs[changed] = spare;
-            let (union, ranges) = union_graphs(graphs.iter().map(Some).collect(), &tele);
+            let lent = graphs.iter().map(|g| Some(Cow::Borrowed(g))).collect();
+            let (union, ranges) = union_graphs(lent, &tele);
             let Selection { mut sys, event_reps, .. } = select(&union, &spec, &gen);
             let rows: Vec<FileRows> = ranges
                 .iter()
