@@ -21,7 +21,9 @@
 use crate::codec::{Reader, Writer};
 use crate::entry::EntryError;
 use seldon_intern::{intern, IdHash, Symbol};
-use seldon_propgraph::{ArgPos, EdgeKind, Event, EventId, EventKind, FileId, PropagationGraph};
+use seldon_propgraph::{
+    keyword_name, ArgPos, EdgeKind, Event, EventId, EventKind, FileId, PropagationGraph,
+};
 use seldon_pyast::Span;
 use std::collections::{HashMap, HashSet};
 
@@ -226,7 +228,7 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
         let pos = match r.u8()? {
             0 => ArgPos::Receiver,
             1 => ArgPos::Positional(r.u8()?),
-            2 => ArgPos::Keyword(r.str()?.to_string()),
+            2 => ArgPos::Keyword(keyword_name(r.str()?)),
             _ => return Err(corrupt("unknown arg position tag")),
         };
         graph.set_arg_position(from, to, pos);
@@ -323,7 +325,7 @@ mod tests {
                         let kind = graph.edge_kind(from, to).expect("chain heads are edges");
                         edges.push((from.0, to.0, kind));
                         if let Some(pos) = graph.arg_position(from, to) {
-                            args.push((from.0, to.0, pos.clone()));
+                            args.push((from.0, to.0, *pos));
                         }
                         out_ptr[from.index()] += 1;
                         in_ptr[to.index()] += 1;
@@ -363,7 +365,7 @@ mod tests {
                     if *from >= n || *to >= n {
                         return Err(corrupt("argument edge out of range"));
                     }
-                    graph.set_arg_position(EventId(*from), EventId(*to), pos.clone());
+                    graph.set_arg_position(EventId(*from), EventId(*to), *pos);
                 }
                 let index_of: HashMap<&str, u32> = self
                     .strings
@@ -447,7 +449,7 @@ mod tests {
                         let pos = match r.u8()? {
                             0 => ArgPos::Receiver,
                             1 => ArgPos::Positional(r.u8()?),
-                            2 => ArgPos::Keyword(r.str()?.to_string()),
+                            2 => ArgPos::Keyword(keyword_name(r.str()?)),
                             _ => return Err(corrupt("unknown arg position tag")),
                         };
                         Ok((from, to, pos))

@@ -143,14 +143,16 @@ pub struct Lowered<T> {
     pub parse: Duration,
 }
 
-/// One language's strict and lenient parsers.
-type Parsers<Ast> = (fn(&str) -> Result<Ast, FrontendError>, fn(&str) -> (Ast, Vec<FrontendError>));
+/// One language's strict and lenient parsers of a source `'s`, whose AST
+/// borrows it.
+type Parsers<'s, Ast> =
+    (fn(&'s str) -> Result<Ast, FrontendError>, fn(&'s str) -> (Ast, Vec<FrontendError>));
 
 /// [`Frontend::lower`] over one language's parser pair and lowering.
-fn lower_with<Ast, T>(
-    source: &str,
+fn lower_with<'s, Ast, T>(
+    source: &'s str,
     lenient: bool,
-    (parse, parse_lenient): Parsers<Ast>,
+    (parse, parse_lenient): Parsers<'s, Ast>,
     lower: impl FnOnce(&Ast) -> Result<T, BudgetExceeded>,
 ) -> Result<Lowered<T>, BuildError> {
     let started = Instant::now();

@@ -80,8 +80,8 @@ pub enum IrEdgeKind {
 
 /// The position through which flow enters a call event, recorded for
 /// parameter-sensitive clients (the paper's §3.3 future work). `S` is the
-/// keyword's text: owned in an [`IrProgram`] and a graph, borrowed as an
-/// emitter hands it to a sink.
+/// keyword's text: owned in an [`IrProgram`], a process-wide copy in a
+/// graph, borrowed as an emitter hands it to a sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IrArgPos<S = String> {
     /// The call receiver (`recv.m(...)`).

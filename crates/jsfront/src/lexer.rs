@@ -7,123 +7,108 @@
 use seldon_ir::{LexError, LexErrorKind, Span};
 use std::fmt;
 
-/// A token kind of the JS-like subset.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// Identifier (also covers non-keyword words).
-    Ident(String),
-    /// String literal (single or double quoted), unescaped contents.
-    Str(String),
-    /// Numeric literal, kept as written.
-    Num(String),
-    /// `function`
-    Function,
-    /// `var`
-    Var,
-    /// `let`
-    Let,
-    /// `const`
-    Const,
-    /// `return`
-    Return,
-    /// `if`
-    If,
-    /// `else`
-    Else,
-    /// `import`
-    Import,
-    /// `from`
-    From,
-    /// `as`
-    As,
-    /// `new`
-    New,
-    /// `true`
-    True,
-    /// `false`
-    False,
-    /// `null`
-    Null,
-    /// `(`
-    LParen,
-    /// `)`
-    RParen,
-    /// `{`
-    LBrace,
-    /// `}`
-    RBrace,
-    /// `[`
-    LBracket,
-    /// `]`
-    RBracket,
-    /// `,`
-    Comma,
-    /// `;`
-    Semi,
-    /// `.`
-    Dot,
-    /// `:`
-    Colon,
-    /// `=`
-    Eq,
-    /// `+`
-    Plus,
-    /// Any other single operator character (`-*/%<>!&|?`), kept for
-    /// expression-level recovery.
-    Op(char),
-    /// End of input.
-    EndOfFile,
-    /// What the parser leaves in a token's slot after moving the token out.
-    /// The lexer never produces it and the parser never reads it back.
-    Taken,
+/// Defines [`TokenKind`] from one table, with its keyword and punctuation
+/// lookups and its `Display`.
+macro_rules! token_kinds {
+    (
+        lexemes { $($lex:ident: $lex_doc:literal => $lex_shown:literal,)* }
+        keywords { $($kw:ident = $kw_text:literal,)* }
+        punctuation { $($punct:ident = $punct_char:literal,)* }
+    ) => {
+        /// A token kind of the JS-like subset. The lexeme itself is the
+        /// token's [`Token::text`], a slice of the source.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TokenKind {
+            $(#[doc = $lex_doc] $lex,)*
+            $(#[doc = concat!("`", $kw_text, "`")] $kw,)*
+            $(#[doc = concat!("`", $punct_char, "`")] $punct,)*
+            /// Any other single operator character (`-*/%<>!&|?`), kept for
+            /// expression-level recovery; `==`, `===` and `=>` are `Op(b'=')`.
+            Op(u8),
+        }
+
+        impl TokenKind {
+            /// The keyword `word` spells (`undefined` is `null`), if any.
+            fn keyword(word: &str) -> Option<TokenKind> {
+                match word {
+                    $($kw_text => Some(TokenKind::$kw),)*
+                    "undefined" => Some(TokenKind::Null),
+                    _ => None,
+                }
+            }
+
+            /// The punctuation token `c` spells, if any.
+            fn punctuation(c: char) -> Option<TokenKind> {
+                match c {
+                    $($punct_char => Some(TokenKind::$punct),)*
+                    _ => None,
+                }
+            }
+        }
+
+        impl fmt::Display for TokenKind {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self {
+                    $(TokenKind::$lex => $lex_shown,)*
+                    $(TokenKind::$kw => concat!("`", $kw_text, "`"),)*
+                    $(TokenKind::$punct => concat!("`", $punct_char, "`"),)*
+                    TokenKind::Op(c) => return write!(f, "`{}`", char::from(*c)),
+                })
+            }
+        }
+    };
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
-            TokenKind::Str(_) => write!(f, "string literal"),
-            TokenKind::Num(n) => write!(f, "number `{n}`"),
-            TokenKind::Function => write!(f, "`function`"),
-            TokenKind::Var => write!(f, "`var`"),
-            TokenKind::Let => write!(f, "`let`"),
-            TokenKind::Const => write!(f, "`const`"),
-            TokenKind::Return => write!(f, "`return`"),
-            TokenKind::If => write!(f, "`if`"),
-            TokenKind::Else => write!(f, "`else`"),
-            TokenKind::Import => write!(f, "`import`"),
-            TokenKind::From => write!(f, "`from`"),
-            TokenKind::As => write!(f, "`as`"),
-            TokenKind::New => write!(f, "`new`"),
-            TokenKind::True => write!(f, "`true`"),
-            TokenKind::False => write!(f, "`false`"),
-            TokenKind::Null => write!(f, "`null`"),
-            TokenKind::LParen => write!(f, "`(`"),
-            TokenKind::RParen => write!(f, "`)`"),
-            TokenKind::LBrace => write!(f, "`{{`"),
-            TokenKind::RBrace => write!(f, "`}}`"),
-            TokenKind::LBracket => write!(f, "`[`"),
-            TokenKind::RBracket => write!(f, "`]`"),
-            TokenKind::Comma => write!(f, "`,`"),
-            TokenKind::Semi => write!(f, "`;`"),
-            TokenKind::Dot => write!(f, "`.`"),
-            TokenKind::Colon => write!(f, "`:`"),
-            TokenKind::Eq => write!(f, "`=`"),
-            TokenKind::Plus => write!(f, "`+`"),
-            TokenKind::Op(c) => write!(f, "`{c}`"),
-            TokenKind::EndOfFile => write!(f, "end of file"),
-            TokenKind::Taken => write!(f, "consumed token"),
-        }
+token_kinds! {
+    lexemes {
+        Ident: "Identifier (also covers non-keyword words)." => "identifier",
+        Str: "String literal (single or double quoted); the parser decodes its escapes." =>
+            "string literal",
+        Num: "Numeric literal, kept as written." => "number",
+        EndOfFile: "End of input." => "end of file",
+    }
+    keywords {
+        Function = "function", Var = "var", Let = "let", Const = "const", Return = "return",
+        If = "if", Else = "else", Import = "import", From = "from", As = "as", New = "new",
+        True = "true", False = "false", Null = "null",
+    }
+    punctuation {
+        LParen = '(', RParen = ')', LBrace = '{', RBrace = '}', LBracket = '[', RBracket = ']',
+        Comma = ',', Semi = ';', Dot = '.', Colon = ':', Eq = '=', Plus = '+',
     }
 }
 
-/// A token with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    /// The token kind (and payload).
+/// A token: its kind, the source text it covers (quotes included for a
+/// string) and where that text starts. The span ends where the text does,
+/// so a token is four words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'s> {
+    /// The exact source text of the token.
+    pub text: &'s str,
+    /// Byte offset of `text` in the source.
+    pub start: u32,
+    /// 1-based line of `start`.
+    pub line: u32,
+    /// 1-based column of `start`.
+    pub col: u32,
+    /// The token kind.
     pub kind: TokenKind,
+}
+
+impl Token<'_> {
     /// Where the token sits in the source.
-    pub span: Span,
+    pub fn span(&self) -> Span {
+        Span::new(self.start, self.start + self.text.len() as u32, self.line, self.col)
+    }
+}
+
+impl fmt::Display for Token<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.kind {
+            TokenKind::Ident | TokenKind::Num => write!(f, "{} `{}`", self.kind, self.text),
+            kind => kind.fmt(f),
+        }
+    }
 }
 
 /// Tokenizes `source` into a token stream ending with `EndOfFile`.
@@ -132,7 +117,7 @@ pub struct Token {
 ///
 /// Returns a [`LexError`] on an unterminated string/comment or a character
 /// no token can start with.
-pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LexError> {
     let bytes = source.as_bytes();
     // About one token per four bytes of source, so the stream rarely grows.
     let mut tokens = Vec::with_capacity(source.len() / 4);
@@ -144,6 +129,13 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
             Span::new($start as u32, ($start + $len) as u32, $line, $col)
         };
     }
+    let token = |kind, start: usize, end: usize, line, col| Token {
+        text: &source[start..end],
+        start: start as u32,
+        line,
+        col,
+        kind,
+    };
     while i < bytes.len() {
         let c = bytes[i] as char;
         match c {
@@ -191,7 +183,6 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                 let (sl, sc, start) = (line, col, i);
                 i += 1;
                 col += 1;
-                let mut text = String::new();
                 loop {
                     if i >= bytes.len() || bytes[i] == b'\n' {
                         return Err(LexError::new(
@@ -205,24 +196,14 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                         break;
                     }
                     if bytes[i] == b'\\' && i + 1 < bytes.len() {
-                        let esc = bytes[i + 1] as char;
-                        text.push(match esc {
-                            'n' => '\n',
-                            't' => '\t',
-                            other => other,
-                        });
                         i += 2;
                         col += 2;
                         continue;
                     }
-                    text.push(bytes[i] as char);
                     i += 1;
                     col += 1;
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Str(text),
-                    span: span_at!(start, i - start, sl, sc),
-                });
+                tokens.push(token(TokenKind::Str, start, i, sl, sc));
             }
             _ if c.is_ascii_digit() => {
                 let (sl, sc, start) = (line, col, i);
@@ -239,11 +220,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                     col += 1;
                 }
-                let text = &source[start..i];
-                tokens.push(Token {
-                    kind: TokenKind::Num(text.to_string()),
-                    span: span_at!(start, i - start, sl, sc),
-                });
+                tokens.push(token(TokenKind::Num, start, i, sl, sc));
             }
             _ if c.is_ascii_alphabetic() || c == '_' || c == '$' => {
                 let (sl, sc, start) = (line, col, i);
@@ -256,77 +233,30 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                         break;
                     }
                 }
-                let word = &source[start..i];
-                let kind = match word {
-                    "function" => TokenKind::Function,
-                    "var" => TokenKind::Var,
-                    "let" => TokenKind::Let,
-                    "const" => TokenKind::Const,
-                    "return" => TokenKind::Return,
-                    "if" => TokenKind::If,
-                    "else" => TokenKind::Else,
-                    "import" => TokenKind::Import,
-                    "from" => TokenKind::From,
-                    "as" => TokenKind::As,
-                    "new" => TokenKind::New,
-                    "true" => TokenKind::True,
-                    "false" => TokenKind::False,
-                    "null" | "undefined" => TokenKind::Null,
-                    _ => TokenKind::Ident(word.to_string()),
-                };
-                tokens.push(Token { kind, span: span_at!(start, i - start, sl, sc) });
+                let kind = TokenKind::keyword(&source[start..i]).unwrap_or(TokenKind::Ident);
+                tokens.push(token(kind, start, i, sl, sc));
             }
             _ => {
-                let kind = match c {
-                    '(' => TokenKind::LParen,
-                    ')' => TokenKind::RParen,
-                    '{' => TokenKind::LBrace,
-                    '}' => TokenKind::RBrace,
-                    '[' => TokenKind::LBracket,
-                    ']' => TokenKind::RBracket,
-                    ',' => TokenKind::Comma,
-                    ';' => TokenKind::Semi,
-                    '.' => TokenKind::Dot,
-                    ':' => TokenKind::Colon,
-                    '=' => {
-                        // `==`, `===`, `=>` are comparison/arrow ops.
-                        if bytes.get(i + 1) == Some(&b'=') || bytes.get(i + 1) == Some(&b'>') {
-                            let (sl, sc, start) = (line, col, i);
-                            let mut len = 2;
-                            if bytes.get(i + 2) == Some(&b'=') {
-                                len = 3;
-                            }
-                            tokens.push(Token {
-                                kind: TokenKind::Op('='),
-                                span: span_at!(start, len, sl, sc),
-                            });
-                            i += len;
-                            col += len as u32;
-                            continue;
-                        }
-                        TokenKind::Eq
-                    }
-                    '+' => TokenKind::Plus,
-                    '-' | '*' | '/' | '%' | '<' | '>' | '!' | '&' | '|' | '?' => {
-                        TokenKind::Op(c)
-                    }
-                    other => {
-                        return Err(LexError::new(
-                            LexErrorKind::UnexpectedChar(other),
-                            span_at!(i, other.len_utf8(), line, col),
-                        ));
-                    }
+                // `==`, `===` and `=>` are one comparison or arrow operator.
+                let len = match (c, bytes.get(i + 1)) {
+                    ('=', Some(b'=' | b'>')) => 2 + usize::from(bytes.get(i + 2) == Some(&b'=')),
+                    _ => 1,
                 };
-                tokens.push(Token { kind, span: span_at!(i, 1, line, col) });
-                i += 1;
-                col += 1;
+                let kind = match c {
+                    '=' if len > 1 => TokenKind::Op(b'='),
+                    '-' | '*' | '/' | '%' | '<' | '>' | '!' | '&' | '|' | '?' => TokenKind::Op(bytes[i]),
+                    _ => TokenKind::punctuation(c).ok_or_else(|| {
+                        let span = span_at!(i, c.len_utf8(), line, col);
+                        LexError::new(LexErrorKind::UnexpectedChar(c), span)
+                    })?,
+                };
+                tokens.push(token(kind, i, i + len, line, col));
+                i += len;
+                col += len as u32;
             }
         }
     }
-    tokens.push(Token {
-        kind: TokenKind::EndOfFile,
-        span: Span::new(i as u32, i as u32, line, col),
-    });
+    tokens.push(token(TokenKind::EndOfFile, i, i, line, col));
     Ok(tokens)
 }
 
@@ -340,19 +270,20 @@ mod tests {
 
     #[test]
     fn keywords_and_idents() {
-        let ks = kinds("const x = require('express');");
+        let toks = lex("const x = require('express');").expect("lexes");
+        let lexemes: Vec<(TokenKind, &str)> = toks.iter().map(|t| (t.kind, t.text)).collect();
         assert_eq!(
-            ks,
+            lexemes,
             vec![
-                TokenKind::Const,
-                TokenKind::Ident("x".into()),
-                TokenKind::Eq,
-                TokenKind::Ident("require".into()),
-                TokenKind::LParen,
-                TokenKind::Str("express".into()),
-                TokenKind::RParen,
-                TokenKind::Semi,
-                TokenKind::EndOfFile,
+                (TokenKind::Const, "const"),
+                (TokenKind::Ident, "x"),
+                (TokenKind::Eq, "="),
+                (TokenKind::Ident, "require"),
+                (TokenKind::LParen, "("),
+                (TokenKind::Str, "'express'"),
+                (TokenKind::RParen, ")"),
+                (TokenKind::Semi, ";"),
+                (TokenKind::EndOfFile, ""),
             ]
         );
     }
@@ -363,9 +294,9 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident,
                 TokenKind::Eq,
-                TokenKind::Num("1".into()),
+                TokenKind::Num,
                 TokenKind::Semi,
                 TokenKind::EndOfFile,
             ]
@@ -374,16 +305,15 @@ mod tests {
 
     #[test]
     fn string_escapes() {
-        let ks = kinds(r#"s = "a\"b";"#);
-        assert!(matches!(&ks[2], TokenKind::Str(s) if s == "a\"b"));
+        let toks = lex(r#"s = "a\"b";"#).unwrap();
+        assert_eq!((toks[2].kind, toks[2].text), (TokenKind::Str, r#""a\"b""#));
     }
 
     #[test]
     fn spans_track_lines() {
         let toks = lex("x\ny").unwrap();
-        assert_eq!(toks[0].span.line, 1);
-        assert_eq!(toks[1].span.line, 2);
-        assert_eq!(toks[1].span.col, 1);
+        assert_eq!(toks[0].span(), Span::new(0, 1, 1, 1));
+        assert_eq!(toks[1].span(), Span::new(2, 3, 2, 1));
     }
 
     #[test]
@@ -396,8 +326,8 @@ mod tests {
 
     #[test]
     fn numbers_with_decimals() {
-        let ks = kinds("a = 3.25;");
-        assert!(matches!(&ks[2], TokenKind::Num(n) if n == "3.25"));
+        let toks = lex("a = 3.25;").unwrap();
+        assert_eq!((toks[2].kind, toks[2].text), (TokenKind::Num, "3.25"));
     }
 
     #[test]
@@ -405,9 +335,14 @@ mod tests {
         let ks = kinds("a == b === c => d = e");
         let ops: Vec<_> = ks
             .iter()
-            .filter(|k| matches!(k, TokenKind::Op('=') | TokenKind::Eq))
+            .filter(|k| matches!(k, TokenKind::Op(b'=') | TokenKind::Eq))
             .collect();
         assert_eq!(ops.len(), 4); // ==, ===, =>, =
         assert!(matches!(ops[3], TokenKind::Eq));
+    }
+
+    #[test]
+    fn token_is_four_words() {
+        assert!(std::mem::size_of::<Token<'_>>() <= 32);
     }
 }

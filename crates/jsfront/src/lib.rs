@@ -10,6 +10,12 @@
 //! the taint pipeline are all reused unchanged from `seldon-propgraph`
 //! onward — no per-language branches exist past the emitter.
 //!
+//! Like the Python front end it is zero-copy: [`parse`] returns a
+//! [`Program<'src>`](ast::Program) whose names, properties, import paths,
+//! parameters and literals borrow the source text, and every token is a
+//! slice of it. Only a string literal with escapes is decoded into owned
+//! text.
+//!
 //! ## Example
 //!
 //! ```

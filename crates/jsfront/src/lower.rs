@@ -15,9 +15,11 @@ use seldon_intern::{intern, Symbol};
 use seldon_ir::IrProgram;
 use seldon_propgraph::emit::{union_into, Call, Emitter, FlowSet, Scope, Walk};
 use seldon_propgraph::{
-    Budget, BudgetExceeded, ImportMap, Recorder, ReprCtx, Sink, MAX_CHAIN_DEPTH,
+    Budget, BudgetExceeded, ImportMap, Recorder, ReprCtx, Sink, VariantArena, Variants,
+    MAX_CHAIN_DEPTH,
 };
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -29,14 +31,19 @@ use std::rc::Rc;
 /// Returns [`BudgetExceeded`] if the walk trips a statement-count, depth,
 /// or deadline limit; the unfinished sink is discarded.
 pub fn lower_js_program_into<S: Sink>(
-    program: &Program,
+    program: &Program<'_>,
     budget: &Budget,
     sink: S,
 ) -> Result<S::Output, BudgetExceeded> {
     let mut imports = ImportMap::new();
     collect_imports(&program.body, &mut imports);
-    let mut l = Lowerer { em: Emitter::new(budget, &[], sink), imports: Rc::new(imports) };
-    let mut scope = l.new_scope(None);
+    let mut l = Lowerer {
+        em: Emitter::new(budget, &[], sink),
+        imports: Rc::new(imports),
+        variants: Rc::default(),
+        text: String::new(),
+    };
+    let mut scope = l.new_scope(None, None);
     l.walk_body(&program.body, &mut scope);
     l.em.finish()
 }
@@ -47,7 +54,7 @@ pub fn lower_js_program_into<S: Sink>(
 ///
 /// As [`lower_js_program_into`].
 pub fn lower_js_program_budgeted(
-    program: &Program,
+    program: &Program<'_>,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
     lower_js_program_into(program, budget, Recorder::default())
@@ -56,38 +63,37 @@ pub fn lower_js_program_budgeted(
 // ----- representations -------------------------------------------------------
 
 /// Splits a module specifier like `./app/models.js` into dotted-path
-/// segments (`["app", "models", "js"]` → the `.js` suffix is dropped).
-fn module_segments(module: &str) -> Vec<&str> {
-    let trimmed = module.trim_start_matches("./");
-    let mut segs: Vec<&str> = trimmed.split(['/', '.']).filter(|s| !s.is_empty()).collect();
-    if segs.len() > 1 && segs.last() == Some(&"js") {
-        segs.pop();
-    }
-    segs
+/// segments (`app`, `models`, `js` → the `.js` suffix is dropped).
+fn module_segments(module: &str) -> impl Iterator<Item = &str> + Clone {
+    let segs = module.trim_start_matches("./").split(['/', '.']).filter(|s| !s.is_empty());
+    let count = segs.clone().count();
+    let js_suffix = count > 1 && segs.clone().next_back() == Some("js");
+    segs.take(count - usize::from(js_suffix))
 }
 
 /// Computes representation variants of a JS expression, most → least
 /// specific, with the shared name resolution, interning and backoff of
 /// [`ReprCtx::rep_syms`].
-fn describe_syms_js(expr: &Expr, ctx: &ReprCtx<'_>) -> Vec<Symbol> {
+fn describe_syms_js(expr: &Expr<'_>, ctx: &ReprCtx<'_>) -> Vec<Symbol> {
     ctx.rep_syms(|suffix| chain_base(expr, 0, suffix))
 }
 
-/// Like [`describe_syms_js`], keeping the variant strings.
-fn describe_js(expr: &Expr, ctx: &ReprCtx<'_>) -> Vec<String> {
-    ctx.rep_strings(|suffix| chain_base(expr, 0, suffix))
+/// Like [`describe_syms_js`], appending the variant texts to the file's
+/// variant arena: what a binding records as a local's variants.
+fn describe_js(expr: &Expr<'_>, ctx: &ReprCtx<'_>) -> Variants {
+    ctx.push_variants(|suffix| chain_base(expr, 0, suffix))
 }
 
 /// Walks an access chain down to the identifier it starts from, appending
 /// the rendering of each step to `suffix`, innermost first. `None` when the
 /// chain does not start from an identifier or is deeper than
 /// [`MAX_CHAIN_DEPTH`].
-fn chain_base<'e>(expr: &'e Expr, depth: usize, suffix: &mut String) -> Option<&'e str> {
+fn chain_base<'e>(expr: &Expr<'e>, depth: usize, suffix: &mut String) -> Option<&'e str> {
     if depth > MAX_CHAIN_DEPTH {
         return None;
     }
     match &expr.kind {
-        ExprKind::Ident(n) => Some(n),
+        ExprKind::Ident(n) => Some(*n),
         ExprKind::Member { obj, prop } => {
             let base = chain_base(obj, depth + 1, suffix)?;
             suffix.push('.');
@@ -119,23 +125,25 @@ fn chain_base<'e>(expr: &'e Expr, depth: usize, suffix: &mut String) -> Option<&
 }
 
 /// Field name used for index loads/stores, matching the representation
-/// rendering (`['key']`, `[0]`, `[]`).
-fn index_field_name(index: &Expr) -> String {
-    match &index.kind {
-        ExprKind::Str(s) => format!("['{s}']"),
-        ExprKind::Num(n) => format!("[{n}]"),
-        _ => "[]".to_string(),
-    }
+/// rendering (`['key']`, `[0]`, `[]`), rendered into `buf` when it is not
+/// the constant `[]`.
+fn index_field<'b>(index: &Expr<'_>, buf: &'b mut String) -> &'b str {
+    let (open, text, close) = match &index.kind {
+        ExprKind::Str(s) => ("['", &**s, "']"),
+        ExprKind::Num(n) => ("[", *n, "]"),
+        _ => return "[]",
+    };
+    buf.clear();
+    buf.extend([open, text, close]);
+    buf
 }
 
 /// Matches `require('module')` and returns the specifier.
-fn require_module(expr: &Expr) -> Option<&str> {
+fn require_module<'e>(expr: &'e Expr<'_>) -> Option<&'e str> {
     if let ExprKind::Call { callee, args } = &expr.kind {
-        if let ExprKind::Ident(n) = &callee.kind {
-            if n == "require" && args.len() == 1 {
-                if let ExprKind::Str(m) = &args[0].kind {
-                    return Some(m);
-                }
+        if let (ExprKind::Ident("require"), [arg]) = (&callee.kind, &args[..]) {
+            if let ExprKind::Str(m) = &arg.kind {
+                return Some(m);
             }
         }
     }
@@ -144,21 +152,21 @@ fn require_module(expr: &Expr) -> Option<&str> {
 
 /// Resolves every import binding (ES and CommonJS) in `body` into dotted
 /// paths, recursing into function/branch bodies.
-fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
+fn collect_imports<'p>(body: &[Stmt<'p>], imports: &mut ImportMap<'p>) {
     for stmt in body {
         match &stmt.kind {
             StmtKind::Import { bindings, module } => {
                 let segs = module_segments(module);
-                if segs.is_empty() {
+                if segs.clone().next().is_none() {
                     continue;
                 }
                 for b in bindings {
-                    match b {
+                    match *b {
                         ImportBinding::Default(name) | ImportBinding::Namespace(name) => {
-                            imports.insert(name, &segs);
+                            imports.insert(name, segs.clone());
                         }
                         ImportBinding::Named { exported, local } => {
-                            imports.insert(local, &[&segs[..], &[exported.as_str()]].concat());
+                            imports.insert(local, segs.clone().chain([exported]));
                         }
                     }
                 }
@@ -166,14 +174,14 @@ fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
             StmtKind::VarDecl { name, pattern, init: Some(init) } => {
                 if let Some(module) = require_module(init) {
                     let segs = module_segments(module);
-                    if segs.is_empty() {
+                    if segs.clone().next().is_none() {
                         continue;
                     }
-                    if let Some(n) = name {
-                        imports.insert(n, &segs);
+                    if let Some(n) = *name {
+                        imports.insert(n, segs.clone());
                     }
-                    for (prop, local) in pattern {
-                        imports.insert(local, &[&segs[..], &[prop.as_str()]].concat());
+                    for &(prop, local) in pattern {
+                        imports.insert(local, segs.clone().chain([prop]));
                     }
                 }
             }
@@ -190,21 +198,25 @@ fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
 /// Walks one program, borrowing its AST for the whole lowering. A local
 /// function is inlined from its declaration alone.
 struct Lowerer<'p, S> {
-    em: Emitter<'p, &'p FuncDecl, S>,
+    em: Emitter<'p, &'p FuncDecl<'p>, S>,
     /// The program's import bindings, built once and shared by every scope.
-    imports: Rc<ImportMap>,
+    imports: Rc<ImportMap<'p>>,
+    /// The texts of every local's variants, shared by every scope.
+    variants: Rc<RefCell<VariantArena>>,
+    /// A reused buffer for parameter representations and index fields.
+    text: String,
 }
 
 impl<'p, S: Sink> Walk<'p> for Lowerer<'p, S> {
-    type Stmt = Stmt;
-    type Callee = &'p FuncDecl;
+    type Stmt = Stmt<'p>;
+    type Callee = &'p FuncDecl<'p>;
     type Sink = S;
 
-    fn emitter(&mut self) -> &mut Emitter<'p, &'p FuncDecl, S> {
+    fn emitter(&mut self) -> &mut Emitter<'p, &'p FuncDecl<'p>, S> {
         &mut self.em
     }
 
-    fn lower_stmt(&mut self, stmt: &'p Stmt, sc: &mut Scope<'p>) {
+    fn lower_stmt(&mut self, stmt: &'p Stmt<'p>, sc: &mut Scope<'p>) {
         match &stmt.kind {
             StmtKind::Import { .. } => {}
             StmtKind::Func(def) => self.walk_function(def, sc),
@@ -216,9 +228,9 @@ impl<'p, S: Sink> Walk<'p> for Lowerer<'p, S> {
             }
             StmtKind::VarDecl { name, pattern, init } => {
                 let Some(init) = init else {
-                    if let Some(n) = name {
+                    if let Some(n) = *name {
                         sc.env.insert(n, FlowSet::default());
-                        sc.ctx.locals.remove(n.as_str());
+                        sc.ctx.locals.remove(n);
                     }
                     return;
                 };
@@ -229,18 +241,18 @@ impl<'p, S: Sink> Walk<'p> for Lowerer<'p, S> {
                     return;
                 }
                 let flows = self.eval(init, sc);
-                let variants: Rc<[String]> = describe_js(init, &sc.ctx).into();
-                if let Some(n) = name {
-                    self.em.bind_name(sc, n, &flows, Some(&variants), ident(init));
+                let variants = describe_js(init, &sc.ctx);
+                if let Some(n) = *name {
+                    self.em.bind_name(sc, n, &flows, Some(variants), ident(init));
                 }
-                for (_, local) in pattern {
+                for &(_, local) in pattern {
                     self.em.bind_name(sc, local, &flows, None, None);
                 }
             }
             StmtKind::Assign { target, value } => {
                 let flows = self.eval(value, sc);
-                let variants: Rc<[String]> = describe_js(value, &sc.ctx).into();
-                self.assign_to(target, &flows, &variants, value, sc);
+                let variants = describe_js(value, &sc.ctx);
+                self.assign_to(target, &flows, variants, value, sc);
             }
             StmtKind::If { test, cons, alt } => {
                 self.eval(test, sc);
@@ -258,12 +270,12 @@ impl<'p, S: Sink> Walk<'p> for Lowerer<'p, S> {
 
     fn inline_scope(
         &mut self,
-        def: &'p FuncDecl,
+        def: &'p FuncDecl<'p>,
         args: &[FlowSet],
         _kwargs: &[(&'p str, FlowSet)],
-    ) -> (Scope<'p>, &'p [Stmt]) {
-        let mut scope = self.new_scope(Some(def));
-        for ((name, _), flows) in def.params.iter().zip(args) {
+    ) -> (Scope<'p>, &'p [Stmt<'p>]) {
+        let mut scope = self.new_scope(Some(def), None);
+        for (&(name, _), flows) in def.params.iter().zip(args) {
             scope.env.insert(name, *flows);
         }
         (scope, &def.body)
@@ -271,41 +283,48 @@ impl<'p, S: Sink> Walk<'p> for Lowerer<'p, S> {
 }
 
 impl<'p, S: Sink> Lowerer<'p, S> {
-    /// A fresh scope; `def` is the function it analyzes, if any.
-    fn new_scope(&self, def: Option<&'p FuncDecl>) -> Scope<'p> {
-        Scope::new(ReprCtx {
+    /// A fresh scope; `def` is the function it analyzes, if any, and
+    /// `outer` the scope whose bindings its free variables see.
+    fn new_scope(
+        &mut self,
+        def: Option<&'p FuncDecl<'p>>,
+        outer: Option<&Scope<'p>>,
+    ) -> Scope<'p> {
+        let ctx = ReprCtx {
             imports: Rc::clone(&self.imports),
             class_name: None,
             base_class: None,
-            func_name: def.map(|d| d.name.as_str()),
-            params: def
-                .map_or_else(Vec::new, |d| d.params.iter().map(|(n, _)| n.as_str()).collect()),
+            func_name: def.map(|d| d.name),
+            params: def.map_or_else(Vec::new, |d| d.params.iter().map(|&(n, _)| n).collect()),
             locals: HashMap::default(),
-        })
+            variants: Rc::clone(&self.variants),
+        };
+        self.em.open_scope(ctx, outer)
     }
 
-    fn walk_function(&mut self, def: &'p FuncDecl, outer: &mut Scope<'p>) {
-        let mut scope = self.new_scope(Some(def));
+    fn walk_function(&mut self, def: &'p FuncDecl<'p>, outer: &mut Scope<'p>) {
         // Free variables see enclosing (module) bindings.
-        scope.env = outer.env.clone();
-        scope.ctx.locals = outer.ctx.locals.clone();
+        let mut scope = self.new_scope(Some(def), Some(outer));
         // Formal parameters are source-candidate events, represented as
         // `{func}(param {name})` exactly like Python module functions.
         let mut params = Vec::new();
-        for (name, span) in &def.params {
-            let reps = vec![intern(&format!("{}(param {})", def.name, name))];
-            params.push((name.as_str(), self.em.param(&mut scope, name, reps, *span)));
+        for &(name, span) in &def.params {
+            self.text.clear();
+            self.text.extend([def.name, "(param ", name, ")"]);
+            let reps = vec![intern(&self.text)];
+            params.push((name, self.em.param(&mut scope, name, reps, span)));
         }
         self.walk_body(&def.body, &mut scope);
-        self.em.define(Cow::Borrowed(&def.name), params, scope.returns, def);
+        let returns = self.em.close_scope(scope);
+        self.em.define(Cow::Borrowed(def.name), params, returns, def);
     }
 
     fn assign_to(
         &mut self,
-        target: &'p Expr,
+        target: &'p Expr<'p>,
         flows: &FlowSet,
-        variants: &Rc<[String]>,
-        value: &'p Expr,
+        variants: Variants,
+        value: &'p Expr<'p>,
         sc: &mut Scope<'p>,
     ) {
         match &target.kind {
@@ -316,7 +335,8 @@ impl<'p, S: Sink> Lowerer<'p, S> {
             }
             ExprKind::Index { obj, index } => {
                 self.eval(obj, sc);
-                self.em.store_through(sc, ident(obj), &index_field_name(index), flows);
+                let field = index_field(index, &mut self.text);
+                self.em.store_through(sc, ident(obj), field, flows);
             }
             _ => {}
         }
@@ -325,7 +345,7 @@ impl<'p, S: Sink> Lowerer<'p, S> {
     /// Evaluates `exprs` in order; returns the union of their flows.
     fn eval_all(
         &mut self,
-        exprs: impl IntoIterator<Item = &'p Expr>,
+        exprs: impl IntoIterator<Item = &'p Expr<'p>>,
         sc: &mut Scope<'p>,
     ) -> FlowSet {
         let mut out = FlowSet::default();
@@ -335,9 +355,9 @@ impl<'p, S: Sink> Lowerer<'p, S> {
         out
     }
 
-    fn eval(&mut self, expr: &'p Expr, sc: &mut Scope<'p>) -> FlowSet {
+    fn eval(&mut self, expr: &'p Expr<'p>, sc: &mut Scope<'p>) -> FlowSet {
         match &expr.kind {
-            ExprKind::Ident(n) => sc.env.get(n.as_str()).copied().unwrap_or_default(),
+            ExprKind::Ident(n) => sc.env.get(n).copied().unwrap_or_default(),
             ExprKind::Str(_) | ExprKind::Num(_) | ExprKind::Bool(_) | ExprKind::Null => {
                 FlowSet::default()
             }
@@ -349,25 +369,27 @@ impl<'p, S: Sink> Lowerer<'p, S> {
             ExprKind::Index { obj, index } => {
                 let base_flows = self.eval_all([&**obj, index], sc);
                 let reps = describe_syms_js(expr, &sc.ctx);
-                let field = index_field_name(index);
-                self.em.read_event(sc, reps, expr.span, ident(obj), &field, base_flows)
+                let field = index_field(index, &mut self.text);
+                self.em.read_event(sc, reps, expr.span, ident(obj), field, base_flows)
             }
             ExprKind::Call { callee, args } => {
                 // Receiver/base flows: for `x.m(...)` the object chain
                 // flows into the call event.
                 let recv = match &callee.kind {
                     ExprKind::Member { obj, .. } => self.eval(obj, sc),
-                    ExprKind::Ident(n) => sc.env.get(n.as_str()).copied().unwrap_or_default(),
+                    ExprKind::Ident(n) => sc.env.get(n).copied().unwrap_or_default(),
                     _ => self.eval(callee, sc),
                 };
-                let args = args.iter().map(|a| self.eval(a, sc)).collect();
+                let operands = self.em.operands();
+                for a in args {
+                    let flows = self.eval(a, sc);
+                    self.em.push_arg(flows);
+                }
                 self.call(Call {
                     reps: describe_syms_js(expr, &sc.ctx),
                     span: expr.span,
                     recv,
-                    args,
-                    kwargs: Vec::new(),
-                    unpositioned: Vec::new(),
+                    operands,
                     // Calls link to locally-defined functions.
                     target: ident(callee).map(Cow::Borrowed),
                 })
@@ -382,8 +404,8 @@ impl<'p, S: Sink> Lowerer<'p, S> {
 }
 
 /// The variable `expr` names, if it is a bare identifier.
-fn ident(expr: &Expr) -> Option<&str> {
-    match &expr.kind {
+fn ident<'p>(expr: &Expr<'p>) -> Option<&'p str> {
+    match expr.kind {
         ExprKind::Ident(n) => Some(n),
         _ => None,
     }
@@ -484,7 +506,7 @@ mod tests {
     }
 
     /// Every expression of `e`, `e` first.
-    fn sub_exprs<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    fn sub_exprs<'e>(e: &'e Expr<'e>, out: &mut Vec<&'e Expr<'e>>) {
         out.push(e);
         match &e.kind {
             ExprKind::Member { obj: x, .. } | ExprKind::Unary(x) => sub_exprs(x, out),
@@ -505,9 +527,9 @@ mod tests {
     /// Every expression of `body`, and one context per function with the
     /// locals its declarations and assignments bind.
     fn walk_body<'p>(
-        body: &'p [Stmt],
+        body: &'p [Stmt<'p>],
         ctx: &ReprCtx<'p>,
-        exprs: &mut Vec<&'p Expr>,
+        exprs: &mut Vec<&'p Expr<'p>>,
         ctxs: &mut Vec<ReprCtx<'p>>,
     ) {
         let mut ctx = ctx.clone();
@@ -515,12 +537,12 @@ mod tests {
             let (name, value) = match &stmt.kind {
                 StmtKind::Func(def) => {
                     let mut inner = ctx.clone();
-                    inner.func_name = Some(&def.name);
-                    inner.params = def.params.iter().map(|(n, _)| n.as_str()).collect();
+                    inner.func_name = Some(def.name);
+                    inner.params = def.params.iter().map(|&(n, _)| n).collect();
                     walk_body(&def.body, &inner, exprs, ctxs);
                     continue;
                 }
-                StmtKind::VarDecl { name, init: Some(init), .. } => (name.as_deref(), init),
+                StmtKind::VarDecl { name, init: Some(init), .. } => (*name, init),
                 StmtKind::Assign { target, value } => {
                     sub_exprs(target, exprs);
                     (ident(target), value)
@@ -535,7 +557,7 @@ mod tests {
             };
             sub_exprs(value, exprs);
             if let Some(n) = name {
-                ctx.locals.insert(n, describe_js(value, &ctx).into());
+                ctx.locals.insert(n, describe_js(value, &ctx));
             }
         }
         ctxs.push(ctx);
@@ -559,7 +581,8 @@ mod tests {
                 for e in &exprs {
                     let syms: Vec<&str> =
                         describe_syms_js(e, ctx).iter().map(|s| s.as_str()).collect();
-                    assert_eq!(describe_js(e, ctx), syms, "{e:?}");
+                    let strings = ctx.rep_strings(|suffix| chain_base(e, 0, suffix));
+                    assert_eq!(strings, syms, "{e:?}");
                     compared += usize::from(!syms.is_empty());
                 }
             }

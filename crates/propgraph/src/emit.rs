@@ -13,7 +13,7 @@
 //! the JS-like one in `seldon-jsfront` are the two walks.
 
 use crate::budget::{Budget, BudgetExceeded, BudgetMeter};
-use crate::repr::ReprCtx;
+use crate::repr::{ReprCtx, Variants};
 use seldon_intern::{IdHash, Symbol};
 use seldon_ir::{
     IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam, IrPendingCall, IrProgram,
@@ -21,7 +21,6 @@ use seldon_ir::{
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Maximum events tracked per variable binding; larger sets are truncated.
 pub const MAX_FLOW_SET: usize = 8;
@@ -78,7 +77,14 @@ pub fn union_into(dst: &mut FlowSet, src: &[u32]) {
 /// The flow sets of a scope's bindings, by names borrowed from the AST.
 pub type Env<'a> = HashMap<&'a str, FlowSet, IdHash>;
 
-/// Per-function analysis scope.
+/// The maps a closed scope leaves for the next: its environment, its
+/// points-to variables and its locals' variants.
+type SpareMaps<'a> =
+    (Env<'a>, HashMap<&'a str, u32, IdHash>, HashMap<&'a str, Variants, IdHash>);
+
+/// Per-function analysis scope. A walk opens and closes its scopes through
+/// the [`Emitter`] ([`Emitter::open_scope`], [`Emitter::close_scope`]), so
+/// the maps of a closed scope serve the next one.
 pub struct Scope<'a> {
     /// How expressions in this scope are described.
     pub ctx: ReprCtx<'a>,
@@ -91,11 +97,6 @@ pub struct Scope<'a> {
 }
 
 impl<'a> Scope<'a> {
-    /// An empty scope described by `ctx`.
-    pub fn new(ctx: ReprCtx<'a>) -> Self {
-        Scope { ctx, env: Env::default(), returns: Vec::new(), pt_vars: HashMap::default() }
-    }
-
     /// Joins the bindings of another branch into this one.
     pub fn merge_env(&mut self, other: Env<'a>) {
         for (k, v) in other {
@@ -209,7 +210,8 @@ impl Sink for Recorder {
     }
 }
 
-/// One call site, its operands already evaluated.
+/// One call site, its operands already evaluated and pushed onto the
+/// emitter's operand stacks above `operands`.
 pub struct Call<'a> {
     /// The call's representations; empty when it has none.
     pub reps: Vec<Symbol>,
@@ -217,14 +219,21 @@ pub struct Call<'a> {
     pub span: Span,
     /// Flows of the receiver chain, e.g. `x` in `x.m()`.
     pub recv: FlowSet,
-    /// Flows of each positional argument.
-    pub args: Vec<FlowSet>,
-    /// Flows of each keyword argument, by name.
-    pub kwargs: Vec<(&'a str, FlowSet)>,
-    /// Events that flow in without an argument position.
-    pub unpositioned: Vec<u32>,
+    /// Where the call's operands start on the operand stacks
+    /// ([`Emitter::operands`], taken before evaluating the first one).
+    pub operands: Operands,
     /// The qualified name of the local function the call may link to.
     pub target: Option<Cow<'a, str>>,
+}
+
+/// The heights of the emitter's operand stacks: where one call's operands
+/// start. Calls nest (an argument may be a call, an inlined body makes
+/// more), so each call pops exactly what it pushed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Operands {
+    args: usize,
+    kwargs: usize,
+    unpositioned: usize,
 }
 
 /// Writes one file's walk to a [`Sink`] `S`. `C` is what the frontend
@@ -239,6 +248,14 @@ pub struct Emitter<'a, C, S> {
     /// Names currently being inlined (recursion guard) — doubles as the
     /// inline-depth bound.
     inline_stack: Vec<Cow<'a, str>>,
+    /// The maps of closed scopes, emptied, for the next scopes to reuse.
+    spare: Vec<SpareMaps<'a>>,
+    /// Operand stacks of the calls being wired: flows of each positional
+    /// argument, of each keyword argument by name, and events that flow in
+    /// without an argument position. Reused by every call of the walk.
+    args: Vec<FlowSet>,
+    kwargs: Vec<(&'a str, FlowSet)>,
+    unpositioned: Vec<u32>,
     /// Resource accounting against the file's budget.
     meter: BudgetMeter,
     /// Current statement-nesting depth, fed to the meter.
@@ -257,10 +274,76 @@ impl<'a, C: Clone, S: Sink> Emitter<'a, C, S> {
             func_order: Vec::new(),
             pending: Vec::new(),
             inline_stack: Vec::new(),
+            spare: Vec::new(),
+            args: Vec::new(),
+            kwargs: Vec::new(),
+            unpositioned: Vec::new(),
             meter: BudgetMeter::new(budget.clone()),
             stmt_depth: 0,
             receivers,
         }
+    }
+
+    /// A scope described by `ctx`, its maps reused from a closed scope. With
+    /// an `outer` scope its free variables see the outer bindings and
+    /// locals' variants (a function nested in a module or class body).
+    pub fn open_scope(&mut self, mut ctx: ReprCtx<'a>, outer: Option<&Scope<'a>>) -> Scope<'a> {
+        let (mut env, pt_vars, mut locals) = self.spare.pop().unwrap_or_default();
+        if let Some(outer) = outer {
+            env.extend(outer.env.iter().map(|(&name, &flows)| (name, flows)));
+            locals.extend(outer.ctx.locals.iter().map(|(&name, &v)| (name, v)));
+        }
+        ctx.locals = locals;
+        Scope { ctx, env, returns: Vec::new(), pt_vars }
+    }
+
+    /// Closes `scope`, keeping its emptied maps for the next scope, and
+    /// returns the events that flowed into its `return` statements.
+    pub fn close_scope(&mut self, scope: Scope<'a>) -> Vec<u32> {
+        let Scope { ctx, mut env, returns, mut pt_vars } = scope;
+        let mut locals = ctx.locals;
+        env.clear();
+        pt_vars.clear();
+        locals.clear();
+        self.spare.push((env, pt_vars, locals));
+        returns
+    }
+
+    /// The current heights of the operand stacks, for a [`Call`] whose
+    /// operands are pushed next.
+    #[inline]
+    pub fn operands(&self) -> Operands {
+        Operands {
+            args: self.args.len(),
+            kwargs: self.kwargs.len(),
+            unpositioned: self.unpositioned.len(),
+        }
+    }
+
+    /// Pushes the flows of the next positional argument.
+    #[inline]
+    pub fn push_arg(&mut self, flows: FlowSet) {
+        self.args.push(flows);
+    }
+
+    /// Pushes the flows of a keyword argument.
+    #[inline]
+    pub fn push_kwarg(&mut self, name: &'a str, flows: FlowSet) {
+        self.kwargs.push((name, flows));
+    }
+
+    /// Pushes events that flow into the call without an argument position.
+    #[inline]
+    pub fn push_unpositioned(&mut self, events: &[u32]) {
+        self.unpositioned.extend_from_slice(events);
+    }
+
+    /// Pops the operands of the call that started at `from`.
+    #[inline]
+    fn pop_operands(&mut self, from: Operands) {
+        self.args.truncate(from.args);
+        self.kwargs.truncate(from.kwargs);
+        self.unpositioned.truncate(from.unpositioned);
     }
 
     /// Whether `name` is an implicit receiver parameter.
@@ -348,13 +431,13 @@ impl<'a, C: Clone, S: Sink> Emitter<'a, C, S> {
         sc: &mut Scope<'a>,
         name: &'a str,
         flows: &FlowSet,
-        variants: Option<&Rc<[String]>>,
+        variants: Option<Variants>,
         copy_from: Option<&'a str>,
     ) {
         sc.env.insert(name, *flows);
         match variants {
             Some(v) if !v.is_empty() => {
-                sc.ctx.locals.insert(name, Rc::clone(v));
+                sc.ctx.locals.insert(name, v);
             }
             _ => {
                 sc.ctx.locals.remove(name);
@@ -423,33 +506,53 @@ impl<'a, C: Clone, S: Sink> Emitter<'a, C, S> {
     }
 
     /// Emits the call event and its receiver, positional, keyword and
-    /// unpositioned edges; `None` when the call has no representation.
-    fn call_event(&mut self, call: &Call<'a>, reps: Vec<Symbol>) -> Option<u32> {
+    /// unpositioned edges, the operands read from the stacks above `from`;
+    /// `None` when the call has no representation.
+    fn call_event(
+        &mut self,
+        reps: Vec<Symbol>,
+        span: Span,
+        recv: &FlowSet,
+        from: Operands,
+    ) -> Option<u32> {
         if reps.is_empty() {
             return None;
         }
-        let ev = self.sink.event(IrEventKind::Call, reps, call.span);
+        let ev = self.sink.event(IrEventKind::Call, reps, span);
         // The receiver chain is same-object flow; arguments are not.
-        for &f in call.recv.iter() {
+        for &f in recv.iter() {
             self.add_edge(f, ev, IrEdgeKind::Receiver);
             self.set_arg_position(f, ev, IrArgPos::Receiver);
         }
-        for (i, flows) in call.args.iter().enumerate() {
+        for i in 0..self.args.len() - from.args {
+            let flows = self.args[from.args + i];
             for &f in flows.iter() {
                 self.add_edge(f, ev, IrEdgeKind::Argument);
                 self.set_arg_position(f, ev, IrArgPos::Positional(i.min(255) as u8));
             }
         }
-        for &(name, ref flows) in &call.kwargs {
+        for k in from.kwargs..self.kwargs.len() {
+            let (name, flows) = self.kwargs[k];
             for &f in flows.iter() {
                 self.add_edge(f, ev, IrEdgeKind::Argument);
                 self.set_arg_position(f, ev, IrArgPos::Keyword(name));
             }
         }
-        for &f in &call.unpositioned {
-            self.add_edge(f, ev, IrEdgeKind::Argument);
+        for u in from.unpositioned..self.unpositioned.len() {
+            self.add_edge(self.unpositioned[u], ev, IrEdgeKind::Argument);
         }
         Some(ev)
+    }
+
+    /// The flow of a call with no event: its receiver and every operand
+    /// above `from`, passed through.
+    fn pass_through(&self, recv: FlowSet, from: Operands) -> FlowSet {
+        let mut out = recv;
+        let kwargs = self.kwargs[from.kwargs..].iter().map(|(_, f)| f);
+        for flows in self.args[from.args..].iter().chain(kwargs) {
+            union_into(&mut out, flows);
+        }
+        out
     }
 
     /// The callee to inline for a call to `q`, unless the inline guard
@@ -514,41 +617,46 @@ pub trait Walk<'a> {
     /// re-analyzed with the parameters bound to this call's argument
     /// flows, which is context-sensitive — taint from one call site cannot
     /// leak into another. Past the inline guard the call stays pending.
-    fn call(&mut self, mut call: Call<'a>) -> FlowSet {
-        let reps = std::mem::take(&mut call.reps);
-        let event = self.emitter().call_event(&call, reps);
-        let Call { recv, args, kwargs, target, .. } = call;
+    fn call(&mut self, call: Call<'a>) -> FlowSet {
+        let Call { reps, span, recv, operands: from, target } = call;
+        let em = self.emitter();
+        let event = em.call_event(reps, span, &recv, from);
         let flow = match event {
             Some(ev) => FlowSet::one(ev),
-            None => {
-                let mut out = recv;
-                for flows in args.iter().chain(kwargs.iter().map(|(_, f)| f)) {
-                    union_into(&mut out, flows);
-                }
-                out
-            }
+            None => em.pass_through(recv, from),
         };
         let Some(q) = target else {
+            em.pop_operands(from);
             return flow;
         };
-        match self.emitter().inlinable(&q) {
+        match em.inlinable(&q) {
             Some(callee) => {
-                let (mut scope, body) = self.inline_scope(callee, &args, &kwargs);
-                self.emitter().inline_stack.push(q);
+                // The stacks are lent out while the scope binds the
+                // operands, and the operands popped before the body runs.
+                let (args, kwargs) = (std::mem::take(&mut em.args), std::mem::take(&mut em.kwargs));
+                let (mut scope, body) =
+                    self.inline_scope(callee, &args[from.args..], &kwargs[from.kwargs..]);
+                let em = self.emitter();
+                (em.args, em.kwargs) = (args, kwargs);
+                em.pop_operands(from);
+                em.inline_stack.push(q);
                 self.walk_body(body, &mut scope);
                 let em = self.emitter();
                 em.inline_stack.pop();
+                let returns = em.close_scope(scope);
                 // Without a call event (unrepresentable callee) the
                 // returns are lost; that case is rare.
                 if let Some(ev) = event {
-                    for r in scope.returns {
+                    for r in returns {
                         em.add_edge(r, ev, IrEdgeKind::Argument);
                     }
                 }
             }
             None => {
-                let pending = PendingCall { qualified: q, args, kwargs, event };
-                self.emitter().pending.push(pending);
+                let args = em.args[from.args..].to_vec();
+                let kwargs = em.kwargs[from.kwargs..].to_vec();
+                em.pop_operands(from);
+                em.pending.push(PendingCall { qualified: q, args, kwargs, event });
             }
         }
         flow
@@ -578,7 +686,7 @@ mod tests {
 
     impl<'a> Toy<'a> {
         fn define(&mut self, f: &'a ToyFunc) {
-            let mut sc = Scope::new(ReprCtx::new());
+            let mut sc = self.em.open_scope(ReprCtx::new(), None);
             let params = f
                 .params
                 .iter()
@@ -599,15 +707,15 @@ mod tests {
         }
 
         fn lower_stmt(&mut self, stmt: &'a ToyCall, sc: &mut Scope<'a>) {
-            let args =
-                stmt.args.iter().map(|a| sc.env.get(a.as_str()).copied().unwrap_or_default());
+            let operands = self.em.operands();
+            for a in &stmt.args {
+                self.em.push_arg(sc.env.get(a.as_str()).copied().unwrap_or_default());
+            }
             let call = Call {
                 reps: vec![seldon_intern::intern(&format!("{}()", stmt.callee))],
                 span: Span::default(),
                 recv: FlowSet::default(),
-                args: args.collect(),
-                kwargs: Vec::new(),
-                unpositioned: Vec::new(),
+                operands,
                 target: Some(Cow::Borrowed(&stmt.callee)),
             };
             let flow = self.call(call);
@@ -620,7 +728,7 @@ mod tests {
             args: &[FlowSet],
             _kwargs: &[(&'a str, FlowSet)],
         ) -> (Scope<'a>, &'a [ToyCall]) {
-            let mut sc = Scope::new(ReprCtx::new());
+            let mut sc = self.em.open_scope(ReprCtx::new(), None);
             for (p, flows) in f.params.iter().zip(args) {
                 sc.env.insert(p, *flows);
             }
@@ -654,7 +762,8 @@ mod tests {
         }
         let before = toy.em.pending.len();
         let top = ToyCall { callee: "f1".to_string(), args: Vec::new() };
-        toy.lower_stmt(&top, &mut Scope::new(ReprCtx::new()));
+        let mut sc = toy.em.open_scope(ReprCtx::new(), None);
+        toy.lower_stmt(&top, &mut sc);
         let ir = toy.em.finish().expect("unlimited");
         let pending: Vec<&str> =
             ir.pending[before..].iter().map(|p| p.qualified.as_str()).collect();
@@ -668,7 +777,8 @@ mod tests {
             Toy { em: Emitter::new(&Budget::unlimited(), &["self"], Recorder::default()) };
         toy.define(&rec);
         let top = ToyCall { callee: "loop".to_string(), args: Vec::new() };
-        toy.lower_stmt(&top, &mut Scope::new(ReprCtx::new()));
+        let mut sc = toy.em.open_scope(ReprCtx::new(), None);
+        toy.lower_stmt(&top, &mut sc);
         // Redefining keeps the first position.
         toy.define(&rec);
         let ir = toy.em.finish().expect("unlimited");
@@ -683,7 +793,7 @@ mod tests {
     fn emit_store_and_read_alias_through_points_to() {
         let mut em: Emitter<'_, (), Recorder> =
             Emitter::new(&Budget::unlimited(), &[], Recorder::default());
-        let mut sc = Scope::new(ReprCtx::new());
+        let mut sc = em.open_scope(ReprCtx::new(), None);
         let src = em.param(&mut sc, "p", Vec::new(), Span::default());
         em.store_through(&mut sc, Some("obj"), "f", &[src]);
         assert_eq!(*sc.env["obj"], [src], "weak update of the base binding");
@@ -705,7 +815,7 @@ mod tests {
         let f = func("f", "g");
         let mut toy = Toy { em: Emitter::new(&tight, &[], Recorder::default()) };
         toy.define(&f);
-        let mut sc = Scope::new(ReprCtx::new());
+        let mut sc = toy.em.open_scope(ReprCtx::new(), None);
         toy.walk_body(&f.body, &mut sc);
         assert!(matches!(toy.em.finish(), Err(BudgetExceeded::Statements { .. })));
     }

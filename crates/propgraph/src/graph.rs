@@ -9,13 +9,31 @@ use crate::event::{Event, EventId};
 use crate::search::{Direction, SearchWorkspace};
 use seldon_intern::Symbol;
 pub use seldon_intern::{IdHash, IdHasher};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Mutex;
 
 pub use seldon_ir::IrEdgeKind as EdgeKind;
 
 /// The position through which flow enters a call event, kept for every
-/// edge into a call (parameter-sensitive sinks, §3.3).
-pub type ArgPos = seldon_ir::IrArgPos;
+/// edge into a call (parameter-sensitive sinks, §3.3). A keyword name is
+/// the process-wide copy [`keyword_name`] returns, so recording one
+/// allocates nothing.
+pub type ArgPos = seldon_ir::IrArgPos<&'static str>;
+
+/// The process-wide copy of the keyword-argument name `name`. Each distinct
+/// name is leaked once, like an interned representation, but kept apart
+/// from the representation interner so symbol numbering never depends on
+/// keyword arguments.
+pub fn keyword_name(name: &str) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(&known) = names.get(name) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(name.into());
+    names.insert(leaked);
+    leaked
+}
 
 /// A directed graph of information-flow events. Two graphs are equal when
 /// they hold equal events with the same ids and the same adjacency lists
@@ -253,7 +271,7 @@ impl PropagationGraph {
             let (f, t) = (mapping[from.index()], mapping[to.index()]);
             out.add_edge_kind(f, t, kind);
             if let Some(pos) = self.arg_position(from, to) {
-                out.set_arg_position(f, t, pos.clone());
+                out.set_arg_position(f, t, *pos);
             }
         }
         (out, mapping)
@@ -389,7 +407,7 @@ mod tests {
                 0 => {}
                 1 => g.set_arg_position(from, to, ArgPos::Receiver),
                 2 => g.set_arg_position(from, to, ArgPos::Positional(tag)),
-                _ => g.set_arg_position(from, to, ArgPos::Keyword(format!("k{tag}"))),
+                _ => g.set_arg_position(from, to, ArgPos::Keyword(keyword_name(&format!("k{tag}")))),
             }
         }
         g
@@ -406,7 +424,7 @@ mod tests {
         g.preds.extend(other.preds.iter().map(|l| l.iter().map(|&f| shift(f)).collect()));
         g.receiver_edges.extend(other.receiver_edges.iter().map(|&(f, t)| (shift(f), shift(t))));
         g.arg_positions.extend(
-            other.arg_positions.iter().map(|(&(f, t), pos)| ((shift(f), shift(t)), pos.clone())),
+            other.arg_positions.iter().map(|(&(f, t), pos)| ((shift(f), shift(t)), *pos)),
         );
         g.edge_count += other.edge_count;
         offset

@@ -10,7 +10,7 @@
 use crate::andersen::{Andersen, VarId};
 use crate::emit::{FlowSet, FuncSummary, Funcs, PendingCall, Sink};
 use crate::event::{Event, EventId, EventKind, FileId};
-use crate::graph::PropagationGraph;
+use crate::graph::{keyword_name, PropagationGraph};
 use seldon_intern::Symbol;
 use seldon_ir::{IrOp, IrParam, IrProgram, Span};
 use std::borrow::Cow;
@@ -48,7 +48,7 @@ impl Sink for GraphSink {
                 self.graph.add_edge_kind(EventId(from), EventId(to), kind);
             }
             IrOp::ArgPos { from, to, pos } => {
-                let pos = pos.map(|k| k.to_string());
+                let pos = pos.map(|k| keyword_name(k));
                 self.graph.set_arg_position(EventId(from), EventId(to), pos);
             }
             IrOp::Alloc { var, site } => self.pt.alloc(VarId(var), site),

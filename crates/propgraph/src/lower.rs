@@ -15,11 +15,12 @@
 
 use crate::budget::{Budget, BudgetExceeded};
 use crate::emit::{union_into, Call, Emitter, FlowSet, Recorder, Scope, Sink, Walk};
-use crate::repr::{describe_expr, describe_syms, ImportMap, ReprCtx};
-use seldon_intern::intern;
+use crate::repr::{describe_syms, describe_variants, ImportMap, ReprCtx, VariantArena, Variants};
+use seldon_intern::{intern, Symbol};
 use seldon_ir::IrProgram;
 use seldon_pyast::ast::*;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -31,15 +32,20 @@ use std::rc::Rc;
 /// Returns [`BudgetExceeded`] if the walk trips a statement-count, depth,
 /// or deadline limit; the unfinished sink is discarded.
 pub fn lower_module_into<S: Sink>(
-    module: &Module,
+    module: &Module<'_>,
     budget: &Budget,
     sink: S,
 ) -> Result<S::Output, BudgetExceeded> {
     let mut imports = ImportMap::new();
     collect_imports(&module.body, &mut imports);
     let em = Emitter::new(budget, &["self", "cls"], sink);
-    let mut l = Lowerer { em, imports: Rc::new(imports) };
-    let mut scope = l.new_scope(None, None, None);
+    let mut l = Lowerer {
+        em,
+        imports: Rc::new(imports),
+        variants: Rc::default(),
+        text: String::new(),
+    };
+    let mut scope = l.new_scope(None, None, None, None);
     l.walk_body(&module.body, &mut scope);
     l.em.finish()
 }
@@ -50,7 +56,7 @@ pub fn lower_module_into<S: Sink>(
 ///
 /// As [`lower_module_into`].
 pub fn lower_module_budgeted(
-    module: &Module,
+    module: &Module<'_>,
     budget: &Budget,
 ) -> Result<IrProgram, BudgetExceeded> {
     lower_module_into(module, budget, Recorder::default())
@@ -60,7 +66,7 @@ pub fn lower_module_budgeted(
 /// borrowed from the module, with its lexical context.
 #[derive(Clone)]
 struct Callee<'m> {
-    def: &'m FunctionDef,
+    def: &'m FunctionDef<'m>,
     class_name: Option<&'m str>,
     base_class: Option<String>,
 }
@@ -71,11 +77,15 @@ struct Callee<'m> {
 struct Lowerer<'m, S> {
     em: Emitter<'m, Callee<'m>, S>,
     /// The module's import bindings, built once and shared by every scope.
-    imports: Rc<ImportMap>,
+    imports: Rc<ImportMap<'m>>,
+    /// The texts of every local's variants, shared by every scope.
+    variants: Rc<RefCell<VariantArena>>,
+    /// A reused buffer for parameter representations and subscript fields.
+    text: String,
 }
 
 impl<'m, S: Sink> Walk<'m> for Lowerer<'m, S> {
-    type Stmt = Stmt;
+    type Stmt = Stmt<'m>;
     type Callee = Callee<'m>;
     type Sink = S;
 
@@ -83,7 +93,7 @@ impl<'m, S: Sink> Walk<'m> for Lowerer<'m, S> {
         &mut self.em
     }
 
-    fn lower_stmt(&mut self, stmt: &'m Stmt, sc: &mut Scope<'m>) {
+    fn lower_stmt(&mut self, stmt: &'m Stmt<'m>, sc: &mut Scope<'m>) {
         match &stmt.kind {
             StmtKind::Import(_) | StmtKind::ImportFrom { .. } => {}
             StmtKind::FunctionDef(def) => self.walk_function(def, sc, None, None),
@@ -96,14 +106,14 @@ impl<'m, S: Sink> Walk<'m> for Lowerer<'m, S> {
             }
             StmtKind::Assign { targets, value } => {
                 let flows = self.eval(value, sc);
-                let variants: Rc<[String]> = describe_expr(value, &sc.ctx).into();
+                let variants = describe_variants(value, &sc.ctx);
                 for t in targets {
-                    self.assign_to(t, &flows, Some(&variants), value, sc);
+                    self.assign_to(t, &flows, Some(variants), value, sc);
                 }
             }
             StmtKind::AugAssign { target, value, .. } => {
                 let flows = self.eval(value, sc);
-                if let ExprKind::Name(n) = &target.kind {
+                if let ExprKind::Name(n) = target.kind {
                     union_into(sc.env.entry(n).or_default(), &flows);
                 } else {
                     self.assign_to(target, &flows, None, value, sc);
@@ -112,8 +122,8 @@ impl<'m, S: Sink> Walk<'m> for Lowerer<'m, S> {
             StmtKind::AnnAssign { target, value, .. } => {
                 if let Some(v) = value {
                     let flows = self.eval(v, sc);
-                    let variants: Rc<[String]> = describe_expr(v, &sc.ctx).into();
-                    self.assign_to(target, &flows, Some(&variants), v, sc);
+                    let variants = describe_variants(v, &sc.ctx);
+                    self.assign_to(target, &flows, Some(variants), v, sc);
                 }
             }
             StmtKind::For { target, iter, body, orelse } => {
@@ -154,7 +164,7 @@ impl<'m, S: Sink> Walk<'m> for Lowerer<'m, S> {
             StmtKind::Try { body, handlers, orelse, finalbody } => {
                 self.walk_body(body, sc);
                 for h in handlers {
-                    if let Some(n) = &h.name {
+                    if let Some(n) = h.name {
                         sc.env.insert(n, FlowSet::default());
                     }
                     self.walk_body(&h.body, sc);
@@ -186,9 +196,9 @@ impl<'m, S: Sink> Walk<'m> for Lowerer<'m, S> {
         callee: Callee<'m>,
         args: &[FlowSet],
         kwargs: &[(&'m str, FlowSet)],
-    ) -> (Scope<'m>, &'m [Stmt]) {
+    ) -> (Scope<'m>, &'m [Stmt<'m>]) {
         let def = callee.def;
-        let mut scope = self.new_scope(callee.class_name, callee.base_class, Some(def));
+        let mut scope = self.new_scope(callee.class_name, callee.base_class, Some(def), None);
         let positional = declared_params(def).filter(|&n| !self.em.is_receiver(n));
         for (name, flows) in positional.zip(args) {
             scope.env.insert(name, *flows);
@@ -203,26 +213,30 @@ impl<'m, S: Sink> Walk<'m> for Lowerer<'m, S> {
 }
 
 impl<'m, S: Sink> Lowerer<'m, S> {
-    /// A fresh scope; `def` is the function it analyzes, if any.
+    /// A fresh scope; `def` is the function it analyzes, if any, and
+    /// `outer` the scope whose bindings its free variables see.
     fn new_scope(
-        &self,
+        &mut self,
         class_name: Option<&'m str>,
         base_class: Option<String>,
-        def: Option<&'m FunctionDef>,
+        def: Option<&'m FunctionDef<'m>>,
+        outer: Option<&Scope<'m>>,
     ) -> Scope<'m> {
-        Scope::new(ReprCtx {
+        let ctx = ReprCtx {
             imports: Rc::clone(&self.imports),
             class_name,
             base_class,
-            func_name: def.map(|d| d.name.as_str()),
+            func_name: def.map(|d| d.name),
             params: def.map_or_else(Vec::new, |d| declared_params(d).collect()),
             locals: HashMap::default(),
-        })
+            variants: Rc::clone(&self.variants),
+        };
+        self.em.open_scope(ctx, outer)
     }
 
     fn walk_function(
         &mut self,
-        def: &'m FunctionDef,
+        def: &'m FunctionDef<'m>,
         outer: &mut Scope<'m>,
         class_name: Option<&'m str>,
         base_class: Option<&str>,
@@ -230,10 +244,9 @@ impl<'m, S: Sink> Lowerer<'m, S> {
         // Decorators and defaults evaluate in the enclosing scope.
         let defaults = def.params.iter().filter_map(|p| p.default.as_ref());
         self.eval_all(def.decorators.iter().chain(defaults), outer);
-        let mut scope = self.new_scope(class_name, base_class.map(str::to_string), Some(def));
         // Free variables see enclosing (module/class) bindings.
-        scope.env = outer.env.clone();
-        scope.ctx.locals = outer.ctx.locals.clone();
+        let base = base_class.map(str::to_string);
+        let mut scope = self.new_scope(class_name, base, Some(def), Some(outer));
         // Formal parameters are source-candidate events (§5.1). The bare
         // variable name is deliberately not used as a representation for the
         // parameter event itself — `self` would conflate the whole corpus —
@@ -243,39 +256,51 @@ impl<'m, S: Sink> Lowerer<'m, S> {
             if p.kind == ParamKind::KwOnlyMarker {
                 continue;
             }
+            let (func, name) = (def.name, p.name);
             let mut reps = Vec::new();
             if let Some(class) = class_name {
-                reps.push(intern(&format!("{class}::{}(param {})", def.name, p.name)));
+                reps.push(self.intern(&[class, "::", func, "(param ", name, ")"]));
                 if let Some(base) = base_class {
-                    reps.push(intern(&format!("{base}::{}(param {})", def.name, p.name)));
+                    reps.push(self.intern(&[base, "::", func, "(param ", name, ")"]));
                 }
             }
-            reps.push(intern(&format!("{}(param {})", def.name, p.name)));
-            params.push((p.name.as_str(), self.em.param(&mut scope, &p.name, reps, p.span)));
+            reps.push(self.intern(&[func, "(param ", name, ")"]));
+            params.push((name, self.em.param(&mut scope, name, reps, p.span)));
         }
         self.walk_body(&def.body, &mut scope);
         let qualified = match class_name {
             Some(c) => Cow::Owned(format!("{c}::{}", def.name)),
-            None => Cow::Borrowed(def.name.as_str()),
+            None => Cow::Borrowed(def.name),
         };
         let callee = Callee { def, class_name, base_class: base_class.map(str::to_string) };
-        self.em.define(qualified, params, scope.returns, callee);
+        let returns = self.em.close_scope(scope);
+        self.em.define(qualified, params, returns, callee);
     }
 
-    fn walk_class(&mut self, def: &'m ClassDef, outer: &mut Scope<'m>) {
+    /// The interned concatenation of `parts`.
+    fn intern(&mut self, parts: &[&str]) -> Symbol {
+        self.text.clear();
+        parts.iter().for_each(|p| self.text.push_str(p));
+        intern(&self.text)
+    }
+
+    fn walk_class(&mut self, def: &'m ClassDef<'m>, outer: &mut Scope<'m>) {
         self.eval_all(&def.decorators, outer);
-        let base_class =
-            def.bases.first().and_then(|b| describe_expr(b, &outer.ctx).into_iter().next());
+        let base_class = def.bases.first().and_then(|b| {
+            let variants = describe_variants(b, &outer.ctx);
+            self.variants.borrow().get(variants).next().map(str::to_string)
+        });
         self.eval_all(def.bases.iter().chain(def.keywords.iter().map(|k| &k.value)), outer);
-        let mut class_scope = self.new_scope(None, None, None);
+        let mut class_scope = self.new_scope(None, None, None, None);
         for s in &def.body {
             match &s.kind {
                 StmtKind::FunctionDef(f) => {
-                    self.walk_function(f, &mut class_scope, Some(&def.name), base_class.as_deref())
+                    self.walk_function(f, &mut class_scope, Some(def.name), base_class.as_deref())
                 }
                 _ => self.walk_stmt(s, &mut class_scope),
             }
         }
+        self.em.close_scope(class_scope);
     }
 
     // ----- assignment targets ------------------------------------------------
@@ -284,10 +309,10 @@ impl<'m, S: Sink> Lowerer<'m, S> {
     /// local representations; `None` (or no variants) forgets them.
     fn assign_to(
         &mut self,
-        target: &'m Expr,
+        target: &'m Expr<'m>,
         flows: &FlowSet,
-        variants: Option<&Rc<[String]>>,
-        value: &'m Expr,
+        variants: Option<Variants>,
+        value: &'m Expr<'m>,
         sc: &mut Scope<'m>,
     ) {
         match &target.kind {
@@ -304,24 +329,25 @@ impl<'m, S: Sink> Lowerer<'m, S> {
             }
             ExprKind::Subscript { value: base, index } => {
                 self.eval(base, sc);
-                self.em.store_through(sc, name_of(base), &index_field_name(index), flows);
+                let field = index_field(index, &mut self.text);
+                self.em.store_through(sc, name_of(base), field, flows);
             }
             _ => {}
         }
     }
 
-    fn bind_pattern(&mut self, target: &'m Expr, flows: &FlowSet, sc: &mut Scope<'m>) {
-        match &target.kind {
+    fn bind_pattern(&mut self, target: &'m Expr<'m>, flows: &FlowSet, sc: &mut Scope<'m>) {
+        match target.kind {
             ExprKind::Name(n) => {
                 sc.env.insert(n, *flows);
-                sc.ctx.locals.remove(n.as_str());
+                sc.ctx.locals.remove(n);
             }
-            ExprKind::Tuple(elems) | ExprKind::List(elems) => {
+            ExprKind::Tuple(ref elems) | ExprKind::List(ref elems) => {
                 for e in elems {
                     self.bind_pattern(e, flows, sc);
                 }
             }
-            ExprKind::Starred(inner) => self.bind_pattern(inner, flows, sc),
+            ExprKind::Starred(ref inner) => self.bind_pattern(inner, flows, sc),
             _ => {}
         }
     }
@@ -331,7 +357,7 @@ impl<'m, S: Sink> Lowerer<'m, S> {
     /// Evaluates `exprs` in order; returns the union of their flows.
     fn eval_all(
         &mut self,
-        exprs: impl IntoIterator<Item = &'m Expr>,
+        exprs: impl IntoIterator<Item = &'m Expr<'m>>,
         sc: &mut Scope<'m>,
     ) -> FlowSet {
         let mut out = FlowSet::default();
@@ -341,9 +367,9 @@ impl<'m, S: Sink> Lowerer<'m, S> {
         out
     }
 
-    fn eval(&mut self, expr: &'m Expr, sc: &mut Scope<'m>) -> FlowSet {
+    fn eval(&mut self, expr: &'m Expr<'m>, sc: &mut Scope<'m>) -> FlowSet {
         match &expr.kind {
-            ExprKind::Name(n) => sc.env.get(n.as_str()).copied().unwrap_or_default(),
+            ExprKind::Name(n) => sc.env.get(n).copied().unwrap_or_default(),
             ExprKind::Number(_)
             | ExprKind::Str(_)
             | ExprKind::Bytes(_)
@@ -359,8 +385,8 @@ impl<'m, S: Sink> Lowerer<'m, S> {
             ExprKind::Subscript { value, index } => {
                 let base_flows = self.eval_all([&**value, index], sc);
                 let reps = describe_syms(expr, &sc.ctx);
-                let field = index_field_name(index);
-                self.em.read_event(sc, reps, expr.span, name_of(value), &field, base_flows)
+                let field = index_field(index, &mut self.text);
+                self.em.read_event(sc, reps, expr.span, name_of(value), field, base_flows)
             }
             ExprKind::Slice { lower, upper, step } => {
                 self.eval_all([lower, upper, step].into_iter().flatten().map(|b| &**b), sc)
@@ -406,7 +432,7 @@ impl<'m, S: Sink> Lowerer<'m, S> {
             ExprKind::Await(inner) | ExprKind::Starred(inner) => self.eval(inner, sc),
             ExprKind::NamedExpr { target, value } => {
                 let flows = self.eval(value, sc);
-                if let ExprKind::Name(n) = &target.kind {
+                if let ExprKind::Name(n) = target.kind {
                     sc.env.insert(n, flows);
                 }
                 flows
@@ -416,39 +442,43 @@ impl<'m, S: Sink> Lowerer<'m, S> {
 
     fn eval_call(
         &mut self,
-        expr: &'m Expr,
-        func: &'m Expr,
-        args: &'m [Expr],
-        keywords: &'m [Keyword],
+        expr: &'m Expr<'m>,
+        func: &'m Expr<'m>,
+        args: &'m [Expr<'m>],
+        keywords: &'m [Keyword<'m>],
         sc: &mut Scope<'m>,
     ) -> FlowSet {
         // Receiver/base flows: for `x.m(...)` the object chain flows into
         // the call event (Fig. 2b: `request.files['f']` → `.save()`).
         let recv = match &func.kind {
             ExprKind::Attribute { value, .. } => self.eval(value, sc),
-            ExprKind::Name(n) => sc.env.get(n.as_str()).copied().unwrap_or_default(),
+            ExprKind::Name(n) => sc.env.get(n).copied().unwrap_or_default(),
             _ => self.eval(func, sc),
         };
-        let args = args.iter().map(|a| self.eval(a, sc)).collect();
-        let kwargs = keywords
-            .iter()
-            .map(|k| (k.name.as_deref().unwrap_or_default(), self.eval(&k.value, sc)))
-            .collect();
+        let operands = self.em.operands();
+        for a in args {
+            let flows = self.eval(a, sc);
+            self.em.push_arg(flows);
+        }
+        for k in keywords {
+            let flows = self.eval(&k.value, sc);
+            self.em.push_kwarg(k.name.unwrap_or_default(), flows);
+        }
         // `locals()` receives every local variable (§5.2), visited in name
         // order so the edge order never follows hash order.
-        let mut unpositioned = Vec::new();
-        if matches!(&func.kind, ExprKind::Name(n) if n == "locals") {
+        if matches!(func.kind, ExprKind::Name("locals")) {
             let mut bindings: Vec<(&str, &FlowSet)> =
                 sc.env.iter().map(|(&name, flows)| (name, flows)).collect();
             bindings.sort_unstable_by_key(|&(name, _)| name);
-            unpositioned =
-                bindings.into_iter().flat_map(|(_, flows)| flows.iter().copied()).collect();
+            for (_, flows) in bindings {
+                self.em.push_unpositioned(flows);
+            }
         }
         // Calls link to locally-defined functions and same-class methods.
-        let target = match &func.kind {
-            ExprKind::Name(n) => Some(Cow::Borrowed(n.as_str())),
-            ExprKind::Attribute { value, attr } => match (&value.kind, &sc.ctx.class_name) {
-                (ExprKind::Name(recv), Some(class)) if recv == "self" => {
+        let target = match func.kind {
+            ExprKind::Name(n) => Some(Cow::Borrowed(n)),
+            ExprKind::Attribute { ref value, attr } => match (&value.kind, sc.ctx.class_name) {
+                (ExprKind::Name("self"), Some(class)) => {
                     Some(Cow::Owned(format!("{class}::{attr}")))
                 }
                 _ => None,
@@ -456,43 +486,37 @@ impl<'m, S: Sink> Lowerer<'m, S> {
             _ => None,
         };
         let reps = describe_syms(expr, &sc.ctx);
-        self.call(Call { reps, span: expr.span, recv, args, kwargs, unpositioned, target })
+        self.call(Call { reps, span: expr.span, recv, operands, target })
     }
 }
 
 /// The names a function declares, in order, without the bare `*` marker.
-fn declared_params(def: &FunctionDef) -> impl Iterator<Item = &str> + Clone {
-    def.params.iter().filter(|p| p.kind != ParamKind::KwOnlyMarker).map(|p| p.name.as_str())
+fn declared_params<'m>(def: &'m FunctionDef<'m>) -> impl Iterator<Item = &'m str> + Clone {
+    def.params.iter().filter(|p| p.kind != ParamKind::KwOnlyMarker).map(|p| p.name)
 }
 
 /// Collects the import bindings of `body`: every `import` and
 /// `from ... import` anywhere in it, recursing into nested statement
 /// bodies in source order, later bindings winning.
-pub(crate) fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
+pub(crate) fn collect_imports<'m>(body: &[Stmt<'m>], imports: &mut ImportMap<'m>) {
     for stmt in body {
         match &stmt.kind {
             StmtKind::Import(aliases) => {
                 for a in aliases {
-                    match &a.asname {
-                        Some(alias) => imports.insert(alias, &a.name),
+                    match a.asname {
+                        Some(alias) => imports.insert(alias, segments(a.name)),
                         None => {
                             // `import a.b` binds top-level `a`.
-                            if let Some(first) = a.name.first() {
-                                imports.insert(first, std::slice::from_ref(first));
+                            if let Some(first) = segments(a.name).next() {
+                                imports.insert(first, [first]);
                             }
                         }
                     }
                 }
             }
             StmtKind::ImportFrom { module, names, .. } => {
-                for a in names {
-                    let seg = match a.name.first() {
-                        Some(s) if s != "*" => s,
-                        _ => continue,
-                    };
-                    let mut path = module.clone();
-                    path.push(seg.clone());
-                    imports.insert(a.asname.as_ref().unwrap_or(seg), &path);
+                for a in names.iter().filter(|a| a.name != "*") {
+                    imports.insert(a.asname.unwrap_or(a.name), segments(module).chain([a.name]));
                 }
             }
             StmtKind::FunctionDef(def) => collect_imports(&def.body, imports),
@@ -518,18 +542,22 @@ pub(crate) fn collect_imports(body: &[Stmt], imports: &mut ImportMap) {
 }
 
 /// Field name used for subscript loads/stores, matching the representation
-/// rendering (`['key']`, `[0]`, `[]`).
-fn index_field_name(index: &Expr) -> String {
-    match &index.kind {
-        ExprKind::Str(s) => format!("['{s}']"),
-        ExprKind::Number(n) => format!("[{n}]"),
-        _ => "[]".to_string(),
-    }
+/// rendering (`['key']`, `[0]`, `[]`), rendered into `buf` when it is not
+/// the constant `[]`.
+fn index_field<'b>(index: &Expr<'_>, buf: &'b mut String) -> &'b str {
+    let (open, text, close) = match &index.kind {
+        ExprKind::Str(s) => ("['", &**s, "']"),
+        ExprKind::Number(n) => ("[", *n, "]"),
+        _ => return "[]",
+    };
+    buf.clear();
+    buf.extend([open, text, close]);
+    buf
 }
 
 /// The variable `expr` names, if it is a bare name.
-fn name_of(expr: &Expr) -> Option<&str> {
-    match &expr.kind {
+fn name_of<'m>(expr: &Expr<'m>) -> Option<&'m str> {
+    match expr.kind {
         ExprKind::Name(n) => Some(n),
         _ => None,
     }

@@ -28,25 +28,29 @@ pub const MAX_REPS: usize = 6;
 /// a representation; deeper chains get none.
 pub const MAX_CHAIN_DEPTH: usize = 12;
 
-/// A file's import bindings: each bound name and the dotted path it
-/// resolves to. A frontend builds one map per file, and every scope's
-/// [`ReprCtx`] shares it.
+/// A file's import bindings: each bound name, borrowed from the AST, and
+/// the dotted path it resolves to. A frontend builds one map per file, and
+/// every scope's [`ReprCtx`] shares it.
 #[derive(Debug, Clone, Default)]
-pub struct ImportMap {
-    bindings: HashMap<String, ImportBinding, IdHash>,
+pub struct ImportMap<'a> {
+    bindings: HashMap<&'a str, ImportBinding, IdHash>,
+    /// Every binding's dotted path, back to back.
+    text: String,
 }
 
 #[derive(Debug, Clone)]
 struct ImportBinding {
-    /// The path joined with dots, e.g. `flask.request`.
-    dotted: String,
+    /// Where the path joined with dots, e.g. `flask.request`, sits in the
+    /// map's text.
+    start: u32,
+    end: u32,
     /// Whether the path ends in the bound name itself (`from a.b import c`
     /// binds `c → a.b.c`). Such a name also backs off to its bare form,
     /// because the same API is referenced both ways across a corpus.
     bare_too: bool,
 }
 
-impl ImportMap {
+impl<'a> ImportMap<'a> {
     /// Creates an empty map.
     pub fn new() -> Self {
         ImportMap::default()
@@ -56,10 +60,69 @@ impl ImportMap {
     /// A plain `import os.path` binds `os → ["os"]`;
     /// `from flask import request` binds `request → ["flask", "request"]`;
     /// `import numpy as np` binds `np → ["numpy"]`.
-    pub fn insert<S: AsRef<str>>(&mut self, name: &str, path: &[S]) {
-        let dotted = path.iter().map(AsRef::as_ref).collect::<Vec<_>>().join(".");
-        let bare_too = path.len() >= 2 && path.last().is_some_and(|l| l.as_ref() == name);
-        self.bindings.insert(name.to_string(), ImportBinding { dotted, bare_too });
+    pub fn insert<'p>(&mut self, name: &'a str, path: impl IntoIterator<Item = &'p str>) {
+        let (start, mut segments, mut last) = (self.text.len() as u32, 0, "");
+        for segment in path {
+            if segments > 0 {
+                self.text.push('.');
+            }
+            self.text.push_str(segment);
+            (segments, last) = (segments + 1, segment);
+        }
+        let end = self.text.len() as u32;
+        let bare_too = segments >= 2 && last == name;
+        self.bindings.insert(name, ImportBinding { start, end, bare_too });
+    }
+
+    /// The dotted path `name` is bound to, and whether the name also backs
+    /// off to its bare form.
+    fn get(&self, name: &str) -> Option<(&str, bool)> {
+        let b = self.bindings.get(name)?;
+        Some((&self.text[b.start as usize..b.end as usize], b.bare_too))
+    }
+}
+
+/// The variant texts of a walk's local variables (the paper's
+/// `LoginForm().username.data` chains), appended once per binding and kept
+/// for the whole walk: one text buffer and the end offset of each variant,
+/// so binding a local allocates nothing once the buffers have grown.
+#[derive(Debug, Default)]
+pub struct VariantArena {
+    text: String,
+    ends: Vec<u32>,
+}
+
+/// The variants one binding recorded: a range of its arena's variants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Variants {
+    start: u32,
+    end: u32,
+}
+
+impl Variants {
+    /// Whether the binding recorded no variant.
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+}
+
+impl VariantArena {
+    /// Appends `variants` as one binding's list.
+    pub fn push<'v>(&mut self, variants: impl IntoIterator<Item = &'v str>) -> Variants {
+        let start = self.ends.len() as u32;
+        for v in variants {
+            self.text.push_str(v);
+            self.ends.push(self.text.len() as u32);
+        }
+        Variants { start, end: self.ends.len() as u32 }
+    }
+
+    /// The texts of `variants`, in order.
+    pub fn get(&self, variants: Variants) -> impl Iterator<Item = &str> {
+        (variants.start..variants.end).map(|i| {
+            let from = if i == 0 { 0 } else { self.ends[i as usize - 1] };
+            &self.text[from as usize..self.ends[i as usize] as usize]
+        })
     }
 }
 
@@ -67,7 +130,7 @@ impl ImportMap {
 #[derive(Debug, Clone, Default)]
 pub struct ReprCtx<'a> {
     /// Names bound by the file's imports, shared by every scope of the file.
-    pub imports: Rc<ImportMap>,
+    pub imports: Rc<ImportMap<'a>>,
     /// Enclosing class name, if inside a method.
     pub class_name: Option<&'a str>,
     /// Resolved dotted path of the enclosing class's first base, if any.
@@ -77,8 +140,11 @@ pub struct ReprCtx<'a> {
     /// Parameter names of the enclosing function.
     pub params: Vec<&'a str>,
     /// Representations of local variables assigned from describable
-    /// expressions (the paper's `LoginForm().username.data` chains).
-    pub locals: HashMap<&'a str, Rc<[String]>, IdHash>,
+    /// expressions (the paper's `LoginForm().username.data` chains), as
+    /// ranges of `variants`.
+    pub locals: HashMap<&'a str, Variants, IdHash>,
+    /// The texts `locals` point into, shared by every scope of the file.
+    pub variants: Rc<RefCell<VariantArena>>,
 }
 
 impl<'a> ReprCtx<'a> {
@@ -122,13 +188,13 @@ impl<'a> ReprCtx<'a> {
                     emit(&[func, "(param ", name, ")"]);
                 }
                 emit(&[name]);
-            } else if let Some(import) = self.imports.bindings.get(name) {
-                emit(&[&import.dotted]);
-                if import.bare_too {
+            } else if let Some((dotted, bare_too)) = self.imports.get(name) {
+                emit(&[dotted]);
+                if bare_too {
                     emit(&[name]);
                 }
-            } else if let Some(variants) = self.locals.get(name) {
-                variants.iter().for_each(|v| emit(&[v]));
+            } else if let Some(&variants) = self.locals.get(name) {
+                self.variants.borrow().get(variants).for_each(|v| emit(&[v]));
             } else {
                 emit(&[name]);
             }
@@ -138,49 +204,70 @@ impl<'a> ReprCtx<'a> {
     /// The interned representations of the access chain `chain` renders
     /// (see [`Self::for_each_variant`]): deduplicated, with dot-suffix
     /// backoff on the first variant when it is plain dotted, capped at
-    /// [`MAX_REPS`]. Shared by every frontend's describe pass.
+    /// [`MAX_REPS`]. Shared by every frontend's describe pass. The list is
+    /// built in a buffer the thread reuses, so the only allocation is the
+    /// returned vector, at its exact length.
     pub fn rep_syms<'e>(&self, chain: impl FnOnce(&mut String) -> Option<&'e str>) -> Vec<Symbol> {
-        let mut out: Vec<Symbol> = Vec::new();
-        let mut backoff = false;
-        self.for_each_variant(chain, |v| {
-            backoff |= out.is_empty() && backs_off(v);
-            let sym = intern(v);
-            if !out.contains(&sym) {
-                out.push(sym);
-            }
-        });
-        if backoff {
-            for &s in interned_dot_suffixes(out[0]) {
-                if !out.contains(&s) {
-                    out.push(s);
+        thread_local! {
+            static LIST: RefCell<Vec<Symbol>> = const { RefCell::new(Vec::new()) };
+        }
+        LIST.with_borrow_mut(|out| {
+            out.clear();
+            let mut backoff = false;
+            self.for_each_variant(chain, |v| {
+                backoff |= out.is_empty() && backs_off(v);
+                let sym = intern(v);
+                if !out.contains(&sym) {
+                    out.push(sym);
+                }
+            });
+            if backoff {
+                for &s in interned_dot_suffixes(out[0]) {
+                    if !out.contains(&s) {
+                        out.push(s);
+                    }
                 }
             }
-        }
-        out.truncate(MAX_REPS);
-        out
+            out.truncate(MAX_REPS);
+            out.to_vec()
+        })
     }
 
-    /// [`Self::rep_syms`] as strings: the same list, in the same order,
-    /// interning only the first variant (for its memoized dot suffixes).
+    /// [`Self::rep_syms`] as texts appended to the file's variant arena:
+    /// the same list, in the same order, interning only the first variant
+    /// (for its memoized dot suffixes). This is what a binding records as
+    /// a local's variants.
+    pub fn push_variants<'e>(
+        &self,
+        chain: impl FnOnce(&mut String) -> Option<&'e str>,
+    ) -> Variants {
+        thread_local! {
+            static LIST: RefCell<(String, Vec<usize>)> = RefCell::default();
+        }
+        LIST.with_borrow_mut(|list| {
+            let (text, ends) = list;
+            text.clear();
+            ends.clear();
+            self.for_each_variant(chain, |v| push_unique(text, ends, v));
+            if let Some(&first_end) = ends.first() {
+                if backs_off(&text[..first_end]) {
+                    for s in interned_dot_suffixes(intern(&text[..first_end])) {
+                        push_unique(text, ends, s.as_str());
+                    }
+                }
+            }
+            ends.truncate(MAX_REPS);
+            self.variants.borrow_mut().push((0..ends.len()).map(|i| listed(text, ends, i)))
+        })
+    }
+
+    /// [`Self::push_variants`] read back as strings.
     pub fn rep_strings<'e>(
         &self,
         chain: impl FnOnce(&mut String) -> Option<&'e str>,
     ) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        self.for_each_variant(chain, |v| {
-            if !out.iter().any(|o| o == v) {
-                out.push(v.to_string());
-            }
-        });
-        if out.first().is_some_and(|first| backs_off(first)) {
-            for s in interned_dot_suffixes(intern(&out[0])) {
-                if !out.iter().any(|v| v == s.as_str()) {
-                    out.push(s.as_str().to_string());
-                }
-            }
-        }
-        out.truncate(MAX_REPS);
-        out
+        let variants = self.push_variants(chain);
+        self.variants.borrow().get(variants).map(str::to_string).collect()
     }
 }
 
@@ -188,14 +275,34 @@ impl<'a> ReprCtx<'a> {
 /// specific, as interned [`Symbol`]s ([`ReprCtx::rep_syms`]). Returns an
 /// empty vector when the expression has no stable description (e.g.
 /// arithmetic on strings).
-pub fn describe_syms(expr: &Expr, ctx: &ReprCtx<'_>) -> Vec<Symbol> {
+pub fn describe_syms(expr: &Expr<'_>, ctx: &ReprCtx<'_>) -> Vec<Symbol> {
     ctx.rep_syms(|suffix| chain_base(expr, 0, suffix))
 }
 
-/// Like [`describe_syms`], but keeps the variant strings instead of
-/// interning them (the lowering stores them as a local's variants).
-pub fn describe_expr(expr: &Expr, ctx: &ReprCtx<'_>) -> Vec<String> {
+/// Like [`describe_syms`], but appends the variant texts to the file's
+/// variant arena instead of interning them: what an assignment records as
+/// its target's variants.
+pub fn describe_variants(expr: &Expr<'_>, ctx: &ReprCtx<'_>) -> Variants {
+    ctx.push_variants(|suffix| chain_base(expr, 0, suffix))
+}
+
+/// [`describe_variants`] read back as strings.
+pub fn describe_expr(expr: &Expr<'_>, ctx: &ReprCtx<'_>) -> Vec<String> {
     ctx.rep_strings(|suffix| chain_base(expr, 0, suffix))
+}
+
+/// The `i`th text of a list kept as one buffer and the end of each text.
+fn listed<'t>(text: &'t str, ends: &[usize], i: usize) -> &'t str {
+    &text[if i == 0 { 0 } else { ends[i - 1] }..ends[i]]
+}
+
+/// Appends `v` to a list kept as one buffer and the end of each text,
+/// unless the list already holds it.
+fn push_unique(text: &mut String, ends: &mut Vec<usize>, v: &str) {
+    if !(0..ends.len()).any(|i| listed(text, ends, i) == v) {
+        text.push_str(v);
+        ends.push(text.len());
+    }
 }
 
 /// Whether the most specific variant gets dot-suffix backoff: only plain
@@ -207,12 +314,12 @@ fn backs_off(first: &str) -> bool {
 /// Walks an access chain down to the name it starts from, appending the
 /// rendering of each step to `suffix`, innermost first. `None` when the
 /// chain does not start from a name or is deeper than [`MAX_CHAIN_DEPTH`].
-fn chain_base<'e>(expr: &'e Expr, depth: usize, suffix: &mut String) -> Option<&'e str> {
+fn chain_base<'e>(expr: &Expr<'e>, depth: usize, suffix: &mut String) -> Option<&'e str> {
     if depth > MAX_CHAIN_DEPTH {
         return None;
     }
     match &expr.kind {
-        ExprKind::Name(n) => Some(n),
+        ExprKind::Name(n) => Some(*n),
         ExprKind::Attribute { value, attr } => {
             let base = chain_base(value, depth + 1, suffix)?;
             suffix.push('.');
@@ -318,10 +425,10 @@ mod tests {
     use seldon_pyast::ast::{Stmt, StmtKind};
     use seldon_pyast::parse_expr;
 
-    fn ctx_with_imports(pairs: &[(&str, &[&str])]) -> ReprCtx<'static> {
+    fn ctx_with_imports(pairs: &[(&'static str, &[&str])]) -> ReprCtx<'static> {
         let mut imports = ImportMap::new();
         for (name, path) in pairs {
-            imports.insert(name, path);
+            imports.insert(name, path.iter().copied());
         }
         ReprCtx { imports: Rc::new(imports), ..ReprCtx::new() }
     }
@@ -404,7 +511,8 @@ mod tests {
     #[test]
     fn local_variable_chains() {
         let mut ctx = ReprCtx::new();
-        ctx.locals.insert("form", vec!["LoginForm()".to_string()].into());
+        let variants = ctx.variants.borrow_mut().push(["LoginForm()"]);
+        ctx.locals.insert("form", variants);
         let reps = describe("form.username.data", &ctx);
         assert_eq!(reps[0], "LoginForm().username.data");
     }
@@ -482,9 +590,9 @@ mod tests {
     }
 
     /// Every expression of `e`, `e` first.
-    fn sub_exprs<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    fn sub_exprs<'e>(e: &'e Expr<'e>, out: &mut Vec<&'e Expr<'e>>) {
         out.push(e);
-        let mut go = |x: &'e Expr| sub_exprs(x, out);
+        let mut go = |x: &'e Expr<'e>| sub_exprs(x, out);
         match &e.kind {
             ExprKind::Attribute { value: x, .. }
             | ExprKind::Await(x)
@@ -534,28 +642,28 @@ mod tests {
     /// Every expression of `body`, and one context per function (its
     /// name, parameters and class) with the locals its assignments bind.
     fn walk_body<'m>(
-        body: &'m [Stmt],
+        body: &'m [Stmt<'m>],
         ctx: &ReprCtx<'m>,
-        exprs: &mut Vec<&'m Expr>,
+        exprs: &mut Vec<&'m Expr<'m>>,
         ctxs: &mut Vec<ReprCtx<'m>>,
     ) {
         let mut ctx = ctx.clone();
         for stmt in body {
-            let mut own: Vec<&'m Expr> = Vec::new();
+            let mut own: Vec<&'m Expr<'m>> = Vec::new();
             match &stmt.kind {
                 StmtKind::FunctionDef(def) => {
                     own.extend(&def.decorators);
                     own.extend(def.params.iter().filter_map(|p| p.default.as_ref()));
                     let mut inner = ctx.clone();
-                    inner.func_name = Some(&def.name);
-                    inner.params = def.params.iter().map(|p| p.name.as_str()).collect();
+                    inner.func_name = Some(def.name);
+                    inner.params = def.params.iter().map(|p| p.name).collect();
                     walk_body(&def.body, &inner, exprs, ctxs);
                     ctxs.push(inner);
                 }
                 StmtKind::ClassDef(def) => {
                     own.extend(def.decorators.iter().chain(&def.bases));
                     let mut inner = ctx.clone();
-                    inner.class_name = Some(&def.name);
+                    inner.class_name = Some(def.name);
                     inner.base_class = def.bases.first().map(|b| format!("base.{}", b.span.line));
                     walk_body(&def.body, &inner, exprs, ctxs);
                 }
@@ -563,7 +671,7 @@ mod tests {
                     own.extend(targets.iter().chain([value]));
                     for t in targets {
                         if let ExprKind::Name(n) = &t.kind {
-                            ctx.locals.insert(n, describe_expr(value, &ctx).into());
+                            ctx.locals.insert(n, describe_variants(value, &ctx));
                         }
                     }
                 }
@@ -619,7 +727,8 @@ mod tests {
         ];
         for variants in cases {
             let mut ctx = ReprCtx::new();
-            ctx.locals.insert("v", variants.iter().map(|v| v.to_string()).collect());
+            let variants = ctx.variants.borrow_mut().push(variants.iter().copied());
+            ctx.locals.insert("v", variants);
             let chain = |suffix: &mut String| {
                 suffix.push_str(".k()");
                 Some("v")

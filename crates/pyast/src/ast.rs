@@ -2,140 +2,144 @@
 //!
 //! The tree is deliberately close to CPython's `ast` module naming so the
 //! analysis code reads like the paper's description. Every node carries a
-//! [`Span`].
+//! [`Span`], and every name, attribute, import path, parameter and literal
+//! borrows the source text `'s`; the only text the parser builds is the
+//! merge of implicitly concatenated string literals (a `Cow::Owned`).
 
 use crate::span::Span;
+use std::borrow::Cow;
 
 /// A parsed module: the top-level statement list of one source file.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Module {
+pub struct Module<'s> {
     /// Statements in source order.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'s>>,
 }
 
 /// A statement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Stmt {
+pub struct Stmt<'s> {
     /// The statement payload.
-    pub kind: StmtKind,
+    pub kind: StmtKind<'s>,
     /// Source location.
     pub span: Span,
 }
 
 /// Statement payloads.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StmtKind {
+pub enum StmtKind<'s> {
     /// `import a.b as c, d`
-    Import(Vec<ImportAlias>),
+    Import(Vec<ImportAlias<'s>>),
     /// `from a.b import c as d, e` (level counts leading dots).
     ImportFrom {
-        /// Dotted module path (may be empty for `from . import x`).
-        module: Vec<String>,
+        /// Dotted module path as written (empty for `from . import x`);
+        /// [`segments`] splits it.
+        module: &'s str,
         /// Imported names.
-        names: Vec<ImportAlias>,
+        names: Vec<ImportAlias<'s>>,
         /// Number of leading dots (relative import level).
         level: u32,
     },
     /// Function definition.
-    FunctionDef(FunctionDef),
+    FunctionDef(FunctionDef<'s>),
     /// Class definition.
-    ClassDef(ClassDef),
+    ClassDef(ClassDef<'s>),
     /// `return value?`
-    Return(Option<Expr>),
+    Return(Option<Expr<'s>>),
     /// `del targets`
-    Delete(Vec<Expr>),
+    Delete(Vec<Expr<'s>>),
     /// `targets = value` (chained assignment keeps all targets).
     Assign {
         /// Assignment targets, left to right.
-        targets: Vec<Expr>,
+        targets: Vec<Expr<'s>>,
         /// Right-hand side.
-        value: Expr,
+        value: Expr<'s>,
     },
     /// `target op= value`
     AugAssign {
         /// The single target.
-        target: Expr,
+        target: Expr<'s>,
         /// Operator text, e.g. `+`.
-        op: String,
+        op: &'static str,
         /// Right-hand side.
-        value: Expr,
+        value: Expr<'s>,
     },
     /// `target: annotation = value?`
     AnnAssign {
         /// The annotated target.
-        target: Expr,
+        target: Expr<'s>,
         /// The annotation expression.
-        annotation: Expr,
+        annotation: Expr<'s>,
         /// Optional initial value.
-        value: Option<Expr>,
+        value: Option<Expr<'s>>,
     },
     /// `for target in iter: body else: orelse`
     For {
         /// Loop variable pattern.
-        target: Expr,
+        target: Expr<'s>,
         /// Iterated expression.
-        iter: Expr,
+        iter: Expr<'s>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'s>>,
         /// `else` clause.
-        orelse: Vec<Stmt>,
+        orelse: Vec<Stmt<'s>>,
     },
     /// `while test: body else: orelse`
     While {
         /// Loop condition.
-        test: Expr,
+        test: Expr<'s>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'s>>,
         /// `else` clause.
-        orelse: Vec<Stmt>,
+        orelse: Vec<Stmt<'s>>,
     },
     /// `if test: body elif.../else: orelse`
     If {
         /// Condition.
-        test: Expr,
+        test: Expr<'s>,
         /// Then branch.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'s>>,
         /// Else branch (an `elif` parses as a nested `If` here).
-        orelse: Vec<Stmt>,
+        orelse: Vec<Stmt<'s>>,
     },
     /// `with items: body`
     With {
         /// Context managers with optional `as` targets.
-        items: Vec<WithItem>,
+        items: Vec<WithItem<'s>>,
         /// Body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'s>>,
     },
     /// `raise exc from cause`
     Raise {
         /// Exception value.
-        exc: Option<Expr>,
+        exc: Option<Expr<'s>>,
         /// `from` cause.
-        cause: Option<Expr>,
+        cause: Option<Expr<'s>>,
     },
     /// `try: body except...: handlers else: orelse finally: finalbody`
     Try {
         /// Protected body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'s>>,
         /// Exception handlers.
-        handlers: Vec<ExceptHandler>,
+        handlers: Vec<ExceptHandler<'s>>,
         /// `else` clause.
-        orelse: Vec<Stmt>,
+        orelse: Vec<Stmt<'s>>,
         /// `finally` clause.
-        finalbody: Vec<Stmt>,
+        finalbody: Vec<Stmt<'s>>,
     },
     /// `assert test, msg?`
     Assert {
         /// Asserted condition.
-        test: Expr,
+        test: Expr<'s>,
         /// Optional message.
-        msg: Option<Expr>,
+        msg: Option<Expr<'s>>,
     },
     /// `global names`
-    Global(Vec<String>),
+    Global(Vec<&'s str>),
     /// `nonlocal names`
-    Nonlocal(Vec<String>),
+    Nonlocal(Vec<&'s str>),
     /// A bare expression statement.
-    Expr(Expr),
+    Expr(Expr<'s>),
     /// `pass`
     Pass,
     /// `break`
@@ -146,41 +150,42 @@ pub enum StmtKind {
 
 /// One alias in an import list: `name as asname`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ImportAlias {
-    /// Dotted path being imported (single segment for `from x import seg`).
-    pub name: Vec<String>,
+pub struct ImportAlias<'s> {
+    /// Dotted path being imported, as written (a single segment for
+    /// `from x import seg`); [`segments`] splits it.
+    pub name: &'s str,
     /// Optional binding name.
-    pub asname: Option<String>,
+    pub asname: Option<&'s str>,
     /// Location of the alias.
     pub span: Span,
 }
 
 /// A function (or method) definition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FunctionDef {
+pub struct FunctionDef<'s> {
     /// Function name.
-    pub name: String,
+    pub name: &'s str,
     /// Positional/keyword parameters in order.
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'s>>,
     /// Decorator expressions, outermost first.
-    pub decorators: Vec<Expr>,
+    pub decorators: Vec<Expr<'s>>,
     /// Optional return annotation.
-    pub returns: Option<Expr>,
+    pub returns: Option<Expr<'s>>,
     /// Body statements.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'s>>,
     /// True for `async def`.
     pub is_async: bool,
 }
 
 /// A single formal parameter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Param {
+pub struct Param<'s> {
     /// Parameter name.
-    pub name: String,
+    pub name: &'s str,
     /// Optional annotation.
-    pub annotation: Option<Expr>,
+    pub annotation: Option<Expr<'s>>,
     /// Optional default value.
-    pub default: Option<Expr>,
+    pub default: Option<Expr<'s>>,
     /// Kind of parameter (positional, `*args`, `**kwargs`).
     pub kind: ParamKind,
     /// Location of the parameter name.
@@ -202,68 +207,69 @@ pub enum ParamKind {
 
 /// A class definition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClassDef {
+pub struct ClassDef<'s> {
     /// Class name.
-    pub name: String,
+    pub name: &'s str,
     /// Base class expressions.
-    pub bases: Vec<Expr>,
+    pub bases: Vec<Expr<'s>>,
     /// Keyword arguments in the class header (e.g. `metaclass=`).
-    pub keywords: Vec<Keyword>,
+    pub keywords: Vec<Keyword<'s>>,
     /// Decorators, outermost first.
-    pub decorators: Vec<Expr>,
+    pub decorators: Vec<Expr<'s>>,
     /// Body statements.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'s>>,
 }
 
 /// One `with` item: `context as target?`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WithItem {
+pub struct WithItem<'s> {
     /// The context-manager expression.
-    pub context: Expr,
+    pub context: Expr<'s>,
     /// Optional `as` target.
-    pub target: Option<Expr>,
+    pub target: Option<Expr<'s>>,
 }
 
 /// An `except` clause.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExceptHandler {
+pub struct ExceptHandler<'s> {
     /// The matched exception type, if any.
-    pub typ: Option<Expr>,
+    pub typ: Option<Expr<'s>>,
     /// The binding name after `as`, if any.
-    pub name: Option<String>,
+    pub name: Option<&'s str>,
     /// Handler body.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'s>>,
     /// Location of the `except` keyword.
     pub span: Span,
 }
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Expr {
+pub struct Expr<'s> {
     /// The expression payload.
-    pub kind: ExprKind,
+    pub kind: ExprKind<'s>,
     /// Source location.
     pub span: Span,
 }
 
 /// Expression payloads.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExprKind {
+pub enum ExprKind<'s> {
     /// A name reference.
-    Name(String),
+    Name(&'s str),
     /// Integer/float literal (textual).
-    Number(String),
-    /// String literal (implicitly concatenated literals are merged).
-    Str(String),
+    Number(&'s str),
+    /// String literal, escapes kept verbatim. Implicitly concatenated
+    /// literals are merged, the only text the parser builds.
+    Str(Cow<'s, str>),
     /// F-string literal: literal text plus the raw interpolation sources.
     FString {
-        /// The raw body text.
-        text: String,
+        /// The raw body text (built only for concatenated literals).
+        text: Cow<'s, str>,
         /// Parsed interpolated expressions, in order of appearance.
-        parts: Vec<Expr>,
+        parts: Vec<Expr<'s>>,
     },
     /// Bytes literal.
-    Bytes(String),
+    Bytes(&'s str),
     /// `True`/`False`.
     Bool(bool),
     /// `None`.
@@ -273,124 +279,124 @@ pub enum ExprKind {
     /// `obj.attr`
     Attribute {
         /// The object expression.
-        value: Box<Expr>,
+        value: Box<Expr<'s>>,
         /// The attribute name.
-        attr: String,
+        attr: &'s str,
     },
     /// `obj[index]`
     Subscript {
         /// The container expression.
-        value: Box<Expr>,
+        value: Box<Expr<'s>>,
         /// The index expression (a `Slice` for slice syntax).
-        index: Box<Expr>,
+        index: Box<Expr<'s>>,
     },
     /// `lo:hi:step` inside subscripts.
     Slice {
         /// Lower bound.
-        lower: Option<Box<Expr>>,
+        lower: Option<Box<Expr<'s>>>,
         /// Upper bound.
-        upper: Option<Box<Expr>>,
+        upper: Option<Box<Expr<'s>>>,
         /// Step.
-        step: Option<Box<Expr>>,
+        step: Option<Box<Expr<'s>>>,
     },
     /// `f(args, kw=v, *rest, **kwargs)`
     Call {
         /// The callee expression.
-        func: Box<Expr>,
+        func: Box<Expr<'s>>,
         /// Positional arguments (including starred ones).
-        args: Vec<Expr>,
+        args: Vec<Expr<'s>>,
         /// Keyword arguments.
-        keywords: Vec<Keyword>,
+        keywords: Vec<Keyword<'s>>,
     },
     /// Binary arithmetic/bit operation; operator kept as text.
     BinOp {
         /// Left operand.
-        left: Box<Expr>,
+        left: Box<Expr<'s>>,
         /// Operator text, e.g. `+`.
-        op: String,
+        op: &'static str,
         /// Right operand.
-        right: Box<Expr>,
+        right: Box<Expr<'s>>,
     },
     /// Unary operation (`-x`, `+x`, `~x`, `not x`).
     UnaryOp {
         /// Operator text.
-        op: String,
+        op: &'static str,
         /// Operand.
-        operand: Box<Expr>,
+        operand: Box<Expr<'s>>,
     },
     /// `and`/`or` chains, flattened.
     BoolOp {
         /// `and` or `or`.
-        op: String,
+        op: &'static str,
         /// Operands, two or more.
-        values: Vec<Expr>,
+        values: Vec<Expr<'s>>,
     },
     /// Comparison chains `a < b <= c`.
     Compare {
         /// First operand.
-        left: Box<Expr>,
+        left: Box<Expr<'s>>,
         /// Operator texts (`<`, `in`, `is not`, ...), one per comparator.
-        ops: Vec<String>,
+        ops: Vec<&'static str>,
         /// Remaining operands.
-        comparators: Vec<Expr>,
+        comparators: Vec<Expr<'s>>,
     },
     /// `body if test else orelse`
     IfExp {
         /// Condition.
-        test: Box<Expr>,
+        test: Box<Expr<'s>>,
         /// Value when true.
-        body: Box<Expr>,
+        body: Box<Expr<'s>>,
         /// Value when false.
-        orelse: Box<Expr>,
+        orelse: Box<Expr<'s>>,
     },
     /// `lambda params: body`
     Lambda {
         /// Formal parameters.
-        params: Vec<Param>,
+        params: Vec<Param<'s>>,
         /// Body expression.
-        body: Box<Expr>,
+        body: Box<Expr<'s>>,
     },
     /// Tuple display `(a, b)` or bare `a, b`.
-    Tuple(Vec<Expr>),
+    Tuple(Vec<Expr<'s>>),
     /// List display `[a, b]`.
-    List(Vec<Expr>),
+    List(Vec<Expr<'s>>),
     /// Set display `{a, b}`.
-    Set(Vec<Expr>),
+    Set(Vec<Expr<'s>>),
     /// Dict display `{k: v, **m}` (a `None` key means `**m` expansion).
     Dict {
         /// Keys, parallel to `values`; `None` marks a `**` expansion.
-        keys: Vec<Option<Expr>>,
+        keys: Vec<Option<Expr<'s>>>,
         /// Values.
-        values: Vec<Expr>,
+        values: Vec<Expr<'s>>,
     },
     /// List/set/generator comprehension.
     Comp {
         /// Which display kind the comprehension builds.
         kind: CompKind,
         /// The element expression.
-        element: Box<Expr>,
+        element: Box<Expr<'s>>,
         /// For dict comprehensions, the value expression.
-        value: Option<Box<Expr>>,
+        value: Option<Box<Expr<'s>>>,
         /// Generator clauses.
-        generators: Vec<Comprehension>,
+        generators: Vec<Comprehension<'s>>,
     },
     /// `yield value?` / `yield from value`
     Yield {
         /// Yielded expression.
-        value: Option<Box<Expr>>,
+        value: Option<Box<Expr<'s>>>,
         /// True for `yield from`.
         is_from: bool,
     },
     /// `await value`
-    Await(Box<Expr>),
+    Await(Box<Expr<'s>>),
     /// `*value` in calls/displays/assignment targets.
-    Starred(Box<Expr>),
+    Starred(Box<Expr<'s>>),
     /// `name := value`
     NamedExpr {
         /// Target name.
-        target: Box<Expr>,
+        target: Box<Expr<'s>>,
         /// Assigned value.
-        value: Box<Expr>,
+        value: Box<Expr<'s>>,
     },
 }
 
@@ -409,38 +415,46 @@ pub enum CompKind {
 
 /// One `for ... in ... if ...` clause of a comprehension.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Comprehension {
+pub struct Comprehension<'s> {
     /// The loop target.
-    pub target: Expr,
+    pub target: Expr<'s>,
     /// The iterated expression.
-    pub iter: Expr,
+    pub iter: Expr<'s>,
     /// Zero or more `if` filters.
-    pub ifs: Vec<Expr>,
+    pub ifs: Vec<Expr<'s>>,
 }
 
 /// A keyword argument `name=value`; `name` is `None` for `**value`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Keyword {
+pub struct Keyword<'s> {
     /// Argument name (`None` for `**expr`).
-    pub name: Option<String>,
+    pub name: Option<&'s str>,
     /// Argument value.
-    pub value: Expr,
+    pub value: Expr<'s>,
 }
 
-impl Expr {
+/// The segments of a dotted module path as the source spells it: `a.b`
+/// gives `a`, `b` (whitespace or a line continuation around a dot is
+/// dropped); the empty path gives none.
+pub fn segments(path: &str) -> impl Iterator<Item = &str> + Clone {
+    let not_name = |c: char| c.is_whitespace() || c == '\\';
+    path.split('.').map(move |s| s.trim_matches(not_name)).filter(|s| !s.is_empty())
+}
+
+impl<'s> Expr<'s> {
     /// Creates an expression node.
-    pub fn new(kind: ExprKind, span: Span) -> Self {
+    pub fn new(kind: ExprKind<'s>, span: Span) -> Self {
         Expr { kind, span }
     }
 
     /// Returns the dotted-name path if this expression is a chain of
     /// `Name`/`Attribute` accesses, e.g. `a.b.c` → `["a","b","c"]`.
-    pub fn dotted_path(&self) -> Option<Vec<&str>> {
-        match &self.kind {
-            ExprKind::Name(n) => Some(vec![n.as_str()]),
-            ExprKind::Attribute { value, attr } => {
+    pub fn dotted_path(&self) -> Option<Vec<&'s str>> {
+        match self.kind {
+            ExprKind::Name(n) => Some(vec![n]),
+            ExprKind::Attribute { ref value, attr } => {
                 let mut path = value.dotted_path()?;
-                path.push(attr.as_str());
+                path.push(attr);
                 Some(path)
             }
             _ => None,
@@ -462,9 +476,9 @@ impl Expr {
     }
 }
 
-impl Stmt {
+impl<'s> Stmt<'s> {
     /// Creates a statement node.
-    pub fn new(kind: StmtKind, span: Span) -> Self {
+    pub fn new(kind: StmtKind<'s>, span: Span) -> Self {
         Stmt { kind, span }
     }
 }
@@ -473,8 +487,8 @@ impl Stmt {
 mod tests {
     use super::*;
 
-    fn name(n: &str) -> Expr {
-        Expr::new(ExprKind::Name(n.into()), Span::dummy())
+    fn name(n: &str) -> Expr<'_> {
+        Expr::new(ExprKind::Name(n), Span::dummy())
     }
 
     #[test]
@@ -482,10 +496,10 @@ mod tests {
         let e = Expr::new(
             ExprKind::Attribute {
                 value: Box::new(Expr::new(
-                    ExprKind::Attribute { value: Box::new(name("a")), attr: "b".into() },
+                    ExprKind::Attribute { value: Box::new(name("a")), attr: "b" },
                     Span::dummy(),
                 )),
-                attr: "c".into(),
+                attr: "c",
             },
             Span::dummy(),
         );
@@ -499,6 +513,13 @@ mod tests {
             Span::dummy(),
         );
         assert_eq!(call.dotted_path(), None);
+    }
+
+    #[test]
+    fn segments_split_dotted_paths() {
+        assert_eq!(segments("os.path").collect::<Vec<_>>(), ["os", "path"]);
+        assert_eq!(segments("a . b.\\\n c").collect::<Vec<_>>(), ["a", "b", "c"]);
+        assert_eq!(segments("").count(), 0);
     }
 
     #[test]

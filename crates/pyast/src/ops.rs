@@ -76,7 +76,7 @@ macro_rules! operators {
 
         /// The operator the tokens at the front of `tokens` spell: a prefix
         /// operator if `prefix`, else an infix one.
-        pub(crate) fn at(tokens: &[Token], prefix: bool) -> Option<&'static Operator> {
+        pub(crate) fn at(tokens: &[Token<'_>], prefix: bool) -> Option<&'static Operator> {
             match tokens {
                 $([$(Token { kind: TokenKind::$tok, .. }),+, ..]
                     if (Fixity::$fixity == Fixity::Prefix) == prefix => Some(&$name),)*
@@ -84,6 +84,17 @@ macro_rules! operators {
             }
         }
     };
+}
+
+/// The operator spelled `text`: a prefix operator if `prefix`, else an
+/// infix one.
+pub(crate) fn spelled(text: &str, prefix: bool) -> Option<&'static Operator> {
+    OPERATORS.iter().find(|op| op.text == text && (op.fixity == Fixity::Prefix) == prefix)
+}
+
+/// The infix operator spelled `text`, as in an augmented assignment.
+pub(crate) fn infix(text: &str) -> Option<&'static Operator> {
+    spelled(text, false)
 }
 
 // Each row: name = text, binding power, fixity, [tokens]. A two-token

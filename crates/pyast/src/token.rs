@@ -3,337 +3,151 @@
 use crate::span::Span;
 use std::fmt;
 
-/// The kind of a lexical token.
-///
-/// The lexer produces logical-line structure tokens (`Newline`, `Indent`,
-/// `Dedent`, `EndOfFile`) in addition to ordinary lexemes, following the
-/// CPython tokenizer model.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// Identifier or non-keyword name.
-    Name(String),
-    /// Integer literal (value kept as text; the analysis never needs it).
-    Int(String),
-    /// Floating point literal (kept as text).
-    Float(String),
-    /// String literal with quotes and prefixes stripped.
-    Str(String),
-    /// F-string literal; interpolated expressions are kept as raw text
-    /// inside `{...}` and re-lexed by the parser.
-    FStr(String),
-    /// Bytes literal with quotes stripped.
-    Bytes(String),
+/// Defines [`TokenKind`] from one table, with its keyword lookup, its
+/// punctuation spellings and its `Display`.
+macro_rules! token_kinds {
+    (
+        lexemes { $($lex:ident: $lex_doc:literal => $lex_shown:literal,)* }
+        keywords { $($kw:ident = $kw_text:literal,)* }
+        punctuation { $($punct:ident = $punct_text:literal,)* }
+    ) => {
+        /// The kind of a lexical token. The lexeme itself is the token's
+        /// [`Token::text`], a slice of the source.
+        ///
+        /// The lexer produces logical-line structure tokens (`Newline`,
+        /// `Indent`, `Dedent`, `EndOfFile`) in addition to ordinary lexemes,
+        /// following the CPython tokenizer model.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TokenKind {
+            $(#[doc = $lex_doc] $lex,)*
+            $(#[doc = concat!("The `", $kw_text, "` keyword.")] $kw,)*
+            $(#[doc = concat!("`", $punct_text, "`")] $punct,)*
+        }
 
-    // Keywords.
-    /// The `false` keyword.
-    KwFalse,
-    /// The `none` keyword.
-    KwNone,
-    /// The `true` keyword.
-    KwTrue,
-    /// The `and` keyword.
-    KwAnd,
-    /// The `as` keyword.
-    KwAs,
-    /// The `assert` keyword.
-    KwAssert,
-    /// The `async` keyword.
-    KwAsync,
-    /// The `await` keyword.
-    KwAwait,
-    /// The `break` keyword.
-    KwBreak,
-    /// The `class` keyword.
-    KwClass,
-    /// The `continue` keyword.
-    KwContinue,
-    /// The `def` keyword.
-    KwDef,
-    /// The `del` keyword.
-    KwDel,
-    /// The `elif` keyword.
-    KwElif,
-    /// The `else` keyword.
-    KwElse,
-    /// The `except` keyword.
-    KwExcept,
-    /// The `finally` keyword.
-    KwFinally,
-    /// The `for` keyword.
-    KwFor,
-    /// The `from` keyword.
-    KwFrom,
-    /// The `global` keyword.
-    KwGlobal,
-    /// The `if` keyword.
-    KwIf,
-    /// The `import` keyword.
-    KwImport,
-    /// The `in` keyword.
-    KwIn,
-    /// The `is` keyword.
-    KwIs,
-    /// The `lambda` keyword.
-    KwLambda,
-    /// The `nonlocal` keyword.
-    KwNonlocal,
-    /// The `not` keyword.
-    KwNot,
-    /// The `or` keyword.
-    KwOr,
-    /// The `pass` keyword.
-    KwPass,
-    /// The `raise` keyword.
-    KwRaise,
-    /// The `return` keyword.
-    KwReturn,
-    /// The `try` keyword.
-    KwTry,
-    /// The `while` keyword.
-    KwWhile,
-    /// The `with` keyword.
-    KwWith,
-    /// The `yield` keyword.
-    KwYield,
+        impl TokenKind {
+            /// Returns the keyword token for `name`, if `name` is a Python
+            /// keyword.
+            pub fn keyword(name: &str) -> Option<TokenKind> {
+                match name {
+                    $($kw_text => Some(TokenKind::$kw),)*
+                    _ => None,
+                }
+            }
+        }
 
-    // Punctuation and operators.
-    /// `(`
-    LParen,
-    /// `)`
-    RParen,
-    /// `[`
-    LBracket,
-    /// `]`
-    RBracket,
-    /// `{`
-    LBrace,
-    /// `}`
-    RBrace,
-    /// `,`
-    Comma,
-    /// `:`
-    Colon,
-    /// `;`
-    Semicolon,
-    /// `.`
-    Dot,
-    /// `->`
-    Arrow,
-    /// `@`
-    At,
-    /// `=`
-    Assign,
-    /// The walrus operator `:=`.
-    ColonAssign,
-    /// `+`
-    Plus,
-    /// `-`
-    Minus,
-    /// `*`
-    Star,
-    /// `**`
-    DoubleStar,
-    /// `/`
-    Slash,
-    /// `//`
-    DoubleSlash,
-    /// `%`
-    Percent,
-    /// `&`
-    Amp,
-    /// `|`
-    Pipe,
-    /// `^`
-    Caret,
-    /// `~`
-    Tilde,
-    /// `<<`
-    LShift,
-    /// `>>`
-    RShift,
-    /// `<`
-    Lt,
-    /// `>`
-    Gt,
-    /// `<=`
-    Le,
-    /// `>=`
-    Ge,
-    /// `==`
-    EqEq,
-    /// `!=`
-    NotEq,
-    /// Augmented assignment, e.g. `+=`; the inner operator text is kept.
-    AugAssign(&'static str),
-    /// `...`
-    Ellipsis,
+        /// Every punctuation and operator token, with its spelling.
+        pub(crate) const PUNCTUATION: &[(&str, TokenKind)] =
+            &[$(($punct_text, TokenKind::$punct)),*];
 
-    // Structure.
-    /// end of a logical line
-    Newline,
-    /// increase of indentation
-    Indent,
-    /// decrease of indentation
-    Dedent,
-    /// end of input
-    EndOfFile,
-    /// What the parser leaves in a token's slot after moving the token out.
-    /// The lexer never produces it and the parser never reads it back.
-    Taken,
+        impl fmt::Display for TokenKind {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self {
+                    $(TokenKind::$lex => $lex_shown,)*
+                    $(TokenKind::$kw => concat!("`", $kw_text, "`"),)*
+                    $(TokenKind::$punct => concat!("`", $punct_text, "`"),)*
+                })
+            }
+        }
+    };
+}
+
+token_kinds! {
+    lexemes {
+        Name: "Identifier or non-keyword name." => "name",
+        Int: "Integer literal (value kept as text; the analysis never needs it)." => "integer",
+        Float: "Floating point literal (kept as text)." => "float",
+        Str: "String literal; [`Token::body`] strips its quotes and prefix." => "string literal",
+        FStr: "F-string literal; its `{...}` interpolations are parsed by the parser." =>
+            "f-string literal",
+        Bytes: "Bytes literal." => "bytes literal",
+        AugAssign: "Augmented assignment, e.g. `+=`; the token text spells the operator." =>
+            "augmented assignment",
+        Newline: "End of a logical line." => "newline",
+        Indent: "Increase of indentation." => "indent",
+        Dedent: "Decrease of indentation." => "dedent",
+        EndOfFile: "End of input." => "end of file",
+    }
+    keywords {
+        KwFalse = "False", KwNone = "None", KwTrue = "True", KwAnd = "and", KwAs = "as",
+        KwAssert = "assert", KwAsync = "async", KwAwait = "await", KwBreak = "break",
+        KwClass = "class", KwContinue = "continue", KwDef = "def", KwDel = "del",
+        KwElif = "elif", KwElse = "else", KwExcept = "except", KwFinally = "finally",
+        KwFor = "for", KwFrom = "from", KwGlobal = "global", KwIf = "if", KwImport = "import",
+        KwIn = "in", KwIs = "is", KwLambda = "lambda", KwNonlocal = "nonlocal", KwNot = "not",
+        KwOr = "or", KwPass = "pass", KwRaise = "raise", KwReturn = "return", KwTry = "try",
+        KwWhile = "while", KwWith = "with", KwYield = "yield",
+    }
+    punctuation {
+        LParen = "(", RParen = ")", LBracket = "[", RBracket = "]", LBrace = "{", RBrace = "}",
+        Comma = ",", Colon = ":", Semicolon = ";", Dot = ".", Arrow = "->", At = "@",
+        Assign = "=", ColonAssign = ":=", Plus = "+", Minus = "-", Star = "*",
+        DoubleStar = "**", Slash = "/", DoubleSlash = "//", Percent = "%", Amp = "&",
+        Pipe = "|", Caret = "^", Tilde = "~", LShift = "<<", RShift = ">>", Lt = "<", Gt = ">",
+        Le = "<=", Ge = ">=", EqEq = "==", NotEq = "!=", Ellipsis = "...",
+    }
 }
 
 impl TokenKind {
-    /// Returns the keyword token for `name`, if `name` is a Python keyword.
-    pub fn keyword(name: &str) -> Option<TokenKind> {
-        use TokenKind::*;
-        Some(match name {
-            "False" => KwFalse,
-            "None" => KwNone,
-            "True" => KwTrue,
-            "and" => KwAnd,
-            "as" => KwAs,
-            "assert" => KwAssert,
-            "async" => KwAsync,
-            "await" => KwAwait,
-            "break" => KwBreak,
-            "class" => KwClass,
-            "continue" => KwContinue,
-            "def" => KwDef,
-            "del" => KwDel,
-            "elif" => KwElif,
-            "else" => KwElse,
-            "except" => KwExcept,
-            "finally" => KwFinally,
-            "for" => KwFor,
-            "from" => KwFrom,
-            "global" => KwGlobal,
-            "if" => KwIf,
-            "import" => KwImport,
-            "in" => KwIn,
-            "is" => KwIs,
-            "lambda" => KwLambda,
-            "nonlocal" => KwNonlocal,
-            "not" => KwNot,
-            "or" => KwOr,
-            "pass" => KwPass,
-            "raise" => KwRaise,
-            "return" => KwReturn,
-            "try" => KwTry,
-            "while" => KwWhile,
-            "with" => KwWith,
-            "yield" => KwYield,
-            _ => return None,
-        })
-    }
-
     /// True for tokens that terminate a logical line.
     pub fn ends_line(&self) -> bool {
         matches!(self, TokenKind::Newline | TokenKind::EndOfFile)
     }
 }
 
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use TokenKind::*;
-        match self {
-            Name(s) => write!(f, "name `{s}`"),
-            Int(s) => write!(f, "integer `{s}`"),
-            Float(s) => write!(f, "float `{s}`"),
-            Str(_) => write!(f, "string literal"),
-            FStr(_) => write!(f, "f-string literal"),
-            Bytes(_) => write!(f, "bytes literal"),
-            KwFalse => write!(f, "`False`"),
-            KwNone => write!(f, "`None`"),
-            KwTrue => write!(f, "`True`"),
-            KwAnd => write!(f, "`and`"),
-            KwAs => write!(f, "`as`"),
-            KwAssert => write!(f, "`assert`"),
-            KwAsync => write!(f, "`async`"),
-            KwAwait => write!(f, "`await`"),
-            KwBreak => write!(f, "`break`"),
-            KwClass => write!(f, "`class`"),
-            KwContinue => write!(f, "`continue`"),
-            KwDef => write!(f, "`def`"),
-            KwDel => write!(f, "`del`"),
-            KwElif => write!(f, "`elif`"),
-            KwElse => write!(f, "`else`"),
-            KwExcept => write!(f, "`except`"),
-            KwFinally => write!(f, "`finally`"),
-            KwFor => write!(f, "`for`"),
-            KwFrom => write!(f, "`from`"),
-            KwGlobal => write!(f, "`global`"),
-            KwIf => write!(f, "`if`"),
-            KwImport => write!(f, "`import`"),
-            KwIn => write!(f, "`in`"),
-            KwIs => write!(f, "`is`"),
-            KwLambda => write!(f, "`lambda`"),
-            KwNonlocal => write!(f, "`nonlocal`"),
-            KwNot => write!(f, "`not`"),
-            KwOr => write!(f, "`or`"),
-            KwPass => write!(f, "`pass`"),
-            KwRaise => write!(f, "`raise`"),
-            KwReturn => write!(f, "`return`"),
-            KwTry => write!(f, "`try`"),
-            KwWhile => write!(f, "`while`"),
-            KwWith => write!(f, "`with`"),
-            KwYield => write!(f, "`yield`"),
-            LParen => write!(f, "`(`"),
-            RParen => write!(f, "`)`"),
-            LBracket => write!(f, "`[`"),
-            RBracket => write!(f, "`]`"),
-            LBrace => write!(f, "`{{`"),
-            RBrace => write!(f, "`}}`"),
-            Comma => write!(f, "`,`"),
-            Colon => write!(f, "`:`"),
-            Semicolon => write!(f, "`;`"),
-            Dot => write!(f, "`.`"),
-            Arrow => write!(f, "`->`"),
-            At => write!(f, "`@`"),
-            Assign => write!(f, "`=`"),
-            ColonAssign => write!(f, "`:=`"),
-            Plus => write!(f, "`+`"),
-            Minus => write!(f, "`-`"),
-            Star => write!(f, "`*`"),
-            DoubleStar => write!(f, "`**`"),
-            Slash => write!(f, "`/`"),
-            DoubleSlash => write!(f, "`//`"),
-            Percent => write!(f, "`%`"),
-            Amp => write!(f, "`&`"),
-            Pipe => write!(f, "`|`"),
-            Caret => write!(f, "`^`"),
-            Tilde => write!(f, "`~`"),
-            LShift => write!(f, "`<<`"),
-            RShift => write!(f, "`>>`"),
-            Lt => write!(f, "`<`"),
-            Gt => write!(f, "`>`"),
-            Le => write!(f, "`<=`"),
-            Ge => write!(f, "`>=`"),
-            EqEq => write!(f, "`==`"),
-            NotEq => write!(f, "`!=`"),
-            AugAssign(op) => write!(f, "`{op}=`"),
-            Ellipsis => write!(f, "`...`"),
-            Newline => write!(f, "newline"),
-            Indent => write!(f, "indent"),
-            Dedent => write!(f, "dedent"),
-            EndOfFile => write!(f, "end of file"),
-            Taken => write!(f, "consumed token"),
+/// A lexical token: a [`TokenKind`], the source text it covers and where
+/// that text starts. Every token, the synthesized `Newline`, `Indent`,
+/// `Dedent` and `EndOfFile` included, is a slice of the source, so its span
+/// ends where its text does and a token is four words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'s> {
+    /// The exact source text of the token (quotes and prefix included for
+    /// string literals).
+    pub text: &'s str,
+    /// Byte offset of `text` in the source.
+    pub start: u32,
+    /// 1-based line of `start`.
+    pub line: u32,
+    /// 1-based column of `start` (in bytes).
+    pub col: u32,
+    /// What kind of token this is.
+    pub kind: TokenKind,
+}
+
+impl<'s> Token<'s> {
+    /// Creates a token for `text`, which starts at byte `start`.
+    pub fn new(kind: TokenKind, text: &'s str, start: u32, line: u32, col: u32) -> Self {
+        Token { text, start, line, col, kind }
+    }
+
+    /// Where in the source the token came from.
+    pub fn span(&self) -> Span {
+        Span::new(self.start, self.start + self.text.len() as u32, self.line, self.col)
+    }
+
+    /// The token's value: a string literal's body without its prefix and
+    /// quotes (escapes kept verbatim), any other token's text.
+    pub fn body(&self) -> &'s str {
+        if !matches!(self.kind, TokenKind::Str | TokenKind::FStr | TokenKind::Bytes) {
+            return self.text;
         }
+        let open = self.text.find(['\'', '"']).unwrap_or(0);
+        let quote = &self.text[open..];
+        let triple = quote.len() >= 6 && quote.as_bytes()[1] == quote.as_bytes()[0]
+            && quote.as_bytes()[2] == quote.as_bytes()[0];
+        let q = if triple { 3 } else { 1 };
+        &quote[q..quote.len() - q]
     }
 }
 
-/// A lexical token: a [`TokenKind`] plus its [`Span`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    /// What kind of token this is.
-    pub kind: TokenKind,
-    /// Where in the source it came from.
-    pub span: Span,
-}
-
-impl Token {
-    /// Creates a token.
-    pub fn new(kind: TokenKind, span: Span) -> Self {
-        Token { kind, span }
+impl fmt::Display for Token<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.kind {
+            TokenKind::Name | TokenKind::Int | TokenKind::Float => {
+                write!(f, "{} `{}`", self.kind, self.text)
+            }
+            TokenKind::AugAssign => write!(f, "`{}`", self.text),
+            kind => kind.fmt(f),
+        }
     }
 }
 
@@ -358,7 +172,25 @@ mod tests {
 
     #[test]
     fn display_mentions_lexeme() {
-        assert_eq!(TokenKind::Name("foo".into()).to_string(), "name `foo`");
-        assert_eq!(TokenKind::AugAssign("+").to_string(), "`+=`");
+        let token = |kind, text| Token::new(kind, text, 0, 1, 1);
+        assert_eq!(token(TokenKind::Name, "foo").to_string(), "name `foo`");
+        assert_eq!(token(TokenKind::AugAssign, "+=").to_string(), "`+=`");
+        assert_eq!(token(TokenKind::Colon, ":").to_string(), "`:`");
+    }
+
+    #[test]
+    fn body_strips_prefix_and_quotes() {
+        let body = |kind, text| Token::new(kind, text, 0, 1, 1).body();
+        assert_eq!(body(TokenKind::Str, "'a'"), "a");
+        assert_eq!(body(TokenKind::Str, "''"), "");
+        assert_eq!(body(TokenKind::Str, "\'\'\'\'\'\'"), "");
+        assert_eq!(body(TokenKind::FStr, "rf\"\"\"x\"y\"\"\""), "x\"y");
+        assert_eq!(body(TokenKind::Bytes, "b'\\''"), "\\'");
+        assert_eq!(body(TokenKind::Name, "n"), "n");
+    }
+
+    #[test]
+    fn token_is_four_words() {
+        assert!(std::mem::size_of::<Token<'_>>() <= 32);
     }
 }

@@ -7,10 +7,10 @@
 //! table in `crate::ops`.
 
 use crate::ast::*;
-use crate::ops::{self, Fixity, Operator, Prec};
+use crate::ops::{self, Operator, Prec};
 
 /// Renders a module as Python source.
-pub fn unparse(module: &Module) -> String {
+pub fn unparse(module: &Module<'_>) -> String {
     let mut p = Printer::new();
     for stmt in &module.body {
         p.stmt(stmt);
@@ -19,7 +19,7 @@ pub fn unparse(module: &Module) -> String {
 }
 
 /// Renders a single expression.
-pub fn unparse_expr(expr: &Expr) -> String {
+pub fn unparse_expr(expr: &Expr<'_>) -> String {
     Printer::new().render(expr, Prec::Test)
 }
 
@@ -41,7 +41,7 @@ impl Printer {
         self.out.push('\n');
     }
 
-    fn suite(&mut self, body: &[Stmt]) {
+    fn suite(&mut self, body: &[Stmt<'_>]) {
         self.indent += 1;
         if body.is_empty() {
             self.line("pass");
@@ -54,20 +54,20 @@ impl Printer {
     }
 
     /// An `else:` or `finally:` clause, printed only when it has a body.
-    fn clause(&mut self, keyword: &str, body: &[Stmt]) {
+    fn clause(&mut self, keyword: &str, body: &[Stmt<'_>]) {
         if !body.is_empty() {
             self.line(&format!("{keyword}:"));
             self.suite(body);
         }
     }
 
-    fn stmt(&mut self, stmt: &Stmt) {
+    fn stmt(&mut self, stmt: &Stmt<'_>) {
         match &stmt.kind {
             StmtKind::Import(aliases) => self.line(&format!("import {}", alias_list(aliases))),
             StmtKind::ImportFrom { module, names, level } => {
                 let dots = ".".repeat(*level as usize);
                 let list = alias_list(names);
-                self.line(&format!("from {dots}{} import {list}", module.join(".")));
+                self.line(&format!("from {dots}{} import {list}", dotted(module)));
             }
             StmtKind::FunctionDef(def) => self.function_def(def),
             StmtKind::ClassDef(def) => self.class_def(def),
@@ -194,7 +194,7 @@ impl Printer {
         }
     }
 
-    fn function_def(&mut self, def: &FunctionDef) {
+    fn function_def(&mut self, def: &FunctionDef<'_>) {
         for d in &def.decorators {
             let d = self.render(d, Prec::Test);
             self.line(&format!("@{d}"));
@@ -209,7 +209,7 @@ impl Printer {
         self.suite(&def.body);
     }
 
-    fn class_def(&mut self, def: &ClassDef) {
+    fn class_def(&mut self, def: &ClassDef<'_>) {
         for d in &def.decorators {
             let d = self.render(d, Prec::Test);
             self.line(&format!("@{d}"));
@@ -223,7 +223,7 @@ impl Printer {
         self.suite(&def.body);
     }
 
-    fn param_list(&mut self, params: &[Param]) -> String {
+    fn param_list(&mut self, params: &[Param<'_>]) -> String {
         params
             .iter()
             .map(|p| {
@@ -231,7 +231,7 @@ impl Printer {
                     ParamKind::VarArgs => format!("*{}", p.name),
                     ParamKind::KwArgs => format!("**{}", p.name),
                     ParamKind::KwOnlyMarker => return "*".to_string(),
-                    ParamKind::Plain => p.name.clone(),
+                    ParamKind::Plain => p.name.to_string(),
                 };
                 if let Some(a) = &p.annotation {
                     s.push_str(": ");
@@ -249,7 +249,7 @@ impl Printer {
 
     /// A call's or a class header's arguments: positional, then `name=value`
     /// and `**mapping` keywords.
-    fn call_args(&mut self, args: &[Expr], keywords: &[Keyword]) -> String {
+    fn call_args(&mut self, args: &[Expr<'_>], keywords: &[Keyword<'_>]) -> String {
         let mut parts: Vec<String> = args.iter().map(|a| self.render(a, Prec::Test)).collect();
         for k in keywords {
             let v = self.render(&k.value, Prec::Test);
@@ -262,12 +262,12 @@ impl Printer {
     }
 
     /// Renders each of `exprs` at `min_prec`, joined by `sep`.
-    fn join(&mut self, exprs: &[Expr], min_prec: Prec, sep: &str) -> String {
+    fn join(&mut self, exprs: &[Expr<'_>], min_prec: Prec, sep: &str) -> String {
         exprs.iter().map(|e| self.render(e, min_prec)).collect::<Vec<_>>().join(sep)
     }
 
     /// Renders `e`, parenthesizing when its precedence is below `min_prec`.
-    fn render(&mut self, e: &Expr, min_prec: Prec) -> String {
+    fn render(&mut self, e: &Expr<'_>, min_prec: Prec) -> String {
         let (text, prec) = self.render_raw(e);
         if prec < min_prec {
             format!("({text})")
@@ -276,10 +276,10 @@ impl Printer {
         }
     }
 
-    fn render_raw(&mut self, e: &Expr) -> (String, Prec) {
+    fn render_raw(&mut self, e: &Expr<'_>) -> (String, Prec) {
         match &e.kind {
-            ExprKind::Name(n) => (n.clone(), Prec::Postfix),
-            ExprKind::Number(n) => (n.clone(), Prec::Postfix),
+            ExprKind::Name(n) => (n.to_string(), Prec::Postfix),
+            ExprKind::Number(n) => (n.to_string(), Prec::Postfix),
             ExprKind::Str(s) => (format!("'{}'", escape_str(s)), Prec::Postfix),
             ExprKind::FString { text, .. } => (format!("f'{}'", escape_str(text)), Prec::Postfix),
             ExprKind::Bytes(s) => (format!("b'{}'", escape_str(s)), Prec::Postfix),
@@ -297,7 +297,7 @@ impl Printer {
                 (format!("{v}[{i}]"), Prec::Postfix)
             }
             ExprKind::Slice { lower, upper, step } => {
-                let part = |p: &Option<Box<Expr>>, this: &mut Self| match p {
+                let part = |p: &Option<Box<Expr<'_>>>, this: &mut Self| match p {
                     Some(e) => this.render(e, Prec::Test),
                     None => String::new(),
                 };
@@ -326,7 +326,7 @@ impl Printer {
             ExprKind::UnaryOp { op, operand } => {
                 let row = operator(op, true);
                 let v = self.render(operand, row.operands().1);
-                let space = if op == "not" { " " } else { "" };
+                let space = if *op == "not" { " " } else { "" };
                 (format!("{op}{space}{v}"), row.prec)
             }
             ExprKind::BoolOp { op, values } => {
@@ -442,19 +442,23 @@ impl Printer {
     }
 }
 
-fn alias_list(aliases: &[ImportAlias]) -> String {
-    let alias = |a: &ImportAlias| match &a.asname {
-        Some(n) => format!("{} as {n}", a.name.join(".")),
-        None => a.name.join("."),
+fn alias_list(aliases: &[ImportAlias<'_>]) -> String {
+    let alias = |a: &ImportAlias<'_>| match &a.asname {
+        Some(n) => format!("{} as {n}", dotted(a.name)),
+        None => dotted(a.name),
     };
     aliases.iter().map(alias).collect::<Vec<_>>().join(", ")
+}
+
+/// A dotted path in canonical form, `a.b`, however the source spelled it.
+fn dotted(path: &str) -> String {
+    segments(path).collect::<Vec<_>>().join(".")
 }
 
 /// The table row of an operator the parser produced: a prefix operator if
 /// `prefix`, else an infix one.
 fn operator(text: &str, prefix: bool) -> &'static Operator {
-    let is = |op: &&Operator| op.text == text && (op.fixity == Fixity::Prefix) == prefix;
-    ops::OPERATORS.iter().find(is).unwrap_or_else(|| panic!("`{text}` is not an operator"))
+    ops::spelled(text, prefix).unwrap_or_else(|| panic!("`{text}` is not an operator"))
 }
 
 /// Escapes a string or f-string body for single-quoted output. The lexer

@@ -6,14 +6,14 @@
 //! on the constraint-generation hot path. With interned representations
 //! the distinct query strings are a tiny fraction of the queries, so a
 //! [`CompiledSpec`] resolves each symbol against the glob list and the
-//! entry map exactly once per corpus and answers repeats from a
-//! symbol-keyed cache.
+//! entry map exactly once per corpus and answers repeats from dense tables
+//! indexed by [`Symbol::index`], grown on demand: a repeat is one bounds
+//! check and one load, no hashing.
 
 use crate::role::{Role, RoleSet};
 use crate::spec::TaintSpec;
 use seldon_intern::Symbol;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// A memoizing matcher over a borrowed [`TaintSpec`].
 ///
@@ -23,11 +23,26 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct CompiledSpec<'a> {
     spec: &'a TaintSpec,
-    /// Blacklist verdict per symbol, resolved on first query.
-    blacklisted: RefCell<HashMap<Symbol, bool>>,
-    /// Role set per symbol (blacklist already applied), resolved on first
-    /// query.
-    roles: RefCell<HashMap<Symbol, RoleSet>>,
+    /// Blacklist verdict per symbol index, `None` until first queried.
+    blacklisted: RefCell<Vec<Option<bool>>>,
+    /// Role set per symbol index (blacklist already applied), `None` until
+    /// first queried.
+    roles: RefCell<Vec<Option<RoleSet>>>,
+}
+
+/// The memoized answer for `rep` in `table`, resolving it on first query.
+fn memo<T: Copy>(table: &RefCell<Vec<Option<T>>>, rep: Symbol, resolve: impl FnOnce() -> T) -> T {
+    let i = rep.index();
+    if let Some(&Some(answer)) = table.borrow().get(i) {
+        return answer;
+    }
+    let answer = resolve();
+    let mut table = table.borrow_mut();
+    if table.len() <= i {
+        table.resize(i + 1, None);
+    }
+    table[i] = Some(answer);
+    answer
 }
 
 impl<'a> CompiledSpec<'a> {
@@ -35,8 +50,8 @@ impl<'a> CompiledSpec<'a> {
     pub fn new(spec: &'a TaintSpec) -> Self {
         CompiledSpec {
             spec,
-            blacklisted: RefCell::new(HashMap::new()),
-            roles: RefCell::new(HashMap::new()),
+            blacklisted: RefCell::new(Vec::new()),
+            roles: RefCell::new(Vec::new()),
         }
     }
 
@@ -48,21 +63,13 @@ impl<'a> CompiledSpec<'a> {
     /// Whether the representation matches a blacklist pattern; glob
     /// matching runs once per distinct symbol.
     pub fn is_blacklisted(&self, rep: Symbol) -> bool {
-        *self
-            .blacklisted
-            .borrow_mut()
-            .entry(rep)
-            .or_insert_with(|| self.spec.is_blacklisted(rep.as_str()))
+        memo(&self.blacklisted, rep, || self.spec.is_blacklisted(rep.as_str()))
     }
 
     /// The roles of the representation (empty if blacklisted or unknown),
     /// memoized per symbol.
     pub fn roles(&self, rep: Symbol) -> RoleSet {
-        *self
-            .roles
-            .borrow_mut()
-            .entry(rep)
-            .or_insert_with(|| self.spec.roles(rep.as_str()))
+        memo(&self.roles, rep, || self.spec.roles(rep.as_str()))
     }
 
     /// Whether the representation has `role`.
@@ -72,7 +79,8 @@ impl<'a> CompiledSpec<'a> {
 
     /// Number of distinct symbols resolved so far (for diagnostics).
     pub fn memoized(&self) -> usize {
-        self.blacklisted.borrow().len().max(self.roles.borrow().len())
+        let verdicts = self.blacklisted.borrow().iter().filter(|a| a.is_some()).count();
+        verdicts.max(self.roles.borrow().iter().filter(|a| a.is_some()).count())
     }
 }
 

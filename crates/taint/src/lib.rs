@@ -218,7 +218,7 @@ impl<'g> TaintAnalyzer<'g> {
             }
             let pos = match self.graph.arg_position(p, sink) {
                 Some(ArgPos::Positional(i)) => ArgRef::Positional(*i),
-                Some(ArgPos::Keyword(k)) => ArgRef::Keyword(k.clone()),
+                Some(ArgPos::Keyword(k)) => ArgRef::Keyword(k.to_string()),
                 Some(ArgPos::Receiver) => ArgRef::Receiver,
                 None => ArgRef::Unknown,
             };

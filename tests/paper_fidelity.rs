@@ -80,9 +80,9 @@ def media():
 }
 
 /// A representation context whose only binding is the import `name`.
-fn ctx_with_import(name: &str, path: &[&str]) -> ReprCtx<'static> {
+fn ctx_with_import(name: &'static str, path: &[&str]) -> ReprCtx<'static> {
     let mut imports = ImportMap::new();
-    imports.insert(name, path);
+    imports.insert(name, path.iter().copied());
     ReprCtx { imports: Rc::new(imports), ..ReprCtx::new() }
 }
 

@@ -47,20 +47,20 @@ fn assert_no_consumed_token(errors: &[FrontendError], what: &str) {
 
 /// One language's parser surface, so the checks below run on both.
 trait Frontend {
-    type Body: PartialEq + std::fmt::Debug;
+    type Body<'s>: PartialEq + std::fmt::Debug;
     /// Deletable lexemes of `src`, as byte spans.
     fn token_spans(src: &str) -> Vec<Span>;
     /// Byte offsets where a top-level statement starts.
     fn statement_starts(src: &str) -> Vec<u32>;
-    fn strict(src: &str) -> Result<Vec<Self::Body>, FrontendError>;
-    fn lenient(src: &str) -> (Vec<Self::Body>, Vec<FrontendError>);
-    fn start_of(stmt: &Self::Body) -> u32;
+    fn strict(src: &str) -> Result<Vec<Self::Body<'_>>, FrontendError>;
+    fn lenient(src: &str) -> (Vec<Self::Body<'_>>, Vec<FrontendError>);
+    fn start_of(stmt: &Self::Body<'_>) -> u32;
 }
 
 struct Python;
 
 impl Frontend for Python {
-    type Body = seldon_pyast::Stmt;
+    type Body<'s> = seldon_pyast::Stmt<'s>;
 
     fn token_spans(src: &str) -> Vec<Span> {
         let tokens = seldon_pyast::lexer::lex(src).expect("valid file lexes");
@@ -69,7 +69,7 @@ impl Frontend for Python {
             .filter(|t| {
                 !matches!(t.kind, PyTok::Newline | PyTok::Indent | PyTok::Dedent | PyTok::EndOfFile)
             })
-            .map(|t| t.span)
+            .map(|t| t.span())
             .collect()
     }
 
@@ -92,7 +92,7 @@ impl Frontend for Python {
                             PyTok::KwElse | PyTok::KwElif | PyTok::KwExcept | PyTok::KwFinally
                         );
                         if !after_decorator && !continues {
-                            starts.push(t.span.start);
+                            starts.push(t.start);
                         }
                         after_decorator = t.kind == PyTok::At;
                     }
@@ -103,16 +103,16 @@ impl Frontend for Python {
         starts
     }
 
-    fn strict(src: &str) -> Result<Vec<Self::Body>, FrontendError> {
+    fn strict(src: &str) -> Result<Vec<Self::Body<'_>>, FrontendError> {
         seldon_pyast::parse(src).map(|m| m.body)
     }
 
-    fn lenient(src: &str) -> (Vec<Self::Body>, Vec<FrontendError>) {
+    fn lenient(src: &str) -> (Vec<Self::Body<'_>>, Vec<FrontendError>) {
         let (m, errors) = seldon_pyast::parse_lenient(src);
         (m.body, errors)
     }
 
-    fn start_of(stmt: &Self::Body) -> u32 {
+    fn start_of(stmt: &Self::Body<'_>) -> u32 {
         stmt.span.start
     }
 }
@@ -120,11 +120,11 @@ impl Frontend for Python {
 struct Js;
 
 impl Frontend for Js {
-    type Body = seldon_jsfront::ast::Stmt;
+    type Body<'s> = seldon_jsfront::ast::Stmt<'s>;
 
     fn token_spans(src: &str) -> Vec<Span> {
         let tokens = seldon_jsfront::lexer::lex(src).expect("valid file lexes");
-        tokens.into_iter().filter(|t| t.kind != JsTok::EndOfFile).map(|t| t.span).collect()
+        tokens.into_iter().filter(|t| t.kind != JsTok::EndOfFile).map(|t| t.span()).collect()
     }
 
     /// Tokens at bracket depth zero that follow a `;` or the `}` closing a
@@ -140,7 +140,7 @@ impl Frontend for Js {
                 break;
             }
             if at_start && depth == 0 && t.kind != JsTok::Else {
-                starts.push(t.span.start);
+                starts.push(t.start);
             }
             at_start = false;
             match t.kind {
@@ -164,16 +164,16 @@ impl Frontend for Js {
         starts
     }
 
-    fn strict(src: &str) -> Result<Vec<Self::Body>, FrontendError> {
+    fn strict(src: &str) -> Result<Vec<Self::Body<'_>>, FrontendError> {
         seldon_jsfront::parse(src).map(|p| p.body)
     }
 
-    fn lenient(src: &str) -> (Vec<Self::Body>, Vec<FrontendError>) {
+    fn lenient(src: &str) -> (Vec<Self::Body<'_>>, Vec<FrontendError>) {
         let (p, errors) = seldon_jsfront::parse_lenient(src);
         (p.body, errors)
     }
 
-    fn start_of(stmt: &Self::Body) -> u32 {
+    fn start_of(stmt: &Self::Body<'_>) -> u32 {
         stmt.span.start
     }
 }
@@ -222,7 +222,7 @@ fn recovery_keeps_the_prefix_before_the_first_error<F: Frontend>(lang: Lang) -> 
                 .take_while(|&s| s <= error_at)
                 .last()
                 .unwrap_or(0);
-            let kept: Vec<&F::Body> = body.iter().filter(|s| F::start_of(s) < cut).collect();
+            let kept: Vec<&F::Body<'_>> = body.iter().filter(|s| F::start_of(s) < cut).collect();
             let prefix = F::strict(&mutant[..cut as usize])
                 .unwrap_or_else(|e| panic!("{what}: prefix before {cut} fails: {e}"));
             assert_eq!(
