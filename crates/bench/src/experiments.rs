@@ -316,10 +316,11 @@ pub fn fig11(wb: &Workbench) -> Table {
             .collect();
         // Tie-break on the resolved text, not the symbol handle, so ranking
         // stays lexicographic regardless of interning order.
-        scored.sort_by(|a, b| b.1.total_cmp(a.1).then_with(|| a.0 .0.as_str().cmp(b.0 .0.as_str())));
+        let text = |rep| wb.run.system.rep_text(rep);
+        scored.sort_by(|a, b| b.1.total_cmp(a.1).then_with(|| text(a.0 .0).cmp(text(b.0 .0))));
         let mut correct = 0usize;
         for (rank, ((rep, _), score)) in scored.iter().take(50).enumerate() {
-            let ok = wb.truth.role_of(rep.as_str()) == Some(role);
+            let ok = wb.truth.role_of(text(*rep)) == Some(role);
             if ok {
                 correct += 1;
             }
@@ -327,7 +328,7 @@ pub fn fig11(wb: &Workbench) -> Table {
                 format!("{role}"),
                 (rank + 1).to_string(),
                 format!("{score:.3}"),
-                rep.as_str().to_string(),
+                text(*rep).to_string(),
                 if ok { "yes" } else { "no" }.into(),
                 pct(correct as f64 / (rank + 1) as f64),
             ]);
@@ -467,7 +468,7 @@ pub fn q5(wb: &Workbench) -> Table {
         let project_reps: std::collections::HashSet<&str> = analyzed
             .graph
             .events()
-            .flat_map(|(_, e)| e.reps.iter().map(|r| r.as_str()))
+            .flat_map(|(_, e)| e.reps.iter().map(|&r| analyzed.graph.symbols().resolve(r)))
             .collect();
         for (rep, roles) in wb.run.extraction.spec.iter() {
             if project_reps.contains(rep) {

@@ -1,12 +1,12 @@
 //! The per-file artifact payload: a propagation graph serialized by
 //! representation **string**.
 //!
-//! `Symbol(u32)` values are slots in the process-global interner — a second
-//! process (or the same binary after a restart) assigns different numbers
-//! to the same strings, so raw symbols must never reach disk. An artifact
-//! instead carries a per-entry string table of representation texts;
-//! events reference table indices, and [`decode`] re-interns the strings in
-//! the loading process. [`FileId`]s are equally run-local (the file's index
+//! A `Symbol(u32)` means something only to the table that issued it — the
+//! graph's own, whose numbering depends on the order the file was walked —
+//! so raw symbols never reach disk. An artifact instead carries a
+//! per-entry string table of representation texts; events reference table
+//! indices, and [`decode`] interns the strings straight into the decoded
+//! graph's own table. [`FileId`]s are equally run-local (the file's index
 //! in corpus order), so the stored graph is always stamped file 0 and
 //! re-stamped with the caller's id on load.
 //!
@@ -20,12 +20,10 @@
 
 use crate::codec::{Reader, Writer};
 use crate::entry::EntryError;
-use seldon_intern::{intern, IdHash, Symbol};
-use seldon_propgraph::{
-    keyword_name, ArgPos, EdgeKind, Event, EventId, EventKind, FileId, PropagationGraph,
-};
+use seldon_intern::{IdHash, Symbol};
+use seldon_propgraph::{ArgPos, EdgeKind, Event, EventId, EventKind, FileId, PropagationGraph};
 use seldon_pyast::Span;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 fn kind_tag(kind: EventKind) -> u8 {
     match kind {
@@ -108,7 +106,7 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
     }
     let mut w = Writer::default();
     w.u64(recovered_errors as u64);
-    w.table(&strings, |w, s| w.str(s.as_str()));
+    w.table(&strings, |w, &s| w.str(graph.symbols().resolve(s)));
     let mut rep_indices = rep_indices.into_iter();
     w.table(graph.events(), |w, (_, event)| {
         w.u8(kind_tag(event.kind));
@@ -142,7 +140,7 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
             }
             ArgPos::Keyword(name) => {
                 w.u8(2);
-                w.str(name);
+                w.str(graph.symbols().resolve(*name));
             }
         }
     });
@@ -153,12 +151,12 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
     w.finish()
 }
 
-/// Rebuilds the graph of a payload written by [`encode`] in this
-/// process, in one pass: representation strings are re-interned straight
-/// from the payload, events are stamped with `file`, edges are replayed
-/// in their stored schedule, and the stored frequency fragment is checked
-/// against the uses counted on the way. Returns the graph and its
-/// recovered-error count.
+/// Rebuilds the graph of a payload written by [`encode`], in one pass:
+/// representation strings are interned straight from the payload into the
+/// graph's own table, in string-table order, events are stamped with
+/// `file`, edges are replayed in their stored schedule, and the stored
+/// frequency fragment is checked against the uses counted on the way.
+/// Returns the graph and its recovered-error count.
 ///
 /// # Errors
 ///
@@ -171,22 +169,18 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
     let mut r = Reader::new(payload);
     let recovered_errors = r.usize()?;
     // Minimum row widths: a length or count prefix is 4 bytes, an event
-    // is a tag, four span fields and its rep count. Equal strings intern
-    // to equal symbols, so a repeated symbol is a repeated string.
+    // is a tag, four span fields and its rep count. The table starts empty
+    // and equal strings intern to equal symbols, so string `i` is symbol
+    // `i` unless it repeats an earlier string.
     let strings = r.count(4)?;
-    let mut symbols = Vec::with_capacity(strings);
-    let mut seen: HashSet<Symbol, IdHash> =
-        HashSet::with_capacity_and_hasher(strings, IdHash::default());
-    for _ in 0..strings {
-        let symbol = intern(r.str()?);
-        if !seen.insert(symbol) {
+    let mut graph = PropagationGraph::new();
+    for i in 0..strings {
+        if graph.symbols_mut().intern(r.str()?).index() != i {
             return Err(corrupt("duplicate string-table entries"));
         }
-        symbols.push(symbol);
     }
     let mut uses = vec![0u32; strings];
     let events = r.count(21)?;
-    let mut graph = PropagationGraph::new();
     graph.reserve_events(events);
     for _ in 0..events {
         let kind = kind_from_tag(r.u8()?).ok_or_else(|| corrupt("unknown event kind"))?;
@@ -198,10 +192,9 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
         let mut reps = Vec::with_capacity(count);
         for _ in 0..count {
             let i = r.u32()? as usize;
-            let symbol =
-                symbols.get(i).ok_or_else(|| corrupt("representation index out of range"))?;
-            uses[i] += 1;
-            reps.push(*symbol);
+            let n = uses.get_mut(i).ok_or_else(|| corrupt("representation index out of range"))?;
+            *n += 1;
+            reps.push(Symbol(i as u32));
         }
         graph.add_event(Event::new(kind, reps, file, span));
     }
@@ -228,7 +221,7 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
         let pos = match r.u8()? {
             0 => ArgPos::Receiver,
             1 => ArgPos::Positional(r.u8()?),
-            2 => ArgPos::Keyword(keyword_name(r.str()?)),
+            2 => ArgPos::Keyword(graph.symbols_mut().intern(r.str()?)),
             _ => return Err(corrupt("unknown arg position tag")),
         };
         graph.set_arg_position(from, to, pos);
@@ -246,6 +239,7 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
         return Err(mismatch());
     }
     r.finish()?;
+    graph.symbols_mut().seal();
     Ok((graph, recovered_errors))
 }
 
@@ -255,6 +249,7 @@ mod tests {
     use crate::codec::fuzz;
     use proptest::prelude::*;
     use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
+    use seldon_ir::IrArgPos;
     use seldon_jsfront::build_js_source;
     use seldon_propgraph::build_source;
 
@@ -270,7 +265,7 @@ mod tests {
             pub(super) strings: Vec<String>,
             pub(super) events: Vec<(EventKind, Span, Vec<u32>)>,
             pub(super) edges: Vec<(u32, u32, EdgeKind)>,
-            pub(super) args: Vec<(u32, u32, ArgPos)>,
+            pub(super) args: Vec<(u32, u32, IrArgPos)>,
             pub(super) freq: Vec<(u32, u32)>,
         }
 
@@ -281,7 +276,7 @@ mod tests {
             let mut counts: HashMap<u32, u32> = HashMap::new();
             for (_, event) in graph.events() {
                 for &rep in &event.reps {
-                    *counts.entry(index_of[rep.as_str()]).or_insert(0) += 1;
+                    *counts.entry(index_of[graph.symbols().resolve(rep)]).or_insert(0) += 1;
                 }
             }
             let mut freq: Vec<(u32, u32)> = counts.into_iter().collect();
@@ -299,7 +294,7 @@ mod tests {
                         .reps
                         .iter()
                         .map(|&rep| {
-                            let text = rep.as_str();
+                            let text = graph.symbols().resolve(rep);
                             *index_of.entry(text).or_insert_with(|| {
                                 strings.push(text.to_string());
                                 (strings.len() - 1) as u32
@@ -325,7 +320,8 @@ mod tests {
                         let kind = graph.edge_kind(from, to).expect("chain heads are edges");
                         edges.push((from.0, to.0, kind));
                         if let Some(pos) = graph.arg_position(from, to) {
-                            args.push((from.0, to.0, *pos));
+                            let pos = pos.map(|&k| graph.symbols().resolve(k).to_string());
+                            args.push((from.0, to.0, pos));
                         }
                         out_ptr[from.index()] += 1;
                         in_ptr[to.index()] += 1;
@@ -340,8 +336,9 @@ mod tests {
 
             pub(super) fn to_graph(&self, file: FileId) -> Result<PropagationGraph, EntryError> {
                 let corrupt = |what: &str| EntryError::Corrupt(what.to_string());
-                let symbols: Vec<_> = self.strings.iter().map(|s| intern(s)).collect();
                 let mut graph = PropagationGraph::new();
+                let symbols: Vec<_> =
+                    self.strings.iter().map(|s| graph.symbols_mut().intern(s)).collect();
                 graph.reserve_events(self.events.len());
                 for (kind, span, reps) in &self.events {
                     if reps.is_empty() {
@@ -365,7 +362,8 @@ mod tests {
                     if *from >= n || *to >= n {
                         return Err(corrupt("argument edge out of range"));
                     }
-                    graph.set_arg_position(EventId(*from), EventId(*to), *pos);
+                    let pos = pos.map(|k| graph.symbols_mut().intern(k));
+                    graph.set_arg_position(EventId(*from), EventId(*to), pos);
                 }
                 let index_of: HashMap<&str, u32> = self
                     .strings
@@ -405,12 +403,12 @@ mod tests {
                     w.u32(*from);
                     w.u32(*to);
                     match pos {
-                        ArgPos::Receiver => w.u8(0),
-                        ArgPos::Positional(p) => {
+                        IrArgPos::Receiver => w.u8(0),
+                        IrArgPos::Positional(p) => {
                             w.u8(1);
                             w.u8(*p);
                         }
-                        ArgPos::Keyword(name) => {
+                        IrArgPos::Keyword(name) => {
                             w.u8(2);
                             w.str(name);
                         }
@@ -447,9 +445,9 @@ mod tests {
                     args: r.table(9, |r| {
                         let (from, to) = (r.u32()?, r.u32()?);
                         let pos = match r.u8()? {
-                            0 => ArgPos::Receiver,
-                            1 => ArgPos::Positional(r.u8()?),
-                            2 => ArgPos::Keyword(keyword_name(r.str()?)),
+                            0 => IrArgPos::Receiver,
+                            1 => IrArgPos::Positional(r.u8()?),
+                            2 => IrArgPos::Keyword(r.str()?.to_string()),
                             _ => return Err(corrupt("unknown arg position tag")),
                         };
                         Ok((from, to, pos))
@@ -481,13 +479,17 @@ mod tests {
             assert_eq!(ev.kind, other.kind);
             assert_eq!(ev.span, other.span);
             assert_eq!(ev.candidates, other.candidates);
-            let reps: Vec<&str> = ev.reps.iter().map(|r| r.as_str()).collect();
-            let other_reps: Vec<&str> = other.reps.iter().map(|r| r.as_str()).collect();
+            let reps: Vec<&str> = ev.reps.iter().map(|&r| a.symbols().resolve(r)).collect();
+            let other_reps: Vec<&str> =
+                other.reps.iter().map(|&r| b.symbols().resolve(r)).collect();
             assert_eq!(reps, other_reps);
         }
         for (from, to) in a.edges() {
             assert_eq!(a.edge_kind(from, to), b.edge_kind(from, to));
-            assert_eq!(a.arg_position(from, to), b.arg_position(from, to));
+            let pos = |g: &PropagationGraph| {
+                g.arg_position(from, to).map(|p| p.map(|&k| g.symbols().resolve(k).to_string()))
+            };
+            assert_eq!(pos(a), pos(b));
         }
         // Adjacency-list *order* must survive too: constraint generation
         // walks these lists, and constraint order feeds the solver.
@@ -536,7 +538,7 @@ mod tests {
         let graph = build_source(SOURCE, FileId(7)).unwrap();
         let payload = encode(&graph, 0);
         // Every representation appears by string; the payload parses in
-        // any process regardless of interner state.
+        // any process, into a table of its own.
         let needle = b"os.system()";
         assert!(
             payload.windows(needle.len()).any(|w| w == needle),
@@ -568,7 +570,7 @@ mod tests {
         bad.edges.push((9999, 0, EdgeKind::Argument));
         assert!(load(&bad.to_payload()).is_err());
         let mut bad = artifact;
-        bad.args.push((0, 9999, ArgPos::Receiver));
+        bad.args.push((0, 9999, IrArgPos::Receiver));
         assert!(load(&bad.to_payload()).is_err());
     }
 
@@ -637,9 +639,9 @@ mod tests {
         for tag in 0..3 {
             assert!(
                 artifact.args.iter().any(|(_, _, pos)| match pos {
-                    ArgPos::Receiver => tag == 0,
-                    ArgPos::Positional(_) => tag == 1,
-                    ArgPos::Keyword(_) => tag == 2,
+                    IrArgPos::Receiver => tag == 0,
+                    IrArgPos::Positional(_) => tag == 1,
+                    IrArgPos::Keyword(_) => tag == 2,
                 }),
                 "argument-position kind {tag} missing from the fuzz seed"
             );

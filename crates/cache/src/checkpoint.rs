@@ -120,15 +120,15 @@ pub struct Checkpoint {
 /// successors with their edge kinds, and its predecessors (`reaching`
 /// walks them in list order). Spans, file stamps and argument positions
 /// stay out, so an edit that only moves code keeps the key.
-/// Interner-independent: two processes that built the same graph from
-/// the same corpus agree on this value.
+/// Symbol-independent: two graphs built from the same corpus agree on
+/// this value whatever ids their tables gave each text.
 pub fn graph_fingerprint(graph: &PropagationGraph) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(graph.event_count() as u64);
     for (id, event) in graph.events() {
         h.write_u64(event.kind as u64).write_u64(event.reps.len() as u64);
-        for rep in &event.reps {
-            h.write_str(rep.as_str());
+        for &rep in &event.reps {
+            h.write_str(graph.symbols().resolve(rep));
         }
         let succs = graph.successors(id);
         h.write_u64(succs.len() as u64);
@@ -416,7 +416,7 @@ mod tests {
     use super::*;
     use crate::codec::fuzz;
     use proptest::prelude::*;
-    use seldon_propgraph::{build_source, intern, ArgPos, EdgeKind, Event, EventKind, FileId};
+    use seldon_propgraph::{build_source, ArgPos, EdgeKind, Event, EventKind, FileId, Symbols};
     use seldon_pyast::Span;
 
     fn sample() -> Checkpoint {
@@ -579,16 +579,21 @@ mod tests {
 
     /// `a → b`, `a → c` (receiver), `b → d`, `c → d`, with `arg` the
     /// argument position of `b → d`. `edit` may change each event before
-    /// it is added; `flip` reverses the insertion order of `a`'s
+    /// it is added, interning into the graph's table; `flip` reverses the insertion order of `a`'s
     /// successors (`[true, _]`) or of `d`'s predecessors (`[_, true]`).
-    fn diamond(edit: impl Fn(usize, &mut Event), arg: ArgPos, flip: [bool; 2]) -> PropagationGraph {
+    fn diamond(
+        edit: impl Fn(usize, &mut Event, &mut Symbols),
+        arg: ArgPos,
+        flip: [bool; 2],
+    ) -> PropagationGraph {
         let mut g = PropagationGraph::new();
         let reps = ["a()", "b()", "c.d", "e()"];
         let kinds = [EventKind::Call, EventKind::Call, EventKind::ObjectRead, EventKind::Call];
         let span = Span::new(9, 20, 2, 4);
         let [a, b, c, d] = [0, 1, 2, 3].map(|i| {
-            let mut event = Event::from_reps(kinds[i], &[reps[i]], FileId(0), span);
-            edit(i, &mut event);
+            let rep = g.symbols_mut().intern(reps[i]);
+            let mut event = Event::new(kinds[i], vec![rep], FileId(0), span);
+            edit(i, &mut event, g.symbols_mut());
             g.add_event(event)
         });
         let mut succs = [(b, EdgeKind::Argument), (c, EdgeKind::Receiver)];
@@ -611,22 +616,22 @@ mod tests {
 
     #[test]
     fn graph_fingerprint_keys_on_what_learning_reads() {
-        let keep = |_: usize, _: &mut Event| {};
+        let keep = |_: usize, _: &mut Event, _: &mut Symbols| {};
         let base = graph_fingerprint(&diamond(keep, ArgPos::Receiver, [false; 2]));
         let same = [
-            diamond(|_, e| e.span = Span::new(90, 95, 7, 1), ArgPos::Receiver, [false; 2]),
-            diamond(|_, e| e.file = FileId(5), ArgPos::Receiver, [false; 2]),
+            diamond(|_, e, _| e.span = Span::new(90, 95, 7, 1), ArgPos::Receiver, [false; 2]),
+            diamond(|_, e, _| e.file = FileId(5), ArgPos::Receiver, [false; 2]),
             diamond(keep, ArgPos::Positional(3), [false; 2]),
         ];
         for g in &same {
             assert_eq!(graph_fingerprint(g), base, "spans, file stamps and arg positions");
         }
-        let rep = |i: usize, e: &mut Event| {
+        let rep = |i: usize, e: &mut Event, symbols: &mut Symbols| {
             if i == 2 {
-                e.reps = vec![intern("c.x")];
+                e.reps = vec![symbols.intern("c.x")];
             }
         };
-        let kind = |i: usize, e: &mut Event| {
+        let kind = |i: usize, e: &mut Event, _: &mut Symbols| {
             if i == 1 {
                 e.kind = EventKind::ParamRead;
             }

@@ -10,9 +10,10 @@
 //!   constraint-fragment work for one source file, keyed by [`file_key`]
 //!   (a hash of the file bytes, the entry format version, and an
 //!   analysis-option salt). Artifacts serialize representations by
-//!   *string*; a cache hit re-interns them while it decodes the payload
-//!   straight into the graph, in one pass over the read buffer — raw
-//!   `Symbol(u32)` values are process-local and never reach disk.
+//!   *string*; a cache hit interns them into the decoded graph's own
+//!   table while it decodes the payload straight into the graph, in one
+//!   pass over the read buffer — a `Symbol(u32)` means something only to
+//!   its graph's table and never reaches disk.
 //! * **Solver checkpoint** ([`Checkpoint`]): the previous score vector and
 //!   extracted spec, keyed by one exact fingerprint ([`input_fingerprint`])
 //!   over the union graph's [`graph_fingerprint`], which hashes only what

@@ -125,8 +125,9 @@ pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> 
     let mut stats = GenStats::default();
     let select_started = Instant::now();
     let mut sys = ConstraintSystem::new(opts.c);
+    sys.symbols = graph.symbols().clone();
     let freq = graph.rep_frequency_counts();
-    let compiled = CompiledSpec::new(seed);
+    let compiled = CompiledSpec::new(seed, graph.symbols());
 
     // --- backoff selection: surviving representation list per event --------
     let mut event_reps: Vec<Option<Vec<RepId>>> = Vec::with_capacity(graph.event_count());
@@ -161,9 +162,8 @@ pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> 
     }
 
     // --- pin seed entries (fully qualified representations only, §4.4) ----
-    // Iterates members in first-seen order — the same order the old
-    // string-keyed interner assigned dense ids — so pinning stays
-    // deterministic and byte-identical.
+    // Iterates members in first-seen order, whatever ids the table gave
+    // them, so pinning stays deterministic and byte-identical.
     let member_reps: Vec<RepId> = sys.rep_syms().to_vec();
     for rep in member_reps {
         let roles = compiled.roles(rep);
@@ -623,7 +623,7 @@ def media():
         let g = build_source(&src, FileId(0)).unwrap();
         let hub = g
             .events()
-            .find(|(_, e)| e.rep() == "m.src()")
+            .find(|&(id, _)| g.rep(id) == "m.src()")
             .map(|(id, _)| id)
             .expect("source event");
         let full = g.reachable_from(hub);

@@ -13,19 +13,16 @@
 //! constraint count. Generation, the solver kernel, the reference
 //! solvers, telemetry and `seldon serve` all read these rows.
 
-use seldon_intern::Symbol;
+use seldon_intern::{Symbol, Symbols};
 use seldon_propgraph::{EventId, IdHash, IdHasher};
 use seldon_specs::Role;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 
-/// Identifier of an interned representation string.
-///
-/// Since the pipeline-wide interning refactor this *is* the global
-/// [`Symbol`]: representations arrive from the propagation graph already
-/// interned, and the constraint system only tracks which symbols are
-/// members (survived backoff selection). Identity checks and variable
-/// keys are integer operations end to end.
+/// Identifier of a representation: a [`Symbol`] of the system's table, a
+/// copy of the graph's it was selected from. The system only tracks which
+/// symbols are members (survived backoff selection); identity checks and
+/// variable keys are integer operations end to end.
 pub type RepId = Symbol;
 
 /// Identifier of a variable `(representation, role)`.
@@ -215,6 +212,8 @@ impl FileRows {
 /// The full constraint system.
 #[derive(Debug, Clone, Default)]
 pub struct ConstraintSystem {
+    /// The table every [`RepId`] of the system belongs to.
+    pub(crate) symbols: Symbols,
     /// Member representations in first-seen order (drives deterministic
     /// seed-pinning iteration).
     reps: Vec<Symbol>,
@@ -240,9 +239,9 @@ impl ConstraintSystem {
         ConstraintSystem { c, ..Default::default() }
     }
 
-    /// Registers an already-interned representation as a member of this
-    /// system (idempotent). This is the hot-path entry: representations
-    /// coming from the propagation graph are already [`Symbol`]s.
+    /// Registers a representation of the system's table as a member
+    /// (idempotent). This is the hot-path entry: representations coming
+    /// from the propagation graph are already [`Symbol`]s.
     pub fn add_rep(&mut self, sym: Symbol) -> RepId {
         if self.rep_set.insert(sym) {
             self.reps.push(sym);
@@ -252,14 +251,20 @@ impl ConstraintSystem {
 
     /// Interns a representation string and registers it as a member.
     pub fn rep(&mut self, text: &str) -> RepId {
-        self.add_rep(seldon_intern::intern(text))
+        let sym = self.symbols.intern(text);
+        self.add_rep(sym)
     }
 
     /// Looks up a representation by text without registering it. Returns
-    /// `None` for representations that are not members of *this* system,
-    /// even if the string is interned globally.
+    /// `None` for representations that are not members, even if the
+    /// system's table holds the text.
     pub fn rep_id(&self, text: &str) -> Option<RepId> {
-        seldon_intern::lookup(text).filter(|s| self.rep_set.contains(s))
+        self.symbols.get(text).filter(|s| self.rep_set.contains(s))
+    }
+
+    /// The text of a representation.
+    pub fn rep_text(&self, rep: RepId) -> &str {
+        self.symbols.resolve(rep)
     }
 
     /// Member representations in first-seen order.
@@ -380,7 +385,7 @@ impl ConstraintSystem {
         self.vars
             .iter()
             .enumerate()
-            .map(|(i, (rep, role))| (VarId(i as u32), rep.as_str(), *role))
+            .map(|(i, (rep, role))| (VarId(i as u32), self.symbols.resolve(*rep), *role))
     }
 }
 
@@ -396,7 +401,7 @@ mod tests {
         let b = s.rep("b()");
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(a.as_str(), "a()");
+        assert_eq!(s.rep_text(a), "a()");
         assert_eq!(s.rep_syms().len(), 2);
         assert_eq!(s.rep_id("a()"), Some(a));
         assert_eq!(s.rep_id("zzz"), None);

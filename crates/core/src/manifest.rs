@@ -281,10 +281,9 @@ fn fill_metrics(
         Class::Identity,
         (report.ok() + report.recovered()) as f64,
     );
-    // Identity: interning is deterministic per corpus, so two runs over
-    // the same inputs must agree. In a long-lived daemon this is the leak
-    // detector — repeated identical deltas must not grow it.
-    reg.gauge(&metric::INTERN_SYMBOLS, seldon_intern::len() as f64);
+    // Identity: the union's table holds each text once, in first-link
+    // order, so two runs over the same inputs must agree.
+    reg.gauge(&metric::INTERN_SYMBOLS, analyzed.graph.symbols().len() as f64);
     // Representation frequency distribution over the union graph: every
     // rep counted once per backoff option it appears in. Present even
     // when empty so `validate_manifest --require-full` can demand it.
@@ -360,7 +359,7 @@ fn score_dump(run: &SeldonRun) -> Vec<ScoreDumpEntry> {
         .scores
         .iter()
         .map(|(&(rep, role), &score)| ScoreDumpEntry {
-            rep: rep.as_str().to_string(),
+            rep: run.system.rep_text(rep).to_string(),
             role: role.short().to_string(),
             score,
             backoff_level: u64::from(

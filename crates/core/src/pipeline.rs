@@ -690,7 +690,7 @@ pub fn union_graphs(
     span.counter("files", files as f64);
     span.counter("events", graph.event_count() as f64);
     span.counter("edges", graph.edge_count() as f64);
-    span.counter("symbols", seldon_intern::len() as f64);
+    span.counter("symbols", graph.symbols().len() as f64);
     (graph, ranges)
 }
 
@@ -1488,7 +1488,8 @@ mod tests {
                     assert_eq!(graph_fingerprint(&g), graph_fingerprint(&reference), "{row}");
                 }
                 if src != deep {
-                    let find = |rep| g.events().find(|(_, e)| e.has_rep(rep)).map(|(id, _)| id);
+                    let find =
+                        |rep| g.events().find(|&(id, _)| g.has_rep(id, rep)).map(|(id, _)| id);
                     let (a, b) = (find(from).expect(from), find(to).expect(to));
                     assert!(g.is_reachable(a, b), "{row}: {from} must reach {to}");
                 }
@@ -1633,7 +1634,7 @@ mod tests {
             .extraction
             .scores
             .keys()
-            .map(|&(rep, role)| (rep.as_str().to_string(), role))
+            .map(|&(rep, role)| (run.system.rep_text(rep).to_string(), role))
             .collect();
         from_spec.sort_unstable();
         from_scores.sort_unstable();

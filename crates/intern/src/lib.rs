@@ -1,38 +1,40 @@
 //! # seldon-intern
 //!
-//! A global, thread-safe string interner for event representations.
+//! Run-owned symbol tables for event representations.
 //!
 //! Seldon's scalability rests on representations being shared across
 //! millions of events (§3.2, §7 of the paper). Carrying them as owned
 //! `String`s makes every identity check a string hash and every graph
-//! union an allocation storm. Interning maps each distinct representation
-//! to a [`Symbol`] — a `u32` — once per process; identity becomes an
-//! integer compare, cloning becomes a copy, and `Symbol`-indexed vectors
-//! replace string-keyed hash maps on the hot path.
+//! union an allocation storm. A [`Symbols`] table maps each distinct text
+//! to a [`Symbol`] — a dense `u32` — so identity becomes an integer
+//! compare, cloning becomes a copy, and `Symbol`-indexed vectors replace
+//! string-keyed hash maps on the hot path.
 //!
-//! Strings enter the interner at the parsing edge ([`intern`]) and leave
-//! at the reporting edge ([`Symbol::as_str`]); everything between carries
-//! `Symbol`s. Interned strings live for the process lifetime (they are
-//! leaked), which is the right trade for a corpus analyzer: the set of
-//! distinct representations grows sublinearly with corpus size.
+//! There is no process-wide table: each per-file propagation graph and
+//! recorded program owns one, and a union links the per-file tables into
+//! its own (§4). A symbol means something only to the table that issued
+//! it ([`Symbols::resolve`]); a table takes no lock and frees its texts
+//! when dropped.
 //!
 //! ## Example
 //!
 //! ```
-//! use seldon_intern::{intern, Symbol};
+//! use seldon_intern::Symbols;
 //!
-//! let a = intern("flask.request.args.get()");
-//! let b = intern("flask.request.args.get()");
-//! assert_eq!(a, b);
-//! assert_eq!(a.as_str(), "flask.request.args.get()");
+//! let mut file = Symbols::new();
+//! let a = file.intern("flask.request.args.get()");
+//! assert_eq!(file.intern("flask.request.args.get()"), a);
+//! assert_eq!(file.resolve(a), "flask.request.args.get()");
+//!
+//! let mut union = Symbols::new();
+//! union.intern("os.system()");
+//! let map = union.link(&file);
+//! assert_eq!(union.resolve(map[a.index()]), "flask.request.args.get()");
 //! ```
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{OnceLock, RwLock};
 
 /// A fast FxHash-style hasher — for symbols, event ids and interned text:
 /// one rotate, xor and multiply per 8-byte word. It is not DoS-resistant:
@@ -75,11 +77,11 @@ impl Hasher for IdHasher {
 /// The `HashMap` / `HashSet` hasher state of [`IdHasher`].
 pub type IdHash = BuildHasherDefault<IdHasher>;
 
-/// An interned string: a dense `u32` handle into the global [`Interner`].
+/// A dense `u32` handle into the [`Symbols`] table that issued it.
 ///
 /// Equality and hashing are integer operations. The derived `Ord` compares
 /// handle order (first-interned first), *not* lexicographic order — resolve
-/// with [`Symbol::as_str`] before sorting user-visible output.
+/// with [`Symbols::resolve`] before sorting user-visible output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(pub u32);
 
@@ -88,116 +90,129 @@ impl Symbol {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Resolves the symbol against the global interner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` was not produced by the global interner.
-    pub fn as_str(self) -> &'static str {
-        global().resolve(self)
-    }
 }
 
-impl fmt::Display for Symbol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
+/// An owned symbol table: every text once, back to back in one buffer,
+/// numbered in first-intern order. Its lookup index can be dropped
+/// ([`Symbols::seal`]) once no more text will be interned; resolving never
+/// needs it, and the next [`Symbols::intern`] rebuilds it.
+#[derive(Debug, Clone, Default)]
+pub struct Symbols {
+    text: String,
+    /// Where each symbol's text ends in `text`.
+    ends: Vec<u32>,
+    /// Open-addressed lookup index: symbol id + 1 per used slot, 0 when
+    /// free; a power of two at least twice `ends.len()`, or empty.
+    slots: Vec<u32>,
 }
 
-/// A thread-safe string interner.
-///
-/// Lookups take a read lock; only the first interning of a string takes the
-/// write lock. Interned strings are leaked so that [`Interner::resolve`]
-/// can hand out `&'static str` without holding any lock.
-#[derive(Debug, Default)]
-pub struct Interner {
-    inner: RwLock<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    /// Symbol ids follow first-intern order, so the hasher decides only
-    /// lookup speed, never an id.
-    map: HashMap<&'static str, Symbol, IdHash>,
-    strings: Vec<&'static str>,
-}
-
-impl Interner {
-    /// Creates an empty interner.
+impl Symbols {
+    /// An empty table.
     pub fn new() -> Self {
-        Interner::default()
+        Symbols::default()
     }
 
-    /// Interns `text`, returning its [`Symbol`]. Idempotent: every call
-    /// with an equal string — from any thread — returns the same symbol.
-    pub fn intern(&self, text: &str) -> Symbol {
-        if let Some(&sym) = self.inner.read().unwrap_or_else(|e| e.into_inner()).map.get(text)
-        {
-            return sym;
-        }
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        // Re-check: another thread may have interned between the locks.
-        if let Some(&sym) = inner.map.get(text) {
-            return sym;
-        }
-        let leaked: &'static str = Box::leak(text.to_owned().into_boxed_str());
-        let sym = Symbol(inner.strings.len() as u32);
-        inner.strings.push(leaked);
-        inner.map.insert(leaked, sym);
-        sym
+    /// Number of distinct texts interned.
+    pub fn len(&self) -> usize {
+        self.ends.len()
     }
 
-    /// Looks up `text` without interning it.
-    pub fn get(&self, text: &str) -> Option<Symbol> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner()).map.get(text).copied()
+    /// Whether nothing has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
     }
 
-    /// The string of a symbol produced by this interner.
+    /// The text of `sym`.
     ///
     /// # Panics
     ///
-    /// Panics if `sym` is out of range for this interner.
-    pub fn resolve(&self, sym: Symbol) -> &'static str {
-        self.inner.read().unwrap_or_else(|e| e.into_inner()).strings[sym.index()]
+    /// Panics if this table did not issue `sym`.
+    pub fn resolve(&self, sym: Symbol) -> &str {
+        let start = sym.index().checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.text[start..self.ends[sym.index()] as usize]
     }
 
-    /// Number of distinct strings interned so far.
-    pub fn len(&self) -> usize {
-        self.inner.read().unwrap_or_else(|e| e.into_inner()).strings.len()
+    /// Every `(symbol, text)` pair in id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Symbol, &str)> {
+        (0..self.len() as u32).map(|i| (Symbol(i), self.resolve(Symbol(i))))
     }
 
-    /// Whether nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The symbol of `text`, or the free index slot where it would go.
+    fn find(&self, text: &str) -> Result<Symbol, usize> {
+        let mut h = IdHasher::default();
+        h.write(text.as_bytes());
+        let (h, mask) = (h.finish(), self.slots.len() - 1);
+        let mut i = (h ^ (h >> 32)) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                s if self.resolve(Symbol(s - 1)) == text => return Ok(Symbol(s - 1)),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Interns `text`: the same symbol for every equal text, a new one
+    /// (the next id) for an unseen text.
+    pub fn intern(&mut self, text: &str) -> Symbol {
+        if self.slots.len() < 2 * (self.len() + 1) {
+            // Room for a typical file's table up front: growing a fresh
+            // table step by step per file cost more than its lookups.
+            self.slots = vec![0; (4 * (self.len() + 1)).next_power_of_two().max(64)];
+            self.text.reserve(512);
+            self.ends.reserve(32);
+            for i in 0..self.len() as u32 {
+                let Err(slot) = self.find(self.resolve(Symbol(i))) else { unreachable!() };
+                self.slots[slot] = i + 1;
+            }
+        }
+        match self.find(text) {
+            Ok(sym) => sym,
+            Err(slot) => {
+                let sym = Symbol(self.len() as u32);
+                self.text.push_str(text);
+                self.ends.push(u32::try_from(self.text.len()).expect("table text under 4 GiB"));
+                self.slots[slot] = sym.0 + 1;
+                sym
+            }
+        }
+    }
+
+    /// Looks `text` up without interning it.
+    pub fn get(&self, text: &str) -> Option<Symbol> {
+        if self.slots.is_empty() {
+            return self.iter().find(|&(_, t)| t == text).map(|(sym, _)| sym);
+        }
+        self.find(text).ok()
+    }
+
+    /// Interns every text of `other` in its id order and returns the map
+    /// from `other`'s ids to this table's: `map[s.index()]` is the symbol
+    /// here of `other`'s `s`.
+    pub fn link(&mut self, other: &Symbols) -> Vec<Symbol> {
+        other.iter().map(|(_, text)| self.intern(text)).collect()
+    }
+
+    /// Drops the lookup index and spare capacity, keeping the texts.
+    pub fn seal(&mut self) {
+        self.slots = Vec::new();
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Empties the table, keeping its buffers for reuse.
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+        self.slots.fill(0);
     }
 }
 
-static GLOBAL: OnceLock<Interner> = OnceLock::new();
-
-/// The process-wide interner behind [`intern`] / [`Symbol::as_str`].
-pub fn global() -> &'static Interner {
-    GLOBAL.get_or_init(Interner::new)
-}
-
-/// Interns `text` in the global interner.
-pub fn intern(text: &str) -> Symbol {
-    global().intern(text)
-}
-
-/// Looks up `text` in the global interner without interning it.
-pub fn lookup(text: &str) -> Option<Symbol> {
-    global().get(text)
-}
-
-/// Resolves a symbol of the global interner.
-pub fn resolve(sym: Symbol) -> &'static str {
-    global().resolve(sym)
-}
-
-/// Number of distinct strings in the global interner.
-pub fn len() -> usize {
-    global().len()
+/// Two tables are equal when they hold the same texts under the same ids.
+impl PartialEq for Symbols {
+    fn eq(&self, other: &Symbols) -> bool {
+        self.ends == other.ends && self.text == other.text
+    }
 }
 
 #[cfg(test)]
@@ -207,7 +222,7 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent() {
-        let i = Interner::new();
+        let mut i = Symbols::new();
         let a = i.intern("a()");
         let b = i.intern("a()");
         let c = i.intern("b()");
@@ -218,7 +233,7 @@ mod tests {
 
     #[test]
     fn resolve_round_trips() {
-        let i = Interner::new();
+        let mut i = Symbols::new();
         let s = i.intern("flask.request.args.get()");
         assert_eq!(i.resolve(s), "flask.request.args.get()");
         assert_eq!(i.get("flask.request.args.get()"), Some(s));
@@ -227,7 +242,7 @@ mod tests {
 
     #[test]
     fn symbols_are_dense() {
-        let i = Interner::new();
+        let mut i = Symbols::new();
         assert!(i.is_empty());
         for n in 0..100 {
             let s = i.intern(&format!("rep{n}()"));
@@ -237,44 +252,43 @@ mod tests {
     }
 
     #[test]
-    fn global_interner_display() {
-        let s = intern("seldon_intern::display_test()");
-        assert_eq!(s.to_string(), "seldon_intern::display_test()");
-        assert_eq!(resolve(s), "seldon_intern::display_test()");
-        assert_eq!(lookup("seldon_intern::display_test()"), Some(s));
-        assert!(len() > 0);
+    fn sealed_tables_resolve_look_up_and_intern_again() {
+        let mut i = Symbols::new();
+        let texts: Vec<String> = (0..40).map(|n| format!("api{n}()")).collect();
+        let syms: Vec<Symbol> = texts.iter().map(|t| i.intern(t)).collect();
+        let unsealed = i.clone();
+        i.seal();
+        assert_eq!(i, unsealed, "sealing keeps every text under its id");
+        for (t, &s) in texts.iter().zip(&syms) {
+            assert_eq!(i.resolve(s), t);
+            assert_eq!(i.get(t), Some(s));
+        }
+        assert_eq!(i.get("api40()"), None);
+        assert_eq!(i.intern("api7()"), syms[7], "interning rebuilds the index");
+        assert_eq!(i.intern("api40()"), Symbol(40));
     }
 
     #[test]
-    fn concurrent_intern_returns_identical_symbol() {
-        let i = Interner::new();
-        let symbols: Vec<Vec<Symbol>> = std::thread::scope(|scope| {
-            (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        (0..256).map(|n| i.intern(&format!("api{}()", n % 64))).collect()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        assert_eq!(i.len(), 64);
-        for per_thread in &symbols[1..] {
-            assert_eq!(per_thread, &symbols[0]);
-        }
-        for (n, &sym) in symbols[0][..64].iter().enumerate() {
-            assert_eq!(i.resolve(sym), format!("api{n}()"));
-        }
+    fn link_maps_ids_in_first_link_order() {
+        let mut file = Symbols::new();
+        let (b, a) = (file.intern("b()"), file.intern("a()"));
+        let mut union = Symbols::new();
+        let a0 = union.intern("a()");
+        let map = union.link(&file);
+        assert_eq!(map[a.index()], a0, "a shared text keeps the union's id");
+        assert_eq!(map[b.index()], Symbol(1), "a new text takes the next id");
+        assert_eq!(union.link(&Symbols::new()), Vec::<Symbol>::new());
+        assert_eq!(union.len(), 2);
     }
 
     proptest! {
         #[test]
         fn prop_round_trip(text in "[a-z.()\\[\\]']{0,40}") {
-            let sym = intern(&text);
-            prop_assert_eq!(resolve(sym), text.as_str());
-            prop_assert_eq!(intern(&text), sym);
+            let mut i = Symbols::new();
+            i.intern("other()");
+            let sym = i.intern(&text);
+            prop_assert_eq!(i.resolve(sym), text.as_str());
+            prop_assert_eq!(i.intern(&text), sym);
         }
 
         #[test]
@@ -282,8 +296,9 @@ mod tests {
             a in "[a-z.()]{1,20}",
             b in "[a-z.()]{1,20}",
         ) {
-            let sa = intern(&a);
-            let sb = intern(&b);
+            let mut i = Symbols::new();
+            let sa = i.intern(&a);
+            let sb = i.intern(&b);
             prop_assert_eq!(sa == sb, a == b);
         }
     }

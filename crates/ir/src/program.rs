@@ -4,9 +4,9 @@
 //! them as an [`IrProgram`]:
 //!
 //! * **events** — the propagation-graph nodes (calls, object reads, param
-//!   bindings), each carrying its interned representation strings and a
-//!   source span. The index of an event in [`IrProgram::events`] *is* its
-//!   graph `EventId`, so event identity is fixed at lowering time.
+//!   bindings), each with representations from the program's own table
+//!   and a source span. The index of an event in [`IrProgram::events`]
+//!   *is* its graph `EventId`, so event identity is fixed at lowering time.
 //! * **ops** — everything else the walk did, in the exact order it did it:
 //!   direct flow edges, argument-position tags, and points-to constraints
 //!   (alloc/copy/load/store) over a flat variable space `0..var_count`.
@@ -16,7 +16,7 @@
 //! The event, edge and argument-position types are the graph's own.
 
 use crate::span::Span;
-use seldon_intern::Symbol;
+use seldon_intern::{Symbol, Symbols};
 use std::fmt;
 
 /// What kind of action an event is (§3.1, §5.1).
@@ -56,7 +56,8 @@ impl IrEventKind {
 pub struct IrEvent {
     /// What kind of event this is.
     pub kind: IrEventKind,
-    /// Interned representation strings, most specific first.
+    /// Representations as symbols of [`IrProgram::symbols`], most
+    /// specific first.
     pub reps: Vec<Symbol>,
     /// Source location of the originating expression.
     pub span: Span,
@@ -80,8 +81,8 @@ pub enum IrEdgeKind {
 
 /// The position through which flow enters a call event, recorded for
 /// parameter-sensitive clients (the paper's §3.3 future work). `S` is the
-/// keyword's text: owned in an [`IrProgram`], a process-wide copy in a
-/// graph, borrowed as an emitter hands it to a sink.
+/// keyword: owned text in an [`IrProgram`], a symbol of its graph's table
+/// in a graph, borrowed text as an emitter hands it to a sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IrArgPos<S = String> {
     /// The call receiver (`recv.m(...)`).
@@ -230,6 +231,8 @@ pub struct IrPendingCall {
 /// A fully lowered file, ready for language-blind graph construction.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IrProgram {
+    /// The table the events' representations are symbols of.
+    pub symbols: Symbols,
     /// Graph nodes in creation order (index = future `EventId`).
     pub events: Vec<IrEvent>,
     /// Construction steps in execution order.
@@ -259,7 +262,7 @@ impl IrProgram {
             self.pending.len()
         );
         for (i, ev) in self.events.iter().enumerate() {
-            let reps: Vec<&str> = ev.reps.iter().map(|s| s.as_str()).collect();
+            let reps: Vec<&str> = ev.reps.iter().map(|&s| self.symbols.resolve(s)).collect();
             let _ = writeln!(out, "e{i} {} @{} [{}]", ev.kind.label(), ev.span, reps.join(", "));
         }
         for op in &self.ops {
@@ -307,23 +310,26 @@ impl IrProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldon_intern::intern;
 
     #[test]
     fn dump_is_stable_and_complete() {
+        let mut symbols = Symbols::new();
+        let mut intern = |text| symbols.intern(text);
+        let events = vec![
+            IrEvent {
+                kind: IrEventKind::ParamRead,
+                reps: vec![intern("f(param x)")],
+                span: Span::new(0, 1, 1, 7),
+            },
+            IrEvent {
+                kind: IrEventKind::Call,
+                reps: vec![intern("g()")],
+                span: Span::new(10, 14, 2, 5),
+            },
+        ];
         let prog = IrProgram {
-            events: vec![
-                IrEvent {
-                    kind: IrEventKind::ParamRead,
-                    reps: vec![intern("f(param x)")],
-                    span: Span::new(0, 1, 1, 7),
-                },
-                IrEvent {
-                    kind: IrEventKind::Call,
-                    reps: vec![intern("g()")],
-                    span: Span::new(10, 14, 2, 5),
-                },
-            ],
+            symbols,
+            events,
             ops: vec![
                 IrOp::Edge { from: 0, to: 1, kind: IrEdgeKind::Argument },
                 IrOp::ArgPos { from: 0, to: 1, pos: IrArgPos::Positional(0) },

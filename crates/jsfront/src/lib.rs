@@ -76,12 +76,12 @@ mod tests {
         let g = build_js_source(src, FileId(3)).expect("builds");
         let param = g
             .events()
-            .find(|(_, e)| e.has_rep("route(param req)"))
+            .find(|&(id, _)| g.has_rep(id, "route(param req)"))
             .map(|(id, _)| id)
             .expect("param event");
         let sink = g
             .events()
-            .find(|(_, e)| e.has_rep("db.query()"))
+            .find(|&(id, _)| g.has_rep(id, "db.query()"))
             .map(|(id, _)| id)
             .expect("sink event");
         // param → req.body → req.body.name → query(name)
@@ -114,7 +114,7 @@ mod tests {
         assert_eq!(errors.len(), 1);
         let sink = GraphSink::new(FileId(0));
         let g = lower_js_program_into(&program, &Budget::unlimited(), sink).expect("lowers");
-        assert!(g.events().any(|(_, e)| e.has_rep("fs.readFile()")));
+        assert!(g.events().any(|(id, _)| g.has_rep(id, "fs.readFile()")));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Python frontend and contains no per-language branches.
 
 use crate::ast::*;
-use seldon_intern::{intern, Symbol};
+use seldon_intern::{Symbol, Symbols};
 use seldon_ir::IrProgram;
 use seldon_propgraph::emit::{union_into, Call, Emitter, FlowSet, Scope, Walk};
 use seldon_propgraph::{
@@ -74,8 +74,8 @@ fn module_segments(module: &str) -> impl Iterator<Item = &str> + Clone {
 /// Computes representation variants of a JS expression, most → least
 /// specific, with the shared name resolution, interning and backoff of
 /// [`ReprCtx::rep_syms`].
-fn describe_syms_js(expr: &Expr<'_>, ctx: &ReprCtx<'_>) -> Vec<Symbol> {
-    ctx.rep_syms(|suffix| chain_base(expr, 0, suffix))
+fn describe_syms_js(expr: &Expr<'_>, ctx: &ReprCtx<'_>, symbols: &mut Symbols) -> Vec<Symbol> {
+    ctx.rep_syms(|suffix| chain_base(expr, 0, suffix), symbols)
 }
 
 /// Like [`describe_syms_js`], appending the variant texts to the file's
@@ -311,7 +311,7 @@ impl<'p, S: Sink> Lowerer<'p, S> {
         for &(name, span) in &def.params {
             self.text.clear();
             self.text.extend([def.name, "(param ", name, ")"]);
-            let reps = vec![intern(&self.text)];
+            let reps = vec![self.em.symbols().intern(&self.text)];
             params.push((name, self.em.param(&mut scope, name, reps, span)));
         }
         self.walk_body(&def.body, &mut scope);
@@ -363,12 +363,12 @@ impl<'p, S: Sink> Lowerer<'p, S> {
             }
             ExprKind::Member { obj, prop } => {
                 let base_flows = self.eval(obj, sc);
-                let reps = describe_syms_js(expr, &sc.ctx);
+                let reps = describe_syms_js(expr, &sc.ctx, self.em.symbols());
                 self.em.read_event(sc, reps, expr.span, ident(obj), prop, base_flows)
             }
             ExprKind::Index { obj, index } => {
                 let base_flows = self.eval_all([&**obj, index], sc);
-                let reps = describe_syms_js(expr, &sc.ctx);
+                let reps = describe_syms_js(expr, &sc.ctx, self.em.symbols());
                 let field = index_field(index, &mut self.text);
                 self.em.read_event(sc, reps, expr.span, ident(obj), field, base_flows)
             }
@@ -385,8 +385,9 @@ impl<'p, S: Sink> Lowerer<'p, S> {
                     let flows = self.eval(a, sc);
                     self.em.push_arg(flows);
                 }
+                let reps = describe_syms_js(expr, &sc.ctx, self.em.symbols());
                 self.call(Call {
-                    reps: describe_syms_js(expr, &sc.ctx),
+                    reps,
                     span: expr.span,
                     recv,
                     operands,
@@ -438,18 +439,18 @@ mod tests {
     fn es_and_require_imports_resolve() {
         let ir = lower("import express from 'express';\nconst app = express();\n");
         assert_eq!(ir.events.len(), 1);
-        assert_eq!(ir.events[0].reps[0].as_str(), "express()");
+        assert_eq!(ir.symbols.resolve(ir.events[0].reps[0]), "express()");
 
         let ir = lower("const fs = require('fs');\nfs.readFile(p);\n");
         // The require itself is silent; the member call resolves through it.
         assert_eq!(ir.events.len(), 1);
-        assert_eq!(ir.events[0].reps[0].as_str(), "fs.readFile()");
+        assert_eq!(ir.symbols.resolve(ir.events[0].reps[0]), "fs.readFile()");
     }
 
     #[test]
     fn named_import_gets_module_prefix() {
         let ir = lower("import { query } from './db/pool.js';\nquery(sql);\n");
-        let reps: Vec<&str> = ir.events[0].reps.iter().map(|s| s.as_str()).collect();
+        let reps: Vec<&str> = ir.events[0].reps.iter().map(|&s| ir.symbols.resolve(s)).collect();
         assert_eq!(reps[0], "db.pool.query()");
         assert!(reps.contains(&"query()"), "bare named-import variant: {reps:?}");
     }
@@ -459,8 +460,8 @@ mod tests {
         let ir = lower(
             "const { getById, save: persist } = require('./models');\ngetById(id);\npersist(row);\n",
         );
-        let reps0: Vec<&str> = ir.events[0].reps.iter().map(|s| s.as_str()).collect();
-        let reps1: Vec<&str> = ir.events[1].reps.iter().map(|s| s.as_str()).collect();
+        let reps0: Vec<&str> = ir.events[0].reps.iter().map(|&s| ir.symbols.resolve(s)).collect();
+        let reps1: Vec<&str> = ir.events[1].reps.iter().map(|&s| ir.symbols.resolve(s)).collect();
         assert_eq!(reps0[0], "models.getById()");
         assert_eq!(reps1[0], "models.save()");
     }
@@ -474,7 +475,7 @@ mod tests {
         assert_eq!(f.params.len(), 2);
         assert!(!f.params[0].implicit, "JS params are never implicit");
         assert_eq!(f.returns, vec![f.params[0].event]);
-        assert_eq!(ir.events[0].reps[0].as_str(), "handler(param req)");
+        assert_eq!(ir.symbols.resolve(ir.events[0].reps[0]), "handler(param req)");
     }
 
     #[test]
@@ -486,7 +487,7 @@ mod tests {
         let sink = ir
             .events
             .iter()
-            .position(|e| e.reps.iter().any(|s| s.as_str() == "sink()"))
+            .position(|e| e.reps.iter().any(|&s| ir.symbols.resolve(s) == "sink()"))
             .expect("sink event") as u32;
         assert!(ir.ops.iter().any(|op| matches!(
             op,
@@ -569,7 +570,7 @@ mod tests {
             include_str!("../../../tests/fixtures/js_express_fixture.js"),
             include_str!("../../../tests/fixtures/js_inlining_guards.js"),
         ];
-        let mut compared = 0;
+        let (mut compared, mut table) = (0, Symbols::new());
         for src in fixtures {
             let program = parse(src).expect("fixtures parse");
             let mut imports = ImportMap::new();
@@ -579,9 +580,11 @@ mod tests {
             walk_body(&program.body, &top, &mut exprs, &mut ctxs);
             for ctx in &ctxs {
                 for e in &exprs {
-                    let syms: Vec<&str> =
-                        describe_syms_js(e, ctx).iter().map(|s| s.as_str()).collect();
-                    let strings = ctx.rep_strings(|suffix| chain_base(e, 0, suffix));
+                    let syms = describe_syms_js(e, ctx, &mut table);
+                    let syms: Vec<&str> = syms.iter().map(|&s| table.resolve(s)).collect();
+                    let variants = ctx.push_variants(|suffix| chain_base(e, 0, suffix));
+                    let strings: Vec<String> =
+                        ctx.variants.borrow().get(variants).map(str::to_string).collect();
                     assert_eq!(strings, syms, "{e:?}");
                     compared += usize::from(!syms.is_empty());
                 }

@@ -66,9 +66,9 @@ pub enum Inference {
 /// The result of a Merlin run.
 #[derive(Debug, Clone)]
 pub struct MerlinResult {
-    /// Marginal `p(role)` per interned representation (max over graph nodes
+    /// Marginal `p(role)` per representation (max over graph nodes
     /// sharing the representation).
-    pub marginals: HashMap<(Symbol, Role), f64>,
+    pub marginals: HashMap<(String, Role), f64>,
     /// Candidate counts (sources, sanitizers, sinks), as in Tab. 2.
     pub candidates: (usize, usize, usize),
     /// Number of factors in the graphical model, as in Tab. 2.
@@ -84,8 +84,8 @@ impl MerlinResult {
         let mut v: Vec<(String, Role, f64)> = self
             .marginals
             .iter()
-            .filter(|((rep, role), &p)| p >= threshold && !seed.has_role(rep.as_str(), *role))
-            .map(|((rep, role), &p)| (rep.as_str().to_string(), *role, p))
+            .filter(|((rep, role), &p)| p >= threshold && !seed.has_role(rep, *role))
+            .map(|((rep, role), &p)| (rep.clone(), *role, p))
             .collect();
         v.sort_by(|a, b| b.2.total_cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
         v
@@ -96,8 +96,8 @@ impl MerlinResult {
         let mut v: Vec<(String, f64)> = self
             .marginals
             .iter()
-            .filter(|((rep, r), _)| *r == role && !seed.has_role(rep.as_str(), role))
-            .map(|((rep, _), &p)| (rep.as_str().to_string(), p))
+            .filter(|((rep, r), _)| *r == role && !seed.has_role(rep, role))
+            .map(|((rep, _), &p)| (rep.clone(), p))
             .collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v.truncate(n);
@@ -106,8 +106,7 @@ impl MerlinResult {
 
     /// The marginal for `(rep text, role)`, if the representation occurred.
     pub fn marginal(&self, rep: &str, role: Role) -> Option<f64> {
-        let sym = seldon_intern::lookup(rep)?;
-        self.marginals.get(&(sym, role)).copied()
+        self.marginals.get(&(rep.to_string(), role)).copied()
     }
 }
 
@@ -170,7 +169,7 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
 
     // Hard priors from the seed spec: match any backoff representation.
     // Glob/entry resolution is memoized per symbol across the whole graph.
-    let compiled = CompiledSpec::new(seed);
+    let compiled = CompiledSpec::new(seed, g.symbols());
     for &id in &ids {
         let ev = g.event(id);
         for &rep in &ev.reps {
@@ -277,8 +276,9 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
         *entry = entry.max(p);
     }
 
+    let text = |rep| g.symbols().resolve(rep).to_string();
     MerlinResult {
-        marginals,
+        marginals: marginals.into_iter().map(|((rep, role), p)| ((text(rep), role), p)).collect(),
         candidates: (n_src, n_san, n_snk),
         factors: fg.factor_count(),
         inference_time,
@@ -340,7 +340,7 @@ os.system(y)
                 ..Default::default()
             },
         );
-        let key = (seldon_intern::intern("m.clean()"), Role::Sanitizer);
+        let key = ("m.clean()".to_string(), Role::Sanitizer);
         let d = (bp.marginals[&key] - gibbs.marginals[&key]).abs();
         assert!(d < 0.35, "bp vs gibbs differ too much: {d}");
     }

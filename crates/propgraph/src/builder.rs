@@ -79,13 +79,10 @@ mod tests {
     }
 
     fn find(g: &PropagationGraph, rep: &str) -> EventId {
-        g.events()
-            .find(|(_, e)| e.has_rep(rep))
-            .map(|(id, _)| id)
-            .unwrap_or_else(|| {
-                let all: Vec<&str> = g.events().map(|(_, e)| e.rep()).collect();
-                panic!("no event with rep {rep}; have {all:?}")
-            })
+        g.events().find(|&(id, _)| g.has_rep(id, rep)).map(|(id, _)| id).unwrap_or_else(|| {
+            let all: Vec<&str> = g.events().map(|(id, _)| g.rep(id)).collect();
+            panic!("no event with rep {rep}; have {all:?}")
+        })
     }
 
     #[test]
@@ -146,16 +143,10 @@ def media():
     /// True if any event carrying `from_rep` reaches any event carrying
     /// `to_rep` (inlining duplicates body events per call site).
     fn any_reaches(g: &PropagationGraph, from_rep: &str, to_rep: &str) -> bool {
-        let froms: Vec<EventId> = g
-            .events()
-            .filter(|(_, e)| e.has_rep(from_rep))
-            .map(|(id, _)| id)
-            .collect();
-        let tos: Vec<EventId> = g
-            .events()
-            .filter(|(_, e)| e.has_rep(to_rep))
-            .map(|(id, _)| id)
-            .collect();
+        let froms: Vec<EventId> =
+            g.events().filter(|&(id, _)| g.has_rep(id, from_rep)).map(|(id, _)| id).collect();
+        let tos: Vec<EventId> =
+            g.events().filter(|&(id, _)| g.has_rep(id, to_rep)).map(|(id, _)| id).collect();
         froms.iter().any(|&f| tos.iter().any(|&t| g.is_reachable(f, t)))
     }
 
@@ -361,11 +352,7 @@ for i in range(3):
         let g = build(src);
         // Single-iteration loops keep the graph a DAG (§5.2).
         for (id, _) in g.events() {
-            assert!(
-                !g.reachable_from(id).contains(&id),
-                "cycle through {:?}",
-                g.event(id).rep()
-            );
+            assert!(!g.reachable_from(id).contains(&id), "cycle through {:?}", g.rep(id));
         }
     }
 

@@ -35,7 +35,7 @@ pub fn to_dot(graph: &PropagationGraph, roles: &HashMap<crate::EventId, RoleSet>
             out,
             "  e{} [label=\"{}\", shape={shape}, style=filled, fillcolor={color}];",
             id.0,
-            event.rep().replace('"', "\\\"")
+            graph.rep(id).replace('"', "\\\"")
         );
     }
     for (from, to) in graph.edges() {

@@ -14,7 +14,7 @@
 
 use crate::budget::{Budget, BudgetExceeded, BudgetMeter};
 use crate::repr::{ReprCtx, Variants};
-use seldon_intern::{IdHash, Symbol};
+use seldon_intern::{IdHash, Symbol, Symbols};
 use seldon_ir::{
     IrArgPos, IrEdgeKind, IrEvent, IrEventKind, IrFunc, IrOp, IrParam, IrPendingCall, IrProgram,
     Span,
@@ -136,6 +136,8 @@ pub struct PendingCall<'a> {
 pub trait Sink {
     /// What a finished walk yields.
     type Output;
+    /// The file's symbol table, which event representations belong to.
+    fn symbols(&mut self) -> &mut Symbols;
     /// Adds an event and returns its index; events are numbered in order.
     fn event(&mut self, kind: IrEventKind, reps: Vec<Symbol>, span: Span) -> u32;
     /// Applies one construction step.
@@ -159,6 +161,10 @@ pub struct Recorder(IrProgram);
 
 impl Sink for Recorder {
     type Output = IrProgram;
+
+    fn symbols(&mut self) -> &mut Symbols {
+        &mut self.0.symbols
+    }
 
     fn event(&mut self, kind: IrEventKind, reps: Vec<Symbol>, span: Span) -> u32 {
         self.0.events.push(IrEvent { kind, reps, span });
@@ -206,6 +212,7 @@ impl Sink for Recorder {
                 call_event: p.event,
             })
             .collect();
+        self.0.symbols.seal();
         self.0
     }
 }
@@ -344,6 +351,11 @@ impl<'a, C: Clone, S: Sink> Emitter<'a, C, S> {
         self.args.truncate(from.args);
         self.kwargs.truncate(from.kwargs);
         self.unpositioned.truncate(from.unpositioned);
+    }
+
+    /// The symbol table the sink's events use, for describing expressions.
+    pub fn symbols(&mut self) -> &mut Symbols {
+        self.sink.symbols()
     }
 
     /// Whether `name` is an implicit receiver parameter.
@@ -712,7 +724,7 @@ mod tests {
                 self.em.push_arg(sc.env.get(a.as_str()).copied().unwrap_or_default());
             }
             let call = Call {
-                reps: vec![seldon_intern::intern(&format!("{}()", stmt.callee))],
+                reps: vec![self.em.symbols().intern(&format!("{}()", stmt.callee))],
                 span: Span::default(),
                 recv: FlowSet::default(),
                 operands,
@@ -797,7 +809,7 @@ mod tests {
         let src = em.param(&mut sc, "p", Vec::new(), Span::default());
         em.store_through(&mut sc, Some("obj"), "f", &[src]);
         assert_eq!(*sc.env["obj"], [src], "weak update of the base binding");
-        let reps = vec![seldon_intern::intern("obj.f")];
+        let reps = vec![em.symbols().intern("obj.f")];
         let read =
             em.read_event(&mut sc, reps, Span::default(), Some("obj"), "f", FlowSet::one(src));
         assert_eq!(*read, [1]);

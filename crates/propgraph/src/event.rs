@@ -5,7 +5,7 @@
 //! formal argument of a function definition. Each event carries a chain of
 //! *representations* ordered from most to least specific (§3.2).
 
-use seldon_intern::{intern, Symbol};
+use seldon_intern::Symbol;
 use seldon_pyast::Span;
 use seldon_specs::{Role, RoleSet};
 use std::fmt;
@@ -52,7 +52,8 @@ pub fn candidate_roles(kind: EventKind) -> RoleSet {
 pub struct Event {
     /// What kind of action this is.
     pub kind: EventKind,
-    /// Interned representations ordered most → least specific (§3.2).
+    /// Representations, as symbols of the graph's table, ordered most →
+    /// least specific (§3.2).
     /// Never empty. Distinct *alternatives* (from ambiguous targets) are
     /// interleaved in specificity order and deduplicated.
     pub reps: Vec<Symbol>,
@@ -76,29 +77,9 @@ impl Event {
         Event { kind, reps, file, span, candidates }
     }
 
-    /// Like [`Event::new`], interning the representation strings. Intended
-    /// for tests and hand-built graphs; the builder interns at parse time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reps` is empty.
-    pub fn from_reps(kind: EventKind, reps: &[&str], file: FileId, span: Span) -> Self {
-        Event::new(kind, reps.iter().map(|r| intern(r)).collect(), file, span)
-    }
-
     /// The most specific representation.
     pub fn rep_sym(&self) -> Symbol {
         self.reps[0]
-    }
-
-    /// The most specific representation, resolved to text.
-    pub fn rep(&self) -> &'static str {
-        self.reps[0].as_str()
-    }
-
-    /// Whether any backoff representation equals `text`.
-    pub fn has_rep(&self, text: &str) -> bool {
-        self.reps.iter().any(|r| r.as_str() == text)
     }
 }
 
@@ -115,16 +96,13 @@ mod tests {
 
     #[test]
     fn event_rep_is_most_specific() {
-        let e = Event::from_reps(
-            EventKind::Call,
-            &["a.b.c()", "b.c()"],
-            FileId(0),
-            Span::dummy(),
-        );
-        assert_eq!(e.rep(), "a.b.c()");
-        assert_eq!(e.rep_sym(), intern("a.b.c()"));
-        assert!(e.has_rep("b.c()"));
-        assert!(!e.has_rep("c()"));
+        let mut g = crate::PropagationGraph::new();
+        let reps = &["a.b.c()", "b.c()"];
+        let id = g.add_event_reps(EventKind::Call, reps, FileId(0), Span::dummy());
+        assert_eq!(g.rep(id), "a.b.c()");
+        assert_eq!(Some(g.event(id).rep_sym()), g.symbols().get("a.b.c()"));
+        assert!(g.has_rep(id, "b.c()"));
+        assert!(!g.has_rep(id, "c()"));
     }
 
     #[test]

@@ -7,39 +7,24 @@
 
 use crate::event::{Event, EventId};
 use crate::search::{Direction, SearchWorkspace};
-use seldon_intern::Symbol;
 pub use seldon_intern::{IdHash, IdHasher};
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Mutex;
+use seldon_intern::{Symbol, Symbols};
+use std::collections::{HashMap, HashSet};
 
 pub use seldon_ir::IrEdgeKind as EdgeKind;
 
 /// The position through which flow enters a call event, kept for every
-/// edge into a call (parameter-sensitive sinks, §3.3). A keyword name is
-/// the process-wide copy [`keyword_name`] returns, so recording one
-/// allocates nothing.
-pub type ArgPos = seldon_ir::IrArgPos<&'static str>;
-
-/// The process-wide copy of the keyword-argument name `name`. Each distinct
-/// name is leaked once, like an interned representation, but kept apart
-/// from the representation interner so symbol numbering never depends on
-/// keyword arguments.
-pub fn keyword_name(name: &str) -> &'static str {
-    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut names = NAMES.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(&known) = names.get(name) {
-        return known;
-    }
-    let leaked: &'static str = Box::leak(name.into());
-    names.insert(leaked);
-    leaked
-}
+/// edge into a call (parameter-sensitive sinks, §3.3). A keyword name is a
+/// symbol of the graph's own table.
+pub type ArgPos = seldon_ir::IrArgPos<Symbol>;
 
 /// A directed graph of information-flow events. Two graphs are equal when
 /// they hold equal events with the same ids and the same adjacency lists
-/// in the same order, edge kinds and argument positions.
+/// in the same order, edge kinds, argument positions and symbol tables.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PropagationGraph {
+    /// The table the graph's representation and keyword symbols belong to.
+    symbols: Symbols,
     events: Vec<Event>,
     /// Forward adjacency: `succs[v]` = events receiving flow from `v`.
     succs: Vec<Vec<EventId>>,
@@ -57,6 +42,26 @@ impl PropagationGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         PropagationGraph::default()
+    }
+
+    /// The graph's symbol table.
+    pub fn symbols(&self) -> &Symbols {
+        &self.symbols
+    }
+
+    /// The graph's symbol table, for interning new representations.
+    pub fn symbols_mut(&mut self) -> &mut Symbols {
+        &mut self.symbols
+    }
+
+    /// The most specific representation of event `id`, as text.
+    pub fn rep(&self, id: EventId) -> &str {
+        self.symbols.resolve(self.events[id.index()].rep_sym())
+    }
+
+    /// Whether any backoff representation of event `id` is `text`.
+    pub fn has_rep(&self, id: EventId, text: &str) -> bool {
+        self.symbols.get(text).is_some_and(|s| self.events[id.index()].reps.contains(&s))
     }
 
     /// Adds an event, returning its id.
@@ -169,7 +174,8 @@ impl PropagationGraph {
         self.append(other.clone())
     }
 
-    /// Moves `other` into `self`, shifting its event ids past `self`'s.
+    /// Moves `other` into `self`, shifting its event ids past `self`'s and
+    /// linking its symbol table into `self`'s in first-link order.
     /// Returns the id offset applied to `other`'s events.
     ///
     /// Event sets of different programs stay disjoint, exactly as in the
@@ -179,6 +185,7 @@ impl PropagationGraph {
     /// [`SearchWorkspace`] cover just that range.
     pub fn append(&mut self, mut other: PropagationGraph) -> u32 {
         let offset = self.events.len() as u32;
+        other.remap(&self.symbols.link(&other.symbols));
         // `other` already upholds the graph invariants (no duplicate or
         // self edges, symmetric succs/preds), so its events and adjacency
         // lists move over wholesale, ids shifted in place, instead of
@@ -197,6 +204,23 @@ impl PropagationGraph {
             .extend(other.arg_positions.into_iter().map(|(edge, pos)| (shift(edge), pos)));
         self.edge_count += other.edge_count;
         offset
+    }
+
+    /// Links the graph's texts into `table`, renumbers its symbols to
+    /// `table`'s and makes `table` the graph's table.
+    pub fn rebase(&mut self, mut table: Symbols) {
+        self.remap(&table.link(&self.symbols));
+        self.symbols = table;
+    }
+
+    /// Renumbers every symbol `s` of the graph to `map[s]`.
+    fn remap(&mut self, map: &[Symbol]) {
+        for rep in self.events.iter_mut().flat_map(|e| &mut e.reps) {
+            *rep = map[rep.index()];
+        }
+        for pos in self.arg_positions.values_mut() {
+            *pos = pos.map(|k| map[k.index()]);
+        }
     }
 
     /// Pre-allocates room for `events` additional events, for bulk unions.
@@ -248,7 +272,7 @@ impl PropagationGraph {
     pub fn contract(&self) -> (PropagationGraph, Vec<EventId>) {
         let mut rep_to_new: HashMap<Symbol, EventId> = HashMap::new();
         let mut mapping = vec![EventId(0); self.events.len()];
-        let mut out = PropagationGraph::new();
+        let mut out = PropagationGraph { symbols: self.symbols.clone(), ..Default::default() };
         for (id, e) in self.events() {
             let key = e.rep_sym();
             let new_id = match rep_to_new.get(&key) {
@@ -278,18 +302,12 @@ impl PropagationGraph {
     }
 
     /// Counts how often each representation occurs across all backoff
-    /// options of all events, as a [`Symbol`]-indexed vector (index
-    /// [`Symbol::index`], zero for symbols absent from this graph). Used
-    /// for the backoff cutoff (§4.3); lookups are array indexing instead
-    /// of string hashing.
+    /// options of all events, indexed by [`Symbol::index`] over the
+    /// graph's table (zero for symbols no event uses). Used for the
+    /// backoff cutoff (§4.3); lookups are array indexing instead of
+    /// string hashing.
     pub fn rep_frequency_counts(&self) -> Vec<usize> {
-        let max_index = self
-            .events
-            .iter()
-            .flat_map(|e| &e.reps)
-            .map(|r| r.index())
-            .max();
-        let mut counts = vec![0usize; max_index.map_or(0, |m| m + 1)];
+        let mut counts = vec![0usize; self.symbols.len()];
         for e in &self.events {
             for r in &e.reps {
                 counts[r.index()] += 1;
@@ -300,18 +318,34 @@ impl PropagationGraph {
 }
 
 #[cfg(test)]
+impl PropagationGraph {
+    /// Adds an event whose representations are `reps`, interned into the
+    /// graph's table.
+    pub(crate) fn add_event_reps(
+        &mut self,
+        kind: crate::EventKind,
+        reps: &[&str],
+        file: crate::FileId,
+        span: seldon_ir::Span,
+    ) -> EventId {
+        let reps = reps.iter().map(|r| self.symbols.intern(r)).collect();
+        self.add_event(Event::new(kind, reps, file, span))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{EventKind, FileId};
     use proptest::prelude::*;
-    use seldon_pyast::Span;
+    use seldon_ir::Span;
 
-    fn ev(rep: &str) -> Event {
-        Event::from_reps(EventKind::Call, &[rep], FileId(0), Span::dummy())
+    fn ev(graph: &mut PropagationGraph, rep: &str) -> EventId {
+        graph.add_event_reps(EventKind::Call, &[rep], FileId(0), Span::dummy())
     }
 
     fn chain(graph: &mut PropagationGraph, reps: &[&str]) -> Vec<EventId> {
-        let ids: Vec<EventId> = reps.iter().map(|r| graph.add_event(ev(r))).collect();
+        let ids: Vec<EventId> = reps.iter().map(|r| ev(graph, r)).collect();
         for w in ids.windows(2) {
             graph.add_edge(w[0], w[1]);
         }
@@ -333,8 +367,8 @@ mod tests {
     #[test]
     fn duplicate_and_self_edges_ignored() {
         let mut g = PropagationGraph::new();
-        let a = g.add_event(ev("a()"));
-        let b = g.add_event(ev("b()"));
+        let a = ev(&mut g, "a()");
+        let b = ev(&mut g, "b()");
         g.add_edge(a, b);
         g.add_edge(a, b);
         g.add_edge(a, a);
@@ -345,7 +379,7 @@ mod tests {
     fn bfs_reachability() {
         let mut g = PropagationGraph::new();
         let ids = chain(&mut g, &["a()", "b()", "c()", "d()"]);
-        let x = g.add_event(ev("x()"));
+        let x = ev(&mut g, "x()");
         g.add_edge(x, ids[2]);
         let fwd = g.reachable_from(ids[0]);
         assert_eq!(fwd.len(), 3);
@@ -370,9 +404,9 @@ mod tests {
     #[test]
     fn union_preserves_edge_kinds_and_arg_positions() {
         let mut g2 = PropagationGraph::new();
-        let a = g2.add_event(ev("a()"));
-        let b = g2.add_event(ev("b()"));
-        let c = g2.add_event(ev("c()"));
+        let a = ev(&mut g2, "a()");
+        let b = ev(&mut g2, "b()");
+        let c = ev(&mut g2, "c()");
         g2.add_edge_kind(a, b, EdgeKind::Receiver);
         g2.add_edge_kind(a, c, EdgeKind::Argument);
         g2.set_arg_position(a, c, ArgPos::Positional(1));
@@ -387,17 +421,23 @@ mod tests {
         assert_eq!(g1.predecessors(b), &[a]);
     }
 
-    /// A graph of `n` events over a few shared reps, with `edges` as
-    /// `(from, to, tag)` taken modulo `n`. Bit 0 of `tag` picks the edge
-    /// kind (repeats upgrade receiver edges, self edges are dropped);
-    /// bits 1–2 pick no argument position or one of each kind.
-    fn random_graph(n: u32, edges: &[(u32, u32, u8)]) -> PropagationGraph {
+    /// The vocabularies [`random_graph`] draws reps from: the first two
+    /// share texts in different orders, the third shares none.
+    const VOCABS: [[&str; 3]; 3] =
+        [["a()", "b()", "c.d()"], ["c.d()", "e()", "a()"], ["p()", "q()", "r()"]];
+
+    /// A graph of `n` events over the reps of `VOCABS[vocab]`, each
+    /// followed by the shared `x`, with `edges` as `(from, to, tag)` taken
+    /// modulo `n`. Bit 0 of `tag` picks the edge kind (repeats upgrade
+    /// receiver edges, self edges are dropped); bits 1–2 pick no argument
+    /// position or one of each kind. An empty graph has an empty table.
+    fn random_graph(n: u32, vocab: usize, edges: &[(u32, u32, u8)]) -> PropagationGraph {
         let mut g = PropagationGraph::new();
         let kinds = [EventKind::Call, EventKind::ObjectRead, EventKind::ParamRead];
         for i in 0..n {
-            let reps = [["a()", "b()", "c.d()"][i as usize % 3], "x"];
+            let reps = [VOCABS[vocab][i as usize % 3], "x"];
             let span = Span::new(i, i + 1, i, 0);
-            g.add_event(Event::from_reps(kinds[i as usize % 3], &reps, FileId(i % 2), span));
+            g.add_event_reps(kinds[i as usize % 3], &reps, FileId(i % 2), span);
         }
         for &(from, to, tag) in edges.iter().filter(|_| n > 0) {
             let (from, to) = (EventId(from % n), EventId(to % n));
@@ -407,25 +447,38 @@ mod tests {
                 0 => {}
                 1 => g.set_arg_position(from, to, ArgPos::Receiver),
                 2 => g.set_arg_position(from, to, ArgPos::Positional(tag)),
-                _ => g.set_arg_position(from, to, ArgPos::Keyword(keyword_name(&format!("k{tag}")))),
+                _ => {
+                    let name = g.symbols.intern(&format!("k{tag}"));
+                    g.set_arg_position(from, to, ArgPos::Keyword(name));
+                }
             }
         }
         g
     }
 
-    /// The union that copies every list with shifted ids, field by
-    /// field: the reference [`PropagationGraph::append`] is checked
-    /// against.
+    /// The union that copies every list with shifted ids and every
+    /// symbol re-interned by text, field by field: the reference
+    /// [`PropagationGraph::append`] is checked against.
     fn union_by_copy(g: &mut PropagationGraph, other: &PropagationGraph) -> u32 {
         let offset = g.events.len() as u32;
         let shift = |id: EventId| EventId(id.0 + offset);
-        g.events.extend_from_slice(&other.events);
+        let map: Vec<Symbol> = other.symbols.iter().map(|(_, t)| g.symbols.intern(t)).collect();
+        let sym = |s: Symbol| map[s.index()];
+        let events: Vec<Event> = other
+            .events
+            .iter()
+            .map(|e| Event { reps: e.reps.iter().map(|&r| sym(r)).collect(), ..e.clone() })
+            .collect();
+        let args: Vec<_> = other
+            .arg_positions
+            .iter()
+            .map(|(&(f, t), pos)| ((shift(f), shift(t)), pos.map(|&k| sym(k))))
+            .collect();
+        g.events.extend(events);
         g.succs.extend(other.succs.iter().map(|l| l.iter().map(|&t| shift(t)).collect()));
         g.preds.extend(other.preds.iter().map(|l| l.iter().map(|&f| shift(f)).collect()));
         g.receiver_edges.extend(other.receiver_edges.iter().map(|&(f, t)| (shift(f), shift(t))));
-        g.arg_positions.extend(
-            other.arg_positions.iter().map(|(&(f, t), pos)| ((shift(f), shift(t)), *pos)),
-        );
+        g.arg_positions.extend(args);
         g.edge_count += other.edge_count;
         offset
     }
@@ -433,20 +486,34 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Folding graphs by move equals folding them by reference and by
-        /// copy: the same events, adjacency lists in the same order, edge
-        /// kinds, argument positions, edge count and returned offsets.
+        /// Folding graphs built against their own tables by move equals
+        /// folding them by reference and by copy: the same events, reps by
+        /// text, adjacency lists in the same order, edge kinds, argument
+        /// positions, edge count and returned offsets, and a destination
+        /// table numbered in first-link order.
         #[test]
         fn append_equals_union_by_reference(
             specs in prop::collection::vec(
-                (0u32..12, prop::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..40)),
+                (
+                    0u32..12,
+                    0usize..3,
+                    prop::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..40),
+                ),
                 1..6,
             ),
         ) {
             let mut moved = PropagationGraph::new();
             let (mut borrowed, mut copied) = (PropagationGraph::new(), PropagationGraph::new());
-            for (n, edges) in &specs {
-                let g = random_graph(*n, edges);
+            let (mut texts, mut linked) = (Vec::new(), Vec::new());
+            for (n, vocab, edges) in &specs {
+                let g = random_graph(*n, *vocab, edges);
+                let text = |&r| g.symbols.resolve(r).to_string();
+                texts.extend(g.events().map(|(_, e)| e.reps.iter().map(text).collect::<Vec<_>>()));
+                for (_, text) in g.symbols.iter() {
+                    if !linked.iter().any(|t| t == text) {
+                        linked.push(text.to_string());
+                    }
+                }
                 let offset = union_by_copy(&mut copied, &g);
                 prop_assert_eq!(borrowed.union(&g), offset);
                 prop_assert_eq!(moved.append(g), offset);
@@ -454,6 +521,12 @@ mod tests {
                 prop_assert!(moved == copied, "append differs after {} more events", n);
                 prop_assert!(borrowed == copied, "union differs after {} more events", n);
             }
+            for (id, e) in moved.events() {
+                let reps: Vec<&str> = e.reps.iter().map(|&r| moved.symbols.resolve(r)).collect();
+                prop_assert_eq!(&reps, &texts[id.index()]);
+            }
+            let order: Vec<&str> = moved.symbols.iter().map(|(_, t)| t).collect();
+            prop_assert_eq!(order, linked, "ids follow first-link order");
         }
     }
 
@@ -461,10 +534,10 @@ mod tests {
     fn contraction_merges_same_rep() {
         // Fig. 8: two `san()` calls in different functions.
         let mut g = PropagationGraph::new();
-        let src = g.add_event(ev("src()"));
-        let san1 = g.add_event(ev("san()"));
-        let san2 = g.add_event(ev("san()"));
-        let sink = g.add_event(ev("sink()"));
+        let src = ev(&mut g, "src()");
+        let san1 = ev(&mut g, "san()");
+        let san2 = ev(&mut g, "san()");
+        let sink = ev(&mut g, "sink()");
         g.add_edge(src, san1);
         g.add_edge(san2, sink);
         let (c, mapping) = g.contract();
@@ -481,22 +554,11 @@ mod tests {
     #[test]
     fn representation_frequencies_count_backoffs() {
         let mut g = PropagationGraph::new();
-        g.add_event(Event::from_reps(
-            EventKind::Call,
-            &["a.b()", "b()"],
-            FileId(0),
-            Span::dummy(),
-        ));
-        g.add_event(Event::from_reps(
-            EventKind::Call,
-            &["c.b()", "b()"],
-            FileId(0),
-            Span::dummy(),
-        ));
+        g.add_event_reps(EventKind::Call, &["a.b()", "b()"], FileId(0), Span::dummy());
+        g.add_event_reps(EventKind::Call, &["c.b()", "b()"], FileId(0), Span::dummy());
         let counts = g.rep_frequency_counts();
-        assert_eq!(counts[seldon_intern::intern("b()").index()], 2);
-        assert_eq!(counts[seldon_intern::intern("a.b()").index()], 1);
-        assert_eq!(counts[seldon_intern::intern("c.b()").index()], 1);
+        let sym = |text| g.symbols().get(text).unwrap().index();
+        assert_eq!((counts[sym("b()")], counts[sym("a.b()")], counts[sym("c.b()")]), (2, 1, 1));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use crate::andersen::{Andersen, VarId};
 use crate::emit::{FlowSet, FuncSummary, Funcs, PendingCall, Sink};
 use crate::event::{Event, EventId, EventKind, FileId};
-use crate::graph::{keyword_name, PropagationGraph};
-use seldon_intern::Symbol;
+use crate::graph::PropagationGraph;
+use seldon_intern::{Symbol, Symbols};
 use seldon_ir::{IrOp, IrParam, IrProgram, Span};
 use std::borrow::Cow;
 
@@ -38,6 +38,10 @@ impl GraphSink {
 impl Sink for GraphSink {
     type Output = PropagationGraph;
 
+    fn symbols(&mut self) -> &mut Symbols {
+        self.graph.symbols_mut()
+    }
+
     fn event(&mut self, kind: EventKind, reps: Vec<Symbol>, span: Span) -> u32 {
         self.graph.add_event(Event::new(kind, reps, self.file, span)).0
     }
@@ -48,7 +52,7 @@ impl Sink for GraphSink {
                 self.graph.add_edge_kind(EventId(from), EventId(to), kind);
             }
             IrOp::ArgPos { from, to, pos } => {
-                let pos = pos.map(|k| keyword_name(k));
+                let pos = pos.map(|k| self.graph.symbols_mut().intern(k));
                 self.graph.set_arg_position(EventId(from), EventId(to), pos);
             }
             IrOp::Alloc { var, site } => self.pt.alloc(VarId(var), site),
@@ -107,14 +111,17 @@ impl Sink for GraphSink {
                 self.graph.add_edge(EventId(site), event);
             }
         }
+        self.graph.symbols_mut().seal();
         self.graph
     }
 }
 
 /// Builds the propagation graph of one recorded file by replaying it into
-/// a [`GraphSink`] that stamps `file` on every event.
+/// a [`GraphSink`] that stamps `file` on every event and starts from a copy
+/// of the program's symbol table, so every symbol keeps its id.
 pub fn build_ir(ir: &IrProgram, file: FileId) -> PropagationGraph {
     let mut sink = GraphSink::new(file);
+    *sink.symbols() = ir.symbols.clone();
     for ev in &ir.events {
         sink.event(ev.kind, ev.reps.clone(), ev.span);
     }

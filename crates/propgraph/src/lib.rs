@@ -40,12 +40,12 @@ pub use builder::{build_source, BuildError};
 pub use dot::to_dot;
 pub use emit::{Recorder, Sink};
 pub use event::{Event, EventId, EventKind, FileId};
-pub use graph::{keyword_name, ArgPos, EdgeKind, IdHash, IdHasher, PropagationGraph};
+pub use graph::{ArgPos, EdgeKind, IdHash, IdHasher, PropagationGraph};
 pub use irbuild::{build_ir, GraphSink};
 pub use lower::{lower_module_budgeted, lower_module_into};
 pub use repr::{
-    describe_expr, describe_syms, describe_variants, interned_dot_suffixes, ImportMap, ReprCtx,
+    describe_syms, describe_variants, ImportMap, ReprCtx,
     VariantArena, Variants, MAX_CHAIN_DEPTH,
 };
 pub use search::{Direction, SearchWorkspace};
-pub use seldon_intern::{intern, Symbol};
+pub use seldon_intern::{Symbol, Symbols};

@@ -16,7 +16,7 @@
 use crate::budget::{Budget, BudgetExceeded};
 use crate::emit::{union_into, Call, Emitter, FlowSet, Recorder, Scope, Sink, Walk};
 use crate::repr::{describe_syms, describe_variants, ImportMap, ReprCtx, VariantArena, Variants};
-use seldon_intern::{intern, Symbol};
+use seldon_intern::Symbol;
 use seldon_ir::IrProgram;
 use seldon_pyast::ast::*;
 use std::borrow::Cow;
@@ -281,7 +281,7 @@ impl<'m, S: Sink> Lowerer<'m, S> {
     fn intern(&mut self, parts: &[&str]) -> Symbol {
         self.text.clear();
         parts.iter().for_each(|p| self.text.push_str(p));
-        intern(&self.text)
+        self.em.symbols().intern(&self.text)
     }
 
     fn walk_class(&mut self, def: &'m ClassDef<'m>, outer: &mut Scope<'m>) {
@@ -379,12 +379,12 @@ impl<'m, S: Sink> Lowerer<'m, S> {
             ExprKind::FString { parts, .. } => self.eval_all(parts, sc),
             ExprKind::Attribute { value, attr } => {
                 let base_flows = self.eval(value, sc);
-                let reps = describe_syms(expr, &sc.ctx);
+                let reps = describe_syms(expr, &sc.ctx, self.em.symbols());
                 self.em.read_event(sc, reps, expr.span, name_of(value), attr, base_flows)
             }
             ExprKind::Subscript { value, index } => {
                 let base_flows = self.eval_all([&**value, index], sc);
-                let reps = describe_syms(expr, &sc.ctx);
+                let reps = describe_syms(expr, &sc.ctx, self.em.symbols());
                 let field = index_field(index, &mut self.text);
                 self.em.read_event(sc, reps, expr.span, name_of(value), field, base_flows)
             }
@@ -485,7 +485,7 @@ impl<'m, S: Sink> Lowerer<'m, S> {
             },
             _ => None,
         };
-        let reps = describe_syms(expr, &sc.ctx);
+        let reps = describe_syms(expr, &sc.ctx, self.em.symbols());
         self.call(Call { reps, span: expr.span, recv, operands, target })
     }
 }
@@ -621,7 +621,7 @@ import m_last as a13
 ";
         let calls: String = (0..14).map(|i| format!("a{i}.run()\n")).collect();
         let ir = lower(&format!("{src}{calls}"));
-        let reps: Vec<&str> = ir.events.iter().map(|e| e.reps[0].as_str()).collect();
+        let reps: Vec<&str> = ir.events.iter().map(|e| ir.symbols.resolve(e.reps[0])).collect();
         for module in [
             "m_def", "m_class", "m_for", "m_for_else", "m_while", "m_while_else", "m_if",
             "m_if_else", "m_with", "m_try", "m_except", "m_try_else", "m_finally.a12",

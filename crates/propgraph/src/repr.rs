@@ -14,12 +14,11 @@
 //!   `args.get()` (suffixes keep at least two components so that maximally
 //!   generic names like `get()` do not conflate unrelated events).
 
-use seldon_intern::{intern, IdHash, Symbol};
+use seldon_intern::{IdHash, Symbol, Symbols};
 use seldon_pyast::ast::{Expr, ExprKind};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::RwLock;
 
 /// Maximum number of representations kept per event.
 pub const MAX_REPS: usize = 6;
@@ -201,82 +200,71 @@ impl<'a> ReprCtx<'a> {
         });
     }
 
-    /// The interned representations of the access chain `chain` renders
-    /// (see [`Self::for_each_variant`]): deduplicated, with dot-suffix
-    /// backoff on the first variant when it is plain dotted, capped at
-    /// [`MAX_REPS`]. Shared by every frontend's describe pass. The list is
-    /// built in a buffer the thread reuses, so the only allocation is the
-    /// returned vector, at its exact length.
-    pub fn rep_syms<'e>(&self, chain: impl FnOnce(&mut String) -> Option<&'e str>) -> Vec<Symbol> {
+    /// Calls `f` with the representations of the access chain `chain`
+    /// renders (see [`Self::for_each_variant`]), interned into `symbols`:
+    /// deduplicated, with dot-suffix backoff on the first variant when it
+    /// is plain dotted, capped at [`MAX_REPS`]. The list is built in
+    /// buffers the thread reuses.
+    fn with_reps<'e, R>(
+        &self,
+        chain: impl FnOnce(&mut String) -> Option<&'e str>,
+        symbols: &mut Symbols,
+        f: impl FnOnce(&Symbols, &[Symbol]) -> R,
+    ) -> R {
         thread_local! {
-            static LIST: RefCell<Vec<Symbol>> = const { RefCell::new(Vec::new()) };
+            static LIST: RefCell<(Vec<Symbol>, String)> = RefCell::default();
         }
-        LIST.with_borrow_mut(|out| {
+        LIST.with_borrow_mut(|(out, first)| {
             out.clear();
-            let mut backoff = false;
+            first.clear();
             self.for_each_variant(chain, |v| {
-                backoff |= out.is_empty() && backs_off(v);
-                let sym = intern(v);
-                if !out.contains(&sym) {
-                    out.push(sym);
+                if out.is_empty() && backs_off(v) {
+                    first.push_str(v);
                 }
+                push_rep(out, symbols, v);
             });
-            if backoff {
-                for &s in interned_dot_suffixes(out[0]) {
-                    if !out.contains(&s) {
-                        out.push(s);
-                    }
-                }
-            }
-            out.truncate(MAX_REPS);
-            out.to_vec()
+            dot_suffix_starts(first).for_each(|start| push_rep(out, symbols, &first[start..]));
+            f(symbols, out)
         })
     }
 
-    /// [`Self::rep_syms`] as texts appended to the file's variant arena:
-    /// the same list, in the same order, interning only the first variant
-    /// (for its memoized dot suffixes). This is what a binding records as
-    /// a local's variants.
+    /// The representations of the access chain `chain` renders, interned
+    /// into `symbols` ([`Self::with_reps`]). Shared by every frontend's
+    /// describe pass; the only allocation is the returned vector, at its
+    /// exact length.
+    pub fn rep_syms<'e>(
+        &self,
+        chain: impl FnOnce(&mut String) -> Option<&'e str>,
+        symbols: &mut Symbols,
+    ) -> Vec<Symbol> {
+        self.with_reps(chain, symbols, |_, reps| reps.to_vec())
+    }
+
+    /// [`Self::rep_syms`] as texts appended to the file's variant arena,
+    /// built in a table the thread reuses: what a binding records as a
+    /// local's variants.
     pub fn push_variants<'e>(
         &self,
         chain: impl FnOnce(&mut String) -> Option<&'e str>,
     ) -> Variants {
         thread_local! {
-            static LIST: RefCell<(String, Vec<usize>)> = RefCell::default();
+            static SCRATCH: RefCell<Symbols> = RefCell::default();
         }
-        LIST.with_borrow_mut(|list| {
-            let (text, ends) = list;
-            text.clear();
-            ends.clear();
-            self.for_each_variant(chain, |v| push_unique(text, ends, v));
-            if let Some(&first_end) = ends.first() {
-                if backs_off(&text[..first_end]) {
-                    for s in interned_dot_suffixes(intern(&text[..first_end])) {
-                        push_unique(text, ends, s.as_str());
-                    }
-                }
-            }
-            ends.truncate(MAX_REPS);
-            self.variants.borrow_mut().push((0..ends.len()).map(|i| listed(text, ends, i)))
+        SCRATCH.with_borrow_mut(|scratch| {
+            scratch.clear();
+            self.with_reps(chain, scratch, |scratch, reps| {
+                self.variants.borrow_mut().push(reps.iter().map(|&r| scratch.resolve(r)))
+            })
         })
-    }
-
-    /// [`Self::push_variants`] read back as strings.
-    pub fn rep_strings<'e>(
-        &self,
-        chain: impl FnOnce(&mut String) -> Option<&'e str>,
-    ) -> Vec<String> {
-        let variants = self.push_variants(chain);
-        self.variants.borrow().get(variants).map(str::to_string).collect()
     }
 }
 
 /// Computes the representation variants of an expression, most → least
-/// specific, as interned [`Symbol`]s ([`ReprCtx::rep_syms`]). Returns an
+/// specific, as symbols of `symbols` ([`ReprCtx::rep_syms`]). Returns an
 /// empty vector when the expression has no stable description (e.g.
 /// arithmetic on strings).
-pub fn describe_syms(expr: &Expr<'_>, ctx: &ReprCtx<'_>) -> Vec<Symbol> {
-    ctx.rep_syms(|suffix| chain_base(expr, 0, suffix))
+pub fn describe_syms(expr: &Expr<'_>, ctx: &ReprCtx<'_>, symbols: &mut Symbols) -> Vec<Symbol> {
+    ctx.rep_syms(|suffix| chain_base(expr, 0, suffix), symbols)
 }
 
 /// Like [`describe_syms`], but appends the variant texts to the file's
@@ -286,22 +274,13 @@ pub fn describe_variants(expr: &Expr<'_>, ctx: &ReprCtx<'_>) -> Variants {
     ctx.push_variants(|suffix| chain_base(expr, 0, suffix))
 }
 
-/// [`describe_variants`] read back as strings.
-pub fn describe_expr(expr: &Expr<'_>, ctx: &ReprCtx<'_>) -> Vec<String> {
-    ctx.rep_strings(|suffix| chain_base(expr, 0, suffix))
-}
-
-/// The `i`th text of a list kept as one buffer and the end of each text.
-fn listed<'t>(text: &'t str, ends: &[usize], i: usize) -> &'t str {
-    &text[if i == 0 { 0 } else { ends[i - 1] }..ends[i]]
-}
-
-/// Appends `v` to a list kept as one buffer and the end of each text,
-/// unless the list already holds it.
-fn push_unique(text: &mut String, ends: &mut Vec<usize>, v: &str) {
-    if !(0..ends.len()).any(|i| listed(text, ends, i) == v) {
-        text.push_str(v);
-        ends.push(text.len());
+/// Appends the symbol of `v` to `reps` unless `reps` holds it or is full.
+fn push_rep(reps: &mut Vec<Symbol>, symbols: &mut Symbols, v: &str) {
+    if reps.len() < MAX_REPS {
+        let sym = symbols.intern(v);
+        if !reps.contains(&sym) {
+            reps.push(sym);
+        }
     }
 }
 
@@ -352,71 +331,42 @@ fn chain_base<'e>(expr: &Expr<'e>, depth: usize, suffix: &mut String) -> Option<
     }
 }
 
-/// The dot suffixes of an interned representation, computed once per
-/// symbol and memoized for the process lifetime.
-///
-/// A representation like `flask.request.args.get()` appears on thousands
-/// of events across a corpus; its suffix list is identical every time, so
-/// re-splitting and re-allocating per event ([`dot_suffixes`]) is pure
-/// waste. The memo is keyed by [`Symbol`], making the hot-path lookup one
-/// integer-keyed hash probe.
-pub fn interned_dot_suffixes(rep: Symbol) -> &'static [Symbol] {
-    static MEMO: RwLock<Option<HashMap<Symbol, &'static [Symbol], IdHash>>> = RwLock::new(None);
-    if let Some(memo) = MEMO.read().unwrap_or_else(|e| e.into_inner()).as_ref() {
-        if let Some(&suffixes) = memo.get(&rep) {
-            return suffixes;
-        }
-    }
-    let computed: Vec<Symbol> =
-        dot_suffixes(rep.as_str()).iter().map(|s| intern(s)).collect();
-    let mut guard = MEMO.write().unwrap_or_else(|e| e.into_inner());
-    let memo = guard.get_or_insert_with(HashMap::default);
-    // Re-check under the write lock; leak only for the winning thread.
-    memo.entry(rep).or_insert_with(|| Box::leak(computed.into_boxed_slice()))
-}
-
 /// Splits a representation on top-level dots (ignoring dots inside brackets
 /// or quotes) and returns the suffixes with at least two components.
 pub fn dot_suffixes(rep: &str) -> Vec<String> {
-    let comps = top_level_components(rep);
-    let mut out = Vec::new();
-    if comps.len() < 3 {
-        return out;
-    }
-    for start in 1..=comps.len().saturating_sub(2) {
-        out.push(comps[start..].join("."));
-    }
-    out
+    dot_suffix_starts(rep).map(|start| rep[start..].to_string()).collect()
 }
 
-/// Splits on `.` at bracket/quote depth zero.
-pub fn top_level_components(rep: &str) -> Vec<&str> {
-    let bytes = rep.as_bytes();
-    let mut parts = Vec::new();
-    let mut depth = 0u32;
-    let mut quote: Option<u8> = None;
-    let mut start = 0usize;
-    for (i, &b) in bytes.iter().enumerate() {
-        match quote {
-            Some(q) => {
-                if b == q {
-                    quote = None;
-                }
+/// Where each suffix of [`dot_suffixes`] starts, most specific first: one
+/// past every top-level dot but the last.
+fn dot_suffix_starts(rep: &str) -> impl Iterator<Item = usize> + '_ {
+    // A suffix needs two dots; most representations have fewer.
+    let two = rep.bytes().filter(|&b| b == b'.').nth(1).is_some();
+    let mut last = None;
+    top_level_dots(if two { rep } else { "" })
+        .filter_map(move |dot| last.replace(dot).map(|prev: usize| prev + 1))
+}
+
+/// The positions of the dots of `rep` at bracket/quote depth zero.
+fn top_level_dots(rep: &str) -> impl Iterator<Item = usize> + '_ {
+    let (mut depth, mut quote) = (0u32, None);
+    rep.bytes()
+        .enumerate()
+        .filter(move |&(_, b)| {
+            match quote {
+                Some(q) if b == q => quote = None,
+                Some(_) => {}
+                None => match b {
+                    b'(' | b'[' => depth += 1,
+                    b')' | b']' => depth = depth.saturating_sub(1),
+                    b'\'' | b'"' => quote = Some(b),
+                    b'.' => return depth == 0,
+                    _ => {}
+                },
             }
-            None => match b {
-                b'(' | b'[' => depth += 1,
-                b')' | b']' => depth = depth.saturating_sub(1),
-                b'\'' | b'"' => quote = Some(b),
-                b'.' if depth == 0 => {
-                    parts.push(&rep[start..i]);
-                    start = i + 1;
-                }
-                _ => {}
-            },
-        }
-    }
-    parts.push(&rep[start..]);
-    parts
+            false
+        })
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -434,7 +384,12 @@ mod tests {
     }
 
     fn describe(src: &str, ctx: &ReprCtx) -> Vec<String> {
-        describe_expr(&parse_expr(src).unwrap(), ctx)
+        arena_texts(ctx, describe_variants(&parse_expr(src).unwrap(), ctx))
+    }
+
+    /// The texts `variants` recorded in `ctx`'s arena.
+    fn arena_texts(ctx: &ReprCtx, variants: Variants) -> Vec<String> {
+        ctx.variants.borrow().get(variants).map(str::to_string).collect()
     }
 
     #[test]
@@ -532,12 +487,10 @@ mod tests {
 
     #[test]
     fn top_level_components_respects_brackets() {
-        assert_eq!(
-            top_level_components("a.b['x.y'].c()"),
-            vec!["a", "b['x.y']", "c()"]
-        );
-        assert_eq!(top_level_components("f(param x).g()"), vec!["f(param x)", "g()"]);
-        assert_eq!(top_level_components("solo"), vec!["solo"]);
+        let dots = |rep| top_level_dots(rep).collect::<Vec<_>>();
+        assert_eq!(dots("a.b['x.y'].c()"), [1, 10], "a | b['x.y'] | c()");
+        assert_eq!(dots("f(param x).g()"), [10], "f(param x) | g()");
+        assert_eq!(dots("solo"), []);
     }
 
     #[test]
@@ -553,30 +506,27 @@ mod tests {
     #[test]
     fn interned_suffixes_pin_order_and_dedup() {
         // Order: longest (most specific) suffix first, each keeping ≥ 2
-        // components; identical to the string-level dot_suffixes.
-        let sym = intern("a.b.c.d()");
-        let suffixes = interned_dot_suffixes(sym);
-        assert_eq!(
-            suffixes,
-            &[intern("b.c.d()"), intern("c.d()")],
-            "suffix order must be most → least specific"
-        );
-        // Memoized: a second lookup returns the very same leaked slice.
-        assert!(std::ptr::eq(suffixes, interned_dot_suffixes(sym)));
-        // Short reps have no suffixes, memoized or not.
-        assert!(interned_dot_suffixes(intern("a.b()")).is_empty());
-        assert!(interned_dot_suffixes(intern("solo()")).is_empty());
-        // finish() dedups suffixes against the variant list: the variants
-        // of `request.args.get()` under `from flask import request` already
+        // components; identical to the string-level dot_suffixes, and
+        // interned into the table in that order.
+        let mut table = Symbols::new();
+        let syms = describe_syms(&parse_expr("a.b.c.d()").unwrap(), &ReprCtx::new(), &mut table);
+        let texts: Vec<&str> = syms.iter().map(|&s| table.resolve(s)).collect();
+        assert_eq!(texts, ["a.b.c.d()", "b.c.d()", "c.d()"], "most → least specific");
+        assert_eq!(syms, [Symbol(0), Symbol(1), Symbol(2)]);
+        // Short reps have no suffixes.
+        let short = describe_syms(&parse_expr("a.b()").unwrap(), &ReprCtx::new(), &mut table);
+        assert_eq!(short, [Symbol(3)]);
+        // Suffixes dedup against the variant list: the variants of
+        // `request.args.get()` under `from flask import request` already
         // end with the suffix chain, and no symbol repeats.
         let ctx = ctx_with_imports(&[("request", &["flask", "request"])]);
-        let syms = describe_syms(&parse_expr("request.args.get('n')").unwrap(), &ctx);
+        let syms = describe_syms(&parse_expr("request.args.get('n')").unwrap(), &ctx, &mut table);
         let mut seen = std::collections::HashSet::new();
         for &s in &syms {
-            assert!(seen.insert(s), "duplicate symbol {s} in {syms:?}");
+            assert!(seen.insert(s), "duplicate symbol {s:?} in {syms:?}");
         }
-        assert_eq!(syms[0], intern("flask.request.args.get()"));
-        assert_eq!(syms.last(), Some(&intern("args.get()")));
+        assert_eq!(table.resolve(syms[0]), "flask.request.args.get()");
+        assert_eq!(table.resolve(*syms.last().unwrap()), "args.get()");
     }
 
     #[test]
@@ -733,8 +683,10 @@ mod tests {
                 suffix.push_str(".k()");
                 Some("v")
             };
-            let syms: Vec<&str> = ctx.rep_syms(chain).iter().map(|s| s.as_str()).collect();
-            assert_eq!(ctx.rep_strings(chain), syms);
+            let mut table = Symbols::new();
+            let syms = ctx.rep_syms(chain, &mut table);
+            let syms: Vec<&str> = syms.iter().map(|&s| table.resolve(s)).collect();
+            assert_eq!(arena_texts(&ctx, ctx.push_variants(chain)), syms);
         }
         // Every expression of every Python snippet the IR goldens pin,
         // under the file's imports and under every function's context.
@@ -744,7 +696,7 @@ mod tests {
         snippets.push(include_str!("../../../tests/fixtures/py_inlining_guards.py"));
         snippets.push(include_str!("../../../tests/fixtures/py_locals_template_context.py"));
         assert!(snippets.len() >= 10, "found {} snippets", snippets.len());
-        let mut compared = 0;
+        let (mut compared, mut table) = (0, Symbols::new());
         for src in snippets {
             let module = seldon_pyast::parse(src).expect("golden snippets parse");
             let mut imports = ImportMap::new();
@@ -754,9 +706,9 @@ mod tests {
             walk_body(&module.body, &top, &mut exprs, &mut ctxs);
             for ctx in &ctxs {
                 for e in &exprs {
-                    let syms: Vec<&str> =
-                        describe_syms(e, ctx).iter().map(|s| s.as_str()).collect();
-                    assert_eq!(describe_expr(e, ctx), syms, "{e:?}");
+                    let syms = describe_syms(e, ctx, &mut table);
+                    let syms: Vec<&str> = syms.iter().map(|&s| table.resolve(s)).collect();
+                    assert_eq!(arena_texts(ctx, describe_variants(e, ctx)), syms, "{e:?}");
                     compared += usize::from(!syms.is_empty());
                 }
             }

@@ -158,7 +158,7 @@ impl SearchWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventKind, FileId};
+    use crate::event::{EventKind, FileId};
     use proptest::prelude::*;
     use seldon_pyast::Span;
     use std::collections::{HashSet, VecDeque};
@@ -210,7 +210,7 @@ mod tests {
         let mut g = PropagationGraph::new();
         let n = 1 + (next() % 40) as u32;
         for _ in 0..n {
-            g.add_event(Event::from_reps(EventKind::Call, &["f()"], FileId(0), Span::dummy()));
+            g.add_event_reps(EventKind::Call, &["f()"], FileId(0), Span::dummy());
         }
         for _ in 0..(next() % (3 * u64::from(n) + 1)) {
             let from = EventId((next() % u64::from(n)) as u32);

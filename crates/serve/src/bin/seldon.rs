@@ -417,10 +417,10 @@ fn cmd_graph(rest: &[String]) -> Result<Outcome, CliError> {
     } else {
         println!("{} events, {} edges", graph.event_count(), graph.edge_count());
         for (id, event) in graph.events() {
-            println!("  {id} [{}] {} (line {})", event.kind, event.rep(), event.span.line);
+            println!("  {id} [{}] {} (line {})", event.kind, graph.rep(id), event.span.line);
         }
         for (from, to) in graph.edges() {
-            println!("  {} -> {}", graph.event(from).rep(), graph.event(to).rep());
+            println!("  {} -> {}", graph.rep(from), graph.rep(to));
         }
     }
     Ok(if degraded { Outcome::Findings } else { Outcome::Clean })

@@ -62,7 +62,7 @@ use seldon_core::{
     record_learning, union_graphs, AnalysisReport, AnalyzeOptions, AnalyzedFiles,
     CacheFaultReport, CheckpointOutcome, FileInput, FileOutcome, PipelineError, SeldonOptions,
 };
-use seldon_propgraph::{FileId, PropagationGraph};
+use seldon_propgraph::{FileId, PropagationGraph, Symbols};
 use seldon_specs::TaintSpec;
 use seldon_telemetry::{metric, Class, MetricsRegistry, RunManifest};
 
@@ -254,6 +254,11 @@ pub struct ServeEngine {
     learned: [u64; 3],
     /// Whether `ckpt` describes exactly the current `files` table.
     built: bool,
+    /// The table every rebuild's union links into, so a [`RepId`] in a
+    /// kept fragment means the same text in the next rebuild.
+    symbols: Symbols,
+    /// Symbols the last union used: the size of its own table.
+    symbols_used: usize,
     /// A checkpoint fault met on startup, reported by the first delta.
     startup_fault: Option<CacheFault>,
     last_events: usize,
@@ -284,6 +289,8 @@ impl ServeEngine {
             ckpt,
             learned,
             built: false,
+            symbols: Symbols::new(),
+            symbols_used: 0,
             startup_fault,
             last_events: 0,
             last_edges: 0,
@@ -316,6 +323,11 @@ impl ServeEngine {
     /// How the last delta obtained its spec.
     pub fn last_solve(&self) -> &'static str {
         self.last_solve
+    }
+
+    /// The engine's symbol table, which every rebuild's union links into.
+    pub fn symbols(&self) -> &Symbols {
+        &self.symbols
     }
 
     /// Applies a corpus delta and returns the updated specification.
@@ -479,10 +491,19 @@ impl ServeEngine {
         let seldon = self.effective_seldon();
         self.counters.rebuilds += 1;
 
+        // Past twice what the last union used, the table starts over and
+        // every fragment (a cache) is re-collected.
+        if self.symbols.len() > 2 * self.symbols_used {
+            self.symbols = Symbols::new();
+            self.files.values_mut().for_each(|state| state.frag = None);
+        }
         // Union by reference, in corpus order: the ranges attribute
         // events to files, and the fingerprint ignores file stamps.
         let graphs = self.files.values().map(|s| s.graph.as_ref().map(Cow::Borrowed)).collect();
-        let (union, ranges) = union_graphs(graphs, &tele);
+        let (mut union, ranges) = union_graphs(graphs, &tele);
+        self.symbols_used = union.symbols().len();
+        union.rebase(self.symbols.clone());
+        self.symbols.clone_from(union.symbols());
         self.last_events = union.event_count();
         self.last_edges = union.edge_count();
 
@@ -585,8 +606,7 @@ impl ServeEngine {
         m
     }
 
-    /// Serve-specific metrics (plus the interner leak detector shared
-    /// with batch manifests).
+    /// Serve-specific metrics, and the engine table's size.
     pub fn fill_metrics(&self, reg: &mut MetricsRegistry) {
         for (_, name, help, value) in self.counters.table() {
             reg.inc_counter(name, help, Class::Identity, value as f64);
@@ -598,7 +618,7 @@ impl ServeEngine {
             self.files.len() as f64,
         );
         // Identity on purpose: repeated identical deltas must not grow
-        // the interner — this gauge is the daemon's leak detector.
-        reg.gauge(&metric::INTERN_SYMBOLS, seldon_intern::len() as f64);
+        // the engine's table.
+        reg.gauge(&metric::INTERN_SYMBOLS, self.symbols.len() as f64);
     }
 }

@@ -51,7 +51,8 @@ pub struct Extraction {
     /// Role set chosen for each candidate event.
     pub event_roles: HashMap<EventId, RoleSet>,
     /// The effective (decayed) score backing each learned `(rep, role)`.
-    /// Keys are interned representations; resolve with [`RepId::as_str`].
+    /// Keys are symbols of the system's table; resolve with
+    /// [`ConstraintSystem::rep_text`].
     pub scores: HashMap<(RepId, Role), f64>,
     /// Backoff level (0 = most specific) of the winning selection behind
     /// each entry in [`Extraction::scores`] — the Fig. 11 x-axis.
@@ -149,7 +150,7 @@ pub fn extract(
     // Every selection above scored its `(rep, role)`, so the scored keys
     // are exactly the learned entries.
     for &(rep, role) in out.scores.keys() {
-        out.spec.add(rep.as_str(), role);
+        out.spec.add(sys.rep_text(rep), role);
     }
     out
 }
@@ -293,10 +294,11 @@ mod tests {
         sys.pin(v, 1.0);
         let outside = sys.rep("not.a.var()");
         let tables = VarTables::of(&sys);
-        for rep in [reps[0], reps[1], outside, seldon_propgraph::intern("never.a.member()")] {
+        let never = seldon_propgraph::Symbol(u32::MAX);
+        for rep in [reps[0], reps[1], outside, never] {
             for role in Role::ALL {
                 let var = sys.lookup_var(rep, role);
-                assert_eq!(tables.var(rep, role), var, "{rep} {role:?}");
+                assert_eq!(tables.var(rep, role), var, "{rep:?} {role:?}");
                 assert_eq!(tables.pinned(rep, role), var.and_then(|v| sys.pinned(v)));
             }
         }

@@ -1,5 +1,5 @@
 //! A compiled view of a [`TaintSpec`] that memoizes pattern matching and
-//! role lookup per interned [`Symbol`].
+//! role lookup per [`Symbol`] of one symbol table.
 //!
 //! Blacklist patterns are globs (App. B), so `TaintSpec::is_blacklisted`
 //! walks every pattern for every query — once per *event* representation
@@ -12,17 +12,19 @@
 
 use crate::role::{Role, RoleSet};
 use crate::spec::TaintSpec;
-use seldon_intern::Symbol;
+use seldon_intern::{Symbol, Symbols};
 use std::cell::RefCell;
 
 /// A memoizing matcher over a borrowed [`TaintSpec`].
 ///
 /// Intended for single-threaded analysis passes (constraint generation,
-/// taint-role resolution, Merlin seeding): build one per pass, query by
-/// [`Symbol`]. Not `Sync` — each worker thread builds its own.
+/// taint-role resolution, Merlin seeding): build one per pass over the
+/// table the queried [`Symbol`]s belong to. Not `Sync` — each worker
+/// thread builds its own.
 #[derive(Debug)]
 pub struct CompiledSpec<'a> {
     spec: &'a TaintSpec,
+    symbols: &'a Symbols,
     /// Blacklist verdict per symbol index, `None` until first queried.
     blacklisted: RefCell<Vec<Option<bool>>>,
     /// Role set per symbol index (blacklist already applied), `None` until
@@ -46,48 +48,38 @@ fn memo<T: Copy>(table: &RefCell<Vec<Option<T>>>, rep: Symbol, resolve: impl FnO
 }
 
 impl<'a> CompiledSpec<'a> {
-    /// Wraps `spec` with empty memo tables.
-    pub fn new(spec: &'a TaintSpec) -> Self {
+    /// Wraps `spec` with empty memo tables, for queries by symbols of
+    /// `symbols`.
+    pub fn new(spec: &'a TaintSpec, symbols: &'a Symbols) -> Self {
         CompiledSpec {
             spec,
+            symbols,
             blacklisted: RefCell::new(Vec::new()),
             roles: RefCell::new(Vec::new()),
         }
     }
 
-    /// The underlying specification.
-    pub fn spec(&self) -> &'a TaintSpec {
-        self.spec
-    }
-
     /// Whether the representation matches a blacklist pattern; glob
     /// matching runs once per distinct symbol.
     pub fn is_blacklisted(&self, rep: Symbol) -> bool {
-        memo(&self.blacklisted, rep, || self.spec.is_blacklisted(rep.as_str()))
+        memo(&self.blacklisted, rep, || self.spec.is_blacklisted(self.symbols.resolve(rep)))
     }
 
     /// The roles of the representation (empty if blacklisted or unknown),
     /// memoized per symbol.
     pub fn roles(&self, rep: Symbol) -> RoleSet {
-        memo(&self.roles, rep, || self.spec.roles(rep.as_str()))
+        memo(&self.roles, rep, || self.spec.roles(self.symbols.resolve(rep)))
     }
 
     /// Whether the representation has `role`.
     pub fn has_role(&self, rep: Symbol, role: Role) -> bool {
         self.roles(rep).contains(role)
     }
-
-    /// Number of distinct symbols resolved so far (for diagnostics).
-    pub fn memoized(&self) -> usize {
-        let verdicts = self.blacklisted.borrow().iter().filter(|a| a.is_some()).count();
-        verdicts.max(self.roles.borrow().iter().filter(|a| a.is_some()).count())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldon_intern::intern;
 
     #[test]
     fn memoized_answers_match_spec() {
@@ -95,19 +87,21 @@ mod tests {
         spec.add("flask.request.args.get()", Role::Source);
         spec.add("os.system()", Role::Sink);
         spec.blacklist("np.*");
-        let compiled = CompiledSpec::new(&spec);
-        for rep in ["flask.request.args.get()", "os.system()", "np.zeros()", "other()"] {
-            let sym = intern(rep);
+        let reps = ["flask.request.args.get()", "os.system()", "np.zeros()", "other()"];
+        let mut symbols = Symbols::new();
+        let syms: Vec<Symbol> = reps.iter().map(|rep| symbols.intern(rep)).collect();
+        let compiled = CompiledSpec::new(&spec, &symbols);
+        for (rep, &sym) in reps.into_iter().zip(&syms) {
             // Query twice: first resolves, second hits the memo.
             for _ in 0..2 {
                 assert_eq!(compiled.is_blacklisted(sym), spec.is_blacklisted(rep), "{rep}");
                 assert_eq!(compiled.roles(sym), spec.roles(rep), "{rep}");
             }
         }
-        assert!(compiled.has_role(intern("os.system()"), Role::Sink));
-        assert!(!compiled.has_role(intern("np.zeros()"), Role::Source));
-        assert_eq!(compiled.memoized(), 4);
-        assert_eq!(compiled.spec().role_count(), spec.role_count());
+        assert!(compiled.has_role(syms[1], Role::Sink));
+        assert!(!compiled.has_role(syms[2], Role::Source));
+        assert_eq!(compiled.blacklisted.borrow().iter().flatten().count(), 4, "one verdict each");
+        assert_eq!(compiled.roles.borrow().iter().flatten().count(), 4, "one role set each");
     }
 
     #[test]
@@ -115,8 +109,9 @@ mod tests {
         let mut spec = TaintSpec::new();
         spec.add("np.loadtxt()", Role::Source);
         spec.blacklist("np.*");
-        let compiled = CompiledSpec::new(&spec);
-        let sym = intern("np.loadtxt()");
+        let mut symbols = Symbols::new();
+        let sym = symbols.intern("np.loadtxt()");
+        let compiled = CompiledSpec::new(&spec, &symbols);
         assert!(compiled.is_blacklisted(sym));
         assert!(compiled.roles(sym).is_empty());
     }

@@ -96,7 +96,7 @@ impl<'g> TaintAnalyzer<'g> {
         let mut sink_sigs = HashMap::new();
         // Role lookup (including blacklist globs) resolves once per distinct
         // representation symbol, not once per event.
-        let compiled = CompiledSpec::new(spec);
+        let compiled = CompiledSpec::new(spec, graph.symbols());
         for (id, event) in graph.events() {
             for &rep in &event.reps {
                 let r = compiled.roles(rep).intersection(event.candidates);
@@ -104,7 +104,7 @@ impl<'g> TaintAnalyzer<'g> {
                     roles[id.index()] = r;
                     matched[id.index()] = Some(rep);
                     if r.contains(Role::Sink) {
-                        if let Some(sig) = spec.signature(rep.as_str()) {
+                        if let Some(sig) = spec.signature(graph.symbols().resolve(rep)) {
                             sink_sigs.insert(id, sig.clone());
                         }
                     }
@@ -138,8 +138,9 @@ impl<'g> TaintAnalyzer<'g> {
     }
 
     /// The representation that matched the specification for `id`, if any.
-    pub fn matched_rep(&self, id: EventId) -> Option<&'static str> {
-        self.matched.get(id.index()).copied().flatten().map(|s| s.as_str())
+    pub fn matched_rep(&self, id: EventId) -> Option<&'g str> {
+        let graph = self.graph;
+        self.matched.get(id.index()).copied().flatten().map(|s| graph.symbols().resolve(s))
     }
 
     /// All events holding `role`, in id order.
@@ -218,7 +219,9 @@ impl<'g> TaintAnalyzer<'g> {
             }
             let pos = match self.graph.arg_position(p, sink) {
                 Some(ArgPos::Positional(i)) => ArgRef::Positional(*i),
-                Some(ArgPos::Keyword(k)) => ArgRef::Keyword(k.to_string()),
+                Some(&ArgPos::Keyword(k)) => {
+                    ArgRef::Keyword(self.graph.symbols().resolve(k).to_string())
+                }
                 Some(ArgPos::Receiver) => ArgRef::Receiver,
                 None => ArgRef::Unknown,
             };
@@ -415,12 +418,12 @@ subprocess.call(x)
         let graph = build_source("from m import f, g\ng(f())\n", FileId(0)).unwrap();
         let f_id = graph
             .events()
-            .find(|(_, e)| e.rep() == "m.f()")
+            .find(|&(id, _)| graph.rep(id) == "m.f()")
             .map(|(id, _)| id)
             .unwrap();
         let g_id = graph
             .events()
-            .find(|(_, e)| e.rep() == "m.g()")
+            .find(|&(id, _)| graph.rep(id) == "m.g()")
             .map(|(id, _)| id)
             .unwrap();
         let mut roles = HashMap::new();

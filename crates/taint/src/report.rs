@@ -117,11 +117,7 @@ impl Report {
             class: VulnClass::of_sink(&v.sink_rep),
             source: (v.source_rep.clone(), line(v.source)),
             sink: (v.sink_rep.clone(), line(v.sink)),
-            trace: v
-                .path
-                .iter()
-                .map(|&id| (graph.event(id).rep().to_string(), line(id)))
-                .collect(),
+            trace: v.path.iter().map(|&id| (graph.rep(id).to_string(), line(id))).collect(),
         }
     }
 }

@@ -112,7 +112,7 @@ pub mod metric {
     pub const INTERN_SYMBOLS: MetricDef = def(
         "intern_symbols",
         Identity,
-        "Global interner size (symbols live for the process lifetime).",
+        "Symbols in the run's table: the union's in batch, the engine's in serve.",
     );
     /// Per-file outcomes: ok, recovered, skipped, over budget, panicked.
     pub const OUTCOMES: [MetricDef; 5] = [

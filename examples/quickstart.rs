@@ -53,20 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== Propagation graph of the paper's Fig. 2 snippet ===\n");
     let graph = build_source(SANITIZED, FileId(0))?;
     for (id, event) in graph.events() {
-        println!(
-            "  {id}  [{}] {} (line {})",
-            event.kind,
-            event.rep(),
-            event.span.line
-        );
+        println!("  {id}  [{}] {} (line {})", event.kind, graph.rep(id), event.span.line);
     }
     println!("\n  flow edges:");
     for (from, to) in graph.edges() {
-        println!(
-            "    {} -> {}",
-            graph.event(from).rep(),
-            graph.event(to).rep()
-        );
+        println!("    {} -> {}", graph.rep(from), graph.rep(to));
     }
 
     println!("\n=== Taint analysis, original (sanitized) snippet ===");

@@ -3,7 +3,7 @@
 //! specifications, every injected damage kind must be detected and
 //! contained (never propagated, never degrading the run), and artifact
 //! serialization must survive the process boundary — representation
-//! strings re-intern on load to the same graph content.
+//! strings intern on load into a fresh table with the same graph content.
 
 use seldon_cache::artifact::{decode, encode};
 use seldon_cache::{
@@ -236,8 +236,8 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Satellite of the crash-safety guarantee: serializing an
-        /// artifact, dropping every process-local `Symbol`, and
-        /// re-interning the stored representation *strings* reconstructs
+        /// artifact, dropping every `Symbol` with its table, and
+        /// interning the stored representation *strings* anew reconstructs
         /// the same graph content — same fingerprint, same learned spec,
         /// byte for byte. The `m_`/`f_` prefixes keep generated names
         /// clear of Python keywords.
@@ -263,7 +263,7 @@ mod proptests {
             prop_assert_eq!(
                 graph_fingerprint(&rebuilt),
                 graph_fingerprint(&graph),
-                "content-level fingerprint survives re-interning"
+                "content-level fingerprint survives a fresh table"
             );
 
             // The spec learned from the rebuilt graph is byte-identical.

@@ -544,9 +544,9 @@ fn learn_exit_codes_are_pinned() {
 #[test]
 fn cache_dir_warms_across_processes() {
     // Two separate `seldon` processes sharing a cache directory: the
-    // second must reuse the first's artifacts and checkpoint (a true
-    // cross-process re-intern of every stored representation string) and
-    // print a byte-identical specification.
+    // second must reuse the first's artifacts and checkpoint (every
+    // stored representation string interned anew in the second process)
+    // and print a byte-identical specification.
     let dir = temp_dir("cachewarm");
     for i in 0..6 {
         // Distinct contents per file: identical files would share one

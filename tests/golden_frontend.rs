@@ -155,9 +155,9 @@ fn golden_snippets_parse_and_build() {
             .unwrap_or_else(|e| panic!("{name}: graph build failed: {e}"));
         for rep in *expected_reps {
             assert!(
-                graph.events().any(|(_, e)| e.has_rep(rep)),
+                graph.events().any(|(id, _)| graph.has_rep(id, rep)),
                 "{name}: missing representation {rep}; have: {:?}",
-                graph.events().map(|(_, e)| e.rep().to_string()).collect::<Vec<_>>()
+                graph.events().map(|(id, _)| graph.rep(id).to_string()).collect::<Vec<_>>()
             );
         }
     }

@@ -46,7 +46,7 @@ fn all_three_inference_algorithms_agree_on_strong_signals() {
         .max_by(|a, b| a.1.total_cmp(b.1))
     {
         if p_bp > 0.8 {
-            let key = (*rep, Role::Sanitizer);
+            let key = (rep.clone(), Role::Sanitizer);
             let p_mp = mp.marginals.get(&key).copied().unwrap_or(0.0);
             let p_g = gibbs.marginals.get(&key).copied().unwrap_or(0.0);
             assert!(p_mp > 0.5, "max-product disagrees on {rep}: {p_mp}");

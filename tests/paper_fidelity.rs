@@ -1,7 +1,7 @@
 //! Fidelity tests: scenarios lifted directly from the paper's figures,
 //! examples, and appendix samples.
 
-use seldon_propgraph::{build_source, describe_expr, FileId, ImportMap, ReprCtx};
+use seldon_propgraph::{build_source, describe_syms, FileId, ImportMap, ReprCtx, Symbols};
 use seldon_pyast::parse_expr;
 use seldon_specs::{paper_seed, Role};
 use seldon_taint::TaintAnalyzer;
@@ -21,14 +21,14 @@ class ESCPOSDriver(ThreadDriver):
     let g = build_source(src, FileId(0)).unwrap();
     let call = g
         .events()
-        .find(|(_, e)| e.rep().contains("receipt"))
-        .map(|(_, e)| e.clone())
+        .find(|&(id, _)| g.rep(id).contains("receipt"))
+        .map(|(id, _)| id)
         .expect("receipt call event");
     // The paper's four granularity levels, §3.2.
-    assert_eq!(call.reps[0].as_str(), "ESCPOSDriver::status(param self).receipt()");
-    assert!(call.has_rep("base_driver.ThreadDriver::status(param self).receipt()"));
-    assert!(call.has_rep("status(param self).receipt()"));
-    assert!(call.has_rep("self.receipt()"));
+    assert_eq!(g.rep(call), "ESCPOSDriver::status(param self).receipt()");
+    assert!(g.has_rep(call, "base_driver.ThreadDriver::status(param self).receipt()"));
+    assert!(g.has_rep(call, "status(param self).receipt()"));
+    assert!(g.has_rep(call, "self.receipt()"));
 }
 
 /// Fig. 2: the complete propagation graph of the worked example, with the
@@ -54,7 +54,7 @@ def media():
     let g = build_source(src, FileId(0)).unwrap();
     let find = |rep: &str| {
         g.events()
-            .find(|(_, e)| e.has_rep(rep))
+            .find(|&(id, _)| g.has_rep(id, rep))
             .map(|(id, _)| id)
             .unwrap_or_else(|| panic!("missing event {rep}"))
     };
@@ -74,7 +74,7 @@ def media():
     // occurrence is the receiver of save() — Fig. 2b's event g.
     let receiver_edge_exists = g
         .events()
-        .filter(|(_, e)| e.rep() == "flask.request.files['f']")
+        .filter(|&(id, _)| g.rep(id) == "flask.request.files['f']")
         .any(|(id, _)| g.edge_kind(id, d).is_some());
     assert!(receiver_edge_exists, "g -> d");
 }
@@ -86,30 +86,37 @@ fn ctx_with_import(name: &'static str, path: &[&str]) -> ReprCtx<'static> {
     ReprCtx { imports: Rc::new(imports), ..ReprCtx::new() }
 }
 
+/// The representations of `expr` under `ctx`, as texts.
+fn describe(expr: &seldon_pyast::Expr<'_>, ctx: &ReprCtx) -> Vec<String> {
+    let mut table = Symbols::new();
+    let reps = describe_syms(expr, ctx, &mut table);
+    reps.iter().map(|&r| table.resolve(r).to_string()).collect()
+}
+
 /// App. A samples: representation strings Seldon's paper actually printed
 /// must be derivable by our representation machinery.
 #[test]
 fn appendix_a_style_representations() {
     // `flask.request.form['srpValueM']`
     let ctx = ctx_with_import("request", &["flask", "request"]);
-    let reps = describe_expr(&parse_expr("request.form['srpValueM']").unwrap(), &ctx);
+    let reps = describe(&parse_expr("request.form['srpValueM']").unwrap(), &ctx);
     assert_eq!(reps[0], "flask.request.form['srpValueM']");
 
     // `urlparse.urlparse().port`
     let ctx = ctx_with_import("urlparse", &["urlparse"]);
-    let reps = describe_expr(&parse_expr("urlparse.urlparse(u).port").unwrap(), &ctx);
+    let reps = describe(&parse_expr("urlparse.urlparse(u).port").unwrap(), &ctx);
     assert_eq!(reps[0], "urlparse.urlparse().port");
 
     // `LoginForm().username.data`
     let ctx = ctx_with_import("LoginForm", &["forms", "LoginForm"]);
-    let reps = describe_expr(&parse_expr("LoginForm().username.data").unwrap(), &ctx);
+    let reps = describe(&parse_expr("LoginForm().username.data").unwrap(), &ctx);
     assert!(reps.contains(&"LoginForm().username.data".to_string()), "{reps:?}");
 
     // `media(param f).save()` — the §2 ambiguity example.
     let mut ctx = ReprCtx::new();
     ctx.func_name = Some("media");
     ctx.params = vec!["f"];
-    let reps = describe_expr(&parse_expr("f.save(path)").unwrap(), &ctx);
+    let reps = describe(&parse_expr("f.save(path)").unwrap(), &ctx);
     assert_eq!(reps, vec!["media(param f).save()", "f.save()"]);
 }
 
@@ -173,12 +180,7 @@ def g():
     sink(y)
 ";
     let g = build_source(src, FileId(0)).unwrap();
-    let find = |rep: &str| {
-        g.events()
-            .find(|(_, e)| e.rep() == rep)
-            .map(|(id, _)| id)
-            .unwrap()
-    };
+    let find = |rep: &str| g.events().find(|&(id, _)| g.rep(id) == rep).map(|(id, _)| id).unwrap();
     let source = find("m.src()");
     let sink = find("m.sink()");
     assert!(!g.is_reachable(source, sink), "uncollapsed graph is precise");
@@ -222,8 +224,9 @@ fn blacklist_excludes_builtins_from_analysis() {
     .unwrap();
     let analyzer = TaintAnalyzer::new(&g, &seed);
     for (id, event) in g.events() {
-        if event.reps.iter().any(|r| r.as_str().ends_with(".strip()") || r.as_str() == "len()") {
-            assert!(analyzer.roles(id).is_empty(), "{:?} got a role", event.rep());
+        let text = |&r| g.symbols().resolve(r);
+        if event.reps.iter().map(text).any(|r| r.ends_with(".strip()") || r == "len()") {
+            assert!(analyzer.roles(id).is_empty(), "{:?} got a role", g.rep(id));
         }
     }
 }

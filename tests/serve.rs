@@ -5,9 +5,9 @@
 //! replay), remove-with-eviction, checkpoints and stage spans that carry
 //! between `learn` and `serve` (one per-file analysis loop: policy,
 //! write-behind store and report), warm-start byte-identity from
-//! perturbed checkpoints, and daemon survival of malformed requests and
-//! mid-delta cache faults. The interner leak check runs in
-//! `serve_interner.rs`.
+//! perturbed checkpoints, daemon survival of malformed requests and
+//! mid-delta cache faults, and the engine's symbol table: bounded over
+//! long delta runs, and stable for the fragments it keeps.
 
 #[path = "support/serve.rs"]
 mod support;
@@ -15,15 +15,17 @@ mod support;
 use proptest::prelude::*;
 use seldon_cache::{inject_cache_faults, ArtifactCache, CheckpointLookup, CHECKPOINT_NAME};
 use seldon_core::{
-    analysis_cache_key, default_rep_cutoff, run_full, run_seldon_cached, AnalyzeOptions,
-    CheckpointOutcome, FaultPolicy, PipelineError, SeldonOptions,
+    analysis_cache_key, analyze_corpus_with, default_rep_cutoff, run_full, run_seldon_cached,
+    AnalyzeOptions, CheckpointOutcome, FaultPolicy, PipelineError, SeldonOptions,
 };
 use seldon_serve::{
     client_request, run_daemon, Delta, EngineConfig, EngineError, ServeDaemon, ServeEngine,
 };
 use seldon_solver::EarlyStop;
 use seldon_specs::TaintSpec;
-use seldon_telemetry::{json, metric, stage, RunManifest, StageSpan, Telemetry};
+use seldon_telemetry::{
+    json, metric, stage, MetricValue, MetricsRegistry, RunManifest, StageSpan, Telemetry,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -753,4 +755,137 @@ fn cold_batch_spec_with(
     let full = run_full(&batch_corpus(files), seed, "learn", &analyze_opts(None), opts)
         .expect("batch run succeeds");
     full.run.extraction.spec.to_text()
+}
+
+/// The symbol table of a batch union over `files`: what a fresh run
+/// links, in first-link order.
+fn batch_symbols(files: &[(PathBuf, String)]) -> seldon_propgraph::Symbols {
+    let (analyzed, _) = analyze_corpus_with(&batch_corpus(files), &analyze_opts(None))
+        .expect("batch analysis succeeds");
+    analyzed.graph.symbols().clone()
+}
+
+/// An uncached engine over `files` that solves cold, as batch `learn`.
+fn cold_engine(files: &[(PathBuf, String)], seed: &TaintSpec, opts: &SeldonOptions) -> ServeEngine {
+    let analyze = analyze_opts(None);
+    let cfg =
+        EngineConfig { seed: seed.clone(), analyze, seldon: opts.clone(), dynamic_cutoff: false };
+    let mut engine = ServeEngine::new(cfg);
+    engine.apply_delta(&Delta { add: files.to_vec(), ..Default::default() }).expect("initial load");
+    engine
+}
+
+/// A file whose `calls` call representations no other file has.
+fn fresh_file(tag: &str, calls: usize) -> (PathBuf, String) {
+    let body: String = (0..calls).map(|j| format!("fresh_{tag}.api_{j}(x)\n")).collect();
+    (PathBuf::from(format!("zz_fresh/{tag}.py")), format!("import fresh_{tag}\n{body}"))
+}
+
+/// The engine's table outlives every union, so it must stay bounded: over
+/// 1,000 deltas that alternately add a file with fresh representations
+/// and remove it, it never holds more than twice the symbols the last
+/// union used plus the delta's new strings; a rebuild that resets it
+/// leaves exactly the live corpus's table; a repeated identical delta
+/// pair adds nothing; the `intern_symbols` gauge reports the table; and
+/// every 100th served spec is batch `learn`'s over the same state.
+#[test]
+fn engine_symbol_table_stays_bounded_over_a_thousand_deltas() {
+    let (files, seed) = fixture(1, 17);
+    let opts = SeldonOptions { warm_start: None, ..seldon_opts(1) };
+    let mut engine = cold_engine(&files, &seed, &opts);
+    assert_eq!(engine.symbols(), &batch_symbols(&files), "the first build links the batch table");
+
+    let cycle = |engine: &mut ServeEngine, file: &(PathBuf, String)| {
+        engine.apply_delta(&Delta { add: vec![file.clone()], ..Default::default() }).expect("add");
+        engine
+            .apply_delta(&Delta { remove: vec![file.0.clone()], ..Default::default() })
+            .expect("remove");
+    };
+    let repeated = fresh_file("repeated", 3);
+    cycle(&mut engine, &repeated);
+    let after_one = engine.symbols().len();
+    cycle(&mut engine, &repeated);
+    assert_eq!(engine.symbols().len(), after_one, "a repeated identical delta pair adds nothing");
+
+    let base = batch_symbols(&files).len();
+    let (mut used, mut resets) = (base, 0);
+    for n in 1..=1000 {
+        let fresh = fresh_file(&format!("f{}", (n + 1) / 2), 24);
+        let (before, mut state) = (engine.symbols().len(), files.clone());
+        let (delta, new_strings) = if n % 2 == 1 {
+            state.push(fresh.clone());
+            state.sort_by(|a, b| a.0.cmp(&b.0));
+            let new_strings = batch_symbols(std::slice::from_ref(&fresh)).len();
+            (Delta { add: vec![fresh], ..Default::default() }, new_strings)
+        } else {
+            (Delta { remove: vec![fresh.0], ..Default::default() }, 0)
+        };
+        let out = engine.apply_delta(&delta).expect("delta applies");
+        let table = engine.symbols().len();
+        assert!(table <= 2 * used + new_strings, "delta {n}: {table} symbols after {used} used");
+        if before > 2 * used {
+            resets += 1;
+            assert_eq!(out.fragments_reused, 0, "delta {n}: a reset drops every fragment");
+            assert_eq!(engine.symbols(), &batch_symbols(&state), "delta {n}: the live table");
+        }
+        used = if n % 2 == 1 { batch_symbols(&state).len() } else { base };
+        if n % 100 == 0 {
+            assert_eq!(out.spec, cold_batch_spec_with(&state, &seed, &opts), "delta {n}");
+        }
+    }
+    assert!(resets >= 5, "only {resets} resets in 1,000 deltas");
+
+    let mut reg = MetricsRegistry::default();
+    engine.fill_metrics(&mut reg);
+    let gauge = reg.get("intern_symbols").expect("gauge present");
+    assert!(!gauge.volatile(), "intern_symbols must be non-volatile");
+    match gauge.value {
+        MetricValue::Gauge(v) => assert_eq!(v as usize, engine.symbols().len()),
+        ref other => panic!("intern_symbols is {other:?}, not a gauge"),
+    }
+}
+
+/// Kept fragments name representations by the engine's ids, so those ids
+/// must keep their texts across rebuilds: new strings in the first file
+/// take new ids in the engine's table (a fresh batch table would number
+/// them first and shift every later file's), a structural edit of the
+/// last file then reuses every other file's fragment, and a forced table
+/// reset re-collects them all. Each served spec is batch `learn`'s.
+#[test]
+fn kept_fragments_keep_their_rep_ids_across_rebuilds_and_resets() {
+    let (mut files, seed) = fixture(2, 23);
+    let opts = SeldonOptions { warm_start: None, ..seldon_opts(1) };
+    let mut engine = cold_engine(&files, &seed, &opts);
+    let batch = |files: &[(PathBuf, String)]| cold_batch_spec_with(files, &seed, &opts);
+
+    files[0].1.push_str("\nimport fresh_first\nfresh_first.reader.read(fresh_first.source())\n");
+    let out = engine.apply_delta(&Delta { change: vec![files[0].clone()], ..Default::default() });
+    let out = out.expect("first-file edit");
+    let (reused, collected) = (out.fragments_reused, out.fragments_collected);
+    assert!(reused > collected, "later files keep their ids: {reused} reused, {collected} collected");
+    assert_ne!(engine.symbols(), &batch_symbols(&files), "new strings sit at the table's end");
+    assert_eq!(out.spec, batch(&files), "after the first-file edit");
+
+    let last = files.len() - 1;
+    files[last].1.push_str(STRUCTURAL_EDIT);
+    let out =
+        engine.apply_delta(&Delta { change: vec![files[last].clone()], ..Default::default() });
+    let out = out.expect("last-file edit");
+    assert!(out.fragments_reused > 0, "untouched files reuse their fragments");
+    assert_eq!(out.spec, batch(&files), "after the last-file edit");
+
+    // A file with more fresh strings than the corpus uses, added and
+    // removed: the next rebuild finds the table over twice the last union.
+    let used = batch_symbols(&files).len();
+    let big = fresh_file("big", used + 1);
+    engine.apply_delta(&Delta { add: vec![big.clone()], ..Default::default() }).expect("add big");
+    let out = engine.apply_delta(&Delta { remove: vec![big.0], ..Default::default() });
+    assert_eq!(out.expect("remove big").spec, batch(&files), "after the removal");
+    assert!(engine.symbols().len() > 2 * used);
+    files[last].1.push_str("\nimport fresh_last\nfresh_last.sink(x)\n");
+    let out =
+        engine.apply_delta(&Delta { change: vec![files[last].clone()], ..Default::default() });
+    let out = out.expect("edit after the reset");
+    assert_eq!((out.fragments_reused, engine.symbols()), (0, &batch_symbols(&files)), "reset");
+    assert_eq!(out.spec, batch(&files), "after the reset");
 }

@@ -1,7 +1,6 @@
-//! Fixtures shared by the serve test binaries (`tests/serve.rs` and
-//! `tests/serve_interner.rs`): a generated corpus in the engine's sorted
-//! file order, the options both modes run with, and an engine built from
-//! one add-all delta.
+//! Fixtures of the serve test binary (`tests/serve.rs`): a generated
+//! corpus in the engine's sorted file order, the options both modes run
+//! with, and an engine built from one add-all delta.
 
 #![allow(dead_code)]
 
