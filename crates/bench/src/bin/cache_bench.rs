@@ -12,42 +12,23 @@
 //! - `faulted`: 20% of cache files damaged by
 //!   [`seldon_cache::inject_cache_faults`] before a warm re-run.
 //!
-//! All three must produce byte-identical specifications; the warm run
-//! must beat the cold run by at least 5× wall-clock. `--determinism`
-//! runs only the byte-identity gate (exit 1 on divergence) for CI, where
-//! wall-clock ratios are too noisy to assert. Emits one JSON object on
-//! stdout; `BENCH_cache.json` records a release-build run.
+//! All three must produce byte-identical specifications, and the median
+//! warm run over five rounds must beat the median cold run by at least
+//! 5× wall-clock; one plain line reports the medians. `--determinism`
+//! runs one round of the byte-identity checks only, without timing.
+//! Either mode panics (exit 101) on a failed check.
 
+use seldon_bench::{bench_corpus, median_ms};
 use seldon_cache::{inject_cache_faults, ArtifactCache};
 use seldon_core::{run_full, AnalyzeOptions, CheckpointOutcome, FaultPolicy, SeldonOptions};
-use seldon_corpus::{generate_corpus, Corpus, CorpusOptions, Universe};
+use seldon_corpus::Corpus;
 use seldon_specs::TaintSpec;
-use seldon_telemetry::BenchRecord;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 const ROUNDS: usize = 5;
 const FAULT_RATE: f64 = 0.2;
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn bench_corpus() -> (Corpus, TaintSpec) {
-    let universe = Universe::new();
-    let corpus = generate_corpus(
-        &universe,
-        &CorpusOptions {
-            projects: 150,
-            files_per_project: (3, 5),
-            rng_seed: 0xC0FFEE,
-            ..Default::default()
-        },
-    );
-    (corpus, universe.seed_spec())
-}
 
 /// One timed end-to-end run over `dir`'s cache; returns the learned spec
 /// text, the wall-clock milliseconds, and checkpoint/fault observations.
@@ -92,7 +73,7 @@ fn touch_one_file(corpus: &Corpus) -> Corpus {
 
 fn main() {
     let determinism_only = std::env::args().any(|a| a == "--determinism");
-    let (corpus, seed) = bench_corpus();
+    let (corpus, seed) = bench_corpus(150);
     let files = corpus.file_count();
     assert!(files >= 500, "bench corpus too small: {files} files");
     let edited = touch_one_file(&corpus);
@@ -145,22 +126,11 @@ fn main() {
     let warm = median_ms(warm_ms);
     let faulted = median_ms(faulted_ms);
     let speedup = cold / warm;
-    let mut r = BenchRecord::new(
-        "cache",
-        "cache_bench",
-        format!(
-            "medians of {ROUNDS} rounds, release build; end-to-end run_full in ms; \
-             warm = 1-file comment edit over a populated cache"
-        ),
+    println!(
+        "cache_bench: {files} files, medians of {ROUNDS} rounds: cold {cold:.1} ms, \
+         warm {warm:.1} ms ({speedup:.1}x), {FAULT_RATE}-faulted warm {faulted:.1} ms \
+         ({faults_contained} fault(s) contained)"
     );
-    r.num("corpus", "files", files as f64)
-        .num("cache", "cold_ms", cold)
-        .num("cache", "warm_ms", warm)
-        .num("cache", "faulted_warm_ms", faulted)
-        .num("cache", "warm_speedup", speedup)
-        .num("cache", "fault_rate", FAULT_RATE)
-        .num("cache", "faults_contained", faults_contained as f64);
-    println!("{}", r.to_json());
     assert!(
         speedup >= 5.0,
         "warm re-run must be at least 5x faster than cold (got {speedup:.2}x: \

@@ -1,55 +1,39 @@
-//! Measures the incremental daemon's delta latency against a cold batch
-//! build, and gates its determinism guarantee.
+//! Gates the incremental daemon's determinism guarantee: the spec
+//! `seldon serve` serves after each delta is byte-identical to the spec
+//! `seldon learn` prints for the same corpus state.
 //!
-//! Over the standard 607-file bench corpus, one [`ServeEngine`] serves a
-//! sequence of deltas per round:
+//! Over the standard 607-file bench corpus, at 1 and 4 solver threads,
+//! one [`ServeEngine`] configured as `seldon serve` configures it (no
+//! warm rung, representation cutoff picked from the corpus size) serves:
 //!
-//! - `cold`: the initial full build (fresh engine, fresh cache) — the
-//!   price `seldon learn` pays on every invocation;
-//! - `noop`: an empty delta (served from the resident checkpoint);
-//! - `unchanged`: a one-file comment edit (re-parse + fingerprint, no
-//!   rebuild);
-//! - `edit`: a one-file structural edit (incremental rebuild: fragment
-//!   reuse for the other 606 files, warm-started solve).
+//! - the initial build (fresh engine, fresh cache);
+//! - an empty delta, which must answer `noop` with the same spec;
+//! - a one-file comment edit, which must take the `unchanged` rung;
+//! - a one-file structural edit, which must solve cold while reusing the
+//!   other 606 files' constraint fragments.
 //!
-//! The delta speedup gate asserts the `unchanged` one-file edit beats
-//! the cold build by at least 20×. `--determinism` instead verifies the
-//! served spec is byte-identical to a cold batch `run_full` over the
-//! same corpus state at 1 and 4 solver threads (exit on divergence),
-//! which is what CI runs. Emits one JSON object on stdout;
-//! `BENCH_serve.json` records a release-build run.
+//! Each served spec is compared with a batch `run_full` configured as
+//! `seldon learn` configures it. Takes no argument but an optional
+//! `--determinism`; panics (exit 101) on any divergence. Delta latency is
+//! measured by `pipeline_bench`'s `serve-comment` workload, not here.
 
+use seldon_bench::bench_corpus;
 use seldon_cache::ArtifactCache;
-use seldon_core::{run_full, AnalyzeOptions, FaultPolicy, SeldonOptions, WarmStartOptions};
-use seldon_corpus::{generate_corpus, Corpus, CorpusOptions, Project, SourceFile, Universe};
+use seldon_constraints::GenOptions;
+use seldon_core::{default_rep_cutoff, run_full, AnalyzeOptions, FaultPolicy, SeldonOptions};
+use seldon_corpus::{Corpus, Project, SourceFile};
+use seldon_propgraph::Budget;
 use seldon_serve::{Delta, EngineConfig, ServeEngine};
 use seldon_solver::SolveOptions;
 use seldon_specs::TaintSpec;
-use seldon_telemetry::BenchRecord;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
-
-const ROUNDS: usize = 5;
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 /// The 607-file bench corpus, flattened to sorted `(path, content)`
 /// pairs (project-qualified paths, the order `seldon learn` analyzes).
 fn bench_files() -> (Vec<(PathBuf, String)>, TaintSpec) {
-    let universe = Universe::new();
-    let corpus = generate_corpus(
-        &universe,
-        &CorpusOptions {
-            projects: 150,
-            files_per_project: (3, 5),
-            rng_seed: 0xC0FFEE,
-            ..Default::default()
-        },
-    );
+    let (corpus, seed) = bench_corpus(150);
     let mut files: Vec<(PathBuf, String)> = corpus
         .projects
         .iter()
@@ -60,7 +44,7 @@ fn bench_files() -> (Vec<(PathBuf, String)>, TaintSpec) {
         })
         .collect();
     files.sort_by(|a, b| a.0.cmp(&b.0));
-    (files, universe.seed_spec())
+    (files, seed)
 }
 
 fn batch_corpus(files: &[(PathBuf, String)]) -> Corpus {
@@ -76,36 +60,47 @@ fn batch_corpus(files: &[(PathBuf, String)]) -> Corpus {
     }
 }
 
-fn seldon_opts(threads: usize) -> SeldonOptions {
-    SeldonOptions {
-        solve: SolveOptions { threads, ..Default::default() },
-        warm_start: Some(WarmStartOptions::default()),
+/// The analysis options `seldon learn` and `seldon serve` share without
+/// `--strict`, `--lenient` or `--telemetry`.
+fn cli_analyze_opts() -> AnalyzeOptions {
+    AnalyzeOptions {
+        policy: FaultPolicy::Recover,
+        budget: Some(Budget::default()),
         ..Default::default()
     }
 }
 
-fn fresh_engine(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usize, tag: &str) -> (ServeEngine, f64, PathBuf) {
-    let dir =
-        std::env::temp_dir().join(format!("seldon-serve-bench-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = Arc::new(ArtifactCache::open(&dir).expect("cache opens").0);
-    let cfg = EngineConfig {
+/// The engine `seldon serve --solver-threads <threads> --cache-dir <dir>`
+/// builds: no warm rung, and without `--cutoff` the representation
+/// cutoff follows the corpus size (`dynamic_cutoff`).
+fn serve_config(seed: &TaintSpec, threads: usize, dir: &Path) -> EngineConfig {
+    let mut analyze = cli_analyze_opts();
+    analyze.cache = Some(Arc::new(ArtifactCache::open(dir).expect("cache opens").0));
+    EngineConfig {
         seed: seed.clone(),
-        analyze: AnalyzeOptions {
-            policy: FaultPolicy::Recover,
-            cache: Some(cache),
+        analyze,
+        seldon: SeldonOptions {
+            solve: SolveOptions { threads, ..Default::default() },
+            warm_start: None,
             ..Default::default()
         },
-        seldon: seldon_opts(threads),
-        dynamic_cutoff: false,
+        dynamic_cutoff: true,
+    }
+}
+
+/// The spec `seldon learn --solver-threads <threads>` prints for `state`.
+fn learn_spec(state: &[(PathBuf, String)], seed: &TaintSpec, threads: usize) -> String {
+    let opts = SeldonOptions {
+        gen: GenOptions { rep_cutoff: default_rep_cutoff(state.len()), ..Default::default() },
+        solve: SolveOptions { threads, ..Default::default() },
+        ..Default::default()
     };
-    let mut engine = ServeEngine::new(cfg);
-    let t = Instant::now();
-    engine
-        .apply_delta(&Delta { add: files.to_vec(), ..Default::default() })
-        .expect("initial build");
-    let cold_ms = t.elapsed().as_secs_f64() * 1e3;
-    (engine, cold_ms, dir)
+    run_full(&batch_corpus(state), seed, "learn", &cli_analyze_opts(), &opts)
+        .expect("batch run")
+        .run
+        .extraction
+        .spec
+        .to_text()
 }
 
 /// A comment-only edit: cache key changes, graph fingerprint does not.
@@ -120,25 +115,25 @@ def handler_bench_added():
     return z1
 ";
 
-/// Byte-identity gate: the engine's served spec after each delta kind
-/// must equal a cold batch `run_full` over the same corpus state.
+/// One engine serves the initial build and three deltas; each served
+/// spec must equal `seldon learn`'s over the same corpus state.
 fn determinism_gate(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usize) {
-    let batch = |state: &[(PathBuf, String)]| {
-        run_full(
-            &batch_corpus(state),
-            seed,
-            "learn",
-            &AnalyzeOptions { policy: FaultPolicy::Recover, ..Default::default() },
-            &seldon_opts(threads),
-        )
-        .expect("batch run")
-        .run
-        .extraction
-        .spec
-        .to_text()
-    };
-    let (mut engine, _, dir) = fresh_engine(files, seed, threads, &format!("det-{threads}"));
-    assert_eq!(engine.spec().unwrap(), batch(files), "initial build diverged ({threads} threads)");
+    let dir =
+        std::env::temp_dir().join(format!("seldon-serve-bench-{threads}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut engine = ServeEngine::new(serve_config(seed, threads, &dir));
+    let initial = engine
+        .apply_delta(&Delta { add: files.to_vec(), ..Default::default() })
+        .expect("initial build");
+    assert_eq!(
+        initial.spec,
+        learn_spec(files, seed, threads),
+        "initial build diverged ({threads} threads)"
+    );
+
+    let out = engine.apply_delta(&Delta::default()).expect("empty delta");
+    assert_eq!(out.solve, "noop", "an empty delta is served from the resident build");
+    assert_eq!(out.spec, initial.spec, "an empty delta changed the spec ({threads} threads)");
 
     let mut edited = files.to_vec();
     edited[0].1.push_str(COMMENT_EDIT);
@@ -146,103 +141,40 @@ fn determinism_gate(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usiz
         .apply_delta(&Delta { change: vec![edited[0].clone()], ..Default::default() })
         .expect("comment delta");
     assert_eq!(out.solve, "unchanged", "comment edit must take the unchanged path");
-    assert_eq!(out.spec, batch(&edited), "comment edit diverged ({threads} threads)");
+    assert_eq!(
+        out.spec,
+        learn_spec(&edited, seed, threads),
+        "comment edit diverged ({threads} threads)"
+    );
 
     edited[1].1.push_str(STRUCTURAL_EDIT);
     let out = engine
         .apply_delta(&Delta { change: vec![edited[1].clone()], ..Default::default() })
         .expect("structural delta");
-    assert_eq!(out.spec, batch(&edited), "structural edit diverged ({threads} threads)");
+    assert_eq!(out.solve, "cold", "structural edit must rebuild, and serve never warm-starts");
+    assert_eq!(out.fragments_reused, files.len() - 1, "every untouched file's fragment is reused");
+    assert_eq!(
+        out.spec,
+        learn_spec(&edited, seed, threads),
+        "structural edit diverged ({threads} threads)"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn main() {
-    let determinism_only = std::env::args().any(|a| a == "--determinism");
+fn main() -> ExitCode {
+    if std::env::args().skip(1).any(|a| a != "--determinism") {
+        eprintln!("usage: serve_bench [--determinism]");
+        return ExitCode::from(2);
+    }
     let (files, seed) = bench_files();
     assert!(files.len() >= 500, "bench corpus too small: {} files", files.len());
-
-    if determinism_only {
-        for threads in [1, 4] {
-            determinism_gate(&files, &seed, threads);
-        }
-        println!(
-            "determinism gate passed: served specs over {} files are byte-identical \
-             to cold batch runs at 1 and 4 solver threads",
-            files.len()
-        );
-        return;
+    for threads in [1, 4] {
+        determinism_gate(&files, &seed, threads);
     }
-
-    let mut cold_ms = Vec::with_capacity(ROUNDS);
-    let mut noop_ms = Vec::with_capacity(ROUNDS);
-    let mut unchanged_ms = Vec::with_capacity(ROUNDS);
-    let mut edit_ms = Vec::with_capacity(ROUNDS);
-    let mut fragments_reused = 0usize;
-    for round in 0..ROUNDS {
-        let (mut engine, cold, dir) = fresh_engine(&files, &seed, 4, &format!("r{round}"));
-        cold_ms.push(cold);
-
-        let t = Instant::now();
-        let out = engine.apply_delta(&Delta::default()).expect("noop delta");
-        noop_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(out.solve, "noop");
-
-        let mut commented = files[0].clone();
-        commented.1.push_str(COMMENT_EDIT);
-        let t = Instant::now();
-        let out = engine
-            .apply_delta(&Delta { change: vec![commented], ..Default::default() })
-            .expect("comment delta");
-        unchanged_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(out.solve, "unchanged", "comment edit must skip the rebuild");
-
-        let mut structural = files[1].clone();
-        structural.1.push_str(STRUCTURAL_EDIT);
-        let t = Instant::now();
-        let out = engine
-            .apply_delta(&Delta { change: vec![structural], ..Default::default() })
-            .expect("structural delta");
-        edit_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        assert!(
-            matches!(out.solve, "warm" | "cold"),
-            "structural edit must rebuild, got {}",
-            out.solve
-        );
-        assert_eq!(
-            out.fragments_reused,
-            files.len() - 1,
-            "every untouched file's fragment is reused"
-        );
-        fragments_reused += out.fragments_reused;
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    let cold = median_ms(cold_ms);
-    let noop = median_ms(noop_ms);
-    let unchanged = median_ms(unchanged_ms);
-    let edit = median_ms(edit_ms);
-    let speedup = cold / unchanged;
-    let mut r = BenchRecord::new(
-        "serve",
-        "serve_bench",
-        format!(
-            "medians of {ROUNDS} rounds, release build; ServeEngine delta latency in ms \
-             over the 607-file corpus; unchanged = 1-file comment edit, edit = 1-file \
-             structural edit with fragment reuse and warm-started solve"
-        ),
+    println!(
+        "determinism gate passed: served specs over {} files are byte-identical \
+         to cold batch runs at 1 and 4 solver threads",
+        files.len()
     );
-    r.num("corpus", "files", files.len() as f64)
-        .num("serve", "cold_ms", cold)
-        .num("serve", "noop_ms", noop)
-        .num("serve", "unchanged_ms", unchanged)
-        .num("serve", "edit_ms", edit)
-        .num("serve", "delta_speedup", speedup)
-        .num("serve", "edit_speedup", cold / edit)
-        .num("serve", "fragments_reused", fragments_reused as f64);
-    println!("{}", r.to_json());
-    assert!(
-        speedup >= 20.0,
-        "a 1-file unchanged delta must be at least 20x faster than a cold build \
-         (got {speedup:.2}x: cold {cold:.2}ms, delta {unchanged:.2}ms)"
-    );
+    ExitCode::SUCCESS
 }

@@ -1,13 +1,13 @@
 //! Measures the solve stage: a naive per-row hot loop over the
 //! system's weighted rows against the compiled CSR kernel (lanes, slot
-//! buffers, locality order), on a corpus scaled so solving
-//! dominates. Emits one [`BenchRecord`] JSON object on stdout
-//! (`BENCH_solver.json` records a release-build run) covering the
-//! full-budget vs early-stop comparison and a per-thread-count scaling
-//! table (`--threads-sweep 1,2,4,8` to override the sweep), and asserts
-//! output identity: the extracted spec must be byte-identical across
-//! {naive, compiled full-budget, compiled early-stop} and the scores
-//! bitwise equal across every swept thread count.
+//! buffers, locality order), on a corpus scaled so solving dominates
+//! (`--projects <n>`, default 1,800). Prints one plain table of median
+//! solve times: the naive loop, the compiled kernel with the full budget
+//! and with early stop, and a per-thread-count sweep with early stop
+//! (`--threads-sweep 1,2,4,8` to override the sweep). Asserts output
+//! identity: the extracted spec must be byte-identical across {naive,
+//! compiled full-budget, compiled early-stop}, and the scores and stop
+//! epoch equal across every swept thread count.
 //!
 //! `--determinism [golden_path] [--early-stop]` instead runs the golden
 //! e2e fixture at 1 and 4 solver threads and diffs the extracted specs
@@ -17,22 +17,17 @@
 //! plateau detector enabled, which must reproduce the same golden spec.
 //! Exits non-zero on any mismatch.
 
+use seldon_bench::{bench_corpus, median_ms, Table};
 use seldon_core::{analyze_corpus, run_seldon, SeldonOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
 use seldon_solver::{
     extract, solve_compiled, Adam, AdamConfig, CompiledSystem, EarlyStop, ExtractOptions,
     SolveOptions, Solution,
 };
-use seldon_telemetry::BenchRecord;
 use std::process::ExitCode;
 use std::time::Instant;
 
 const ROUNDS: usize = 3;
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 /// The pre-kernel solver, kept as the bench baseline: a per-epoch walk
 /// over the system's weighted rows in stored order (each row's gap and
@@ -223,23 +218,13 @@ fn main() -> ExitCode {
         assert!(!threads_sweep.is_empty(), "--threads-sweep expects at least one count");
     }
 
-    let universe = Universe::new();
-    let corpus = generate_corpus(
-        &universe,
-        &CorpusOptions {
-            projects,
-            files_per_project: (3, 5),
-            rng_seed: 0xC0FFEE,
-            ..Default::default()
-        },
-    );
+    let (corpus, seed) = bench_corpus(projects);
     let analyzed = analyze_corpus(&corpus).expect("bench corpus analyzes");
-    let seed = universe.seed_spec();
     let run = run_seldon(&analyzed.graph, &seed, &SeldonOptions::default());
     let system = run.system;
     let full_opts = SolveOptions { early_stop: None, ..Default::default() };
 
-    // --- before: the pre-PR naive loop (always full-budget) ----------------
+    // --- before: the naive loop (always full-budget) -----------------------
     let mut before_samples = Vec::with_capacity(ROUNDS);
     let mut before = Solution::default();
     for _ in 0..ROUNDS {
@@ -278,11 +263,6 @@ fn main() -> ExitCode {
             (t, ms, sol)
         })
         .collect();
-    let base_1t_ms = sweep
-        .iter()
-        .find(|(t, _, _)| *t == 1)
-        .map(|(_, ms, _)| *ms)
-        .unwrap_or(early_ms);
 
     // --- output identity ----------------------------------------------------
     let extract_opts = ExtractOptions::default();
@@ -291,76 +271,53 @@ fn main() -> ExitCode {
     let spec_early = extract(&system, &early, &extract_opts).spec.to_text();
     assert_eq!(spec_before, spec_full, "compiled kernel must reproduce the naive spec");
     assert_eq!(spec_full, spec_early, "early-stop must learn the same spec as full budget");
-    let mut scores_bitwise = true;
     for (t, _, sol) in &sweep {
         let same = early.scores.len() == sol.scores.len()
             && early.scores.iter().zip(&sol.scores).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "scores at {t} threads must be bitwise identical to 1 thread");
         assert_eq!(early.iterations, sol.iterations, "stop epoch must be thread-invariant");
-        scores_bitwise &= same;
     }
 
     let before_ms = median_ms(before_samples);
     let compile_ms = median_ms(compile_samples);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let max_iters = full_opts.max_iters;
-
-    let mut r = BenchRecord::new(
-        "solver",
-        "solver_bench",
-        format!(
-            "medians of {ROUNDS} rounds, release build; solve stage wall-clock in ms; \
-             scaling table sweeps solver threads with early-stop enabled"
-        ),
+    let mut table = Table::new(
+        format!("solve stage, median ms of {ROUNDS} rounds"),
+        &["kernel", "threads", "stop", "solve ms", "iterations", "ms/iter", "vs naive"],
     );
-    r.num("corpus", "projects", projects as f64)
-        .num("corpus", "files", corpus.file_count() as f64)
-        .num("corpus", "constraints", system.constraint_count() as f64)
-        .num("corpus", "rows", compiled.row_count() as f64)
-        .num("corpus", "vars", system.var_count() as f64)
-        .num("corpus", "terms", compiled.term_count() as f64)
-        .num("corpus", "lanes", compiled.lane_count() as f64)
-        .num("environment", "cores", cores as f64)
-        .text(
-            "environment",
-            "note",
-            &if cores == 1 {
-                "single-core host at bench time: multi-thread rows in the scaling table \
-                 measure determinism overhead, not parallelism"
-                    .to_string()
-            } else {
-                format!(
-                    "{cores}-core host at bench time: multi-thread rows in the scaling \
-                     table measure real parallel scaling"
-                )
-            },
-        )
-        .num("before", "solve_ms", before_ms)
-        .num("before", "iterations", before.iterations as f64)
-        .num("before", "ms_per_iter", before_ms / before.iterations.max(1) as f64)
-        .num("after_full_budget", "compile_ms", compile_ms)
-        .num("after_full_budget", "solve_ms", full_ms)
-        .num("after_full_budget", "iterations", full.iterations as f64)
-        .num("after_full_budget", "speedup_vs_before", before_ms / full_ms)
-        .num("after_early_stop", "solve_ms", early_ms)
-        .num("after_early_stop", "iterations", early.iterations as f64)
-        .num("after_early_stop", "speedup_vs_before", before_ms / early_ms)
-        .num("early_stop", "budget_max_iters", max_iters as f64)
-        .num("early_stop", "iterations_full", full.iterations as f64)
-        .num("early_stop", "iterations_early", early.iterations as f64)
-        .num("early_stop", "epochs_saved_vs_budget", early.epochs_saved as f64)
-        .text("early_stop", "stop_reason_full", full.stop.as_str())
-        .text("early_stop", "stop_reason_early", early.stop.as_str())
-        .flag("early_stop", "spec_identical_full_vs_early", spec_full == spec_early);
+    let mut row = |kernel: &str, threads: usize, stop: &str, ms: f64, iterations: usize| {
+        table.row(&[
+            kernel.to_string(),
+            threads.to_string(),
+            stop.to_string(),
+            format!("{ms:.1}"),
+            iterations.to_string(),
+            format!("{:.3}", ms / iterations.max(1) as f64),
+            format!("{:.2}x", before_ms / ms),
+        ]);
+    };
+    // The naive loop reports no stop reason.
+    row("naive", 1, "-", before_ms, before.iterations);
+    row("compiled, full budget", 1, full.stop.as_str(), full_ms, full.iterations);
+    row("compiled, early stop", 1, early.stop.as_str(), early_ms, early.iterations);
     for (t, ms, sol) in &sweep {
-        let section = format!("scaling_threads_{t}");
-        r.num(&section, "solve_ms", *ms)
-            .num(&section, "speedup_vs_1_thread", base_1t_ms / ms)
-            .num(&section, "iterations", sol.iterations as f64);
+        row("thread sweep, early stop", *t, sol.stop.as_str(), *ms, sol.iterations);
     }
-    r.flag("identity", "spec_identical_before_vs_after", spec_before == spec_full)
-        .flag("identity", "spec_identical_full_vs_early_stop", spec_full == spec_early)
-        .flag("identity", "scores_bitwise_across_threads_sweep", scores_bitwise);
-    println!("{}", r.to_json());
+    table.note(format!(
+        "{projects} projects, {} files: {} constraints, {} rows over {} variables \
+         ({} terms, {} lanes); compile {compile_ms:.1} ms; {cores} core(s); budget {} epochs",
+        corpus.file_count(),
+        system.constraint_count(),
+        compiled.row_count(),
+        system.var_count(),
+        compiled.term_count(),
+        compiled.lane_count(),
+        full_opts.max_iters,
+    ));
+    table.note(
+        "specs byte-identical across naive, full budget and early stop; scores bitwise \
+         identical across the thread sweep",
+    );
+    print!("{}", table.render());
     ExitCode::SUCCESS
 }

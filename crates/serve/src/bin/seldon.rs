@@ -65,7 +65,7 @@ use seldon_core::{
 };
 use seldon_corpus::{Corpus, Project, SourceFile};
 use seldon_propgraph::{to_dot, Budget, FileId, Recorder};
-use seldon_solver::{EarlyStop, SolveOptions, StopReason};
+use seldon_solver::{SolveOptions, StopReason};
 use seldon_specs::{paper_seed, TaintSpec};
 use seldon_taint::{render_reports, reports_to_json, TaintAnalyzer, TaintOptions};
 use seldon_serve::{client_request, run_daemon, Delta, EngineConfig, ServeDaemon, ServeEngine};
@@ -144,7 +144,7 @@ const USAGE: &str = "usage:
   seldon check   <path...> [--spec <spec.txt>] [--param-sensitive] [--format json] [--strict|--lenient] [--log-level off|info|debug]
   seldon learn   <path...> [--seed <spec.txt>] [--out <learned.txt>] [--strict|--lenient]
                  [--cache-dir <dir>] [--no-cache] [--cutoff <n>] [--solver-threads <n>]
-                 [--early-stop|--no-early-stop]
+                 [--no-early-stop]
                  [--telemetry <manifest.json>] [--trace <out.trace.json>]
                  [--score-dump] [--log-level off|info|debug]
   seldon serve   <path...> --socket <sock> [--seed <spec.txt>] [--cache-dir <dir>|--no-cache]
@@ -501,7 +501,6 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
             "--lenient",
             "--no-cache",
             "--score-dump",
-            "--early-stop",
             "--no-early-stop",
         ],
         &[
@@ -551,23 +550,17 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
     let (corpus, io_skipped) = read_corpus(&files)?;
     let (cache, open_faults) = open_cache(cache_dir);
     let cutoff = explicit_cutoff.unwrap_or_else(|| default_rep_cutoff(corpus.file_count()));
-    // Early-stop is on by default (SolveOptions::default()); the flags
-    // force it either way, e.g. `--no-early-stop` to burn the full
-    // `max_iters` budget for an exactly reproducible epoch count.
-    if flags.contains(&"--early-stop") && flags.contains(&"--no-early-stop") {
-        return Err(CliError::usage("--early-stop and --no-early-stop are mutually exclusive"));
-    }
-    let early_stop = if flags.contains(&"--no-early-stop") {
-        None
-    } else {
-        Some(EarlyStop::default())
-    };
-    let options = SeldonOptions {
+    let mut options = SeldonOptions {
         gen: GenOptions { rep_cutoff: cutoff, ..Default::default() },
-        solve: SolveOptions { threads: solver_threads, early_stop, ..Default::default() },
+        solve: SolveOptions { threads: solver_threads, ..Default::default() },
         score_dump,
         ..Default::default()
     };
+    // Early stop is on by default; `--no-early-stop` burns the full
+    // `max_iters` budget for an exactly reproducible epoch count.
+    if flags.contains(&"--no-early-stop") {
+        options.solve.early_stop = None;
+    }
     let mut analyze_opts = cli_analyze_opts(policy, &tele);
     analyze_opts.cache = cache.clone();
     let full = run_full(&corpus, &seed, "learn", &analyze_opts, &options)

@@ -1,5 +1,4 @@
-//! Run-to-run comparison: the engine behind `seldon diff-runs` and the
-//! `bench_diff` bin.
+//! Run-to-run comparison: the engine behind `seldon diff-runs`.
 //!
 //! Every manifest metric carries the [`Class`] it was registered with,
 //! and the class alone picks its treatment:
@@ -17,15 +16,14 @@
 //!   what was on disk) are reported as informational notes and never
 //!   gate.
 
-use crate::bench::BenchRecord;
 use crate::manifest::RunManifest;
 use crate::metrics::{Class, MetricValue};
 
 /// Comparison thresholds.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffOptions {
-    /// Relative tolerance (percent) for cost fields; the CI gate uses
-    /// the default ±15%.
+    /// Relative tolerance (percent) for cost fields; `seldon diff-runs`
+    /// uses the default ±15% unless given `--tolerance`.
     pub tolerance_pct: f64,
     /// Absolute slack (microseconds) under which stage-duration drift
     /// never gates, regardless of the relative change.
@@ -183,7 +181,7 @@ pub fn diff_manifests(a: &RunManifest, b: &RunManifest, opts: &DiffOptions) -> D
             (MetricValue::Counter(x), MetricValue::Counter(y))
             | (MetricValue::Gauge(x), MetricValue::Gauge(y)) => match ma.class {
                 Class::Identity => r.identity(&path, *x, *y),
-                Class::Cost => r.cost(&path, *x, *y, bench_slack(&ma.name).unwrap_or(0.0), opts),
+                Class::Cost => r.cost(&path, *x, *y, unit_slack(&ma.name), opts),
                 Class::State if x != y => r.note(format!("{path}: {x} -> {y} (machine state)")),
                 Class::State => {}
             },
@@ -216,77 +214,23 @@ pub fn diff_manifests(a: &RunManifest, b: &RunManifest, opts: &DiffOptions) -> D
     r
 }
 
-/// Absolute gating slack for a bench cost key, by unit suffix: drift
+/// Absolute gating slack for a cost metric, by unit suffix: drift
 /// smaller than this never gates, however large in relative terms.
-fn bench_slack(key: &str) -> Option<f64> {
+/// Metrics without a unit suffix get none.
+fn unit_slack(key: &str) -> f64 {
     if key.ends_with("_ns") {
-        Some(10_000_000.0) // 10ms in ns
+        10_000_000.0 // 10ms in ns
     } else if key.ends_with("_us") {
-        Some(10_000.0) // 10ms in µs
+        10_000.0 // 10ms in µs
     } else if key.ends_with("_ms") {
-        Some(10.0)
+        10.0
     } else if key.ends_with("_s") {
-        Some(0.01)
+        0.01
     } else if key.ends_with("_bytes") {
-        Some((1 << 20) as f64) // 1 MiB
+        (1 << 20) as f64 // 1 MiB
     } else {
-        None
+        0.0
     }
-}
-
-/// Whether a bench section's numbers depend on the host's parallelism
-/// rather than the code under test: per-thread-count scaling rows vary
-/// with the core count of whatever machine ran the bench, so they are
-/// recorded for the report but never gate.
-fn is_machine_scaling_section(section: &str) -> bool {
-    section.starts_with("scaling_threads_")
-}
-
-/// Compares two bench records key by key: unit-suffixed cost keys gate
-/// with tolerance + slack, everything else is informational. Scaling-table
-/// sections (`scaling_threads_*`) are machine state and never gate.
-pub fn diff_bench(a: &BenchRecord, b: &BenchRecord, opts: &DiffOptions) -> DiffReport {
-    let mut r = DiffReport::default();
-    if a.benchmark != b.benchmark {
-        r.note(format!("benchmark: {} -> {}", a.benchmark, b.benchmark));
-    }
-    for (section, kv) in a.sections() {
-        for (key, va) in kv {
-            let path = format!("{section}.{key}");
-            let Some(vb) = b.get(section, key) else {
-                r.note(format!("{path}: only in baseline"));
-                continue;
-            };
-            if is_machine_scaling_section(section) {
-                if va != vb {
-                    r.note(format!(
-                        "{path}: {} -> {} (machine scaling)",
-                        va.compact(),
-                        vb.compact()
-                    ));
-                }
-                continue;
-            }
-            match (va.as_f64(), vb.as_f64(), bench_slack(key)) {
-                (Some(x), Some(y), Some(slack)) if x.is_finite() && y.is_finite() => {
-                    r.cost(&path, x, y, slack, opts);
-                }
-                _ => {
-                    if va != vb {
-                        r.note(format!("{path}: {} -> {}", va.compact(), vb.compact()));
-                    }
-                }
-            }
-        }
-    }
-    for (section, kv) in b.sections() {
-        for (key, _) in kv {
-            if a.get(section, key).is_none() {
-                r.note(format!("{section}.{key}: only in candidate"));
-            }
-        }
-    }
-    r
 }
 
 #[cfg(test)]
@@ -496,57 +440,5 @@ mod tests {
             backoff_level: 0,
         });
         assert!(diff_manifests(&base, &dumped, &opts).regressed());
-    }
-
-    #[test]
-    fn bench_cost_keys_gate_and_identity_keys_note() {
-        let mut a = BenchRecord::new("solver", "solver_bench", "m");
-        a.num("corpus", "files", 607.0).num("after", "solve_ms", 100.0);
-        // Slower beyond tolerance and slack: regression.
-        let mut slow = a.clone();
-        slow.num("after", "solve_ms", 130.0);
-        let r = diff_bench(&a, &slow, &DiffOptions::default());
-        assert!(r.regressed(), "{}", r.render());
-        // A count change is a note, not a gate.
-        let mut counted = a.clone();
-        counted.num("corpus", "files", 608.0);
-        let r = diff_bench(&a, &counted, &DiffOptions::default());
-        assert!(!r.regressed());
-        assert_eq!(r.notes, 1);
-        // Within slack: 100ms -> 109ms is 9ms drift, under the 10ms floor.
-        let mut close = a.clone();
-        close.num("after", "solve_ms", 109.0);
-        assert!(!diff_bench(&a, &close, &DiffOptions::default()).regressed());
-        // Faster beyond tolerance: improvement.
-        let mut fast = a.clone();
-        fast.num("after", "solve_ms", 50.0);
-        let r = diff_bench(&a, &fast, &DiffOptions::default());
-        assert!(!r.regressed());
-        assert_eq!(r.improvements, 1);
-    }
-
-    /// Per-thread-count scaling rows depend on the bench host's core
-    /// count, so they report as notes and never gate — a record captured
-    /// on a single-core box must not fail CI on a multi-core runner.
-    #[test]
-    fn scaling_table_sections_never_gate() {
-        let mut a = BenchRecord::new("solver", "solver_bench", "m");
-        a.num("after", "solve_ms", 100.0)
-            .num("scaling_threads_8", "solve_ms", 170.0)
-            .num("scaling_threads_8", "speedup_vs_1_thread", 0.7);
-        // 3x slower on the scaling row, and a candidate-only row: notes.
-        let mut other_host = a.clone();
-        other_host
-            .num("scaling_threads_8", "solve_ms", 510.0)
-            .num("scaling_threads_8", "speedup_vs_1_thread", 3.4)
-            .num("scaling_threads_16", "solve_ms", 40.0);
-        let r = diff_bench(&a, &other_host, &DiffOptions::default());
-        assert!(!r.regressed(), "{}", r.render());
-        assert!(r.render().contains("machine scaling"), "{}", r.render());
-        assert!(r.render().contains("scaling_threads_16.solve_ms: only in candidate"));
-        // The same drift outside a scaling section still gates.
-        let mut slow = a.clone();
-        slow.num("after", "solve_ms", 300.0);
-        assert!(diff_bench(&a, &slow, &DiffOptions::default()).regressed());
     }
 }

@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod diff;
 pub mod json;
 pub mod manifest;
@@ -35,8 +34,7 @@ pub mod memory;
 pub mod metrics;
 pub mod span;
 
-pub use bench::{BenchRecord, MIN_BENCH_SCHEMA_VERSION};
-pub use diff::{diff_bench, diff_manifests, parse_tolerance_pct, DiffOptions, DiffReport};
+pub use diff::{diff_manifests, parse_tolerance_pct, DiffOptions, DiffReport};
 pub use manifest::{
     metric, stage, EpochSample, ManifestError, RunManifest, ScoreDumpEntry, StageSpan,
     PARSE_HIST_BOUNDS, SCHEMA_VERSION,

@@ -169,6 +169,33 @@ fn learn_solver_threads_is_output_invariant() {
 }
 
 #[test]
+fn no_early_stop_is_the_only_early_stop_flag() {
+    // Early stop is the default, so `learn` has one flag to turn it off:
+    // `--no-early-stop` runs cleanly and never stops on a plateau, and
+    // `--early-stop` is an unknown option.
+    let dir = temp_dir("earlystop");
+    let (tree, spec) = generated_tree(&dir);
+    let out = seldon()
+        .arg("learn")
+        .arg(&tree)
+        .arg("--seed")
+        .arg(&spec)
+        .arg("--no-early-stop")
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let summary = stderr.lines().find(|l| l.contains(" solved in ")).expect("summary line");
+    assert!(summary.contains("stop: "), "{summary}");
+    assert!(!summary.contains("stop: plateau"), "{summary}");
+
+    let out = seldon().arg("learn").arg(&tree).arg("--early-stop").output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option `--early-stop`"), "{stderr}");
+}
+
+#[test]
 fn learn_rejects_a_non_numeric_cutoff() {
     // `learn` and `serve` parse `--cutoff` with one helper: a value that is
     // not a number is a usage error, never a silent fall-back to the default.
@@ -635,8 +662,9 @@ fn learn_manifest(dir: &std::path::Path, name: &str) -> PathBuf {
     learn_manifest_with(dir, name, &[])
 }
 
-/// [`learn_manifest`] with extra `learn` arguments.
-fn learn_manifest_with(dir: &std::path::Path, name: &str, extra: &[&std::ffi::OsStr]) -> PathBuf {
+/// Writes a small generated corpus (8 projects) under `dir/corpus` and
+/// its seed spec to `dir/seed_spec.txt`; returns both paths.
+fn generated_tree(dir: &std::path::Path) -> (PathBuf, PathBuf) {
     use seldon_corpus::{generate_corpus, CorpusOptions, Universe};
     let universe = Universe::new();
     let corpus = generate_corpus(
@@ -653,6 +681,12 @@ fn learn_manifest_with(dir: &std::path::Path, name: &str, extra: &[&std::ffi::Os
     }
     let spec = dir.join("seed_spec.txt");
     std::fs::write(&spec, universe.seed_spec().to_text()).unwrap();
+    (tree, spec)
+}
+
+/// [`learn_manifest`] with extra `learn` arguments.
+fn learn_manifest_with(dir: &std::path::Path, name: &str, extra: &[&std::ffi::OsStr]) -> PathBuf {
+    let (tree, spec) = generated_tree(dir);
     let manifest = dir.join(name);
     let out = seldon()
         .arg("learn")
