@@ -68,8 +68,8 @@ impl Workbench {
 /// Tab. 1: statistics of the analyzed corpus.
 pub fn table1(wb: &Workbench) -> Table {
     let avg_backoff = {
-        let total: usize = wb.run.system.event_reps.iter().map(|(_, r)| r.len()).sum();
-        total as f64 / wb.run.system.event_reps.len().max(1) as f64
+        let total: usize = wb.run.system.candidates().map(|(_, r)| r.len()).sum();
+        total as f64 / wb.run.candidate_count().max(1) as f64
     };
     let mut t = Table::new(
         "Table 1: Statistics on the applications in our evaluation",

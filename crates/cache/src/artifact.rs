@@ -10,18 +10,28 @@
 //! in corpus order), so the stored graph is always stamped file 0 and
 //! re-stamped with the caller's id on load.
 //!
+//! The adjacency lists are stored as the graph holds them: each event row
+//! carries its successor list, every edge with its kind and argument
+//! position, and the predecessor lists follow the events. List order is
+//! behaviorally significant — constraint generation walks the lists in
+//! order, the solver's floating-point results depend on constraint order,
+//! and the graph fingerprint keying the solver checkpoint hashes both
+//! list families — so [`decode`] fills the lists as stored instead of
+//! re-adding edges.
+//!
 //! Alongside the graph the payload stores the file's constraint fragment:
 //! its contribution to the §4.3 representation-frequency census, again
 //! keyed by string-table index. [`decode`] rebuilds the graph in one pass
 //! over the payload, borrowing each string from it, and recounts the
 //! fragment as it goes — a payload that passes the outer checksum but
-//! decodes to a graph disagreeing with its own fragment is treated as
-//! corrupt and recomputed, never trusted.
+//! decodes to a graph disagreeing with its own fragment, or to lists
+//! breaking the graph's invariants, is treated as corrupt and recomputed,
+//! never trusted.
 
 use crate::codec::{Reader, Writer};
 use crate::entry::EntryError;
-use seldon_intern::{IdHash, Symbol};
-use seldon_propgraph::{ArgPos, EdgeKind, Event, EventId, EventKind, FileId, PropagationGraph};
+use seldon_intern::{IdHash, Symbol, Symbols};
+use seldon_propgraph::{ArgPos, Edge, EdgeKind, Event, EventId, EventKind, FileId, PropagationGraph};
 use seldon_pyast::Span;
 use std::collections::HashMap;
 
@@ -42,52 +52,16 @@ fn kind_from_tag(tag: u8) -> Option<EventKind> {
     }
 }
 
-/// Edges in an order that heads both its source's out-chain and its
-/// target's in-chain.
-///
-/// Adjacency-list order is behaviorally significant: constraint
-/// generation walks successor/predecessor lists in insertion order, and
-/// the solver's floating-point results depend on constraint order.
-/// `graph.edges()` preserves each successor list but loses predecessor
-/// order, so a rebuilt graph would generate a permuted (same multiset,
-/// different order) constraint system, and its graph fingerprint would
-/// miss the solver checkpoint. Replaying `add_edge_kind` over this
-/// schedule reproduces both list families exactly. Such a schedule always
-/// exists (the original insertion sequence is one) and Kahn-style greedy
-/// emission finds one.
-fn edge_schedule(graph: &PropagationGraph) -> Vec<(EventId, EventId)> {
-    let n = graph.event_count();
-    let mut edges = Vec::with_capacity(graph.edge_count());
-    let mut out_ptr = vec![0usize; n];
-    let mut in_ptr = vec![0usize; n];
-    let head = |out_ptr: &[usize], in_ptr: &[usize], from: EventId| -> Option<EventId> {
-        let t = *graph.successors(from).get(out_ptr[from.index()])?;
-        (graph.predecessors(t)[in_ptr[t.index()]] == from).then_some(t)
-    };
-    let mut stack: Vec<u32> = (0..n as u32).collect();
-    while let Some(f) = stack.pop() {
-        let from = EventId(f);
-        while let Some(to) = head(&out_ptr, &in_ptr, from) {
-            edges.push((from, to));
-            out_ptr[from.index()] += 1;
-            in_ptr[to.index()] += 1;
-            // The target's next in-edge may have just become emittable.
-            if let Some(&g) = graph.predecessors(to).get(in_ptr[to.index()]) {
-                stack.push(g.0);
-            }
-        }
-    }
-    debug_assert_eq!(edges.len(), graph.edge_count(), "edge schedule is complete");
-    edges
-}
-
 /// Serializes a per-file graph (as built by the front end, stamped with
 /// any [`FileId`]) and its lenient-parse error count to the binary payload
 /// framed by [`crate::entry::encode_entry`]: the recovered-error count,
-/// then the string, event, edge, argument and frequency tables as binary
-/// records of the crate's payload codec. The string table lists each
-/// representation once, in first-use order; the frequency table counts
-/// the uses of each entry.
+/// the string table, the event table (each row ending in the event's
+/// successor list), the predecessor lists and the frequency table, as
+/// binary records of the crate's payload codec. The string table lists
+/// each representation once, in first-use order; the frequency table
+/// counts the uses of each entry. A predecessor list has no count of its
+/// own: its length is the event's in-degree, which the successor lists
+/// already fix.
 pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
     let mut strings: Vec<Symbol> = Vec::new();
     let mut index_of: HashMap<Symbol, u32, IdHash> = HashMap::default();
@@ -108,42 +82,38 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
     w.u64(recovered_errors as u64);
     w.table(&strings, |w, &s| w.str(graph.symbols().resolve(s)));
     let mut rep_indices = rep_indices.into_iter();
-    w.table(graph.events(), |w, (_, event)| {
+    w.table(graph.events(), |w, (id, event)| {
         w.u8(kind_tag(event.kind));
         let span = event.span;
         for v in [span.start, span.end, span.line, span.col] {
             w.u32(v);
         }
         w.table(rep_indices.by_ref().take(event.reps.len()), |w, i| w.u32(i));
-    });
-    let schedule = edge_schedule(graph);
-    w.table(&schedule, |w, &(from, to)| {
-        w.u32(from.0);
-        w.u32(to.0);
-        w.u8(match graph.edge_kind(from, to).expect("scheduled edges exist") {
-            EdgeKind::Argument => 0,
-            EdgeKind::Receiver => 1,
+        w.table(graph.out_edges(id), |w, edge| {
+            w.u32(edge.to.0);
+            w.u8(match edge.kind {
+                EdgeKind::Argument => 0,
+                EdgeKind::Receiver => 1,
+            });
+            match edge.pos {
+                None => w.u8(0),
+                Some(ArgPos::Receiver) => w.u8(1),
+                Some(ArgPos::Positional(p)) => {
+                    w.u8(2);
+                    w.u8(p);
+                }
+                Some(ArgPos::Keyword(name)) => {
+                    w.u8(3);
+                    w.str(graph.symbols().resolve(name));
+                }
+            }
         });
     });
-    let args: Vec<_> = schedule
-        .iter()
-        .filter_map(|&(from, to)| Some((from, to, graph.arg_position(from, to)?)))
-        .collect();
-    w.table(&args, |w, &(from, to, pos)| {
-        w.u32(from.0);
-        w.u32(to.0);
-        match pos {
-            ArgPos::Receiver => w.u8(0),
-            ArgPos::Positional(p) => {
-                w.u8(1);
-                w.u8(*p);
-            }
-            ArgPos::Keyword(name) => {
-                w.u8(2);
-                w.str(graph.symbols().resolve(*name));
-            }
+    for (id, _) in graph.events() {
+        for from in graph.predecessors(id) {
+            w.u32(from.0);
         }
-    });
+    }
     w.table(uses.iter().enumerate(), |w, (i, &n)| {
         w.u32(i as u32);
         w.u32(n);
@@ -153,36 +123,41 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
 
 /// Rebuilds the graph of a payload written by [`encode`], in one pass:
 /// representation strings are interned straight from the payload into the
-/// graph's own table, in string-table order, events are stamped with
-/// `file`, edges are replayed in their stored schedule, and the stored
-/// frequency fragment is checked against the uses counted on the way.
-/// Returns the graph and its recovered-error count.
+/// graph's own table, in string-table order, and keyword names after them
+/// in edge order; events are stamped with `file`; the adjacency lists are
+/// filled as stored; and the stored frequency fragment is checked against
+/// the uses counted on the way. Returns the graph and its recovered-error
+/// count.
 ///
 /// # Errors
 ///
 /// [`EntryError::Corrupt`] on a truncated, overlong or malformed payload
 /// (unknown tags, counts past the end, trailing bytes) and on one that is
 /// internally inconsistent (duplicate strings, empty rep lists,
-/// out-of-range indices or endpoints, fragment mismatch).
+/// out-of-range indices or endpoints, self or duplicate edges,
+/// predecessor lists that do not mirror the successor lists, fragment
+/// mismatch).
 pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize), EntryError> {
     let corrupt = |what: &str| EntryError::Corrupt(what.to_string());
     let mut r = Reader::new(payload);
     let recovered_errors = r.usize()?;
     // Minimum row widths: a length or count prefix is 4 bytes, an event
-    // is a tag, four span fields and its rep count. The table starts empty
-    // and equal strings intern to equal symbols, so string `i` is symbol
-    // `i` unless it repeats an earlier string.
+    // is a tag, four span fields and its rep and edge counts, an edge is
+    // its target and two tags. The table starts empty and equal strings
+    // intern to equal symbols, so string `i` is symbol `i` unless it
+    // repeats an earlier string.
     let strings = r.count(4)?;
-    let mut graph = PropagationGraph::new();
+    let mut symbols = Symbols::new();
     for i in 0..strings {
-        if graph.symbols_mut().intern(r.str()?).index() != i {
+        if symbols.intern(r.str()?).index() != i {
             return Err(corrupt("duplicate string-table entries"));
         }
     }
     let mut uses = vec![0u32; strings];
-    let events = r.count(21)?;
-    graph.reserve_events(events);
-    for _ in 0..events {
+    let n = r.count(25)?;
+    let (mut events, mut succs) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let mut in_degree = vec![0usize; n];
+    for _ in 0..n {
         let kind = kind_from_tag(r.u8()?).ok_or_else(|| corrupt("unknown event kind"))?;
         let span = Span::new(r.u32()?, r.u32()?, r.u32()?, r.u32()?);
         let count = r.count(4)?;
@@ -196,35 +171,42 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
             *n += 1;
             reps.push(Symbol(i as u32));
         }
-        graph.add_event(Event::new(kind, reps, file, span));
+        events.push(Event::new(kind, reps, file, span));
+        succs.push(r.table(6, |r| {
+            let to = r.u32()?;
+            let degree = in_degree.get_mut(to as usize);
+            *degree.ok_or_else(|| corrupt("edge endpoint out of range"))? += 1;
+            let kind = match r.u8()? {
+                0 => EdgeKind::Argument,
+                1 => EdgeKind::Receiver,
+                _ => return Err(corrupt("unknown edge kind")),
+            };
+            let pos = match r.u8()? {
+                0 => None,
+                1 => Some(ArgPos::Receiver),
+                2 => Some(ArgPos::Positional(r.u8()?)),
+                3 => Some(ArgPos::Keyword(symbols.intern(r.str()?))),
+                _ => return Err(corrupt("unknown arg position tag")),
+            };
+            Ok(Edge { to: EventId(to), kind, pos })
+        })?);
     }
-    // `events` came from a `u32` count.
-    let n = events as u32;
-    let endpoints = |r: &mut Reader, what: &str| {
-        let (from, to) = (r.u32()?, r.u32()?);
-        if from >= n || to >= n {
-            return Err(corrupt(what));
-        }
-        Ok((EventId(from), EventId(to)))
-    };
-    for _ in 0..r.count(9)? {
-        let (from, to) = endpoints(&mut r, "edge endpoint out of range")?;
-        let kind = match r.u8()? {
-            0 => EdgeKind::Argument,
-            1 => EdgeKind::Receiver,
-            _ => return Err(corrupt("unknown edge kind")),
-        };
-        graph.add_edge_kind(from, to, kind);
+    let preds = (in_degree.iter())
+        .map(|&k| (0..k).map(|_| r.u32().map(EventId)).collect())
+        .collect::<Result<Vec<Vec<_>>, _>>()?;
+    // Both list families hold one entry per edge, so they mirror each
+    // other exactly when the edges and the (source, target) pairs the
+    // predecessor lists name sort to the same sequence.
+    let (mut edges, mut named) = (Vec::new(), Vec::new());
+    for (v, (out, from)) in succs.iter().zip(&preds).enumerate() {
+        edges.extend(out.iter().map(|e| (v as u32, e.to.0)));
+        named.extend(from.iter().map(|f| (f.0, v as u32)));
     }
-    for _ in 0..r.count(9)? {
-        let (from, to) = endpoints(&mut r, "argument edge out of range")?;
-        let pos = match r.u8()? {
-            0 => ArgPos::Receiver,
-            1 => ArgPos::Positional(r.u8()?),
-            2 => ArgPos::Keyword(graph.symbols_mut().intern(r.str()?)),
-            _ => return Err(corrupt("unknown arg position tag")),
-        };
-        graph.set_arg_position(from, to, pos);
+    edges.sort_unstable();
+    named.sort_unstable();
+    let simple = edges.windows(2).all(|w| w[0] != w[1]) && edges.iter().all(|e| e.0 != e.1);
+    if !simple || edges != named {
+        return Err(corrupt("self, duplicate or unmirrored edge"));
     }
     // The fragment lists every used table index once, in index order.
     let mut counted = uses.iter().enumerate().filter(|&(_, &n)| n > 0);
@@ -239,8 +221,8 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
         return Err(mismatch());
     }
     r.finish()?;
-    graph.symbols_mut().seal();
-    Ok((graph, recovered_errors))
+    symbols.seal();
+    Ok((PropagationGraph::from_adjacency(symbols, events, succs, preds), recovered_errors))
 }
 
 #[cfg(test)]
@@ -255,17 +237,19 @@ mod tests {
 
     /// The two-step codec `encode`/`decode` replaced, kept as the
     /// reference they are checked against: a payload parses into an owned
-    /// struct, which then rebuilds the graph.
+    /// struct, which is checked edge by edge and then rebuilds the graph.
     mod oracle {
         use super::*;
+
+        /// A successor-list entry: target, kind and argument position.
+        pub(super) type Slot = (u32, EdgeKind, Option<IrArgPos>);
 
         #[derive(Debug, Clone, PartialEq)]
         pub(super) struct FileArtifact {
             pub(super) recovered_errors: usize,
             pub(super) strings: Vec<String>,
-            pub(super) events: Vec<(EventKind, Span, Vec<u32>)>,
-            pub(super) edges: Vec<(u32, u32, EdgeKind)>,
-            pub(super) args: Vec<(u32, u32, IrArgPos)>,
+            pub(super) events: Vec<(EventKind, Span, Vec<u32>, Vec<Slot>)>,
+            pub(super) preds: Vec<Vec<u32>>,
             pub(super) freq: Vec<(u32, u32)>,
         }
 
@@ -286,10 +270,11 @@ mod tests {
 
         impl FileArtifact {
             pub(super) fn from_graph(graph: &PropagationGraph, recovered_errors: usize) -> Self {
+                let text = |k: &Symbol| graph.symbols().resolve(*k).to_string();
                 let mut strings: Vec<String> = Vec::new();
                 let mut index_of: HashMap<&str, u32> = HashMap::new();
                 let mut events = Vec::with_capacity(graph.event_count());
-                for (_, event) in graph.events() {
+                for (id, event) in graph.events() {
                     let reps = event
                         .reps
                         .iter()
@@ -301,69 +286,65 @@ mod tests {
                             })
                         })
                         .collect();
-                    events.push((event.kind, event.span, reps));
+                    let slots = (graph.out_edges(id).iter())
+                        .map(|e| (e.to.0, e.kind, e.pos.map(|p| p.map(text))))
+                        .collect();
+                    events.push((event.kind, event.span, reps, slots));
                 }
-                let n = graph.event_count();
-                let mut edges = Vec::with_capacity(graph.edge_count());
-                let mut args = Vec::new();
-                let mut out_ptr = vec![0usize; n];
-                let mut in_ptr = vec![0usize; n];
-                let head = |out_ptr: &[usize], in_ptr: &[usize], f: u32| -> Option<EventId> {
-                    let from = EventId(f);
-                    let t = *graph.successors(from).get(out_ptr[from.index()])?;
-                    (graph.predecessors(t)[in_ptr[t.index()]] == from).then_some(t)
-                };
-                let mut stack: Vec<u32> = (0..n as u32).collect();
-                while let Some(f) = stack.pop() {
-                    while let Some(to) = head(&out_ptr, &in_ptr, f) {
-                        let from = EventId(f);
-                        let kind = graph.edge_kind(from, to).expect("chain heads are edges");
-                        edges.push((from.0, to.0, kind));
-                        if let Some(pos) = graph.arg_position(from, to) {
-                            let pos = pos.map(|&k| graph.symbols().resolve(k).to_string());
-                            args.push((from.0, to.0, pos));
-                        }
-                        out_ptr[from.index()] += 1;
-                        in_ptr[to.index()] += 1;
-                        if let Some(&g) = graph.predecessors(to).get(in_ptr[to.index()]) {
-                            stack.push(g.0);
-                        }
-                    }
-                }
+                let preds = (graph.events())
+                    .map(|(id, _)| graph.predecessors(id).iter().map(|f| f.0).collect())
+                    .collect();
                 let freq = freq_fragment(graph, &index_of);
-                FileArtifact { recovered_errors, strings, events, edges, args, freq }
+                FileArtifact { recovered_errors, strings, events, preds, freq }
             }
 
             pub(super) fn to_graph(&self, file: FileId) -> Result<PropagationGraph, EntryError> {
                 let corrupt = |what: &str| EntryError::Corrupt(what.to_string());
-                let mut graph = PropagationGraph::new();
-                let symbols: Vec<_> =
-                    self.strings.iter().map(|s| graph.symbols_mut().intern(s)).collect();
-                graph.reserve_events(self.events.len());
-                for (kind, span, reps) in &self.events {
+                let mut symbols = Symbols::new();
+                let table: Vec<_> = self.strings.iter().map(|s| symbols.intern(s)).collect();
+                let mut events = Vec::with_capacity(self.events.len());
+                for (kind, span, reps, _) in &self.events {
                     if reps.is_empty() {
                         return Err(corrupt("event with no representations"));
                     }
                     let reps = reps
                         .iter()
-                        .map(|&i| symbols.get(i as usize).copied())
+                        .map(|&i| table.get(i as usize).copied())
                         .collect::<Option<Vec<_>>>()
                         .ok_or_else(|| corrupt("representation index out of range"))?;
-                    graph.add_event(Event::new(*kind, reps, file, *span));
+                    events.push(Event::new(*kind, reps, file, *span));
                 }
                 let n = self.events.len() as u32;
-                for &(from, to, kind) in &self.edges {
-                    if from >= n || to >= n {
-                        return Err(corrupt("edge endpoint out of range"));
+                let mut succs = Vec::with_capacity(self.events.len());
+                let mut edges: Vec<(u32, u32)> = Vec::new();
+                for (from, (.., slots)) in self.events.iter().enumerate() {
+                    let mut out = Vec::new();
+                    for (to, kind, pos) in slots {
+                        let edge = (from as u32, *to);
+                        if *to >= n {
+                            return Err(corrupt("edge endpoint out of range"));
+                        }
+                        if edge.0 == edge.1 || edges.contains(&edge) {
+                            return Err(corrupt("self or duplicate edge"));
+                        }
+                        edges.push(edge);
+                        let pos = pos.as_ref().map(|p| p.map(|k| symbols.intern(k)));
+                        out.push(Edge { to: EventId(*to), kind: *kind, pos });
                     }
-                    graph.add_edge_kind(EventId(from), EventId(to), kind);
+                    succs.push(out);
                 }
-                for (from, to, pos) in &self.args {
-                    if *from >= n || *to >= n {
-                        return Err(corrupt("argument edge out of range"));
+                if self.preds.len() != self.events.len() {
+                    return Err(corrupt("one predecessor list per event"));
+                }
+                for (v, stored) in self.preds.iter().enumerate() {
+                    let mut sources: Vec<u32> =
+                        edges.iter().filter(|e| e.1 == v as u32).map(|e| e.0).collect();
+                    let mut stored = stored.clone();
+                    sources.sort_unstable();
+                    stored.sort_unstable();
+                    if sources != stored {
+                        return Err(corrupt("predecessor list does not mirror the edges"));
                     }
-                    let pos = pos.map(|k| graph.symbols_mut().intern(k));
-                    graph.set_arg_position(EventId(*from), EventId(*to), pos);
                 }
                 let index_of: HashMap<&str, u32> = self
                     .strings
@@ -374,6 +355,10 @@ mod tests {
                 if index_of.len() != self.strings.len() {
                     return Err(corrupt("duplicate string-table entries"));
                 }
+                symbols.seal();
+                let preds =
+                    self.preds.iter().map(|l| l.iter().map(|&f| EventId(f)).collect()).collect();
+                let graph = PropagationGraph::from_adjacency(symbols, events, succs, preds);
                 if freq_fragment(&graph, &index_of) != self.freq {
                     return Err(corrupt("frequency fragment disagrees with decoded graph"));
                 }
@@ -384,36 +369,35 @@ mod tests {
                 let mut w = Writer::default();
                 w.u64(self.recovered_errors as u64);
                 w.table(&self.strings, |w, s| w.str(s));
-                w.table(&self.events, |w, (kind, span, reps)| {
+                w.table(&self.events, |w, (kind, span, reps, slots)| {
                     w.u8(kind_tag(*kind));
                     for v in [span.start, span.end, span.line, span.col] {
                         w.u32(v);
                     }
                     w.table(reps, |w, &r| w.u32(r));
-                });
-                w.table(&self.edges, |w, &(from, to, kind)| {
-                    w.u32(from);
-                    w.u32(to);
-                    w.u8(match kind {
-                        EdgeKind::Argument => 0,
-                        EdgeKind::Receiver => 1,
+                    w.table(slots, |w, (to, kind, pos)| {
+                        w.u32(*to);
+                        w.u8(match kind {
+                            EdgeKind::Argument => 0,
+                            EdgeKind::Receiver => 1,
+                        });
+                        match pos {
+                            None => w.u8(0),
+                            Some(IrArgPos::Receiver) => w.u8(1),
+                            Some(IrArgPos::Positional(p)) => {
+                                w.u8(2);
+                                w.u8(*p);
+                            }
+                            Some(IrArgPos::Keyword(name)) => {
+                                w.u8(3);
+                                w.str(name);
+                            }
+                        }
                     });
                 });
-                w.table(&self.args, |w, (from, to, pos)| {
-                    w.u32(*from);
-                    w.u32(*to);
-                    match pos {
-                        IrArgPos::Receiver => w.u8(0),
-                        IrArgPos::Positional(p) => {
-                            w.u8(1);
-                            w.u8(*p);
-                        }
-                        IrArgPos::Keyword(name) => {
-                            w.u8(2);
-                            w.str(name);
-                        }
-                    }
-                });
+                for &from in self.preds.iter().flatten() {
+                    w.u32(from);
+                }
                 w.table(&self.freq, |w, &(rep, n)| {
                     w.u32(rep);
                     w.u32(n);
@@ -424,38 +408,45 @@ mod tests {
             pub(super) fn from_payload(payload: &[u8]) -> Result<FileArtifact, EntryError> {
                 let corrupt = |what: &str| EntryError::Corrupt(what.to_string());
                 let mut r = Reader::new(payload);
-                let artifact = FileArtifact {
-                    recovered_errors: r.usize()?,
-                    strings: r.table(4, |r| Ok(r.str()?.to_string()))?,
-                    events: r.table(21, |r| {
-                        let kind =
-                            kind_from_tag(r.u8()?).ok_or_else(|| corrupt("unknown event kind"))?;
-                        let span = Span::new(r.u32()?, r.u32()?, r.u32()?, r.u32()?);
-                        Ok((kind, span, r.table(4, Reader::u32)?))
-                    })?,
-                    edges: r.table(9, |r| {
-                        let (from, to) = (r.u32()?, r.u32()?);
+                let recovered_errors = r.usize()?;
+                let strings = r.table(4, |r| Ok(r.str()?.to_string()))?;
+                let events: Vec<(EventKind, Span, Vec<u32>, Vec<Slot>)> = r.table(25, |r| {
+                    let kind =
+                        kind_from_tag(r.u8()?).ok_or_else(|| corrupt("unknown event kind"))?;
+                    let span = Span::new(r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+                    let reps = r.table(4, Reader::u32)?;
+                    let slots = r.table(6, |r| {
+                        let to = r.u32()?;
                         let kind = match r.u8()? {
                             0 => EdgeKind::Argument,
                             1 => EdgeKind::Receiver,
                             _ => return Err(corrupt("unknown edge kind")),
                         };
-                        Ok((from, to, kind))
-                    })?,
-                    args: r.table(9, |r| {
-                        let (from, to) = (r.u32()?, r.u32()?);
                         let pos = match r.u8()? {
-                            0 => IrArgPos::Receiver,
-                            1 => IrArgPos::Positional(r.u8()?),
-                            2 => IrArgPos::Keyword(r.str()?.to_string()),
+                            0 => None,
+                            1 => Some(IrArgPos::Receiver),
+                            2 => Some(IrArgPos::Positional(r.u8()?)),
+                            3 => Some(IrArgPos::Keyword(r.str()?.to_string())),
                             _ => return Err(corrupt("unknown arg position tag")),
                         };
-                        Ok((from, to, pos))
-                    })?,
-                    freq: r.table(8, |r| Ok((r.u32()?, r.u32()?)))?,
-                };
+                        Ok((to, kind, pos))
+                    })?;
+                    Ok((kind, span, reps, slots))
+                })?;
+                // Each predecessor list is as long as its event's in-degree.
+                let mut in_degree = vec![0usize; events.len()];
+                for &(to, ..) in events.iter().flat_map(|e| &e.3) {
+                    *in_degree
+                        .get_mut(to as usize)
+                        .ok_or_else(|| corrupt("edge endpoint out of range"))? += 1;
+                }
+                let mut preds = Vec::with_capacity(events.len());
+                for k in in_degree {
+                    preds.push((0..k).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?);
+                }
+                let freq = r.table(8, |r| Ok((r.u32()?, r.u32()?)))?;
                 r.finish()?;
-                Ok(artifact)
+                Ok(FileArtifact { recovered_errors, strings, events, preds, freq })
             }
         }
 
@@ -494,7 +485,7 @@ mod tests {
         // Adjacency-list *order* must survive too: constraint generation
         // walks these lists, and constraint order feeds the solver.
         for (id, _) in a.events() {
-            assert_eq!(a.successors(id), b.successors(id), "succ order of {id:?}");
+            assert!(a.successors(id).eq(b.successors(id)), "succ order of {id:?}");
             assert_eq!(a.predecessors(id), b.predecessors(id), "pred order of {id:?}");
         }
     }
@@ -519,6 +510,10 @@ mod tests {
                 two_step.map(|_| ())
             ),
         }
+    }
+
+    fn is_corrupt(artifact: &oracle::FileArtifact) -> bool {
+        matches!(load(&artifact.to_payload()), Err(EntryError::Corrupt(_)))
     }
 
     #[test]
@@ -551,7 +546,7 @@ mod tests {
         let graph = build_source(SOURCE, FileId(0)).unwrap();
         let mut artifact = oracle::FileArtifact::from_graph(&graph, 0);
         artifact.freq[0].1 += 1;
-        assert!(matches!(load(&artifact.to_payload()), Err(EntryError::Corrupt(_))));
+        assert!(is_corrupt(&artifact));
         // The last four payload bytes are the last fragment count.
         let mut payload = encode(&graph, 0);
         let last = payload.len() - 4;
@@ -567,10 +562,11 @@ mod tests {
         bad.events[0].2 = vec![9999];
         assert!(load(&bad.to_payload()).is_err());
         let mut bad = artifact.clone();
-        bad.edges.push((9999, 0, EdgeKind::Argument));
+        bad.events[0].3.push((9999, EdgeKind::Argument, None));
         assert!(load(&bad.to_payload()).is_err());
         let mut bad = artifact;
-        bad.args.push((0, 9999, IrArgPos::Receiver));
+        let list = bad.preds.iter_mut().find(|l| !l.is_empty()).expect("an edge");
+        list[0] = 9999;
         assert!(load(&bad.to_payload()).is_err());
     }
 
@@ -583,7 +579,7 @@ mod tests {
         bad.strings.push(bad.strings[0].clone());
         bad.events[0].2.push(bad.strings.len() as u32 - 1);
         bad.freq.push((bad.strings.len() as u32 - 1, 1));
-        assert!(matches!(load(&bad.to_payload()), Err(EntryError::Corrupt(_))));
+        assert!(is_corrupt(&bad));
         // An empty rep list; the fragment no longer counts its reps.
         let mut bad = artifact.clone();
         for &i in &std::mem::take(&mut bad.events[0].2) {
@@ -591,16 +587,49 @@ mod tests {
             row.1 -= 1;
         }
         bad.freq.retain(|&(_, n)| n > 0);
-        assert!(matches!(load(&bad.to_payload()), Err(EntryError::Corrupt(_))));
+        assert!(is_corrupt(&bad));
         // A fragment missing its last row.
         let mut bad = artifact.clone();
         bad.freq.pop();
-        assert!(matches!(load(&bad.to_payload()), Err(EntryError::Corrupt(_))));
+        assert!(is_corrupt(&bad));
         // A fragment row for a string no event uses.
         let mut bad = artifact;
         bad.strings.push("unused()".to_string());
         bad.freq.push((bad.strings.len() as u32 - 1, 0));
-        assert!(matches!(load(&bad.to_payload()), Err(EntryError::Corrupt(_))));
+        assert!(is_corrupt(&bad));
+    }
+
+    /// Adjacency lists that break the graph's invariants, each written
+    /// with predecessor lists as long as the successor lists imply, so the
+    /// payload parses and only the lists themselves are wrong.
+    #[test]
+    fn inconsistent_adjacency_lists_are_corrupt_in_both_decoders() {
+        let graph = build_source(SOURCE, FileId(0)).unwrap();
+        let artifact = oracle::FileArtifact::from_graph(&graph, 0);
+        let (from, slot) = (artifact.events.iter().enumerate())
+            .find_map(|(v, e)| Some((v as u32, e.3.first()?.clone())))
+            .expect("an edge");
+        let to = slot.0;
+        // Asymmetric: the target's list names an event with no edge to it.
+        let mut bad = artifact.clone();
+        let stranger = (0..bad.events.len() as u32)
+            .find(|&u| u != to && !bad.preds[to as usize].contains(&u))
+            .expect("an event not flowing into the target");
+        let entry = bad.preds[to as usize].iter_mut().find(|f| **f == from).unwrap();
+        *entry = stranger;
+        assert!(is_corrupt(&bad));
+        // A self edge, mirrored.
+        let mut bad = artifact.clone();
+        bad.events[from as usize].3.push((from, EdgeKind::Argument, None));
+        bad.preds[from as usize].push(from);
+        assert!(is_corrupt(&bad));
+        // A duplicate edge, mirrored.
+        let mut bad = artifact.clone();
+        bad.events[from as usize].3.push(slot);
+        bad.preds[to as usize].push(from);
+        assert!(is_corrupt(&bad));
+        // The untouched artifact still loads.
+        assert!(load(&artifact.to_payload()).is_ok());
     }
 
     /// Both golden corpora (`tests/end_to_end.rs`), one file at a time:
@@ -630,6 +659,35 @@ mod tests {
         }
     }
 
+    /// A graph of `n` events stamped with the file [`load`] decodes to,
+    /// with `edges` as `(from, to, tag)` taken modulo `n`, like the graph
+    /// crate's own random graphs: bit 0 of `tag` picks the edge kind
+    /// (repeats upgrade receiver edges, self edges are dropped); bits 1–2
+    /// pick no argument position or one of each kind.
+    fn random_graph(n: u32, edges: &[(u32, u32, u8)]) -> PropagationGraph {
+        let mut g = PropagationGraph::new();
+        let kinds = [EventKind::Call, EventKind::ObjectRead, EventKind::ParamRead];
+        for i in 0..n {
+            let texts = [["a()", "b()", "c.d()"][i as usize % 3], "x"];
+            let reps = texts.iter().map(|t| g.symbols_mut().intern(t)).collect();
+            let span = Span::new(i, i + 1, i, 0);
+            g.add_event(Event::new(kinds[i as usize % 3], reps, FileId(9), span));
+        }
+        for &(from, to, tag) in edges.iter().filter(|_| n > 0) {
+            let (from, to) = (EventId(from % n), EventId(to % n));
+            let kind = if tag & 1 == 0 { EdgeKind::Argument } else { EdgeKind::Receiver };
+            g.add_edge_kind(from, to, kind);
+            let pos = match (tag >> 1) & 3 {
+                0 => continue,
+                1 => ArgPos::Receiver,
+                2 => ArgPos::Positional(tag),
+                _ => ArgPos::Keyword(g.symbols_mut().intern(&format!("k{tag}"))),
+            };
+            g.set_arg_position(from, to, pos);
+        }
+        g
+    }
+
     /// A payload with every table non-empty and every argument-position
     /// kind.
     fn fuzz_seed() -> Vec<u8> {
@@ -638,10 +696,11 @@ mod tests {
         let artifact = oracle::FileArtifact::from_graph(&graph, 1);
         for tag in 0..3 {
             assert!(
-                artifact.args.iter().any(|(_, _, pos)| match pos {
-                    IrArgPos::Receiver => tag == 0,
-                    IrArgPos::Positional(_) => tag == 1,
-                    IrArgPos::Keyword(_) => tag == 2,
+                artifact.events.iter().flat_map(|e| &e.3).any(|(_, _, pos)| match pos {
+                    Some(IrArgPos::Receiver) => tag == 0,
+                    Some(IrArgPos::Positional(_)) => tag == 1,
+                    Some(IrArgPos::Keyword(_)) => tag == 2,
+                    None => false,
                 }),
                 "argument-position kind {tag} missing from the fuzz seed"
             );
@@ -664,6 +723,21 @@ mod tests {
             writes in prop::collection::vec((any::<usize>(), any::<u8>()), 1..8),
         ) {
             fuzz::assert_contained(load(&fuzz::overwrite(&fuzz_seed(), &writes)), "overwrite");
+        }
+
+        /// Graphs with several edges per event, upgraded receiver edges
+        /// and every argument-position kind — shapes the golden corpora
+        /// never produce — decode to themselves through both decoders,
+        /// once the decoded table is renumbered to the original's.
+        #[test]
+        fn decode_inverts_encode_on_random_graphs(
+            n in 0u32..12,
+            edges in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..40),
+        ) {
+            let graph = random_graph(n, &edges);
+            let mut decoded = load(&encode(&graph, 3)).expect("an encoded graph decodes");
+            decoded.rebase(graph.symbols().clone());
+            prop_assert_eq!(decoded, graph);
         }
     }
 }

@@ -117,8 +117,8 @@ pub struct Checkpoint {
 
 /// Fingerprints a propagation graph by exactly what learning reads, in
 /// graph order: each event's kind and representation strings, its
-/// successors with their edge kinds, and its predecessors (`reaching`
-/// walks them in list order). Spans, file stamps and argument positions
+/// successors with their edge kinds, and its predecessors (backward
+/// searches walk them in list order). Spans, file stamps and argument positions
 /// stay out, so an edit that only moves code keeps the key.
 /// Symbol-independent: two graphs built from the same corpus agree on
 /// this value whatever ids their tables gave each text.
@@ -130,11 +130,10 @@ pub fn graph_fingerprint(graph: &PropagationGraph) -> u64 {
         for &rep in &event.reps {
             h.write_str(graph.symbols().resolve(rep));
         }
-        let succs = graph.successors(id);
-        h.write_u64(succs.len() as u64);
-        for &to in succs {
-            h.write_u32(to.0);
-            h.write_u64(graph.edge_kind(id, to).map_or(u64::MAX, |k| k as u64));
+        let edges = graph.out_edges(id);
+        h.write_u64(edges.len() as u64);
+        for edge in edges {
+            h.write_u32(edge.to.0).write_u64(edge.kind as u64);
         }
         let preds = graph.predecessors(id);
         h.write_u64(preds.len() as u64);

@@ -651,6 +651,11 @@ mod tests {
         assert_old_directory_is_stale_and_cleared(2);
     }
 
+    #[test]
+    fn version_3_directory_is_stale_and_cleared() {
+        assert_old_directory_is_stale_and_cleared(3);
+    }
+
     /// A directory written by format `version`: opening it reports one
     /// `Stale` index fault and clears its entries.
     fn assert_old_directory_is_stale_and_cleared(version: u32) {

@@ -96,24 +96,23 @@ pub fn generate(
 
 /// Output of the selection phases (§4.3 backoff selection, variable
 /// creation, §4.1 seed pinning): a [`ConstraintSystem`] populated with
-/// members, variables, and pins — everything except the Fig. 4 flow
-/// rows — plus the per-event surviving representation lists the
-/// collector consumes.
+/// members, variables, pins and the per-event surviving representation
+/// lists the collector consumes — everything except the Fig. 4 flow
+/// rows.
 ///
 /// Selection is global (the §4.3 frequency cutoff couples files through
 /// corpus-wide counts) and cheap. Collection is expensive but, because
 /// the unioned graph is a disjoint concatenation of per-file graphs,
 /// decomposes into independent per-file [`FileRows`] (see
 /// [`collect_rows`]) that [`ConstraintSystem::fold`] combines. A file's
-/// rows depend only on its graph and its slice of `event_reps`, which is
-/// what lets `seldon serve` reuse them while that slice is unchanged.
+/// rows depend only on its graph and its slice of
+/// [`ConstraintSystem::event_reps`], which is what lets `seldon serve`
+/// reuse them while that slice is unchanged.
 #[derive(Debug)]
 pub struct Selection {
-    /// The system with members, variables, and pins; no rows yet.
+    /// The system with members, variables, pins and surviving
+    /// representations; no rows yet.
     pub sys: ConstraintSystem,
-    /// Surviving representations per event (`None` = not a candidate),
-    /// indexed by event id.
-    pub event_reps: Vec<Option<Vec<RepId>>>,
     /// Selection-phase counters; `collect_time` is still zero.
     pub stats: GenStats,
 }
@@ -158,7 +157,6 @@ pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> 
                 sys.var(rep, role);
             }
         }
-        sys.event_reps.push((id, reps.clone()));
     }
 
     // --- pin seed entries (fully qualified representations only, §4.4) ----
@@ -187,12 +185,13 @@ pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> 
 
     stats.candidate_events = event_reps.iter().filter(|r| r.is_some()).count();
     stats.surviving_reps = sys.rep_syms().len();
+    sys.event_reps = event_reps;
     stats.select_time = select_started.elapsed();
-    Selection { sys, event_reps, stats }
+    Selection { sys, stats }
 }
 
 /// Collects the Fig. 4 rows anchored at events in `range` (a half-open
-/// event-id interval) under the selection `sys` and `event_reps`.
+/// event-id interval) under the selection `sys`.
 ///
 /// `range` must be closed under reachability: no edge may join an event
 /// inside it to one outside. Per-file graphs share no edges
@@ -206,21 +205,20 @@ pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> 
 pub fn collect_rows(
     graph: &PropagationGraph,
     sys: &ConstraintSystem,
-    event_reps: &[Option<Vec<RepId>>],
     opts: &GenOptions,
     range: Range<usize>,
 ) -> FileRows {
     debug_assert!(
         range.clone().all(|i| {
             let id = EventId(i as u32);
-            let inside = |n: &EventId| range.contains(&n.index());
-            graph.successors(id).iter().all(inside) && graph.predecessors(id).iter().all(inside)
+            let inside = |n: EventId| range.contains(&n.index());
+            graph.successors(id).all(inside) && graph.predecessors(id).iter().all(|&n| inside(n))
         }),
         "collect_rows range {range:?} is not closed under reachability: \
          it must cover whole files"
     );
     let mut ws = SearchWorkspace::new(range.clone());
-    let (collector, keys) = Collector::new(graph, sys, event_reps, opts, range);
+    let (collector, keys) = Collector::new(graph, sys, opts, range);
     let mut rows = FileRows { keys, ..Default::default() };
     collector.collect_ab(&mut ws, &mut rows.ab);
     if opts.templates[2] {
@@ -237,9 +235,9 @@ pub fn generate_with_stats(
     seed: &TaintSpec,
     opts: &GenOptions,
 ) -> (ConstraintSystem, GenStats) {
-    let Selection { mut sys, event_reps, mut stats } = select(graph, seed, opts);
+    let Selection { mut sys, mut stats } = select(graph, seed, opts);
     let collect_started = Instant::now();
-    let rows = collect_rows(graph, &sys, &event_reps, opts, 0..graph.event_count());
+    let rows = collect_rows(graph, &sys, opts, 0..graph.event_count());
     sys.fold(&[&rows]);
     stats.collect_time = collect_started.elapsed();
     (sys, stats)
@@ -267,7 +265,6 @@ impl<'a> Collector<'a> {
     fn new(
         graph: &'a PropagationGraph,
         sys: &ConstraintSystem,
-        event_reps: &[Option<Vec<RepId>>],
         opts: &'a GenOptions,
         range: Range<usize>,
     ) -> (Self, Vec<(RepId, Role)>) {
@@ -277,7 +274,7 @@ impl<'a> Collector<'a> {
         let mut terms = Vec::new();
         for i in range.clone() {
             let mut span = [(0u32, 0u32); 3];
-            if let Some(reps) = &event_reps[i] {
+            if let Some(reps) = &sys.event_reps[i] {
                 let coeff = 1.0 / reps.len() as f64;
                 for role in graph.event(EventId(i as u32)).candidates.iter() {
                     let start = terms.len() as u32;
@@ -555,7 +552,7 @@ def media():
         assert_eq!(sys.var_count(), plain.var_count());
         assert_eq!(sys.constraint_count(), plain.constraint_count());
         // Counters agree with the system's own bookkeeping.
-        assert_eq!(stats.candidate_events, sys.event_reps.len());
+        assert_eq!(stats.candidate_events, sys.candidates().count());
         assert_eq!(stats.surviving_reps, sys.rep_syms().len());
         assert_eq!(stats.dropped_by_cutoff, 0, "cutoff 1 drops nothing");
         assert_eq!(stats.dropped_by_blacklist, 0);
@@ -594,10 +591,10 @@ def media():
         let o = opts();
         let (batch, _) = generate_with_stats(&g, &TaintSpec::new(), &o);
 
-        let Selection { mut sys, event_reps, .. } = select(&g, &TaintSpec::new(), &o);
+        let Selection { mut sys, .. } = select(&g, &TaintSpec::new(), &o);
         let parts: Vec<FileRows> = [0..boundary, boundary..g.event_count()]
             .into_iter()
-            .map(|range| collect_rows(&g, &sys, &event_reps, &o, range))
+            .map(|range| collect_rows(&g, &sys, &o, range))
             .collect();
         sys.fold(&parts.iter().collect::<Vec<_>>());
 
@@ -628,8 +625,9 @@ def media():
             .expect("source event");
         let full = g.reachable_from(hub);
         assert!(full.len() > 16, "hub reaches {} events", full.len());
-        assert_eq!(g.reachable_from_within(hub, 16), full[..16]);
-        assert_eq!(g.reachable_from_within(hub, full.len() + 5), full);
+        let mut ws = SearchWorkspace::for_graph(&g);
+        assert_eq!(ws.search(&g, hub, Direction::Forward, 16), &full[..16]);
+        assert_eq!(ws.search(&g, hub, Direction::Forward, full.len() + 5), &full[..]);
 
         let capped = GenOptions { max_reach: 16, templates: [false, false, true], ..opts() };
         let sys = generate(&g, &TaintSpec::new(), &capped);
@@ -649,23 +647,21 @@ def media():
     fn collect_rows_rejects_a_range_that_splits_a_file() {
         let g = fig2_graph();
         let o = opts();
-        let Selection { sys, event_reps, .. } = select(&g, &TaintSpec::new(), &o);
+        let Selection { sys, .. } = select(&g, &TaintSpec::new(), &o);
         let split = (0..g.event_count())
-            .find(|&i| {
-                g.successors(EventId(i as u32)).iter().any(|n| n.index() > i)
-            })
+            .find(|&i| g.successors(EventId(i as u32)).any(|n| n.index() > i))
             .expect("an edge to a later event");
-        collect_rows(&g, &sys, &event_reps, &o, 0..split + 1);
+        collect_rows(&g, &sys, &o, 0..split + 1);
     }
 
     #[test]
     fn event_reps_recorded_for_candidates() {
         let g = fig2_graph();
         let sys = generate(&g, &TaintSpec::new(), &opts());
-        assert!(!sys.event_reps.is_empty());
-        for (id, reps) in &sys.event_reps {
+        assert_eq!(sys.event_reps.len(), g.event_count());
+        assert!(sys.candidates().count() > 0);
+        for (_, reps) in sys.candidates() {
             assert!(!reps.is_empty());
-            assert!(id.index() < g.event_count());
         }
     }
 }

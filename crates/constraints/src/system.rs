@@ -228,9 +228,10 @@ pub struct ConstraintSystem {
     known: HashMap<VarId, f64>,
     /// The implication-strength constant `C` (0.75 in the paper).
     pub c: f64,
-    /// Per-event surviving representation lists, most → least specific,
-    /// for candidate events (used for spec extraction, §7.1).
-    pub event_reps: Vec<(EventId, Vec<RepId>)>,
+    /// Surviving representations per event, most → least specific,
+    /// indexed by event id (`None` = not a candidate). Fig. 4 collection
+    /// and spec extraction (§7.1) read them.
+    pub event_reps: Vec<Option<Vec<RepId>>>,
 }
 
 impl ConstraintSystem {
@@ -270,6 +271,13 @@ impl ConstraintSystem {
     /// Member representations in first-seen order.
     pub fn rep_syms(&self) -> &[Symbol] {
         &self.reps
+    }
+
+    /// The candidate events and their surviving representations, in
+    /// event order.
+    pub fn candidates(&self) -> impl Iterator<Item = (EventId, &[RepId])> + '_ {
+        (self.event_reps.iter().enumerate())
+            .filter_map(|(i, reps)| Some((EventId(i as u32), reps.as_deref()?)))
     }
 
     /// Returns (creating if needed) the variable for `(rep, role)`.

@@ -807,7 +807,7 @@ pub struct SeldonRun {
 impl SeldonRun {
     /// Number of candidate events that entered the constraint system.
     pub fn candidate_count(&self) -> usize {
-        self.system.event_reps.len()
+        self.system.candidates().count()
     }
 }
 
@@ -987,7 +987,7 @@ pub fn climb_ladder(
 
     let started = Instant::now();
     let extraction = extract(&system, &solution, &opts.extract);
-    extract_span(tele, started.elapsed(), &extraction, system.event_reps.len(), false);
+    extract_span(tele, started.elapsed(), &extraction, system.candidates().count(), false);
     let checkpoint = input_fp.map(|input_fp| {
         Checkpoint::from_run(input_fp, &system, &gen_stats, &solution, &extraction)
     });

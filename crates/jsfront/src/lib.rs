@@ -93,7 +93,7 @@ mod tests {
                 reached = true;
                 break;
             }
-            for &s in g.successors(ev) {
+            for s in g.successors(ev) {
                 if seen.insert(s) {
                     frontier.push(s);
                 }

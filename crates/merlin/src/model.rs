@@ -222,7 +222,7 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
         }
 
         // Fig. 6b: flow from sanitizer b to c ⇒ c is not a sanitizer.
-        for &c in g.successors(b) {
+        for c in g.successors(b) {
             if let Some(&c_san) = vars.get(&(c, Role::Sanitizer)) {
                 fg.add_factor(Factor::soft(vec![b_san, c_san], theta, |x| !(x[0] && x[1])));
             }
@@ -231,7 +231,7 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
     for &a in &ids {
         // Fig. 6c: flow from source a to b ⇒ b is not a source.
         if let Some(&a_src) = vars.get(&(a, Role::Source)) {
-            for &b in g.successors(a) {
+            for b in g.successors(a) {
                 if let Some(&b_src) = vars.get(&(b, Role::Source)) {
                     fg.add_factor(Factor::soft(vec![a_src, b_src], theta, |x| {
                         !(x[0] && x[1])
@@ -241,7 +241,7 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
         }
         // Fig. 6d: flow from a into sink b ⇒ a is not a sink.
         if let Some(&a_snk) = vars.get(&(a, Role::Sink)) {
-            for &b in g.successors(a) {
+            for b in g.successors(a) {
                 if let Some(&b_snk) = vars.get(&(b, Role::Sink)) {
                     fg.add_factor(Factor::soft(vec![a_snk, b_snk], theta, |x| {
                         !(x[1] && x[0])

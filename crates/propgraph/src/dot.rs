@@ -38,12 +38,11 @@ pub fn to_dot(graph: &PropagationGraph, roles: &HashMap<crate::EventId, RoleSet>
             graph.rep(id).replace('"', "\\\"")
         );
     }
-    for (from, to) in graph.edges() {
-        let style = match graph.edge_kind(from, to) {
-            Some(EdgeKind::Receiver) => " [style=dashed]",
-            _ => "",
-        };
-        let _ = writeln!(out, "  e{} -> e{}{style};", from.0, to.0);
+    for (from, _) in graph.events() {
+        for edge in graph.out_edges(from) {
+            let style = if edge.kind == EdgeKind::Receiver { " [style=dashed]" } else { "" };
+            let _ = writeln!(out, "  e{} -> e{}{style};", from.0, edge.to.0);
+        }
     }
     out.push_str("}\n");
     out
@@ -81,7 +80,7 @@ mod tests {
     }
 
     #[test]
-    fn receiver_edges_are_dashed() {
+    fn receiver_flow_is_dashed() {
         let g = build_source(
             "from flask import request\nx = request.args.get('q')\n",
             FileId(0),

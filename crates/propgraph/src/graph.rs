@@ -9,7 +9,7 @@ use crate::event::{Event, EventId};
 use crate::search::{Direction, SearchWorkspace};
 pub use seldon_intern::{IdHash, IdHasher};
 use seldon_intern::{Symbol, Symbols};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 pub use seldon_ir::IrEdgeKind as EdgeKind;
 
@@ -17,6 +17,17 @@ pub use seldon_ir::IrEdgeKind as EdgeKind;
 /// edge into a call (parameter-sensitive sinks, §3.3). A keyword name is a
 /// symbol of the graph's own table.
 pub type ArgPos = seldon_ir::IrArgPos<Symbol>;
+
+/// One edge as its source's successor list holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Edge {
+    /// The event receiving the flow.
+    pub to: EventId,
+    /// Receiver (same-chain) or argument flow.
+    pub kind: EdgeKind,
+    /// Where the flow enters a call; the first position recorded wins.
+    pub pos: Option<ArgPos>,
+}
 
 /// A directed graph of information-flow events. Two graphs are equal when
 /// they hold equal events with the same ids and the same adjacency lists
@@ -26,22 +37,34 @@ pub struct PropagationGraph {
     /// The table the graph's representation and keyword symbols belong to.
     symbols: Symbols,
     events: Vec<Event>,
-    /// Forward adjacency: `succs[v]` = events receiving flow from `v`.
-    succs: Vec<Vec<EventId>>,
-    /// Backward adjacency: `preds[v]` = events flowing into `v`.
+    /// Forward adjacency: `succs[v]` holds one [`Edge`] per edge out of
+    /// `v`, in insertion order. The only store of edge kinds and argument
+    /// positions.
+    succs: Vec<Vec<Edge>>,
+    /// Backward adjacency: `preds[v]` = events flowing into `v`, in
+    /// insertion order.
     preds: Vec<Vec<EventId>>,
-    /// Edges that are receiver (same-chain) flow.
-    receiver_edges: HashSet<(EventId, EventId), IdHash>,
-    /// Argument positions for edges into call events (first position wins
-    /// when the same value reaches several parameters).
-    arg_positions: HashMap<(EventId, EventId), ArgPos, IdHash>,
-    edge_count: usize,
 }
 
 impl PropagationGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         PropagationGraph::default()
+    }
+
+    /// The graph of `events` over `symbols` with the adjacency lists
+    /// `succs` and `preds`, each kept in the given order. The caller
+    /// upholds the invariants the edge methods keep: a list of each per
+    /// event, endpoints in range, no self or duplicate edges, and
+    /// `preds[v]` holding exactly the sources of the edges into `v` (the
+    /// artifact cache's decoder checks them on every payload).
+    pub fn from_adjacency(
+        symbols: Symbols,
+        events: Vec<Event>,
+        succs: Vec<Vec<Edge>>,
+        preds: Vec<Vec<EventId>>,
+    ) -> Self {
+        PropagationGraph { symbols, events, succs, preds }
     }
 
     /// The graph's symbol table.
@@ -86,41 +109,38 @@ impl PropagationGraph {
         if from == to {
             return;
         }
-        let s = &mut self.succs[from.index()];
-        if s.contains(&to) {
+        let out = &mut self.succs[from.index()];
+        if let Some(edge) = out.iter_mut().find(|e| e.to == to) {
             if kind == EdgeKind::Argument {
-                self.receiver_edges.remove(&(from, to));
+                edge.kind = kind;
             }
             return;
         }
-        s.push(to);
+        out.push(Edge { to, kind, pos: None });
         self.preds[to.index()].push(from);
-        if kind == EdgeKind::Receiver {
-            self.receiver_edges.insert((from, to));
-        }
-        self.edge_count += 1;
     }
 
-    /// Records the argument position of an edge into a call event.
+    /// Records the argument position of the existing edge `from → to`
+    /// into a call event, unless it already has one.
     pub fn set_arg_position(&mut self, from: EventId, to: EventId, pos: ArgPos) {
-        self.arg_positions.entry((from, to)).or_insert(pos);
+        if let Some(edge) = self.succs[from.index()].iter_mut().find(|e| e.to == to) {
+            edge.pos.get_or_insert(pos);
+        }
+    }
+
+    /// The edge `from → to`, if it exists.
+    fn edge(&self, from: EventId, to: EventId) -> Option<&Edge> {
+        self.succs[from.index()].iter().find(|e| e.to == to)
     }
 
     /// The argument position of an edge, if recorded.
     pub fn arg_position(&self, from: EventId, to: EventId) -> Option<&ArgPos> {
-        self.arg_positions.get(&(from, to))
+        self.edge(from, to)?.pos.as_ref()
     }
 
     /// The kind of an existing edge (`None` if the edge does not exist).
     pub fn edge_kind(&self, from: EventId, to: EventId) -> Option<EdgeKind> {
-        if !self.succs[from.index()].contains(&to) {
-            return None;
-        }
-        Some(if self.receiver_edges.contains(&(from, to)) {
-            EdgeKind::Receiver
-        } else {
-            EdgeKind::Argument
-        })
+        self.edge(from, to).map(|e| e.kind)
     }
 
     /// Number of events.
@@ -130,7 +150,7 @@ impl PropagationGraph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.succs.iter().map(Vec::len).sum()
     }
 
     /// The event with id `id`.
@@ -151,7 +171,12 @@ impl PropagationGraph {
     }
 
     /// Successors of `id` (events that receive flow from it).
-    pub fn successors(&self, id: EventId) -> &[EventId] {
+    pub fn successors(&self, id: EventId) -> impl ExactSizeIterator<Item = EventId> + '_ {
+        self.succs[id.index()].iter().map(|e| e.to)
+    }
+
+    /// The edges out of `id`, in insertion order.
+    pub fn out_edges(&self, id: EventId) -> &[Edge] {
         &self.succs[id.index()]
     }
 
@@ -163,7 +188,7 @@ impl PropagationGraph {
     /// All edges as `(from, to)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (EventId, EventId)> + '_ {
         self.succs.iter().enumerate().flat_map(|(i, outs)| {
-            outs.iter().map(move |t| (EventId(i as u32), *t))
+            outs.iter().map(move |e| (EventId(i as u32), e.to))
         })
     }
 
@@ -191,18 +216,14 @@ impl PropagationGraph {
         // lists move over wholesale, ids shifted in place, instead of
         // being re-validated edge by edge.
         if offset > 0 {
-            for id in other.succs.iter_mut().chain(&mut other.preds).flatten() {
+            let targets = other.succs.iter_mut().flatten().map(|e| &mut e.to);
+            for id in targets.chain(other.preds.iter_mut().flatten()) {
                 id.0 += offset;
             }
         }
         self.events.append(&mut other.events);
         self.succs.append(&mut other.succs);
         self.preds.append(&mut other.preds);
-        let shift = |(f, t): (EventId, EventId)| (EventId(f.0 + offset), EventId(t.0 + offset));
-        self.receiver_edges.extend(other.receiver_edges.into_iter().map(shift));
-        self.arg_positions
-            .extend(other.arg_positions.into_iter().map(|(edge, pos)| (shift(edge), pos)));
-        self.edge_count += other.edge_count;
         offset
     }
 
@@ -218,8 +239,10 @@ impl PropagationGraph {
         for rep in self.events.iter_mut().flat_map(|e| &mut e.reps) {
             *rep = map[rep.index()];
         }
-        for pos in self.arg_positions.values_mut() {
-            *pos = pos.map(|k| map[k.index()]);
+        for edge in self.succs.iter_mut().flatten() {
+            if let Some(ArgPos::Keyword(k)) = &mut edge.pos {
+                *k = map[k.index()];
+            }
         }
     }
 
@@ -233,33 +256,13 @@ impl PropagationGraph {
     /// Events reachable from `start` by forward BFS (excluding `start`),
     /// in discovery order.
     pub fn reachable_from(&self, start: EventId) -> Vec<EventId> {
-        self.reachable_from_within(start, usize::MAX)
-    }
-
-    /// Events that reach `start` by backward BFS (excluding `start`), in
-    /// discovery order.
-    pub fn reaching(&self, start: EventId) -> Vec<EventId> {
-        self.reaching_within(start, usize::MAX)
-    }
-
-    /// The first `limit` events of [`Self::reachable_from`]; the search
-    /// stops as soon as it has discovered them.
-    pub fn reachable_from_within(&self, start: EventId, limit: usize) -> Vec<EventId> {
-        SearchWorkspace::for_graph(self).search(self, start, Direction::Forward, limit).to_vec()
-    }
-
-    /// The first `limit` events of [`Self::reaching`]; the search stops
-    /// as soon as it has discovered them.
-    pub fn reaching_within(&self, start: EventId, limit: usize) -> Vec<EventId> {
-        SearchWorkspace::for_graph(self).search(self, start, Direction::Backward, limit).to_vec()
+        let mut ws = SearchWorkspace::for_graph(self);
+        ws.search(self, start, Direction::Forward, usize::MAX).to_vec()
     }
 
     /// Whether `to` is reachable from `from` (forward).
     pub fn is_reachable(&self, from: EventId, to: EventId) -> bool {
-        from == to
-            || SearchWorkspace::for_graph(self)
-                .search(self, from, Direction::Forward, usize::MAX)
-                .contains(&to)
+        from == to || self.reachable_from(from).contains(&to)
     }
 
     /// Vertex contraction (§6.4, Fig. 7): merges all events sharing the same
@@ -274,28 +277,23 @@ impl PropagationGraph {
         let mut mapping = vec![EventId(0); self.events.len()];
         let mut out = PropagationGraph { symbols: self.symbols.clone(), ..Default::default() };
         for (id, e) in self.events() {
-            let key = e.rep_sym();
-            let new_id = match rep_to_new.get(&key) {
-                Some(&n) => {
-                    // Merge candidate roles; keep the first event's metadata.
-                    let merged = out.events[n.index()].candidates.union(e.candidates);
-                    out.events[n.index()].candidates = merged;
-                    n
-                }
-                None => {
-                    let n = out.add_event(e.clone());
-                    rep_to_new.insert(key, n);
-                    n
-                }
-            };
-            mapping[id.index()] = new_id;
+            let next = EventId(out.events.len() as u32);
+            let n = *rep_to_new.entry(e.rep_sym()).or_insert(next);
+            if n == next {
+                out.add_event(e.clone());
+            }
+            // Merge candidate roles; keep the first event's metadata.
+            let merged = out.events[n.index()].candidates.union(e.candidates);
+            out.events[n.index()].candidates = merged;
+            mapping[id.index()] = n;
         }
-        for (from, to) in self.edges() {
-            let kind = self.edge_kind(from, to).unwrap_or(EdgeKind::Argument);
-            let (f, t) = (mapping[from.index()], mapping[to.index()]);
-            out.add_edge_kind(f, t, kind);
-            if let Some(pos) = self.arg_position(from, to) {
-                out.set_arg_position(f, t, *pos);
+        for (from, edges) in self.succs.iter().enumerate() {
+            for edge in edges {
+                let (f, t) = (mapping[from], mapping[edge.to.index()]);
+                out.add_edge_kind(f, t, edge.kind);
+                if let Some(pos) = edge.pos {
+                    out.set_arg_position(f, t, pos);
+                }
             }
         }
         (out, mapping)
@@ -358,7 +356,7 @@ mod tests {
         let ids = chain(&mut g, &["a()", "b()", "c()"]);
         assert_eq!(g.event_count(), 3);
         assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.successors(ids[0]), &[ids[1]]);
+        assert!(g.successors(ids[0]).eq([ids[1]]));
         assert_eq!(g.predecessors(ids[2]), &[ids[1]]);
         assert!(g.is_reachable(ids[0], ids[2]));
         assert!(!g.is_reachable(ids[2], ids[0]));
@@ -383,7 +381,8 @@ mod tests {
         g.add_edge(x, ids[2]);
         let fwd = g.reachable_from(ids[0]);
         assert_eq!(fwd.len(), 3);
-        let back = g.reaching(ids[3]);
+        let mut ws = SearchWorkspace::for_graph(&g);
+        let back = ws.search(&g, ids[3], Direction::Backward, usize::MAX);
         assert_eq!(back.len(), 4); // a, b, c, x
     }
 
@@ -402,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn union_preserves_edge_kinds_and_arg_positions() {
+    fn union_preserves_edge_kinds_and_argument_positions() {
         let mut g2 = PropagationGraph::new();
         let a = ev(&mut g2, "a()");
         let b = ev(&mut g2, "b()");
@@ -419,6 +418,26 @@ mod tests {
         assert_eq!(g1.arg_position(a, c), Some(&ArgPos::Positional(1)));
         assert_eq!(g1.edge_count(), 2);
         assert_eq!(g1.predecessors(b), &[a]);
+    }
+
+    #[test]
+    fn edge_slots_upgrade_receivers_and_keep_the_first_position() {
+        let mut g = PropagationGraph::new();
+        let a = ev(&mut g, "a()");
+        let b = ev(&mut g, "b()");
+        g.add_edge_kind(a, b, EdgeKind::Receiver);
+        g.set_arg_position(a, b, ArgPos::Receiver);
+        g.add_edge_kind(a, b, EdgeKind::Receiver);
+        assert_eq!(g.edge_kind(a, b), Some(EdgeKind::Receiver));
+        g.add_edge_kind(a, b, EdgeKind::Argument);
+        g.set_arg_position(a, b, ArgPos::Positional(0));
+        g.add_edge_kind(a, b, EdgeKind::Receiver);
+        let slot = Edge { to: b, kind: EdgeKind::Argument, pos: Some(ArgPos::Receiver) };
+        assert_eq!(g.out_edges(a), &[slot]);
+        // A position for a missing edge is dropped.
+        g.set_arg_position(b, a, ArgPos::Receiver);
+        assert_eq!((g.edge_kind(b, a), g.arg_position(b, a)), (None, None));
+        assert_eq!(g.edge_count(), 1);
     }
 
     /// The vocabularies [`random_graph`] draws reps from: the first two
@@ -469,17 +488,17 @@ mod tests {
             .iter()
             .map(|e| Event { reps: e.reps.iter().map(|&r| sym(r)).collect(), ..e.clone() })
             .collect();
-        let args: Vec<_> = other
-            .arg_positions
+        let succs: Vec<Vec<Edge>> = other
+            .succs
             .iter()
-            .map(|(&(f, t), pos)| ((shift(f), shift(t)), pos.map(|&k| sym(k))))
+            .map(|l| {
+                let pos = |p: &Option<ArgPos>| p.map(|p| p.map(|&k| sym(k)));
+                l.iter().map(|e| Edge { to: shift(e.to), pos: pos(&e.pos), ..*e }).collect()
+            })
             .collect();
         g.events.extend(events);
-        g.succs.extend(other.succs.iter().map(|l| l.iter().map(|&t| shift(t)).collect()));
+        g.succs.extend(succs);
         g.preds.extend(other.preds.iter().map(|l| l.iter().map(|&f| shift(f)).collect()));
-        g.receiver_edges.extend(other.receiver_edges.iter().map(|&(f, t)| (shift(f), shift(t))));
-        g.arg_positions.extend(args);
-        g.edge_count += other.edge_count;
         offset
     }
 

@@ -104,11 +104,11 @@ impl SearchWorkspace {
         let mut head = 0;
         while let Some(&v) = self.order.get(head) {
             head += 1;
-            let next = match dir {
-                Direction::Forward => graph.successors(v),
-                Direction::Backward => graph.predecessors(v),
+            let (succs, preds) = match dir {
+                Direction::Forward => (graph.out_edges(v), &[][..]),
+                Direction::Backward => (&[][..], graph.predecessors(v)),
             };
-            for &n in next {
+            for n in succs.iter().map(|e| e.to).chain(preds.iter().copied()) {
                 if self.order.len() > limit {
                     return &self.order[1..];
                 }
@@ -178,11 +178,11 @@ mod tests {
         seen.insert(start);
         queue.push_back(start);
         while let Some(v) = queue.pop_front() {
-            let next = match dir {
-                Direction::Forward => graph.successors(v),
-                Direction::Backward => graph.predecessors(v),
+            let next: Vec<EventId> = match dir {
+                Direction::Forward => graph.successors(v).collect(),
+                Direction::Backward => graph.predecessors(v).to_vec(),
             };
-            for &n in next {
+            for n in next {
                 if out.len() == limit {
                     return out;
                 }
@@ -236,9 +236,9 @@ mod tests {
                     assert_eq!(ws.parent(start), None);
                     for &n in &got {
                         let p = ws.parent(n).expect("discovered events have a parent");
-                        let adjacent = match dir {
-                            Direction::Forward => g.successors(p),
-                            Direction::Backward => g.predecessors(p),
+                        let adjacent: Vec<EventId> = match dir {
+                            Direction::Forward => g.successors(p).collect(),
+                            Direction::Backward => g.predecessors(p).to_vec(),
                         };
                         assert!(adjacent.contains(&n));
                         assert!(p == start || got.contains(&p));

@@ -21,9 +21,9 @@
 //!   resident graph is kept, so its spans may lag an edit that only moved
 //!   code; nothing in serve reads spans or file stamps.
 //! * A file's constraint rows are reused only when its slice of the
-//!   §4.3 selection (`event_reps`) is unchanged; Fig. 4 rows reference
-//!   only events of their own file, so an identical slice over an
-//!   identical graph reproduces identical rows.
+//!   §4.3 selection (`ConstraintSystem::event_reps`) is unchanged; Fig. 4
+//!   rows reference only events of their own file, so an identical slice
+//!   over an identical graph reproduces identical rows.
 //! * The solve climbs the checkpoint ladder batch `learn` climbs
 //!   ([`climb_ladder`]), keyed by the same exact fingerprint, so a
 //!   checkpoint either mode stores is reused by the other. Its warm rung
@@ -518,21 +518,19 @@ impl ServeEngine {
         let build = || {
             // §4.3 selection is global (corpus-wide frequency counts) and
             // always re-runs; what it yields decides per-file row reuse.
-            let Selection { sys: mut system, event_reps, stats } =
-                select(&union, seed, &seldon.gen);
+            let Selection { sys: mut system, stats } = select(&union, seed, &seldon.gen);
             // Fig. 4 rows per file: reuse the stored rows when the file's
             // selection slice is unchanged, re-collect otherwise; then fold
             // them in file order, as batch folds its one whole-union range.
             let t_collect = Instant::now();
             for (state, range) in files.values_mut().zip(&ranges) {
-                let slice = &event_reps[range.clone()];
+                let slice = &system.event_reps[range.clone()];
                 if range.is_empty() {
                     state.frag = None;
                 } else if state.frag.as_ref().is_some_and(|(sel, _)| sel == slice) {
                     reused += 1;
                 } else {
-                    let rows =
-                        collect_rows(&union, &system, &event_reps, &seldon.gen, range.clone());
+                    let rows = collect_rows(&union, &system, &seldon.gen, range.clone());
                     state.frag = Some((slice.to_vec(), rows));
                     collected += 1;
                 }

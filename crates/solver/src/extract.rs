@@ -110,7 +110,7 @@ pub fn extract(
 ) -> Extraction {
     let tables = VarTables::of(sys);
     let mut out = Extraction::default();
-    for (event, reps) in &sys.event_reps {
+    for (event, reps) in sys.candidates() {
         let mut roles = RoleSet::EMPTY;
         for role in Role::ALL {
             // Seed knowledge wins at any backoff level: if some
@@ -144,7 +144,7 @@ pub fn extract(
             }
         }
         if !roles.is_empty() {
-            out.event_roles.insert(*event, roles);
+            out.event_roles.insert(event, roles);
         }
     }
     // Every selection above scored its `(rep, role)`, so the scored keys
@@ -180,7 +180,7 @@ pub fn extraction_margin(
 ) -> f64 {
     let tables = VarTables::of(sys);
     let mut margin = f64::INFINITY;
-    for (_, reps) in &sys.event_reps {
+    for (_, reps) in sys.candidates() {
         for role in Role::ALL {
             if opts.exclude_seeded && reps.iter().any(|&r| tables.pinned(r, role).is_some()) {
                 continue;
@@ -210,7 +210,7 @@ mod tests {
         let general = sys.rep("mod.api()");
         sys.var(specific, Role::Source);
         sys.var(general, Role::Source);
-        sys.event_reps.push((EventId(0), vec![specific, general]));
+        sys.event_reps.push(Some(vec![specific, general]));
         (sys, vec![specific, general])
     }
 
@@ -360,8 +360,8 @@ mod tests {
         let snk = sys.rep("os.system()");
         let vsrc = sys.var(src, Role::Source);
         let vsnk = sys.var(snk, Role::Sink);
-        sys.event_reps.push((EventId(0), vec![src]));
-        sys.event_reps.push((EventId(1), vec![snk]));
+        sys.event_reps.push(Some(vec![src]));
+        sys.event_reps.push(Some(vec![snk]));
         sys.pin(vsrc, 1.0);
         sys.add_constraint(FlowConstraint {
             lhs: vec![Term { var: vsrc, coeff: 1.0 }],

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use seldon_cache::Fnv64;
+use seldon_cache::{graph_fingerprint, Fnv64};
 use seldon_constraints::{generate_with_stats, ConstraintSystem, FlowConstraint, Term, VarId};
 use seldon_core::{analyze_corpus, SeldonOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
@@ -272,6 +272,21 @@ fn compiled_system_hash(lang: Lang) -> u64 {
 fn compiled_system_hash_is_pinned_for_both_golden_corpora() {
     assert_eq!(compiled_system_hash(Lang::Py), 0x8498_9257_05cf_bf7c);
     assert_eq!(compiled_system_hash(Lang::Js), 0x10c4_08e8_33d2_2220);
+}
+
+/// The union graphs of both golden corpora fingerprint to the values the
+/// side-table graph layout gave them: the solver checkpoint's key and
+/// `seldon serve`'s `unchanged` rung both rest on this value, so a
+/// change to how the graph stores its edges must leave it alone.
+#[test]
+fn graph_fingerprint_is_pinned_for_both_golden_corpora() {
+    let fingerprint = |lang| {
+        let universe = Universe::new();
+        let opts = CorpusOptions { projects: 60, rng_seed: 1234, lang, ..Default::default() };
+        graph_fingerprint(&analyze_corpus(&generate_corpus(&universe, &opts)).unwrap().graph)
+    };
+    assert_eq!(fingerprint(Lang::Py), 0x14f5_88a5_c7c7_5c4c);
+    assert_eq!(fingerprint(Lang::Js), 0x828d_295a_8b46_43e2);
 }
 
 /// A hash of what `solve_compiled` returns for `cs` at `threads` worker

@@ -300,7 +300,7 @@ proptest! {
                     prop_assert_eq!(&s.reps, &c.reps);
                     prop_assert_eq!(s.span, c.span);
                     prop_assert_eq!(s.file, c.file);
-                    prop_assert_eq!(staged.successors(id), composed.successors(id));
+                    prop_assert!(staged.successors(id).eq(composed.successors(id)));
                     prop_assert_eq!(staged.predecessors(id), composed.predecessors(id));
                 }
             }
@@ -363,7 +363,7 @@ proptest! {
                         prop_assert_eq!((d.kind, d.span, d.file), (r.kind, r.span, r.file));
                         prop_assert_eq!(d.candidates, r.candidates);
                         prop_assert_eq!(texts(&direct, d), texts(&recorded, r));
-                        prop_assert_eq!(direct.successors(id), recorded.successors(id));
+                        prop_assert!(direct.successors(id).eq(recorded.successors(id)));
                         prop_assert_eq!(direct.predecessors(id), recorded.predecessors(id));
                     }
                     let pos = |g: &PropagationGraph, from, to| {
@@ -417,12 +417,12 @@ proptest! {
 
             let lent = graphs.iter().map(|g| Some(Cow::Borrowed(g))).collect();
             let (union, ranges) = union_graphs(lent, &tele);
-            let Selection { mut sys, event_reps, .. } = select(&union, &spec, &gen);
+            let Selection { mut sys, .. } = select(&union, &spec, &gen);
             let files: Vec<(Vec<Option<Vec<RepId>>>, FileRows)> = ranges
                 .iter()
                 .map(|r| {
-                    let rows = collect_rows(&union, &sys, &event_reps, &gen, r.clone());
-                    (event_reps[r.clone()].to_vec(), rows)
+                    let rows = collect_rows(&union, &sys, &gen, r.clone());
+                    (sys.event_reps[r.clone()].to_vec(), rows)
                 })
                 .collect();
             sys.fold(&files.iter().map(|(_, rows)| rows).collect::<Vec<_>>());
@@ -434,16 +434,16 @@ proptest! {
             graphs[changed] = spare;
             let lent = graphs.iter().map(|g| Some(Cow::Borrowed(g))).collect();
             let (union, ranges) = union_graphs(lent, &tele);
-            let Selection { mut sys, event_reps, .. } = select(&union, &spec, &gen);
+            let Selection { mut sys, .. } = select(&union, &spec, &gen);
             let rows: Vec<FileRows> = ranges
                 .iter()
                 .enumerate()
                 .map(|(i, r)| {
                     let (sel, rows) = &files[i];
-                    if i != changed && sel[..] == event_reps[r.clone()] {
+                    if i != changed && sel[..] == sys.event_reps[r.clone()] {
                         rows.clone()
                     } else {
-                        collect_rows(&union, &sys, &event_reps, &gen, r.clone())
+                        collect_rows(&union, &sys, &gen, r.clone())
                     }
                 })
                 .collect();
