@@ -3,12 +3,28 @@
 //! [`PipelineError`] is the full failure taxonomy of the end-to-end
 //! pipeline. Under [`FaultPolicy::FailFast`](crate::FaultPolicy) these
 //! surface as `Err` from [`analyze_corpus_with`](crate::analyze_corpus_with);
-//! under [`FaultPolicy::Skip`](crate::FaultPolicy) the per-file variants are
-//! quarantined into the [`AnalysisReport`](crate::AnalysisReport) instead.
+//! under [`FaultPolicy::Recover`](crate::FaultPolicy) the per-file variants
+//! are quarantined into the [`AnalysisReport`](crate::AnalysisReport)
+//! instead.
 
 use seldon_propgraph::BudgetExceeded;
+use std::any::Any;
 use std::error::Error;
 use std::fmt;
+
+/// Renders a payload caught by `catch_unwind` as the text that was passed
+/// to `panic!`. Taking the box by value keeps a caller from handing over
+/// the box itself as the `Any` (a `&Box<dyn Any>` coerces to a `&dyn Any`
+/// whose type is the box, which never downcasts to a string).
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => match payload.downcast_ref::<&str>() {
+            Some(message) => (*message).to_string(),
+            None => "non-string panic payload".to_string(),
+        },
+    }
+}
 
 /// Failure of the end-to-end pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,6 +105,15 @@ mod tests {
             e.to_string(),
             "big.py over budget: source size 20 bytes exceeds budget of 10 bytes"
         );
+    }
+
+    #[test]
+    fn panic_payloads_render_as_their_text() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).unwrap_err();
+        assert_eq!(panic_message(caught(|| panic!("literal"))), "literal");
+        assert_eq!(panic_message(caught(|| panic!("formatted {}", 7))), "formatted 7");
+        let other = caught(|| std::panic::panic_any(7u8));
+        assert_eq!(panic_message(other), "non-string panic payload");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod manifest;
 pub mod pipeline;
 pub mod report;
 
-pub use error::PipelineError;
+pub use error::{panic_message, PipelineError};
 pub use eval::{
     classify_all, classify_violation, evaluate_spec, reps_match, GroundTruth, ReportClass,
     ReportSummary, RoleEval, SpecEval,

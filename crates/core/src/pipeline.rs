@@ -10,14 +10,15 @@
 //! Real big-code corpora contain files that are malformed, pathological, or
 //! that expose analysis bugs. [`analyze_inputs`], the per-file loop of
 //! both `seldon learn` and `seldon serve`, isolates every file:
-//! a [`FaultPolicy`] decides whether a bad file aborts the run, is retried
-//! leniently, or is quarantined; an optional per-file
+//! each file is parsed once, and a [`FaultPolicy`] decides whether a parse
+//! error aborts the run or the file is analyzed with the broken statements
+//! skipped; an optional per-file
 //! [`Budget`](seldon_propgraph::Budget) bounds each file's cost; and a
 //! panic during one file's analysis is contained and quarantines only that
 //! file. The per-file verdicts come back in an
 //! [`AnalysisReport`](crate::AnalysisReport).
 
-use crate::error::PipelineError;
+use crate::error::{panic_message, PipelineError};
 use crate::report::{AnalysisReport, CacheFaultReport, FileOutcome, FileReport};
 use seldon_cache::{
     file_key, graph_fingerprint, input_fingerprint, ArtifactCache,
@@ -98,17 +99,17 @@ impl Frontend {
     const ALL: [Frontend; 2] = [Frontend::Python, Frontend::Js];
 
     /// The per-file front end, the one place a parser and a lowering are
-    /// picked: checks the source size against `budget`, parses (strictly,
-    /// or with statement-level recovery when `lenient`), and lowers the
-    /// AST under `budget` into `sink`: a [`GraphSink`] for the file's
-    /// graph, a `Recorder` for its IR. Pass [`Budget::unlimited`] to lower
-    /// without limits.
+    /// picked: checks the source size against `budget`, parses once with
+    /// statement-level recovery, and lowers the AST under `budget` into
+    /// `sink`: a [`GraphSink`] for the file's graph, a `Recorder` for its
+    /// IR. Unless `lenient`, a parse error stops the file before lowering.
+    /// Pass [`Budget::unlimited`] to lower without limits.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::OverBudget`] when a budget limit trips and
-    /// [`BuildError::Frontend`] when a strict parse fails (never when
-    /// `lenient`).
+    /// [`BuildError::Frontend`] with the first parse error when the parse
+    /// reports one (never when `lenient`).
     pub fn lower<S: Sink>(
         self,
         source: &str,
@@ -118,14 +119,12 @@ impl Frontend {
     ) -> Result<Lowered<S::Output>, BuildError> {
         budget.check_source(source)?;
         match self {
-            Frontend::Python => {
-                let parsers: Parsers<_> = (seldon_pyast::parse, seldon_pyast::parse_lenient);
-                lower_with(source, lenient, parsers, |m| lower_module_into(m, budget, sink))
-            }
-            Frontend::Js => {
-                let parsers: Parsers<_> = (seldon_jsfront::parse, seldon_jsfront::parse_lenient);
-                lower_with(source, lenient, parsers, |p| lower_js_program_into(p, budget, sink))
-            }
+            Frontend::Python => lower_with(source, lenient, seldon_pyast::parse_lenient, |m| {
+                lower_module_into(m, budget, sink)
+            }),
+            Frontend::Js => lower_with(source, lenient, seldon_jsfront::parse_lenient, |p| {
+                lower_js_program_into(p, budget, sink)
+            }),
         }
     }
 }
@@ -136,28 +135,27 @@ pub struct Lowered<T> {
     /// What the sink built: the file's `PropagationGraph` through a
     /// [`GraphSink`], its recorded `IrProgram` through a `Recorder`.
     pub output: T,
-    /// Statement-level parse errors the lenient parser recovered from
-    /// (empty after a strict parse).
+    /// Statement-level parse errors the parser recovered from, in source
+    /// order (always empty unless lowered `lenient`).
     pub errors: Vec<FrontendError>,
     /// Wall-clock time spent lexing and parsing.
     pub parse: Duration,
 }
 
-/// One language's strict and lenient parsers of a source `'s`, whose AST
-/// borrows it.
-type Parsers<'s, Ast> =
-    (fn(&'s str) -> Result<Ast, FrontendError>, fn(&'s str) -> (Ast, Vec<FrontendError>));
-
-/// [`Frontend::lower`] over one language's parser pair and lowering.
+/// [`Frontend::lower`] over one language's recovering parser, whose AST
+/// borrows the source `'s`, and its lowering.
 fn lower_with<'s, Ast, T>(
     source: &'s str,
     lenient: bool,
-    (parse, parse_lenient): Parsers<'s, Ast>,
+    parse: fn(&'s str) -> (Ast, Vec<FrontendError>),
     lower: impl FnOnce(&Ast) -> Result<T, BudgetExceeded>,
 ) -> Result<Lowered<T>, BuildError> {
     let started = Instant::now();
-    let (ast, errors) = if lenient { parse_lenient(source) } else { (parse(source)?, Vec::new()) };
+    let (ast, mut errors) = parse(source);
     let parse = started.elapsed();
+    if !lenient && !errors.is_empty() {
+        return Err(errors.swap_remove(0).into());
+    }
     Ok(Lowered { output: lower(&ast)?, errors, parse })
 }
 
@@ -221,12 +219,10 @@ pub enum FaultPolicy {
     /// Abort the whole run on the first bad file (legacy behaviour).
     #[default]
     FailFast,
-    /// Retry strict-parse failures with the lenient front end; quarantine
-    /// only files that defeat recovery (budget trips, panics).
+    /// Analyze a file with parse errors with its broken statements
+    /// skipped; quarantine only files that defeat recovery (budget trips,
+    /// panics).
     Recover,
-    /// Quarantine every bad file without retrying; the run always
-    /// completes on whatever parses cleanly.
-    Skip,
 }
 
 /// Options controlling a fault-tolerant corpus analysis.
@@ -254,7 +250,8 @@ pub struct AnalyzeOptions {
 }
 
 /// Folds every analysis option that changes what a file's cached artifact
-/// *is* — the fault policy decides strict-vs-lenient graphs, the budget
+/// *is* — the fault policy decides whether a file with parse errors gets a
+/// graph, the budget
 /// decides quarantine outcomes, and fault markers decide injected panics —
 /// into the [`file_key`] salt, so entries from different configurations
 /// can never satisfy each other.
@@ -263,7 +260,6 @@ fn option_salt(opts: &AnalyzeOptions) -> u64 {
     h.write_u64(match opts.policy {
         FaultPolicy::FailFast => 0,
         FaultPolicy::Recover => 1,
-        FaultPolicy::Skip => 2,
     });
     match &opts.budget {
         None => {
@@ -290,9 +286,9 @@ fn option_salt(opts: &AnalyzeOptions) -> u64 {
 /// a panic inside extraction is contained and reported as
 /// [`FileOutcome::Panicked`].
 ///
-/// A strict attempt runs first; under [`FaultPolicy::Recover`] a parse
-/// failure is retried leniently. The timings are those of the attempt
-/// that produced the graph (zero when the file is quarantined).
+/// The file is parsed once; under [`FaultPolicy::Recover`] its parse
+/// errors are skipped and counted. The timings are zero when the file is
+/// quarantined.
 fn analyze_one(
     path: &str,
     content: &str,
@@ -306,26 +302,17 @@ fn analyze_one(
         }
         let unlimited = Budget::unlimited();
         let budget = opts.budget.as_ref().unwrap_or(&unlimited);
-        let attempt = |lenient| {
-            let started = Instant::now();
-            let lowered = frontend.lower(content, budget, lenient, GraphSink::new(id))?;
-            let build = started.elapsed().saturating_sub(lowered.parse);
-            Ok::<_, BuildError>((
-                lowered.output,
-                lowered.errors,
-                BuildTimings { parse: lowered.parse, build },
-            ))
-        };
-        let built = match attempt(false) {
-            // Lenient retry; only a budget trip can still fail.
-            Err(BuildError::Frontend(_)) if opts.policy == FaultPolicy::Recover => attempt(true)
-                .map(|(g, errors, t)| {
-                    (g, FileOutcome::Recovered { errors: errors.len().max(1) }, t)
-                }),
-            strict => strict.map(|(g, _, t)| (g, FileOutcome::Ok, t)),
-        };
-        match built {
-            Ok((g, outcome, timings)) => (Some(g), outcome, timings),
+        let lenient = opts.policy == FaultPolicy::Recover;
+        let started = Instant::now();
+        match frontend.lower(content, budget, lenient, GraphSink::new(id)) {
+            Ok(lowered) => {
+                let build = started.elapsed().saturating_sub(lowered.parse);
+                let outcome = match lowered.errors.len() {
+                    0 => FileOutcome::Ok,
+                    errors => FileOutcome::Recovered { errors },
+                };
+                (Some(lowered.output), outcome, BuildTimings { parse: lowered.parse, build })
+            }
             Err(BuildError::OverBudget(limit)) => {
                 let error = PipelineError::OverBudget { path: path.to_string(), limit };
                 (None, FileOutcome::OverBudget { error }, BuildTimings::default())
@@ -342,13 +329,7 @@ fn analyze_one(
     match guarded {
         Ok(result) => result,
         Err(payload) => {
-            let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
+            let message = panic_message(payload);
             let error = PipelineError::Panicked { path: path.to_string(), message };
             (None, FileOutcome::Panicked { error }, BuildTimings::default())
         }
@@ -1309,21 +1290,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_quarantines_malformed_file() {
-        let c = mixed_corpus();
-        let opts = AnalyzeOptions { policy: FaultPolicy::Skip, ..Default::default() };
-        let (analyzed, report) = analyze_corpus_with(&c, &opts).unwrap();
-        assert_eq!(analyzed.files.len(), 2, "quarantined files keep their FileId slot");
-        assert!(analyzed.graph.event_count() > 0);
-        assert_eq!(report.ok(), 1);
-        assert_eq!(report.skipped(), 1);
-        assert!(report.is_degraded());
-        let quarantined: Vec<&str> =
-            report.quarantined().map(|f| f.path.as_str()).collect();
-        assert_eq!(quarantined, ["bad.py"]);
-    }
-
-    #[test]
     fn recover_retries_malformed_file() {
         let c = mixed_corpus();
         let opts = AnalyzeOptions { policy: FaultPolicy::Recover, ..Default::default() };
@@ -1356,12 +1322,18 @@ mod tests {
             content: format!("# {}\n", "x".repeat(4096)),
         };
         let opts = AnalyzeOptions {
-            policy: FaultPolicy::Skip,
+            policy: FaultPolicy::Recover,
             budget: Some(Budget { max_source_bytes: 1024, ..Budget::default() }),
             ..Default::default()
         };
-        let (_, report) = analyze_corpus_with(&c, &opts).unwrap();
+        let (analyzed, report) = analyze_corpus_with(&c, &opts).unwrap();
+        assert_eq!(analyzed.files.len(), 2, "quarantined files keep their FileId slot");
+        assert!(analyzed.graph.event_count() > 0);
+        assert_eq!(report.ok(), 1);
         assert_eq!(report.over_budget(), 1);
+        assert!(report.is_degraded());
+        let quarantined: Vec<&str> = report.quarantined().map(|f| f.path.as_str()).collect();
+        assert_eq!(quarantined, ["huge.py"]);
         assert!(matches!(
             report.files[1].outcome,
             FileOutcome::OverBudget {
@@ -1371,14 +1343,14 @@ mod tests {
     }
 
     #[test]
-    fn panic_marker_is_contained_under_skip() {
+    fn panic_marker_is_contained_under_recover() {
         let mut c = mixed_corpus();
         c.projects[0].files[1] = SourceFile {
             path: "panics.py".into(),
             content: format!("x = 1\n{}\n", seldon_corpus::PANIC_MARKER),
         };
         let opts = AnalyzeOptions {
-            policy: FaultPolicy::Skip,
+            policy: FaultPolicy::Recover,
             fault_markers: true,
             ..Default::default()
         };
@@ -1500,18 +1472,24 @@ mod tests {
     #[test]
     fn analyze_file_pins_recovery_outcomes() {
         let recover = AnalyzeOptions { policy: FaultPolicy::Recover, ..Default::default() };
-        // A stray indent fails the strict parse but parses leniently with
-        // no error left to count: still reported as one recovered error.
-        let stray = "  x = 1\n";
+        // A stray top-level indent is the parser's one error; the statement
+        // behind it is kept.
+        let stray = "  x = f()\n";
         let lowered =
             Frontend::Python.lower(stray, &Budget::unlimited(), true, Recorder::default());
-        assert!(lowered.unwrap().errors.is_empty());
+        assert_eq!(lowered.unwrap().errors.len(), 1);
         let analysis = analyze_file("stray.py", stray, FileId(0), &recover);
         assert_eq!(analysis.outcome, FileOutcome::Recovered { errors: 1 });
-        assert!(analysis.graph.is_some());
-        // Without Recover the same file is quarantined as a parse failure.
+        assert!(analysis.graph.unwrap().event_count() > 0);
+        // A broken statement behind the stray indent is a second error.
+        let broken = "  x = = 1\n";
+        let analysis = analyze_file("broken.py", broken, FileId(0), &recover);
+        assert_eq!(analysis.outcome, FileOutcome::Recovered { errors: 2 });
+        // Without Recover the file is quarantined with that first error.
         let strict = analyze_file("stray.py", stray, FileId(0), &AnalyzeOptions::default());
-        assert!(matches!(strict.outcome, FileOutcome::Skipped { .. }));
+        let FileOutcome::Skipped { error } = strict.outcome else { panic!("not quarantined") };
+        let expected = "failed to parse stray.py: expected expression but found indent at 1:1";
+        assert_eq!(error.to_string(), expected);
         assert!(strict.graph.is_none());
     }
 
@@ -1520,14 +1498,19 @@ mod tests {
         let mut c = corpus();
         c.projects.extend(mixed_corpus().projects);
         c.projects.extend(mixed_lang_corpus().projects);
-        for policy in [FaultPolicy::Recover, FaultPolicy::Skip] {
+        for policy in [FaultPolicy::Recover, FaultPolicy::FailFast] {
             let none = AnalyzeOptions { policy, budget: None, ..Default::default() };
             let unlimited = AnalyzeOptions { budget: Some(Budget::unlimited()), ..none.clone() };
-            let (a, ra) = analyze_corpus_with(&c, &none).unwrap();
-            let (b, rb) = analyze_corpus_with(&c, &unlimited).unwrap();
-            assert_eq!(graph_fingerprint(&a.graph), graph_fingerprint(&b.graph), "{policy:?}");
-            assert_eq!(ra, rb, "{policy:?}");
-            assert!(ra.is_degraded(), "{policy:?}: the malformed file is reported");
+            let run = |opts| {
+                analyze_corpus_with(&c, opts).map(|(a, r)| (graph_fingerprint(&a.graph), r))
+            };
+            let (a, b) = (run(&none), run(&unlimited));
+            assert_eq!(a, b, "{policy:?}");
+            // The malformed file is reported, or stops the run.
+            match a {
+                Ok((_, report)) => assert!(report.is_degraded(), "{policy:?}"),
+                Err(e) => assert!(matches!(e, PipelineError::Parse { .. }), "{policy:?}"),
+            }
         }
     }
 

@@ -14,10 +14,10 @@ use std::fmt;
 /// What happened to one corpus file during analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FileOutcome {
-    /// Strict parse and extraction succeeded.
+    /// The file parsed without an error and extraction succeeded.
     Ok,
-    /// Strict parse failed; lenient recovery analyzed the file with this
-    /// many statement-level errors skipped.
+    /// The parse reported errors; the file was analyzed with the broken
+    /// statements skipped (under `Recover`).
     Recovered {
         /// Number of front-end errors skipped during recovery.
         errors: usize,

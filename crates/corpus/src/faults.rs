@@ -27,10 +27,11 @@ pub const PANIC_MARKER: &str = "# seldon:inject-panic";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// File cut off mid-source with an unterminated definition appended —
-    /// fails strict parsing, recoverable leniently.
+    /// a parse error; recovery keeps the statements before it.
     Truncated,
-    /// A malformed, stray-indented statement appended — fails strict
-    /// parsing, recoverable leniently.
+    /// A malformed, stray-indented statement appended — after top-level
+    /// code a parse error that recovery skips; after an indented block an
+    /// inconsistent dedent, which fails lexing so recovery keeps nothing.
     BadIndent,
     /// Control bytes and token garbage spliced in — fails lexing/parsing.
     CorruptBytes,

@@ -1,30 +1,28 @@
 //! Recursive-descent parser for the JS-like subset.
 //!
-//! Two entry points mirror the Python frontend: [`parse`] fails on the
-//! first error; [`parse_lenient`] skips the malformed statement (scanning
-//! to the next `;` or block boundary) and reports it, analyzing the rest.
+//! One statement loop, mirroring the Python frontend: [`parse_lenient`]
+//! skips a malformed statement (scanning to the next `;` or block
+//! boundary), reports it and analyzes the rest; [`parse`] is the same
+//! parse, failing on its first error.
 
 use crate::ast::*;
 use crate::lexer::{lex, Token, TokenKind};
 use seldon_ir::{FrontendError, ParseError, Span};
 use std::borrow::Cow;
 
-/// Parses a whole file strictly.
+/// Parses a whole file: [`parse_lenient`], failing on its first error.
 ///
 /// # Errors
 ///
 /// Returns the first [`FrontendError`] encountered.
 pub fn parse(source: &str) -> Result<Program<'_>, FrontendError> {
-    let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0, lenient: false, errors: Vec::new() };
-    let mut body = Vec::new();
-    while !p.at_eof() {
-        body.push(p.statement()?);
-    }
-    Ok(Program { body })
+    let (program, errors) = parse_lenient(source);
+    errors.into_iter().next().map_or(Ok(program), Err)
 }
 
-/// Parses a whole file, skipping malformed statements.
+/// Parses a whole file, skipping malformed statements at the top level
+/// and inside blocks. Errors come in source order, so the first is where
+/// a parse without recovery stops.
 ///
 /// A lex error is unrecoverable (token boundaries are unknown) and yields
 /// an empty program with one error.
@@ -33,19 +31,13 @@ pub fn parse_lenient(source: &str) -> (Program<'_>, Vec<FrontendError>) {
         Ok(t) => t,
         Err(e) => return (Program::default(), vec![e.into()]),
     };
-    let mut p = Parser { tokens, pos: 0, lenient: true, errors: Vec::new() };
+    let mut p = Parser { tokens, pos: 0, errors: Vec::new() };
     let mut body = Vec::new();
     while !p.at_eof() {
         let start = p.pos;
         match p.statement() {
             Ok(s) => body.push(s),
-            Err(e) => {
-                p.errors.push(e);
-                if p.pos == start {
-                    p.pos += 1;
-                }
-                p.skip_to_recovery_point();
-            }
+            Err(e) => p.recover(e, start),
         }
     }
     (Program { body }, p.errors)
@@ -54,7 +46,7 @@ pub fn parse_lenient(source: &str) -> (Program<'_>, Vec<FrontendError>) {
 struct Parser<'s> {
     tokens: Vec<Token<'s>>,
     pos: usize,
-    lenient: bool,
+    /// Errors of the statements skipped so far, in source order.
     errors: Vec<FrontendError>,
 }
 
@@ -129,6 +121,16 @@ impl<'s> Parser<'s> {
             }
             _ => Err(ParseError::new(what, t, t.span()).into()),
         }
+    }
+
+    /// Records the error of the statement that began at token `start`,
+    /// then skips past it (at least one token) to the recovery point.
+    fn recover(&mut self, error: FrontendError, start: usize) {
+        self.errors.push(error);
+        if self.pos == start {
+            self.pos += 1;
+        }
+        self.skip_to_recovery_point();
     }
 
     /// After an error: skip ahead past the next `;`, or stop before a `}` /
@@ -339,16 +341,9 @@ impl<'s> Parser<'s> {
             let start = self.pos;
             match self.statement() {
                 Ok(s) => body.push(s),
-                Err(e) if self.lenient => {
-                    // Degrade per statement inside blocks too, so one bad
-                    // line doesn't drop the whole enclosing function.
-                    self.errors.push(e);
-                    if self.pos == start {
-                        self.pos += 1;
-                    }
-                    self.skip_to_recovery_point();
-                }
-                Err(e) => return Err(e),
+                // Degrade per statement inside blocks too, so one bad
+                // line doesn't drop the whole enclosing function.
+                Err(e) => self.recover(e, start),
             }
         }
         self.expect(TokenKind::RBrace, "`}`")?;
@@ -578,7 +573,7 @@ mod tests {
 
     #[test]
     fn bump_returns_tokens_and_stays_on_end_of_file() {
-        let mut p = Parser { tokens: lex("name;").unwrap(), pos: 0, lenient: false, errors: vec![] };
+        let mut p = Parser { tokens: lex("name;").unwrap(), pos: 0, errors: vec![] };
         let name = p.bump();
         assert_eq!((name.kind, name.text, name.span()), (TokenKind::Ident, "name", Span::new(0, 4, 1, 1)));
         // The cursor stays on the end of file, however often it is bumped.

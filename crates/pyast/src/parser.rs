@@ -12,16 +12,16 @@ use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use std::borrow::Cow;
 
-/// Parses a full module from source text.
+/// Parses a full module from source text: [`parse_lenient`], failing on
+/// its first error.
 ///
 /// # Errors
 ///
 /// Returns a [`crate::error::FrontendError`] if the source fails to lex or
 /// parse.
 pub fn parse(source: &str) -> Result<Module<'_>, crate::error::FrontendError> {
-    let tokens = lexer::lex(source)?;
-    let module = Parser::new(source, tokens).parse_module()?;
-    Ok(module)
+    let (module, errors) = parse_lenient(source);
+    errors.into_iter().next().map_or(Ok(module), Err)
 }
 
 /// Parses a module, recovering from statement-level errors.
@@ -29,7 +29,9 @@ pub fn parse(source: &str) -> Result<Module<'_>, crate::error::FrontendError> {
 /// Statements that fail to parse are skipped (the parser synchronizes to
 /// the next logical line, balancing indentation) and reported in the error
 /// list; everything else lands in the returned module. A file that fails to
-/// *lex* returns an empty module plus the lexical error.
+/// *lex* returns an empty module plus the lexical error. Errors come in
+/// source order, so the first is where a parse without recovery stops,
+/// and an error-free parse is the whole module.
 ///
 /// This is what an analysis over arbitrary repository code wants: one
 /// malformed construct should cost one statement, not the whole file.
@@ -44,6 +46,14 @@ pub fn parse_lenient(source: &str) -> (Module<'_>, Vec<crate::error::FrontendErr
     loop {
         match p.peek() {
             TokenKind::EndOfFile => break,
+            TokenKind::Indent if errors.is_empty() => {
+                // A stray top-level indent: report it as the statement
+                // grammar would, then skip it. After an error, an indent
+                // here is the body of a broken header that `synchronize`
+                // stepped over, and it is skipped silently.
+                errors.push(ParseError::new("expression", p.tok(), p.span()).into());
+                p.bump();
+            }
             TokenKind::Newline | TokenKind::Indent | TokenKind::Dedent => {
                 p.bump();
             }
@@ -184,20 +194,6 @@ impl<'s> Parser<'s> {
     }
 
     // ----- module and statements -------------------------------------------
-
-    fn parse_module(&mut self) -> PResult<Module<'s>> {
-        let mut body = Vec::new();
-        loop {
-            match self.peek() {
-                TokenKind::EndOfFile => break,
-                TokenKind::Newline => {
-                    self.bump();
-                }
-                _ => self.parse_statement(&mut body)?,
-            }
-        }
-        Ok(Module { body })
-    }
 
     /// Parses one logical statement line, which may contain several simple
     /// statements separated by `;`, onto the end of `body`.
@@ -2076,7 +2072,20 @@ def media():
         let src = "a = 1\nif a:\n    b = 2\n";
         let (m, errors) = parse_lenient(src);
         assert!(errors.is_empty());
+        assert_eq!(m.body.len(), 2);
         assert_eq!(m, parse(src).unwrap());
+    }
+
+    #[test]
+    fn stray_top_level_indent_is_reported_only_as_the_first_error() {
+        let (m, errors) = parse_lenient("x = 1\n  y = 2\nz = 3\n");
+        let message = "expected expression but found indent at 2:1";
+        assert_eq!(errors.iter().map(ToString::to_string).collect::<Vec<_>>(), [message]);
+        assert_eq!(m.body.len(), 3, "the indented statement is kept");
+        // Behind an earlier error the indent is skipped silently.
+        let (m, errors) = parse_lenient("x = = 1\n  y = 2\n");
+        assert_eq!(errors.len(), 1);
+        assert_eq!(m.body.len(), 1);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use seldon_core::panic_message;
 use seldon_telemetry::json::Json;
 
 use crate::engine::{Delta, ServeEngine};
@@ -119,7 +120,7 @@ impl ServeDaemon {
             Ok(Err(err)) => self.reject(&err.to_string()),
             Err(panic) => self.reject(&format!(
                 "delta panicked (contained; state will rebuild on the next delta): {}",
-                panic_message(&panic)
+                panic_message(panic)
             )),
         }
     }
@@ -128,16 +129,6 @@ impl ServeDaemon {
     fn reject(&mut self, message: &str) -> (String, bool) {
         self.errors += 1;
         (error_response(message), false)
-    }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -5,6 +5,7 @@
 
 use crate::Violation;
 use seldon_propgraph::PropagationGraph;
+use seldon_telemetry::json::Json;
 use std::fmt;
 
 /// A vulnerability class, determined from the sink API (App. B groups its
@@ -133,56 +134,28 @@ impl fmt::Display for Report {
     }
 }
 
-/// Escapes a string for JSON output.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders reports as a JSON array (hand-rolled: the workspace keeps its
-/// dependency footprint to the paper's needs), machine-readable for CI
+/// Renders reports as a compact JSON array, machine-readable for CI
 /// integration.
 pub fn reports_to_json(violations: &[Violation], graph: &PropagationGraph) -> String {
     let mut reports: Vec<Report> =
         violations.iter().map(|v| Report::from_violation(v, graph)).collect();
     reports.sort_by_key(|r| (r.class.severity_rank(), r.sink.1));
-    let mut out = String::from("[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"class\":\"{}\",\"source\":{{\"api\":\"{}\",\"line\":{}}},\"sink\":{{\"api\":\"{}\",\"line\":{}}},\"trace\":[",
-            json_escape(&r.class.to_string()),
-            json_escape(&r.source.0),
-            r.source.1,
-            json_escape(&r.sink.0),
-            r.sink.1
-        ));
-        for (j, (rep, line)) in r.trace.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"api\":\"{}\",\"line\":{line}}}",
-                json_escape(rep)
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
-    out
+    let site = |api: &str, line: u32| {
+        Json::Obj(vec![("api".into(), Json::str(api)), ("line".into(), Json::num(line.into()))])
+    };
+    let reports = reports
+        .iter()
+        .map(|r| {
+            let trace = r.trace.iter().map(|(rep, line)| site(rep, *line)).collect();
+            Json::Obj(vec![
+                ("class".into(), Json::str(r.class.to_string())),
+                ("source".into(), site(&r.source.0, r.source.1)),
+                ("sink".into(), site(&r.sink.0, r.sink.1)),
+                ("trace".into(), Json::Arr(trace)),
+            ])
+        })
+        .collect();
+    Json::Arr(reports).compact()
 }
 
 /// Renders a list of violations sorted by severity, then line.

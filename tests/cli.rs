@@ -447,6 +447,37 @@ fn check_json_format() {
 }
 
 #[test]
+fn check_json_escapes_quotes_backslashes_and_control_characters() {
+    // The subscript key holds a quote, a backslash and U+0001, so the
+    // representation between source and sinks carries all three.
+    let dir = temp_dir("json-escapes");
+    let app = dir.join("app.py");
+    std::fs::write(
+        &app,
+        "from flask import request\nimport os\nx = request.args[\"k\\\"q\\\\b\u{1}\"]\n\
+         os.system(x)\nos.popen(x)\n",
+    )
+    .expect("write app");
+    let spec = dir.join("spec.txt");
+    std::fs::write(&spec, "o: flask.request.args\ni: os.system()\ni: os.popen()\n").expect("spec");
+    let out = seldon()
+        .args(["check", "--format", "json", "--spec"])
+        .arg(&spec)
+        .arg(&app)
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let key = r#"{"api":"flask.request.args['k\\\"q\\\\b\u0001']","line":3}"#;
+    let report = |sink: &str, line: u32| {
+        format!(
+            r#"{{"class":"Command Injection","source":{{"api":"flask.request.args","line":3}},"sink":{{"api":"{sink}","line":{line}}},"trace":[{{"api":"flask.request.args","line":3}},{key},{{"api":"{sink}","line":{line}}}]}}"#
+        )
+    };
+    let expected = format!("[{},{}]\n", report("os.system()", 4), report("os.popen()", 5));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let out = seldon().arg("frobnicate").output().expect("runs");
     assert!(!out.status.success());

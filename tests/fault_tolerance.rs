@@ -1,17 +1,20 @@
 //! Fault-tolerance integration tests: the fault-injection harness corrupts
 //! a fraction of a generated corpus, and the pipeline under
-//! [`FaultPolicy::Skip`] must complete, quarantine exactly the corrupted
-//! files, and still learn a specification meeting the clean-corpus quality
-//! floor on the remainder.
+//! [`FaultPolicy::Recover`] must complete, degrade exactly the corrupted
+//! files (each kind to its own outcome), and still learn a specification
+//! meeting the clean-corpus quality floor on the rest.
 
 use proptest::prelude::*;
+use seldon_cache::{graph_fingerprint, Fnv64};
 use seldon_core::{
-    analyze_corpus, analyze_corpus_with, evaluate_spec, run_seldon, AnalyzeOptions,
-    FaultPolicy, GroundTruth, SeldonOptions,
+    analyze_corpus, analyze_corpus_with, analyze_file, evaluate_spec, run_seldon, AnalyzeOptions,
+    FaultPolicy, FileOutcome, GroundTruth, SeldonOptions,
 };
-use seldon_corpus::{generate_corpus, Corpus, CorpusOptions, Project, SourceFile, Universe};
-use seldon_propgraph::Budget;
-use std::collections::BTreeSet;
+use seldon_corpus::{
+    generate_corpus, Corpus, CorpusOptions, FaultKind, Lang, Project, SourceFile, Universe,
+};
+use seldon_propgraph::{Budget, FileId};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Same corpus as `end_to_end::learning_meets_quality_floor`, with 20% of
 /// files corrupted.
@@ -21,15 +24,26 @@ fn faulted_corpus_opts() -> CorpusOptions {
 
 fn harness_opts() -> AnalyzeOptions {
     AnalyzeOptions {
-        policy: FaultPolicy::Skip,
+        policy: FaultPolicy::Recover,
         budget: Some(Budget::default()),
         fault_markers: true,
         ..Default::default()
     }
 }
 
+/// The name of an outcome's variant.
+fn variant(outcome: &FileOutcome) -> &'static str {
+    match outcome {
+        FileOutcome::Ok => "ok",
+        FileOutcome::Recovered { .. } => "recovered",
+        FileOutcome::Skipped { .. } => "skipped",
+        FileOutcome::OverBudget { .. } => "over budget",
+        FileOutcome::Panicked { .. } => "panicked",
+    }
+}
+
 #[test]
-fn skip_quarantines_exactly_the_injected_faults() {
+fn recover_degrades_exactly_the_injected_faults() {
     let universe = Universe::new();
     let corpus = generate_corpus(&universe, &faulted_corpus_opts());
     assert!(!corpus.faults.is_empty(), "20% fault rate must corrupt some files");
@@ -38,17 +52,31 @@ fn skip_quarantines_exactly_the_injected_faults() {
     assert_eq!(analyzed.files.len(), corpus.file_count());
     assert_eq!(report.files.len(), corpus.file_count());
 
-    let injected: BTreeSet<(usize, &str)> =
-        corpus.faults.iter().map(|f| (f.project, f.path.as_str())).collect();
-    let quarantined: BTreeSet<(usize, &str)> =
-        report.quarantined().map(|f| (f.project, f.path.as_str())).collect();
-    assert_eq!(quarantined, injected, "quarantine exactly the corrupted files");
+    let injected: BTreeMap<(usize, &str), FaultKind> =
+        corpus.faults.iter().map(|f| ((f.project, f.path.as_str()), f.kind)).collect();
+    let degraded: BTreeSet<(usize, &str)> = report
+        .files
+        .iter()
+        .filter(|f| f.outcome != FileOutcome::Ok)
+        .map(|f| (f.project, f.path.as_str()))
+        .collect();
+    assert!(degraded.iter().eq(injected.keys()), "degrade exactly the corrupted files");
 
-    // The acceptance scenario includes panic-inducing and over-budget
-    // files; the round-robin injector guarantees both kinds are present.
-    assert!(report.panicked() >= 1, "no panic-inducing file was exercised");
-    assert!(report.over_budget() >= 1, "no over-budget file was exercised");
-    assert!(report.skipped() >= 1, "no parse-breaking file was exercised");
+    // Parse-breaking kinds are analyzed with the broken statements
+    // skipped; the rest defeat recovery and are quarantined.
+    for file in &report.files {
+        let Some(kind) = injected.get(&(file.project, file.path.as_str())) else { continue };
+        let expected = match kind {
+            FaultKind::Truncated | FaultKind::BadIndent | FaultKind::CorruptBytes => "recovered",
+            FaultKind::DeepNesting | FaultKind::Oversized => "over budget",
+            FaultKind::PanicMarker => "panicked",
+        };
+        assert_eq!(variant(&file.outcome), expected, "{} ({kind:?})", file.path);
+    }
+    // The round-robin injector guarantees every kind is present.
+    for kind in FaultKind::ALL {
+        assert!(injected.values().any(|&k| k == kind), "no {kind:?} file was exercised");
+    }
     assert!(report.is_degraded());
 }
 
@@ -99,14 +127,14 @@ fn recover_matches_failfast_on_clean_corpus() {
     );
 }
 
-// A corpus of arbitrary printable garbage: under `Skip` the pipeline must
-// always complete — never panic, never return an error — and account for
-// every file.
+// A corpus of arbitrary printable garbage: under `Recover` the pipeline
+// must always complete — never panic, never return an error — and account
+// for every file.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn skip_never_fails_on_arbitrary_files(
+    fn recover_never_fails_on_arbitrary_files(
         contents in prop::collection::vec("\\PC{0,400}", 1..6)
     ) {
         let corpus = Corpus {
@@ -124,7 +152,7 @@ proptest! {
             ..Default::default()
         };
         let opts = AnalyzeOptions {
-            policy: FaultPolicy::Skip,
+            policy: FaultPolicy::Recover,
             budget: Some(Budget::default()),
             ..Default::default()
         };
@@ -132,4 +160,37 @@ proptest! {
         prop_assert_eq!(analyzed.files.len(), contents.len());
         prop_assert_eq!(report.files.len(), contents.len());
     }
+}
+
+/// Hashes, in corpus order, what each file of the 20%-faulted 60-project
+/// corpus in `lang` comes to: its outcome variant under `Recover`, the
+/// error text `FailFast` quarantines it with (empty when it parses), and
+/// the fingerprint of the graph `Recover` builds.
+fn faulted_corpus_digest(lang: Lang) -> u64 {
+    let corpus = generate_corpus(&Universe::new(), &CorpusOptions { lang, ..faulted_corpus_opts() });
+    let failfast = AnalyzeOptions { policy: FaultPolicy::FailFast, ..harness_opts() };
+    let mut h = Fnv64::new();
+    for (i, (_, file)) in corpus.files().enumerate() {
+        let id = FileId(i as u32);
+        let recovered = analyze_file(&file.path, &file.content, id, &harness_opts());
+        let strict = match analyze_file(&file.path, &file.content, id, &failfast).outcome {
+            FileOutcome::Ok => String::new(),
+            FileOutcome::Skipped { error }
+            | FileOutcome::OverBudget { error }
+            | FileOutcome::Panicked { error } => error.to_string(),
+            FileOutcome::Recovered { .. } => unreachable!("FailFast never recovers"),
+        };
+        h.write_str(&file.path).write_str(variant(&recovered.outcome)).write_str(&strict);
+        h.write_u64(recovered.graph.as_ref().map_or(0, graph_fingerprint));
+    }
+    h.finish()
+}
+
+/// Both policies parse each file once; the pins were taken when `Recover`
+/// parsed a broken file twice, strictly and then with recovery, and one
+/// parse must come to the same outcomes, errors and graphs.
+#[test]
+fn faulted_corpus_outcomes_are_pinned() {
+    assert_eq!(faulted_corpus_digest(Lang::Py), 0x83d2_e571_5fa2_bd76);
+    assert_eq!(faulted_corpus_digest(Lang::Js), 0x8fb1_721b_6a40_a779);
 }
