@@ -9,6 +9,9 @@
 //! - the initial build (fresh engine, fresh cache);
 //! - an empty delta, which must answer `noop` with the same spec;
 //! - a one-file comment edit, which must take the `unchanged` rung;
+//! - a second comment edit of the same file, which must take it without
+//!   re-parsing: the file's tokens match the ones its first change
+//!   recorded;
 //! - a one-file structural edit, which must solve cold while reusing the
 //!   other 606 files' constraint fragments.
 //!
@@ -115,7 +118,7 @@ def handler_bench_added():
     return z1
 ";
 
-/// One engine serves the initial build and three deltas; each served
+/// One engine serves the initial build and four deltas; each served
 /// spec must equal `seldon learn`'s over the same corpus state.
 fn determinism_gate(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usize) {
     let dir =
@@ -145,6 +148,24 @@ fn determinism_gate(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usiz
         out.spec,
         learn_spec(&edited, seed, threads),
         "comment edit diverged ({threads} threads)"
+    );
+
+    // The first change recorded the file's tokens; a second comment edit
+    // is proven by one lex and parses nothing.
+    edited[0].1.insert_str(0, COMMENT_EDIT);
+    let out = engine
+        .apply_delta(&Delta { change: vec![edited[0].clone()], ..Default::default() })
+        .expect("second comment delta");
+    assert_eq!(out.solve, "unchanged", "second comment edit must take the unchanged path");
+    assert_eq!(
+        (out.reparsed, out.tokens_matched),
+        (0, 1),
+        "second comment edit must be token-matched"
+    );
+    assert_eq!(
+        out.spec,
+        learn_spec(&edited, seed, threads),
+        "second comment edit diverged ({threads} threads)"
     );
 
     edited[1].1.push_str(STRUCTURAL_EDIT);

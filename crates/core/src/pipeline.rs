@@ -127,6 +127,46 @@ impl Frontend {
             }),
         }
     }
+
+    /// A fingerprint of `source`'s token stream under this front end's
+    /// lexer: each token's kind and length-prefixed text, in order, spans
+    /// left out. `None` when the source fails to lex.
+    ///
+    /// The front ends read a file only through its tokens: spans only
+    /// stamp events, which [`graph_fingerprint`] ignores, and the one
+    /// source slice a parser takes (a Python dotted module path) is split
+    /// into segments with the whitespace around its dots dropped before
+    /// lowering reads it. So two sources of equal fingerprint that both fit
+    /// the budget's source size lower to graphs of equal
+    /// [`graph_fingerprint`], with the same outcome and the same number of
+    /// recovered errors: a comment, a blank line or the spacing between
+    /// tokens never changes a file's analysis. The fingerprint is only
+    /// ever compared in memory, never stored.
+    pub fn token_fingerprint(self, source: &str) -> Option<u64> {
+        match self {
+            Frontend::Python => {
+                let tokens = seldon_pyast::lexer::lex(source).ok()?;
+                Some(fingerprint_tokens(tokens.iter().map(|t| (t.kind as u8, t.text))))
+            }
+            Frontend::Js => {
+                let tokens = seldon_jsfront::lexer::lex(source).ok()?;
+                Some(fingerprint_tokens(tokens.iter().map(|t| (t.kind.tag(), t.text))))
+            }
+        }
+    }
+}
+
+/// [`Frontend::token_fingerprint`] over one lexer's `(kind tag, text)`
+/// stream. A token adds five bytes to its text, a one-byte tag and a `u32`
+/// length: with a derived `Hash` of the kind and a `u64` length, hashing
+/// cost more than lexing.
+fn fingerprint_tokens<'s>(tokens: impl Iterator<Item = (u8, &'s str)>) -> u64 {
+    let mut h = Fnv64::new();
+    for (tag, text) in tokens {
+        // Both lexers keep token offsets as `u32`, so a length fits too.
+        h.write(&[tag]).write_u32(text.len() as u32).write(text.as_bytes());
+    }
+    h.finish()
 }
 
 /// One file lowered by [`Frontend::lower`].
@@ -1520,6 +1560,32 @@ mod tests {
         assert_eq!(Frontend::of_path("app/views.js"), Frontend::Js);
         assert_eq!(Frontend::of_path("README"), Frontend::Python);
         assert_ne!(Frontend::Python.salt_tag(), Frontend::Js.salt_tag());
+    }
+
+    #[test]
+    fn token_fingerprint_hashes_kinds_and_texts() {
+        use seldon_pyast::token::TokenKind as Tok;
+        // Both lexers derive the kind from the text today; the kind is
+        // hashed anyway, so equal texts of different kinds stay apart.
+        let fp = |tokens: &[(Tok, &str)]| {
+            fingerprint_tokens(tokens.iter().map(|&(kind, text)| (kind as u8, text)))
+        };
+        assert_ne!(fp(&[(Tok::Indent, "  ")]), fp(&[(Tok::Dedent, "  ")]));
+        let end = |kind| fp(&[(kind, ""), (Tok::EndOfFile, "")]);
+        assert_ne!(end(Tok::Newline), end(Tok::Dedent));
+        // Texts are length-prefixed.
+        let names = |a, b| fp(&[(Tok::Name, a), (Tok::Name, b)]);
+        assert_ne!(names("ab", "c"), names("a", "bc"));
+
+        let py = Frontend::Python;
+        let fp = py.token_fingerprint("import os\nos.system(x)\n");
+        assert!(fp.is_some());
+        assert_eq!(py.token_fingerprint("# c\nimport  os\n\nos.system( x )  # c\n"), fp);
+        assert_ne!(py.token_fingerprint("import os\nos.system(y)\n"), fp);
+        assert_eq!(py.token_fingerprint("x = 'unterminated\n"), None);
+        let js = Frontend::Js;
+        assert_eq!(js.token_fingerprint("f(a);\n// c\n"), js.token_fingerprint("f( a ) ;"));
+        assert_eq!(js.token_fingerprint("/* open"), None);
     }
 
     #[test]

@@ -44,6 +44,19 @@ macro_rules! token_kinds {
                     _ => None,
                 }
             }
+
+            /// A distinct byte per kind, the operator of an `Op` left out
+            /// (its text spells it).
+            pub fn tag(self) -> u8 {
+                /// The kinds without their payload, numbered in order.
+                enum Tag { $($lex,)* $($kw,)* $($punct,)* Op }
+                match self {
+                    $(TokenKind::$lex => Tag::$lex as u8,)*
+                    $(TokenKind::$kw => Tag::$kw as u8,)*
+                    $(TokenKind::$punct => Tag::$punct as u8,)*
+                    TokenKind::Op(_) => Tag::Op as u8,
+                }
+            }
         }
 
         impl fmt::Display for TokenKind {
@@ -339,6 +352,17 @@ mod tests {
             .collect();
         assert_eq!(ops.len(), 4); // ==, ===, =>, =
         assert!(matches!(ops[3], TokenKind::Eq));
+    }
+
+    #[test]
+    fn tags_tell_kinds_apart() {
+        let ks = kinds("x = 'a' + 1 - 2 * 3; function f() { return null; } if (x == y) {} else {}");
+        for a in &ks {
+            for b in &ks {
+                let same = a == b || matches!((a, b), (TokenKind::Op(_), TokenKind::Op(_)));
+                assert_eq!(a.tag() == b.tag(), same, "{a:?} and {b:?}");
+            }
+        }
     }
 
     #[test]

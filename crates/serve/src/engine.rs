@@ -15,6 +15,16 @@
 //! store, outcomes and `parse`/`propgraph`/`cache` spans. The engine earns
 //! its speed only from work that provably cannot change the output:
 //!
+//! * A changed file whose new content has the token fingerprint
+//!   ([`Frontend::token_fingerprint`]) recorded for the content its
+//!   resident graph came from is token-matched: it skips
+//!   [`analyze_inputs`] and keeps its graph, outcome, cache key and rows.
+//!   The front ends read a file only through its tokens, so equal
+//!   fingerprints lower to equal graph fingerprints with equal outcomes.
+//!   The proof is off past the budget's source size and under
+//!   `fault_markers`. The fingerprint is recorded when a change delta
+//!   lexes the file, so a file's first change re-parses. A match stores
+//!   no artifact: the resident graph's spans may lag the new content.
 //! * Per-file reuse is keyed by the file's graph fingerprint, which
 //!   hashes exactly what learning reads — an unchanged fingerprint means
 //!   a per-file graph that learns identically, so the union does too. The
@@ -59,8 +69,8 @@ use seldon_cache::{graph_fingerprint, CacheFault, Checkpoint, CheckpointLookup};
 use seldon_constraints::{collect_rows, select, FileRows, GenStats, RepId, Selection};
 use seldon_core::{
     analyze_inputs, climb_ladder, default_rep_cutoff, learned_per_role, record_corpus,
-    record_learning, union_graphs, AnalysisReport, AnalyzeOptions, AnalyzedFiles,
-    CacheFaultReport, CheckpointOutcome, FileInput, FileOutcome, PipelineError, SeldonOptions,
+    record_learning, union_graphs, AnalysisReport, AnalyzeOptions, AnalyzedFiles, CacheFaultReport,
+    CheckpointOutcome, FileInput, FileOutcome, FileReport, Frontend, PipelineError, SeldonOptions,
 };
 use seldon_propgraph::{FileId, PropagationGraph, Symbols};
 use seldon_specs::TaintSpec;
@@ -95,6 +105,10 @@ struct FileState {
     graph: Option<PropagationGraph>,
     /// [`graph_fingerprint`] of the graph.
     graph_fp: u64,
+    /// [`Frontend::token_fingerprint`] of the content `graph_fp` and
+    /// `outcome` describe; `None` until a change delta lexes the file, or
+    /// when its content did not lex.
+    tokens_fp: Option<u64>,
     /// Per-file verdict, kept for the served manifest.
     outcome: FileOutcome,
     /// The file's Fig. 4 rows from the last rebuild, with the selection
@@ -128,9 +142,9 @@ pub struct DeltaOutcome {
     /// The served specification text (canonical [`TaintSpec::to_text`]).
     pub spec: String,
     /// How the spec was obtained: `"noop"` (empty delta), `"unchanged"`
-    /// (edits left every graph fingerprint intact), `"replayed"` (input
-    /// fingerprint matched the checkpoint), `"warm"` (margin-accepted
-    /// warm solve), or `"cold"`.
+    /// (every changed file token-matched or kept its graph fingerprint),
+    /// `"replayed"` (input fingerprint matched the checkpoint), `"warm"`
+    /// (margin-accepted warm solve), or `"cold"`.
     pub solve: &'static str,
     /// Files tracked after the delta.
     pub files: usize,
@@ -138,8 +152,12 @@ pub struct DeltaOutcome {
     pub events: usize,
     /// Edges in the unioned graph after the delta.
     pub edges: usize,
-    /// Files re-analyzed by this delta (adds + changes).
+    /// Added or changed files this delta ran through the per-file loop
+    /// (the front end, or an artifact-cache hit).
     pub reparsed: usize,
+    /// Changed files proven unchanged by their token fingerprint: they
+    /// kept their resident graph and ran no front end.
+    pub tokens_matched: usize,
     /// Files dropped by this delta.
     pub removed: usize,
     /// Cache artifacts evicted for dropped files.
@@ -195,7 +213,8 @@ pub struct ServeCounters {
     pub deltas: usize,
     /// Empty deltas served from the cached spec.
     pub noops: usize,
-    /// Change-only deltas whose graphs were fingerprint-identical.
+    /// Change-only deltas whose files were token-matched or kept their
+    /// graph fingerprints.
     pub unchanged: usize,
     /// Full rebuilds (union + selection re-ran).
     pub rebuilds: usize,
@@ -205,8 +224,11 @@ pub struct ServeCounters {
     pub solves_warm: usize,
     /// Cold solves (including margin-rejected warm attempts).
     pub solves_cold: usize,
-    /// Files re-analyzed across all deltas.
+    /// Files run through the per-file loop across all deltas.
     pub reparsed: usize,
+    /// Changed files proven unchanged by their token fingerprint across
+    /// all deltas.
+    pub tokens_matched: usize,
     /// Files dropped across all deltas.
     pub removed: usize,
     /// Cache artifacts evicted across all deltas.
@@ -221,16 +243,17 @@ impl ServeCounters {
     /// Every counter as `(stats key, metric name, metric help, value)`, in
     /// the order the `stats` response and the metrics registry list them.
     #[rustfmt::skip]
-    pub(crate) fn table(&self) -> [(&'static str, &'static str, &'static str, usize); 12] {
+    pub(crate) fn table(&self) -> [(&'static str, &'static str, &'static str, usize); 13] {
         [
             ("deltas", "serve_deltas", "Corpus deltas accepted by the daemon.", self.deltas),
             ("noops", "serve_noops", "Empty deltas served from the cached spec.", self.noops),
-            ("unchanged", "serve_unchanged", "Deltas whose edits left every graph fingerprint intact.", self.unchanged),
+            ("unchanged", "serve_unchanged", "Deltas whose edits left every file's tokens or graph fingerprint intact.", self.unchanged),
             ("rebuilds", "serve_rebuilds", "Deltas that re-ran union and selection.", self.rebuilds),
             ("replays", "serve_replays", "Rebuilds replayed from an input-fingerprint hit.", self.replays),
             ("solves_warm", "serve_solves_warm", "Warm solves accepted by the margin guard.", self.solves_warm),
             ("solves_cold", "serve_solves_cold", "Cold solves (including rejected warm attempts).", self.solves_cold),
-            ("reparsed", "serve_files_reparsed", "Files re-analyzed across all deltas.", self.reparsed),
+            ("reparsed", "serve_files_reparsed", "Files run through the per-file loop across all deltas.", self.reparsed),
+            ("tokens_matched", "serve_tokens_matched", "Changed files proven unchanged by their token fingerprint.", self.tokens_matched),
             ("removed", "serve_files_removed", "Files dropped across all deltas.", self.removed),
             ("evicted", "serve_artifacts_evicted", "Cache artifacts evicted for dropped files.", self.evicted),
             ("fragments_reused", "serve_fragments_reused", "Constraint fragments reused structurally.", self.fragments_reused),
@@ -340,22 +363,44 @@ impl ServeEngine {
         if delta.is_empty() && self.built {
             self.counters.deltas += 1;
             self.counters.noops += 1;
-            return Ok(self.reuse_outcome("noop", t0, [0; 3], AnalysisReport::default()));
+            return Ok(self.reuse_outcome("noop", t0, [0; 4], AnalysisReport::default()));
         }
 
-        // Adds and changes go through the batch per-file loop, at stamp
-        // FileId(0), before any state changes: a FailFast failure rejects
-        // the delta and the previous build stays servable.
+        // A changed file whose tokens match the content its resident graph
+        // came from is proven unchanged by one lex (token-matched). The
+        // adds and the other changes go through the batch per-file loop,
+        // at stamp FileId(0), before any state changes: a FailFast failure
+        // rejects the delta and the previous build stays servable.
         let touched = || delta.add.iter().chain(&delta.change);
+        let adds = delta.add.iter().map(|_| None);
+        let changes =
+            delta.change.iter().map(|(path, content)| self.token_fingerprint(path, content));
+        let tokens: Vec<Option<u64>> = adds.chain(changes).collect();
+        let matched: Vec<bool> = touched()
+            .zip(&tokens)
+            .map(|((path, _), fp)| {
+                fp.is_some() && self.files.get(path).is_some_and(|s| s.tokens_fp == *fp)
+            })
+            .collect();
         let names: Vec<_> = touched().map(|(path, _)| path.to_string_lossy()).collect();
-        let inputs = names.iter().zip(touched()).map(|(name, (_, content))| FileInput {
-            project: 0,
-            id: FileId(0),
-            path: name,
-            content,
-        });
-        let AnalyzedFiles { graphs, keys, report, .. } =
-            analyze_inputs(inputs, &self.cfg.analyze).map_err(EngineError::Analysis)?;
+        let inputs: Vec<FileInput<'_>> = touched()
+            .zip(&names)
+            .zip(&matched)
+            .filter(|(_, &matched)| !matched)
+            .map(|(((_, content), name), _)| FileInput {
+                project: 0,
+                id: FileId(0),
+                path: name,
+                content,
+            })
+            .collect();
+        let (graphs, keys, mut report) = if inputs.is_empty() {
+            (Vec::new(), Vec::new(), AnalysisReport::default())
+        } else {
+            let AnalyzedFiles { graphs, keys, report, .. } =
+                analyze_inputs(inputs, &self.cfg.analyze).map_err(EngineError::Analysis)?;
+            (graphs, keys, report)
+        };
         self.counters.deltas += 1;
 
         // From here the corpus may change shape; a panic below must not
@@ -372,19 +417,31 @@ impl ServeEngine {
             .map(|path| self.files.remove(path).expect("validated remove").cache_key)
             .collect();
         let mut structural = !removed.is_empty() || !delta.add.is_empty();
-        let analyzed = graphs.into_iter().zip(keys).zip(&report.files);
-        for ((path, _), ((graph, cache_key), file)) in touched().zip(analyzed) {
+        let reparsed = report.files.len();
+        let mut analyzed = graphs.into_iter().zip(keys).zip(std::mem::take(&mut report.files));
+        for (i, (path, _)) in touched().enumerate() {
+            if matched[i] {
+                // Same tokens, so the same graph, outcome and artifact:
+                // keep the slot as it is, and report its outcome again.
+                let outcome = self.files[path].outcome.clone();
+                report.files.push(FileReport { project: 0, path: names[i].to_string(), outcome });
+                continue;
+            }
+            let ((graph, cache_key), file) = analyzed.next().expect("one result per input");
             let graph_fp = graph.as_ref().map_or(0, graph_fingerprint);
-            let outcome = file.outcome.clone();
+            let (tokens_fp, outcome) = (tokens[i], file.outcome.clone());
+            report.files.push(file);
             if let Some(slot) = self.files.get_mut(path).filter(|slot| slot.graph_fp == graph_fp) {
-                // The edit left what learning reads identical (e.g. a
-                // comment, or code that only moved): keep the resident
-                // graph and its fragment, refresh the bookkeeping.
+                // The edit left what learning reads identical (e.g. code
+                // that only moved): keep the resident graph and its
+                // fragment, refresh the bookkeeping.
                 slot.cache_key = cache_key;
                 slot.outcome = outcome;
+                slot.tokens_fp = tokens_fp;
             } else {
                 structural = true;
-                let state = FileState { cache_key, graph, graph_fp, outcome, frag: None };
+                let state =
+                    FileState { cache_key, graph, graph_fp, tokens_fp, outcome, frag: None };
                 self.files.insert(path.clone(), state);
             }
         }
@@ -399,10 +456,12 @@ impl ServeEngine {
                 }
             }
         }
-        let counts = [report.files.len(), removed.len(), evicted];
+        let tokens_matched = matched.iter().filter(|&&m| m).count();
+        let counts = [reparsed, tokens_matched, removed.len(), evicted];
         self.counters.reparsed += counts[0];
-        self.counters.removed += counts[1];
-        self.counters.evicted += counts[2];
+        self.counters.tokens_matched += counts[1];
+        self.counters.removed += counts[2];
+        self.counters.evicted += counts[3];
 
         // Change-only delta with every fingerprint intact: the union —
         // and everything downstream — is unchanged by construction. Only
@@ -415,6 +474,19 @@ impl ServeEngine {
         }
 
         self.rebuild(t0, counts, report)
+    }
+
+    /// The token fingerprint of a changed file's new content, or `None`
+    /// when no token proof applies: under `fault_markers` (a marker in a
+    /// comment panics the analysis) or past the budget's source size (the
+    /// file is quarantined before it is lexed).
+    fn token_fingerprint(&self, path: &Path, content: &str) -> Option<u64> {
+        let analyze = &self.cfg.analyze;
+        let fits = analyze.budget.as_ref().is_none_or(|b| b.check_source(content).is_ok());
+        if analyze.fault_markers || !fits {
+            return None;
+        }
+        Frontend::of_path(&path.to_string_lossy()).token_fingerprint(content)
     }
 
     /// Rejects inconsistent deltas before any state changes.
@@ -441,12 +513,12 @@ impl ServeEngine {
     }
 
     /// Serves the checkpointed spec without rebuilding anything.
-    /// `counts` is `[reparsed, removed, evicted]`.
+    /// `counts` is `[reparsed, tokens_matched, removed, evicted]`.
     fn reuse_outcome(
         &mut self,
         label: &'static str,
         t0: Instant,
-        [reparsed, removed, evicted]: [usize; 3],
+        [reparsed, tokens_matched, removed, evicted]: [usize; 4],
         report: AnalysisReport,
     ) -> DeltaOutcome {
         let ckpt = self.ckpt.as_ref().expect("reuse requires a checkpoint");
@@ -458,6 +530,7 @@ impl ServeEngine {
             events: self.last_events,
             edges: self.last_edges,
             reparsed,
+            tokens_matched,
             removed,
             evicted,
             fragments_reused: 0,
@@ -484,7 +557,7 @@ impl ServeEngine {
     fn rebuild(
         &mut self,
         t0: Instant,
-        counts: [usize; 3],
+        counts: [usize; 4],
         mut report: AnalysisReport,
     ) -> Result<DeltaOutcome, EngineError> {
         let tele = self.cfg.analyze.telemetry.clone();

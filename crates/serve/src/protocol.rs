@@ -122,6 +122,7 @@ pub fn delta_response(outcome: &DeltaOutcome) -> String {
         ("events".to_string(), Json::num(outcome.events as f64)),
         ("edges".to_string(), Json::num(outcome.edges as f64)),
         ("reparsed".to_string(), Json::num(outcome.reparsed as f64)),
+        ("tokens_matched".to_string(), Json::num(outcome.tokens_matched as f64)),
         ("removed".to_string(), Json::num(outcome.removed as f64)),
         ("evicted".to_string(), Json::num(outcome.evicted as f64)),
         ("fragments_reused".to_string(), Json::num(outcome.fragments_reused as f64)),

@@ -1,13 +1,14 @@
 //! Integration suite for the incremental analysis daemon (`seldon
 //! serve`): the determinism gate (every served spec is byte-identical to
 //! a cold batch run over the same corpus state, at 1 and 4 solver
-//! threads), the delta fast paths (no-op, fingerprint-unchanged,
-//! replay), remove-with-eviction, checkpoints and stage spans that carry
-//! between `learn` and `serve` (one per-file analysis loop: policy,
-//! write-behind store and report), warm-start byte-identity from
-//! perturbed checkpoints, daemon survival of malformed requests and
-//! mid-delta cache faults, and the engine's symbol table: bounded over
-//! long delta runs, and stable for the fragments it keeps.
+//! threads), the delta fast paths (no-op, token-matched and
+//! fingerprint-unchanged edits, replay), remove-with-eviction,
+//! checkpoints and stage spans that carry between `learn` and `serve`
+//! (one per-file analysis loop: policy, write-behind store and report),
+//! warm-start byte-identity from perturbed checkpoints, daemon survival
+//! of malformed requests and mid-delta cache faults, and the engine's
+//! symbol table: bounded over long delta runs, and stable for the
+//! fragments it keeps.
 
 #[path = "support/serve.rs"]
 mod support;
@@ -16,8 +17,9 @@ use proptest::prelude::*;
 use seldon_cache::{inject_cache_faults, ArtifactCache, CheckpointLookup, CHECKPOINT_NAME};
 use seldon_core::{
     analysis_cache_key, analyze_corpus_with, default_rep_cutoff, run_full, run_seldon_cached,
-    AnalyzeOptions, CheckpointOutcome, FaultPolicy, PipelineError, SeldonOptions,
+    AnalyzeOptions, CheckpointOutcome, FaultPolicy, FileOutcome, PipelineError, SeldonOptions,
 };
+use seldon_propgraph::Budget;
 use seldon_serve::{
     client_request, run_daemon, Delta, EngineConfig, EngineError, ServeDaemon, ServeEngine,
 };
@@ -36,15 +38,7 @@ use support::{
 /// The spec a cold batch run (`seldon learn`, no cache) prints over
 /// `files`.
 fn cold_batch_spec(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usize) -> String {
-    let full = run_full(
-        &batch_corpus(files),
-        seed,
-        "learn",
-        &analyze_opts(None),
-        &seldon_opts(threads),
-    )
-    .expect("batch run succeeds");
-    full.run.extraction.spec.to_text()
+    cold_batch_spec_with(files, seed, &seldon_opts(threads))
 }
 
 /// A comment-only edit: the frontend drops it, so the graph fingerprint
@@ -200,6 +194,167 @@ fn span_only_edit_is_unchanged_and_serves_the_cold_spec() {
         .apply_delta(&Delta { change: vec![files[0].clone()], ..Default::default() })
         .expect("span-only delta");
     assert_eq!(out.solve, "unchanged", "a span-only edit skips the rebuild");
+    assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
+}
+
+/// A delta changing `files[0]` to its current content.
+fn change_first(files: &[(PathBuf, String)]) -> Delta {
+    Delta { change: vec![files[0].clone()], ..Default::default() }
+}
+
+/// An engine over `files` under `analyze`, without the warm rung, as
+/// `seldon serve` runs: a warm solve can land on another optimum than
+/// batch `learn`'s cold one.
+fn engine_under(
+    files: &[(PathBuf, String)],
+    seed: &TaintSpec,
+    analyze: AnalyzeOptions,
+) -> ServeEngine {
+    let seldon = SeldonOptions { warm_start: None, ..seldon_opts(1) };
+    let cfg = EngineConfig { seed: seed.clone(), analyze, seldon, dynamic_cutoff: false };
+    let mut engine = ServeEngine::new(cfg);
+    engine.apply_delta(&Delta { add: files.to_vec(), ..Default::default() }).expect("initial load");
+    engine
+}
+
+#[test]
+fn token_match_serves_a_second_comment_edit_without_a_parse() {
+    for cached in [false, true] {
+        let dir = temp_dir(&format!("token-match-{cached}"));
+        let (mut files, seed) = fixture(4, 9);
+        let mut engine = engine_with(&files, &seed, 1, cached.then_some(dir.as_path()));
+
+        // The first change of a file re-parses it and records its tokens.
+        files[0].1.push_str(COMMENT_EDIT);
+        let first = engine.apply_delta(&change_first(&files)).expect("first comment delta");
+        assert_eq!((first.solve, first.reparsed, first.tokens_matched), ("unchanged", 1, 0));
+        let cache = engine.config().analyze.cache.clone();
+        let before = cache.as_deref().map(|c| c.stats());
+
+        files[0].1.insert_str(0, "# another comment\n\n");
+        let second = engine.apply_delta(&change_first(&files)).expect("second comment delta");
+        assert_eq!(second.solve, "unchanged", "cached: {cached}");
+        assert_eq!((second.reparsed, second.tokens_matched), (0, 1), "cached: {cached}");
+        assert_eq!(second.report.files.len(), 1, "the matched file is still reported");
+        assert_eq!(second.report.files[0].outcome, FileOutcome::Ok);
+        assert_eq!(engine.counters().tokens_matched, 1);
+        assert_eq!(second.spec, cold_batch_spec(&files, &seed, 1), "cached: {cached}");
+        if let (Some(cache), Some(before)) = (cache, before) {
+            let after = cache.stats();
+            assert_eq!((after.hits, after.misses), (before.hits, before.misses), "no lookup");
+            assert_eq!(after.stores, before.stores, "a token match stores no artifact");
+        }
+
+        // The delta response, `stats` and the metrics say which proof ran.
+        let response = json::parse(&seldon_serve::protocol::delta_response(&second)).unwrap();
+        assert_eq!(response.get("tokens_matched").and_then(|v| v.as_f64()), Some(1.0));
+        assert_eq!(response.get("reparsed").and_then(|v| v.as_f64()), Some(0.0));
+        let mut reg = MetricsRegistry::default();
+        engine.fill_metrics(&mut reg);
+        assert_eq!(reg.value("serve_tokens_matched"), Some(1.0));
+        let mut daemon = ServeDaemon::new(engine);
+        let stats = json::parse(&daemon.handle_line("{\"op\": \"stats\"}").0).unwrap();
+        assert_eq!(stats.get("tokens_matched").and_then(|v| v.as_f64()), Some(1.0));
+    }
+}
+
+#[test]
+fn token_match_is_off_past_max_source_bytes() {
+    let (mut files, seed) = fixture(4, 9);
+    let limit = files.iter().map(|(_, c)| c.len()).max().expect("files") + COMMENT_EDIT.len();
+    let budget = Budget { max_source_bytes: limit, ..Budget::default() };
+    let analyze = AnalyzeOptions { budget: Some(budget), ..analyze_opts(None) };
+    let mut engine = engine_under(&files, &seed, analyze.clone());
+    files[0].1.push_str(COMMENT_EDIT);
+    engine.apply_delta(&change_first(&files)).expect("first comment delta");
+
+    // Same tokens, but past the budget: batch `learn` quarantines the
+    // file, so the engine must not keep its graph.
+    let pad = format!("# {}\n", "x".repeat(limit));
+    files[0].1.push_str(&pad);
+    let out = engine.apply_delta(&change_first(&files)).expect("oversized comment delta");
+    assert_eq!((out.reparsed, out.tokens_matched), (1, 0));
+    assert!(
+        matches!(out.report.files[0].outcome, FileOutcome::OverBudget { .. }),
+        "{:?}",
+        out.report.files[0].outcome
+    );
+    assert_ne!(out.solve, "unchanged", "a quarantined file changes the union");
+    assert_eq!(out.spec, batch_spec(&files, &seed, &analyze, &seldon_opts(1)));
+}
+
+#[test]
+fn token_match_is_off_under_fault_markers() {
+    let (mut files, seed) = fixture(4, 9);
+    let analyze = AnalyzeOptions { fault_markers: true, ..analyze_opts(None) };
+    let mut engine = engine_under(&files, &seed, analyze.clone());
+    files[0].1.push_str(COMMENT_EDIT);
+    engine.apply_delta(&change_first(&files)).expect("first comment delta");
+
+    // A panic marker is a comment, so the tokens do not change; under
+    // `fault_markers` the analysis panics on it all the same.
+    files[0].1.push_str(&format!("{}\n", seldon_corpus::PANIC_MARKER));
+    let out = engine.apply_delta(&change_first(&files)).expect("marker delta");
+    assert_eq!((out.reparsed, out.tokens_matched), (1, 0));
+    assert!(
+        matches!(out.report.files[0].outcome, FileOutcome::Panicked { .. }),
+        "{:?}",
+        out.report.files[0].outcome
+    );
+    assert_eq!(out.spec, batch_spec(&files, &seed, &analyze, &seldon_opts(1)));
+}
+
+#[test]
+fn token_match_then_structural_edit_rebuilds_like_batch() {
+    let (mut files, seed) = fixture(4, 9);
+    let mut engine = engine_under(&files, &seed, analyze_opts(None));
+    for comment in ["# one\n", "# two\n"] {
+        files[0].1.push_str(comment);
+        engine.apply_delta(&change_first(&files)).expect("comment delta");
+    }
+    assert_eq!(engine.counters().tokens_matched, 1);
+
+    files[0].1.push_str(STRUCTURAL_EDIT);
+    let out = engine.apply_delta(&change_first(&files)).expect("structural delta");
+    assert_eq!((out.reparsed, out.tokens_matched), (1, 0));
+    assert_eq!(out.solve, "cold", "a structural edit re-solves");
+    assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
+
+    // The structural edit recorded the new tokens: a comment after it is
+    // token-matched again.
+    files[0].1.push_str(COMMENT_EDIT);
+    let out = engine.apply_delta(&change_first(&files)).expect("comment delta");
+    assert_eq!((out.solve, out.reparsed, out.tokens_matched), ("unchanged", 0, 1));
+    assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
+}
+
+#[test]
+fn token_match_stores_no_artifact_so_a_restart_reparses_once() {
+    let dir = temp_dir("token-match-restart");
+    let (mut files, seed) = fixture(4, 9);
+    let mut engine = engine_with(&files, &seed, 1, Some(&dir));
+    for comment in ["# one\n", "# two\n"] {
+        files[0].1.push_str(comment);
+        engine.apply_delta(&change_first(&files)).expect("comment delta");
+    }
+    assert_eq!(engine.counters().tokens_matched, 1);
+    drop(engine);
+
+    // The matched content has no artifact: the restarted daemon parses
+    // that one file and takes every other file from the cache.
+    let cache = Arc::new(ArtifactCache::open(&dir).expect("cache reopens").0);
+    let cfg = EngineConfig {
+        seed: seed.clone(),
+        analyze: analyze_opts(Some(cache.clone())),
+        seldon: seldon_opts(1),
+        dynamic_cutoff: false,
+    };
+    let mut engine = ServeEngine::new(cfg);
+    let out = engine
+        .apply_delta(&Delta { add: files.clone(), ..Default::default() })
+        .expect("restart load");
+    assert_eq!(cache.stats().misses, 1, "only the token-matched file re-parses");
+    assert_eq!(out.solve, "replayed");
     assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
 }
 
@@ -752,9 +907,19 @@ fn cold_batch_spec_with(
     seed: &TaintSpec,
     opts: &SeldonOptions,
 ) -> String {
-    let full = run_full(&batch_corpus(files), seed, "learn", &analyze_opts(None), opts)
-        .expect("batch run succeeds");
-    full.run.extraction.spec.to_text()
+    batch_spec(files, seed, &analyze_opts(None), opts)
+}
+
+/// The spec an uncached batch run under `analyze` and `opts` prints over
+/// `files`.
+fn batch_spec(
+    files: &[(PathBuf, String)],
+    seed: &TaintSpec,
+    analyze: &AnalyzeOptions,
+    opts: &SeldonOptions,
+) -> String {
+    let full = run_full(&batch_corpus(files), seed, "learn", analyze, opts);
+    full.expect("batch run succeeds").run.extraction.spec.to_text()
 }
 
 /// The symbol table of a batch union over `files`: what a fresh run
