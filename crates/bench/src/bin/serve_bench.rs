@@ -8,12 +8,14 @@
 //!
 //! - the initial build (fresh engine, fresh cache);
 //! - an empty delta, which must answer `noop` with the same spec;
-//! - a one-file comment edit, which must take the `unchanged` rung;
-//! - a second comment edit of the same file, which must take it without
-//!   re-parsing: the file's tokens match the ones its first change
-//!   recorded;
+//! - a one-file comment edit, which must take the `unchanged` rung
+//!   without re-parsing: the file's tokens match the ones the initial
+//!   build recorded;
+//! - a second comment edit of the same file, token-matched the same way;
 //! - a one-file structural edit, which must solve cold while reusing the
-//!   other 606 files' constraint fragments.
+//!   other 606 files' constraint fragments, and after which the cache
+//!   holds one artifact per distinct key of the current contents, none
+//!   for the token-matched file.
 //!
 //! Each served spec is compared with a batch `run_full` configured as
 //! `seldon learn` configures it. Takes no argument but an optional
@@ -23,12 +25,15 @@
 use seldon_bench::bench_corpus;
 use seldon_cache::ArtifactCache;
 use seldon_constraints::GenOptions;
-use seldon_core::{default_rep_cutoff, run_full, AnalyzeOptions, FaultPolicy, SeldonOptions};
+use seldon_core::{
+    analysis_cache_key, default_rep_cutoff, run_full, AnalyzeOptions, FaultPolicy, SeldonOptions,
+};
 use seldon_corpus::{Corpus, Project, SourceFile};
 use seldon_propgraph::Budget;
 use seldon_serve::{Delta, EngineConfig, ServeEngine};
 use seldon_solver::SolveOptions;
 use seldon_specs::TaintSpec;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -106,7 +111,7 @@ fn learn_spec(state: &[(PathBuf, String)], seed: &TaintSpec, threads: usize) -> 
         .to_text()
 }
 
-/// A comment-only edit: cache key changes, graph fingerprint does not.
+/// A comment-only edit: cache key changes, tokens do not.
 const COMMENT_EDIT: &str = "# serve-bench incremental edit\n";
 
 /// A structural edit: adds events, forcing an incremental rebuild.
@@ -138,35 +143,26 @@ fn determinism_gate(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usiz
     assert_eq!(out.solve, "noop", "an empty delta is served from the resident build");
     assert_eq!(out.spec, initial.spec, "an empty delta changed the spec ({threads} threads)");
 
+    // The initial build recorded every file's tokens, so each comment
+    // edit, the first included, is proven by one lex and parses nothing.
     let mut edited = files.to_vec();
-    edited[0].1.push_str(COMMENT_EDIT);
-    let out = engine
-        .apply_delta(&Delta { change: vec![edited[0].clone()], ..Default::default() })
-        .expect("comment delta");
-    assert_eq!(out.solve, "unchanged", "comment edit must take the unchanged path");
-    assert_eq!(
-        out.spec,
-        learn_spec(&edited, seed, threads),
-        "comment edit diverged ({threads} threads)"
-    );
-
-    // The first change recorded the file's tokens; a second comment edit
-    // is proven by one lex and parses nothing.
-    edited[0].1.insert_str(0, COMMENT_EDIT);
-    let out = engine
-        .apply_delta(&Delta { change: vec![edited[0].clone()], ..Default::default() })
-        .expect("second comment delta");
-    assert_eq!(out.solve, "unchanged", "second comment edit must take the unchanged path");
-    assert_eq!(
-        (out.reparsed, out.tokens_matched),
-        (0, 1),
-        "second comment edit must be token-matched"
-    );
-    assert_eq!(
-        out.spec,
-        learn_spec(&edited, seed, threads),
-        "second comment edit diverged ({threads} threads)"
-    );
+    for (n, at) in [("first", edited[0].1.len()), ("second", 0)] {
+        edited[0].1.insert_str(at, COMMENT_EDIT);
+        let out = engine
+            .apply_delta(&Delta { change: vec![edited[0].clone()], ..Default::default() })
+            .expect("comment delta");
+        assert_eq!(out.solve, "unchanged", "{n} comment edit must take the unchanged path");
+        assert_eq!(
+            (out.reparsed, out.tokens_matched),
+            (0, 1),
+            "{n} comment edit must be token-matched"
+        );
+        assert_eq!(
+            out.spec,
+            learn_spec(&edited, seed, threads),
+            "{n} comment edit diverged ({threads} threads)"
+        );
+    }
 
     edited[1].1.push_str(STRUCTURAL_EDIT);
     let out = engine
@@ -179,6 +175,19 @@ fn determinism_gate(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usiz
         learn_spec(&edited, seed, threads),
         "structural edit diverged ({threads} threads)"
     );
+    // Artifacts only for current contents: every file's but the
+    // token-matched one's, which keeps the graph of its old content.
+    let opts = &engine.config().analyze;
+    let key = |(path, content): &(PathBuf, String)| {
+        format!("{:016x}.entry", analysis_cache_key(&path.display().to_string(), content, opts))
+    };
+    let expected: BTreeSet<String> = edited[1..].iter().map(key).collect();
+    let held: BTreeSet<String> = std::fs::read_dir(&dir)
+        .expect("cache dir lists")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".entry"))
+        .collect();
+    assert_eq!(held, expected, "cache holds stale or missing artifacts ({threads} threads)");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,7 +1,7 @@
 //! The resident incremental analysis engine behind `seldon serve`.
 //!
 //! [`ServeEngine`] keeps the whole learned state of a corpus in memory —
-//! one per-file slot (graph, fingerprint, constraint rows) per
+//! one per-file slot (graph, token fingerprint, constraint rows) per
 //! tracked file plus the last solver checkpoint — and exposes one
 //! operation, [`ServeEngine::apply_delta`], that moves that state to a
 //! new corpus version and returns the updated specification.
@@ -9,27 +9,29 @@
 //! # Determinism contract
 //!
 //! Every delta must serve the specification a **cold batch run** (`seldon
-//! learn`) over the same corpus state would print. A delta's added and
-//! changed files go through [`analyze_inputs`], the per-file loop `learn`
+//! learn`) over the same corpus state would print. The files a delta
+//! analyzes go through [`analyze_inputs`], the per-file loop `learn`
 //! runs over its whole corpus: the same cache keys, policy, write-behind
 //! store, outcomes and `parse`/`propgraph`/`cache` spans. The engine earns
 //! its speed only from work that provably cannot change the output:
 //!
-//! * A changed file whose new content has the token fingerprint
-//!   ([`Frontend::token_fingerprint`]) recorded for the content its
-//!   resident graph came from is token-matched: it skips
-//!   [`analyze_inputs`] and keeps its graph, outcome, cache key and rows.
-//!   The front ends read a file only through its tokens, so equal
-//!   fingerprints lower to equal graph fingerprints with equal outcomes.
-//!   The proof is off past the budget's source size and under
-//!   `fault_markers`. The fingerprint is recorded when a change delta
-//!   lexes the file, so a file's first change re-parses. A match stores
-//!   no artifact: the resident graph's spans may lag the new content.
-//! * Per-file reuse is keyed by the file's graph fingerprint, which
-//!   hashes exactly what learning reads — an unchanged fingerprint means
-//!   a per-file graph that learns identically, so the union does too. The
-//!   resident graph is kept, so its spans may lag an edit that only moved
-//!   code; nothing in serve reads spans or file stamps.
+//! * Every added or changed file is lexed once. A changed file whose new
+//!   content has the token fingerprint ([`Frontend::token_fingerprint`])
+//!   recorded for its slot's content is token-matched: it skips
+//!   [`analyze_inputs`] and keeps its graph, outcome and rows. The front
+//!   ends read a file only through its tokens, so equal fingerprints lower
+//!   to equal graphs with equal outcomes. The proof is off past the
+//!   budget's source size and under `fault_markers`. Every other touched
+//!   file is analyzed and replaces its slot; an edit that changes tokens
+//!   but not the graph then replays at the checkpoint, whose key is the
+//!   union's graph fingerprint. The resident graph of a matched file
+//!   keeps the old content's spans; nothing in serve reads spans or file
+//!   stamps.
+//! * The cache holds artifacts only for tracked files' current contents.
+//!   A removed or replaced slot drops its artifact key, and so does a
+//!   token-matched one (its graph is the old content's, so it stands for
+//!   no artifact of the new); a dropped key no other slot holds is
+//!   evicted.
 //! * A file's constraint rows are reused only when its slice of the
 //!   §4.3 selection (`ConstraintSystem::event_reps`) is unchanged; Fig. 4
 //!   rows reference only events of their own file, so an identical slice
@@ -97,17 +99,15 @@ pub struct EngineConfig {
 #[derive(Debug)]
 struct FileState {
     /// Artifact-cache key of the current content (for eviction); `None`
-    /// without a cache.
+    /// without a cache, or once a token match left the graph describing
+    /// an older content.
     cache_key: Option<u64>,
     /// The per-file propagation graph; `None` when quarantined. Its
     /// events keep the `FileId(0)` stamp they were analyzed at; file
     /// attribution in the union is positional.
     graph: Option<PropagationGraph>,
-    /// [`graph_fingerprint`] of the graph.
-    graph_fp: u64,
-    /// [`Frontend::token_fingerprint`] of the content `graph_fp` and
-    /// `outcome` describe; `None` until a change delta lexes the file, or
-    /// when its content did not lex.
+    /// [`Frontend::token_fingerprint`] of the content `graph` and
+    /// `outcome` describe; `None` when no token proof applies to it.
     tokens_fp: Option<u64>,
     /// Per-file verdict, kept for the served manifest.
     outcome: FileOutcome,
@@ -124,8 +124,7 @@ pub struct Delta {
     pub add: Vec<(PathBuf, String)>,
     /// Tracked files with replacement contents.
     pub change: Vec<(PathBuf, String)>,
-    /// Tracked files to drop (their cache artifacts are evicted unless
-    /// another tracked file holds the same content).
+    /// Tracked files to drop.
     pub remove: Vec<PathBuf>,
 }
 
@@ -142,7 +141,7 @@ pub struct DeltaOutcome {
     /// The served specification text (canonical [`TaintSpec::to_text`]).
     pub spec: String,
     /// How the spec was obtained: `"noop"` (empty delta), `"unchanged"`
-    /// (every changed file token-matched or kept its graph fingerprint),
+    /// (change-only delta, every changed file token-matched),
     /// `"replayed"` (input fingerprint matched the checkpoint), `"warm"`
     /// (margin-accepted warm solve), or `"cold"`.
     pub solve: &'static str,
@@ -160,7 +159,9 @@ pub struct DeltaOutcome {
     pub tokens_matched: usize,
     /// Files dropped by this delta.
     pub removed: usize,
-    /// Cache artifacts evicted for dropped files.
+    /// Cache artifacts evicted because no tracked file's current content
+    /// has their key any more (the file was removed, replaced or
+    /// token-matched).
     pub evicted: usize,
     /// Per-file fragments reused structurally (no re-collection).
     pub fragments_reused: usize,
@@ -213,8 +214,7 @@ pub struct ServeCounters {
     pub deltas: usize,
     /// Empty deltas served from the cached spec.
     pub noops: usize,
-    /// Change-only deltas whose files were token-matched or kept their
-    /// graph fingerprints.
+    /// Change-only deltas whose files were all token-matched.
     pub unchanged: usize,
     /// Full rebuilds (union + selection re-ran).
     pub rebuilds: usize,
@@ -231,7 +231,8 @@ pub struct ServeCounters {
     pub tokens_matched: usize,
     /// Files dropped across all deltas.
     pub removed: usize,
-    /// Cache artifacts evicted across all deltas.
+    /// Cache artifacts evicted across all deltas (see
+    /// [`DeltaOutcome::evicted`]).
     pub evicted: usize,
     /// Fragments reused structurally across all rebuilds.
     pub fragments_reused: usize,
@@ -247,7 +248,7 @@ impl ServeCounters {
         [
             ("deltas", "serve_deltas", "Corpus deltas accepted by the daemon.", self.deltas),
             ("noops", "serve_noops", "Empty deltas served from the cached spec.", self.noops),
-            ("unchanged", "serve_unchanged", "Deltas whose edits left every file's tokens or graph fingerprint intact.", self.unchanged),
+            ("unchanged", "serve_unchanged", "Change-only deltas whose every file kept its tokens.", self.unchanged),
             ("rebuilds", "serve_rebuilds", "Deltas that re-ran union and selection.", self.rebuilds),
             ("replays", "serve_replays", "Rebuilds replayed from an input-fingerprint hit.", self.replays),
             ("solves_warm", "serve_solves_warm", "Warm solves accepted by the margin guard.", self.solves_warm),
@@ -255,7 +256,7 @@ impl ServeCounters {
             ("reparsed", "serve_files_reparsed", "Files run through the per-file loop across all deltas.", self.reparsed),
             ("tokens_matched", "serve_tokens_matched", "Changed files proven unchanged by their token fingerprint.", self.tokens_matched),
             ("removed", "serve_files_removed", "Files dropped across all deltas.", self.removed),
-            ("evicted", "serve_artifacts_evicted", "Cache artifacts evicted for dropped files.", self.evicted),
+            ("evicted", "serve_artifacts_evicted", "Cache artifacts evicted once no tracked file's current content held them.", self.evicted),
             ("fragments_reused", "serve_fragments_reused", "Constraint fragments reused structurally.", self.fragments_reused),
             ("fragments_collected", "serve_fragments_collected", "Constraint fragments re-collected.", self.fragments_collected),
         ]
@@ -366,16 +367,14 @@ impl ServeEngine {
             return Ok(self.reuse_outcome("noop", t0, [0; 4], AnalysisReport::default()));
         }
 
-        // A changed file whose tokens match the content its resident graph
-        // came from is proven unchanged by one lex (token-matched). The
-        // adds and the other changes go through the batch per-file loop,
-        // at stamp FileId(0), before any state changes: a FailFast failure
-        // rejects the delta and the previous build stays servable.
+        // Every touched file is lexed once. A changed file whose tokens
+        // match its slot's is token-matched and keeps the slot; the others
+        // go through the batch per-file loop, at stamp FileId(0), before
+        // any state changes: a FailFast failure rejects the delta and the
+        // previous build stays servable.
         let touched = || delta.add.iter().chain(&delta.change);
-        let adds = delta.add.iter().map(|_| None);
-        let changes =
-            delta.change.iter().map(|(path, content)| self.token_fingerprint(path, content));
-        let tokens: Vec<Option<u64>> = adds.chain(changes).collect();
+        let tokens: Vec<Option<u64>> =
+            touched().map(|(path, content)| self.token_fingerprint(path, content)).collect();
         let matched: Vec<bool> = touched()
             .zip(&tokens)
             .map(|((path, _), fp)| {
@@ -411,62 +410,55 @@ impl ServeEngine {
         let was_built = self.built;
         self.built = false;
 
-        let removed: Vec<Option<u64>> = delta
-            .remove
-            .iter()
-            .map(|path| self.files.remove(path).expect("validated remove").cache_key)
-            .collect();
-        let mut structural = !removed.is_empty() || !delta.add.is_empty();
+        // The artifact keys slots stop holding: a removed or replaced
+        // slot's, and a token-matched one's (it keeps the old content's
+        // graph, so no artifact stands for the new content).
+        let mut dropped: Vec<u64> = Vec::new();
+        for path in &delta.remove {
+            dropped.extend(self.files.remove(path).expect("validated remove").cache_key);
+        }
         let reparsed = report.files.len();
+        let structural = reparsed > 0 || !delta.remove.is_empty();
         let mut analyzed = graphs.into_iter().zip(keys).zip(std::mem::take(&mut report.files));
         for (i, (path, _)) in touched().enumerate() {
             if matched[i] {
-                // Same tokens, so the same graph, outcome and artifact:
-                // keep the slot as it is, and report its outcome again.
-                let outcome = self.files[path].outcome.clone();
+                // Same tokens, so the same graph, outcome and rows: keep
+                // the slot, and report its outcome again.
+                let slot = self.files.get_mut(path).expect("a matched file is tracked");
+                dropped.extend(slot.cache_key.take());
+                let outcome = slot.outcome.clone();
                 report.files.push(FileReport { project: 0, path: names[i].to_string(), outcome });
                 continue;
             }
             let ((graph, cache_key), file) = analyzed.next().expect("one result per input");
-            let graph_fp = graph.as_ref().map_or(0, graph_fingerprint);
-            let (tokens_fp, outcome) = (tokens[i], file.outcome.clone());
+            let outcome = file.outcome.clone();
             report.files.push(file);
-            if let Some(slot) = self.files.get_mut(path).filter(|slot| slot.graph_fp == graph_fp) {
-                // The edit left what learning reads identical (e.g. code
-                // that only moved): keep the resident graph and its
-                // fragment, refresh the bookkeeping.
-                slot.cache_key = cache_key;
-                slot.outcome = outcome;
-                slot.tokens_fp = tokens_fp;
-            } else {
-                structural = true;
-                let state =
-                    FileState { cache_key, graph, graph_fp, tokens_fp, outcome, frag: None };
-                self.files.insert(path.clone(), state);
-            }
+            let state = FileState { cache_key, graph, tokens_fp: tokens[i], outcome, frag: None };
+            dropped.extend(self.files.insert(path.clone(), state).and_then(|old| old.cache_key));
         }
 
-        // Byte-identical files share one artifact: a dropped file's entry
-        // is evicted only when no tracked file still holds its key.
+        // The cache holds artifacts only for tracked files' current
+        // contents. Byte-identical files share one artifact, so a dropped
+        // key is evicted only when no slot still holds it.
         let mut evicted = 0;
         if let Some(cache) = self.cfg.analyze.cache.as_deref() {
-            for key in removed.iter().flatten().copied() {
+            for key in dropped {
                 if !self.files.values().any(|s| s.cache_key == Some(key)) && cache.evict(key) {
                     evicted += 1;
                 }
             }
         }
         let tokens_matched = matched.iter().filter(|&&m| m).count();
-        let counts = [reparsed, tokens_matched, removed.len(), evicted];
+        let counts = [reparsed, tokens_matched, delta.remove.len(), evicted];
         self.counters.reparsed += counts[0];
         self.counters.tokens_matched += counts[1];
         self.counters.removed += counts[2];
         self.counters.evicted += counts[3];
 
-        // Change-only delta with every fingerprint intact: the union —
-        // and everything downstream — is unchanged by construction. Only
-        // valid when the checkpoint was built (or replay-verified) against
-        // this very file table.
+        // Change-only delta with every file token-matched: the union — and
+        // everything downstream — is unchanged by construction. Only valid
+        // when the checkpoint was built (or replay-verified) against this
+        // very file table.
         if !structural && was_built && self.ckpt.is_some() {
             self.built = true;
             self.counters.unchanged += 1;
@@ -476,7 +468,7 @@ impl ServeEngine {
         self.rebuild(t0, counts, report)
     }
 
-    /// The token fingerprint of a changed file's new content, or `None`
+    /// The token fingerprint of a touched file's content, or `None`
     /// when no token proof applies: under `fault_markers` (a marker in a
     /// comment panics the analysis) or past the budget's source size (the
     /// file is quarantined before it is lexed).

@@ -1,8 +1,9 @@
 //! Integration suite for the incremental analysis daemon (`seldon
 //! serve`): the determinism gate (every served spec is byte-identical to
 //! a cold batch run over the same corpus state, at 1 and 4 solver
-//! threads), the delta fast paths (no-op, token-matched and
-//! fingerprint-unchanged edits, replay), remove-with-eviction,
+//! threads), the delta fast paths (no-op, token-matched edits, replay of
+//! a token-changing but graph-identical edit), artifacts kept only for
+//! current contents,
 //! checkpoints and stage spans that carry between `learn` and `serve`
 //! (one per-file analysis loop: policy, write-behind store and report),
 //! warm-start byte-identity from perturbed checkpoints, daemon survival
@@ -18,6 +19,7 @@ use seldon_cache::{inject_cache_faults, ArtifactCache, CheckpointLookup, CHECKPO
 use seldon_core::{
     analysis_cache_key, analyze_corpus_with, default_rep_cutoff, run_full, run_seldon_cached,
     AnalyzeOptions, CheckpointOutcome, FaultPolicy, FileOutcome, PipelineError, SeldonOptions,
+    WarmStartOptions,
 };
 use seldon_propgraph::Budget;
 use seldon_serve::{
@@ -28,7 +30,8 @@ use seldon_specs::TaintSpec;
 use seldon_telemetry::{
     json, metric, stage, MetricValue, MetricsRegistry, RunManifest, StageSpan, Telemetry,
 };
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use support::{
@@ -41,8 +44,8 @@ fn cold_batch_spec(files: &[(PathBuf, String)], seed: &TaintSpec, threads: usize
     cold_batch_spec_with(files, seed, &seldon_opts(threads))
 }
 
-/// A comment-only edit: the frontend drops it, so the graph fingerprint
-/// is unchanged.
+/// A comment-only edit: the lexer drops it, so the file's tokens are
+/// unchanged.
 const COMMENT_EDIT: &str = "# serve-test incremental edit\n";
 
 /// The core determinism gate: after every delta — initial load, a
@@ -58,11 +61,7 @@ fn delta_sequence_matches_cold_batch(threads: usize) {
     files[3].1.push_str(STRUCTURAL_EDIT);
     let delta = Delta { change: vec![files[3].clone()], ..Default::default() };
     let out = engine.apply_delta(&delta).expect("edit delta");
-    assert!(
-        matches!(out.solve, "warm" | "cold"),
-        "structural edit must re-solve, got {}",
-        out.solve
-    );
+    assert_eq!(out.solve, "cold", "structural edit must re-solve");
     assert!(out.fragments_reused > 0, "untouched files reuse their fragments");
     assert_eq!(out.spec, cold_batch_spec(&files, &seed, threads), "after edit");
 
@@ -106,7 +105,7 @@ fn dynamic_cutoff_crossing_matches_cold_batch() {
     assert!(files.len() >= 50, "fixture has {} files", files.len());
     let added = files.remove(20);
     files.truncate(49);
-    let opts = SeldonOptions { warm_start: None, ..seldon_opts(1) };
+    let opts = seldon_opts(1);
     let cold = |files: &[(PathBuf, String)]| {
         let mut opts = opts.clone();
         opts.gen.rep_cutoff = default_rep_cutoff(files.len());
@@ -174,8 +173,8 @@ fn comment_edit_skips_rebuild_entirely() {
     let out = engine
         .apply_delta(&Delta { change: vec![files[0].clone()], ..Default::default() })
         .expect("comment delta");
-    assert_eq!(out.solve, "unchanged", "fingerprint-identical edit skips the rebuild");
-    assert_eq!(out.reparsed, 1);
+    assert_eq!(out.solve, "unchanged", "a token-matched edit skips the rebuild");
+    assert_eq!((out.reparsed, out.tokens_matched), (0, 1), "even a file's first edit");
     assert_eq!(engine.counters().rebuilds, rebuilds_before);
     // ... and it still matches a cold batch run of the commented corpus.
     assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
@@ -197,20 +196,38 @@ fn span_only_edit_is_unchanged_and_serves_the_cold_spec() {
     assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
 }
 
+#[test]
+fn token_changing_graph_identical_edit_replays_the_cold_spec() {
+    let (mut files, seed) = fixture(4, 9);
+    let mut engine = engine_with(&files, &seed, 1, None);
+
+    // `f(v0)` → `f((v0))`: new tokens, so the file is analyzed again and
+    // its slot replaced, but the same graph, so the union's fingerprint
+    // finds the checkpoint.
+    let content = &mut files[0].1;
+    let open = content.find("(v").expect("a call on a variable") + 1;
+    let close = open + content[open..].find(')').expect("the call closes");
+    assert!(content[open + 2..close].bytes().all(|b| b.is_ascii_digit()), "{content}");
+    content.insert(close, ')');
+    content.insert(open, '(');
+    let out = engine.apply_delta(&change_first(&files)).expect("parenthesizing delta");
+    assert_eq!((out.reparsed, out.tokens_matched), (1, 0));
+    assert_eq!(out.solve, "replayed", "the same graph replays");
+    assert_eq!(out.spec, cold_batch_spec(&files, &seed, 1));
+}
+
 /// A delta changing `files[0]` to its current content.
 fn change_first(files: &[(PathBuf, String)]) -> Delta {
     Delta { change: vec![files[0].clone()], ..Default::default() }
 }
 
-/// An engine over `files` under `analyze`, without the warm rung, as
-/// `seldon serve` runs: a warm solve can land on another optimum than
-/// batch `learn`'s cold one.
+/// An engine over `files` under `analyze`.
 fn engine_under(
     files: &[(PathBuf, String)],
     seed: &TaintSpec,
     analyze: AnalyzeOptions,
 ) -> ServeEngine {
-    let seldon = SeldonOptions { warm_start: None, ..seldon_opts(1) };
+    let seldon = seldon_opts(1);
     let cfg = EngineConfig { seed: seed.clone(), analyze, seldon, dynamic_cutoff: false };
     let mut engine = ServeEngine::new(cfg);
     engine.apply_delta(&Delta { add: files.to_vec(), ..Default::default() }).expect("initial load");
@@ -224,10 +241,11 @@ fn token_match_serves_a_second_comment_edit_without_a_parse() {
         let (mut files, seed) = fixture(4, 9);
         let mut engine = engine_with(&files, &seed, 1, cached.then_some(dir.as_path()));
 
-        // The first change of a file re-parses it and records its tokens.
+        // The initial build recorded every file's tokens, so even a
+        // file's first change is token-matched.
         files[0].1.push_str(COMMENT_EDIT);
         let first = engine.apply_delta(&change_first(&files)).expect("first comment delta");
-        assert_eq!((first.solve, first.reparsed, first.tokens_matched), ("unchanged", 1, 0));
+        assert_eq!((first.solve, first.reparsed, first.tokens_matched), ("unchanged", 0, 1));
         let cache = engine.config().analyze.cache.clone();
         let before = cache.as_deref().map(|c| c.stats());
 
@@ -237,7 +255,7 @@ fn token_match_serves_a_second_comment_edit_without_a_parse() {
         assert_eq!((second.reparsed, second.tokens_matched), (0, 1), "cached: {cached}");
         assert_eq!(second.report.files.len(), 1, "the matched file is still reported");
         assert_eq!(second.report.files[0].outcome, FileOutcome::Ok);
-        assert_eq!(engine.counters().tokens_matched, 1);
+        assert_eq!(engine.counters().tokens_matched, 2);
         assert_eq!(second.spec, cold_batch_spec(&files, &seed, 1), "cached: {cached}");
         if let (Some(cache), Some(before)) = (cache, before) {
             let after = cache.stats();
@@ -251,10 +269,10 @@ fn token_match_serves_a_second_comment_edit_without_a_parse() {
         assert_eq!(response.get("reparsed").and_then(|v| v.as_f64()), Some(0.0));
         let mut reg = MetricsRegistry::default();
         engine.fill_metrics(&mut reg);
-        assert_eq!(reg.value("serve_tokens_matched"), Some(1.0));
+        assert_eq!(reg.value("serve_tokens_matched"), Some(2.0));
         let mut daemon = ServeDaemon::new(engine);
         let stats = json::parse(&daemon.handle_line("{\"op\": \"stats\"}").0).unwrap();
-        assert_eq!(stats.get("tokens_matched").and_then(|v| v.as_f64()), Some(1.0));
+        assert_eq!(stats.get("tokens_matched").and_then(|v| v.as_f64()), Some(2.0));
     }
 }
 
@@ -312,7 +330,7 @@ fn token_match_then_structural_edit_rebuilds_like_batch() {
         files[0].1.push_str(comment);
         engine.apply_delta(&change_first(&files)).expect("comment delta");
     }
-    assert_eq!(engine.counters().tokens_matched, 1);
+    assert_eq!(engine.counters().tokens_matched, 2);
 
     files[0].1.push_str(STRUCTURAL_EDIT);
     let out = engine.apply_delta(&change_first(&files)).expect("structural delta");
@@ -337,7 +355,7 @@ fn token_match_stores_no_artifact_so_a_restart_reparses_once() {
         files[0].1.push_str(comment);
         engine.apply_delta(&change_first(&files)).expect("comment delta");
     }
-    assert_eq!(engine.counters().tokens_matched, 1);
+    assert_eq!(engine.counters().tokens_matched, 2);
     drop(engine);
 
     // The matched content has no artifact: the restarted daemon parses
@@ -403,7 +421,7 @@ fn no_spec_is_served_before_the_first_build() {
     let engine = ServeEngine::new(EngineConfig {
         seed: seed.clone(),
         analyze: analyze_opts(Some(cache)),
-        seldon: SeldonOptions { warm_start: None, ..seldon_opts(1) },
+        seldon: seldon_opts(1),
         dynamic_cutoff: false,
     });
     assert_eq!(engine.spec(), None);
@@ -686,6 +704,56 @@ fn removing_one_of_two_identical_files_keeps_their_artifact() {
     assert!(!entry.exists());
 }
 
+/// The artifact entries in a cache directory.
+fn entries(dir: &Path) -> BTreeSet<String> {
+    let names = std::fs::read_dir(dir).expect("cache dir lists");
+    let names = names.map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned());
+    names.filter(|name| name.ends_with(".entry")).collect()
+}
+
+/// The entries of `files`' contents: one per distinct key.
+fn entries_of(files: &[(PathBuf, String)], opts: &AnalyzeOptions) -> BTreeSet<String> {
+    let key = |(path, content): &(PathBuf, String)| {
+        analysis_cache_key(&path.display().to_string(), content, opts)
+    };
+    files.iter().map(|file| format!("{:016x}.entry", key(file))).collect()
+}
+
+#[test]
+fn cache_holds_artifacts_only_for_current_contents() {
+    let dir = temp_dir("current-contents");
+    let (mut files, seed) = fixture(10, 42);
+    assert_eq!(files.len(), 35);
+    let mut engine = engine_with(&files, &seed, 1, Some(&dir));
+    let opts = engine.config().analyze.clone();
+    let mut apply = |delta: Delta| engine.apply_delta(&delta).expect("delta applies");
+
+    // Two comment edits of one file: the first token match drops the old
+    // content's artifact, and the matched graph stands for none.
+    for (comment, evicted) in [("# one\n", 1), ("# two\n", 0)] {
+        files[0].1.push_str(comment);
+        let out = apply(change_first(&files));
+        assert_eq!((out.tokens_matched, out.evicted), (1, evicted), "{comment}");
+    }
+    // A structural edit of another replaces its artifact.
+    files[1].1.push_str(STRUCTURAL_EDIT);
+    let out = apply(Delta { change: vec![files[1].clone()], ..Default::default() });
+    assert_eq!((out.reparsed, out.evicted), (1, 1));
+    // A third is removed, then added back.
+    let out = apply(Delta { remove: vec![files[2].0.clone()], ..Default::default() });
+    assert_eq!(out.evicted, 1);
+    let out = apply(Delta { add: vec![files[2].clone()], ..Default::default() });
+    assert_eq!(out.evicted, 0);
+    assert_eq!(entries(&dir), entries_of(&files[1..], &opts), "all but the matched file");
+    drop(engine);
+
+    // A restart parses the matched file once and stores its artifact.
+    let engine = engine_with(&files, &seed, 1, Some(&dir));
+    let stats = engine.config().analyze.cache.as_deref().expect("cache attached").stats();
+    assert_eq!((stats.misses, engine.last_solve()), (1, "replayed"));
+    assert_eq!(entries(&dir), entries_of(&files, &opts), "one entry per current key");
+}
+
 #[test]
 fn served_manifest_claims_no_taint_result() {
     // Serve never runs the taint stage, so its manifest carries neither a
@@ -862,6 +930,7 @@ proptest! {
         let (mut files, seed) = fixture(4, 171);
         let mut opts = seldon_opts(threads);
         opts.solve.early_stop = early_stop;
+        opts.warm_start = Some(WarmStartOptions::default());
 
         // Seed the cache with a checkpoint for the base corpus.
         let cache = Arc::new(ArtifactCache::open(&dir).expect("cache opens").0);
@@ -956,7 +1025,7 @@ fn fresh_file(tag: &str, calls: usize) -> (PathBuf, String) {
 #[test]
 fn engine_symbol_table_stays_bounded_over_a_thousand_deltas() {
     let (files, seed) = fixture(1, 17);
-    let opts = SeldonOptions { warm_start: None, ..seldon_opts(1) };
+    let opts = seldon_opts(1);
     let mut engine = cold_engine(&files, &seed, &opts);
     assert_eq!(engine.symbols(), &batch_symbols(&files), "the first build links the batch table");
 
@@ -1019,7 +1088,7 @@ fn engine_symbol_table_stays_bounded_over_a_thousand_deltas() {
 #[test]
 fn kept_fragments_keep_their_rep_ids_across_rebuilds_and_resets() {
     let (mut files, seed) = fixture(2, 23);
-    let opts = SeldonOptions { warm_start: None, ..seldon_opts(1) };
+    let opts = seldon_opts(1);
     let mut engine = cold_engine(&files, &seed, &opts);
     let batch = |files: &[(PathBuf, String)]| cold_batch_spec_with(files, &seed, &opts);
 

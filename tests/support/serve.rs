@@ -6,7 +6,7 @@
 
 use seldon_cache::ArtifactCache;
 use seldon_constraints::GenOptions;
-use seldon_core::{AnalyzeOptions, FaultPolicy, SeldonOptions, WarmStartOptions};
+use seldon_core::{AnalyzeOptions, FaultPolicy, SeldonOptions};
 use seldon_corpus::{generate_corpus, Corpus, CorpusOptions, Project, SourceFile, Universe};
 use seldon_serve::{Delta, EngineConfig, ServeEngine};
 use seldon_solver::SolveOptions;
@@ -60,11 +60,14 @@ pub fn batch_corpus(files: &[(PathBuf, String)]) -> Corpus {
     }
 }
 
+/// The learning options of both modes, with no warm rung, as `seldon
+/// serve` runs: a warm solve can land on another optimum than batch
+/// `learn`'s cold one.
 pub fn seldon_opts(threads: usize) -> SeldonOptions {
     SeldonOptions {
         gen: GenOptions { rep_cutoff: 2, ..Default::default() },
         solve: SolveOptions { threads, ..Default::default() },
-        warm_start: Some(WarmStartOptions::default()),
+        warm_start: None,
         ..Default::default()
     }
 }
@@ -94,7 +97,7 @@ pub fn engine_with(
 }
 
 /// A syntactically valid handler appended as a *structural* edit: it
-/// adds events, so the file's graph fingerprint must change.
+/// adds events, so the union's graph fingerprint must change.
 pub const STRUCTURAL_EDIT: &str = "
 @app.route('/handler_added', methods=['GET', 'POST'])
 def handler_added():
