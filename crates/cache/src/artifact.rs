@@ -22,16 +22,23 @@
 //! Alongside the graph the payload stores the file's constraint fragment:
 //! its contribution to the §4.3 representation-frequency census, again
 //! keyed by string-table index. [`decode`] rebuilds the graph in one pass
-//! over the payload, borrowing each string from it, and recounts the
-//! fragment as it goes — a payload that passes the outer checksum but
-//! decodes to a graph disagreeing with its own fragment, or to lists
-//! breaking the graph's invariants, is treated as corrupt and recomputed,
-//! never trusted.
+//! over the payload, borrowing each string from it and writing the frozen
+//! graph's flat arrays ([`GraphParts`]) directly — the event rows become
+//! the event columns, the reps CSR and the successor CSR, and the
+//! predecessor lists the predecessor CSR — with a fixed number of
+//! allocations per payload and none per event. It recounts the fragment
+//! as it goes: a payload that passes the outer checksum but decodes to a
+//! graph disagreeing with its own fragment, or to lists breaking the
+//! graph's invariants, is treated as corrupt and recomputed, never
+//! trusted.
 
 use crate::codec::{Reader, Writer};
 use crate::entry::EntryError;
 use seldon_intern::{IdHash, Symbol, Symbols};
-use seldon_propgraph::{ArgPos, Edge, EdgeKind, Event, EventId, EventKind, FileId, PropagationGraph};
+use seldon_propgraph::event::candidate_roles;
+use seldon_propgraph::{
+    ArgPos, Edge, EdgeKind, EventId, EventKind, FileId, GraphParts, PropagationGraph, Starts,
+};
 use seldon_pyast::Span;
 use std::collections::HashMap;
 
@@ -68,7 +75,7 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
     let mut uses: Vec<u32> = Vec::new();
     let mut rep_indices = Vec::new();
     for (_, event) in graph.events() {
-        for &rep in &event.reps {
+        for &rep in event.reps {
             let i = *index_of.entry(rep).or_insert_with(|| {
                 strings.push(rep);
                 uses.push(0);
@@ -121,13 +128,15 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
     w.finish()
 }
 
-/// Rebuilds the graph of a payload written by [`encode`], in one pass:
-/// representation strings are interned straight from the payload into the
-/// graph's own table, in string-table order, and keyword names after them
-/// in edge order; events are stamped with `file`; the adjacency lists are
-/// filled as stored; and the stored frequency fragment is checked against
-/// the uses counted on the way. Returns the graph and its recovered-error
-/// count.
+/// Rebuilds the graph of a payload written by [`encode`], in one pass that
+/// fills the frozen graph's arrays ([`GraphParts`]) straight from the
+/// payload: representation strings are interned into the graph's own
+/// table, in string-table order, and keyword names after them in edge
+/// order; events are stamped with `file`; the successor lists land in the
+/// successor CSR and the predecessor lists in the predecessor CSR as
+/// stored; and the stored frequency fragment is checked against the uses
+/// counted on the way. No allocation is made per event. Returns the graph
+/// and its recovered-error count.
 ///
 /// # Errors
 ///
@@ -139,6 +148,7 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
 /// mismatch).
 pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize), EntryError> {
     let corrupt = |what: &str| EntryError::Corrupt(what.to_string());
+    let unmirrored = || corrupt("self, duplicate or unmirrored edge");
     let mut r = Reader::new(payload);
     let recovered_errors = r.usize()?;
     // Minimum row widths: a length or count prefix is 4 bytes, an event
@@ -155,27 +165,40 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
     }
     let mut uses = vec![0u32; strings];
     let n = r.count(25)?;
-    let (mut events, mut succs) = (Vec::with_capacity(n), Vec::with_capacity(n));
-    let mut in_degree = vec![0usize; n];
-    for _ in 0..n {
+    let mut g = GraphParts {
+        kinds: Vec::with_capacity(n),
+        files: vec![file; n],
+        spans: Vec::with_capacity(n),
+        // Row `v + 1` takes event `v`'s ends as it is read; the
+        // predecessor column first counts in-degrees there.
+        starts: vec![Starts::default(); n + 1],
+        reps: Vec::with_capacity(2 * n),
+        succs: Vec::with_capacity(n),
+        ..GraphParts::default()
+    };
+    for v in 0..n {
         let kind = kind_from_tag(r.u8()?).ok_or_else(|| corrupt("unknown event kind"))?;
-        let span = Span::new(r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+        g.kinds.push((kind, candidate_roles(kind)));
+        g.spans.push(Span::new(r.u32()?, r.u32()?, r.u32()?, r.u32()?));
         let count = r.count(4)?;
         if count == 0 {
             return Err(corrupt("event with no representations"));
         }
-        let mut reps = Vec::with_capacity(count);
         for _ in 0..count {
-            let i = r.u32()? as usize;
-            let n = uses.get_mut(i).ok_or_else(|| corrupt("representation index out of range"))?;
-            *n += 1;
-            reps.push(Symbol(i as u32));
+            let i = r.u32()?;
+            let used = uses.get_mut(i as usize);
+            *used.ok_or_else(|| corrupt("representation index out of range"))? += 1;
+            g.reps.push(Symbol(i));
         }
-        events.push(Event::new(kind, reps, file, span));
-        succs.push(r.table(6, |r| {
+        for _ in 0..r.count(6)? {
             let to = r.u32()?;
-            let degree = in_degree.get_mut(to as usize);
-            *degree.ok_or_else(|| corrupt("edge endpoint out of range"))? += 1;
+            if to as usize >= n {
+                return Err(corrupt("edge endpoint out of range"));
+            }
+            g.starts[to as usize + 1].preds += 1;
+            if to as usize == v {
+                return Err(unmirrored());
+            }
             let kind = match r.u8()? {
                 0 => EdgeKind::Argument,
                 1 => EdgeKind::Receiver,
@@ -188,25 +211,42 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
                 3 => Some(ArgPos::Keyword(symbols.intern(r.str()?))),
                 _ => return Err(corrupt("unknown arg position tag")),
             };
-            Ok(Edge { to: EventId(to), kind, pos })
-        })?);
+            g.succs.push(Edge { to: EventId(to), kind, pos });
+        }
+        let row = &mut g.starts[v + 1];
+        (row.reps, row.succs) = (g.reps.len() as u32, g.succs.len() as u32);
     }
-    let preds = (in_degree.iter())
-        .map(|&k| (0..k).map(|_| r.u32().map(EventId)).collect())
-        .collect::<Result<Vec<Vec<_>>, _>>()?;
-    // Both list families hold one entry per edge, so they mirror each
-    // other exactly when the edges and the (source, target) pairs the
-    // predecessor lists name sort to the same sequence.
-    let (mut edges, mut named) = (Vec::new(), Vec::new());
-    for (v, (out, from)) in succs.iter().zip(&preds).enumerate() {
-        edges.extend(out.iter().map(|e| (v as u32, e.to.0)));
-        named.extend(from.iter().map(|f| (f.0, v as u32)));
+    for v in 1..=n {
+        g.starts[v].preds += g.starts[v - 1].preds;
     }
-    edges.sort_unstable();
-    named.sort_unstable();
-    let simple = edges.windows(2).all(|w| w[0] != w[1]) && edges.iter().all(|e| e.0 != e.1);
-    if !simple || edges != named {
-        return Err(corrupt("self, duplicate or unmirrored edge"));
+    let edges = g.succs.len();
+    g.preds = (0..edges).map(|_| r.u32().map(EventId)).collect::<Result<_, _>>()?;
+    // Both families hold one entry per edge. Group the edges' sources by
+    // target, then each stored predecessor list must name its group's
+    // events, each once: `mark[u] == v` while `u → v` is unclaimed.
+    let group = |v: usize| g.starts[v].preds as usize..g.starts[v + 1].preds as usize;
+    let mut cursor: Vec<u32> = g.starts[..n].iter().map(|s| s.preds).collect();
+    let mut sources = vec![0u32; edges];
+    for u in 0..n {
+        for e in &g.succs[g.starts[u].succs as usize..g.starts[u + 1].succs as usize] {
+            sources[cursor[e.to.index()] as usize] = u as u32;
+            cursor[e.to.index()] += 1;
+        }
+    }
+    let mut mark = cursor;
+    mark.fill(u32::MAX);
+    for v in 0..n {
+        for &u in &sources[group(v)] {
+            if std::mem::replace(&mut mark[u as usize], v as u32) == v as u32 {
+                return Err(unmirrored());
+            }
+        }
+        for from in &g.preds[group(v)] {
+            match mark.get_mut(from.index()) {
+                Some(m) if *m == v as u32 => *m = u32::MAX,
+                _ => return Err(unmirrored()),
+            }
+        }
     }
     // The fragment lists every used table index once, in index order.
     let mut counted = uses.iter().enumerate().filter(|&(_, &n)| n > 0);
@@ -222,7 +262,8 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
     }
     r.finish()?;
     symbols.seal();
-    Ok((PropagationGraph::from_adjacency(symbols, events, succs, preds), recovered_errors))
+    g.symbols = symbols;
+    Ok((PropagationGraph::from_parts(g), recovered_errors))
 }
 
 #[cfg(test)]
@@ -233,7 +274,7 @@ mod tests {
     use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
     use seldon_ir::IrArgPos;
     use seldon_jsfront::build_js_source;
-    use seldon_propgraph::build_source;
+    use seldon_propgraph::{build_source, Event, GraphBuilder};
 
     /// The two-step codec `encode`/`decode` replaced, kept as the
     /// reference they are checked against: a payload parses into an owned
@@ -259,7 +300,7 @@ mod tests {
         ) -> Vec<(u32, u32)> {
             let mut counts: HashMap<u32, u32> = HashMap::new();
             for (_, event) in graph.events() {
-                for &rep in &event.reps {
+                for &rep in event.reps {
                     *counts.entry(index_of[graph.symbols().resolve(rep)]).or_insert(0) += 1;
                 }
             }
@@ -302,7 +343,7 @@ mod tests {
                 let corrupt = |what: &str| EntryError::Corrupt(what.to_string());
                 let mut symbols = Symbols::new();
                 let table: Vec<_> = self.strings.iter().map(|s| symbols.intern(s)).collect();
-                let mut events = Vec::with_capacity(self.events.len());
+                let mut events: Vec<(EventKind, Span, Vec<Symbol>)> = Vec::new();
                 for (kind, span, reps, _) in &self.events {
                     if reps.is_empty() {
                         return Err(corrupt("event with no representations"));
@@ -312,7 +353,7 @@ mod tests {
                         .map(|&i| table.get(i as usize).copied())
                         .collect::<Option<Vec<_>>>()
                         .ok_or_else(|| corrupt("representation index out of range"))?;
-                    events.push(Event::new(*kind, reps, file, *span));
+                    events.push((*kind, *span, reps));
                 }
                 let n = self.events.len() as u32;
                 let mut succs = Vec::with_capacity(self.events.len());
@@ -356,9 +397,9 @@ mod tests {
                     return Err(corrupt("duplicate string-table entries"));
                 }
                 symbols.seal();
-                let preds =
+                let preds: Vec<Vec<EventId>> =
                     self.preds.iter().map(|l| l.iter().map(|&f| EventId(f)).collect()).collect();
-                let graph = PropagationGraph::from_adjacency(symbols, events, succs, preds);
+                let graph = from_lists(symbols, events, file, &succs, &preds);
                 if freq_fragment(&graph, &index_of) != self.freq {
                     return Err(corrupt("frequency fragment disagrees with decoded graph"));
                 }
@@ -448,6 +489,33 @@ mod tests {
                 r.finish()?;
                 Ok(FileArtifact { recovered_errors, strings, events, preds, freq })
             }
+        }
+
+        /// The graph of per-event lists: each event's kind, span and reps,
+        /// its successor slots and its predecessors.
+        fn from_lists(
+            symbols: Symbols,
+            events: Vec<(EventKind, Span, Vec<Symbol>)>,
+            file: FileId,
+            succs: &[Vec<Edge>],
+            preds: &[Vec<EventId>],
+        ) -> PropagationGraph {
+            let (mut starts, mut parts) = (vec![Starts::default()], GraphParts::default());
+            for (v, (kind, span, reps)) in events.into_iter().enumerate() {
+                parts.kinds.push((kind, candidate_roles(kind)));
+                parts.spans.push(span);
+                parts.reps.extend(reps);
+                parts.succs.extend(&succs[v]);
+                parts.preds.extend(&preds[v]);
+                let row = Starts {
+                    reps: parts.reps.len() as u32,
+                    succs: parts.succs.len() as u32,
+                    preds: parts.preds.len() as u32,
+                };
+                starts.push(row);
+            }
+            parts.files = vec![file; parts.kinds.len()];
+            PropagationGraph::from_parts(GraphParts { symbols, starts, ..parts })
         }
 
         /// The oracle's load path: payload, then graph.
@@ -665,7 +733,7 @@ mod tests {
     /// (repeats upgrade receiver edges, self edges are dropped); bits 1–2
     /// pick no argument position or one of each kind.
     fn random_graph(n: u32, edges: &[(u32, u32, u8)]) -> PropagationGraph {
-        let mut g = PropagationGraph::new();
+        let mut g = GraphBuilder::new();
         let kinds = [EventKind::Call, EventKind::ObjectRead, EventKind::ParamRead];
         for i in 0..n {
             let texts = [["a()", "b()", "c.d()"][i as usize % 3], "x"];
@@ -685,7 +753,7 @@ mod tests {
             };
             g.set_arg_position(from, to, pos);
         }
-        g
+        g.freeze()
     }
 
     /// A payload with every table non-empty and every argument-position

@@ -127,7 +127,7 @@ pub fn graph_fingerprint(graph: &PropagationGraph) -> u64 {
     h.write_u64(graph.event_count() as u64);
     for (id, event) in graph.events() {
         h.write_u64(event.kind as u64).write_u64(event.reps.len() as u64);
-        for &rep in &event.reps {
+        for &rep in event.reps {
             h.write_str(graph.symbols().resolve(rep));
         }
         let edges = graph.out_edges(id);
@@ -415,7 +415,9 @@ mod tests {
     use super::*;
     use crate::codec::fuzz;
     use proptest::prelude::*;
-    use seldon_propgraph::{build_source, ArgPos, EdgeKind, Event, EventKind, FileId, Symbols};
+    use seldon_propgraph::{
+        build_source, ArgPos, EdgeKind, Event, EventKind, FileId, GraphBuilder, Symbols,
+    };
     use seldon_pyast::Span;
 
     fn sample() -> Checkpoint {
@@ -585,7 +587,7 @@ mod tests {
         arg: ArgPos,
         flip: [bool; 2],
     ) -> PropagationGraph {
-        let mut g = PropagationGraph::new();
+        let mut g = GraphBuilder::new();
         let reps = ["a()", "b()", "c.d", "e()"];
         let kinds = [EventKind::Call, EventKind::Call, EventKind::ObjectRead, EventKind::Call];
         let span = Span::new(9, 20, 2, 4);
@@ -610,7 +612,7 @@ mod tests {
             g.add_edge(from, d);
         }
         g.set_arg_position(b, d, arg);
-        g
+        g.freeze()
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! ```
 //!
 //! The header is a single ASCII line: a magic token, the cache format
-//! version, the FNV-1a 64 checksum of the payload, and the payload length
-//! in bytes. Reads re-derive the checksum and length before a single
+//! version, the word-at-a-time [`checksum`] of the payload, and the
+//! payload length in bytes (which the checksum does not cover alone: it
+//! is blind to trailing zero bytes). Reads re-derive the checksum and length before a single
 //! payload byte is interpreted, so torn writes, truncations, and bit flips
 //! are all caught here and surfaced as [`EntryError::Corrupt`]; a version
 //! from another build is [`EntryError::Stale`]. Writers never touch the
@@ -19,7 +20,7 @@
 //! on POSIX — a crash mid-write leaves either the old entry or a stray
 //! temp file, never a half-written destination.
 
-use crate::hash::hash_bytes;
+use crate::hash::checksum;
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -32,7 +33,7 @@ pub const ENTRY_MAGIC: &str = "seldon-cache";
 /// Version stamp of the on-disk entry format. Bump on any change to the
 /// frame or payload encodings; readers treat other versions as
 /// [`EntryError::Stale`] and recompute.
-pub const ENTRY_VERSION: u32 = 4;
+pub const ENTRY_VERSION: u32 = 5;
 
 /// Why an entry could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +65,7 @@ impl std::error::Error for EntryError {}
 pub fn encode_entry(payload: &[u8]) -> Vec<u8> {
     let header = format!(
         "{ENTRY_MAGIC} {ENTRY_VERSION} {:016x} {}\n",
-        hash_bytes(payload),
+        checksum(payload),
         payload.len()
     );
     let mut out = Vec::with_capacity(header.len() + payload.len());
@@ -100,7 +101,7 @@ pub fn decode_entry(bytes: &[u8]) -> Result<&[u8], EntryError> {
     if version != ENTRY_VERSION {
         return Err(EntryError::Stale { found: version });
     }
-    let checksum = tokens
+    let declared_sum = tokens
         .next()
         .and_then(|t| u64::from_str_radix(t, 16).ok())
         .ok_or_else(|| EntryError::Corrupt("unreadable checksum".into()))?;
@@ -116,10 +117,10 @@ pub fn decode_entry(bytes: &[u8]) -> Result<&[u8], EntryError> {
             payload.len()
         )));
     }
-    let actual = hash_bytes(payload);
-    if actual != checksum {
+    let actual = checksum(payload);
+    if actual != declared_sum {
         return Err(EntryError::Corrupt(format!(
-            "checksum {actual:016x} != header {checksum:016x}"
+            "checksum {actual:016x} != header {declared_sum:016x}"
         )));
     }
     Ok(payload)

@@ -1,12 +1,34 @@
-//! Streaming FNV-1a 64-bit hashing.
+//! The cache's two hashes.
 //!
-//! The workspace is offline, so cache keys, entry checksums, and run
-//! fingerprints all use the same hand-rolled hash: FNV-1a over bytes with
-//! explicit little-endian encodings for integers. FNV is not
-//! collision-resistant against adversaries, but cache keys only have to
-//! distinguish *accidentally* different inputs — a corrupted or attacked
-//! entry is caught by the checksum + semantic cross-checks and degrades to
-//! recompute, never to a wrong answer.
+//! The workspace is offline, so both are hand-rolled, and neither is
+//! collision-resistant against adversaries: cache keys only have to
+//! distinguish *accidentally* different inputs, and a corrupted or
+//! attacked entry is caught by the checksum + semantic cross-checks and
+//! degrades to recompute, never to a wrong answer.
+//!
+//! * [`checksum`] (and [`crate::file_key`]) hash every cached byte and
+//!   every source byte, so they take the bytes a word at a time with
+//!   [`IdHasher`]: one rotate, xor and multiply per 8-byte word. The
+//!   multiply is by an odd constant, so each step is a bijection of its
+//!   word: two inputs of the same length that differ in one word, any
+//!   single bit flip included, always hash apart. A short last word is
+//!   zero-padded, so the caller accounts for the length: an entry frame
+//!   checks it against its header, a file key hashes it first.
+//! * [`Fnv64`], FNV-1a over bytes with explicit little-endian encodings
+//!   for integers, keys everything that is pinned across builds: the
+//!   graph and input fingerprints of the solver checkpoint and the
+//!   digests tests pin. Its values must never change.
+
+use seldon_intern::IdHasher;
+use std::hash::Hasher;
+
+/// The checksum of an entry frame's payload: [`IdHasher`] over `bytes`.
+/// Blind to trailing zero bytes, as the module docs explain.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = IdHasher::default();
+    h.write(bytes);
+    h.finish()
+}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -67,23 +89,20 @@ impl Fnv64 {
     }
 }
 
-/// One-shot hash of a byte slice.
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn fnv(bytes: &[u8]) -> u64 {
+        Fnv64::new().write(bytes).finish()
+    }
+
     #[test]
     fn matches_known_fnv1a_vectors() {
         // Reference values from the canonical FNV-1a test suite.
-        assert_eq!(hash_bytes(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(hash_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(hash_bytes(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]
@@ -99,6 +118,27 @@ mod tests {
     fn streaming_equals_one_shot() {
         let mut h = Fnv64::new();
         h.write(b"foo").write(b"bar");
-        assert_eq!(h.finish(), hash_bytes(b"foobar"));
+        assert_eq!(h.finish(), fnv(b"foobar"));
+    }
+
+    #[test]
+    fn checksum_separates_every_single_word_change() {
+        let base: Vec<u8> = (0..40).collect();
+        let sum = checksum(&base);
+        for i in 0..base.len() {
+            for bit in 0..8 {
+                let mut flipped = base.clone();
+                flipped[i] ^= 1 << bit;
+                assert_ne!(checksum(&flipped), sum, "byte {i} bit {bit}");
+            }
+        }
+        // Words are read little-endian; a short tail is zero-padded.
+        let words = [
+            u64::from_le_bytes(*b"01234567"),
+            u64::from_le_bytes(*b"89\0\0\0\0\0\0"),
+        ];
+        let mut h = IdHasher::default();
+        words.iter().for_each(|&w| h.write_u64(w));
+        assert_eq!(checksum(b"0123456789"), h.finish());
     }
 }

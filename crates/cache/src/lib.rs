@@ -43,7 +43,7 @@ pub mod store;
 
 pub use checkpoint::{graph_fingerprint, input_fingerprint, Checkpoint, SystemSummary};
 pub use entry::{decode_entry, encode_entry, write_atomic, EntryError, ENTRY_VERSION};
-pub use hash::{hash_bytes, Fnv64};
+pub use hash::{checksum, Fnv64};
 pub use inject::{inject_cache_faults, CacheFaultKind, InjectedCacheFault};
 pub use store::{
     file_key, ArtifactCache, ArtifactLookup, CacheFault, CacheStats, CheckpointLookup,

@@ -13,10 +13,11 @@
 use crate::artifact::{decode, encode};
 use crate::checkpoint::Checkpoint;
 use crate::entry::{decode_entry, encode_entry, write_atomic, EntryError, ENTRY_VERSION};
-use crate::hash::Fnv64;
+use seldon_intern::IdHasher;
 use seldon_propgraph::{FileId, PropagationGraph};
 use seldon_telemetry::json::{self, Json};
 use std::fs;
+use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,17 +167,19 @@ fn artifact_frame(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> 
 
 /// Derives the cache key for a source file: entry-format version, the
 /// caller's option salt (analysis options that change per-file outcomes
-/// must change the key), the language frontend tag, and the file bytes.
+/// must change the key), the language frontend tag, the content length
+/// and the file bytes, hashed a word at a time (see [`crate::hash`]; the
+/// length keeps contents that differ only in trailing zero bytes apart).
 ///
 /// The frontend tag keeps byte-identical sources apart when different
 /// front ends lower them — the same text parsed as Python and as JS
 /// yields different graphs, so the entries must never alias.
 pub fn file_key(content: &str, salt: u64, frontend_tag: u64) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(u64::from(ENTRY_VERSION))
-        .write_u64(salt)
-        .write_u64(frontend_tag)
-        .write(content.as_bytes());
+    let mut h = IdHasher::default();
+    for word in [u64::from(ENTRY_VERSION), salt, frontend_tag, content.len() as u64] {
+        h.write_u64(word);
+    }
+    h.write(content.as_bytes());
     h.finish()
 }
 
@@ -496,7 +499,7 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::hash_bytes;
+    use crate::hash::checksum;
     use seldon_propgraph::build_source;
 
     fn temp_cache(tag: &str) -> PathBuf {
@@ -656,13 +659,18 @@ mod tests {
         assert_old_directory_is_stale_and_cleared(3);
     }
 
+    #[test]
+    fn version_4_directory_is_stale_and_cleared() {
+        assert_old_directory_is_stale_and_cleared(4);
+    }
+
     /// A directory written by format `version`: opening it reports one
     /// `Stale` index fault and clears its entries.
     fn assert_old_directory_is_stale_and_cleared(version: u32) {
         let dir = temp_cache(&format!("v{version}"));
         let old_frame = |payload: &[u8]| {
-            let checksum = hash_bytes(payload);
-            let header = format!("seldon-cache {version} {checksum:016x} {}\n", payload.len());
+            let sum = checksum(payload);
+            let header = format!("seldon-cache {version} {sum:016x} {}\n", payload.len());
             [header.as_bytes(), payload].concat()
         };
         fs::create_dir_all(&dir).unwrap();
@@ -697,5 +705,7 @@ mod tests {
         // same text lowered as Python and as JS yields different graphs.
         assert_ne!(file_key("a", 0, 0), file_key("a", 0, 1));
         assert_eq!(file_key("a", 7, 1), file_key("a", 7, 1));
+        // The length is hashed: a trailing NUL changes the key.
+        assert_ne!(file_key("a", 0, 0), file_key("a\0", 0, 0));
     }
 }

@@ -20,7 +20,7 @@
 //! sorts and deduplicates each row on emission (see
 //! [`crate::system::Row`]), so no per-constraint term vectors exist.
 
-use crate::system::{ConstraintSystem, FileRows, RepId, Rows, Template, Term, VarId};
+use crate::system::{ConstraintSystem, EventReps, FileRows, RepId, Rows, Template, Term, VarId};
 use seldon_propgraph::{Direction, EdgeKind, EventId, PropagationGraph, SearchWorkspace};
 use seldon_specs::{CompiledSpec, Role, TaintSpec};
 use std::ops::Range;
@@ -129,9 +129,8 @@ pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> 
     let compiled = CompiledSpec::new(seed, graph.symbols());
 
     // --- backoff selection: surviving representation list per event --------
-    let mut event_reps: Vec<Option<Vec<RepId>>> = Vec::with_capacity(graph.event_count());
+    let mut event_reps = EventReps::with_capacity(graph.event_count(), graph.rep_entry_count());
     for (_, event) in graph.events() {
-        let mut reps: Vec<RepId> = Vec::new();
         for &r in event.reps.iter().take(opts.max_backoff) {
             if freq.get(r.index()).copied().unwrap_or(0) < opts.rep_cutoff {
                 stats.dropped_by_cutoff += 1;
@@ -141,17 +140,14 @@ pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> 
                 stats.dropped_by_blacklist += 1;
                 continue;
             }
-            let id = sys.add_rep(r);
-            if !reps.contains(&id) {
-                reps.push(id);
-            }
+            event_reps.push_rep(sys.add_rep(r));
         }
-        event_reps.push(if reps.is_empty() { None } else { Some(reps) });
+        event_reps.end_event();
     }
 
     // --- variables ----------------------------------------------------------
     for (id, event) in graph.events() {
-        let Some(reps) = &event_reps[id.index()] else { continue };
+        let Some(reps) = event_reps.get(id.index()) else { continue };
         for role in event.candidates.iter() {
             for &rep in reps {
                 sys.var(rep, role);
@@ -183,7 +179,7 @@ pub fn select(graph: &PropagationGraph, seed: &TaintSpec, opts: &GenOptions) -> 
         }
     }
 
-    stats.candidate_events = event_reps.iter().filter(|r| r.is_some()).count();
+    stats.candidate_events = (0..event_reps.len()).filter(|&i| event_reps.get(i).is_some()).count();
     stats.surviving_reps = sys.rep_syms().len();
     sys.event_reps = event_reps;
     stats.select_time = select_started.elapsed();
@@ -274,7 +270,7 @@ impl<'a> Collector<'a> {
         let mut terms = Vec::new();
         for i in range.clone() {
             let mut span = [(0u32, 0u32); 3];
-            if let Some(reps) = &sys.event_reps[i] {
+            if let Some(reps) = sys.event_reps.get(i) {
                 let coeff = 1.0 / reps.len() as f64;
                 for role in graph.event(EventId(i as u32)).candidates.iter() {
                     let start = terms.len() as u32;
@@ -385,9 +381,7 @@ impl<'a> Collector<'a> {
             // Same-chain events (receiver ancestors rooted at u) cannot be
             // "the sanitizer between": a sanitizer transforms its argument,
             // not the object it is read off.
-            ws.search_by(self.graph, u, Direction::Forward, usize::MAX, |v, n| {
-                self.graph.edge_kind(v, n) == Some(EdgeKind::Receiver)
-            });
+            ws.search_by(self.graph, u, usize::MAX, |_, e| e.kind == EdgeKind::Receiver);
             sans.retain(|&m| !ws.is_seen(m));
             let src = self.terms(u, Role::Source);
             for &t in &sinks {

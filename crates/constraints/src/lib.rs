@@ -29,4 +29,7 @@ pub mod system;
 pub use gen::{
     collect_rows, generate, generate_with_stats, select, GenOptions, GenStats, Selection,
 };
-pub use system::{ConstraintSystem, FileRows, FlowConstraint, RepId, Row, Template, Term, VarId};
+pub use system::{
+    ConstraintSystem, EventReps, FileRows, FlowConstraint, RepId, RepsSlice, Row, Template, Term,
+    VarId,
+};

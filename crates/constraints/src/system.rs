@@ -18,6 +18,7 @@ use seldon_propgraph::{EventId, IdHash, IdHasher};
 use seldon_specs::Role;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
+use std::ops::Range;
 
 /// Identifier of a representation: a [`Symbol`] of the system's table, a
 /// copy of the graph's it was selected from. The system only tracks which
@@ -228,10 +229,110 @@ pub struct ConstraintSystem {
     known: HashMap<VarId, f64>,
     /// The implication-strength constant `C` (0.75 in the paper).
     pub c: f64,
-    /// Surviving representations per event, most → least specific,
-    /// indexed by event id (`None` = not a candidate). Fig. 4 collection
-    /// and spec extraction (§7.1) read them.
-    pub event_reps: Vec<Option<Vec<RepId>>>,
+    /// Surviving representations per event, indexed by event id. Fig. 4
+    /// collection and spec extraction (§7.1) read them.
+    pub event_reps: EventReps,
+}
+
+/// Surviving representations per event (§4.3), most → least specific, in
+/// one arena: event `i`'s are `reps[starts[i]..starts[i + 1]]`, none for
+/// an event that is not a candidate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EventReps {
+    starts: Vec<u32>,
+    reps: Vec<RepId>,
+}
+
+impl Default for EventReps {
+    fn default() -> Self {
+        EventReps::with_capacity(0, 0)
+    }
+}
+
+impl EventReps {
+    /// No events yet, with room for `events` events holding `reps`
+    /// representations in all.
+    pub fn with_capacity(events: usize, reps: usize) -> Self {
+        let mut starts = Vec::with_capacity(events + 1);
+        starts.push(0);
+        EventReps { starts, reps: Vec::with_capacity(reps) }
+    }
+
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Whether there are no events.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The surviving representations of event `i`; `None` when it is not
+    /// a candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    pub fn get(&self, i: usize) -> Option<&[RepId]> {
+        let reps = &self.reps[self.starts[i] as usize..self.starts[i + 1] as usize];
+        (!reps.is_empty()).then_some(reps)
+    }
+
+    /// Adds `rep` to the event being built, unless it already holds it.
+    pub fn push_rep(&mut self, rep: RepId) {
+        let open = self.starts[self.len()] as usize;
+        if !self.reps[open..].contains(&rep) {
+            self.reps.push(rep);
+        }
+    }
+
+    /// Ends the event being built: it holds the representations pushed
+    /// since the previous end, in push order.
+    pub fn end_event(&mut self) {
+        self.starts.push(self.reps.len() as u32);
+    }
+
+    /// The selections of every event.
+    pub fn as_slice(&self) -> RepsSlice<'_> {
+        self.slice(0..self.len())
+    }
+
+    /// The selections of the events in `range`.
+    pub fn slice(&self, range: Range<usize>) -> RepsSlice<'_> {
+        let starts = &self.starts[range.start..=range.end];
+        let reps = &self.reps[starts[0] as usize..starts[starts.len() - 1] as usize];
+        RepsSlice { starts, reps }
+    }
+}
+
+/// The selections of a run of events, cut by [`EventReps::slice`]. Two
+/// slices are equal when each event in turn has the same surviving
+/// representations, wherever the runs sit in their systems.
+#[derive(Debug, Clone, Copy)]
+pub struct RepsSlice<'a> {
+    /// One offset per event and the run's end, into the parent arena.
+    starts: &'a [u32],
+    reps: &'a [RepId],
+}
+
+impl RepsSlice<'_> {
+    /// An owned copy, numbered from event 0.
+    pub fn to_event_reps(&self) -> EventReps {
+        let base = self.starts[0];
+        EventReps {
+            starts: self.starts.iter().map(|s| s - base).collect(),
+            reps: self.reps.to_vec(),
+        }
+    }
+}
+
+impl PartialEq for RepsSlice<'_> {
+    fn eq(&self, other: &RepsSlice<'_>) -> bool {
+        let (a, b) = (self.starts[0], other.starts[0]);
+        self.reps == other.reps
+            && self.starts.iter().map(|&s| s - a).eq(other.starts.iter().map(|&s| s - b))
+    }
 }
 
 impl ConstraintSystem {
@@ -276,8 +377,8 @@ impl ConstraintSystem {
     /// The candidate events and their surviving representations, in
     /// event order.
     pub fn candidates(&self) -> impl Iterator<Item = (EventId, &[RepId])> + '_ {
-        (self.event_reps.iter().enumerate())
-            .filter_map(|(i, reps)| Some((EventId(i as u32), reps.as_deref()?)))
+        (0..self.event_reps.len())
+            .filter_map(|i| Some((EventId(i as u32), self.event_reps.get(i)?)))
     }
 
     /// Returns (creating if needed) the variable for `(rep, role)`.
@@ -400,6 +501,27 @@ impl ConstraintSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn event_reps_slices_compare_by_content_not_position() {
+        let (a, b, c) = (Symbol(0), Symbol(1), Symbol(2));
+        let mut reps = EventReps::default();
+        for event in [&[a, b, a][..], &[], &[c], &[b], &[], &[c]] {
+            event.iter().for_each(|&r| reps.push_rep(r));
+            reps.end_event();
+        }
+        assert_eq!((reps.len(), reps.get(0), reps.get(1)), (6, Some(&[a, b][..]), None));
+        // Events 1–2 and 4–5 select the same reps at different offsets.
+        assert!(reps.slice(1..3) == reps.slice(4..6));
+        assert!(reps.slice(1..3) == reps.slice(4..6).to_event_reps().as_slice());
+        assert!(reps.slice(2..4) != reps.slice(3..5));
+        // The same reps split differently between events differ.
+        let mut joined = EventReps::default();
+        [c, b].iter().for_each(|&r| joined.push_rep(r));
+        joined.end_event();
+        joined.end_event();
+        assert!(joined.as_slice() != reps.slice(2..4));
+    }
 
     #[test]
     fn interning() {

@@ -30,8 +30,8 @@ use seldon_corpus::{Corpus, SourceFile};
 use seldon_ir::FrontendError;
 use seldon_jsfront::lower_js_program_into;
 use seldon_propgraph::{
-    lower_module_into, Budget, BudgetExceeded, BuildError, FileId, GraphSink, PropagationGraph,
-    Sink,
+    lower_module_into, Budget, BudgetExceeded, BuildError, FileId, GraphSink, IdHasher,
+    PropagationGraph, Sink,
 };
 use seldon_solver::{
     extract, extraction_margin, solve_compiled, solve_compiled_warm, CompiledSystem,
@@ -40,6 +40,7 @@ use seldon_solver::{
 use seldon_specs::TaintSpec;
 use seldon_telemetry::{stage, Histogram, Telemetry, PARSE_HIST_BOUNDS};
 use std::borrow::Cow;
+use std::hash::Hasher;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -157,14 +158,15 @@ impl Frontend {
 }
 
 /// [`Frontend::token_fingerprint`] over one lexer's `(kind tag, text)`
-/// stream. A token adds five bytes to its text, a one-byte tag and a `u32`
-/// length: with a derived `Hash` of the kind and a `u64` length, hashing
-/// cost more than lexing.
+/// stream, hashed a word at a time ([`IdHasher`]): each token is one word
+/// packing its kind tag and its length, then its text. The length keeps
+/// the zero-padded tail of one text from running into the next token.
 fn fingerprint_tokens<'s>(tokens: impl Iterator<Item = (u8, &'s str)>) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = IdHasher::default();
     for (tag, text) in tokens {
         // Both lexers keep token offsets as `u32`, so a length fits too.
-        h.write(&[tag]).write_u32(text.len() as u32).write(text.as_bytes());
+        h.write_u64(u64::from(tag) << 32 | text.len() as u64);
+        h.write(text.as_bytes());
     }
     h.finish()
 }
@@ -688,10 +690,10 @@ pub fn analyze_inputs<'a>(
 /// The union is an order-preserving concatenation (each graph's event ids
 /// shift by the events folded before it), so event identity is a pure
 /// function of the input order. Returns the graph and, per input, the
-/// range of event ids its graph occupies (empty for `None`). An owned
-/// graph is moved in ([`PropagationGraph::append`]): its events and
-/// adjacency lists change hands without a copy. A borrowed graph stays
-/// with its owner and is copied.
+/// range of event ids its graph occupies (empty for `None`). Every array
+/// of the union is reserved once for all inputs, and each input's arrays
+/// are copied onto their ends ([`PropagationGraph::union`]): an owned
+/// graph costs the same as a borrowed one, and is dropped after the copy.
 pub fn union_graphs(
     graphs: Vec<Option<Cow<'_, PropagationGraph>>>,
     tele: &Telemetry,
@@ -699,12 +701,12 @@ pub fn union_graphs(
     let span = tele.span(stage::UNION);
     let files = graphs.len();
     let mut graph = PropagationGraph::new();
-    graph.reserve_events(graphs.iter().flatten().map(|g| g.event_count()).sum());
+    graph.reserve_for(graphs.iter().flatten().map(|g| &**g));
     let mut ranges = Vec::with_capacity(files);
     for g in graphs {
         let start = graph.event_count();
         if let Some(g) = g {
-            graph.append(g.into_owned());
+            graph.union(&g);
         }
         ranges.push(start..graph.event_count());
     }

@@ -51,7 +51,7 @@ static COUNTING: Counting = Counting;
 /// allocations per event its parse plus graph-sink lowering may make: the
 /// measured value with about 25% headroom.
 const BOUNDS: &[(&str, f64)] =
-    &[("js_express_fixture", 13.4), ("js_inlining_guards", 10.0), ("corpus_js_helper", 11.4)];
+    &[("js_express_fixture", 12.0), ("js_inlining_guards", 8.4), ("corpus_js_helper", 10.1)];
 
 /// The JS fixtures of the IR goldens, by golden file stem.
 fn fixtures() -> Vec<(String, String)> {

@@ -172,7 +172,7 @@ pub fn run_merlin(graph: &PropagationGraph, seed: &TaintSpec, opts: &MerlinOptio
     let compiled = CompiledSpec::new(seed, g.symbols());
     for &id in &ids {
         let ev = g.event(id);
-        for &rep in &ev.reps {
+        for &rep in ev.reps {
             let roles = compiled.roles(rep);
             if roles.is_empty() {
                 continue;

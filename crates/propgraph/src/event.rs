@@ -47,7 +47,7 @@ pub fn candidate_roles(kind: EventKind) -> RoleSet {
     }
 }
 
-/// One event of the propagation graph.
+/// One event as a [`crate::GraphBuilder`] takes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// What kind of action this is.
@@ -83,6 +83,29 @@ impl Event {
     }
 }
 
+/// One event of a frozen [`crate::PropagationGraph`], read from its
+/// columns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EventView<'g> {
+    /// What kind of action this is.
+    pub kind: EventKind,
+    /// Representations, most → least specific (§3.2); never empty.
+    pub reps: &'g [Symbol],
+    /// The source file the event came from.
+    pub file: FileId,
+    /// The source span of the underlying expression.
+    pub span: Span,
+    /// Which roles this event may assume.
+    pub candidates: RoleSet,
+}
+
+impl EventView<'_> {
+    /// The most specific representation.
+    pub fn rep_sym(&self) -> Symbol {
+        self.reps[0]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,9 +119,10 @@ mod tests {
 
     #[test]
     fn event_rep_is_most_specific() {
-        let mut g = crate::PropagationGraph::new();
+        let mut b = crate::GraphBuilder::new();
         let reps = &["a.b.c()", "b.c()"];
-        let id = g.add_event_reps(EventKind::Call, reps, FileId(0), Span::dummy());
+        let id = b.add_event_reps(EventKind::Call, reps, FileId(0), Span::dummy());
+        let g = b.freeze();
         assert_eq!(g.rep(id), "a.b.c()");
         assert_eq!(Some(g.event(id).rep_sym()), g.symbols().get("a.b.c()"));
         assert!(g.has_rep(id, "b.c()"));

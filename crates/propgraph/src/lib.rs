@@ -39,8 +39,10 @@ pub use budget::{Budget, BudgetExceeded, BudgetMeter};
 pub use builder::{build_source, BuildError};
 pub use dot::to_dot;
 pub use emit::{Recorder, Sink};
-pub use event::{Event, EventId, EventKind, FileId};
-pub use graph::{ArgPos, Edge, EdgeKind, IdHash, IdHasher, PropagationGraph};
+pub use event::{Event, EventId, EventKind, EventView, FileId};
+pub use graph::{
+    ArgPos, Edge, EdgeKind, GraphBuilder, GraphParts, IdHash, IdHasher, PropagationGraph, Starts,
+};
 pub use irbuild::{build_ir, GraphSink};
 pub use lower::{lower_module_budgeted, lower_module_into};
 pub use repr::{

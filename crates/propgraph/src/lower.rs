@@ -104,10 +104,10 @@ impl<'m, S: Sink> Walk<'m> for Lowerer<'m, S> {
                     sc.returns.extend_from_slice(&flows);
                 }
             }
-            StmtKind::Assign { targets, value } => {
+            StmtKind::Assign { target, chained, value } => {
                 let flows = self.eval(value, sc);
                 let variants = describe_variants(value, &sc.ctx);
-                for t in targets {
+                for t in std::iter::once(target).chain(chained) {
                     self.assign_to(t, &flows, Some(variants), value, sc);
                 }
             }

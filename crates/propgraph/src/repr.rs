@@ -617,9 +617,9 @@ mod tests {
                     inner.base_class = def.bases.first().map(|b| format!("base.{}", b.span.line));
                     walk_body(&def.body, &inner, exprs, ctxs);
                 }
-                StmtKind::Assign { targets, value } => {
-                    own.extend(targets.iter().chain([value]));
-                    for t in targets {
+                StmtKind::Assign { target, chained, value } => {
+                    own.extend([target].into_iter().chain(chained).chain([value]));
+                    for t in std::iter::once(target).chain(chained) {
                         if let ExprKind::Name(n) = &t.kind {
                             ctx.locals.insert(n, describe_variants(value, &ctx));
                         }

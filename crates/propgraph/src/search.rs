@@ -19,7 +19,7 @@
 //! closed under reachability.
 
 use crate::event::EventId;
-use crate::graph::PropagationGraph;
+use crate::graph::{Edge, PropagationGraph};
 use std::ops::Range;
 
 /// Which adjacency a search follows.
@@ -74,11 +74,16 @@ impl SearchWorkspace {
         dir: Direction,
         limit: usize,
     ) -> &[EventId] {
-        self.search_by(graph, start, dir, limit, |_, _| true)
+        match dir {
+            Direction::Forward => self.search_by(graph, start, limit, |_, _| true),
+            Direction::Backward => {
+                self.bfs(start, limit, |v| graph.predecessors(v).iter().copied())
+            }
+        }
     }
 
-    /// Like [`Self::search`], crossing an edge from `v` to `n` (in search
-    /// direction) only where `follow(v, n)` holds.
+    /// Like a forward [`Self::search`], crossing the edge slot `e` out of
+    /// `v` only where `follow(v, e)` holds.
     ///
     /// # Panics
     ///
@@ -88,9 +93,22 @@ impl SearchWorkspace {
         &mut self,
         graph: &PropagationGraph,
         start: EventId,
-        dir: Direction,
         limit: usize,
-        mut follow: impl FnMut(EventId, EventId) -> bool,
+        follow: impl Fn(EventId, &Edge) -> bool,
+    ) -> &[EventId] {
+        let follow = &follow;
+        self.bfs(start, limit, |v| {
+            graph.out_edges(v).iter().filter(move |e| follow(v, e)).map(|e| e.to)
+        })
+    }
+
+    /// The breadth-first search from `start` over the neighbors `next(v)`
+    /// lists for each reached `v`.
+    fn bfs<I: Iterator<Item = EventId>>(
+        &mut self,
+        start: EventId,
+        limit: usize,
+        mut next: impl FnMut(EventId) -> I,
     ) -> &[EventId] {
         if self.epoch == u32::MAX {
             self.seen.fill(0);
@@ -104,16 +122,12 @@ impl SearchWorkspace {
         let mut head = 0;
         while let Some(&v) = self.order.get(head) {
             head += 1;
-            let (succs, preds) = match dir {
-                Direction::Forward => (graph.out_edges(v), &[][..]),
-                Direction::Backward => (&[][..], graph.predecessors(v)),
-            };
-            for n in succs.iter().map(|e| e.to).chain(preds.iter().copied()) {
+            for n in next(v) {
                 if self.order.len() > limit {
                     return &self.order[1..];
                 }
                 let slot = n.index() - self.base;
-                if self.seen[slot] != epoch && follow(v, n) {
+                if self.seen[slot] != epoch {
                     self.seen[slot] = epoch;
                     self.parent[slot] = v;
                     self.order.push(n);
@@ -207,7 +221,7 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let mut g = PropagationGraph::new();
+        let mut g = crate::GraphBuilder::new();
         let n = 1 + (next() % 40) as u32;
         for _ in 0..n {
             g.add_event_reps(EventKind::Call, &["f()"], FileId(0), Span::dummy());
@@ -217,7 +231,7 @@ mod tests {
             let to = EventId((next() % u64::from(n)) as u32);
             g.add_edge(from, to);
         }
-        g
+        g.freeze()
     }
 
     /// Checks every start, both directions and every limit from 0 to

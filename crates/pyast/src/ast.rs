@@ -48,10 +48,14 @@ pub enum StmtKind<'s> {
     Return(Option<Expr<'s>>),
     /// `del targets`
     Delete(Vec<Expr<'s>>),
-    /// `targets = value` (chained assignment keeps all targets).
+    /// `target = value`; a chained assignment `a = b = c` keeps every
+    /// target.
     Assign {
-        /// Assignment targets, left to right.
-        targets: Vec<Expr<'s>>,
+        /// The first (leftmost) target.
+        target: Expr<'s>,
+        /// The chained targets after the first, left to right; empty (and
+        /// unallocated) for a plain `a = b`.
+        chained: Vec<Expr<'s>>,
         /// Right-hand side.
         value: Expr<'s>,
     },

@@ -442,15 +442,15 @@ impl<'s> Parser<'s> {
         match self.peek() {
             TokenKind::Assign => {
                 // `a = b = c`: every value but the last is another target.
-                let mut targets = vec![first];
+                let mut chained = Vec::new();
                 self.bump();
                 let mut value = self.parse_testlist_star()?;
                 while self.peek() == TokenKind::Assign {
                     self.bump();
                     let next = self.parse_testlist_star()?;
-                    targets.push(std::mem::replace(&mut value, next));
+                    chained.push(std::mem::replace(&mut value, next));
                 }
-                Ok(Stmt::new(StmtKind::Assign { targets, value }, span))
+                Ok(Stmt::new(StmtKind::Assign { target: first, chained, value }, span))
             }
             TokenKind::AugAssign => {
                 let spelled = self.tok().text;
@@ -1476,8 +1476,9 @@ mod tests {
     #[test]
     fn parse_assignment() {
         match first_stmt("x = f(1)\n") {
-            StmtKind::Assign { targets, value } => {
-                assert_eq!(targets.len(), 1);
+            StmtKind::Assign { target, chained, value } => {
+                assert!(matches!(target.kind, ExprKind::Name("x")));
+                assert!(chained.is_empty() && chained.capacity() == 0, "no chain, no allocation");
                 assert!(matches!(value.kind, ExprKind::Call { .. }));
             }
             other => panic!("expected assign, got {other:?}"),
@@ -1487,8 +1488,9 @@ mod tests {
     #[test]
     fn parse_chained_assignment() {
         match first_stmt("a = b = c\n") {
-            StmtKind::Assign { targets, value } => {
-                assert_eq!(targets.len(), 2);
+            StmtKind::Assign { target, chained, value } => {
+                assert!(matches!(target.kind, ExprKind::Name("a")));
+                assert!(matches!(chained[..], [Expr { kind: ExprKind::Name("b"), .. }]));
                 assert!(matches!(value.kind, ExprKind::Name(n) if n == "c"));
             }
             other => panic!("expected assign, got {other:?}"),
@@ -1955,8 +1957,8 @@ def media():
     #[test]
     fn parse_star_assignment() {
         match first_stmt("a, *rest = xs\n") {
-            StmtKind::Assign { targets, .. } => {
-                assert!(matches!(targets[0].kind, ExprKind::Tuple(_)));
+            StmtKind::Assign { target, .. } => {
+                assert!(matches!(target.kind, ExprKind::Tuple(_)));
             }
             other => panic!("expected assign, got {other:?}"),
         }

@@ -82,8 +82,11 @@ impl Printer {
                 let list = self.join(targets, Prec::Test, ", ");
                 self.line(&format!("del {list}"));
             }
-            StmtKind::Assign { targets, value } => {
-                let lhs = self.join(targets, Prec::Test, " = ");
+            StmtKind::Assign { target, chained, value } => {
+                let mut lhs = self.render(target, Prec::Test);
+                for t in chained {
+                    lhs = format!("{lhs} = {}", self.render(t, Prec::Test));
+                }
                 let rhs = self.render(value, Prec::Test);
                 self.line(&format!("{lhs} = {rhs}"));
             }

@@ -96,7 +96,9 @@ impl<'s> Texts<'_, 's> {
             }
             StmtKind::Return(e) => self.exprs(e),
             StmtKind::Delete(es) => self.exprs(es),
-            StmtKind::Assign { targets, value } => self.exprs(targets.iter().chain([value])),
+            StmtKind::Assign { target, chained, value } => {
+                self.exprs([target].into_iter().chain(chained).chain([value]))
+            }
             StmtKind::AugAssign { target, value, .. } => self.exprs([target, value]),
             StmtKind::AnnAssign { target, annotation, value } => {
                 self.exprs([target, annotation].into_iter().chain(value))

@@ -30,8 +30,9 @@
 //! * The cache holds artifacts only for tracked files' current contents.
 //!   A removed or replaced slot drops its artifact key, and so does a
 //!   token-matched one (its graph is the old content's, so it stands for
-//!   no artifact of the new); a dropped key no other slot holds is
-//!   evicted.
+//!   no artifact of the new) unless its new content is byte-identical to
+//!   the old (an unedited save keeps its artifact); a dropped key no
+//!   other slot holds is evicted.
 //! * A file's constraint rows are reused only when its slice of the
 //!   §4.3 selection (`ConstraintSystem::event_reps`) is unchanged; Fig. 4
 //!   rows reference only events of their own file, so an identical slice
@@ -68,11 +69,12 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use seldon_cache::{graph_fingerprint, CacheFault, Checkpoint, CheckpointLookup};
-use seldon_constraints::{collect_rows, select, FileRows, GenStats, RepId, Selection};
+use seldon_constraints::{collect_rows, select, EventReps, FileRows, GenStats, Selection};
 use seldon_core::{
-    analyze_inputs, climb_ladder, default_rep_cutoff, learned_per_role, record_corpus,
-    record_learning, union_graphs, AnalysisReport, AnalyzeOptions, AnalyzedFiles, CacheFaultReport,
-    CheckpointOutcome, FileInput, FileOutcome, FileReport, Frontend, PipelineError, SeldonOptions,
+    analysis_cache_key, analyze_inputs, climb_ladder, default_rep_cutoff, learned_per_role,
+    record_corpus, record_learning, union_graphs, AnalysisReport, AnalyzeOptions, AnalyzedFiles,
+    CacheFaultReport, CheckpointOutcome, FileInput, FileOutcome, FileReport, Frontend,
+    PipelineError, SeldonOptions,
 };
 use seldon_propgraph::{FileId, PropagationGraph, Symbols};
 use seldon_specs::TaintSpec;
@@ -100,7 +102,7 @@ pub struct EngineConfig {
 struct FileState {
     /// Artifact-cache key of the current content (for eviction); `None`
     /// without a cache, or once a token match left the graph describing
-    /// an older content.
+    /// an older content (a match on the same bytes keeps it).
     cache_key: Option<u64>,
     /// The per-file propagation graph; `None` when quarantined. Its
     /// events keep the `FileId(0)` stamp they were analyzed at; file
@@ -114,7 +116,7 @@ struct FileState {
     /// The file's Fig. 4 rows from the last rebuild, with the selection
     /// slice (`event_reps` over the file's events) they were collected
     /// under. They are reused while the current slice compares equal.
-    frag: Option<(Vec<Option<Vec<RepId>>>, FileRows)>,
+    frag: Option<(EventReps, FileRows)>,
 }
 
 /// A corpus delta: files to start tracking, re-analyze, or drop.
@@ -161,7 +163,7 @@ pub struct DeltaOutcome {
     pub removed: usize,
     /// Cache artifacts evicted because no tracked file's current content
     /// has their key any more (the file was removed, replaced or
-    /// token-matched).
+    /// token-matched to new bytes).
     pub evicted: usize,
     /// Per-file fragments reused structurally (no re-collection).
     pub fragments_reused: usize,
@@ -412,7 +414,9 @@ impl ServeEngine {
 
         // The artifact keys slots stop holding: a removed or replaced
         // slot's, and a token-matched one's (it keeps the old content's
-        // graph, so no artifact stands for the new content).
+        // graph, so no artifact stands for the new content) unless the new
+        // content is the old, byte for byte: an unedited save keeps its
+        // artifact.
         let mut dropped: Vec<u64> = Vec::new();
         for path in &delta.remove {
             dropped.extend(self.files.remove(path).expect("validated remove").cache_key);
@@ -420,12 +424,17 @@ impl ServeEngine {
         let reparsed = report.files.len();
         let structural = reparsed > 0 || !delta.remove.is_empty();
         let mut analyzed = graphs.into_iter().zip(keys).zip(std::mem::take(&mut report.files));
-        for (i, (path, _)) in touched().enumerate() {
+        for (i, (path, content)) in touched().enumerate() {
             if matched[i] {
                 // Same tokens, so the same graph, outcome and rows: keep
                 // the slot, and report its outcome again.
+                let analyze = &self.cfg.analyze;
+                let key =
+                    analyze.cache.as_ref().map(|_| analysis_cache_key(&names[i], content, analyze));
                 let slot = self.files.get_mut(path).expect("a matched file is tracked");
-                dropped.extend(slot.cache_key.take());
+                if slot.cache_key != key {
+                    dropped.extend(slot.cache_key.take());
+                }
                 let outcome = slot.outcome.clone();
                 report.files.push(FileReport { project: 0, path: names[i].to_string(), outcome });
                 continue;
@@ -589,14 +598,14 @@ impl ServeEngine {
             // them in file order, as batch folds its one whole-union range.
             let t_collect = Instant::now();
             for (state, range) in files.values_mut().zip(&ranges) {
-                let slice = &system.event_reps[range.clone()];
+                let slice = system.event_reps.slice(range.clone());
                 if range.is_empty() {
                     state.frag = None;
-                } else if state.frag.as_ref().is_some_and(|(sel, _)| sel == slice) {
+                } else if state.frag.as_ref().is_some_and(|(sel, _)| sel.as_slice() == slice) {
                     reused += 1;
                 } else {
                     let rows = collect_rows(&union, &system, &seldon.gen, range.clone());
-                    state.frag = Some((slice.to_vec(), rows));
+                    state.frag = Some((slice.to_event_reps(), rows));
                     collected += 1;
                 }
             }

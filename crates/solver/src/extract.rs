@@ -210,7 +210,9 @@ mod tests {
         let general = sys.rep("mod.api()");
         sys.var(specific, Role::Source);
         sys.var(general, Role::Source);
-        sys.event_reps.push(Some(vec![specific, general]));
+        sys.event_reps.push_rep(specific);
+        sys.event_reps.push_rep(general);
+        sys.event_reps.end_event();
         (sys, vec![specific, general])
     }
 
@@ -360,8 +362,10 @@ mod tests {
         let snk = sys.rep("os.system()");
         let vsrc = sys.var(src, Role::Source);
         let vsnk = sys.var(snk, Role::Sink);
-        sys.event_reps.push(Some(vec![src]));
-        sys.event_reps.push(Some(vec![snk]));
+        for rep in [src, snk] {
+            sys.event_reps.push_rep(rep);
+            sys.event_reps.end_event();
+        }
         sys.pin(vsrc, 1.0);
         sys.add_constraint(FlowConstraint {
             lhs: vec![Term { var: vsrc, coeff: 1.0 }],

@@ -32,7 +32,7 @@
 pub mod report;
 
 use seldon_intern::Symbol;
-use seldon_propgraph::{ArgPos, Direction, EventId, FileId, PropagationGraph, SearchWorkspace};
+use seldon_propgraph::{ArgPos, EventId, FileId, PropagationGraph, SearchWorkspace};
 use seldon_specs::{ArgRef, CompiledSpec, Role, RoleSet, SinkSignature, TaintSpec};
 use std::collections::HashMap;
 
@@ -98,7 +98,7 @@ impl<'g> TaintAnalyzer<'g> {
         // representation symbol, not once per event.
         let compiled = CompiledSpec::new(spec, graph.symbols());
         for (id, event) in graph.events() {
-            for &rep in &event.reps {
+            for &rep in event.reps {
                 let r = compiled.roles(rep).intersection(event.candidates);
                 if !r.is_empty() {
                     roles[id.index()] = r;
@@ -178,7 +178,7 @@ impl<'g> TaintAnalyzer<'g> {
     fn sweep(&self, ws: &mut SearchWorkspace, source: EventId, out: &mut Vec<Violation>) {
         // Sanitizers stop propagation (but a source that is also a
         // sanitizer still emits its own taint).
-        ws.search_by(self.graph, source, Direction::Forward, usize::MAX, |v, _| {
+        ws.search_by(self.graph, source, usize::MAX, |v, _| {
             v == source || !self.roles(v).contains(Role::Sanitizer)
         });
         // Reports are emitted after the sweep so the parameter-sensitivity

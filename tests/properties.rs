@@ -8,13 +8,13 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use seldon_cache::graph_fingerprint;
 use seldon_constraints::{
-    collect_rows, generate, generate_with_stats, select, ConstraintSystem, FileRows, GenOptions,
-    RepId, Row, Selection,
+    collect_rows, generate, generate_with_stats, select, ConstraintSystem, EventReps, FileRows,
+    GenOptions, Row, Selection,
 };
 use seldon_core::{union_graphs, Frontend};
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
 use seldon_propgraph::{
-    build_source, Budget, Event, FileId, GraphSink, PropagationGraph, Recorder,
+    build_source, Budget, EventView, FileId, GraphSink, PropagationGraph, Recorder,
 };
 use seldon_pyast::{lexer, parser};
 use seldon_solver::{solve, SolveOptions};
@@ -355,7 +355,7 @@ proptest! {
                     };
                     prop_assert_eq!(direct.event_count(), recorded.event_count());
                     prop_assert_eq!(direct.edge_count(), recorded.edge_count());
-                    let texts = |g: &PropagationGraph, e: &Event| -> Vec<String> {
+                    let texts = |g: &PropagationGraph, e: EventView<'_>| -> Vec<String> {
                         e.reps.iter().map(|&r| g.symbols().resolve(r).to_string()).collect()
                     };
                     for ((id, d), (rid, r)) in direct.events().zip(recorded.events()) {
@@ -418,11 +418,11 @@ proptest! {
             let lent = graphs.iter().map(|g| Some(Cow::Borrowed(g))).collect();
             let (union, ranges) = union_graphs(lent, &tele);
             let Selection { mut sys, .. } = select(&union, &spec, &gen);
-            let files: Vec<(Vec<Option<Vec<RepId>>>, FileRows)> = ranges
+            let files: Vec<(EventReps, FileRows)> = ranges
                 .iter()
                 .map(|r| {
                     let rows = collect_rows(&union, &sys, &gen, r.clone());
-                    (sys.event_reps[r.clone()].to_vec(), rows)
+                    (sys.event_reps.slice(r.clone()).to_event_reps(), rows)
                 })
                 .collect();
             sys.fold(&files.iter().map(|(_, rows)| rows).collect::<Vec<_>>());
@@ -440,7 +440,7 @@ proptest! {
                 .enumerate()
                 .map(|(i, r)| {
                     let (sel, rows) = &files[i];
-                    if i != changed && sel[..] == sys.event_reps[r.clone()] {
+                    if i != changed && sel.as_slice() == sys.event_reps.slice(r.clone()) {
                         rows.clone()
                     } else {
                         collect_rows(&union, &sys, &gen, r.clone())

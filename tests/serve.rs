@@ -377,6 +377,24 @@ fn token_match_stores_no_artifact_so_a_restart_reparses_once() {
 }
 
 #[test]
+fn unedited_change_keeps_its_artifact() {
+    let dir = temp_dir("unedited-change");
+    let (files, seed) = fixture(4, 9);
+    let mut engine = engine_with(&files, &seed, 1, Some(&dir));
+    let before = entries(&dir);
+    // An editor saving a file it did not edit sends the same bytes: the
+    // tokens match, and the artifact is exactly the current content's.
+    let out = engine.apply_delta(&change_first(&files)).expect("unedited change");
+    assert_eq!((out.solve, out.tokens_matched, out.evicted), ("unchanged", 1, 0));
+    assert_eq!(entries(&dir), before, "the current content keeps its artifact");
+    drop(engine);
+
+    let engine = engine_with(&files, &seed, 1, Some(&dir));
+    let stats = engine.config().analyze.cache.as_deref().expect("cache attached").stats();
+    assert_eq!((stats.misses, engine.last_solve()), (0, "replayed"), "a restart parses nothing");
+}
+
+#[test]
 fn damaged_startup_checkpoint_is_reported_by_the_first_delta() {
     let dir = temp_dir("startup-fault");
     let (mut files, seed) = fixture(3, 19);
