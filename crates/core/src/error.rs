@@ -1,11 +1,12 @@
 //! Pipeline errors.
 //!
 //! [`PipelineError`] is the full failure taxonomy of the end-to-end
-//! pipeline. Under [`FaultPolicy::FailFast`](crate::FaultPolicy) these
-//! surface as `Err` from [`analyze_corpus_with`](crate::analyze_corpus_with);
-//! under [`FaultPolicy::Recover`](crate::FaultPolicy) the per-file variants
-//! are quarantined into the [`AnalysisReport`](crate::AnalysisReport)
-//! instead.
+//! pipeline. Under [`FaultPolicy::FailFast`](crate::FaultPolicy) the first
+//! bad file's error surfaces as `Err` from
+//! [`analyze_corpus_with`](crate::analyze_corpus_with); under
+//! [`FaultPolicy::Recover`](crate::FaultPolicy) a budget trip or a panic
+//! quarantines its file into the [`AnalysisReport`](crate::AnalysisReport)
+//! instead, and parse errors are recovered from.
 
 use seldon_propgraph::BudgetExceeded;
 use std::any::Any;

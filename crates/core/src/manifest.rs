@@ -163,14 +163,13 @@ pub fn record_corpus<'a>(
     shape: [usize; 4],
     outcomes: impl IntoIterator<Item = &'a FileOutcome>,
 ) {
-    let mut counts = [0.0; 5];
+    let mut counts = [0.0; 4];
     for outcome in outcomes {
         counts[match outcome {
             FileOutcome::Ok => 0,
             FileOutcome::Recovered { .. } => 1,
-            FileOutcome::Skipped { .. } => 2,
-            FileOutcome::OverBudget { .. } => 3,
-            FileOutcome::Panicked { .. } => 4,
+            FileOutcome::OverBudget { .. } => 2,
+            FileOutcome::Panicked { .. } => 3,
         }] += 1.0;
     }
     gauges(reg, &metric::CORPUS, shape.map(|n| n as f64));

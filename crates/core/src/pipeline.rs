@@ -9,14 +9,13 @@
 //!
 //! Real big-code corpora contain files that are malformed, pathological, or
 //! that expose analysis bugs. [`analyze_inputs`], the per-file loop of
-//! both `seldon learn` and `seldon serve`, isolates every file:
-//! each file is parsed once, and a [`FaultPolicy`] decides whether a parse
-//! error aborts the run or the file is analyzed with the broken statements
-//! skipped; an optional per-file
-//! [`Budget`](seldon_propgraph::Budget) bounds each file's cost; and a
-//! panic during one file's analysis is contained and quarantines only that
-//! file. The per-file verdicts come back in an
-//! [`AnalysisReport`](crate::AnalysisReport).
+//! both `seldon learn` and `seldon serve`, isolates every file: each file
+//! gets one analysis, which parses it once and skips its broken
+//! statements; an optional per-file [`Budget`] bounds each file's cost;
+//! and a panic during one file's analysis is contained and quarantines
+//! only that file. The per-file verdicts come back in an
+//! [`AnalysisReport`]. The [`FaultPolicy`] is read only by the loop: it
+//! decides whether a file whose outcome is not `Ok` ends the run.
 
 use crate::error::{panic_message, PipelineError};
 use crate::report::{AnalysisReport, CacheFaultReport, FileOutcome, FileReport};
@@ -30,8 +29,8 @@ use seldon_corpus::{Corpus, SourceFile};
 use seldon_ir::FrontendError;
 use seldon_jsfront::lower_js_program_into;
 use seldon_propgraph::{
-    lower_module_into, Budget, BudgetExceeded, BuildError, FileId, GraphSink, IdHasher,
-    PropagationGraph, Sink,
+    lower_module_into, Budget, BudgetExceeded, FileId, GraphSink, IdHasher, PropagationGraph,
+    Sink,
 };
 use seldon_solver::{
     extract, extraction_margin, solve_compiled, solve_compiled_warm, CompiledSystem,
@@ -103,29 +102,38 @@ impl Frontend {
     /// picked: checks the source size against `budget`, parses once with
     /// statement-level recovery, and lowers the AST under `budget` into
     /// `sink`: a [`GraphSink`] for the file's graph, a `Recorder` for its
-    /// IR. Unless `lenient`, a parse error stops the file before lowering.
-    /// Pass [`Budget::unlimited`] to lower without limits.
+    /// IR. The parse errors the parser recovered from come back in
+    /// [`Lowered::errors`]. Pass [`Budget::unlimited`] to lower without
+    /// limits.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::OverBudget`] when a budget limit trips and
-    /// [`BuildError::Frontend`] with the first parse error when the parse
-    /// reports one (never when `lenient`).
+    /// Returns the limit that tripped when the source or its lowering
+    /// exceeds `budget`.
     pub fn lower<S: Sink>(
         self,
         source: &str,
         budget: &Budget,
-        lenient: bool,
         sink: S,
-    ) -> Result<Lowered<S::Output>, BuildError> {
+    ) -> Result<Lowered<S::Output>, BudgetExceeded> {
         budget.check_source(source)?;
         match self {
-            Frontend::Python => lower_with(source, lenient, seldon_pyast::parse_lenient, |m| {
+            Frontend::Python => lower_with(source, seldon_pyast::parse_lenient, |m| {
                 lower_module_into(m, budget, sink)
             }),
-            Frontend::Js => lower_with(source, lenient, seldon_jsfront::parse_lenient, |p| {
+            Frontend::Js => lower_with(source, seldon_jsfront::parse_lenient, |p| {
                 lower_js_program_into(p, budget, sink)
             }),
+        }
+    }
+
+    /// The first error of `source`'s parse, in source order: the first
+    /// entry of [`Lowered::errors`] when the file lowers. `None` when the
+    /// source parses cleanly.
+    pub fn first_parse_error(self, source: &str) -> Option<FrontendError> {
+        match self {
+            Frontend::Python => seldon_pyast::parse(source).err(),
+            Frontend::Js => seldon_jsfront::parse(source).err(),
         }
     }
 
@@ -178,7 +186,7 @@ pub struct Lowered<T> {
     /// [`GraphSink`], its recorded `IrProgram` through a `Recorder`.
     pub output: T,
     /// Statement-level parse errors the parser recovered from, in source
-    /// order (always empty unless lowered `lenient`).
+    /// order.
     pub errors: Vec<FrontendError>,
     /// Wall-clock time spent lexing and parsing.
     pub parse: Duration,
@@ -188,16 +196,12 @@ pub struct Lowered<T> {
 /// borrows the source `'s`, and its lowering.
 fn lower_with<'s, Ast, T>(
     source: &'s str,
-    lenient: bool,
     parse: fn(&'s str) -> (Ast, Vec<FrontendError>),
     lower: impl FnOnce(&Ast) -> Result<T, BudgetExceeded>,
-) -> Result<Lowered<T>, BuildError> {
+) -> Result<Lowered<T>, BudgetExceeded> {
     let started = Instant::now();
-    let (ast, mut errors) = parse(source);
+    let (ast, errors) = parse(source);
     let parse = started.elapsed();
-    if !lenient && !errors.is_empty() {
-        return Err(errors.swap_remove(0).into());
-    }
     Ok(Lowered { output: lower(&ast)?, errors, parse })
 }
 
@@ -255,22 +259,23 @@ pub struct AnalyzedCorpus {
     pub build_histogram: Option<Histogram>,
 }
 
-/// How the pipeline reacts to a file that cannot be analyzed cleanly.
+/// How [`analyze_inputs`] reacts to a file that cannot be analyzed
+/// cleanly; every file gets the same recovering analysis under either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultPolicy {
-    /// Abort the whole run on the first bad file (legacy behaviour).
+    /// Stop the run at the first file whose outcome is not
+    /// [`FileOutcome::Ok`], with the error a strict front end gives it.
     #[default]
     FailFast,
-    /// Analyze a file with parse errors with its broken statements
-    /// skipped; quarantine only files that defeat recovery (budget trips,
-    /// panics).
+    /// Keep going: a recovered or quarantined file is reported in the
+    /// [`AnalysisReport`].
     Recover,
 }
 
 /// Options controlling a fault-tolerant corpus analysis.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
-    /// What to do with files that fail analysis.
+    /// Whether a file that fails analysis ends the run.
     pub policy: FaultPolicy,
     /// Per-file resource budget; `None` analyzes without limits.
     pub budget: Option<Budget>,
@@ -292,17 +297,13 @@ pub struct AnalyzeOptions {
 }
 
 /// Folds every analysis option that changes what a file's cached artifact
-/// *is* — the fault policy decides whether a file with parse errors gets a
-/// graph, the budget
-/// decides quarantine outcomes, and fault markers decide injected panics —
-/// into the [`file_key`] salt, so entries from different configurations
-/// can never satisfy each other.
+/// *is* — the budget decides quarantine outcomes, and fault markers decide
+/// injected panics — into the [`file_key`] salt, so entries from different
+/// configurations can never satisfy each other. The fault policy is not
+/// among them: it only decides whether the loop stops, so `--strict` and
+/// default runs share their artifacts.
 fn option_salt(opts: &AnalyzeOptions) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(match opts.policy {
-        FaultPolicy::FailFast => 0,
-        FaultPolicy::Recover => 1,
-    });
     match &opts.budget {
         None => {
             h.write_u64(0);
@@ -324,13 +325,18 @@ fn option_salt(opts: &AnalyzeOptions) -> u64 {
     h.finish()
 }
 
-/// Analyzes one file under the options' budget and policy. Never panics:
-/// a panic inside extraction is contained and reported as
+/// Whether the fault-injection harness panics on `content` (see
+/// [`AnalyzeOptions::fault_markers`]) before its parser runs.
+fn injects_panic(content: &str, opts: &AnalyzeOptions) -> bool {
+    opts.fault_markers && content.contains(seldon_corpus::PANIC_MARKER)
+}
+
+/// Analyzes one file under the options' budget. Never panics: a panic
+/// inside extraction is contained and reported as
 /// [`FileOutcome::Panicked`].
 ///
-/// The file is parsed once; under [`FaultPolicy::Recover`] its parse
-/// errors are skipped and counted. The timings are zero when the file is
-/// quarantined.
+/// The file is parsed once, and its parse errors are skipped and counted.
+/// The timings are zero when the file is quarantined.
 fn analyze_one(
     path: &str,
     content: &str,
@@ -339,14 +345,13 @@ fn analyze_one(
     opts: &AnalyzeOptions,
 ) -> (Option<PropagationGraph>, FileOutcome, BuildTimings) {
     let guarded = catch_unwind(AssertUnwindSafe(|| {
-        if opts.fault_markers && content.contains(seldon_corpus::PANIC_MARKER) {
+        if injects_panic(content, opts) {
             panic!("injected panic ({})", seldon_corpus::PANIC_MARKER);
         }
         let unlimited = Budget::unlimited();
         let budget = opts.budget.as_ref().unwrap_or(&unlimited);
-        let lenient = opts.policy == FaultPolicy::Recover;
         let started = Instant::now();
-        match frontend.lower(content, budget, lenient, GraphSink::new(id)) {
+        match frontend.lower(content, budget, GraphSink::new(id)) {
             Ok(lowered) => {
                 let build = started.elapsed().saturating_sub(lowered.parse);
                 let outcome = match lowered.errors.len() {
@@ -355,16 +360,9 @@ fn analyze_one(
                 };
                 (Some(lowered.output), outcome, BuildTimings { parse: lowered.parse, build })
             }
-            Err(BuildError::OverBudget(limit)) => {
+            Err(limit) => {
                 let error = PipelineError::OverBudget { path: path.to_string(), limit };
                 (None, FileOutcome::OverBudget { error }, BuildTimings::default())
-            }
-            Err(BuildError::Frontend(e)) => {
-                let error = PipelineError::Parse {
-                    path: path.to_string(),
-                    message: e.to_string(),
-                };
-                (None, FileOutcome::Skipped { error }, BuildTimings::default())
             }
         }
     }));
@@ -385,8 +383,7 @@ pub struct FileAnalysis {
     /// The file's propagation graph, stamped with the requested
     /// [`FileId`]; `None` when the file was quarantined.
     pub graph: Option<PropagationGraph>,
-    /// The per-file verdict (ok, recovered, skipped, over budget,
-    /// panicked).
+    /// The per-file verdict (ok, recovered, over budget, panicked).
     pub outcome: FileOutcome,
     /// Whether the graph came from a validated cache entry (no parse
     /// ran).
@@ -406,15 +403,15 @@ pub struct FileAnalysis {
 }
 
 /// Analyzes a single file with the guard rails and artifact-cache keying
-/// of [`analyze_inputs`], storing a fresh artifact synchronously. Unlike
-/// the loop it never fails: under [`FaultPolicy::FailFast`] a bad file
-/// comes back as its quarantine outcome.
+/// of [`analyze_inputs`], storing a fresh artifact synchronously. It gives
+/// every file the loop's one analysis and never fails: the policy is not
+/// read, and a bad file comes back as its outcome.
 ///
 /// Behind a cache, a validated entry skips the front end entirely; a miss
 /// (or any contained fault) recomputes and stores the fresh artifact. Only
 /// analyzed outcomes are cached — quarantine verdicts are cheap to
-/// re-derive and keeping them out of the store means a fixed budget or
-/// policy never serves a stale verdict.
+/// re-derive and keeping them out of the store means a fixed budget never
+/// serves a stale verdict.
 pub fn analyze_file(path: &str, content: &str, id: FileId, opts: &AnalyzeOptions) -> FileAnalysis {
     let mut analysis = lookup_or_analyze(path, content, id, opts);
     let cache = opts.cache.as_deref().filter(|_| !analysis.from_cache);
@@ -482,9 +479,8 @@ pub fn analysis_cache_key(path: &str, content: &str, opts: &AnalyzeOptions) -> u
 ///
 /// # Errors
 ///
-/// Under [`FaultPolicy::FailFast`], the error of the first bad file; the
-/// files after it are neither analyzed nor cached. The other policies only
-/// fail on corpus-level errors.
+/// Under [`FaultPolicy::FailFast`], the error of the first file whose
+/// outcome is not `Ok` (see [`analyze_inputs`]).
 pub fn analyze_corpus_with(
     corpus: &Corpus,
     opts: &AnalyzeOptions,
@@ -547,19 +543,22 @@ pub struct AnalyzedFiles {
 }
 
 /// The per-file stage of `seldon learn` and `seldon serve`, the one place
-/// source files become per-file graphs. Files are analyzed one at a time,
-/// in input order: each is looked up in the artifact cache under a key
-/// hashed once from its content, analyzed under the policy on a miss, and
-/// its fresh artifact queued to the cache's background writer
-/// ([`ArtifactCache::write_behind`]), so parsing the next file overlaps
-/// this one's `sync_data`. Every queued artifact is on disk when the call
-/// returns. Writes the `parse` (with `parse.project` children),
-/// `propgraph` and, with a cache, `cache` stage spans.
+/// source files become per-file graphs and the one place the
+/// [`FaultPolicy`] is read. Files are analyzed one at a time, in input
+/// order: each is looked up in the artifact cache under a key hashed once
+/// from its content, analyzed on a miss, and its fresh artifact queued to
+/// the cache's background writer ([`ArtifactCache::write_behind`]), so
+/// parsing the next file overlaps this one's `sync_data`. Every queued
+/// artifact is on disk when the call returns. Writes the `parse` (with
+/// `parse.project` children), `propgraph` and, with a cache, `cache`
+/// stage spans.
 ///
 /// # Errors
 ///
-/// Under [`FaultPolicy::FailFast`], the error of the first bad file; the
-/// files after it are neither analyzed nor cached, and no span is written.
+/// Under [`FaultPolicy::FailFast`], the first file whose outcome is not
+/// [`FileOutcome::Ok`] ends the run with the error a front end that
+/// parses before it lowers would give it, after its analysis but before
+/// its artifact or any later file is stored; no span is written.
 pub fn analyze_inputs<'a>(
     inputs: impl IntoIterator<Item = FileInput<'a>>,
     opts: &AnalyzeOptions,
@@ -588,13 +587,8 @@ pub fn analyze_inputs<'a>(
     let run = |queue: Option<&StoreQueue>| {
         for (i, input) in inputs.into_iter().enumerate() {
             let analysis = lookup_or_analyze(input.path, input.content, input.id, opts);
-            if opts.policy == FaultPolicy::FailFast {
-                match analysis.outcome {
-                    FileOutcome::Ok | FileOutcome::Recovered { .. } => {}
-                    FileOutcome::Skipped { error }
-                    | FileOutcome::OverBudget { error }
-                    | FileOutcome::Panicked { error } => return Err(error),
-                }
+            if opts.policy == FaultPolicy::FailFast && analysis.outcome != FileOutcome::Ok {
+                return Err(failfast_error(&input, analysis.outcome, opts));
             }
             cache_time += analysis.cache_time;
             let queue = queue.filter(|_| !analysis.from_cache);
@@ -683,6 +677,36 @@ pub fn analyze_inputs<'a>(
     Ok(out)
 }
 
+/// The error a [`FaultPolicy::FailFast`] run stops at a file with, given
+/// its `outcome` (not `Ok`): what a front end that parses before it lowers
+/// would give. A fault marker or the source-size budget stops the file
+/// before its parser, so its outcome's error stands; otherwise its first
+/// parse error wins over a lowering trip or panic. Only this path parses
+/// the file again, contained: a parse that panicked panics again.
+fn failfast_error(
+    input: &FileInput<'_>,
+    outcome: FileOutcome,
+    opts: &AnalyzeOptions,
+) -> PipelineError {
+    let quarantined = match outcome {
+        FileOutcome::OverBudget {
+            error: error @ PipelineError::OverBudget { limit: BudgetExceeded::SourceBytes { .. }, .. },
+        } => return error,
+        FileOutcome::Panicked { error } if injects_panic(input.content, opts) => return error,
+        FileOutcome::Ok | FileOutcome::Recovered { .. } => None,
+        FileOutcome::OverBudget { error } | FileOutcome::Panicked { error } => Some(error),
+    };
+    let frontend = Frontend::of_path(input.path);
+    let parse = catch_unwind(|| frontend.first_parse_error(input.content)).ok().flatten();
+    match (parse, quarantined) {
+        (Some(e), _) => {
+            PipelineError::Parse { path: input.path.to_string(), message: e.to_string() }
+        }
+        (None, Some(error)) => error,
+        (None, None) => unreachable!("a recovered file has a parse error"),
+    }
+}
+
 /// Folds per-file graphs, in order, into one global graph: the union step
 /// of both `seldon learn` and `seldon serve`. Writes the [`stage::UNION`]
 /// span with `files`, `events`, `edges` and `symbols` counters.
@@ -720,7 +744,7 @@ pub fn union_graphs(
 /// Parses every file of `corpus` and unions the per-file graphs.
 ///
 /// Equivalent to [`analyze_corpus_with`] under [`FaultPolicy::FailFast`]
-/// with no budget — the legacy strict pipeline.
+/// with no budget.
 ///
 /// # Errors
 ///
@@ -760,6 +784,8 @@ pub struct SeldonOptions {
     /// When true (and telemetry records), the manifest carries the full
     /// per-representation score dump with backoff levels — the Fig. 11
     /// dataset. Off by default: the dump scales with the learned spec.
+    /// The dump needs the solved scores a checkpoint does not keep, so it
+    /// skips the full rung of [`climb_ladder`].
     pub score_dump: bool,
     /// Opt-in warm rung of [`climb_ladder`]: when set and the input
     /// fingerprint misses, the solver is seeded from the stored
@@ -913,7 +939,8 @@ pub struct Climb {
 /// order:
 ///
 /// 1. *full* — the input fingerprint matches `stored`: its scores, spec
-///    and roles are replayed; nothing is built or solved;
+///    and roles are replayed; nothing is built or solved. Skipped under
+///    [`SeldonOptions::score_dump`], whose dump needs the solved system;
 /// 2. `build` the constraint system;
 /// 3. *warm* — only with [`SeldonOptions::warm_start`] and a stored key
 ///    table: Adam starts from the remapped scores, and the solution is
@@ -942,7 +969,7 @@ pub fn climb_ladder(
     let input_fp =
         graph_fp.map(|fp| input_fingerprint(fp, seed, &opts.gen, &opts.solve, &opts.extract));
     let mut faults = Vec::new();
-    if let Some(ckpt) = stored.filter(|c| input_fp == Some(c.input_fp)) {
+    if let Some(ckpt) = stored.filter(|c| input_fp == Some(c.input_fp) && !opts.score_dump) {
         match TaintSpec::parse(&ckpt.spec_text) {
             Ok(spec) => {
                 return Climb {
@@ -1307,6 +1334,33 @@ mod tests {
     }
 
     #[test]
+    fn failfast_over_a_recovered_cache_stops_at_the_broken_hit() {
+        // A `Recover` run stores an artifact for every file, the broken
+        // one included; a `FailFast` run over that cache serves the files
+        // from it and stops at the broken one with a cacheless run's text.
+        let mut c = mixed_corpus();
+        let late = SourceFile { path: "late.py".into(), content: "y = 1\n".into() };
+        c.projects[0].files.push(late);
+        let dir = std::env::temp_dir().join(format!("seldon-failfast-hit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || Some(Arc::new(seldon_cache::ArtifactCache::open(&dir).unwrap().0));
+        let recover =
+            AnalyzeOptions { policy: FaultPolicy::Recover, cache: open(), ..Default::default() };
+        analyze_corpus_with(&c, &recover).unwrap();
+        assert_eq!(recover.cache.as_deref().unwrap().stats().stores, 3);
+        // The file behind the broken one is new: reaching it would miss.
+        c.projects[0].files[2].content = "y = 2\n".into();
+        let failfast = AnalyzeOptions { cache: open(), ..Default::default() };
+        let err = analyze_corpus_with(&c, &failfast).unwrap_err();
+        let s = failfast.cache.as_deref().unwrap().stats();
+        assert_eq!((s.hits, s.misses, s.stores), (2, 0, 0));
+        let expected = analyze_corpus(&c).unwrap_err();
+        assert!(matches!(expected, PipelineError::Parse { ref path, .. } if path == "bad.py"));
+        assert_eq!(err.to_string(), expected.to_string());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn store_faults_come_back_per_file_in_corpus_order() {
         // Every store fails (the directory is gone): each file's fault is
         // reported under its own path, in corpus order, once the
@@ -1429,7 +1483,6 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Lowering {
         Lowered { errors: usize },
-        ParseError,
         SourceBytes,
         Depth,
     }
@@ -1467,38 +1520,34 @@ mod tests {
             // The strict, unlimited shorthand of the same frontend.
             let reference = build(clean, FileId(0)).expect("clean source builds");
             #[rustfmt::skip]
-            let table: [(&Budget, &str, bool, Lowering); 12] = [
-                (&unlimited, clean, false, Lowering::Lowered { errors: 0 }),
-                (&unlimited, clean, true, Lowering::Lowered { errors: 0 }),
-                (&unlimited, broken, false, Lowering::ParseError),
-                (&unlimited, broken, true, Lowering::Lowered { errors: 1 }),
-                (&unlimited, deep, false, Lowering::Lowered { errors: 0 }),
-                (&unlimited, deep, true, Lowering::Lowered { errors: 0 }),
-                (&size_trip, clean, false, Lowering::SourceBytes),
-                (&size_trip, broken, true, Lowering::SourceBytes),
-                (&depth_trip, deep, false, Lowering::Depth),
-                (&depth_trip, deep, true, Lowering::Depth),
-                (&depth_trip, clean, false, Lowering::Lowered { errors: 0 }),
-                (&depth_trip, broken, true, Lowering::Lowered { errors: 1 }),
+            let table: [(&Budget, &str, Lowering); 8] = [
+                (&unlimited, clean, Lowering::Lowered { errors: 0 }),
+                (&unlimited, broken, Lowering::Lowered { errors: 1 }),
+                (&unlimited, deep, Lowering::Lowered { errors: 0 }),
+                (&size_trip, clean, Lowering::SourceBytes),
+                (&size_trip, broken, Lowering::SourceBytes),
+                (&depth_trip, deep, Lowering::Depth),
+                (&depth_trip, clean, Lowering::Lowered { errors: 0 }),
+                (&depth_trip, broken, Lowering::Lowered { errors: 1 }),
             ];
-            for (budget, src, lenient, expected) in table {
-                let row = format!("{frontend:?} lenient={lenient} {budget:?}\n{src}");
-                let result = frontend.lower(src, budget, lenient, GraphSink::new(FileId(0)));
+            for (budget, src, expected) in table {
+                let row = format!("{frontend:?} {budget:?}\n{src}");
+                let result = frontend.lower(src, budget, GraphSink::new(FileId(0)));
                 let got = match &result {
                     Ok(l) => Lowering::Lowered { errors: l.errors.len() },
-                    Err(BuildError::Frontend(_)) => Lowering::ParseError,
-                    Err(BuildError::OverBudget(BudgetExceeded::SourceBytes { .. })) => {
-                        Lowering::SourceBytes
-                    }
-                    Err(BuildError::OverBudget(BudgetExceeded::Depth { .. })) => Lowering::Depth,
+                    Err(BudgetExceeded::SourceBytes { .. }) => Lowering::SourceBytes,
+                    Err(BudgetExceeded::Depth { .. }) => Lowering::Depth,
                     Err(e) => panic!("{row}: unexpected {e}"),
                 };
                 assert_eq!(got, expected, "{row}");
                 let Ok(lowered) = result else { continue };
+                // The abort path's parse error is the first recovered one.
+                let first = frontend.first_parse_error(src);
+                assert_eq!(first.as_ref(), lowered.errors.first(), "{row}");
                 let g = lowered.output;
                 if src == clean {
-                    // Any budget that does not trip, either parse mode: the
-                    // strict shorthand's graph exactly.
+                    // Any budget that does not trip: the strict shorthand's
+                    // graph exactly.
                     assert_eq!(graph_fingerprint(&g), graph_fingerprint(&reference), "{row}");
                 }
                 if src != deep {
@@ -1517,8 +1566,7 @@ mod tests {
         // A stray top-level indent is the parser's one error; the statement
         // behind it is kept.
         let stray = "  x = f()\n";
-        let lowered =
-            Frontend::Python.lower(stray, &Budget::unlimited(), true, Recorder::default());
+        let lowered = Frontend::Python.lower(stray, &Budget::unlimited(), Recorder::default());
         assert_eq!(lowered.unwrap().errors.len(), 1);
         let analysis = analyze_file("stray.py", stray, FileId(0), &recover);
         assert_eq!(analysis.outcome, FileOutcome::Recovered { errors: 1 });
@@ -1527,12 +1575,27 @@ mod tests {
         let broken = "  x = = 1\n";
         let analysis = analyze_file("broken.py", broken, FileId(0), &recover);
         assert_eq!(analysis.outcome, FileOutcome::Recovered { errors: 2 });
-        // Without Recover the file is quarantined with that first error.
+        // The policy is the loop's: `analyze_file` recovers under either.
         let strict = analyze_file("stray.py", stray, FileId(0), &AnalyzeOptions::default());
-        let FileOutcome::Skipped { error } = strict.outcome else { panic!("not quarantined") };
+        assert_eq!(strict.outcome, FileOutcome::Recovered { errors: 1 });
+        // A `FailFast` loop stops at the file with its first error.
+        let input = FileInput { project: 0, id: FileId(0), path: "stray.py", content: stray };
+        let error = analyze_inputs([input], &AnalyzeOptions::default()).unwrap_err();
         let expected = "failed to parse stray.py: expected expression but found indent at 1:1";
         assert_eq!(error.to_string(), expected);
-        assert!(strict.graph.is_none());
+        // Its parse error wins over a lowering trip, as a parse before
+        // lowering would stop it; the source-size gate comes first.
+        let deep = "x = = 1\nif a:\n    if b:\n        y = 1\n";
+        let input = FileInput { project: 0, id: FileId(0), path: "deep.py", content: deep };
+        let stop = |budget| {
+            let opts = AnalyzeOptions { budget: Some(budget), ..Default::default() };
+            assert!(analyze_file("deep.py", deep, FileId(0), &opts).outcome.is_quarantined());
+            analyze_inputs([input], &opts).unwrap_err().to_string()
+        };
+        let parse = "failed to parse deep.py: expected expression but found `=` at 1:5";
+        assert_eq!(stop(Budget { max_depth: 1, ..Budget::unlimited() }), parse);
+        let size = stop(Budget { max_source_bytes: 4, ..Budget::unlimited() });
+        assert!(size.contains("source size"), "{size}");
     }
 
     #[test]

@@ -17,15 +17,10 @@ pub enum FileOutcome {
     /// The file parsed without an error and extraction succeeded.
     Ok,
     /// The parse reported errors; the file was analyzed with the broken
-    /// statements skipped (under `Recover`).
+    /// statements skipped.
     Recovered {
         /// Number of front-end errors skipped during recovery.
         errors: usize,
-    },
-    /// The file was quarantined because of a parse failure.
-    Skipped {
-        /// The error that caused quarantine.
-        error: PipelineError,
     },
     /// The file was quarantined because it exceeded a resource budget.
     OverBudget {
@@ -120,14 +115,6 @@ impl AnalysisReport {
             .count()
     }
 
-    /// Number of files quarantined for parse failures.
-    pub fn skipped(&self) -> usize {
-        self.files
-            .iter()
-            .filter(|f| matches!(f.outcome, FileOutcome::Skipped { .. }))
-            .count()
-    }
-
     /// Number of files quarantined for budget violations.
     pub fn over_budget(&self) -> usize {
         self.files
@@ -163,9 +150,7 @@ impl AnalysisReport {
             FileOutcome::Recovered { errors } => {
                 Some(format!("recovered {} ({errors} parse error(s) skipped)", file.path))
             }
-            FileOutcome::Skipped { error }
-            | FileOutcome::OverBudget { error }
-            | FileOutcome::Panicked { error } => {
+            FileOutcome::OverBudget { error } | FileOutcome::Panicked { error } => {
                 Some(format!("quarantined {}: {error}", file.path))
             }
         });
@@ -176,11 +161,10 @@ impl AnalysisReport {
     /// One-line degradation summary, e.g. for CLI stderr.
     pub fn summary(&self) -> String {
         let mut line = format!(
-            "{} file(s): {} ok, {} recovered, {} skipped, {} over budget, {} panicked",
+            "{} file(s): {} ok, {} recovered, {} over budget, {} panicked",
             self.files.len(),
             self.ok(),
             self.recovered(),
-            self.skipped(),
             self.over_budget(),
             self.panicked(),
         );
@@ -220,10 +204,10 @@ mod tests {
                 FileReport {
                     project: 1,
                     path: "c.py".into(),
-                    outcome: FileOutcome::Skipped {
-                        error: PipelineError::Parse {
+                    outcome: FileOutcome::OverBudget {
+                        error: PipelineError::OverBudget {
                             path: "c.py".into(),
-                            message: "bad".into(),
+                            limit: seldon_propgraph::BudgetExceeded::Depth { limit: 64 },
                         },
                     },
                 },
@@ -247,8 +231,7 @@ mod tests {
         let r = report();
         assert_eq!(r.ok(), 1);
         assert_eq!(r.recovered(), 1);
-        assert_eq!(r.skipped(), 1);
-        assert_eq!(r.over_budget(), 0);
+        assert_eq!(r.over_budget(), 1);
         assert_eq!(r.panicked(), 1);
         assert!(r.is_degraded());
         assert_eq!(r.quarantined().count(), 2);
@@ -299,7 +282,7 @@ mod tests {
         let r = report();
         assert_eq!(
             r.summary(),
-            "4 file(s): 1 ok, 1 recovered, 1 skipped, 0 over budget, 1 panicked"
+            "4 file(s): 1 ok, 1 recovered, 1 over budget, 1 panicked"
         );
         let text = r.to_string();
         assert!(text.contains("recovered b.py (2 parse error(s) skipped)"));

@@ -63,7 +63,7 @@ pub fn build_js_source(source: &str, file: FileId) -> Result<PropagationGraph, F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seldon_propgraph::{BudgetExceeded, BuildError};
+    use seldon_propgraph::BudgetExceeded;
 
     #[test]
     fn end_to_end_flow_reaches_sink() {
@@ -123,10 +123,7 @@ mod tests {
             max_source_bytes: 4,
             ..Budget::unlimited()
         };
-        let err = BuildError::from(tight.check_source("const a = b;").unwrap_err());
-        assert!(matches!(
-            err,
-            BuildError::OverBudget(BudgetExceeded::SourceBytes { .. })
-        ));
+        let err = tight.check_source("const a = b;").unwrap_err();
+        assert!(matches!(err, BudgetExceeded::SourceBytes { .. }));
     }
 }

@@ -10,18 +10,17 @@
 //!
 //! This module is a thin façade: the Python-specific walk lives in
 //! [`crate::lower`], the language-blind construction in the graph sink of
-//! [`crate::irbuild`]. The per-file front end that picks a parser, a
-//! budget, and strict or lenient parsing for either language is
-//! `seldon_core::Frontend::lower`; this module keeps [`build_source`], its
+//! [`crate::irbuild`]. The per-file front end that picks a parser and a
+//! budget for either language, and always parses with recovery, is
+//! `seldon_core::Frontend::lower`; this module keeps [`build_source`], a
 //! strict, unlimited shorthand.
 
-use crate::budget::{Budget, BudgetExceeded};
+use crate::budget::Budget;
 use crate::event::FileId;
 use crate::graph::PropagationGraph;
 use crate::irbuild::GraphSink;
 use crate::lower::lower_module_into;
 use seldon_pyast::{parse, FrontendError};
-use std::fmt;
 
 /// Parses `source` strictly and builds its propagation graph, without
 /// resource limits.
@@ -35,42 +34,10 @@ pub fn build_source(source: &str, file: FileId) -> Result<PropagationGraph, Fron
         .expect("an unlimited budget never trips"))
 }
 
-/// Failure of a budgeted build: either the front end rejected the source,
-/// or a resource budget was exceeded.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BuildError {
-    /// The source failed to lex or parse.
-    Frontend(FrontendError),
-    /// A [`Budget`] limit was exceeded.
-    OverBudget(BudgetExceeded),
-}
-
-impl fmt::Display for BuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildError::Frontend(e) => e.fmt(f),
-            BuildError::OverBudget(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
-impl From<FrontendError> for BuildError {
-    fn from(e: FrontendError) -> Self {
-        BuildError::Frontend(e)
-    }
-}
-
-impl From<BudgetExceeded> for BuildError {
-    fn from(e: BudgetExceeded) -> Self {
-        BuildError::OverBudget(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::BudgetExceeded;
     use crate::event::{EventId, EventKind};
     use seldon_specs::Role;
 
@@ -356,19 +323,12 @@ for i in range(3):
         }
     }
 
-    /// The per-file steps under `budget`: the source-size gate, a strict or
-    /// lenient parse, the budgeted lowering, then graph construction.
-    fn build_under(
-        src: &str,
-        budget: &Budget,
-        lenient: bool,
-    ) -> Result<(PropagationGraph, usize), BuildError> {
+    /// The per-file steps under `budget`: the source-size gate, the
+    /// recovering parse, the budgeted lowering, then graph construction.
+    /// Returns the graph and the number of recovered parse errors.
+    fn build_under(src: &str, budget: &Budget) -> Result<(PropagationGraph, usize), BudgetExceeded> {
         budget.check_source(src)?;
-        let (module, errors) = if lenient {
-            seldon_pyast::parse_lenient(src)
-        } else {
-            (parse(src)?, Vec::new())
-        };
+        let (module, errors) = seldon_pyast::parse_lenient(src);
         let graph = lower_module_into(&module, budget, GraphSink::new(FileId(0)))?;
         Ok((graph, errors.len()))
     }
@@ -378,7 +338,7 @@ for i in range(3):
         // The malformed line must not open a bracket (implicit joining
         // would swallow the rest of the file into one logical line).
         let src = "from m import src, sink\nx = src()\nbroken = = 3\nsink(x)\n";
-        let (g, errors) = build_under(src, &Budget::unlimited(), true).expect("builds");
+        let (g, errors) = build_under(src, &Budget::unlimited()).expect("builds");
         assert_eq!(errors, 1);
         assert!(g.is_reachable(find(&g, "m.src()"), find(&g, "m.sink()")));
     }
@@ -387,28 +347,20 @@ for i in range(3):
     fn timed_builds_match_untimed() {
         // Every analyzed file is lowered, and timed, under a budget; one
         // that does not trip must leave the graph as the shorthand builds
-        // it, in either parse mode.
+        // it.
         let src = "from m import src, sink\nx = src()\nsink(x)\n";
         let plain = build_source(src, FileId(0)).unwrap();
-        for lenient in [false, true] {
-            let (g, errors) = build_under(src, &Budget::default(), lenient).expect("builds");
-            assert_eq!(errors, 0);
-            assert_eq!(g.event_count(), plain.event_count());
-            assert_eq!(g.edge_count(), plain.edge_count());
-        }
+        let (g, errors) = build_under(src, &Budget::default()).expect("builds");
+        assert_eq!(errors, 0);
+        assert_eq!(g.event_count(), plain.event_count());
+        assert_eq!(g.edge_count(), plain.edge_count());
     }
 
     #[test]
     fn timed_build_honors_budget() {
         let tight = Budget { max_source_bytes: 4, ..Budget::unlimited() };
-        let src = "x = 1\n";
-        for lenient in [false, true] {
-            let err = build_under(src, &tight, lenient).unwrap_err();
-            assert!(matches!(
-                err,
-                BuildError::OverBudget(BudgetExceeded::SourceBytes { .. })
-            ));
-        }
+        let err = build_under("x = 1\n", &tight).unwrap_err();
+        assert!(matches!(err, BudgetExceeded::SourceBytes { .. }));
     }
 
     #[test]

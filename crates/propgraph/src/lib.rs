@@ -36,7 +36,7 @@ pub mod repr;
 pub mod search;
 
 pub use budget::{Budget, BudgetExceeded, BudgetMeter};
-pub use builder::{build_source, BuildError};
+pub use builder::build_source;
 pub use dot::to_dot;
 pub use emit::{Recorder, Sink};
 pub use event::{Event, EventId, EventKind, EventView, FileId};

@@ -33,7 +33,8 @@
 //! is used.
 //!
 //! All commands accept `--lenient` (default: recover from per-statement
-//! parse errors) or `--strict` (abort on the first unparseable file), and
+//! parse errors) or `--strict` (analyze each file the same way, but abort
+//! at the first one that is not clean), and
 //! `--log-level off|info|debug` for stage logging on stderr. `serve`
 //! analyzes every delta through `learn`'s per-file loop, so under
 //! `--strict` its initial build exits 1 naming the unparseable file, and a
@@ -429,8 +430,8 @@ fn cmd_graph(rest: &[String]) -> Result<Outcome, CliError> {
 /// Prints the language-neutral IR trace one file lowers to — the exact
 /// event/op stream the graph sink receives. Lowers through
 /// [`Frontend::lower`] like `learn` does, into a recording sink, under the
-/// default budget, and parses strictly: a lowering dump of a file that
-/// does not parse would be misleading.
+/// default budget, and refuses a file with a parse error: a lowering dump
+/// of a file that does not parse would be misleading.
 fn cmd_ir_dump(rest: &[String]) -> Result<Outcome, CliError> {
     let (paths, _, _) = split_args(rest, &[], &[])?;
     let [path] = paths.as_slice() else {
@@ -438,9 +439,14 @@ fn cmd_ir_dump(rest: &[String]) -> Result<Outcome, CliError> {
     };
     let content = std::fs::read_to_string(path)
         .map_err(|e| CliError::usage(format!("cannot read {}: {e}", path.display())))?;
+    let refuse =
+        |e: &dyn std::fmt::Display| CliError::Runtime(format!("{}: {e}", path.display()));
     let lowered = Frontend::of_path(&path.display().to_string())
-        .lower(&content, &Budget::default(), false, Recorder::default())
-        .map_err(|e| CliError::Runtime(format!("{}: {e}", path.display())))?;
+        .lower(&content, &Budget::default(), Recorder::default())
+        .map_err(|limit| refuse(&limit))?;
+    if let Some(e) = lowered.errors.first() {
+        return Err(refuse(e));
+    }
     print!("{}", lowered.output.dump());
     Ok(Outcome::Clean)
 }
@@ -623,12 +629,12 @@ fn cmd_learn(rest: &[String]) -> Result<Outcome, CliError> {
     if run.solution.diverged {
         eprintln!("warning: solver diverged and restarted with a reduced learning rate");
     }
-    if flags.contains(&"--strict") {
-        eprintln!(
+    tele.info(|| {
+        format!(
             "solver: {} restart(s), final learning rate {:.6}",
             run.solution.restarts, run.solution.final_lr
-        );
-    }
+        )
+    });
     if let Some(m) = &full.manifest {
         if let Some(path) = manifest_path {
             std::fs::write(path, m.to_json())
@@ -846,9 +852,9 @@ fn cmd_report(rest: &[String]) -> Result<Outcome, CliError> {
         "corpus       {files} file(s) / {projects} project(s) — {events} events, {edges} edges, {} symbols",
         n(&metric::INTERN_SYMBOLS)
     );
-    let [ok, recovered, skipped, over_budget, panicked] = metric::OUTCOMES.map(|d| n(&d));
+    let [ok, recovered, over_budget, panicked] = metric::OUTCOMES.map(|d| n(&d));
     println!(
-        "outcomes     ok {ok}, recovered {recovered}, skipped {skipped}, over-budget {over_budget}, panicked {panicked}"
+        "outcomes     ok {ok}, recovered {recovered}, over-budget {over_budget}, panicked {panicked}"
     );
     println!();
     println!("stage breakdown (top-level spans)");

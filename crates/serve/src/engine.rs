@@ -46,12 +46,15 @@
 //!
 //! # Failure semantics
 //!
-//! A delta's files are analyzed before any engine state changes. Under
+//! A delta's files are analyzed before any engine state changes, each with
+//! the one recovering analysis `learn` gives it. Under
 //! [`FaultPolicy::FailFast`](seldon_core::FaultPolicy) (`seldon serve
-//! --strict`) the first unparseable, over-budget or panicking file rejects
-//! the delta with [`EngineError::Analysis`], and the previous build stays
-//! served; the other policies recover or quarantine the file and report
-//! it in [`DeltaOutcome::report`], as `learn` reports it.
+//! --strict`) the first file whose outcome is not `Ok` (unparseable,
+//! over budget or panicking) rejects the delta with
+//! [`EngineError::Analysis`], and the previous build stays served; under
+//! `Recover` the file is recovered or quarantined and reported in
+//! [`DeltaOutcome::report`], as `learn` reports it. A token-matched file
+//! keeps its slot's outcome, which under `FailFast` is always `Ok`.
 //!
 //! Cache faults are contained: a damaged artifact re-parses, a damaged
 //! checkpoint cold-solves, and each is reported in the delta's report (a
@@ -194,7 +197,7 @@ pub enum EngineError {
     /// file, changing or removing an untracked one).
     Validation(String),
     /// Under [`FaultPolicy::FailFast`](seldon_core::FaultPolicy), the
-    /// first added or changed file that failed analysis.
+    /// first added or changed file whose outcome was not `Ok`.
     Analysis(PipelineError),
 }
 

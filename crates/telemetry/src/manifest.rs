@@ -114,11 +114,10 @@ pub mod metric {
         Identity,
         "Symbols in the run's table: the union's in batch, the engine's in serve.",
     );
-    /// Per-file outcomes: ok, recovered, skipped, over budget, panicked.
-    pub const OUTCOMES: [MetricDef; 5] = [
+    /// Per-file outcomes: ok, recovered, over budget, panicked.
+    pub const OUTCOMES: [MetricDef; 4] = [
         def("files_ok", Identity, "Files analyzed strictly."),
         def("files_recovered", Identity, "Files recovered leniently."),
-        def("files_skipped", Identity, "Files quarantined on a parse failure."),
         def("files_over_budget", Identity, "Files quarantined on a budget trip."),
         def("files_panicked", Identity, "Files whose analysis panicked (contained)."),
     ];

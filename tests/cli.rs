@@ -894,6 +894,29 @@ fn diff_runs_exit_codes_are_pinned() {
 }
 
 #[test]
+fn score_dump_survives_a_checkpoint_of_the_same_input() {
+    // The second run's input matches the checkpoint the first stored, but
+    // the dump needs the solved scores, so it solves again and dumps what
+    // the first run dumped.
+    let dir = temp_dir("scoredumpcache");
+    let cache = dir.join("cache");
+    let args = [std::ffi::OsStr::new("--cache-dir"), cache.as_os_str()];
+    let a = learn_manifest_with(&dir, "a.json", &args);
+    let b = learn_manifest_with(&dir, "b.json", &args);
+    let load = |path: &PathBuf| {
+        let text = std::fs::read_to_string(path).unwrap();
+        seldon_telemetry::RunManifest::from_json(&text).unwrap()
+    };
+    let (first, second) = (load(&a), load(&b));
+    assert!(!first.score_dump.is_empty(), "the fixture learns entries");
+    assert_eq!(first.score_dump, second.score_dump);
+    let diff = seldon().arg("diff-runs").arg(&a).arg(&b).output().expect("runs");
+    let stdout = String::from_utf8_lossy(&diff.stdout);
+    assert!(!stdout.contains("REGRESSION score_dump"), "{stdout}");
+    assert_eq!(diff.status.code(), Some(0), "{stdout}");
+}
+
+#[test]
 fn client_wait_must_be_finite_and_non_negative() {
     let dir = temp_dir("clientwait");
     let socket = dir.join("absent.sock");
@@ -911,11 +934,16 @@ fn client_wait_must_be_finite_and_non_negative() {
 }
 
 #[test]
-fn strict_learn_reports_solver_restarts() {
-    let dir = temp_dir("strictlearn");
+fn learn_info_log_reports_solver_restarts() {
+    // The solver summary is a run summary like the cache line: logged at
+    // `info`, silent by default, whatever the fault policy.
+    let dir = temp_dir("infolearn");
     write_app(&dir);
-    let out = seldon().arg("learn").arg(&dir).arg("--strict").output().expect("runs");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("restart(s), final learning rate"), "{stderr}");
+    let learn = |extra: &[&str]| {
+        let out = seldon().arg("learn").arg(&dir).args(extra).output().expect("runs");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stderr).contains("restart(s), final learning rate")
+    };
+    assert!(learn(&["--log-level", "info"]));
+    assert!(!learn(&["--strict"]));
 }

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use seldon_cache::{graph_fingerprint, Fnv64};
 use seldon_core::{
-    analyze_corpus, analyze_corpus_with, analyze_file, evaluate_spec, run_seldon, AnalyzeOptions,
-    FaultPolicy, FileOutcome, GroundTruth, SeldonOptions,
+    analyze_corpus, analyze_corpus_with, analyze_file, analyze_inputs, evaluate_spec, run_seldon,
+    AnalyzeOptions, FaultPolicy, FileInput, FileOutcome, GroundTruth, SeldonOptions,
 };
 use seldon_corpus::{
     generate_corpus, Corpus, CorpusOptions, FaultKind, Lang, Project, SourceFile, Universe,
@@ -36,7 +36,6 @@ fn variant(outcome: &FileOutcome) -> &'static str {
     match outcome {
         FileOutcome::Ok => "ok",
         FileOutcome::Recovered { .. } => "recovered",
-        FileOutcome::Skipped { .. } => "skipped",
         FileOutcome::OverBudget { .. } => "over budget",
         FileOutcome::Panicked { .. } => "panicked",
     }
@@ -164,31 +163,29 @@ proptest! {
 
 /// Hashes, in corpus order, what each file of the 20%-faulted 60-project
 /// corpus in `lang` comes to: its outcome variant under `Recover`, the
-/// error text `FailFast` quarantines it with (empty when it parses), and
-/// the fingerprint of the graph `Recover` builds.
+/// error text a `FailFast` run over that one file stops with (empty when
+/// the run completes), and the fingerprint of the graph `Recover` builds.
 fn faulted_corpus_digest(lang: Lang) -> u64 {
     let corpus = generate_corpus(&Universe::new(), &CorpusOptions { lang, ..faulted_corpus_opts() });
     let failfast = AnalyzeOptions { policy: FaultPolicy::FailFast, ..harness_opts() };
     let mut h = Fnv64::new();
-    for (i, (_, file)) in corpus.files().enumerate() {
+    for (i, (project, file)) in corpus.files().enumerate() {
         let id = FileId(i as u32);
         let recovered = analyze_file(&file.path, &file.content, id, &harness_opts());
-        let strict = match analyze_file(&file.path, &file.content, id, &failfast).outcome {
-            FileOutcome::Ok => String::new(),
-            FileOutcome::Skipped { error }
-            | FileOutcome::OverBudget { error }
-            | FileOutcome::Panicked { error } => error.to_string(),
-            FileOutcome::Recovered { .. } => unreachable!("FailFast never recovers"),
-        };
+        let input = FileInput { project, id, path: &file.path, content: &file.content };
+        let strict = analyze_inputs([input], &failfast).err();
+        let strict = strict.map_or(String::new(), |e| e.to_string());
         h.write_str(&file.path).write_str(variant(&recovered.outcome)).write_str(&strict);
         h.write_u64(recovered.graph.as_ref().map_or(0, graph_fingerprint));
     }
     h.finish()
 }
 
-/// Both policies parse each file once; the pins were taken when `Recover`
-/// parsed a broken file twice, strictly and then with recovery, and one
-/// parse must come to the same outcomes, errors and graphs.
+/// Every file gets one recovering analysis, and `FailFast` derives its
+/// error from it; the pins were taken when `Recover` parsed a broken file
+/// twice, strictly and then with recovery, and when `FailFast` stopped a
+/// file at its first parse error before lowering it. One analysis must
+/// come to the same outcomes, errors and graphs.
 #[test]
 fn faulted_corpus_outcomes_are_pinned() {
     assert_eq!(faulted_corpus_digest(Lang::Py), 0x83d2_e571_5fa2_bd76);

@@ -242,9 +242,12 @@ fn corpus_file_with_helper(lang: Lang) -> (String, String) {
     found.expect("some generated file defines a helper")
 }
 
-/// Lowers `src` strictly and without limits, as the goldens were blessed.
+/// Lowers `src` without limits, as the goldens were blessed; a golden
+/// fixture parses without an error.
 fn lower(frontend: Frontend, src: &str) -> IrProgram {
-    frontend.lower(src, &Budget::unlimited(), false, Recorder::default()).expect("lowers").output
+    let lowered = frontend.lower(src, &Budget::unlimited(), Recorder::default()).expect("lowers");
+    assert_eq!(lowered.errors, [], "golden fixtures parse cleanly");
+    lowered.output
 }
 
 fn ir_golden_dir() -> PathBuf {

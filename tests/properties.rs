@@ -291,7 +291,7 @@ proptest! {
                     Lang::Js => Frontend::Js,
                 };
                 let sink = GraphSink::new(file);
-                let lowered = frontend.lower(&f.content, &Budget::unlimited(), false, sink);
+                let lowered = frontend.lower(&f.content, &Budget::unlimited(), sink);
                 let staged = lowered.expect("lowering").output;
                 prop_assert_eq!(staged.event_count(), composed.event_count());
                 prop_assert_eq!(staged.edge_count(), composed.edge_count());
@@ -339,8 +339,8 @@ proptest! {
             for (i, src) in sources.iter().enumerate() {
                 let file = FileId(i as u32);
                 for (b, budget) in budgets.iter().enumerate() {
-                    let direct = frontend.lower(src, budget, false, GraphSink::new(file));
-                    let recorded = frontend.lower(src, budget, false, Recorder::default());
+                    let direct = frontend.lower(src, budget, GraphSink::new(file));
+                    let recorded = frontend.lower(src, budget, Recorder::default());
                     let (direct, recorded) = match (direct, recorded) {
                         (Ok(d), Ok(r)) => (d.output, seldon_propgraph::build_ir(&r.output, file)),
                         (Err(d), Err(r)) => {
@@ -406,7 +406,7 @@ proptest! {
                 .files()
                 .map(|(_, f)| {
                     let sink = GraphSink::new(FileId(0));
-                    let lowered = frontend.lower(&f.content, &Budget::unlimited(), false, sink);
+                    let lowered = frontend.lower(&f.content, &Budget::unlimited(), sink);
                     lowered.expect("generated files lower").output
                 })
                 .collect();

@@ -66,7 +66,7 @@ fn files() -> Vec<(String, String)> {
 /// errors, or the build error that quarantines it.
 fn lowered(path: &str, src: &str) -> Result<(u64, usize), String> {
     Frontend::of_path(path)
-        .lower(src, &Budget::default(), true, GraphSink::new(FileId(0)))
+        .lower(src, &Budget::default(), GraphSink::new(FileId(0)))
         .map(|l| (graph_fingerprint(&l.output), l.errors.len()))
         .map_err(|e| e.to_string())
 }
