@@ -19,6 +19,13 @@
 //! list families — so [`decode`] fills the lists as stored instead of
 //! re-adding edges.
 //!
+//! The payload also records the graph's [`graph_fingerprint`], computed
+//! once when the artifact is written ([`ArtifactMeta`]): the solver
+//! checkpoint's key folds these per-file values, so a warm run reads each
+//! file's fingerprint instead of hashing the union. The entry frame's
+//! checksum covers it like every other field; [`decode`] does not rehash
+//! the graph to check it.
+//!
 //! Alongside the graph the payload stores the file's constraint fragment:
 //! its contribution to the §4.3 representation-frequency census, again
 //! keyed by string-table index. [`decode`] rebuilds the graph in one pass
@@ -32,6 +39,7 @@
 //! graph's invariants, is treated as corrupt and recomputed, never
 //! trusted.
 
+use crate::checkpoint::graph_fingerprint;
 use crate::codec::{Reader, Writer};
 use crate::entry::EntryError;
 use seldon_intern::{IdHash, Symbol, Symbols};
@@ -41,6 +49,22 @@ use seldon_propgraph::{
 };
 use seldon_pyast::Span;
 use std::collections::HashMap;
+
+/// What an artifact records about its graph besides the graph itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArtifactMeta {
+    /// Parse errors the file's recovering parse skipped.
+    pub recovered_errors: usize,
+    /// The graph's [`graph_fingerprint`].
+    pub graph_fp: u64,
+}
+
+impl ArtifactMeta {
+    /// The record of `graph`, hashing it once.
+    pub fn of(graph: &PropagationGraph, recovered_errors: usize) -> ArtifactMeta {
+        ArtifactMeta { recovered_errors, graph_fp: graph_fingerprint(graph) }
+    }
+}
 
 fn kind_tag(kind: EventKind) -> u8 {
     match kind {
@@ -60,16 +84,17 @@ fn kind_from_tag(tag: u8) -> Option<EventKind> {
 }
 
 /// Serializes a per-file graph (as built by the front end, stamped with
-/// any [`FileId`]) and its lenient-parse error count to the binary payload
-/// framed by [`crate::entry::encode_entry`]: the recovered-error count,
-/// the string table, the event table (each row ending in the event's
-/// successor list), the predecessor lists and the frequency table, as
+/// any [`FileId`]) and its record `meta` (which must describe `graph`) to
+/// the binary payload framed by [`crate::entry::encode_entry`]: the
+/// recovered-error count and graph fingerprint, the string table, the
+/// event table (each row ending in the event's successor list), the
+/// predecessor lists and the frequency table, as
 /// binary records of the crate's payload codec. The string table lists
 /// each representation once, in first-use order; the frequency table
 /// counts the uses of each entry. A predecessor list has no count of its
 /// own: its length is the event's in-degree, which the successor lists
 /// already fix.
-pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
+pub fn encode(graph: &PropagationGraph, meta: ArtifactMeta) -> Vec<u8> {
     let mut strings: Vec<Symbol> = Vec::new();
     let mut index_of: HashMap<Symbol, u32, IdHash> = HashMap::default();
     let mut uses: Vec<u32> = Vec::new();
@@ -86,7 +111,8 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
         }
     }
     let mut w = Writer::default();
-    w.u64(recovered_errors as u64);
+    w.u64(meta.recovered_errors as u64);
+    w.u64(meta.graph_fp);
     w.table(&strings, |w, &s| w.str(graph.symbols().resolve(s)));
     let mut rep_indices = rep_indices.into_iter();
     w.table(graph.events(), |w, (id, event)| {
@@ -131,12 +157,12 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
 /// Rebuilds the graph of a payload written by [`encode`], in one pass that
 /// fills the frozen graph's arrays ([`GraphParts`]) straight from the
 /// payload: representation strings are interned into the graph's own
-/// table, in string-table order, and keyword names after them in edge
-/// order; events are stamped with `file`; the successor lists land in the
-/// successor CSR and the predecessor lists in the predecessor CSR as
-/// stored; and the stored frequency fragment is checked against the uses
-/// counted on the way. No allocation is made per event. Returns the graph
-/// and its recovered-error count.
+/// table, sized from the string table, in string-table order, and keyword
+/// names after them in edge order; events are stamped with `file`; the
+/// successor lists land in the successor CSR and the predecessor lists in
+/// the predecessor CSR as stored; and the stored frequency fragment is
+/// checked against the uses counted on the way. No allocation is made per
+/// event. Returns the graph and its stored record.
 ///
 /// # Errors
 ///
@@ -146,18 +172,21 @@ pub fn encode(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
 /// out-of-range indices or endpoints, self or duplicate edges,
 /// predecessor lists that do not mirror the successor lists, fragment
 /// mismatch).
-pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize), EntryError> {
+pub fn decode(
+    payload: &[u8],
+    file: FileId,
+) -> Result<(PropagationGraph, ArtifactMeta), EntryError> {
     let corrupt = |what: &str| EntryError::Corrupt(what.to_string());
     let unmirrored = || corrupt("self, duplicate or unmirrored edge");
     let mut r = Reader::new(payload);
-    let recovered_errors = r.usize()?;
+    let meta = ArtifactMeta { recovered_errors: r.usize()?, graph_fp: r.u64()? };
     // Minimum row widths: a length or count prefix is 4 bytes, an event
     // is a tag, four span fields and its rep and edge counts, an edge is
-    // its target and two tags. The table starts empty and equal strings
-    // intern to equal symbols, so string `i` is symbol `i` unless it
-    // repeats an earlier string.
+    // its target and two tags. The table starts empty, sized for the
+    // string table's texts, and equal strings intern to equal symbols, so
+    // string `i` is symbol `i` unless it repeats an earlier string.
     let strings = r.count(4)?;
-    let mut symbols = Symbols::new();
+    let mut symbols = Symbols::with_capacity(strings, r.str_bytes(strings)?);
     for i in 0..strings {
         if symbols.intern(r.str()?).index() != i {
             return Err(corrupt("duplicate string-table entries"));
@@ -263,7 +292,7 @@ pub fn decode(payload: &[u8], file: FileId) -> Result<(PropagationGraph, usize),
     r.finish()?;
     symbols.seal();
     g.symbols = symbols;
-    Ok((PropagationGraph::from_parts(g), recovered_errors))
+    Ok((PropagationGraph::from_parts(g), meta))
 }
 
 #[cfg(test)]
@@ -287,7 +316,7 @@ mod tests {
 
         #[derive(Debug, Clone, PartialEq)]
         pub(super) struct FileArtifact {
-            pub(super) recovered_errors: usize,
+            pub(super) meta: ArtifactMeta,
             pub(super) strings: Vec<String>,
             pub(super) events: Vec<(EventKind, Span, Vec<u32>, Vec<Slot>)>,
             pub(super) preds: Vec<Vec<u32>>,
@@ -311,6 +340,7 @@ mod tests {
 
         impl FileArtifact {
             pub(super) fn from_graph(graph: &PropagationGraph, recovered_errors: usize) -> Self {
+                let meta = ArtifactMeta::of(graph, recovered_errors);
                 let text = |k: &Symbol| graph.symbols().resolve(*k).to_string();
                 let mut strings: Vec<String> = Vec::new();
                 let mut index_of: HashMap<&str, u32> = HashMap::new();
@@ -336,7 +366,7 @@ mod tests {
                     .map(|(id, _)| graph.predecessors(id).iter().map(|f| f.0).collect())
                     .collect();
                 let freq = freq_fragment(graph, &index_of);
-                FileArtifact { recovered_errors, strings, events, preds, freq }
+                FileArtifact { meta, strings, events, preds, freq }
             }
 
             pub(super) fn to_graph(&self, file: FileId) -> Result<PropagationGraph, EntryError> {
@@ -408,7 +438,8 @@ mod tests {
 
             pub(super) fn to_payload(&self) -> Vec<u8> {
                 let mut w = Writer::default();
-                w.u64(self.recovered_errors as u64);
+                w.u64(self.meta.recovered_errors as u64);
+                w.u64(self.meta.graph_fp);
                 w.table(&self.strings, |w, s| w.str(s));
                 w.table(&self.events, |w, (kind, span, reps, slots)| {
                     w.u8(kind_tag(*kind));
@@ -449,7 +480,7 @@ mod tests {
             pub(super) fn from_payload(payload: &[u8]) -> Result<FileArtifact, EntryError> {
                 let corrupt = |what: &str| EntryError::Corrupt(what.to_string());
                 let mut r = Reader::new(payload);
-                let recovered_errors = r.usize()?;
+                let meta = ArtifactMeta { recovered_errors: r.usize()?, graph_fp: r.u64()? };
                 let strings = r.table(4, |r| Ok(r.str()?.to_string()))?;
                 let events: Vec<(EventKind, Span, Vec<u32>, Vec<Slot>)> = r.table(25, |r| {
                     let kind =
@@ -487,7 +518,7 @@ mod tests {
                 }
                 let freq = r.table(8, |r| Ok((r.u32()?, r.u32()?)))?;
                 r.finish()?;
-                Ok(FileArtifact { recovered_errors, strings, events, preds, freq })
+                Ok(FileArtifact { meta, strings, events, preds, freq })
             }
         }
 
@@ -522,9 +553,9 @@ mod tests {
         pub(super) fn load(
             payload: &[u8],
             file: FileId,
-        ) -> Result<(PropagationGraph, usize), EntryError> {
+        ) -> Result<(PropagationGraph, ArtifactMeta), EntryError> {
             let artifact = FileArtifact::from_payload(payload)?;
-            Ok((artifact.to_graph(file)?, artifact.recovered_errors))
+            Ok((artifact.to_graph(file)?, artifact.meta))
         }
     }
 
@@ -561,7 +592,7 @@ mod tests {
     /// Decodes `payload` through [`decode`] and the oracle, asserts the
     /// same verdict class and, on `Ok`, identical graphs (events, reps,
     /// spans, file stamps, adjacency order, edge kinds, argument
-    /// positions, edge count) and recovered counts. Returns the verdict.
+    /// positions, edge count) and records. Returns the verdict.
     fn load(payload: &[u8]) -> Result<PropagationGraph, EntryError> {
         let file = FileId(9);
         match (decode(payload, file), oracle::load(payload, file)) {
@@ -587,9 +618,10 @@ mod tests {
     #[test]
     fn graph_round_trips_with_restamped_file_id() {
         let graph = build_source(SOURCE, FileId(0)).unwrap();
-        let payload = encode(&graph, 2);
-        let (rebuilt, recovered) = decode(&payload, FileId(42)).unwrap();
-        assert_eq!(recovered, 2);
+        let payload = encode(&graph, ArtifactMeta::of(&graph, 2));
+        let (rebuilt, meta) = decode(&payload, FileId(42)).unwrap();
+        assert_eq!(meta, ArtifactMeta { recovered_errors: 2, graph_fp: graph_fingerprint(&graph) });
+        assert_eq!(graph_fingerprint(&rebuilt), meta.graph_fp);
         graphs_agree(&graph, &rebuilt);
         for (_, ev) in rebuilt.events() {
             assert_eq!(ev.file, FileId(42), "events are re-stamped on load");
@@ -599,7 +631,7 @@ mod tests {
     #[test]
     fn payload_contains_no_raw_symbols() {
         let graph = build_source(SOURCE, FileId(7)).unwrap();
-        let payload = encode(&graph, 0);
+        let payload = encode(&graph, ArtifactMeta::of(&graph, 0));
         // Every representation appears by string; the payload parses in
         // any process, into a table of its own.
         let needle = b"os.system()";
@@ -616,7 +648,7 @@ mod tests {
         artifact.freq[0].1 += 1;
         assert!(is_corrupt(&artifact));
         // The last four payload bytes are the last fragment count.
-        let mut payload = encode(&graph, 0);
+        let mut payload = encode(&graph, ArtifactMeta::of(&graph, 0));
         let last = payload.len() - 4;
         payload[last] ^= 1;
         assert!(matches!(load(&payload), Err(EntryError::Corrupt(_))));
@@ -717,7 +749,7 @@ mod tests {
                     Lang::Js => build_js_source(&file.content, id),
                 }
                 .expect("generated files lower");
-                let payload = encode(&graph, i % 3);
+                let payload = encode(&graph, ArtifactMeta::of(&graph, i % 3));
                 let oracle = oracle::FileArtifact::from_graph(&graph, i % 3).to_payload();
                 assert!(payload == oracle, "{}: payload bytes differ", file.path);
                 assert_eq!(load(&payload).map(|g| g.event_count()), Ok(graph.event_count()));
@@ -773,7 +805,7 @@ mod tests {
                 "argument-position kind {tag} missing from the fuzz seed"
             );
         }
-        encode(&graph, 1)
+        encode(&graph, ArtifactMeta::of(&graph, 1))
     }
 
     #[test]
@@ -803,7 +835,8 @@ mod tests {
             edges in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 0..40),
         ) {
             let graph = random_graph(n, &edges);
-            let mut decoded = load(&encode(&graph, 3)).expect("an encoded graph decodes");
+            let mut decoded = load(&encode(&graph, ArtifactMeta::of(&graph, 3)))
+                .expect("an encoded graph decodes");
             decoded.rebase(graph.symbols().clone());
             prop_assert_eq!(decoded, graph);
         }

@@ -1,14 +1,24 @@
-//! The solver warm-start checkpoint.
+//! The solver checkpoint.
 //!
 //! A checkpoint captures the downstream half of a run — the solved score
 //! vector plus the extracted specification — keyed by one exact
-//! fingerprint, the **input fingerprint**: the global propagation graph
-//! ([`graph_fingerprint`], by representation *string*, so it is stable
-//! across processes), the seed specification, and every
+//! fingerprint, the **input fingerprint** ([`input_fingerprint`]): the
+//! corpus's **graph key**, the seed specification, and every
 //! generation/solve/extraction option that can influence scores or the
 //! spec. A match means generation, solving, and extraction would
 //! reproduce the stored outputs bit for bit, so all three stages are
 //! skipped; a miss reuses nothing.
+//!
+//! The graph key folds, in corpus order, the [`graph_fingerprint`] of
+//! every per-file graph with events ([`fold_file_fingerprints`]). The
+//! union the solver learns from is the concatenation of exactly those
+//! graphs, each shifted past the ones before it and with no edge between
+//! files, so equal keys mean equal unions as far as learning reads them.
+//! A per-file fingerprint hashes representation *strings*, so it is
+//! stable across processes and stored with the file's artifact: a warm
+//! run folds the stored values and never hashes the union. A caller that
+//! holds only the union derives the same key from it
+//! ([`union_graph_key`]).
 //!
 //! The key is **exact-match**. A near-miss warm start (seeding Adam
 //! with stale scores) converges to *almost* the same solution, and
@@ -34,6 +44,7 @@ use seldon_propgraph::{EventId, PropagationGraph};
 use seldon_solver::{ExtractOptions, Extraction, SolveOptions, Solution, StopReason};
 use seldon_specs::{Role, RoleSet, TaintSpec};
 use seldon_telemetry::EpochSample;
+use std::ops::Range;
 
 /// Shape counters of the constraint system a checkpoint was solved from,
 /// replayed into stage spans and the manifest when generation is skipped.
@@ -123,9 +134,21 @@ pub struct Checkpoint {
 /// Symbol-independent: two graphs built from the same corpus agree on
 /// this value whatever ids their tables gave each text.
 pub fn graph_fingerprint(graph: &PropagationGraph) -> u64 {
+    range_fingerprint(graph, 0..graph.event_count())
+}
+
+/// [`graph_fingerprint`] of the events `range` of `graph` taken as a
+/// graph of their own, event ids counted from `range.start`. Where a
+/// union laid a per-file graph out, this is that graph's fingerprint: the
+/// union shifts the file's ids by `range.start` and adds no edge between
+/// files.
+fn range_fingerprint(graph: &PropagationGraph, range: Range<usize>) -> u64 {
+    let base = range.start as u32;
     let mut h = Fnv64::new();
-    h.write_u64(graph.event_count() as u64);
-    for (id, event) in graph.events() {
+    h.write_u64(range.len() as u64);
+    for v in range {
+        let id = EventId(v as u32);
+        let event = graph.event(id);
         h.write_u64(event.kind as u64).write_u64(event.reps.len() as u64);
         for &rep in event.reps {
             h.write_str(graph.symbols().resolve(rep));
@@ -133,28 +156,63 @@ pub fn graph_fingerprint(graph: &PropagationGraph) -> u64 {
         let edges = graph.out_edges(id);
         h.write_u64(edges.len() as u64);
         for edge in edges {
-            h.write_u32(edge.to.0).write_u64(edge.kind as u64);
+            h.write_u32(edge.to.0.wrapping_sub(base)).write_u64(edge.kind as u64);
         }
         let preds = graph.predecessors(id);
         h.write_u64(preds.len() as u64);
         for &from in preds {
-            h.write_u32(from.0);
+            h.write_u32(from.0.wrapping_sub(base));
         }
     }
     h.finish()
 }
 
-/// The reuse key: graph + seed spec + every option that shapes the
-/// constraint system, the solve, or the extraction.
+/// The graph key of a corpus: folds, in corpus order, the
+/// [`graph_fingerprint`] of each file's graph, given as `(event count,
+/// fingerprint)`. A file without events adds nothing to the union, so it
+/// is skipped here too; a quarantined file (no graph) is not passed.
+pub fn fold_file_fingerprints(files: impl IntoIterator<Item = (usize, u64)>) -> u64 {
+    let mut h = Fnv64::new();
+    let mut folded = 0u64;
+    for (_, fp) in files.into_iter().filter(|&(events, _)| events > 0) {
+        h.write_u64(fp);
+        folded += 1;
+    }
+    h.write_u64(folded);
+    h.finish()
+}
+
+/// The graph key ([`fold_file_fingerprints`]) of the per-file graphs a
+/// union laid out, derived from the union alone. Each maximal run of
+/// events stamped with one [`seldon_propgraph::FileId`] is one file's
+/// graph, which holds whenever consecutive files carry distinct stamps,
+/// as `seldon learn`'s corpus analysis gives file `i` the stamp `i`.
+/// Hashes every event once.
+pub fn union_graph_key(union: &PropagationGraph) -> u64 {
+    let file = |v: usize| union.event(EventId(v as u32)).file;
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for v in 1..=union.event_count() {
+        if v == union.event_count() || file(v) != file(start) {
+            runs.push(start..v);
+            start = v;
+        }
+    }
+    fold_file_fingerprints(runs.into_iter().map(|r| (r.len(), range_fingerprint(union, r))))
+}
+
+/// The reuse key: the graph key ([`fold_file_fingerprints`]) + seed
+/// spec + every option that shapes the constraint system, the solve, or
+/// the extraction.
 pub fn input_fingerprint(
-    graph_fp: u64,
+    graph_key: u64,
     seed: &TaintSpec,
     gen: &GenOptions,
     solve: &SolveOptions,
     extract: &ExtractOptions,
 ) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(graph_fp).write_str(&seed.to_text());
+    h.write_u64(graph_key).write_str(&seed.to_text());
     h.write_u64(gen.rep_cutoff as u64)
         .write_f64(gen.c)
         .write_u64(gen.max_rhs_terms as u64)
@@ -646,6 +704,36 @@ mod tests {
         for (case, g) in &differ {
             assert_ne!(graph_fingerprint(g), base, "{case}");
         }
+    }
+
+    /// Two per-file graphs, stamped like `seldon learn` stamps them, and
+    /// their union.
+    fn two_files_and_union() -> [PropagationGraph; 3] {
+        let a = build_source("import os\nos.system(input())\n", FileId(0)).unwrap();
+        let b = build_source("import flask\nx = flask.request.args.get('q')\n", FileId(1)).unwrap();
+        let mut union = PropagationGraph::new();
+        union.union(&a);
+        union.union(&b);
+        [a, b, union]
+    }
+
+    #[test]
+    fn union_graph_key_folds_the_per_file_fingerprints() {
+        let [a, b, union] = two_files_and_union();
+        let (fa, fb) = (graph_fingerprint(&a), graph_fingerprint(&b));
+        let key = fold_file_fingerprints([(a.event_count(), fa), (b.event_count(), fb)]);
+        assert_eq!(union_graph_key(&union), key);
+        // Files without events fold to nothing, wherever they sit.
+        let empty = graph_fingerprint(&PropagationGraph::new());
+        let padded = [(0, empty), (a.event_count(), fa), (0, empty), (b.event_count(), fb)];
+        assert_eq!(fold_file_fingerprints(padded), key);
+        // Order and content both count.
+        assert_ne!(fold_file_fingerprints([(b.event_count(), fb), (a.event_count(), fa)]), key);
+        assert_ne!(fold_file_fingerprints([(a.event_count(), fa)]), key);
+        assert_eq!(union_graph_key(&PropagationGraph::new()), fold_file_fingerprints([]));
+        // The union's own fingerprint is another value: it numbers the
+        // second file's events past the first's.
+        assert_ne!(graph_fingerprint(&union), key);
     }
 
     #[test]

@@ -156,6 +156,20 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// The summed byte length of the next `n` string fields, read ahead
+    /// without consuming them (and without checking their UTF-8, which
+    /// reading them does).
+    pub(crate) fn str_bytes(&self, n: usize) -> Result<usize, EntryError> {
+        let mut ahead = Reader { bytes: self.bytes };
+        let mut total = 0;
+        for _ in 0..n {
+            let len = ahead.count(1)?;
+            ahead.bytes = &ahead.bytes[len..];
+            total += len;
+        }
+        Ok(total)
+    }
+
     /// Ends the read: leftover bytes mean the payload is not what the
     /// reader expected.
     pub(crate) fn finish(self) -> Result<(), EntryError> {

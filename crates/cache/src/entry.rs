@@ -33,7 +33,7 @@ pub const ENTRY_MAGIC: &str = "seldon-cache";
 /// Version stamp of the on-disk entry format. Bump on any change to the
 /// frame or payload encodings; readers treat other versions as
 /// [`EntryError::Stale`] and recompute.
-pub const ENTRY_VERSION: u32 = 5;
+pub const ENTRY_VERSION: u32 = 6;
 
 /// Why an entry could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

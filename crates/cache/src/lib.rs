@@ -16,10 +16,13 @@
 //!   its graph's table and never reaches disk.
 //! * **Solver checkpoint** ([`Checkpoint`]): the previous score vector and
 //!   extracted spec, keyed by one exact fingerprint ([`input_fingerprint`])
-//!   over the union graph's [`graph_fingerprint`], which hashes only what
-//!   learning reads (no spans, file stamps or argument positions), the
-//!   seed and the options. Reuse is all-or-nothing so warm results stay
-//!   byte-identical to cold ones.
+//!   over the corpus's graph key, the seed and the options. The graph key
+//!   folds the per-file graphs' [`graph_fingerprint`]s in corpus order
+//!   ([`fold_file_fingerprints`]); each fingerprint hashes only what
+//!   learning reads (no spans, file stamps or argument positions) and is
+//!   stored with its file's artifact, so a warm run never hashes the
+//!   union. Reuse is all-or-nothing so warm results stay byte-identical
+//!   to cold ones.
 //! * **Payload codec** (crate-private `codec`): both payloads are binary
 //!   records of little-endian integers, f64 bit patterns and
 //!   length-prefixed strings, read back by a bounds-checked reader that
@@ -41,7 +44,11 @@ pub mod hash;
 pub mod inject;
 pub mod store;
 
-pub use checkpoint::{graph_fingerprint, input_fingerprint, Checkpoint, SystemSummary};
+pub use artifact::ArtifactMeta;
+pub use checkpoint::{
+    fold_file_fingerprints, graph_fingerprint, input_fingerprint, union_graph_key, Checkpoint,
+    SystemSummary,
+};
 pub use entry::{decode_entry, encode_entry, write_atomic, EntryError, ENTRY_VERSION};
 pub use hash::{checksum, Fnv64};
 pub use inject::{inject_cache_faults, CacheFaultKind, InjectedCacheFault};

@@ -10,7 +10,7 @@
 //! allowed to escape as an error — the worst outcome of any fault is a
 //! cold computation.
 
-use crate::artifact::{decode, encode};
+use crate::artifact::{decode, encode, ArtifactMeta};
 use crate::checkpoint::Checkpoint;
 use crate::entry::{decode_entry, encode_entry, write_atomic, EntryError, ENTRY_VERSION};
 use seldon_intern::IdHasher;
@@ -117,8 +117,9 @@ struct Counters {
 #[derive(Debug)]
 pub enum ArtifactLookup {
     /// A validated graph (re-stamped with the requested [`FileId`]) and
-    /// its recovered-error count.
-    Hit(PropagationGraph, usize),
+    /// its stored record: the recovered-error count and the fingerprint
+    /// the store computed.
+    Hit(PropagationGraph, ArtifactMeta),
     /// No entry under this key.
     Miss,
     /// The entry existed but was damaged; it has been quarantined and the
@@ -139,30 +140,26 @@ pub enum CheckpointLookup {
 
 /// Artifact stores for [`ArtifactCache::write_behind`]'s writer: each is
 /// encoded on the caller's thread and written like
-/// [`ArtifactCache::store_artifact`] (temp file, `sync_data`, rename).
+/// [`ArtifactCache::store`] (temp file, `sync_data`, rename).
 #[derive(Debug)]
 pub struct StoreQueue {
     tx: mpsc::Sender<(usize, u64, Vec<u8>)>,
 }
 
 impl StoreQueue {
-    /// Queues `graph`'s artifact under `key`. A write fault comes back
-    /// from [`ArtifactCache::write_behind`] with `tag`, so the caller can
-    /// say which file it belongs to.
+    /// Queues `graph`'s artifact, with its record `meta`, under `key`. A
+    /// write fault comes back from [`ArtifactCache::write_behind`] with
+    /// `tag`, so the caller can say which file it belongs to.
     pub fn store_artifact(
         &self,
         tag: usize,
         key: u64,
         graph: &PropagationGraph,
-        recovered_errors: usize,
+        meta: ArtifactMeta,
     ) {
         // The writer outlives every queue, so the send cannot fail.
-        let _ = self.tx.send((tag, key, artifact_frame(graph, recovered_errors)));
+        let _ = self.tx.send((tag, key, encode_entry(&encode(graph, meta))));
     }
-}
-
-fn artifact_frame(graph: &PropagationGraph, recovered_errors: usize) -> Vec<u8> {
-    encode_entry(&encode(graph, recovered_errors))
 }
 
 /// Derives the cache key for a source file: entry-format version, the
@@ -394,9 +391,9 @@ impl ArtifactCache {
     /// quarantines the entry and reports a fault.
     pub fn load_artifact(&self, key: u64, file: FileId) -> ArtifactLookup {
         match self.load_entry(&format!("{key:016x}.entry"), |payload| decode(payload, file)) {
-            Ok(Some((graph, recovered_errors))) => {
+            Ok(Some((graph, meta))) => {
                 self.bump(|c| &c.hits);
-                ArtifactLookup::Hit(graph, recovered_errors)
+                ArtifactLookup::Hit(graph, meta)
             }
             Ok(None) => {
                 self.bump(|c| &c.misses);
@@ -406,15 +403,27 @@ impl ArtifactCache {
         }
     }
 
-    /// Stores a per-file graph under `key`. Write failures are reported
-    /// as faults, never raised — the run simply stays cold for this file.
+    /// Stores a per-file graph under `key`, fingerprinting it once
+    /// ([`ArtifactMeta::of`]). Write failures are reported as faults,
+    /// never raised — the run simply stays cold for this file.
     pub fn store_artifact(
         &self,
         key: u64,
         graph: &PropagationGraph,
         recovered_errors: usize,
     ) -> Option<CacheFault> {
-        self.write_artifact(key, &artifact_frame(graph, recovered_errors))
+        self.store(key, graph, ArtifactMeta::of(graph, recovered_errors))
+    }
+
+    /// [`ArtifactCache::store_artifact`] for a caller that already holds
+    /// the graph's record `meta`.
+    pub fn store(
+        &self,
+        key: u64,
+        graph: &PropagationGraph,
+        meta: ArtifactMeta,
+    ) -> Option<CacheFault> {
+        self.write_artifact(key, &encode_entry(&encode(graph, meta)))
     }
 
     /// Runs `work` with a [`StoreQueue`] that one background writer
@@ -519,10 +528,13 @@ mod tests {
         assert!(faults.is_empty(), "{faults:?}");
         let graph = sample_graph();
         let key = file_key("import os\nos.system('x')\n", 0, 0);
-        assert!(cache.store_artifact(key, &graph, 0).is_none());
+        assert!(cache.store_artifact(key, &graph, 3).is_none());
         match cache.load_artifact(key, FileId(5)) {
-            ArtifactLookup::Hit(g, recovered) => {
-                assert_eq!(recovered, 0);
+            ArtifactLookup::Hit(g, meta) => {
+                // The record holds the fingerprint the store computed.
+                let graph_fp = crate::checkpoint::graph_fingerprint(&graph);
+                assert_eq!(meta, ArtifactMeta { recovered_errors: 3, graph_fp });
+                assert_eq!(crate::checkpoint::graph_fingerprint(&g), graph_fp);
                 assert_eq!(g.event_count(), graph.event_count());
             }
             other => panic!("expected hit, got {other:?}"),
@@ -539,7 +551,7 @@ mod tests {
         let graph = sample_graph();
         let (out, faults) = cache.write_behind(|queue| {
             for key in 1..=3u64 {
-                queue.store_artifact(key as usize, key, &graph, 0);
+                queue.store_artifact(key as usize, key, &graph, ArtifactMeta::of(&graph, 0));
             }
             "done"
         });
@@ -558,7 +570,8 @@ mod tests {
         let (cache, _) = ArtifactCache::open(&dir).unwrap();
         let ((), faults) = cache.write_behind(|queue| {
             fs::remove_dir_all(&dir).unwrap();
-            queue.store_artifact(7, 1, &sample_graph(), 0);
+            let graph = sample_graph();
+            queue.store_artifact(7, 1, &graph, ArtifactMeta::of(&graph, 0));
         });
         assert_eq!(faults.len(), 1, "{faults:?}");
         assert_eq!((faults[0].0, faults[0].1.class), (7, FaultClass::Io));
@@ -662,6 +675,11 @@ mod tests {
     #[test]
     fn version_4_directory_is_stale_and_cleared() {
         assert_old_directory_is_stale_and_cleared(4);
+    }
+
+    #[test]
+    fn version_5_directory_is_stale_and_cleared() {
+        assert_old_directory_is_stale_and_cleared(5);
     }
 
     /// A directory written by format `version`: opening it reports one

@@ -3,8 +3,9 @@
 //! and assembles the machine-readable [`RunManifest`] the `--telemetry`
 //! flag writes.
 //!
-//! [`run_full`] is [`analyze_corpus_with`] + [`run_seldon_cached`] plus a
-//! final taint pass with the learned specification. With a recording
+//! [`run_full`] is [`analyze_corpus_with`] + [`run_seldon_cached`] (keyed
+//! by the graph key the analysis folded) plus a final taint pass with the
+//! learned specification. With a recording
 //! [`Telemetry`] handle in [`AnalyzeOptions`], the manifest captures every
 //! stage span with its counters and the solver's sampled convergence
 //! curve, and its metrics registry holds the corpus shape, per-file fault
@@ -15,7 +16,7 @@
 
 use crate::error::PipelineError;
 use crate::pipeline::{
-    analyze_corpus_with, run_seldon_cached, AnalyzeOptions, AnalyzedCorpus, CheckpointUse,
+    analyze_corpus_with, run_checkpointed, AnalyzeOptions, AnalyzedCorpus, CheckpointUse,
     SeldonOptions, SeldonRun,
 };
 use crate::report::{AnalysisReport, CacheFaultReport, FileOutcome};
@@ -68,8 +69,17 @@ pub fn run_full(
 ) -> Result<FullRun, PipelineError> {
     let tele = analyze.telemetry.clone();
     let (analyzed, mut report) = analyze_corpus_with(corpus, analyze)?;
-    let (run, checkpoint) =
-        run_seldon_cached(&analyzed.graph, seed, seldon, &tele, analyze.cache.as_deref());
+    // With a cache, the analysis folded the graph key from its per-file
+    // fingerprints, so the union is never hashed.
+    let graph_key = || analyzed.graph_key.expect("a cached analysis folds its graph key");
+    let (run, checkpoint) = run_checkpointed(
+        &analyzed.graph,
+        graph_key,
+        seed,
+        seldon,
+        &tele,
+        analyze.cache.as_deref(),
+    );
     report.cache_faults.extend(checkpoint.faults.iter().cloned().map(CacheFaultReport::checkpoint));
 
     let mut full_spec = seed.clone();

@@ -20,9 +20,9 @@
 use crate::error::{panic_message, PipelineError};
 use crate::report::{AnalysisReport, CacheFaultReport, FileOutcome, FileReport};
 use seldon_cache::{
-    file_key, graph_fingerprint, input_fingerprint, ArtifactCache,
-    ArtifactLookup, CacheFault, Checkpoint, CheckpointLookup, FaultClass, Fnv64, StoreQueue,
-    SystemSummary, CHECKPOINT_NAME,
+    file_key, fold_file_fingerprints, graph_fingerprint, input_fingerprint, union_graph_key,
+    ArtifactCache, ArtifactLookup, ArtifactMeta, CacheFault, Checkpoint, CheckpointLookup,
+    FaultClass, Fnv64, StoreQueue, SystemSummary, CHECKPOINT_NAME,
 };
 use seldon_constraints::{generate_with_stats, ConstraintSystem, GenOptions, GenStats};
 use seldon_corpus::{Corpus, SourceFile};
@@ -257,6 +257,10 @@ pub struct AnalyzedCorpus {
     /// during analysis; cache-served files skip construction and are never
     /// tallied.
     pub build_histogram: Option<Histogram>,
+    /// The solver checkpoint's graph key, folded from the per-file
+    /// fingerprints ([`AnalyzedFiles::graph_key`]); `None` when analyzed
+    /// without a cache.
+    pub graph_key: Option<u64>,
 }
 
 /// How [`analyze_inputs`] reacts to a file that cannot be analyzed
@@ -400,6 +404,18 @@ pub struct FileAnalysis {
     /// The artifact-cache key of the content, hashed once at lookup;
     /// `None` without a cache.
     key: Option<u64>,
+    /// The graph's [`graph_fingerprint`]: read from the artifact on a hit,
+    /// computed once after a fresh analysis. `None` without a cache or a
+    /// graph.
+    graph_fp: Option<u64>,
+}
+
+impl FileAnalysis {
+    /// The record a fresh artifact of this analysis stores.
+    fn meta(&self) -> Option<ArtifactMeta> {
+        let recovered_errors = self.outcome.recovered_errors();
+        self.graph_fp.map(|graph_fp| ArtifactMeta { recovered_errors, graph_fp })
+    }
 }
 
 /// Analyzes a single file with the guard rails and artifact-cache keying
@@ -415,9 +431,11 @@ pub struct FileAnalysis {
 pub fn analyze_file(path: &str, content: &str, id: FileId, opts: &AnalyzeOptions) -> FileAnalysis {
     let mut analysis = lookup_or_analyze(path, content, id, opts);
     let cache = opts.cache.as_deref().filter(|_| !analysis.from_cache);
-    if let (Some(cache), Some(key), Some(g)) = (cache, analysis.key, &analysis.graph) {
+    if let (Some(cache), Some(key), Some(g), Some(meta)) =
+        (cache, analysis.key, &analysis.graph, analysis.meta())
+    {
         let t = Instant::now();
-        analysis.faults.extend(cache.store_artifact(key, g, analysis.outcome.recovered_errors()));
+        analysis.faults.extend(cache.store(key, g, meta));
         analysis.cache_time += t.elapsed();
     }
     analysis
@@ -438,25 +456,35 @@ fn lookup_or_analyze(path: &str, content: &str, id: FileId, opts: &AnalyzeOption
         timings: BuildTimings::default(),
         cache_time: Duration::ZERO,
         key,
+        graph_fp: None,
     };
-    if let (Some(cache), Some(key)) = (opts.cache.as_deref(), key) {
-        match cache.load_artifact(key, id) {
-            ArtifactLookup::Hit(graph, 0) => analysis.graph = Some(graph),
-            ArtifactLookup::Hit(graph, errors) => {
-                analysis.graph = Some(graph);
-                analysis.outcome = FileOutcome::Recovered { errors };
+    let Some((cache, key)) = opts.cache.as_deref().zip(key) else {
+        (analysis.graph, analysis.outcome, analysis.timings) =
+            analyze_one(path, content, id, frontend, opts);
+        return analysis;
+    };
+    match cache.load_artifact(key, id) {
+        ArtifactLookup::Hit(graph, meta) => {
+            analysis.graph = Some(graph);
+            analysis.graph_fp = Some(meta.graph_fp);
+            if meta.recovered_errors > 0 {
+                analysis.outcome = FileOutcome::Recovered { errors: meta.recovered_errors };
             }
-            ArtifactLookup::Miss => {}
-            ArtifactLookup::Fault(f) => analysis.faults.push(f),
         }
-        analysis.cache_time = t0.elapsed();
-        analysis.from_cache = analysis.graph.is_some();
-        if analysis.from_cache {
-            return analysis;
-        }
+        ArtifactLookup::Miss => {}
+        ArtifactLookup::Fault(f) => analysis.faults.push(f),
     }
-    (analysis.graph, analysis.outcome, analysis.timings) =
-        analyze_one(path, content, id, frontend, opts);
+    analysis.cache_time = t0.elapsed();
+    analysis.from_cache = analysis.graph.is_some();
+    if !analysis.from_cache {
+        (analysis.graph, analysis.outcome, analysis.timings) =
+            analyze_one(path, content, id, frontend, opts);
+        // The fingerprint the artifact stores and the checkpoint key
+        // folds, hashed once; cache work, like the key.
+        let t = Instant::now();
+        analysis.graph_fp = analysis.graph.as_ref().map(graph_fingerprint);
+        analysis.cache_time += t.elapsed();
+    }
     analysis
 }
 
@@ -501,14 +529,17 @@ fn analyze_and_union<'a>(
         path: &file.path,
         content: &file.content,
     });
-    let AnalyzedFiles { graphs, report, parse_histograms, build_histogram, .. } =
-        analyze_inputs(inputs, opts)?;
+    let analyzed = analyze_inputs(inputs, opts)?;
+    let graph_key = analyzed.graph_key();
+    let AnalyzedFiles { graphs, report, parse_histograms, build_histogram, .. } = analyzed;
     let graphs = graphs.into_iter().map(|g| g.map(Cow::Owned)).collect();
     let (graph, _) = union_graphs(graphs, &opts.telemetry);
     let meta = |f: &FileReport| FileMeta { project: f.project, path: f.path.clone() };
     let files = report.files.iter().map(meta).collect();
     let build_time = started.elapsed();
-    Ok((AnalyzedCorpus { graph, files, build_time, parse_histograms, build_histogram }, report))
+    let corpus =
+        AnalyzedCorpus { graph, files, build_time, parse_histograms, build_histogram, graph_key };
+    Ok((corpus, report))
 }
 
 /// One file handed to [`analyze_inputs`].
@@ -534,12 +565,29 @@ pub struct AnalyzedFiles {
     /// Each file's artifact-cache key, hashed once from its content;
     /// `None` without a cache.
     pub keys: Vec<Option<u64>>,
+    /// Each file's [`graph_fingerprint`], read from its artifact or hashed
+    /// once after its analysis; `None` without a cache or a graph.
+    pub fingerprints: Vec<Option<u64>>,
     /// Each file's outcome, and the contained cache faults.
     pub report: AnalysisReport,
     /// See [`AnalyzedCorpus::parse_histograms`].
     pub parse_histograms: Vec<(&'static str, Histogram)>,
     /// See [`AnalyzedCorpus::build_histogram`].
     pub build_histogram: Option<Histogram>,
+}
+
+impl AnalyzedFiles {
+    /// The solver checkpoint's graph key of these files in input order
+    /// ([`fold_file_fingerprints`]), the key [`union_graph_key`] derives
+    /// from their union; `None` when a graph has no fingerprint (the
+    /// files were analyzed without a cache).
+    pub fn graph_key(&self) -> Option<u64> {
+        let files = self.graphs.iter().zip(&self.fingerprints);
+        let fingerprinted: Option<Vec<(usize, u64)>> = files
+            .filter_map(|(g, fp)| g.as_ref().map(|g| Some((g.event_count(), (*fp)?))))
+            .collect();
+        fingerprinted.map(fold_file_fingerprints)
+    }
 }
 
 /// The per-file stage of `seldon learn` and `seldon serve`, the one place
@@ -566,6 +614,7 @@ pub fn analyze_inputs<'a>(
     let mut out = AnalyzedFiles {
         graphs: Vec::new(),
         keys: Vec::new(),
+        fingerprints: Vec::new(),
         report: AnalysisReport::default(),
         parse_histograms: Vec::new(),
         build_histogram: None,
@@ -592,9 +641,11 @@ pub fn analyze_inputs<'a>(
             }
             cache_time += analysis.cache_time;
             let queue = queue.filter(|_| !analysis.from_cache);
-            if let (Some(queue), Some(key), Some(g)) = (queue, analysis.key, &analysis.graph) {
+            if let (Some(queue), Some(key), Some(g), Some(meta)) =
+                (queue, analysis.key, &analysis.graph, analysis.meta())
+            {
                 let t = Instant::now();
-                queue.store_artifact(i, key, g, analysis.outcome.recovered_errors());
+                queue.store_artifact(i, key, g, meta);
                 cache_time += t.elapsed();
             }
             timings.add(analysis.timings);
@@ -615,6 +666,7 @@ pub fn analyze_inputs<'a>(
             faults.extend(analysis.faults.into_iter().map(|f| (i, f)));
             out.graphs.push(analysis.graph);
             out.keys.push(analysis.key);
+            out.fingerprints.push(analysis.graph_fp);
             let (project, path) = (input.project, input.path.to_string());
             out.report.files.push(FileReport { project, path, outcome: analysis.outcome });
         }
@@ -934,8 +986,8 @@ pub struct Climb {
 }
 
 /// The checkpoint ladder `learn` and `serve` both climb, and the one
-/// place the learning stage spans are written. Keyed by the union graph's
-/// fingerprint `graph_fp` (see [`seldon_cache::checkpoint`]), it tries in
+/// place the learning stage spans are written. Keyed by the corpus's
+/// graph key `graph_key` (see [`seldon_cache::checkpoint`]), it tries in
 /// order:
 ///
 /// 1. *full* — the input fingerprint matches `stored`: its scores, spec
@@ -952,13 +1004,13 @@ pub struct Climb {
 /// counter keys; replayed stages add `replayed`, a warm attempt adds
 /// `warm_accepted` and `warm_margin`. `load_time` is what loading
 /// `stored` cost, reported as the solve time of the full rung. With
-/// `graph_fp == None` the climb is unkeyed: no fingerprint is computed,
+/// `graph_key == None` the climb is unkeyed: no fingerprint is computed,
 /// no checkpoint is built, and only the warm and cold rungs remain. When
 /// `tele` records and the caller left the solver trace stride at 0, the
 /// stride defaults to [`DEFAULT_TRACE_STRIDE`] so the manifest always
 /// carries a convergence curve.
 pub fn climb_ladder(
-    graph_fp: Option<u64>,
+    graph_key: Option<u64>,
     seed: &TaintSpec,
     stored: Option<&Checkpoint>,
     load_time: Duration,
@@ -967,7 +1019,7 @@ pub fn climb_ladder(
     build: impl FnOnce() -> (ConstraintSystem, GenStats),
 ) -> Climb {
     let input_fp =
-        graph_fp.map(|fp| input_fingerprint(fp, seed, &opts.gen, &opts.solve, &opts.extract));
+        graph_key.map(|key| input_fingerprint(key, seed, &opts.gen, &opts.solve, &opts.extract));
     let mut faults = Vec::new();
     if let Some(ckpt) = stored.filter(|c| input_fp == Some(c.input_fp) && !opts.score_dump) {
         match TaintSpec::parse(&ckpt.spec_text) {
@@ -1173,14 +1225,30 @@ fn extract_span(
 
 /// [`run_seldon`] emitting the learning stage spans on `tele`, behind the
 /// checkpoint stored in `cache`: loads it, climbs [`climb_ladder`] keyed
-/// by the graph's fingerprint, and stores the fresh checkpoint. Reuse is
-/// exact-match by default, so the returned spec and scores are
+/// by the graph key [`union_graph_key`] derives from `graph` (a union
+/// [`analyze_corpus_with`] built), and stores the fresh checkpoint. Reuse
+/// is exact-match by default, so the returned spec and scores are
 /// byte-identical to what the cold run would produce — a damaged or
 /// mismatched checkpoint costs time, never output fidelity. Without a
 /// cache the climb is unkeyed: it computes no fingerprint and builds no
 /// checkpoint.
 pub fn run_seldon_cached(
     graph: &PropagationGraph,
+    seed: &TaintSpec,
+    opts: &SeldonOptions,
+    tele: &Telemetry,
+    cache: Option<&ArtifactCache>,
+) -> (SeldonRun, CheckpointUse) {
+    run_checkpointed(graph, || union_graph_key(graph), seed, opts, tele, cache)
+}
+
+/// [`run_seldon_cached`] with the graph key supplied by `graph_key`,
+/// which is called only when a cache is attached: `seldon learn` passes
+/// the key its analysis folded from the per-file fingerprints
+/// ([`AnalyzedCorpus::graph_key`]), so it never hashes the union.
+pub(crate) fn run_checkpointed(
+    graph: &PropagationGraph,
+    graph_key: impl FnOnce() -> u64,
     seed: &TaintSpec,
     opts: &SeldonOptions,
     tele: &Telemetry,
@@ -1202,9 +1270,9 @@ pub fn run_seldon_cached(
         }
     };
     let load_time = started.elapsed();
-    let graph_fp = graph_fingerprint(graph);
+    let key = Some(graph_key());
     let build = || generate_with_stats(graph, seed, &opts.gen);
-    let climb = climb_ladder(Some(graph_fp), seed, stored.as_deref(), load_time, opts, tele, build);
+    let climb = climb_ladder(key, seed, stored.as_deref(), load_time, opts, tele, build);
     faults.extend(climb.faults);
     // Store (or re-key) the checkpoint so the next identical run takes the
     // full rung.

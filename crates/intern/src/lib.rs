@@ -112,6 +112,17 @@ impl Symbols {
         Symbols::default()
     }
 
+    /// An empty table sized for `texts` distinct texts of `bytes` bytes in
+    /// all: interning that many grows nothing, and [`Symbols::seal`] then
+    /// has no spare capacity to give back.
+    pub fn with_capacity(texts: usize, bytes: usize) -> Self {
+        Symbols {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(texts),
+            slots: vec![0; (2 * (texts + 1)).next_power_of_two()],
+        }
+    }
+
     /// Number of distinct texts interned.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -266,6 +277,26 @@ mod tests {
         assert_eq!(i.get("api40()"), None);
         assert_eq!(i.intern("api7()"), syms[7], "interning rebuilds the index");
         assert_eq!(i.intern("api40()"), Symbol(40));
+    }
+
+    #[test]
+    fn a_presized_table_interns_without_growing() {
+        let texts: Vec<String> = (0..100).map(|n| format!("api{n}()")).collect();
+        let bytes = texts.iter().map(String::len).sum();
+        let mut sized = Symbols::with_capacity(texts.len(), bytes);
+        let mut grown = Symbols::new();
+        let slots = sized.slots.len();
+        for t in &texts {
+            assert_eq!(sized.intern(t), grown.intern(t));
+        }
+        assert_eq!(sized.intern("api7()"), Symbol(7), "duplicates still find their symbol");
+        let capacities = (sized.slots.len(), sized.text.capacity(), sized.ends.capacity());
+        assert_eq!(capacities, (slots, bytes, 100));
+        sized.seal();
+        assert_eq!((sized.text.capacity(), sized.ends.capacity()), (bytes, 100));
+        assert_eq!(sized, grown);
+        let mut empty = Symbols::with_capacity(0, 0);
+        assert_eq!(empty.intern("x"), Symbol(0), "an empty presized table still interns");
     }
 
     #[test]

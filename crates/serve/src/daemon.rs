@@ -179,20 +179,19 @@ pub fn run_daemon(daemon: &mut ServeDaemon, socket: &Path) -> io::Result<()> {
             Ok(stream) => stream,
             Err(_) => continue,
         };
-        let mut writer = match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => continue,
-        };
-        let mut reader = BufReader::new(stream);
+        // Read and write through shared references to the one socket.
+        let mut reader = BufReader::new(&stream);
         let mut buf = Vec::new();
         loop {
-            let (response, stop) = match read_request_line(&mut reader, &mut buf) {
+            let (mut response, stop) = match read_request_line(&mut reader, &mut buf) {
                 Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
                 Ok(Some(Ok(line))) => daemon.handle_line(line.trim()),
                 Ok(Some(Err(reason))) => daemon.reject(&reason),
                 Ok(None) | Err(_) => break,
             };
-            if writeln!(writer, "{response}").and_then(|()| writer.flush()).is_err() {
+            // One write per response line, newline included.
+            response.push('\n');
+            if (&stream).write_all(response.as_bytes()).is_err() {
                 break;
             }
             if stop {
@@ -224,12 +223,10 @@ pub fn client_request(socket: &Path, line: &str, wait: Duration) -> io::Result<S
             }
         }
     };
-    let mut writer = stream.try_clone()?;
-    writeln!(writer, "{line}")?;
-    writer.flush()?;
-    let mut reader = BufReader::new(stream);
+    // One write per request line, newline included.
+    (&stream).write_all(format!("{line}\n").as_bytes())?;
     let mut response = String::new();
-    reader.read_line(&mut response)?;
+    BufReader::new(&stream).read_line(&mut response)?;
     if response.is_empty() {
         return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection"));
     }

@@ -23,8 +23,8 @@
 //!   to equal graphs with equal outcomes. The proof is off past the
 //!   budget's source size and under `fault_markers`. Every other touched
 //!   file is analyzed and replaces its slot; an edit that changes tokens
-//!   but not the graph then replays at the checkpoint, whose key is the
-//!   union's graph fingerprint. The resident graph of a matched file
+//!   but not the graph then replays at the checkpoint, whose key folds
+//!   the slots' graph fingerprints. The resident graph of a matched file
 //!   keeps the old content's spans; nothing in serve reads spans or file
 //!   stamps.
 //! * The cache holds artifacts only for tracked files' current contents.
@@ -38,8 +38,11 @@
 //!   rows reference only events of their own file, so an identical slice
 //!   over an identical graph reproduces identical rows.
 //! * The solve climbs the checkpoint ladder batch `learn` climbs
-//!   ([`climb_ladder`]), keyed by the same exact fingerprint, so a
-//!   checkpoint either mode stores is reused by the other. Its warm rung
+//!   ([`climb_ladder`]), keyed by the same exact fingerprint: the graph
+//!   key folds each slot's graph fingerprint in corpus order, as `learn`
+//!   folds its files', so a checkpoint either mode stores is reused by the
+//!   other. A slot's fingerprint comes with its artifact or is hashed once
+//!   when the file is analyzed; a rebuild never hashes the union. Its warm rung
 //!   runs only when [`SeldonOptions::warm_start`] is set; `seldon serve`
 //!   leaves it off, because a margin-accepted warm solution can land on a
 //!   different optimum than a cold solve.
@@ -71,7 +74,9 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use seldon_cache::{graph_fingerprint, CacheFault, Checkpoint, CheckpointLookup};
+use seldon_cache::{
+    fold_file_fingerprints, graph_fingerprint, CacheFault, Checkpoint, CheckpointLookup,
+};
 use seldon_constraints::{collect_rows, select, EventReps, FileRows, GenStats, Selection};
 use seldon_core::{
     analysis_cache_key, analyze_inputs, climb_ladder, default_rep_cutoff, learned_per_role,
@@ -111,6 +116,8 @@ struct FileState {
     /// events keep the `FileId(0)` stamp they were analyzed at; file
     /// attribution in the union is positional.
     graph: Option<PropagationGraph>,
+    /// [`graph_fingerprint`] of `graph`; `None` when quarantined.
+    graph_fp: Option<u64>,
     /// [`Frontend::token_fingerprint`] of the content `graph` and
     /// `outcome` describe; `None` when no token proof applies to it.
     tokens_fp: Option<u64>,
@@ -274,7 +281,7 @@ pub struct ServeEngine {
     cfg: EngineConfig,
     /// Tracked files in corpus order ([`PathBuf`] ordering matches the
     /// sorted file list `seldon learn` analyzes, so the union's event
-    /// order — and with it its fingerprint — agrees with a batch run).
+    /// order — and with it its graph key — agrees with a batch run).
     files: BTreeMap<PathBuf, FileState>,
     /// The last finished build (also persisted via the artifact cache).
     ckpt: Option<Checkpoint>,
@@ -354,6 +361,16 @@ impl ServeEngine {
         self.last_solve
     }
 
+    /// The checkpoint's graph key of the tracked files: their graph
+    /// fingerprints folded in corpus order, as `seldon learn` folds its
+    /// files' ([`fold_file_fingerprints`]).
+    pub fn graph_key(&self) -> u64 {
+        fold_file_fingerprints(self.files.values().filter_map(|s| {
+            let events = s.graph.as_ref()?.event_count();
+            Some((events, s.graph_fp.expect("a graph has its fingerprint")))
+        }))
+    }
+
     /// The engine's symbol table, which every rebuild's union links into.
     pub fn symbols(&self) -> &Symbols {
         &self.symbols
@@ -398,12 +415,12 @@ impl ServeEngine {
                 content,
             })
             .collect();
-        let (graphs, keys, mut report) = if inputs.is_empty() {
-            (Vec::new(), Vec::new(), AnalysisReport::default())
+        let (graphs, keys, fingerprints, mut report) = if inputs.is_empty() {
+            (Vec::new(), Vec::new(), Vec::new(), AnalysisReport::default())
         } else {
-            let AnalyzedFiles { graphs, keys, report, .. } =
+            let AnalyzedFiles { graphs, keys, fingerprints, report, .. } =
                 analyze_inputs(inputs, &self.cfg.analyze).map_err(EngineError::Analysis)?;
-            (graphs, keys, report)
+            (graphs, keys, fingerprints, report)
         };
         self.counters.deltas += 1;
 
@@ -426,7 +443,9 @@ impl ServeEngine {
         }
         let reparsed = report.files.len();
         let structural = reparsed > 0 || !delta.remove.is_empty();
-        let mut analyzed = graphs.into_iter().zip(keys).zip(std::mem::take(&mut report.files));
+        let mut analyzed = (graphs.into_iter().zip(fingerprints))
+            .zip(keys)
+            .zip(std::mem::take(&mut report.files));
         for (i, (path, content)) in touched().enumerate() {
             if matched[i] {
                 // Same tokens, so the same graph, outcome and rows: keep
@@ -442,10 +461,15 @@ impl ServeEngine {
                 report.files.push(FileReport { project: 0, path: names[i].to_string(), outcome });
                 continue;
             }
-            let ((graph, cache_key), file) = analyzed.next().expect("one result per input");
+            let (((graph, graph_fp), cache_key), file) =
+                analyzed.next().expect("one result per input");
+            // Without a cache the loop leaves the fingerprint to us; the
+            // in-memory checkpoint is keyed either way.
+            let graph_fp = graph_fp.or_else(|| graph.as_ref().map(graph_fingerprint));
             let outcome = file.outcome.clone();
             report.files.push(file);
-            let state = FileState { cache_key, graph, tokens_fp: tokens[i], outcome, frag: None };
+            let tokens_fp = tokens[i];
+            let state = FileState { cache_key, graph, graph_fp, tokens_fp, outcome, frag: None };
             dropped.extend(self.files.insert(path.clone(), state).and_then(|old| old.cache_key));
         }
 
@@ -575,7 +599,7 @@ impl ServeEngine {
             self.files.values_mut().for_each(|state| state.frag = None);
         }
         // Union by reference, in corpus order: the ranges attribute
-        // events to files, and the fingerprint ignores file stamps.
+        // events to files, whatever their stamps.
         let graphs = self.files.values().map(|s| s.graph.as_ref().map(Cow::Borrowed)).collect();
         let (mut union, ranges) = union_graphs(graphs, &tele);
         self.symbols_used = union.symbols().len();
@@ -588,7 +612,7 @@ impl ServeEngine {
         // state hashes to exactly what the checkpoint was built from (an
         // edit was reverted, or the daemon restarted over an unchanged
         // corpus); otherwise `build` selects and collects the system.
-        let union_fp = graph_fingerprint(&union);
+        let graph_key = self.graph_key();
         let (mut reused, mut collected) = (0usize, 0usize);
         let files = &mut self.files;
         let seed = &self.cfg.seed;
@@ -621,7 +645,7 @@ impl ServeEngine {
         };
         let stored = self.ckpt.as_ref();
         let climb =
-            climb_ladder(Some(union_fp), seed, stored, Duration::ZERO, &seldon, &tele, build);
+            climb_ladder(Some(graph_key), seed, stored, Duration::ZERO, &seldon, &tele, build);
         let mut faults: Vec<CacheFault> = self.startup_fault.take().into_iter().collect();
         faults.extend(climb.faults);
         self.counters.fragments_reused += reused;

@@ -2,10 +2,11 @@
 //!
 //! [`CompiledSystem::compile`] lowers a [`ConstraintSystem`]'s rows into
 //! a flat CSR layout: one contiguous terms array (struct-of-arrays:
-//! variable, signed coefficient, lane slot) with per-row offsets. The
-//! system already stores each constraint as one signed row (lhs `+coeff`,
-//! rhs `−coeff`, duplicate variables merged) and each distinct row once
-//! with an integer weight, in first-occurrence order (see
+//! variable, signed coefficient, lane slot) in pass-1 order (see below),
+//! with a start index per row. The system already stores each constraint
+//! as one signed row (lhs `+coeff`, rhs `−coeff`, duplicate variables
+//! merged) and each distinct row once with an integer weight, in
+//! first-occurrence order (see
 //! [`seldon_constraints::Row`]). So the per-row gap `Σ lhs − Σ rhs − C` is
 //! a single signed dot product. A row's gap test is unweighted; its
 //! violation and gradient contributions are scaled by the weight, which
@@ -26,12 +27,25 @@
 //! gap is positive, adds `w · gap` to the lane's violation and `w · coeff`
 //! per term to the lane's gradient buffer.
 //!
+//! The term arrays are laid out for pass 1: each lane's terms occupy the
+//! range they would in solve order, but row after row in pass-1 order, so
+//! a length group's terms are one contiguous block that pass 1 reads
+//! front to back, `L` terms at a time for a group of `L`-term rows. Each
+//! row keeps its terms in ascending variable order, and one start index
+//! per row (`term_start`) lets pass 2, [`rows`] and the generic group
+//! reach a row's terms from its solve-order index; a row's term count
+//! comes from the solve-order prefix sums (`offsets`).
+//!
+//! [`rows`]: CompiledSystem::rows
+//!
 //! Row order is free inside pass 1: each gap is one row's own dot product
 //! ([`chunked_dot`], the same function at every length), written to the
 //! row's own slot, so no sum crosses rows. It is not free inside pass 2:
 //! the violation and every gradient slot are sums across rows, and
 //! floating-point addition is not associative, so pass 2 keeps the solve
-//! order and adds exactly the products the single-pass walk added.
+//! order and adds exactly the products the single-pass walk added. The
+//! term layout changes only where a row's terms are stored, never their
+//! order within the row, so no sum changes.
 //!
 //! ## Deterministic parallel reduction
 //!
@@ -71,6 +85,9 @@
 //! permutation ([`CompiledSystem::row_permutation`]) is recorded so the
 //! compile stays auditable — nothing downstream observes row order:
 //! scores are indexed by variable, and extraction reads only scores.
+//! Solve order is this sorted order; the pass-1 term layout is a second,
+//! storage-only permutation inside each lane that no accessor exposes:
+//! [`CompiledSystem::rows`] yields the rows in solve order.
 
 use seldon_constraints::{ConstraintSystem, Row};
 
@@ -179,12 +196,18 @@ pub struct CompiledSystem {
     c: f64,
     /// Pinned `(var, value)` pairs, sorted by variable index.
     pins: Vec<(u32, f64)>,
-    /// CSR row offsets into the term arrays; length `rows + 1`.
+    /// Prefix sums of the rows' term counts in solve order; length `rows +
+    /// 1`. Row `ri` has `offsets[ri + 1] − offsets[ri]` terms, and lane
+    /// `l`'s terms fill `offsets[l.start]..offsets[l.end]` of the term
+    /// arrays, in pass-1 order.
     offsets: Vec<u32>,
+    /// Where row `ri`'s terms start in the term arrays.
+    term_start: Vec<u32>,
     /// Row multiplicities: how many original constraints each distinct
     /// row stands for (always an exact small integer).
     weights: Vec<f64>,
-    /// Term variable indices, row-major, ascending within a row.
+    /// Term variable indices, row-major in pass-1 order, ascending within
+    /// a row.
     term_vars: Vec<u32>,
     /// Signed term coefficients (`+` for lhs, `−` for rhs, duplicates
     /// combined), parallel to `term_vars` — the gap dot product, and,
@@ -223,9 +246,10 @@ impl CompiledSystem {
         // Consecutive rows then touch neighbouring `x` entries and the gap
         // pass walks the score vector roughly in order. Stored rows are
         // never empty. Slot assignment: the first appearance of a variable
-        // in a lane claims the lane's next slot; `touch` records every
-        // (var, lane, slot) in ascending lane order. A stable counting
-        // sort by term count then lays out the lane's pass-1 groups.
+        // in a lane, in solve order, claims the lane's next slot; `touch`
+        // records every (var, lane, slot) in ascending lane order. A
+        // stable counting sort by term count then lays out the lane's
+        // pass-1 groups, and the lane's terms are written in that order.
         let lane_count = rows.div_ceil(LANE_TARGET).clamp(1, MAX_LANES);
         let per_lane = rows.div_ceil(lane_count).max(1);
         let mut row_perm: Vec<u32> = (0..rows as u32).collect();
@@ -234,6 +258,7 @@ impl CompiledSystem {
         let mut weights = Vec::with_capacity(rows);
         let (mut term_vars, mut term_coeffs, mut term_slots) = (Vec::new(), Vec::new(), Vec::new());
         let mut gap_order = vec![0u32; rows];
+        let mut term_start = vec![0u32; rows];
         let mut lanes = Vec::with_capacity(lane_count);
         let mut seen_lane: Vec<u32> = vec![u32::MAX; n];
         let mut slot_of: Vec<u32> = vec![0; n];
@@ -247,7 +272,7 @@ impl CompiledSystem {
             for &old in lane_rows.iter() {
                 let row = stored[old as usize];
                 weights.push(f64::from(row.weight));
-                for &(var, coeff) in row.terms {
+                for &(var, _) in row.terms {
                     let vi = var as usize;
                     if seen_lane[vi] != l as u32 {
                         seen_lane[vi] = l as u32;
@@ -255,11 +280,8 @@ impl CompiledSystem {
                         touch.push((var, l as u32, slots));
                         slots += 1;
                     }
-                    term_vars.push(var);
-                    term_coeffs.push(coeff);
-                    term_slots.push(slot_of[vi]);
                 }
-                offsets.push(term_vars.len() as u32);
+                offsets.push(offsets[offsets.len() - 1] + row.terms.len() as u32);
                 counts[length_group(row.terms.len())] += 1;
             }
             let mut groups = [start as u32; GROUPS + 1];
@@ -271,6 +293,14 @@ impl CompiledSystem {
                 let g = length_group((offsets[ri + 1] - offsets[ri]) as usize);
                 gap_order[cursor[g] as usize] = ri as u32;
                 cursor[g] += 1;
+            }
+            for &ri in &gap_order[start..end] {
+                term_start[ri as usize] = term_vars.len() as u32;
+                for &(var, coeff) in stored[row_perm[ri as usize] as usize].terms {
+                    term_vars.push(var);
+                    term_coeffs.push(coeff);
+                    term_slots.push(slot_of[var as usize]);
+                }
             }
             lanes.push(Lane { start: start as u32, end: end as u32, slots, groups });
         }
@@ -300,6 +330,7 @@ impl CompiledSystem {
             c: sys.c,
             pins: sys.pinned_sorted(),
             offsets,
+            term_start,
             weights,
             term_vars,
             term_coeffs,
@@ -337,9 +368,16 @@ impl CompiledSystem {
     /// coefficients)` per row.
     pub fn rows(&self) -> impl Iterator<Item = (f64, &[u32], &[f64])> + '_ {
         (0..self.row_count()).map(move |ri| {
-            let (t0, t1) = (self.offsets[ri] as usize, self.offsets[ri + 1] as usize);
-            (self.weights[ri], &self.term_vars[t0..t1], &self.term_coeffs[t0..t1])
+            let terms = self.terms(ri);
+            (self.weights[ri], &self.term_vars[terms.clone()], &self.term_coeffs[terms])
         })
+    }
+
+    /// Where row `ri`'s terms sit in the term arrays.
+    #[inline]
+    fn terms(&self, ri: usize) -> std::ops::Range<usize> {
+        let t0 = self.term_start[ri] as usize;
+        t0..t0 + (self.offsets[ri + 1] - self.offsets[ri]) as usize
     }
 
     /// Number of lanes in the fixed row partition.
@@ -396,45 +434,56 @@ impl CompiledSystem {
 
     /// The gap of row `ri` at `x`: its signed dot product minus `C`.
     fn row_gap(&self, ri: usize, x: &[f64]) -> f64 {
-        let (t0, t1) = (self.offsets[ri] as usize, self.offsets[ri + 1] as usize);
-        chunked_dot(&self.term_coeffs[t0..t1], &self.term_vars[t0..t1], x) - self.c
+        let terms = self.terms(ri);
+        chunked_dot(&self.term_coeffs[terms.clone()], &self.term_vars[terms], x) - self.c
     }
 
-    /// Pass 1 over the `rows` of one length group, all `L` terms long:
-    /// writes each row's gap to `gaps[row − base]`.
+    /// Pass 1 over the `rows` of one length group, all `L` terms long, whose
+    /// terms are the block starting at term `t0`: writes each row's gap to
+    /// `gaps[row − base]`.
     #[inline(always)]
-    fn group_gaps<const L: usize>(&self, rows: &[u32], base: usize, x: &[f64], gaps: &mut [f64]) {
-        for &ri in rows {
-            let t0 = self.offsets[ri as usize] as usize;
-            let dot = chunked_dot(&self.term_coeffs[t0..t0 + L], &self.term_vars[t0..t0 + L], x);
-            gaps[ri as usize - base] = dot - self.c;
+    fn group_gaps<const L: usize>(
+        &self,
+        rows: &[u32],
+        t0: usize,
+        base: usize,
+        x: &[f64],
+        gaps: &mut [f64],
+    ) {
+        let block = t0..t0 + rows.len() * L;
+        let (coeffs, _) = self.term_coeffs[block.clone()].as_chunks::<L>();
+        let (vars, _) = self.term_vars[block].as_chunks::<L>();
+        for ((&ri, coeffs), vars) in rows.iter().zip(coeffs).zip(vars) {
+            gaps[ri as usize - base] = chunked_dot(coeffs, vars, x) - self.c;
         }
     }
 
     /// Pass 1 over one lane: writes the gap of every row of the lane to
     /// `gaps` (indexed from the lane's first row), one length group at a
-    /// time.
+    /// time, reading the lane's terms front to back.
     fn lane_gaps(&self, lane: &Lane, x: &[f64], gaps: &mut [f64]) {
         let base = lane.start as usize;
         for (g, bounds) in lane.groups.windows(2).enumerate() {
             let rows = &self.gap_order[bounds[0] as usize..bounds[1] as usize];
+            // The group's block starts with its first row's terms.
+            let t0 = rows.first().map_or(0, |&ri| self.term_start[ri as usize] as usize);
             match g + 1 {
-                1 => self.group_gaps::<1>(rows, base, x, gaps),
-                2 => self.group_gaps::<2>(rows, base, x, gaps),
-                3 => self.group_gaps::<3>(rows, base, x, gaps),
-                4 => self.group_gaps::<4>(rows, base, x, gaps),
-                5 => self.group_gaps::<5>(rows, base, x, gaps),
-                6 => self.group_gaps::<6>(rows, base, x, gaps),
-                7 => self.group_gaps::<7>(rows, base, x, gaps),
-                8 => self.group_gaps::<8>(rows, base, x, gaps),
-                9 => self.group_gaps::<9>(rows, base, x, gaps),
-                10 => self.group_gaps::<10>(rows, base, x, gaps),
-                11 => self.group_gaps::<11>(rows, base, x, gaps),
-                12 => self.group_gaps::<12>(rows, base, x, gaps),
-                13 => self.group_gaps::<13>(rows, base, x, gaps),
-                14 => self.group_gaps::<14>(rows, base, x, gaps),
-                15 => self.group_gaps::<15>(rows, base, x, gaps),
-                16 => self.group_gaps::<16>(rows, base, x, gaps),
+                1 => self.group_gaps::<1>(rows, t0, base, x, gaps),
+                2 => self.group_gaps::<2>(rows, t0, base, x, gaps),
+                3 => self.group_gaps::<3>(rows, t0, base, x, gaps),
+                4 => self.group_gaps::<4>(rows, t0, base, x, gaps),
+                5 => self.group_gaps::<5>(rows, t0, base, x, gaps),
+                6 => self.group_gaps::<6>(rows, t0, base, x, gaps),
+                7 => self.group_gaps::<7>(rows, t0, base, x, gaps),
+                8 => self.group_gaps::<8>(rows, t0, base, x, gaps),
+                9 => self.group_gaps::<9>(rows, t0, base, x, gaps),
+                10 => self.group_gaps::<10>(rows, t0, base, x, gaps),
+                11 => self.group_gaps::<11>(rows, t0, base, x, gaps),
+                12 => self.group_gaps::<12>(rows, t0, base, x, gaps),
+                13 => self.group_gaps::<13>(rows, t0, base, x, gaps),
+                14 => self.group_gaps::<14>(rows, t0, base, x, gaps),
+                15 => self.group_gaps::<15>(rows, t0, base, x, gaps),
+                16 => self.group_gaps::<16>(rows, t0, base, x, gaps),
                 _ => {
                     for &ri in rows {
                         gaps[ri as usize - base] = self.row_gap(ri as usize, x);
@@ -459,8 +508,8 @@ impl CompiledSystem {
                 let w = self.weights[ri];
                 violation += w * gap;
                 violated += w as usize;
-                let (t0, t1) = (self.offsets[ri] as usize, self.offsets[ri + 1] as usize);
-                let terms = self.term_coeffs[t0..t1].iter().zip(&self.term_slots[t0..t1]);
+                let terms = self.terms(ri);
+                let terms = self.term_coeffs[terms.clone()].iter().zip(&self.term_slots[terms]);
                 for (&coeff, &slot) in terms {
                     grad[slot as usize] += w * coeff;
                 }
@@ -778,8 +827,10 @@ mod tests {
 
     /// The single-pass gap kernel the two passes replaced, kept as their
     /// oracle: one walk over a lane in solve order, each row's dot
-    /// product followed at once by its hinge scatter of the weight-scaled
-    /// coefficients the compile used to precompute (`wcoeffs`).
+    /// product over its own terms (wherever the layout stores them)
+    /// followed at once by its hinge scatter of the weight-scaled
+    /// coefficients the compile used to precompute (`wcoeffs`, parallel to
+    /// the term arrays).
     fn lane_gap_pass(
         cs: &CompiledSystem,
         wcoeffs: &[f64],
@@ -792,15 +843,14 @@ mod tests {
         let mut violation = 0.0;
         let mut violated = 0usize;
         for ri in l.start as usize..l.end as usize {
-            let t0 = cs.offsets[ri] as usize;
-            let t1 = cs.offsets[ri + 1] as usize;
-            let acc = chunked_dot(&cs.term_coeffs[t0..t1], &cs.term_vars[t0..t1], x);
+            let terms = cs.terms(ri);
+            let acc = chunked_dot(&cs.term_coeffs[terms.clone()], &cs.term_vars[terms.clone()], x);
             let gap = acc - cs.c;
             if gap > 0.0 {
                 let w = cs.weights[ri];
                 violation += w * gap;
                 violated += w as usize;
-                for (&wcoeff, &slot) in wcoeffs[t0..t1].iter().zip(&cs.term_slots[t0..t1]) {
+                for (&wcoeff, &slot) in wcoeffs[terms.clone()].iter().zip(&cs.term_slots[terms]) {
                     buf[slot as usize] += wcoeff;
                 }
             }
@@ -812,9 +862,8 @@ mod tests {
     fn oracle_objective(cs: &CompiledSystem, x: &[f64], lambda: f64) -> (f64, f64) {
         let mut violation = 0.0;
         for ri in 0..cs.row_count() {
-            let t0 = cs.offsets[ri] as usize;
-            let t1 = cs.offsets[ri + 1] as usize;
-            let acc = chunked_dot(&cs.term_coeffs[t0..t1], &cs.term_vars[t0..t1], x);
+            let terms = cs.terms(ri);
+            let acc = chunked_dot(&cs.term_coeffs[terms.clone()], &cs.term_vars[terms], x);
             let gap = acc - cs.c;
             if gap > 0.0 {
                 violation += cs.weights[ri] * gap;
@@ -824,14 +873,28 @@ mod tests {
         (violation, violation + lambda * l1)
     }
 
+    /// How [`random_kernel_case`] draws row lengths.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum RowShape {
+        /// 1–40 terms, so every length group runs, the generic one
+        /// included.
+        Mixed,
+        /// One length for every row, drawn from 1–40: every other length
+        /// group of every lane is empty.
+        Uniform,
+        /// Only rows longer than [`GROUPED_LEN`] (17–40 terms): the
+        /// generic group runs and every grouped length is empty.
+        Long,
+    }
+
     /// Expands `seed` into a kernel-oracle case: 40–71 variables with up
     /// to eight pins; 1–64, 1,025–2,124 or 3,073–4,472 rows (one to five
-    /// lanes) of 1–40 distinct variables each, so every length group runs,
-    /// the generic one included; palette coefficients on either side;
-    /// weights 1–9 (a constraint added that many times in a row); `C`
-    /// exactly 0.75 half the time; and a point whose scores are exact 0
-    /// or exact 1 a third of the time each.
-    fn random_kernel_case(seed: u64) -> (ConstraintSystem, Vec<f64>) {
+    /// lanes) of 1–40 distinct variables each, their lengths drawn as
+    /// `shape` says; palette coefficients on either side; weights 1–9 (a
+    /// constraint added that many times in a row); `C` exactly 0.75 half
+    /// the time; and a point whose scores are exact 0 or exact 1 a third
+    /// of the time each.
+    fn random_kernel_case(seed: u64, shape: RowShape) -> (ConstraintSystem, Vec<f64>) {
         let mut state = seed;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -860,8 +923,13 @@ mod tests {
             _ => 3073 + next() % 1400,
         };
         let mut pool = vars.clone();
+        let uniform = 1 + (next() % 40) as usize;
         for _ in 0..rows {
-            let len = 1 + (next() % 40) as usize;
+            let len = match shape {
+                RowShape::Mixed => 1 + (next() % 40) as usize,
+                RowShape::Uniform => uniform,
+                RowShape::Long => GROUPED_LEN + 1 + (next() % (40 - GROUPED_LEN as u64)) as usize,
+            };
             let mut con = FlowConstraint::default();
             for k in 0..len {
                 pool.swap(k, k + (next() % (n - k) as u64) as usize);
@@ -892,16 +960,33 @@ mod tests {
         /// The two-pass kernel matches the single-pass oracle bit for bit
         /// at 1, 2 and 4 threads: each lane's `(violation, violated)` and
         /// every gradient slot; `objective` matches the oracle's ordered
-        /// sum.
+        /// sum. Each case draws its row shape: mixed lengths, one length
+        /// (lanes with empty length groups), or only rows longer than
+        /// [`GROUPED_LEN`].
         #[test]
         fn two_pass_kernel_matches_single_pass_oracle(
             seed in proptest::prelude::any::<u64>(),
         ) {
-            let (sys, mut x) = random_kernel_case(seed);
+            let shape = [RowShape::Mixed, RowShape::Uniform, RowShape::Long][(seed % 3) as usize];
+            let (sys, mut x) = random_kernel_case(seed, shape);
             let cs = CompiledSystem::compile(&sys);
             cs.apply_pins(&mut x);
-            let wcoeffs: Vec<f64> =
-                cs.rows().flat_map(|(w, _, coeffs)| coeffs.iter().map(move |&c| w * c)).collect();
+            let mut wcoeffs = vec![0.0; cs.term_count()];
+            for ri in 0..cs.row_count() {
+                for t in cs.terms(ri) {
+                    wcoeffs[t] = cs.weights[ri] * cs.term_coeffs[t];
+                }
+            }
+            if shape == RowShape::Long {
+                proptest::prop_assert!(cs.rows().all(|(_, vars, _)| vars.len() > GROUPED_LEN));
+            } else if shape == RowShape::Uniform {
+                let empty = cs.lanes.iter().flat_map(|l| l.groups.windows(2));
+                proptest::prop_assert_eq!(
+                    empty.filter(|b| b[0] == b[1]).count(),
+                    cs.lane_count() * (GROUPS - 1),
+                    "one length group per lane runs"
+                );
+            }
             let oracle: Vec<(Vec<f64>, (f64, usize))> = (0..cs.lane_count())
                 .map(|lane| {
                     let mut buf = vec![0.0; cs.lanes[lane].slots as usize];
@@ -930,10 +1015,12 @@ mod tests {
     }
 
     /// Pass-1 groups partition each lane's rows: every row appears once,
-    /// in the group of its term count, in solve order within the group.
+    /// in the group of its term count, in solve order within the group;
+    /// and the terms are stored row after row in that order, filling the
+    /// lane's solve-order term range.
     #[test]
     fn length_groups_partition_each_lane_in_solve_order() {
-        let (sys, _) = random_kernel_case(3);
+        let (sys, _) = random_kernel_case(3, RowShape::Mixed);
         let cs = CompiledSystem::compile(&sys);
         for lane in &cs.lanes {
             let order = &cs.gap_order[lane.rows()];
@@ -947,6 +1034,35 @@ mod tests {
                     let len = (cs.offsets[ri as usize + 1] - cs.offsets[ri as usize]) as usize;
                     assert_eq!(length_group(len), g);
                 }
+            }
+            let mut next = cs.offsets[lane.start as usize] as usize;
+            for &ri in order {
+                let terms = cs.terms(ri as usize);
+                assert_eq!(terms.start, next, "row {ri} follows the previous row's terms");
+                next = terms.end;
+            }
+            assert_eq!(next, cs.offsets[lane.end as usize] as usize);
+        }
+    }
+
+    /// The pass-1 layout is storage only: [`CompiledSystem::rows`], mapped
+    /// back through the row permutation, is the system's own row list —
+    /// every weight, variable and coefficient bit.
+    #[test]
+    fn rows_map_back_to_the_system_rows_through_the_permutation() {
+        for (seed, shape) in [(5, RowShape::Mixed), (6, RowShape::Uniform), (7, RowShape::Long)] {
+            let (sys, _) = random_kernel_case(seed, shape);
+            let cs = CompiledSystem::compile(&sys);
+            let stored: Vec<Row> = sys.rows().collect();
+            assert_eq!(cs.rows().count(), stored.len());
+            for ((w, vars, coeffs), &old) in cs.rows().zip(cs.row_permutation()) {
+                let row = stored[old as usize];
+                assert_eq!(w, f64::from(row.weight));
+                let terms: Vec<(u32, u64)> =
+                    vars.iter().zip(coeffs).map(|(&v, &c)| (v, c.to_bits())).collect();
+                let expected: Vec<(u32, u64)> =
+                    row.terms.iter().map(|&(v, c)| (v, c.to_bits())).collect();
+                assert_eq!(terms, expected, "{shape:?} row {old}");
             }
         }
     }

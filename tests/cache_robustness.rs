@@ -5,7 +5,7 @@
 //! serialization must survive the process boundary — representation
 //! strings intern on load into a fresh table with the same graph content.
 
-use seldon_cache::artifact::{decode, encode};
+use seldon_cache::artifact::{decode, encode, ArtifactMeta};
 use seldon_cache::{
     encode_entry, graph_fingerprint, inject_cache_faults, ArtifactCache, CacheStats, INDEX_NAME,
 };
@@ -251,11 +251,11 @@ mod proptests {
         ) {
             let src = source_for(&pairs);
             let graph = build_source(&src, FileId(3)).expect("generated source parses");
-            let payload = encode(&graph, recovered);
+            let payload = encode(&graph, ArtifactMeta::of(&graph, recovered));
 
             // Cross-process boundary: only bytes survive.
             let (rebuilt, back) = decode(&payload, FileId(3)).expect("payload decodes");
-            prop_assert_eq!(back, recovered);
+            prop_assert_eq!(back, ArtifactMeta::of(&graph, recovered));
             prop_assert_eq!(encode(&rebuilt, back), payload, "re-encoding gives the same bytes");
 
             prop_assert_eq!(rebuilt.event_count(), graph.event_count());

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use seldon_cache::{graph_fingerprint, Fnv64};
+use seldon_cache::{graph_fingerprint, union_graph_key, Fnv64};
 use seldon_constraints::{generate_with_stats, ConstraintSystem, FlowConstraint, Term, VarId};
 use seldon_core::{analyze_corpus, SeldonOptions};
 use seldon_corpus::{generate_corpus, CorpusOptions, Lang, Universe};
@@ -287,6 +287,22 @@ fn graph_fingerprint_is_pinned_for_both_golden_corpora() {
     };
     assert_eq!(fingerprint(Lang::Py), 0x14f5_88a5_c7c7_5c4c);
     assert_eq!(fingerprint(Lang::Js), 0x828d_295a_8b46_43e2);
+}
+
+/// The checkpoint's graph keys of both golden corpora: the per-file
+/// graph fingerprints folded in corpus order, as `seldon learn` folds
+/// them from its artifacts and `seldon serve` from its slots. The
+/// checkpoint's reuse rests on this value, so a change to how per-file
+/// graphs are fingerprinted or folded must leave it alone.
+#[test]
+fn graph_key_is_pinned_for_both_golden_corpora() {
+    let key = |lang| {
+        let universe = Universe::new();
+        let opts = CorpusOptions { projects: 60, rng_seed: 1234, lang, ..Default::default() };
+        union_graph_key(&analyze_corpus(&generate_corpus(&universe, &opts)).unwrap().graph)
+    };
+    assert_eq!(key(Lang::Py), 0xda5b_399c_c773_bdb8);
+    assert_eq!(key(Lang::Js), 0xf678_c5c0_c5ed_7e9e);
 }
 
 /// A hash of what `solve_compiled` returns for `cs` at `threads` worker

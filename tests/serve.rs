@@ -15,13 +15,16 @@
 mod support;
 
 use proptest::prelude::*;
-use seldon_cache::{inject_cache_faults, ArtifactCache, CheckpointLookup, CHECKPOINT_NAME};
-use seldon_core::{
-    analysis_cache_key, analyze_corpus_with, default_rep_cutoff, run_full, run_seldon_cached,
-    AnalyzeOptions, CheckpointOutcome, FaultPolicy, FileOutcome, PipelineError, SeldonOptions,
-    WarmStartOptions,
+use seldon_cache::{
+    inject_cache_faults, union_graph_key, ArtifactCache, CheckpointLookup, CHECKPOINT_NAME,
 };
-use seldon_propgraph::Budget;
+use seldon_core::{
+    analysis_cache_key, analyze_corpus_with, analyze_file, default_rep_cutoff, run_full,
+    run_seldon_cached, AnalyzeOptions, CheckpointOutcome, FaultPolicy, FileOutcome, PipelineError,
+    SeldonOptions, WarmStartOptions,
+};
+use seldon_corpus::{generate_corpus, CorpusOptions, Lang, SourceFile, Universe};
+use seldon_propgraph::{Budget, FileId};
 use seldon_serve::{
     client_request, run_daemon, Delta, EngineConfig, EngineError, ServeDaemon, ServeEngine,
 };
@@ -571,6 +574,98 @@ fn cross_mode_engine_checkpoint_is_a_full_hit_for_learn() {
     .expect("batch run");
     assert_eq!(full.checkpoint.outcome, CheckpointOutcome::HitFull);
     assert_eq!(full.run.extraction.spec.to_text(), spec);
+}
+
+/// The corpus `opts` generates, flattened like [`fixture`], plus one
+/// comment-only file, whose graph has no events; and the language's seed.
+fn key_corpus(opts: CorpusOptions) -> (Vec<(PathBuf, String)>, TaintSpec) {
+    let universe = Universe::new();
+    let corpus = generate_corpus(&universe, &opts);
+    let (blank, seed) = match opts.lang {
+        Lang::Py => (("zz_blank/blank.py", "# blank\n"), universe.seed_spec()),
+        Lang::Js => (("zz_blank/blank.js", "// blank\n"), universe.seed_spec_js()),
+    };
+    let mut files: Vec<(PathBuf, String)> = (corpus.projects.iter())
+        .flat_map(|p| {
+            let qualified = |f: &SourceFile| format!("{}/{}", p.name, f.path);
+            p.files.iter().map(move |f| (PathBuf::from(qualified(f)), f.content.clone()))
+        })
+        .collect();
+    files.push((PathBuf::from(blank.0), blank.1.to_string()));
+    files.sort_by(|a, b| a.0.cmp(&b.0));
+    (files, seed)
+}
+
+/// The four derivations of the checkpoint's graph key agree over
+/// `files` analyzed under `analyze` with a cache: the fold of a fresh
+/// `learn` analysis (which stores the checkpoint), the fold of a second
+/// analysis served from artifacts, the key `run_seldon_cached` derives
+/// from the union (it replays the checkpoint), and the fold of a serve
+/// engine over the same cache (its initial build replays it too). Returns
+/// how many files were quarantined.
+fn graph_keys_agree(
+    tag: &str,
+    files: &[(PathBuf, String)],
+    seed: &TaintSpec,
+    analyze: AnalyzeOptions,
+) -> usize {
+    let dir = temp_dir(&format!("graph-key-{tag}"));
+    let cache = Arc::new(ArtifactCache::open(&dir).expect("cache opens").0);
+    let analyze = AnalyzeOptions { cache: Some(cache.clone()), ..analyze };
+    let (corpus, seldon) = (batch_corpus(files), seldon_opts(1));
+    let (blank, content) = files.iter().find(|(p, _)| p.starts_with("zz_blank")).unwrap();
+    let blank = analyze_file(&blank.to_string_lossy(), content, FileId(0), &analyze_opts(None));
+    assert_eq!(blank.graph.map(|g| g.event_count()), Some(0), "{tag}: a graph without events");
+
+    let fresh = run_full(&corpus, seed, "learn", &analyze, &seldon).expect("learn runs");
+    assert_eq!(fresh.checkpoint.outcome, CheckpointOutcome::MissCold, "{tag}");
+    let quarantined = fresh.report.files.iter().filter(|f| !f.outcome.is_analyzed()).count();
+    let analyzed = (fresh.report.files.len() - quarantined) as u64;
+
+    let hits = cache.stats().hits;
+    let (warm, _) = analyze_corpus_with(&corpus, &analyze).expect("analysis runs");
+    assert_eq!(cache.stats().hits - hits, analyzed, "{tag}: every analyzed file hits");
+    let (_, used) =
+        run_seldon_cached(&warm.graph, seed, &seldon, &Telemetry::disabled(), Some(&cache));
+    assert_eq!(used.outcome, CheckpointOutcome::HitFull, "{tag}: the union-derived key replays");
+
+    let cfg = EngineConfig { seed: seed.clone(), analyze, seldon, dynamic_cutoff: false };
+    let mut engine = ServeEngine::new(cfg);
+    engine.apply_delta(&Delta { add: files.to_vec(), ..Default::default() }).expect("serve loads");
+    assert_eq!(engine.last_solve(), "replayed", "{tag}: serve's key replays");
+
+    let keys = [
+        fresh.analyzed.graph_key.expect("a cached analysis folds its key"),
+        warm.graph_key.expect("a cached analysis folds its key"),
+        union_graph_key(&warm.graph),
+        engine.graph_key(),
+    ];
+    assert!(keys.iter().all(|&k| k == keys[0]), "{tag}: fresh, hit, union, serve: {keys:x?}");
+    let _ = std::fs::remove_dir_all(&dir);
+    quarantined
+}
+
+#[test]
+fn graph_key_parity_on_the_golden_corpora() {
+    for lang in [Lang::Py, Lang::Js] {
+        let (files, seed) =
+            key_corpus(CorpusOptions { projects: 60, rng_seed: 1234, lang, ..Default::default() });
+        graph_keys_agree(&format!("{lang:?}"), &files, &seed, analyze_opts(None));
+    }
+}
+
+#[test]
+fn graph_key_parity_on_the_faulted_corpus() {
+    let opts =
+        CorpusOptions { projects: 60, rng_seed: 1234, fault_rate: 0.2, ..Default::default() };
+    let (files, seed) = key_corpus(opts);
+    let analyze = AnalyzeOptions {
+        budget: Some(Budget::default()),
+        fault_markers: true,
+        ..analyze_opts(None)
+    };
+    let quarantined = graph_keys_agree("faulted", &files, &seed, analyze);
+    assert!(quarantined > 0, "the faulted corpus quarantines files");
 }
 
 /// Names and counter keys of every stage span but `taint`, in order.
